@@ -18,8 +18,8 @@
 //! (paper §VI) — the behaviour Figs. 12–14 measure.
 
 use streambal_core::{
-    loads_of, needs_rebalance, outcome_from_assignment, AssignmentFn, IntervalStats, Key,
-    KeyRecord, RebalanceInput, RebalanceOutcome, StatsWindow, TaskId,
+    needs_rebalance, outcome_from_assignment, IntervalStats, Key, KeyRecord, RebalanceInput,
+    RebalanceOutcome, StatsPlane, TaskId,
 };
 
 use crate::{Partitioner, RoutingView};
@@ -178,8 +178,7 @@ fn third_max(loads: &[u64], a: usize, b: usize) -> u64 {
 /// rebalance at interval boundaries.
 #[derive(Debug)]
 pub struct ReadjPartitioner {
-    assignment: AssignmentFn,
-    window: StatsWindow,
+    plane: StatsPlane,
     cfg: ReadjConfig,
     rebalances: usize,
     last_install_was_delta: bool,
@@ -190,8 +189,7 @@ impl ReadjPartitioner {
     /// intervals of state.
     pub fn new(n_tasks: usize, window: usize, cfg: ReadjConfig) -> Self {
         ReadjPartitioner {
-            assignment: AssignmentFn::hash_only(n_tasks),
-            window: StatsWindow::new(window),
+            plane: StatsPlane::new(n_tasks, window),
             cfg,
             rebalances: 0,
             last_install_was_delta: false,
@@ -203,25 +201,13 @@ impl ReadjPartitioner {
         self.rebalances
     }
 
+    /// Split keys are excluded, as for `Rebalancer::build_input`: their
+    /// routing rotates over replicas, so whole-key move/swap actions are
+    /// meaningless for them.
     fn build_input(&self) -> RebalanceInput {
-        // Split keys are excluded, mirroring `Rebalancer::build_input`:
-        // their routing rotates over replicas, so whole-key move/swap
-        // actions are meaningless for them.
-        let assignment = &self.assignment;
-        let mut records = self.window.records(|k| {
-            if assignment.split_replicas(k).is_some() {
-                let h = assignment.hash_route(k);
-                (h, h)
-            } else {
-                (assignment.route(k), assignment.hash_route(k))
-            }
-        });
-        if assignment.has_splits() {
-            records.retain(|r| assignment.split_replicas(r.key).is_none());
-        }
         RebalanceInput {
-            n_tasks: assignment.n_tasks(),
-            records,
+            n_tasks: self.plane.assignment().n_tasks(),
+            records: self.plane.window().records(),
         }
     }
 }
@@ -232,25 +218,23 @@ impl Partitioner for ReadjPartitioner {
     }
 
     fn n_tasks(&self) -> usize {
-        self.assignment.n_tasks()
+        self.plane.assignment().n_tasks()
     }
 
     #[inline]
     fn route(&mut self, key: Key) -> TaskId {
-        self.assignment.route(key)
+        self.plane.assignment().route(key)
     }
 
     fn route_batch(&mut self, keys: &[Key], out: &mut Vec<TaskId>) {
-        self.assignment.route_batch(keys, out);
+        self.plane.assignment().route_batch(keys, out);
     }
 
     fn end_interval(&mut self, stats: IntervalStats) -> Option<RebalanceOutcome> {
-        self.window.push(stats);
-        let input = self.build_input();
-        if input.records.is_empty() {
+        self.plane.push(stats);
+        if !self.plane.window().has_records() {
             return None;
         }
-        let summary = loads_of(&input.records, input.n_tasks);
         // The shared overload predicate is exactly Readj's actionable
         // region: `readj_rebalance`'s move/swap loop only acts while some
         // task exceeds `Lmax` (it breaks at `loads[dmax] ≤ lmax`), so on
@@ -258,48 +242,39 @@ impl Partitioner for ReadjPartitioner {
         // `Lmax` — it provably returns the identity assignment. Firing on
         // deviation would only add no-op rebalances to the reports (the
         // `underload_only_is_a_noop` test pins this equivalence).
-        if !needs_rebalance(&summary, self.cfg.theta_max) {
+        if !needs_rebalance(&self.plane.loads(), self.cfg.theta_max) {
             return None;
         }
+        let input = self.build_input();
         let assign = readj_rebalance(&input.records, input.n_tasks, &self.cfg);
         let outcome = outcome_from_assignment(&input, &assign);
         // Delta install (O(churn)) with an occasional staleness resync —
         // not the old whole-table clone-and-swap per rebalance.
         self.last_install_was_delta = self
-            .assignment
+            .plane
             .install_rebalance(&outcome.table, outcome.plan.moves());
         self.rebalances += 1;
         Some(outcome)
     }
 
     fn add_task(&mut self) -> TaskId {
-        self.assignment.add_task()
+        self.plane.add_task()
     }
 
     fn scale_out(&mut self, live: &[Key]) -> TaskId {
-        self.assignment.add_task_pinned(live)
+        self.plane.scale_out(live)
     }
 
     fn scale_out_plan(&mut self, live: &[Key]) -> (TaskId, Vec<(Key, TaskId)>) {
-        // Plan over the union of the caller's observation and the
-        // statistics window (`StatsWindow::union_keys`): every key that
-        // recently carried state is a pre-placement candidate, however
-        // thin a keyspace slice the last (possibly blurred) round saw.
-        let live = self.window.union_keys(live.iter().copied());
-        self.assignment.add_task_with_moves(&live)
+        self.plane.scale_out_plan(live)
     }
 
     fn scale_in(&mut self, victim: TaskId, live: &[Key]) {
-        assert_eq!(
-            victim.index(),
-            self.assignment.n_tasks() - 1,
-            "scale-in retires the highest-numbered task"
-        );
-        self.assignment.remove_task_pinned(live);
+        self.plane.scale_in(victim, live);
     }
 
     fn routing_view(&self) -> RoutingView {
-        RoutingView::of_assignment(&self.assignment)
+        RoutingView::of_assignment(self.plane.assignment())
     }
 
     fn last_install_was_delta(&self) -> bool {
@@ -311,31 +286,31 @@ impl Partitioner for ReadjPartitioner {
         dead: TaskId,
         is_dead: &dyn Fn(usize) -> bool,
     ) -> Vec<(Key, TaskId)> {
-        self.assignment.repin_dead(dead, is_dead)
+        self.plane.reroute_dead(dead, is_dead)
     }
 
     fn apply_moves(&mut self, moves: &[(Key, TaskId)]) -> bool {
-        self.assignment.apply_delta(moves.iter().copied());
+        self.plane.apply_moves(moves);
         true
     }
 
     fn split_key(&mut self, key: Key, replicas: &[TaskId]) -> bool {
-        self.assignment.set_split(key, replicas)
+        self.plane.split_key(key, replicas)
     }
 
     fn unsplit_key(&mut self, key: Key) -> Option<Vec<TaskId>> {
-        self.assignment.clear_split(key)
+        self.plane.unsplit_key(key)
     }
 
     fn splits(&self) -> Vec<(Key, Vec<TaskId>)> {
-        self.assignment.splits()
+        self.plane.assignment().splits()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streambal_core::LoadSummary;
+    use streambal_core::{loads_of, AssignmentFn, LoadSummary};
 
     fn rec(key: u64, cost: u64, mem: u64, cur: u32, hash: u32) -> KeyRecord {
         KeyRecord {
@@ -468,8 +443,9 @@ mod tests {
         }
         let before = {
             let mut probe = ReadjPartitioner::new(4, 1, ReadjConfig::default());
-            probe.window.push(iv.clone());
+            probe.plane.push(iv.clone());
             let input = probe.build_input();
+            assert_eq!(loads_of(&input.records, 4), probe.plane.loads());
             loads_of(&input.records, 4).max_theta()
         };
         assert!(before > 0.08);

@@ -105,6 +105,10 @@ pub const DOWN_PATTERNS: &[&str] = &[
     // neutral "theta" echo, so the derived excess keeps its direction.
     "excess",
     "imbalance",
+    // Stats-round bench: heap the statistics window holds per live key.
+    // (Its `*_end_interval_ms` timings count down via "_ms", ahead of the
+    // neutral "interval" echo.)
+    "bytes_per_live_key",
 ];
 
 /// Substring patterns for declaredly directionless keys (checked last,
@@ -175,6 +179,11 @@ pub const NEUTRAL_PATTERNS: &[&str] = &[
     "burst",
     "dominant",
     "share",
+    // Stats-round bench shape: keys reported per round, keys live in the
+    // window, rounds measured.
+    "keys_per_round",
+    "live_keys",
+    "rounds",
 ];
 
 /// The direction for a flattened metric key, by positional pattern
@@ -327,6 +336,25 @@ mod tests {
             "split.json :: split_throughput_ratio",
         ] {
             assert_eq!(direction_of(key), Direction::HigherIsBetter, "{key}");
+        }
+    }
+
+    #[test]
+    fn stats_round_metrics_classify() {
+        for key in [
+            "stats_round.json :: sizes.k76000.Mixed.idle_end_interval_ms",
+            "stats_round.json :: sizes.k76000.Readj.firing_end_interval_ms",
+            "stats_round.json :: sizes.k76000.MinMig.window_bytes_per_live_key",
+        ] {
+            assert_eq!(direction_of(key), Direction::LowerIsBetter, "{key}");
+        }
+        for key in [
+            "stats_round.json :: sizes.k76000.keys_per_round",
+            "stats_round.json :: sizes.k76000.live_keys",
+            "stats_round.json :: measured_rounds",
+            "stats_round.json :: window_intervals",
+        ] {
+            assert_eq!(direction_of(key), Direction::Neutral, "{key}");
         }
     }
 

@@ -85,4 +85,4 @@ pub use rebalance::{
     RebalanceStrategy, Rebalancer, TriggerPolicy,
 };
 pub use routing::{next_live, AssignmentFn, CompiledTable, RoutingTable};
-pub use stats::{IntervalStats, KeyRecord, KeyStat, StatsWindow};
+pub use stats::{IntervalStats, KeyRecord, KeyStat, StatsPlane, StatsWindow};

@@ -10,13 +10,13 @@
 
 use crate::key::{Key, TaskId};
 use crate::load::{loads_of, needs_rebalance, LoadSummary};
-use crate::migration::{migration_delta, MigrationPlan};
+use crate::migration::{MigrationPlan, Move};
 use crate::minmig::minmig_assign;
 use crate::mintable::mintable_assign;
 use crate::mixed::{mixed_assign, mixed_bf_assign};
 use crate::routing::{AssignmentFn, RoutingTable};
 use crate::simple::simple_assign;
-use crate::stats::{IntervalStats, KeyRecord, StatsWindow};
+use crate::stats::{IntervalStats, KeyRecord, StatsPlane};
 
 /// Tuning knobs of the optimization problem (Eq. 3) plus the γ weight β.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,14 +123,13 @@ pub fn outcome_from_assignment(input: &RebalanceInput, assign: &[TaskId]) -> Reb
             table.insert(r.key, d);
         }
     }
-    // Index once for the Δ lookup instead of scanning per key.
-    let pos: streambal_hashring::FxHashMap<Key, usize> = input
-        .records
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (r.key, i))
-        .collect();
-    let plan = migration_delta(&input.records, |k| assign[pos[&k]]);
+    // `assign` is parallel to the records: Δ(F, F′) falls out of one zip.
+    let plan = MigrationPlan::from_moves(input.records.iter().zip(assign).map(|(r, &to)| Move {
+        key: r.key,
+        from: r.current,
+        to,
+        state_bytes: r.mem,
+    }));
     let loads = LoadSummary::new(loads);
     let achieved_theta = loads.max_theta();
     let migration_fraction = plan.cost_fraction(input.total_state());
@@ -207,12 +206,12 @@ impl Default for TriggerPolicy {
 }
 
 /// The stateful controller-side component: owns the assignment function
-/// (routing table + hash ring) and the statistics window, decides when to
-/// trigger, and applies accepted plans to the table.
+/// (routing table + hash ring) and the statistics window (together the
+/// [`StatsPlane`]), decides when to trigger, and applies accepted plans
+/// to the table.
 #[derive(Debug)]
 pub struct Rebalancer {
-    assignment: AssignmentFn,
-    window: StatsWindow,
+    plane: StatsPlane,
     params: BalanceParams,
     strategy: RebalanceStrategy,
     rebalances: usize,
@@ -232,8 +231,7 @@ impl Rebalancer {
         params: BalanceParams,
     ) -> Self {
         Rebalancer {
-            assignment: AssignmentFn::hash_only(n_tasks),
-            window: StatsWindow::new(window),
+            plane: StatsPlane::new(n_tasks, window),
             params,
             strategy,
             rebalances: 0,
@@ -254,18 +252,18 @@ impl Rebalancer {
     /// per-tuple operation.
     #[inline]
     pub fn route(&self, key: Key) -> TaskId {
-        self.assignment.route(key)
+        self.plane.assignment().route(key)
     }
 
     /// Routes a batch of keys under the current `F` (see
     /// [`AssignmentFn::route_batch`]).
     pub fn route_batch(&self, keys: &[Key], out: &mut Vec<TaskId>) {
-        self.assignment.route_batch(keys, out);
+        self.plane.assignment().route_batch(keys, out);
     }
 
     /// The live assignment function.
     pub fn assignment(&self) -> &AssignmentFn {
-        &self.assignment
+        self.plane.assignment()
     }
 
     /// The active parameters.
@@ -281,13 +279,13 @@ impl Rebalancer {
         dead: TaskId,
         is_dead: &dyn Fn(usize) -> bool,
     ) -> Vec<(Key, TaskId)> {
-        self.assignment.repin_dead(dead, is_dead)
+        self.plane.reroute_dead(dead, is_dead)
     }
 
     /// Applies an explicit move list to the live assignment (the aborted
     /// -migration rollback path; see [`AssignmentFn::apply_delta`]).
     pub fn apply_moves(&mut self, moves: &[(Key, TaskId)]) {
-        self.assignment.apply_delta(moves.iter().copied());
+        self.plane.apply_moves(moves);
     }
 
     /// How many rebalances have fired so far.
@@ -307,7 +305,7 @@ impl Rebalancer {
     /// `end_interval` sees the new task in its load vector and rebalances
     /// onto it.
     pub fn add_task(&mut self) -> TaskId {
-        self.assignment.add_task()
+        self.plane.add_task()
     }
 
     /// Scale-out that preserves physical state placement: keys in `live`
@@ -317,7 +315,7 @@ impl Rebalancer {
     /// then migrates keys onto the empty instance with a proper plan.
     pub fn scale_out(&mut self, live: impl IntoIterator<Item = Key>) -> TaskId {
         let live: Vec<Key> = live.into_iter().collect();
-        self.assignment.add_task_pinned(&live)
+        self.plane.scale_out(&live)
     }
 
     /// Scale-out with a pre-placement plan: instead of pinning the ring
@@ -328,16 +326,14 @@ impl Rebalancer {
     /// window (see `AssignmentFn::add_task_with_moves`).
     ///
     /// The plan covers the union of the caller's `live` keys and every
-    /// key in this rebalancer's statistics window
-    /// ([`StatsWindow::union_keys`]) — exactly the set whose placement
-    /// the plan must keep truthful, however thin a keyspace slice the
-    /// last single (possibly blurred) round observed.
+    /// key in this rebalancer's statistics window (see
+    /// [`StatsPlane::scale_out_plan`]).
     pub fn scale_out_plan(
         &mut self,
         live: impl IntoIterator<Item = Key>,
     ) -> (TaskId, Vec<(Key, TaskId)>) {
-        let live = self.window.union_keys(live);
-        self.assignment.add_task_with_moves(&live)
+        let live: Vec<Key> = live.into_iter().collect();
+        self.plane.scale_out_plan(&live)
     }
 
     /// Scale-in (the inverse of [`Rebalancer::scale_out`]): retires the
@@ -351,13 +347,8 @@ impl Rebalancer {
     /// # Panics
     /// Panics if `victim` is not the last task or only one task remains.
     pub fn scale_in(&mut self, victim: TaskId, live: impl IntoIterator<Item = Key>) {
-        assert_eq!(
-            victim.index(),
-            self.assignment.n_tasks() - 1,
-            "scale-in retires the highest-numbered task"
-        );
         let live: Vec<Key> = live.into_iter().collect();
-        self.assignment.remove_task_pinned(&live);
+        self.plane.scale_in(victim, &live);
     }
 
     /// Flags `key` as hot and salts it across `replicas` (see
@@ -366,60 +357,53 @@ impl Rebalancer {
     /// placement rotates per tuple, so whole-key moves are meaningless
     /// for it) and the rebalance algorithms balance the remainder.
     pub fn split_key(&mut self, key: Key, replicas: &[TaskId]) -> bool {
-        self.assignment.set_split(key, replicas)
+        self.plane.split_key(key, replicas)
     }
 
     /// Dissolves `key`'s split, returning the replica set that was
     /// installed (see [`AssignmentFn::clear_split`]).
     pub fn unsplit_key(&mut self, key: Key) -> Option<Vec<TaskId>> {
-        self.assignment.clear_split(key)
+        self.plane.unsplit_key(key)
     }
 
     /// The currently split keys with their replica sets, sorted by key.
     pub fn splits(&self) -> Vec<(Key, Vec<TaskId>)> {
-        self.assignment.splits()
+        self.plane.assignment().splits()
     }
 
-    /// Builds the rebalance input from the current window and assignment.
-    /// Split keys are excluded: their routing rotates over replicas, so
-    /// they have no single "current" placement for a plan to move, and
-    /// their load is the split layer's problem, not the rebalancer's.
+    /// Materialises the rebalance input from the window's rows — the
+    /// `O(live keys)` step, taken only when a plan is generated. Split
+    /// keys are excluded: their routing rotates over replicas, so they
+    /// have no single "current" placement for a plan to move, and their
+    /// load is the split layer's problem, not the rebalancer's.
     pub fn build_input(&self) -> RebalanceInput {
-        let assignment = &self.assignment;
-        let mut records = self.window.records(|k| {
-            if assignment.split_replicas(k).is_some() {
-                // Placeholder, filtered below — routing a split key here
-                // would advance its rotation cursor as a side effect.
-                let h = assignment.hash_route(k);
-                (h, h)
-            } else {
-                (assignment.route(k), assignment.hash_route(k))
-            }
-        });
-        if assignment.has_splits() {
-            records.retain(|r| assignment.split_replicas(r.key).is_none());
-        }
         RebalanceInput {
-            n_tasks: assignment.n_tasks(),
-            records,
+            n_tasks: self.plane.assignment().n_tasks(),
+            records: self.plane.window().records(),
         }
     }
 
-    /// Ends an interval: ingests the stats, evaluates the trigger, and —
-    /// when imbalance exceeds `θmax` — constructs and applies `F′`.
+    /// Load summary of the latest interval under the current assignment
+    /// — what the trigger is evaluated on.
+    pub fn current_loads(&self) -> LoadSummary {
+        self.plane.loads()
+    }
+
+    /// Ends an interval: ingests the stats, evaluates the trigger on the
+    /// window's running per-task loads, and — when imbalance exceeds
+    /// `θmax` — constructs and applies `F′`. A round that does not fire
+    /// costs `O(keys reported + n_tasks)`.
     ///
     /// Returns the outcome when a rebalance fired (its
     /// [`MigrationPlan`] must then be executed by the engine *before*
     /// routing resumes for affected keys), or `None` when balanced.
     pub fn end_interval(&mut self, stats: IntervalStats) -> Option<RebalanceOutcome> {
-        self.window.push(stats);
+        self.plane.push(stats);
         self.intervals_since_rebalance = self.intervals_since_rebalance.saturating_add(1);
-        let input = self.build_input();
-        if input.records.is_empty() {
+        if !self.plane.window().has_records() {
             return None;
         }
-        let summary = input.current_loads();
-        if !needs_rebalance(&summary, self.params.theta_max) {
+        if !needs_rebalance(&self.plane.loads(), self.params.theta_max) {
             self.consecutive_violations = 0;
             return None;
         }
@@ -429,11 +413,11 @@ impl Rebalancer {
         {
             return None; // damped
         }
-        let outcome = rebalance(&input, self.strategy, &self.params);
+        let outcome = rebalance(&self.build_input(), self.strategy, &self.params);
         // O(churn) delta install, with an occasional staleness resync —
         // never the old O(table) clone-and-swap per rebalance.
         self.last_install_was_delta = self
-            .assignment
+            .plane
             .install_rebalance(&outcome.table, outcome.plan.moves());
         self.rebalances += 1;
         self.intervals_since_rebalance = 0;
@@ -499,8 +483,9 @@ mod tests {
     fn skewed_stream_triggers_and_balances() {
         let mut rb = Rebalancer::new(4, 2, RebalanceStrategy::Mixed, BalanceParams::default());
         let before = {
-            rb.window.push(skewed_interval(1000, 5_000));
+            rb.plane.push(skewed_interval(1000, 5_000));
             let input = rb.build_input();
+            assert_eq!(input.current_loads(), rb.current_loads());
             input.current_loads().max_theta()
         };
         assert!(before > 0.08, "hash routing must be skewed here");

@@ -5,6 +5,7 @@
 //! closed) and the worker-seconds integral (which must bill queued
 //! scale-ins exactly once per parallelism change).
 
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 use streambal_core::{IntervalStats, TaskId};
@@ -75,6 +76,9 @@ pub(crate) struct StatsLedger {
     /// Residual statistics with no open round to absorb them — folded
     /// into the next round issued.
     carry: IntervalStats,
+    /// Keys in the round closed last: the next round's merge map is
+    /// sized for as many, so merging never rehashes it from empty.
+    last_round_keys: usize,
 }
 
 impl StatsLedger {
@@ -82,6 +86,7 @@ impl StatsLedger {
         StatsLedger {
             rounds: FxHashMap::default(),
             carry: IntervalStats::new(),
+            last_round_keys: 0,
         }
     }
 
@@ -98,7 +103,7 @@ impl StatsLedger {
     pub fn open(&mut self, interval: u64, active: usize, expected: Vec<TaskId>, queues: Vec<u64>) {
         debug_assert!(!expected.is_empty() && active > 0);
         let mut round = StatsRound {
-            merged: IntervalStats::new(),
+            merged: IntervalStats::with_capacity(self.last_round_keys),
             loads: vec![0; active],
             queues,
             latency: Histogram::new(),
@@ -151,7 +156,7 @@ impl StatsLedger {
         expired
             .into_iter()
             .filter_map(|iv| {
-                let round = self.rounds.remove(&iv)?;
+                let round = self.take_round(iv)?;
                 let mut missing: Vec<usize> = round
                     .expected
                     .difference(&round.reporters)
@@ -161,6 +166,13 @@ impl StatsLedger {
                 Some((iv, round.close(), missing))
             })
             .collect()
+    }
+
+    /// Removes a round for closing, noting its size for the next one.
+    fn take_round(&mut self, interval: u64) -> Option<StatsRound> {
+        let round = self.rounds.remove(&interval)?;
+        self.last_round_keys = round.merged.len();
+        Some(round)
     }
 
     /// Removes and returns every complete round, oldest first.
@@ -173,7 +185,7 @@ impl StatsLedger {
             .collect();
         done.sort_unstable();
         done.into_iter()
-            .filter_map(|iv| Some((iv, self.rounds.remove(&iv)?.close())))
+            .filter_map(|iv| Some((iv, self.take_round(iv)?.close())))
             .collect()
     }
 
@@ -201,7 +213,7 @@ impl StatsLedger {
         // must not advance completion, or the round would close while a
         // distinct worker's report is still in flight.
         if round.reporters.insert(worker) && round.is_complete() {
-            return self.rounds.remove(&interval).map(StatsRound::close);
+            return self.take_round(interval).map(StatsRound::close);
         }
         None
     }
@@ -224,6 +236,53 @@ impl StatsLedger {
         } else {
             self.carry.merge(stats);
         }
+    }
+}
+
+/// Epochs whose op finished, aborted, or was synthesized for a re-home
+/// or rollback install: a late echo of one (a retried op's duplicate
+/// ack, a zombie victim's `Retired`) is absorbed as stale instead of
+/// counted as a protocol error.
+///
+/// Epochs are issued in increasing order and ops run one at a time, so
+/// the closed set is a growing prefix plus a few stragglers around the
+/// op in flight: a watermark covers the prefix and a bounded set the
+/// rest, which keeps the ledger at constant size however long the run.
+/// Every caller matches the in-flight op's own epoch first, so an epoch
+/// below the watermark can only be an echo.
+pub(crate) struct ClosedEpochs {
+    /// Every epoch below this is closed.
+    below: u64,
+    /// Closed epochs at or above `below`; at most [`Self::RECENT`].
+    recent: BTreeSet<u64>,
+}
+
+impl ClosedEpochs {
+    /// How many closed epochs are remembered individually.
+    const RECENT: usize = 64;
+
+    pub fn new() -> Self {
+        ClosedEpochs {
+            below: 0,
+            recent: BTreeSet::new(),
+        }
+    }
+
+    /// Records `epoch` as closed.
+    pub fn close(&mut self, epoch: u64) {
+        if epoch >= self.below {
+            self.recent.insert(epoch);
+        }
+        while self.recent.len() > Self::RECENT {
+            if let Some(oldest) = self.recent.pop_first() {
+                self.below = oldest + 1;
+            }
+        }
+    }
+
+    /// Whether a message stamped `epoch` is an echo of a closed op.
+    pub fn contains(&self, epoch: u64) -> bool {
+        epoch < self.below || self.recent.contains(&epoch)
     }
 }
 
@@ -268,6 +327,42 @@ impl WorkerSeconds {
 mod tests {
     use super::*;
     use std::time::Duration;
+
+    /// A run of any length leaves the closed-epoch ledger at constant
+    /// size, and an echo of any closed epoch — however old — is still
+    /// recognised (absorbed as stale, never a `StrayPauseAck`).
+    #[test]
+    fn closed_epochs_stay_bounded_and_absorb_late_echoes() {
+        let mut closed = ClosedEpochs::new();
+        assert!(!closed.contains(0) && !closed.contains(1));
+        // Epoch 7 is the op in flight while its neighbours close.
+        for epoch in (1..=100_000u64).filter(|&e| e != 7) {
+            closed.close(epoch);
+            assert!(closed.recent.len() <= ClosedEpochs::RECENT);
+        }
+        for echo in [1, 6, 8, 50_000, 99_936, 99_937, 100_000] {
+            assert!(closed.contains(echo), "epoch {echo} closed");
+        }
+        assert!(!closed.contains(100_001), "never issued");
+        // A straggler below the watermark adds nothing.
+        closed.close(7);
+        assert_eq!(closed.recent.len(), ClosedEpochs::RECENT);
+        assert!(closed.contains(7));
+    }
+
+    /// While few epochs have closed, one skipped in between (the op in
+    /// flight) is not mistaken for closed.
+    #[test]
+    fn closed_epochs_keep_the_in_flight_epoch_open() {
+        let mut closed = ClosedEpochs::new();
+        for epoch in [1, 2, 4, 5] {
+            closed.close(epoch);
+        }
+        assert!(!closed.contains(3));
+        assert!(!closed.contains(6));
+        closed.close(3);
+        assert!(closed.contains(3));
+    }
     use streambal_core::Key;
 
     fn stats_with_cost(key: u64, cost: u64) -> IntervalStats {

@@ -28,7 +28,7 @@ use streambal_hashring::{FxHashMap, FxHashSet};
 use streambal_metrics::{Counter, Histogram, RateMeter, TimeSeries};
 use streambal_trace::{OpLabel, Outcome, Phase, ThreadLabel, ThreadRecorder, TraceLog, TraceSink};
 
-use crate::controller::{ClosedRound, StatsLedger, WorkerSeconds};
+use crate::controller::{ClosedEpochs, ClosedRound, StatsLedger, WorkerSeconds};
 use crate::fault::{next_live, CtlKind, FaultEvent, FaultInjector, FaultPlan, OpKind, SendPeer};
 use crate::message::{Message, SourceCtl, SourceEvent, WorkerEvent};
 use crate::operator::{Collector, Operator};
@@ -895,11 +895,9 @@ impl Engine {
             // Deadline clock for the one in-flight op; re-armed on every
             // phase progress.
             let mut op_clock: Option<OpClock> = None;
-            // Epochs that finished, aborted, or were synthesized for
-            // rollback installs: late echoes (a retried op's duplicate
-            // ack, a zombie victim's `Retired`) are absorbed as stale
-            // instead of counted as protocol errors.
-            let mut closed_epochs: FxHashMap<u64, &'static str> = FxHashMap::default();
+            // Late echoes of closed epochs are absorbed as stale instead
+            // of counted as protocol errors.
+            let mut closed_epochs = ClosedEpochs::new();
             // Lazily-built operator used only to size state blobs drained
             // from a dead worker's channel (loss accounting).
             let mut scratch_op: Option<Box<dyn Operator>> = None;
@@ -992,7 +990,7 @@ impl Engine {
                                             // flight: a late echo of a closed
                                             // epoch (absorbed), or genuine
                                             // protocol desync (recorded).
-                                            if closed_epochs.contains_key(&epoch) {
+                                            if closed_epochs.contains(epoch) {
                                                 injector.record(FaultEvent::StaleEpochAbsorbed {
                                                     epoch,
                                                     what: "pause ack",
@@ -1097,7 +1095,7 @@ impl Engine {
                                             view,
                                             current_interval,
                                         );
-                                        closed_epochs.insert(epoch, "done");
+                                        closed_epochs.close(epoch);
                                         pending = None;
                                         op_clock = None;
                                     }
@@ -1196,7 +1194,7 @@ impl Engine {
                                             // Anything else is genuine
                                             // bookkeeping divergence, worth
                                             // shouting about.
-                                            if closed_epochs.contains_key(&epoch) {
+                                            if closed_epochs.contains(epoch) {
                                                 injector.record(FaultEvent::StaleEpochAbsorbed {
                                                     epoch,
                                                     what: "state out",
@@ -1225,7 +1223,7 @@ impl Engine {
                                                 }
                                                 if !by_dest.is_empty() {
                                                     next_epoch += 1;
-                                                    closed_epochs.insert(next_epoch, "rehome");
+                                                    closed_epochs.close(next_epoch);
                                                     for (dest, st) in by_dest {
                                                         ctl_send(
                                                             &injector,
@@ -1308,7 +1306,7 @@ impl Engine {
                                                 m.plan.view.clone(),
                                                 current_interval,
                                             );
-                                            closed_epochs.insert(epoch, "done");
+                                            closed_epochs.close(epoch);
                                             pending = None;
                                             op_clock = None;
                                         } else {
@@ -1377,7 +1375,7 @@ impl Engine {
                                             // here) — a stray ack for an unknown
                                             // epoch is bookkeeping divergence,
                                             // not a reason to kill the pipeline.
-                                            if closed_epochs.contains_key(&epoch) {
+                                            if closed_epochs.contains(epoch) {
                                                 injector.record(FaultEvent::StaleEpochAbsorbed {
                                                     epoch,
                                                     what: "install ack",
@@ -1404,7 +1402,7 @@ impl Engine {
                                             view,
                                             current_interval,
                                         );
-                                        closed_epochs.insert(epoch, "done");
+                                        closed_epochs.close(epoch);
                                         pending = None;
                                         op_clock = None;
                                     }
@@ -1435,7 +1433,7 @@ impl Engine {
                                         // fresh, pre-closed epoch (the installs
                                         // are fire-and-forget; their acks
                                         // absorb as stale).
-                                        let stale = closed_epochs.contains_key(&epoch);
+                                        let stale = closed_epochs.contains(epoch);
                                         if stale {
                                             injector.record(FaultEvent::StaleEpochAbsorbed {
                                                 epoch,
@@ -1487,7 +1485,7 @@ impl Engine {
                                             }
                                             if !by_dest.is_empty() {
                                                 next_epoch += 1;
-                                                closed_epochs.insert(next_epoch, "rehome");
+                                                closed_epochs.close(next_epoch);
                                                 for (dest, st) in by_dest {
                                                     ctl_send(
                                                         &injector,
@@ -1568,7 +1566,7 @@ impl Engine {
                                             r.view.clone(),
                                             current_interval,
                                         );
-                                        closed_epochs.insert(epoch, "done");
+                                        closed_epochs.close(epoch);
                                         op_clock = None;
                                     } else {
                                         rec.span_phase(epoch, Phase::Install);
@@ -1676,7 +1674,7 @@ impl Engine {
                                                     view,
                                                     current_interval,
                                                 );
-                                                closed_epochs.insert(epoch, "done");
+                                                closed_epochs.close(epoch);
                                                 pending = None;
                                                 op_clock = None;
                                             }
@@ -1730,7 +1728,7 @@ impl Engine {
                                                     m.plan.view.clone(),
                                                     current_interval,
                                                 );
-                                                closed_epochs.insert(epoch, "done");
+                                                closed_epochs.close(epoch);
                                                 pending = None;
                                                 op_clock = None;
                                             } else {
@@ -1762,7 +1760,7 @@ impl Engine {
                                             view,
                                             current_interval,
                                         );
-                                        closed_epochs.insert(epoch, "done");
+                                        closed_epochs.close(epoch);
                                         if retiring == Some(worker) {
                                             retiring = None;
                                         }
@@ -2325,7 +2323,7 @@ impl Engine {
                                     op: OpKind::Migrate,
                                     epoch: m.epoch,
                                 });
-                                closed_epochs.insert(m.epoch, "aborted");
+                                closed_epochs.close(m.epoch);
                                 // Close the span Aborted *before* the
                                 // rollback resume goes out, so the resume
                                 // phase (and its ack) cannot land on a
@@ -2360,7 +2358,7 @@ impl Engine {
                                 }
                                 partitioner.apply_moves(&reverse);
                                 next_epoch += 1;
-                                closed_epochs.insert(next_epoch, "rollback");
+                                closed_epochs.close(next_epoch);
                                 let mut by_origin: FxHashMap<TaskId, Vec<(Key, Bytes)>> =
                                     FxHashMap::default();
                                 for (k, _to, blob) in m.collected {
@@ -2406,7 +2404,7 @@ impl Engine {
                                     op: OpKind::Retire,
                                     epoch: r.epoch,
                                 });
-                                closed_epochs.insert(r.epoch, "aborted");
+                                closed_epochs.close(r.epoch);
                                 if open_spans.remove(&r.epoch) {
                                     rec.span_close(r.epoch, Outcome::Aborted);
                                 }

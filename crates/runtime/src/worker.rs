@@ -322,7 +322,10 @@ pub(crate) fn run_worker(mut ctx: WorkerCtx) {
                 }
                 ctx.op.flush(&mut |t| emitter.emit(t));
                 emitter.flush();
-                let out = std::mem::take(&mut stats);
+                // The next interval reports about as many keys: size its
+                // map once instead of regrowing it from empty.
+                let next = IntervalStats::with_capacity(stats.len());
+                let out = std::mem::replace(&mut stats, next);
                 // Fold the interval's latency into the lifetime total,
                 // then ship the interval histogram with the report.
                 latency.merge(&iv_latency);

@@ -1,11 +1,81 @@
 //! Property-based tests over the rebalance algorithms' invariants, on
 //! randomized workloads (proptest).
 
+use std::collections::VecDeque;
+
 use proptest::prelude::*;
 use streambal::core::{
-    outcome_from_assignment, rebalance, AssignmentFn, BalanceParams, Key, KeyRecord,
-    RebalanceInput, RebalanceStrategy, TaskId,
+    loads_of, outcome_from_assignment, rebalance, AssignmentFn, BalanceParams, IntervalStats, Key,
+    KeyRecord, RebalanceInput, RebalanceStrategy, Rebalancer, TaskId,
 };
+
+/// One step of a randomized controller session against a live
+/// [`Rebalancer`]: a statistics round, or one of the assignment
+/// mutations the engine performs between rounds.
+#[derive(Debug, Clone)]
+enum ControllerStep {
+    /// `(key, cost, mem)` reports; may fire a plan.
+    Round(Vec<(u64, u64, u64)>),
+    ApplyMoves(Vec<(u64, usize)>),
+    RerouteDead(usize),
+    ScaleOut(Vec<u64>),
+    ScaleOutPlan(Vec<u64>),
+    ScaleIn(Vec<u64>),
+    Split(u64, usize),
+    UnsplitAll,
+}
+
+/// A randomized controller session: a window length from the ones the
+/// suites use, and a script in which rounds (half of them empty-ish, keys
+/// drawn from a sliding sub-range so they vanish and reappear) interleave
+/// with every mutation. Task indices are reduced modulo the live task
+/// count when the step runs.
+fn arb_controller_run() -> impl Strategy<Value = (usize, Vec<ControllerStep>)> {
+    let step = (
+        0usize..12,
+        (0u64..120, 0usize..8),
+        proptest::collection::vec((0u64..60, 0u64..400, 0u64..50), 0..60),
+        proptest::collection::vec((0u64..240, 0usize..8), 0..20),
+    )
+        .prop_map(|(d, (key, task), reports, moves)| match d {
+            0 => ControllerStep::ApplyMoves(moves),
+            1 => ControllerStep::RerouteDead(task),
+            2 => ControllerStep::ScaleOut(moves.iter().map(|m| m.0).collect()),
+            3 => ControllerStep::ScaleOutPlan(moves.iter().map(|m| m.0).collect()),
+            4 => ControllerStep::ScaleIn(moves.iter().map(|m| m.0).collect()),
+            5 => ControllerStep::Split(key, task),
+            6 => ControllerStep::UnsplitAll,
+            _ => ControllerStep::Round(
+                reports
+                    .into_iter()
+                    .map(|(k, cost, mem)| (key + k, cost, mem))
+                    .collect(),
+            ),
+        });
+    (0usize..4, proptest::collection::vec(step, 1..40))
+        .prop_map(|(w, script)| ([1, 2, 5, 100][w], script))
+}
+
+/// The `w`-interval-maps recompute the windowed table replaced: every
+/// record rebuilt from the retained reports and a fresh route.
+fn naive_records(window: &VecDeque<IntervalStats>, f: &AssignmentFn) -> Vec<KeyRecord> {
+    let mut mem: std::collections::BTreeMap<Key, u64> = Default::default();
+    for iv in window {
+        for (k, s) in iv.iter() {
+            *mem.entry(k).or_insert(0) += s.mem;
+        }
+    }
+    mem.into_iter()
+        .filter(|&(k, _)| f.split_replicas(k).is_none())
+        .map(|(k, m)| KeyRecord {
+            key: k,
+            cost: window.back().and_then(|iv| iv.get(k)).map_or(0, |s| s.cost),
+            mem: m,
+            current: f.route(k),
+            hash_dest: f.hash_route(k),
+        })
+        .collect()
+}
 
 /// One step of a randomized hot-key-splitting session against a live
 /// assignment: install a split, dissolve one, or route a batch.
@@ -228,6 +298,76 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// The controller's incrementally maintained view — records with their
+    /// cached routes, and the running per-task loads the trigger reads —
+    /// equals the naive recompute after every round and every assignment
+    /// mutation, fired plans included, and leaves split keys out of both.
+    #[test]
+    fn rebalancer_view_matches_naive_recompute((w, script) in arb_controller_run()) {
+        let mut rb = Rebalancer::new(3, w, RebalanceStrategy::Mixed, BalanceParams::default());
+        let mut window: VecDeque<IntervalStats> = VecDeque::new();
+        let keys = |raw: &[u64]| -> Vec<Key> { raw.iter().map(|&k| Key(k)).collect() };
+        for step in &script {
+            let n = rb.assignment().n_tasks();
+            match step {
+                ControllerStep::Round(reports) => {
+                    let mut iv = IntervalStats::new();
+                    for &(k, cost, mem) in reports {
+                        iv.observe(Key(k), 1, cost, mem);
+                    }
+                    if window.len() == w {
+                        window.pop_front();
+                    }
+                    window.push_back(iv.clone());
+                    if let Some(outcome) = rb.end_interval(iv) {
+                        for m in outcome.plan.moves() {
+                            prop_assert_eq!(rb.assignment().route(m.key), m.to);
+                        }
+                    }
+                }
+                ControllerStep::ApplyMoves(moves) => {
+                    let moves: Vec<(Key, TaskId)> = moves
+                        .iter()
+                        .map(|&(k, t)| (Key(k), TaskId((t % n) as u32)))
+                        .collect();
+                    rb.apply_moves(&moves);
+                }
+                ControllerStep::RerouteDead(t) => {
+                    let dead = t % n;
+                    rb.reroute_dead(TaskId(dead as u32), &|d| d == dead);
+                }
+                ControllerStep::ScaleOut(live) if n < 8 => {
+                    rb.scale_out(keys(live));
+                }
+                ControllerStep::ScaleOutPlan(live) if n < 8 => {
+                    let (new, moves) = rb.scale_out_plan(keys(live));
+                    for (k, _) in moves {
+                        prop_assert_eq!(rb.assignment().route(k), new);
+                    }
+                }
+                ControllerStep::ScaleIn(live) if n > 2 => {
+                    rb.scale_in(TaskId(n as u32 - 1), keys(live));
+                }
+                ControllerStep::Split(k, t) => {
+                    let other = TaskId((1 + t % (n - 1)) as u32);
+                    prop_assert!(rb.split_key(Key(*k), &[TaskId(0), other]));
+                }
+                ControllerStep::UnsplitAll => {
+                    for (k, _) in rb.splits() {
+                        prop_assert!(rb.unsplit_key(k).is_some());
+                    }
+                }
+                _ => {}
+            }
+            let want = naive_records(&window, rb.assignment());
+            let n = rb.assignment().n_tasks();
+            prop_assert_eq!(rb.current_loads(), loads_of(&want, n));
+            let input = rb.build_input();
+            prop_assert_eq!(input.n_tasks, n);
+            prop_assert_eq!(input.records, want);
         }
     }
 
