@@ -23,10 +23,9 @@
 //! worker-seconds.
 //!
 //! A second scenario measures the **cold scale-out lag**: time-to-first-
-//! tuple on a scaled-out slot with state pre-placement (the default)
-//! against the seed behaviour (churn pinned away, the slot idling until
-//! the next rebalance) — acceptance: ≤ 1 interval vs. ≥ the damped
-//! trigger's full rebalance period.
+//! tuple on a scaled-out slot whose state is pre-placed at provision
+//! time — acceptance: ≤ 1 interval, against a damped rebalance trigger
+//! that could not feed the slot for a full rebalance period.
 //!
 //! Results print as a table and land in `bench_results/elastic.json`
 //! (`--test` smoke runs shrink the workload and write
@@ -160,17 +159,15 @@ fn peak_interval_throughput(r: &EngineReport) -> f64 {
 }
 
 /// The cold scale-out scenario: time-to-first-tuple on the scaled-out
-/// slot, pre-placement vs. the seed behaviour.
+/// slot.
 ///
 /// A uniform workload keeps the rebalancer quiet until a fixed-schedule
 /// scale-out at `DECISION`; the trigger demands
 /// `REBALANCE_PERIOD` consecutive violating rounds (a damped production
-/// trigger), so the post-scale-out imbalance the *seed* shape leaves
-/// behind — four loaded workers, one empty slot — takes a full rebalance
-/// period to repair, and the new worker idles for exactly that long.
-/// Pre-placement migrates the churned keys' state inside the scale-out
-/// quiescence window instead, so the slot's first tuple lands in the
-/// decision interval itself.
+/// trigger), so a rebalance could not move keys onto the new slot for a
+/// full rebalance period. Pre-placement migrates the churned keys' state
+/// inside the scale-out quiescence window, so the slot's first tuple
+/// lands in the decision interval itself.
 fn preplacement_scenario(tuples_per_interval: u64) -> Json {
     const DECISION: u64 = 3;
     const REBALANCE_PERIOD: usize = 3; // trigger `consecutive`
@@ -184,83 +181,75 @@ fn preplacement_scenario(tuples_per_interval: u64) -> Json {
         .collect();
     let total: u64 = intervals.iter().map(|v| v.len() as u64).sum();
 
-    let mut rows: Vec<Json> = Vec::new();
-    let mut ttft: Vec<(String, i64)> = Vec::new();
-    for (label, preplace) in [("preplace/on", true), ("preplace/off", false)] {
-        let feed = intervals.clone();
-        let config = EngineConfig {
-            n_workers: MIN_W,
-            max_workers: MIN_W + 1,
-            spin_work: SPIN_PRE,
-            window: 3,
-            // Small channels keep the source within a fraction of an
-            // interval of the workers, so statistics rounds track real
-            // interval boundaries and the measured lag is the protocol's,
-            // not the backlog's.
-            channel_capacity: 64,
-            batch_size: 32,
-            elasticity: Box::new(FixedSchedule::scale_out_at(DECISION)),
-            preplace,
-            ..EngineConfig::default()
-        };
-        let report = Engine::run(
-            config,
-            Box::new(
-                CoreBalancer::new(
-                    MIN_W,
-                    3,
-                    RebalanceStrategy::Mixed,
-                    BalanceParams {
-                        theta_max: 0.2,
-                        ..BalanceParams::default()
-                    },
-                )
-                .with_trigger_policy(TriggerPolicy {
-                    cooldown: 0,
-                    consecutive: REBALANCE_PERIOD,
-                }),
-            ),
-            |_| Box::new(WordCountOp::new()),
-            move |iv| {
-                feed.get(iv as usize)
-                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-            },
-            None,
-        );
-        assert_eq!(report.processed, total, "{label}: tuples lost");
-        // Intervals from the decision to the slot's first tuple; a slot
-        // never fed scores the whole remaining run (worst case).
-        let lag = report.first_tuple_interval[MIN_W]
-            .map_or(n_intervals as i64 - DECISION as i64, |f| {
-                f as i64 - DECISION as i64
-            });
-        println!(
-            "  {:<16} time-to-first-tuple {:>2} intervals  new-slot tuples {:>8}  rebalances {}  mig {:>6} keys",
-            label,
-            lag,
-            report.per_worker_processed[MIN_W],
-            report.rebalances,
-            report.migrated_keys,
-        );
-        ttft.push((label.to_string(), lag));
-        rows.push(Json::obj([
-            ("id", Json::str(label)),
-            ("time_to_first_tuple_intervals", Json::Num(lag as f64)),
-            (
-                "new_worker_tuples",
-                Json::Int(report.per_worker_processed[MIN_W]),
-            ),
-            ("rebalances", Json::Int(report.rebalances as u64)),
-            ("migrated_keys", Json::Int(report.migrated_keys)),
-            ("mean_tuples_per_sec", Json::Num(report.mean_throughput)),
-        ]));
-    }
-    let find = |label: &str| ttft.iter().find(|(l, _)| l == label).unwrap().1;
-    let (on, off) = (find("preplace/on"), find("preplace/off"));
-    println!(
-        "preplacement: ttft {} vs seed {} intervals (acceptance: ≤ 1 vs ≥ rebalance period {})",
-        on, off, REBALANCE_PERIOD
+    let label = "preplace/on";
+    let config = EngineConfig {
+        n_workers: MIN_W,
+        max_workers: MIN_W + 1,
+        spin_work: SPIN_PRE,
+        window: 3,
+        // Small channels keep the source within a fraction of an
+        // interval of the workers, so statistics rounds track real
+        // interval boundaries and the measured lag is the protocol's,
+        // not the backlog's.
+        channel_capacity: 64,
+        batch_size: 32,
+        elasticity: Box::new(FixedSchedule::scale_out_at(DECISION)),
+        ..EngineConfig::default()
+    };
+    let report = Engine::run(
+        config,
+        Box::new(
+            CoreBalancer::new(
+                MIN_W,
+                3,
+                RebalanceStrategy::Mixed,
+                BalanceParams {
+                    theta_max: 0.2,
+                    ..BalanceParams::default()
+                },
+            )
+            .with_trigger_policy(TriggerPolicy {
+                cooldown: 0,
+                consecutive: REBALANCE_PERIOD,
+            }),
+        ),
+        |_| Box::new(WordCountOp::new()),
+        move |iv| {
+            intervals
+                .get(iv as usize)
+                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
+        },
+        None,
     );
+    assert_eq!(report.processed, total, "{label}: tuples lost");
+    // Intervals from the decision to the slot's first tuple; a slot
+    // never fed scores the whole remaining run (worst case).
+    let lag = report.first_tuple_interval[MIN_W]
+        .map_or(n_intervals as i64 - DECISION as i64, |f| {
+            f as i64 - DECISION as i64
+        });
+    println!(
+        "  {:<16} time-to-first-tuple {:>2} intervals  new-slot tuples {:>8}  rebalances {}  mig {:>6} keys",
+        label,
+        lag,
+        report.per_worker_processed[MIN_W],
+        report.rebalances,
+        report.migrated_keys,
+    );
+    println!(
+        "preplacement: ttft {lag} intervals (acceptance: ≤ 1; rebalance period {REBALANCE_PERIOD})"
+    );
+    let row = Json::obj([
+        ("id", Json::str(label)),
+        ("time_to_first_tuple_intervals", Json::Num(lag as f64)),
+        (
+            "new_worker_tuples",
+            Json::Int(report.per_worker_processed[MIN_W]),
+        ),
+        ("rebalances", Json::Int(report.rebalances as u64)),
+        ("migrated_keys", Json::Int(report.migrated_keys)),
+        ("mean_tuples_per_sec", Json::Num(report.mean_throughput)),
+    ]);
     Json::obj([
         (
             "scenario",
@@ -272,9 +261,8 @@ fn preplacement_scenario(tuples_per_interval: u64) -> Json {
             Json::Int(REBALANCE_PERIOD as u64),
         ),
         ("tuples_per_interval", Json::Int(tuples_per_interval)),
-        ("results", Json::Arr(rows)),
-        ("ttft_preplace_intervals", Json::Num(on as f64)),
-        ("ttft_seed_intervals", Json::Num(off as f64)),
+        ("results", Json::Arr(vec![row])),
+        ("ttft_preplace_intervals", Json::Num(lag as f64)),
     ])
 }
 
@@ -386,8 +374,7 @@ fn main() {
             Json::Num(ws_ratio),
         ),
         // The cold scale-out lag: the scaled-out worker's first tuple
-        // lands in the decision interval with pre-placement, vs. a full
-        // (damped) rebalance period later with the seed behaviour.
+        // lands in the decision interval.
         ("preplacement", preplacement),
     ]);
     let path = streambal_bench::figure::results_dir().join(if smoke {

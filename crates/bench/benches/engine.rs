@@ -1,20 +1,17 @@
-//! End-to-end engine throughput: the seed per-tuple data plane
-//! (`Message::Tuple`, one channel op + one counter increment + one clock
-//! read per tuple) against the batched plane (`Message::TupleBatch`,
-//! pooled buffers, one channel op / `Counter::add(n)` / clock read per
-//! batch).
+//! End-to-end engine throughput of the batched data plane
+//! (`Message::TupleBatch`, pooled buffers, one channel op /
+//! `Counter::add(n)` / clock read per batch).
 //!
-//! Four measurement groups, all on a hash-routed Zipf word count (no
-//! rebalances, so the data plane — not the scheduler — is what moves):
+//! Three measurement groups, all on a hash-routed Zipf word count (no
+//! rebalances, so the data plane — not the scheduler — is what moves),
+//! at Tab. II skew (`z = 0.85`) through `EngineConfig::default()`
+//! (4 workers, batch 256, spin 500) unless the group varies it:
 //!
-//! 1. **seed vs batched at the paper's default config** — Tab. II skew
-//!    (`z = 0.85`) through `EngineConfig::default()` (4 workers, batch
-//!    256, spin 500). The tuples/sec ratio is the acceptance number.
-//! 2. **batch-size sweep** — 1, 16, 64, 256, 1024 at the default worker
-//!    count. Batch 1 ships one-tuple batches through the pooled path and
-//!    must not regress against the seed shape.
-//! 3. **worker-count sweep** — seed vs batch-256 at 2 and 4 workers.
-//! 4. **flight-recorder overhead guard** — the default batched shape
+//! 1. **batch-size sweep** — 1, 16, 64, 256, 1024 at the default worker
+//!    count. Batch 1 ships one-tuple batches through the pooled path:
+//!    the price of the channel operation the larger sizes amortize.
+//! 2. **worker-count sweep** — batch 256 at 2 and 4 workers.
+//! 3. **flight-recorder overhead guard** — the default batched shape
 //!    with the trace recorder on vs off, best-of-5 in every mode; the
 //!    on/off ratio is committed as `trace_overhead_ratio` and the run
 //!    *aborts* below 0.97, so a hot-path recording regression fails CI.
@@ -42,19 +39,13 @@ const SEED: u64 = 42;
 /// One measured configuration.
 #[derive(Clone, Copy)]
 struct Shape {
-    /// `true` = the seed per-tuple data plane.
-    per_tuple: bool,
     batch: usize,
     workers: usize,
 }
 
 impl Shape {
     fn label(&self) -> String {
-        if self.per_tuple {
-            format!("seed_per_tuple/w{}", self.workers)
-        } else {
-            format!("batched/b{}/w{}", self.batch, self.workers)
-        }
+        format!("batched/b{}/w{}", self.batch, self.workers)
     }
 }
 
@@ -68,7 +59,6 @@ fn run_once(shape: Shape, intervals: &[Vec<Key>], trace: bool) -> f64 {
         n_workers: shape.workers,
         max_workers: shape.workers,
         batch_size: shape.batch,
-        per_tuple: shape.per_tuple,
         trace,
         ..EngineConfig::default()
     };
@@ -113,29 +103,19 @@ fn main() {
     let intervals = make_intervals(tuples, n_intervals);
     let default_workers = EngineConfig::default().n_workers;
 
-    let mut shapes: Vec<Shape> = Vec::new();
-    for workers in [2, default_workers] {
-        shapes.push(Shape {
-            per_tuple: true,
-            batch: 1,
-            workers,
-        });
-    }
-    for batch in [1usize, 16, 64, 256, 1024] {
-        shapes.push(Shape {
-            per_tuple: false,
+    let mut shapes: Vec<Shape> = [1usize, 16, 64, 256, 1024]
+        .into_iter()
+        .map(|batch| Shape {
             batch,
             workers: default_workers,
-        });
-    }
+        })
+        .collect();
     shapes.push(Shape {
-        per_tuple: false,
         batch: 256,
         workers: 2,
     });
 
     let mut rows: Vec<Json> = Vec::new();
-    let mut best: Vec<(String, f64)> = Vec::new();
     println!(
         "engine throughput: {} tuples/run, {} reps (z={ZIPF_Z}, K={KEY_DOMAIN}, spin={})",
         tuples * n_intervals as u64,
@@ -155,10 +135,8 @@ fn main() {
             m,
             b
         );
-        best.push((shape.label(), b));
         rows.push(Json::obj([
             ("id", Json::str(shape.label())),
-            ("per_tuple", Json::Bool(shape.per_tuple)),
             ("batch", Json::Int(shape.batch as u64)),
             ("workers", Json::Int(shape.workers as u64)),
             ("mean_tuples_per_sec", Json::Num(m)),
@@ -176,7 +154,6 @@ fn main() {
     // on the hot path fails the bench, not just a review.
     const OVERHEAD_REPS: usize = 5;
     let overhead_shape = Shape {
-        per_tuple: false,
         batch: 256,
         workers: default_workers,
     };
@@ -201,15 +178,6 @@ fn main() {
          stay at two counter adds per batch"
     );
 
-    let get = |id: &str| best.iter().find(|(l, _)| l == id).map(|&(_, v)| v);
-    let seed_default = get(&format!("seed_per_tuple/w{default_workers}"));
-    let batched_default = get(&format!("batched/b256/w{default_workers}"));
-    let batched_one = get(&format!("batched/b1/w{default_workers}"));
-    let ratio = |a: Option<f64>, b: Option<f64>| match (a, b) {
-        (Some(x), Some(y)) if y > 0.0 => Json::Num(x / y),
-        _ => Json::Num(f64::NAN),
-    };
-
     let doc = Json::obj([
         ("bench", Json::str("engine")),
         ("key_domain", Json::Int(KEY_DOMAIN as u64)),
@@ -222,25 +190,9 @@ fn main() {
         ("default_workers", Json::Int(default_workers as u64)),
         ("smoke", Json::Bool(smoke)),
         ("results", Json::Arr(rows)),
-        // The acceptance ratios, on best-of-reps (noise-robust) numbers:
-        // batched-at-default vs the seed shape, and batch-size-1 vs the
-        // seed shape (the no-regression guard).
-        (
-            "speedup_batched_vs_seed_default",
-            ratio(batched_default, seed_default),
-        ),
-        ("ratio_batch1_vs_seed", ratio(batched_one, seed_default)),
         // Flight-recorder cost at the default shape (on/off, best-of-5);
         // the run aborts above if this drops below 0.97.
         ("trace_overhead_ratio", Json::Num(trace_overhead_ratio)),
-        // batch_size = 1 degenerates to the identical scalar data plane
-        // (see EngineConfig::batch_size), so this ratio's deviation from
-        // 1.0 is pure run-to-run measurement noise, not a code-path
-        // difference.
-        (
-            "note_batch1",
-            Json::str("batch 1 runs the same scalar plane as the seed shape"),
-        ),
     ]);
     // Anchored at the workspace root (cargo runs bench binaries with the
     // package dir as CWD). Smoke runs go to a separate, untracked path so

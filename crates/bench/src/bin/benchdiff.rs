@@ -229,7 +229,6 @@ mod tests {
         for key in [
             "elastic.json :: preplacement.results.preplace/on.time_to_first_tuple_intervals",
             "elastic.json :: preplacement.ttft_preplace_intervals",
-            "elastic.json :: preplacement.ttft_seed_intervals",
             "some.queue_depth_p99",
             "rows.w4.max_queue_tuples",
             "modeled_backlog_tuples",

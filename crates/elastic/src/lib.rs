@@ -336,6 +336,76 @@ impl ElasticityPolicy for FixedSchedule {
 }
 
 // ------------------------------------------------------------------
+// Hysteresis shared by the watermark policies
+// ------------------------------------------------------------------
+
+/// The tunables [`Hysteresis::step`] reads, copied per call from the
+/// owning policy's public fields.
+#[derive(Clone, Copy)]
+struct HysteresisLimits {
+    up_after: usize,
+    down_after: usize,
+    cooldown: u64,
+    min_tasks: usize,
+    max_tasks: usize,
+}
+
+/// Consecutive-interval streaks on a high and a low watermark plus the
+/// post-action cooldown — the state [`ThresholdPolicy`] and
+/// [`BackpressurePolicy`] step identically ([`HotKeyPolicy`] keeps
+/// per-key streaks of its own and uses only the cooldown gate).
+#[derive(Debug, Clone, Default)]
+struct Hysteresis {
+    high_streak: usize,
+    low_streak: usize,
+    hold_until: u64,
+}
+
+impl Hysteresis {
+    /// Whether `interval` still falls inside the last action's cooldown.
+    fn cooling(&self, interval: u64) -> bool {
+        interval < self.hold_until
+    }
+
+    /// Starts the cooldown for an action taken at `interval`.
+    fn acted(&mut self, interval: u64, cooldown: u64) {
+        self.hold_until = interval + 1 + cooldown;
+    }
+
+    /// One interval: advance the streaks on this interval's `high` / `low`
+    /// watermark verdicts, then act once a streak is long enough, the
+    /// cooldown has passed, and the task bounds allow it (a scale-in
+    /// additionally needs every task alive).
+    fn step(
+        &mut self,
+        obs: &IntervalObservation,
+        high: bool,
+        low: bool,
+        lim: HysteresisLimits,
+    ) -> ScaleDecision {
+        // Streaks advance even inside the cooldown window: the cooldown
+        // delays the *action*, not the evidence.
+        self.high_streak = if high { self.high_streak + 1 } else { 0 };
+        self.low_streak = if low { self.low_streak + 1 } else { 0 };
+        if self.cooling(obs.interval) {
+            return ScaleDecision::Hold;
+        }
+        let n = obs.n_tasks;
+        let decision = if self.high_streak >= lim.up_after && n < lim.max_tasks {
+            ScaleDecision::ScaleOut
+        } else if self.low_streak >= lim.down_after && n > lim.min_tasks && obs.n_dead == 0 {
+            ScaleDecision::ScaleIn
+        } else {
+            return ScaleDecision::Hold;
+        };
+        self.high_streak = 0;
+        self.low_streak = 0;
+        self.acted(obs.interval, lim.cooldown);
+        decision
+    }
+}
+
+// ------------------------------------------------------------------
 // Threshold with hysteresis
 // ------------------------------------------------------------------
 
@@ -373,9 +443,7 @@ pub struct ThresholdPolicy {
     pub min_tasks: usize,
     /// Upper parallelism bound.
     pub max_tasks: usize,
-    high_streak: usize,
-    low_streak: usize,
-    hold_until: u64,
+    hysteresis: Hysteresis,
 }
 
 impl ThresholdPolicy {
@@ -394,9 +462,7 @@ impl ThresholdPolicy {
             cooldown: 1,
             min_tasks,
             max_tasks,
-            high_streak: 0,
-            low_streak: 0,
-            hold_until: 0,
+            hysteresis: Hysteresis::default(),
         }
     }
 
@@ -415,40 +481,24 @@ impl ElasticityPolicy for ThresholdPolicy {
         let budget = self.budget();
         let n = obs.n_tasks;
         let total = obs.total() as f64;
-        let mean = obs.mean();
-        // Streaks advance even inside the cooldown window: the cooldown
-        // delays the *action*, not the evidence.
-        if mean > self.high * budget {
-            self.high_streak += 1;
-        } else {
-            self.high_streak = 0;
-        }
         let survivors_mean = if n > 1 {
             total / (n - 1) as f64
         } else {
             f64::MAX
         };
-        if survivors_mean < self.low * budget {
-            self.low_streak += 1;
-        } else {
-            self.low_streak = 0;
-        }
-        if obs.interval < self.hold_until {
-            return ScaleDecision::Hold;
-        }
-        if self.high_streak >= self.up_after && n < self.max_tasks {
-            self.high_streak = 0;
-            self.low_streak = 0;
-            self.hold_until = obs.interval + 1 + self.cooldown;
-            return ScaleDecision::ScaleOut;
-        }
-        if self.low_streak >= self.down_after && n > self.min_tasks && obs.n_dead == 0 {
-            self.low_streak = 0;
-            self.high_streak = 0;
-            self.hold_until = obs.interval + 1 + self.cooldown;
-            return ScaleDecision::ScaleIn;
-        }
-        ScaleDecision::Hold
+        let lim = HysteresisLimits {
+            up_after: self.up_after,
+            down_after: self.down_after,
+            cooldown: self.cooldown,
+            min_tasks: self.min_tasks,
+            max_tasks: self.max_tasks,
+        };
+        self.hysteresis.step(
+            obs,
+            obs.mean() > self.high * budget,
+            survivors_mean < self.low * budget,
+            lim,
+        )
     }
 
     fn box_clone(&self) -> Box<dyn ElasticityPolicy> {
@@ -501,9 +551,7 @@ pub struct BackpressurePolicy {
     pub min_tasks: usize,
     /// Upper parallelism bound.
     pub max_tasks: usize,
-    high_streak: usize,
-    low_streak: usize,
-    hold_until: u64,
+    hysteresis: Hysteresis,
 }
 
 impl BackpressurePolicy {
@@ -521,9 +569,7 @@ impl BackpressurePolicy {
             cooldown: 1,
             min_tasks,
             max_tasks,
-            high_streak: 0,
-            low_streak: 0,
-            hold_until: 0,
+            hysteresis: Hysteresis::default(),
         }
     }
 }
@@ -534,36 +580,16 @@ impl ElasticityPolicy for BackpressurePolicy {
     }
 
     fn decide(&mut self, obs: &IntervalObservation) -> ScaleDecision {
-        // Streaks advance inside the cooldown window, as in
-        // `ThresholdPolicy`: the cooldown delays the action, not the
-        // evidence.
         let backed_up = obs.max_queue() > self.high_depth || obs.p99_latency_us > self.high_p99_us;
-        if backed_up {
-            self.high_streak += 1;
-        } else {
-            self.high_streak = 0;
-        }
-        if obs.total_queue() < self.low_depth {
-            self.low_streak += 1;
-        } else {
-            self.low_streak = 0;
-        }
-        if obs.interval < self.hold_until {
-            return ScaleDecision::Hold;
-        }
-        if self.high_streak >= self.up_after && obs.n_tasks < self.max_tasks {
-            self.high_streak = 0;
-            self.low_streak = 0;
-            self.hold_until = obs.interval + 1 + self.cooldown;
-            return ScaleDecision::ScaleOut;
-        }
-        if self.low_streak >= self.down_after && obs.n_tasks > self.min_tasks && obs.n_dead == 0 {
-            self.low_streak = 0;
-            self.high_streak = 0;
-            self.hold_until = obs.interval + 1 + self.cooldown;
-            return ScaleDecision::ScaleIn;
-        }
-        ScaleDecision::Hold
+        let lim = HysteresisLimits {
+            up_after: self.up_after,
+            down_after: self.down_after,
+            cooldown: self.cooldown,
+            min_tasks: self.min_tasks,
+            max_tasks: self.max_tasks,
+        };
+        self.hysteresis
+            .step(obs, backed_up, obs.total_queue() < self.low_depth, lim)
     }
 
     fn box_clone(&self) -> Box<dyn ElasticityPolicy> {
@@ -827,7 +853,8 @@ pub struct HotKeyPolicy {
     hot: Option<(u64, usize)>,
     /// Cool streaks per currently-split key.
     cool: Vec<(u64, usize)>,
-    hold_until: u64,
+    /// Only the cooldown gate is used; the streaks above are per key.
+    hysteresis: Hysteresis,
 }
 
 impl HotKeyPolicy {
@@ -845,7 +872,7 @@ impl HotKeyPolicy {
             max_replicas: 4,
             hot: None,
             cool: Vec::new(),
-            hold_until: 0,
+            hysteresis: Hysteresis::default(),
         }
     }
 
@@ -888,7 +915,7 @@ impl SplitPolicy for HotKeyPolicy {
             }
         }
 
-        if obs.interval < self.hold_until {
+        if self.hysteresis.cooling(obs.interval) {
             return SplitDecision::Hold;
         }
 
@@ -903,7 +930,7 @@ impl SplitPolicy for HotKeyPolicy {
                 let want = (share * obs.n_tasks as f64 / (share + self.theta_max)).ceil() as usize;
                 let replicas = want.clamp(2, self.max_replicas.min(obs.n_tasks).max(2));
                 self.hot = None;
-                self.hold_until = obs.interval + 1 + self.cooldown;
+                self.hysteresis.acted(obs.interval, self.cooldown);
                 return SplitDecision::Split { key, replicas };
             }
         }
@@ -917,7 +944,7 @@ impl SplitPolicy for HotKeyPolicy {
             .min();
         if let Some(key) = done {
             self.cool.retain(|(k, _)| *k != key);
-            self.hold_until = obs.interval + 1 + self.cooldown;
+            self.hysteresis.acted(obs.interval, self.cooldown);
             return SplitDecision::Unsplit { key };
         }
         SplitDecision::Hold

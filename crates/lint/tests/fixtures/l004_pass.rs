@@ -6,9 +6,9 @@ fn ship(tx: &Sender<Message>, batch: Vec<Tuple>) {
 }
 
 fn control(tx: &Sender<Message>) {
-    // Control markers and single tuples legitimately weigh one.
+    // Control markers legitimately weigh one.
     let _ = tx.send(Message::Shutdown);
-    let _ = tx.send(Message::Tuple(Tuple::keyed(Key(1))));
+    let _ = tx.send(Message::StatsRequest { interval: 0 });
 }
 
 fn annotated(tx: &Sender<Message>, batch: Vec<Tuple>) {

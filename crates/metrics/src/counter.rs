@@ -101,15 +101,6 @@ impl RateMeter {
     pub fn series(&self) -> Vec<(f64, f64)> {
         self.inner.lock().points.clone()
     }
-
-    /// Mean rate over all recorded points (unweighted).
-    pub fn mean_rate(&self) -> f64 {
-        let inner = self.inner.lock();
-        if inner.points.is_empty() {
-            return 0.0;
-        }
-        inner.points.iter().map(|&(_, r)| r).sum::<f64>() / inner.points.len() as f64
-    }
 }
 
 impl Default for RateMeter {
@@ -207,11 +198,5 @@ mod tests {
         // Immediate resample: no new point.
         m.sample(&c);
         assert_eq!(m.series().len(), 1);
-    }
-
-    #[test]
-    fn mean_rate_of_empty_is_zero() {
-        let m = RateMeter::new();
-        assert_eq!(m.mean_rate(), 0.0);
     }
 }

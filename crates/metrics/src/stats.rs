@@ -60,11 +60,6 @@ impl OnlineStats {
         }
     }
 
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum; 0 when empty.
     pub fn min(&self) -> f64 {
         if self.n == 0 {
@@ -127,13 +122,6 @@ impl Stopwatch {
     pub fn elapsed_ms(&self) -> f64 {
         self.start.elapsed().as_secs_f64() * 1e3
     }
-
-    /// Restarts the stopwatch, returning the lap time.
-    pub fn lap(&mut self) -> Duration {
-        let e = self.start.elapsed();
-        self.start = Instant::now();
-        e
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +159,6 @@ mod tests {
         }
         // Known population variance of this classic sample = 4.
         assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -212,12 +199,8 @@ mod tests {
 
     #[test]
     fn stopwatch_measures_something() {
-        let mut w = Stopwatch::start();
+        let w = Stopwatch::start();
         std::thread::sleep(Duration::from_millis(5));
         assert!(w.elapsed_ms() >= 4.0);
-        let lap = w.lap();
-        assert!(lap.as_millis() >= 4);
-        // After lap the clock restarted.
-        assert!(w.elapsed_ms() < 5.0);
     }
 }

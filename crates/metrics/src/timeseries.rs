@@ -77,47 +77,6 @@ impl TimeSeries {
         }
         sum / count as f64
     }
-
-    /// First tick at which `value >= threshold` holds and keeps holding for
-    /// `sustain` consecutive points — used to measure recovery time after a
-    /// disturbance (Fig. 15's "how fast does each strategy rebalance").
-    pub fn first_sustained_at(&self, threshold: f64, sustain: usize) -> Option<f64> {
-        if sustain == 0 {
-            return self.points.first().map(|&(t, _)| t);
-        }
-        let mut run = 0usize;
-        let mut start_tick = 0.0;
-        for &(t, v) in &self.points {
-            if v >= threshold {
-                if run == 0 {
-                    start_tick = t;
-                }
-                run += 1;
-                if run >= sustain {
-                    return Some(start_tick);
-                }
-            } else {
-                run = 0;
-            }
-        }
-        None
-    }
-
-    /// Downsamples to at most `n` points by averaging fixed-size chunks —
-    /// keeps the experiment logs readable.
-    pub fn downsample(&self, n: usize) -> TimeSeries {
-        if n == 0 || self.points.len() <= n {
-            return self.clone();
-        }
-        let chunk = self.points.len().div_ceil(n);
-        let mut out = TimeSeries::labelled(self.label.clone());
-        for c in self.points.chunks(chunk) {
-            let t = c.iter().map(|&(t, _)| t).sum::<f64>() / c.len() as f64;
-            let v = c.iter().map(|&(_, v)| v).sum::<f64>() / c.len() as f64;
-            out.points.push((t, v));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -147,43 +106,8 @@ mod tests {
     }
 
     #[test]
-    fn sustained_recovery_detection() {
-        let s = series(&[
-            (0.0, 10.0),
-            (1.0, 2.0), // disturbance
-            (2.0, 3.0),
-            (3.0, 9.0), // recovery starts
-            (4.0, 9.5),
-            (5.0, 9.8),
-        ]);
-        assert_eq!(s.first_sustained_at(8.0, 3), Some(3.0));
-        assert_eq!(s.first_sustained_at(50.0, 1), None);
-    }
-
-    #[test]
-    fn sustained_run_resets_on_dip() {
-        let s = series(&[(0.0, 9.0), (1.0, 1.0), (2.0, 9.0), (3.0, 9.0)]);
-        assert_eq!(s.first_sustained_at(8.0, 2), Some(2.0));
-    }
-
-    #[test]
-    fn downsample_halves() {
-        let s = series(&(0..10).map(|i| (i as f64, i as f64)).collect::<Vec<_>>());
-        let d = s.downsample(5);
-        assert_eq!(d.len(), 5);
-        assert_eq!(d.points()[0], (0.5, 0.5));
-    }
-
-    #[test]
-    fn downsample_noop_when_small() {
-        let s = series(&[(0.0, 1.0)]);
-        assert_eq!(s.downsample(10).len(), 1);
-    }
-
-    #[test]
     fn labels_survive() {
         let s = TimeSeries::labelled("Mixed");
         assert_eq!(s.label(), "Mixed");
-        assert_eq!(s.downsample(1).label(), "Mixed");
     }
 }

@@ -8,8 +8,8 @@
 //! markers share each worker's FIFO channel, and the source only
 //! acknowledges `Pause`/`Resume` between routed batches when its
 //! accumulators are flushed, so every marker the controller sends after
-//! an ack lands behind every batch the ack covered — the per-tuple
-//! FIFO argument (see the crate docs) carries over verbatim with
+//! an ack lands behind every batch the ack covered — the paper's
+//! per-tuple FIFO argument (see the crate docs) holds verbatim with
 //! "tuple" replaced by "batch".
 
 use std::collections::VecDeque;
@@ -21,8 +21,8 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Select, SendTimeoutError, Sender};
 use streambal_core::{Key, Partitioner, RoutingView, TaskId};
 use streambal_elastic::{
-    choose_replicas, ElasticityPolicy, FixedSchedule, HoldPolicy, IntervalObservation,
-    ScaleDecision, SplitDecision, SplitObservation, SplitPolicy,
+    choose_replicas, ElasticityPolicy, HoldPolicy, IntervalObservation, ScaleDecision,
+    SplitDecision, SplitObservation, SplitPolicy,
 };
 use streambal_hashring::{FxHashMap, FxHashSet};
 use streambal_metrics::{Counter, Histogram, RateMeter, TimeSeries};
@@ -51,8 +51,7 @@ pub struct EngineConfig {
     /// backpressures the source (the paper's "backpushing effect").
     /// Batched sends are weighted by their tuple count
     /// (`send_weighted`), so the bound stays exactly tuple-denominated
-    /// at any batch size and any fan-out fill — control markers weigh 1,
-    /// as they did when every message was one tuple.
+    /// at any batch size and any fan-out fill — control markers weigh 1.
     pub channel_capacity: usize,
     /// Worker → collector channel depth in *tuples* (PKG's max-pending
     /// analogue), weighted like [`EngineConfig::channel_capacity`].
@@ -62,16 +61,9 @@ pub struct EngineConfig {
     /// buffers shipped as one [`Message::TupleBatch`] per destination
     /// touched. The source drains pause/resume/view updates every
     /// `max(batch_size, 256)` staged tuples, bounding how many tuples can
-    /// be routed under a stale view. `1` degenerates to scalar
-    /// [`Message::Tuple`] sends — a one-tuple batch buys no amortization
-    /// and would only pay the buffer indirection — so the batched plane
-    /// never regresses below the seed shape at any batch size.
+    /// be routed under a stale view. `1` (`0` is read as `1`) ships
+    /// one-tuple batches through the same pooled path.
     pub batch_size: usize,
-    /// Ship every tuple as an individual [`Message::Tuple`] with
-    /// per-tuple clock reads and counter increments — the seed data
-    /// plane, kept so benchmarks can measure the batched plane against
-    /// it.
-    pub per_tuple: bool,
     /// Busy-work iterations per tuple — calibrates per-tuple CPU cost so
     /// the workers saturate, as the paper's experiments arrange.
     pub spin_work: u32,
@@ -79,9 +71,14 @@ pub struct EngineConfig {
     pub window: usize,
     /// The elasticity policy consulted after every interval's statistics
     /// round: it decides `ScaleOut` / `ScaleIn` / `Hold`, and the
-    /// controller executes the decision (spawn + state pre-placement for
-    /// out — see [`EngineConfig::preplace`]; the drain → migrate → retire
-    /// protocol for in — see `streambal-elastic` crate docs). Decisions
+    /// controller executes the decision. Out: spawn, then pre-place —
+    /// the partitioner's `Partitioner::scale_out_plan` names the keys
+    /// that follow the grown ring, and the plan runs through the
+    /// pause → migrate → resume machinery inside the scale-out
+    /// quiescence window, so the new worker owns its keys — and takes
+    /// their traffic — in the decision interval itself (an empty plan
+    /// publishes the grown view directly). In: the drain → migrate →
+    /// retire protocol (see `streambal-elastic` crate docs). Decisions
     /// are clamped to `[1, max_workers]`; scale-ins may queue up
     /// (multi-step re-provisioning executes them in order), while a
     /// scale-out arriving before queued retires finish is skipped,
@@ -100,17 +97,6 @@ pub struct EngineConfig {
     /// an already-split key, a degenerate replica set) are skipped, not
     /// deferred. Default: `None` (never splits).
     pub split: Option<Box<dyn SplitPolicy>>,
-    /// Pre-place state at scale-out (default `true`): the controller asks
-    /// the partitioner for a migration plan
-    /// (`Partitioner::scale_out_plan`) at provision time and executes it
-    /// through the drain → migrate → resume machinery inside the
-    /// scale-out quiescence window, so the new worker owns its keys — and
-    /// takes their traffic — in the decision interval itself. `false`
-    /// reproduces the seed behaviour (`Partitioner::scale_out` pins
-    /// churned keys back to their old homes), where the new slot sits
-    /// empty until the next rebalance migrates keys onto it — exactly the
-    /// intervals the policy scaled out for.
-    pub preplace: bool,
     /// Deterministic fault schedule for this run (default: none). See
     /// [`crate::fault`] — every fired fault and recovery action lands in
     /// [`EngineReport::faults`], and unrecoverable tuples are accounted
@@ -148,28 +134,6 @@ pub struct EngineConfig {
     pub trace: bool,
 }
 
-impl EngineConfig {
-    /// Whether the data plane ships scalar [`Message::Tuple`]s: the
-    /// explicit seed shape, or `batch_size ≤ 1` (a one-tuple batch buys
-    /// no amortization).
-    fn scalar_plane(&self) -> bool {
-        self.per_tuple || self.batch_size <= 1
-    }
-
-    /// Back-compat constructor for the retired `scale_out_at` knob: the
-    /// default config with one pre-provisioned spare slot and a
-    /// [`FixedSchedule`] adding one worker after `interval`'s statistics
-    /// are collected — behaviourally identical to the old field.
-    pub fn with_scale_out_at(interval: u64) -> Self {
-        let base = EngineConfig::default();
-        EngineConfig {
-            max_workers: base.n_workers + 1,
-            elasticity: Box::new(FixedSchedule::scale_out_at(interval)),
-            ..base
-        }
-    }
-}
-
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
@@ -178,12 +142,10 @@ impl Default for EngineConfig {
             channel_capacity: 1024,
             collector_capacity: 256,
             batch_size: 256,
-            per_tuple: false,
             spin_work: 500,
             window: 5,
             elasticity: Box::new(HoldPolicy),
             split: None,
-            preplace: true,
             fault_plan: FaultPlan::none(),
             op_deadline_intervals: 4,
             op_deadline: Duration::from_secs(5),
@@ -545,10 +507,6 @@ fn drain_dead_channel(
     let mut n_lost = 0u64;
     while let Ok(msg) = rx.try_recv() {
         match msg {
-            Message::Tuple(t) => {
-                *lost.entry(t.key).or_insert(0) += 1;
-                n_lost += 1;
-            }
             Message::TupleBatch(batch) => {
                 for t in &batch {
                     *lost.entry(t.key).or_insert(0) += 1;
@@ -562,7 +520,13 @@ fn drain_dead_channel(
                     n_lost += n;
                 }
             }
-            _ => {}
+            // Markers carry no tuples. Named one by one so a new
+            // payload-carrying variant fails to compile here instead of
+            // silently dropping out of `fed == observed + lost`.
+            Message::StatsRequest { .. }
+            | Message::MigrateOut { .. }
+            | Message::Retire { .. }
+            | Message::Shutdown => {}
         }
     }
     n_lost
@@ -826,7 +790,7 @@ impl Engine {
 
             // --- source ---------------------------------------------------
             let src_worker_txs = worker_txs.clone();
-            let src_config = config.clone();
+            let src_batch = config.batch_size;
             let src_injector = Arc::clone(&injector);
             let src_rec = sink.recorder(ThreadLabel::Source);
             let src_handle = s.spawn(move || {
@@ -838,7 +802,7 @@ impl Engine {
                     src_evt_tx,
                     pool_rx,
                     t0,
-                    src_config,
+                    src_batch,
                     src_injector,
                     src_rec,
                 )
@@ -1924,21 +1888,13 @@ impl Engine {
                                 op_factory(TaskId::from(active)),
                                 interval + 1,
                             );
-                            // Pre-placement (default): plan
-                            // the migration at provision
-                            // time — the new slot's keys
-                            // move in through the same
-                            // quiesce → install → resume
-                            // machinery as a rebalance, so
-                            // it takes load this interval.
-                            // The seed shape pins churn
-                            // instead and the slot idles
-                            // until the next rebalance.
-                            let (new, moves) = if config.preplace {
-                                partitioner.scale_out_plan(&live)
-                            } else {
-                                (partitioner.scale_out(&live), Vec::new())
-                            };
+                            // Pre-placement: plan the migration at
+                            // provision time — the new slot's keys
+                            // move in through the same quiesce →
+                            // install → resume machinery as a
+                            // rebalance, so it takes load this
+                            // interval.
+                            let (new, moves) = partitioner.scale_out_plan(&live);
                             debug_assert_eq!(new.index(), active);
                             report.scale_events.push(ScaleEvent {
                                 interval,
@@ -1947,12 +1903,11 @@ impl Engine {
                             });
                             active += 1;
                             if moves.is_empty() {
-                                // Nothing to pre-place (seed
-                                // shape, or a key-oblivious
-                                // strategy whose new worker
-                                // takes traffic without any
-                                // state): publish the grown
-                                // view directly.
+                                // Nothing to pre-place (a
+                                // key-oblivious strategy whose
+                                // new worker takes traffic
+                                // without any state): publish
+                                // the grown view directly.
                                 send_src(
                                     &injector,
                                     &ctl_tx,
@@ -2649,8 +2604,8 @@ impl Engine {
 /// touched. Every routed batch is flushed whole before control messages
 /// are drained (polling happens only between routed batches), so the
 /// accumulators are empty at every poll point: a `PauseAck` never races
-/// unsent data and the FIFO consistency argument (see crate docs)
-/// carries over from the per-tuple protocol unchanged.
+/// unsent data and the paper's per-tuple FIFO consistency argument (see
+/// crate docs) holds per batch.
 /// What the source is holding back during an in-flight control op.
 enum PauseFilter {
     /// Migration: the affected key set `Δ(F, F′)`.
@@ -2681,9 +2636,8 @@ struct SourcePlane {
     keys: Vec<Key>,
     dests: Vec<TaskId>,
     batch: usize,
-    per_tuple: bool,
     /// Dead worker slots (`DeadDest`, or a send failure observed first-
-    /// hand): routed tuples divert past them in [`SourcePlane::send_msg`]
+    /// hand): routed tuples divert past them in [`SourcePlane::send_batch`]
     /// until a `ReviveDest` swaps in a fresh channel.
     dead: FxHashSet<usize>,
     /// Shared fault injector: ack sends honour injected control drops.
@@ -2707,11 +2661,11 @@ impl SourcePlane {
     }
 
     /// Drains every pending pool return into the free list and bounds
-    /// it. Called at control-poll points: in the scalar shape `ship`
-    /// never consumes buffers, yet collector-emission buffers still
-    /// return here — without reclamation the unbounded pool channel
-    /// would grow for the whole run. The bound also caps the free list
-    /// in the batched shape (excess capacity is just dropped).
+    /// it. Called at control-poll points: workers and the collector
+    /// return buffers whether or not `ship` is consuming any (a pause
+    /// covering the hot keys diverts nearly everything to the pause
+    /// buffer), so without reclamation the unbounded pool channel could
+    /// grow for the whole run. Excess capacity is just dropped.
     fn reclaim(&mut self) {
         while let Ok(group) = self.pool.try_recv() {
             self.free.extend(group);
@@ -2721,8 +2675,7 @@ impl SourcePlane {
     }
 
     /// Routes `staged` and ships it downstream: one channel send per
-    /// destination touched (or per tuple in the seed shape). Drains
-    /// `staged`, preserving per-destination tuple order. Under a
+    /// destination touched. Drains `staged`, preserving per-destination tuple order. Under a
     /// destination pause (scale-in), tuples routed to the quiesced worker
     /// divert to the pause buffer instead — in arrival order, so the
     /// Resume flush replays them FIFO under the new view.
@@ -2738,48 +2691,39 @@ impl SourcePlane {
             Some((_, PauseFilter::Dest(d))) => Some(*d),
             _ => None,
         };
-        if self.per_tuple {
-            for (t, d) in staged.drain(..).zip(&dests) {
-                if pause_dest == Some(*d) {
-                    self.buffer.push(t);
-                    continue;
-                }
-                self.send_msg(d.index(), Message::Tuple(t), 1);
+        for (t, d) in staged.drain(..).zip(&dests) {
+            if pause_dest == Some(*d) {
+                self.buffer.push(t);
+                continue;
             }
-        } else {
-            for (t, d) in staged.drain(..).zip(&dests) {
-                if pause_dest == Some(*d) {
-                    self.buffer.push(t);
-                    continue;
-                }
-                let slot = &mut self.fan[d.index()];
-                if slot.is_empty() {
-                    self.touched.push(d.index());
-                }
-                slot.push(t);
+            let slot = &mut self.fan[d.index()];
+            if slot.is_empty() {
+                self.touched.push(d.index());
             }
-            for i in 0..self.touched.len() {
-                let d = self.touched[i];
-                let next = self.take_buf();
-                let batch = std::mem::replace(&mut self.fan[d], next);
-                let weight = batch.len();
-                self.send_msg(d, Message::TupleBatch(batch), weight);
-            }
-            self.touched.clear();
+            slot.push(t);
         }
+        for i in 0..self.touched.len() {
+            let d = self.touched[i];
+            let next = self.take_buf();
+            let batch = std::mem::replace(&mut self.fan[d], next);
+            self.send_batch(d, batch);
+        }
+        self.touched.clear();
         self.dests = dests;
     }
 
-    /// Ships one message to `dest`, diverting past dead slots (the slot
-    /// index cycled to the next live one — the same rule the controller's
-    /// re-route pins into the table, so a divert under a stale view lands
-    /// where the re-route will). A send failure means the worker died
-    /// under us before the controller could say so: mark the slot,
-    /// report it once, and re-divert — the message is recovered from the
-    /// failed send, so nothing is silently dropped.
-    fn send_msg(&mut self, dest: usize, msg: Message, weight: usize) {
+    /// Ships one batch to `dest`, weighted by its tuple count, diverting
+    /// past dead slots (the slot index cycled to the next live one — the
+    /// same rule the controller's re-route pins into the table, so a
+    /// divert under a stale view lands where the re-route will). A send
+    /// failure means the worker died under us before the controller
+    /// could say so: mark the slot, report it once, and re-divert — the
+    /// batch is recovered from the failed send, so nothing is silently
+    /// dropped.
+    fn send_batch(&mut self, dest: usize, batch: Vec<Tuple>) {
         let mut d = dest;
-        let mut msg = msg;
+        let weight = batch.len();
+        let mut msg = Message::TupleBatch(batch);
         loop {
             if self.dead.contains(&d) {
                 let n = self.router.n_tasks();
@@ -2810,7 +2754,7 @@ impl SourcePlane {
     }
 
     /// Sends a controller-bound ack, honouring an injected control drop.
-    /// The event channel outlives the source (see `send_msg`), so the
+    /// The event channel outlives the source (see `send_batch`), so the
     /// discarded send result can only ever be `Ok`.
     fn ack(&self, ev: SourceEvent, kind: CtlKind) {
         if !self.injector.is_passive() && self.injector.should_drop(kind) {
@@ -2906,8 +2850,8 @@ impl SourcePlane {
 
 /// The source thread: feeds tuples, honours pause/resume, reports
 /// interval boundaries. Staging, routing, and shipping all happen per
-/// batch of `config.batch_size` tuples; emission timestamps are taken
-/// once per staged batch (per tuple in the seed `per_tuple` shape).
+/// batch of `batch_size` tuples; emission timestamps are taken
+/// once per staged batch.
 #[allow(clippy::too_many_arguments)]
 fn source_loop<F>(
     mut feeder: F,
@@ -2917,25 +2861,19 @@ fn source_loop<F>(
     events: Sender<SourceEvent>,
     pool: Receiver<Vec<Vec<Tuple>>>,
     epoch: Instant,
-    config: EngineConfig,
+    batch_size: usize,
     injector: Arc<FaultInjector>,
     mut recorder: ThreadRecorder,
 ) where
     F: FnMut(u64) -> Option<Vec<Tuple>> + Send,
 {
-    let batch = config.batch_size.max(1);
+    let batch = batch_size.max(1);
     // Control-poll granularity: at least every CTL_POLL staged tuples,
     // decoupled from the batch size so tiny batches do not pay a control
     // channel probe per send. 256 matches the pre-batching loop's bound
     // on tuples routed under a stale view.
     const CTL_POLL: usize = 256;
     let ctl_every = batch.max(CTL_POLL);
-    // Batch size 1 degenerates to the scalar plane: same protocol
-    // positions, no pooled-buffer indirection for zero amortization.
-    let per_tuple = config.scalar_plane();
-    // Scalar sends have no fan-out to size, so staging (which only sets
-    // stamping and poll granularity there) stays at the poll bound.
-    let stage_size = if per_tuple { ctl_every } else { batch };
     let n_slots = worker_txs.len();
     let mut plane = SourcePlane {
         router: SourceRouter::from_view(view),
@@ -2950,12 +2888,11 @@ fn source_loop<F>(
         keys: Vec::with_capacity(batch),
         dests: Vec::with_capacity(batch),
         batch,
-        per_tuple,
         dead: FxHashSet::default(),
         injector,
     };
     // Staging scratch, reused across batches to stay allocation-free.
-    let mut staged: Vec<Tuple> = Vec::with_capacity(stage_size);
+    let mut staged: Vec<Tuple> = Vec::with_capacity(batch);
     let mut since_ctl = usize::MAX; // poll before the first batch
 
     let mut interval = 0u64;
@@ -2976,8 +2913,7 @@ fn source_loop<F>(
                 }
             }
             // Stage the next batch, holding back keys paused for an
-            // in-flight migration. One clock read stamps the whole batch;
-            // the scalar shape stamps each tuple, as the seed always did.
+            // in-flight migration. One clock read stamps the whole batch.
             // The loop is bounded by tuples *consumed*, not staged: under
             // a pause that covers the hot keys, nearly everything goes to
             // the pause buffer, and a staged-only bound would starve the
@@ -2985,21 +2921,13 @@ fn source_loop<F>(
             // the rest of the interval.
             staged.clear();
             let mut consumed = 0usize;
-            let batch_us = if per_tuple {
-                0
-            } else {
-                epoch.elapsed().as_micros() as u64
-            };
-            while staged.len() < stage_size && consumed < stage_size {
+            let batch_us = epoch.elapsed().as_micros() as u64;
+            while staged.len() < batch && consumed < batch {
                 let Some(mut t) = pending.next() else {
                     break;
                 };
                 consumed += 1;
-                t.emitted_us = if per_tuple {
-                    epoch.elapsed().as_micros() as u64
-                } else {
-                    batch_us
-                };
+                t.emitted_us = batch_us;
                 if let Some((_, PauseFilter::Keys(affected))) = &plane.paused {
                     if affected.contains(&t.key) {
                         plane.buffer.push(t);
@@ -3053,6 +2981,7 @@ mod tests {
     use streambal_baselines::CoreBalancer;
     use streambal_baselines::HashPartitioner;
     use streambal_core::{BalanceParams, RebalanceStrategy};
+    use streambal_elastic::FixedSchedule;
     use streambal_workloads::FluctuatingWorkload;
 
     /// Reference word counts for a tuple sequence.
@@ -3082,12 +3011,10 @@ mod tests {
             channel_capacity: 256,
             collector_capacity: 64,
             batch_size: 32, // small batches: more batch boundaries under test
-            per_tuple: false,
             spin_work: 10,
             window: 100, // keep everything: exact count validation
             elasticity: Box::new(HoldPolicy),
             split: None,
-            preplace: true,
             fault_plan: FaultPlan::none(),
             op_deadline_intervals: 4,
             op_deadline: Duration::from_secs(5),
@@ -3204,31 +3131,6 @@ mod tests {
             .map(|&(k, v)| (Key(k), v))
             .collect();
         assert_eq!(merged, expect, "partial/merge must reconstruct counts");
-    }
-
-    /// The back-compat constructor reproduces the retired knob: one
-    /// spare slot, one worker added after the given interval.
-    #[test]
-    fn with_scale_out_at_matches_the_old_knob() {
-        let config = EngineConfig::with_scale_out_at(1);
-        assert_eq!(config.max_workers, config.n_workers + 1);
-        let n_workers = config.n_workers;
-        let report = Engine::run(
-            config,
-            Box::new(HashPartitioner::new(n_workers)),
-            |_| Box::new(WordCountOp::new()),
-            |iv| (iv < 4).then(|| (0..1500u64).map(|i| Tuple::keyed(Key(i % 40))).collect()),
-            None,
-        );
-        assert_eq!(report.processed, 6000);
-        assert_eq!(
-            report.scale_events,
-            vec![ScaleEvent {
-                interval: 1,
-                from: n_workers,
-                to: n_workers + 1
-            }]
-        );
     }
 
     #[test]
@@ -3447,52 +3349,42 @@ mod tests {
         assert_eq!(got, expect, "elastic run stays exact");
     }
 
-    /// The cold scale-out lag, pinned from both sides. With the rebalance
-    /// trigger damped (so no migration can mask the effect), a *seed*
-    /// (`preplace: false`) scale-out pins every churned key back to its
-    /// old home: the new slot never receives a tuple for the rest of the
-    /// run. Pre-placement (the default) migrates the churned keys' state
-    /// into the new worker inside the scale-out quiescence window, so it
-    /// takes their traffic within an interval or two of the decision —
-    /// and the run stays exact either way.
+    /// No cold scale-out lag: with the rebalance trigger damped (so no
+    /// rebalance can feed the new slot), pre-placement alone migrates the
+    /// churned keys' state into the new worker inside the scale-out
+    /// quiescence window, so it takes their traffic within an interval or
+    /// two of the decision — and the run stays exact.
     #[test]
-    fn preplacement_feeds_the_new_worker_seed_never_does() {
+    fn preplacement_feeds_the_new_worker() {
         use streambal_core::TriggerPolicy;
         let intervals: Vec<Vec<Key>> = (0..8)
             .map(|_| (0..3_000u64).map(|i| Key(i % 300)).collect())
             .collect();
         let expect = reference_counts(&intervals);
-        let damped = || {
-            CoreBalancer::new(3, 100, RebalanceStrategy::Mixed, BalanceParams::default())
-                .with_trigger_policy(TriggerPolicy {
-                    cooldown: 0,
-                    consecutive: 100, // never fires within this run
-                })
-        };
+        let damped = CoreBalancer::new(3, 100, RebalanceStrategy::Mixed, BalanceParams::default())
+            .with_trigger_policy(TriggerPolicy {
+                cooldown: 0,
+                consecutive: 100, // never fires within this run
+            });
         let decision = 1u64;
-        let run = |preplace: bool| {
-            let feed = intervals.clone();
-            Engine::run(
-                EngineConfig {
-                    max_workers: 4,
-                    elasticity: Box::new(FixedSchedule::scale_out_at(decision)),
-                    preplace,
-                    // Small channels keep stats rounds close to interval
-                    // boundaries, so the decision lands promptly.
-                    channel_capacity: 64,
-                    ..small_config()
-                },
-                Box::new(damped()),
-                |_| Box::new(WordCountOp::new()),
-                move |iv| {
-                    feed.get(iv as usize)
-                        .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-                },
-                None,
-            )
-        };
-
-        let pre = run(true);
+        let pre = Engine::run(
+            EngineConfig {
+                max_workers: 4,
+                elasticity: Box::new(FixedSchedule::scale_out_at(decision)),
+                // Small channels keep stats rounds close to interval
+                // boundaries, so the decision lands promptly.
+                channel_capacity: 64,
+                ..small_config()
+            },
+            Box::new(damped),
+            |_| Box::new(WordCountOp::new()),
+            move |iv| {
+                intervals
+                    .get(iv as usize)
+                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
+            },
+            None,
+        );
         assert_eq!(pre.rebalances, 0, "trigger must stay damped");
         assert!(
             pre.migrated_keys > 0,
@@ -3506,30 +3398,18 @@ mod tests {
         );
         assert!(pre.per_worker_processed[3] > 0);
         assert_eq!(decode_counts(&pre.final_states), expect, "pre-place exact");
-
-        let seed = run(false);
-        assert_eq!(seed.rebalances, 0);
-        assert_eq!(
-            seed.first_tuple_interval[3], None,
-            "seed scale-out pins churn away: the slot must starve until a \
-             rebalance that never comes"
-        );
-        assert_eq!(seed.per_worker_processed[3], 0);
-        assert_eq!(decode_counts(&seed.final_states), expect, "seed exact");
     }
 
-    /// The seed per-tuple shape and batch sizes 1 and 256 must all be
-    /// observationally identical: exact counts, exact processed totals,
-    /// exact latency sample counts.
+    /// Batch sizes 1, 3 and 256 must all be observationally identical:
+    /// exact counts, exact processed totals, exact latency sample counts.
     #[test]
-    fn per_tuple_and_batched_shapes_agree() {
+    fn batch_sizes_agree() {
         let mut w = FluctuatingWorkload::new(200, 0.9, 3_000, 0.0, 19);
         let intervals: Vec<Vec<Key>> = (0..3).map(|_| w.tuples()).collect();
         let expect = reference_counts(&intervals);
         let total: u64 = intervals.iter().map(|v| v.len() as u64).sum();
-        for (per_tuple, batch_size) in [(true, 256), (false, 1), (false, 256)] {
+        for batch_size in [1, 3, 256] {
             let config = EngineConfig {
-                per_tuple,
                 batch_size,
                 ..small_config()
             };
@@ -3544,11 +3424,7 @@ mod tests {
                 },
                 None,
             );
-            let label = if per_tuple {
-                "per-tuple".to_string()
-            } else {
-                format!("batch={batch_size}")
-            };
+            let label = format!("batch={batch_size}");
             assert_eq!(report.processed, total, "{label}");
             assert_eq!(report.latency_us.count(), total, "{label}");
             assert_eq!(decode_counts(&report.final_states), expect, "{label}");

@@ -58,8 +58,8 @@
 //! at interval close: the backpushing signal), and the interval's
 //! mean/p99 latency — and executes its decision.
 //!
-//! **Scale-out** pre-places state at provision time
-//! (`EngineConfig::preplace`, the default), in four ordered steps:
+//! **Scale-out** pre-places state at provision time, in four ordered
+//! steps:
 //!
 //! 1. **Plan.** Spawn the worker on its pre-provisioned slot, then ask
 //!    the partitioner for the placement delta at the same instant the
@@ -78,12 +78,10 @@
 //!    worker only after its state did.
 //!
 //! The new slot therefore takes its keys' traffic in the decision
-//! interval itself — without pre-placement (the seed behaviour, kept as
-//! `preplace: false`) churned keys are pinned back to their old homes
-//! and the slot idles until the next rebalance deigns to move keys onto
-//! it, which is exactly the overloaded stretch the policy scaled out
-//! for. Strategies with no state to move (shuffle, PKG) return an empty
-//! plan and the grown view is published directly.
+//! interval itself — the overloaded stretch the policy scaled out for —
+//! instead of idling until a later rebalance moves keys onto it.
+//! Strategies with no state to move (shuffle, PKG) return an empty plan
+//! and the grown view is published directly.
 //!
 //! **Scale-in** runs the drain → migrate → retire protocol — pause the
 //! victim's destination at the source, enqueue a `Retire` marker behind
@@ -232,7 +230,6 @@
 //! session. `--check` validates schema + span integrity and exits
 //! nonzero on violation (CI runs it on every committed trace).
 
-pub mod codec;
 pub(crate) mod controller;
 pub mod engine;
 pub mod fault;
@@ -244,10 +241,6 @@ pub mod topk;
 pub mod tuple;
 pub mod worker;
 
-pub use codec::{
-    decode_plan, decode_tuple_batch, decode_view, encode_plan, encode_tuple_batch, encode_view,
-    CodecError,
-};
 pub use engine::{Engine, EngineConfig, EngineReport, ProtocolError, ScaleEvent, SplitEvent};
 pub use fault::{CtlKind, FaultEvent, FaultInjector, FaultPlan, FaultSpec, KillTrigger, OpKind};
 pub use merge::MergeStage;

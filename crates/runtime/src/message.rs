@@ -9,15 +9,12 @@ use crate::tuple::Tuple;
 /// control markers share the channel, so FIFO ordering *is* the migration
 /// consistency argument (see crate docs): a batch enqueued before a
 /// `MigrateOut`/`StateInstall`/`Shutdown` marker is processed — whole —
-/// before it, exactly as the per-tuple protocol guaranteed per tuple.
+/// before it.
 #[derive(Debug)]
 pub enum Message {
-    /// A single data tuple — the seed's per-tuple data plane, kept for
-    /// benchmarking against ([`crate::EngineConfig::per_tuple`]) and for
-    /// tests. The batched hot path never sends it.
-    Tuple(Tuple),
-    /// A batch of data tuples: one channel operation covers the whole
-    /// vector. The buffer is pooled — after draining it, the worker
+    /// A batch of data tuples — the only payload-carrying variant: one
+    /// channel operation covers the whole vector, sent with the batch
+    /// length as its channel weight. The buffer is pooled — after draining it, the worker
     /// returns it (cleared, capacity intact) to the source through the
     /// engine's recycle channel, so the steady state allocates nothing.
     TupleBatch(Vec<Tuple>),

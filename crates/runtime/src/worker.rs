@@ -20,8 +20,8 @@ const EMIT_SPARES: usize = 2;
 
 /// Drained buffers accumulated before one grouped pool return. Returning
 /// buffers in groups amortizes the pool-channel lock to `1/RETURN_GROUP`
-/// per batch — at batch size 1 this is what keeps the pooled plane at
-/// parity with the seed's per-tuple sends.
+/// per batch, which is what keeps one-tuple batches (`batch_size = 1`)
+/// from paying a pool-channel lock per tuple.
 const RETURN_GROUP: usize = 8;
 
 /// Everything one worker thread needs.
@@ -214,25 +214,6 @@ pub(crate) fn run_worker(mut ctx: WorkerCtx) {
 
     while let Ok(msg) = ctx.rx.recv() {
         match msg {
-            Message::Tuple(t) => {
-                // The seed per-tuple shape: one clock read, one counter
-                // increment, one (length-1) collector flush per tuple.
-                // (The collector channel itself now carries batches, so
-                // with a collector this shape pays a small Vec per
-                // emission — the one place it deviates from the seed.)
-                spin(ctx.spin_work);
-                let mem = ctx
-                    .op
-                    .process(&t, current_interval, &mut |t| emitter.emit(t));
-                stats.observe(t.key, 1, ctx.spin_work as u64 + 1, mem);
-                let now_us = ctx.epoch.elapsed().as_micros() as u64;
-                iv_latency.record(now_us.saturating_sub(t.emitted_us));
-                first_interval.get_or_insert(current_interval);
-                processed += 1;
-                ctx.processed_counter.incr();
-                ctx.recorder.count_batch(1);
-                emitter.flush();
-            }
             Message::TupleBatch(mut batch) => {
                 let n = batch.len() as u64;
                 // Batch-local stats accumulation by key runs: consecutive
@@ -266,11 +247,10 @@ pub(crate) fn run_worker(mut ctx: WorkerCtx) {
                 }
                 // One monotonic-clock read per batch, taken *after* the
                 // drain so recorded latencies include the batch's own
-                // processing (the per-tuple shape reads after each
-                // tuple; reading before the drain would systematically
-                // under-report late tuples). Latency is still recorded
-                // per tuple against its own emission stamp, in a second
-                // cache-hot pass over the stamps.
+                // processing (reading before the drain would
+                // systematically under-report late tuples). Latency is
+                // recorded per tuple against its own emission stamp, in
+                // a second cache-hot pass over the stamps.
                 let now_us = ctx.epoch.elapsed().as_micros() as u64;
                 for t in batch.iter() {
                     iv_latency.record(now_us.saturating_sub(t.emitted_us));
@@ -484,6 +464,7 @@ mod tests {
     use crate::operator::WordCountOp;
     use crossbeam::channel::unbounded;
     use streambal_core::Key;
+    use streambal_trace::{EventKind, ThreadLabel, TraceSink};
 
     /// Handles to a spawned test worker: input, events, pool returns,
     /// join handle.
@@ -495,10 +476,10 @@ mod tests {
     );
 
     fn spawn_worker(window: u64) -> WorkerHandles {
-        spawn_worker_faulty(window, FaultPlan::none())
+        spawn_worker_with(window, FaultPlan::none(), &TraceSink::disabled())
     }
 
-    fn spawn_worker_faulty(window: u64, plan: FaultPlan) -> WorkerHandles {
+    fn spawn_worker_with(window: u64, plan: FaultPlan, sink: &Arc<TraceSink>) -> WorkerHandles {
         let (tx, rx) = unbounded();
         let (etx, erx) = unbounded();
         let (pool_tx, pool_rx) = unbounded();
@@ -516,18 +497,22 @@ mod tests {
             pool: pool_tx,
             emit_batch: 8,
             injector: Arc::new(FaultInjector::new(plan)),
-            recorder: streambal_trace::TraceSink::disabled()
-                .recorder(streambal_trace::ThreadLabel::Worker(0)),
+            recorder: sink.recorder(ThreadLabel::Worker(0)),
         };
         let h = std::thread::spawn(move || run_worker(ctx));
         (tx, erx, pool_rx, h)
+    }
+
+    /// The `batch_size = 1` shape: a batch holding one tuple.
+    fn one(key: u64) -> Message {
+        Message::TupleBatch(vec![Tuple::keyed(Key(key))])
     }
 
     #[test]
     fn processes_and_reports_stats() {
         let (tx, erx, _pool, h) = spawn_worker(5);
         for _ in 0..10 {
-            tx.send(Message::Tuple(Tuple::keyed(Key(1)))).unwrap();
+            tx.send(one(1)).unwrap();
         }
         tx.send(Message::StatsRequest { interval: 0 }).unwrap();
         match erx.recv().unwrap() {
@@ -573,9 +558,52 @@ mod tests {
         h.join().unwrap();
     }
 
-    /// A `TupleBatch` must account identically to the same tuples sent
-    /// one at a time — stats, counts, and state — and the drained buffer
-    /// must come back through the pool with its capacity intact.
+    /// A one-tuple batch — what `batch_size = 1` ships — is accounted as
+    /// exactly one tuple in one batch: one processed count, one latency
+    /// sample, one `count_batch` increment.
+    #[test]
+    fn one_tuple_batch_counts_once() {
+        let sink = TraceSink::new(true);
+        let (tx, erx, _pool, h) = spawn_worker_with(5, FaultPlan::none(), &sink);
+        tx.send(one(1)).unwrap();
+        tx.send(Message::StatsRequest { interval: 0 }).unwrap();
+        match erx.recv().unwrap() {
+            WorkerEvent::Stats { stats, latency, .. } => {
+                assert_eq!(stats.get(Key(1)).unwrap().freq, 1);
+                assert_eq!(latency.count(), 1);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        tx.send(Message::Shutdown).unwrap();
+        match erx.recv().unwrap() {
+            WorkerEvent::Drained {
+                processed, latency, ..
+            } => {
+                assert_eq!(processed, 1);
+                assert_eq!(latency.count(), 1);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        h.join().unwrap();
+        let flushes: Vec<(u64, u64, u64)> = sink
+            .take_log()
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::DataFlush {
+                    interval,
+                    tuples,
+                    batches,
+                } => Some((interval, tuples, batches)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(flushes, vec![(0, 1, 1)]);
+    }
+
+    /// A multi-tuple `TupleBatch` is accounted per tuple — stats, counts,
+    /// and state — and the drained buffer comes back through the pool
+    /// with its capacity intact.
     #[test]
     fn batch_matches_per_tuple_accounting_and_recycles_buffer() {
         let (tx, erx, pool_rx, h) = spawn_worker(5);
@@ -637,8 +665,7 @@ mod tests {
             pool: pool_tx,
             emit_batch: 4,
             injector: Arc::new(FaultInjector::new(FaultPlan::none())),
-            recorder: streambal_trace::TraceSink::disabled()
-                .recorder(streambal_trace::ThreadLabel::Worker(0)),
+            recorder: TraceSink::disabled().recorder(ThreadLabel::Worker(0)),
         };
         let h = std::thread::spawn(move || run_worker(ctx));
         let batch: Vec<Tuple> = (0..9).map(|_| Tuple::keyed(Key(7))).collect();
@@ -713,7 +740,7 @@ mod tests {
         let (tx, erx, _pool, h) = spawn_worker(100);
         tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(1)); 3]))
             .unwrap();
-        tx.send(Message::Tuple(Tuple::keyed(Key(2)))).unwrap();
+        tx.send(one(2)).unwrap();
         tx.send(Message::Retire { epoch: 9 }).unwrap();
         match erx.recv().unwrap() {
             WorkerEvent::Retired {
@@ -731,8 +758,8 @@ mod tests {
                 assert_eq!(keys, vec![1, 2], "all state handed back");
                 // The channel stayed connected: a respawn on the same
                 // slot picks up right where the retiree left.
-                tx.send(Message::Tuple(Tuple::keyed(Key(3)))).unwrap();
-                assert!(matches!(rx.recv().unwrap(), Message::Tuple(_)));
+                tx.send(one(3)).unwrap();
+                assert!(matches!(rx.recv().unwrap(), Message::TupleBatch(_)));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -742,7 +769,7 @@ mod tests {
     #[test]
     fn window_eviction_after_stats() {
         let (tx, erx, _pool, h) = spawn_worker(1); // keep only current interval
-        tx.send(Message::Tuple(Tuple::keyed(Key(5)))).unwrap();
+        tx.send(one(5)).unwrap();
         tx.send(Message::StatsRequest { interval: 0 }).unwrap();
         let _ = erx.recv();
         // Interval 1: nothing for key 5; window=1 evicts interval 0 state.
@@ -767,7 +794,7 @@ mod tests {
             worker: 0,
             at_interval: 1,
         }]);
-        let (tx, erx, _pool, h) = spawn_worker_faulty(100, plan);
+        let (tx, erx, _pool, h) = spawn_worker_with(100, plan, &TraceSink::disabled());
         tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(4)); 6]))
             .unwrap();
         tx.send(Message::StatsRequest { interval: 0 }).unwrap();
@@ -789,8 +816,8 @@ mod tests {
                 assert_eq!(stats.get(Key(9)).unwrap().freq, 2);
                 // The receiver is handed back so in-flight messages can
                 // be drained for accounting.
-                tx.send(Message::Tuple(Tuple::keyed(Key(1)))).unwrap();
-                assert!(matches!(rx.recv().unwrap(), Message::Tuple(_)));
+                tx.send(one(1)).unwrap();
+                assert!(matches!(rx.recv().unwrap(), Message::TupleBatch(_)));
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -133,23 +133,19 @@ fn adaptive_strategies_rebalance_in_sim() {
 /// Migration consistency under the batched data plane, at maximal
 /// stress: channels squeezed to 4 messages (every send blocks), a
 /// skewed fluctuating workload forcing mid-run rebalances, and a
-/// scale-out after interval 1 — across the seed per-tuple shape and
-/// several batch sizes, including batches larger than the channel
-/// capacity. Exact word counts prove no batch flush ever reorders
-/// around a `MigrateOut`/`StateInstall`/`Shutdown` marker: a lost or
-/// doubled tuple, or state extracted before its pre-pause tuples
-/// landed, would show up as a count mismatch.
+/// scale-out after interval 1 — across batch sizes 1, 3 and 256, the
+/// last larger than the channel capacity. Exact word counts prove no
+/// batch flush ever reorders around a `MigrateOut`/`StateInstall`/
+/// `Shutdown` marker: a lost or doubled tuple, or state extracted
+/// before its pre-pause tuples landed, would show up as a count
+/// mismatch.
 #[test]
 fn tiny_channels_rebalance_and_scale_out_stay_exact() {
     let intervals = keyed_intervals();
     let expect = reference_counts(&intervals);
     let total: u64 = intervals.iter().map(|iv| iv.len() as u64).sum();
-    for (per_tuple, batch_size) in [(true, 256), (false, 1), (false, 3), (false, 256)] {
-        let label = if per_tuple {
-            "per-tuple".to_string()
-        } else {
-            format!("batch={batch_size}")
-        };
+    for batch_size in [1, 3, 256] {
+        let label = format!("batch={batch_size}");
         let feed = intervals.clone();
         let report = Engine::run(
             EngineConfig {
@@ -158,11 +154,9 @@ fn tiny_channels_rebalance_and_scale_out_stay_exact() {
                 channel_capacity: 4,
                 collector_capacity: 2,
                 batch_size,
-                per_tuple,
                 spin_work: 10,
                 window: 100, // retain all state: exact count validation
                 elasticity: Box::new(FixedSchedule::scale_out_at(1)),
-                preplace: true,
                 ..EngineConfig::default()
             },
             Box::new(CoreBalancer::new(
@@ -207,9 +201,9 @@ fn tiny_channels_rebalance_and_scale_out_stay_exact() {
 
 /// A pre-placed scale-out across every partitioner, under maximal
 /// stress: channels squeezed to 4 tuples, a skewed fluctuating workload,
-/// one forced scale-out after interval 1, across the seed per-tuple
-/// shape and batch sizes 3/256. Exact word counts prove the
-/// plan → quiesce → install → resume window loses nothing: state
+/// one forced scale-out after interval 1, across batch sizes 1/3/256.
+/// Exact word counts prove the plan → quiesce → install → resume
+/// window loses nothing: state
 /// extracted before its pre-pause tuples landed, a tuple slipping to the
 /// new worker before its key's state installed, or a pause-buffered
 /// tuple lost in the flush would all surface as a count mismatch. And
@@ -222,17 +216,10 @@ fn preplaced_scale_out_stays_exact_for_all_partitioners() {
     let intervals = keyed_intervals();
     let expect = reference_counts(&intervals);
     let total: u64 = intervals.iter().map(|iv| iv.len() as u64).sum();
-    for (per_tuple, batch_size) in [(true, 256), (false, 3), (false, 256)] {
+    for batch_size in [1, 3, 256] {
         for p in all_partitioners() {
             let name = p.name();
-            let label = format!(
-                "{name}/{}",
-                if per_tuple {
-                    "per-tuple".to_string()
-                } else {
-                    format!("batch={batch_size}")
-                }
-            );
+            let label = format!("{name}/batch={batch_size}");
             let preserves = p.preserves_key_semantics();
             let feed = intervals.clone();
             let report = Engine::run(
@@ -242,11 +229,9 @@ fn preplaced_scale_out_stays_exact_for_all_partitioners() {
                     channel_capacity: 4,
                     collector_capacity: 2,
                     batch_size,
-                    per_tuple,
                     spin_work: 10,
                     window: 100, // retain all state: exact count validation
                     elasticity: Box::new(FixedSchedule::scale_out_at(1)),
-                    preplace: true,
                     ..EngineConfig::default()
                 },
                 p,
@@ -308,9 +293,9 @@ fn preplaced_scale_out_stays_exact_for_all_partitioners() {
 
 /// Scale-in across every partitioner, under maximal stress: a forced
 /// scale-out → scale-in round trip mid-run (grow after interval 1, retire
-/// after interval 3) with channels squeezed to 4 tuples, across the seed
-/// per-tuple shape and batch sizes 1/3/256. Exact word counts prove the
-/// drain → migrate → retire protocol loses nothing: a tuple dropped
+/// after interval 3) with channels squeezed to 4 tuples, across batch
+/// sizes 1/3/256. Exact word counts prove the drain → migrate → retire
+/// protocol loses nothing: a tuple dropped
 /// around the victim's `Retire` marker, state extracted before its
 /// pre-pause tuples landed, or a pause-buffered tuple overtaken by
 /// `Shutdown` would all surface as a count mismatch. Counts are summed
@@ -321,17 +306,10 @@ fn scale_round_trip_stays_exact_for_all_partitioners() {
     let intervals = keyed_intervals();
     let expect = reference_counts(&intervals);
     let total: u64 = intervals.iter().map(|iv| iv.len() as u64).sum();
-    for (per_tuple, batch_size) in [(true, 256), (false, 1), (false, 3), (false, 256)] {
+    for batch_size in [1, 3, 256] {
         for p in all_partitioners() {
             let name = p.name();
-            let label = format!(
-                "{name}/{}",
-                if per_tuple {
-                    "per-tuple".to_string()
-                } else {
-                    format!("batch={batch_size}")
-                }
-            );
+            let label = format!("{name}/batch={batch_size}");
             let preserves = p.preserves_key_semantics();
             let feed = intervals.clone();
             let report = Engine::run(
@@ -341,11 +319,9 @@ fn scale_round_trip_stays_exact_for_all_partitioners() {
                     channel_capacity: 4,
                     collector_capacity: 2,
                     batch_size,
-                    per_tuple,
                     spin_work: 10,
                     window: 100, // retain all state: exact count validation
                     elasticity: Box::new(FixedSchedule::cycle(1, 3, 1)),
-                    preplace: true,
                     ..EngineConfig::default()
                 },
                 p,
@@ -399,9 +375,8 @@ fn scale_round_trip_stays_exact_for_all_partitioners() {
 
 /// A forced hot-key split/unsplit cycle mid-run across every
 /// partitioner: the workload's hottest key is salted over all three
-/// workers after interval 1 and consolidated after interval 3, under
-/// both the per-tuple and a small-batch data-plane shape. Table-backed
-/// strategies (Storm, Readj, the four `CoreBalancer` strategies) must
+/// workers after interval 1 and consolidated after interval 3, at
+/// batch sizes 1/3/256. Table-backed strategies (Storm, Readj, the four `CoreBalancer` strategies) must
 /// execute the cycle — one split event, one unsplit event, the key's
 /// merged count exact after replica partials reunify on the primary.
 /// Key-spreading strategies (Ideal, PKG) decline `split_key` by design
@@ -419,17 +394,10 @@ fn forced_split_cycle_stays_exact_for_all_partitioners() {
         .max_by_key(|&(k, &c)| (c, std::cmp::Reverse(k.raw())))
         .map(|(&k, _)| k)
         .expect("non-empty workload");
-    for (per_tuple, batch_size) in [(true, 256), (false, 3)] {
+    for batch_size in [1, 3, 256] {
         for p in all_partitioners() {
             let name = p.name();
-            let label = format!(
-                "{name}/{}",
-                if per_tuple {
-                    "per-tuple".to_string()
-                } else {
-                    format!("batch={batch_size}")
-                }
-            );
+            let label = format!("{name}/batch={batch_size}");
             let splittable = !matches!(name.as_str(), "Ideal" | "PKG");
             let preserves = p.preserves_key_semantics();
             let feed = intervals.clone();
@@ -440,7 +408,6 @@ fn forced_split_cycle_stays_exact_for_all_partitioners() {
                     channel_capacity: 4,
                     collector_capacity: 2,
                     batch_size,
-                    per_tuple,
                     spin_work: 10,
                     window: 100, // retain all state: exact count validation
                     split: Some(Box::new(FixedSplitSchedule::cycle(
