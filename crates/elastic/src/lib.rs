@@ -51,49 +51,21 @@
 //!   intervals instead of one jump (each step's migration stays small and
 //!   the policy re-plans against the load it just changed).
 //!
-//! ## How the engine executes a `ScaleIn` (drain → migrate → retire)
+//! ## What a decision turns into
 //!
-//! Deciding is cheap; retiring a live worker losslessly is the protocol
-//! (implemented in `streambal-runtime`, restated here because this crate
-//! owns the decision semantics):
-//!
-//! 1. **Shrink the routing function.** `Partitioner::scale_in(victim, …)`
-//!    removes the victim (always the highest-numbered task) from the
-//!    table and ring; no key routes to it under the *new* view. The
-//!    source keeps routing under the *old* view until step 4.
-//! 2. **Pause.** The controller sends the source a victim-destination
-//!    pause. The source acknowledges only between routed batches, when
-//!    its fan-out accumulators are flushed — so the ack certifies that
-//!    every tuple the source will ever send the victim is already in the
-//!    victim's FIFO channel, and tuples for victims-to-be are locally
-//!    buffered from then on.
-//! 3. **Drain + retire.** The controller enqueues a `Retire` marker to
-//!    the victim. FIFO ordering puts it behind every batch from step 2,
-//!    so the victim processes its entire backlog, then extracts **all**
-//!    remaining key state (not just last-interval keys — windowed state
-//!    outlives the statistics that created it), ships it to the
-//!    controller with its metrics and its (still-connected) channel
-//!    receiver, and exits.
-//! 4. **Migrate + resume.** The controller re-installs the drained state
-//!    on each key's new home under the shrunk view (`StateInstall`, the
-//!    Fig. 5 step-5b path), waits for the install acks, and only then
-//!    sends `Resume` with the new view — so a key's tuples can reach its
-//!    new home only after its state did. The source flushes the pause
-//!    buffer under the new view and acknowledges; the controller ships
-//!    no worker `Shutdown` while that flush is outstanding.
-//!
-//! **FIFO-consistency argument.** Every hazard is an ordering between a
-//! data batch and a control marker on a single FIFO channel, and each is
-//! closed by construction: pre-pause batches precede `Retire` (step 2's
-//! ack orders them), `StateInstall` precedes the first post-resume batch
-//! on every destination (step 4 sends `Resume` only after install acks),
-//! and the buffered-tuple flush precedes `Shutdown` (`ResumeAck`). Hence
-//! no tuple is lost or double-counted and no state is extracted before
-//! the tuples that produced it have landed — the per-tuple argument of
-//! the migration protocol, with "the victim's whole key set" as the
-//! affected set. The slot's channel survives retirement (the receiver
-//! travels back to the controller), so a later scale-out can re-provision
-//! the same slot mid-run with a fresh worker thread.
+//! Deciding is cheap; executing is a protocol. The moment a decision is
+//! taken the *routing function* changes — `Partitioner::scale_in`
+//! removes the victim (always the highest-numbered task) from table and
+//! ring, `scale_out_plan` grows them — and later decisions and
+//! rebalances build on that planned parallelism at once. A driver with
+//! physical state then catches the topology up: the engine queues one
+//! protocol op per decision (pause → drain or extract → install →
+//! resume; the phase-by-op table and its FIFO-consistency argument are
+//! in the `streambal-runtime` crate docs), during which the source keeps
+//! routing under the old view, so no tuple is lost or double-counted and
+//! no state is extracted before the tuples that produced it have landed.
+//! A retired slot's channel survives retirement, so a later scale-out
+//! can re-provision the same slot mid-run.
 //!
 //! ## Hot-key splitting
 //!
@@ -110,9 +82,21 @@
 //! close with a [`SplitObservation`], so split decision traces pin
 //! across sim and engine exactly like scale decisions do.
 //!
-//! This crate is dependency-free: policies are pure decision logic over
-//! load vectors, equally usable from the simulator, the engine, and the
-//! benches.
+//! ## One round, one decision core
+//!
+//! Policies are pure decision logic over load vectors. What a driver
+//! *does* with a decision — the clamps (`ScaleOut` only with room to
+//! grow, `ScaleIn` never below one task, `Split` only for an unsplit key
+//! over ≥ 2 tasks with ≥ 2 replicas), revive-instead-of-widen and
+//! hold-while-degraded when slots are dead, the dead-aware replica
+//! choice, and the `Partitioner` mutation itself — lives once, in
+//! [`RoundDecisions`] (module [`round`]), which the simulator and the
+//! engine both pull their actions from. That is the crate's one
+//! dependency: `streambal-core`, for the `Partitioner` trait.
+
+pub mod round;
+
+pub use round::{RoundAction, RoundDecisions, RoundInputs};
 
 /// One elasticity decision for the coming interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -692,7 +676,7 @@ pub enum SplitDecision {
     /// Salt `key` across `replicas` slots (primary + `replicas − 1`
     /// others chosen by the driver, see [`choose_replicas`]).
     Split {
-        /// The hot key (raw `u64`, this crate is dependency-free).
+        /// The hot key (raw `u64`: policies never touch routing types).
         key: u64,
         /// Total replica slots, ≥ 2.
         replicas: usize,

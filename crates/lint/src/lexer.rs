@@ -187,7 +187,13 @@ fn scan_string(b: &[u8], open: usize, line: &mut u32) -> usize {
     let mut i = open + 1;
     while i < b.len() {
         match b[i] {
-            b'\\' => i += 2,
+            b'\\' => {
+                // A `\` line continuation still ends a line.
+                if b.get(i + 1) == Some(&b'\n') {
+                    *line += 1;
+                }
+                i += 2;
+            }
             b'"' => return i + 1,
             b'\n' => {
                 *line += 1;
@@ -316,5 +322,9 @@ mod tests {
         let toks = lex("a\nb\n\nc");
         let lines: Vec<u32> = toks.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 4]);
+        // Newlines inside a string count, escaped (a `\` continuation)
+        // or not — L008 measures functions in lines.
+        let toks = lex("\"a\\\n b\nc\"\nd");
+        assert_eq!(toks.last().map(|t| t.line), Some(4));
     }
 }

@@ -31,6 +31,8 @@
 //!   `crates/runtime` non-test code — the flight recorder's data-plane
 //!   contract is batch granularity only (`count_batch` /
 //!   `close_interval`).
+//! * **L008** — no non-test function in `crates/runtime` spans more
+//!   than `rules::MAX_FN_LINES` lines.
 //! * **L000** — a malformed `lint: allow` annotation (missing reason,
 //!   unknown rule name) is itself a violation.
 
@@ -47,7 +49,7 @@ pub struct Violation {
     pub file: String,
     /// 1-based line; 0 for whole-file diagnostics (L005 on JSON files).
     pub line: u32,
-    /// Rule id (`"L001"` … `"L006"`, `"L000"` for malformed allows).
+    /// Rule id (`"L001"` … `"L008"`, `"L000"` for malformed allows).
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub msg: String,

@@ -1,5 +1,6 @@
 //! The lint rules, as passes over the token stream of one file (L001,
-//! L002, L003, L004, L006) or over the committed result JSONs (L005).
+//! L002, L003, L004, L006, L007, L008) or over the committed result
+//! JSONs (L005).
 
 use std::path::Path;
 
@@ -9,6 +10,12 @@ use streambal_bench::json::Json;
 use crate::lexer::{lex, Tok, TokKind};
 use crate::Violation;
 
+/// L008's cap: the most lines one non-test function in
+/// `crates/runtime/src` may span, `fn` keyword through closing brace.
+/// It covers today's longest (`run_worker`, 267); the ratchet target is
+/// ~150 (ROADMAP).
+pub const MAX_FN_LINES: u32 = 300;
+
 /// Which rules apply to a file — derived from its workspace-relative
 /// path by [`crate::walk::classify`], or constructed directly in tests.
 #[derive(Debug, Clone)]
@@ -16,8 +23,12 @@ pub struct FileClass {
     /// L001 applies: library code of the protocol crates
     /// (`crates/runtime/src`, `crates/core/src`).
     pub panic_scope: bool,
-    /// L004 applies: the runtime data plane (`crates/runtime/src`).
+    /// L004 and L007 apply: the runtime data plane (`crates/runtime/src`).
     pub data_plane: bool,
+    /// L008 applies with this cap ([`MAX_FN_LINES`] under
+    /// `crates/runtime/src`; tests pass a small one to keep fixtures
+    /// short).
+    pub fn_line_cap: Option<u32>,
     /// L003 exempt: the whitelisted resync file or a test context.
     pub swap_allowed: bool,
 }
@@ -191,6 +202,28 @@ pub fn scan_source(file: &str, src: &str, class: &FileClass) -> Vec<Violation> {
                 }
             }
 
+            // L008: a function too long to change safely. The protocol
+            // used to live in one 1,940-line function nobody could add
+            // an op variant to; the cap keeps it from growing back.
+            if let (Some(cap), false, "fn") = (class.fn_line_cap, marks.in_test[i], name) {
+                if let Some(close) = fn_body_end(&toks, i) {
+                    let span = toks[close].line - t.line + 1;
+                    if span > cap {
+                        let fn_name = next_code(&toks, i).map_or("?", |n| toks[n].text.as_str());
+                        out.push(Violation {
+                            file: file.to_string(),
+                            line: t.line,
+                            rule: "L008",
+                            msg: format!(
+                                "fn `{fn_name}` spans {span} lines (cap {cap}) — \
+                                 split it into steps that can be read and tested on \
+                                 their own"
+                            ),
+                        });
+                    }
+                }
+            }
+
             // L006: x86 intrinsics outside a cfg(target_arch) gate.
             if name.len() >= 4 && name[..4].eq_ignore_ascii_case("_mm_") && !marks.arch[i] {
                 out.push(Violation {
@@ -303,6 +336,33 @@ fn prev_is(toks: &[Tok], i: usize, p: char) -> bool {
         .is_some_and(|t| t.kind == TokKind::Punct(p))
 }
 
+/// For the `fn` keyword at `fn_idx`, the index of the `}` closing the
+/// function's body; `None` for a bodiless declaration (trait method,
+/// extern) or an `fn(..)` pointer type.
+fn fn_body_end(toks: &[Tok], fn_idx: usize) -> Option<usize> {
+    let name = next_code(toks, fn_idx)?;
+    if toks[name].kind != TokKind::Ident {
+        return None;
+    }
+    item_end(toks, name + 1).and_then(|(end, has_body)| has_body.then_some(end))
+}
+
+/// The end of the item whose tokens start at `k`: the `}` matching its
+/// first body `{`, or its terminating `;` (bracketed groups skipped),
+/// and whether it has a body. `None` when the input ends first.
+fn item_end(toks: &[Tok], mut k: usize) -> Option<(usize, bool)> {
+    while k < toks.len() {
+        match toks[k].kind {
+            TokKind::Punct('{') => return Some((matching(toks, k, '{', '}'), true)),
+            TokKind::Punct(';') => return Some((k, false)),
+            TokKind::Punct('(') => k = matching(toks, k, '(', ')') + 1,
+            TokKind::Punct('[') => k = matching(toks, k, '[', ']') + 1,
+            _ => k += 1,
+        }
+    }
+    None
+}
+
 /// Index of the `close` punct matching the `open` punct at `open_idx`
 /// (which must be an `open`); saturates at the last token on
 /// unbalanced input.
@@ -376,21 +436,7 @@ fn mark_attr_spans(toks: &[Tok]) -> Marks {
                 {
                     j = matching(toks, j + 1, '[', ']') + 1;
                 }
-                // Find the item's end: first body `{` (matched to its
-                // close) or terminating `;`, skipping bracketed groups.
-                let mut k = j;
-                let end = loop {
-                    if k >= n {
-                        break n - 1;
-                    }
-                    match toks[k].kind {
-                        TokKind::Punct('{') => break matching(toks, k, '{', '}'),
-                        TokKind::Punct(';') => break k,
-                        TokKind::Punct('(') => k = matching(toks, k, '(', ')') + 1,
-                        TokKind::Punct('[') => k = matching(toks, k, '[', ']') + 1,
-                        _ => k += 1,
-                    }
-                };
+                let end = item_end(toks, j).map_or(n - 1, |(end, _)| end);
                 for m in i..=end.min(n - 1) {
                     if is_test {
                         in_test[m] = true;

@@ -3,7 +3,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::rules::{lint_bench_results, scan_source, FileClass};
+use crate::rules::{lint_bench_results, scan_source, FileClass, MAX_FN_LINES};
 use crate::Violation;
 
 /// What one full lint run saw.
@@ -39,6 +39,9 @@ pub fn classify(rel: &str) -> Option<FileClass> {
             || rel.starts_with("crates/core/src/")
             || rel.starts_with("crates/trace/src/"),
         data_plane: rel.starts_with("crates/runtime/src/"),
+        fn_line_cap: rel
+            .starts_with("crates/runtime/src/")
+            .then_some(MAX_FN_LINES),
         swap_allowed: rel == "crates/core/src/routing.rs" || test_ctx,
     })
 }

@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 
-use streambal_lint::rules::{lint_bench_results, scan_source, FileClass};
+use streambal_lint::rules::{lint_bench_results, scan_source, FileClass, MAX_FN_LINES};
 use streambal_lint::walk::{classify, lint_workspace};
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -23,6 +23,15 @@ fn full_class() -> FileClass {
         panic_scope: true,
         data_plane: true,
         swap_allowed: false,
+        fn_line_cap: Some(MAX_FN_LINES),
+    }
+}
+
+/// [`full_class`] with L008's cap shrunk to fixture size.
+fn capped_at(cap: u32) -> FileClass {
+    FileClass {
+        fn_line_cap: Some(cap),
+        ..full_class()
     }
 }
 
@@ -126,6 +135,29 @@ fn l007_batch_granularity_ledger_annotated_and_test_sites_pass() {
 }
 
 #[test]
+fn l008_flags_a_function_over_the_cap() {
+    let vs = scan_source("l008.rs", &fixture("l008.rs"), &capped_at(6));
+    let hit: Vec<_> = vs.iter().map(|v| (v.rule, v.line)).collect();
+    assert_eq!(hit, vec![("L008", 12)]);
+    assert!(
+        vs[0].msg.contains("`one_over` spans 7 lines"),
+        "{}",
+        vs[0].msg
+    );
+}
+
+#[test]
+fn l008_at_the_cap_bodiless_pointer_and_test_functions_pass() {
+    assert_eq!(rules_hit("l008.rs"), vec![], "nothing nears the real cap");
+    let class = FileClass {
+        fn_line_cap: None,
+        ..full_class()
+    };
+    let vs = scan_source("l008.rs", &fixture("l008.rs"), &class);
+    assert!(vs.is_empty(), "outside the runtime crate: {vs:?}");
+}
+
+#[test]
 fn l000_malformed_allows_are_flagged() {
     let no_reason = "fn f(x: Option<u32>) -> u32 {\n    // lint: allow(panic)\n    x.unwrap()\n}\n";
     let vs = scan_source("inline.rs", no_reason, &full_class());
@@ -155,8 +187,10 @@ fn allow_scope_ends_with_the_statement() {
 fn classify_scopes_rules_by_path() {
     let rt = classify("crates/runtime/src/engine.rs").expect("scanned");
     assert!(rt.panic_scope && rt.data_plane && !rt.swap_allowed);
+    assert_eq!(rt.fn_line_cap, Some(MAX_FN_LINES));
     let core = classify("crates/core/src/llfd.rs").expect("scanned");
     assert!(core.panic_scope && !core.data_plane && !core.swap_allowed);
+    assert_eq!(core.fn_line_cap, None);
     let trace = classify("crates/trace/src/lib.rs").expect("scanned");
     assert!(trace.panic_scope && !trace.data_plane && !trace.swap_allowed);
     let resync = classify("crates/core/src/routing.rs").expect("scanned");

@@ -1,16 +1,29 @@
-//! Controller-side accounting, factored out of the engine loop so its
-//! edge cases are unit-testable without spinning up threads: the
-//! statistics-round ledger (which must survive late and duplicate worker
-//! reports — a retiring worker can answer a round the controller already
-//! closed) and the worker-seconds integral (which must bill queued
-//! scale-ins exactly once per parallelism change).
+//! The controller: the Fig. 5 protocol as one event-driven state
+//! machine ([`Controller`]) walking one operation shape
+//! ([`ProtocolOp`]), plus the accounting it leans on, each piece
+//! unit-testable without spinning up threads — the statistics-round
+//! ledger (which must survive late and duplicate worker reports — a
+//! retiring worker can answer a round the controller already closed),
+//! the closed-epoch set, and the worker-seconds integral (which must
+//! bill queued scale-ins exactly once per parallelism change).
 
-use std::collections::BTreeSet;
-use std::time::Instant;
+use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use streambal_core::{IntervalStats, TaskId};
+use bytes::Bytes;
+use crossbeam::channel::{bounded, Receiver, SendTimeoutError, Sender};
+use streambal_core::{IntervalStats, Key, Partitioner, RoutingView, TaskId};
+use streambal_elastic::{IntervalObservation, RoundAction, RoundDecisions, RoundInputs};
 use streambal_hashring::{FxHashMap, FxHashSet};
-use streambal_metrics::Histogram;
+use streambal_metrics::{Counter, Histogram};
+use streambal_trace::{OpLabel, Outcome, Phase, ThreadRecorder};
+
+use crate::engine::{EngineConfig, EngineReport, ProtocolError};
+use crate::fault::{next_live, CtlKind, FaultEvent, FaultInjector, OpKind, SendPeer};
+use crate::message::{Message, SourceCtl, SourceEvent, WorkerEvent};
+use crate::operator::Operator;
+use crate::router::SourceRouter;
 
 /// One open statistics round: merged stats, per-slot loads, queue-depth
 /// samples, the interval's latency distribution, and which workers have
@@ -323,6 +336,1499 @@ impl WorkerSeconds {
     }
 }
 
+/// Deadline clock for the in-flight op or an outstanding resume: reset
+/// on every phase progress, compared against the interval count *and*
+/// wall time (see [`EngineConfig::op_deadline_intervals`]).
+struct OpClock {
+    started: Instant,
+    started_interval: u64,
+    /// Whether the stalled phase was already re-driven once.
+    retried: bool,
+}
+
+impl OpClock {
+    fn start(interval: u64) -> Self {
+        OpClock {
+            started: Instant::now(),
+            started_interval: interval,
+            retried: false,
+        }
+    }
+
+    /// Intervals are the deterministic clock; the wall bound keeps
+    /// healthy-but-slow runs from spurious expiry, and rules alone once
+    /// the source has finished and intervals stop.
+    fn expired(&self, config: &EngineConfig, interval: u64, source_finished: bool) -> bool {
+        let wall_ok = self.started.elapsed() < config.op_deadline;
+        let iv_ok = interval < self.started_interval + config.op_deadline_intervals;
+        !wall_ok && (!iv_ok || source_finished)
+    }
+
+    fn rearm(&mut self, interval: u64) {
+        *self = OpClock {
+            retried: true,
+            ..OpClock::start(interval)
+        };
+    }
+}
+
+/// What the source holds back while an op is in flight.
+enum PauseScope {
+    /// The affected key set `Δ(F, F′)`.
+    Keys(Vec<Key>),
+    /// Everything routed to one destination (the retiring worker).
+    Dest(TaskId),
+}
+
+/// Where an op's state comes from.
+enum Extract {
+    /// `MigrateOut` each holder's `(key, destination)` moves; the plan
+    /// names where every blob lands. Empty for a split (view change
+    /// only).
+    Moves(FxHashMap<TaskId, Vec<(Key, TaskId)>>),
+    /// `Retire` the victim: it drains its backlog, hands back *all* its
+    /// state (`Retired` is this op's state-out answer), and each blob's
+    /// destination comes from routing under the op's view.
+    Retire(TaskId),
+}
+
+/// What the in-flight op is waiting on.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Waiting {
+    /// The source's `PauseAck`.
+    PauseAck,
+    /// The holders in `awaiting_out`.
+    StateOut,
+    /// The destinations in `awaiting_install`.
+    InstallAcks,
+}
+
+/// One control-plane operation, queued or in flight. Every op the
+/// controller runs — rebalance, pre-placed scale-out, scale-in, split,
+/// unsplit — is this one walk (plan → pause → quiesce → state_out →
+/// install → resume) with a different pause scope and state source; ops
+/// serialize through one queue, so state placement always advances one
+/// routing-function delta at a time.
+struct ProtocolOp {
+    /// Assigned when the op starts (0 while queued).
+    epoch: u64,
+    /// The flight-recorder span label.
+    label: OpLabel,
+    /// The routing function to resume under, captured right after the
+    /// partitioner mutation that planned the op.
+    view: RoutingView,
+    pause: PauseScope,
+    extract: Extract,
+    /// Bill `migrated_bytes` from the blobs actually extracted (scale-out
+    /// pre-placement and unsplit move windowed state no single
+    /// interval's statistics can size); a rebalance is billed up front
+    /// from its plan's estimate.
+    bill_extracted: bool,
+    waiting: Waiting,
+    awaiting_out: FxHashSet<TaskId>,
+    collected: Vec<(Key, TaskId, Bytes)>,
+    /// Installs sent and not yet acknowledged, kept whole for idempotent
+    /// deadline resends (the worker dedupes by epoch). `Bytes` blobs are
+    /// refcounted, so the clones are cheap.
+    awaiting_install: FxHashMap<TaskId, Vec<(Key, Bytes)>>,
+    /// Whether the span's `StateOut` marker was recorded (at the first
+    /// live extraction) — phases are recorded exactly once; re-drives
+    /// and duplicate answers must not repeat them.
+    state_out_marked: bool,
+}
+
+impl ProtocolOp {
+    fn new(
+        label: OpLabel,
+        view: RoutingView,
+        pause: PauseScope,
+        extract: Extract,
+        bill_extracted: bool,
+    ) -> Self {
+        ProtocolOp {
+            epoch: 0,
+            label,
+            view,
+            pause,
+            extract,
+            bill_extracted,
+            waiting: Waiting::PauseAck,
+            awaiting_out: FxHashSet::default(),
+            collected: Vec::new(),
+            awaiting_install: FxHashMap::default(),
+            state_out_marked: false,
+        }
+    }
+
+    fn is_scale_in(&self) -> bool {
+        matches!(self.extract, Extract::Retire(_))
+    }
+
+    /// The fault ledger's name for the op's shape.
+    fn kind(&self) -> OpKind {
+        match self.extract {
+            Extract::Moves(_) => OpKind::Migrate,
+            Extract::Retire(_) => OpKind::Retire,
+        }
+    }
+}
+
+/// How an acknowledgement relates to the in-flight op.
+#[derive(PartialEq)]
+enum Answer {
+    /// The in-flight op was waiting for exactly this.
+    Awaited,
+    /// A late or duplicate echo (of this op or a closed one).
+    Stale,
+    /// No op, open or closed, explains it.
+    Stray,
+}
+
+/// Longest the controller will wait for room in a worker's channel. A
+/// live worker drains continuously, so a one-unit slot opens in well
+/// under this; only a worker that died with a full queue (its `Killed`
+/// event still in flight) keeps the channel full for the whole bound.
+const CTL_SEND_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// The controller's handles on the rest of the topology. Every message
+/// it sends goes through [`ControlIo::ctl_send`],
+/// [`ControlIo::send_ctl_marker`] or [`ControlIo::send_src`].
+pub(crate) struct ControlIo<'a> {
+    pub worker_txs: Vec<Sender<Message>>,
+    /// A slot's receiver while no worker runs on it (never provisioned,
+    /// or handed back by `Retired`).
+    pub worker_rxs: Vec<Option<Receiver<Message>>>,
+    pub ctl_tx: Sender<SourceCtl>,
+    /// Tuples processed so far, across all workers.
+    pub counter: Arc<Counter>,
+    /// Shared with the source and every worker: drop ordinals are global.
+    pub injector: Arc<FaultInjector>,
+    /// Protocol spans (id = op epoch) and per-interval snapshots.
+    pub rec: ThreadRecorder,
+    /// Builds the keyed operator for a worker slot.
+    pub make_op: Box<dyn FnMut(TaskId) -> Box<dyn Operator> + 'a>,
+    /// Starts a worker thread on a slot.
+    pub spawn: Box<SpawnWorker<'a>>,
+}
+
+/// `(slot, receiver, operator, first interval)`.
+type SpawnWorker<'a> = dyn FnMut(usize, Receiver<Message>, Box<dyn Operator>, u64) + 'a;
+
+impl ControlIo<'_> {
+    /// Bounded-wait control send to worker slot `w`. The controller must
+    /// never block indefinitely against a worker channel: the worker may
+    /// have died with a full queue before its `Killed` event was
+    /// processed, and a wedged controller can drain neither that event
+    /// nor the dead channel. A timeout is treated like a message lost in
+    /// flight — the deadline machinery re-drives it; a disconnect is
+    /// recorded.
+    fn ctl_send(&self, w: usize, msg: Message) -> bool {
+        match self.worker_txs[w].send_timeout(msg, CTL_SEND_TIMEOUT) {
+            Ok(()) => true,
+            Err(SendTimeoutError::Timeout(_)) => false,
+            Err(SendTimeoutError::Disconnected(_)) => {
+                self.injector.record(FaultEvent::SendFailed {
+                    to: SendPeer::Worker(w),
+                });
+                false
+            }
+        }
+    }
+
+    /// Sends a control marker to worker `w` through the drop gate.
+    /// Returns false when the message did not reach the channel —
+    /// injected drop (proceed as if lost in flight; the deadline
+    /// machinery recovers), a full channel that never opened (same
+    /// recovery), or a disconnected receiver, which is recorded as a
+    /// failed send.
+    fn send_ctl_marker(&self, w: usize, kind: CtlKind, msg: Message) -> bool {
+        !self.injector.should_drop(kind) && self.ctl_send(w, msg)
+    }
+
+    /// Sends a source control message, drop-gating it when `kind` names
+    /// a droppable control kind (view updates and shutdown are never
+    /// dropped: losing them models nothing a real network loses
+    /// independently of the protocol messages around them).
+    fn send_src(&self, kind: Option<CtlKind>, msg: SourceCtl) -> bool {
+        if kind.is_some_and(|k| self.injector.should_drop(k)) {
+            return false;
+        }
+        if self.ctl_tx.send(msg).is_err() {
+            self.injector.record(FaultEvent::SendFailed {
+                to: SendPeer::Source,
+            });
+            return false;
+        }
+        true
+    }
+
+    /// (Re-)sends the op's quiesce request to the source.
+    fn send_pause(&self, op: &ProtocolOp) {
+        let epoch = op.epoch;
+        let msg = match &op.pause {
+            PauseScope::Keys(affected) => SourceCtl::Pause {
+                epoch,
+                affected: affected.clone(),
+            },
+            PauseScope::Dest(dest) => SourceCtl::PauseDest { epoch, dest: *dest },
+        };
+        self.send_src(Some(CtlKind::Pause), msg);
+    }
+}
+
+/// Drains whatever currently sits in a dead worker's channel, counting
+/// every in-flight tuple and state blob into the per-key loss map;
+/// returns the total drained. Called repeatedly while the source may
+/// still be routing at the slot — a bounded channel left un-drained
+/// would fill and backpressure the source against a corpse — and one
+/// final time when the source acknowledges the death.
+fn drain_dead_channel(
+    rx: &Receiver<Message>,
+    sop: &mut dyn Operator,
+    lost: &mut FxHashMap<Key, u64>,
+) -> u64 {
+    let mut n_lost = 0u64;
+    while let Ok(msg) = rx.try_recv() {
+        match msg {
+            Message::TupleBatch(batch) => {
+                for t in &batch {
+                    *lost.entry(t.key).or_insert(0) += 1;
+                    n_lost += 1;
+                }
+            }
+            Message::StateInstall { states, .. } => {
+                for (k, blob) in states {
+                    let n = sop.tuples_in_blob(&blob);
+                    *lost.entry(k).or_insert(0) += n;
+                    n_lost += n;
+                }
+            }
+            // Markers carry no tuples. Named one by one so a new
+            // payload-carrying variant fails to compile here instead of
+            // silently dropping out of `fed == observed + lost`.
+            Message::StatsRequest { .. }
+            | Message::MigrateOut { .. }
+            | Message::Retire { .. }
+            | Message::Shutdown => {}
+        }
+    }
+    n_lost
+}
+
+/// Pairs each non-empty blob with its home under `view`.
+fn place_under(
+    view: RoutingView,
+    states: impl IntoIterator<Item = (Key, Bytes)>,
+) -> Vec<(Key, TaskId, Bytes)> {
+    let mut router = SourceRouter::from_view(view);
+    states
+        .into_iter()
+        .filter(|(_, blob)| !blob.is_empty())
+        .map(|(k, blob)| (k, router.route(k), blob))
+        .collect()
+}
+
+/// The Fig. 5 controller: owns the partitioner, the statistics rounds,
+/// the one in-flight [`ProtocolOp`] and the queue behind it, and every
+/// piece of failure bookkeeping. Single-threaded and event-driven —
+/// [`Controller::on_source_event`], [`Controller::on_worker_event`] and
+/// a periodic [`Controller::tick`] — so `Engine::run` is only wiring,
+/// and tests drive it with hand-made events and bare channels.
+pub(crate) struct Controller<'a> {
+    config: EngineConfig,
+    max_workers: usize,
+    partitioner: Box<dyn Partitioner>,
+    io: ControlIo<'a>,
+    /// Provisioned slots are `0..active`. Never shrinks on a death: the
+    /// routing function still counts the slot, the source diverts its
+    /// traffic to survivors, and a later scale-out decision
+    /// re-provisions it (`SlotRevived`).
+    active: usize,
+    pending: Option<ProtocolOp>,
+    queue: VecDeque<ProtocolOp>,
+    next_epoch: u64,
+    /// Deadline clock for `pending`; re-armed on every phase progress.
+    op_clock: Option<OpClock>,
+    ledger: StatsLedger,
+    /// Completed stats rounds awaiting the decision pass — filled by
+    /// reports, dead-worker strikes, and deadline expiry alike, so every
+    /// round is decided by exactly one code path.
+    closed_rounds: Vec<(u64, ClosedRound)>,
+    /// Outstanding source resumes by epoch: the view to re-drive each
+    /// with and its deadline clock. Resumes are retried forever and
+    /// never aborted — an abandoned resume would leave pause-buffered
+    /// tuples unflushed, which is unaccounted loss; and the source
+    /// cannot have died (it runs the resume handler) short of the whole
+    /// engine tearing down. A duplicate ack is absorbed by the missing
+    /// key.
+    resume_state: FxHashMap<u64, (RoutingView, OpClock)>,
+    /// Set between sending a `Retire` marker and its `Retired` answer.
+    retiring: Option<TaskId>,
+    /// Late echoes of closed epochs are absorbed as stale instead of
+    /// counted as protocol errors.
+    closed_epochs: ClosedEpochs,
+    /// Epochs whose span is open: a span closes `Completed` at its
+    /// ResumeAck, `Aborted` at a deadline abort, `Abandoned` at teardown
+    /// — exactly once, whichever comes first.
+    open_spans: FxHashSet<u64>,
+    /// The deterministic half of every deadline: the latest source
+    /// interval observed.
+    current_interval: u64,
+    last_interval_mark: (Instant, u64),
+    source_finished: bool,
+    draining: bool,
+    drained: usize,
+    /// Shutdown markers actually delivered (dead slots and failed sends
+    /// are excluded — they will never answer `Drained`).
+    drain_target: usize,
+    ws: WorkerSeconds,
+    /// Dead worker slots (indices < `active`).
+    dead: FxHashSet<usize>,
+    /// A dead worker's receiver, held until the source acknowledges the
+    /// re-route; then drained (every in-flight tuple counted lost) and
+    /// dropped, so later sends fail fast.
+    dead_pending: FxHashMap<usize, Receiver<Message>>,
+    /// Per-key tuples irrecoverably lost to deaths.
+    lost: FxHashMap<Key, u64>,
+    /// Lazily-built operator used only to size state blobs drained from
+    /// a dead worker's channel (loss accounting).
+    scratch_op: Option<Box<dyn Operator>>,
+    report: EngineReport,
+}
+
+impl<'a> Controller<'a> {
+    /// A controller over `config.n_workers` already-running workers.
+    pub fn new(
+        config: EngineConfig,
+        partitioner: Box<dyn Partitioner>,
+        io: ControlIo<'a>,
+        t0: Instant,
+    ) -> Self {
+        let max_workers = io.worker_txs.len();
+        Controller {
+            max_workers,
+            active: config.n_workers,
+            pending: None,
+            queue: VecDeque::new(),
+            next_epoch: 0,
+            op_clock: None,
+            ledger: StatsLedger::new(),
+            closed_rounds: Vec::new(),
+            resume_state: FxHashMap::default(),
+            retiring: None,
+            closed_epochs: ClosedEpochs::new(),
+            open_spans: FxHashSet::default(),
+            current_interval: 0,
+            last_interval_mark: (Instant::now(), 0),
+            source_finished: false,
+            draining: false,
+            drained: 0,
+            drain_target: 0,
+            ws: WorkerSeconds::new(t0, config.n_workers),
+            dead: FxHashSet::default(),
+            dead_pending: FxHashMap::default(),
+            lost: FxHashMap::default(),
+            scratch_op: None,
+            report: EngineReport::empty(partitioner.name(), max_workers),
+            config,
+            partitioner,
+            io,
+        }
+    }
+
+    /// Whether every worker that was sent `Shutdown` has drained.
+    pub fn done(&self) -> bool {
+        self.draining && self.drained >= self.drain_target
+    }
+
+    /// Closes the books once [`Controller::done`]: tells the source to
+    /// exit and returns the report, the recorder, and the epochs whose
+    /// span is still open (ascending) for the caller to close
+    /// `Abandoned` after the other threads have joined. Dropping the
+    /// controller drops its worker spawner — which holds a
+    /// collector-sender clone — so the collector can observe closure.
+    pub fn finish(mut self) -> (EngineReport, ThreadRecorder, Vec<u64>) {
+        self.report.worker_seconds = self.ws.finish(Instant::now());
+        // Disconnect here means the source already exited (it only does
+        // so on Shutdown or panic; a panic is surfaced by the caller's
+        // join) — nothing to tell it.
+        let _ = self.io.ctl_tx.send(SourceCtl::Shutdown);
+        let mut lost_tuples: Vec<(Key, u64)> = self.lost.into_iter().collect();
+        lost_tuples.sort_unstable_by_key(|&(k, _)| k);
+        self.report.lost_tuples = lost_tuples;
+        self.report.final_states.sort_unstable_by_key(|&(k, _)| k);
+        let mut leftover: Vec<u64> = self.open_spans.into_iter().collect();
+        leftover.sort_unstable();
+        (self.report, self.io.rec, leftover)
+    }
+
+    // ---- events ---------------------------------------------------------
+
+    pub fn on_source_event(&mut self, ev: SourceEvent) {
+        match ev {
+            SourceEvent::IntervalDone { interval } => self.on_interval_done(interval),
+            SourceEvent::PauseAck { epoch } => self.on_pause_ack(epoch),
+            SourceEvent::ResumeAck { epoch } => {
+                if self.resume_state.remove(&epoch).is_none() {
+                    self.absorb_stale(epoch, "resume ack");
+                } else if self.open_spans.remove(&epoch) {
+                    // The op's span runs to the ack: its disruption
+                    // window covers the whole pause → ... → resume round
+                    // trip. (Aborted spans closed at the abort; their
+                    // rollback resume's ack lands here with the span
+                    // already gone.)
+                    self.io.rec.span_close(epoch, Outcome::Completed);
+                }
+            }
+            SourceEvent::DeadDestAck { dest } => {
+                // The source has stopped routing to the dead slot; drain
+                // its channel one last time and drop the receiver so any
+                // later send fails fast instead of queueing into a void.
+                self.drain_dead(dest.index());
+                self.dead_pending.remove(&dest.index());
+            }
+            SourceEvent::SendFailed { dest } => {
+                // The source hit a disconnected channel before (or
+                // after) the controller's DeadDest reached it; the
+                // tuples were re-shipped to a survivor, so this is an
+                // observation, not a loss.
+                self.io.injector.record(FaultEvent::SendFailed {
+                    to: SendPeer::Worker(dest.index()),
+                });
+            }
+            SourceEvent::Finished => self.source_finished = true,
+        }
+    }
+
+    pub fn on_worker_event(&mut self, ev: WorkerEvent) {
+        match ev {
+            WorkerEvent::Stats {
+                worker,
+                interval,
+                stats,
+                latency,
+            } => {
+                // The ledger absorbs late and duplicate reports (a
+                // retiring worker can answer a round the controller
+                // already closed); a report only completes a round when
+                // every distinct expected worker has answered.
+                if let Some(round) = self.ledger.on_stats(worker, interval, stats, &latency) {
+                    self.closed_rounds.push((interval, round));
+                }
+            }
+            WorkerEvent::StateOut {
+                worker,
+                epoch,
+                states,
+            } => self.on_state_out(worker, epoch, states),
+            WorkerEvent::InstallAck { worker, epoch } => self.on_install_ack(worker, epoch),
+            WorkerEvent::Retired {
+                worker,
+                epoch,
+                states,
+                stats,
+                processed,
+                latency,
+                first_interval,
+                rx,
+            } => {
+                self.absorb_totals(worker, processed, &latency, first_interval);
+                self.on_retired(worker, epoch, states, &stats, rx);
+            }
+            WorkerEvent::Killed {
+                worker,
+                lost,
+                stats,
+                processed,
+                latency,
+                first_interval,
+                rx,
+            } => {
+                self.absorb_totals(worker, processed, &latency, first_interval);
+                self.on_killed(worker, lost, &stats, rx);
+            }
+            WorkerEvent::Drained {
+                worker,
+                final_states,
+                processed,
+                latency,
+                first_interval,
+            } => {
+                self.absorb_totals(worker, processed, &latency, first_interval);
+                self.report.final_states.extend(final_states);
+                self.drained += 1;
+            }
+        }
+    }
+
+    /// The bottom half: runs after every event and on every idle
+    /// wake-up, because deadlines, round expiry and the shutdown gate
+    /// must advance even when nothing arrives.
+    pub fn tick(&mut self) {
+        // Keep dead channels drained while the source may still be
+        // routing at them (its DeadDest is in flight): a bounded channel
+        // left full would backpressure the source against a corpse.
+        // Everything drained is accounted as lost, exactly as the final
+        // DeadDestAck drain does.
+        for w in self.dead_pending.keys().copied().collect::<Vec<_>>() {
+            self.drain_dead(w);
+        }
+        // Stats rounds whose reporters went silent close by deadline, so
+        // a wedged worker cannot hold decisions — or shutdown, which
+        // waits on open rounds — hostage.
+        for (interval, round, missing) in self.ledger.expire_rounds(
+            self.current_interval,
+            self.config.round_deadline_intervals,
+            self.config.round_deadline,
+        ) {
+            self.io
+                .injector
+                .record(FaultEvent::RoundTimedOut { interval, missing });
+            self.closed_rounds.push((interval, round));
+        }
+        for (interval, round) in std::mem::take(&mut self.closed_rounds) {
+            self.decide_round(interval, round);
+        }
+        self.check_op_deadline();
+        self.redrive_resumes();
+        self.start_next_op();
+        self.shutdown_gate();
+    }
+
+    /// Counts whatever sits in dead slot `w`'s channel as lost.
+    fn drain_dead(&mut self, w: usize) {
+        let Some(rx) = self.dead_pending.get(&w) else {
+            return;
+        };
+        let sop = self
+            .scratch_op
+            .get_or_insert_with(|| (self.io.make_op)(TaskId::from(w)));
+        let n = drain_dead_channel(rx, sop.as_mut(), &mut self.lost);
+        self.io.injector.add_lost(n);
+    }
+
+    fn on_interval_done(&mut self, interval: u64) {
+        self.current_interval = interval;
+        let now = Instant::now();
+        let count = self.io.counter.get();
+        let (mark_at, mark_count) = self.last_interval_mark;
+        let dt = now.duration_since(mark_at).as_secs_f64().max(1e-9);
+        self.report
+            .interval_throughput
+            .push(interval as f64, (count - mark_count) as f64 / dt);
+        self.last_interval_mark = (now, count);
+        // Queue depths sampled at interval close (tuple-weighted channel
+        // occupancy, the backpressure signal), *before* the stats
+        // markers join the queues they measure.
+        let queues: Vec<u64> = self.io.worker_txs[..self.active]
+            .iter()
+            .map(|tx| tx.queued_weight() as u64)
+            .collect();
+        // In-band stats round, skipping a retiring victim (its Retire
+        // marker is already in the channel ahead of this request — it
+        // will never answer) and dead slots. The expected set is pinned
+        // here: a later scale-out must not change how many workers the
+        // round waits for. A request dropped by the injector stays
+        // *expected* — the controller cannot know it was lost in flight;
+        // the round deadline closes it.
+        let mut expected: Vec<TaskId> = Vec::new();
+        for i in 0..self.active {
+            if self.retiring == Some(TaskId::from(i)) || self.dead.contains(&i) {
+                continue;
+            }
+            let dropped = self.io.injector.should_drop(CtlKind::StatsRequest);
+            if dropped || self.io.ctl_send(i, Message::StatsRequest { interval }) {
+                expected.push(TaskId::from(i));
+            }
+        }
+        if !expected.is_empty() {
+            self.ledger.open(interval, self.active, expected, queues);
+        }
+    }
+
+    fn on_pause_ack(&mut self, epoch: u64) {
+        // A duplicate means the pause was retried but the original ack
+        // was merely slow, not lost.
+        let stray = ProtocolError::StrayPauseAck { epoch };
+        let answer = self.claim(epoch, "pause ack", stray, |op| {
+            op.waiting == Waiting::PauseAck
+        });
+        let (Answer::Awaited, Some(op)) = (answer, self.pending.as_mut()) else {
+            return;
+        };
+        op.waiting = Waiting::StateOut;
+        self.op_clock = Some(OpClock::start(self.current_interval));
+        // The source is quiesced: every tuple it will ever send under
+        // the old view is in the holders' channels, and the extraction
+        // markers land behind all of them. A dropped marker stays
+        // awaited; the op deadline re-drives it.
+        self.io.rec.span_phase(epoch, Phase::QuiesceWait);
+        match &op.extract {
+            Extract::Moves(by_source) => {
+                for (&w, moves) in by_source {
+                    // A holder that died after planning has nothing left
+                    // to extract (its loss is already accounted).
+                    if self.dead.contains(&w.index()) {
+                        continue;
+                    }
+                    op.awaiting_out.insert(w);
+                    let moves = moves.clone();
+                    self.io.send_ctl_marker(
+                        w.index(),
+                        CtlKind::MigrateOut,
+                        Message::MigrateOut { epoch, moves },
+                    );
+                }
+            }
+            Extract::Retire(victim) => {
+                op.awaiting_out.insert(*victim);
+                self.io
+                    .send_ctl_marker(victim.index(), CtlKind::Retire, Message::Retire { epoch });
+                self.retiring = Some(*victim);
+            }
+        }
+        // A degenerate plan (a split, or every holder dead) awaits
+        // nothing and resumes immediately: its pause window alone makes
+        // the view swap atomic.
+        self.advance_op();
+    }
+
+    fn on_state_out(&mut self, worker: TaskId, epoch: u64, states: Vec<(Key, TaskId, Bytes)>) {
+        let stray = ProtocolError::StrayStateOut {
+            worker: worker.index(),
+            epoch,
+            dropped_keys: states.len(),
+        };
+        match self.claim(epoch, "state out", stray, |op| {
+            op.awaiting_out.remove(&worker)
+        }) {
+            Answer::Awaited => self.collect_state_out(states),
+            // Absorbed — but not dropped. An aborted migration's holder
+            // can wake after the rollback, process the queued
+            // MigrateOut, and ship real state here; the blobs have left
+            // their owner, so they are re-homed under the *current*
+            // (rolled-back) view. A retried MigrateOut's empty
+            // double-answer (the first extraction emptied the keys)
+            // re-homes nothing.
+            Answer::Stale => self.rehome_stale(states.into_iter().map(|(k, _, blob)| (k, blob))),
+            Answer::Stray => {}
+        }
+    }
+
+    /// `Retired` is the state-out answer of a scale-in op: everything the
+    /// victim held, plus the slot's channel receiver.
+    fn on_retired(
+        &mut self,
+        worker: TaskId,
+        epoch: u64,
+        states: Vec<(Key, Bytes)>,
+        stats: &IntervalStats,
+        rx: Receiver<Message>,
+    ) {
+        let stray = ProtocolError::StrayRetired {
+            worker: worker.index(),
+            epoch,
+        };
+        let answer = self.claim(epoch, "retired", stray, |op| {
+            op.awaiting_out.remove(&worker)
+        });
+        // Whichever it is, keep the books: fold the victim's unreported
+        // residue into the oldest open round (dropping it would read as
+        // a load dip and re-trigger the scale-in policy) and take the
+        // slot's channel back — it stays connected, so a later scale-out
+        // can respawn here and no message can ever be silently dropped.
+        self.ledger.on_residue(worker, stats);
+        self.io.worker_rxs[worker.index()] = Some(rx);
+        if self.retiring == Some(worker) {
+            self.retiring = None;
+        }
+        if answer == Answer::Stray {
+            return;
+        }
+        if worker.index() + 1 == self.active {
+            self.active -= 1;
+            self.bill_live_width();
+        }
+        match (answer, self.pending.as_ref()) {
+            // Re-home under the op's captured view — the placement every
+            // later op's delta is computed against.
+            (Answer::Awaited, Some(op)) => {
+                let placed = place_under(op.view.clone(), states);
+                self.collect_state_out(placed);
+            }
+            // A zombie victim: its scale-in was aborted (deadline) but
+            // the Retire marker had already landed, so the drain
+            // completed anyway.
+            _ => self.rehome_stale(states),
+        }
+    }
+
+    fn on_install_ack(&mut self, worker: TaskId, epoch: u64) {
+        // A duplicate is a re-driven install's second ack (the worker
+        // dedupes the install, then re-acks); fire-and-forget installs
+        // under a pre-closed epoch are absorbed the same way.
+        let stray = ProtocolError::StrayInstallAck {
+            worker: worker.index(),
+            epoch,
+        };
+        let awaited = |op: &mut ProtocolOp| op.awaiting_install.remove(&worker).is_some();
+        if self.claim(epoch, "install ack", stray, awaited) == Answer::Awaited {
+            self.op_clock = Some(OpClock::start(self.current_interval));
+            self.advance_op();
+        }
+    }
+
+    /// Classifies an acknowledgement stamped `epoch`; when that is the
+    /// in-flight op's own, `strike` says whether the op was still
+    /// waiting for it (and strikes it off). A late echo is absorbed into
+    /// the fault ledger as `what`; one nothing explains is bookkeeping
+    /// divergence — recorded as `stray`, not a reason to kill the
+    /// pipeline.
+    fn claim(
+        &mut self,
+        epoch: u64,
+        what: &'static str,
+        stray: ProtocolError,
+        strike: impl FnOnce(&mut ProtocolOp) -> bool,
+    ) -> Answer {
+        match self.pending.as_mut() {
+            Some(op) if op.epoch == epoch => {
+                if strike(op) {
+                    return Answer::Awaited;
+                }
+            }
+            _ if self.closed_epochs.contains(epoch) => {}
+            _ => {
+                self.report.protocol_errors.push(stray);
+                return Answer::Stray;
+            }
+        }
+        self.absorb_stale(epoch, what);
+        Answer::Stale
+    }
+
+    fn absorb_stale(&self, epoch: u64, what: &'static str) {
+        self.io
+            .injector
+            .record(FaultEvent::StaleEpochAbsorbed { epoch, what });
+    }
+
+    /// Folds a finished (retired, killed, or drained) worker's lifetime
+    /// totals into the report.
+    fn absorb_totals(
+        &mut self,
+        worker: TaskId,
+        processed: u64,
+        latency: &Histogram,
+        first_interval: Option<u64>,
+    ) {
+        let w = worker.index();
+        self.report.per_worker_processed[w] += processed;
+        self.report.processed += processed;
+        self.report.latency_us.merge(latency);
+        // The earliest first-tuple interval across a slot's successive
+        // occupants (a retired slot can be re-provisioned mid-run).
+        let slot = &mut self.report.first_tuple_interval[w];
+        *slot = match (*slot, first_interval) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+    }
+
+    /// An awaited holder's extracted state is in hand.
+    fn collect_state_out(&mut self, states: Vec<(Key, TaskId, Bytes)>) {
+        let Some(op) = self.pending.as_mut() else {
+            return;
+        };
+        self.op_clock = Some(OpClock::start(self.current_interval));
+        if !op.state_out_marked {
+            op.state_out_marked = true;
+            self.io.rec.span_phase(op.epoch, Phase::StateOut);
+        }
+        if op.bill_extracted {
+            self.report.migrated_bytes +=
+                states.iter().map(|(_, _, b)| b.len() as u64).sum::<u64>();
+        }
+        op.collected.extend(states);
+        self.advance_op();
+    }
+
+    /// Walks the in-flight op past every phase with nothing left to wait
+    /// for: extraction complete → install what was collected (step 5b);
+    /// installs acked, or none to send → resume under the op's view
+    /// (step 7).
+    fn advance_op(&mut self) {
+        let Some(op) = self.pending.as_mut() else {
+            return;
+        };
+        let epoch = op.epoch;
+        if op.waiting == Waiting::StateOut && op.awaiting_out.is_empty() {
+            op.waiting = Waiting::InstallAcks;
+            let collected = std::mem::take(&mut op.collected);
+            if !collected.is_empty() {
+                self.io.rec.span_phase(epoch, Phase::Install);
+                // StateInstall is never injector-dropped (it carries
+                // state); a failed send is recovered by the deadline or
+                // the destination's own death event.
+                let sent = self.rehome(epoch, collected);
+                if let Some(op) = self.pending.as_mut() {
+                    op.awaiting_install = sent;
+                }
+            }
+        }
+        if let Some(op) = self.pending.as_ref() {
+            if op.waiting == Waiting::InstallAcks && op.awaiting_install.is_empty() {
+                let view = op.view.clone();
+                self.finish_op(epoch, view);
+            }
+        }
+    }
+
+    /// The one place blobs in hand become `StateInstall`s: groups them
+    /// by destination — diverting any that died since the destination
+    /// was chosen to the next live slot, so state lands where it can be
+    /// drained at shutdown — sends one install per destination under
+    /// `epoch`, and returns what went where.
+    fn rehome(
+        &mut self,
+        epoch: u64,
+        states: Vec<(Key, TaskId, Bytes)>,
+    ) -> FxHashMap<TaskId, Vec<(Key, Bytes)>> {
+        let mut by_dest: FxHashMap<TaskId, Vec<(Key, Bytes)>> = FxHashMap::default();
+        for (k, to, blob) in states {
+            by_dest
+                .entry(self.live_slot(to))
+                .or_default()
+                .push((k, blob));
+        }
+        for (dest, states) in &by_dest {
+            let states = states.clone();
+            self.io
+                .ctl_send(dest.index(), Message::StateInstall { epoch, states });
+        }
+        by_dest
+    }
+
+    /// State that arrived on a closed epoch has left its owner: re-home
+    /// it under the *current* view on a fresh, pre-closed epoch (the
+    /// installs are fire-and-forget; their acks absorb as stale).
+    fn rehome_stale(&mut self, states: impl IntoIterator<Item = (Key, Bytes)>) {
+        let placed = place_under(self.partitioner.routing_view(), states);
+        if !placed.is_empty() {
+            self.next_epoch += 1;
+            self.closed_epochs.close(self.next_epoch);
+            self.rehome(self.next_epoch, placed);
+        }
+    }
+
+    /// `slot`, or the next live slot after it when it is dead.
+    fn live_slot(&self, slot: TaskId) -> TaskId {
+        if !self.dead.contains(&slot.index()) {
+            return slot;
+        }
+        let n_tasks = self.partitioner.n_tasks();
+        TaskId::from(next_live(slot.index(), n_tasks, |x| self.dead.contains(&x)))
+    }
+
+    /// The in-flight op is through: resume the source under `view` and
+    /// free the op slot.
+    fn finish_op(&mut self, epoch: u64, view: RoutingView) {
+        self.issue_resume(epoch, view);
+        self.closed_epochs.close(epoch);
+        self.pending = None;
+        self.op_clock = None;
+    }
+
+    /// Issues a source resume and arms its deadline clock. A resume
+    /// dropped by the injector is indistinguishable from a slow one; the
+    /// clock re-drives it. When the epoch still has an open span (normal
+    /// completion — aborted spans are closed before their rollback
+    /// resume), the span's `Resume` phase is recorded here, once:
+    /// deadline re-drives bypass this function.
+    fn issue_resume(&mut self, epoch: u64, view: RoutingView) {
+        if self.open_spans.contains(&epoch) {
+            self.io.rec.span_phase(epoch, Phase::Resume);
+        }
+        let msg = SourceCtl::Resume {
+            epoch,
+            view: view.clone(),
+        };
+        self.io.send_src(Some(CtlKind::Resume), msg);
+        let clock = OpClock::start(self.current_interval);
+        self.resume_state.insert(epoch, (view, clock));
+    }
+
+    fn on_killed(
+        &mut self,
+        worker: TaskId,
+        worker_lost: Vec<(Key, u64)>,
+        stats: &IntervalStats,
+        rx: Receiver<Message>,
+    ) {
+        let w = worker.index();
+        self.io
+            .injector
+            .record(FaultEvent::WorkerDead { worker: w });
+        // What the worker *did* process counts (its totals are already
+        // absorbed); what it held is lost and accounted per key.
+        self.ledger.on_residue(worker, stats);
+        self.closed_rounds
+            .extend(self.ledger.on_worker_dead(worker));
+        let mut n_lost = 0u64;
+        for (k, n) in worker_lost {
+            n_lost += n;
+            *self.lost.entry(k).or_insert(0) += n;
+        }
+        self.io.injector.add_lost(n_lost);
+        self.io.injector.record(FaultEvent::StateLost { worker: w });
+        self.dead.insert(w);
+        self.bill_live_width();
+        // Pin the dead slot's keys onto survivors (via each key's hash
+        // home, cycled past dead slots) and tell the source; its ack
+        // returns when the re-route is live, at which point the channel
+        // backlog is drained and accounted (DeadDestAck).
+        let dead = &self.dead;
+        let moves = self
+            .partitioner
+            .reroute_dead(worker, &|x| dead.contains(&x));
+        self.io.injector.record(FaultEvent::Rerouted {
+            from_worker: w,
+            moved_keys: moves.len(),
+        });
+        let msg = SourceCtl::DeadDest {
+            dest: worker,
+            moves,
+        };
+        self.io.send_src(None, msg);
+        self.dead_pending.insert(w, rx);
+        // Untangle the in-flight op from the corpse: a phase waiting on
+        // the dead worker must not wait for the deadline to notice.
+        if let Some(op) = self.pending.as_mut() {
+            if matches!(op.extract, Extract::Retire(victim) if victim == worker) {
+                // The victim died mid-retire: its state died with it
+                // (accounted above); resume under the shrunk view.
+                let (epoch, view) = (op.epoch, op.view.clone());
+                self.retiring = None;
+                self.finish_op(epoch, view);
+            } else {
+                // Whatever it still owed is gone; a blob already in its
+                // channel is counted by the DeadDestAck drain.
+                op.awaiting_out.remove(&worker);
+                op.awaiting_install.remove(&worker);
+                self.advance_op();
+            }
+        }
+        // A death during the drain means one Shutdown marker will never
+        // be answered.
+        if self.draining {
+            self.drain_target = self.drain_target.saturating_sub(1);
+        }
+    }
+
+    // ---- round decisions --------------------------------------------------
+
+    /// Decides one closed round — whether a full report set, a
+    /// dead-worker strike, or deadline expiry closed it, the same code
+    /// decides: the shared elasticity/split core first, then the
+    /// partitioner's rebalance hook.
+    fn decide_round(&mut self, interval: u64, round: ClosedRound) {
+        // Telemetry snapshot: exactly what the policies and the
+        // partitioner are about to see.
+        self.io.rec.snapshot(
+            interval,
+            round.loads.clone(),
+            round.queues.clone(),
+            round.mean_latency_us,
+            round.p99_latency_us,
+        );
+        // The planned parallelism — `partitioner.n_tasks()`, which every
+        // decision mutates immediately — not the physical worker count,
+        // which lags while retires drain. Scale-ins may queue (victims
+        // walk down from the planned tail, ops execute in order); a
+        // scale-out is skipped while any scale-in is still
+        // re-provisioning, since the spawn slot must be the contiguous
+        // physical tail.
+        let scale_in_flight = self.pending.iter().any(|op| op.is_scale_in())
+            || self.queue.iter().any(ProtocolOp::is_scale_in);
+        let room = !scale_in_flight && self.active < self.max_workers;
+        let inputs = RoundInputs {
+            obs: IntervalObservation {
+                interval,
+                n_tasks: self.partitioner.n_tasks(),
+                loads: &round.loads,
+                queue_depths: &round.queues,
+                mean_latency_us: round.mean_latency_us,
+                p99_latency_us: round.p99_latency_us,
+                n_dead: self.dead.len(),
+            },
+            stats: &round.merged,
+            dead: self.dead.iter().copied().collect(),
+            can_grow: room && self.io.worker_rxs[self.active].is_some(),
+        };
+        let mut decisions = RoundDecisions::new(inputs);
+        while let Some(action) = decisions.next(
+            &mut *self.partitioner,
+            &mut *self.config.elasticity,
+            self.config.split.as_deref_mut(),
+        ) {
+            match action {
+                // Only the slot's receiver stood in the way (it was never
+                // returned — a prior retire mismatch): record it and
+                // keep running at the current width rather than tearing
+                // down the topology.
+                RoundAction::ScaleOutClamped if room => {
+                    self.report
+                        .protocol_errors
+                        .push(ProtocolError::ScaleOutAborted {
+                            to: self.active + 1,
+                            slot: self.active,
+                        });
+                }
+                action => self.apply_action(interval, action),
+            }
+        }
+        self.plan_rebalance(round.merged);
+    }
+
+    /// Executes one decision of the shared core. The partitioner has
+    /// just been mutated for it, so `routing_view()` here is the view
+    /// the decision produced.
+    fn apply_action(&mut self, interval: u64, action: RoundAction) {
+        match action {
+            RoundAction::Revive { slot } => {
+                // Routing is untouched (the revived slot starts
+                // key-less; the next rebalance loads it) — only the
+                // source's divert set shrinks, once it swaps in the
+                // fresh channel `ReviveDest` carries.
+                let rx = self.fresh_channel(slot);
+                self.spawn_on(slot, rx, interval + 1);
+                self.dead.remove(&slot);
+                self.bill_live_width();
+                self.io
+                    .injector
+                    .record(FaultEvent::SlotRevived { worker: slot });
+            }
+            RoundAction::ScaleOut { event, new, moves } => {
+                let slot = self.active;
+                // `can_grow` vouched for the receiver.
+                let Some(rx) = self.io.worker_rxs[slot].take() else {
+                    return;
+                };
+                self.spawn_on(slot, rx, interval + 1);
+                self.report.scale_events.push(event);
+                self.active += 1;
+                self.bill_live_width();
+                if moves.is_empty() {
+                    // Nothing to pre-place (a key-oblivious strategy
+                    // whose new worker takes traffic without any state):
+                    // publish the grown view directly.
+                    let view = self.partitioner.routing_view();
+                    self.io.send_src(None, SourceCtl::UpdateView { view });
+                    return;
+                }
+                // Pre-placement: the new slot's keys move in through the
+                // same quiesce → install → resume walk as a rebalance,
+                // so it takes load this interval.
+                self.report.migrated_keys += moves.len() as u64;
+                let mut by_source: FxHashMap<TaskId, Vec<(Key, TaskId)>> = FxHashMap::default();
+                let mut affected = Vec::with_capacity(moves.len());
+                for (k, holder) in moves {
+                    affected.push(k);
+                    by_source.entry(holder).or_default().push((k, new));
+                }
+                self.enqueue(OpLabel::ScaleOut, affected, by_source, true);
+            }
+            // Skipped, not deferred; the policy is not told.
+            RoundAction::ScaleOutClamped => {}
+            RoundAction::ScaleHeld => {
+                // Let the ledger say why the policy's wish was refused.
+                self.io.injector.record(FaultEvent::ScaleHeld { interval });
+            }
+            RoundAction::ScaleIn { event, victim } => {
+                // The routing function has shrunk; the physical
+                // retirement queues behind any in-flight op.
+                self.report.scale_events.push(event);
+                self.queue.push_back(ProtocolOp::new(
+                    OpLabel::ScaleIn,
+                    self.partitioner.routing_view(),
+                    PauseScope::Dest(victim),
+                    Extract::Retire(victim),
+                    false,
+                ));
+            }
+            RoundAction::Split { event, key } => {
+                self.report.split_events.push(event);
+                // A split moves no state: the op's pause window alone
+                // makes the view swap atomic.
+                self.enqueue(OpLabel::Split, vec![key], FxHashMap::default(), false);
+            }
+            RoundAction::Unsplit {
+                event,
+                key,
+                replicas,
+            } => {
+                // The routing already consolidated onto the primary; the
+                // physical consolidation is a real migration moving each
+                // live non-primary replica's partial state into the
+                // primary (whose `install` merges additively).
+                let primary = replicas[0];
+                let by_source = replicas[1..]
+                    .iter()
+                    .filter(|r| **r != primary && !self.dead.contains(&r.index()))
+                    .map(|&r| (r, vec![(key, primary)]))
+                    .collect();
+                self.report.split_events.push(event);
+                self.enqueue(OpLabel::Unsplit, vec![key], by_source, true);
+            }
+        }
+    }
+
+    /// Queues a key-scoped op resuming under the partitioner's current
+    /// view.
+    fn enqueue(
+        &mut self,
+        label: OpLabel,
+        affected: Vec<Key>,
+        by_source: FxHashMap<TaskId, Vec<(Key, TaskId)>>,
+        bill_extracted: bool,
+    ) {
+        self.queue.push_back(ProtocolOp::new(
+            label,
+            self.partitioner.routing_view(),
+            PauseScope::Keys(affected),
+            Extract::Moves(by_source),
+            bill_extracted,
+        ));
+    }
+
+    /// Hands the round's statistics to the partitioner and queues the
+    /// rebalance it plans, if any.
+    fn plan_rebalance(&mut self, merged: IntervalStats) {
+        let Some(out) = self.partitioner.end_interval(merged) else {
+            return;
+        };
+        if out.plan.is_empty() {
+            return;
+        }
+        self.report.rebalances += 1;
+        self.report.migrated_keys += out.plan.keys_moved() as u64;
+        self.report.migrated_bytes += out.plan.cost_bytes();
+        let mut dead_involved = false;
+        let mut fixups: Vec<(Key, TaskId)> = Vec::new();
+        let mut by_source: FxHashMap<TaskId, Vec<(Key, TaskId)>> = FxHashMap::default();
+        let mut affected = Vec::with_capacity(out.plan.keys_moved());
+        for mv in out.plan.moves() {
+            affected.push(mv.key);
+            let to = self.live_slot(mv.to);
+            if self.dead.contains(&mv.to.index()) {
+                // The planner aimed a key at a corpse (its stats predate
+                // the death): divert it to the slot its traffic already
+                // lands on.
+                dead_involved = true;
+                fixups.push((mv.key, to));
+            }
+            if self.dead.contains(&mv.from.index()) {
+                // The holder died: its state is gone and already
+                // accounted, so this is a routing-only move.
+                dead_involved = true;
+                continue;
+            }
+            by_source.entry(mv.from).or_default().push((mv.key, to));
+        }
+        if !fixups.is_empty() {
+            self.partitioner.apply_moves(&fixups);
+        }
+        // When the partitioner applied the rebalance as a delta, ship
+        // the source the same delta — O(churn), and the source's table
+        // stays in lockstep because both sides mutate equal tables
+        // identically. Swaps (and every scale op) ship full views: those
+        // are the resync points. Dead involvement also forces a full
+        // view — the fixups above made the controller's table diverge
+        // from the plan's moves, so the raw delta would desync the
+        // source.
+        let view = if !dead_involved && self.partitioner.last_install_was_delta() {
+            RoutingView::TableDelta {
+                n_tasks: self.partitioner.n_tasks(),
+                moves: out.plan.moves().iter().map(|m| (m.key, m.to)).collect(),
+            }
+        } else {
+            self.partitioner.routing_view()
+        };
+        self.queue.push_back(ProtocolOp::new(
+            OpLabel::Rebalance,
+            view,
+            PauseScope::Keys(affected),
+            Extract::Moves(by_source),
+            false,
+        ));
+    }
+
+    /// Replaces `slot`'s channel with a fresh one — the old receiver
+    /// died with its worker — and tells the source to swap the sender in
+    /// and stop diverting the slot. Returns the new receiver.
+    fn fresh_channel(&mut self, slot: usize) -> Receiver<Message> {
+        let (tx, rx) = bounded(self.config.channel_capacity);
+        self.io.worker_txs[slot] = tx.clone();
+        let dest = TaskId::from(slot);
+        self.io.send_src(None, SourceCtl::ReviveDest { dest, tx });
+        rx
+    }
+
+    /// Advances the worker-seconds integral to the live width — call
+    /// after every change to `active` or `dead`.
+    fn bill_live_width(&mut self) {
+        self.ws
+            .set_active(Instant::now(), self.active - self.dead.len());
+    }
+
+    fn spawn_on(&mut self, slot: usize, rx: Receiver<Message>, first_interval: u64) {
+        let op = (self.io.make_op)(TaskId::from(slot));
+        (self.io.spawn)(slot, rx, op, first_interval);
+    }
+
+    // ---- deadlines, queue, shutdown ---------------------------------------
+
+    /// In-flight-op deadline: the first expiry re-drives the stuck
+    /// phase, the second aborts with rollback.
+    fn check_op_deadline(&mut self) {
+        let (Some(op), Some(clock)) = (self.pending.as_ref(), self.op_clock.as_mut()) else {
+            return;
+        };
+        if !clock.expired(&self.config, self.current_interval, self.source_finished) {
+            return;
+        }
+        if clock.retried {
+            self.abort_op();
+        } else {
+            clock.rearm(self.current_interval);
+            self.redrive(op);
+        }
+    }
+
+    /// Re-sends whatever the stalled phase is waiting on. Markers are
+    /// idempotent: workers and source absorb duplicates by epoch.
+    fn redrive(&self, op: &ProtocolOp) {
+        let epoch = op.epoch;
+        self.io.injector.record(FaultEvent::OpRetried {
+            op: op.kind(),
+            epoch,
+        });
+        match (op.waiting, &op.extract) {
+            (Waiting::PauseAck, _) => self.io.send_pause(op),
+            (Waiting::StateOut, Extract::Moves(by_source)) => {
+                for w in &op.awaiting_out {
+                    if self.dead.contains(&w.index()) {
+                        continue;
+                    }
+                    let moves = by_source.get(w).cloned().unwrap_or_default();
+                    self.io.send_ctl_marker(
+                        w.index(),
+                        CtlKind::MigrateOut,
+                        Message::MigrateOut { epoch, moves },
+                    );
+                }
+            }
+            (Waiting::StateOut, Extract::Retire(victim)) => {
+                // The victim answers the first marker it sees; a
+                // duplicate lands on a drained channel and is discarded
+                // with it.
+                if self.retiring == Some(*victim) {
+                    self.io.send_ctl_marker(
+                        victim.index(),
+                        CtlKind::Retire,
+                        Message::Retire { epoch },
+                    );
+                }
+            }
+            (Waiting::InstallAcks, _) => {
+                for (dst, states) in &op.awaiting_install {
+                    if self.dead.contains(&dst.index()) {
+                        continue;
+                    }
+                    let states = states.clone();
+                    self.io
+                        .ctl_send(dst.index(), Message::StateInstall { epoch, states });
+                }
+            }
+        }
+    }
+
+    /// Second deadline expiry: give the op up and put the source back on
+    /// a routing function that matches where the state is.
+    fn abort_op(&mut self) {
+        let Some(op) = self.pending.take() else {
+            return;
+        };
+        self.op_clock = None;
+        let epoch = op.epoch;
+        self.io.injector.record(FaultEvent::OpAborted {
+            op: op.kind(),
+            epoch,
+        });
+        self.closed_epochs.close(epoch);
+        // Close the span Aborted *before* the rollback resume goes out,
+        // so the resume phase (and its ack) cannot land on a closed
+        // span.
+        if self.open_spans.remove(&epoch) {
+            self.io.rec.span_close(epoch, Outcome::Aborted);
+        }
+        match op.extract {
+            Extract::Moves(by_source) => self.roll_back(epoch, &by_source, op.collected),
+            Extract::Retire(victim) => {
+                // The routing already shrank at decision time, so resume
+                // under the retire's view: a still-live victim becomes a
+                // routed-around zombie that drains at shutdown with its
+                // state intact; a late `Retired` is absorbed by the
+                // closed epoch.
+                if self.retiring == Some(victim) {
+                    self.retiring = None;
+                }
+                self.issue_resume(epoch, op.view);
+            }
+        }
+    }
+
+    /// Rolls an aborted migration's routing back: every affected key
+    /// returns to its origin (diverted past corpses). State still in
+    /// hand (`collected`) is re-installed there; state already delivered
+    /// stays where it landed — re-sending it could double-count, and
+    /// per-key counts merge at shutdown regardless of which slot holds
+    /// them. The rollback is its own span on a fresh pre-closed epoch:
+    /// its installs and the resume happen synchronously right here, so
+    /// it opens and closes in one breath.
+    fn roll_back(
+        &mut self,
+        epoch: u64,
+        by_source: &FxHashMap<TaskId, Vec<(Key, TaskId)>>,
+        collected: Vec<(Key, TaskId, Bytes)>,
+    ) {
+        let mut origin_of: FxHashMap<Key, TaskId> = FxHashMap::default();
+        let mut reverse: Vec<(Key, TaskId)> = Vec::new();
+        for (&src, moves) in by_source {
+            let home = self.live_slot(src);
+            for &(k, _) in moves {
+                reverse.push((k, home));
+                origin_of.insert(k, home);
+            }
+        }
+        self.partitioner.apply_moves(&reverse);
+        self.next_epoch += 1;
+        let rollback = self.next_epoch;
+        self.closed_epochs.close(rollback);
+        let in_hand: Vec<(Key, TaskId, Bytes)> = collected
+            .into_iter()
+            .filter_map(|(k, _, blob)| origin_of.get(&k).map(|&home| (k, home, blob)))
+            .collect();
+        self.io.rec.span_open(rollback, OpLabel::Rollback);
+        if !in_hand.is_empty() {
+            self.io.rec.span_phase(rollback, Phase::Install);
+        }
+        self.rehome(rollback, in_hand);
+        self.io.rec.span_phase(rollback, Phase::Resume);
+        self.issue_resume(epoch, self.partitioner.routing_view());
+        self.io.rec.span_close(rollback, Outcome::Completed);
+    }
+
+    /// Resume deadline: re-drive, forever — an abandoned resume would
+    /// strand pause-buffered tuples at the source (unaccounted loss) and
+    /// hang shutdown. Only the first re-drive is ledgered; the source
+    /// absorbs duplicates by epoch.
+    fn redrive_resumes(&mut self) {
+        let mut redrive: Vec<(u64, RoutingView)> = Vec::new();
+        for (&epoch, (view, clock)) in self.resume_state.iter_mut() {
+            if !clock.expired(&self.config, self.current_interval, self.source_finished) {
+                continue;
+            }
+            if !clock.retried {
+                self.io.injector.record(FaultEvent::OpRetried {
+                    op: OpKind::Resume,
+                    epoch,
+                });
+            }
+            clock.rearm(self.current_interval);
+            redrive.push((epoch, view.clone()));
+        }
+        for (epoch, view) in redrive {
+            self.io
+                .send_src(Some(CtlKind::Resume), SourceCtl::Resume { epoch, view });
+        }
+    }
+
+    /// Starts the next queued op when idle: plan → pause.
+    fn start_next_op(&mut self) {
+        if self.pending.is_some() {
+            return;
+        }
+        let Some(mut op) = self.queue.pop_front() else {
+            return;
+        };
+        match &mut op.extract {
+            Extract::Retire(victim) if self.dead.contains(&victim.index()) => {
+                // The victim died before its retirement started: state
+                // accounted, keys already re-routed. Finalize the width
+                // bookkeeping and publish the shrunk view; no pause is
+                // needed because the source diverts the slot anyway.
+                let slot = victim.index();
+                self.dead.remove(&slot);
+                self.active -= 1;
+                self.bill_live_width();
+                self.io
+                    .send_src(None, SourceCtl::UpdateView { view: op.view });
+                // The slot's receiver died with the worker, so give it a
+                // fresh channel — after the shrunk view, under which
+                // nothing routes to it — or no later scale-out could
+                // ever provision it again.
+                let rx = self.fresh_channel(slot);
+                self.io.worker_rxs[slot] = Some(rx);
+                return;
+            }
+            Extract::Retire(_) => {}
+            // Movers that died since planning hold no state (lost and
+            // accounted at death); their keys still move in the view.
+            Extract::Moves(by_source) => {
+                by_source.retain(|src, _| !self.dead.contains(&src.index()));
+            }
+        }
+        self.next_epoch += 1;
+        op.epoch = self.next_epoch;
+        // The span id is the op epoch: Plan marks the pop, Pause marks
+        // the quiesce request going out.
+        self.io.rec.span_open(op.epoch, op.label);
+        self.io.rec.span_phase(op.epoch, Phase::Plan);
+        self.io.rec.span_phase(op.epoch, Phase::Pause);
+        self.open_spans.insert(op.epoch);
+        self.io.send_pause(&op);
+        self.op_clock = Some(OpClock::start(self.current_interval));
+        self.pending = Some(op);
+    }
+
+    /// Ships `Shutdown` to the workers once fully quiesced.
+    /// `resume_state` guards the flush race: the source must confirm it
+    /// has re-enqueued all pause-buffered tuples before Shutdown markers
+    /// enter the worker channels behind them. `dead_pending` guards loss
+    /// accounting: a dead slot's channel backlog must be counted before
+    /// teardown.
+    fn shutdown_gate(&mut self) {
+        let quiesced = self.source_finished
+            && !self.draining
+            && self.pending.is_none()
+            && self.queue.is_empty()
+            && self.ledger.outstanding() == 0
+            && self.resume_state.is_empty()
+            && self.dead_pending.is_empty();
+        if !quiesced {
+            return;
+        }
+        self.draining = true;
+        // A slot whose Shutdown did not land (timeout or disconnect) is
+        // left out of the drain target; its thread still exits when the
+        // channel disconnects at teardown.
+        self.drain_target = (0..self.active)
+            .filter(|i| !self.dead.contains(i) && self.io.ctl_send(*i, Message::Shutdown))
+            .count();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,5 +2086,302 @@ mod tests {
         ws.set_active(at(3), 2);
         ws.set_active(at(3), 3);
         assert_eq!(ws.finish(at(4)), 2.0 * 3.0 + 3.0);
+    }
+}
+
+/// Tests that drive the [`Controller`] directly: hand-made events in,
+/// bare channels out — no feeder, no worker threads, no data plane.
+#[cfg(test)]
+mod protocol_tests {
+    use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use crossbeam::channel::unbounded;
+    use streambal_baselines::HashPartitioner;
+    use streambal_elastic::{FixedSchedule, ScaleDecision, ScaleEvent};
+    use streambal_trace::{EventKind, ThreadLabel, TraceSink};
+
+    use crate::fault::FaultPlan;
+    use crate::operator::WordCountOp;
+
+    /// The far ends of a controller's channels.
+    struct Rig {
+        sink: Arc<TraceSink>,
+        injector: Arc<FaultInjector>,
+        /// The three "running" workers' receivers, by slot.
+        workers: Vec<Receiver<Message>>,
+        source: Receiver<SourceCtl>,
+        spawned: Rc<RefCell<Vec<Spawned>>>,
+    }
+
+    /// `(slot, first interval, receiver)` of a worker the controller
+    /// spawned.
+    type Spawned = (usize, u64, Receiver<Message>);
+
+    /// A controller over three provisioned slots, all of them running.
+    fn rig(policy: FixedSchedule) -> (Controller<'static>, Rig) {
+        let config = EngineConfig {
+            n_workers: 3,
+            max_workers: 3,
+            elasticity: Box::new(policy),
+            ..EngineConfig::default()
+        };
+        let sink = TraceSink::new(true);
+        let injector = Arc::new(FaultInjector::with_trace(
+            FaultPlan::none(),
+            Arc::clone(&sink),
+        ));
+        let (worker_txs, workers): (Vec<_>, Vec<_>) =
+            (0..3).map(|_| bounded(config.channel_capacity)).unzip();
+        let (ctl_tx, source) = unbounded();
+        let spawned = Rc::new(RefCell::new(Vec::new()));
+        let spawned_by_ctl = Rc::clone(&spawned);
+        let io = ControlIo {
+            worker_txs,
+            worker_rxs: vec![None, None, None],
+            ctl_tx,
+            counter: Arc::new(Counter::new()),
+            injector: Arc::clone(&injector),
+            rec: sink.recorder(ThreadLabel::Controller),
+            make_op: Box::new(|_| Box::new(WordCountOp::new())),
+            spawn: Box::new(move |slot, rx, _op, first| {
+                spawned_by_ctl.borrow_mut().push((slot, first, rx));
+            }),
+        };
+        let partitioner = Box::new(HashPartitioner::new(3));
+        let ctl = Controller::new(config, partitioner, io, Instant::now());
+        let rig = Rig {
+            sink,
+            injector,
+            workers,
+            source,
+            spawned,
+        };
+        (ctl, rig)
+    }
+
+    /// Closes `interval`'s statistics round with one empty report per
+    /// provisioned live worker, then ticks (which decides the round).
+    fn close_round(ctl: &mut Controller<'_>, interval: u64) {
+        ctl.on_source_event(SourceEvent::IntervalDone { interval });
+        let live: Vec<usize> = (0..ctl.active).filter(|w| !ctl.dead.contains(w)).collect();
+        for w in live {
+            ctl.on_worker_event(WorkerEvent::Stats {
+                worker: TaskId::from(w),
+                interval,
+                stats: IntervalStats::new(),
+                latency: Box::new(Histogram::new()),
+            });
+        }
+        ctl.tick();
+    }
+
+    fn retired(worker: usize, epoch: u64, states: Vec<(Key, Bytes)>) -> WorkerEvent {
+        // The victim hands its receiver back; any receiver will do here.
+        let (_tx, rx) = bounded(1);
+        WorkerEvent::Retired {
+            worker: TaskId::from(worker),
+            epoch,
+            states,
+            stats: IntervalStats::new(),
+            processed: 0,
+            latency: Box::new(Histogram::new()),
+            first_interval: None,
+            rx,
+        }
+    }
+
+    /// A key whose hash home among `n` tasks is `task`.
+    fn key_homed_on(task: usize, n: usize) -> Key {
+        let mut p = HashPartitioner::new(n);
+        (0..10_000u64)
+            .map(Key)
+            .find(|&k| p.route(k) == TaskId::from(task))
+            .expect("some key hashes to every task")
+    }
+
+    fn installs_at(rx: &Receiver<Message>) -> Vec<(u64, Vec<Key>)> {
+        let mut out = Vec::new();
+        while let Ok(msg) = rx.try_recv() {
+            if let Message::StateInstall { epoch, states } = msg {
+                out.push((epoch, states.iter().map(|&(k, _)| k).collect()));
+            }
+        }
+        out
+    }
+
+    /// The dead-victim scale-in bug: a scale-in whose victim died while
+    /// the op was still queued used to shrink `active` without giving
+    /// the slot a channel again — its receiver was dropped with the
+    /// corpse — so every later scale-out into the slot aborted with
+    /// `ScaleOutAborted`, forever.
+    #[test]
+    fn scale_out_reuses_a_slot_whose_queued_scale_in_victim_died() {
+        let (mut ctl, rig) = rig(FixedSchedule::new([
+            (0, ScaleDecision::ScaleIn),
+            (1, ScaleDecision::ScaleIn),
+            (2, ScaleDecision::ScaleOut),
+        ]));
+        // Round 0 retires worker 2 (in flight: its pause is unanswered);
+        // round 1 queues worker 1's retirement behind it.
+        close_round(&mut ctl, 0);
+        close_round(&mut ctl, 1);
+        assert_eq!(ctl.pending.as_ref().map(|op| op.epoch), Some(1));
+        assert_eq!(ctl.queue.len(), 1);
+        // The queued victim dies.
+        let (_tx, corpse_rx) = bounded(1);
+        ctl.on_worker_event(WorkerEvent::Killed {
+            worker: TaskId(1),
+            lost: Vec::new(),
+            stats: IntervalStats::new(),
+            processed: 0,
+            latency: Box::new(Histogram::new()),
+            first_interval: None,
+            rx: corpse_rx,
+        });
+        ctl.tick();
+        // The first retirement completes; the next tick pops the dead
+        // victim's op.
+        ctl.on_source_event(SourceEvent::PauseAck { epoch: 1 });
+        ctl.on_worker_event(retired(2, 1, Vec::new()));
+        ctl.on_source_event(SourceEvent::ResumeAck { epoch: 1 });
+        ctl.tick();
+        assert_eq!(ctl.active, 1);
+        assert!(ctl.dead.is_empty());
+        // Round 2 scales out into slot 1.
+        close_round(&mut ctl, 2);
+        assert_eq!(ctl.report.protocol_errors, vec![]);
+        let spawned: Vec<(usize, u64)> = rig.spawned.borrow().iter().map(|s| (s.0, s.1)).collect();
+        assert_eq!(spawned, vec![(1, 3)], "a worker on slot 1 from interval 3");
+        assert_eq!(ctl.active, 2);
+        let event = |interval, from, to| ScaleEvent { interval, from, to };
+        assert_eq!(
+            ctl.report.scale_events,
+            vec![event(0, 3, 2), event(1, 2, 1), event(2, 1, 2)]
+        );
+        // The source was told to swap slot 1's sender in and stop
+        // diverting it — after the shrunk view, under which nothing
+        // routes there.
+        let to_source: Vec<SourceCtl> = std::iter::from_fn(|| rig.source.try_recv().ok()).collect();
+        let at = |pred: &dyn Fn(&SourceCtl) -> bool| to_source.iter().position(pred);
+        let shrunk = at(&|m| matches!(m, SourceCtl::UpdateView { .. })).expect("shrunk view");
+        let revive = at(&|m| matches!(m, SourceCtl::ReviveDest { dest, .. } if dest == &TaskId(1)))
+            .expect("fresh channel for slot 1");
+        assert!(shrunk < revive);
+    }
+
+    /// Duplicates at every phase, for both state sources: a re-driven
+    /// marker's second answer is absorbed as stale — one ledger entry
+    /// each, no protocol error — and no span phase is recorded twice.
+    #[test]
+    fn duplicate_answers_are_absorbed_once_per_phase() {
+        let key = key_homed_on(1, 2);
+        let blob = Bytes::copy_from_slice(b"state");
+        let view = HashPartitioner::new(2).routing_view();
+        type Op = (ProtocolOp, &'static str, Box<dyn Fn(u64) -> WorkerEvent>);
+        let cases: Vec<Op> = vec![
+            (
+                ProtocolOp::new(
+                    OpLabel::Rebalance,
+                    view.clone(),
+                    PauseScope::Keys(vec![key]),
+                    Extract::Moves([(TaskId(0), vec![(key, TaskId(1))])].into_iter().collect()),
+                    false,
+                ),
+                "state out",
+                Box::new({
+                    let blob = blob.clone();
+                    move |epoch| WorkerEvent::StateOut {
+                        worker: TaskId(0),
+                        epoch,
+                        states: vec![(key, TaskId(1), blob.clone())],
+                    }
+                }),
+            ),
+            (
+                ProtocolOp::new(
+                    OpLabel::ScaleIn,
+                    view,
+                    PauseScope::Dest(TaskId(2)),
+                    Extract::Retire(TaskId(2)),
+                    false,
+                ),
+                "retired",
+                Box::new(move |epoch| retired(2, epoch, vec![(key, blob.clone())])),
+            ),
+        ];
+        for (op, what, answer) in cases {
+            let (mut ctl, rig) = rig(FixedSchedule::new([]));
+            ctl.queue.push_back(op);
+            ctl.tick();
+            ctl.on_source_event(SourceEvent::PauseAck { epoch: 1 });
+            ctl.on_source_event(SourceEvent::PauseAck { epoch: 1 });
+            ctl.on_worker_event(answer(1));
+            ctl.on_worker_event(answer(1));
+            let ack = || WorkerEvent::InstallAck {
+                worker: TaskId(1),
+                epoch: 1,
+            };
+            ctl.on_worker_event(ack());
+            assert!(ctl.pending.is_none(), "{what}: op resumed at the last ack");
+            ctl.on_worker_event(ack());
+            ctl.on_source_event(SourceEvent::ResumeAck { epoch: 1 });
+
+            assert_eq!(ctl.report.protocol_errors, vec![], "{what}");
+            let stale = |what| FaultEvent::StaleEpochAbsorbed { epoch: 1, what };
+            assert_eq!(
+                rig.injector.take_ledger(),
+                vec![stale("pause ack"), stale(what), stale("install ack")]
+            );
+            drop(ctl.finish());
+            let phases: Vec<Phase> = rig
+                .sink
+                .take_log()
+                .events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::SpanPhase { span: 1, phase } => Some(phase),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                phases,
+                vec![
+                    Phase::Plan,
+                    Phase::Pause,
+                    Phase::QuiesceWait,
+                    Phase::StateOut,
+                    Phase::Install,
+                    Phase::Resume
+                ],
+                "{what}"
+            );
+        }
+    }
+
+    /// The single re-home path: a destination that is dead at send time
+    /// is diverted to the next live slot, and state arriving on a closed
+    /// epoch is re-routed under the current view with empty blobs
+    /// skipped.
+    #[test]
+    fn rehome_diverts_past_dead_slots_and_skips_empty_blobs() {
+        let (mut ctl, rig) = rig(FixedSchedule::new([]));
+        ctl.dead.insert(1);
+        let blob = Bytes::copy_from_slice(b"state");
+        let key = key_homed_on(1, 3);
+
+        let sent = ctl.rehome(7, vec![(key, TaskId(1), blob.clone())]);
+        assert_eq!(sent.keys().copied().collect::<Vec<_>>(), vec![TaskId(2)]);
+
+        let hollow = key_homed_on(0, 3);
+        ctl.rehome_stale(vec![(key, blob), (hollow, Bytes::new())]);
+
+        let installs = |slot: usize| installs_at(&rig.workers[slot]);
+        assert_eq!(installs(0), vec![], "the empty blob went nowhere");
+        assert_eq!(installs(1), vec![], "nothing lands on the corpse");
+        // The stale re-home ran on a fresh, pre-closed epoch.
+        assert_eq!(installs(2), vec![(7, vec![key]), (1, vec![key])]);
+        assert!(ctl.closed_epochs.contains(1));
     }
 }

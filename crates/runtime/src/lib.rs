@@ -50,76 +50,68 @@
 //! after the source's `ResumeAck` confirms the pause-buffer flush
 //! batches are already enqueued ahead of it.
 //!
-//! ## Elasticity
-//!
-//! The controller consults an `ElasticityPolicy` (crate
-//! `streambal-elastic`) after every statistics round — observing per-task
-//! loads, per-task queue depth (tuple-weighted channel occupancy sampled
-//! at interval close: the backpushing signal), and the interval's
-//! mean/p99 latency — and executes its decision.
-//!
-//! **Scale-out** pre-places state at provision time, in four ordered
-//! steps:
-//!
-//! 1. **Plan.** Spawn the worker on its pre-provisioned slot, then ask
-//!    the partitioner for the placement delta at the same instant the
-//!    routing function grows (`Partitioner::scale_out_plan`): the live
-//!    keys the grown hash ring re-homes onto the new slot, each paired
-//!    with the task currently holding its state.
-//! 2. **Quiesce.** The plan runs through the rebalance machinery: the
-//!    source pauses (and locally buffers) exactly the moved keys — its
-//!    ack certifies every pre-pause tuple is already in the old holders'
-//!    FIFO channels, and `MigrateOut` markers land behind them.
-//! 3. **Install.** The old holders extract the moved keys' windowed
-//!    state after draining their backlogs; the controller installs it in
-//!    the new worker and waits for the ack.
-//! 4. **Resume.** Only then does the source adopt the grown view and
-//!    flush its pause buffer, so a moved key's tuples can reach the new
-//!    worker only after its state did.
-//!
-//! The new slot therefore takes its keys' traffic in the decision
-//! interval itself — the overloaded stretch the policy scaled out for —
-//! instead of idling until a later rebalance moves keys onto it.
-//! Strategies with no state to move (shuffle, PKG) return an empty plan
-//! and the grown view is published directly.
-//!
-//! **Scale-in** runs the drain → migrate → retire protocol — pause the
-//! victim's destination at the source, enqueue a `Retire` marker behind
-//! the victim's backlog, re-install its entire drained state at each
-//! key's new home, and only then resume under the shrunk view. The
-//! FIFO-consistency argument is spelled out in the `streambal-elastic`
-//! crate docs; the retired slot's channel survives (the receiver travels
-//! back in the `Retired` event), so a later scale-out can re-provision
-//! the same slot mid-run.
-//!
 //! CPU saturation is emulated by `spin_work` busy-iterations per tuple,
 //! mirroring the paper's "controlling the latency on tuple processing to
 //! force the system to a saturation point".
 //!
-//! ## Hot-key splitting
+//! ## One protocol op
 //!
-//! Migration and scale-out both move *whole keys*; neither helps when a
-//! single key's load exceeds one worker's capacity. For that case the
-//! controller consults a `SplitPolicy` (crate `streambal-elastic`)
-//! after every statistics round and executes **split** / **unsplit** as
-//! first-class protocol ops, sharing the migration queue, epochs,
-//! pause → quiesce → install → resume phases, deadline/abort machinery,
-//! fault-ledger entries, and flight-recorder spans (`OpLabel::Split`,
-//! `OpLabel::Unsplit`):
+//! Every control operation is the same walk — the paper's rebalance
+//! workflow — with a different pause scope and a different state
+//! source. The controller ([`engine`] wires it; the state machine is
+//! the crate-private `controller::Controller`) holds one `ProtocolOp`
+//! in flight and a FIFO queue behind it, so state placement advances
+//! one routing-function delta at a time. The phases are the ones the
+//! flight recorder names; the columns are the op's span label:
 //!
-//! * **Split** salts the key across `R` replica slots
-//!   (`Partitioner::split_key`): the routing layer round-robins the
-//!   key's batches over the replicas, each of which accumulates an
-//!   independent *partial* state. No state moves — the op is a
-//!   degenerate migration (empty move set) whose pause window makes the
-//!   view install atomic: the source's ack certifies every tuple routed
-//!   under the unsplit view is already in the primary's FIFO channel,
-//!   so replica-routed tuples land strictly after it.
-//! * **Unsplit** consolidates (`Partitioner::unsplit_key`): a real
-//!   migration extracting each non-primary replica's partial state for
-//!   the key and installing it into the primary, whose `install` merges
-//!   additively. The pause covers the whole transfer, so no tuple is
-//!   routed under the consolidated view before the partials landed.
+//! | phase | `rebalance` | `scale_out` | `scale_in` | `split` | `unsplit` |
+//! |---|---|---|---|---|---|
+//! | **plan** (decision time: the partitioner mutates, the op captures the resulting view) | `end_interval` returned a plan | `scale_out_plan`: a worker is spawned on the tail slot; the plan names the live keys that follow the grown ring, with their holders | `scale_in` on the highest-numbered task | `split_key` over the chosen replica slots | `unsplit_key` back onto the primary |
+//! | **pause** (source holds back…) | the keys in Δ(F, F′) | the moved keys | everything routed to the victim | the key | the key |
+//! | **quiesce → state_out** (after `PauseAck`, behind every pre-pause batch) | `MigrateOut` to each holder | `MigrateOut` to each holder | `Retire` to the victim: it drains its backlog and hands back *all* its state, its totals, and its channel receiver (`Retired`) | nothing to extract | `MigrateOut` to each live non-primary replica |
+//! | **install** (`StateInstall`, acked) | at the plan's destinations | on the new worker | wherever each key routes under the op's view | — | on the primary (`install` merges additively) |
+//! | **resume** (source adopts the view, flushes its pause buffer, acks) | the rebalance delta, or a full view | the grown view | the shrunk view | the split view | the consolidated view |
+//! | `migrated_bytes` billed | up front, from the plan's estimate | from the blobs extracted | — | — | from the blobs extracted |
+//!
+//! An empty pre-placement plan (shuffle, PKG: no state to move) skips
+//! the op and publishes the grown view directly. Anywhere a destination
+//! has died since it was chosen, the blob is diverted to the next live
+//! slot. A phase showing no progress for
+//! `EngineConfig::op_deadline{,_intervals}` is re-driven once (markers
+//! are idempotent — workers, source and controller absorb duplicates by
+//! epoch), then the op is **aborted**: a key-scoped op rolls its keys'
+//! routing back to their origins and re-installs the state still in the
+//! controller's hand there (its own `rollback` span); an aborted
+//! `scale_in` resumes under the shrunk view and leaves the victim a
+//! routed-around zombie that drains at shutdown. A late answer on a
+//! closed epoch is absorbed and its blobs re-homed under the current
+//! view — never dropped. Resumes are retried forever.
+//!
+//! The FIFO argument above covers every column: the extraction marker
+//! lands behind every pre-pause batch, and `Resume` goes out only after
+//! the install acks, so a key's tuples reach its new home only after its
+//! state did — which is also why a scaled-out worker takes its keys'
+//! traffic in the decision interval itself instead of idling until a
+//! later rebalance. A split moves no state, but its pause window still
+//! makes the view swap atomic: every tuple routed under the unsplit
+//! view is in the primary's channel before any replica-routed tuple is
+//! sent. A retired slot's channel survives (the receiver travels back
+//! in `Retired`), so a later scale-out can re-provision the same slot
+//! mid-run.
+//!
+//! ## Elasticity and hot-key splitting
+//!
+//! After every statistics round the controller pulls the round's
+//! decisions from `streambal_elastic::RoundDecisions` — the
+//! `ElasticityPolicy` (observing per-task loads, tuple-weighted queue
+//! depth sampled at interval close, and the interval's mean/p99
+//! latency), then the `SplitPolicy` (per-key costs and the current split
+//! set) — and queues one op per executed decision; the simulator pulls
+//! from the same code. Migration and scale-out move *whole keys*;
+//! neither helps when a single key's load exceeds one worker's
+//! capacity, which is what splitting is for: `split_key` salts the key
+//! across `R` replica slots, each accumulating an independent *partial*
+//! state, and `unsplit_key` consolidates them.
 //!
 //! **Replica/merge consistency argument.** The migration protocol's
 //! per-key argument relies on each key having *one* home per epoch and

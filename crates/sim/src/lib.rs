@@ -11,12 +11,13 @@
 //!
 //! The simulator models key-grouping semantics plus hot-key splitting:
 //! every key maps to one task unless a [`SplitPolicy`]
-//! ([`run_sim_elastic_split`]) salts it across replica slots. The split
-//! *decision* layer runs here exactly as on the engine — same
-//! observation shape, same guards, same event records — so a split plan
-//! drafted in the simulator replays on the runtime `SplitEvent` for
-//! `SplitEvent`. Only the tuple-level consequences (replica partials,
-//! the merge stage) need the real engine.
+//! ([`run_sim_elastic_split`]) salts it across replica slots. Scale and
+//! split *decisions* are not modelled at all: each interval's round runs
+//! through `streambal_elastic::RoundDecisions`, the same code the
+//! engine's controller pulls its actions from, so a plan drafted here
+//! replays on the runtime `ScaleEvent` for `ScaleEvent` and `SplitEvent`
+//! for `SplitEvent`. Only the tuple-level consequences (state movement,
+//! replica partials, the merge stage) need the real engine.
 
 pub mod report;
 pub mod source;
@@ -26,8 +27,8 @@ pub use source::IntervalSource;
 
 use streambal_core::{loads_of, Key, Partitioner, RebalanceInput, TaskId};
 use streambal_elastic::{
-    choose_replicas, ElasticityPolicy, HoldPolicy, IntervalObservation, ScaleDecision, ScaleEvent,
-    SplitDecision, SplitEvent, SplitObservation, SplitPolicy,
+    ElasticityPolicy, HoldPolicy, IntervalObservation, RoundAction, RoundDecisions, RoundInputs,
+    SplitPolicy,
 };
 use streambal_metrics::Stopwatch;
 
@@ -118,25 +119,28 @@ pub fn run_sim_elastic(
 /// Per interval, in engine order: the source advances (its fluctuation
 /// process sees the partitioner's current destinations), loads are
 /// evaluated under the current assignment, the queue model absorbs the
-/// interval's arrivals, the policy decides on those observations —
-/// `ScaleOut` applies `Partitioner::scale_out_plan` (clamped at
-/// `max_tasks`; the pre-placement moves are notional here, state being
-/// simulated, but the *routing* delta matches the engine's exactly),
-/// `ScaleIn` applies `Partitioner::scale_in` on the highest-numbered
-/// task (clamped at one task) — and only then does `end_interval` run
-/// under the stopwatch, exactly as the controller consults the policy
-/// before the rebalance hook.
+/// interval's arrivals, the round is decided on those observations by
+/// `streambal_elastic::RoundDecisions` — the policy call, the clamps and
+/// the `Partitioner::scale_out_plan` / `Partitioner::scale_in` mutation
+/// are the engine's own code, not a copy of it (the pre-placement moves
+/// are notional here, state being simulated, but the *routing* delta is
+/// the engine's) — and only then does `end_interval` run under the
+/// stopwatch, exactly as the controller decides the round before the
+/// rebalance hook.
 ///
-/// One divergence from the engine is inherent: the simulator has no
-/// physical state to drain, so a scale-in is instantaneous here, while
-/// the engine re-provisions over its retire protocol and *skips* a
-/// `ScaleOut` decided before queued retires finish (its spawn slot must
-/// be the contiguous physical tail). A policy that flaps in→out across
-/// adjacent intervals can therefore record a `ScaleOut` event here that
-/// the engine drops; traces are identical whenever consecutive opposite
-/// decisions are at least one engine re-provision apart (any policy with
-/// hysteresis or a cooldown, and every fixed schedule that spaces its
-/// reversals — `tests/elasticity.rs` pins the replay identity).
+/// Two inputs to that shared code differ, and they are the whole
+/// sim-vs-engine divergence. The dead-slot set is always empty (the
+/// simulator models no failures, so it never revives or holds). And
+/// `can_grow` is `n_tasks < max_tasks`, where the engine also requires
+/// that no retire is still re-provisioning (its spawn slot must be the
+/// contiguous physical tail): the simulator has no physical state to
+/// drain, so a scale-in is instantaneous here, and a policy that flaps
+/// in→out across adjacent intervals can record a `ScaleOut` event that
+/// the engine clamps. Traces are identical whenever consecutive
+/// opposite decisions are at least one engine re-provision apart (any
+/// policy with hysteresis or a cooldown, and every fixed schedule that
+/// spaces its reversals — `tests/elasticity.rs` pins the replay
+/// identity).
 pub fn run_sim_elastic_queued(
     partitioner: &mut dyn Partitioner,
     source: &mut dyn IntervalSource,
@@ -148,24 +152,24 @@ pub fn run_sim_elastic_queued(
     run_sim_inner(partitioner, source, cfg, policy, max_tasks, model, None)
 }
 
-/// [`run_sim_elastic_queued`] with the hot-key split hook: after the
-/// elasticity decision (and before `end_interval`, exactly where the
-/// engine's controller consults `EngineConfig::split`), the split policy
-/// sees the interval's per-key costs and the current split set, and its
-/// decisions execute through [`Partitioner::split_key`] /
-/// [`Partitioner::unsplit_key`] with the same guards and the same
-/// replica-slot choice ([`choose_replicas`] over the interval's task
-/// loads) as the engine. Executed decisions land in
+/// [`run_sim_elastic_queued`] with the hot-key split hook: the same
+/// shared round consults the split policy after the elasticity decision
+/// (and before `end_interval`, where the engine's controller consults
+/// `EngineConfig::split`) with the interval's per-key costs and the
+/// current split set, and executes its decision through
+/// [`Partitioner::split_key`] / [`Partitioner::unsplit_key`] — guards
+/// and replica-slot choice included. Executed decisions land in
 /// [`SimReport::split_events`] in the engine's `SplitEvent` shape, so
 /// sim and runtime split traces pin with `==` — the engine's only extra
 /// step is shipping the view (and, for unsplit, the replica partials)
 /// through its pause/quiesce protocol, which changes no decision.
 ///
-/// The same-interval caveat as scale events applies: a split decided in
-/// the interval a scale decision also fired can see a one-task-newer
-/// routing here (the sim applies scale instantly, the engine queues it),
-/// so identical traces need the two decision kinds at least one interval
-/// apart — free with any cooldown-carrying policy.
+/// The inputs that differ are those of [`run_sim_elastic_queued`]: with
+/// no dead slots the replica choice never has one to avoid, and a scale
+/// decision the engine would have clamped leaves the routing one task
+/// apart in the interval it fired — so identical traces need the two
+/// decision kinds at least one interval apart, free with any
+/// cooldown-carrying policy.
 pub fn run_sim_elastic_split(
     partitioner: &mut dyn Partitioner,
     source: &mut dyn IntervalSource,
@@ -261,98 +265,47 @@ fn run_sim_inner(
             0.0
         };
 
-        // Elasticity decision on this interval's observations, mirroring
-        // the engine's controller (clamped decisions are skipped, and the
-        // policy is not told — it keeps deciding from observations).
-        let obs = IntervalObservation {
-            interval: interval as u64,
-            n_tasks,
-            loads: &summary.loads,
-            queue_depths: &queues,
-            mean_latency_us,
-            p99_latency_us: p99,
-            n_dead: 0, // the simulator models no worker failures
-        };
-        match policy.decide(&obs) {
-            ScaleDecision::ScaleOut if n_tasks < max_tasks => {
-                // The engine's pre-placement path: churned keys follow
-                // the grown ring (their simulated state moves with them
-                // for free — only the routing delta matters here).
-                let _ = partitioner.scale_out_plan(&keys);
-                backlog.push(0.0); // the new slot joins drained
-                report.observe_scale(ScaleEvent {
-                    interval: interval as u64,
-                    from: n_tasks,
-                    to: n_tasks + 1,
-                });
-            }
-            ScaleDecision::ScaleIn if n_tasks > 1 => {
-                partitioner.scale_in(TaskId::from(n_tasks - 1), &keys);
-                // The victim drains its own backlog before retiring (the
-                // engine's Retire marker lands behind it), so its queue
-                // leaves with it.
-                backlog.truncate(n_tasks - 1);
-                report.observe_scale(ScaleEvent {
-                    interval: interval as u64,
-                    from: n_tasks,
-                    to: n_tasks - 1,
-                });
-            }
-            _ => {}
-        }
-
-        // Hot-key split decision, mirroring the engine's controller: same
-        // cadence (after the scale decision, before `end_interval`), same
-        // observation (per-key interval costs — a split key's entry is
-        // its replicas' merged total here just as on the engine, the
-        // replayed stats being per *key*), same guards, same slot choice.
-        if let Some(sp) = split.as_deref_mut() {
-            let key_loads: Vec<(u64, u64)> = stats.iter().map(|(k, s)| (k.raw(), s.cost)).collect();
-            let mut split_keys: Vec<u64> =
-                partitioner.splits().iter().map(|(k, _)| k.raw()).collect();
-            split_keys.sort_unstable();
-            let sobs = SplitObservation {
+        // The round's decisions come from the core the engine's controller
+        // pulls from too; only the bookkeeping around each action is the
+        // simulator's own.
+        let mut round = RoundDecisions::new(RoundInputs {
+            obs: IntervalObservation {
                 interval: interval as u64,
                 n_tasks,
-                key_loads: &key_loads,
-                split_keys: &split_keys,
-            };
-            match sp.decide(&sobs) {
-                SplitDecision::Split { key, replicas }
-                    if n_tasks >= 2 && replicas >= 2 && !split_keys.contains(&key) =>
-                {
-                    // The key's current route stays primary; the other
-                    // slots are the least-loaded tasks (the simulator
-                    // models no worker failures, so no dead-slot filter).
-                    let k = Key(key);
-                    let primary = partitioner.route(k);
-                    let slots: Vec<TaskId> =
-                        choose_replicas(primary.index(), &summary.loads, replicas)
-                            .into_iter()
-                            .map(TaskId::from)
-                            .collect();
-                    if slots.len() >= 2 && partitioner.split_key(k, &slots) {
-                        report.observe_split(SplitEvent {
-                            interval: interval as u64,
-                            key,
-                            from: 1,
-                            to: slots.len(),
-                        });
-                    }
+                loads: &summary.loads,
+                queue_depths: &queues,
+                mean_latency_us,
+                p99_latency_us: p99,
+                n_dead: 0,
+            },
+            stats: &stats,
+            dead: Vec::new(), // the simulator models no worker failures
+            can_grow: n_tasks < max_tasks,
+        });
+        while let Some(action) = round.next(partitioner, policy, split.as_deref_mut()) {
+            match action {
+                RoundAction::ScaleOut { event, .. } => {
+                    // The pre-placement moves are notional here (simulated
+                    // state follows its key for free); the new slot joins
+                    // drained.
+                    backlog.push(0.0);
+                    report.observe_scale(event);
                 }
-                SplitDecision::Unsplit { key } => {
-                    // No state to consolidate here — the engine's partial
-                    // merge onto the primary is simulated for free.
-                    if let Some(replica_set) = partitioner.unsplit_key(Key(key)) {
-                        report.observe_split(SplitEvent {
-                            interval: interval as u64,
-                            key,
-                            from: replica_set.len(),
-                            to: 1,
-                        });
-                    }
+                RoundAction::ScaleIn { event, .. } => {
+                    // The victim drains its own backlog before retiring (the
+                    // engine's Retire marker lands behind it), so its queue
+                    // leaves with it.
+                    backlog.truncate(event.to);
+                    report.observe_scale(event);
                 }
-                _ => {}
+                RoundAction::Split { event, .. } | RoundAction::Unsplit { event, .. } => {
+                    report.observe_split(event);
+                }
+                // Clamped growth is skipped; the dead-slot actions cannot
+                // arise from an empty dead set.
+                RoundAction::ScaleOutClamped
+                | RoundAction::Revive { .. }
+                | RoundAction::ScaleHeld => {}
             }
         }
 
