@@ -168,7 +168,7 @@ mod tests {
         let mut p = CoreBalancer::new(4, 1, RebalanceStrategy::Mixed, BalanceParams::default())
             .with_trigger_policy(TriggerPolicy {
                 cooldown: 3,
-                consecutive: 1,
+                ..TriggerPolicy::default()
             });
         let skewed = || {
             let mut iv = IntervalStats::new();

@@ -209,8 +209,8 @@ fn preplacement_scenario(tuples_per_interval: u64) -> Json {
                 },
             )
             .with_trigger_policy(TriggerPolicy {
-                cooldown: 0,
                 consecutive: REBALANCE_PERIOD,
+                ..TriggerPolicy::default()
             }),
         ),
         |_| Box::new(WordCountOp::new()),

@@ -13,6 +13,9 @@
 //! * **Spans** — one line per protocol op (id = epoch) with its outcome,
 //!   total disruption window, and per-phase durations, so "where did the
 //!   scale-out's 40 ms go" reads straight off the report.
+//! * **Early rounds** — how many provisional statistics rounds the
+//!   source's skew alerts opened, and how many of them planned a
+//!   rebalance, held, or were cancelled by the interval's closing round.
 //! * **Dip attribution** — each interval whose fed-tuple count dips below
 //!   [`DIP_FRACTION`] × the run median is joined against the spans and
 //!   faults overlapping its time window: the dip names its culprit.
@@ -28,7 +31,9 @@
 use std::process::ExitCode;
 
 use streambal_bench::json::Json;
-use streambal_trace::{EventKind, OpLabel, Outcome, Phase, ThreadLabel, TraceEvent, TraceLog};
+use streambal_trace::{
+    EarlyStep, EventKind, OpLabel, Outcome, Phase, ThreadLabel, TraceEvent, TraceLog,
+};
 
 /// An interval is a "dip" when its fed tuples fall below this fraction
 /// of the run's median interval.
@@ -137,6 +142,18 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
         "mark" => EventKind::Mark {
             label: get_str(&obj, "label")?.to_string(),
         },
+        "skew_alert" => EventKind::SkewAlert {
+            interval: get_u64(&obj, "interval")?,
+            sent: get_u64_arr(&obj, "sent")?,
+        },
+        "early_round" => {
+            let step_name = get_str(&obj, "step")?;
+            EventKind::EarlyRound {
+                interval: get_u64(&obj, "interval")?,
+                step: EarlyStep::from_name(step_name)
+                    .ok_or_else(|| format!("unknown step '{step_name}'"))?,
+            }
+        }
         other => return Err(format!("unknown kind '{other}'")),
     };
     Ok(TraceEvent {
@@ -238,6 +255,21 @@ fn report(path: &str, log: &TraceLog) {
         }
     }
 
+    // Early rounds: what the source's skew alerts led to.
+    let early = |want: EarlyStep| {
+        log.events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::EarlyRound { step, .. } if step == want))
+            .count()
+    };
+    println!(
+        "  early rounds: {} fired, {} planned, {} held, {} cancelled",
+        early(EarlyStep::Open),
+        early(EarlyStep::Planned),
+        early(EarlyStep::Held),
+        early(EarlyStep::Cancelled)
+    );
+
     // Dip attribution: intervals whose fed-tuple count falls below
     // DIP_FRACTION of the median, joined against overlapping spans and
     // faults in the interval's time window.
@@ -309,6 +341,12 @@ fn report(path: &str, log: &TraceLog) {
                 format!("interval {interval} fed ({tuples} tuples)")
             }
             EventKind::Mark { label } => format!("mark: {label}"),
+            EventKind::SkewAlert { interval, sent } => {
+                format!("skew alert in interval {interval}: sent {sent:?}")
+            }
+            EventKind::EarlyRound { interval, step } => {
+                format!("early round {interval} {}", step.as_str())
+            }
             EventKind::Snapshot { .. }
             | EventKind::RouterSnapshot { .. }
             | EventKind::DataFlush { .. } => continue,
@@ -327,6 +365,42 @@ fn check(log: &TraceLog) -> Vec<String> {
     for s in &log.span_summaries() {
         if s.outcome.is_none() {
             problems.push(format!("span {}: no close recorded", s.span));
+        }
+    }
+    // An early round is opened at most once per interval, by that
+    // interval's one skew alert, and ends at most once.
+    // (The alert is the source's event and the round the controller's:
+    // their stamps can tie, so only the controller's own order is
+    // checked.)
+    let mut alerted = std::collections::BTreeSet::new();
+    let mut rounds: std::collections::BTreeMap<u64, (u32, u32)> = Default::default();
+    for e in &log.events {
+        match e.kind {
+            EventKind::SkewAlert { interval, .. } if !alerted.insert(interval) => {
+                problems.push(format!("interval {interval}: more than one skew alert"));
+            }
+            EventKind::EarlyRound { interval, step } => {
+                let (opens, ends) = rounds.entry(interval).or_default();
+                if step == EarlyStep::Open {
+                    *opens += 1;
+                } else {
+                    *ends += 1;
+                    if *opens == 0 {
+                        problems.push(format!("early round {interval}: ends before it opens"));
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    for (interval, (opens, ends)) in rounds {
+        if !alerted.contains(&interval) {
+            problems.push(format!("early round {interval}: no skew alert behind it"));
+        }
+        if opens > 1 || ends > 1 {
+            problems.push(format!(
+                "early round {interval}: opened {opens} times, ended {ends} times (want ≤ 1 each)"
+            ));
         }
     }
     problems
@@ -417,6 +491,9 @@ mod tests {
         ctl.snapshot(0, vec![600, 400], vec![2, 1], 15.0, 42.5);
         src.router_snapshot(0, 12, 2, 4);
         sink.fault(0, "injected kill: worker \"1\"".to_string());
+        src.skew_alert(1, vec![90, 310]);
+        ctl.early_round(1, EarlyStep::Open);
+        ctl.early_round(1, EarlyStep::Planned);
         src.interval_end(1, 400);
         ctl.mark("teardown");
         drop((ctl, src, w0));
@@ -470,6 +547,23 @@ mod tests {
         let problems = check(&sink.take_log());
         assert!(
             problems.iter().any(|p| p.contains("span 7")),
+            "{problems:?}"
+        );
+
+        // An early round needs its alert, and ends once.
+        let sink = TraceSink::new(true);
+        let mut ctl = sink.recorder(ThreadLabel::Controller);
+        ctl.early_round(3, EarlyStep::Open);
+        ctl.early_round(3, EarlyStep::Held);
+        ctl.early_round(3, EarlyStep::Cancelled);
+        drop(ctl);
+        let problems = check(&sink.take_log());
+        assert!(
+            problems.iter().any(|p| p.contains("no skew alert")),
+            "{problems:?}"
+        );
+        assert!(
+            problems.iter().any(|p| p.contains("ended 2 times")),
             "{problems:?}"
         );
     }

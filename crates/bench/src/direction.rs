@@ -109,6 +109,11 @@ pub const DOWN_PATTERNS: &[&str] = &[
     // (Its `*_end_interval_ms` timings count down via "_ms", ahead of the
     // neutral "interval" echo.)
     "bytes_per_live_key",
+    // θ-gap bench: `run_imbalance` — the mean max/mean − 1 the intervals
+    // ran at — counts down via "imbalance" above and `migrated_bytes` via
+    // "migrated"; its `ideal_throughput_ratio` (1 ÷ (1 + θ̄)) hits UP
+    // first via "throughput". Declared here because the file's own name
+    // contains the neutral "theta", which would otherwise swallow them.
 ];
 
 /// Substring patterns for declaredly directionless keys (checked last,
@@ -184,6 +189,14 @@ pub const NEUTRAL_PATTERNS: &[&str] = &[
     "keys_per_round",
     "live_keys",
     "rounds",
+    // θ-gap bench trajectory facts and shape: how many provisional
+    // rounds fired and planned is what the alert *did* (the win is in
+    // `run_imbalance`); the fluctuation rate, the reaction lag and the
+    // alert's sample share and floor are configuration echoes.
+    "early_",
+    "fluctuation",
+    "reaction_lag",
+    "alert_",
 ];
 
 /// The direction for a flattened metric key, by positional pattern
@@ -353,6 +366,31 @@ mod tests {
             "stats_round.json :: sizes.k76000.live_keys",
             "stats_round.json :: measured_rounds",
             "stats_round.json :: window_intervals",
+        ] {
+            assert_eq!(direction_of(key), Direction::Neutral, "{key}");
+        }
+    }
+
+    #[test]
+    fn theta_gap_metrics_classify() {
+        for key in [
+            "theta_gap.json :: grid.z0.85/f1.both.run_imbalance",
+            "theta_gap.json :: grid.z0.85/f1.clairvoyant.run_imbalance",
+            "theta_gap.json :: floor_sweep.floor0.4.migrated_bytes",
+        ] {
+            assert_eq!(direction_of(key), Direction::LowerIsBetter, "{key}");
+        }
+        assert_eq!(
+            direction_of("theta_gap.json :: grid.z0.85/f1.both.ideal_throughput_ratio"),
+            Direction::HigherIsBetter
+        );
+        for key in [
+            "theta_gap.json :: grid.z0.85/f1.both.early_fired",
+            "theta_gap.json :: sample_sweep.sample1/8.early_planned",
+            "theta_gap.json :: grid.z0.85/f1.both.rebalances",
+            "theta_gap.json :: grid.z0.85/f1.fluctuation_f",
+            "theta_gap.json :: reaction_lag_share",
+            "theta_gap.json :: alert_floor",
         ] {
             assert_eq!(direction_of(key), Direction::Neutral, "{key}");
         }

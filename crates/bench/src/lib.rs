@@ -19,7 +19,7 @@ pub mod figure;
 pub mod json;
 
 use streambal_baselines::{CoreBalancer, ReadjConfig, ReadjPartitioner};
-use streambal_core::{BalanceParams, Partitioner, RebalanceStrategy};
+use streambal_core::{BalanceParams, Partitioner, RebalanceStrategy, TriggerPolicy};
 use streambal_sim::source::ZipfSource;
 use streambal_sim::{run_sim, SimConfig, SimReport};
 
@@ -110,9 +110,17 @@ impl Defaults {
     }
 }
 
+/// A core strategy exactly as the paper runs it: plans go to `θmax`
+/// ([`TriggerPolicy::paper`]), so the figures reproduce the paper's
+/// controller and not this repo's settle-inside default (DESIGN.md §4).
+fn paper_balancer(d: &Defaults, strategy: RebalanceStrategy) -> CoreBalancer {
+    CoreBalancer::new(d.nd, d.window, strategy, d.params())
+        .with_trigger_policy(TriggerPolicy::paper())
+}
+
 /// Runs one simulator experiment with a core strategy.
 pub fn run_core_sim(d: &Defaults, strategy: RebalanceStrategy) -> SimReport {
-    let mut p = CoreBalancer::new(d.nd, d.window, strategy, d.params());
+    let mut p = paper_balancer(d, strategy);
     let mut src = d.source();
     run_sim(
         &mut p,
@@ -184,7 +192,7 @@ pub fn header(label: &str, cols: &[String], width: usize) -> String {
 
 /// Convenience: a boxed core-strategy partitioner.
 pub fn core_partitioner(d: &Defaults, strategy: RebalanceStrategy) -> Box<dyn Partitioner> {
-    Box::new(CoreBalancer::new(d.nd, d.window, strategy, d.params()))
+    Box::new(paper_balancer(d, strategy))
 }
 
 #[cfg(test)]

@@ -77,12 +77,15 @@ pub mod stats;
 
 pub use intern::KeyInterner;
 pub use key::{Key, TaskId};
-pub use load::{balance_indicator, loads_of, max_skewness, needs_rebalance, LoadSummary};
+pub use load::{
+    balance_indicator, loads_of, max_skewness, needs_rebalance, skew_alert, LoadSummary,
+    SKEW_ALERT_FLOOR, SKEW_ALERT_MIN_SHARE,
+};
 pub use migration::{migration_delta, MigrationPlan, Move};
 pub use partitioner::{Partitioner, RoutingView};
 pub use rebalance::{
     outcome_from_assignment, rebalance, BalanceParams, RebalanceInput, RebalanceOutcome,
-    RebalanceStrategy, Rebalancer, TriggerPolicy,
+    RebalanceStrategy, Rebalancer, TriggerPolicy, SETTLE_FRACTION,
 };
 pub use routing::{next_live, AssignmentFn, CompiledTable, RoutingTable};
 pub use stats::{IntervalStats, KeyRecord, KeyStat, StatsPlane, StatsWindow};

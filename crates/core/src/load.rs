@@ -112,6 +112,44 @@ pub fn needs_rebalance(summary: &LoadSummary, theta_max: f64) -> bool {
     summary.is_overloaded(theta_max)
 }
 
+/// How far `max/mean` of the per-destination counts must exceed 1 —
+/// beyond sampling noise — before [`skew_alert`] fires. A constant, not
+/// `θmax`: the source that evaluates it does not know the partitioner's
+/// parameters, and `bench_results/theta_gap.json` shows the gain is flat
+/// in it up to several times the paper's `θmax` (DESIGN.md §5).
+pub const SKEW_ALERT_FLOOR: f64 = 0.08;
+
+/// The share of an interval's tuples a source must have sent (under one
+/// routing view) before it may raise a skew alert. The alert's counts
+/// are also the sample the provisional plan is made from: a plan that
+/// balances a few hundred tuples balances their sampling noise, and
+/// `bench_results/theta_gap.json`'s sample sweep shows the later,
+/// better-informed plan winning up to a quarter of the interval.
+pub const SKEW_ALERT_MIN_SHARE: f64 = 0.125;
+
+/// The source-side skew test behind a provisional statistics round: do
+/// the tuples `sent` to each destination so far in the open interval
+/// show an imbalance that is not sampling noise?
+///
+/// With `m` tuples drawn independently, a destination holding a `1/n`
+/// share receives `m/n ± σ`, `σ² = m·(1/n)(1 − 1/n)` (one multinomial
+/// cell). The alert fires when the busiest destination exceeds
+/// `(1 + floor)·m/n` by more than `3σ`, so early in an interval — few
+/// tuples, wide noise — only a large skew trips it, and a small one has
+/// to persist. The engine's source and the simulator's replay share this
+/// one function.
+pub fn skew_alert(sent: &[u64], floor: f64) -> bool {
+    let n = sent.len() as f64;
+    let total = sent.iter().sum::<u64>() as f64;
+    if sent.len() < 2 || total == 0.0 {
+        return false;
+    }
+    let mean = total / n;
+    let sigma = (mean * (1.0 - 1.0 / n)).sqrt();
+    let max = sent.iter().copied().max().unwrap_or(0) as f64;
+    max > (1.0 + floor) * mean + 3.0 * sigma
+}
+
 /// Convenience: `max L(d) / L̄` over an explicit load vector.
 pub fn max_skewness(loads: &[u64]) -> f64 {
     LoadSummary::new(loads.to_vec()).skewness()
@@ -220,6 +258,24 @@ mod tests {
         assert_eq!(s.max_theta(), 0.0);
         assert_eq!(s.skewness(), 0.0);
         assert!(!needs_rebalance(&s, 0.0));
+    }
+
+    /// The alert needs the skew to clear the floor by three sigmas of
+    /// the sample it has: the same 30 % skew is noise in 200 tuples and
+    /// a signal in 20 000.
+    #[test]
+    fn skew_alert_scales_its_margin_with_the_sample() {
+        assert!(!skew_alert(&[65, 45, 45, 45], 0.08));
+        assert!(skew_alert(&[6_500, 4_500, 4_500, 4_500], 0.08));
+        // Within the floor: never, however large the sample.
+        assert!(!skew_alert(&[1_050_000, 1_000_000, 1_000_000], 0.08));
+        // A higher floor tolerates more.
+        assert!(!skew_alert(&[6_500, 4_500, 4_500, 4_500], 0.40));
+        assert!(skew_alert(&[9_000, 4_500, 4_500, 4_500], 0.40));
+        // Nothing to compare.
+        assert!(!skew_alert(&[], 0.08));
+        assert!(!skew_alert(&[10], 0.08));
+        assert!(!skew_alert(&[0, 0], 0.08));
     }
 
     #[test]

@@ -181,12 +181,17 @@ pub fn rebalance(
     outcome_from_assignment(input, &assign)
 }
 
-/// When the controller may fire a rebalance, beyond the θmax condition.
+/// When the controller may fire a rebalance, beyond the θmax condition,
+/// and how far a plan that fires goes.
 ///
-/// The paper triggers whenever imbalance is detected at an interval end;
-/// production controllers usually add damping so that a single noisy
-/// interval (or a migration's own transient) does not cause thrash. Both
-/// knobs default to the paper's behaviour.
+/// The paper triggers whenever imbalance is detected at an interval end
+/// and plans to `θmax`; production controllers usually add damping so
+/// that a single noisy interval (or a migration's own transient) does
+/// not cause thrash. `cooldown` and `consecutive` default to the paper's
+/// behaviour. `settle_inside` does not: by default a plan stops well
+/// inside the tolerance that triggered it (DESIGN.md §4), and
+/// [`TriggerPolicy::paper`] is the paper-exact policy the figure
+/// harness pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TriggerPolicy {
     /// Minimum intervals between consecutive rebalances (0 = none).
@@ -194,6 +199,25 @@ pub struct TriggerPolicy {
     /// Require this many *consecutive* violating intervals before firing
     /// (1 = fire on first violation, the paper's behaviour).
     pub consecutive: usize,
+    /// Plan to [`SETTLE_FRACTION`]` · θmax` instead of to `θmax` itself.
+    /// A plan that lands exactly on the trigger threshold is re-tripped
+    /// by the next ripple and leaves every interval between two plans
+    /// running at `θ ≈ θmax`; the trigger stays at `θmax` either way.
+    pub settle_inside: bool,
+}
+
+/// The share of `θmax` a settling plan aims for.
+pub const SETTLE_FRACTION: f64 = 0.25;
+
+impl TriggerPolicy {
+    /// The paper's controller: fire on the first violation, plan to
+    /// `θmax`.
+    pub fn paper() -> Self {
+        TriggerPolicy {
+            settle_inside: false,
+            ..TriggerPolicy::default()
+        }
+    }
 }
 
 impl Default for TriggerPolicy {
@@ -201,6 +225,7 @@ impl Default for TriggerPolicy {
         TriggerPolicy {
             cooldown: 0,
             consecutive: 1,
+            settle_inside: true,
         }
     }
 }
@@ -394,26 +419,45 @@ impl Rebalancer {
     /// `θmax` — constructs and applies `F′`. A round that does not fire
     /// costs `O(keys reported + n_tasks)`.
     ///
+    /// A provisional report (the interval is still open, see
+    /// [`IntervalStats::is_provisional`]) is evaluated the same way — as
+    /// if the interval closed now — but is not an interval: it advances
+    /// neither the cooldown nor the violation streak, and the window
+    /// forgets it at the next report.
+    ///
     /// Returns the outcome when a rebalance fired (its
     /// [`MigrationPlan`] must then be executed by the engine *before*
     /// routing resumes for affected keys), or `None` when balanced.
     pub fn end_interval(&mut self, stats: IntervalStats) -> Option<RebalanceOutcome> {
+        let closing = !stats.is_provisional();
         self.plane.push(stats);
-        self.intervals_since_rebalance = self.intervals_since_rebalance.saturating_add(1);
+        if closing {
+            self.intervals_since_rebalance = self.intervals_since_rebalance.saturating_add(1);
+        }
         if !self.plane.window().has_records() {
             return None;
         }
         if !needs_rebalance(&self.plane.loads(), self.params.theta_max) {
-            self.consecutive_violations = 0;
+            if closing {
+                self.consecutive_violations = 0;
+            }
             return None;
         }
-        self.consecutive_violations += 1;
-        if self.consecutive_violations < self.trigger.consecutive
-            || self.intervals_since_rebalance <= self.trigger.cooldown
-        {
+        // What the counters would read had the interval closed here.
+        let open = usize::from(!closing);
+        let violations = self.consecutive_violations + 1;
+        let since = self.intervals_since_rebalance.saturating_add(open);
+        if closing {
+            self.consecutive_violations = violations;
+        }
+        if violations < self.trigger.consecutive || since <= self.trigger.cooldown {
             return None; // damped
         }
-        let outcome = rebalance(&self.build_input(), self.strategy, &self.params);
+        let mut plan_to = self.params;
+        if self.trigger.settle_inside {
+            plan_to.theta_max *= SETTLE_FRACTION;
+        }
+        let outcome = rebalance(&self.build_input(), self.strategy, &plan_to);
         // O(churn) delta install, with an occasional staleness resync —
         // never the old O(table) clone-and-swap per rebalance.
         self.last_install_was_delta = self
@@ -631,8 +675,8 @@ mod tests {
     fn trigger_policy_consecutive_damping() {
         let mut rb = Rebalancer::new(4, 2, RebalanceStrategy::Mixed, BalanceParams::default())
             .with_trigger_policy(TriggerPolicy {
-                cooldown: 0,
                 consecutive: 3,
+                ..TriggerPolicy::default()
             });
         // Two violating intervals: damped. Third: fires.
         assert!(rb.end_interval(skewed_interval(1000, 5_000)).is_none());
@@ -646,7 +690,7 @@ mod tests {
         let mut rb = Rebalancer::new(4, 1, RebalanceStrategy::Mixed, BalanceParams::default())
             .with_trigger_policy(TriggerPolicy {
                 cooldown: 2,
-                consecutive: 1,
+                ..TriggerPolicy::default()
             });
         // First violation fires immediately (no previous rebalance).
         assert!(rb.end_interval(skewed_interval(1000, 5_000)).is_some());
@@ -673,8 +717,8 @@ mod tests {
             },
         )
         .with_trigger_policy(TriggerPolicy {
-            cooldown: 0,
             consecutive: 2,
+            ..TriggerPolicy::default()
         });
         assert!(rb.end_interval(skewed_interval(1000, 5_000)).is_none());
         // A balanced interval breaks the streak.
@@ -686,6 +730,97 @@ mod tests {
         // One more violation: streak restarts at 1 — still damped.
         assert!(rb.end_interval(skewed_interval(1000, 5_000)).is_none());
         assert_eq!(rb.rebalances(), 0);
+    }
+
+    /// A provisional report is judged as if the interval closed there,
+    /// but it is not an interval: it can fire, yet it moves neither the
+    /// violation streak nor the cooldown clock, and a balanced one does
+    /// not break a streak.
+    #[test]
+    fn provisional_reports_do_not_advance_trigger_counters() {
+        let skew = || skewed_interval(1000, 5_000);
+        let balanced = || {
+            let mut iv = IntervalStats::new();
+            for k in 0..10_000u64 {
+                iv.observe(Key(k), 1, 1, 1);
+            }
+            iv
+        };
+        let params = BalanceParams {
+            theta_max: 0.5,
+            ..BalanceParams::default()
+        };
+        // Streak: two closing violations are needed. Provisional ones in
+        // between — violating or balanced — count for nothing.
+        let mut rb = Rebalancer::new(4, 2, RebalanceStrategy::Mixed, params).with_trigger_policy(
+            TriggerPolicy {
+                consecutive: 3,
+                ..TriggerPolicy::default()
+            },
+        );
+        assert!(rb.end_interval(skew().into_provisional()).is_none());
+        assert!(rb.end_interval(skew().into_provisional()).is_none());
+        assert!(rb.end_interval(skew()).is_none(), "streak 1");
+        assert!(rb.end_interval(balanced().into_provisional()).is_none());
+        assert!(rb.end_interval(skew()).is_none(), "streak 2, not reset");
+        // The third violation may be the open interval's.
+        assert!(rb.end_interval(skew().into_provisional()).is_some());
+        assert_eq!(rb.rebalances(), 1);
+
+        // Cooldown: a rebalance that fired on a provisional report starts
+        // the clock; provisional reports do not run it down.
+        let mut rb = Rebalancer::new(4, 1, RebalanceStrategy::Mixed, BalanceParams::default())
+            .with_trigger_policy(TriggerPolicy {
+                cooldown: 2,
+                ..TriggerPolicy::default()
+            });
+        let hot = |key: u64| {
+            let mut iv = skewed_interval(1000, 1);
+            iv.observe(Key(key), 1, 5_000, 5_000);
+            iv
+        };
+        assert!(rb.end_interval(hot(1).into_provisional()).is_some());
+        for key in 2..6 {
+            assert!(rb.end_interval(hot(key).into_provisional()).is_none());
+        }
+        assert!(
+            rb.end_interval(hot(6)).is_none(),
+            "interval 1 of the cooldown"
+        );
+        assert!(
+            rb.end_interval(hot(7)).is_none(),
+            "interval 2 of the cooldown"
+        );
+        assert!(rb.end_interval(hot(8).into_provisional()).is_some());
+    }
+
+    /// The trigger stays at θmax either way; only where the plan stops
+    /// differs: at θmax under the paper's policy, well inside it by
+    /// default.
+    #[test]
+    fn plans_settle_inside_theta_max_unless_pinned_to_the_paper() {
+        let mut iv = IntervalStats::new();
+        for k in 0..4_000u64 {
+            iv.observe(Key(k), 1, 10 + k % 17, 8);
+        }
+        let theta_after = |trigger: TriggerPolicy| {
+            let mut rb = Rebalancer::new(4, 1, RebalanceStrategy::Mixed, BalanceParams::default())
+                .with_trigger_policy(trigger);
+            // Pile a third of the keys onto task 0.
+            let pile: Vec<(Key, TaskId)> = (0..1_300u64).map(|k| (Key(k), TaskId(0))).collect();
+            rb.apply_moves(&pile);
+            rb.end_interval(iv.clone())
+                .expect("the pile must trigger")
+                .achieved_theta
+        };
+        let paper = theta_after(TriggerPolicy::paper());
+        let settled = theta_after(TriggerPolicy::default());
+        let theta_max = BalanceParams::default().theta_max;
+        assert!(paper <= theta_max && settled <= theta_max * SETTLE_FRACTION + 1e-9);
+        assert!(
+            paper > theta_max * SETTLE_FRACTION,
+            "the paper's plan stops once inside θmax: {paper}"
+        );
     }
 
     #[test]

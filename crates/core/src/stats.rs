@@ -63,9 +63,17 @@ pub struct KeyStat {
 }
 
 /// All key statistics reported for one interval by the downstream tasks.
+///
+/// A report is *closing* (the default: the interval is over) or
+/// *provisional*: a copy of the statistics accumulated so far in an
+/// interval that is still open, taken when the source raised a skew
+/// alert. A provisional report lets the partitioner plan inside the
+/// interval; the window forgets it when the next report arrives (see
+/// [`StatsWindow::push`]).
 #[derive(Debug, Clone, Default)]
 pub struct IntervalStats {
     stats: FxHashMap<Key, KeyStat>,
+    provisional: bool,
 }
 
 impl IntervalStats {
@@ -80,7 +88,20 @@ impl IntervalStats {
     pub fn with_capacity(keys: usize) -> Self {
         IntervalStats {
             stats: FxHashMap::with_capacity_and_hasher(keys, Default::default()),
+            provisional: false,
         }
+    }
+
+    /// Marks the report provisional: statistics of an interval that has
+    /// not closed yet.
+    pub fn into_provisional(mut self) -> Self {
+        self.provisional = true;
+        self
+    }
+
+    /// Whether this is a provisional report.
+    pub fn is_provisional(&self) -> bool {
+        self.provisional
     }
 
     /// Accumulates one observation for `key` (tasks call this per tuple or
@@ -358,6 +379,9 @@ pub struct StatsWindow {
     free: Vec<u32>,
     /// Retained intervals, oldest first.
     intervals: VecDeque<Delta>,
+    /// What the latest push contributed, when it was provisional: undone
+    /// by the next push, which takes over its stamp.
+    provisional: Option<Delta>,
     /// `Lᵢ(d, F)` over the unsplit rows, indexed by task.
     loads: Vec<u64>,
     /// Live rows currently flagged split.
@@ -380,6 +404,7 @@ impl StatsWindow {
             rows: Vec::new(),
             free: Vec::new(),
             intervals: VecDeque::new(),
+            provisional: None,
             loads: Vec::new(),
             split_rows: 0,
             pushes: 0,
@@ -404,30 +429,51 @@ impl StatsWindow {
     /// Pushes the newest interval, routing first-seen keys under `f`, and
     /// evicts the `w+1`-old one ("the task instance erases the state from
     /// interval `Tᵢ₋w`", §II-A).
+    ///
+    /// A provisional report (see [`IntervalStats::is_provisional`]) is
+    /// folded in as the latest interval — loads, costs and `Sᵢ(k, w)` all
+    /// see it — but evicts nothing and is *superseded* by the next push:
+    /// that push first subtracts what the provisional one added and then
+    /// lands in the same slot, under the same stamp. After the closing
+    /// report the window therefore equals one that never saw the
+    /// provisional report at all.
     pub fn push(&mut self, stats: IntervalStats, f: &AssignmentFn) {
         if self.loads.len() != f.n_tasks() {
             self.reroute_all(f);
         }
-        // Load is the latest interval's cost only. Restamping retires
-        // every older cost at once, without visiting the rows that
-        // carried it.
-        self.pushes = self.pushes.wrapping_add(1);
+        // Rows left without a reference, kept until after the fold: a key
+        // the new report names again keeps its row and its cached route.
+        let mut unreferenced = Vec::new();
+        let mut release = |rows: &mut [Row], delta: Delta| {
+            for (i, &r) in delta.rows.iter().enumerate() {
+                let row = &mut rows[r as usize];
+                row.mem -= delta.mems.get(i);
+                row.refs -= 1;
+                if row.refs == 0 {
+                    unreferenced.push(r);
+                }
+            }
+        };
+        match self.provisional.take() {
+            // Superseding: the stamp stays, so every cost the
+            // provisional report set must be retired by hand.
+            Some(undone) => {
+                for &r in &undone.rows {
+                    self.rows[r as usize].reported = self.pushes.wrapping_sub(1);
+                }
+                release(&mut self.rows, undone);
+            }
+            // Load is the latest interval's cost only. Restamping retires
+            // every older cost at once, without visiting the rows that
+            // carried it.
+            None => self.pushes = self.pushes.wrapping_add(1),
+        }
         self.loads.fill(0);
         // Retire the oldest interval before the new one is folded in, so
-        // its delta is freed before the new one is allocated — but keep
-        // the rows it leaves unreferenced until after the fold: a key
-        // both of them report keeps its row and its cached route.
-        let mut unreferenced = Vec::new();
-        if self.intervals.len() == self.window {
+        // its delta is freed before the new one is allocated.
+        if !stats.is_provisional() && self.intervals.len() == self.window {
             if let Some(old) = self.intervals.pop_front() {
-                for (i, &r) in old.rows.iter().enumerate() {
-                    let row = &mut self.rows[r as usize];
-                    row.mem -= old.mems.get(i);
-                    row.refs -= 1;
-                    if row.refs == 0 {
-                        unreferenced.push(r);
-                    }
-                }
+                release(&mut self.rows, old);
             }
         }
         let mut delta = Delta {
@@ -447,10 +493,14 @@ impl StatsWindow {
             delta.rows.push(r);
             delta.mems.push(s.mem);
         }
-        self.intervals.push_back(delta);
-        // A row disappears exactly when the last interval that reported
-        // its key is gone. It carries no load: only the newest interval's
-        // keys do, and each of those is referenced.
+        if stats.is_provisional() {
+            self.provisional = Some(delta);
+        } else {
+            self.intervals.push_back(delta);
+        }
+        // A row disappears exactly when the last report that named its
+        // key is gone. It carries no load: only the newest report's keys
+        // do, and each of those is referenced.
         for r in unreferenced {
             let row = self.rows[r as usize];
             if row.refs == 0 {
@@ -776,6 +826,8 @@ impl KeyRecord {
 pub(crate) struct NaiveWindow {
     window: usize,
     intervals: VecDeque<IntervalStats>,
+    /// The latest report while it is provisional; the next push drops it.
+    provisional: Option<IntervalStats>,
 }
 
 #[cfg(test)]
@@ -784,19 +836,30 @@ impl NaiveWindow {
         NaiveWindow {
             window: w,
             intervals: VecDeque::new(),
+            provisional: None,
         }
     }
 
     pub(crate) fn push(&mut self, stats: IntervalStats) {
+        if stats.is_provisional() {
+            self.provisional = Some(stats);
+            return;
+        }
+        self.provisional = None;
         if self.intervals.len() == self.window {
             self.intervals.pop_front();
         }
         self.intervals.push_back(stats);
     }
 
+    /// Every report in the window, oldest first.
+    fn reports(&self) -> impl Iterator<Item = &IntervalStats> + '_ {
+        self.intervals.iter().chain(&self.provisional)
+    }
+
     pub(crate) fn union_keys(&self, live: impl IntoIterator<Item = Key>) -> Vec<Key> {
         let mut seen: streambal_hashring::FxHashSet<Key> = live.into_iter().collect();
-        for iv in &self.intervals {
+        for iv in self.reports() {
             seen.extend(iv.iter().map(|(k, _)| k));
         }
         let mut keys: Vec<Key> = seen.into_iter().collect();
@@ -805,8 +868,7 @@ impl NaiveWindow {
     }
 
     pub(crate) fn windowed_mem(&self, key: Key) -> u64 {
-        self.intervals
-            .iter()
+        self.reports()
             .filter_map(|iv| iv.get(key))
             .map(|s| s.mem)
             .sum()
@@ -814,12 +876,12 @@ impl NaiveWindow {
 
     pub(crate) fn records(&self, f: &AssignmentFn) -> Vec<KeyRecord> {
         let mut mem: FxHashMap<Key, u64> = FxHashMap::default();
-        for iv in &self.intervals {
+        for iv in self.reports() {
             for (k, s) in iv.iter() {
                 *mem.entry(k).or_insert(0) += s.mem;
             }
         }
-        let latest = self.intervals.back();
+        let latest = self.reports().last();
         let mut out: Vec<KeyRecord> = mem
             .into_iter()
             .filter(|&(k, _)| f.split_replicas(k).is_none())
@@ -1102,6 +1164,103 @@ mod tests {
                 assert_eq!(plane.loads().loads, naive.loads(plane.assignment()));
             }
             assert!(resyncs > 0, "w={w}: the resync install never ran");
+        }
+    }
+
+    /// An assignment mutation drawn once and applied to two planes.
+    enum Mutation {
+        Moves(Vec<(Key, TaskId)>),
+        Split(Key, [TaskId; 2]),
+        UnsplitAll,
+        AddTask,
+        ScaleIn(Vec<Key>),
+        Nothing,
+    }
+
+    fn random_mutation(rng: &mut Lcg, domain: u64, n: u64) -> Mutation {
+        match rng.below(7) {
+            0 => Mutation::Moves(
+                (0..rng.below(40))
+                    .map(|_| (k(rng.below(domain)), TaskId(rng.below(n) as u32)))
+                    .collect(),
+            ),
+            1 => Mutation::Split(
+                k(rng.below(domain)),
+                [TaskId(0), TaskId(1 + rng.below(n - 1) as u32)],
+            ),
+            2 => Mutation::UnsplitAll,
+            3 if n < 6 => Mutation::AddTask,
+            4 if n > 2 => {
+                Mutation::ScaleIn((0..rng.below(10)).map(|_| k(rng.below(domain))).collect())
+            }
+            _ => Mutation::Nothing,
+        }
+    }
+
+    fn mutate(plane: &mut StatsPlane, m: &Mutation) {
+        match m {
+            Mutation::Moves(moves) => plane.apply_moves(moves),
+            Mutation::Split(key, replicas) => {
+                plane.split_key(*key, replicas);
+            }
+            Mutation::UnsplitAll => {
+                for (key, _) in plane.assignment().splits() {
+                    plane.unsplit_key(key);
+                }
+            }
+            Mutation::AddTask => {
+                plane.add_task();
+            }
+            Mutation::ScaleIn(live) => {
+                let victim = TaskId(plane.assignment().n_tasks() as u32 - 1);
+                plane.scale_in(victim, live);
+            }
+            Mutation::Nothing => {}
+        }
+    }
+
+    /// `push(provisional p); push(closing c)` ≡ `push(c)`: a plane that
+    /// sees provisional reports (and assignment mutations while one is
+    /// live) equals, after every closing report, a plane that was never
+    /// shown them — records, loads, windowed memory, row liveness and the
+    /// push stamp — and both equal the naive recompute. While the
+    /// provisional report is live it *is* the latest interval.
+    #[test]
+    fn provisional_report_is_superseded_by_the_next_push() {
+        const DOMAIN: u64 = 120;
+        for w in [1usize, 2, 5, 100] {
+            let mut rng = Lcg(7000 + w as u64);
+            let mut seen = StatsPlane::new(3, w);
+            let mut blind = StatsPlane::new(3, w);
+            let mut naive = NaiveWindow::new(w);
+            for _ in 0..(3 * w + 60) {
+                for _ in 0..rng.below(3) {
+                    let p = random_interval(&mut rng, DOMAIN).into_provisional();
+                    naive.push(p.clone());
+                    seen.push(p);
+                    assert_matches(seen.window(), &naive, seen.assignment(), DOMAIN);
+                    let n = seen.assignment().n_tasks() as u64;
+                    let m = random_mutation(&mut rng, DOMAIN, n);
+                    mutate(&mut seen, &m);
+                    mutate(&mut blind, &m);
+                    assert_matches(seen.window(), &naive, seen.assignment(), DOMAIN);
+                }
+                let c = random_interval(&mut rng, DOMAIN);
+                naive.push(c.clone());
+                seen.push(c.clone());
+                blind.push(c);
+                let n = seen.assignment().n_tasks() as u64;
+                let m = random_mutation(&mut rng, DOMAIN, n);
+                mutate(&mut seen, &m);
+                mutate(&mut blind, &m);
+                assert_matches(seen.window(), &naive, seen.assignment(), DOMAIN);
+                assert_matches(blind.window(), &naive, blind.assignment(), DOMAIN);
+                assert_eq!(seen.window().records(), blind.window().records());
+                assert_eq!(seen.window().loads(), blind.window().loads());
+                assert_eq!(seen.window().len(), blind.window().len());
+                assert_eq!(seen.window().pushes, blind.window().pushes);
+                assert_eq!(seen.window().split_rows, blind.window().split_rows);
+            }
         }
     }
 

@@ -17,7 +17,7 @@ use streambal_core::{IntervalStats, Key, Partitioner, RoutingView, TaskId};
 use streambal_elastic::{IntervalObservation, RoundAction, RoundDecisions, RoundInputs};
 use streambal_hashring::{FxHashMap, FxHashSet};
 use streambal_metrics::{Counter, Histogram};
-use streambal_trace::{OpLabel, Outcome, Phase, ThreadRecorder};
+use streambal_trace::{EarlyStep, OpLabel, Outcome, Phase, ThreadRecorder};
 
 use crate::engine::{EngineConfig, EngineReport, ProtocolError};
 use crate::fault::{next_live, CtlKind, FaultEvent, FaultInjector, OpKind, SendPeer};
@@ -250,6 +250,18 @@ impl StatsLedger {
             self.carry.merge(stats);
         }
     }
+}
+
+/// The provisional statistics round open inside the current interval:
+/// copies of the workers' statistics so far, requested when the source
+/// raised a skew alert. It feeds the partitioner's rebalance hook and
+/// nothing else — elasticity and split policies, the snapshot stream and
+/// the ledger above see whole intervals only — and the interval's closing
+/// round cancels it if it is still waiting.
+struct EarlyRound {
+    interval: u64,
+    merged: IntervalStats,
+    awaiting: FxHashSet<TaskId>,
 }
 
 /// Epochs whose op finished, aborted, or was synthesized for a re-home
@@ -607,6 +619,7 @@ fn drain_dead_channel(
             // payload-carrying variant fails to compile here instead of
             // silently dropping out of `fed == observed + lost`.
             Message::StatsRequest { .. }
+            | Message::StatsPeek { .. }
             | Message::MigrateOut { .. }
             | Message::Retire { .. }
             | Message::Shutdown => {}
@@ -654,6 +667,8 @@ pub(crate) struct Controller<'a> {
     /// reports, dead-worker strikes, and deadline expiry alike, so every
     /// round is decided by exactly one code path.
     closed_rounds: Vec<(u64, ClosedRound)>,
+    /// The provisional round of the open interval, if one is waiting.
+    early: Option<EarlyRound>,
     /// Outstanding source resumes by epoch: the view to re-drive each
     /// with and its deadline clock. Resumes are retried forever and
     /// never aborted — an abandoned resume would leave pause-buffered
@@ -714,6 +729,7 @@ impl<'a> Controller<'a> {
             op_clock: None,
             ledger: StatsLedger::new(),
             closed_rounds: Vec::new(),
+            early: None,
             resume_state: FxHashMap::default(),
             retiring: None,
             closed_epochs: ClosedEpochs::new(),
@@ -796,6 +812,7 @@ impl<'a> Controller<'a> {
                     to: SendPeer::Worker(dest.index()),
                 });
             }
+            SourceEvent::SkewAlert { interval } => self.on_skew_alert(interval),
             SourceEvent::Finished => self.source_finished = true,
         }
     }
@@ -814,6 +831,19 @@ impl<'a> Controller<'a> {
                 // every distinct expected worker has answered.
                 if let Some(round) = self.ledger.on_stats(worker, interval, stats, &latency) {
                     self.closed_rounds.push((interval, round));
+                }
+            }
+            WorkerEvent::StatsPeek {
+                worker,
+                interval,
+                stats,
+            } => {
+                // An answer to a round already cancelled (or to another
+                // interval's) is only a copy: dropping it loses nothing.
+                if let Some(early) = self.early.as_mut().filter(|e| e.interval == interval) {
+                    if early.awaiting.remove(&worker) {
+                        early.merged.merge(&stats);
+                    }
                 }
             }
             WorkerEvent::StateOut {
@@ -889,6 +919,7 @@ impl<'a> Controller<'a> {
         for (interval, round) in std::mem::take(&mut self.closed_rounds) {
             self.decide_round(interval, round);
         }
+        self.settle_early_round();
         self.check_op_deadline();
         self.redrive_resumes();
         self.start_next_op();
@@ -909,6 +940,9 @@ impl<'a> Controller<'a> {
 
     fn on_interval_done(&mut self, interval: u64) {
         self.current_interval = interval;
+        // The closing round overtakes a provisional one still waiting:
+        // whole-interval statistics are about to arrive.
+        self.cancel_early_round();
         let now = Instant::now();
         let count = self.io.counter.get();
         let (mark_at, mark_count) = self.last_interval_mark;
@@ -943,6 +977,62 @@ impl<'a> Controller<'a> {
         }
         if !expected.is_empty() {
             self.ledger.open(interval, self.active, expected, queues);
+        }
+    }
+
+    /// The source sees the open `interval` skewed: ask every worker for
+    /// a copy of its statistics so far, unless the control plane is busy
+    /// — an op in flight or queued is already changing the routing the
+    /// alert was measured under, and a degraded or draining topology
+    /// plans at interval boundaries only. A request lost on the way (or
+    /// injector-dropped) is still awaited; the closing round cancels
+    /// the round it leaves hanging.
+    fn on_skew_alert(&mut self, interval: u64) {
+        let busy = self.pending.is_some()
+            || !self.queue.is_empty()
+            || self.early.is_some()
+            || !self.dead.is_empty()
+            || self.draining;
+        if busy {
+            return;
+        }
+        for w in 0..self.active {
+            let msg = Message::StatsPeek { interval };
+            self.io.send_ctl_marker(w, CtlKind::StatsRequest, msg);
+        }
+        self.io.rec.early_round(interval, EarlyStep::Open);
+        self.early = Some(EarlyRound {
+            interval,
+            merged: IntervalStats::with_capacity(self.ledger.last_round_keys),
+            awaiting: (0..self.active).map(TaskId::from).collect(),
+        });
+    }
+
+    /// Hands a fully answered provisional round to the partitioner.
+    /// Runs after the closed rounds are decided: a worker answers the
+    /// previous interval's closing request before the provisional one
+    /// (same FIFO channel), so that round is in the window by now, and
+    /// if it planned an op the routing is already moving — the
+    /// provisional statistics are dropped rather than planned on twice.
+    fn settle_early_round(&mut self) {
+        let Some(early) = self.early.take_if(|e| e.awaiting.is_empty()) else {
+            return;
+        };
+        let step = if self.pending.is_some() || !self.queue.is_empty() {
+            EarlyStep::Cancelled
+        } else if self.plan_rebalance(early.merged.into_provisional()) {
+            EarlyStep::Planned
+        } else {
+            EarlyStep::Held
+        };
+        self.io.rec.early_round(early.interval, step);
+    }
+
+    fn cancel_early_round(&mut self) {
+        if let Some(early) = self.early.take() {
+            self.io
+                .rec
+                .early_round(early.interval, EarlyStep::Cancelled);
         }
     }
 
@@ -1283,6 +1373,8 @@ impl<'a> Controller<'a> {
         self.io.injector.record(FaultEvent::StateLost { worker: w });
         self.dead.insert(w);
         self.bill_live_width();
+        // A provisional round would wait on the corpse forever.
+        self.cancel_early_round();
         // Pin the dead slot's keys onto survivors (via each key's hash
         // home, cycled past dead slots) and tell the source; its ack
         // returns when the re-route is live, at which point the channel
@@ -1502,13 +1594,13 @@ impl<'a> Controller<'a> {
     }
 
     /// Hands the round's statistics to the partitioner and queues the
-    /// rebalance it plans, if any.
-    fn plan_rebalance(&mut self, merged: IntervalStats) {
+    /// rebalance it plans, if any; returns whether it planned one.
+    fn plan_rebalance(&mut self, merged: IntervalStats) -> bool {
         let Some(out) = self.partitioner.end_interval(merged) else {
-            return;
+            return false;
         };
         if out.plan.is_empty() {
-            return;
+            return false;
         }
         self.report.rebalances += 1;
         self.report.migrated_keys += out.plan.keys_moved() as u64;
@@ -1561,6 +1653,7 @@ impl<'a> Controller<'a> {
             Extract::Moves(by_source),
             false,
         ));
+        true
     }
 
     /// Replaces `slot`'s channel with a fresh one — the old receiver
@@ -2121,6 +2214,14 @@ mod protocol_tests {
 
     /// A controller over three provisioned slots, all of them running.
     fn rig(policy: FixedSchedule) -> (Controller<'static>, Rig) {
+        rig_with(policy, FaultPlan::none(), Box::new(HashPartitioner::new(3)))
+    }
+
+    fn rig_with(
+        policy: FixedSchedule,
+        plan: FaultPlan,
+        partitioner: Box<dyn Partitioner>,
+    ) -> (Controller<'static>, Rig) {
         let config = EngineConfig {
             n_workers: 3,
             max_workers: 3,
@@ -2128,10 +2229,7 @@ mod protocol_tests {
             ..EngineConfig::default()
         };
         let sink = TraceSink::new(true);
-        let injector = Arc::new(FaultInjector::with_trace(
-            FaultPlan::none(),
-            Arc::clone(&sink),
-        ));
+        let injector = Arc::new(FaultInjector::with_trace(plan, Arc::clone(&sink)));
         let (worker_txs, workers): (Vec<_>, Vec<_>) =
             (0..3).map(|_| bounded(config.channel_capacity)).unzip();
         let (ctl_tx, source) = unbounded();
@@ -2149,7 +2247,6 @@ mod protocol_tests {
                 spawned_by_ctl.borrow_mut().push((slot, first, rx));
             }),
         };
-        let partitioner = Box::new(HashPartitioner::new(3));
         let ctl = Controller::new(config, partitioner, io, Instant::now());
         let rig = Rig {
             sink,
@@ -2383,5 +2480,189 @@ mod protocol_tests {
         // The stale re-home ran on a fresh, pre-closed epoch.
         assert_eq!(installs(2), vec![(7, vec![key]), (1, vec![key])]);
         assert!(ctl.closed_epochs.contains(1));
+    }
+    fn peeks_at(rx: &Receiver<Message>) -> Vec<u64> {
+        let mut out = Vec::new();
+        while let Ok(msg) = rx.try_recv() {
+            if let Message::StatsPeek { interval } = msg {
+                out.push(interval);
+            }
+        }
+        out
+    }
+
+    fn peek_answer(worker: usize, interval: u64) -> WorkerEvent {
+        let mut stats = IntervalStats::new();
+        stats.observe(Key(worker as u64), 1, 1, 1);
+        WorkerEvent::StatsPeek {
+            worker: TaskId::from(worker),
+            interval,
+            stats,
+        }
+    }
+
+    fn alert(interval: u64) -> SourceEvent {
+        SourceEvent::SkewAlert { interval }
+    }
+
+    /// The early-round steps the controller recorded, in order.
+    fn early_steps(rig: &Rig) -> Vec<(u64, EarlyStep)> {
+        rig.sink
+            .take_log()
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::EarlyRound { interval, step } => Some((interval, step)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A skew alert opens a provisional round — one request per worker,
+    /// settled when every copy is in — unless an op is in flight or
+    /// queued: that op is already changing the routing the alert was
+    /// measured under.
+    #[test]
+    fn skew_alert_opens_a_round_only_while_the_control_plane_is_idle() {
+        let (mut ctl, rig) = rig(FixedSchedule::new([(0, ScaleDecision::ScaleIn)]));
+        // Idle: the round opens, every worker is asked, and the last
+        // answer settles it (a hash partitioner never plans: held).
+        ctl.on_source_event(alert(0));
+        for rx in &rig.workers {
+            assert_eq!(peeks_at(rx), vec![0]);
+        }
+        for w in 0..3 {
+            assert!(ctl.early.is_some());
+            ctl.on_worker_event(peek_answer(w, 0));
+            ctl.tick();
+        }
+        assert!(ctl.early.is_none());
+        // A second alert for the interval cannot arrive (the source
+        // raises one), but the interval's close must find nothing open.
+        close_round(&mut ctl, 0);
+        // Round 0 decided a scale-in: its op is in flight, and alerts
+        // are ignored for as long as it is (and while it is queued).
+        assert!(ctl.pending.is_some());
+        ctl.on_source_event(alert(1));
+        assert!(ctl.early.is_none());
+        for rx in &rig.workers {
+            assert_eq!(peeks_at(rx), vec![]);
+        }
+        assert_eq!(ctl.report.protocol_errors, vec![]);
+        assert_eq!(rig.injector.take_ledger(), vec![]);
+        drop(ctl.finish());
+        assert_eq!(
+            early_steps(&rig),
+            vec![(0, EarlyStep::Open), (0, EarlyStep::Held)]
+        );
+    }
+
+    /// The interval's closing round cancels a provisional round still
+    /// waiting; the answers that trickle in afterwards are copies nobody
+    /// needs — dropped without a protocol error or a ledger entry — and
+    /// so is an answer for an interval no round was opened for.
+    #[test]
+    fn closing_round_cancels_an_open_provisional_round() {
+        let (mut ctl, rig) = rig(FixedSchedule::new([]));
+        ctl.on_source_event(alert(4));
+        ctl.on_worker_event(peek_answer(0, 4));
+        ctl.tick();
+        assert!(ctl.early.is_some(), "two answers outstanding");
+        close_round(&mut ctl, 4);
+        assert!(ctl.early.is_none());
+        ctl.on_worker_event(peek_answer(1, 4));
+        ctl.on_worker_event(peek_answer(2, 4));
+        ctl.on_worker_event(peek_answer(2, 9));
+        ctl.tick();
+        // The next interval's round is not confused by the stragglers.
+        ctl.on_source_event(alert(5));
+        ctl.on_worker_event(peek_answer(1, 4));
+        ctl.tick();
+        assert_eq!(ctl.early.as_ref().map(|e| e.awaiting.len()), Some(3));
+        assert_eq!(ctl.report.protocol_errors, vec![]);
+        assert_eq!(ctl.report.rebalances, 0);
+        assert_eq!(rig.injector.take_ledger(), vec![]);
+        drop(ctl.finish());
+        assert_eq!(
+            early_steps(&rig),
+            vec![
+                (4, EarlyStep::Open),
+                (4, EarlyStep::Cancelled),
+                (5, EarlyStep::Open)
+            ]
+        );
+    }
+
+    /// A provisional request lost on the way leaves its worker awaited:
+    /// the round simply never settles, the closing round cancels it, and
+    /// the statistics rounds around it are untouched.
+    #[test]
+    fn dropped_provisional_request_is_harmless() {
+        let plan = FaultPlan::new(vec![crate::fault::FaultSpec::DropCtl {
+            kind: CtlKind::StatsRequest,
+            nth: 2,
+        }]);
+        let hash = Box::new(HashPartitioner::new(3));
+        let (mut ctl, rig) = rig_with(FixedSchedule::new([]), plan, hash);
+        ctl.on_source_event(alert(0));
+        let asked: Vec<Vec<u64>> = rig.workers.iter().map(peeks_at).collect();
+        assert_eq!(asked, vec![vec![0], vec![], vec![0]], "the 2nd was dropped");
+        ctl.on_worker_event(peek_answer(0, 0));
+        ctl.on_worker_event(peek_answer(2, 0));
+        ctl.tick();
+        assert_eq!(ctl.early.as_ref().map(|e| e.awaiting.len()), Some(1));
+        close_round(&mut ctl, 0);
+        assert!(ctl.early.is_none());
+        assert_eq!(ctl.ledger.outstanding(), 0, "the closing round closed");
+        assert_eq!(ctl.report.protocol_errors, vec![]);
+        assert_eq!(
+            rig.injector.take_ledger(),
+            vec![FaultEvent::InjectedDrop {
+                kind: CtlKind::StatsRequest,
+                nth: 2
+            }]
+        );
+    }
+    /// A provisional round that finds the open interval skewed plans
+    /// through the ordinary walk — a `rebalance` op, queued and started
+    /// like any other — and the interval's closing report then lands in
+    /// the partitioner's window as if the provisional one never had.
+    #[test]
+    fn provisional_round_plans_an_ordinary_rebalance_op() {
+        use streambal_baselines::CoreBalancer;
+        use streambal_core::{BalanceParams, RebalanceStrategy};
+        let mixed = CoreBalancer::new(3, 2, RebalanceStrategy::Mixed, BalanceParams::default());
+        let (mut ctl, rig) = rig_with(FixedSchedule::new([]), FaultPlan::none(), Box::new(mixed));
+        // Worker 2 reports a pile of equal keys; the others little.
+        let report = |w: usize, interval: u64| {
+            let mut stats = IntervalStats::new();
+            let keys = if w == 2 { 0..300u64 } else { 0..30u64 };
+            for k in keys {
+                stats.observe(Key(1_000 * w as u64 + k), 1, 1, 8);
+            }
+            WorkerEvent::StatsPeek {
+                worker: TaskId::from(w),
+                interval,
+                stats,
+            }
+        };
+        ctl.on_source_event(alert(0));
+        for w in 0..3 {
+            ctl.on_worker_event(report(w, 0));
+        }
+        ctl.tick();
+        assert_eq!(ctl.report.rebalances, 1);
+        let op = ctl.pending.as_ref().expect("the plan's op started");
+        assert!(op.label == OpLabel::Rebalance && op.epoch == 1);
+        assert!(matches!(
+            rig.source.try_recv(),
+            Ok(SourceCtl::Pause { epoch: 1, .. })
+        ));
+        assert_eq!(ctl.report.protocol_errors, vec![]);
+        drop(ctl.finish());
+        assert_eq!(
+            early_steps(&rig),
+            vec![(0, EarlyStep::Open), (0, EarlyStep::Planned)]
+        );
     }
 }

@@ -18,7 +18,9 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender};
-use streambal_core::{Key, Partitioner, RoutingView, TaskId};
+use streambal_core::{
+    skew_alert, Key, Partitioner, RoutingView, TaskId, SKEW_ALERT_FLOOR, SKEW_ALERT_MIN_SHARE,
+};
 use streambal_elastic::{ElasticityPolicy, HoldPolicy, SplitPolicy};
 use streambal_hashring::FxHashSet;
 // Only the unit tests below use these; they glob-import this module.
@@ -636,6 +638,10 @@ struct SourcePlane {
     /// hand): routed tuples divert past them in [`SourcePlane::send_batch`]
     /// until a `ReviveDest` swaps in a fresh channel.
     dead: FxHashSet<usize>,
+    /// Tuples sent to each slot in the open interval under the current
+    /// view (zeroed at every interval boundary and view change) — what
+    /// the skew alert is evaluated on.
+    sent: Vec<u64>,
     /// Shared fault injector: ack sends honour injected control drops.
     injector: Arc<FaultInjector>,
 }
@@ -733,7 +739,10 @@ impl SourcePlane {
                 d = nd;
             }
             match self.worker_txs[d].send_weighted(msg, weight) {
-                Ok(()) => return,
+                Ok(()) => {
+                    self.sent[d] += weight as u64;
+                    return;
+                }
                 Err(e) => {
                     if self.dead.insert(d) {
                         // The event channel outlives the source (the
@@ -759,8 +768,33 @@ impl SourcePlane {
         let _ = self.events.send(ev);
     }
 
+    /// Whether the per-destination counts of an interval of `fed` tuples
+    /// show, on a large enough sample, a skew that is not sampling noise.
+    /// Never while a pause holds tuples back (the counts would be missing
+    /// them) or a slot is dead (its traffic is being diverted, and the
+    /// controller holds plans while degraded).
+    fn skewed(&self, fed: u64) -> bool {
+        let sent = &self.sent[..self.router.n_tasks()];
+        self.paused.is_none()
+            && self.dead.is_empty()
+            && sent.iter().sum::<u64>() as f64 >= SKEW_ALERT_MIN_SHARE * fed as f64
+            && skew_alert(sent, SKEW_ALERT_FLOOR)
+    }
+
     /// Handles one control message; returns false on Shutdown.
     fn handle_ctl(&mut self, msg: SourceCtl) -> bool {
+        // Every message but a pause changes where tuples go: counts
+        // taken under the old view say nothing about the new one, and
+        // neither does the pause-buffer flush a resume ships.
+        let rerouted = !matches!(msg, SourceCtl::Pause { .. } | SourceCtl::PauseDest { .. });
+        let go_on = self.apply_ctl(msg);
+        if rerouted {
+            self.sent.fill(0);
+        }
+        go_on
+    }
+
+    fn apply_ctl(&mut self, msg: SourceCtl) -> bool {
         match msg {
             SourceCtl::Pause { epoch, affected } => {
                 // Re-arming an identical pause (a deadline-retried Pause
@@ -886,6 +920,7 @@ fn source_loop<F>(
         dests: Vec::with_capacity(batch),
         batch,
         dead: FxHashSet::default(),
+        sent: vec![0; n_slots],
         injector,
     };
     // Staging scratch, reused across batches to stay allocation-free.
@@ -899,6 +934,8 @@ fn source_loop<F>(
         };
         let fed = tuples.len() as u64;
         let mut pending = tuples.into_iter();
+        plane.sent.fill(0);
+        let mut alerted = false;
         loop {
             if since_ctl >= ctl_every {
                 since_ctl = 0;
@@ -907,6 +944,14 @@ fn source_loop<F>(
                     if !plane.handle_ctl(msg) {
                         return;
                     }
+                }
+                // One shot per interval, and only while at least half of
+                // it is still to come: a plan made later has too little
+                // of the interval left to pay for its pause.
+                if !alerted && pending.len() as u64 * 2 > fed && plane.skewed(fed) {
+                    alerted = true;
+                    recorder.skew_alert(interval, plane.sent.clone());
+                    let _ = plane.events.send(SourceEvent::SkewAlert { interval });
                 }
             }
             // Stage the next batch, holding back keys paused for an
@@ -1078,6 +1123,62 @@ mod tests {
         );
         assert!(report.rebalances > 0, "skew must trigger migration");
         assert!(report.migrated_keys > 0);
+        assert_eq!(decode_counts(&report.final_states), expect, "exactly-once");
+    }
+
+    /// Provisional rounds under the paper's hardest regime (f = 1.0) and
+    /// tiny channels: the source's alerts open rounds inside intervals,
+    /// their plans migrate state at arbitrary cut points, and the final
+    /// counts are still exact — with nothing in the error list or the
+    /// fault ledger, and every span closed in protocol order.
+    #[test]
+    fn early_rounds_keep_word_counts_exact() {
+        let mut hash = HashPartitioner::new(3);
+        let mut w = FluctuatingWorkload::new(300, 1.0, 8_000, 1.0, 23);
+        let mut intervals: Vec<Vec<Key>> = Vec::new();
+        for _ in 0..12 {
+            intervals.push(w.tuples());
+            w.advance(3, |k| hash.route(k));
+        }
+        let expect = reference_counts(&intervals);
+        let feed = intervals.clone();
+        let report = Engine::run(
+            EngineConfig {
+                channel_capacity: 64,
+                ..small_config()
+            },
+            Box::new(CoreBalancer::new(
+                3,
+                100,
+                RebalanceStrategy::Mixed,
+                BalanceParams::default(),
+            )),
+            |_| Box::new(WordCountOp::new()),
+            move |iv| {
+                feed.get(iv as usize)
+                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
+            },
+            None,
+        );
+        use streambal_trace::{EarlyStep, EventKind};
+        let fired = report
+            .trace
+            .events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::EarlyRound {
+                        step: EarlyStep::Open,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert!(fired >= 1, "no early round fired in 12 drifting intervals");
+        assert_eq!(report.protocol_errors, vec![]);
+        assert_eq!(report.faults, vec![]);
+        assert_eq!(report.trace.check_integrity(), Vec::<String>::new());
         assert_eq!(decode_counts(&report.final_states), expect, "exactly-once");
     }
 
@@ -1360,8 +1461,8 @@ mod tests {
         let expect = reference_counts(&intervals);
         let damped = CoreBalancer::new(3, 100, RebalanceStrategy::Mixed, BalanceParams::default())
             .with_trigger_policy(TriggerPolicy {
-                cooldown: 0,
                 consecutive: 100, // never fires within this run
+                ..TriggerPolicy::default()
             });
         let decision = 1u64;
         let pre = Engine::run(

@@ -66,7 +66,7 @@
 //!
 //! | phase | `rebalance` | `scale_out` | `scale_in` | `split` | `unsplit` |
 //! |---|---|---|---|---|---|
-//! | **plan** (decision time: the partitioner mutates, the op captures the resulting view) | `end_interval` returned a plan | `scale_out_plan`: a worker is spawned on the tail slot; the plan names the live keys that follow the grown ring, with their holders | `scale_in` on the highest-numbered task | `split_key` over the chosen replica slots | `unsplit_key` back onto the primary |
+//! | **plan** (decision time: the partitioner mutates, the op captures the resulting view) | `end_interval` returned a plan — on an interval's closing statistics, or on a *provisional round*'s (next section) | `scale_out_plan`: a worker is spawned on the tail slot; the plan names the live keys that follow the grown ring, with their holders | `scale_in` on the highest-numbered task | `split_key` over the chosen replica slots | `unsplit_key` back onto the primary |
 //! | **pause** (source holds back…) | the keys in Δ(F, F′) | the moved keys | everything routed to the victim | the key | the key |
 //! | **quiesce → state_out** (after `PauseAck`, behind every pre-pause batch) | `MigrateOut` to each holder | `MigrateOut` to each holder | `Retire` to the victim: it drains its backlog and hands back *all* its state, its totals, and its channel receiver (`Retired`) | nothing to extract | `MigrateOut` to each live non-primary replica |
 //! | **install** (`StateInstall`, acked) | at the plan's destinations | on the new worker | wherever each key routes under the op's view | — | on the primary (`install` merges additively) |
@@ -98,6 +98,46 @@
 //! sent. A retired slot's channel survives (the receiver travels back
 //! in `Retired`), so a later scale-out can re-provision the same slot
 //! mid-run.
+//!
+//! ## Provisional rounds
+//!
+//! A plan made when an interval closes serves the *next* interval, and
+//! a fluctuating stream can move its hot keys in between: the interval
+//! then runs whole under a plan made for another distribution. So the
+//! source also watches the open interval. It counts the tuples it has
+//! sent each destination (per batch, where it already knows the batch's
+//! weight) and, at its control-poll points, tests the counts with
+//! `streambal_core::skew_alert` — imbalance beyond a constant floor by
+//! three sigmas of the sampling noise — once it has sent an eighth of
+//! the interval under one view, in the first half of the interval, at
+//! most once per interval and never under a pause. A `SkewAlert` that
+//! finds the control plane idle (no op in flight or queued, no dead
+//! slot) makes the controller send every worker a `StatsPeek` marker;
+//! each answers with a **copy** of its statistics so far and changes
+//! nothing else — no `Operator::flush`, no window eviction, no interval
+//! advance, accumulators not reset. The merged copies go to
+//! `Partitioner::end_interval` marked provisional
+//! (`IntervalStats::is_provisional`), and a plan that comes back is an
+//! ordinary `rebalance` op, walked like any other. Elasticity and split
+//! policies, `Snapshot` events and the statistics ledger see whole
+//! intervals only. The interval's closing round cancels a provisional
+//! round still waiting (late answers are copies: dropped, not errors),
+//! and `StatsWindow` lets the closing report *supersede* the provisional
+//! one, so everything decided after the interval closes is decided on
+//! exactly the statistics a run without the alert would have had.
+//!
+//! **Why an arbitrary cut point is safe.** Nothing in the FIFO argument
+//! above refers to interval boundaries: it orders each batch against
+//! each marker on one channel. The `StatsPeek` markers are enqueued by
+//! the controller at one instant, so the copies are a consistent cut —
+//! each worker reports exactly the tuples the source had sent it by
+//! then — but even that is only plan *quality*: whatever the statistics
+//! say, the op that follows pauses its keys at the source, extracts
+//! behind every pre-pause batch and resumes behind the installs, so
+//! state and tuples cannot cross wherever in the interval it runs. Per
+//! key the interval's closing report is still complete: a key moved
+//! mid-interval is reported in part by its old holder and in part by its
+//! new one, and the controller's merge adds the parts.
 //!
 //! ## Elasticity and hot-key splitting
 //!
@@ -193,6 +233,12 @@
 //!   latency — plus per-interval `RouterSnapshot`s from the source
 //!   (routing-table entries, tombstone debris, pool occupancy) and
 //!   `IntervalEnd` totals.
+//! * **Early rounds**: the source's `SkewAlert` (interval,
+//!   per-destination counts — recorded at a control-poll point, so batch
+//!   granularity) and the controller's `EarlyRound` steps (`open`, then
+//!   `planned`, `held` or `cancelled`). Both are masked from the
+//!   skeleton: whether an alert trips depends on which view the source
+//!   routed the interval's first tuples under.
 //! * **Fault mirrors**: every fault-ledger entry, with its ledger index
 //!   as the sequence number.
 //!
@@ -242,8 +288,8 @@ pub use operator::{
 };
 pub use router::SourceRouter;
 pub use streambal_trace::{
-    EventKind, OpLabel, Outcome, Phase, SpanSummary, ThreadLabel, ThreadRecorder, TraceEvent,
-    TraceLog, TraceSink,
+    EarlyStep, EventKind, OpLabel, Outcome, Phase, SpanSummary, ThreadLabel, ThreadRecorder,
+    TraceEvent, TraceLog, TraceSink,
 };
 pub use topk::TopKOp;
 pub use tuple::{Tuple, TAG_DEFAULT, TAG_LEFT, TAG_PARTIAL, TAG_RIGHT};

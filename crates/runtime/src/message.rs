@@ -28,6 +28,16 @@ pub enum Message {
         /// The interval being closed.
         interval: u64,
     },
+    /// Provisional statistics request, inside an open interval: answer
+    /// with a *copy* of the statistics accumulated so far
+    /// ([`WorkerEvent::StatsPeek`]) and change nothing — no operator
+    /// flush, no window eviction, no interval advance, accumulators not
+    /// reset — so the interval's closing report is exactly what it would
+    /// have been without the request.
+    StatsPeek {
+        /// The open interval.
+        interval: u64,
+    },
     /// Step 5a of Fig. 5: extract and ship state for the listed keys.
     MigrateOut {
         /// Migration epoch (one rebalance = one epoch).
@@ -70,6 +80,16 @@ pub enum WorkerEvent {
         /// (µs) — the controller merges the per-worker histograms into
         /// the interval's mean/p99 observation for elasticity policies.
         latency: Box<streambal_metrics::Histogram>,
+    },
+    /// Response to [`Message::StatsPeek`].
+    StatsPeek {
+        /// Reporting worker.
+        worker: TaskId,
+        /// The open interval.
+        interval: u64,
+        /// A copy of the statistics collected since the last
+        /// [`Message::StatsRequest`].
+        stats: IntervalStats,
     },
     /// Response to [`Message::MigrateOut`]: extracted states (step 6a).
     StateOut {
@@ -257,6 +277,14 @@ pub enum SourceEvent {
     SendFailed {
         /// The destination whose channel is disconnected.
         dest: TaskId,
+    },
+    /// The tuples sent to each destination so far in the open interval
+    /// are skewed beyond sampling noise (`streambal_core::skew_alert`).
+    /// Raised at a control-poll point in the first half of an interval,
+    /// at most once per interval, and never while a pause is in force.
+    SkewAlert {
+        /// The open interval.
+        interval: u64,
     },
     /// The feeder is exhausted; no more tuples will ever be emitted.
     Finished,

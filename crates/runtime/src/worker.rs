@@ -330,6 +330,16 @@ pub(crate) fn run_worker(mut ctx: WorkerCtx) {
                 let oldest_keep = (interval + 1).saturating_sub(ctx.window);
                 ctx.op.evict_before(oldest_keep);
             }
+            Message::StatsPeek { interval } => {
+                // A copy, and nothing else: the closing report, the
+                // operator's window and the flight recorder's interval
+                // roll-up must not be able to tell this request came.
+                let _ = ctx.events.send(WorkerEvent::StatsPeek {
+                    worker: ctx.id,
+                    interval,
+                    stats: stats.clone(),
+                });
+            }
             Message::MigrateOut { epoch, moves } => {
                 migrate_outs_seen += 1;
                 if faulty
@@ -599,6 +609,105 @@ mod tests {
             })
             .collect();
         assert_eq!(flushes, vec![(0, 1, 1)]);
+    }
+
+    /// A provisional request is answered with a copy and changes
+    /// nothing: a worker that is peeked at mid-interval ships the same
+    /// closing reports, rolls up the same `DataFlush` events, and ends
+    /// with the same windowed state (same interval attribution, same
+    /// evictions) as one that never was.
+    #[test]
+    fn stats_peek_copies_and_leaves_the_interval_alone() {
+        let keys =
+            |ks: &[u64]| Message::TupleBatch(ks.iter().map(|&k| Tuple::keyed(Key(k))).collect());
+        let run = |peek: bool| {
+            let sink = TraceSink::new(true);
+            // w = 1: interval 0's state is evicted when interval 1 closes.
+            let (tx, erx, _pool, h) = spawn_worker_with(1, FaultPlan::none(), &sink);
+            let script = [
+                (keys(&[1, 1, 1]), Some(0)),
+                (keys(&[1, 1, 2]), Some(0)),
+                (Message::StatsRequest { interval: 0 }, None),
+                (keys(&[2, 2, 2, 2]), Some(1)),
+                (Message::StatsRequest { interval: 1 }, None),
+                (keys(&[3]), Some(2)),
+                (Message::Shutdown, None),
+            ];
+            for (msg, open) in script {
+                tx.send(msg).unwrap();
+                if let (true, Some(interval)) = (peek, open) {
+                    tx.send(Message::StatsPeek { interval }).unwrap();
+                }
+            }
+            h.join().unwrap();
+            let mut peeks = Vec::new();
+            let mut rest = Vec::new();
+            while let Ok(ev) = erx.try_recv() {
+                match ev {
+                    WorkerEvent::StatsPeek {
+                        interval, stats, ..
+                    } => {
+                        let mut seen: Vec<(u64, u64)> =
+                            stats.iter().map(|(k, s)| (k.raw(), s.freq)).collect();
+                        seen.sort_unstable();
+                        peeks.push((interval, seen));
+                    }
+                    WorkerEvent::Stats {
+                        interval,
+                        stats,
+                        latency,
+                        ..
+                    } => {
+                        let mut seen: Vec<(u64, u64, u64)> = stats
+                            .iter()
+                            .map(|(k, s)| (k.raw(), s.freq, s.mem))
+                            .collect();
+                        seen.sort_unstable();
+                        rest.push(format!("stats {interval} {seen:?} {}", latency.count()));
+                    }
+                    WorkerEvent::Drained {
+                        final_states,
+                        processed,
+                        ..
+                    } => {
+                        let mut held: Vec<(u64, Vec<(u64, u64)>)> = final_states
+                            .iter()
+                            .map(|(k, blob)| (k.raw(), WordCountOp::decode(blob)))
+                            .collect();
+                        held.sort_unstable();
+                        rest.push(format!("drained {processed} {held:?}"));
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            for e in sink.take_log().events {
+                if let EventKind::DataFlush { .. } = e.kind {
+                    rest.push(format!("{:?}", e.kind));
+                }
+            }
+            (peeks, rest)
+        };
+        let (peeks, peeked) = run(true);
+        let (none, plain) = run(false);
+        assert_eq!(peeked, plain);
+        assert!(none.is_empty());
+        // Each answer is the open interval's statistics so far: they
+        // accumulate across peeks and restart only at a closing request.
+        assert_eq!(
+            peeks,
+            vec![
+                (0, vec![(1, 3)]),
+                (0, vec![(1, 5), (2, 1)]),
+                (1, vec![(2, 4)]),
+                (2, vec![(3, 1)]),
+            ]
+        );
+        // Interval 0's state went when interval 1 closed, on schedule:
+        // key 1 is gone, key 2 keeps interval 1 only.
+        assert!(
+            plain.contains(&"drained 11 [(2, [(1, 4)]), (3, [(2, 1)])]".to_string()),
+            "{plain:?}"
+        );
     }
 
     /// A multi-tuple `TupleBatch` is accounted per tuple — stats, counts,

@@ -19,9 +19,11 @@
 //! for `SplitEvent`. Only the tuple-level consequences (state movement,
 //! replica partials, the merge stage) need the real engine.
 
+pub mod replay;
 pub mod report;
 pub mod source;
 
+pub use replay::{replay_theta, EarlyRounds, Reaction, ThetaReplay};
 pub use report::SimReport;
 pub use source::IntervalSource;
 

@@ -231,6 +231,45 @@ impl Outcome {
     }
 }
 
+/// What happened to a provisional statistics round — the one the
+/// controller opens inside an interval when the source raises a skew
+/// alert.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EarlyStep {
+    /// Provisional requests went out to the workers.
+    Open,
+    /// Every answer arrived and the partitioner planned a rebalance.
+    Planned,
+    /// Every answer arrived and the partitioner held.
+    Held,
+    /// The interval's closing round overtook it.
+    Cancelled,
+}
+
+impl EarlyStep {
+    /// Stable lowercase name (used in exports).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            EarlyStep::Open => "open",
+            EarlyStep::Planned => "planned",
+            EarlyStep::Held => "held",
+            EarlyStep::Cancelled => "cancelled",
+        }
+    }
+
+    /// Inverse of [`EarlyStep::as_str`].
+    pub fn from_name(s: &str) -> Option<EarlyStep> {
+        [
+            EarlyStep::Open,
+            EarlyStep::Planned,
+            EarlyStep::Held,
+            EarlyStep::Cancelled,
+        ]
+        .into_iter()
+        .find(|step| step.as_str() == s)
+    }
+}
+
 /// One trace event's payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
@@ -304,6 +343,22 @@ pub enum EventKind {
         interval: u64,
         /// Tuples fed during it.
         tuples: u64,
+    },
+    /// The source saw the open interval's per-destination tuple counts
+    /// skewed beyond sampling noise (at a control-poll point, so batch
+    /// granularity; at most once per interval).
+    SkewAlert {
+        /// The open interval.
+        interval: u64,
+        /// Tuples sent to each destination so far in it.
+        sent: Vec<u64>,
+    },
+    /// A provisional statistics round moved on.
+    EarlyRound {
+        /// The open interval the round samples.
+        interval: u64,
+        /// What happened.
+        step: EarlyStep,
     },
     /// A free-form structural marker.
     Mark {
@@ -520,6 +575,16 @@ impl ThreadRecorder {
         self.event(EventKind::IntervalEnd { interval, tuples });
     }
 
+    /// Emits the source's skew alert for the open interval.
+    pub fn skew_alert(&mut self, interval: u64, sent: Vec<u64>) {
+        self.event(EventKind::SkewAlert { interval, sent });
+    }
+
+    /// Marks a provisional statistics round moving on.
+    pub fn early_round(&mut self, interval: u64, step: EarlyStep) {
+        self.event(EventKind::EarlyRound { interval, step });
+    }
+
     /// Emits a free-form marker.
     pub fn mark(&mut self, label: impl Into<String>) {
         self.event(EventKind::Mark {
@@ -639,12 +704,23 @@ impl TraceLog {
     /// clock in disguise; the deterministic per-interval totals live in
     /// the source's [`EventKind::IntervalEnd`]. Likewise all numeric
     /// telemetry in [`EventKind::Snapshot`] / [`EventKind::RouterSnapshot`]
-    /// (load split across racing rebalances).
+    /// (load split across racing rebalances), and
+    /// [`EventKind::SkewAlert`] / [`EventKind::EarlyRound`] entirely:
+    /// whether the source's counts trip the alert depends on which view
+    /// it routed the interval's first tuples under, i.e. on when the last
+    /// `Resume` reached it.
     pub fn skeleton(&self) -> Vec<String> {
         let mut out: Vec<String> = self
             .events
             .iter()
-            .filter(|e| !matches!(e.kind, EventKind::DataFlush { .. }))
+            .filter(|e| {
+                !matches!(
+                    e.kind,
+                    EventKind::DataFlush { .. }
+                        | EventKind::SkewAlert { .. }
+                        | EventKind::EarlyRound { .. }
+                )
+            })
             .map(|e| match &e.kind {
                 EventKind::SpanOpen { span, op } => {
                     format!("span {span} open {}", op.as_str())
@@ -659,7 +735,9 @@ impl TraceLog {
                 EventKind::Snapshot { interval, .. } => format!("snapshot {interval}"),
                 EventKind::RouterSnapshot { interval, .. } => format!("router {interval}"),
                 // Filtered above; unreachable but kept total for match.
-                EventKind::DataFlush { .. } => String::new(),
+                EventKind::DataFlush { .. }
+                | EventKind::SkewAlert { .. }
+                | EventKind::EarlyRound { .. } => String::new(),
                 EventKind::IntervalEnd { interval, tuples } => {
                     format!("interval {interval} end {tuples}")
                 }
@@ -869,6 +947,20 @@ impl TraceLog {
                 EventKind::Mark { label } => {
                     let _ = write!(out, "\"kind\":\"mark\",\"label\":\"{}\"", esc(label));
                 }
+                EventKind::SkewAlert { interval, sent } => {
+                    let _ = write!(
+                        out,
+                        "\"kind\":\"skew_alert\",\"interval\":{interval},\"sent\":{}",
+                        int_arr(sent)
+                    );
+                }
+                EventKind::EarlyRound { interval, step } => {
+                    let _ = write!(
+                        out,
+                        "\"kind\":\"early_round\",\"interval\":{interval},\"step\":\"{}\"",
+                        step.as_str()
+                    );
+                }
             }
             out.push_str("}\n");
         }
@@ -975,6 +1067,15 @@ impl TraceLog {
                     "{{\"ph\":\"i\",\"s\":\"g\",\"cat\":\"mark\",\"name\":\"{}\",\
                      \"ts\":{ts},\"pid\":1,\"tid\":{tid}}}",
                     esc(label)
+                )),
+                EventKind::SkewAlert { interval, .. } => evs.push(format!(
+                    "{{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"early\",\
+                     \"name\":\"skew_alert#{interval}\",\"ts\":{ts},\"pid\":1,\"tid\":{tid}}}"
+                )),
+                EventKind::EarlyRound { interval, step } => evs.push(format!(
+                    "{{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"early\",\
+                     \"name\":\"early_round#{interval} {}\",\"ts\":{ts},\"pid\":1,\"tid\":{tid}}}",
+                    step.as_str()
                 )),
             }
         }
