@@ -1,124 +1,17 @@
-//! Adapter exposing `streambal-core`'s strategies through [`Partitioner`].
+//! The name the harness knows the table-backed partitioner by.
 
-use streambal_core::{
-    BalanceParams, IntervalStats, Key, RebalanceOutcome, RebalanceStrategy, Rebalancer, TaskId,
-};
-
-use crate::{Partitioner, RoutingView};
-
-/// Wraps a [`Rebalancer`] so Mixed / MinTable / MinMig / MixedBF / Simple
-/// plug into the same simulator and runtime slots as the baselines.
-#[derive(Debug)]
-pub struct CoreBalancer {
-    inner: Rebalancer,
-    strategy: RebalanceStrategy,
-}
-
-impl CoreBalancer {
-    /// Creates a core-strategy partitioner.
-    pub fn new(
-        n_tasks: usize,
-        window: usize,
-        strategy: RebalanceStrategy,
-        params: BalanceParams,
-    ) -> Self {
-        CoreBalancer {
-            inner: Rebalancer::new(n_tasks, window, strategy, params),
-            strategy,
-        }
-    }
-
-    /// The wrapped rebalancer (for inspection).
-    pub fn rebalancer(&self) -> &Rebalancer {
-        &self.inner
-    }
-
-    /// Overrides the rebalance trigger damping (see
-    /// [`streambal_core::TriggerPolicy`]): a cooldown or
-    /// consecutive-violation requirement sets the strategy's effective
-    /// *rebalance period*, which is exactly the cold-start lag a pinned
-    /// scale-out pays while the new instance waits for the next plan.
-    pub fn with_trigger_policy(mut self, trigger: streambal_core::TriggerPolicy) -> Self {
-        self.inner = self.inner.with_trigger_policy(trigger);
-        self
-    }
-}
-
-impl Partitioner for CoreBalancer {
-    fn name(&self) -> String {
-        self.strategy.name().into()
-    }
-
-    fn n_tasks(&self) -> usize {
-        self.inner.assignment().n_tasks()
-    }
-
-    #[inline]
-    fn route(&mut self, key: Key) -> TaskId {
-        self.inner.route(key)
-    }
-
-    fn route_batch(&mut self, keys: &[Key], out: &mut Vec<TaskId>) {
-        self.inner.route_batch(keys, out);
-    }
-
-    fn end_interval(&mut self, stats: IntervalStats) -> Option<RebalanceOutcome> {
-        self.inner.end_interval(stats)
-    }
-
-    fn add_task(&mut self) -> TaskId {
-        self.inner.add_task()
-    }
-
-    fn scale_out(&mut self, live: &[Key]) -> TaskId {
-        self.inner.scale_out(live.iter().copied())
-    }
-
-    fn scale_out_plan(&mut self, live: &[Key]) -> (TaskId, Vec<(Key, TaskId)>) {
-        self.inner.scale_out_plan(live.iter().copied())
-    }
-
-    fn scale_in(&mut self, victim: TaskId, live: &[Key]) {
-        self.inner.scale_in(victim, live.iter().copied());
-    }
-
-    fn routing_view(&self) -> RoutingView {
-        RoutingView::of_assignment(self.inner.assignment())
-    }
-
-    fn last_install_was_delta(&self) -> bool {
-        self.inner.last_install_was_delta()
-    }
-
-    fn reroute_dead(
-        &mut self,
-        dead: TaskId,
-        is_dead: &dyn Fn(usize) -> bool,
-    ) -> Vec<(Key, TaskId)> {
-        self.inner.reroute_dead(dead, is_dead)
-    }
-
-    fn apply_moves(&mut self, moves: &[(Key, TaskId)]) -> bool {
-        self.inner.apply_moves(moves);
-        true
-    }
-
-    fn split_key(&mut self, key: Key, replicas: &[TaskId]) -> bool {
-        self.inner.split_key(key, replicas)
-    }
-
-    fn unsplit_key(&mut self, key: Key) -> Option<Vec<TaskId>> {
-        self.inner.unsplit_key(key)
-    }
-
-    fn splits(&self) -> Vec<(Key, Vec<TaskId>)> {
-        self.inner.splits()
-    }
-}
+/// Storm, Readj and Mixed / MinTable / MinMig / MixedBF / Simple are all
+/// this one type — `streambal-core`'s [`Rebalancer`](streambal_core::Rebalancer),
+/// which implements [`Partitioner`](crate::Partitioner) itself — built by
+/// [`storm`](crate::storm), [`readj`](crate::readj) and
+/// `CoreBalancer::new(n_tasks, window, strategy, params)` respectively.
+pub type CoreBalancer = streambal_core::Rebalancer;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Partitioner;
+    use streambal_core::{BalanceParams, IntervalStats, Key, RebalanceStrategy, TaskId};
 
     #[test]
     fn wraps_mixed_strategy() {
@@ -131,8 +24,8 @@ mod tests {
             iv.observe(Key(k), 1, cost, cost);
         }
         let out = p.end_interval(iv);
-        assert!(out.is_some(), "skew must trigger the wrapped rebalancer");
-        assert_eq!(p.rebalancer().rebalances(), 1);
+        assert!(out.is_some(), "skew must trigger the rebalancer");
+        assert_eq!(p.rebalances(), 1);
     }
 
     #[test]
@@ -142,7 +35,7 @@ mod tests {
         assert_eq!(p.n_tasks(), 3);
     }
 
-    /// The pre-placement plan flows through the wrapper: churned live
+    /// The pre-placement plan flows through the trait: churned live
     /// keys route to the new task, each move naming the old holder.
     #[test]
     fn scale_out_plan_passthrough() {
@@ -159,7 +52,7 @@ mod tests {
         }
     }
 
-    /// A trigger cooldown damps the wrapped rebalancer: after a plan
+    /// A trigger cooldown damps the rebalancer behind the trait: after a plan
     /// fires, nothing may fire for `cooldown` intervals even under
     /// sustained heavy skew.
     #[test]

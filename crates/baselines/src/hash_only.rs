@@ -1,104 +1,26 @@
 //! Static consistent hashing — the "Storm" baseline.
 
-use streambal_core::{AssignmentFn, IntervalStats, Key, RebalanceOutcome, TaskId};
+use streambal_core::Rebalancer;
 
-use crate::{Partitioner, RoutingView};
+use crate::CoreBalancer;
 
-/// Routes every key by consistent hash, never rebalancing. This is what a
-/// stock Storm `fields` grouping does, and the strawman whose skew the
-/// paper's Fig. 7 quantifies.
-#[derive(Debug)]
-pub struct HashPartitioner {
-    assignment: AssignmentFn,
-}
-
-impl HashPartitioner {
-    /// Creates the partitioner over `n_tasks` downstream instances.
-    pub fn new(n_tasks: usize) -> Self {
-        HashPartitioner {
-            assignment: AssignmentFn::hash_only(n_tasks),
-        }
-    }
-}
-
-impl Partitioner for HashPartitioner {
-    fn name(&self) -> String {
-        "Storm".into()
-    }
-
-    fn n_tasks(&self) -> usize {
-        self.assignment.n_tasks()
-    }
-
-    #[inline]
-    fn route(&mut self, key: Key) -> TaskId {
-        self.assignment.route(key)
-    }
-
-    fn route_batch(&mut self, keys: &[Key], out: &mut Vec<TaskId>) {
-        self.assignment.route_batch(keys, out);
-    }
-
-    fn end_interval(&mut self, _stats: IntervalStats) -> Option<RebalanceOutcome> {
-        None // never rebalances
-    }
-
-    fn add_task(&mut self) -> TaskId {
-        self.assignment.add_task()
-    }
-
-    fn scale_out_plan(&mut self, live: &[Key]) -> (TaskId, Vec<(Key, TaskId)>) {
-        // Pure consistent hashing: the moves are exactly the `add_slot`
-        // delta — live keys the grown ring re-homes onto the new slot.
-        self.assignment.add_task_with_moves(live)
-    }
-
-    fn scale_in(&mut self, victim: TaskId, live: &[Key]) {
-        assert_eq!(
-            victim.index(),
-            self.assignment.n_tasks() - 1,
-            "scale-in retires the highest-numbered task"
-        );
-        self.assignment.remove_task_pinned(live);
-    }
-
-    fn routing_view(&self) -> RoutingView {
-        RoutingView::of_assignment(&self.assignment)
-    }
-
-    fn reroute_dead(
-        &mut self,
-        dead: TaskId,
-        is_dead: &dyn Fn(usize) -> bool,
-    ) -> Vec<(Key, TaskId)> {
-        self.assignment.repin_dead(dead, is_dead)
-    }
-
-    fn apply_moves(&mut self, moves: &[(Key, TaskId)]) -> bool {
-        self.assignment.apply_delta(moves.iter().copied());
-        true
-    }
-
-    fn split_key(&mut self, key: Key, replicas: &[TaskId]) -> bool {
-        self.assignment.set_split(key, replicas)
-    }
-
-    fn unsplit_key(&mut self, key: Key) -> Option<Vec<TaskId>> {
-        self.assignment.clear_split(key)
-    }
-
-    fn splits(&self) -> Vec<(Key, Vec<TaskId>)> {
-        self.assignment.splits()
-    }
+/// Routes every key by consistent hash, never rebalancing ("Storm" in
+/// the figures). This is what a stock Storm `fields` grouping does, and
+/// the strawman whose skew the paper's Fig. 7 quantifies: the shared
+/// table-backed partitioner without a planner, so its table only ever
+/// holds what scale and recovery operations pin.
+pub fn storm(n_tasks: usize) -> CoreBalancer {
+    Rebalancer::hash_only(n_tasks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streambal_core::{IntervalStats, Key, Partitioner, TaskId};
 
     #[test]
     fn stable_routing() {
-        let mut p = HashPartitioner::new(7);
+        let mut p = storm(7);
         let before: Vec<TaskId> = (0..500u64).map(|k| p.route(Key(k))).collect();
         // Interval boundaries change nothing.
         assert!(p.end_interval(IntervalStats::new()).is_none());
@@ -108,7 +30,7 @@ mod tests {
 
     #[test]
     fn scale_in_reroutes_only_the_victims_keys() {
-        let mut p = HashPartitioner::new(5);
+        let mut p = storm(5);
         let before: Vec<TaskId> = (0..2000u64).map(|k| p.route(Key(k))).collect();
         p.scale_in(TaskId(4), &[]);
         assert_eq!(p.n_tasks(), 4);
@@ -123,7 +45,7 @@ mod tests {
 
     #[test]
     fn scale_out_moves_keys_only_to_new_task() {
-        let mut p = HashPartitioner::new(4);
+        let mut p = storm(4);
         let before: Vec<TaskId> = (0..2000u64).map(|k| p.route(Key(k))).collect();
         let new = p.add_task();
         for (k, &old) in before.iter().enumerate() {

@@ -17,12 +17,9 @@
 //! rather than state movement, it degrades when key workloads vary widely
 //! (paper §VI) — the behaviour Figs. 12–14 measure.
 
-use streambal_core::{
-    needs_rebalance, outcome_from_assignment, IntervalStats, Key, KeyRecord, RebalanceInput,
-    RebalanceOutcome, StatsPlane, TaskId,
-};
+use streambal_core::{KeyRecord, Rebalancer, TaskId};
 
-use crate::{Partitioner, RoutingView};
+use crate::CoreBalancer;
 
 /// Readj tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -174,143 +171,29 @@ fn third_max(loads: &[u64], a: usize, b: usize) -> u64 {
         .unwrap_or(0)
 }
 
-/// Stateful Readj partitioner: hash + table routing with the VLDBJ'14
-/// rebalance at interval boundaries.
-#[derive(Debug)]
-pub struct ReadjPartitioner {
-    plane: StatsPlane,
-    cfg: ReadjConfig,
-    rebalances: usize,
-    last_install_was_delta: bool,
-}
-
-impl ReadjPartitioner {
-    /// Creates a Readj partitioner over `n_tasks` instances keeping `w`
-    /// intervals of state.
-    pub fn new(n_tasks: usize, window: usize, cfg: ReadjConfig) -> Self {
-        ReadjPartitioner {
-            plane: StatsPlane::new(n_tasks, window),
-            cfg,
-            rebalances: 0,
-            last_install_was_delta: false,
-        }
-    }
-
-    /// Rebalances fired so far.
-    pub fn rebalances(&self) -> usize {
-        self.rebalances
-    }
-
-    /// Split keys are excluded, as for `Rebalancer::build_input`: their
-    /// routing rotates over replicas, so whole-key move/swap actions are
-    /// meaningless for them.
-    fn build_input(&self) -> RebalanceInput {
-        RebalanceInput {
-            n_tasks: self.plane.assignment().n_tasks(),
-            records: self.plane.window().records(),
-        }
-    }
-}
-
-impl Partitioner for ReadjPartitioner {
-    fn name(&self) -> String {
-        "Readj".into()
-    }
-
-    fn n_tasks(&self) -> usize {
-        self.plane.assignment().n_tasks()
-    }
-
-    #[inline]
-    fn route(&mut self, key: Key) -> TaskId {
-        self.plane.assignment().route(key)
-    }
-
-    fn route_batch(&mut self, keys: &[Key], out: &mut Vec<TaskId>) {
-        self.plane.assignment().route_batch(keys, out);
-    }
-
-    fn end_interval(&mut self, stats: IntervalStats) -> Option<RebalanceOutcome> {
-        self.plane.push(stats);
-        if !self.plane.window().has_records() {
-            return None;
-        }
-        // The shared overload predicate is exactly Readj's actionable
-        // region: `readj_rebalance`'s move/swap loop only acts while some
-        // task exceeds `Lmax` (it breaks at `loads[dmax] ≤ lmax`), so on
-        // an under-load-only shape — max θ past θmax but nothing above
-        // `Lmax` — it provably returns the identity assignment. Firing on
-        // deviation would only add no-op rebalances to the reports (the
-        // `underload_only_is_a_noop` test pins this equivalence).
-        if !needs_rebalance(&self.plane.loads(), self.cfg.theta_max) {
-            return None;
-        }
-        let input = self.build_input();
-        let assign = readj_rebalance(&input.records, input.n_tasks, &self.cfg);
-        let outcome = outcome_from_assignment(&input, &assign);
-        // Delta install (O(churn)) with an occasional staleness resync —
-        // not the old whole-table clone-and-swap per rebalance.
-        self.last_install_was_delta = self
-            .plane
-            .install_rebalance(&outcome.table, outcome.plan.moves());
-        self.rebalances += 1;
-        Some(outcome)
-    }
-
-    fn add_task(&mut self) -> TaskId {
-        self.plane.add_task()
-    }
-
-    fn scale_out(&mut self, live: &[Key]) -> TaskId {
-        self.plane.scale_out(live)
-    }
-
-    fn scale_out_plan(&mut self, live: &[Key]) -> (TaskId, Vec<(Key, TaskId)>) {
-        self.plane.scale_out_plan(live)
-    }
-
-    fn scale_in(&mut self, victim: TaskId, live: &[Key]) {
-        self.plane.scale_in(victim, live);
-    }
-
-    fn routing_view(&self) -> RoutingView {
-        RoutingView::of_assignment(self.plane.assignment())
-    }
-
-    fn last_install_was_delta(&self) -> bool {
-        self.last_install_was_delta
-    }
-
-    fn reroute_dead(
-        &mut self,
-        dead: TaskId,
-        is_dead: &dyn Fn(usize) -> bool,
-    ) -> Vec<(Key, TaskId)> {
-        self.plane.reroute_dead(dead, is_dead)
-    }
-
-    fn apply_moves(&mut self, moves: &[(Key, TaskId)]) -> bool {
-        self.plane.apply_moves(moves);
-        true
-    }
-
-    fn split_key(&mut self, key: Key, replicas: &[TaskId]) -> bool {
-        self.plane.split_key(key, replicas)
-    }
-
-    fn unsplit_key(&mut self, key: Key) -> Option<Vec<TaskId>> {
-        self.plane.unsplit_key(key)
-    }
-
-    fn splits(&self) -> Vec<(Key, Vec<TaskId>)> {
-        self.plane.assignment().splits()
-    }
+/// The stateful Readj partitioner ("Readj" in the figures): hash + table
+/// routing over `n_tasks` instances keeping `window` intervals of state,
+/// with the VLDBJ'14 rebalance at interval boundaries — the shared
+/// table-backed partitioner planning with [`readj_rebalance`]. It fires
+/// on the first interval that overloads a task past `cfg.theta_max`,
+/// which is exactly Readj's actionable region (the
+/// `underload_only_is_a_noop` test pins the equivalence).
+pub fn readj(n_tasks: usize, window: usize, cfg: ReadjConfig) -> CoreBalancer {
+    Rebalancer::with_planner(
+        n_tasks,
+        window,
+        "Readj",
+        cfg.theta_max,
+        Box::new(move |input| readj_rebalance(&input.records, input.n_tasks, &cfg)),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streambal_core::{loads_of, AssignmentFn, LoadSummary};
+    use streambal_core::{
+        loads_of, AssignmentFn, IntervalStats, Key, LoadSummary, Partitioner, StatsPlane,
+    };
 
     fn rec(key: u64, cost: u64, mem: u64, cur: u32, hash: u32) -> KeyRecord {
         KeyRecord {
@@ -427,7 +310,7 @@ mod tests {
 
     #[test]
     fn partitioner_triggers_and_applies_table() {
-        let mut p = ReadjPartitioner::new(
+        let mut p = readj(
             4,
             1,
             ReadjConfig {
@@ -442,11 +325,11 @@ mod tests {
             iv.observe(Key(k), 1, cost, cost);
         }
         let before = {
-            let mut probe = ReadjPartitioner::new(4, 1, ReadjConfig::default());
-            probe.plane.push(iv.clone());
-            let input = probe.build_input();
-            assert_eq!(loads_of(&input.records, 4), probe.plane.loads());
-            loads_of(&input.records, 4).max_theta()
+            let mut probe = StatsPlane::new(4, 1);
+            probe.push(iv.clone());
+            let loads = loads_of(&probe.window().records(), 4);
+            assert_eq!(loads, probe.loads());
+            loads.max_theta()
         };
         assert!(before > 0.08);
         let outcome = p.end_interval(iv).expect("must trigger");
@@ -514,7 +397,7 @@ mod tests {
         for &k in &keys {
             iv.observe(k, 1, 1, 1);
         }
-        let mut p = ReadjPartitioner::new(n_tasks, 1, cfg);
+        let mut p = readj(n_tasks, 1, cfg);
         assert!(p.end_interval(iv).is_none(), "no-op trigger must be damped");
         assert_eq!(p.rebalances(), 0);
     }

@@ -25,7 +25,7 @@
 //! `bench_results/engine.smoke.json` instead, so noisy smoke numbers can
 //! never clobber the committed full-run file.
 
-use streambal_baselines::HashPartitioner;
+use streambal_baselines::storm;
 use streambal_bench::json::{write_json, Json};
 use streambal_core::Key;
 use streambal_runtime::{Engine, EngineConfig, Tuple, WordCountOp};
@@ -64,7 +64,7 @@ fn run_once(shape: Shape, intervals: &[Vec<Key>], trace: bool) -> f64 {
     };
     let report = Engine::run(
         config,
-        Box::new(HashPartitioner::new(shape.workers)),
+        Box::new(storm(shape.workers)),
         |_| Box::new(WordCountOp::new()),
         move |iv| {
             feed.get(iv as usize)

@@ -1,32 +1,27 @@
 //! Criterion bench: per-tuple routing cost of the mixed strategy (Eq. 1).
 //!
-//! Three comparisons, all at the paper's production table bound
-//! (`Amax = 3000`, §II "both the memory and computation cost of the
-//! scheme are acceptable"), on table hits, misses (ring fallback), and a
-//! 50/50 mix:
+//! Three groups:
 //!
-//! 1. **the seed hot path vs. the new one** — `seed_map_per_tuple` is
-//!    what the drivers actually paid per tuple before this rework: one
-//!    dynamic `Partitioner::route` dispatch plus one `FxHashMap` probe.
-//!    `compiled_batched` is the replacement: one dynamic `route_batch`
-//!    dispatch per channel batch, flat-table probes inside. This pair is
-//!    the acceptance ratio.
-//! 2. **map vs. compiled table, dispatch-free** — `map_per_tuple_inlined`
-//!    vs. `compiled_per_tuple`, isolating the flat-table win from the
-//!    batching win.
-//! 3. **table-size sweep** — batched routing from an empty table to 50k
-//!    entries (the seed bench's sweep, batched).
-//! 4. **large-domain sweep** — hit and miss probing at 3e3 → 3e6 table
-//!    entries, prefetched `route_batch` against the unprefetched
+//! 1. **table-size sweep** — batched routing from an empty table to 50k
+//!    entries, alternating hits and misses (ring fallback).
+//! 2. **large-domain sweep** — hit and miss probing at 3e3 → 3e6 table
+//!    entries (from the paper's production table bound `Amax = 3000`, §II
+//!    "both the memory and computation cost of the scheme are
+//!    acceptable", up), prefetched `route_batch` against the unprefetched
 //!    `route_batch_scalar` reference, with every batch drawn from a
 //!    shuffled pool spanning the whole key domain so big slabs are
 //!    actually probed cold — measuring the software-prefetch win once
 //!    the slab outgrows L2 (and its neutrality below the threshold,
 //!    where both ids run the same scalar loop).
-//! 5. **rebuild vs delta** — table-maintenance latency at the same
-//!    sizes: a full `CompiledTable::build` (what every mutation cost
-//!    before incremental maintenance) against `apply_delta` of a
-//!    1%-churn rebalance (what a rebalance costs now).
+//! 3. **rebuild vs delta** — table-maintenance latency at the same
+//!    sizes: building the whole table afresh (what every mutation cost
+//!    before incremental maintenance, and what a resync still costs)
+//!    against `apply_delta` of a 1%-churn rebalance (what a rebalance
+//!    costs now).
+//!
+//! The rows that compared this slab with an `FxHashMap`-backed table
+//! went with that table; their last committed numbers are in CHANGES.md
+//! (PR 20).
 //!
 //! Every *routing* benchmark routes `BATCH × REPS` keys per timed
 //! sample, so mean sample times divide directly into ns/key and
@@ -42,16 +37,11 @@
 
 use criterion::{black_box, take_measurements, BenchmarkId, Criterion, Measurement};
 use streambal_bench::json::{write_json, Json};
-use streambal_core::{
-    AssignmentFn, CompiledTable, IntervalStats, Key, Partitioner, RebalanceOutcome, RoutingTable,
-    RoutingView, TaskId,
-};
+use streambal_core::{AssignmentFn, Key, RoutingTable, TaskId};
 use streambal_hashring::mix64;
 
 /// Downstream parallelism `N_D`.
 const N_TASKS: usize = 10;
-/// Routing-table size for the comparison group: the paper's `Amax`.
-const TABLE_SIZE: usize = 3_000;
 /// Keys routed per `route_batch` call (a channel batch).
 const BATCH: usize = 1_024;
 /// Batch repetitions per timed sample, so samples are ≳ 100 µs and well
@@ -97,155 +87,8 @@ fn mixed_keys(table_size: usize) -> Vec<Key> {
         .collect()
 }
 
-/// The seed's router shape behind the driver-facing trait: every
-/// [`Partitioner::route`] call — one dynamic dispatch — probes the
-/// `FxHashMap` (and `route_batch` stays the per-key default, as the seed
-/// had no batch API).
-struct SeedMapRouter(AssignmentFn);
-
-impl Partitioner for SeedMapRouter {
-    fn name(&self) -> String {
-        "seed-map".into()
-    }
-
-    fn n_tasks(&self) -> usize {
-        self.0.n_tasks()
-    }
-
-    fn route(&mut self, key: Key) -> TaskId {
-        self.0.route_via_map(key)
-    }
-
-    fn end_interval(&mut self, _stats: IntervalStats) -> Option<RebalanceOutcome> {
-        None
-    }
-
-    fn routing_view(&self) -> RoutingView {
-        RoutingView::TablePlusHash {
-            table: self.0.table().clone(),
-            n_tasks: self.0.n_tasks(),
-        }
-    }
-}
-
-/// The reworked router behind the same trait: compiled-table lookups,
-/// with `route_batch` overridden to the batched fast path.
-struct CompiledRouter(AssignmentFn);
-
-impl Partitioner for CompiledRouter {
-    fn name(&self) -> String {
-        "compiled".into()
-    }
-
-    fn n_tasks(&self) -> usize {
-        self.0.n_tasks()
-    }
-
-    fn route(&mut self, key: Key) -> TaskId {
-        self.0.route(key)
-    }
-
-    fn route_batch(&mut self, keys: &[Key], out: &mut Vec<TaskId>) {
-        self.0.route_batch(keys, out);
-    }
-
-    fn end_interval(&mut self, _stats: IntervalStats) -> Option<RebalanceOutcome> {
-        None
-    }
-
-    fn routing_view(&self) -> RoutingView {
-        RoutingView::TablePlusHash {
-            table: self.0.table().clone(),
-            n_tasks: self.0.n_tasks(),
-        }
-    }
-}
-
-/// The seed-vs-new and map-vs-compiled comparisons at `Amax`.
-fn bench_compare(c: &mut Criterion, samples: usize) {
-    let f = assignment(TABLE_SIZE);
-    let mut group = c.benchmark_group("routing_compare");
-    group.sample_size(samples);
-    for (set, keys) in [
-        ("hit", hit_keys(TABLE_SIZE)),
-        ("miss", miss_keys(TABLE_SIZE)),
-        ("mixed", mixed_keys(TABLE_SIZE)),
-    ] {
-        // 1a. The seed hot path: dyn dispatch + map probe, per tuple
-        // (exactly `run_sim`'s and the engine's former inner loop).
-        let mut seed = SeedMapRouter(f.clone());
-        group.bench_with_input(
-            BenchmarkId::new("seed_map_per_tuple", set),
-            &keys,
-            |b, keys| {
-                let p: &mut dyn Partitioner = black_box(&mut seed);
-                b.iter(|| {
-                    let mut acc = 0u32;
-                    for _ in 0..REPS {
-                        for &k in keys {
-                            acc ^= p.route(black_box(k)).0;
-                        }
-                    }
-                    acc
-                })
-            },
-        );
-        // 1b. The new hot path: one dyn dispatch per batch, compiled
-        // probes inside.
-        let mut compiled = CompiledRouter(f.clone());
-        group.bench_with_input(
-            BenchmarkId::new("compiled_batched", set),
-            &keys,
-            |b, keys| {
-                let p: &mut dyn Partitioner = black_box(&mut compiled);
-                let mut out: Vec<TaskId> = Vec::with_capacity(BATCH);
-                b.iter(|| {
-                    let mut acc = 0u32;
-                    for _ in 0..REPS {
-                        p.route_batch(black_box(keys), &mut out);
-                        acc ^= out.last().map_or(0, |d| d.0);
-                    }
-                    acc
-                })
-            },
-        );
-        // 2. Dispatch-free pair, isolating the flat table vs the map.
-        group.bench_with_input(
-            BenchmarkId::new("map_per_tuple_inlined", set),
-            &keys,
-            |b, keys| {
-                b.iter(|| {
-                    let mut acc = 0u32;
-                    for _ in 0..REPS {
-                        for &k in keys {
-                            acc ^= f.route_via_map(black_box(k)).0;
-                        }
-                    }
-                    acc
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("compiled_per_tuple", set),
-            &keys,
-            |b, keys| {
-                b.iter(|| {
-                    let mut acc = 0u32;
-                    for _ in 0..REPS {
-                        for &k in keys {
-                            acc ^= f.route(black_box(k)).0;
-                        }
-                    }
-                    acc
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Batched routing across table sizes (the seed bench's sweep, batched):
-/// alternating hits and misses, as upstream tuple streams do.
+/// Batched routing across table sizes: alternating hits and misses, as
+/// upstream tuple streams do.
 fn bench_sweep(c: &mut Criterion, samples: usize) {
     let mut group = c.benchmark_group("routing_sweep");
     group.sample_size(samples);
@@ -349,10 +192,9 @@ fn bench_large_domain(c: &mut Criterion, samples: usize, sizes: &[usize]) {
     group.finish();
 }
 
-/// Table-maintenance latency at the large-domain sizes: one full
-/// `CompiledTable::build` (the per-mutation cost before incremental
-/// maintenance — a lower bound, since the old path also re-cloned the
-/// map) against one `apply_delta` of a 1%-churn rebalance. The delta
+/// Table-maintenance latency at the large-domain sizes: collecting the
+/// whole table afresh (the per-mutation cost before incremental
+/// maintenance) against one `apply_delta` of a 1%-churn rebalance. The delta
 /// alternates between two move lists so every sample does real work —
 /// half the churn re-pins entries in place, half bounces between a
 /// move-back to `h(k)` (tombstoning the entry) and a re-pin (reusing the
@@ -368,15 +210,15 @@ fn bench_mutation(c: &mut Criterion, samples: usize, sizes: &[usize]) {
         } else {
             samples
         });
-        let table: RoutingTable = (0..table_size as u64)
+        let entries: Vec<(Key, TaskId)> = (0..table_size as u64)
             .map(|k| (Key(k), TaskId((k % N_TASKS as u64) as u32)))
             .collect();
-        group.bench_with_input(BenchmarkId::new("rebuild", table_size), &table, |b, t| {
-            b.iter(|| CompiledTable::build(black_box(t)).len())
+        group.bench_with_input(BenchmarkId::new("rebuild", table_size), &entries, |b, e| {
+            b.iter(|| black_box(e).iter().copied().collect::<RoutingTable>().len())
         });
 
         let churn = (table_size / CHURN_DENOM).max(1);
-        let mut f = AssignmentFn::with_table(N_TASKS, table);
+        let mut f = assignment(table_size);
         // Destinations guaranteed ≠ h(k) (inserts) or = h(k) (removals).
         let pin = |f: &AssignmentFn, k: Key, off: u32| {
             TaskId((f.hash_route(k).0 + 1 + off) % N_TASKS as u32)
@@ -424,12 +266,6 @@ fn mean_ns(ms: &[Measurement], id: &str) -> Option<f64> {
         .map(|m| m.mean.as_nanos() as f64)
 }
 
-fn min_ns(ms: &[Measurement], id: &str) -> Option<f64> {
-    ms.iter()
-        .find(|m| m.id == id)
-        .map(|m| m.min.as_nanos() as f64)
-}
-
 /// Serializes measurements (and derived per-key costs / speedups) to
 /// `bench_results/routing.json`.
 fn write_results(ms: &[Measurement], smoke: bool) {
@@ -449,22 +285,6 @@ fn write_results(ms: &[Measurement], smoke: bool) {
             ])
         })
         .collect();
-    // The acceptance ratios: the new hot path (batched dispatch +
-    // compiled probes) against the seed hot path (per-tuple dispatch +
-    // map probes), per key set. Ratios of means plus ratios of minima —
-    // the minima are the noise-robust point estimates.
-    let mut speedups_mean = Vec::new();
-    let mut speedups_min = Vec::new();
-    for set in ["hit", "miss", "mixed"] {
-        let seed_id = format!("seed_map_per_tuple/{set}");
-        let new_id = format!("compiled_batched/{set}");
-        if let (Some(seed), Some(new)) = (mean_ns(ms, &seed_id), mean_ns(ms, &new_id)) {
-            speedups_mean.push((set, Json::Num(if new > 0.0 { seed / new } else { 0.0 })));
-        }
-        if let (Some(seed), Some(new)) = (min_ns(ms, &seed_id), min_ns(ms, &new_id)) {
-            speedups_min.push((set, Json::Num(if new > 0.0 { seed / new } else { 0.0 })));
-        }
-    }
     // Large-domain prefetch win: prefetched batched over unprefetched
     // scalar, per key set and table size (≈1.0 below the slab threshold
     // by construction — both ids run the same loop there).
@@ -494,7 +314,6 @@ fn write_results(ms: &[Measurement], smoke: bool) {
     let doc = Json::obj([
         ("bench", Json::str("routing")),
         ("n_tasks", Json::Int(N_TASKS as u64)),
-        ("table_size", Json::Int(TABLE_SIZE as u64)),
         ("batch", Json::Int(BATCH as u64)),
         ("reps", Json::Int(REPS as u64)),
         ("churn_denom", Json::Int(CHURN_DENOM as u64)),
@@ -507,24 +326,6 @@ fn write_results(ms: &[Measurement], smoke: bool) {
         (
             "mutation_speedup_delta_vs_rebuild",
             Json::Obj(mutation_speedups),
-        ),
-        (
-            "speedup_batched_vs_seed_per_tuple",
-            Json::Obj(
-                speedups_mean
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            ),
-        ),
-        (
-            "speedup_batched_vs_seed_per_tuple_min",
-            Json::Obj(
-                speedups_min
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            ),
         ),
     ]);
     // Anchored at the workspace root (cargo runs bench binaries with the
@@ -554,7 +355,6 @@ fn main() {
         &LARGE_SIZES
     };
     let mut c = Criterion::default();
-    bench_compare(&mut c, samples);
     bench_sweep(&mut c, samples);
     bench_large_domain(&mut c, samples, sizes);
     bench_mutation(&mut c, samples, sizes);

@@ -30,7 +30,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use streambal_baselines::{CoreBalancer, ReadjConfig, ReadjPartitioner};
+use streambal_baselines::{readj, CoreBalancer, ReadjConfig};
 use streambal_bench::json::{write_json, Json};
 use streambal_core::{
     AssignmentFn, BalanceParams, IntervalStats, Key, Partitioner, RebalanceStrategy,
@@ -127,7 +127,7 @@ fn partitioner(name: &str, k: u64, theta_max: f64) -> Box<dyn Partitioner> {
         "Mixed" => core(RebalanceStrategy::Mixed),
         "MinTable" => core(RebalanceStrategy::MinTable),
         "MinMig" => core(RebalanceStrategy::MinMig),
-        _ => Box::new(ReadjPartitioner::new(
+        _ => Box::new(readj(
             N_TASKS,
             WINDOW,
             ReadjConfig {

@@ -72,7 +72,7 @@ fn main() {
     // order faces real trade-offs.
     let mut records2 = input.records.clone();
     for r in &mut records2 {
-        if let Some(to) = first.table.get(r.key) {
+        if let Some(to) = first.table.lookup(r.key) {
             r.current = to;
         } else {
             r.current = r.hash_dest;

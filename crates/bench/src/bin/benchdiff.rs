@@ -248,7 +248,7 @@ mod tests {
         for key in [
             "routing.json :: results.rebuild/3000000.ns_per_key",
             "routing.json :: results.apply_delta/300000.mean_ns",
-            "routing.json :: results.compiled_batched/hit.ns_per_key",
+            "routing.json :: results.batched_hit/3000.ns_per_key",
             "mutation_wall_time",
         ] {
             assert_eq!(

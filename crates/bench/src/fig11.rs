@@ -16,7 +16,7 @@ use crate::{Defaults, Scale};
 pub fn skewed_input(d: &Defaults) -> RebalanceInput {
     use streambal_core::Partitioner;
     let mut src = d.source();
-    let mut hash = streambal_baselines::HashPartitioner::new(d.nd);
+    let mut hash = streambal_baselines::storm(d.nd);
     let stats = streambal_sim::source::IntervalSource::next_interval(&mut src, d.nd, &mut |k| {
         hash.route(k)
     });

@@ -5,9 +5,7 @@
 //! sequences (pre-generated per configuration), so differences are purely
 //! due to routing and migration behaviour.
 
-use streambal_baselines::{
-    HashPartitioner, PkgPartitioner, ReadjConfig, ReadjPartitioner, ShufflePartitioner,
-};
+use streambal_baselines::{readj, storm, PkgPartitioner, ReadjConfig, ShufflePartitioner};
 use streambal_core::{Key, Partitioner, RebalanceStrategy};
 use streambal_elastic::FixedSchedule;
 use streambal_hashring::FxHashMap;
@@ -47,7 +45,7 @@ impl RtParams {
         // imbalance to cost throughput, as in the paper's setup. The
         // worker count matches the sandbox's small core count: with more
         // workers than cores the OS scheduler time-shares and masks
-        // imbalance (see EXPERIMENTS.md).
+        // imbalance (see `src/bin/figs.rs`).
         RtParams {
             nd: 2,
             tuples: scale.pick(15_000, 60_000),
@@ -108,8 +106,8 @@ impl RtStrategy {
             ..Defaults::at(Scale::Quick)
         };
         match self {
-            RtStrategy::Storm => Box::new(HashPartitioner::new(rt.nd)),
-            RtStrategy::Readj => Box::new(ReadjPartitioner::new(
+            RtStrategy::Storm => Box::new(storm(rt.nd)),
+            RtStrategy::Readj => Box::new(readj(
                 rt.nd,
                 rt.window,
                 ReadjConfig {
@@ -194,7 +192,7 @@ pub fn run_selfjoin(
 /// map, as the generator needs *some* destination oracle.
 pub fn zipf_intervals(rt: &RtParams, k: usize, z: f64, f: f64, seed: u64) -> Vec<Vec<Key>> {
     let mut w = FluctuatingWorkload::new(k, z, rt.tuples, f, seed);
-    let mut hash = HashPartitioner::new(rt.nd);
+    let mut hash = storm(rt.nd);
     let mut out = Vec::with_capacity(rt.intervals);
     for i in 0..rt.intervals {
         if i > 0 {

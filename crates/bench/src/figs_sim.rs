@@ -3,7 +3,7 @@
 //! Every figure returns a [`Figure`], rendering to both the fixed-width
 //! console tables and `bench_results/figNN.json`.
 
-use streambal_baselines::HashPartitioner;
+use streambal_baselines::storm;
 use streambal_core::{rebalance, Partitioner, RebalanceInput, RebalanceStrategy};
 use streambal_sim::skewness_samples;
 
@@ -26,7 +26,7 @@ pub fn fig07(scale: Scale) -> Figure {
             dd.k = k;
             dd.seed = seed;
             let mut src = dd.source();
-            let mut p = HashPartitioner::new(nd);
+            let mut p = storm(nd);
             let mut route = |key| p.route(key);
             all.extend(skewness_samples(
                 &mut route,
@@ -464,7 +464,7 @@ pub fn fig20_21(scale: Scale) -> Figure {
 pub fn smoke_rebalance() -> f64 {
     let d = Defaults::at(Scale::Quick);
     let mut src = d.source();
-    let mut hash = HashPartitioner::new(d.nd);
+    let mut hash = storm(d.nd);
     let mut route = |k| hash.route(k);
     let stats = streambal_sim::source::IntervalSource::next_interval(&mut src, d.nd, &mut route);
     let records: Vec<streambal_core::KeyRecord> = stats

@@ -1,6 +1,6 @@
 //! Figure output model: every figure builds a [`Figure`] — a list of
 //! labelled tables — which renders both the fixed-width text the
-//! binaries print *and* the machine-readable JSON written under
+//! `figs` binary prints *and* the machine-readable JSON written under
 //! `bench_results/figNN.json` through [`crate::json`]. One source of
 //! truth, two renderings, so whole figure runs diff across PRs without
 //! losing the human-readable console output.
@@ -148,7 +148,7 @@ pub struct Figure {
 }
 
 impl Figure {
-    /// A new empty figure named like its binary (`"fig07"`).
+    /// A new empty figure named as the `figs` binary knows it (`"fig07"`).
     pub fn new(name: impl Into<String>) -> Self {
         Figure {
             name: name.into(),
@@ -167,7 +167,7 @@ impl Figure {
         self
     }
 
-    /// The fixed-width text rendering the binaries print.
+    /// The fixed-width text rendering the `figs` binary prints.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for (i, t) in self.tables.iter().enumerate() {
@@ -218,16 +218,6 @@ pub fn results_dir() -> &'static Path {
 /// never iterate trace exports.
 pub fn traces_dir() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../traces"))
-}
-
-/// Shared tail for the single-figure binaries: print the text rendering
-/// and write `bench_results/<name>.json` at the workspace root.
-pub fn emit(figure: &Figure, scale: Scale) {
-    print!("{}", figure.to_text());
-    match figure.write_json(results_dir(), scale) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}.json: {e}", figure.name()),
-    }
 }
 
 #[cfg(test)]

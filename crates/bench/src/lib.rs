@@ -1,11 +1,13 @@
 //! Experiment harness: one entry point per figure of the paper's
 //! evaluation (§V and appendix).
 //!
-//! Run a single figure with `cargo run -p streambal-bench --release --bin
-//! fig08`, or everything with `--bin all` (which also writes the outputs
-//! under `bench_results/`). Absolute numbers differ from the paper's
-//! 21-node Storm cluster — the *shape* (who wins, by what factor, where
-//! crossovers fall) is the reproduction target; see EXPERIMENTS.md.
+//! Run figures with `cargo run -p streambal-bench --release --bin figs`
+//! (all of them) or `--bin figs fig08 fig12` (just those); each prints
+//! its tables and writes `bench_results/<name>.{txt,json}`. The `figs`
+//! binary's module docs (`src/bin/figs.rs`) list every figure, what it
+//! reproduces and what drives it. Absolute numbers differ from the
+//! paper's 21-node Storm cluster — the *shape* (who wins, by what
+//! factor, where crossovers fall) is the reproduction target.
 //!
 //! Two scales are supported via the `STREAMBAL_SCALE` environment
 //! variable: `quick` (default; minutes, smaller key domains) and `full`
@@ -18,7 +20,7 @@ pub mod figs_sim;
 pub mod figure;
 pub mod json;
 
-use streambal_baselines::{CoreBalancer, ReadjConfig, ReadjPartitioner};
+use streambal_baselines::{readj, CoreBalancer, ReadjConfig};
 use streambal_core::{BalanceParams, Partitioner, RebalanceStrategy, TriggerPolicy};
 use streambal_sim::source::ZipfSource;
 use streambal_sim::{run_sim, SimConfig, SimReport};
@@ -143,7 +145,7 @@ pub fn run_readj_best(d: &Defaults, sigmas: &[f64]) -> SimReport {
             sigma,
             max_actions: 512,
         };
-        let mut p = ReadjPartitioner::new(d.nd, d.window, cfg);
+        let mut p = readj(d.nd, d.window, cfg);
         let mut src = d.source();
         let report = run_sim(
             &mut p,

@@ -16,7 +16,11 @@
 //!
 //! The routing table `A` is bounded by `Amax`, so routing stays O(1) in
 //! time and O(Amax) in memory, while still letting the controller redirect
-//! any troublesome key.
+//! any troublesome key. The function exists once per layer: one
+//! [`RoutingTable`] slab inside an [`AssignmentFn`] (module [`routing`]),
+//! one [`StatsPlane`] where a table mutation meets the statistics window,
+//! one table-backed [`Partitioner`] ([`Rebalancer`]), one table
+//! [`RoutingView`].
 //!
 //! ## The rebalance problem (paper §II-B, Eq. 3)
 //!
@@ -55,13 +59,13 @@
 //!
 //! The pluggable strategy interface the simulator and engine drive —
 //! [`Partitioner`] and its shippable [`RoutingView`] snapshot — also
-//! lives here (module [`partitioner`]): drivers depend on this crate
-//! alone, and `streambal-baselines` merely implements the trait for the
-//! competitors.
+//! lives here (module [`partitioner`]), and `Rebalancer` implements it
+//! for every strategy that routes through a table: drivers depend on
+//! this crate alone, and `streambal-baselines` adds the two table-less
+//! competitors (shuffle, PKG) and the Readj planning function.
 
 pub mod compact;
 pub mod discretize;
-pub mod intern;
 pub mod key;
 pub mod llfd;
 pub mod load;
@@ -75,7 +79,6 @@ pub mod routing;
 pub mod simple;
 pub mod stats;
 
-pub use intern::KeyInterner;
 pub use key::{Key, TaskId};
 pub use load::{
     balance_indicator, loads_of, max_skewness, needs_rebalance, skew_alert, LoadSummary,
@@ -84,8 +87,8 @@ pub use load::{
 pub use migration::{migration_delta, MigrationPlan, Move};
 pub use partitioner::{Partitioner, RoutingView};
 pub use rebalance::{
-    outcome_from_assignment, rebalance, BalanceParams, RebalanceInput, RebalanceOutcome,
+    outcome_from_assignment, rebalance, BalanceParams, PlanFn, RebalanceInput, RebalanceOutcome,
     RebalanceStrategy, Rebalancer, TriggerPolicy, SETTLE_FRACTION,
 };
-pub use routing::{next_live, AssignmentFn, CompiledTable, RoutingTable};
+pub use routing::{next_live, AssignmentFn, RoutingTable};
 pub use stats::{IntervalStats, KeyRecord, KeyStat, StatsPlane, StatsWindow};

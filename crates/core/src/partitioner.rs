@@ -6,9 +6,11 @@
 //! the trait *is* the paper's framing: any strategy, including the
 //! competitors reproduced in `streambal-baselines`, is a routing function
 //! plus an interval-boundary rebalance hook (§II). Drivers depend on this
-//! crate alone; the baselines crate implements the trait for Storm-style
-//! hashing, shuffle, PKG, and Readj, and adapts [`Rebalancer`] through its
-//! `CoreBalancer` wrapper.
+//! crate alone. Every strategy that routes through a table — Storm-style
+//! hashing, Readj and the five core algorithms — is one type,
+//! [`Rebalancer`], whose `impl Partitioner` is the only table-backed one;
+//! the baselines crate implements the trait for shuffle and PKG and names
+//! the Storm and Readj configurations.
 //!
 //! [`Rebalancer`]: crate::Rebalancer
 
@@ -16,18 +18,28 @@ use crate::routing::RoutingTable;
 use crate::stats::IntervalStats;
 use crate::{Key, RebalanceOutcome, TaskId};
 
-/// A cheap, self-contained snapshot of a partitioner's routing function,
+/// A self-contained snapshot of a partitioner's routing function,
 /// shippable to source threads (the engine's "tuples router" of Fig. 5
-/// holds one of these and receives a fresh one on each Resume).
+/// holds one of these and receives a fresh one on each Resume). There is
+/// one full view per routing shape — table, two-choice, round-robin —
+/// plus the table's incremental update.
 #[derive(Debug, Clone)]
 pub enum RoutingView {
-    /// Explicit table over a consistent-hash fallback (Eq. 1). The hash
-    /// ring is reconstructed deterministically from `n_tasks`.
+    /// Explicit table over a consistent-hash fallback (Eq. 1), under an
+    /// optional hot-key split layer. The hash ring is reconstructed
+    /// deterministically from `n_tasks`; the table is the very slab the
+    /// holder will probe, so materializing the view moves it.
     TablePlusHash {
         /// The explicit entries.
         table: RoutingTable,
         /// Ring size.
         n_tasks: usize,
+        /// Split keys with their replica sets (primary first), sorted by
+        /// key — empty unless a key is currently split. Each holder
+        /// rotates a split key over its replicas per tuple
+        /// (`AssignmentFn` split semantics — cursors are per-holder and
+        /// deliberately not part of the view).
+        splits: Vec<(Key, Vec<TaskId>)>,
     },
     /// PKG's power-of-two-choices (the view carries no load state; each
     /// holder balances with its own local estimates, as PKG prescribes).
@@ -54,42 +66,15 @@ pub enum RoutingView {
         /// The rebalance's `(key, new destination)` moves.
         moves: Vec<(Key, TaskId)>,
     },
-    /// [`RoutingView::TablePlusHash`] extended with a hot-key split
-    /// table: each `(key, replicas)` pair salts one flagged-hot key
-    /// across its replica slots (primary first), rotated per tuple by
-    /// each holder (`AssignmentFn` split semantics — cursors are
-    /// per-holder and deliberately not part of the view). Emitted only
-    /// while at least one key is split; the moment the last split
-    /// dissolves, views collapse back to plain `TablePlusHash`, so
-    /// non-splitting runs never see (or pay for) this variant.
-    SplitTable {
-        /// The explicit entries.
-        table: RoutingTable,
-        /// Ring size.
-        n_tasks: usize,
-        /// Split keys with their replica sets, sorted by key.
-        splits: Vec<(Key, Vec<TaskId>)>,
-    },
 }
 
 impl RoutingView {
-    /// The canonical table-backed view of `assignment`: plain
-    /// [`RoutingView::TablePlusHash`] when no key is split, the
-    /// split-carrying variant otherwise. Every `AssignmentFn`-backed
-    /// partitioner builds its view through this, so split visibility is
-    /// uniform across strategies.
+    /// The table view of `assignment`.
     pub fn of_assignment(assignment: &crate::routing::AssignmentFn) -> Self {
-        if assignment.has_splits() {
-            RoutingView::SplitTable {
-                table: assignment.table().clone(),
-                n_tasks: assignment.n_tasks(),
-                splits: assignment.splits(),
-            }
-        } else {
-            RoutingView::TablePlusHash {
-                table: assignment.table().clone(),
-                n_tasks: assignment.n_tasks(),
-            }
+        RoutingView::TablePlusHash {
+            table: assignment.table().clone(),
+            n_tasks: assignment.n_tasks(),
+            splits: assignment.splits(),
         }
     }
 }
@@ -116,10 +101,10 @@ pub trait Partitioner: Send {
     /// (PKG's load estimates, shuffle's cursor) advance exactly as they
     /// would per tuple.
     ///
-    /// The default delegates to `route`; table-backed implementations
-    /// override this with `AssignmentFn::route_batch` so the compiled-table
-    /// probe sequence pipelines across keys (see `routing` module docs in
-    /// this crate).
+    /// The default delegates to `route`; the table-backed implementation
+    /// overrides this with `AssignmentFn::route_batch` so the table probe
+    /// sequence pipelines across keys (see `routing` module docs in this
+    /// crate).
     fn route_batch(&mut self, keys: &[Key], out: &mut Vec<TaskId>) {
         out.clear();
         out.reserve(keys.len());
@@ -136,10 +121,11 @@ pub trait Partitioner: Send {
         unimplemented!("{} does not support scale-out", self.name())
     }
 
-    /// State-placement-preserving scale-out: implementations that own a
-    /// routing table pin hash-churned `live` keys to their old location so
-    /// physical state placement stays truthful (see
-    /// `Rebalancer::scale_out`). Default: plain [`Partitioner::add_task`].
+    /// State-placement-preserving scale-out: the table-backed
+    /// implementation pins hash-churned `live` keys to their old location
+    /// so physical state placement stays truthful (see
+    /// `AssignmentFn::add_task_pinned`). Default: plain
+    /// [`Partitioner::add_task`].
     fn scale_out(&mut self, live: &[Key]) -> TaskId {
         let _ = live;
         self.add_task()
@@ -367,42 +353,41 @@ mod tests {
         Fixed(2).scale_in(TaskId(1), &[Key(1)]);
     }
 
-    /// `of_assignment` collapses to the plain table view unless splits
-    /// exist, so non-splitting runs never emit the new variant.
+    /// The one table view carries whatever splits exist — none, usually.
     #[test]
     fn of_assignment_carries_splits_only_when_present() {
         let mut a = crate::routing::AssignmentFn::hash_only(3);
-        match RoutingView::of_assignment(&a) {
-            RoutingView::TablePlusHash { n_tasks, .. } => assert_eq!(n_tasks, 3),
-            v => panic!("expected TablePlusHash, got {v:?}"),
-        }
-        a.set_split(Key(1), &[TaskId(0), TaskId(2)]);
-        match RoutingView::of_assignment(&a) {
-            RoutingView::SplitTable {
+        let splits_of = |a: &crate::routing::AssignmentFn| match RoutingView::of_assignment(a) {
+            RoutingView::TablePlusHash {
                 n_tasks, splits, ..
             } => {
                 assert_eq!(n_tasks, 3);
-                assert_eq!(splits, vec![(Key(1), vec![TaskId(0), TaskId(2)])]);
+                splits
             }
-            v => panic!("expected SplitTable, got {v:?}"),
-        }
+            v => panic!("expected TablePlusHash, got {v:?}"),
+        };
+        assert_eq!(splits_of(&a), vec![]);
+        a.set_split(Key(1), &[TaskId(0), TaskId(2)]);
+        assert_eq!(splits_of(&a), vec![(Key(1), vec![TaskId(0), TaskId(2)])]);
     }
 
-    /// The crate's own Rebalancer is usable through the trait without the
-    /// baselines adapter (drivers can depend on core alone).
+    /// The crate's own Rebalancer is usable through the trait (drivers
+    /// can depend on core alone).
     #[test]
     fn rebalancer_satisfies_contract_via_view() {
         let r = Rebalancer::new(4, 1, RebalanceStrategy::Mixed, BalanceParams::default());
-        let view = RoutingView::TablePlusHash {
-            table: r.assignment().table().clone(),
-            n_tasks: r.assignment().n_tasks(),
-        };
-        match view {
-            RoutingView::TablePlusHash { table, n_tasks } => {
+        let p: &dyn Partitioner = &r;
+        assert_eq!((p.name().as_str(), p.n_tasks()), ("Mixed", 4));
+        match p.routing_view() {
+            RoutingView::TablePlusHash {
+                table,
+                n_tasks,
+                splits,
+            } => {
                 assert_eq!(n_tasks, 4);
-                assert!(table.is_empty());
+                assert!(table.is_empty() && splits.is_empty());
             }
-            _ => unreachable!(),
+            v => panic!("expected TablePlusHash, got {v:?}"),
         }
     }
 }

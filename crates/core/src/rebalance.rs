@@ -1,12 +1,15 @@
 //! The rebalance façade: strategy dispatch and the stateful [`Rebalancer`]
-//! controller component.
+//! — the one table-backed [`Partitioner`].
 //!
 //! This is the module the engine talks to. At each interval boundary the
 //! controller feeds the collected [`IntervalStats`] into
-//! [`Rebalancer::end_interval`]; if any task violates `θmax`, the selected
-//! strategy constructs a new assignment `F′`, the routing table is swapped,
-//! and the resulting [`MigrationPlan`] is handed back for the engine to
-//! execute with the pause → migrate → ack → resume protocol (Fig. 5).
+//! [`Partitioner::end_interval`]; if any task violates `θmax`, the
+//! rebalancer's planner constructs a new assignment `F′`, its move list
+//! is applied to the routing table, and the resulting [`MigrationPlan`]
+//! is handed back for the engine to execute with the pause → migrate →
+//! ack → resume protocol (Fig. 5).
+
+use std::fmt;
 
 use crate::key::{Key, TaskId};
 use crate::load::{loads_of, needs_rebalance, LoadSummary};
@@ -14,6 +17,7 @@ use crate::migration::{MigrationPlan, Move};
 use crate::minmig::minmig_assign;
 use crate::mintable::mintable_assign;
 use crate::mixed::{mixed_assign, mixed_bf_assign};
+use crate::partitioner::{Partitioner, RoutingView};
 use crate::routing::{AssignmentFn, RoutingTable};
 use crate::simple::simple_assign;
 use crate::stats::{IntervalStats, KeyRecord, StatsPlane};
@@ -230,15 +234,52 @@ impl Default for TriggerPolicy {
     }
 }
 
-/// The stateful controller-side component: owns the assignment function
-/// (routing table + hash ring) and the statistics window (together the
-/// [`StatsPlane`]), decides when to trigger, and applies accepted plans
-/// to the table.
+/// An external planning function: given the rebalance input, the new
+/// assignment, parallel to `input.records`.
+pub type PlanFn = Box<dyn Fn(&RebalanceInput) -> Vec<TaskId> + Send>;
+
+/// What constructs `F′` when a [`Rebalancer`]'s trigger fires.
+enum Planner {
+    /// One of the §III algorithms, planning to the trigger policy's
+    /// target.
+    Strategy(RebalanceStrategy),
+    /// A competitor's algorithm under its own tolerance (Readj).
+    External {
+        /// Display name.
+        name: &'static str,
+        /// The planning function.
+        plan: PlanFn,
+    },
+}
+
+impl fmt::Debug for Planner {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Planner::Strategy(s) => f.debug_tuple("Strategy").field(s).finish(),
+            Planner::External { name, .. } => f.debug_tuple("External").field(name).finish(),
+        }
+    }
+}
+
+/// The table-backed partitioner: owns the assignment function (routing
+/// table + hash ring + split layer) and the statistics window (together
+/// the [`StatsPlane`]), decides when to trigger, and applies accepted
+/// plans to the table. Every strategy that routes by Eq. 1 is this type
+/// and differs only in its planner — a §III algorithm
+/// ([`Rebalancer::new`]), a competitor's planning function
+/// ([`Rebalancer::with_planner`]), or none at all
+/// ([`Rebalancer::hash_only`], static consistent hashing) — so scale-out,
+/// scale-in, dead-slot re-pinning, roll-backs and hot-key splits behave
+/// alike for all of them. Its [`Partitioner`] methods hand each table
+/// mutation to the [`StatsPlane`], the single place a mutation meets the
+/// window.
 #[derive(Debug)]
 pub struct Rebalancer {
     plane: StatsPlane,
     params: BalanceParams,
-    strategy: RebalanceStrategy,
+    /// `None`: the assignment never changes on its own and statistics
+    /// are not even retained.
+    planner: Option<Planner>,
     rebalances: usize,
     trigger: TriggerPolicy,
     intervals_since_rebalance: usize,
@@ -255,10 +296,51 @@ impl Rebalancer {
         strategy: RebalanceStrategy,
         params: BalanceParams,
     ) -> Self {
+        Rebalancer::build(n_tasks, window, Some(Planner::Strategy(strategy)), params)
+    }
+
+    /// Static consistent hashing over `n_tasks` instances — what a stock
+    /// Storm `fields` grouping does ("Storm" in the paper's figures): it
+    /// never plans, so its table only ever holds what scale and recovery
+    /// operations pin.
+    pub fn hash_only(n_tasks: usize) -> Self {
+        Rebalancer::build(n_tasks, 1, None, BalanceParams::default())
+    }
+
+    /// A rebalancer that triggers at `theta_max` like the paper's
+    /// controller ([`TriggerPolicy::paper`]) and plans with `plan`, shown
+    /// as `name`. The planner runs under its own tolerance: a
+    /// `settle_inside` trigger policy does not reach it.
+    pub fn with_planner(
+        n_tasks: usize,
+        window: usize,
+        name: &'static str,
+        theta_max: f64,
+        plan: PlanFn,
+    ) -> Self {
+        let params = BalanceParams {
+            theta_max,
+            ..BalanceParams::default()
+        };
+        Rebalancer::build(
+            n_tasks,
+            window,
+            Some(Planner::External { name, plan }),
+            params,
+        )
+        .with_trigger_policy(TriggerPolicy::paper())
+    }
+
+    fn build(
+        n_tasks: usize,
+        window: usize,
+        planner: Option<Planner>,
+        params: BalanceParams,
+    ) -> Self {
         Rebalancer {
             plane: StatsPlane::new(n_tasks, window),
             params,
-            strategy,
+            planner,
             rebalances: 0,
             trigger: TriggerPolicy::default(),
             intervals_since_rebalance: usize::MAX,
@@ -267,23 +349,13 @@ impl Rebalancer {
         }
     }
 
-    /// Replaces the trigger damping policy.
+    /// Replaces the trigger damping policy. A cooldown or
+    /// consecutive-violation requirement sets the effective *rebalance
+    /// period*, which is exactly the cold-start lag a pinned scale-out
+    /// pays while the new instance waits for the next plan.
     pub fn with_trigger_policy(mut self, trigger: TriggerPolicy) -> Self {
         self.trigger = trigger;
         self
-    }
-
-    /// Routes one tuple key under the current `F` — the upstream router's
-    /// per-tuple operation.
-    #[inline]
-    pub fn route(&self, key: Key) -> TaskId {
-        self.plane.assignment().route(key)
-    }
-
-    /// Routes a batch of keys under the current `F` (see
-    /// [`AssignmentFn::route_batch`]).
-    pub fn route_batch(&self, keys: &[Key], out: &mut Vec<TaskId>) {
-        self.plane.assignment().route_batch(keys, out);
     }
 
     /// The live assignment function.
@@ -291,109 +363,9 @@ impl Rebalancer {
         self.plane.assignment()
     }
 
-    /// The active parameters.
-    pub fn params(&self) -> &BalanceParams {
-        &self.params
-    }
-
-    /// A worker slot died without draining: re-pin its explicit entries
-    /// onto survivors (see [`AssignmentFn::repin_dead`]) and return the
-    /// applied moves.
-    pub fn reroute_dead(
-        &mut self,
-        dead: TaskId,
-        is_dead: &dyn Fn(usize) -> bool,
-    ) -> Vec<(Key, TaskId)> {
-        self.plane.reroute_dead(dead, is_dead)
-    }
-
-    /// Applies an explicit move list to the live assignment (the aborted
-    /// -migration rollback path; see [`AssignmentFn::apply_delta`]).
-    pub fn apply_moves(&mut self, moves: &[(Key, TaskId)]) {
-        self.plane.apply_moves(moves);
-    }
-
     /// How many rebalances have fired so far.
     pub fn rebalances(&self) -> usize {
         self.rebalances
-    }
-
-    /// Whether the most recent rebalance was installed as an incremental
-    /// delta (`O(churn)`) rather than a full table swap (see
-    /// [`AssignmentFn::install_rebalance`]). Drivers use this to ship
-    /// sources a matching move-list view instead of the whole table.
-    pub fn last_install_was_delta(&self) -> bool {
-        self.last_install_was_delta
-    }
-
-    /// Adds a downstream instance (scale-out, Fig. 15). The next
-    /// `end_interval` sees the new task in its load vector and rebalances
-    /// onto it.
-    pub fn add_task(&mut self) -> TaskId {
-        self.plane.add_task()
-    }
-
-    /// Scale-out that preserves physical state placement: keys in `live`
-    /// whose hash destination would churn onto the new ring slot get
-    /// pinned (table entries to their old location), so routing stays
-    /// truthful to where state actually sits. The next `end_interval`
-    /// then migrates keys onto the empty instance with a proper plan.
-    pub fn scale_out(&mut self, live: impl IntoIterator<Item = Key>) -> TaskId {
-        let live: Vec<Key> = live.into_iter().collect();
-        self.plane.scale_out(&live)
-    }
-
-    /// Scale-out with a pre-placement plan: instead of pinning the ring
-    /// churn away (which leaves the new instance empty until the next
-    /// rebalance migrates keys onto it), lets churned state-bearing keys
-    /// follow the grown ring and returns them as `(key, old_holder)`
-    /// moves for the caller to migrate inside the scale-out quiescence
-    /// window (see `AssignmentFn::add_task_with_moves`).
-    ///
-    /// The plan covers the union of the caller's `live` keys and every
-    /// key in this rebalancer's statistics window (see
-    /// [`StatsPlane::scale_out_plan`]).
-    pub fn scale_out_plan(
-        &mut self,
-        live: impl IntoIterator<Item = Key>,
-    ) -> (TaskId, Vec<(Key, TaskId)>) {
-        let live: Vec<Key> = live.into_iter().collect();
-        self.plane.scale_out_plan(&live)
-    }
-
-    /// Scale-in (the inverse of [`Rebalancer::scale_out`]): retires the
-    /// highest-numbered instance, dropping its explicit table entries and
-    /// shrinking the ring consistently, with `live` keys pinned against
-    /// survivor churn (see `AssignmentFn::remove_task_pinned`). The
-    /// victim's physical state must be migrated by the caller before the
-    /// instance disappears; subsequent `end_interval` calls see the
-    /// shrunk load vector.
-    ///
-    /// # Panics
-    /// Panics if `victim` is not the last task or only one task remains.
-    pub fn scale_in(&mut self, victim: TaskId, live: impl IntoIterator<Item = Key>) {
-        let live: Vec<Key> = live.into_iter().collect();
-        self.plane.scale_in(victim, &live);
-    }
-
-    /// Flags `key` as hot and salts it across `replicas` (see
-    /// [`AssignmentFn::set_split`]). While split, the key is owned by the
-    /// split layer: it is excluded from rebalance inputs (its "current"
-    /// placement rotates per tuple, so whole-key moves are meaningless
-    /// for it) and the rebalance algorithms balance the remainder.
-    pub fn split_key(&mut self, key: Key, replicas: &[TaskId]) -> bool {
-        self.plane.split_key(key, replicas)
-    }
-
-    /// Dissolves `key`'s split, returning the replica set that was
-    /// installed (see [`AssignmentFn::clear_split`]).
-    pub fn unsplit_key(&mut self, key: Key) -> Option<Vec<TaskId>> {
-        self.plane.unsplit_key(key)
-    }
-
-    /// The currently split keys with their replica sets, sorted by key.
-    pub fn splits(&self) -> Vec<(Key, Vec<TaskId>)> {
-        self.plane.assignment().splits()
     }
 
     /// Materialises the rebalance input from the window's rows — the
@@ -413,6 +385,30 @@ impl Rebalancer {
     pub fn current_loads(&self) -> LoadSummary {
         self.plane.loads()
     }
+}
+
+impl Partitioner for Rebalancer {
+    fn name(&self) -> String {
+        match &self.planner {
+            None => "Storm",
+            Some(Planner::Strategy(s)) => s.name(),
+            Some(Planner::External { name, .. }) => *name,
+        }
+        .into()
+    }
+
+    fn n_tasks(&self) -> usize {
+        self.plane.assignment().n_tasks()
+    }
+
+    #[inline]
+    fn route(&mut self, key: Key) -> TaskId {
+        self.plane.assignment().route(key)
+    }
+
+    fn route_batch(&mut self, keys: &[Key], out: &mut Vec<TaskId>) {
+        self.plane.assignment().route_batch(keys, out);
+    }
 
     /// Ends an interval: ingests the stats, evaluates the trigger on the
     /// window's running per-task loads, and — when imbalance exceeds
@@ -428,7 +424,8 @@ impl Rebalancer {
     /// Returns the outcome when a rebalance fired (its
     /// [`MigrationPlan`] must then be executed by the engine *before*
     /// routing resumes for affected keys), or `None` when balanced.
-    pub fn end_interval(&mut self, stats: IntervalStats) -> Option<RebalanceOutcome> {
+    fn end_interval(&mut self, stats: IntervalStats) -> Option<RebalanceOutcome> {
+        let planner = self.planner.as_ref()?;
         let closing = !stats.is_provisional();
         self.plane.push(stats);
         if closing {
@@ -437,6 +434,11 @@ impl Rebalancer {
         if !self.plane.window().has_records() {
             return None;
         }
+        // The shared overload predicate is also an external planner's
+        // actionable region: Readj's move/swap loop only acts while some
+        // task exceeds `Lmax`, so on an under-load-only shape it provably
+        // returns the identity assignment, and firing on deviation would
+        // only add no-op rebalances to the reports.
         if !needs_rebalance(&self.plane.loads(), self.params.theta_max) {
             if closing {
                 self.consecutive_violations = 0;
@@ -453,13 +455,19 @@ impl Rebalancer {
         if violations < self.trigger.consecutive || since <= self.trigger.cooldown {
             return None; // damped
         }
-        let mut plan_to = self.params;
-        if self.trigger.settle_inside {
-            plan_to.theta_max *= SETTLE_FRACTION;
-        }
-        let outcome = rebalance(&self.build_input(), self.strategy, &plan_to);
+        let input = self.build_input();
+        let outcome = match planner {
+            Planner::Strategy(strategy) => {
+                let mut plan_to = self.params;
+                if self.trigger.settle_inside {
+                    plan_to.theta_max *= SETTLE_FRACTION;
+                }
+                rebalance(&input, *strategy, &plan_to)
+            }
+            Planner::External { plan, .. } => outcome_from_assignment(&input, &plan(&input)),
+        };
         // O(churn) delta install, with an occasional staleness resync —
-        // never the old O(table) clone-and-swap per rebalance.
+        // never an O(table) clone-and-swap per rebalance.
         self.last_install_was_delta = self
             .plane
             .install_rebalance(&outcome.table, outcome.plan.moves());
@@ -467,6 +475,63 @@ impl Rebalancer {
         self.intervals_since_rebalance = 0;
         self.consecutive_violations = 0;
         Some(outcome)
+    }
+
+    /// The next `end_interval` sees the new task in its load vector and
+    /// rebalances onto it (Fig. 15).
+    fn add_task(&mut self) -> TaskId {
+        self.plane.add_task()
+    }
+
+    fn scale_out(&mut self, live: &[Key]) -> TaskId {
+        self.plane.scale_out(live)
+    }
+
+    fn scale_out_plan(&mut self, live: &[Key]) -> (TaskId, Vec<(Key, TaskId)>) {
+        self.plane.scale_out_plan(live)
+    }
+
+    /// # Panics
+    /// Panics if `victim` is not the last task or only one task remains.
+    fn scale_in(&mut self, victim: TaskId, live: &[Key]) {
+        self.plane.scale_in(victim, live);
+    }
+
+    fn routing_view(&self) -> RoutingView {
+        RoutingView::of_assignment(self.plane.assignment())
+    }
+
+    fn last_install_was_delta(&self) -> bool {
+        self.last_install_was_delta
+    }
+
+    fn reroute_dead(
+        &mut self,
+        dead: TaskId,
+        is_dead: &dyn Fn(usize) -> bool,
+    ) -> Vec<(Key, TaskId)> {
+        self.plane.reroute_dead(dead, is_dead)
+    }
+
+    fn apply_moves(&mut self, moves: &[(Key, TaskId)]) -> bool {
+        self.plane.apply_moves(moves);
+        true
+    }
+
+    /// While split, the key is owned by the split layer: it is excluded
+    /// from rebalance inputs (its "current" placement rotates per tuple,
+    /// so whole-key moves are meaningless for it) and the planner
+    /// balances the remainder.
+    fn split_key(&mut self, key: Key, replicas: &[TaskId]) -> bool {
+        self.plane.split_key(key, replicas)
+    }
+
+    fn unsplit_key(&mut self, key: Key) -> Option<Vec<TaskId>> {
+        self.plane.unsplit_key(key)
+    }
+
+    fn splits(&self) -> Vec<(Key, Vec<TaskId>)> {
+        self.plane.assignment().splits()
     }
 }
 
@@ -650,7 +715,7 @@ mod tests {
         }
         let _ = rb.end_interval(iv.clone());
         let live: Vec<Key> = (0..3_000u64).map(Key).collect();
-        rb.scale_in(TaskId(2), live.iter().copied());
+        rb.scale_in(TaskId(2), &live);
         assert_eq!(rb.assignment().n_tasks(), 2);
         for &k in &live {
             assert!(rb.route(k).index() < 2, "key routed to retired task");
@@ -668,7 +733,7 @@ mod tests {
     #[should_panic(expected = "highest-numbered task")]
     fn scale_in_rejects_non_tail_victim() {
         let mut rb = Rebalancer::new(3, 1, RebalanceStrategy::Mixed, BalanceParams::default());
-        rb.scale_in(TaskId(0), std::iter::empty());
+        rb.scale_in(TaskId(0), &[]);
     }
 
     #[test]

@@ -1132,17 +1132,22 @@ mod tests {
                         plane.scale_out(&live);
                     }
                     4 if n < 6 => {
+                        // Table-then-hash, past the split layer: a split
+                        // key's `route` rotates, its holder does not.
+                        let unsplit_route = |f: &AssignmentFn, key| {
+                            f.table().lookup(key).unwrap_or(f.hash_route(key))
+                        };
                         let before = naive.union_keys(live.iter().copied());
                         let holders: Vec<TaskId> = before
                             .iter()
-                            .map(|&key| plane.assignment().route_via_map(key))
+                            .map(|&key| unsplit_route(plane.assignment(), key))
                             .collect();
                         let (new, moves) = plane.scale_out_plan(&live);
                         // The plan is judged over the window's keys too.
                         for (key, holder) in moves {
                             let i = before.binary_search(&key).unwrap();
                             assert_eq!(holder, holders[i]);
-                            assert_eq!(plane.assignment().route_via_map(key), new);
+                            assert_eq!(unsplit_route(plane.assignment(), key), new);
                         }
                     }
                     5 if n > 2 => plane.scale_in(TaskId(n as u32 - 1), &live),

@@ -268,7 +268,7 @@ impl<'a> RoundDecisions<'a> {
 mod tests {
     use super::*;
     use crate::{FixedSchedule, FixedSplitSchedule, HoldPolicy};
-    use streambal_baselines::HashPartitioner;
+    use streambal_baselines::{storm, CoreBalancer};
 
     fn observation(interval: u64, loads: &[u64]) -> IntervalObservation<'_> {
         IntervalObservation {
@@ -285,7 +285,7 @@ mod tests {
     /// Everything one interval-0 round decides over `p`, with per-task
     /// loads of 10 and one observed key.
     fn decide(
-        p: &mut HashPartitioner,
+        p: &mut CoreBalancer,
         scale: ScaleDecision,
         split: Option<SplitDecision>,
         dead: &[usize],
@@ -316,7 +316,7 @@ mod tests {
 
     #[test]
     fn scale_out_is_clamped_when_the_driver_cannot_grow() {
-        let mut p = HashPartitioner::new(2);
+        let mut p = storm(2);
         let acts = decide(&mut p, ScaleDecision::ScaleOut, None, &[], false);
         assert_eq!(acts, vec![RoundAction::ScaleOutClamped]);
         assert_eq!(p.n_tasks(), 2, "a clamped decision mutates nothing");
@@ -335,7 +335,7 @@ mod tests {
 
     #[test]
     fn scale_in_never_goes_below_one_task() {
-        let mut p = HashPartitioner::new(2);
+        let mut p = storm(2);
         let acts = decide(&mut p, ScaleDecision::ScaleIn, None, &[], true);
         let event = ScaleEvent {
             interval: 0,
@@ -357,7 +357,7 @@ mod tests {
     /// and neither touches the routing function.
     #[test]
     fn dead_slots_turn_scale_in_into_held_and_scale_out_into_revive() {
-        let mut p = HashPartitioner::new(3);
+        let mut p = storm(3);
         let acts = decide(&mut p, ScaleDecision::ScaleIn, None, &[2, 1], true);
         assert_eq!(acts, vec![RoundAction::ScaleHeld]);
         let acts = decide(&mut p, ScaleDecision::ScaleOut, None, &[2, 1], false);
@@ -370,7 +370,7 @@ mod tests {
         let split = |key, replicas| Some(SplitDecision::Split { key, replicas });
         let hold = ScaleDecision::Hold;
 
-        let mut p = HashPartitioner::new(3);
+        let mut p = storm(3);
         let acts = decide(&mut p, hold, split(7, 2), &[], true);
         assert!(
             matches!(acts[..], [RoundAction::Split { event, key: Key(7) }] if event.to == 2),
@@ -382,7 +382,7 @@ mod tests {
         assert_eq!(p.splits()[0].1.len(), 2);
         // A degenerate replica count, or a single task: refused.
         assert_eq!(decide(&mut p, hold, split(8, 1), &[], true), vec![]);
-        let mut single = HashPartitioner::new(1);
+        let mut single = storm(1);
         assert_eq!(decide(&mut single, hold, split(8, 2), &[], true), vec![]);
         // Unsplit of a key that is not split: nothing to do.
         let unsplit = Some(SplitDecision::Unsplit { key: 9 });
@@ -393,7 +393,7 @@ mod tests {
     /// other task would win, unless it is dead — then it sorts last.
     #[test]
     fn split_replicas_avoid_dead_slots() {
-        let mut p = HashPartitioner::new(3);
+        let mut p = storm(3);
         let primary = p.route(Key(7)).index();
         let others: Vec<usize> = (0..3).filter(|&i| i != primary).collect();
         let split = Some(SplitDecision::Split {
@@ -412,7 +412,7 @@ mod tests {
     /// partitioner.
     #[test]
     fn a_holding_round_yields_no_action() {
-        let mut p = HashPartitioner::new(2);
+        let mut p = storm(2);
         let stats = IntervalStats::new();
         let inputs = RoundInputs {
             obs: observation(3, &[1, 1]),

@@ -16,7 +16,7 @@
 //! * [`fx_hash_u64`] — the same hash as a one-shot function over `u64`,
 //!   for flat structures or parity checks that need `FxHashMap`'s exact
 //!   probe hash without the hasher machinery. (The routing layer's
-//!   compiled table indexes with plain [`mix64`] instead — one multiply
+//!   table slab indexes with plain [`mix64`] instead — one multiply
 //!   cheaper, same avalanche family; see its docs.)
 //! * [`HashRing`] — a consistent hash ring with virtual nodes mapping `u64`
 //!   keys onto `n` task slots, supporting incremental scale-out (the

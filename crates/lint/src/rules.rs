@@ -128,8 +128,8 @@ pub fn scan_source(file: &str, src: &str, class: &FileClass) -> Vec<Violation> {
                     line: t.line,
                     rule: "L003",
                     msg: "`swap_table` call outside the whitelisted resync path \
-                          (crates/core/src/routing.rs) — full rebuilds are O(table) \
-                          and must stay confined to the documented sites"
+                          (crates/core/src/routing.rs) — whole-table replacement is \
+                          O(table) and must stay confined to the documented sites"
                         .to_string(),
                 });
             }

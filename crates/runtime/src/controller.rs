@@ -2191,7 +2191,7 @@ mod protocol_tests {
     use std::rc::Rc;
 
     use crossbeam::channel::unbounded;
-    use streambal_baselines::HashPartitioner;
+    use streambal_baselines::storm;
     use streambal_elastic::{FixedSchedule, ScaleDecision, ScaleEvent};
     use streambal_trace::{EventKind, ThreadLabel, TraceSink};
 
@@ -2214,7 +2214,7 @@ mod protocol_tests {
 
     /// A controller over three provisioned slots, all of them running.
     fn rig(policy: FixedSchedule) -> (Controller<'static>, Rig) {
-        rig_with(policy, FaultPlan::none(), Box::new(HashPartitioner::new(3)))
+        rig_with(policy, FaultPlan::none(), Box::new(storm(3)))
     }
 
     fn rig_with(
@@ -2291,7 +2291,7 @@ mod protocol_tests {
 
     /// A key whose hash home among `n` tasks is `task`.
     fn key_homed_on(task: usize, n: usize) -> Key {
-        let mut p = HashPartitioner::new(n);
+        let mut p = storm(n);
         (0..10_000u64)
             .map(Key)
             .find(|&k| p.route(k) == TaskId::from(task))
@@ -2375,7 +2375,7 @@ mod protocol_tests {
     fn duplicate_answers_are_absorbed_once_per_phase() {
         let key = key_homed_on(1, 2);
         let blob = Bytes::copy_from_slice(b"state");
-        let view = HashPartitioner::new(2).routing_view();
+        let view = storm(2).routing_view();
         type Op = (ProtocolOp, &'static str, Box<dyn Fn(u64) -> WorkerEvent>);
         let cases: Vec<Op> = vec![
             (
@@ -2602,7 +2602,7 @@ mod protocol_tests {
             kind: CtlKind::StatsRequest,
             nth: 2,
         }]);
-        let hash = Box::new(HashPartitioner::new(3));
+        let hash = Box::new(storm(3));
         let (mut ctl, rig) = rig_with(FixedSchedule::new([]), plan, hash);
         ctl.on_source_event(alert(0));
         let asked: Vec<Vec<u64>> = rig.workers.iter().map(peeks_at).collect();

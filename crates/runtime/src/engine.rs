@@ -1020,8 +1020,8 @@ fn source_loop<F>(
 mod tests {
     use super::*;
     use crate::operator::WordCountOp;
+    use streambal_baselines::storm;
     use streambal_baselines::CoreBalancer;
-    use streambal_baselines::HashPartitioner;
     use streambal_core::{BalanceParams, RebalanceStrategy};
     use streambal_elastic::FixedSchedule;
     use streambal_workloads::FluctuatingWorkload;
@@ -1074,7 +1074,7 @@ mod tests {
         let feed = intervals.clone();
         let report = Engine::run(
             small_config(),
-            Box::new(HashPartitioner::new(3)),
+            Box::new(storm(3)),
             |_| Box::new(WordCountOp::new()),
             move |iv| {
                 feed.get(iv as usize)
@@ -1133,7 +1133,7 @@ mod tests {
     /// fault ledger, and every span closed in protocol order.
     #[test]
     fn early_rounds_keep_word_counts_exact() {
-        let mut hash = HashPartitioner::new(3);
+        let mut hash = storm(3);
         let mut w = FluctuatingWorkload::new(300, 1.0, 8_000, 1.0, 23);
         let mut intervals: Vec<Vec<Key>> = Vec::new();
         for _ in 0..12 {
@@ -1186,7 +1186,7 @@ mod tests {
     fn latency_and_throughput_recorded() {
         let report = Engine::run(
             small_config(),
-            Box::new(HashPartitioner::new(3)),
+            Box::new(storm(3)),
             |_| Box::new(WordCountOp::new()),
             |iv| (iv < 2).then(|| (0..2000u64).map(|i| Tuple::keyed(Key(i % 50))).collect()),
             None,
@@ -1364,7 +1364,7 @@ mod tests {
         };
         let report = Engine::run(
             config,
-            Box::new(HashPartitioner::new(2)),
+            Box::new(storm(2)),
             |_| Box::new(WordCountOp::new()),
             move |iv| {
                 feed.get(iv as usize)
@@ -1421,7 +1421,7 @@ mod tests {
         };
         let report = Engine::run(
             config,
-            Box::new(HashPartitioner::new(2)),
+            Box::new(storm(2)),
             |_| Box::new(WordCountOp::new()),
             move |iv| {
                 feed.get(iv as usize)
@@ -1514,7 +1514,7 @@ mod tests {
             let feed = intervals.clone();
             let report = Engine::run(
                 config,
-                Box::new(HashPartitioner::new(3)),
+                Box::new(storm(3)),
                 |_| Box::new(WordCountOp::new()),
                 move |iv| {
                     feed.get(iv as usize)
@@ -1579,7 +1579,7 @@ mod tests {
         };
         let report = Engine::run(
             config,
-            Box::new(HashPartitioner::new(3)),
+            Box::new(storm(3)),
             |_| Box::new(WordCountOp::new()),
             |iv| (iv < 2).then(|| (0..500u64).map(|i| Tuple::keyed(Key(i % 7))).collect()),
             None,
@@ -1592,7 +1592,7 @@ mod tests {
     fn mismatched_parallelism_panics() {
         let _ = Engine::run(
             small_config(), // 3 workers
-            Box::new(HashPartitioner::new(2)),
+            Box::new(storm(2)),
             |_| Box::new(WordCountOp::new()),
             |_| None,
             None,

@@ -4,10 +4,11 @@ use streambal_core::{AssignmentFn, Key, RoutingView, TaskId};
 
 /// Evaluates a routing view per tuple on the source thread.
 ///
-/// For [`RoutingView::TablePlusHash`] this is exactly Eq. 1: a table probe
-/// with a consistent-hash fallback (the ring is rebuilt deterministically
-/// from `n_tasks`, so every holder of the view routes identically). For
-/// PKG it keeps local load estimates; for shuffle, a round-robin cursor.
+/// For [`RoutingView::TablePlusHash`] this is exactly Eq. 1 under the
+/// split layer: a table probe with a consistent-hash fallback (the view's
+/// table is moved in, and the ring is rebuilt deterministically from
+/// `n_tasks`, so every holder of the view routes identically). For PKG
+/// it keeps local load estimates; for shuffle, a round-robin cursor.
 #[derive(Debug)]
 pub enum SourceRouter {
     /// Mixed table + hash (core strategies, Readj, plain hash).
@@ -37,10 +38,7 @@ impl SourceRouter {
     /// routers (startup, retire re-homing) must receive a full view.
     pub fn from_view(view: RoutingView) -> Self {
         match view {
-            RoutingView::TablePlusHash { table, n_tasks } => {
-                SourceRouter::Assignment(AssignmentFn::with_table(n_tasks, table))
-            }
-            RoutingView::SplitTable {
+            RoutingView::TablePlusHash {
                 table,
                 n_tasks,
                 splits,
@@ -118,8 +116,8 @@ impl SourceRouter {
     /// Routes a batch of keys, appending one destination per key to `out`
     /// (cleared first). Observationally identical to routing each key in
     /// order with [`SourceRouter::route`]; the table+hash variant uses the
-    /// compiled-table batch path so the probe sequence pipelines across
-    /// the channel batch (see `streambal_core::routing` docs).
+    /// table's batch path so the probe sequence pipelines across the
+    /// channel batch (see `streambal_core::routing` docs).
     pub fn route_batch(&mut self, keys: &[Key], out: &mut Vec<TaskId>) {
         match self {
             SourceRouter::Assignment(a) => a.route_batch(keys, out),
@@ -154,13 +152,13 @@ impl SourceRouter {
 
     /// Routing-table shape for the flight recorder's per-interval
     /// `RouterSnapshot`: `(live entries, tombstone debris)` of the
-    /// compiled table. Table-less routers (PKG, shuffle) report
-    /// `(0, 0)` — they have no table to grow or fragment.
+    /// table's slab. Table-less routers (PKG, shuffle) report `(0, 0)` —
+    /// they have no table to grow or fragment.
     pub fn table_stats(&self) -> (usize, usize) {
         match self {
             SourceRouter::Assignment(a) => {
-                let c = a.compiled();
-                (c.len(), c.occupied().saturating_sub(c.len()))
+                let t = a.table();
+                (t.len(), t.occupied().saturating_sub(t.len()))
             }
             SourceRouter::TwoChoice { .. } | SourceRouter::RoundRobin { .. } => (0, 0),
         }
@@ -172,14 +170,20 @@ mod tests {
     use super::*;
     use streambal_core::RoutingTable;
 
+    /// A split-less table view.
+    fn table_view(table: RoutingTable, n_tasks: usize) -> RoutingView {
+        RoutingView::TablePlusHash {
+            table,
+            n_tasks,
+            splits: Vec::new(),
+        }
+    }
+
     #[test]
     fn table_plus_hash_matches_assignment_fn() {
         let mut table = RoutingTable::new();
         table.insert(Key(3), TaskId(1));
-        let mut r = SourceRouter::from_view(RoutingView::TablePlusHash {
-            table: table.clone(),
-            n_tasks: 4,
-        });
+        let mut r = SourceRouter::from_view(table_view(table.clone(), 4));
         let reference = AssignmentFn::with_table(4, table);
         for k in 0..200u64 {
             assert_eq!(r.route(Key(k)), reference.route(Key(k)));
@@ -190,10 +194,7 @@ mod tests {
     fn deterministic_ring_across_holders() {
         // Two independent materializations of the same view route alike —
         // the property that lets the controller and sources stay in sync.
-        let view = RoutingView::TablePlusHash {
-            table: RoutingTable::new(),
-            n_tasks: 7,
-        };
+        let view = table_view(RoutingTable::new(), 7);
         let mut a = SourceRouter::from_view(view.clone());
         let mut b = SourceRouter::from_view(view);
         for k in 0..500u64 {
@@ -218,7 +219,7 @@ mod tests {
             table.insert(Key(k * 3), TaskId((k % 4) as u32));
         }
         let views = [
-            RoutingView::TablePlusHash { table, n_tasks: 4 },
+            table_view(table, 4),
             RoutingView::TwoChoice { n_tasks: 4 },
             RoutingView::RoundRobin { n_tasks: 4 },
         ];
@@ -248,10 +249,7 @@ mod tests {
         let table: RoutingTable = (0..100u64)
             .map(|k| (Key(k), TaskId((k % 3) as u32)))
             .collect();
-        let mut delta_router = SourceRouter::from_view(RoutingView::TablePlusHash {
-            table: table.clone(),
-            n_tasks: 4,
-        });
+        let mut delta_router = SourceRouter::from_view(table_view(table.clone(), 4));
         // A mixed delta: new pins, re-pins, and move-backs to h(k).
         let reference = AssignmentFn::with_table(4, table.clone());
         let moves: Vec<(Key, TaskId)> = vec![
@@ -265,10 +263,7 @@ mod tests {
         });
         let mut full = AssignmentFn::with_table(4, table);
         full.apply_delta(moves);
-        let mut fresh = SourceRouter::from_view(RoutingView::TablePlusHash {
-            table: full.table().clone(),
-            n_tasks: 4,
-        });
+        let mut fresh = SourceRouter::from_view(table_view(full.table().clone(), 4));
         for k in 0..1_000u64 {
             assert_eq!(delta_router.route(Key(k)), fresh.route(Key(k)), "key {k}");
         }
@@ -282,7 +277,7 @@ mod tests {
         let table: RoutingTable = (0..20u64)
             .map(|k| (Key(k), TaskId((k % 4) as u32)))
             .collect();
-        let view = RoutingView::SplitTable {
+        let view = RoutingView::TablePlusHash {
             table,
             n_tasks: 4,
             splits: vec![(Key(100), vec![TaskId(1), TaskId(3)])],
@@ -302,13 +297,10 @@ mod tests {
         assert_eq!(a.route(Key(5)), TaskId(2));
         let d = a.route(Key(100));
         assert!(d == TaskId(1) || d == TaskId(3), "split lost by delta");
-        // A plain table view re-materializes without splits: unsplit.
-        a.update(RoutingView::TablePlusHash {
-            table: RoutingTable::new(),
-            n_tasks: 4,
-        });
+        // A view without splits re-materializes without them: unsplit.
+        a.update(table_view(RoutingTable::new(), 4));
         if let SourceRouter::Assignment(f) = &a {
-            assert!(!f.has_splits());
+            assert!(f.splits().is_empty());
         } else {
             panic!("wrong variant");
         }
@@ -326,10 +318,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "mismatched ring")]
     fn table_delta_against_wrong_ring_panics() {
-        let mut r = SourceRouter::from_view(RoutingView::TablePlusHash {
-            table: RoutingTable::new(),
-            n_tasks: 3,
-        });
+        let mut r = SourceRouter::from_view(table_view(RoutingTable::new(), 3));
         r.update(RoutingView::TableDelta {
             n_tasks: 4,
             moves: vec![],
@@ -345,7 +334,7 @@ mod tests {
         let table: RoutingTable = (0..20u64)
             .map(|k| (Key(k), TaskId((k % 3) as u32)))
             .collect();
-        let mut r = SourceRouter::from_view(RoutingView::TablePlusHash { table, n_tasks: 3 });
+        let mut r = SourceRouter::from_view(table_view(table, 3));
         assert_eq!(r.table_stats().0, 20);
         // Moving a key back to its hash home deletes its table entry,
         // shrinking the live count (and possibly leaving a tombstone).

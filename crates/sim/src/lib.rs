@@ -352,8 +352,8 @@ pub fn skewness_samples(
 mod tests {
     use super::*;
     use source::ZipfSource;
+    use streambal_baselines::storm;
     use streambal_baselines::CoreBalancer;
-    use streambal_baselines::HashPartitioner;
     use streambal_core::{BalanceParams, RebalanceStrategy};
 
     fn zipf_source(k: usize, z: f64, f: f64) -> ZipfSource {
@@ -366,7 +366,7 @@ mod tests {
             n_tasks: 8,
             intervals: 10,
         };
-        let mut p = HashPartitioner::new(8);
+        let mut p = storm(8);
         let mut src = zipf_source(2_000, 0.9, 0.5);
         let report = run_sim(&mut p, &mut src, &cfg);
         assert_eq!(report.rebalances, 0);
@@ -386,7 +386,7 @@ mod tests {
             n_tasks: 8,
             intervals: 12,
         };
-        let mut hash = HashPartitioner::new(8);
+        let mut hash = storm(8);
         let mut src1 = zipf_source(2_000, 0.9, 0.2);
         let hash_report = run_sim(&mut hash, &mut src1, &cfg);
 
@@ -467,7 +467,7 @@ mod tests {
     #[test]
     fn skewness_samples_sorted_and_mean_one() {
         let mut src = zipf_source(5_000, 0.85, 0.0);
-        let mut p = HashPartitioner::new(10);
+        let mut p = storm(10);
         let mut route = |k: Key| p.route(k);
         let samples = skewness_samples(&mut route, &mut src, 10, 5);
         assert_eq!(samples.len(), 10);
@@ -539,7 +539,7 @@ mod tests {
             n_tasks: 2,
             intervals: 5,
         };
-        let mut p = HashPartitioner::new(2);
+        let mut p = storm(2);
         let mut src = zipf_source(500, 0.5, 0.0);
         let report = run_sim_elastic(
             &mut p,
@@ -551,7 +551,7 @@ mod tests {
         assert_eq!(p.n_tasks(), 3, "grew to the cap and stopped");
         assert_eq!(report.scale_events.len(), 1);
 
-        let mut p = HashPartitioner::new(2);
+        let mut p = storm(2);
         let mut src = zipf_source(500, 0.5, 0.0);
         let report = run_sim_elastic(
             &mut p,
@@ -586,7 +586,7 @@ mod tests {
             })
             .collect();
         let mut src = ReplaySource::new(stats);
-        let mut p = HashPartitioner::new(2);
+        let mut p = storm(2);
         // Service 300 t/interval/task: 2 tasks absorb the quiet 400 but
         // queue ~500/task at the 1600 burst — clamped at the channel
         // bound, exactly as real occupancy would be, so the quiet tail
@@ -634,7 +634,7 @@ mod tests {
                 })
                 .collect::<Vec<_>>(),
         );
-        let mut p = HashPartitioner::new(2);
+        let mut p = storm(2);
         let mut policy = BackpressurePolicy::new(100, 20, 2, 4);
         policy.down_after = 2;
         policy.cooldown = 0;
@@ -666,7 +666,7 @@ mod tests {
             n_tasks: 4,
             intervals: 6,
         };
-        let mut p = HashPartitioner::new(4);
+        let mut p = storm(4);
         let mut src = zipf_source(1_000, 0.9, 0.2);
         let mut split = FixedSplitSchedule::cycle(42, 3, 1, 3);
         let report = run_sim_elastic_split(
@@ -724,7 +724,7 @@ mod tests {
             })
             .collect();
         let mut src = ReplaySource::new(stats);
-        let mut p = HashPartitioner::new(4);
+        let mut p = storm(4);
         // budget = 5400/1.08 = 5000; the 5000-cost burst crosses the 0.9
         // high mark, the quiet tail sits under the 0.5 low mark. The
         // burst key carries ~96% of the interval, so share-based sizing
@@ -769,7 +769,7 @@ mod tests {
             n_tasks: 4,
             intervals: 7,
         };
-        let mut p = HashPartitioner::new(4);
+        let mut p = storm(4);
         let mut src = zipf_source(500, 0.5, 0.0);
         let report = run_sim(&mut p, &mut src, &cfg);
         assert_eq!(report.theta_series.len(), 7);

@@ -173,13 +173,13 @@ pub fn replay_theta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streambal_baselines::{CoreBalancer, HashPartitioner};
+    use streambal_baselines::{storm, CoreBalancer};
     use streambal_core::{BalanceParams, RebalanceStrategy};
     use streambal_workloads::FluctuatingWorkload;
 
     fn drifting(n: usize) -> Vec<IntervalStats> {
         let mut w = FluctuatingWorkload::new(2_000, 0.85, 40_000, 1.0, 42);
-        let mut hash = HashPartitioner::new(4);
+        let mut hash = storm(4);
         (0..n)
             .map(|i| {
                 if i > 0 {
@@ -236,9 +236,9 @@ mod tests {
             lag: 0.2,
             early: Some(alert),
         };
-        let a = replay_theta(&mut HashPartitioner::new(4), &intervals, &reaction, 1);
+        let a = replay_theta(&mut storm(4), &intervals, &reaction, 1);
         let b = replay_theta(
-            &mut HashPartitioner::new(4),
+            &mut storm(4),
             &intervals,
             &Reaction {
                 lag: 0.0,

@@ -321,7 +321,7 @@ pub enum EventKind {
         interval: u64,
         /// Live routing-table entries (0 for table-less routers).
         table_entries: u64,
-        /// Tombstone debris in the compiled table.
+        /// Tombstone debris in the routing table's slab.
         table_tombstones: u64,
         /// Pooled batch buffers currently held by the source.
         pool_buffers: u64,

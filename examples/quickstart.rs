@@ -13,7 +13,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use streambal::baselines::{CoreBalancer, HashPartitioner};
+use streambal::baselines::{storm, CoreBalancer};
 use streambal::core::IntervalStats;
 use streambal::prelude::*;
 use streambal::runtime::{Engine, EngineConfig, Tuple, WordCountOp};
@@ -87,7 +87,7 @@ fn sim_sweep() {
         ..BalanceParams::default()
     };
 
-    let mut hash = HashPartitioner::new(cfg.n_tasks);
+    let mut hash = storm(cfg.n_tasks);
     let mut src = ZipfSource::new(2_000, 0.9, 50_000, 0.2, 77);
     let hash_report = run_sim(&mut hash, &mut src, &cfg);
 

@@ -6,7 +6,7 @@
 //! cargo run --release --example social_wordcount
 //! ```
 
-use streambal::baselines::{CoreBalancer, HashPartitioner, Partitioner};
+use streambal::baselines::{storm, CoreBalancer, Partitioner};
 use streambal::core::{BalanceParams, Key, RebalanceStrategy};
 use streambal::runtime::{Engine, EngineConfig, Tuple, WordCountOp};
 use streambal::workloads::SocialWorkload;
@@ -58,7 +58,7 @@ fn run(name: &str, partitioner: Box<dyn Partitioner>, feed: Vec<Vec<Key>>) {
 
 fn main() {
     println!("Social word count, 4 workers, 5 intervals, ~100k tuples\n");
-    run("Storm", Box::new(HashPartitioner::new(4)), intervals(7));
+    run("Storm", Box::new(storm(4)), intervals(7));
     run(
         "Mixed",
         Box::new(CoreBalancer::new(

@@ -6,7 +6,7 @@
 //! cargo run --release --example stock_selfjoin
 //! ```
 
-use streambal::baselines::{CoreBalancer, HashPartitioner, Partitioner};
+use streambal::baselines::{storm, CoreBalancer, Partitioner};
 use streambal::core::{BalanceParams, Key, RebalanceStrategy};
 use streambal::runtime::{Engine, EngineConfig, Tuple, WindowedSelfJoinOp};
 use streambal::workloads::StockWorkload;
@@ -65,7 +65,7 @@ fn run(name: &str, partitioner: Box<dyn Partitioner>, feed: Vec<Vec<Key>>) {
 
 fn main() {
     println!("Stock windowed self-join, 4 workers, 6 bursty intervals\n");
-    run("Storm", Box::new(HashPartitioner::new(4)), intervals(3));
+    run("Storm", Box::new(storm(4)), intervals(3));
     run(
         "Mixed",
         Box::new(CoreBalancer::new(

@@ -16,8 +16,7 @@
 use std::time::Duration;
 
 use streambal::baselines::{
-    CoreBalancer, HashPartitioner, PkgPartitioner, ReadjConfig, ReadjPartitioner,
-    ShufflePartitioner,
+    readj, storm, CoreBalancer, PkgPartitioner, ReadjConfig, ShufflePartitioner,
 };
 use streambal::core::{BalanceParams, RebalanceStrategy};
 use streambal::hashring::FxHashMap;
@@ -50,10 +49,10 @@ fn all_partitioners() -> Vec<Box<dyn Partitioner>> {
         ..BalanceParams::default()
     };
     let mut out: Vec<Box<dyn Partitioner>> = vec![
-        Box::new(HashPartitioner::new(N_TASKS)),
+        Box::new(storm(N_TASKS)),
         Box::new(ShufflePartitioner::new(N_TASKS)),
         Box::new(PkgPartitioner::new(N_TASKS)),
-        Box::new(ReadjPartitioner::new(
+        Box::new(readj(
             N_TASKS,
             100,
             ReadjConfig {
@@ -236,16 +235,8 @@ fn same_plan_yields_identical_fault_ledger() {
         round_deadline: Duration::from_secs(120),
         ..EngineConfig::default()
     };
-    let a = run_chaos(
-        "ledger-a",
-        config(),
-        Box::new(HashPartitioner::new(N_TASKS)),
-    );
-    let b = run_chaos(
-        "ledger-b",
-        config(),
-        Box::new(HashPartitioner::new(N_TASKS)),
-    );
+    let a = run_chaos("ledger-a", config(), Box::new(storm(N_TASKS)));
+    let b = run_chaos("ledger-b", config(), Box::new(storm(N_TASKS)));
     assert!(
         a.faults.contains(&FaultEvent::InjectedKill {
             worker: 1,

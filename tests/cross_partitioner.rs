@@ -1,6 +1,6 @@
 //! Cross-partitioner invariants: every routing strategy in the workspace
-//! — the four baselines and the paper's four core strategies behind
-//! `CoreBalancer` — must drive both the simulator (`run_sim`) and the
+//! — the four baselines and the paper's four core strategies
+//! (`CoreBalancer`) — must drive both the simulator (`run_sim`) and the
 //! live engine (`Engine::run`) on the same workload.
 //!
 //! For the engine, correctness is checked end-to-end: strategies that
@@ -10,14 +10,15 @@
 //! may be lost or double-counted, migrations included.
 
 use streambal::baselines::{
-    CoreBalancer, HashPartitioner, PkgPartitioner, ReadjConfig, ReadjPartitioner,
-    ShufflePartitioner,
+    readj, storm, CoreBalancer, PkgPartitioner, ReadjConfig, ShufflePartitioner,
 };
-use streambal::core::{BalanceParams, RebalanceStrategy};
+use streambal::core::{BalanceParams, IntervalStats, RebalanceStrategy, RoutingView};
 use streambal::elastic::{FixedSchedule, FixedSplitSchedule};
 use streambal::hashring::FxHashMap;
 use streambal::prelude::{Key, Partitioner, TaskId};
-use streambal::runtime::{Collector, Engine, EngineConfig, SumCollector, Tuple, WordCountOp};
+use streambal::runtime::{
+    Collector, Engine, EngineConfig, SourceRouter, SumCollector, Tuple, WordCountOp,
+};
 use streambal::sim::source::ZipfSource;
 use streambal::sim::{run_sim, SimConfig};
 use streambal::workloads::FluctuatingWorkload;
@@ -38,10 +39,10 @@ fn all_partitioners() -> Vec<Box<dyn Partitioner>> {
         ..BalanceParams::default()
     };
     let mut out: Vec<Box<dyn Partitioner>> = vec![
-        Box::new(HashPartitioner::new(N_TASKS)),
+        Box::new(storm(N_TASKS)),
         Box::new(ShufflePartitioner::new(N_TASKS)),
         Box::new(PkgPartitioner::new(N_TASKS)),
-        Box::new(ReadjPartitioner::new(
+        Box::new(readj(
             N_TASKS,
             100,
             ReadjConfig {
@@ -531,5 +532,126 @@ fn engine_word_counts_exact_across_partitioners() {
                 .collect()
         };
         assert_eq!(got, expect, "{name}: word counts diverged");
+    }
+}
+
+/// No threads: after every kind of table mutation, a `SourceRouter` fed
+/// exactly what the controller would ship — the plan's moves as a
+/// `TableDelta` when the rebalance installed as one, the dead slot's
+/// re-pins as a `TableDelta`, the full `routing_view()` otherwise —
+/// routes every key like the one table-backed partitioner, whichever
+/// planner it carries.
+#[test]
+fn source_router_stays_in_lockstep_through_every_table_mutation() {
+    // Reported keys, then keys only `apply_moves` ever names (no window
+    // row: their entries are the stale ones a resync drops).
+    const REPORTED: u64 = 500;
+    const PARKED: std::ops::Range<u64> = 10_000..12_000;
+    let domain: Vec<Key> = (0..REPORTED).chain(PARKED).map(Key).collect();
+    let skewed = |hot: std::ops::Range<u64>| {
+        let mut iv = IntervalStats::new();
+        for k in 0..REPORTED {
+            let cost = if hot.contains(&k) { 1_000 } else { 2 };
+            iv.observe(Key(k), 1, cost, cost);
+        }
+        iv
+    };
+    fn in_lockstep(p: &mut dyn Partitioner, router: &mut SourceRouter, domain: &[Key], op: &str) {
+        let name = p.name();
+        let splits = p.splits();
+        for &k in domain {
+            let at_source = router.route(k);
+            // A split key rotates per holder; any replica is in step.
+            match splits.iter().find(|(split, _)| *split == k) {
+                Some((_, replicas)) => assert!(
+                    replicas.contains(&at_source),
+                    "{name} after {op}: split {k:?} left its replicas"
+                ),
+                None => assert_eq!(at_source, p.route(k), "{name} after {op}: {k:?}"),
+            }
+        }
+    }
+    let params = BalanceParams::default();
+    let core = |s| Box::new(CoreBalancer::new(4, 2, s, params)) as Box<dyn Partitioner>;
+    let strategies: Vec<Box<dyn Partitioner>> = vec![
+        Box::new(storm(4)),
+        Box::new(readj(4, 2, ReadjConfig::default())),
+        core(RebalanceStrategy::Mixed),
+        core(RebalanceStrategy::MinTable),
+        core(RebalanceStrategy::MinMig),
+    ];
+    for mut p in strategies {
+        let plans = p.name() != "Storm";
+        let mut router = SourceRouter::from_view(p.routing_view());
+        let rebalance = |p: &mut dyn Partitioner, router: &mut SourceRouter, iv, delta, op| {
+            match p.end_interval(iv) {
+                Some(out) => {
+                    assert!(plans, "Storm planned");
+                    assert_eq!(p.last_install_was_delta(), delta, "{}: {op}", p.name());
+                    router.update(if delta {
+                        RoutingView::TableDelta {
+                            n_tasks: p.n_tasks(),
+                            moves: out.plan.moves().iter().map(|m| (m.key, m.to)).collect(),
+                        }
+                    } else {
+                        p.routing_view()
+                    });
+                }
+                None => assert!(!plans, "{}: {op} did not fire", p.name()),
+            }
+            in_lockstep(p, router, &domain, op);
+        };
+        rebalance(
+            p.as_mut(),
+            &mut router,
+            skewed(0..3),
+            true,
+            "a delta rebalance",
+        );
+
+        // A roll-back-shaped move list parks keys the window never saw.
+        let parked: Vec<(Key, TaskId)> = PARKED
+            .map(|k| (Key(k), TaskId::from((p.route(Key(k)).index() + 1) % 4)))
+            .collect();
+        assert!(p.apply_moves(&parked));
+        router.update(p.routing_view());
+        in_lockstep(p.as_mut(), &mut router, &domain, "apply_moves");
+
+        // Their stale entries now outnumber any outcome: the next plan
+        // resyncs through `swap_table` and the source needs the full view.
+        rebalance(
+            p.as_mut(),
+            &mut router,
+            skewed(10..13),
+            false,
+            "a resync rebalance",
+        );
+
+        let live: Vec<Key> = (0..REPORTED).map(Key).collect();
+        let (new, _) = p.scale_out_plan(&live);
+        router.update(p.routing_view());
+        in_lockstep(p.as_mut(), &mut router, &domain, "scale_out_plan");
+
+        let moves = p.reroute_dead(TaskId(1), &|d| d == 1);
+        router.update(RoutingView::TableDelta {
+            n_tasks: p.n_tasks(),
+            moves,
+        });
+        in_lockstep(p.as_mut(), &mut router, &domain, "reroute_dead");
+
+        let hot = Key(11);
+        let primary = p.route(hot);
+        let other = TaskId::from((primary.index() + 2) % 4);
+        assert!(p.split_key(hot, &[primary, other]));
+        router.update(p.routing_view());
+        in_lockstep(p.as_mut(), &mut router, &domain, "split_key");
+
+        assert_eq!(p.unsplit_key(hot), Some(vec![primary, other]));
+        router.update(p.routing_view());
+        in_lockstep(p.as_mut(), &mut router, &domain, "unsplit_key");
+
+        p.scale_in(new, &live);
+        router.update(p.routing_view());
+        in_lockstep(p.as_mut(), &mut router, &domain, "scale_in");
     }
 }

@@ -2,9 +2,7 @@
 //! strategy must deliver exact stateful results while migrating state, and
 //! the rebalanced assignment must actually converge toward balance.
 
-use streambal::baselines::{
-    CoreBalancer, HashPartitioner, Partitioner, ReadjConfig, ReadjPartitioner,
-};
+use streambal::baselines::{readj, storm, CoreBalancer, Partitioner, ReadjConfig};
 use streambal::core::{BalanceParams, Key, RebalanceStrategy, TaskId};
 use streambal::hashring::FxHashMap;
 use streambal::runtime::{Engine, EngineConfig, Tuple, WordCountOp};
@@ -69,7 +67,7 @@ fn every_key_preserving_strategy_is_exactly_once() {
     let intervals = skewed_intervals(5, 77);
     let expect = reference(&intervals);
     let strategies: Vec<(&str, Box<dyn Partitioner>)> = vec![
-        ("hash", Box::new(HashPartitioner::new(3))),
+        ("hash", Box::new(storm(3))),
         (
             "mixed",
             Box::new(CoreBalancer::new(
@@ -108,7 +106,7 @@ fn every_key_preserving_strategy_is_exactly_once() {
         ),
         (
             "readj",
-            Box::new(ReadjPartitioner::new(
+            Box::new(readj(
                 3,
                 100,
                 ReadjConfig {
@@ -153,7 +151,7 @@ fn mixed_migrates_and_balances_worker_load() {
     assert!(mixed.rebalances > 0, "fluctuating skew must trigger");
     assert!(mixed.migrated_bytes > 0);
 
-    let hash = run(Box::new(HashPartitioner::new(3)), &intervals);
+    let hash = run(Box::new(storm(3)), &intervals);
     let spread = |per: &[u64]| {
         let total: u64 = per.iter().sum();
         let max = *per.iter().max().unwrap();

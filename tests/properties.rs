@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 use proptest::prelude::*;
 use streambal::core::{
     loads_of, outcome_from_assignment, rebalance, AssignmentFn, BalanceParams, IntervalStats, Key,
-    KeyRecord, RebalanceInput, RebalanceStrategy, Rebalancer, TaskId,
+    KeyRecord, Partitioner, RebalanceInput, RebalanceStrategy, Rebalancer, TaskId,
 };
 
 /// One step of a randomized controller session against a live
@@ -340,16 +340,16 @@ proptest! {
                     rb.reroute_dead(TaskId(dead as u32), &|d| d == dead);
                 }
                 ControllerStep::ScaleOut(live) if n < 8 => {
-                    rb.scale_out(keys(live));
+                    rb.scale_out(&keys(live));
                 }
                 ControllerStep::ScaleOutPlan(live) if n < 8 => {
-                    let (new, moves) = rb.scale_out_plan(keys(live));
+                    let (new, moves) = rb.scale_out_plan(&keys(live));
                     for (k, _) in moves {
                         prop_assert_eq!(rb.assignment().route(k), new);
                     }
                 }
                 ControllerStep::ScaleIn(live) if n > 2 => {
-                    rb.scale_in(TaskId(n as u32 - 1), keys(live));
+                    rb.scale_in(TaskId(n as u32 - 1), &keys(live));
                 }
                 ControllerStep::Split(k, t) => {
                     let other = TaskId((1 + t % (n - 1)) as u32);

@@ -17,7 +17,7 @@
 
 use std::time::Duration;
 
-use streambal::baselines::{CoreBalancer, HashPartitioner};
+use streambal::baselines::{storm, CoreBalancer};
 use streambal::core::{BalanceParams, RebalanceStrategy};
 use streambal::prelude::{Key, Partitioner, TaskId};
 use streambal::runtime::{
@@ -108,16 +108,8 @@ fn same_seed_yields_identical_trace_skeleton() {
         round_deadline: Duration::from_secs(120),
         ..EngineConfig::default()
     };
-    let a = run_traced(
-        "skeleton-a",
-        config(),
-        Box::new(HashPartitioner::new(N_TASKS)),
-    );
-    let b = run_traced(
-        "skeleton-b",
-        config(),
-        Box::new(HashPartitioner::new(N_TASKS)),
-    );
+    let a = run_traced("skeleton-a", config(), Box::new(storm(N_TASKS)));
+    let b = run_traced("skeleton-b", config(), Box::new(storm(N_TASKS)));
     assert!(
         !a.trace.events.is_empty(),
         "skeleton-a: trace is empty with trace enabled"
