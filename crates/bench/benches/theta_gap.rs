@@ -26,20 +26,31 @@
 //! hard-codes: the alert floor (`streambal_core::SKEW_ALERT_FLOOR`) and
 //! the sample the source waits for before it may alert.
 //!
+//! A `burst` section replays the benchmark's frozen `burst` instance — a
+//! key at 0.6 of the volume, heavier than any whole-key plan can place —
+//! with `HotKeyPolicy` beside the planner: `split_closing` (only a
+//! closing round may split), `split_early` (a provisional round may too,
+//! DESIGN.md §6) and `split_clairvoyant` (every key above `Lmax` cut into
+//! the fewest equal pieces under it, LPT over the pieces), over the
+//! burst's first two intervals — the reaction — and the whole burst.
+//!
 //! Results land in `bench_results/theta_gap.json`; `--test` runs a small
 //! instance on a 2 × 2 grid and writes `theta_gap.smoke.json`. Both
 //! assert, per cell, that `stale_ideal` does not beat the clairvoyant plan
-//! and that `both` beats `stale` wherever the stream drifts (f ≥ 0.5).
+//! and that `both` beats `stale` wherever the stream drifts (f ≥ 0.5),
+//! and on `burst` that `split_clairvoyant` ≤ `split_early` <
+//! `split_closing`.
 
 use streambal_baselines::CoreBalancer;
 use streambal_bench::json::{write_json, Json};
 use streambal_core::simple::simple_assign;
 use streambal_core::{
-    AssignmentFn, BalanceParams, IntervalStats, KeyRecord, RebalanceStrategy, TaskId,
+    AssignmentFn, BalanceParams, IntervalStats, Key, KeyRecord, RebalanceStrategy, TaskId,
     TriggerPolicy, SKEW_ALERT_FLOOR, SKEW_ALERT_MIN_SHARE,
 };
+use streambal_elastic::{HotKeyPolicy, SplitPolicy};
 use streambal_sim::{replay_theta, EarlyRounds, Reaction, ThetaReplay};
-use streambal_workloads::FluctuatingWorkload;
+use streambal_workloads::{ChurnWorkload, FluctuatingWorkload};
 
 const N_TASKS: usize = 4;
 const WINDOW: usize = 5;
@@ -80,21 +91,26 @@ fn instance(shape: &Shape, z: f64, f: f64) -> Vec<IntervalStats> {
         .collect()
 }
 
-/// Mean `max/mean − 1` of LPT on each interval's own costs.
-fn clairvoyant(intervals: &[IntervalStats], from: usize) -> f64 {
-    let thetas: Vec<f64> = intervals[from..]
+/// `max/mean − 1` of LPT on each interval's own costs — with `cut`, after
+/// every key above `Lmax` is cut into the fewest equal pieces under it.
+fn clairvoyant(intervals: &[IntervalStats], cut: bool) -> Vec<f64> {
+    let theta_max = BalanceParams::default().theta_max;
+    intervals
         .iter()
         .map(|stats| {
-            let records: Vec<KeyRecord> = stats
-                .iter()
-                .map(|(key, s)| KeyRecord {
+            let l_max = (1.0 + theta_max) * stats.total_cost() as f64 / N_TASKS as f64;
+            let mut records: Vec<KeyRecord> = Vec::with_capacity(stats.len());
+            for (key, s) in stats.iter() {
+                let fit = (s.cost as f64 / l_max).ceil().max(1.0) as u64;
+                let pieces = if cut { fit } else { 1 };
+                records.extend((0..pieces).map(|j| KeyRecord {
                     key,
-                    cost: s.cost,
+                    cost: s.cost / pieces + u64::from(j < s.cost % pieces),
                     mem: s.mem,
                     current: TaskId(0),
                     hash_dest: TaskId(0),
-                })
-                .collect();
+                }));
+            }
             let mut loads = [0u64; N_TASKS];
             for (r, d) in records.iter().zip(simple_assign(&records, N_TASKS)) {
                 loads[d.index()] += r.cost;
@@ -102,8 +118,11 @@ fn clairvoyant(intervals: &[IntervalStats], from: usize) -> f64 {
             let mean = loads.iter().sum::<u64>() as f64 / N_TASKS as f64;
             loads.iter().copied().max().unwrap_or(0) as f64 / mean.max(1.0) - 1.0
         })
-        .collect();
-    thetas.iter().sum::<f64>() / thetas.len() as f64
+        .collect()
+}
+
+fn mean(xs: &[f64]) -> f64 {
+    xs.iter().sum::<f64>() / xs.len().max(1) as f64
 }
 
 fn replay(
@@ -111,6 +130,7 @@ fn replay(
     trigger: TriggerPolicy,
     lag: f64,
     early: Option<EarlyRounds>,
+    split: Option<&mut dyn SplitPolicy>,
 ) -> ThetaReplay {
     let mut p = CoreBalancer::new(
         N_TASKS,
@@ -119,7 +139,7 @@ fn replay(
         BalanceParams::default(),
     )
     .with_trigger_policy(trigger);
-    replay_theta(&mut p, intervals, &Reaction { lag, early }, SEED)
+    replay_theta(&mut p, split, intervals, &Reaction { lag, early }, SEED)
 }
 
 fn row(r: &ThetaReplay, from: usize) -> Vec<(&'static str, Json)> {
@@ -161,6 +181,7 @@ fn main() {
     let alert = EarlyRounds {
         sample: SKEW_ALERT_MIN_SHARE,
         floor: SKEW_ALERT_FLOOR,
+        split: true,
     };
     let (paper, settling) = (TriggerPolicy::paper(), TriggerPolicy::default());
     println!(
@@ -176,13 +197,13 @@ fn main() {
     for &z in zs {
         for &f in fs {
             let intervals = instance(&shape, z, f);
-            let lpt = clairvoyant(&intervals, shape.warmup);
+            let lpt = mean(&clairvoyant(&intervals[shape.warmup..], false));
             let variants = [
-                ("stale_ideal", replay(&intervals, paper, 0.0, None)),
-                ("stale", replay(&intervals, paper, LAG, None)),
-                ("settle", replay(&intervals, settling, LAG, None)),
-                ("early", replay(&intervals, paper, LAG, Some(alert))),
-                ("both", replay(&intervals, settling, LAG, Some(alert))),
+                ("stale_ideal", replay(&intervals, paper, 0.0, None, None)),
+                ("stale", replay(&intervals, paper, LAG, None, None)),
+                ("settle", replay(&intervals, settling, LAG, None, None)),
+                ("early", replay(&intervals, paper, LAG, Some(alert), None)),
+                ("both", replay(&intervals, settling, LAG, Some(alert), None)),
             ];
             let t: Vec<f64> = variants
                 .iter()
@@ -230,7 +251,7 @@ fn main() {
     // The two constants, at the benchmark's own cell.
     let drift = instance(&shape, 0.85, 1.0);
     let sweep = |name: String, early: EarlyRounds| {
-        let r = replay(&drift, settling, LAG, Some(early));
+        let r = replay(&drift, settling, LAG, Some(early), None);
         println!(
             "    {name:<14} θ̄ {:.4}  fired {:>2}  planned {:>2}  rebalances {:>2}",
             r.mean_theta(shape.warmup),
@@ -256,6 +277,51 @@ fn main() {
         })
         .collect();
 
+    // The benchmark's `burst` input; 48 intervals is its 12-second open
+    // run, and 25 000 its policy's capacity (tuples a paced worker
+    // sustains per interval).
+    let n = if smoke { 16 } else { 48 };
+    let (from, until) = (n / 4, n * 3 / 4);
+    let mut g = ChurnWorkload::new(2_000, 75_000, 40, 0.1, SEED).with_dominant_burst(
+        Key(2_000),
+        0.6,
+        from as u64,
+        until as u64,
+    );
+    let mut burst = vec![g.interval_stats()];
+    for _ in 1..n {
+        g.advance();
+        burst.push(g.interval_stats());
+    }
+    let split_run = |split: bool| {
+        let early = EarlyRounds { split, ..alert };
+        let mut hot = HotKeyPolicy::new(25_000.0);
+        replay(&burst, settling, LAG, Some(early), Some(&mut hot))
+    };
+    let (closing, early) = (split_run(false), split_run(true));
+    assert_eq!(closing.split_events, early.split_events, "same splits");
+    let columns = [
+        ("split_closing", closing.theta),
+        ("split_early", early.theta),
+        ("split_clairvoyant", clairvoyant(&burst, true)),
+    ];
+    println!("\n  burst (0.6-share key over intervals {from}..{until}): θ̄ first two, whole");
+    let whole: Vec<f64> = columns
+        .iter()
+        .map(|(_, theta)| mean(&theta[from..until]))
+        .collect();
+    assert!(
+        whole[2] <= whole[1] && whole[1] < whole[0],
+        "burst: clairvoyant ≤ early < closing violated: {whole:?}"
+    );
+    let burst_rows = columns.iter().zip(&whole).map(|((name, theta), &whole)| {
+        let head = mean(&theta[from..from + 2]);
+        println!("    {name:<18} {head:.4} {whole:.4}");
+        let row = [("head_imbalance", head), ("burst_imbalance", whole)];
+        (*name, Json::obj(row.map(|(k, v)| (k, Json::Num(v)))))
+    });
+    let burst_doc = Json::obj(burst_rows.collect::<Vec<_>>());
+
     let doc = Json::obj([
         ("bench", Json::str("theta_gap")),
         ("n_tasks", Json::Int(N_TASKS as u64)),
@@ -274,6 +340,7 @@ fn main() {
         ("grid", Json::Arr(grid)),
         ("floor_sweep", Json::Arr(floors)),
         ("sample_sweep", Json::Arr(samples)),
+        ("burst", burst_doc),
     ]);
     let path = streambal_bench::figure::results_dir().join(if smoke {
         "theta_gap.smoke.json"

@@ -14,8 +14,10 @@
 //!   total disruption window, and per-phase durations, so "where did the
 //!   scale-out's 40 ms go" reads straight off the report.
 //! * **Early rounds** — how many provisional statistics rounds the
-//!   source's skew alerts opened, and how many of them planned a
-//!   rebalance, held, or were cancelled by the interval's closing round.
+//!   source's skew alerts opened, how many of them planned a rebalance,
+//!   split a heavy hitter, held, or were cancelled by the interval's
+//!   closing round, and per round that acted the latency from the alert
+//!   to the split's and the plan's view reaching the source.
 //! * **Dip attribution** — each interval whose fed-tuple count dips below
 //!   [`DIP_FRACTION`] × the run median is joined against the spans and
 //!   faults overlapping its time window: the dip names its culprit.
@@ -32,7 +34,8 @@ use std::process::ExitCode;
 
 use streambal_bench::json::Json;
 use streambal_trace::{
-    EarlyStep, EventKind, OpLabel, Outcome, Phase, ThreadLabel, TraceEvent, TraceLog,
+    EarlySplit, EarlyStep, EventKind, OpLabel, Outcome, Phase, SpanSummary, ThreadLabel,
+    TraceEvent, TraceLog,
 };
 
 /// An interval is a "dip" when its fed tuples fall below this fraction
@@ -148,10 +151,23 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
         },
         "early_round" => {
             let step_name = get_str(&obj, "step")?;
+            let step = EarlyStep::from_name(step_name)
+                .ok_or_else(|| format!("unknown step '{step_name}'"))?;
+            let split = match step {
+                EarlyStep::Split => Some(EarlySplit {
+                    key: get_u64(&obj, "key")?,
+                    share: get_f64(&obj, "share")?,
+                    rescale: get_f64(&obj, "rescale")?,
+                    replicas: get_u64(&obj, "replicas")? as usize,
+                    loads: get_u64_arr(&obj, "loads")?,
+                    planned: matches!(obj.get("planned"), Some(Json::Bool(true))),
+                }),
+                _ => None,
+            };
             EventKind::EarlyRound {
                 interval: get_u64(&obj, "interval")?,
-                step: EarlyStep::from_name(step_name)
-                    .ok_or_else(|| format!("unknown step '{step_name}'"))?,
+                step,
+                split,
             }
         }
         other => return Err(format!("unknown kind '{other}'")),
@@ -213,6 +229,51 @@ fn ms(us: u64) -> f64 {
     us as f64 / 1000.0
 }
 
+/// One line per early round that acted: the latency from its alert to
+/// the split's and the plan's view reaching the source. An early round
+/// settles only while the control plane is idle, so the ops it queued
+/// are the next `split` / `rebalance` spans to open, in that order; a
+/// view is installed when its span closes (the source's `ResumeAck`).
+fn early_reactions(log: &TraceLog, spans: &[SpanSummary]) -> Vec<String> {
+    let mut alerts = std::collections::BTreeMap::new();
+    let mut out = Vec::new();
+    for e in &log.events {
+        let (interval, split) = match &e.kind {
+            EventKind::SkewAlert { interval, .. } => {
+                alerts.insert(*interval, e.at_us);
+                continue;
+            }
+            EventKind::EarlyRound {
+                interval,
+                step: EarlyStep::Planned | EarlyStep::Split,
+                split,
+            } => (interval, split.as_ref()),
+            _ => continue,
+        };
+        let Some(&alert_us) = alerts.get(interval) else {
+            continue;
+        };
+        let installed = |op: OpLabel| {
+            let span = spans.iter().find(|s| s.op == op && s.open_us >= e.at_us);
+            span.filter(|s| s.outcome == Some(Outcome::Completed))
+                .map(|s| format!("+{:.1}ms", ms(s.close_us.saturating_sub(alert_us))))
+        };
+        let mut line = format!("round {interval:>3}: alert at {:.1}ms", ms(alert_us));
+        if let Some((s, at)) = split.zip(installed(OpLabel::Split)) {
+            line.push_str(&format!(
+                " → split installed {at} (key {}, share {:.2} ×{:.1} → {} replicas over loads {:?})",
+                s.key, s.share, s.rescale, s.replicas, s.loads
+            ));
+        }
+        if let Some(at) = installed(OpLabel::Rebalance).filter(|_| split.is_none_or(|s| s.planned))
+        {
+            line.push_str(&format!(" → plan installed {at}"));
+        }
+        out.push(line);
+    }
+    out
+}
+
 /// The default report for one parsed trace.
 fn report(path: &str, log: &TraceLog) {
     let spans = log.span_summaries();
@@ -263,12 +324,16 @@ fn report(path: &str, log: &TraceLog) {
             .count()
     };
     println!(
-        "  early rounds: {} fired, {} planned, {} held, {} cancelled",
+        "  early rounds: {} fired, {} planned, {} split, {} held, {} cancelled",
         early(EarlyStep::Open),
         early(EarlyStep::Planned),
+        early(EarlyStep::Split),
         early(EarlyStep::Held),
         early(EarlyStep::Cancelled)
     );
+    for line in early_reactions(log, &spans) {
+        println!("    {line}");
+    }
 
     // Dip attribution: intervals whose fed-tuple count falls below
     // DIP_FRACTION of the median, joined against overlapping spans and
@@ -344,7 +409,7 @@ fn report(path: &str, log: &TraceLog) {
             EventKind::SkewAlert { interval, sent } => {
                 format!("skew alert in interval {interval}: sent {sent:?}")
             }
-            EventKind::EarlyRound { interval, step } => {
+            EventKind::EarlyRound { interval, step, .. } => {
                 format!("early round {interval} {}", step.as_str())
             }
             EventKind::Snapshot { .. }
@@ -379,7 +444,7 @@ fn check(log: &TraceLog) -> Vec<String> {
             EventKind::SkewAlert { interval, .. } if !alerted.insert(interval) => {
                 problems.push(format!("interval {interval}: more than one skew alert"));
             }
-            EventKind::EarlyRound { interval, step } => {
+            EventKind::EarlyRound { interval, step, .. } => {
                 let (opens, ends) = rounds.entry(interval).or_default();
                 if step == EarlyStep::Open {
                     *opens += 1;
@@ -581,6 +646,18 @@ mod tests {
         // strict inequalities, degenerate when every event lands in the
         // same microsecond.
         std::thread::sleep(std::time::Duration::from_millis(2));
+        // …queued by an early round, whose inputs ride on its last step.
+        src.skew_alert(1, vec![90, 310]);
+        ctl.early_round(1, EarlyStep::Open);
+        let split = EarlySplit {
+            key: 7,
+            share: 0.625,
+            rescale: 8.0,
+            replicas: 2,
+            loads: vec![90, 310],
+            planned: false,
+        };
+        ctl.early_split(1, split);
         ctl.span_open(1, OpLabel::Split);
         ctl.span_phase(1, Phase::Pause);
         ctl.span_phase(1, Phase::Install);
@@ -609,6 +686,15 @@ mod tests {
             spans.iter().map(|s| s.op).collect::<Vec<_>>(),
             vec![OpLabel::Split, OpLabel::Unsplit]
         );
+        // The early round is joined to the split it queued — and, its
+        // inputs saying no plan followed, to no rebalance.
+        let reactions = early_reactions(&log, &spans);
+        assert!(
+            reactions[0].contains("→ split installed +"),
+            "{reactions:?}"
+        );
+        assert!(reactions[0].contains("key 7, share 0.62 ×8.0 → 2 replicas"));
+        assert!(reactions.len() == 1 && !reactions[0].contains("plan installed"));
 
         // The dipped interval 1 overlaps the split span's window — the
         // same join `report` prints as the dip's culprit.

@@ -377,6 +377,8 @@ mod tests {
             "theta_gap.json :: grid.z0.85/f1.both.run_imbalance",
             "theta_gap.json :: grid.z0.85/f1.clairvoyant.run_imbalance",
             "theta_gap.json :: floor_sweep.floor0.4.migrated_bytes",
+            "theta_gap.json :: burst.split_early.head_imbalance",
+            "theta_gap.json :: burst.split_clairvoyant.burst_imbalance",
         ] {
             assert_eq!(direction_of(key), Direction::LowerIsBetter, "{key}");
         }

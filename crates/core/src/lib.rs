@@ -81,8 +81,8 @@ pub mod stats;
 
 pub use key::{Key, TaskId};
 pub use load::{
-    balance_indicator, loads_of, max_skewness, needs_rebalance, skew_alert, LoadSummary,
-    SKEW_ALERT_FLOOR, SKEW_ALERT_MIN_SHARE,
+    balance_indicator, heavy_hitter, loads_of, max_skewness, needs_rebalance, skew_alert,
+    LoadSummary, SKEW_ALERT_FLOOR, SKEW_ALERT_MIN_SHARE,
 };
 pub use migration::{migration_delta, MigrationPlan, Move};
 pub use partitioner::{Partitioner, RoutingView};

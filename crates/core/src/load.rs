@@ -5,8 +5,8 @@
 //! *overloaded* when `L > Lmax = (1+θmax)·L̄`, and the controller triggers
 //! a rebalance when any task violates the bound.
 
-use crate::key::TaskId;
-use crate::stats::KeyRecord;
+use crate::key::{Key, TaskId};
+use crate::stats::{IntervalStats, KeyRecord};
 
 /// Per-task load vector plus derived aggregates.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,6 +150,28 @@ pub fn skew_alert(sent: &[u64], floor: f64) -> bool {
     max > (1.0 + floor) * mean + 3.0 * sigma
 }
 
+/// The heavy-hitter test behind an early split (DESIGN.md §6): is the
+/// hottest key of `stats` not already in `split` heavier than
+/// `Lmax = (1 + θmax)·L̄` on its own, i.e. a share of the report's cost
+/// above `(1 + θmax)/n`? Then no placement of whole keys puts its holder
+/// under `Lmax`. A share, so a report cut anywhere inside an interval
+/// answers like the whole one. Returns the key and its share; ties go to
+/// the lower key, and a key exactly at the bound is not over it.
+pub fn heavy_hitter(
+    stats: &IntervalStats,
+    split: &[Key],
+    n_tasks: usize,
+    theta_max: f64,
+) -> Option<(Key, f64)> {
+    let total = stats.total_cost() as f64;
+    let (key, hot) = stats
+        .iter()
+        .filter(|(k, s)| s.cost > 0 && !split.contains(k))
+        .max_by(|a, b| a.1.cost.cmp(&b.1.cost).then(b.0.cmp(&a.0)))?;
+    let l_max = (1.0 + theta_max) * total / n_tasks as f64;
+    (hot.cost as f64 > l_max + 1e-9).then(|| (key, hot.cost as f64 / total))
+}
+
 /// Convenience: `max L(d) / L̄` over an explicit load vector.
 pub fn max_skewness(loads: &[u64]) -> f64 {
     LoadSummary::new(loads.to_vec()).skewness()
@@ -158,7 +180,6 @@ pub fn max_skewness(loads: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::Key;
 
     fn rec(key: u64, cost: u64, current: u32) -> KeyRecord {
         KeyRecord {
@@ -276,6 +297,33 @@ mod tests {
         assert!(!skew_alert(&[], 0.08));
         assert!(!skew_alert(&[10], 0.08));
         assert!(!skew_alert(&[0, 0], 0.08));
+    }
+
+    #[test]
+    fn heavy_hitter_is_a_key_no_placement_can_fit() {
+        let report = |costs: &[(u64, u64)]| {
+            let mut stats = IntervalStats::new();
+            costs
+                .iter()
+                .for_each(|&(k, c)| stats.observe(Key(k), c, c, 8));
+            stats
+        };
+        // n = 4, θmax = 0.08: the bound is a 0.27 share. Exactly on it is
+        // not over it; one cost unit more is, at any scale.
+        let rest = [Key(2), Key(3)];
+        let at = report(&[(1, 27), (2, 40), (3, 33)]);
+        assert_eq!(heavy_hitter(&at, &rest, 4, 0.08), None);
+        let over = report(&[(1, 2_800), (2, 4_000), (3, 3_200)]);
+        assert_eq!(heavy_hitter(&over, &rest, 4, 0.08), Some((Key(1), 0.28)));
+        // The hottest unsplit key is the candidate, ties to the lower key.
+        assert_eq!(heavy_hitter(&over, &[], 4, 0.08), Some((Key(2), 0.4)));
+        let tie = report(&[(9, 50), (4, 50)]);
+        assert_eq!(heavy_hitter(&tie, &[], 4, 0.08), Some((Key(4), 0.5)));
+        // One task holds everything whatever the share; an empty report
+        // and a report whose every key is split have no candidate.
+        assert_eq!(heavy_hitter(&over, &[], 1, 0.08), None);
+        assert_eq!(heavy_hitter(&IntervalStats::new(), &[], 4, 0.08), None);
+        assert_eq!(heavy_hitter(&tie, &[Key(4), Key(9)], 4, 0.08), None);
     }
 
     #[test]

@@ -82,6 +82,12 @@
 //! close with a [`SplitObservation`], so split decision traces pin
 //! across sim and engine exactly like scale decisions do.
 //!
+//! A split policy is also consulted *inside* an interval, when a driver
+//! cuts provisional statistics because the source saw it skewed
+//! ([`RoundDecisions::provisional`]): only over a key no whole-key
+//! placement can fit, on a clone, at whole-interval scale, and only a
+//! `Split` is honoured. Scale policies see whole intervals only.
+//!
 //! ## One round, one decision core
 //!
 //! Policies are pure decision logic over load vectors. What a driver
@@ -715,10 +721,11 @@ pub struct SplitEvent {
     pub to: usize,
 }
 
-/// What a split policy sees at an interval boundary.
+/// What a split policy sees at an interval boundary (in a provisional
+/// round: the open interval, scaled as if it closed as it began).
 #[derive(Debug, Clone, Copy)]
 pub struct SplitObservation<'a> {
-    /// The interval just closed.
+    /// The interval just closed (provisional round: the open one).
     pub interval: u64,
     /// Downstream parallelism the routing function targets.
     pub n_tasks: usize,

@@ -11,17 +11,24 @@
 //! `Partitioner::end_interval` is not part of the round: both drivers
 //! call it directly afterwards (the simulator times it; the engine's
 //! dead-slot fixups around it are engine-only).
+//!
+//! A *provisional* round ([`RoundDecisions::provisional`], DESIGN.md §6)
+//! — statistics cut inside an open interval the source saw skewed —
+//! reaches the split stage only, and only to split: a key heavier than
+//! `Lmax` on its own is put to a *clone* of the split policy with its
+//! costs scaled up to a whole interval.
 
-use streambal_core::{IntervalStats, Key, Partitioner, TaskId};
+use streambal_core::{heavy_hitter, IntervalStats, Key, Partitioner, TaskId, SKEW_ALERT_FLOOR};
 
 use crate::{
     choose_replicas, ElasticityPolicy, IntervalObservation, ScaleDecision, ScaleEvent,
     SplitDecision, SplitEvent, SplitObservation, SplitPolicy,
 };
 
-/// What a driver observed over one closed statistics round, plus the two
-/// facts only the driver knows: which slots are dead and whether one
-/// more instance can be provisioned right now.
+/// What a driver observed over one statistics round — closed, or cut
+/// inside the open interval for [`RoundDecisions::provisional`] — plus
+/// the two facts only the driver knows: which slots are dead and whether
+/// one more instance can be provisioned right now.
 #[derive(Debug, Clone)]
 pub struct RoundInputs<'a> {
     /// What the elasticity policy sees. `n_tasks` is the *planned*
@@ -104,6 +111,8 @@ enum Stage {
 pub struct RoundDecisions<'a> {
     inputs: RoundInputs<'a>,
     stage: Stage,
+    /// `Some(cost of the last closed interval)` in a provisional round.
+    whole_interval: Option<u64>,
 }
 
 impl<'a> RoundDecisions<'a> {
@@ -112,6 +121,19 @@ impl<'a> RoundDecisions<'a> {
         RoundDecisions {
             inputs,
             stage: Stage::Scale,
+            whole_interval: None,
+        }
+    }
+
+    /// Starts a provisional round over the open interval `obs.interval`
+    /// so far. `whole_interval` — the total cost of the last closed round,
+    /// 0 before the first, which decides nothing — is what the partial
+    /// costs are scaled up to. At most one action, a [`RoundAction::Split`].
+    pub fn provisional(inputs: RoundInputs<'a>, whole_interval: u64) -> Self {
+        RoundDecisions {
+            inputs,
+            stage: Stage::Split,
+            whole_interval: Some(whole_interval),
         }
     }
 
@@ -192,24 +214,45 @@ impl<'a> RoundDecisions<'a> {
         sp: &mut dyn SplitPolicy,
     ) -> Option<RoundAction> {
         let (interval, planned) = (self.inputs.obs.interval, self.inputs.obs.n_tasks);
+        let stats = self.inputs.stats;
+        let mut split: Vec<Key> = partitioner.splits().into_iter().map(|(k, _)| k).collect();
+        split.sort_unstable();
+        // The policy's watermarks are per interval; the source's alert
+        // floor stands in for θmax, which only the partitioner knows.
+        let scale = match self.whole_interval {
+            None => None,
+            Some(whole) => {
+                heavy_hitter(stats, &split, planned, SKEW_ALERT_FLOOR).filter(|_| whole > 0)?;
+                Some(whole as f64 / stats.total_cost() as f64)
+            }
+        };
         // Per-key costs are the merged round totals — a split key's
         // entry already sums its replicas' partial loads, which is the
         // signal the unsplit watermark needs.
-        let key_loads: Vec<(u64, u64)> = self
-            .inputs
-            .stats
+        let key_loads: Vec<(u64, u64)> = stats
             .iter()
-            .map(|(k, st)| (k.raw(), st.cost))
+            .map(|(k, st)| match scale {
+                None => (k.raw(), st.cost),
+                Some(f) => (k.raw(), (st.cost as f64 * f).round() as u64),
+            })
             .collect();
-        let mut split_keys: Vec<u64> = partitioner.splits().iter().map(|(k, _)| k.raw()).collect();
-        split_keys.sort_unstable();
+        let split_keys: Vec<u64> = split.iter().map(|k| k.raw()).collect();
         let sobs = SplitObservation {
             interval,
             n_tasks: planned,
             key_loads: &key_loads,
             split_keys: &split_keys,
         };
-        match sp.decide(&sobs) {
+        let decision = match scale {
+            None => sp.decide(&sobs),
+            // On a clone: the closing round finds the policy's streaks and
+            // cooldown untouched. An unsplit needs whole quiet intervals.
+            Some(_) => match sp.box_clone().decide(&sobs) {
+                split @ SplitDecision::Split { .. } => split,
+                _ => SplitDecision::Hold,
+            },
+        };
+        match decision {
             SplitDecision::Split { key, replicas }
                 if planned >= 2 && replicas >= 2 && !split_keys.contains(&key) =>
             {

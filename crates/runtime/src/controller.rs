@@ -17,7 +17,7 @@ use streambal_core::{IntervalStats, Key, Partitioner, RoutingView, TaskId};
 use streambal_elastic::{IntervalObservation, RoundAction, RoundDecisions, RoundInputs};
 use streambal_hashring::{FxHashMap, FxHashSet};
 use streambal_metrics::{Counter, Histogram};
-use streambal_trace::{EarlyStep, OpLabel, Outcome, Phase, ThreadRecorder};
+use streambal_trace::{EarlySplit, EarlyStep, OpLabel, Outcome, Phase, ThreadRecorder};
 
 use crate::engine::{EngineConfig, EngineReport, ProtocolError};
 use crate::fault::{next_live, CtlKind, FaultEvent, FaultInjector, OpKind, SendPeer};
@@ -254,13 +254,16 @@ impl StatsLedger {
 
 /// The provisional statistics round open inside the current interval:
 /// copies of the workers' statistics so far, requested when the source
-/// raised a skew alert. It feeds the partitioner's rebalance hook and
-/// nothing else — elasticity and split policies, the snapshot stream and
-/// the ledger above see whole intervals only — and the interval's closing
+/// raised a skew alert. It feeds the split stage of the shared round
+/// core (to split a heavy hitter, nothing else) and the partitioner's
+/// rebalance hook — the elasticity policy, the snapshot stream and the
+/// ledger above see whole intervals only — and the interval's closing
 /// round cancels it if it is still waiting.
 struct EarlyRound {
     interval: u64,
     merged: IntervalStats,
+    /// Cost each worker reported, by slot: the replica choice's loads.
+    loads: Vec<u64>,
     awaiting: FxHashSet<TaskId>,
 }
 
@@ -669,6 +672,9 @@ pub(crate) struct Controller<'a> {
     closed_rounds: Vec<(u64, ClosedRound)>,
     /// The provisional round of the open interval, if one is waiting.
     early: Option<EarlyRound>,
+    /// Total cost of the round decided last (0 before the first): what
+    /// a provisional round's partial costs are scaled up to.
+    last_round_cost: u64,
     /// Outstanding source resumes by epoch: the view to re-drive each
     /// with and its deadline clock. Resumes are retried forever and
     /// never aborted — an abandoned resume would leave pause-buffered
@@ -730,6 +736,7 @@ impl<'a> Controller<'a> {
             ledger: StatsLedger::new(),
             closed_rounds: Vec::new(),
             early: None,
+            last_round_cost: 0,
             resume_state: FxHashMap::default(),
             retiring: None,
             closed_epochs: ClosedEpochs::new(),
@@ -842,6 +849,7 @@ impl<'a> Controller<'a> {
                 // interval's) is only a copy: dropping it loses nothing.
                 if let Some(early) = self.early.as_mut().filter(|e| e.interval == interval) {
                     if early.awaiting.remove(&worker) {
+                        early.loads[worker.index()] = stats.total_cost();
                         early.merged.merge(&stats);
                     }
                 }
@@ -1004,28 +1012,74 @@ impl<'a> Controller<'a> {
         self.early = Some(EarlyRound {
             interval,
             merged: IntervalStats::with_capacity(self.ledger.last_round_keys),
+            loads: vec![0; self.active],
             awaiting: (0..self.active).map(TaskId::from).collect(),
         });
     }
 
-    /// Hands a fully answered provisional round to the partitioner.
-    /// Runs after the closed rounds are decided: a worker answers the
-    /// previous interval's closing request before the provisional one
-    /// (same FIFO channel), so that round is in the window by now, and
-    /// if it planned an op the routing is already moving — the
+    /// Decides a fully answered provisional round: the split stage of
+    /// the shared round core first — a heavy hitter is split now rather
+    /// than an interval late — then the partitioner's rebalance hook
+    /// over the same report, so the split op and the plan for the
+    /// remaining keys queue FIFO inside the interval that raised the
+    /// alert. Runs after the closed rounds are decided: a worker answers
+    /// the previous interval's closing request before the provisional
+    /// one (same FIFO channel), so that round is in the window by now,
+    /// and if it planned an op the routing is already moving — the
     /// provisional statistics are dropped rather than planned on twice.
     fn settle_early_round(&mut self) {
         let Some(early) = self.early.take_if(|e| e.awaiting.is_empty()) else {
             return;
         };
-        let step = if self.pending.is_some() || !self.queue.is_empty() {
-            EarlyStep::Cancelled
-        } else if self.plan_rebalance(early.merged.into_provisional()) {
-            EarlyStep::Planned
-        } else {
-            EarlyStep::Held
+        let interval = early.interval;
+        if self.pending.is_some() || !self.queue.is_empty() {
+            self.io.rec.early_round(interval, EarlyStep::Cancelled);
+            return;
+        }
+        let inputs = RoundInputs {
+            obs: IntervalObservation {
+                interval,
+                n_tasks: self.partitioner.n_tasks(),
+                loads: &early.loads,
+                queue_depths: &[],
+                mean_latency_us: 0.0,
+                p99_latency_us: 0.0,
+                n_dead: self.dead.len(),
+            },
+            stats: &early.merged,
+            dead: self.dead.iter().copied().collect(),
+            can_grow: false,
         };
-        self.io.rec.early_round(early.interval, step);
+        let action = RoundDecisions::provisional(inputs, self.last_round_cost).next(
+            &mut *self.partitioner,
+            &mut *self.config.elasticity,
+            self.config.split.as_deref_mut(),
+        );
+        let split = match &action {
+            Some(RoundAction::Split { event, .. }) => Some(*event),
+            _ => None,
+        };
+        if let Some(action) = action {
+            self.apply_action(interval, action);
+        }
+        let total = early.merged.total_cost().max(1) as f64;
+        let hot_cost = split.and_then(|e| early.merged.get(Key(e.key)));
+        let planned = self.plan_rebalance(early.merged.into_provisional());
+        match (split, planned) {
+            (Some(event), _) => self.io.rec.early_split(
+                interval,
+                EarlySplit {
+                    key: event.key,
+                    share: hot_cost.map_or(0.0, |s| s.cost as f64 / total),
+                    rescale: self.last_round_cost as f64 / total,
+                    replicas: event.to,
+                    loads: early.loads,
+                    planned,
+                },
+            ),
+            (None, true) => self.io.rec.early_round(interval, EarlyStep::Planned),
+            (None, false) => self.io.rec.early_round(interval, EarlyStep::Held),
+        }
     }
 
     fn cancel_early_round(&mut self) {
@@ -1426,6 +1480,7 @@ impl<'a> Controller<'a> {
     fn decide_round(&mut self, interval: u64, round: ClosedRound) {
         // Telemetry snapshot: exactly what the policies and the
         // partitioner are about to see.
+        self.last_round_cost = round.merged.total_cost();
         self.io.rec.snapshot(
             interval,
             round.loads.clone(),
@@ -2192,7 +2247,10 @@ mod protocol_tests {
 
     use crossbeam::channel::unbounded;
     use streambal_baselines::storm;
-    use streambal_elastic::{FixedSchedule, ScaleDecision, ScaleEvent};
+    use streambal_elastic::{
+        FixedSchedule, FixedSplitSchedule, HotKeyPolicy, ScaleDecision, ScaleEvent, SplitEvent,
+        SplitPolicy,
+    };
     use streambal_trace::{EventKind, ThreadLabel, TraceSink};
 
     use crate::fault::FaultPlan;
@@ -2261,13 +2319,18 @@ mod protocol_tests {
     /// Closes `interval`'s statistics round with one empty report per
     /// provisioned live worker, then ticks (which decides the round).
     fn close_round(ctl: &mut Controller<'_>, interval: u64) {
+        close_round_with(ctl, interval, &[]);
+    }
+
+    /// [`close_round`] with worker `w` reporting `reports[w]`.
+    fn close_round_with(ctl: &mut Controller<'_>, interval: u64, reports: &[IntervalStats]) {
         ctl.on_source_event(SourceEvent::IntervalDone { interval });
         let live: Vec<usize> = (0..ctl.active).filter(|w| !ctl.dead.contains(w)).collect();
         for w in live {
             ctl.on_worker_event(WorkerEvent::Stats {
                 worker: TaskId::from(w),
                 interval,
-                stats: IntervalStats::new(),
+                stats: reports.get(w).cloned().unwrap_or_default(),
                 latency: Box::new(Histogram::new()),
             });
         }
@@ -2512,10 +2575,62 @@ mod protocol_tests {
             .events
             .iter()
             .filter_map(|e| match e.kind {
-                EventKind::EarlyRound { interval, step } => Some((interval, step)),
+                EventKind::EarlyRound { interval, step, .. } => Some((interval, step)),
                 _ => None,
             })
             .collect()
+    }
+
+    /// The early-split tests' topology: the rig's three workers with
+    /// `split` as the split policy, thirty background keys homed on each
+    /// worker, and a hot key homed on worker 2.
+    fn split_rig(
+        partitioner: Box<dyn Partitioner>,
+        policy: FixedSchedule,
+        split: Box<dyn SplitPolicy>,
+    ) -> (Controller<'static>, Rig, [Vec<Key>; 3], Key) {
+        let (mut ctl, rig) = rig_with(policy, FaultPlan::none(), partitioner);
+        ctl.config.split = Some(split);
+        let mut hash = storm(3);
+        let mut keys = [0usize, 1, 2].map(|w| {
+            let homed = (0..10_000)
+                .map(Key)
+                .filter(|&k| hash.route(k) == TaskId::from(w));
+            homed.take(31).collect::<Vec<Key>>()
+        });
+        let hot = keys[2][30];
+        keys.iter_mut().for_each(|k| k.truncate(30));
+        (ctl, rig, keys, hot)
+    }
+
+    /// Worker reports over [`split_rig`]'s keys: worker `w`'s background
+    /// keys at `costs[w]` each, plus the hot key at `hot.1` on worker 2.
+    fn reports(keys: &[Vec<Key>; 3], costs: [u64; 3], hot: (Key, u64)) -> Vec<IntervalStats> {
+        let mut out = vec![IntervalStats::new(); 3];
+        for (w, stats) in out.iter_mut().enumerate() {
+            for &k in &keys[w] {
+                stats.observe(k, costs[w], costs[w], 8);
+            }
+        }
+        if hot.1 > 0 {
+            out[2].observe(hot.0, hot.1, hot.1, 8);
+        }
+        out
+    }
+
+    /// Answers the provisional round of `interval` with `reports`, then
+    /// ticks (which settles it).
+    fn settle(ctl: &mut Controller<'_>, interval: u64, reports: Vec<IntervalStats>) {
+        ctl.on_source_event(alert(interval));
+        for (w, stats) in reports.into_iter().enumerate() {
+            let worker = TaskId::from(w);
+            ctl.on_worker_event(WorkerEvent::StatsPeek {
+                worker,
+                interval,
+                stats,
+            });
+        }
+        ctl.tick();
     }
 
     /// A skew alert opens a provisional round — one request per worker,
@@ -2664,5 +2779,154 @@ mod protocol_tests {
             early_steps(&rig),
             vec![(0, EarlyStep::Open), (0, EarlyStep::Planned)]
         );
+    }
+
+    /// A provisional round that finds a key heavier than `Lmax` splits it
+    /// inside the interval — judged at whole-interval scale on a clone of
+    /// the policy — and plans the remaining keys behind the split, FIFO;
+    /// the interval's closing round finds the key already split.
+    #[test]
+    fn provisional_round_splits_a_heavy_hitter_then_plans_the_rest() {
+        use streambal_baselines::CoreBalancer;
+        use streambal_core::{BalanceParams, RebalanceStrategy};
+        let mixed = CoreBalancer::new(3, 2, RebalanceStrategy::Mixed, BalanceParams::default());
+        // High mark 0.9 · 500 / 1.08 ≈ 417 per interval: above the hot
+        // key's 180 in a third of an interval, below its 540 in a whole.
+        let policy = Box::new(HotKeyPolicy::new(500.0));
+        let (mut ctl, rig, keys, hot) = split_rig(Box::new(mixed), FixedSchedule::new([]), policy);
+        close_round_with(&mut ctl, 0, &reports(&keys, [10, 10, 10], (hot, 0)));
+        assert_eq!((ctl.last_round_cost, ctl.report.rebalances), (900, 0));
+        let before = format!("{:?}", ctl.config.split); // judged on a clone: unchanged below
+
+        // The hot key holds 0.6 so far, and the rest leans on worker 0.
+        settle(&mut ctl, 1, reports(&keys, [2, 1, 1], (hot, 180)));
+        let split = SplitEvent {
+            interval: 1,
+            key: hot.raw(),
+            from: 1,
+            to: 3,
+        };
+        assert_eq!(ctl.report.split_events, vec![split]);
+        let ops = ctl.pending.iter().chain(ctl.queue.iter());
+        let labels: Vec<OpLabel> = ops.map(|op| op.label).collect();
+        assert_eq!(labels, vec![OpLabel::Split, OpLabel::Rebalance]);
+        assert_eq!(format!("{:?}", ctl.config.split), before);
+
+        close_round_with(&mut ctl, 1, &reports(&keys, [6, 3, 3], (hot, 540)));
+        assert_eq!(ctl.report.split_events, vec![split]);
+        assert_eq!(ctl.report.protocol_errors, vec![]);
+        drop(ctl.finish());
+        let log = rig.sink.take_log();
+        let inputs = log.events.iter().find_map(|e| match &e.kind {
+            EventKind::EarlyRound { split, .. } => split.clone(),
+            _ => None,
+        });
+        let inputs = inputs.expect("the split step carries its inputs");
+        assert_eq!(
+            (inputs.key, inputs.share, inputs.rescale),
+            (hot.raw(), 0.6, 3.0)
+        );
+        assert_eq!(
+            (inputs.replicas, inputs.planned, &inputs.loads[..]),
+            (3, true, &[60, 30, 210][..])
+        );
+    }
+
+    /// A provisional round reaches the split stage only, and only to
+    /// split: schedules that would scale in and unsplit in interval 1 do
+    /// both at its closing round and neither at its provisional one.
+    #[test]
+    fn provisional_round_never_scales_or_unsplits() {
+        // A background key of worker 0: with equal loads its second
+        // replica is worker 1, clear of the scale-in's victim.
+        let cold = key_homed_on(0, 3);
+        let (mut ctl, rig, keys, hot) = split_rig(
+            Box::new(storm(3)),
+            FixedSchedule::new([(1, ScaleDecision::ScaleIn)]),
+            Box::new(FixedSplitSchedule::cycle(cold.raw(), 2, 0, 1)),
+        );
+        // Round 0 splits `cold`; run its op to completion.
+        let calm = reports(&keys, [10, 10, 10], (hot, 0));
+        close_round_with(&mut ctl, 0, &calm);
+        ctl.on_source_event(SourceEvent::PauseAck { epoch: 1 });
+        ctl.on_source_event(SourceEvent::ResumeAck { epoch: 1 });
+
+        // Interval 1 holds a heavy hitter, so the policy is asked — and
+        // answers `Unsplit`, which a provisional round does not take.
+        settle(&mut ctl, 1, reports(&keys, [1, 1, 1], (hot, 180)));
+        assert_eq!(ctl.report.split_events.len(), 1);
+        assert_eq!(ctl.report.scale_events, vec![]);
+        assert!(ctl.pending.is_none() && ctl.queue.is_empty());
+
+        close_round_with(&mut ctl, 1, &calm);
+        assert_eq!(ctl.report.scale_events.len(), 1);
+        assert_eq!(ctl.report.split_events.len(), 2);
+        assert_eq!(ctl.report.protocol_errors, vec![]);
+        drop(ctl.finish());
+        let steps: Vec<EarlyStep> = early_steps(&rig).into_iter().map(|s| s.1).collect();
+        assert_eq!(steps, vec![EarlyStep::Open, EarlyStep::Held]);
+    }
+
+    /// [`split_rig`] over hash routing (which never plans) and a
+    /// `HotKeyPolicy` splitting after `up_after` hot intervals.
+    fn hot_key_rig(up_after: usize) -> (Controller<'static>, Rig, [Vec<Key>; 3], Key) {
+        let mut policy = HotKeyPolicy::new(500.0);
+        policy.up_after = up_after;
+        let (hash, hold) = (Box::new(storm(3)), FixedSchedule::new([]));
+        split_rig(hash, hold, Box::new(policy))
+    }
+
+    /// A provisional round that holds leaves the policy as it found it:
+    /// a streak one interval short of splitting one key is neither
+    /// advanced nor reset by another key leading a partial interval.
+    #[test]
+    fn provisional_round_that_holds_leaves_the_policy_untouched() {
+        let (mut ctl, rig, keys, hot) = hot_key_rig(2);
+        close_round_with(&mut ctl, 0, &reports(&keys, [6, 6, 6], (hot, 540)));
+        let mid_streak = format!("{:?}", ctl.config.split);
+        assert!(mid_streak.contains(&format!("hot: Some(({}, 1))", hot.raw())));
+        let mut other = reports(&keys, [2, 2, 2], (hot, 0));
+        other[1].observe(Key(77_777), 200, 200, 8);
+        settle(&mut ctl, 1, other);
+        assert_eq!(format!("{:?}", ctl.config.split), mid_streak);
+        assert_eq!(ctl.report.split_events, vec![]);
+        drop(ctl.finish());
+        let steps = vec![(1, EarlyStep::Open), (1, EarlyStep::Held)];
+        assert_eq!(early_steps(&rig), steps);
+    }
+
+    /// Nothing is split before the first closed round (nothing to scale
+    /// the partial costs by), behind an op that queued while the round
+    /// waited, or on a degraded topology.
+    #[test]
+    fn early_split_needs_a_closed_round_and_an_idle_healthy_control_plane() {
+        let (mut ctl, rig, keys, hot) = hot_key_rig(1);
+        let heavy = || reports(&keys, [1, 1, 1], (hot, 180));
+        settle(&mut ctl, 0, heavy());
+        assert_eq!(ctl.report.split_events, vec![]);
+
+        let calm = reports(&keys, [10, 10, 10], (hot, 0));
+        close_round_with(&mut ctl, 0, &calm);
+        ctl.on_source_event(alert(1));
+        ctl.queue.push_back(ProtocolOp::new(
+            OpLabel::Rebalance,
+            ctl.partitioner.routing_view(),
+            PauseScope::Keys(vec![hot]),
+            Extract::Moves(FxHashMap::default()),
+            false,
+        ));
+        settle(&mut ctl, 1, heavy());
+        assert_eq!(ctl.report.split_events, vec![]);
+        drop(ctl.finish());
+        let (open, held) = (EarlyStep::Open, EarlyStep::Held);
+        let steps = vec![(0, open), (0, held), (1, open), (1, EarlyStep::Cancelled)];
+        assert_eq!(early_steps(&rig), steps);
+
+        let (mut ctl, _rig, ..) = hot_key_rig(1);
+        close_round_with(&mut ctl, 0, &calm);
+        ctl.dead.insert(1);
+        settle(&mut ctl, 1, heavy());
+        assert_eq!(ctl.report.split_events, vec![]);
+        assert!(ctl.partitioner.splits().is_empty() && ctl.early.is_none());
     }
 }

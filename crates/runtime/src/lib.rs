@@ -118,9 +118,15 @@
 //! advance, accumulators not reset. The merged copies go to
 //! `Partitioner::end_interval` marked provisional
 //! (`IntervalStats::is_provisional`), and a plan that comes back is an
-//! ordinary `rebalance` op, walked like any other. Elasticity and split
-//! policies, `Snapshot` events and the statistics ledger see whole
-//! intervals only. The interval's closing round cancels a provisional
+//! ordinary `rebalance` op, walked like any other. Ahead of it the
+//! copies pass the split stage of `streambal_elastic::RoundDecisions`
+//! in its provisional mode (DESIGN.md §6): a key heavier than `Lmax` on
+//! its own, which no plan of whole keys can place, is put to a clone of
+//! the split policy at whole-interval scale, and a `Split` verdict
+//! queues an ordinary `split` op in front of the rebalance. Everything
+//! else — the elasticity policy, an unsplit, `Snapshot` events, the
+//! statistics ledger — sees whole intervals only. The interval's closing
+//! round cancels a provisional
 //! round still waiting (late answers are copies: dropped, not errors),
 //! and `StatsWindow` lets the closing report *supersede* the provisional
 //! one, so everything decided after the interval closes is decided on
@@ -236,7 +242,8 @@
 //! * **Early rounds**: the source's `SkewAlert` (interval,
 //!   per-destination counts — recorded at a control-poll point, so batch
 //!   granularity) and the controller's `EarlyRound` steps (`open`, then
-//!   `planned`, `held` or `cancelled`). Both are masked from the
+//!   `planned`, `split` — with the inputs that decided it — `held` or
+//!   `cancelled`). Both are masked from the
 //!   skeleton: whether an alert trips depends on which view the source
 //!   routed the interval's first tuples under.
 //! * **Fault mirrors**: every fault-ledger entry, with its ledger index
@@ -275,7 +282,6 @@ pub mod merge;
 pub mod message;
 pub mod operator;
 pub mod router;
-pub mod topk;
 pub mod tuple;
 pub mod worker;
 
@@ -283,13 +289,10 @@ pub use engine::{Engine, EngineConfig, EngineReport, ProtocolError, ScaleEvent, 
 pub use fault::{CtlKind, FaultEvent, FaultInjector, FaultPlan, FaultSpec, KillTrigger, OpKind};
 pub use merge::MergeStage;
 pub use message::{Message, SourceCtl, SourceEvent, WorkerEvent};
-pub use operator::{
-    CoJoinOp, Collector, CountingCollector, Operator, SumCollector, WindowedSelfJoinOp, WordCountOp,
-};
+pub use operator::{CoJoinOp, Collector, Operator, SumCollector, WindowedSelfJoinOp, WordCountOp};
 pub use router::SourceRouter;
 pub use streambal_trace::{
-    EarlyStep, EventKind, OpLabel, Outcome, Phase, SpanSummary, ThreadLabel, ThreadRecorder,
-    TraceEvent, TraceLog, TraceSink,
+    EarlySplit, EarlyStep, EventKind, OpLabel, Outcome, Phase, SpanSummary, ThreadLabel,
+    ThreadRecorder, TraceEvent, TraceLog, TraceSink,
 };
-pub use topk::TopKOp;
 pub use tuple::{Tuple, TAG_DEFAULT, TAG_LEFT, TAG_PARTIAL, TAG_RIGHT};

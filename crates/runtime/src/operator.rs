@@ -97,29 +97,6 @@ impl Collector for SumCollector {
     }
 }
 
-/// Counts emitted tuples (join-output volume and the like).
-#[derive(Debug, Default)]
-pub struct CountingCollector {
-    count: u64,
-}
-
-impl CountingCollector {
-    /// Creates a zeroed counter collector.
-    pub fn new() -> Self {
-        CountingCollector::default()
-    }
-}
-
-impl Collector for CountingCollector {
-    fn collect(&mut self, _tuple: &Tuple) {
-        self.count += 1;
-    }
-
-    fn result(&mut self) -> Vec<(u64, u64)> {
-        vec![(0, self.count)]
-    }
-}
-
 /// Windowed slots shared by the built-in operators: `(interval, payload)`
 /// entries in interval order.
 type Slots<T> = VecDeque<(u64, T)>;
@@ -680,11 +657,6 @@ mod tests {
         s.collect(&Tuple::tagged(Key(1), TAG_PARTIAL, [3, 0]));
         s.collect(&Tuple::tagged(Key(2), TAG_PARTIAL, [1, 0]));
         assert_eq!(s.result(), vec![(1, 8), (2, 1)]);
-
-        let mut c = CountingCollector::new();
-        c.collect(&Tuple::keyed(Key(1)));
-        c.collect(&Tuple::keyed(Key(2)));
-        assert_eq!(c.result(), vec![(0, 2)]);
     }
 
     #[test]

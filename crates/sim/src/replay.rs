@@ -19,8 +19,17 @@
 //! fires, the thinned statistics go to `end_interval` marked provisional,
 //! and the plan they produce takes effect `lag` later. Decisions are the
 //! partitioner's; only the clock is modelled.
+//!
+//! With a split policy, every cut — closing or provisional — first runs
+//! through `streambal_elastic::RoundDecisions`, the code the engine's
+//! controller pulls its split decisions from, and a split key's cost is
+//! spread evenly over its replicas.
 
 use streambal_core::{skew_alert, IntervalStats, Key, KeyStat, Partitioner, TaskId};
+use streambal_elastic::{
+    HoldPolicy, IntervalObservation, RoundAction, RoundDecisions, RoundInputs, SplitEvent,
+    SplitPolicy,
+};
 use streambal_hashring::mix64;
 
 /// The source-side half of a provisional round.
@@ -31,6 +40,9 @@ pub struct EarlyRounds {
     pub sample: f64,
     /// The alert's floor (see `streambal_core::skew_alert`).
     pub floor: f64,
+    /// Whether a provisional round may split a heavy hitter (the engine:
+    /// yes; `false` replays the controller before early splits).
+    pub split: bool,
 }
 
 /// How the replayed controller reacts in time.
@@ -56,6 +68,9 @@ pub struct ThetaReplay {
     pub early_planned: usize,
     /// State bytes the plans moved.
     pub migrated_bytes: u64,
+    /// Splits and unsplits, closing and provisional, as the engine
+    /// would record them.
+    pub split_events: Vec<SplitEvent>,
 }
 
 impl ThetaReplay {
@@ -75,7 +90,55 @@ fn loads_under(p: &mut dyn Partitioner, stats: &IntervalStats) -> Vec<f64> {
     for ((_, s), d) in stats.iter().zip(&dests) {
         loads[d.index()] += s.cost as f64;
     }
+    // A split key's tuples go round its replicas.
+    for (key, replicas) in p.splits() {
+        if let Some(at) = keys.iter().position(|&k| k == key) {
+            let cost = stats.get(key).map_or(0, |s| s.cost) as f64;
+            loads[dests[at].index()] -= cost;
+            for r in &replicas {
+                loads[r.index()] += cost / replicas.len() as f64;
+            }
+        }
+    }
     loads
+}
+
+/// Runs one cut's split decision — `whole_interval` is `Some` for a
+/// provisional cut — through the engine's round core; whether it acted.
+fn decide_split(
+    p: &mut dyn Partitioner,
+    split: &mut dyn SplitPolicy,
+    interval: usize,
+    stats: &IntervalStats,
+    whole_interval: Option<u64>,
+    out: &mut ThetaReplay,
+) -> bool {
+    let loads: Vec<u64> = loads_under(p, stats).iter().map(|&l| l as u64).collect();
+    let inputs = RoundInputs {
+        obs: IntervalObservation {
+            interval: interval as u64,
+            n_tasks: p.n_tasks(),
+            loads: &loads,
+            queue_depths: &[],
+            mean_latency_us: 0.0,
+            p99_latency_us: 0.0,
+            n_dead: 0,
+        },
+        stats,
+        dead: Vec::new(),
+        can_grow: false,
+    };
+    let mut round = match whole_interval {
+        None => RoundDecisions::new(inputs),
+        Some(whole) => RoundDecisions::provisional(inputs, whole),
+    };
+    let before = out.split_events.len();
+    while let Some(action) = round.next(p, &mut HoldPolicy, Some(&mut *split)) {
+        if let RoundAction::Split { event, .. } | RoundAction::Unsplit { event, .. } = action {
+            out.split_events.push(event);
+        }
+    }
+    out.split_events.len() > before
 }
 
 /// The statistics of a `share` of `stats`' tuples, each tuple kept
@@ -101,10 +164,12 @@ fn thin(stats: &IntervalStats, share: f64, seed: u64) -> IntervalStats {
         .collect()
 }
 
-/// Replays `intervals` through `p` under `reaction` (see the module
-/// docs). `seed` drives the provisional samples only.
+/// Replays `intervals` through `p` — and `split`, if the run has a split
+/// policy — under `reaction` (see the module docs). `seed` drives the
+/// provisional samples only.
 pub fn replay_theta(
     p: &mut dyn Partitioner,
+    mut split: Option<&mut dyn SplitPolicy>,
     intervals: &[IntervalStats],
     reaction: &Reaction,
     seed: u64,
@@ -135,10 +200,17 @@ pub fn replay_theta(
                 if at > 0.0 {
                     seen.merge(&thin(stats, at, !salt));
                 }
-                if let Some(plan) = p.end_interval(seen.into_provisional()) {
+                let whole = i.checked_sub(1).map_or(0, |j| intervals[j].total_cost());
+                let sp = split.as_deref_mut().filter(|_| early.split);
+                let acted =
+                    sp.is_some_and(|sp| decide_split(p, sp, i, &seen, Some(whole), &mut out));
+                let plan = p.end_interval(seen.into_provisional());
+                if let Some(plan) = &plan {
                     out.early_planned += 1;
                     out.rebalances += 1;
                     out.migrated_bytes += plan.plan.cost_bytes();
+                }
+                if plan.is_some() || acted {
                     let effective = (at + early.sample + reaction.lag).min(1.0);
                     segments.push((effective - at, current));
                     at = effective;
@@ -159,12 +231,15 @@ pub fn replay_theta(
             .push(if mean > 0.0 { max / mean - 1.0 } else { 0.0 });
 
         let next_under_old = intervals.get(i + 1).map(|next| loads_under(p, next));
-        if let Some(plan) = p.end_interval(stats.clone()) {
+        let sp = split.as_deref_mut();
+        let acted = sp.is_some_and(|sp| decide_split(p, sp, i, stats, None, &mut out));
+        let plan = p.end_interval(stats.clone());
+        if let Some(plan) = &plan {
             out.rebalances += 1;
             out.migrated_bytes += plan.plan.cost_bytes();
-            if reaction.lag > 0.0 {
-                before_close = next_under_old;
-            }
+        }
+        if (plan.is_some() || acted) && reaction.lag > 0.0 {
+            before_close = next_under_old;
         }
     }
     out
@@ -213,11 +288,12 @@ mod tests {
     fn early_rounds_cut_theta_and_lag_raises_it() {
         let intervals = drifting(24);
         let run = |lag: f64, early: Option<EarlyRounds>| {
-            replay_theta(&mut mixed(), &intervals, &Reaction { lag, early }, 1)
+            replay_theta(&mut mixed(), None, &intervals, &Reaction { lag, early }, 1)
         };
         let alert = EarlyRounds {
             sample: 0.05,
             floor: 0.08,
+            split: true,
         };
         let stale = run(0.0, None);
         let lagged = run(0.2, None);
@@ -236,9 +312,10 @@ mod tests {
             lag: 0.2,
             early: Some(alert),
         };
-        let a = replay_theta(&mut storm(4), &intervals, &reaction, 1);
+        let a = replay_theta(&mut storm(4), None, &intervals, &reaction, 1);
         let b = replay_theta(
             &mut storm(4),
+            None,
             &intervals,
             &Reaction {
                 lag: 0.0,
@@ -248,5 +325,37 @@ mod tests {
         );
         assert_eq!(a.theta, b.theta);
         assert_eq!(a.rebalances, 0);
+    }
+
+    /// A key no whole-key plan can place: a closing round splits it an
+    /// interval late, a provisional round inside the interval that shows
+    /// it — the same events, and the burst's first interval runs mostly
+    /// split.
+    #[test]
+    fn early_split_records_the_same_events_sooner() {
+        use streambal_elastic::HotKeyPolicy;
+        let mut g = streambal_workloads::ChurnWorkload::new(500, 20_000, 20, 0.1, 3)
+            .with_dominant_burst(Key(500), 0.6, 3, 6);
+        let mut intervals = vec![g.interval_stats()];
+        for _ in 1..8 {
+            g.advance();
+            intervals.push(g.interval_stats());
+        }
+        let run = |split: bool| {
+            let (sample, floor) = (0.125, 0.08);
+            let early = Some(EarlyRounds {
+                split,
+                sample,
+                floor,
+            });
+            let mut hot = HotKeyPolicy::new(20_000.0 / 3.0);
+            let reaction = Reaction { lag: 0.1, early };
+            replay_theta(&mut mixed(), Some(&mut hot), &intervals, &reaction, 1)
+        };
+        let (closing, early) = (run(false), run(true));
+        assert_eq!(closing.split_events, early.split_events);
+        let trace = early.split_events.iter().map(|e| (e.interval, e.to));
+        assert_eq!(trace.collect::<Vec<_>>(), vec![(3, 4), (7, 1)]);
+        assert!(early.theta[3] < 0.5 * closing.theta[3], "{:?}", early.theta);
     }
 }

@@ -242,8 +242,28 @@ pub enum EarlyStep {
     Planned,
     /// Every answer arrived and the partitioner held.
     Held,
+    /// Every answer arrived and a heavy hitter was split, with or
+    /// without a rebalance behind it; the event carries an [`EarlySplit`].
+    Split,
     /// The interval's closing round overtook it.
     Cancelled,
+}
+
+/// The inputs behind an early split, as the controller saw them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EarlySplit {
+    /// The raw key split.
+    pub key: u64,
+    /// Its share of the provisional report's cost.
+    pub share: f64,
+    /// Last closed round's cost ÷ the report's: what costs were scaled by.
+    pub rescale: f64,
+    /// Replicas installed, primary included.
+    pub replicas: usize,
+    /// Cost each worker had reported, by slot.
+    pub loads: Vec<u64>,
+    /// Whether a rebalance of the remaining keys queued behind the split.
+    pub planned: bool,
 }
 
 impl EarlyStep {
@@ -253,6 +273,7 @@ impl EarlyStep {
             EarlyStep::Open => "open",
             EarlyStep::Planned => "planned",
             EarlyStep::Held => "held",
+            EarlyStep::Split => "split",
             EarlyStep::Cancelled => "cancelled",
         }
     }
@@ -263,6 +284,7 @@ impl EarlyStep {
             EarlyStep::Open,
             EarlyStep::Planned,
             EarlyStep::Held,
+            EarlyStep::Split,
             EarlyStep::Cancelled,
         ]
         .into_iter()
@@ -359,6 +381,8 @@ pub enum EventKind {
         interval: u64,
         /// What happened.
         step: EarlyStep,
+        /// What decided it, for [`EarlyStep::Split`].
+        split: Option<EarlySplit>,
     },
     /// A free-form structural marker.
     Mark {
@@ -582,7 +606,20 @@ impl ThreadRecorder {
 
     /// Marks a provisional statistics round moving on.
     pub fn early_round(&mut self, interval: u64, step: EarlyStep) {
-        self.event(EventKind::EarlyRound { interval, step });
+        self.event(EventKind::EarlyRound {
+            interval,
+            step,
+            split: None,
+        });
+    }
+
+    /// Marks a provisional statistics round ending in a split.
+    pub fn early_split(&mut self, interval: u64, split: EarlySplit) {
+        self.event(EventKind::EarlyRound {
+            interval,
+            step: EarlyStep::Split,
+            split: Some(split),
+        });
     }
 
     /// Emits a free-form marker.
@@ -954,12 +991,26 @@ impl TraceLog {
                         int_arr(sent)
                     );
                 }
-                EventKind::EarlyRound { interval, step } => {
+                EventKind::EarlyRound {
+                    interval,
+                    step,
+                    split,
+                } => {
                     let _ = write!(
                         out,
                         "\"kind\":\"early_round\",\"interval\":{interval},\"step\":\"{}\"",
                         step.as_str()
                     );
+                    if let Some(s) = split {
+                        let (share, rescale) = (fnum(s.share), fnum(s.rescale));
+                        let (loads, key, replicas, planned) =
+                            (int_arr(&s.loads), s.key, s.replicas, s.planned);
+                        let _ = write!(
+                            out,
+                            ",\"key\":{key},\"share\":{share},\"rescale\":{rescale},\
+                             \"replicas\":{replicas},\"loads\":{loads},\"planned\":{planned}"
+                        );
+                    }
                 }
             }
             out.push_str("}\n");
@@ -1072,7 +1123,7 @@ impl TraceLog {
                     "{{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"early\",\
                      \"name\":\"skew_alert#{interval}\",\"ts\":{ts},\"pid\":1,\"tid\":{tid}}}"
                 )),
-                EventKind::EarlyRound { interval, step } => evs.push(format!(
+                EventKind::EarlyRound { interval, step, .. } => evs.push(format!(
                     "{{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"early\",\
                      \"name\":\"early_round#{interval} {}\",\"ts\":{ts},\"pid\":1,\"tid\":{tid}}}",
                     step.as_str()

@@ -25,7 +25,7 @@ use streambal::elastic::{
     ScaleEvent, SplitDecision, SplitEvent, ThresholdPolicy,
 };
 use streambal::prelude::Key;
-use streambal::runtime::{Engine, EngineConfig, Tuple, WordCountOp};
+use streambal::runtime::{Engine, EngineConfig, EventKind, OpLabel, Tuple, WordCountOp};
 use streambal::sim::source::ReplaySource;
 use streambal::sim::{
     run_sim_elastic, run_sim_elastic_queued, run_sim_elastic_split, QueueModel, SimConfig,
@@ -334,8 +334,11 @@ fn split_sim_plan_replays_identically_on_the_engine() {
         .collect();
     let mut src = ReplaySource::new(stats);
     // budget = 21_600/1.08 = 20_000: high mark 18_000 sits between the
-    // background per-key cost (440) and the burst key's (44_000), whose
-    // ⌈44_000/18_000⌉ = 3 replicas exactly cover the 3 tasks.
+    // background per-key cost (440) and the burst key's (44_000). The
+    // replica count is sized by share, not cost: s = 44_000/66_000, so
+    // ⌈s·n/(s + θmax)⌉ = ⌈2/0.747⌉ = 3 replicas cover the 3 tasks. The
+    // engine may take the split from a provisional round of interval 2
+    // instead of its closing round; the event is the same either way.
     let mut hot = HotKeyPolicy::new(21_600.0);
     let mut p = partitioner();
     let sim_report = run_sim_elastic_split(
@@ -421,6 +424,86 @@ fn split_sim_plan_replays_identically_on_the_engine() {
         })
         .sum();
     assert_eq!(hot_count, 2 * BURST, "merged hot-key count must be exact");
+}
+
+/// A scaled-down `burst`: one key takes 0.6 of the volume in intervals
+/// 3..6 of a churning background. With slow workers and tiny channels
+/// the source runs at the hot worker's pace, its skew alert opens a
+/// provisional round an eighth into interval 3, and the split is
+/// installed *inside* that interval. Fed whole intervals per batch — the
+/// source then polls control at interval boundaries only and can never
+/// alert — the same feed is split by interval 3's closing round instead,
+/// and `split_events` cannot tell the two runs apart. (`partitioner()`
+/// never rebalances, so no op in flight turns the alert away.)
+#[test]
+fn early_split_lands_inside_the_interval_and_matches_the_closing_round() {
+    use std::collections::BTreeMap;
+    const TUPLES: u64 = 4_000;
+    const HOT: Key = Key(200);
+    let mut g = streambal::workloads::ChurnWorkload::new(200, TUPLES, 10, 0.1, 7)
+        .with_dominant_burst(HOT, 0.6, 3, 6);
+    let mut intervals = vec![g.tuples()];
+    for _ in 1..10 {
+        g.advance();
+        intervals.push(g.tuples());
+    }
+    let mut expect = BTreeMap::new();
+    for k in intervals.iter().flatten() {
+        *expect.entry(k.raw()).or_insert(0u64) += 1;
+    }
+    let run = |spin_work: u32, batch_size: usize| {
+        let feed = intervals.clone();
+        // One worker sustains a third of an interval, as on `burst`.
+        let capacity = (TUPLES / 3 * (spin_work as u64 + 1)) as f64;
+        let config = EngineConfig {
+            n_workers: N_TASKS,
+            channel_capacity: 64,
+            batch_size,
+            spin_work,
+            window: 100,
+            split: Some(Box::new(HotKeyPolicy::new(capacity))),
+            ..EngineConfig::default()
+        };
+        // Released 40 ms apart, so each statistics request is in the
+        // channels before the next interval's tuples and every round
+        // closes on its own interval, however the threads are scheduled.
+        let feeder = move |iv: u64| {
+            std::thread::sleep(std::time::Duration::from_millis(40));
+            let keys = feed.get(iv as usize)?;
+            Some(keys.iter().map(|&k| Tuple::keyed(k)).collect())
+        };
+        let op = |_| Box::new(WordCountOp::new()) as _;
+        Engine::run(config, Box::new(partitioner()), op, feeder, None)
+    };
+    let (early, closing) = (run(2_000, 32), run(0, TUPLES as usize));
+
+    let key = HOT.raw();
+    let (split, unsplit) = ((3, 1, 3), (7, 3, 1));
+    let events = [split, unsplit].map(|(interval, from, to)| SplitEvent {
+        interval,
+        key,
+        from,
+        to,
+    });
+    assert_eq!(early.split_events, events);
+    assert_eq!(closing.split_events, events);
+    for (r, inside) in [(&early, true), (&closing, false)] {
+        // The split span closed before the source had fed interval 3?
+        let spans = r.trace.span_summaries();
+        let split = spans.iter().find(|s| s.op == OpLabel::Split).unwrap();
+        let fed = |e: &&streambal::runtime::TraceEvent| {
+            matches!(e.kind, EventKind::IntervalEnd { interval: 3, .. })
+        };
+        let fed_us = r.trace.events.iter().find(fed).unwrap().at_us;
+        assert_eq!(split.close_us < fed_us, inside);
+        assert_eq!(r.protocol_errors, vec![]);
+        let mut seen = BTreeMap::new();
+        for (k, blob) in &r.final_states {
+            let n: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
+            *seen.entry(k.raw()).or_insert(0u64) += n;
+        }
+        assert_eq!(seen, expect, "merged per-key counts");
+    }
 }
 
 /// Worker-seconds accounting: an elastic run that spends part of its
