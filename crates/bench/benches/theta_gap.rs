@@ -6,8 +6,12 @@
 //! replays the benchmark's frozen `drift` instance — the paper's Tab. II
 //! generator advanced against the static hash assignment, 32 distinct
 //! intervals played back and forth — through `CoreBalancer`/Mixed with
-//! `streambal_sim::replay_theta`, single-threaded and seeded, and splits
-//! `θ̄` into its parts:
+//! the simulator's `Sim` driver, single-threaded and seeded, and splits
+//! `θ̄` into its parts. Each variant is one `Reaction`: how long a plan
+//! takes to land, and whether provisional rounds react inside the
+//! interval. θ per interval is the time-weighted `max/mean − 1` the
+//! interval ran at (`SimReport::imbalance`); a split key counts on every
+//! replica, as the engine's source rotates it per tuple:
 //!
 //! * `clairvoyant` — LPT on each interval's *own* costs: what whole-key
 //!   granularity leaves even with perfect knowledge (of one plan per
@@ -49,7 +53,8 @@ use streambal_core::{
     TriggerPolicy, SKEW_ALERT_FLOOR, SKEW_ALERT_MIN_SHARE,
 };
 use streambal_elastic::{HotKeyPolicy, SplitPolicy};
-use streambal_sim::{replay_theta, EarlyRounds, Reaction, ThetaReplay};
+use streambal_sim::source::ReplaySource;
+use streambal_sim::{EarlyRounds, Reaction, Sim, SimReport};
 use streambal_workloads::{ChurnWorkload, FluctuatingWorkload};
 
 const N_TASKS: usize = 4;
@@ -130,8 +135,8 @@ fn replay(
     trigger: TriggerPolicy,
     lag: f64,
     early: Option<EarlyRounds>,
-    split: Option<&mut dyn SplitPolicy>,
-) -> ThetaReplay {
+    split: Option<Box<dyn SplitPolicy>>,
+) -> SimReport {
     let mut p = CoreBalancer::new(
         N_TASKS,
         WINDOW,
@@ -139,11 +144,17 @@ fn replay(
         BalanceParams::default(),
     )
     .with_trigger_policy(trigger);
-    replay_theta(&mut p, split, intervals, &Reaction { lag, early }, SEED)
+    let sim = Sim {
+        intervals: intervals.len(),
+        split,
+        reaction: Reaction { lag, early },
+        ..Sim::default()
+    };
+    sim.run(&mut p, &mut ReplaySource::new(intervals.iter().cloned()))
 }
 
-fn row(r: &ThetaReplay, from: usize) -> Vec<(&'static str, Json)> {
-    let theta = r.mean_theta(from);
+fn row(r: &SimReport, from: usize) -> Vec<(&'static str, Json)> {
+    let theta = r.mean_imbalance(from);
     vec![
         ("run_imbalance", Json::lower(Json::Num(theta))),
         (
@@ -185,6 +196,7 @@ fn main() {
         sample: SKEW_ALERT_MIN_SHARE,
         floor: SKEW_ALERT_FLOOR,
         split: true,
+        seed: SEED,
     };
     let (paper, settling) = (TriggerPolicy::paper(), TriggerPolicy::default());
     println!(
@@ -210,7 +222,7 @@ fn main() {
             ];
             let t: Vec<f64> = variants
                 .iter()
-                .map(|(_, r)| r.mean_theta(shape.warmup))
+                .map(|(_, r)| r.mean_imbalance(shape.warmup))
                 .collect();
             println!(
                 "  {z:>5} {f:>5} {lpt:>11.4} {:>11.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4}",
@@ -257,7 +269,7 @@ fn main() {
         let r = replay(&drift, settling, LAG, Some(early), None);
         println!(
             "    {name:<14} θ̄ {:.4}  fired {:>2}  planned {:>2}  rebalances {:>2}",
-            r.mean_theta(shape.warmup),
+            r.mean_imbalance(shape.warmup),
             r.early_fired,
             r.early_planned,
             r.rebalances
@@ -298,14 +310,14 @@ fn main() {
     }
     let split_run = |split: bool| {
         let early = EarlyRounds { split, ..alert };
-        let mut hot = HotKeyPolicy::new(25_000.0);
-        replay(&burst, settling, LAG, Some(early), Some(&mut hot))
+        let hot = HotKeyPolicy::new(25_000.0);
+        replay(&burst, settling, LAG, Some(early), Some(Box::new(hot)))
     };
     let (closing, early) = (split_run(false), split_run(true));
     assert_eq!(closing.split_events, early.split_events, "same splits");
     let columns = [
-        ("split_closing", closing.theta),
-        ("split_early", early.theta),
+        ("split_closing", closing.imbalance()),
+        ("split_early", early.imbalance()),
         ("split_clairvoyant", clairvoyant(&burst, true)),
     ];
     println!("\n  burst (0.6-share key over intervals {from}..{until}): θ̄ first two, whole");

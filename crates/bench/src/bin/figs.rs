@@ -12,9 +12,16 @@
 //! minutes for everything) or `full` (near Tab. II's bold defaults).
 //! Absolute numbers differ from the paper's 21-node Storm cluster — the
 //! *shape* (who wins, by what factor, where crossovers fall) is the
-//! reproduction target. The simulator figures are deterministic per
-//! seed apart from their timing rows; the engine figures run real
-//! threads and vary run to run.
+//! reproduction target. Every simulator figure is one or more
+//! `streambal_sim::Sim` runs at the paper's controller (boundary rounds,
+//! no lag) and is deterministic per seed apart from its timing rows:
+//! fig07, fig17, fig18, fig19 and fig20_21 have none and regenerate
+//! byte-identical, which CI checks. The engine figures run real threads
+//! and vary run to run.
+//!
+//! The results directory is compiled in from `CARGO_MANIFEST_DIR`, so a
+//! binary built in one checkout writes into that checkout wherever it is
+//! run from.
 //!
 //! | name | reproduces | driven by |
 //! |---|---|---|

@@ -4,9 +4,10 @@
 //! console tables and `bench_results/figNN.json`.
 
 use streambal_baselines::storm;
-use streambal_core::{rebalance, Partitioner, RebalanceInput, RebalanceStrategy};
-use streambal_sim::skewness_samples;
+use streambal_core::{rebalance, RebalanceStrategy};
+use streambal_sim::Sim;
 
+use crate::fig11::skewed_input;
 use crate::figure::{Figure, Table};
 use crate::{run_core_sim, run_readj_best, Defaults, Scale, READJ_SIGMAS};
 
@@ -17,7 +18,8 @@ pub fn fig07(scale: Scale) -> Figure {
     let d = Defaults::at(scale);
     // Each run is one random draw of key-popularity → ring placement;
     // pool per-task samples over several seeds so the CDF reflects the
-    // distribution, not a single layout.
+    // distribution, not a single layout. Storm never plans, so each run
+    // is the hash assignment's per-task normalized loads.
     let seeds: Vec<u64> = scale.pick((1..=12).collect(), (1..=24).collect());
     let pooled = |k: usize, nd: usize| -> Vec<f64> {
         let mut all = Vec::new();
@@ -25,15 +27,12 @@ pub fn fig07(scale: Scale) -> Figure {
             let mut dd = d;
             dd.k = k;
             dd.seed = seed;
-            let mut src = dd.source();
-            let mut p = storm(nd);
-            let mut route = |key| p.route(key);
-            all.extend(skewness_samples(
-                &mut route,
-                &mut src,
-                nd,
-                d.intervals.min(5),
-            ));
+            let sim = Sim {
+                intervals: d.intervals.min(5),
+                ..Sim::default()
+            };
+            let report = sim.run(&mut storm(nd), &mut dd.source());
+            all.extend(report.per_task_skew_samples());
         }
         all.sort_by(|a, b| a.partial_cmp(b).unwrap());
         all
@@ -463,25 +462,7 @@ pub fn fig20_21(scale: Scale) -> Figure {
 /// input must be reproducible.
 pub fn smoke_rebalance() -> f64 {
     let d = Defaults::at(Scale::Quick);
-    let mut src = d.source();
-    let mut hash = storm(d.nd);
-    let mut route = |k| hash.route(k);
-    let stats = streambal_sim::source::IntervalSource::next_interval(&mut src, d.nd, &mut route);
-    let records: Vec<streambal_core::KeyRecord> = stats
-        .iter()
-        .map(|(k, s)| streambal_core::KeyRecord {
-            key: k,
-            cost: s.cost,
-            mem: s.mem,
-            current: route(k),
-            hash_dest: route(k),
-        })
-        .collect();
-    let input = RebalanceInput {
-        n_tasks: d.nd,
-        records,
-    };
-    rebalance(&input, RebalanceStrategy::Mixed, &d.params()).achieved_theta
+    rebalance(&skewed_input(&d), RebalanceStrategy::Mixed, &d.params()).achieved_theta
 }
 
 #[cfg(test)]

@@ -7,7 +7,10 @@
 //! binary's module docs (`src/bin/figs.rs`) list every figure, what it
 //! reproduces and what drives it. Absolute numbers differ from the
 //! paper's 21-node Storm cluster — the *shape* (who wins, by what
-//! factor, where crossovers fall) is the reproduction target.
+//! factor, where crossovers fall) is the reproduction target. Each
+//! simulator figure point is one `streambal_sim::Sim` run with rounds at
+//! the interval boundary: [`run_core_sim`], [`run_readj_best`], or one
+//! Storm run per seed for fig07.
 //!
 //! Two scales are supported via the `STREAMBAL_SCALE` environment
 //! variable: `quick` (default; minutes, smaller key domains) and `full`
@@ -29,7 +32,7 @@ pub mod json;
 use streambal_baselines::{readj, CoreBalancer, ReadjConfig};
 use streambal_core::{BalanceParams, Partitioner, RebalanceStrategy, TriggerPolicy};
 use streambal_sim::source::ZipfSource;
-use streambal_sim::{run_sim, SimConfig, SimReport};
+use streambal_sim::{Sim, SimReport};
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,16 +131,11 @@ fn paper_balancer(d: &Defaults, strategy: RebalanceStrategy) -> CoreBalancer {
 
 /// Runs one simulator experiment with a core strategy.
 pub fn run_core_sim(d: &Defaults, strategy: RebalanceStrategy) -> SimReport {
-    let mut p = paper_balancer(d, strategy);
-    let mut src = d.source();
-    run_sim(
-        &mut p,
-        &mut src,
-        &SimConfig {
-            n_tasks: d.nd,
-            intervals: d.intervals,
-        },
-    )
+    let sim = Sim {
+        intervals: d.intervals,
+        ..Sim::default()
+    };
+    sim.run(&mut paper_balancer(d, strategy), &mut d.source())
 }
 
 /// Runs Readj across a σ sweep and returns the best report (the paper:
@@ -151,16 +149,11 @@ pub fn run_readj_best(d: &Defaults, sigmas: &[f64]) -> SimReport {
             sigma,
             max_actions: 512,
         };
-        let mut p = readj(d.nd, d.window, cfg);
-        let mut src = d.source();
-        let report = run_sim(
-            &mut p,
-            &mut src,
-            &SimConfig {
-                n_tasks: d.nd,
-                intervals: d.intervals,
-            },
-        );
+        let sim = Sim {
+            intervals: d.intervals,
+            ..Sim::default()
+        };
+        let report = sim.run(&mut readj(d.nd, d.window, cfg), &mut d.source());
         let better = match &best {
             None => true,
             Some(b) => {

@@ -9,64 +9,75 @@
 //! finish in seconds. (Throughput/latency figures need the real engine —
 //! `streambal-runtime`.)
 //!
-//! The simulator models key-grouping semantics plus hot-key splitting:
-//! every key maps to one task unless a [`SplitPolicy`]
-//! ([`run_sim_elastic_split`]) salts it across replica slots. Scale and
-//! split *decisions* are not modelled at all: each interval's round runs
-//! through `streambal_elastic::RoundDecisions`, the same code the
-//! engine's controller pulls its actions from, so a plan drafted here
-//! replays on the runtime `ScaleEvent` for `ScaleEvent` and `SplitEvent`
-//! for `SplitEvent`. Only the tuple-level consequences (state movement,
-//! replica partials, the merge stage) need the real engine.
+//! # One loop
+//!
+//! A [`Sim`] is the whole configuration and [`Sim::run`] the one interval
+//! loop. Per interval, in the engine's order:
+//!
+//! 1. **Pull** the interval from the source. A source whose fluctuation is
+//!    defined relative to task loads sees the routes in force.
+//! 2. **Load** it under those routes: per-task cost and tuple counts. A
+//!    split key's share is spread evenly over its replicas, because the
+//!    engine's source rotates a split key per tuple.
+//! 3. **Queue**: the [`QueueModel`] absorbs those arrivals; its backlogs
+//!    and latency proxy are what the closing round observes.
+//! 4. **Provisional round**, with [`Reaction::early`]: once the source has
+//!    fed a sample of the interval it tests `streambal_core::skew_alert`
+//!    on the sample's per-task loads. If that fires, the sample goes
+//!    through `RoundDecisions::provisional` and then to `end_interval`
+//!    marked provisional, and whatever either changed takes effect
+//!    [`Reaction::lag`] later.
+//! 5. **Record** the load the interval ran at, time-weighted over the
+//!    routings in force during it ([`SimReport`]).
+//! 6. **Closing round** through `streambal_elastic::RoundDecisions`, the
+//!    code the engine's controller pulls its scale and split actions
+//!    from. So a plan drafted here replays on the runtime `ScaleEvent` for
+//!    `ScaleEvent` and `SplitEvent` for `SplitEvent`.
+//! 7. **Plan**: `end_interval` under the stopwatch. Whatever steps 6–7
+//!    changed takes effect `lag` into the next interval.
+//!
+//! Two inputs to the shared round code differ from the engine's, and they
+//! are the whole sim-vs-engine divergence in decisions. The dead-slot set
+//! is always empty: the simulator models no failures, so it never revives
+//! or holds, and a split's replica choice never has a dead slot to avoid.
+//! And `can_grow` is `n_tasks < max_tasks`, where the engine also requires
+//! that no retire is still re-provisioning (its spawn slot must be the
+//! contiguous physical tail). A scale-in is instantaneous here, so a
+//! policy that flaps in→out across adjacent intervals can record a
+//! `ScaleOut` the engine clamps. Traces are identical whenever opposite
+//! decisions are at least one engine re-provision apart, which any policy
+//! with hysteresis or a cooldown guarantees (`tests/elasticity.rs` pins
+//! the replay identity). The tuple-level consequences — state movement,
+//! replica partials, the merge stage — need the real engine.
 
-pub mod replay;
 pub mod report;
 pub mod source;
 
-pub use replay::{replay_theta, EarlyRounds, Reaction, ThetaReplay};
 pub use report::SimReport;
 pub use source::IntervalSource;
 
-use streambal_core::{loads_of, Key, Partitioner, RebalanceInput, TaskId};
+use streambal_core::{
+    skew_alert, AssignmentFn, IntervalStats, Key, KeyStat, Partitioner, RoutingView, TaskId,
+};
 use streambal_elastic::{
     ElasticityPolicy, HoldPolicy, IntervalObservation, RoundAction, RoundDecisions, RoundInputs,
     SplitPolicy,
 };
+use streambal_hashring::mix64;
 use streambal_metrics::Stopwatch;
 
-/// Simulation dimensions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimConfig {
-    /// Downstream parallelism `N_D`.
-    pub n_tasks: usize,
-    /// Number of intervals to run.
-    pub intervals: usize,
-}
-
-/// Runs `partitioner` against `source` for `cfg.intervals` intervals and
-/// collects the paper's scheduling metrics. Parallelism stays fixed at
-/// `cfg.n_tasks` (a [`HoldPolicy`]); see [`run_sim_elastic`] for
-/// policy-driven elasticity.
-pub fn run_sim(
-    partitioner: &mut dyn Partitioner,
-    source: &mut dyn IntervalSource,
-    cfg: &SimConfig,
-) -> SimReport {
-    run_sim_elastic(partitioner, source, cfg, &mut HoldPolicy, cfg.n_tasks)
-}
-
-/// Deterministic queue/latency proxy for [`run_sim_elastic_queued`]: the
-/// simulator has no physical channels, so the backpressure signals the
-/// engine samples (tuple-weighted channel occupancy at interval close,
-/// per-interval latency) are modeled as a per-task fluid queue. Each
-/// interval a task receives its routed tuple count and drains up to
-/// `service_rate` tuples; the standing remainder is its queue depth,
-/// clamped to `channel_capacity` exactly as the engine's bounded channel
-/// clamps real occupancy (beyond the bound, backpressure stalls the
-/// source instead of growing the queue). Latency is a sojourn proxy:
-/// a tuple waits `us_per_tuple` behind the standing backlog plus half
-/// its own interval's cohort — coarse, but it moves when and only when
-/// queues move, which is all a watermark policy consumes.
+/// Deterministic queue/latency proxy: the simulator has no physical
+/// channels, so the backpressure signals the engine samples
+/// (tuple-weighted channel occupancy at interval close, per-interval
+/// latency) are modeled as a per-task fluid queue. Each interval a task
+/// receives its routed tuple count and drains up to `service_rate`
+/// tuples; the standing remainder is its queue depth, clamped to
+/// `channel_capacity` exactly as the engine's bounded channel clamps real
+/// occupancy (beyond the bound, backpressure stalls the source instead of
+/// growing the queue). Latency is a sojourn proxy: a tuple waits
+/// `us_per_tuple` behind the standing backlog plus half its own
+/// interval's cohort — coarse, but it moves when and only when queues
+/// move, which is all a watermark policy consumes.
 #[derive(Debug, Clone, Copy)]
 pub struct QueueModel {
     /// Tuples one task drains per interval.
@@ -79,7 +90,7 @@ pub struct QueueModel {
 
 impl QueueModel {
     /// No backpressure modeling: infinite service rate, so queue depths
-    /// and latencies observe as zero (the pre-queue-signal behaviour).
+    /// and latencies observe as zero.
     pub fn none() -> Self {
         QueueModel {
             service_rate: f64::INFINITY,
@@ -87,288 +98,393 @@ impl QueueModel {
             us_per_tuple: 0.0,
         }
     }
-}
 
-/// [`run_sim`] with an elasticity hook: the same per-interval decision
-/// sequence the engine's controller runs, recorded in the same
-/// [`SimReport::scale_events`] shape as `EngineReport::scale_events` so
-/// traces compare with `==`. Queue/latency observations are zero (see
-/// [`run_sim_elastic_queued`] for the modeled backpressure signals).
-pub fn run_sim_elastic(
-    partitioner: &mut dyn Partitioner,
-    source: &mut dyn IntervalSource,
-    cfg: &SimConfig,
-    policy: &mut dyn ElasticityPolicy,
-    max_tasks: usize,
-) -> SimReport {
-    run_sim_elastic_queued(
-        partitioner,
-        source,
-        cfg,
-        policy,
-        max_tasks,
-        QueueModel::none(),
-    )
-}
-
-/// [`run_sim_elastic`] with modeled backpressure signals: per-task queue
-/// depths and interval latency from a [`QueueModel`] fluid queue, filled
-/// into the same [`IntervalObservation`] fields the engine samples from
-/// its real channels — so queue-driven policies
-/// (`streambal_elastic::BackpressurePolicy`) plan in the simulator and
-/// replay on the engine exactly like load-driven ones.
-///
-/// Per interval, in engine order: the source advances (its fluctuation
-/// process sees the partitioner's current destinations), loads are
-/// evaluated under the current assignment, the queue model absorbs the
-/// interval's arrivals, the round is decided on those observations by
-/// `streambal_elastic::RoundDecisions` — the policy call, the clamps and
-/// the `Partitioner::scale_out_plan` / `Partitioner::scale_in` mutation
-/// are the engine's own code, not a copy of it (the pre-placement moves
-/// are notional here, state being simulated, but the *routing* delta is
-/// the engine's) — and only then does `end_interval` run under the
-/// stopwatch, exactly as the controller decides the round before the
-/// rebalance hook.
-///
-/// Two inputs to that shared code differ, and they are the whole
-/// sim-vs-engine divergence. The dead-slot set is always empty (the
-/// simulator models no failures, so it never revives or holds). And
-/// `can_grow` is `n_tasks < max_tasks`, where the engine also requires
-/// that no retire is still re-provisioning (its spawn slot must be the
-/// contiguous physical tail): the simulator has no physical state to
-/// drain, so a scale-in is instantaneous here, and a policy that flaps
-/// in→out across adjacent intervals can record a `ScaleOut` event that
-/// the engine clamps. Traces are identical whenever consecutive
-/// opposite decisions are at least one engine re-provision apart (any
-/// policy with hysteresis or a cooldown, and every fixed schedule that
-/// spaces its reversals — `tests/elasticity.rs` pins the replay
-/// identity).
-pub fn run_sim_elastic_queued(
-    partitioner: &mut dyn Partitioner,
-    source: &mut dyn IntervalSource,
-    cfg: &SimConfig,
-    policy: &mut dyn ElasticityPolicy,
-    max_tasks: usize,
-    model: QueueModel,
-) -> SimReport {
-    run_sim_inner(partitioner, source, cfg, policy, max_tasks, model, None)
-}
-
-/// [`run_sim_elastic_queued`] with the hot-key split hook: the same
-/// shared round consults the split policy after the elasticity decision
-/// (and before `end_interval`, where the engine's controller consults
-/// `EngineConfig::split`) with the interval's per-key costs and the
-/// current split set, and executes its decision through
-/// [`Partitioner::split_key`] / [`Partitioner::unsplit_key`] — guards
-/// and replica-slot choice included. Executed decisions land in
-/// [`SimReport::split_events`] in the engine's `SplitEvent` shape, so
-/// sim and runtime split traces pin with `==` — the engine's only extra
-/// step is shipping the view (and, for unsplit, the replica partials)
-/// through its pause/quiesce protocol, which changes no decision.
-///
-/// The inputs that differ are those of [`run_sim_elastic_queued`]: with
-/// no dead slots the replica choice never has one to avoid, and a scale
-/// decision the engine would have clamped leaves the routing one task
-/// apart in the interval it fired — so identical traces need the two
-/// decision kinds at least one interval apart, free with any
-/// cooldown-carrying policy.
-pub fn run_sim_elastic_split(
-    partitioner: &mut dyn Partitioner,
-    source: &mut dyn IntervalSource,
-    cfg: &SimConfig,
-    policy: &mut dyn ElasticityPolicy,
-    max_tasks: usize,
-    model: QueueModel,
-    split: &mut dyn SplitPolicy,
-) -> SimReport {
-    run_sim_inner(
-        partitioner,
-        source,
-        cfg,
-        policy,
-        max_tasks,
-        model,
-        Some(split),
-    )
-}
-
-fn run_sim_inner(
-    partitioner: &mut dyn Partitioner,
-    source: &mut dyn IntervalSource,
-    cfg: &SimConfig,
-    policy: &mut dyn ElasticityPolicy,
-    max_tasks: usize,
-    model: QueueModel,
-    mut split: Option<&mut dyn SplitPolicy>,
-) -> SimReport {
-    let mut report = SimReport::new(partitioner.name(), cfg.n_tasks);
-    // Batch scratch reused across intervals: the destination evaluation is
-    // the simulator's per-key hot loop, so it goes through `route_batch`
-    // (one call per interval) instead of a map probe per key.
-    let mut keys: Vec<Key> = Vec::new();
-    let mut dests: Vec<TaskId> = Vec::new();
-    // Modeled standing backlog per task, in tuples.
-    let mut backlog: Vec<f64> = vec![0.0; cfg.n_tasks];
-    for interval in 0..cfg.intervals {
-        let n_tasks = partitioner.n_tasks();
-        let stats = source.next_interval(n_tasks, &mut |k| partitioner.route(k));
-        // Loads under the current assignment (before any rebalance).
-        keys.clear();
-        keys.extend(stats.iter().map(|(k, _)| k));
-        partitioner.route_batch(&keys, &mut dests);
-        let records_input = RebalanceInput {
-            n_tasks,
-            records: {
-                let mut v = Vec::with_capacity(stats.len());
-                for ((k, s), &d) in stats.iter().zip(&dests) {
-                    v.push(streambal_core::KeyRecord {
-                        key: k,
-                        cost: s.cost,
-                        mem: s.mem,
-                        current: d,
-                        hash_dest: d, // unused for load accounting
-                    });
-                }
-                v
-            },
-        };
-        let summary = loads_of(&records_input.records, n_tasks);
-        report.observe_interval(interval, &summary);
-
-        // Queue model: absorb this interval's per-task arrivals, drain
-        // the service rate, clamp to the channel bound — the state at
-        // interval close is what the engine's controller samples.
-        let mut arrivals = vec![0.0f64; n_tasks];
-        for ((_, s), &d) in stats.iter().zip(&dests) {
-            arrivals[d.index()] += s.freq as f64;
-        }
-        let mut queues: Vec<u64> = Vec::with_capacity(n_tasks);
-        let mut lat_weighted = 0.0f64;
-        let mut lat_total = 0.0f64;
-        let mut p99 = 0.0f64;
-        for d in 0..n_tasks {
-            let standing = backlog[d];
-            let after = (standing + arrivals[d] - model.service_rate)
+    /// Absorbs one interval's per-task `arrivals` into `backlog`, drains
+    /// the service rate and clamps to the channel bound. Returns what the
+    /// engine's controller samples at interval close: per-task depths and
+    /// the mean and p99 latency, µs.
+    fn absorb(&self, backlog: &mut [f64], arrivals: &[f64]) -> (Vec<u64>, f64, f64) {
+        let mut depths = Vec::with_capacity(backlog.len());
+        let (mut lat_weighted, mut lat_total, mut p99) = (0.0f64, 0.0f64, 0.0f64);
+        for (queue, &arrived) in backlog.iter_mut().zip(arrivals) {
+            let standing = *queue;
+            *queue = (standing + arrived - self.service_rate)
                 .max(0.0)
-                .min(model.channel_capacity as f64);
-            backlog[d] = after;
-            queues.push(after.round() as u64);
+                .min(self.channel_capacity as f64);
+            depths.push(queue.round() as u64);
             // Sojourn proxy: wait behind the standing backlog plus half
             // the own cohort (mean); the cohort's last tuple (p99-ish)
             // waits behind all of it.
-            let mean_d = model.us_per_tuple * (standing + arrivals[d] * 0.5);
-            lat_weighted += mean_d * arrivals[d];
-            lat_total += arrivals[d];
-            p99 = p99.max(model.us_per_tuple * (standing + arrivals[d]));
+            lat_weighted += self.us_per_tuple * (standing + arrived * 0.5) * arrived;
+            lat_total += arrived;
+            p99 = p99.max(self.us_per_tuple * (standing + arrived));
         }
-        let mean_latency_us = if lat_total > 0.0 {
+        let mean = if lat_total > 0.0 {
             lat_weighted / lat_total
         } else {
             0.0
         };
-
-        // The round's decisions come from the core the engine's controller
-        // pulls from too; only the bookkeeping around each action is the
-        // simulator's own.
-        let mut round = RoundDecisions::new(RoundInputs {
-            obs: IntervalObservation {
-                interval: interval as u64,
-                n_tasks,
-                loads: &summary.loads,
-                queue_depths: &queues,
-                mean_latency_us,
-                p99_latency_us: p99,
-                n_dead: 0,
-            },
-            stats: &stats,
-            dead: Vec::new(), // the simulator models no worker failures
-            can_grow: n_tasks < max_tasks,
-        });
-        while let Some(action) = round.next(partitioner, policy, split.as_deref_mut()) {
-            match action {
-                RoundAction::ScaleOut { event, .. } => {
-                    // The pre-placement moves are notional here (simulated
-                    // state follows its key for free); the new slot joins
-                    // drained.
-                    backlog.push(0.0);
-                    report.observe_scale(event);
-                }
-                RoundAction::ScaleIn { event, .. } => {
-                    // The victim drains its own backlog before retiring (the
-                    // engine's Retire marker lands behind it), so its queue
-                    // leaves with it.
-                    backlog.truncate(event.to);
-                    report.observe_scale(event);
-                }
-                RoundAction::Split { event, .. } | RoundAction::Unsplit { event, .. } => {
-                    report.observe_split(event);
-                }
-                // Clamped growth is skipped; the dead-slot actions cannot
-                // arise from an empty dead set.
-                RoundAction::ScaleOutClamped
-                | RoundAction::Revive { .. }
-                | RoundAction::ScaleHeld => {}
-            }
-        }
-
-        let watch = Stopwatch::start();
-        let outcome = partitioner.end_interval(stats);
-        let elapsed_ms = watch.elapsed_ms();
-        if let Some(out) = outcome {
-            report.observe_rebalance(interval, elapsed_ms, &out);
-        }
+        (depths, mean, p99)
     }
-    report
 }
 
-/// Convenience for Fig. 7: per-task average workload skewness under any
-/// static routing function, over `intervals` intervals of `source`.
-pub fn skewness_samples(
-    route: &mut dyn FnMut(Key) -> TaskId,
-    source: &mut dyn IntervalSource,
-    n_tasks: usize,
-    intervals: usize,
-) -> Vec<f64> {
-    let mut sums = vec![0.0f64; n_tasks];
-    for _ in 0..intervals {
-        let stats = source.next_interval(n_tasks, route);
-        let mut loads = vec![0u64; n_tasks];
-        for (k, s) in stats.iter() {
-            loads[route(k).index()] += s.cost;
+/// The source-side half of a provisional round.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EarlyRounds {
+    /// Share of the interval fed (under the routes in force) when the
+    /// alert is evaluated and the provisional statistics are cut.
+    pub sample: f64,
+    /// The alert's floor (see `streambal_core::skew_alert`).
+    pub floor: f64,
+    /// Whether a provisional round may split a heavy hitter (the engine:
+    /// yes; `false` models the controller before early splits).
+    pub split: bool,
+    /// Seeds the sample: each tuple of the interval is kept
+    /// independently, so the sample carries its sampling noise.
+    pub seed: u64,
+}
+
+/// How the simulated controller reacts in time. The default reacts at
+/// the interval boundary, instantly, and never inside an interval.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Reaction {
+    /// Share of an interval between a statistics cut — closing or
+    /// provisional — and the routing it changes taking effect. The
+    /// routing a closing round replaced is replayed from its table view,
+    /// so after a closing round the lag applies to table-backed
+    /// partitioners only.
+    pub lag: f64,
+    /// Provisional rounds, if the source raises alerts.
+    pub early: Option<EarlyRounds>,
+}
+
+/// One simulation run: plain fields, and `EngineConfig`'s names and types
+/// where the concept is the same, so one policy value configures both
+/// drivers. The parallelism is the partitioner's own.
+#[derive(Debug, Clone)]
+pub struct Sim {
+    /// Number of intervals to run.
+    pub intervals: usize,
+    /// Consulted after every closing round, as the engine's controller
+    /// consults `EngineConfig::elasticity`. Default: [`HoldPolicy`].
+    pub elasticity: Box<dyn ElasticityPolicy>,
+    /// The parallelism a scale-out may grow to — the engine's
+    /// `max_workers`. Default 0: nothing grows.
+    pub max_tasks: usize,
+    /// Modeled backpressure signals. Default: [`QueueModel::none`].
+    pub queue: QueueModel,
+    /// Consulted after the elasticity decision, as the engine consults
+    /// `EngineConfig::split`. Default: `None` (never splits).
+    pub split: Option<Box<dyn SplitPolicy>>,
+    /// How the controller reacts in time. Default: at the boundary.
+    pub reaction: Reaction,
+}
+
+impl Default for Sim {
+    fn default() -> Self {
+        Sim {
+            intervals: 10,
+            elasticity: Box::new(HoldPolicy),
+            max_tasks: 0,
+            queue: QueueModel::none(),
+            split: None,
+            reaction: Reaction::default(),
         }
-        let mean = loads.iter().sum::<u64>() as f64 / n_tasks as f64;
-        if mean > 0.0 {
-            for (d, &l) in loads.iter().enumerate() {
-                sums[d] += l as f64 / mean;
+    }
+}
+
+/// Per-task load of one interval's statistics under one routing.
+struct Loads {
+    cost: Vec<f64>,
+    tuples: Vec<f64>,
+}
+
+/// Per-task cost and tuple count of `stats` over `n_tasks`, destinations
+/// from `route_batch` and a split key's share spread evenly over its
+/// replicas.
+fn loads_under(
+    stats: &IntervalStats,
+    n_tasks: usize,
+    splits: &[(Key, Vec<TaskId>)],
+    route_batch: impl FnOnce(&[Key], &mut Vec<TaskId>),
+) -> Loads {
+    let keys: Vec<Key> = stats.iter().map(|(k, _)| k).collect();
+    let mut dests = Vec::with_capacity(keys.len());
+    route_batch(&keys, &mut dests);
+    let mut loads = Loads {
+        cost: vec![0.0; n_tasks],
+        tuples: vec![0.0; n_tasks],
+    };
+    for ((key, s), d) in stats.iter().zip(&dests) {
+        if !splits.iter().any(|(k, _)| *k == key) {
+            loads.cost[d.index()] += s.cost as f64;
+            loads.tuples[d.index()] += s.freq as f64;
+        }
+    }
+    for (key, replicas) in splits {
+        if let Some(s) = stats.get(*key) {
+            let r = replicas.len() as f64;
+            for t in replicas {
+                loads.cost[t.index()] += s.cost as f64 / r;
+                loads.tuples[t.index()] += s.freq as f64 / r;
             }
         }
     }
-    let mut out: Vec<f64> = sums.iter().map(|s| s / intervals as f64).collect();
-    out.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    out
+    loads
+}
+
+/// [`loads_under`] the partitioner's current routing.
+fn live_loads(p: &mut dyn Partitioner, stats: &IntervalStats) -> Loads {
+    loads_under(stats, p.n_tasks(), &p.splits(), |keys, out| {
+        p.route_batch(keys, out)
+    })
+}
+
+/// A table view as a standalone routing function; `None` for the
+/// table-less views.
+fn table_routing(view: RoutingView) -> Option<AssignmentFn> {
+    match view {
+        RoutingView::TablePlusHash {
+            table,
+            n_tasks,
+            splits,
+        } => {
+            let mut a = AssignmentFn::with_table(n_tasks, table);
+            a.set_splits(splits);
+            Some(a)
+        }
+        _ => None,
+    }
+}
+
+/// What the round core observes: loads as whole cost units.
+fn whole_units(loads: &[f64]) -> Vec<u64> {
+    loads.iter().map(|&l| l as u64).collect()
+}
+
+/// The statistics of a `share` of `stats`' tuples, each tuple kept
+/// independently (seeded): what workers have seen once the source has fed
+/// that share of a shuffled interval.
+fn thin(stats: &IntervalStats, share: f64, seed: u64) -> IntervalStats {
+    let cut = (share.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
+    stats
+        .iter()
+        .filter_map(|(key, s)| {
+            let kept = (0..s.freq)
+                .filter(|&j| mix64(mix64(seed ^ key.raw()) ^ j) < cut)
+                .count() as u64;
+            (kept > 0).then(|| {
+                let part = KeyStat {
+                    freq: kept,
+                    cost: s.cost * kept / s.freq,
+                    mem: s.mem * kept / s.freq,
+                };
+                (key, part)
+            })
+        })
+        .collect()
+}
+
+impl Sim {
+    /// Runs `p` against `source` for [`Sim::intervals`] intervals (see the
+    /// crate docs for the loop) and collects the paper's scheduling
+    /// metrics.
+    pub fn run(mut self, p: &mut dyn Partitioner, source: &mut dyn IntervalSource) -> SimReport {
+        let mut report = SimReport::new(p.name(), p.n_tasks());
+        // Modeled standing backlog per task, in tuples.
+        let mut backlog = vec![0.0; p.n_tasks()];
+        // The routing the last closing round replaced, still in force for
+        // the first `lag` of the next interval.
+        let mut replaced: Option<AssignmentFn> = None;
+        // The last closed interval's cost: what a provisional round
+        // scales its partial costs up to.
+        let mut last_total = 0;
+        for interval in 0..self.intervals {
+            let n_tasks = p.n_tasks();
+            let stats = source.next_interval(n_tasks, &mut |k| p.route(k));
+            let mut current = live_loads(p, &stats);
+            let (queues, mean_latency_us, p99_latency_us) =
+                self.queue.absorb(&mut backlog, &current.tuples);
+
+            // `(share of the interval, per-task cost over the whole of it)`.
+            let mut segments: Vec<(f64, Vec<f64>)> = Vec::new();
+            let mut at = 0.0;
+            if let Some(old) = replaced.take() {
+                let old_loads = loads_under(&stats, old.n_tasks(), &old.splits(), |keys, out| {
+                    old.route_batch(keys, out)
+                });
+                segments.push((self.reaction.lag, old_loads.cost));
+                at = self.reaction.lag;
+            }
+            if let Some(effective) =
+                self.provisional(p, interval, &stats, at, last_total, &mut report)
+            {
+                let before = std::mem::replace(&mut current, live_loads(p, &stats));
+                segments.push((effective - at, before.cost));
+                at = effective;
+            }
+            let loads = whole_units(&current.cost);
+            segments.push((1.0 - at, current.cost));
+            let mut ran = vec![0.0; n_tasks];
+            for (share, seg) in &segments {
+                for (l, s) in ran.iter_mut().zip(seg) {
+                    *l += share * s;
+                }
+            }
+            report.observe_interval(interval, &ran);
+
+            let snapshot = if self.reaction.lag > 0.0 {
+                table_routing(p.routing_view())
+            } else {
+                None
+            };
+            let before = report.scale_events.len() + report.split_events.len();
+            let mut round = RoundDecisions::new(RoundInputs {
+                obs: IntervalObservation {
+                    interval: interval as u64,
+                    n_tasks,
+                    loads: &loads,
+                    queue_depths: &queues,
+                    mean_latency_us,
+                    p99_latency_us,
+                    n_dead: 0,
+                },
+                stats: &stats,
+                dead: Vec::new(),
+                can_grow: n_tasks < self.max_tasks,
+            });
+            while let Some(action) =
+                round.next(p, self.elasticity.as_mut(), self.split.as_deref_mut())
+            {
+                match action {
+                    RoundAction::ScaleOut { event, .. } => {
+                        // The pre-placement moves are notional here
+                        // (simulated state follows its key for free); the
+                        // new slot joins drained.
+                        backlog.push(0.0);
+                        report.scale_events.push(event);
+                    }
+                    RoundAction::ScaleIn { event, .. } => {
+                        // The victim drains its own backlog before retiring
+                        // (the engine's Retire marker lands behind it), so
+                        // its queue leaves with it.
+                        backlog.truncate(event.to);
+                        report.scale_events.push(event);
+                    }
+                    RoundAction::Split { event, .. } | RoundAction::Unsplit { event, .. } => {
+                        report.split_events.push(event);
+                    }
+                    // Clamped growth is skipped; the dead-slot actions
+                    // cannot arise from an empty dead set.
+                    RoundAction::ScaleOutClamped
+                    | RoundAction::Revive { .. }
+                    | RoundAction::ScaleHeld => {}
+                }
+            }
+            let decided = report.scale_events.len() + report.split_events.len() > before;
+
+            last_total = stats.total_cost();
+            let watch = Stopwatch::start();
+            let outcome = p.end_interval(stats);
+            let elapsed_ms = watch.elapsed_ms();
+            if let Some(out) = &outcome {
+                report.observe_rebalance(interval, elapsed_ms, out);
+            }
+            if outcome.is_some() || decided {
+                replaced = snapshot;
+            }
+        }
+        report
+    }
+
+    /// Step 4 over the interval's `stats`, the source having fed `at` of
+    /// it under the routing the last round replaced. `whole` is the last
+    /// closed interval's cost. Returns when what the round changed takes
+    /// effect, if it changed anything.
+    fn provisional(
+        &mut self,
+        p: &mut dyn Partitioner,
+        interval: usize,
+        stats: &IntervalStats,
+        at: f64,
+        whole: u64,
+        report: &mut SimReport,
+    ) -> Option<f64> {
+        // The source evaluates the alert once it has fed `sample` under
+        // the routes in force, in the first half of the interval.
+        let early = self.reaction.early.filter(|e| at + e.sample < 0.5)?;
+        let salt = early.seed ^ (interval as u64) << 32;
+        let recent = thin(stats, early.sample, salt);
+        if !skew_alert(&whole_units(&live_loads(p, &recent).cost), early.floor) {
+            return None;
+        }
+        report.early_fired += 1;
+        // Workers report everything since the interval began.
+        let mut seen = recent;
+        if at > 0.0 {
+            seen.merge(&thin(stats, at, !salt));
+        }
+        let splits = report.split_events.len();
+        if let Some(sp) = self.split.as_deref_mut().filter(|_| early.split) {
+            let loads = whole_units(&live_loads(p, &seen).cost);
+            let inputs = RoundInputs {
+                obs: IntervalObservation {
+                    interval: interval as u64,
+                    n_tasks: p.n_tasks(),
+                    loads: &loads,
+                    queue_depths: &[],
+                    mean_latency_us: 0.0,
+                    p99_latency_us: 0.0,
+                    n_dead: 0,
+                },
+                stats: &seen,
+                dead: Vec::new(),
+                can_grow: false,
+            };
+            let mut round = RoundDecisions::provisional(inputs, whole);
+            while let Some(action) = round.next(p, self.elasticity.as_mut(), Some(&mut *sp)) {
+                if let RoundAction::Split { event, .. } = action {
+                    report.split_events.push(event);
+                }
+            }
+        }
+        let split = report.split_events.len() > splits;
+        let watch = Stopwatch::start();
+        let plan = p.end_interval(seen.into_provisional());
+        let elapsed_ms = watch.elapsed_ms();
+        if let Some(out) = &plan {
+            report.early_planned += 1;
+            report.observe_rebalance(interval, elapsed_ms, out);
+        }
+        (plan.is_some() || split).then(|| (at + early.sample + self.reaction.lag).min(1.0))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use source::ZipfSource;
+    use source::{ReplaySource, ZipfSource};
     use streambal_baselines::storm;
     use streambal_baselines::CoreBalancer;
     use streambal_core::{BalanceParams, RebalanceStrategy};
+    use streambal_elastic::{HotKeyPolicy, ScaleDecision, ScaleEvent, SplitEvent};
+    use streambal_workloads::FluctuatingWorkload;
 
     fn zipf_source(k: usize, z: f64, f: f64) -> ZipfSource {
         ZipfSource::new(k, z, 50_000, f, 77)
     }
 
+    fn run(intervals: usize, p: &mut dyn Partitioner, src: &mut dyn IntervalSource) -> SimReport {
+        Sim {
+            intervals,
+            ..Sim::default()
+        }
+        .run(p, src)
+    }
+
     #[test]
     fn hash_partitioner_never_rebalances_but_skews() {
-        let cfg = SimConfig {
-            n_tasks: 8,
-            intervals: 10,
-        };
-        let mut p = storm(8);
-        let mut src = zipf_source(2_000, 0.9, 0.5);
-        let report = run_sim(&mut p, &mut src, &cfg);
+        let report = run(10, &mut storm(8), &mut zipf_source(2_000, 0.9, 0.5));
         assert_eq!(report.rebalances, 0);
         assert!(
             report.mean_skewness() > 1.05,
@@ -382,13 +498,7 @@ mod tests {
         // Note: the pre-rebalance θ each interval is bounded below by the
         // fluctuation rate f (the generator injects that much shift), so
         // the comparison uses a moderate f where repair is visible.
-        let cfg = SimConfig {
-            n_tasks: 8,
-            intervals: 12,
-        };
-        let mut hash = storm(8);
-        let mut src1 = zipf_source(2_000, 0.9, 0.2);
-        let hash_report = run_sim(&mut hash, &mut src1, &cfg);
+        let hash_report = run(12, &mut storm(8), &mut zipf_source(2_000, 0.9, 0.2));
 
         let mut mixed = CoreBalancer::new(
             8,
@@ -399,8 +509,7 @@ mod tests {
                 ..BalanceParams::default()
             },
         );
-        let mut src2 = zipf_source(2_000, 0.9, 0.2);
-        let mixed_report = run_sim(&mut mixed, &mut src2, &cfg);
+        let mixed_report = run(12, &mut mixed, &mut zipf_source(2_000, 0.9, 0.2));
 
         assert!(mixed_report.rebalances > 0, "skew must trigger Mixed");
         assert!(
@@ -424,8 +533,6 @@ mod tests {
     /// interval of exactly this shape).
     #[test]
     fn mixed_ignores_permanently_idle_hash_slot() {
-        use source::ReplaySource;
-        use streambal_core::{AssignmentFn, IntervalStats};
         let n_tasks = 4;
         let idle = TaskId(3);
         // The probe ring is the same deterministic ring CoreBalancer
@@ -451,8 +558,7 @@ mod tests {
                 ..BalanceParams::default()
             },
         );
-        let cfg = SimConfig { n_tasks, intervals };
-        let report = run_sim(&mut p, &mut src, &cfg);
+        let report = run(intervals, &mut p, &mut src);
         // The idle slot keeps max θ pinned at 1.0 > θmax the whole run…
         assert!(
             report.theta_series.points().iter().all(|&(_, t)| t > 0.9),
@@ -465,26 +571,8 @@ mod tests {
     }
 
     #[test]
-    fn skewness_samples_sorted_and_mean_one() {
-        let mut src = zipf_source(5_000, 0.85, 0.0);
-        let mut p = storm(10);
-        let mut route = |k: Key| p.route(k);
-        let samples = skewness_samples(&mut route, &mut src, 10, 5);
-        assert_eq!(samples.len(), 10);
-        for w in samples.windows(2) {
-            assert!(w[0] <= w[1]);
-        }
-        let mean: f64 = samples.iter().sum::<f64>() / 10.0;
-        assert!((mean - 1.0).abs() < 0.01, "normalized mean ≈ 1, got {mean}");
-    }
-
-    #[test]
     fn elastic_sim_executes_a_fixed_cycle() {
         use streambal_elastic::FixedSchedule;
-        let cfg = SimConfig {
-            n_tasks: 4,
-            intervals: 8,
-        };
         let mut p = CoreBalancer::new(
             4,
             5,
@@ -494,10 +582,13 @@ mod tests {
                 ..BalanceParams::default()
             },
         );
-        let mut src = zipf_source(3_000, 0.9, 0.3);
-        let mut policy = FixedSchedule::cycle(2, 5, 1);
-        let report = run_sim_elastic(&mut p, &mut src, &cfg, &mut policy, 5);
-        use streambal_elastic::ScaleEvent;
+        let sim = Sim {
+            intervals: 8,
+            elasticity: Box::new(FixedSchedule::cycle(2, 5, 1)),
+            max_tasks: 5,
+            ..Sim::default()
+        };
+        let report = sim.run(&mut p, &mut zipf_source(3_000, 0.9, 0.3));
         assert_eq!(
             report.scale_events,
             vec![
@@ -521,7 +612,6 @@ mod tests {
     /// below one task) is skipped without recording an event.
     #[test]
     fn elastic_sim_clamps_decisions() {
-        use streambal_elastic::{ElasticityPolicy, IntervalObservation, ScaleDecision};
         #[derive(Debug, Clone)]
         struct Always(ScaleDecision);
         impl ElasticityPolicy for Always {
@@ -535,31 +625,21 @@ mod tests {
                 Box::new(self.clone())
             }
         }
-        let cfg = SimConfig {
-            n_tasks: 2,
+        let always = |decision| Sim {
             intervals: 5,
+            elasticity: Box::new(Always(decision)),
+            max_tasks: 3,
+            ..Sim::default()
         };
         let mut p = storm(2);
         let mut src = zipf_source(500, 0.5, 0.0);
-        let report = run_sim_elastic(
-            &mut p,
-            &mut src,
-            &cfg,
-            &mut Always(ScaleDecision::ScaleOut),
-            3,
-        );
+        let report = always(ScaleDecision::ScaleOut).run(&mut p, &mut src);
         assert_eq!(p.n_tasks(), 3, "grew to the cap and stopped");
         assert_eq!(report.scale_events.len(), 1);
 
         let mut p = storm(2);
         let mut src = zipf_source(500, 0.5, 0.0);
-        let report = run_sim_elastic(
-            &mut p,
-            &mut src,
-            &cfg,
-            &mut Always(ScaleDecision::ScaleIn),
-            3,
-        );
+        let report = always(ScaleDecision::ScaleIn).run(&mut p, &mut src);
         assert_eq!(p.n_tasks(), 1, "shrank to one task and stopped");
         assert_eq!(report.scale_events.len(), 1);
     }
@@ -571,22 +651,29 @@ mod tests {
     /// totals spread differently — the *queue* signal is what reacts.
     #[test]
     fn backpressure_policy_reacts_to_modeled_queues() {
-        use source::ReplaySource;
-        use streambal_core::IntervalStats;
         use streambal_elastic::BackpressurePolicy;
         let volumes = [400u64, 400, 1600, 1600, 400, 400, 400];
-        let stats: Vec<IntervalStats> = volumes
-            .iter()
-            .map(|&v| {
+        let stats = || {
+            volumes.map(|v| {
                 let mut iv = IntervalStats::new();
                 for k in 0..200u64 {
                     iv.observe(Key(k), v / 200, v / 200, 8);
                 }
                 iv
             })
-            .collect();
-        let mut src = ReplaySource::new(stats);
-        let mut p = storm(2);
+        };
+        let sim = |queue| {
+            let mut policy = BackpressurePolicy::new(100, 20, 2, 4);
+            policy.down_after = 2;
+            policy.cooldown = 0;
+            Sim {
+                intervals: volumes.len(),
+                elasticity: Box::new(policy),
+                max_tasks: 4,
+                queue,
+                ..Sim::default()
+            }
+        };
         // Service 300 t/interval/task: 2 tasks absorb the quiet 400 but
         // queue ~500/task at the 1600 burst — clamped at the channel
         // bound, exactly as real occupancy would be, so the quiet tail
@@ -596,20 +683,7 @@ mod tests {
             channel_capacity: 256,
             us_per_tuple: 50.0,
         };
-        let mut policy = BackpressurePolicy::new(100, 20, 2, 4);
-        policy.down_after = 2;
-        policy.cooldown = 0;
-        let report = run_sim_elastic_queued(
-            &mut p,
-            &mut src,
-            &SimConfig {
-                n_tasks: 2,
-                intervals: volumes.len(),
-            },
-            &mut policy,
-            4,
-            model,
-        );
+        let report = sim(model).run(&mut storm(2), &mut ReplaySource::new(stats()));
         assert!(
             report.scale_events.iter().any(|e| e.to > e.from),
             "burst queue must trigger scale-out: {:?}",
@@ -622,32 +696,7 @@ mod tests {
         );
         // Without a queue model the same policy never fires: the load
         // totals are identical, the symptom is gone.
-        let mut src = ReplaySource::new(
-            volumes
-                .iter()
-                .map(|&v| {
-                    let mut iv = IntervalStats::new();
-                    for k in 0..200u64 {
-                        iv.observe(Key(k), v / 200, v / 200, 8);
-                    }
-                    iv
-                })
-                .collect::<Vec<_>>(),
-        );
-        let mut p = storm(2);
-        let mut policy = BackpressurePolicy::new(100, 20, 2, 4);
-        policy.down_after = 2;
-        policy.cooldown = 0;
-        let report = run_sim_elastic(
-            &mut p,
-            &mut src,
-            &SimConfig {
-                n_tasks: 2,
-                intervals: volumes.len(),
-            },
-            &mut policy,
-            4,
-        );
+        let report = sim(QueueModel::none()).run(&mut storm(2), &mut ReplaySource::new(stats()));
         assert!(
             report.scale_events.is_empty(),
             "no queue signal → no symptom → no events (min_tasks clamps \
@@ -661,23 +710,14 @@ mod tests {
     /// exactly (the engine replay identity is `tests/elasticity.rs`).
     #[test]
     fn split_sim_executes_a_fixed_cycle() {
-        use streambal_elastic::{FixedSplitSchedule, HoldPolicy, SplitEvent};
-        let cfg = SimConfig {
-            n_tasks: 4,
-            intervals: 6,
-        };
+        use streambal_elastic::FixedSplitSchedule;
         let mut p = storm(4);
-        let mut src = zipf_source(1_000, 0.9, 0.2);
-        let mut split = FixedSplitSchedule::cycle(42, 3, 1, 3);
-        let report = run_sim_elastic_split(
-            &mut p,
-            &mut src,
-            &cfg,
-            &mut HoldPolicy,
-            4,
-            QueueModel::none(),
-            &mut split,
-        );
+        let sim = Sim {
+            intervals: 6,
+            split: Some(Box::new(FixedSplitSchedule::cycle(42, 3, 1, 3))),
+            ..Sim::default()
+        };
+        let report = sim.run(&mut p, &mut zipf_source(1_000, 0.9, 0.2));
         assert_eq!(
             report.split_events,
             vec![
@@ -702,76 +742,202 @@ mod tests {
     /// `HotKeyPolicy` plans from per-key interval costs in the sim: a
     /// dominant-key burst splits once (streak + cooldown suppress flaps),
     /// and the cooled key consolidates after `down_after` quiet rounds.
+    /// While it is split, its cost and its tuples count on every replica.
     #[test]
     fn hotkey_policy_splits_the_dominant_burst_in_sim() {
-        use source::ReplaySource;
-        use streambal_core::IntervalStats;
-        use streambal_elastic::{HoldPolicy, HotKeyPolicy, SplitEvent};
+        use std::sync::{Arc, Mutex};
+        /// Holds, recording the queue depths every closing round observes.
+        #[derive(Debug, Clone, Default)]
+        struct QueueProbe(Arc<Mutex<Vec<Vec<u64>>>>);
+        impl ElasticityPolicy for QueueProbe {
+            fn name(&self) -> String {
+                "queue-probe".into()
+            }
+            fn decide(&mut self, obs: &IntervalObservation) -> ScaleDecision {
+                self.0.lock().unwrap().push(obs.queue_depths.to_vec());
+                ScaleDecision::Hold
+            }
+            fn box_clone(&self) -> Box<dyn ElasticityPolicy> {
+                Box::new(self.clone())
+            }
+        }
         // Interval costs: quiet, 3 burst intervals of a single dominant
         // key, quiet tail.
         let hot_cost = [0u64, 5_000, 5_000, 5_000, 0, 0, 0];
-        let stats: Vec<IntervalStats> = hot_cost
-            .iter()
-            .map(|&h| {
-                let mut iv = IntervalStats::new();
-                for k in 0..20u64 {
-                    iv.observe(Key(k), 10, 10, 8);
-                }
-                if h > 0 {
-                    iv.observe(Key(999), h, h, 8);
-                }
-                iv
-            })
-            .collect();
-        let mut src = ReplaySource::new(stats);
-        let mut p = storm(4);
+        let stats = hot_cost.map(|h| {
+            let mut iv = IntervalStats::new();
+            for k in 0..20u64 {
+                iv.observe(Key(k), 10, 10, 8);
+            }
+            if h > 0 {
+                iv.observe(Key(999), h, h, 8);
+            }
+            iv
+        });
         // budget = 5400/1.08 = 5000; the 5000-cost burst crosses the 0.9
         // high mark, the quiet tail sits under the 0.5 low mark. The
         // burst key carries ~96% of the interval, so share-based sizing
-        // salts it across all four tasks.
-        let mut hot = HotKeyPolicy::new(5_400.0);
-        let report = run_sim_elastic_split(
-            &mut p,
-            &mut src,
-            &SimConfig {
-                n_tasks: 4,
+        // salts it across all four tasks. A service rate of 1 000 tuples
+        // per task queues a quarter of the key on every replica.
+        let model = QueueModel {
+            service_rate: 1_000.0,
+            channel_capacity: 10_000,
+            us_per_tuple: 1.0,
+        };
+        let split = |interval, from, to| SplitEvent {
+            interval,
+            key: 999,
+            from,
+            to,
+        };
+        let queued = [QueueModel::none(), model].map(|queue| {
+            let probe = QueueProbe::default();
+            let sim = Sim {
                 intervals: hot_cost.len(),
-            },
-            &mut HoldPolicy,
-            4,
-            QueueModel::none(),
-            &mut hot,
-        );
-        assert_eq!(
-            report.split_events,
-            vec![
-                SplitEvent {
-                    interval: 1,
-                    key: 999,
-                    from: 1,
-                    to: 4,
-                },
-                SplitEvent {
-                    interval: 5,
-                    key: 999,
-                    from: 4,
-                    to: 1,
-                },
-            ],
-            "one split per burst, one unsplit per cool-down"
-        );
-        assert!(p.splits().is_empty());
+                elasticity: Box::new(probe.clone()),
+                queue,
+                split: Some(Box::new(HotKeyPolicy::new(5_400.0))),
+                ..Sim::default()
+            };
+            let mut p = storm(4);
+            let report = sim.run(&mut p, &mut ReplaySource::new(stats.clone()));
+            assert_eq!(
+                report.split_events,
+                vec![split(1, 1, 4), split(5, 4, 1)],
+                "one split per burst, one unsplit per cool-down"
+            );
+            assert!(p.splits().is_empty());
+            // Intervals 2–3 run split: no task sits far above the mean.
+            for &(interval, theta) in &report.theta_series.points()[2..4] {
+                assert!(theta < 0.2, "interval {interval}: θ {theta}");
+            }
+            let depths = probe.0.lock().unwrap().clone();
+            depths
+        });
+        // And every replica queues its quarter of the key's tuples.
+        for depths in &queued[1][2..4] {
+            assert!(depths.iter().all(|&q| q > 0), "{depths:?}");
+        }
     }
 
     #[test]
     fn report_counts_intervals() {
-        let cfg = SimConfig {
-            n_tasks: 4,
-            intervals: 7,
-        };
-        let mut p = storm(4);
-        let mut src = zipf_source(500, 0.5, 0.0);
-        let report = run_sim(&mut p, &mut src, &cfg);
+        let report = run(7, &mut storm(4), &mut zipf_source(500, 0.5, 0.0));
         assert_eq!(report.theta_series.len(), 7);
+    }
+
+    fn drifting(n: usize) -> Vec<IntervalStats> {
+        let mut w = FluctuatingWorkload::new(2_000, 0.85, 40_000, 1.0, 42);
+        let mut hash = storm(4);
+        (0..n)
+            .map(|i| {
+                if i > 0 {
+                    w.advance(4, |k| hash.route(k));
+                }
+                w.interval_stats()
+            })
+            .collect()
+    }
+
+    fn mixed() -> CoreBalancer {
+        CoreBalancer::new(4, 5, RebalanceStrategy::Mixed, BalanceParams::default())
+    }
+
+    fn replay(
+        p: &mut dyn Partitioner,
+        split: Option<Box<dyn SplitPolicy>>,
+        intervals: &[IntervalStats],
+        reaction: Reaction,
+    ) -> SimReport {
+        let sim = Sim {
+            intervals: intervals.len(),
+            split,
+            reaction,
+            ..Sim::default()
+        };
+        sim.run(p, &mut ReplaySource::new(intervals.iter().cloned()))
+    }
+
+    #[test]
+    fn thinning_keeps_about_its_share_and_never_more_than_all() {
+        let stats = &drifting(1)[0];
+        let total: u64 = stats.iter().map(|(_, s)| s.freq).sum();
+        let tenth: u64 = thin(stats, 0.1, 7).iter().map(|(_, s)| s.freq).sum();
+        assert!((tenth as f64 / total as f64 - 0.1).abs() < 0.01, "{tenth}");
+        assert_eq!(thin(stats, 0.0, 7).len(), 0);
+        let all = thin(stats, 1.0, 7);
+        assert_eq!(all.iter().map(|(_, s)| s.freq).sum::<u64>(), total);
+        assert_eq!(all.total_cost(), stats.total_cost());
+    }
+
+    /// Reacting inside the interval can only help a drifting stream, a
+    /// reaction lag can only hurt, and a static partitioner is untouched
+    /// by both.
+    #[test]
+    fn early_rounds_cut_theta_and_lag_raises_it() {
+        let intervals = drifting(24);
+        let run = |lag: f64, early: Option<EarlyRounds>| {
+            replay(&mut mixed(), None, &intervals, Reaction { lag, early })
+        };
+        let alert = EarlyRounds {
+            sample: 0.05,
+            floor: 0.08,
+            split: true,
+            seed: 1,
+        };
+        let stale = run(0.0, None);
+        let lagged = run(0.2, None);
+        let early = run(0.2, Some(alert));
+        assert!(lagged.mean_imbalance(4) > stale.mean_imbalance(4));
+        assert!(
+            early.mean_imbalance(4) < 0.8 * lagged.mean_imbalance(4),
+            "{} vs {}",
+            early.mean_imbalance(4),
+            lagged.mean_imbalance(4)
+        );
+        assert!(early.early_planned > 0 && early.early_planned <= early.early_fired);
+        assert_eq!(stale.early_fired, 0);
+
+        let reaction = Reaction {
+            lag: 0.2,
+            early: Some(alert),
+        };
+        let a = replay(&mut storm(4), None, &intervals, reaction);
+        let b = replay(&mut storm(4), None, &intervals, Reaction::default());
+        assert_eq!(a.imbalance(), b.imbalance());
+        assert_eq!(a.rebalances, 0);
+    }
+
+    /// A key no whole-key plan can place: a closing round splits it an
+    /// interval late, a provisional round inside the interval that shows
+    /// it — the same events, and the burst's first interval runs mostly
+    /// split.
+    #[test]
+    fn early_split_records_the_same_events_sooner() {
+        let mut g = streambal_workloads::ChurnWorkload::new(500, 20_000, 20, 0.1, 3)
+            .with_dominant_burst(Key(500), 0.6, 3, 6);
+        let mut intervals = vec![g.interval_stats()];
+        for _ in 1..8 {
+            g.advance();
+            intervals.push(g.interval_stats());
+        }
+        let run = |split: bool| {
+            let (sample, floor, seed) = (0.125, 0.08, 1);
+            let early = Some(EarlyRounds {
+                split,
+                sample,
+                floor,
+                seed,
+            });
+            let hot = HotKeyPolicy::new(20_000.0 / 3.0);
+            let reaction = Reaction { lag: 0.1, early };
+            replay(&mut mixed(), Some(Box::new(hot)), &intervals, reaction)
+        };
+        let (closing, early) = (run(false), run(true));
+        assert_eq!(closing.split_events, early.split_events);
+        let trace = early.split_events.iter().map(|e| (e.interval, e.to));
+        assert_eq!(trace.collect::<Vec<_>>(), vec![(3, 4), (7, 1)]);
+        let (early, closing) = (early.imbalance(), closing.imbalance());
+        assert!(early[3] < 0.5 * closing[3], "{early:?}");
     }
 }

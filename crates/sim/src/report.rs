@@ -1,17 +1,20 @@
 //! Collected scheduling metrics of one simulation run.
 
-use streambal_core::{LoadSummary, RebalanceOutcome};
+use streambal_core::RebalanceOutcome;
 use streambal_elastic::{ScaleEvent, SplitEvent};
 use streambal_metrics::{OnlineStats, TimeSeries};
 
 /// Everything a simulation run measures, mirroring the paper's §V metric
-/// definitions.
+/// definitions. Per-interval loads are the ones the interval *ran* at:
+/// under the routing in force before its closing round, time-weighted
+/// over any routing a reaction lag or a provisional round put in force
+/// during it.
 #[derive(Debug, Clone)]
 pub struct SimReport {
     /// Partitioner display name.
     pub name: String,
-    /// Max-θ per interval, evaluated *before* that interval's rebalance
-    /// (what the operator actually experienced during the interval).
+    /// Max-θ per interval (what the operator actually experienced during
+    /// the interval).
     pub theta_series: TimeSeries,
     /// Workload skewness `max L/L̄` per interval.
     pub skew_series: TimeSeries,
@@ -23,13 +26,20 @@ pub struct SimReport {
     pub mig_fraction: OnlineStats,
     /// Post-rebalance (estimated) θ per fired rebalance.
     pub theta_after: OnlineStats,
-    /// Number of rebalances fired.
+    /// Number of rebalances fired, closing and provisional.
     pub rebalances: usize,
+    /// State bytes the rebalances moved.
+    pub migrated_bytes: u64,
+    /// Intervals whose skew alert opened a provisional round.
+    pub early_fired: usize,
+    /// Provisional rounds that produced a plan.
+    pub early_planned: usize,
     /// Executed elasticity decisions, in order (same type as the engine
     /// report's, so sim and runtime decision traces compare directly).
     pub scale_events: Vec<ScaleEvent>,
-    /// Executed hot-key split/unsplit decisions, in order (same type as
-    /// `EngineReport::split_events` for the same `==` trace comparison).
+    /// Executed hot-key split/unsplit decisions, closing and provisional,
+    /// in order (same type as `EngineReport::split_events` for the same
+    /// `==` trace comparison).
     pub split_events: Vec<SplitEvent>,
     /// Per-task accumulated normalized load (for Fig. 7-style CDFs).
     /// Grows with scale-out; a retired task's accumulation stops but its
@@ -50,6 +60,9 @@ impl SimReport {
             mig_fraction: OnlineStats::new(),
             theta_after: OnlineStats::new(),
             rebalances: 0,
+            migrated_bytes: 0,
+            early_fired: 0,
+            early_planned: 0,
             scale_events: Vec::new(),
             split_events: Vec::new(),
             per_task_norm_load: vec![0.0; n_tasks],
@@ -57,35 +70,34 @@ impl SimReport {
         }
     }
 
-    /// Records one interval's pre-rebalance load state.
-    pub fn observe_interval(&mut self, interval: usize, summary: &LoadSummary) {
-        self.theta_series.push(interval as f64, summary.max_theta());
-        self.skew_series.push(interval as f64, summary.skewness());
-        if summary.loads.len() > self.per_task_norm_load.len() {
+    /// Records the per-task load one interval ran at.
+    pub fn observe_interval(&mut self, interval: usize, loads: &[f64]) {
+        let mean = loads.iter().sum::<f64>() / loads.len() as f64;
+        let (theta, skew) = if mean > 0.0 {
+            let max = loads.iter().copied().fold(0.0, f64::max);
+            let theta = loads.iter().map(|&l| (l - mean).abs() / mean);
+            (theta.fold(0.0, f64::max), max / mean)
+        } else {
+            (0.0, 0.0)
+        };
+        self.theta_series.push(interval as f64, theta);
+        self.skew_series.push(interval as f64, skew);
+        if loads.len() > self.per_task_norm_load.len() {
             // Scale-out mid-run: new slots join with zero history.
-            self.per_task_norm_load.resize(summary.loads.len(), 0.0);
+            self.per_task_norm_load.resize(loads.len(), 0.0);
         }
-        if summary.mean > 0.0 {
-            for (d, &l) in summary.loads.iter().enumerate() {
-                self.per_task_norm_load[d] += l as f64 / summary.mean;
+        if mean > 0.0 {
+            for (d, &l) in loads.iter().enumerate() {
+                self.per_task_norm_load[d] += l / mean;
             }
         }
         self.intervals_seen += 1;
     }
 
-    /// Records one executed elasticity decision.
-    pub fn observe_scale(&mut self, event: ScaleEvent) {
-        self.scale_events.push(event);
-    }
-
-    /// Records one executed split/unsplit decision.
-    pub fn observe_split(&mut self, event: SplitEvent) {
-        self.split_events.push(event);
-    }
-
     /// Records one fired rebalance.
     pub fn observe_rebalance(&mut self, interval: usize, gen_ms: f64, out: &RebalanceOutcome) {
         self.rebalances += 1;
+        self.migrated_bytes += out.plan.cost_bytes();
         self.gen_time_ms.add(gen_ms);
         self.mig_fraction.add(out.migration_fraction);
         self.theta_after.add(out.achieved_theta);
@@ -96,6 +108,21 @@ impl SimReport {
     /// Mean workload skewness across intervals.
     pub fn mean_skewness(&self) -> f64 {
         self.skew_series.mean()
+    }
+
+    /// Per interval, `max/mean − 1` of the per-task load it ran at: its
+    /// skewness minus one (0 for an idle interval).
+    pub fn imbalance(&self) -> Vec<f64> {
+        let skew = self.skew_series.points().iter().map(|&(_, s)| s);
+        skew.map(|s| if s > 0.0 { s - 1.0 } else { 0.0 }).collect()
+    }
+
+    /// Mean [`SimReport::imbalance`] from interval `from` on: the `θ̄` of
+    /// a saturated run's throughput `ideal ÷ (1 + θ̄)`.
+    pub fn mean_imbalance(&self, from: usize) -> f64 {
+        let imbalance = self.imbalance();
+        let tail = imbalance.get(from..).unwrap_or(&[]);
+        tail.iter().sum::<f64>() / tail.len().max(1) as f64
     }
 
     /// Mean max-θ over the second half of the run — after the strategy has
@@ -141,7 +168,7 @@ impl SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streambal_core::{MigrationPlan, RoutingTable};
+    use streambal_core::{LoadSummary, MigrationPlan, RoutingTable};
 
     fn outcome(theta: f64, mig: f64, table: usize) -> RebalanceOutcome {
         let mut t = RoutingTable::new();
@@ -160,8 +187,8 @@ mod tests {
     #[test]
     fn per_task_samples_average_to_one() {
         let mut r = SimReport::new("test".into(), 4);
-        r.observe_interval(0, &LoadSummary::new(vec![10, 20, 30, 40]));
-        r.observe_interval(1, &LoadSummary::new(vec![40, 30, 20, 10]));
+        r.observe_interval(0, &[10.0, 20.0, 30.0, 40.0]);
+        r.observe_interval(1, &[40.0, 30.0, 20.0, 10.0]);
         let samples = r.per_task_skew_samples();
         let mean: f64 = samples.iter().sum::<f64>() / 4.0;
         assert!((mean - 1.0).abs() < 1e-9);
@@ -192,10 +219,10 @@ mod tests {
     fn warmup_mean_uses_second_half() {
         let mut r = SimReport::new("x".into(), 2);
         // First half skewed, second half balanced.
-        r.observe_interval(0, &LoadSummary::new(vec![100, 0]));
-        r.observe_interval(1, &LoadSummary::new(vec![100, 0]));
-        r.observe_interval(2, &LoadSummary::new(vec![50, 50]));
-        r.observe_interval(3, &LoadSummary::new(vec![50, 50]));
+        r.observe_interval(0, &[100.0, 0.0]);
+        r.observe_interval(1, &[100.0, 0.0]);
+        r.observe_interval(2, &[50.0, 50.0]);
+        r.observe_interval(3, &[50.0, 50.0]);
         assert!(r.mean_theta_after_warmup() < 0.01);
     }
 }

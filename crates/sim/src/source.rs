@@ -113,29 +113,30 @@ impl IntervalSource for StockSource {
     }
 }
 
-/// A fixed, replayed sequence of interval stats (tests, custom traces).
-#[derive(Debug, Default)]
-pub struct ReplaySource {
-    intervals: std::collections::VecDeque<IntervalStats>,
+/// A fixed, replayed sequence of interval stats (tests, custom traces,
+/// frozen instances), pulled lazily.
+#[derive(Debug)]
+pub struct ReplaySource<I> {
+    intervals: I,
 }
 
-impl ReplaySource {
+impl<I: Iterator<Item = IntervalStats>> ReplaySource<I> {
     /// Builds from explicit intervals; replays them once, then yields
     /// empty intervals.
-    pub fn new(intervals: impl IntoIterator<Item = IntervalStats>) -> Self {
+    pub fn new(intervals: impl IntoIterator<IntoIter = I>) -> Self {
         ReplaySource {
-            intervals: intervals.into_iter().collect(),
+            intervals: intervals.into_iter(),
         }
     }
 }
 
-impl IntervalSource for ReplaySource {
+impl<I: Iterator<Item = IntervalStats>> IntervalSource for ReplaySource<I> {
     fn next_interval(
         &mut self,
         _n_tasks: usize,
         _dest: &mut dyn FnMut(Key) -> TaskId,
     ) -> IntervalStats {
-        self.intervals.pop_front().unwrap_or_default()
+        self.intervals.next().unwrap_or_default()
     }
 }
 

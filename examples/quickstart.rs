@@ -18,7 +18,7 @@ use streambal::core::IntervalStats;
 use streambal::prelude::*;
 use streambal::runtime::{Engine, EngineConfig, Tuple, WordCountOp};
 use streambal::sim::source::ZipfSource;
-use streambal::sim::{run_sim, SimConfig};
+use streambal::sim::Sim;
 use streambal::workloads::FluctuatingWorkload;
 
 fn main() {
@@ -78,22 +78,24 @@ fn one_rebalance() {
 /// tuples.
 fn sim_sweep() {
     println!("== 2. simulator sweep: Mixed vs hash on fluctuating Zipf =========");
-    let cfg = SimConfig {
-        n_tasks: 8,
+    // Twelve intervals at each partitioner's own parallelism (8), the
+    // controller reacting at interval boundaries — `Sim`'s other fields
+    // add elasticity, hot-key splits, a queue model and a reaction lag.
+    let sim = || Sim {
         intervals: 12,
+        ..Sim::default()
     };
     let params = BalanceParams {
         theta_max: 0.08,
         ..BalanceParams::default()
     };
 
-    let mut hash = storm(cfg.n_tasks);
     let mut src = ZipfSource::new(2_000, 0.9, 50_000, 0.2, 77);
-    let hash_report = run_sim(&mut hash, &mut src, &cfg);
+    let hash_report = sim().run(&mut storm(8), &mut src);
 
-    let mut mixed = CoreBalancer::new(cfg.n_tasks, 5, RebalanceStrategy::Mixed, params);
+    let mut mixed = CoreBalancer::new(8, 5, RebalanceStrategy::Mixed, params);
     let mut src = ZipfSource::new(2_000, 0.9, 50_000, 0.2, 77);
-    let mixed_report = run_sim(&mut mixed, &mut src, &cfg);
+    let mixed_report = sim().run(&mut mixed, &mut src);
 
     println!("sim report: {}", hash_report.summary_row());
     println!("sim report: {}", mixed_report.summary_row());

@@ -1,6 +1,6 @@
 //! Cross-partitioner invariants: every routing strategy in the workspace
 //! — the four baselines and the paper's four core strategies
-//! (`CoreBalancer`) — must drive both the simulator (`run_sim`) and the
+//! (`CoreBalancer`) — must drive both the simulator (`Sim::run`) and the
 //! live engine (`Engine::run`) on the same workload.
 //!
 //! For the engine, correctness is checked end-to-end: strategies that
@@ -20,7 +20,7 @@ use streambal::runtime::{
     Collector, Engine, EngineConfig, SourceRouter, SumCollector, Tuple, WordCountOp,
 };
 use streambal::sim::source::ZipfSource;
-use streambal::sim::{run_sim, SimConfig};
+use streambal::sim::Sim;
 use streambal::workloads::FluctuatingWorkload;
 
 /// Workload parameters shared by the sim and engine sides.
@@ -85,18 +85,24 @@ fn reference_counts(intervals: &[Vec<Key>]) -> FxHashMap<Key, u64> {
     m
 }
 
+fn sim_run(p: &mut dyn Partitioner) -> streambal::sim::SimReport {
+    let sim = Sim {
+        intervals: INTERVALS,
+        ..Sim::default()
+    };
+    sim.run(
+        p,
+        &mut ZipfSource::new(KEYS, ZIPF, TUPLES, FLUCTUATION, SEED),
+    )
+}
+
 /// Sim side: each partitioner completes the interval loop and reports one
 /// θ sample per interval.
 #[test]
 fn every_partitioner_completes_a_sim_run() {
-    let cfg = SimConfig {
-        n_tasks: N_TASKS,
-        intervals: INTERVALS,
-    };
     for mut p in all_partitioners() {
         let name = p.name();
-        let mut src = ZipfSource::new(KEYS, ZIPF, TUPLES, FLUCTUATION, SEED);
-        let report = run_sim(p.as_mut(), &mut src, &cfg);
+        let report = sim_run(p.as_mut());
         assert_eq!(
             report.theta_series.len(),
             INTERVALS,
@@ -114,14 +120,9 @@ fn every_partitioner_completes_a_sim_run() {
 /// fluctuating workload in the simulator (static ones must not).
 #[test]
 fn adaptive_strategies_rebalance_in_sim() {
-    let cfg = SimConfig {
-        n_tasks: N_TASKS,
-        intervals: INTERVALS,
-    };
     for mut p in all_partitioners() {
         let name = p.name();
-        let mut src = ZipfSource::new(KEYS, ZIPF, TUPLES, FLUCTUATION, SEED);
-        let report = run_sim(p.as_mut(), &mut src, &cfg);
+        let report = sim_run(p.as_mut());
         let adaptive = !matches!(name.as_str(), "Storm" | "Ideal" | "PKG");
         if adaptive {
             assert!(report.rebalances > 0, "{name}: expected rebalances");

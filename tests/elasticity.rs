@@ -1,5 +1,5 @@
 //! The elasticity hook behaves identically across drivers: a decision
-//! trace planned in the simulator (`run_sim_elastic`) replays on the live
+//! trace planned in the simulator (`Sim::elasticity`) replays on the live
 //! engine (`EngineConfig::elasticity`) `ScaleEvent` for `ScaleEvent`.
 //!
 //! Two layers, split by what can be made deterministic on a one-core CI
@@ -19,17 +19,17 @@
 //! behaviour is covered by its own tests with order-robust assertions.)
 
 use streambal::baselines::CoreBalancer;
-use streambal::core::{BalanceParams, IntervalStats, RebalanceStrategy};
+use streambal::core::{
+    BalanceParams, IntervalStats, RebalanceStrategy, SKEW_ALERT_FLOOR, SKEW_ALERT_MIN_SHARE,
+};
 use streambal::elastic::{
-    BackpressurePolicy, FixedSchedule, FixedSplitSchedule, HoldPolicy, HotKeyPolicy, ScaleDecision,
-    ScaleEvent, SplitDecision, SplitEvent, ThresholdPolicy,
+    BackpressurePolicy, FixedSchedule, FixedSplitSchedule, HotKeyPolicy, ScaleDecision, ScaleEvent,
+    SplitDecision, SplitEvent, ThresholdPolicy,
 };
 use streambal::prelude::Key;
 use streambal::runtime::{Engine, EngineConfig, EventKind, OpLabel, Tuple, WordCountOp};
 use streambal::sim::source::ReplaySource;
-use streambal::sim::{
-    run_sim_elastic, run_sim_elastic_queued, run_sim_elastic_split, QueueModel, SimConfig,
-};
+use streambal::sim::{EarlyRounds, QueueModel, Reaction, Sim};
 
 const N_TASKS: usize = 3;
 const MAX_TASKS: usize = 4;
@@ -77,6 +77,23 @@ fn partitioner() -> CoreBalancer {
     )
 }
 
+/// The exact statistics the engine's workers report for each interval of
+/// tuples: per key, in key order, at cost `SPIN + 1` per tuple.
+fn stats_of(intervals: &[Vec<Key>]) -> Vec<IntervalStats> {
+    let stats = |keys: &Vec<Key>| {
+        let mut freqs = std::collections::BTreeMap::new();
+        for k in keys {
+            *freqs.entry(k.raw()).or_insert(0u64) += 1;
+        }
+        let mut iv = IntervalStats::new();
+        for (k, f) in freqs {
+            iv.observe(Key(k), f, f * (SPIN as u64 + 1), f * 8);
+        }
+        iv
+    };
+    intervals.iter().map(stats).collect()
+}
+
 /// The trace both drivers must produce: out after the first burst
 /// interval (cooldown suppresses the second), in after two consecutive
 /// quiet tail intervals (the cooldown then covers the run's remainder).
@@ -100,34 +117,15 @@ fn sim_plans_and_engine_replays_the_identical_trace() {
     let intervals = intervals();
 
     // --- simulator ----------------------------------------------------
-    let stats: Vec<IntervalStats> = intervals
-        .iter()
-        .map(|keys| {
-            let mut iv = IntervalStats::new();
-            let mut freqs = vec![0u64; KEYS as usize];
-            for k in keys {
-                freqs[k.raw() as usize] += 1;
-            }
-            for (i, &f) in freqs.iter().enumerate() {
-                if f > 0 {
-                    iv.observe(Key(i as u64), f, f * (SPIN as u64 + 1), f * 8);
-                }
-            }
-            iv
-        })
-        .collect();
-    let mut src = ReplaySource::new(stats);
-    let mut sim_policy = policy();
-    let mut p = partitioner();
-    let sim_report = run_sim_elastic(
-        &mut p,
-        &mut src,
-        &SimConfig {
-            n_tasks: N_TASKS,
-            intervals: intervals.len(),
-        },
-        &mut sim_policy,
-        MAX_TASKS,
+    let sim = Sim {
+        intervals: intervals.len(),
+        elasticity: Box::new(policy()),
+        max_tasks: MAX_TASKS,
+        ..Sim::default()
+    };
+    let sim_report = sim.run(
+        &mut partitioner(),
+        &mut ReplaySource::new(stats_of(&intervals)),
     );
 
     // The policy layer is deterministic in the sim: exact stats in,
@@ -187,23 +185,6 @@ fn backpressure_sim_plan_replays_identically_on_the_engine() {
     let intervals = intervals();
 
     // --- simulator: plan from the modeled queue signal ------------------
-    let stats: Vec<IntervalStats> = intervals
-        .iter()
-        .map(|keys| {
-            let mut iv = IntervalStats::new();
-            let mut freqs = vec![0u64; KEYS as usize];
-            for k in keys {
-                freqs[k.raw() as usize] += 1;
-            }
-            for (i, &f) in freqs.iter().enumerate() {
-                if f > 0 {
-                    iv.observe(Key(i as u64), f, f * (SPIN as u64 + 1), f * 8);
-                }
-            }
-            iv
-        })
-        .collect();
-    let mut src = ReplaySource::new(stats);
     // Service 2000 tuples/task/interval: the quiet 4000 over 3 tasks
     // (≈ 1300/task) drains every interval; the 4× burst (≈ 5300/task)
     // leaves a standing backlog clamped at the channel bound, far above
@@ -219,17 +200,16 @@ fn backpressure_sim_plan_replays_identically_on_the_engine() {
     policy.up_after = 1;
     policy.down_after = 2;
     policy.cooldown = 1;
-    let mut p = partitioner();
-    let sim_report = run_sim_elastic_queued(
-        &mut p,
-        &mut src,
-        &SimConfig {
-            n_tasks: N_TASKS,
-            intervals: intervals.len(),
-        },
-        &mut policy,
-        MAX_TASKS,
-        model,
+    let sim = Sim {
+        intervals: intervals.len(),
+        elasticity: Box::new(policy),
+        max_tasks: MAX_TASKS,
+        queue: model,
+        ..Sim::default()
+    };
+    let sim_report = sim.run(
+        &mut partitioner(),
+        &mut ReplaySource::new(stats_of(&intervals)),
     );
     assert_eq!(
         sim_report.scale_events,
@@ -316,64 +296,54 @@ fn split_sim_plan_replays_identically_on_the_engine() {
         .collect();
 
     // --- simulator: plan the splits -------------------------------------
-    let stats: Vec<IntervalStats> = intervals
-        .iter()
-        .map(|keys| {
-            let mut iv = IntervalStats::new();
-            let mut freqs = std::collections::HashMap::new();
-            for k in keys {
-                *freqs.entry(k.raw()).or_insert(0u64) += 1;
-            }
-            let mut sorted: Vec<_> = freqs.into_iter().collect();
-            sorted.sort_unstable();
-            for (k, f) in sorted {
-                iv.observe(Key(k), f, f * (SPIN as u64 + 1), f * 8);
-            }
-            iv
-        })
-        .collect();
-    let mut src = ReplaySource::new(stats);
+    let stats = stats_of(&intervals);
     // budget = 21_600/1.08 = 20_000: high mark 18_000 sits between the
     // background per-key cost (440) and the burst key's (44_000). The
     // replica count is sized by share, not cost: s = 44_000/66_000, so
     // ⌈s·n/(s + θmax)⌉ = ⌈2/0.747⌉ = 3 replicas cover the 3 tasks. The
     // engine may take the split from a provisional round of interval 2
-    // instead of its closing round; the event is the same either way.
-    let mut hot = HotKeyPolicy::new(21_600.0);
-    let mut p = partitioner();
-    let sim_report = run_sim_elastic_split(
-        &mut p,
-        &mut src,
-        &SimConfig {
-            n_tasks: N_TASKS,
-            intervals: intervals.len(),
+    // instead of its closing round; the event is the same either way, so
+    // the sim plans it twice: at the boundary, and with the engine's
+    // provisional rounds, early split allowed.
+    let early = EarlyRounds {
+        sample: SKEW_ALERT_MIN_SHARE,
+        floor: SKEW_ALERT_FLOOR,
+        split: true,
+        seed: 42,
+    };
+    let boundary = Reaction::default();
+    let engine_like = Reaction {
+        early: Some(early),
+        ..boundary
+    };
+    let expected = vec![
+        SplitEvent {
+            interval: 2,
+            key: HOT,
+            from: 1,
+            to: 3,
         },
-        &mut HoldPolicy,
-        N_TASKS,
-        QueueModel::none(),
-        &mut hot,
-    );
-    assert_eq!(
-        sim_report.split_events,
-        vec![
-            SplitEvent {
-                interval: 2,
-                key: HOT,
-                from: 1,
-                to: 3,
-            },
-            SplitEvent {
-                interval: 5,
-                key: HOT,
-                from: 3,
-                to: 1,
-            },
-        ],
-        "sim split trace"
-    );
+        SplitEvent {
+            interval: 5,
+            key: HOT,
+            from: 3,
+            to: 1,
+        },
+    ];
+    for reaction in [boundary, engine_like] {
+        let sim = Sim {
+            intervals: intervals.len(),
+            split: Some(Box::new(HotKeyPolicy::new(21_600.0))),
+            reaction,
+            ..Sim::default()
+        };
+        let src = &mut ReplaySource::new(stats.iter().cloned());
+        let sim_report = sim.run(&mut partitioner(), src);
+        assert_eq!(sim_report.split_events, expected, "{reaction:?}");
+    }
 
     // --- engine: replay the sim's plan ----------------------------------
-    let schedule = FixedSplitSchedule::new(sim_report.split_events.iter().map(|e| {
+    let schedule = FixedSplitSchedule::new(expected.iter().map(|e| {
         (
             e.interval,
             if e.to > e.from {
@@ -404,7 +374,7 @@ fn split_sim_plan_replays_identically_on_the_engine() {
         None,
     );
     assert_eq!(
-        engine_report.split_events, sim_report.split_events,
+        engine_report.split_events, expected,
         "engine replay diverged from the sim's split plan"
     );
     // Lossless through the split/unsplit cycle, replica merge included:
