@@ -35,13 +35,14 @@
 
 use std::time::Duration;
 
-use streambal_baselines::CoreBalancer;
+use streambal_bench::figure::write_trace;
 use streambal_bench::json::{write_json, Json};
-use streambal_core::{BalanceParams, Key, Partitioner, RebalanceStrategy, TaskId};
+use streambal_bench::{mixed_balancer, reference_counts};
+use streambal_core::{Key, TaskId};
 use streambal_elastic::FixedSchedule;
 use streambal_hashring::FxHashMap;
 use streambal_runtime::{
-    Engine, EngineConfig, EngineReport, FaultEvent, FaultPlan, FaultSpec, Outcome, TraceLog, Tuple,
+    Engine, EngineConfig, EngineReport, FaultEvent, FaultPlan, FaultSpec, Outcome, Tuple,
     WordCountOp,
 };
 use streambal_workloads::FluctuatingWorkload;
@@ -71,33 +72,11 @@ fn make_intervals(tuples: u64) -> Vec<Vec<Key>> {
         .collect()
 }
 
-fn reference_counts(intervals: &[Vec<Key>]) -> FxHashMap<Key, u64> {
-    let mut m = FxHashMap::default();
-    for iv in intervals {
-        for &k in iv {
-            *m.entry(k).or_insert(0) += 1;
-        }
-    }
-    m
-}
-
-fn mixed_balancer() -> Box<dyn Partitioner> {
-    Box::new(CoreBalancer::new(
-        N_WORKERS,
-        100,
-        RebalanceStrategy::Mixed,
-        BalanceParams {
-            theta_max: 0.05,
-            ..BalanceParams::default()
-        },
-    ))
-}
-
 fn run_once(label: &str, config: EngineConfig, intervals: &[Vec<Key>]) -> EngineReport {
     let feed: Vec<Vec<Key>> = intervals.to_vec();
     let report = Engine::run(
         config,
-        mixed_balancer(),
+        mixed_balancer(N_WORKERS, 0.05),
         |_| Box::new(WordCountOp::new()),
         move |iv| {
             feed.get(iv as usize)
@@ -164,29 +143,6 @@ fn span_metrics(report: &EngineReport) -> Json {
         ("disruption_window_us_max", Json::lower(Json::Int(max))),
         ("disruption_window_us_mean", Json::lower(Json::Num(mean))),
     ])
-}
-
-/// Writes one run's trace as committed artifacts: JSONL (the `tracecat`
-/// input) plus Chrome `trace_event` JSON. Smoke runs write to separate
-/// `.smoke.` paths so noisy ad-hoc runs never clobber the committed
-/// traces.
-fn write_trace(name: &str, smoke: bool, trace: &TraceLog) {
-    let dir = streambal_bench::figure::traces_dir();
-    let tag = if smoke { ".smoke" } else { "" };
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("failed to create {}: {e}", dir.display());
-        return;
-    }
-    for (ext, body) in [
-        ("jsonl", trace.to_jsonl()),
-        ("json", trace.to_chrome_json()),
-    ] {
-        let path = dir.join(format!("{name}{tag}.trace.{ext}"));
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-        }
-    }
 }
 
 /// Scenario 1: a worker death at a planned interval, with and without a

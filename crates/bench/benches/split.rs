@@ -38,12 +38,13 @@
 
 use std::collections::BTreeMap;
 
-use streambal_baselines::CoreBalancer;
+use streambal_bench::figure::write_trace;
 use streambal_bench::json::{write_json, Json};
-use streambal_core::{BalanceParams, Key, Partitioner, RebalanceStrategy};
+use streambal_bench::{mixed_balancer, reference_counts};
+use streambal_core::Key;
 use streambal_elastic::{FixedSplitSchedule, HotKeyPolicy, SplitPolicy};
 use streambal_hashring::FxHashMap;
-use streambal_runtime::{Engine, EngineConfig, EngineReport, TraceLog, Tuple, WordCountOp};
+use streambal_runtime::{Engine, EngineConfig, EngineReport, Tuple, WordCountOp};
 use streambal_trace::{EventKind, OpLabel};
 use streambal_workloads::ChurnWorkload;
 
@@ -86,33 +87,11 @@ fn make_intervals(tuples: u64) -> (Vec<Vec<Key>>, Key) {
     (intervals, dom)
 }
 
-fn reference_counts(intervals: &[Vec<Key>]) -> FxHashMap<Key, u64> {
-    let mut m = FxHashMap::default();
-    for iv in intervals {
-        for &k in iv {
-            *m.entry(k).or_insert(0) += 1;
-        }
-    }
-    m
-}
-
-fn mixed_balancer() -> Box<dyn Partitioner> {
-    Box::new(CoreBalancer::new(
-        N_WORKERS,
-        100,
-        RebalanceStrategy::Mixed,
-        BalanceParams {
-            theta_max: THETA_MAX,
-            ..BalanceParams::default()
-        },
-    ))
-}
-
 fn run_once(label: &str, config: EngineConfig, intervals: &[Vec<Key>]) -> EngineReport {
     let feed: Vec<Vec<Key>> = intervals.to_vec();
     let report = Engine::run(
         config,
-        mixed_balancer(),
+        mixed_balancer(N_WORKERS, THETA_MAX),
         |_| Box::new(WordCountOp::new()),
         move |iv| {
             feed.get(iv as usize)
@@ -203,25 +182,6 @@ fn span_count(report: &EngineReport, op: OpLabel) -> u64 {
         .iter()
         .filter(|s| s.op == op)
         .count() as u64
-}
-
-fn write_trace(name: &str, smoke: bool, trace: &TraceLog) {
-    let dir = streambal_bench::figure::traces_dir();
-    let tag = if smoke { ".smoke" } else { "" };
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("failed to create {}: {e}", dir.display());
-        return;
-    }
-    for (ext, body) in [
-        ("jsonl", trace.to_jsonl()),
-        ("json", trace.to_chrome_json()),
-    ] {
-        let path = dir.join(format!("{name}{tag}.trace.{ext}"));
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-        }
-    }
 }
 
 fn main() {

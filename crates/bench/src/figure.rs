@@ -8,6 +8,8 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
+use streambal_trace::TraceLog;
+
 use crate::json::{write_json, Json};
 use crate::{header, row, Scale};
 
@@ -218,6 +220,29 @@ pub fn results_dir() -> &'static Path {
 /// never iterate trace exports.
 pub fn traces_dir() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../traces"))
+}
+
+/// Writes one run's trace under [`traces_dir`] as `name.trace.jsonl`
+/// (the `tracecat` input) plus Chrome `trace_event` JSON
+/// (`name.trace.json`). Smoke runs write separate `.smoke.` paths so
+/// noisy ad-hoc runs never clobber the committed traces.
+pub fn write_trace(name: &str, smoke: bool, trace: &TraceLog) {
+    let dir = traces_dir();
+    let tag = if smoke { ".smoke" } else { "" };
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("failed to create {}: {e}", dir.display());
+        return;
+    }
+    for (ext, body) in [
+        ("jsonl", trace.to_jsonl()),
+        ("json", trace.to_chrome_json()),
+    ] {
+        let path = dir.join(format!("{name}{tag}.trace.{ext}"));
+        match std::fs::write(&path, body) {
+            Ok(()) => println!("wrote {}", path.display()),
+            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
+        }
+    }
 }
 
 #[cfg(test)]

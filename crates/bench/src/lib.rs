@@ -30,7 +30,8 @@ pub mod figure;
 pub mod json;
 
 use streambal_baselines::{readj, CoreBalancer, ReadjConfig};
-use streambal_core::{BalanceParams, Partitioner, RebalanceStrategy, TriggerPolicy};
+use streambal_core::{BalanceParams, Key, Partitioner, RebalanceStrategy, TriggerPolicy};
+use streambal_hashring::FxHashMap;
 use streambal_sim::source::ZipfSource;
 use streambal_sim::{Sim, SimReport};
 
@@ -194,6 +195,31 @@ pub fn header(label: &str, cols: &[String], width: usize) -> String {
 /// Convenience: a boxed core-strategy partitioner.
 pub fn core_partitioner(d: &Defaults, strategy: RebalanceStrategy) -> Box<dyn Partitioner> {
     Box::new(paper_balancer(d, strategy))
+}
+
+/// The Mixed balancer the engine benches drive (window 100), at `θmax`.
+pub fn mixed_balancer(n_workers: usize, theta_max: f64) -> Box<dyn Partitioner> {
+    Box::new(CoreBalancer::new(
+        n_workers,
+        100,
+        RebalanceStrategy::Mixed,
+        BalanceParams {
+            theta_max,
+            ..BalanceParams::default()
+        },
+    ))
+}
+
+/// Per-key tuple counts of a fed stream: what a word-count run must
+/// account for, key by key.
+pub fn reference_counts(intervals: &[Vec<Key>]) -> FxHashMap<Key, u64> {
+    let mut m = FxHashMap::default();
+    for iv in intervals {
+        for &k in iv {
+            *m.entry(k).or_insert(0) += 1;
+        }
+    }
+    m
 }
 
 #[cfg(test)]

@@ -1,8 +1,6 @@
-//! Lock-free counters and windowed rate meters.
+//! Lock-free counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
 
 /// A monotonically increasing counter shared between task threads.
 ///
@@ -44,74 +42,6 @@ impl Counter {
     #[inline]
     pub fn take(&self) -> u64 {
         self.value.swap(0, Ordering::Relaxed)
-    }
-}
-
-/// Produces a throughput timeline by sampling a [`Counter`] at wall-clock
-/// instants: each call to [`RateMeter::sample`] appends one
-/// `(seconds_since_start, events_per_second)` point.
-#[derive(Debug)]
-pub struct RateMeter {
-    started: Instant,
-    inner: Mutex<RateInner>,
-}
-
-#[derive(Debug)]
-struct RateInner {
-    last_at: f64,
-    last_count: u64,
-    points: Vec<(f64, f64)>,
-}
-
-impl RateMeter {
-    /// Creates a meter anchored at "now".
-    pub fn new() -> Self {
-        RateMeter {
-            started: Instant::now(),
-            inner: Mutex::new(RateInner {
-                last_at: 0.0,
-                last_count: 0,
-                points: Vec::new(),
-            }),
-        }
-    }
-
-    /// Records one rate point from the counter's current value.
-    ///
-    /// Returns the instantaneous rate (events/second since the previous
-    /// sample). Samples closer than 1 ms apart are folded into the previous
-    /// point to avoid divide-by-nearly-zero spikes.
-    pub fn sample(&self, counter: &Counter) -> f64 {
-        let now = self.started.elapsed().as_secs_f64();
-        let count = counter.get();
-        let mut inner = self.lock();
-        let dt = now - inner.last_at;
-        if dt < 1e-3 {
-            return inner.points.last().map_or(0.0, |&(_, r)| r);
-        }
-        let rate = (count - inner.last_count) as f64 / dt;
-        inner.last_at = now;
-        inner.last_count = count;
-        inner.points.push((now, rate));
-        rate
-    }
-
-    /// The recorded `(time, rate)` series so far.
-    pub fn series(&self) -> Vec<(f64, f64)> {
-        self.lock().points.clone()
-    }
-
-    /// The sampler state. A panic while holding the lock cannot leave it
-    /// half-written (every update is plain field stores), so a poisoned
-    /// lock is recovered rather than propagated.
-    fn lock(&self) -> MutexGuard<'_, RateInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl Default for RateMeter {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -181,28 +111,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.get(), 80_000);
-    }
-
-    #[test]
-    fn rate_meter_reports_positive_rate() {
-        let c = Counter::new();
-        let m = RateMeter::new();
-        c.add(100);
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let r = m.sample(&c);
-        assert!(r > 0.0);
-        assert_eq!(m.series().len(), 1);
-    }
-
-    #[test]
-    fn rate_meter_folds_rapid_samples() {
-        let c = Counter::new();
-        let m = RateMeter::new();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        c.add(10);
-        m.sample(&c);
-        // Immediate resample: no new point.
-        m.sample(&c);
-        assert_eq!(m.series().len(), 1);
     }
 }

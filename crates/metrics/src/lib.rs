@@ -5,8 +5,9 @@
 //! time, and processing latency. This crate provides the raw instruments
 //! those reports are built from, with no external dependencies:
 //!
-//! * [`Counter`] / [`RateMeter`] — lock-free tuple and byte counting, with
-//!   windowed rates for throughput timelines (Figs. 13–16).
+//! * [`Counter`] — lock-free tuple counting; the runtime's controller
+//!   reads it at every interval boundary for the per-interval throughput
+//!   series the throughput timelines (Figs. 15, 16) plot.
 //! * [`Histogram`] — a log-bucketed (HDR-flavoured) histogram for latency
 //!   quantiles (Fig. 13b).
 //! * [`Cdf`] — exact empirical CDFs for the skewness distribution plots
@@ -23,7 +24,7 @@ pub mod stats;
 pub mod timeseries;
 
 pub use cdf::Cdf;
-pub use counter::{Counter, RateMeter};
+pub use counter::Counter;
 pub use histogram::Histogram;
 pub use stats::{OnlineStats, Stopwatch};
 pub use timeseries::TimeSeries;

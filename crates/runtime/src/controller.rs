@@ -21,7 +21,7 @@ use streambal_trace::{EarlySplit, EarlyStep, OpLabel, Outcome, Phase, ThreadReco
 
 use crate::engine::{EngineConfig, EngineReport, ProtocolError};
 use crate::fault::{next_live, CtlKind, FaultEvent, FaultInjector, OpKind, SendPeer};
-use crate::message::{Message, SourceCtl, SourceEvent, WorkerEvent};
+use crate::message::{Message, SourceCtl, SourceEvent, WorkerEvent, WorkerExit, WorkerTotals};
 use crate::operator::Operator;
 use crate::router::SourceRouter;
 
@@ -702,6 +702,8 @@ pub(crate) struct Controller<'a> {
     /// Shutdown markers actually delivered (dead slots and failed sends
     /// are excluded — they will never answer `Drained`).
     drain_target: usize,
+    /// The run's start: `EngineReport::wall` counts from here.
+    started: Instant,
     ws: WorkerSeconds,
     /// Dead worker slots (indices < `active`).
     dead: FxHashSet<usize>,
@@ -747,6 +749,7 @@ impl<'a> Controller<'a> {
             draining: false,
             drained: 0,
             drain_target: 0,
+            started: t0,
             ws: WorkerSeconds::new(t0, config.n_workers),
             dead: FxHashSet::default(),
             dead_pending: FxHashMap::default(),
@@ -771,7 +774,14 @@ impl<'a> Controller<'a> {
     /// controller drops its worker spawner — which holds a
     /// collector-sender clone — so the collector can observe closure.
     pub fn finish(mut self) -> (EngineReport, ThreadRecorder, Vec<u64>) {
-        self.report.worker_seconds = self.ws.finish(Instant::now());
+        // The run's wall time and its worker-seconds integral close at
+        // one instant, so `worker_seconds ≤ max_workers × wall` holds by
+        // construction.
+        let end = Instant::now();
+        self.report.worker_seconds = self.ws.finish(end);
+        self.report.wall = end.duration_since(self.started);
+        self.report.mean_throughput =
+            self.report.processed as f64 / self.report.wall.as_secs_f64().max(1e-9);
         // Disconnect here means the source already exited (it only does
         // so on Shutdown or panic; a panic is surfaced by the caller's
         // join) — nothing to tell it.
@@ -860,41 +870,27 @@ impl<'a> Controller<'a> {
                 states,
             } => self.on_state_out(worker, epoch, states),
             WorkerEvent::InstallAck { worker, epoch } => self.on_install_ack(worker, epoch),
-            WorkerEvent::Retired {
+            WorkerEvent::Exited {
                 worker,
-                epoch,
-                states,
-                stats,
-                processed,
-                latency,
-                first_interval,
-                rx,
+                totals,
+                exit,
             } => {
-                self.absorb_totals(worker, processed, &latency, first_interval);
-                self.on_retired(worker, epoch, states, &stats, rx);
-            }
-            WorkerEvent::Killed {
-                worker,
-                lost,
-                stats,
-                processed,
-                latency,
-                first_interval,
-                rx,
-            } => {
-                self.absorb_totals(worker, processed, &latency, first_interval);
-                self.on_killed(worker, lost, &stats, rx);
-            }
-            WorkerEvent::Drained {
-                worker,
-                final_states,
-                processed,
-                latency,
-                first_interval,
-            } => {
-                self.absorb_totals(worker, processed, &latency, first_interval);
-                self.report.final_states.extend(final_states);
-                self.drained += 1;
+                self.absorb_totals(worker, &totals);
+                match exit {
+                    WorkerExit::Retired {
+                        epoch,
+                        states,
+                        stats,
+                        rx,
+                    } => self.on_retired(worker, epoch, states, &stats, rx),
+                    WorkerExit::Killed { lost, stats, rx } => {
+                        self.on_killed(worker, lost, &stats, rx)
+                    }
+                    WorkerExit::Drained { final_states } => {
+                        self.report.final_states.extend(final_states);
+                        self.drained += 1;
+                    }
+                }
             }
         }
     }
@@ -1259,21 +1255,15 @@ impl<'a> Controller<'a> {
 
     /// Folds a finished (retired, killed, or drained) worker's lifetime
     /// totals into the report.
-    fn absorb_totals(
-        &mut self,
-        worker: TaskId,
-        processed: u64,
-        latency: &Histogram,
-        first_interval: Option<u64>,
-    ) {
+    fn absorb_totals(&mut self, worker: TaskId, totals: &WorkerTotals) {
         let w = worker.index();
-        self.report.per_worker_processed[w] += processed;
-        self.report.processed += processed;
-        self.report.latency_us.merge(latency);
+        self.report.per_worker_processed[w] += totals.processed;
+        self.report.processed += totals.processed;
+        self.report.latency_us.merge(&totals.latency);
         // The earliest first-tuple interval across a slot's successive
         // occupants (a retired slot can be re-provisioned mid-run).
         let slot = &mut self.report.first_tuple_interval[w];
-        *slot = match (*slot, first_interval) {
+        *slot = match (*slot, totals.first_interval) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
@@ -2340,15 +2330,23 @@ mod protocol_tests {
     fn retired(worker: usize, epoch: u64, states: Vec<(Key, Bytes)>) -> WorkerEvent {
         // The victim hands its receiver back; any receiver will do here.
         let (_tx, rx) = bounded(1);
-        WorkerEvent::Retired {
+        exited(
+            worker,
+            WorkerExit::Retired {
+                epoch,
+                states,
+                stats: IntervalStats::new(),
+                rx,
+            },
+        )
+    }
+
+    /// `worker`'s exit event, with empty lifetime totals.
+    fn exited(worker: usize, exit: WorkerExit) -> WorkerEvent {
+        WorkerEvent::Exited {
             worker: TaskId::from(worker),
-            epoch,
-            states,
-            stats: IntervalStats::new(),
-            processed: 0,
-            latency: Box::new(Histogram::new()),
-            first_interval: None,
-            rx,
+            totals: WorkerTotals::default(),
+            exit,
         }
     }
 
@@ -2391,15 +2389,14 @@ mod protocol_tests {
         assert_eq!(ctl.queue.len(), 1);
         // The queued victim dies.
         let (_tx, corpse_rx) = bounded(1);
-        ctl.on_worker_event(WorkerEvent::Killed {
-            worker: TaskId(1),
-            lost: Vec::new(),
-            stats: IntervalStats::new(),
-            processed: 0,
-            latency: Box::new(Histogram::new()),
-            first_interval: None,
-            rx: corpse_rx,
-        });
+        ctl.on_worker_event(exited(
+            1,
+            WorkerExit::Killed {
+                lost: Vec::new(),
+                stats: IntervalStats::new(),
+                rx: corpse_rx,
+            },
+        ));
         ctl.tick();
         // The first retirement completes; the next tick pops the dead
         // victim's op.

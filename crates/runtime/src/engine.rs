@@ -12,8 +12,8 @@
 //! per-tuple FIFO argument (see the crate docs) holds verbatim with
 //! "tuple" replaced by "batch".
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -23,19 +23,20 @@ use streambal_core::{
 };
 use streambal_elastic::{ElasticityPolicy, HoldPolicy, SplitPolicy};
 use streambal_hashring::FxHashSet;
-// Only the unit tests below use these; they glob-import this module.
-use streambal_metrics::{Counter, Histogram, RateMeter, TimeSeries};
+use streambal_metrics::{Counter, Histogram, TimeSeries};
 use streambal_trace::{Outcome, ThreadLabel, ThreadRecorder, TraceLog, TraceSink};
+// Only the unit tests below use these; they glob-import this module.
 #[cfg(test)]
 use {streambal_elastic::ScaleDecision, streambal_hashring::FxHashMap};
 
 use crate::controller::{ControlIo, Controller};
 use crate::fault::{next_live, CtlKind, FaultEvent, FaultInjector, FaultPlan};
+use crate::merge::MergeStage;
 use crate::message::{Message, SourceCtl, SourceEvent, WorkerEvent};
 use crate::operator::{Collector, Operator};
 use crate::router::SourceRouter;
 use crate::tuple::Tuple;
-use crate::worker::{run_worker, WorkerCtx};
+use crate::worker::{Worker, WorkerWiring};
 
 /// Engine sizing and behaviour knobs.
 ///
@@ -208,11 +209,10 @@ pub enum ProtocolError {
         /// The slot with no channel to hand out.
         slot: usize,
     },
-    /// An auxiliary thread (source, throughput sampler, collector)
-    /// panicked; the run completed without it.
+    /// An auxiliary thread (source, collector) panicked; the run
+    /// completed without it.
     ThreadPanicked {
-        /// Which thread: `"source"`, `"throughput sampler"`, or
-        /// `"collector"`.
+        /// Which thread: `"source"` or `"collector"`.
         thread: &'static str,
     },
 }
@@ -258,12 +258,11 @@ pub struct EngineReport {
     pub name: String,
     /// Total tuples processed by all workers.
     pub processed: u64,
-    /// Wall time of the whole run.
+    /// Wall time of the run, from start until every worker has drained —
+    /// the same instant [`EngineReport::worker_seconds`] closes at.
     pub wall: Duration,
-    /// Mean throughput, tuples/second.
+    /// Mean throughput, tuples/second (`processed / wall`).
     pub mean_throughput: f64,
-    /// Wall-clock-sampled throughput series (seconds, tuples/s).
-    pub throughput: TimeSeries,
     /// Per-interval throughput series (interval, tuples/s).
     pub interval_throughput: TimeSeries,
     /// End-to-end tuple latency distribution (µs), merged over workers.
@@ -335,7 +334,6 @@ impl EngineReport {
             processed: 0,
             wall: Duration::ZERO,
             mean_throughput: 0.0,
-            throughput: TimeSeries::labelled("throughput"),
             interval_throughput: TimeSeries::labelled("interval throughput"),
             latency_us: Histogram::new(),
             rebalances: 0,
@@ -354,20 +352,6 @@ impl EngineReport {
             trace: TraceLog::default(),
         }
     }
-}
-
-/// Samples the shared processed counter every 50 ms until `stop`.
-fn sample_throughput(counter: &Counter, stop: &AtomicBool) -> TimeSeries {
-    let meter = RateMeter::new();
-    let mut series = TimeSeries::labelled("throughput");
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(Duration::from_millis(50));
-        meter.sample(counter);
-    }
-    for &(t, v) in &meter.series() {
-        series.push(t, v);
-    }
-    series
 }
 
 /// The engine: call [`Engine::run`].
@@ -403,6 +387,14 @@ impl Engine {
             "partitioner and engine must agree on initial parallelism"
         );
 
+        // One channel per slot, provisioned or not. Capacities are
+        // tuple-denominated: batch sends are weighted by their tuple
+        // count, so the in-flight bound — the backpushing effect — is
+        // exactly what the config documents at any batch size and any
+        // fan-out fill.
+        let (worker_txs, slot_rxs): (Vec<_>, Vec<_>) = (0..max_workers)
+            .map(|_| bounded::<Message>(config.channel_capacity))
+            .unzip();
         let (event_tx, event_rx) = unbounded::<WorkerEvent>();
         let (ctl_tx, ctl_rx) = unbounded::<SourceCtl>();
         let (src_evt_tx, src_evt_rx) = unbounded::<SourceEvent>();
@@ -414,96 +406,70 @@ impl Engine {
         let (pool_tx, pool_rx) = unbounded::<Vec<Vec<Tuple>>>();
 
         let counter = Arc::new(Counter::new());
-        let stop = AtomicBool::new(false);
         // One flight-recorder sink per run; every thread gets its own
         // lock-free ThreadRecorder view of it.
         let sink = TraceSink::new(config.trace);
-        // One injector per run, shared with the source loop and every
-        // worker. Drop ordinals are global (each kind is sent from one
-        // thread), so all sites must share this instance. The sink lets
-        // it mirror each ledger entry into the trace as it is recorded.
+        // One injector per run, shared with the source and every worker.
+        // Drop ordinals are global (each kind is sent from one thread),
+        // so all sites must share this instance. The sink lets it mirror
+        // each ledger entry into the trace as it is recorded.
         let injector = Arc::new(FaultInjector::with_trace(
             config.fault_plan.clone(),
             Arc::clone(&sink),
         ));
+        let wiring = WorkerWiring {
+            events: event_tx,
+            collector: collector.is_some().then(|| col_tx.clone()),
+            spin_work: config.spin_work,
+            window: config.window as u64,
+            processed_counter: Arc::clone(&counter),
+            epoch: t0,
+            pool: pool_tx.clone(),
+            emit_batch: config.batch_size.max(1),
+            injector: Arc::clone(&injector),
+            sink: Arc::clone(&sink),
+        };
 
-        let mut report = std::thread::scope(|s| {
+        // Each thread body is built on the thread that runs it, so its
+        // buffers come from that thread's allocator arena (building them
+        // here measurably raised peak RSS).
+        std::thread::scope(|s| {
             // --- workers (initially, and on scale-out) -------------------
-            let worker_col_tx = collector.is_some().then(|| col_tx.clone());
-            let worker_pool_tx = pool_tx.clone();
-            let (spin_work, window) = (config.spin_work, config.window as u64);
-            let emit_batch = config.batch_size.max(1);
-            let (counter, injector, sink) = (&counter, &injector, &sink);
             let spawn_worker = move |id: usize, rx, op, start_interval| {
-                let ctx = WorkerCtx {
-                    id: TaskId::from(id),
-                    rx,
-                    events: event_tx.clone(),
-                    collector: worker_col_tx.clone(),
-                    op,
-                    spin_work,
-                    window,
-                    processed_counter: Arc::clone(counter),
-                    epoch: t0,
-                    start_interval,
-                    pool: worker_pool_tx.clone(),
-                    emit_batch,
-                    injector: Arc::clone(injector),
-                    recorder: sink.recorder(ThreadLabel::Worker(id as u32)),
-                };
-                s.spawn(move || run_worker(ctx));
+                let wiring = wiring.clone();
+                s.spawn(move || {
+                    Worker::new(wiring, TaskId::from(id), rx, op, start_interval).run()
+                });
             };
-            // One channel per slot, provisioned or not. Capacities are
-            // tuple-denominated: batch sends are weighted by their tuple
-            // count, so the in-flight bound — the backpushing effect —
-            // is exactly what the config documents at any batch size and
-            // any fan-out fill.
-            let mut worker_txs: Vec<Sender<Message>> = Vec::with_capacity(max_workers);
-            let mut worker_rxs: Vec<Option<Receiver<Message>>> = Vec::with_capacity(max_workers);
-            for d in 0..max_workers {
-                let (tx, rx) = bounded(config.channel_capacity);
-                worker_txs.push(tx);
-                worker_rxs.push(if d < config.n_workers {
+            let worker_rxs: Vec<Option<Receiver<Message>>> = slot_rxs
+                .into_iter()
+                .enumerate()
+                .map(|(d, rx)| {
+                    if d >= config.n_workers {
+                        return Some(rx);
+                    }
                     spawn_worker(d, rx, op_factory(TaskId::from(d)), 0);
                     None
-                } else {
-                    Some(rx)
-                });
-            }
+                })
+                .collect();
 
             // --- merge stage (the downstream operator) --------------------
-            let col_handle = collector.map(|c| {
-                let stage = crate::merge::MergeStage::new(
-                    c,
-                    col_rx,
-                    pool_tx,
-                    sink.recorder(ThreadLabel::Collector),
-                );
+            let merge = collector.map(|c| {
+                let stage =
+                    MergeStage::new(c, col_rx, pool_tx, sink.recorder(ThreadLabel::Collector));
                 s.spawn(move || stage.run())
             });
 
-            // --- throughput sampler ---------------------------------------
-            let sampler = s.spawn(|| sample_throughput(counter, &stop));
-
             // --- source ---------------------------------------------------
-            let initial_view = partitioner.routing_view();
-            let src_worker_txs = worker_txs.clone();
-            let src_batch = config.batch_size;
-            let src_injector = Arc::clone(injector);
-            let src_rec = sink.recorder(ThreadLabel::Source);
-            let src_handle = s.spawn(move || {
-                source_loop(
-                    feeder,
-                    initial_view,
-                    src_worker_txs,
-                    ctl_rx,
-                    src_evt_tx,
-                    pool_rx,
-                    t0,
-                    src_batch,
-                    src_injector,
-                    src_rec,
-                )
+            let (view, txs, batch) = (
+                partitioner.routing_view(),
+                worker_txs.clone(),
+                config.batch_size,
+            );
+            let (inj, rec) = (Arc::clone(&injector), sink.recorder(ThreadLabel::Source));
+            let source = s.spawn(move || {
+                SourcePlane::new(view, txs, ctl_rx, src_evt_tx, pool_rx, batch, inj)
+                    .run(feeder, t0, rec)
             });
 
             // --- controller (this thread) ----------------------------------
@@ -511,86 +477,96 @@ impl Engine {
                 worker_txs,
                 worker_rxs,
                 ctl_tx,
-                counter: Arc::clone(counter),
-                injector: Arc::clone(injector),
+                counter,
+                injector: Arc::clone(&injector),
                 rec: sink.recorder(ThreadLabel::Controller),
                 make_op: Box::new(op_factory),
                 spawn: Box::new(spawn_worker),
             };
             let mut ctl = Controller::new(config, partitioner, io, t0);
-            let mut select = Select::new();
-            let src_idx = select.recv(&src_evt_rx);
-            select.recv(&event_rx);
-            while !ctl.done() {
-                // Bounded wait: the tick (deadline retries/aborts,
-                // stats-round expiry, the shutdown gate) must run even
-                // when no event arrives.
-                if let Ok(ready) = select.select_timeout(Duration::from_millis(10)) {
-                    if ready.index() == src_idx {
-                        let Ok(ev) = ready.recv(&src_evt_rx) else {
-                            continue;
-                        };
-                        ctl.on_source_event(ev);
-                    } else {
-                        let Ok(ev) = ready.recv(&event_rx) else {
-                            continue;
-                        };
-                        ctl.on_worker_event(ev);
-                    }
-                    if ctl.done() {
-                        break;
-                    }
-                }
-                ctl.tick();
-            }
-
-            // All workers drained: tell the source to exit and tear down
-            // the auxiliaries. `finish` drops the worker spawner with the
-            // controller — it holds a collector-sender clone, which must
-            // go before the collector join, or the collector never
-            // observes closure.
-            let (mut report, mut rec, leftover_spans) = ctl.finish();
-            stop.store(true, Ordering::Relaxed);
-            drop(col_tx);
-            // Join the source before taking the ledger: it records
-            // (drop ordinals, send failures) until it exits, and a
-            // ledger taken while it still runs could miss a tail entry.
-            if src_handle.join().is_err() {
-                report
-                    .protocol_errors
-                    .push(ProtocolError::ThreadPanicked { thread: "source" });
-            }
-            report.faults = injector.take_ledger();
-            match sampler.join() {
-                Ok(t) => report.throughput = t,
-                Err(_) => report.protocol_errors.push(ProtocolError::ThreadPanicked {
-                    thread: "throughput sampler",
-                }),
-            }
-            if let Some(h) = col_handle {
-                match h.join() {
-                    Ok(r) => report.collector_result = r,
-                    Err(_) => report.protocol_errors.push(ProtocolError::ThreadPanicked {
-                        thread: "collector",
-                    }),
-                }
-            }
-            // Every thread's recorder has flushed by now (workers drained,
-            // source and collector joined). Force-close any span still
-            // open — an op the teardown outran — as Abandoned, in epoch
-            // order, then merge the run's trace into the report.
-            for epoch in leftover_spans {
-                rec.span_close(epoch, Outcome::Abandoned);
-            }
-            drop(rec);
-            report.trace = sink.take_log();
-            report
-        });
-
-        report.wall = t0.elapsed();
-        report.mean_throughput = report.processed as f64 / report.wall.as_secs_f64().max(1e-9);
-        report
+            drive(&mut ctl, &src_evt_rx, &event_rx);
+            teardown(ctl, source, merge, col_tx, &injector, &sink)
+        })
     }
+}
+
+/// The controller's event loop: hands every source and worker event to
+/// the controller, and ticks it after each one and on every idle
+/// wake-up, until every worker has drained.
+fn drive(
+    ctl: &mut Controller<'_>,
+    source: &Receiver<SourceEvent>,
+    workers: &Receiver<WorkerEvent>,
+) {
+    let mut select = Select::new();
+    let src_idx = select.recv(source);
+    select.recv(workers);
+    while !ctl.done() {
+        // Bounded wait: the tick (deadline retries/aborts, stats-round
+        // expiry, the shutdown gate) must run even when no event arrives.
+        if let Ok(ready) = select.select_timeout(Duration::from_millis(10)) {
+            if ready.index() == src_idx {
+                let Ok(ev) = ready.recv(source) else {
+                    continue;
+                };
+                ctl.on_source_event(ev);
+            } else {
+                let Ok(ev) = ready.recv(workers) else {
+                    continue;
+                };
+                ctl.on_worker_event(ev);
+            }
+            if ctl.done() {
+                break;
+            }
+        }
+        ctl.tick();
+    }
+}
+
+/// Closes a run whose workers have all drained: tells the source to
+/// exit, joins it and the merge stage, and merges the fault ledger and
+/// the trace into the report. `finish` drops the worker spawner with the
+/// controller — it holds a collector-sender clone, which must go (with
+/// `col_tx`) before the merge-stage join, or the stage never observes
+/// closure.
+fn teardown(
+    ctl: Controller<'_>,
+    source: ScopedJoinHandle<'_, ()>,
+    merge: Option<ScopedJoinHandle<'_, Vec<(u64, u64)>>>,
+    col_tx: Sender<Vec<Tuple>>,
+    injector: &FaultInjector,
+    sink: &TraceSink,
+) -> EngineReport {
+    let (mut report, mut rec, leftover_spans) = ctl.finish();
+    drop(col_tx);
+    // Join the source before taking the ledger: it records (drop
+    // ordinals, send failures) until it exits, and a ledger taken while
+    // it still runs could miss a tail entry.
+    if source.join().is_err() {
+        report
+            .protocol_errors
+            .push(ProtocolError::ThreadPanicked { thread: "source" });
+    }
+    report.faults = injector.take_ledger();
+    if let Some(h) = merge {
+        match h.join() {
+            Ok(r) => report.collector_result = r,
+            Err(_) => report.protocol_errors.push(ProtocolError::ThreadPanicked {
+                thread: "collector",
+            }),
+        }
+    }
+    // Every thread's recorder has flushed by now (workers drained,
+    // source and collector joined). Force-close any span still open — an
+    // op the teardown outran — as Abandoned, in epoch order, then merge
+    // the run's trace into the report.
+    for epoch in leftover_spans {
+        rec.span_close(epoch, Outcome::Abandoned);
+    }
+    drop(rec);
+    report.trace = sink.take_log();
+    report
 }
 
 /// What the source is holding back during an in-flight control op.
@@ -603,8 +579,14 @@ enum PauseFilter {
     Dest(TaskId),
 }
 
-/// The source-thread data plane: router, fan-out accumulators, pause
-/// buffer, and the batch-buffer free list.
+/// Control-poll granularity: the source drains its control inbox at
+/// least every `CTL_POLL` staged tuples, decoupled from the batch size so
+/// tiny batches do not pay a control-channel probe per send. 256 matches
+/// the pre-batching loop's bound on tuples routed under a stale view.
+const CTL_POLL: usize = 256;
+
+/// The source thread ([`SourcePlane::run`]) and its data plane: router,
+/// fan-out accumulators, pause buffer, and the batch-buffer free list.
 ///
 /// Every `batch_size` staged tuples are routed with one
 /// [`SourceRouter::route_batch`] call, scattered into per-destination
@@ -617,6 +599,9 @@ enum PauseFilter {
 struct SourcePlane {
     router: SourceRouter,
     worker_txs: Vec<Sender<Message>>,
+    /// The control inbox, handled one message at a time by
+    /// [`SourcePlane::handle_ctl`].
+    ctl: Receiver<SourceCtl>,
     events: Sender<SourceEvent>,
     /// In-flight control op: epoch and the pause filter.
     paused: Option<(u64, PauseFilter)>,
@@ -647,6 +632,152 @@ struct SourcePlane {
 }
 
 impl SourcePlane {
+    fn new(
+        view: RoutingView,
+        worker_txs: Vec<Sender<Message>>,
+        ctl: Receiver<SourceCtl>,
+        events: Sender<SourceEvent>,
+        pool: Receiver<Vec<Vec<Tuple>>>,
+        batch_size: usize,
+        injector: Arc<FaultInjector>,
+    ) -> Self {
+        let batch = batch_size.max(1);
+        let n_slots = worker_txs.len();
+        SourcePlane {
+            router: SourceRouter::from_view(view),
+            worker_txs,
+            ctl,
+            events,
+            paused: None,
+            buffer: Vec::new(),
+            fan: (0..n_slots).map(|_| Vec::with_capacity(batch)).collect(),
+            touched: Vec::with_capacity(n_slots),
+            pool,
+            free: Vec::new(),
+            keys: Vec::with_capacity(batch),
+            dests: Vec::with_capacity(batch),
+            batch,
+            dead: FxHashSet::default(),
+            sent: vec![0; n_slots],
+            injector,
+        }
+    }
+
+    /// The source thread: feeds each interval ([`SourcePlane::feed`]),
+    /// reports its boundary, and once the feeder is exhausted stays
+    /// responsive to control traffic (in-flight migrations) until the
+    /// controller says shutdown.
+    fn run<F>(mut self, mut feeder: F, epoch: Instant, mut recorder: ThreadRecorder)
+    where
+        F: FnMut(u64) -> Option<Vec<Tuple>> + Send,
+    {
+        let mut interval = 0u64;
+        while let Some(tuples) = feeder(interval) {
+            let fed = tuples.len() as u64;
+            if !self.feed(interval, tuples, epoch, &mut recorder) || !self.poll_ctl() {
+                return;
+            }
+            // Interval telemetry: routing-table shape (live entries vs.
+            // tombstone debris), pool occupancy, and the interval's fed
+            // total — all deterministic per seeded feed, all
+            // batch-granularity.
+            let (entries, tombstones) = self.router.table_stats();
+            recorder.router_snapshot(
+                interval,
+                entries as u64,
+                tombstones as u64,
+                self.free.len() as u64,
+            );
+            recorder.interval_end(interval, fed);
+            let _ = self.events.send(SourceEvent::IntervalDone { interval });
+            interval += 1;
+        }
+        let _ = self.events.send(SourceEvent::Finished);
+        while let Ok(msg) = self.ctl.recv() {
+            if !self.handle_ctl(msg) {
+                return;
+            }
+        }
+    }
+
+    /// Routes and ships one interval's tuples, staging, routing and
+    /// shipping per batch of `batch_size` tuples with one emission
+    /// timestamp per staged batch, and polling control between batches.
+    /// Returns false on `Shutdown`.
+    fn feed(
+        &mut self,
+        interval: u64,
+        tuples: Vec<Tuple>,
+        epoch: Instant,
+        recorder: &mut ThreadRecorder,
+    ) -> bool {
+        let batch = self.batch;
+        let ctl_every = batch.max(CTL_POLL);
+        let fed = tuples.len() as u64;
+        let mut pending = tuples.into_iter();
+        let mut staged: Vec<Tuple> = Vec::with_capacity(batch);
+        let mut since_ctl = usize::MAX; // poll before the first batch
+        let mut alerted = false;
+        self.sent.fill(0);
+        loop {
+            if since_ctl >= ctl_every {
+                since_ctl = 0;
+                self.reclaim();
+                if !self.poll_ctl() {
+                    return false;
+                }
+                // One shot per interval, and only while at least half of
+                // it is still to come: a plan made later has too little
+                // of the interval left to pay for its pause.
+                if !alerted && pending.len() as u64 * 2 > fed && self.skewed(fed) {
+                    alerted = true;
+                    recorder.skew_alert(interval, self.sent.clone());
+                    let _ = self.events.send(SourceEvent::SkewAlert { interval });
+                }
+            }
+            // Stage the next batch, holding back keys paused for an
+            // in-flight migration. One clock read stamps the whole batch.
+            // The loop is bounded by tuples *consumed*, not staged: under
+            // a pause that covers the hot keys, nearly everything goes to
+            // the pause buffer, and a staged-only bound would starve the
+            // control poll (and the Resume that empties that buffer) for
+            // the rest of the interval.
+            staged.clear();
+            let mut consumed = 0usize;
+            let batch_us = epoch.elapsed().as_micros() as u64;
+            while staged.len() < batch && consumed < batch {
+                let Some(mut t) = pending.next() else {
+                    break;
+                };
+                consumed += 1;
+                t.emitted_us = batch_us;
+                if let Some((_, PauseFilter::Keys(affected))) = &self.paused {
+                    if affected.contains(&t.key) {
+                        self.buffer.push(t);
+                        continue;
+                    }
+                }
+                staged.push(t);
+            }
+            if consumed == 0 && pending.len() == 0 {
+                return true;
+            }
+            since_ctl += consumed;
+            self.ship(&mut staged);
+        }
+    }
+
+    /// Handles every control message waiting in the inbox; false on
+    /// `Shutdown`.
+    fn poll_ctl(&mut self) -> bool {
+        while let Ok(msg) = self.ctl.try_recv() {
+            if !self.handle_ctl(msg) {
+                return false;
+            }
+        }
+        true
+    }
+
     /// A buffer from the free list (refilled from the pool channel), or a
     /// fresh one on a miss (only until enough buffers circulate).
     fn take_buf(&mut self) -> Vec<Tuple> {
@@ -878,144 +1009,6 @@ impl SourcePlane {
         true
     }
 }
-
-/// The source thread: feeds tuples, honours pause/resume, reports
-/// interval boundaries. Staging, routing, and shipping all happen per
-/// batch of `batch_size` tuples; emission timestamps are taken
-/// once per staged batch.
-#[allow(clippy::too_many_arguments)]
-fn source_loop<F>(
-    mut feeder: F,
-    view: RoutingView,
-    worker_txs: Vec<Sender<Message>>,
-    ctl: Receiver<SourceCtl>,
-    events: Sender<SourceEvent>,
-    pool: Receiver<Vec<Vec<Tuple>>>,
-    epoch: Instant,
-    batch_size: usize,
-    injector: Arc<FaultInjector>,
-    mut recorder: ThreadRecorder,
-) where
-    F: FnMut(u64) -> Option<Vec<Tuple>> + Send,
-{
-    let batch = batch_size.max(1);
-    // Control-poll granularity: at least every CTL_POLL staged tuples,
-    // decoupled from the batch size so tiny batches do not pay a control
-    // channel probe per send. 256 matches the pre-batching loop's bound
-    // on tuples routed under a stale view.
-    const CTL_POLL: usize = 256;
-    let ctl_every = batch.max(CTL_POLL);
-    let n_slots = worker_txs.len();
-    let mut plane = SourcePlane {
-        router: SourceRouter::from_view(view),
-        worker_txs,
-        events,
-        paused: None,
-        buffer: Vec::new(),
-        fan: (0..n_slots).map(|_| Vec::with_capacity(batch)).collect(),
-        touched: Vec::with_capacity(n_slots),
-        pool,
-        free: Vec::new(),
-        keys: Vec::with_capacity(batch),
-        dests: Vec::with_capacity(batch),
-        batch,
-        dead: FxHashSet::default(),
-        sent: vec![0; n_slots],
-        injector,
-    };
-    // Staging scratch, reused across batches to stay allocation-free.
-    let mut staged: Vec<Tuple> = Vec::with_capacity(batch);
-    let mut since_ctl = usize::MAX; // poll before the first batch
-
-    let mut interval = 0u64;
-    'feed: loop {
-        let Some(tuples) = feeder(interval) else {
-            break 'feed;
-        };
-        let fed = tuples.len() as u64;
-        let mut pending = tuples.into_iter();
-        plane.sent.fill(0);
-        let mut alerted = false;
-        loop {
-            if since_ctl >= ctl_every {
-                since_ctl = 0;
-                plane.reclaim();
-                while let Ok(msg) = ctl.try_recv() {
-                    if !plane.handle_ctl(msg) {
-                        return;
-                    }
-                }
-                // One shot per interval, and only while at least half of
-                // it is still to come: a plan made later has too little
-                // of the interval left to pay for its pause.
-                if !alerted && pending.len() as u64 * 2 > fed && plane.skewed(fed) {
-                    alerted = true;
-                    recorder.skew_alert(interval, plane.sent.clone());
-                    let _ = plane.events.send(SourceEvent::SkewAlert { interval });
-                }
-            }
-            // Stage the next batch, holding back keys paused for an
-            // in-flight migration. One clock read stamps the whole batch.
-            // The loop is bounded by tuples *consumed*, not staged: under
-            // a pause that covers the hot keys, nearly everything goes to
-            // the pause buffer, and a staged-only bound would starve the
-            // control poll (and the Resume that empties that buffer) for
-            // the rest of the interval.
-            staged.clear();
-            let mut consumed = 0usize;
-            let batch_us = epoch.elapsed().as_micros() as u64;
-            while staged.len() < batch && consumed < batch {
-                let Some(mut t) = pending.next() else {
-                    break;
-                };
-                consumed += 1;
-                t.emitted_us = batch_us;
-                if let Some((_, PauseFilter::Keys(affected))) = &plane.paused {
-                    if affected.contains(&t.key) {
-                        plane.buffer.push(t);
-                        continue;
-                    }
-                }
-                staged.push(t);
-            }
-            if consumed == 0 && pending.len() == 0 {
-                break;
-            }
-            since_ctl += consumed;
-            plane.ship(&mut staged);
-        }
-        since_ctl = usize::MAX; // interval boundary: poll immediately
-        while let Ok(msg) = ctl.try_recv() {
-            if !plane.handle_ctl(msg) {
-                return;
-            }
-        }
-        // Interval telemetry: routing-table shape (live entries vs.
-        // tombstone debris), pool occupancy, and the interval's fed
-        // total — all deterministic per seeded feed, all
-        // batch-granularity.
-        let (entries, tombstones) = plane.router.table_stats();
-        recorder.router_snapshot(
-            interval,
-            entries as u64,
-            tombstones as u64,
-            plane.free.len() as u64,
-        );
-        recorder.interval_end(interval, fed);
-        let _ = plane.events.send(SourceEvent::IntervalDone { interval });
-        interval += 1;
-    }
-    let _ = plane.events.send(SourceEvent::Finished);
-
-    // Stay responsive to control traffic (in-flight migrations) until the
-    // controller says shutdown.
-    while let Ok(msg) = ctl.recv() {
-        if !plane.handle_ctl(msg) {
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1035,6 +1028,15 @@ mod tests {
             }
         }
         m
+    }
+
+    /// A feeder replaying `intervals`, one per call.
+    fn replay(intervals: &[Vec<Key>]) -> impl FnMut(u64) -> Option<Vec<Tuple>> + Send {
+        let feed = intervals.to_vec();
+        move |iv| {
+            feed.get(iv as usize)
+                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
+        }
     }
 
     fn decode_counts(states: &[(Key, Bytes)]) -> FxHashMap<Key, u64> {
@@ -1071,15 +1073,11 @@ mod tests {
         let mut w = FluctuatingWorkload::new(200, 0.9, 3_000, 0.0, 11);
         let intervals: Vec<Vec<Key>> = (0..3).map(|_| w.tuples()).collect();
         let expect = reference_counts(&intervals);
-        let feed = intervals.clone();
         let report = Engine::run(
             small_config(),
             Box::new(storm(3)),
             |_| Box::new(WordCountOp::new()),
-            move |iv| {
-                feed.get(iv as usize)
-                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-            },
+            replay(&intervals),
             None,
         );
         assert_eq!(
@@ -1102,7 +1100,6 @@ mod tests {
             w.advance(3, |k| TaskId::from((k.raw() % 3) as usize));
         }
         let expect = reference_counts(&intervals);
-        let feed = intervals.clone();
         let report = Engine::run(
             small_config(),
             Box::new(CoreBalancer::new(
@@ -1115,10 +1112,7 @@ mod tests {
                 },
             )),
             |_| Box::new(WordCountOp::new()),
-            move |iv| {
-                feed.get(iv as usize)
-                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-            },
+            replay(&intervals),
             None,
         );
         assert!(report.rebalances > 0, "skew must trigger migration");
@@ -1141,7 +1135,6 @@ mod tests {
             w.advance(3, |k| hash.route(k));
         }
         let expect = reference_counts(&intervals);
-        let feed = intervals.clone();
         let report = Engine::run(
             EngineConfig {
                 channel_capacity: 64,
@@ -1154,10 +1147,7 @@ mod tests {
                 BalanceParams::default(),
             )),
             |_| Box::new(WordCountOp::new()),
-            move |iv| {
-                feed.get(iv as usize)
-                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-            },
+            replay(&intervals),
             None,
         );
         use streambal_trace::{EarlyStep, EventKind};
@@ -1211,15 +1201,11 @@ mod tests {
             })
             .collect();
         let expect = reference_counts(&intervals);
-        let feed = intervals.clone();
         let report = Engine::run(
             small_config(),
             Box::new(PkgPartitioner::new(3)),
             |_| Box::new(WordCountOp::with_partial_emission(16)),
-            move |iv| {
-                feed.get(iv as usize)
-                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-            },
+            replay(&intervals),
             Some(Box::new(SumCollector::new())),
         );
         // The merged partial counts must equal the reference exactly.
@@ -1236,7 +1222,6 @@ mod tests {
         let mut w = FluctuatingWorkload::new(200, 0.9, 4_000, 0.0, 31);
         let intervals: Vec<Vec<Key>> = (0..6).map(|_| w.tuples()).collect();
         let expect = reference_counts(&intervals);
-        let feed = intervals.clone();
         let config = EngineConfig {
             n_workers: 2,
             max_workers: 3,
@@ -1255,10 +1240,7 @@ mod tests {
                 },
             )),
             |_| Box::new(WordCountOp::new()),
-            move |iv| {
-                feed.get(iv as usize)
-                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-            },
+            replay(&intervals),
             None,
         );
         // The third worker processed something after joining.
@@ -1287,7 +1269,6 @@ mod tests {
         let intervals: Vec<Vec<Key>> = (0..8).map(|_| w.tuples()).collect();
         let expect = reference_counts(&intervals);
         let total: u64 = intervals.iter().map(|v| v.len() as u64).sum();
-        let feed = intervals.clone();
         let config = EngineConfig {
             n_workers: 2,
             max_workers: 3,
@@ -1306,10 +1287,7 @@ mod tests {
                 },
             )),
             |_| Box::new(WordCountOp::new()),
-            move |iv| {
-                feed.get(iv as usize)
-                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-            },
+            replay(&intervals),
             None,
         );
         assert_eq!(
@@ -1330,11 +1308,7 @@ mod tests {
         assert_eq!(report.processed, total, "tuples lost or duplicated");
         // Counts are summed per key: scale-out without state movement may
         // split a key across workers; the sum must still be exact.
-        let mut got: FxHashMap<Key, u64> = FxHashMap::default();
-        for (k, blob) in &report.final_states {
-            let n: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
-            *got.entry(*k).or_insert(0) += n;
-        }
+        let got = decode_counts(&report.final_states);
         assert_eq!(got, expect, "exactly-once across the cycle");
         assert!(
             report.per_worker_processed[2] > 0,
@@ -1350,7 +1324,6 @@ mod tests {
         let mut w = FluctuatingWorkload::new(150, 0.8, 3_000, 0.0, 71);
         let intervals: Vec<Vec<Key>> = (0..10).map(|_| w.tuples()).collect();
         let expect = reference_counts(&intervals);
-        let feed = intervals.clone();
         let config = EngineConfig {
             n_workers: 2,
             max_workers: 3,
@@ -1366,18 +1339,11 @@ mod tests {
             config,
             Box::new(storm(2)),
             |_| Box::new(WordCountOp::new()),
-            move |iv| {
-                feed.get(iv as usize)
-                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-            },
+            replay(&intervals),
             None,
         );
         assert_eq!(report.scale_events.len(), 4, "{:?}", report.scale_events);
-        let mut got: FxHashMap<Key, u64> = FxHashMap::default();
-        for (k, blob) in &report.final_states {
-            let n: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
-            *got.entry(*k).or_insert(0) += n;
-        }
+        let got = decode_counts(&report.final_states);
         assert_eq!(got, expect, "exactly-once across two cycles");
     }
 
@@ -1412,7 +1378,6 @@ mod tests {
         policy.up_after = 1;
         policy.down_after = 1;
         policy.cooldown = 0;
-        let feed = intervals.clone();
         let config = EngineConfig {
             n_workers: 2,
             max_workers: 4,
@@ -1423,10 +1388,7 @@ mod tests {
             config,
             Box::new(storm(2)),
             |_| Box::new(WordCountOp::new()),
-            move |iv| {
-                feed.get(iv as usize)
-                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-            },
+            replay(&intervals),
             None,
         );
         assert!(
@@ -1439,11 +1401,7 @@ mod tests {
             "quiet tail must trigger scale-in: {:?}",
             report.scale_events
         );
-        let mut got: FxHashMap<Key, u64> = FxHashMap::default();
-        for (k, blob) in &report.final_states {
-            let n: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
-            *got.entry(*k).or_insert(0) += n;
-        }
+        let got = decode_counts(&report.final_states);
         assert_eq!(got, expect, "elastic run stays exact");
     }
 
@@ -1476,11 +1434,7 @@ mod tests {
             },
             Box::new(damped),
             |_| Box::new(WordCountOp::new()),
-            move |iv| {
-                intervals
-                    .get(iv as usize)
-                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-            },
+            replay(&intervals),
             None,
         );
         assert_eq!(pre.rebalances, 0, "trigger must stay damped");
@@ -1511,15 +1465,11 @@ mod tests {
                 batch_size,
                 ..small_config()
             };
-            let feed = intervals.clone();
             let report = Engine::run(
                 config,
                 Box::new(storm(3)),
                 |_| Box::new(WordCountOp::new()),
-                move |iv| {
-                    feed.get(iv as usize)
-                        .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-                },
+                replay(&intervals),
                 None,
             );
             let label = format!("batch={batch_size}");
@@ -1541,7 +1491,6 @@ mod tests {
             w.advance(3, |k| TaskId::from((k.raw() % 3) as usize));
         }
         let expect = reference_counts(&intervals);
-        let feed = intervals.clone();
         let config = EngineConfig {
             channel_capacity: 4,
             collector_capacity: 2,
@@ -1560,10 +1509,7 @@ mod tests {
                 },
             )),
             |_| Box::new(WordCountOp::new()),
-            move |iv| {
-                feed.get(iv as usize)
-                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-            },
+            replay(&intervals),
             None,
         );
         assert!(report.rebalances > 0, "skew must trigger migration");

@@ -22,7 +22,7 @@
 //! panicking thread inside `std::thread::scope` would abort the whole
 //! engine at scope exit, which is exactly the behaviour the recovery
 //! layer exists to avoid. A killed worker ships a final
-//! `WorkerEvent::Killed` carrying its unrecoverable per-key counts and
+//! `WorkerExit::Killed` carrying its unrecoverable per-key counts and
 //! its receiver (standing in for the OS reclaiming a dead process's
 //! socket), then returns.
 

@@ -13,6 +13,19 @@
 //!  Controller (Fig. 5 protocol) ◀───── events ─────────────┘
 //! ```
 //!
+//! Those are all the threads a run has: one source, one per provisioned
+//! worker, and a collector when one is given; the controller runs on the
+//! caller's thread. Each thread body is a value whose loop hands every
+//! inbox message to its own handler — the source's plane handles one
+//! [`SourceCtl`] at a time between routed batches, a worker's
+//! `Worker::run` dispatches each [`Message`] to one method
+//! (`on_batch`, `on_stats_request`, `on_stats_peek`, `on_migrate_out`,
+//! `on_install`), and the controller takes one event per call. A worker
+//! leaves by exactly one path, whatever ended it (`Retire`, `Shutdown`,
+//! or an injected death): one [`WorkerEvent::Exited`] carrying its
+//! lifetime [`WorkerTotals`], which the controller folds in one place,
+//! and a [`WorkerExit`] with what only that kind of exit carries.
+//!
 //! * The **source** pulls tuples from a feeder closure, stamps them, and
 //!   routes them with a local [`SourceRouter`] snapshot — the "tuples
 //!   router" of Fig. 5. The data plane is *batched*: every
@@ -288,7 +301,7 @@ pub mod worker;
 pub use engine::{Engine, EngineConfig, EngineReport, ProtocolError, ScaleEvent, SplitEvent};
 pub use fault::{CtlKind, FaultEvent, FaultInjector, FaultPlan, FaultSpec, KillTrigger, OpKind};
 pub use merge::MergeStage;
-pub use message::{Message, SourceCtl, SourceEvent, WorkerEvent};
+pub use message::{Message, SourceCtl, SourceEvent, WorkerEvent, WorkerExit, WorkerTotals};
 pub use operator::{CoJoinOp, Collector, Operator, SumCollector, WindowedSelfJoinOp, WordCountOp};
 pub use router::SourceRouter;
 pub use streambal_trace::{

@@ -54,7 +54,7 @@ pub enum Message {
     },
     /// Scale-in: drain the backlog already in the channel (FIFO puts this
     /// marker behind it), extract *all* remaining key state, report it
-    /// with [`WorkerEvent::Retired`] — channel receiver included, so the
+    /// with [`WorkerExit::Retired`] — channel receiver included, so the
     /// slot can be re-provisioned later — and exit.
     Retire {
         /// The scale-in epoch (same counter as migration epochs).
@@ -107,11 +107,39 @@ pub enum WorkerEvent {
         /// Migration epoch.
         epoch: u64,
     },
+    /// A worker's last event, however it finished: answering
+    /// [`Message::Retire`] or [`Message::Shutdown`], or dying of an
+    /// injected fault. Nothing from that worker follows it.
+    Exited {
+        /// The finished worker.
+        worker: TaskId,
+        /// Its lifetime totals, the same for every way of finishing.
+        totals: WorkerTotals,
+        /// How it finished, with what only that kind of exit carries.
+        exit: WorkerExit,
+    },
+}
+
+/// What every finished worker hands back: its lifetime totals, which the
+/// controller folds into the report whichever way the worker ended.
+#[derive(Debug, Default)]
+pub struct WorkerTotals {
+    /// Tuples processed over the worker's lifetime.
+    pub processed: u64,
+    /// Lifetime end-to-end tuple latency distribution (µs).
+    pub latency: Box<streambal_metrics::Histogram>,
+    /// The interval this worker processed its first tuple in, if it
+    /// processed any (time-to-first-tuple instrumentation for scale-out
+    /// pre-placement).
+    pub first_interval: Option<u64>,
+}
+
+/// How a worker finished ([`WorkerEvent::Exited`]).
+#[derive(Debug)]
+pub enum WorkerExit {
     /// Response to [`Message::Retire`]: everything the controller needs
     /// to re-home the victim's state and later reuse its slot.
     Retired {
-        /// The retiring worker.
-        worker: TaskId,
         /// Scale-in epoch.
         epoch: u64,
         /// All `(key, state)` pairs the worker still held — the whole
@@ -122,14 +150,6 @@ pub enum WorkerEvent {
         /// never makes load observations under-count (a dropped share
         /// reads as a load drop and can re-trigger the scale-in policy).
         stats: IntervalStats,
-        /// Tuples processed over the worker's lifetime.
-        processed: u64,
-        /// Lifetime latency distribution (µs).
-        latency: Box<streambal_metrics::Histogram>,
-        /// The interval this worker processed its first tuple in, if it
-        /// processed any (time-to-first-tuple instrumentation for
-        /// scale-out pre-placement).
-        first_interval: Option<u64>,
         /// The worker's channel receiver, handed back so the slot's
         /// channel stays connected (messages can never be silently
         /// dropped) and a later scale-out can respawn on the same slot.
@@ -140,23 +160,15 @@ pub enum WorkerEvent {
     /// recovery path needs to *account* the loss: the tuples whose
     /// contribution was not yet observable downstream die here.
     Killed {
-        /// The dead worker.
-        worker: TaskId,
         /// Per-key tuple counts irrecoverably lost with this worker
         /// (held windowed state / un-flushed partials, plus any
-        /// emissions still buffered in the worker).
+        /// emissions still buffered in the worker, plus the blobs of a
+        /// `StateInstall` that killed it).
         lost: Vec<(Key, u64)>,
         /// Statistics accumulated since the last stats report — folded
         /// into the open round so the death does not read as a load
         /// drop to the elasticity policy.
         stats: IntervalStats,
-        /// Tuples processed over the worker's lifetime.
-        processed: u64,
-        /// Lifetime latency distribution (µs).
-        latency: Box<streambal_metrics::Histogram>,
-        /// The interval this worker processed its first tuple in, if
-        /// any.
-        first_interval: Option<u64>,
         /// The worker's channel receiver. A real dead process's inbound
         /// queue is reclaimed by the OS; here the controller drains it
         /// to count in-flight tuples as lost, then drops it so later
@@ -165,18 +177,8 @@ pub enum WorkerEvent {
     },
     /// Response to [`Message::Shutdown`]: final state for validation.
     Drained {
-        /// Exiting worker.
-        worker: TaskId,
         /// All remaining `(key, state)` pairs.
         final_states: Vec<(Key, Bytes)>,
-        /// Tuples this worker processed over its lifetime.
-        processed: u64,
-        /// This worker's end-to-end tuple latency distribution (µs).
-        latency: Box<streambal_metrics::Histogram>,
-        /// The interval this worker processed its first tuple in, if any
-        /// (time-to-first-tuple instrumentation for scale-out
-        /// pre-placement).
-        first_interval: Option<u64>,
     },
 }
 

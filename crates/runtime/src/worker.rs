@@ -1,18 +1,21 @@
-//! The worker (downstream task instance) thread loop.
+//! The worker (downstream task instance): one `Worker` value per
+//! thread, with one handler per inbox [`Message`].
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
+use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use streambal_core::{IntervalStats, Key, TaskId};
 use streambal_hashring::FxHashMap;
 use streambal_metrics::{Counter, Histogram};
+use streambal_trace::{ThreadLabel, ThreadRecorder, TraceSink};
 
 use crate::fault::{CtlKind, FaultInjector};
-use crate::message::{Message, WorkerEvent};
+use crate::message::{Message, WorkerEvent, WorkerExit, WorkerTotals};
 use crate::operator::Operator;
 use crate::tuple::{Tuple, TAG_PARTIAL};
-use streambal_trace::ThreadRecorder;
 
 /// Spare drained input buffers an emitter keeps for its own batches
 /// before surplus flows back to the source pool.
@@ -24,25 +27,22 @@ const EMIT_SPARES: usize = 2;
 /// from paying a pool-channel lock per tuple.
 const RETURN_GROUP: usize = 8;
 
-/// Everything one worker thread needs.
-pub(crate) struct WorkerCtx {
-    pub id: TaskId,
-    pub rx: Receiver<Message>,
+/// What every worker of a run shares; the engine clones one per spawn.
+#[derive(Clone)]
+pub(crate) struct WorkerWiring {
+    /// Where reports, acks and the exit event go (the controller).
     pub events: Sender<WorkerEvent>,
+    /// The merge stage's input, when the run has one.
     pub collector: Option<Sender<Vec<Tuple>>>,
-    pub op: Box<dyn Operator>,
     /// Busy-work iterations per tuple (CPU saturation control).
     pub spin_work: u32,
     /// State window `w` in intervals.
     pub window: u64,
-    /// Shared processed-tuples counter (throughput sampling).
+    /// Shared processed-tuples counter (the controller's per-interval
+    /// throughput).
     pub processed_counter: Arc<Counter>,
     /// Engine start instant (latency reference).
     pub epoch: Instant,
-    /// The interval this worker joins at (0 for initial workers; the
-    /// current interval for scale-out spawns, so window eviction does not
-    /// misfire on its early state).
-    pub start_interval: u64,
     /// Return path for drained batch buffers — the source recycles them,
     /// keeping the steady state allocation-free. Buffers travel in groups
     /// of [`RETURN_GROUP`] to amortize the channel lock.
@@ -52,12 +52,9 @@ pub(crate) struct WorkerCtx {
     pub emit_batch: usize,
     /// Shared fault-injection state (passive when the plan is empty).
     pub injector: Arc<FaultInjector>,
-    /// Flight-recorder handle. The data plane only touches its local
-    /// counters ([`ThreadRecorder::count_batch`]); one `DataFlush` event
-    /// per interval reaches the shared sink. Dropped (flushing
-    /// stragglers) when the worker exits — including injected kills, so
-    /// a dead worker's partial interval is still accounted.
-    pub recorder: ThreadRecorder,
+    /// The run's flight recorder; each worker takes its own
+    /// [`ThreadRecorder`] from it.
+    pub sink: Arc<TraceSink>,
 }
 
 /// Calibrated busy work: `iters` dependent multiply-xor rounds. The
@@ -148,323 +145,346 @@ impl BatchEmitter {
     }
 }
 
-/// Builds the `Killed` event for a controlled worker death: merges the
-/// operator's unobserved per-key counts, the emitter's buffered
-/// partials, and any `extra` counts the death site supplies (e.g. the
-/// blobs of a `StateInstall` that crashed the worker).
-#[allow(clippy::too_many_arguments)]
-fn killed_event(
-    id: TaskId,
-    op: &dyn Operator,
-    emitter: &BatchEmitter,
-    extra: Vec<(Key, u64)>,
-    stats: IntervalStats,
-    processed: u64,
-    mut latency: Box<Histogram>,
-    iv_latency: &Histogram,
-    first_interval: Option<u64>,
-    rx: Receiver<Message>,
-) -> WorkerEvent {
-    let mut lost: FxHashMap<Key, u64> = FxHashMap::default();
-    for (k, c) in op
-        .held_counts()
-        .into_iter()
-        .chain(emitter.buffered_counts())
-        .chain(extra)
-    {
-        *lost.entry(k).or_insert(0) += c;
-    }
-    let mut lost: Vec<(Key, u64)> = lost.into_iter().collect();
-    lost.sort_unstable_by_key(|&(k, _)| k);
-    latency.merge(iv_latency);
-    WorkerEvent::Killed {
-        worker: id,
-        lost,
-        stats,
-        processed,
-        latency,
-        first_interval,
-        rx,
-    }
+/// How a handler ends the worker; [`Worker::exit`] turns it into the
+/// one exit event.
+enum End {
+    /// An injected death, with the per-key counts only the death site
+    /// knows: the blobs of the `StateInstall` that killed the worker.
+    Killed(Vec<(Key, u64)>),
+    /// `Retire`: hand back all state and the receiver.
+    Retired { epoch: u64 },
+    /// `Shutdown`: hand back all state.
+    Drained,
 }
 
-/// Runs the worker until `Shutdown`.
-pub(crate) fn run_worker(mut ctx: WorkerCtx) {
-    let mut stats = IntervalStats::new();
-    let mut latency = Box::new(Histogram::new());
-    // Interval-scoped latency: recorded per tuple, shipped with each
-    // stats report (the controller merges workers into the interval's
-    // mean/p99 observation), folded into the lifetime histogram at every
-    // boundary so totals never double-count.
-    let mut iv_latency = Box::new(Histogram::new());
-    let mut processed = 0u64;
-    let mut first_interval: Option<u64> = None;
-    let mut current_interval = ctx.start_interval;
-    let mut emitter = BatchEmitter::new(ctx.collector.clone(), ctx.emit_batch);
-    // Drained buffers awaiting a grouped pool return.
-    let mut returns: Vec<Vec<Tuple>> = Vec::with_capacity(RETURN_GROUP);
-    // Fault-injection ordinals and the install-dedupe epoch. The epoch
-    // guard makes `StateInstall` idempotent under controller retries: a
-    // resent install for the epoch already applied re-acks without
-    // re-merging (which would double the counts).
-    let faulty = !ctx.injector.is_passive();
-    let mut migrate_outs_seen = 0usize;
-    let mut installs_seen = 0usize;
-    let mut last_installed_epoch: Option<u64> = None;
+/// A handler's verdict: carry on, or end the worker.
+type Step = ControlFlow<End>;
 
-    while let Ok(msg) = ctx.rx.recv() {
-        match msg {
-            Message::TupleBatch(mut batch) => {
-                let n = batch.len() as u64;
-                // Batch-local stats accumulation by key runs: consecutive
-                // same-key tuples fold into one interval-map probe. Costs
-                // one compare per tuple on shuffled streams, collapses
-                // bursty ones. (A per-batch scratch hashmap was measured
-                // slower here — the interval map is cache-resident while
-                // the scratch doubles the hashing.)
-                let cost_per = ctx.spin_work as u64 + 1;
-                let mut run: Option<(Key, u64, u64)> = None; // key, freq, mem
-                for t in batch.iter() {
-                    spin(ctx.spin_work);
-                    let mem = ctx
-                        .op
-                        .process(t, current_interval, &mut |t| emitter.emit(t));
-                    match &mut run {
-                        Some((k, freq, m)) if *k == t.key => {
-                            *freq += 1;
-                            *m += mem;
-                        }
-                        other => {
-                            if let Some((k, freq, m)) = other.take() {
-                                stats.observe(k, freq, freq * cost_per, m);
-                            }
-                            *other = Some((t.key, 1, mem));
-                        }
-                    }
-                }
-                if let Some((k, freq, m)) = run {
-                    stats.observe(k, freq, freq * cost_per, m);
-                }
-                // One monotonic-clock read per batch, taken *after* the
-                // drain so recorded latencies include the batch's own
-                // processing (reading before the drain would
-                // systematically under-report late tuples). Latency is
-                // recorded per tuple against its own emission stamp, in
-                // a second cache-hot pass over the stamps.
-                let now_us = ctx.epoch.elapsed().as_micros() as u64;
-                for t in batch.iter() {
-                    iv_latency.record(now_us.saturating_sub(t.emitted_us));
-                }
-                if n > 0 {
-                    first_interval.get_or_insert(current_interval);
-                }
-                batch.clear();
-                processed += n;
-                ctx.processed_counter.add(n);
-                ctx.recorder.count_batch(n);
-                emitter.flush();
-                if let Some(back) = emitter.stash(batch) {
-                    // Already drained: queue the capacity for a grouped
-                    // return to the source. A failed send means the
-                    // source is gone (engine teardown) — buffers drop.
-                    returns.push(back);
-                    if returns.len() >= RETURN_GROUP {
-                        let _ = ctx.pool.send(std::mem::take(&mut returns));
-                    }
-                }
-            }
-            Message::StatsRequest { interval } => {
-                if faulty {
-                    if ctx
-                        .injector
-                        .should_kill_at_interval(ctx.id.index(), interval)
-                    {
-                        let ev = killed_event(
-                            ctx.id,
-                            ctx.op.as_ref(),
-                            &emitter,
-                            Vec::new(),
-                            std::mem::take(&mut stats),
-                            processed,
-                            latency,
-                            &iv_latency,
-                            first_interval,
-                            ctx.rx,
-                        );
-                        let _ = ctx.events.send(ev);
-                        return;
-                    }
-                    if let Some(ms) = ctx.injector.stall_at_interval(ctx.id.index(), interval) {
-                        // Slow-but-alive: FIFO order (and therefore
-                        // state) is preserved, only time passes.
-                        std::thread::sleep(std::time::Duration::from_millis(ms));
-                    }
-                }
-                ctx.op.flush(&mut |t| emitter.emit(t));
-                emitter.flush();
-                // The next interval reports about as many keys: size its
-                // map once instead of regrowing it from empty.
-                let next = IntervalStats::with_capacity(stats.len());
-                let out = std::mem::replace(&mut stats, next);
-                // Fold the interval's latency into the lifetime total,
-                // then ship the interval histogram with the report.
-                latency.merge(&iv_latency);
-                let out_latency = std::mem::take(&mut iv_latency);
-                if !(faulty && ctx.injector.should_drop(CtlKind::Stats)) {
-                    let _ = ctx.events.send(WorkerEvent::Stats {
-                        worker: ctx.id,
-                        interval,
-                        stats: out,
-                        latency: out_latency,
-                    });
-                }
-                current_interval = interval + 1;
-                // Interval boundary: the flight recorder rolls its
-                // batch-granularity counters into one DataFlush event.
-                // The counts are deterministic — FIFO guarantees every
-                // tuple the source fed for this interval was processed
-                // before this marker arrived.
-                ctx.recorder.close_interval(interval);
-                // Keep the last `window` intervals: evict everything
-                // strictly older than (closed_interval + 1 − w).
-                let oldest_keep = (interval + 1).saturating_sub(ctx.window);
-                ctx.op.evict_before(oldest_keep);
-            }
-            Message::StatsPeek { interval } => {
-                // A copy, and nothing else: the closing report, the
-                // operator's window and the flight recorder's interval
-                // roll-up must not be able to tell this request came.
-                let _ = ctx.events.send(WorkerEvent::StatsPeek {
-                    worker: ctx.id,
-                    interval,
-                    stats: stats.clone(),
-                });
-            }
-            Message::MigrateOut { epoch, moves } => {
-                migrate_outs_seen += 1;
-                if faulty
-                    && ctx
-                        .injector
-                        .should_kill_on_migrate_out(ctx.id.index(), migrate_outs_seen)
-                {
-                    // Crash mid-migration, before extracting: the
-                    // requested moves die with the rest of the state.
-                    let ev = killed_event(
-                        ctx.id,
-                        ctx.op.as_ref(),
-                        &emitter,
-                        Vec::new(),
-                        std::mem::take(&mut stats),
-                        processed,
-                        latency,
-                        &iv_latency,
-                        first_interval,
-                        ctx.rx,
-                    );
-                    let _ = ctx.events.send(ev);
-                    return;
-                }
-                let mut states = Vec::with_capacity(moves.len());
-                for (key, to) in moves {
-                    let blob = ctx.op.extract(key).unwrap_or_default();
-                    states.push((key, to, blob));
-                }
-                let _ = ctx.events.send(WorkerEvent::StateOut {
-                    worker: ctx.id,
-                    epoch,
-                    states,
-                });
-            }
-            Message::StateInstall { epoch, states } => {
-                installs_seen += 1;
-                if faulty
-                    && ctx
-                        .injector
-                        .should_kill_on_install(ctx.id.index(), installs_seen)
-                {
-                    // Crash inside the install path: nothing is merged,
-                    // so the incoming blobs are lost too — count them.
-                    let extra: Vec<(Key, u64)> = states
-                        .iter()
-                        .map(|(k, b)| (*k, ctx.op.tuples_in_blob(b)))
-                        .collect();
-                    let ev = killed_event(
-                        ctx.id,
-                        ctx.op.as_ref(),
-                        &emitter,
-                        extra,
-                        std::mem::take(&mut stats),
-                        processed,
-                        latency,
-                        &iv_latency,
-                        first_interval,
-                        ctx.rx,
-                    );
-                    let _ = ctx.events.send(ev);
-                    return;
-                }
-                if last_installed_epoch != Some(epoch) {
-                    for (key, blob) in states {
-                        if !blob.is_empty() {
-                            ctx.op.install(key, blob);
-                        }
-                    }
-                    last_installed_epoch = Some(epoch);
-                }
-                if !(faulty && ctx.injector.should_drop(CtlKind::InstallAck)) {
-                    let _ = ctx.events.send(WorkerEvent::InstallAck {
-                        worker: ctx.id,
-                        epoch,
-                    });
-                }
-            }
-            Message::Retire { epoch } => {
-                // Scale-in: the FIFO channel already delivered every
-                // batch the source sent before the pause ack, so the
-                // backlog is fully processed — drain *all* remaining
-                // state (windowed state outlives the statistics that
-                // created it) and hand everything back, including the
-                // receiver, so the slot's channel stays connected for a
-                // later re-provision.
-                ctx.op.flush(&mut |t| emitter.emit(t));
-                emitter.flush();
-                if !returns.is_empty() {
-                    let _ = ctx.pool.send(std::mem::take(&mut returns));
-                }
-                let states = ctx.op.drain();
-                latency.merge(&iv_latency);
-                let _ = ctx.events.send(WorkerEvent::Retired {
-                    worker: ctx.id,
-                    epoch,
-                    states,
-                    stats: std::mem::take(&mut stats),
-                    processed,
-                    latency,
-                    first_interval,
-                    rx: ctx.rx,
-                });
-                return;
-            }
-            Message::Shutdown => {
-                ctx.op.flush(&mut |t| emitter.emit(t));
-                emitter.flush();
-                if !returns.is_empty() {
-                    let _ = ctx.pool.send(std::mem::take(&mut returns));
-                }
-                let final_states = ctx.op.drain();
-                latency.merge(&iv_latency);
-                let _ = ctx.events.send(WorkerEvent::Drained {
-                    worker: ctx.id,
-                    final_states,
-                    processed,
-                    latency,
-                    first_interval,
-                });
-                return;
-            }
+/// One worker thread: its wiring, its operator, and everything its loop
+/// carries from one message to the next. [`Worker::run`] hands each
+/// inbox message to its own handler.
+pub(crate) struct Worker {
+    id: TaskId,
+    rx: Receiver<Message>,
+    op: Box<dyn Operator>,
+    wiring: WorkerWiring,
+    /// Whether any fault is planned at all: a passive injector costs the
+    /// control handlers nothing.
+    faulty: bool,
+    /// Flight-recorder handle. The data plane only touches its local
+    /// counters ([`ThreadRecorder::count_batch`]); one `DataFlush` event
+    /// per interval reaches the shared sink. Dropped (flushing
+    /// stragglers) when the worker exits — including injected kills, so
+    /// a dead worker's partial interval is still accounted.
+    recorder: ThreadRecorder,
+    emitter: BatchEmitter,
+    /// Drained buffers awaiting a grouped pool return.
+    returns: Vec<Vec<Tuple>>,
+    /// The open interval's statistics.
+    stats: IntervalStats,
+    /// Interval-scoped latency: recorded per tuple, shipped with each
+    /// stats report (the controller merges workers into the interval's
+    /// mean/p99 observation), folded into the lifetime histogram at every
+    /// boundary so totals never double-count.
+    iv_latency: Box<Histogram>,
+    totals: WorkerTotals,
+    current_interval: u64,
+    /// Fault-injection ordinals.
+    migrate_outs_seen: usize,
+    installs_seen: usize,
+    /// The install-dedupe epoch: makes `StateInstall` idempotent under
+    /// controller retries — a resent install for the epoch already
+    /// applied re-acks without re-merging (which would double the
+    /// counts).
+    last_installed_epoch: Option<u64>,
+}
+
+impl Worker {
+    /// A worker on slot `id` that joins at `start_interval` (0 for
+    /// initial workers; the current interval for scale-out spawns, so
+    /// window eviction does not misfire on its early state).
+    pub(crate) fn new(
+        mut wiring: WorkerWiring,
+        id: TaskId,
+        rx: Receiver<Message>,
+        op: Box<dyn Operator>,
+        start_interval: u64,
+    ) -> Self {
+        Worker {
+            id,
+            rx,
+            op,
+            faulty: !wiring.injector.is_passive(),
+            recorder: wiring.sink.recorder(ThreadLabel::Worker(id.index() as u32)),
+            emitter: BatchEmitter::new(wiring.collector.take(), wiring.emit_batch),
+            wiring,
+            returns: Vec::with_capacity(RETURN_GROUP),
+            stats: IntervalStats::new(),
+            iv_latency: Box::default(),
+            totals: WorkerTotals::default(),
+            current_interval: start_interval,
+            migrate_outs_seen: 0,
+            installs_seen: 0,
+            last_installed_epoch: None,
         }
     }
-    // Channel closed without Shutdown (engine dropped): exit quietly.
+
+    /// Runs the worker until `Retire`, `Shutdown` or an injected death.
+    pub(crate) fn run(mut self) {
+        while let Ok(msg) = self.rx.recv() {
+            let step = match msg {
+                Message::TupleBatch(batch) => self.on_batch(batch),
+                Message::StatsRequest { interval } => self.on_stats_request(interval),
+                Message::StatsPeek { interval } => self.on_stats_peek(interval),
+                Message::MigrateOut { epoch, moves } => self.on_migrate_out(epoch, moves),
+                Message::StateInstall { epoch, states } => self.on_install(epoch, states),
+                Message::Retire { epoch } => Step::Break(End::Retired { epoch }),
+                Message::Shutdown => Step::Break(End::Drained),
+            };
+            if let Step::Break(end) = step {
+                return self.exit(end);
+            }
+        }
+        // Channel closed without Shutdown (engine dropped): exit quietly.
+    }
+
+    fn on_batch(&mut self, mut batch: Vec<Tuple>) -> Step {
+        let n = batch.len() as u64;
+        // Batch-local stats accumulation by key runs: consecutive
+        // same-key tuples fold into one interval-map probe. Costs one
+        // compare per tuple on shuffled streams, collapses bursty ones.
+        // (A per-batch scratch hashmap was measured slower here — the
+        // interval map is cache-resident while the scratch doubles the
+        // hashing.)
+        let (spin_work, interval) = (self.wiring.spin_work, self.current_interval);
+        let cost_per = spin_work as u64 + 1;
+        let mut run: Option<(Key, u64, u64)> = None; // key, freq, mem
+        for t in batch.iter() {
+            spin(spin_work);
+            let mem = self.op.process(t, interval, &mut |t| self.emitter.emit(t));
+            match &mut run {
+                Some((k, freq, m)) if *k == t.key => {
+                    *freq += 1;
+                    *m += mem;
+                }
+                other => {
+                    if let Some((k, freq, m)) = other.take() {
+                        self.stats.observe(k, freq, freq * cost_per, m);
+                    }
+                    *other = Some((t.key, 1, mem));
+                }
+            }
+        }
+        if let Some((k, freq, m)) = run {
+            self.stats.observe(k, freq, freq * cost_per, m);
+        }
+        // One monotonic-clock read per batch, taken *after* the drain so
+        // recorded latencies include the batch's own processing (reading
+        // before the drain would systematically under-report late
+        // tuples). Latency is recorded per tuple against its own emission
+        // stamp, in a second cache-hot pass over the stamps.
+        let now_us = self.wiring.epoch.elapsed().as_micros() as u64;
+        for t in batch.iter() {
+            self.iv_latency.record(now_us.saturating_sub(t.emitted_us));
+        }
+        if n > 0 {
+            self.totals.first_interval.get_or_insert(interval);
+        }
+        batch.clear();
+        self.totals.processed += n;
+        self.wiring.processed_counter.add(n);
+        self.recorder.count_batch(n);
+        self.emitter.flush();
+        if let Some(back) = self.emitter.stash(batch) {
+            // Already drained: queue the capacity for a grouped return to
+            // the source. A failed send means the source is gone (engine
+            // teardown) — buffers drop.
+            self.returns.push(back);
+            if self.returns.len() >= RETURN_GROUP {
+                let _ = self.wiring.pool.send(std::mem::take(&mut self.returns));
+            }
+        }
+        Step::Continue(())
+    }
+
+    /// Interval boundary: report the closed interval's statistics and
+    /// latency, roll the recorder's counters, advance the window.
+    fn on_stats_request(&mut self, interval: u64) -> Step {
+        if self.faulty {
+            let injector = &self.wiring.injector;
+            if injector.should_kill_at_interval(self.id.index(), interval) {
+                return Step::Break(End::Killed(Vec::new()));
+            }
+            if let Some(ms) = injector.stall_at_interval(self.id.index(), interval) {
+                // Slow-but-alive: FIFO order (and therefore state) is
+                // preserved, only time passes.
+                std::thread::sleep(std::time::Duration::from_millis(ms));
+            }
+        }
+        self.flush();
+        // The next interval reports about as many keys: size its map once
+        // instead of regrowing it from empty.
+        let next = IntervalStats::with_capacity(self.stats.len());
+        let out = std::mem::replace(&mut self.stats, next);
+        // Fold the interval's latency into the lifetime total, then ship
+        // the interval histogram with the report.
+        self.totals.latency.merge(&self.iv_latency);
+        let out_latency = std::mem::take(&mut self.iv_latency);
+        if !(self.faulty && self.wiring.injector.should_drop(CtlKind::Stats)) {
+            let _ = self.wiring.events.send(WorkerEvent::Stats {
+                worker: self.id,
+                interval,
+                stats: out,
+                latency: out_latency,
+            });
+        }
+        self.current_interval = interval + 1;
+        // Interval boundary: the flight recorder rolls its
+        // batch-granularity counters into one DataFlush event. The counts
+        // are deterministic — FIFO guarantees every tuple the source fed
+        // for this interval was processed before this marker arrived.
+        self.recorder.close_interval(interval);
+        // Keep the last `window` intervals: evict everything strictly
+        // older than (closed_interval + 1 − w).
+        let oldest_keep = (interval + 1).saturating_sub(self.wiring.window);
+        self.op.evict_before(oldest_keep);
+        Step::Continue(())
+    }
+
+    /// A copy, and nothing else: the closing report, the operator's
+    /// window and the flight recorder's interval roll-up must not be able
+    /// to tell this request came.
+    fn on_stats_peek(&self, interval: u64) -> Step {
+        let _ = self.wiring.events.send(WorkerEvent::StatsPeek {
+            worker: self.id,
+            interval,
+            stats: self.stats.clone(),
+        });
+        Step::Continue(())
+    }
+
+    /// Step 5a: extract and ship the requested keys' state.
+    fn on_migrate_out(&mut self, epoch: u64, moves: Vec<(Key, TaskId)>) -> Step {
+        self.migrate_outs_seen += 1;
+        if self.faulty
+            && self
+                .wiring
+                .injector
+                .should_kill_on_migrate_out(self.id.index(), self.migrate_outs_seen)
+        {
+            // Crash mid-migration, before extracting: the requested moves
+            // die with the rest of the state.
+            return Step::Break(End::Killed(Vec::new()));
+        }
+        let states = moves
+            .into_iter()
+            .map(|(key, to)| (key, to, self.op.extract(key).unwrap_or_default()))
+            .collect();
+        let _ = self.wiring.events.send(WorkerEvent::StateOut {
+            worker: self.id,
+            epoch,
+            states,
+        });
+        Step::Continue(())
+    }
+
+    /// Step 5b: merge arriving state (once per epoch) and acknowledge.
+    fn on_install(&mut self, epoch: u64, states: Vec<(Key, Bytes)>) -> Step {
+        self.installs_seen += 1;
+        if self.faulty
+            && self
+                .wiring
+                .injector
+                .should_kill_on_install(self.id.index(), self.installs_seen)
+        {
+            // Crash inside the install path: nothing is merged, so the
+            // incoming blobs are lost too — count them.
+            let blobs = states
+                .iter()
+                .map(|(k, b)| (*k, self.op.tuples_in_blob(b)))
+                .collect();
+            return Step::Break(End::Killed(blobs));
+        }
+        if self.last_installed_epoch != Some(epoch) {
+            for (key, blob) in states {
+                if !blob.is_empty() {
+                    self.op.install(key, blob);
+                }
+            }
+            self.last_installed_epoch = Some(epoch);
+        }
+        if !(self.faulty && self.wiring.injector.should_drop(CtlKind::InstallAck)) {
+            let _ = self.wiring.events.send(WorkerEvent::InstallAck {
+                worker: self.id,
+                epoch,
+            });
+        }
+        Step::Continue(())
+    }
+
+    /// Pushes the operator's pending emissions and the emitter's buffer
+    /// downstream.
+    fn flush(&mut self) {
+        self.op.flush(&mut |t| self.emitter.emit(t));
+        self.emitter.flush();
+    }
+
+    /// `Retire` and `Shutdown`'s tail. FIFO already delivered every batch
+    /// sent before the marker, so the backlog is fully processed: flush,
+    /// return the pooled buffers, and drain *all* remaining state
+    /// (windowed state outlives the statistics that created it).
+    fn drain(&mut self) -> Vec<(Key, Bytes)> {
+        self.flush();
+        if !self.returns.is_empty() {
+            let _ = self.wiring.pool.send(std::mem::take(&mut self.returns));
+        }
+        self.op.drain()
+    }
+
+    /// The worker's one way out: builds its exit event from its own
+    /// fields and sends it. A death flushes nothing — everything it held
+    /// is counted lost: the operator's unobserved per-key counts, the
+    /// emitter's buffered partials, and the death site's `extra`.
+    fn exit(mut self, end: End) {
+        let exit = match end {
+            End::Killed(extra) => {
+                let mut lost: FxHashMap<Key, u64> = FxHashMap::default();
+                for (k, c) in self
+                    .op
+                    .held_counts()
+                    .into_iter()
+                    .chain(self.emitter.buffered_counts())
+                    .chain(extra)
+                {
+                    *lost.entry(k).or_insert(0) += c;
+                }
+                let mut lost: Vec<(Key, u64)> = lost.into_iter().collect();
+                lost.sort_unstable_by_key(|&(k, _)| k);
+                WorkerExit::Killed {
+                    lost,
+                    stats: std::mem::take(&mut self.stats),
+                    rx: self.rx,
+                }
+            }
+            // The receiver goes back too, so the slot's channel stays
+            // connected for a later re-provision.
+            End::Retired { epoch } => WorkerExit::Retired {
+                epoch,
+                states: self.drain(),
+                stats: std::mem::take(&mut self.stats),
+                rx: self.rx,
+            },
+            End::Drained => WorkerExit::Drained {
+                final_states: self.drain(),
+            },
+        };
+        self.totals.latency.merge(&self.iv_latency);
+        let _ = self.wiring.events.send(WorkerEvent::Exited {
+            worker: self.id,
+            totals: self.totals,
+            exit,
+        });
+    }
 }
 
 #[cfg(test)]
@@ -474,7 +494,7 @@ mod tests {
     use crate::operator::WordCountOp;
     use crossbeam::channel::unbounded;
     use streambal_core::Key;
-    use streambal_trace::{EventKind, ThreadLabel, TraceSink};
+    use streambal_trace::EventKind;
 
     /// Handles to a spawned test worker: input, events, pool returns,
     /// join handle.
@@ -485,31 +505,42 @@ mod tests {
         std::thread::JoinHandle<()>,
     );
 
+    /// Wiring for one test worker, with its event and pool receivers.
+    fn wiring(
+        window: u64,
+        plan: FaultPlan,
+        sink: &Arc<TraceSink>,
+    ) -> (
+        WorkerWiring,
+        Receiver<WorkerEvent>,
+        Receiver<Vec<Vec<Tuple>>>,
+    ) {
+        let (etx, erx) = unbounded();
+        let (pool_tx, pool_rx) = unbounded();
+        let wiring = WorkerWiring {
+            events: etx,
+            collector: None,
+            spin_work: 4,
+            window,
+            processed_counter: Arc::new(Counter::new()),
+            epoch: Instant::now(),
+            pool: pool_tx,
+            emit_batch: 8,
+            injector: Arc::new(FaultInjector::new(plan)),
+            sink: Arc::clone(sink),
+        };
+        (wiring, erx, pool_rx)
+    }
+
     fn spawn_worker(window: u64) -> WorkerHandles {
         spawn_worker_with(window, FaultPlan::none(), &TraceSink::disabled())
     }
 
     fn spawn_worker_with(window: u64, plan: FaultPlan, sink: &Arc<TraceSink>) -> WorkerHandles {
         let (tx, rx) = unbounded();
-        let (etx, erx) = unbounded();
-        let (pool_tx, pool_rx) = unbounded();
-        let ctx = WorkerCtx {
-            id: TaskId(0),
-            rx,
-            events: etx,
-            collector: None,
-            op: Box::new(WordCountOp::new()),
-            spin_work: 4,
-            window,
-            processed_counter: Arc::new(Counter::new()),
-            epoch: Instant::now(),
-            start_interval: 0,
-            pool: pool_tx,
-            emit_batch: 8,
-            injector: Arc::new(FaultInjector::new(plan)),
-            recorder: sink.recorder(ThreadLabel::Worker(0)),
-        };
-        let h = std::thread::spawn(move || run_worker(ctx));
+        let (wiring, erx, pool_rx) = wiring(window, plan, sink);
+        let worker = Worker::new(wiring, TaskId(0), rx, Box::new(WordCountOp::new()), 0);
+        let h = std::thread::spawn(move || worker.run());
         (tx, erx, pool_rx, h)
     }
 
@@ -551,17 +582,19 @@ mod tests {
         }
         tx.send(Message::Shutdown).unwrap();
         match erx.recv().unwrap() {
-            WorkerEvent::Drained {
-                processed,
-                final_states,
-                latency,
-                first_interval,
+            WorkerEvent::Exited {
+                totals,
+                exit: WorkerExit::Drained { final_states },
                 ..
             } => {
-                assert_eq!(processed, 10);
+                assert_eq!(totals.processed, 10);
                 assert_eq!(final_states.len(), 1);
-                assert_eq!(latency.count(), 10, "lifetime total survives shipping");
-                assert_eq!(first_interval, Some(0));
+                assert_eq!(
+                    totals.latency.count(),
+                    10,
+                    "lifetime total survives shipping"
+                );
+                assert_eq!(totals.first_interval, Some(0));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -586,11 +619,13 @@ mod tests {
         }
         tx.send(Message::Shutdown).unwrap();
         match erx.recv().unwrap() {
-            WorkerEvent::Drained {
-                processed, latency, ..
+            WorkerEvent::Exited {
+                totals,
+                exit: WorkerExit::Drained { .. },
+                ..
             } => {
-                assert_eq!(processed, 1);
-                assert_eq!(latency.count(), 1);
+                assert_eq!(totals.processed, 1);
+                assert_eq!(totals.latency.count(), 1);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -665,9 +700,9 @@ mod tests {
                         seen.sort_unstable();
                         rest.push(format!("stats {interval} {seen:?} {}", latency.count()));
                     }
-                    WorkerEvent::Drained {
-                        final_states,
-                        processed,
+                    WorkerEvent::Exited {
+                        totals,
+                        exit: WorkerExit::Drained { final_states },
                         ..
                     } => {
                         let mut held: Vec<(u64, Vec<(u64, u64)>)> = final_states
@@ -675,7 +710,7 @@ mod tests {
                             .map(|(k, blob)| (k.raw(), WordCountOp::decode(blob)))
                             .collect();
                         held.sort_unstable();
-                        rest.push(format!("drained {processed} {held:?}"));
+                        rest.push(format!("drained {} {held:?}", totals.processed));
                     }
                     other => panic!("unexpected {other:?}"),
                 }
@@ -735,11 +770,13 @@ mod tests {
         }
         tx.send(Message::Shutdown).unwrap();
         match erx.recv().unwrap() {
-            WorkerEvent::Drained {
-                processed, latency, ..
+            WorkerEvent::Exited {
+                totals,
+                exit: WorkerExit::Drained { .. },
+                ..
             } => {
-                assert_eq!(processed, 10);
-                assert_eq!(latency.count(), 10, "latency recorded per tuple");
+                assert_eq!(totals.processed, 10);
+                assert_eq!(totals.latency.count(), 10, "latency recorded per tuple");
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -757,26 +794,17 @@ mod tests {
     #[test]
     fn collector_emissions_are_batched() {
         let (tx, rx) = unbounded();
-        let (etx, erx) = unbounded();
-        let (pool_tx, _pool_rx) = unbounded();
         let (col_tx, col_rx) = unbounded();
-        let ctx = WorkerCtx {
-            id: TaskId(0),
-            rx,
-            events: etx,
+        let (wiring, erx, _pool_rx) = wiring(5, FaultPlan::none(), &TraceSink::disabled());
+        let wiring = WorkerWiring {
             collector: Some(col_tx),
-            op: Box::new(WordCountOp::with_partial_emission(3)),
             spin_work: 1,
-            window: 5,
-            processed_counter: Arc::new(Counter::new()),
-            epoch: Instant::now(),
-            start_interval: 0,
-            pool: pool_tx,
             emit_batch: 4,
-            injector: Arc::new(FaultInjector::new(FaultPlan::none())),
-            recorder: TraceSink::disabled().recorder(ThreadLabel::Worker(0)),
+            ..wiring
         };
-        let h = std::thread::spawn(move || run_worker(ctx));
+        let op = Box::new(WordCountOp::with_partial_emission(3));
+        let worker = Worker::new(wiring, TaskId(0), rx, op, 0);
+        let h = std::thread::spawn(move || worker.run());
         let batch: Vec<Tuple> = (0..9).map(|_| Tuple::keyed(Key(7))).collect();
         tx.send(Message::TupleBatch(batch)).unwrap();
         tx.send(Message::Shutdown).unwrap();
@@ -826,7 +854,10 @@ mod tests {
         // B now owns the counts: drain and decode.
         tx_b.send(Message::Shutdown).unwrap();
         match erx_b.recv().unwrap() {
-            WorkerEvent::Drained { final_states, .. } => {
+            WorkerEvent::Exited {
+                exit: WorkerExit::Drained { final_states },
+                ..
+            } => {
                 assert_eq!(final_states.len(), 1);
                 let (k, blob) = &final_states[0];
                 assert_eq!(*k, Key(9));
@@ -852,17 +883,17 @@ mod tests {
         tx.send(one(2)).unwrap();
         tx.send(Message::Retire { epoch: 9 }).unwrap();
         match erx.recv().unwrap() {
-            WorkerEvent::Retired {
-                epoch,
-                states,
-                processed,
-                latency,
-                rx,
+            WorkerEvent::Exited {
+                totals,
+                exit:
+                    WorkerExit::Retired {
+                        epoch, states, rx, ..
+                    },
                 ..
             } => {
                 assert_eq!(epoch, 9);
-                assert_eq!(processed, 4, "backlog processed before retiring");
-                assert_eq!(latency.count(), 4);
+                assert_eq!(totals.processed, 4, "backlog processed before retiring");
+                assert_eq!(totals.latency.count(), 4);
                 let keys: Vec<u64> = states.iter().map(|(k, _)| k.raw()).collect();
                 assert_eq!(keys, vec![1, 2], "all state handed back");
                 // The channel stayed connected: a respawn on the same
@@ -886,7 +917,10 @@ mod tests {
         let _ = erx.recv();
         tx.send(Message::Shutdown).unwrap();
         match erx.recv().unwrap() {
-            WorkerEvent::Drained { final_states, .. } => {
+            WorkerEvent::Exited {
+                exit: WorkerExit::Drained { final_states },
+                ..
+            } => {
                 assert!(final_states.is_empty(), "state must be evicted");
             }
             other => panic!("unexpected {other:?}"),
@@ -894,43 +928,83 @@ mod tests {
         h.join().unwrap();
     }
 
-    /// An injected interval kill must exit with a `Killed` event whose
+    /// A word-count state blob holding `n` tuples of `key`.
+    fn blob_of(key: u64, n: usize) -> bytes::Bytes {
+        let mut op = WordCountOp::new();
+        let mut sink = |_| {};
+        for _ in 0..n {
+            op.process(&Tuple::keyed(Key(key)), 0, &mut sink);
+        }
+        op.extract(Key(key)).unwrap()
+    }
+
+    /// Every injected kill point must exit with a `Killed` event whose
     /// per-key lost counts equal the tuples whose contribution never
-    /// became observable, and hand the receiver back for draining.
+    /// became observable, and hand the receiver back for draining. The
+    /// `MigrateOut` kill fires before extracting, so the requested key
+    /// dies with the rest of the state; the install kill fires before
+    /// merging, so the incoming blobs' tuples are lost too.
     #[test]
     fn injected_kill_accounts_held_state() {
-        let plan = FaultPlan::new(vec![FaultSpec::KillWorker {
-            worker: 0,
-            at_interval: 1,
-        }]);
-        let (tx, erx, _pool, h) = spawn_worker_with(100, plan, &TraceSink::disabled());
-        tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(4)); 6]))
-            .unwrap();
-        tx.send(Message::StatsRequest { interval: 0 }).unwrap();
-        let _ = erx.recv(); // interval 0 stats, no kill yet
-        tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(9)); 2]))
-            .unwrap();
-        tx.send(Message::StatsRequest { interval: 1 }).unwrap();
-        match erx.recv().unwrap() {
-            WorkerEvent::Killed {
-                lost,
-                processed,
-                stats,
-                rx,
-                ..
-            } => {
-                assert_eq!(processed, 8);
-                assert_eq!(lost, vec![(Key(4), 6), (Key(9), 2)]);
-                // Unreported interval-1 residue rides the event.
-                assert_eq!(stats.get(Key(9)).unwrap().freq, 2);
-                // The receiver is handed back so in-flight messages can
-                // be drained for accounting.
-                tx.send(one(1)).unwrap();
-                assert!(matches!(rx.recv().unwrap(), Message::TupleBatch(_)));
+        let cases = [
+            (
+                FaultSpec::KillWorker {
+                    worker: 0,
+                    at_interval: 1,
+                },
+                Message::StatsRequest { interval: 1 },
+                vec![(Key(4), 6), (Key(9), 2)],
+            ),
+            (
+                FaultSpec::KillOnMigrateOut { worker: 0, nth: 1 },
+                Message::MigrateOut {
+                    epoch: 1,
+                    moves: vec![(Key(4), TaskId(1))],
+                },
+                vec![(Key(4), 6), (Key(9), 2)],
+            ),
+            (
+                FaultSpec::KillOnInstall { worker: 0, nth: 1 },
+                Message::StateInstall {
+                    epoch: 1,
+                    states: vec![(Key(7), blob_of(7, 3)), (Key(4), blob_of(4, 5))],
+                },
+                vec![(Key(4), 11), (Key(7), 3), (Key(9), 2)],
+            ),
+        ];
+        for (spec, trigger, expect_lost) in cases {
+            let label = format!("{spec:?}");
+            let plan = FaultPlan::new(vec![spec]);
+            let (tx, erx, _pool, h) = spawn_worker_with(100, plan, &TraceSink::disabled());
+            tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(4)); 6]))
+                .unwrap();
+            tx.send(Message::StatsRequest { interval: 0 }).unwrap();
+            let _ = erx.recv(); // interval 0 stats, no kill yet
+            tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(9)); 2]))
+                .unwrap();
+            tx.send(trigger).unwrap();
+            match erx.recv().unwrap() {
+                WorkerEvent::Exited {
+                    totals,
+                    exit: WorkerExit::Killed { lost, stats, rx },
+                    ..
+                } => {
+                    assert_eq!(totals.processed, 8, "{label}");
+                    assert_eq!(lost, expect_lost, "{label}");
+                    // Unreported interval-1 residue rides the event.
+                    assert_eq!(stats.get(Key(9)).unwrap().freq, 2, "{label}");
+                    // The receiver is handed back so in-flight messages
+                    // can be drained for accounting.
+                    tx.send(one(1)).unwrap();
+                    assert!(
+                        matches!(rx.recv().unwrap(), Message::TupleBatch(_)),
+                        "{label}"
+                    );
+                }
+                other => panic!("{label}: unexpected {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
+            h.join().unwrap();
         }
-        h.join().unwrap();
     }
 
     /// A resent `StateInstall` for the already-applied epoch re-acks
@@ -938,14 +1012,7 @@ mod tests {
     #[test]
     fn duplicate_install_epoch_is_deduped() {
         let (tx, erx, _pool, h) = spawn_worker(100);
-        let blob = {
-            let mut op = WordCountOp::new();
-            let mut sink = |_| {};
-            for _ in 0..3 {
-                op.process(&Tuple::keyed(Key(2)), 0, &mut sink);
-            }
-            op.extract(Key(2)).unwrap()
-        };
+        let blob = blob_of(2, 3);
         for _ in 0..2 {
             tx.send(Message::StateInstall {
                 epoch: 7,
@@ -959,7 +1026,10 @@ mod tests {
         }
         tx.send(Message::Shutdown).unwrap();
         match erx.recv().unwrap() {
-            WorkerEvent::Drained { final_states, .. } => {
+            WorkerEvent::Exited {
+                exit: WorkerExit::Drained { final_states },
+                ..
+            } => {
                 let total: u64 = WordCountOp::decode(&final_states[0].1)
                     .iter()
                     .map(|&(_, c)| c)
