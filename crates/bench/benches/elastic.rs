@@ -390,12 +390,10 @@ fn main() {
             "peak_ratio_threshold_vs_static8",
             Json::higher(Json::Num(peak_ratio)),
         ),
-        // Declared as the retired direction table inferred it (`_ratio`
-        // counted up), though fewer worker-seconds is the win: PR 25 kept
-        // every old verdict, and flipping this one is its own change.
+        // Elastic over static worker-seconds: fewer is the win.
         (
             "worker_seconds_ratio_threshold_vs_static8",
-            Json::higher(Json::Num(ws_ratio)),
+            Json::lower(Json::Num(ws_ratio)),
         ),
         // The cold scale-out lag: the scaled-out worker's first tuple
         // lands in the decision interval.

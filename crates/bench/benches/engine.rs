@@ -1,8 +1,9 @@
 //! End-to-end engine throughput of the batched data plane
 //! (`Message::TupleBatch`, pooled buffers, one channel op /
-//! `Counter::add(n)` / clock read per batch).
+//! `Counter::add(n)` / clock read per batch), and the keyed stage's own
+//! ceiling.
 //!
-//! Three measurement groups, all on a hash-routed Zipf word count (no
+//! The three engine groups run a hash-routed Zipf word count (no
 //! rebalances, so the data plane — not the scheduler — is what moves),
 //! at Tab. II skew (`z = 0.85`) through `EngineConfig::default()`
 //! (4 workers, batch 256, spin 500) unless the group varies it:
@@ -17,24 +18,54 @@
 //!    *aborts* below 0.97, so a hot-path recording regression fails CI.
 //!
 //! Each configuration runs `REPS` times over an identical pre-generated
-//! tuple sequence; the mean and best (max) throughput are reported. The
-//! results are printed and written to `bench_results/engine.json`
+//! tuple sequence; the mean and best (max) throughput are reported.
+//!
+//! 4. **keyed-stage ceiling** (thread-free, run first) — `WordCountOp`
+//!    alone: `process` over a Zipf(0.85) interval on `K ∈ {2·10⁴,
+//!    2·10⁵}` keys (its expected counts, rounded: ≈ 0.85·K tuples, and
+//!    the same keys every interval), replayed for `STATE_INTERVALS`
+//!    intervals with `evict_before` at every boundary as a worker does
+//!    (`w = 5`). It reports ns per tuple (eviction included) and the
+//!    live heap bytes per live key at the end of the last interval — the
+//!    fullest the window gets, `w` closed intervals plus the open one —
+//!    counted by this binary's counting global allocator. The byte count
+//!    is exact and repeats run to run, so the run *aborts* when it
+//!    exceeds `STATE_BYTES_PER_KEY_GUARD` at `K = 2·10⁵`: CI's smoke
+//!    guards the keyed state's footprint.
+//!
+//! The results are printed and written to `bench_results/engine.json`
 //! (hand-rolled writer, no serde) so future PRs can diff the trajectory.
 //! `--test` (as passed by the CI smoke step via `cargo bench --bench
-//! engine -- --test`) shrinks the workload and writes to
+//! engine -- --test`) shrinks the engine workload and the repetitions
+//! (not the keyed-stage shapes, which the guard needs) and writes to
 //! `bench_results/engine.smoke.json` instead, so noisy smoke numbers can
 //! never clobber the committed full-run file.
 
+use std::hint::black_box;
+use std::time::Instant;
+
 use streambal_baselines::storm;
+use streambal_bench::alloc::{live_bytes, CountingAlloc};
 use streambal_bench::json::{write_json, Json};
 use streambal_core::Key;
-use streambal_runtime::{Engine, EngineConfig, Tuple, WordCountOp};
+use streambal_runtime::{Engine, EngineConfig, Operator, Tuple, WordCountOp};
 use streambal_workloads::FluctuatingWorkload;
 
 /// Tab. II defaults (quick scale): key-domain size and skew.
 const KEY_DOMAIN: usize = 20_000;
 const ZIPF_Z: f64 = 0.85;
 const SEED: u64 = 42;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Keyed-stage group: key domains, window, and intervals per pass.
+const STATE_DOMAINS: [usize; 2] = [20_000, 200_000];
+const STATE_WINDOW: u64 = 5;
+const STATE_INTERVALS: u64 = 10;
+/// Most live heap bytes per live key `WordCountOp` may hold at
+/// `K = 2·10⁵`: 105.0 measured, plus under 10 %.
+const STATE_BYTES_PER_KEY_GUARD: f64 = 115.0;
 
 /// One measured configuration.
 #[derive(Clone, Copy)]
@@ -83,6 +114,90 @@ fn make_intervals(tuples: u64, n_intervals: usize) -> Vec<Vec<Key>> {
     (0..n_intervals).map(|_| w.tuples()).collect()
 }
 
+/// One keyed-stage pass.
+struct StatePass {
+    ns_per_tuple: f64,
+    live_keys: usize,
+    bytes_per_live_key: f64,
+}
+
+/// Feeds `keys` as each of `STATE_INTERVALS` intervals into a fresh
+/// `WordCountOp`, evicting at every boundary as a worker does, and reads
+/// the heap it holds once the last interval is in.
+fn state_pass(keys: &[Key]) -> StatePass {
+    let before = live_bytes();
+    let mut op = WordCountOp::new();
+    let mut added = 0u64;
+    let start = Instant::now();
+    for iv in 0..STATE_INTERVALS {
+        if iv > 0 {
+            // Closing interval `iv − 1` keeps the last `w` closed ones.
+            op.evict_before(iv.saturating_sub(STATE_WINDOW));
+        }
+        for &k in keys {
+            added += op.process(&Tuple::keyed(k), iv, &mut |_| {});
+        }
+    }
+    let elapsed = start.elapsed().as_secs_f64();
+    let held = live_bytes() - before;
+    black_box(added);
+    let live_keys = op.held_counts().len();
+    StatePass {
+        ns_per_tuple: elapsed * 1e9 / (STATE_INTERVALS as f64 * keys.len() as f64),
+        live_keys,
+        bytes_per_live_key: held as f64 / live_keys.max(1) as f64,
+    }
+}
+
+/// The keyed-stage group's rows; aborts past the footprint guard.
+fn state_rows(reps: usize) -> Vec<Json> {
+    println!(
+        "keyed stage: WordCountOp::process, z={ZIPF_Z}, w={STATE_WINDOW}, \
+         {STATE_INTERVALS} intervals, {reps} reps"
+    );
+    let mut rows = Vec::new();
+    for k in STATE_DOMAINS {
+        let keys = FluctuatingWorkload::new(k, ZIPF_Z, k as u64, 0.0, SEED).tuples();
+        let passes: Vec<StatePass> = (0..reps).map(|_| state_pass(&keys)).collect();
+        let first = &passes[0];
+        assert!(
+            passes
+                .iter()
+                .all(|p| p.bytes_per_live_key == first.bytes_per_live_key),
+            "heap held per key must repeat exactly"
+        );
+        let mut ns: Vec<f64> = passes.iter().map(|p| p.ns_per_tuple).collect();
+        ns.sort_by(f64::total_cmp);
+        let median_ns = ns[ns.len() / 2];
+        println!(
+            "  K={k:<7} {:>7.1} ns/tuple   {:>6.1} B/live key ({} live keys)",
+            median_ns, first.bytes_per_live_key, first.live_keys
+        );
+        if k == 200_000 {
+            assert!(
+                first.bytes_per_live_key <= STATE_BYTES_PER_KEY_GUARD,
+                "WordCountOp holds {:.1} B per live key at K = {k}, over the \
+                 {STATE_BYTES_PER_KEY_GUARD} B guard",
+                first.bytes_per_live_key
+            );
+        }
+        rows.push(Json::obj([
+            ("id", Json::str(format!("wordcount/k{k}/w{STATE_WINDOW}"))),
+            ("key_domain", Json::Int(k as u64)),
+            ("tuples_per_interval", Json::Int(keys.len() as u64)),
+            ("intervals", Json::Int(STATE_INTERVALS)),
+            ("live_keys", Json::Int(first.live_keys as u64)),
+            ("process_ns_per_tuple", Json::lower(Json::Num(median_ns))),
+            (
+                "bytes_per_live_key",
+                Json::lower(Json::Num(first.bytes_per_live_key)),
+            ),
+            ("reps", Json::Int(reps as u64)),
+        ]));
+    }
+    rows
+}
+
 fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len().max(1) as f64
 }
@@ -95,11 +210,13 @@ fn main() {
     // `cargo bench --bench engine -- --test` (the CI smoke step) passes
     // `--test`; shrink the workload but keep the JSON emission.
     let smoke = std::env::args().any(|a| a == "--test");
-    let (tuples, n_intervals, reps) = if smoke {
-        (5_000, 2, 1)
+    let (tuples, n_intervals, reps, state_reps) = if smoke {
+        (5_000, 2, 1, 1)
     } else {
-        (120_000, 4, 4)
+        (120_000, 4, 4, 5)
     };
+    // First, while this is the only thread allocating.
+    let state = state_rows(state_reps);
     let intervals = make_intervals(tuples, n_intervals);
     let default_workers = EngineConfig::default().n_workers;
 
@@ -190,6 +307,7 @@ fn main() {
         ("default_workers", Json::Int(default_workers as u64)),
         ("smoke", Json::Bool(smoke)),
         ("results", Json::Arr(rows)),
+        ("state", Json::Arr(state)),
         // Flight-recorder cost at the default shape (on/off, best-of-5);
         // the run aborts above if this drops below 0.97.
         (

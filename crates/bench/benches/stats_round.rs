@@ -26,11 +26,10 @@
 //! Results land in `bench_results/stats_round.json`; `--test` runs one
 //! small `K` for one measured round and writes `stats_round.smoke.json`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use streambal_baselines::{readj, CoreBalancer, ReadjConfig};
+use streambal_bench::alloc::{live_bytes, CountingAlloc};
 use streambal_bench::json::{write_json, Json};
 use streambal_core::{
     AssignmentFn, BalanceParams, IntervalStats, Key, Partitioner, RebalanceStrategy,
@@ -44,44 +43,6 @@ const THETA_MAX: f64 = 0.08;
 /// trigger evaluated, and that is all.
 const NEVER: f64 = 1e9;
 const HEAVY_KEYS: u64 = 8;
-
-/// Heap bytes currently allocated by this process.
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a statistic on the side.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: the trait's contract for `alloc`, taken over as is.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's `layout` obligations pass straight through.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        }
-        p
-    }
-
-    // SAFETY: the trait's contract for `dealloc`, taken over as is.
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: `p` was returned by `alloc`/`realloc` above, i.e. by
-        // `System`, with this `layout`.
-        unsafe { System.dealloc(p, layout) }
-    }
-
-    // SAFETY: the trait's contract for `realloc`, taken over as is.
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
-        let q = unsafe { System.realloc(p, layout, new_size) };
-        if !q.is_null() {
-            LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
-            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-        }
-        q
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -148,7 +109,7 @@ struct Timed {
 /// Fills the window, then times `rounds` further `end_interval` calls.
 fn time_rounds(name: &str, k: u64, theta_max: f64, rounds: u64) -> Timed {
     let hash = AssignmentFn::hash_only(N_TASKS);
-    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let before = live_bytes();
     let mut p = partitioner(name, k, theta_max);
     let mut ms = Vec::new();
     let mut fired = 0;
@@ -161,7 +122,7 @@ fn time_rounds(name: &str, k: u64, theta_max: f64, rounds: u64) -> Timed {
             fired += usize::from(outcome.is_some());
         }
     }
-    let held_bytes = LIVE_BYTES.load(Ordering::Relaxed) - before;
+    let held_bytes = live_bytes() - before;
     ms.sort_by(f64::total_cmp);
     Timed {
         median_ms: ms[ms.len() / 2],

@@ -1,0 +1,58 @@
+//! A counting global allocator: benches that report heap held install it
+//! with
+//!
+//! ```ignore
+//! #[global_allocator]
+//! static ALLOC: streambal_bench::alloc::CountingAlloc = streambal_bench::alloc::CountingAlloc;
+//! ```
+//!
+//! and read [`live_bytes`] before and after building the structure they
+//! measure. The count is of requested sizes (`Layout::size`), so for a
+//! fixed operation sequence it is exact and repeats run to run.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Heap bytes currently allocated by this process.
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// Heap bytes currently allocated through [`CountingAlloc`].
+pub fn live_bytes() -> usize {
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// Forwards to [`System`] and keeps [`live_bytes`] current.
+pub struct CountingAlloc;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a statistic on the side.
+unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: the trait's contract for `alloc`, taken over as is.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` obligations pass straight through.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        p
+    }
+
+    // SAFETY: the trait's contract for `dealloc`, taken over as is.
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `p` was returned by `alloc`/`realloc` above, i.e. by
+        // `System`, with this `layout`.
+        unsafe { System.dealloc(p, layout) }
+    }
+
+    // SAFETY: the trait's contract for `realloc`, taken over as is.
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
+        let q = unsafe { System.realloc(p, layout, new_size) };
+        if !q.is_null() {
+            LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
+        q
+    }
+}

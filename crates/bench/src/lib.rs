@@ -23,6 +23,7 @@
 //! compares two such trees and gates regressions on those declarations;
 //! `tracecat` reads the flight-recorder traces under `traces/`.
 
+pub mod alloc;
 pub mod fig11;
 pub mod figs_runtime;
 pub mod figs_sim;

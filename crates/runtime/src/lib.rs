@@ -41,8 +41,10 @@
 //!   "backpushing effect" of the paper's Fig. 1 — now at batch
 //!   granularity). They run an [`Operator`], keep windowed per-key state,
 //!   and account per-key statistics, draining a whole batch per channel
-//!   operation: one shared-counter `add(n)`, one latency clock read, and
-//!   one batch-local statistics merge per batch.
+//!   operation: one shared-counter `add(n)` and one latency clock read
+//!   per batch, with each run of equal keys folded straight into the
+//!   interval's statistics map (one probe per run; a batch-local scratch
+//!   map measured slower).
 //! * The **controller** implements the paper's rebalance workflow
 //!   (Fig. 5): ① collect per-interval statistics; ② run the partitioner's
 //!   rebalance; ③④ broadcast the plan and pause affected keys at the

@@ -1,11 +1,20 @@
 //! Stateful operators and downstream collectors.
 //!
 //! Operators hold *windowed* per-key state (the last `w` intervals, paper
-//! §II-A): each tuple appends to the current interval's slot, and slots
-//! older than the window are evicted at interval boundaries. State is
-//! serialized to length-prefixed little-endian `u64` sequences for
-//! migration — the byte counts are what the migration-cost metric
-//! measures.
+//! §II-A), evicted at interval boundaries, and serialize a key's state to
+//! little-endian `u64` sequences for migration — the byte counts are what
+//! the migration-cost metric measures. The window has two layouts:
+//!
+//! * [`WordCountOp`] holds one `u64` count per (key, interval), so its
+//!   window is a dense table: one row per live key and one count column
+//!   per retained interval. A tuple is one hash probe and one indexed
+//!   add; eviction pops whole columns. Its docs give the bytes per key
+//!   and the trade-off.
+//! * The joins ([`WindowedSelfJoinOp`], [`CoJoinOp`]) keep per-key
+//!   `Slots`: `(interval, payload)` entries in interval order. A join's
+//!   payload is a list of stored tuples whose length varies by key and
+//!   interval, not a fixed-width counter, so it has no cell to put in a
+//!   column.
 
 use std::collections::VecDeque;
 
@@ -21,8 +30,11 @@ pub trait Operator: Send {
     /// Returns the state bytes this tuple added (the `sᵢ(k)` increment).
     fn process(&mut self, tuple: &Tuple, interval: u64, emit: &mut dyn FnMut(Tuple)) -> u64;
 
-    /// Total state bytes currently held for `key` (the `Sᵢ(k, w)` the
-    /// migration plan will move).
+    /// Total state bytes currently held for `key` — its `Sᵢ(k, w)`.
+    /// Nothing in the engine calls this: the controller's
+    /// `streambal_core::StatsWindow` sums `Sᵢ(k, w)` from the bytes
+    /// [`Operator::process`] returns. It answers tests and wrappers that
+    /// forward it.
     fn state_size(&self, key: Key) -> u64;
 
     /// Removes and serializes all state of `key` (migration step 5).
@@ -97,8 +109,8 @@ impl Collector for SumCollector {
     }
 }
 
-/// Windowed slots shared by the built-in operators: `(interval, payload)`
-/// entries in interval order.
+/// The joins' per-key window: `(interval, payload)` entries in interval
+/// order.
 type Slots<T> = VecDeque<(u64, T)>;
 
 fn evict_slots<T>(state: &mut FxHashMap<Key, Slots<T>>, oldest_keep: u64) {
@@ -114,15 +126,63 @@ fn evict_slots<T>(state: &mut FxHashMap<Key, Slots<T>>, oldest_keep: u64) {
 // Word count
 // ------------------------------------------------------------------
 
+/// Rows `WordCountOp`'s `drain` serializes between handing back the
+/// table's tails.
+const DRAIN_STEP: usize = 4096;
+
+/// A key's row in [`WordCountOp`]'s columns.
+#[derive(Debug)]
+struct Row {
+    key: Key,
+    /// Retained columns holding a non-zero cell for this row; the row is
+    /// freed when eviction takes this to zero.
+    cells: u32,
+}
+
 /// The paper's Social topology: per-word counters with the recent tuples
 /// retained in memory for `w` intervals.
+///
+/// The window is a table: one row per live key (`index` maps a key to
+/// its row) and one dense `u64` count column per retained interval, in
+/// interval order, each as long as the row table.
+///
+/// * A tuple costs one index probe and one indexed add into the newest
+///   column.
+/// * `evict_before` pops whole columns: one sequential scan of each
+///   popped column frees the rows left without a non-zero cell (a freed
+///   row is clean, all zeros, and goes to a free list for the next new
+///   key), and the popped buffer becomes the next interval's column.
+/// * `drain` (shutdown, retire) serializes from the last row up and
+///   hands the table back as it goes, so the blobs reuse its memory: a
+///   draining worker holds about one copy of its state, not the table
+///   and every blob at once.
+/// * A live key costs its index entry, its row (key and non-zero cell
+///   count, 16 B) and one 8-byte cell per retained interval: the engine
+///   bench's keyed-stage group measures 105 B of heap per live key at
+///   `K = 2·10⁵`, `w = 5`, half of a hash entry plus a per-key deque of
+///   `(interval, count)` slots (220 B).
+/// * The trade-off: a cell costs its 8 B whether or not the key occurred
+///   in that interval, so the layout pays off when live keys recur
+///   across the window, as they do on the benchmark's `wide` workload
+///   (≈ 76 k live keys, ≈ 76 k reported every round). A key seen once
+///   holds up to `w + 1` cells until it is evicted, and the table stays
+///   as long as the most keys it has held at once (freed rows are
+///   reused, not returned).
 ///
 /// With `partial_period` set, the operator additionally emits per-key
 /// count *deltas* every that-many processed tuples — the partial/merge
 /// pattern PKG requires (the paper tuned the merge period `p`).
 #[derive(Debug)]
 pub struct WordCountOp {
-    state: FxHashMap<Key, Slots<u64>>,
+    index: FxHashMap<Key, usize>,
+    rows: Vec<Row>,
+    /// Rows whose key left; every cell of a free row is zero.
+    free: Vec<usize>,
+    /// `(interval, counts by row)` in ascending interval order; every
+    /// column is `rows.len()` long.
+    cols: VecDeque<(u64, Vec<u64>)>,
+    /// The last evicted column's buffer, for the next column opened.
+    spare: Vec<u64>,
     bytes_per_tuple: u64,
     partial_period: Option<u64>,
     since_flush: u64,
@@ -133,7 +193,11 @@ impl WordCountOp {
     /// Exact (key-grouped) word count.
     pub fn new() -> Self {
         WordCountOp {
-            state: FxHashMap::default(),
+            index: FxHashMap::default(),
+            rows: Vec::new(),
+            free: Vec::new(),
+            cols: VecDeque::new(),
+            spare: Vec::new(),
             bytes_per_tuple: 8,
             partial_period: None,
             since_flush: 0,
@@ -151,9 +215,76 @@ impl WordCountOp {
 
     /// Current count of a key across the window (tests).
     pub fn count_of(&self, key: Key) -> u64 {
-        self.state
-            .get(&key)
-            .map_or(0, |s| s.iter().map(|&(_, c)| c).sum())
+        self.index.get(&key).map_or(0, |&row| self.row_sum(row))
+    }
+
+    fn row_sum(&self, row: usize) -> u64 {
+        self.cols.iter().map(|(_, col)| col[row]).sum()
+    }
+
+    /// `key`'s row, taking a free one (or growing every column) if the
+    /// key has none.
+    fn row(&mut self, key: Key) -> usize {
+        let WordCountOp {
+            index,
+            rows,
+            free,
+            cols,
+            ..
+        } = self;
+        *index.entry(key).or_insert_with(|| match free.pop() {
+            Some(row) => {
+                rows[row] = Row { key, cells: 0 };
+                row
+            }
+            None => {
+                rows.push(Row { key, cells: 0 });
+                for (_, col) in cols.iter_mut() {
+                    col.push(0);
+                }
+                rows.len() - 1
+            }
+        })
+    }
+
+    /// The position of `interval`'s column, opening it in order if it is
+    /// not retained. Tuples arrive for the newest column; an install may
+    /// bring an older or a newer interval.
+    fn column(&mut self, interval: u64) -> usize {
+        if self.cols.back().is_some_and(|&(iv, _)| iv == interval) {
+            return self.cols.len() - 1;
+        }
+        let at = self.cols.partition_point(|&(iv, _)| iv < interval);
+        if self.cols.get(at).is_none_or(|&(iv, _)| iv != interval) {
+            let mut col = std::mem::take(&mut self.spare);
+            col.resize(self.rows.len(), 0);
+            self.cols.insert(at, (interval, col));
+        }
+        at
+    }
+
+    /// Serializes `row`'s `cells` non-zero cells in interval order,
+    /// zeroing them.
+    fn take_blob(&mut self, row: usize, cells: u32) -> Bytes {
+        let mut buf = BytesMut::with_capacity(cells as usize * 16);
+        for (iv, col) in self.cols.iter_mut() {
+            let c = std::mem::take(&mut col[row]);
+            if c != 0 {
+                buf.put_u64_le(*iv);
+                buf.put_u64_le(c);
+            }
+        }
+        buf.freeze()
+    }
+
+    /// Adds `n > 0` to `row`'s cell for `interval`.
+    fn add(&mut self, row: usize, interval: u64, n: u64) {
+        let col = self.column(interval);
+        let cell = &mut self.cols[col].1[row];
+        if *cell == 0 {
+            self.rows[row].cells += 1;
+        }
+        *cell += n;
     }
 
     fn flush_partials(&mut self, emit: &mut dyn FnMut(Tuple)) {
@@ -183,11 +314,8 @@ impl Default for WordCountOp {
 
 impl Operator for WordCountOp {
     fn process(&mut self, tuple: &Tuple, interval: u64, emit: &mut dyn FnMut(Tuple)) -> u64 {
-        let slots = self.state.entry(tuple.key).or_default();
-        match slots.back_mut() {
-            Some((iv, c)) if *iv == interval => *c += 1,
-            _ => slots.push_back((interval, 1)),
-        }
+        let row = self.row(tuple.key);
+        self.add(row, interval, 1);
         if let Some(period) = self.partial_period {
             *self.dirty.entry(tuple.key).or_insert(0) += 1;
             self.since_flush += 1;
@@ -199,36 +327,54 @@ impl Operator for WordCountOp {
     }
 
     fn state_size(&self, key: Key) -> u64 {
-        self.state.get(&key).map_or(0, |slots| {
-            slots.iter().map(|&(_, c)| c * self.bytes_per_tuple).sum()
-        })
+        self.count_of(key) * self.bytes_per_tuple
     }
 
     fn extract(&mut self, key: Key) -> Option<Bytes> {
-        let slots = self.state.remove(&key)?;
-        let mut buf = BytesMut::with_capacity(slots.len() * 16);
-        for (iv, c) in slots {
-            buf.put_u64_le(iv);
-            buf.put_u64_le(c);
-        }
-        Some(buf.freeze())
+        let row = self.index.remove(&key)?;
+        let blob = self.take_blob(row, self.rows[row].cells);
+        self.rows[row].cells = 0;
+        self.free.push(row);
+        Some(blob)
     }
 
+    /// Merges by interval; a blob with no non-zero count adds nothing.
     fn install(&mut self, key: Key, blob: Bytes) {
-        let slots = self.state.entry(key).or_default();
-        for (iv, c) in Self::decode(&blob) {
-            // Merge by interval; decoded blobs are interval-ordered.
-            if let Some(pos) = slots.iter().position(|&(i, _)| i == iv) {
-                slots[pos].1 += c;
-            } else {
-                let at = slots.partition_point(|&(i, _)| i < iv);
-                slots.insert(at, (iv, c));
-            }
+        let mut slots = Self::decode(&blob);
+        slots.retain(|&(_, c)| c != 0);
+        if slots.is_empty() {
+            return;
+        }
+        let row = self.row(key);
+        for (iv, c) in slots {
+            self.add(row, iv, c);
         }
     }
 
     fn evict_before(&mut self, oldest_keep: u64) {
-        evict_slots(&mut self.state, oldest_keep);
+        let WordCountOp {
+            index,
+            rows,
+            free,
+            cols,
+            spare,
+            ..
+        } = self;
+        let stale = cols.partition_point(|&(iv, _)| iv < oldest_keep);
+        for (_, mut col) in cols.drain(..stale) {
+            for (row, &c) in col.iter().enumerate() {
+                if c != 0 {
+                    let r = &mut rows[row];
+                    r.cells -= 1;
+                    if r.cells == 0 {
+                        index.remove(&r.key);
+                        free.push(row);
+                    }
+                }
+            }
+            col.clear();
+            *spare = col;
+        }
     }
 
     fn flush(&mut self, emit: &mut dyn FnMut(Tuple)) {
@@ -237,12 +383,27 @@ impl Operator for WordCountOp {
         }
     }
 
+    /// The index goes first, then the rows' and columns' tails every
+    /// `DRAIN_STEP` rows, shrunk in place for the next blobs to reuse.
     fn drain(&mut self) -> Vec<(Key, Bytes)> {
-        let keys: Vec<Key> = self.state.keys().copied().collect();
-        let mut out: Vec<(Key, Bytes)> = keys
-            .into_iter()
-            .filter_map(|k| self.extract(k).map(|b| (k, b)))
-            .collect();
+        let mut out = Vec::with_capacity(self.index.len());
+        self.index = FxHashMap::default();
+        self.free = Vec::new();
+        while let Some(row) = self.rows.pop() {
+            let at = self.rows.len();
+            if row.cells != 0 {
+                out.push((row.key, self.take_blob(at, row.cells)));
+            }
+            if at % DRAIN_STEP == 0 {
+                self.rows.shrink_to_fit();
+                for (_, col) in self.cols.iter_mut() {
+                    col.truncate(at);
+                    col.shrink_to_fit();
+                }
+            }
+        }
+        self.cols.clear();
+        self.spare = Vec::new();
         out.sort_unstable_by_key(|&(k, _)| k);
         out
     }
@@ -253,9 +414,9 @@ impl Operator for WordCountOp {
             // un-emitted deltas die with this worker.
             self.dirty.iter().map(|(&k, &d)| (k, d)).collect()
         } else {
-            self.state
+            self.index
                 .iter()
-                .map(|(&k, slots)| (k, slots.iter().map(|&(_, c)| c).sum()))
+                .map(|(&k, &row)| (k, self.row_sum(row)))
                 .collect()
         }
     }

@@ -1,13 +1,14 @@
 //! Property-based tests over the rebalance algorithms' invariants, on
 //! randomized workloads (proptest).
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use proptest::prelude::*;
 use streambal::core::{
     loads_of, outcome_from_assignment, rebalance, AssignmentFn, BalanceParams, IntervalStats, Key,
     KeyRecord, Partitioner, RebalanceInput, RebalanceStrategy, Rebalancer, TaskId,
 };
+use streambal::runtime::{Operator, Tuple, WordCountOp};
 
 /// One step of a randomized controller session against a live
 /// [`Rebalancer`]: a statistics round, or one of the assignment
@@ -143,6 +144,92 @@ fn arb_input() -> impl Strategy<Value = RebalanceInput> {
                 RebalanceInput { n_tasks, records }
             })
     })
+}
+
+/// What one step of a randomized word-count session does to one of two
+/// operators.
+#[derive(Debug, Clone, Copy)]
+enum CountStep {
+    /// `n` tuples of `key` at the operator's interval.
+    Process(u64, u64),
+    /// Close the operator's interval: evict what leaves the window, advance.
+    Boundary,
+    /// `extract` the key, `install` it into the other operator.
+    Move(u64),
+    Flush,
+    Drain,
+}
+
+/// A randomized word-count session: window `w`, partial-emission period
+/// (0 = exact mode), each operator's starting interval, and the steps,
+/// each with the operator it acts on.
+/// The two clocks advance independently, so a moved blob lands at an
+/// older, equal or newer interval than its destination's; twelve keys
+/// make evicted and extracted keys come back.
+fn arb_count_run() -> impl Strategy<Value = (u64, u64, [u64; 2], Vec<(usize, CountStep)>)> {
+    let step = (0usize..23, 0usize..2, 0u64..12, 1u64..4).prop_map(|(d, op, key, n)| {
+        let step = match d {
+            0..=11 => CountStep::Process(key, n),
+            12..=16 => CountStep::Boundary,
+            17..=20 => CountStep::Move(key),
+            21 => CountStep::Flush,
+            _ => CountStep::Drain,
+        };
+        (op, step)
+    });
+    (
+        1u64..6,
+        0u64..5,
+        (0u64..4, 0u64..4),
+        proptest::collection::vec(step, 1..120),
+    )
+        .prop_map(|(w, period, (a, b), steps)| (w, period, [a, b], steps))
+}
+
+/// What a [`WordCountOp`] must agree with: per-(key, interval) counts,
+/// and the partial-emission deltas not yet flushed.
+#[derive(Default)]
+struct CountModel {
+    cells: BTreeMap<(u64, u64), u64>,
+    dirty: BTreeMap<u64, u64>,
+    since_flush: u64,
+}
+
+impl CountModel {
+    /// `key`'s `(interval, count)` slots in interval order.
+    fn slots(&self, key: u64) -> Vec<(u64, u64)> {
+        self.cells
+            .range((key, 0)..=(key, u64::MAX))
+            .map(|(&(_, iv), &c)| (iv, c))
+            .collect()
+    }
+
+    fn count(&self, key: u64) -> u64 {
+        self.slots(key).iter().map(|&(_, c)| c).sum()
+    }
+
+    /// The blob format: `(interval, count)` as little-endian `u64` pairs.
+    fn blob(slots: &[(u64, u64)]) -> Vec<u8> {
+        slots
+            .iter()
+            .flat_map(|&(iv, c)| iv.to_le_bytes().into_iter().chain(c.to_le_bytes()))
+            .collect()
+    }
+
+    /// One tuple; returns the partials a flush at `period` emits, sorted.
+    fn process(&mut self, key: u64, interval: u64, period: u64) -> Vec<(u64, u64)> {
+        *self.cells.entry((key, interval)).or_insert(0) += 1;
+        if period == 0 {
+            return Vec::new();
+        }
+        *self.dirty.entry(key).or_insert(0) += 1;
+        self.since_flush += 1;
+        if self.since_flush < period {
+            return Vec::new();
+        }
+        self.since_flush = 0;
+        std::mem::take(&mut self.dirty).into_iter().collect()
+    }
 }
 
 fn arb_params() -> impl Strategy<Value = BalanceParams> {
@@ -408,6 +495,109 @@ proptest! {
         );
         prop_assert!(out2.plan.is_empty());
         prop_assert_eq!(out2.table.len(), out.table.len());
+    }
+
+    /// `WordCountOp` agrees with a per-(key, interval) model through
+    /// process, eviction, extract/install between two operators on
+    /// independent clocks, flush and drain — counts, state sizes, held
+    /// counts in both modes, and every blob byte for byte.
+    #[test]
+    fn word_count_matches_model((w, period, start, steps) in arb_count_run()) {
+        let make = || if period == 0 {
+            WordCountOp::new()
+        } else {
+            WordCountOp::with_partial_emission(period)
+        };
+        let mut ops = [make(), make()];
+        let mut models = [CountModel::default(), CountModel::default()];
+        let mut cur = start;
+        for (op, step) in steps {
+            match step {
+                CountStep::Process(key, n) => {
+                    // The engine never feeds a key at an interval older than
+                    // state the key already holds there (state moves behind
+                    // the interval markers), so neither does the session.
+                    let newer = (key, cur[op] + 1)..=(key, u64::MAX);
+                    if models[op].cells.range(newer).next().is_some() {
+                        continue;
+                    }
+                    for _ in 0..n {
+                        let mut emitted = Vec::new();
+                        let mem = ops[op].process(&Tuple::keyed(Key(key)), cur[op], &mut |t| {
+                            emitted.push((t.key.raw(), t.vals[0]))
+                        });
+                        prop_assert_eq!(mem, 8);
+                        emitted.sort_unstable();
+                        prop_assert_eq!(emitted, models[op].process(key, cur[op], period));
+                    }
+                }
+                CountStep::Boundary => {
+                    let keep = (cur[op] + 1).saturating_sub(w);
+                    ops[op].evict_before(keep);
+                    models[op].cells.retain(|&(_, iv), _| iv >= keep);
+                    cur[op] += 1;
+                }
+                CountStep::Move(key) => {
+                    let slots = models[op].slots(key);
+                    let blob = ops[op].extract(Key(key));
+                    let expected = (!slots.is_empty()).then(|| CountModel::blob(&slots));
+                    prop_assert_eq!(blob.as_deref(), expected.as_deref());
+                    models[op].cells.retain(|&(k, _), _| k != key);
+                    if let Some(blob) = blob {
+                        let to = 1 - op;
+                        prop_assert_eq!(
+                            ops[to].tuples_in_blob(&blob),
+                            slots.iter().map(|&(_, c)| c).sum::<u64>()
+                        );
+                        ops[to].install(Key(key), blob);
+                        for (iv, c) in slots {
+                            *models[to].cells.entry((key, iv)).or_insert(0) += c;
+                        }
+                    }
+                }
+                CountStep::Flush => {
+                    let mut emitted = Vec::new();
+                    ops[op].flush(&mut |t| emitted.push((t.key.raw(), t.vals[0])));
+                    emitted.sort_unstable();
+                    let model = &mut models[op];
+                    model.since_flush = 0;
+                    let expected: Vec<(u64, u64)> =
+                        std::mem::take(&mut model.dirty).into_iter().collect();
+                    prop_assert_eq!(emitted, expected);
+                }
+                CountStep::Drain => {
+                    let drained: Vec<(u64, Vec<u8>)> = ops[op]
+                        .drain()
+                        .into_iter()
+                        .map(|(k, b)| (k.raw(), b.to_vec()))
+                        .collect();
+                    let model = &mut models[op];
+                    let mut keys: Vec<u64> = model.cells.keys().map(|&(k, _)| k).collect();
+                    keys.dedup();
+                    let expected: Vec<(u64, Vec<u8>)> = keys
+                        .into_iter()
+                        .map(|k| (k, CountModel::blob(&model.slots(k))))
+                        .collect();
+                    prop_assert_eq!(drained, expected);
+                    model.cells.clear();
+                }
+            }
+            for (op, model) in ops.iter().zip(&models) {
+                for key in 0..12 {
+                    prop_assert_eq!(op.count_of(Key(key)), model.count(key));
+                    prop_assert_eq!(op.state_size(Key(key)), 8 * model.count(key));
+                }
+                let mut held: Vec<(u64, u64)> =
+                    op.held_counts().into_iter().map(|(k, c)| (k.raw(), c)).collect();
+                held.sort_unstable();
+                let expected: Vec<(u64, u64)> = if period == 0 {
+                    (0..12).map(|k| (k, model.count(k))).filter(|&(_, c)| c > 0).collect()
+                } else {
+                    model.dirty.iter().map(|(&k, &d)| (k, d)).collect()
+                };
+                prop_assert_eq!(held, expected);
+            }
+        }
     }
 }
 
