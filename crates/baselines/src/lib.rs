@@ -99,12 +99,10 @@ mod tests {
     }
 
     /// Every baseline supports a scale-out → scale-in round trip and never
-    /// routes to the retired task afterwards; a table-backed one pins
-    /// `live` keys across the scale-out, so none of them changes route
-    /// while its state sits where it was.
+    /// routes to the retired task afterwards.
     #[test]
     fn scale_round_trip_for_all_baselines() {
-        use streambal_core::{BalanceParams, RebalanceStrategy, RoutingView, TaskId};
+        use streambal_core::{BalanceParams, RebalanceStrategy};
         let live: Vec<Key> = (0..500u64).map(Key).collect();
         let parts: Vec<Box<dyn Partitioner>> = vec![
             Box::new(storm(3)),
@@ -120,15 +118,9 @@ mod tests {
         ];
         for mut p in parts {
             let name = p.name();
-            let table_backed = matches!(p.routing_view(), RoutingView::TablePlusHash { .. });
-            let before: Vec<TaskId> = live.iter().map(|&k| p.route(k)).collect();
             let new = p.scale_out(&live);
             assert_eq!(new.index(), 3, "{name}");
             assert_eq!(p.n_tasks(), 4, "{name}");
-            if table_backed {
-                let after: Vec<TaskId> = live.iter().map(|&k| p.route(k)).collect();
-                assert_eq!(after, before, "{name}: a live key moved on scale-out");
-            }
             p.scale_in(new, &live);
             assert_eq!(p.n_tasks(), 3, "{name}");
             for &k in &live {

@@ -292,10 +292,8 @@ fn rollback_scenario(intervals: &[Vec<Key>], reps: usize) -> (Json, EngineReport
         // deadline's interval clock is what expires the wedged op.
         channel_capacity: 1 << 16,
         fault_plan: plan,
-        op_deadline_intervals: 1,
-        op_deadline: Duration::from_millis(200),
-        round_deadline_intervals: 1,
-        round_deadline: Duration::from_millis(200),
+        deadline: Duration::from_millis(200),
+        deadline_intervals: 1,
         ..EngineConfig::default()
     };
     let stall_plan = FaultPlan::new(vec![

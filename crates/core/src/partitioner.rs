@@ -121,14 +121,12 @@ pub trait Partitioner: Send {
         unimplemented!("{} does not support scale-out", self.name())
     }
 
-    /// State-placement-preserving scale-out: the table-backed
-    /// implementation pins hash-churned `live` keys to their old location
-    /// so physical state placement stays truthful (see
-    /// `AssignmentFn::add_task_pinned`). Default: plain
-    /// [`Partitioner::add_task`].
+    /// [`Partitioner::scale_out_plan`] without its moves. The engine and
+    /// the simulator never call it — both pre-place — but partitioner
+    /// wrappers outside this workspace implement it, so it stays, and
+    /// nothing overrides it here.
     fn scale_out(&mut self, live: &[Key]) -> TaskId {
-        let _ = live;
-        self.add_task()
+        self.scale_out_plan(live).0
     }
 
     /// Scale-out with a **pre-placement plan**: adds an instance and
@@ -138,19 +136,19 @@ pub trait Partitioner: Send {
     /// into the new instance inside the scale-out quiescence window
     /// (plan → quiesce → install → resume), so the new slot takes load in
     /// the very interval the decision fired instead of sitting empty
-    /// until the next rebalance — the cold-start defect
-    /// [`Partitioner::scale_out`]'s pinning trades into.
+    /// until the next rebalance.
     ///
     /// Table-backed implementations let hash-churned `live` keys follow
     /// the grown ring to the new slot and report them as moves (the
     /// `add_slot` delta: under consistent hashing churned keys relocate
     /// *only* onto the new slot); keys with explicit table entries stay
-    /// put. The default delegates to [`Partitioner::scale_out`] with no
-    /// moves — correct for key-oblivious and key-splitting strategies
-    /// (shuffle, PKG), whose new instance receives traffic immediately
-    /// without any state movement.
+    /// put. The default is [`Partitioner::add_task`] with no moves —
+    /// correct for key-oblivious and key-splitting strategies (shuffle,
+    /// PKG), whose new instance receives traffic immediately without any
+    /// state movement.
     fn scale_out_plan(&mut self, live: &[Key]) -> (TaskId, Vec<(Key, TaskId)>) {
-        (self.scale_out(live), Vec::new())
+        let _ = live;
+        (self.add_task(), Vec::new())
     }
 
     /// Removes a downstream instance (scale-in). `victim` must be the
@@ -315,7 +313,7 @@ mod tests {
         Fixed(2).scale_out(&[Key(1)]);
     }
 
-    /// The default plan delegates to `scale_out` and pre-places nothing.
+    /// The default plan adds a task and pre-places nothing.
     #[test]
     fn default_scale_out_plan_has_no_moves() {
         struct Growable(usize);

@@ -483,10 +483,6 @@ impl Partitioner for Rebalancer {
         self.plane.add_task()
     }
 
-    fn scale_out(&mut self, live: &[Key]) -> TaskId {
-        self.plane.scale_out(live)
-    }
-
     fn scale_out_plan(&mut self, live: &[Key]) -> (TaskId, Vec<(Key, TaskId)>) {
         self.plane.scale_out_plan(live)
     }

@@ -595,33 +595,16 @@ impl AssignmentFn {
         TaskId::from(self.ring.add_slot())
     }
 
-    /// Scale-out that preserves physical state placement: adds an
-    /// instance, then pins every `live` key whose route churned onto the
-    /// new ring slot back to its old destination with an explicit entry,
-    /// so routing stays truthful to where state actually sits — the churn
-    /// [`AssignmentFn::add_task_with_moves`] reports, suppressed instead
-    /// of handed to the caller.
-    pub fn add_task_pinned(&mut self, live: &[Key]) -> TaskId {
-        let (new_task, churned) = self.add_task_with_moves(live);
-        self.insert_entries(churned);
-        new_task
-    }
-
-    /// Scale-out that **reports** churn instead of pinning it: adds an
-    /// instance and returns `(new_task, moves)` — every `live` key whose
-    /// route churned onto the new ring slot, paired with the task that
-    /// held it before the slot was added (its current state holder).
-    /// The table is untouched: churned keys route to the new slot by
-    /// hash, and the caller is responsible for migrating their state
-    /// there (the engine's scale-out pre-placement does exactly that
-    /// inside the quiescence window). Keys with explicit table entries
-    /// never churn, so their placement stays truthful for free.
-    ///
-    /// This is the dual of [`AssignmentFn::add_task_pinned`]: pinning
-    /// keeps routing truthful by suppressing the ring delta, this keeps
-    /// it truthful by executing the delta as a migration. Under a
-    /// consistent ring the delta moves keys *only* onto the new slot, so
-    /// every reported move's destination is the returned task.
+    /// Scale-out that **reports** churn: adds an instance and returns
+    /// `(new_task, moves)` — every `live` key whose route churned onto
+    /// the new ring slot, paired with the task that held it before the
+    /// slot was added (its current state holder). The table is
+    /// untouched: churned keys route to the new slot by hash, and the
+    /// caller keeps routing truthful by migrating their state there (the
+    /// engine's scale-out pre-placement does exactly that inside the
+    /// quiescence window). Keys with explicit table entries never churn.
+    /// Under a consistent ring the delta moves keys *only* onto the new
+    /// slot, so every reported move's destination is the returned task.
     pub fn add_task_with_moves(&mut self, live: &[Key]) -> (TaskId, Vec<(Key, TaskId)>) {
         let live = self.live_unsplit(live);
         let live = live.as_ref();
@@ -995,11 +978,12 @@ mod tests {
         let mut f = AssignmentFn::hash_only(4);
         let live: Vec<Key> = (0..1_000u64).map(Key).collect();
         let before: Vec<TaskId> = live.iter().map(|&k| f.route(k)).collect();
-        f.add_task_pinned(&live);
+        f.add_task_with_moves(&live);
         f.remove_task_pinned(&live);
-        // Pinned scale-out kept every live key in place, so the round
-        // trip is the identity on live keys and leaves no stale entries
-        // pointing at the removed slot.
+        // The ring delta moved churned keys onto the new slot and its
+        // removal moves them back, so the round trip is the identity on
+        // live keys and leaves no stale entries pointing at the removed
+        // slot.
         for (&k, &old) in live.iter().zip(&before) {
             assert_eq!(f.route(k), old);
         }
@@ -1041,13 +1025,6 @@ mod tests {
                 None => assert_eq!(now, old, "unmoved key {k:?} churned"),
             }
         }
-        // The same population pinned instead: the pin set is exactly the
-        // move set (the two scale-out flavours see one ring delta).
-        let mut g = AssignmentFn::hash_only(4);
-        g.insert_entries([(pinned, home)]);
-        let before_pins = g.table().len();
-        g.add_task_pinned(&live);
-        assert_eq!(g.table().len() - before_pins, moves.len());
     }
 
     #[test]
@@ -1392,11 +1369,6 @@ mod tests {
             "split key reported as ring churn"
         );
         assert_eq!(f.split_replicas(Key(0)).unwrap(), &before[..]);
-        // Pinned flavour: no table entry materializes for the split key.
-        let mut g = AssignmentFn::hash_only(3);
-        g.set_split(Key(0), &[TaskId(0), TaskId(1)]);
-        g.add_task_pinned(&live);
-        assert_eq!(g.table().lookup(Key(0)), None);
     }
 
     #[test]

@@ -732,14 +732,6 @@ impl StatsPlane {
         new
     }
 
-    /// Scale-out pinning `live` keys against ring churn (see
-    /// [`AssignmentFn::add_task_pinned`]).
-    pub fn scale_out(&mut self, live: &[Key]) -> TaskId {
-        let new = self.assignment.add_task_pinned(live);
-        self.window.reroute_all(&self.assignment);
-        new
-    }
-
     /// Scale-out reporting ring churn as pre-placement moves (see
     /// [`AssignmentFn::add_task_with_moves`]). The plan covers the union
     /// of `live` and every key in the window
@@ -1129,7 +1121,7 @@ mod tests {
                         plane.reroute_dead(TaskId(dead as u32), &|d| d == dead);
                     }
                     3 if n < 6 => {
-                        plane.scale_out(&live);
+                        plane.scale_out_plan(&live);
                     }
                     4 if n < 6 => {
                         // Table-then-hash, past the split layer: a split

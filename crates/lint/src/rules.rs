@@ -1,5 +1,5 @@
 //! The lint rules, as passes over the token stream of one file (L001,
-//! L002, L003, L004, L006, L007, L008; L005 is retired).
+//! L002, L003, L004, L006, L007, L008, L009; L005 is retired).
 
 use crate::lexer::{lex, Tok, TokKind};
 use crate::Violation;
@@ -25,6 +25,9 @@ pub struct FileClass {
     pub fn_line_cap: Option<u32>,
     /// L003 exempt: the whitelisted resync file or a test context.
     pub swap_allowed: bool,
+    /// L009 applies: the controller (`crates/runtime/src/controller.rs`),
+    /// which takes time as an input and reads no clock.
+    pub clock_free: bool,
 }
 
 /// Per-token flags derived from `#[...]` attributes.
@@ -216,6 +219,32 @@ pub fn scan_source(file: &str, src: &str, class: &FileClass) -> Vec<Violation> {
                         });
                     }
                 }
+            }
+
+            // L009: a clock read in the controller. Time is an argument
+            // the event loop passes in, so the controller can be driven
+            // in virtual time.
+            let instant_now = name == "now"
+                && i >= 3
+                && toks[i - 3].text == "Instant"
+                && toks[i - 2].kind == TokKind::Punct(':')
+                && toks[i - 1].kind == TokKind::Punct(':');
+            let elapsed = name == "elapsed" && prev_is(&toks, i, '.') && next_is(&toks, i, '(');
+            if class.clock_free && !marks.in_test[i] && (instant_now || elapsed) {
+                let read = if instant_now {
+                    "Instant::now"
+                } else {
+                    ".elapsed()"
+                };
+                out.push(Violation {
+                    file: file.to_string(),
+                    line: t.line,
+                    rule: "L009",
+                    msg: format!(
+                        "`{read}` reads the clock in the controller — take the instant \
+                         the event loop passes in"
+                    ),
+                });
             }
 
             // L006: x86 intrinsics outside a cfg(target_arch) gate.

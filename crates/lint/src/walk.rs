@@ -41,6 +41,7 @@ pub fn classify(rel: &str) -> Option<FileClass> {
             .starts_with("crates/runtime/src/")
             .then_some(MAX_FN_LINES),
         swap_allowed: rel == "crates/core/src/routing.rs" || test_ctx,
+        clock_free: rel == "crates/runtime/src/controller.rs",
     })
 }
 

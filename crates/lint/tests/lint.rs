@@ -12,13 +12,15 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(path.join(name)).expect("fixture readable")
 }
 
-/// All source rules active: the class of a `crates/runtime/src` file.
+/// All source rules active: the class of
+/// `crates/runtime/src/controller.rs`.
 fn full_class() -> FileClass {
     FileClass {
         panic_scope: true,
         data_plane: true,
         swap_allowed: false,
         fn_line_cap: Some(MAX_FN_LINES),
+        clock_free: true,
     }
 }
 
@@ -137,6 +139,17 @@ fn l008_at_the_cap_bodiless_pointer_and_test_functions_pass() {
 }
 
 #[test]
+fn l009_flags_clock_reads_in_the_controller_only() {
+    assert_eq!(rules_hit("l009.rs"), vec![("L009", 7), ("L009", 11)]);
+    let class = FileClass {
+        clock_free: false,
+        ..full_class()
+    };
+    let vs = scan_source("l009.rs", &fixture("l009.rs"), &class);
+    assert!(vs.is_empty(), "outside the controller: {vs:?}");
+}
+
+#[test]
 fn l000_malformed_allows_are_flagged() {
     let no_reason = "fn f(x: Option<u32>) -> u32 {\n    // lint: allow(panic)\n    x.unwrap()\n}\n";
     let vs = scan_source("inline.rs", no_reason, &full_class());
@@ -165,8 +178,9 @@ fn allow_scope_ends_with_the_statement() {
 #[test]
 fn classify_scopes_rules_by_path() {
     let rt = classify("crates/runtime/src/engine.rs").expect("scanned");
-    assert!(rt.panic_scope && rt.data_plane && !rt.swap_allowed);
+    assert!(rt.panic_scope && rt.data_plane && !rt.swap_allowed && !rt.clock_free);
     assert_eq!(rt.fn_line_cap, Some(MAX_FN_LINES));
+    assert!(classify("crates/runtime/src/controller.rs").is_some_and(|c| c.clock_free));
     let core = classify("crates/core/src/llfd.rs").expect("scanned");
     assert!(core.panic_scope && !core.data_plane && !core.swap_allowed);
     assert_eq!(core.fn_line_cap, None);

@@ -25,6 +25,61 @@ use crate::message::{Message, SourceCtl, SourceEvent, WorkerEvent, WorkerExit, W
 use crate::operator::Operator;
 use crate::router::SourceRouter;
 
+/// Where a wait started, on both of the controller's clocks — an instant
+/// and a source interval — and whether it was already re-driven once.
+/// Op phases, source resumes and statistics rounds all wait this way,
+/// and [`Clock::expired`] is the one rule that ends every wait.
+#[derive(Clone, Copy)]
+struct Wait {
+    at: Instant,
+    interval: u64,
+    /// Op phases and resumes re-drive once before escalating; a
+    /// statistics round only expires.
+    retried: bool,
+}
+
+/// The controller's time, advanced only by its inputs — the instant the
+/// event loop passed with the latest event or tick (the controller reads
+/// no clock of its own), the latest source interval, and whether the
+/// source has finished — plus the deadline every wait is measured
+/// against.
+struct Clock {
+    now: Instant,
+    interval: u64,
+    source_finished: bool,
+    deadline: Duration,
+    deadline_intervals: u64,
+}
+
+impl Clock {
+    /// A wait starting now.
+    fn wait(&self) -> Wait {
+        Wait {
+            at: self.now,
+            interval: self.interval,
+            retried: false,
+        }
+    }
+
+    /// The wait after a re-drive: restarted now, marked retried.
+    fn retry(&self) -> Wait {
+        Wait {
+            retried: true,
+            ..self.wait()
+        }
+    }
+
+    /// The one deadline rule (see [`EngineConfig::deadline`]): a wait has
+    /// expired once `deadline` of wall time has passed since it started
+    /// *and* either `deadline_intervals` source intervals have passed or
+    /// the source has finished — its intervals stop then, and the wall
+    /// bound rules alone.
+    fn expired(&self, wait: &Wait) -> bool {
+        self.now.duration_since(wait.at) >= self.deadline
+            && (self.interval >= wait.interval + self.deadline_intervals || self.source_finished)
+    }
+}
+
 /// One open statistics round: merged stats, per-slot loads, queue-depth
 /// samples, the interval's latency distribution, and which workers have
 /// reported. The expected *set* is pinned at issue time — scale-out must
@@ -41,8 +96,7 @@ struct StatsRound {
     latency: Histogram,
     reporters: FxHashSet<TaskId>,
     expected: FxHashSet<TaskId>,
-    /// When the round was issued (wall half of the expiry deadline).
-    opened: Instant,
+    opened: Wait,
 }
 
 impl StatsRound {
@@ -109,11 +163,12 @@ impl StatsLedger {
     }
 
     /// Opens the round for `interval`, expecting a report from each
-    /// worker in `expected`, over `active` worker slots, with `queues`
-    /// the per-slot queue depths sampled at interval close. Any carried
-    /// residue is folded in (the slot attribution is gone with the
-    /// retired slot; totals are what policies consume).
-    pub fn open(&mut self, interval: u64, active: usize, expected: Vec<TaskId>, queues: Vec<u64>) {
+    /// worker in `expected`, with `queues` the queue depth of each active
+    /// worker slot sampled at interval close; its deadline runs from
+    /// `opened`. Any carried residue is folded in (the slot attribution
+    /// is gone with the retired slot; totals are what policies consume).
+    fn open(&mut self, interval: u64, expected: Vec<TaskId>, queues: Vec<u64>, opened: Wait) {
+        let active = queues.len();
         debug_assert!(!expected.is_empty() && active > 0);
         let mut round = StatsRound {
             merged: IntervalStats::with_capacity(self.last_round_keys),
@@ -122,7 +177,7 @@ impl StatsLedger {
             latency: Histogram::new(),
             reporters: FxHashSet::default(),
             expected: expected.into_iter().collect(),
-            opened: Instant::now(),
+            opened,
         };
         if !self.carry.is_empty() {
             round.loads[active - 1] += self.carry.iter().map(|(_, s)| s.cost).sum::<u64>();
@@ -142,32 +197,24 @@ impl StatsLedger {
         self.drain_complete()
     }
 
-    /// Closes rounds past their deadline — `deadline_intervals` newer
-    /// intervals have been issued (the deterministic clock) *and*
-    /// `deadline` wall time has passed since the round opened — with
-    /// whoever answered. Returns `(interval, round, missing reporters)`
-    /// oldest first; the caller records the missing set in the fault
-    /// ledger. A silent-but-subscribed worker thus delays statistics by
-    /// a bounded amount instead of wedging shutdown.
-    pub fn expire_rounds(
+    /// Closes the rounds whose wait `expired` (the controller's
+    /// [`Clock::expired`]) with whoever answered. Returns `(interval,
+    /// round, missing reporters)` oldest first; the caller records the
+    /// missing set in the fault ledger. A silent-but-subscribed worker
+    /// thus delays statistics by a bounded amount instead of wedging
+    /// shutdown.
+    fn expire_rounds(
         &mut self,
-        current_interval: u64,
-        deadline_intervals: u64,
-        deadline: std::time::Duration,
+        expired: impl Fn(&Wait) -> bool,
     ) -> Vec<(u64, ClosedRound, Vec<usize>)> {
-        let now = Instant::now();
-        let mut expired: Vec<u64> = self
+        let mut due: Vec<u64> = self
             .rounds
             .iter()
-            .filter(|(iv, round)| {
-                current_interval.saturating_sub(**iv) >= deadline_intervals
-                    && now.duration_since(round.opened) >= deadline
-            })
+            .filter(|(_, round)| expired(&round.opened))
             .map(|(iv, _)| *iv)
             .collect();
-        expired.sort_unstable();
-        expired
-            .into_iter()
+        due.sort_unstable();
+        due.into_iter()
             .filter_map(|iv| {
                 let round = self.take_round(iv)?;
                 let mut missing: Vec<usize> = round
@@ -348,42 +395,6 @@ impl WorkerSeconds {
     pub fn finish(mut self, now: Instant) -> f64 {
         self.set_active(now, 0);
         self.total
-    }
-}
-
-/// Deadline clock for the in-flight op or an outstanding resume: reset
-/// on every phase progress, compared against the interval count *and*
-/// wall time (see [`EngineConfig::op_deadline_intervals`]).
-struct OpClock {
-    started: Instant,
-    started_interval: u64,
-    /// Whether the stalled phase was already re-driven once.
-    retried: bool,
-}
-
-impl OpClock {
-    fn start(interval: u64) -> Self {
-        OpClock {
-            started: Instant::now(),
-            started_interval: interval,
-            retried: false,
-        }
-    }
-
-    /// Intervals are the deterministic clock; the wall bound keeps
-    /// healthy-but-slow runs from spurious expiry, and rules alone once
-    /// the source has finished and intervals stop.
-    fn expired(&self, config: &EngineConfig, interval: u64, source_finished: bool) -> bool {
-        let wall_ok = self.started.elapsed() < config.op_deadline;
-        let iv_ok = interval < self.started_interval + config.op_deadline_intervals;
-        !wall_ok && (!iv_ok || source_finished)
-    }
-
-    fn rearm(&mut self, interval: u64) {
-        *self = OpClock {
-            retried: true,
-            ..OpClock::start(interval)
-        };
     }
 }
 
@@ -592,30 +603,26 @@ impl ControlIo<'_> {
 }
 
 /// Drains whatever currently sits in a dead worker's channel, counting
-/// every in-flight tuple and state blob into the per-key loss map;
-/// returns the total drained. Called repeatedly while the source may
-/// still be routing at the slot — a bounded channel left un-drained
-/// would fill and backpressure the source against a corpse — and one
-/// final time when the source acknowledges the death.
+/// every in-flight tuple and state blob into the per-key loss map.
+/// Called repeatedly while the source may still be routing at the slot
+/// — a bounded channel left un-drained would fill and backpressure the
+/// source against a corpse — and one final time when the source
+/// acknowledges the death.
 fn drain_dead_channel(
     rx: &Receiver<Message>,
     sop: &mut dyn Operator,
     lost: &mut FxHashMap<Key, u64>,
-) -> u64 {
-    let mut n_lost = 0u64;
+) {
     while let Ok(msg) = rx.try_recv() {
         match msg {
             Message::TupleBatch(batch) => {
                 for t in &batch {
                     *lost.entry(t.key).or_insert(0) += 1;
-                    n_lost += 1;
                 }
             }
             Message::StateInstall { states, .. } => {
                 for (k, blob) in states {
-                    let n = sop.tuples_in_blob(&blob);
-                    *lost.entry(k).or_insert(0) += n;
-                    n_lost += n;
+                    *lost.entry(k).or_insert(0) += sop.tuples_in_blob(&blob);
                 }
             }
             // Markers carry no tuples. Named one by one so a new
@@ -628,7 +635,6 @@ fn drain_dead_channel(
             | Message::Shutdown => {}
         }
     }
-    n_lost
 }
 
 /// Pairs each non-empty blob with its home under `view`.
@@ -649,7 +655,9 @@ fn place_under(
 /// piece of failure bookkeeping. Single-threaded and event-driven —
 /// [`Controller::on_source_event`], [`Controller::on_worker_event`] and
 /// a periodic [`Controller::tick`] — so `Engine::run` is only wiring,
-/// and tests drive it with hand-made events and bare channels.
+/// and tests drive it with hand-made events and bare channels. Time is
+/// an input too: every entry point takes the instant its caller read,
+/// and nothing here reads a clock.
 pub(crate) struct Controller<'a> {
     config: EngineConfig,
     max_workers: usize,
@@ -663,8 +671,9 @@ pub(crate) struct Controller<'a> {
     pending: Option<ProtocolOp>,
     queue: VecDeque<ProtocolOp>,
     next_epoch: u64,
-    /// Deadline clock for `pending`; re-armed on every phase progress.
-    op_clock: Option<OpClock>,
+    /// The wait of `pending`'s current phase; restarted on every phase
+    /// progress.
+    op_wait: Option<Wait>,
     ledger: StatsLedger,
     /// Completed stats rounds awaiting the decision pass — filled by
     /// reports, dead-worker strikes, and deadline expiry alike, so every
@@ -676,13 +685,13 @@ pub(crate) struct Controller<'a> {
     /// a provisional round's partial costs are scaled up to.
     last_round_cost: u64,
     /// Outstanding source resumes by epoch: the view to re-drive each
-    /// with and its deadline clock. Resumes are retried forever and
+    /// with and the wait for its ack. Resumes are retried forever and
     /// never aborted — an abandoned resume would leave pause-buffered
     /// tuples unflushed, which is unaccounted loss; and the source
     /// cannot have died (it runs the resume handler) short of the whole
     /// engine tearing down. A duplicate ack is absorbed by the missing
     /// key.
-    resume_state: FxHashMap<u64, (RoutingView, OpClock)>,
+    resume_state: FxHashMap<u64, (RoutingView, Wait)>,
     /// Set between sending a `Retire` marker and its `Retired` answer.
     retiring: Option<TaskId>,
     /// Late echoes of closed epochs are absorbed as stale instead of
@@ -692,11 +701,10 @@ pub(crate) struct Controller<'a> {
     /// ResumeAck, `Aborted` at a deadline abort, `Abandoned` at teardown
     /// — exactly once, whichever comes first.
     open_spans: FxHashSet<u64>,
-    /// The deterministic half of every deadline: the latest source
-    /// interval observed.
-    current_interval: u64,
+    clock: Clock,
+    /// When the latest interval closed, and the processed count then:
+    /// the next interval's throughput is measured from here.
     last_interval_mark: (Instant, u64),
-    source_finished: bool,
     draining: bool,
     drained: usize,
     /// Shutdown markers actually delivered (dead slots and failed sends
@@ -734,7 +742,7 @@ impl<'a> Controller<'a> {
             pending: None,
             queue: VecDeque::new(),
             next_epoch: 0,
-            op_clock: None,
+            op_wait: None,
             ledger: StatsLedger::new(),
             closed_rounds: Vec::new(),
             early: None,
@@ -743,9 +751,14 @@ impl<'a> Controller<'a> {
             retiring: None,
             closed_epochs: ClosedEpochs::new(),
             open_spans: FxHashSet::default(),
-            current_interval: 0,
-            last_interval_mark: (Instant::now(), 0),
-            source_finished: false,
+            clock: Clock {
+                now: t0,
+                interval: 0,
+                source_finished: false,
+                deadline: config.deadline,
+                deadline_intervals: config.deadline_intervals,
+            },
+            last_interval_mark: (t0, 0),
             draining: false,
             drained: 0,
             drain_target: 0,
@@ -773,11 +786,10 @@ impl<'a> Controller<'a> {
     /// `Abandoned` after the other threads have joined. Dropping the
     /// controller drops its worker spawner — which holds a
     /// collector-sender clone — so the collector can observe closure.
-    pub fn finish(mut self) -> (EngineReport, ThreadRecorder, Vec<u64>) {
+    pub fn finish(mut self, end: Instant) -> (EngineReport, ThreadRecorder, Vec<u64>) {
         // The run's wall time and its worker-seconds integral close at
         // one instant, so `worker_seconds ≤ max_workers × wall` holds by
         // construction.
-        let end = Instant::now();
         self.report.worker_seconds = self.ws.finish(end);
         self.report.wall = end.duration_since(self.started);
         self.report.mean_throughput =
@@ -797,7 +809,9 @@ impl<'a> Controller<'a> {
 
     // ---- events ---------------------------------------------------------
 
-    pub fn on_source_event(&mut self, ev: SourceEvent) {
+    /// Handles one source event that arrived at `now`.
+    pub fn on_source_event(&mut self, ev: SourceEvent, now: Instant) {
+        self.clock.now = now;
         match ev {
             SourceEvent::IntervalDone { interval } => self.on_interval_done(interval),
             SourceEvent::PauseAck { epoch } => self.on_pause_ack(epoch),
@@ -830,11 +844,13 @@ impl<'a> Controller<'a> {
                 });
             }
             SourceEvent::SkewAlert { interval } => self.on_skew_alert(interval),
-            SourceEvent::Finished => self.source_finished = true,
+            SourceEvent::Finished => self.clock.source_finished = true,
         }
     }
 
-    pub fn on_worker_event(&mut self, ev: WorkerEvent) {
+    /// Handles one worker event that arrived at `now`.
+    pub fn on_worker_event(&mut self, ev: WorkerEvent, now: Instant) {
+        self.clock.now = now;
         match ev {
             WorkerEvent::Stats {
                 worker,
@@ -897,8 +913,9 @@ impl<'a> Controller<'a> {
 
     /// The bottom half: runs after every event and on every idle
     /// wake-up, because deadlines, round expiry and the shutdown gate
-    /// must advance even when nothing arrives.
-    pub fn tick(&mut self) {
+    /// must advance even when nothing arrives; `now` is when it runs.
+    pub fn tick(&mut self, now: Instant) {
+        self.clock.now = now;
         // Keep dead channels drained while the source may still be
         // routing at them (its DeadDest is in flight): a bounded channel
         // left full would backpressure the source against a corpse.
@@ -910,11 +927,8 @@ impl<'a> Controller<'a> {
         // Stats rounds whose reporters went silent close by deadline, so
         // a wedged worker cannot hold decisions — or shutdown, which
         // waits on open rounds — hostage.
-        for (interval, round, missing) in self.ledger.expire_rounds(
-            self.current_interval,
-            self.config.round_deadline_intervals,
-            self.config.round_deadline,
-        ) {
+        let clock = &self.clock;
+        for (interval, round, missing) in self.ledger.expire_rounds(|w| clock.expired(w)) {
             self.io
                 .injector
                 .record(FaultEvent::RoundTimedOut { interval, missing });
@@ -938,16 +952,15 @@ impl<'a> Controller<'a> {
         let sop = self
             .scratch_op
             .get_or_insert_with(|| (self.io.make_op)(TaskId::from(w)));
-        let n = drain_dead_channel(rx, sop.as_mut(), &mut self.lost);
-        self.io.injector.add_lost(n);
+        drain_dead_channel(rx, sop.as_mut(), &mut self.lost);
     }
 
     fn on_interval_done(&mut self, interval: u64) {
-        self.current_interval = interval;
+        self.clock.interval = interval;
         // The closing round overtakes a provisional one still waiting:
         // whole-interval statistics are about to arrive.
         self.cancel_early_round();
-        let now = Instant::now();
+        let now = self.clock.now;
         let count = self.io.counter.get();
         let (mark_at, mark_count) = self.last_interval_mark;
         let dt = now.duration_since(mark_at).as_secs_f64().max(1e-9);
@@ -980,7 +993,8 @@ impl<'a> Controller<'a> {
             }
         }
         if !expected.is_empty() {
-            self.ledger.open(interval, self.active, expected, queues);
+            let opened = self.clock.wait();
+            self.ledger.open(interval, expected, queues, opened);
         }
     }
 
@@ -1097,7 +1111,7 @@ impl<'a> Controller<'a> {
             return;
         };
         op.waiting = Waiting::StateOut;
-        self.op_clock = Some(OpClock::start(self.current_interval));
+        self.op_wait = Some(self.clock.wait());
         // The source is quiesced: every tuple it will ever send under
         // the old view is in the holders' channels, and the extraction
         // markers land behind all of them. A dropped marker stays
@@ -1213,7 +1227,7 @@ impl<'a> Controller<'a> {
         };
         let awaited = |op: &mut ProtocolOp| op.awaiting_install.remove(&worker).is_some();
         if self.claim(epoch, "install ack", stray, awaited) == Answer::Awaited {
-            self.op_clock = Some(OpClock::start(self.current_interval));
+            self.op_wait = Some(self.clock.wait());
             self.advance_op();
         }
     }
@@ -1274,7 +1288,7 @@ impl<'a> Controller<'a> {
         let Some(op) = self.pending.as_mut() else {
             return;
         };
-        self.op_clock = Some(OpClock::start(self.current_interval));
+        self.op_wait = Some(self.clock.wait());
         if !op.state_out_marked {
             op.state_out_marked = true;
             self.io.rec.span_phase(op.epoch, Phase::StateOut);
@@ -1345,8 +1359,16 @@ impl<'a> Controller<'a> {
 
     /// State that arrived on a closed epoch has left its owner: re-home
     /// it under the *current* view on a fresh, pre-closed epoch (the
-    /// installs are fire-and-forget; their acks absorb as stale).
+    /// installs are fire-and-forget; their acks absorb as stale). Once
+    /// the drain has begun it goes straight into the report instead:
+    /// every worker's `Shutdown` is already queued ahead of any install,
+    /// and no tuple is left to reach the state.
     fn rehome_stale(&mut self, states: impl IntoIterator<Item = (Key, Bytes)>) {
+        if self.draining {
+            let states = states.into_iter().filter(|(_, blob)| !blob.is_empty());
+            self.report.final_states.extend(states);
+            return;
+        }
         let placed = place_under(self.partitioner.routing_view(), states);
         if !placed.is_empty() {
             self.next_epoch += 1;
@@ -1370,7 +1392,7 @@ impl<'a> Controller<'a> {
         self.issue_resume(epoch, view);
         self.closed_epochs.close(epoch);
         self.pending = None;
-        self.op_clock = None;
+        self.op_wait = None;
     }
 
     /// Issues a source resume and arms its deadline clock. A resume
@@ -1388,8 +1410,7 @@ impl<'a> Controller<'a> {
             view: view.clone(),
         };
         self.io.send_src(Some(CtlKind::Resume), msg);
-        let clock = OpClock::start(self.current_interval);
-        self.resume_state.insert(epoch, (view, clock));
+        self.resume_state.insert(epoch, (view, self.clock.wait()));
     }
 
     fn on_killed(
@@ -1408,12 +1429,9 @@ impl<'a> Controller<'a> {
         self.ledger.on_residue(worker, stats);
         self.closed_rounds
             .extend(self.ledger.on_worker_dead(worker));
-        let mut n_lost = 0u64;
         for (k, n) in worker_lost {
-            n_lost += n;
             *self.lost.entry(k).or_insert(0) += n;
         }
-        self.io.injector.add_lost(n_lost);
         self.io.injector.record(FaultEvent::StateLost { worker: w });
         self.dead.insert(w);
         self.bill_live_width();
@@ -1716,7 +1734,7 @@ impl<'a> Controller<'a> {
     /// after every change to `active` or `dead`.
     fn bill_live_width(&mut self) {
         self.ws
-            .set_active(Instant::now(), self.active - self.dead.len());
+            .set_active(self.clock.now, self.active - self.dead.len());
     }
 
     fn spawn_on(&mut self, slot: usize, rx: Receiver<Message>, first_interval: u64) {
@@ -1729,16 +1747,16 @@ impl<'a> Controller<'a> {
     /// In-flight-op deadline: the first expiry re-drives the stuck
     /// phase, the second aborts with rollback.
     fn check_op_deadline(&mut self) {
-        let (Some(op), Some(clock)) = (self.pending.as_ref(), self.op_clock.as_mut()) else {
+        let (Some(op), Some(wait)) = (self.pending.as_ref(), self.op_wait.as_mut()) else {
             return;
         };
-        if !clock.expired(&self.config, self.current_interval, self.source_finished) {
+        if !self.clock.expired(wait) {
             return;
         }
-        if clock.retried {
+        if wait.retried {
             self.abort_op();
         } else {
-            clock.rearm(self.current_interval);
+            *wait = self.clock.retry();
             self.redrive(op);
         }
     }
@@ -1797,7 +1815,7 @@ impl<'a> Controller<'a> {
         let Some(op) = self.pending.take() else {
             return;
         };
-        self.op_clock = None;
+        self.op_wait = None;
         let epoch = op.epoch;
         self.io.injector.record(FaultEvent::OpAborted {
             op: op.kind(),
@@ -1873,17 +1891,17 @@ impl<'a> Controller<'a> {
     /// absorbs duplicates by epoch.
     fn redrive_resumes(&mut self) {
         let mut redrive: Vec<(u64, RoutingView)> = Vec::new();
-        for (&epoch, (view, clock)) in self.resume_state.iter_mut() {
-            if !clock.expired(&self.config, self.current_interval, self.source_finished) {
+        for (&epoch, (view, wait)) in self.resume_state.iter_mut() {
+            if !self.clock.expired(wait) {
                 continue;
             }
-            if !clock.retried {
+            if !wait.retried {
                 self.io.injector.record(FaultEvent::OpRetried {
                     op: OpKind::Resume,
                     epoch,
                 });
             }
-            clock.rearm(self.current_interval);
+            *wait = self.clock.retry();
             redrive.push((epoch, view.clone()));
         }
         for (epoch, view) in redrive {
@@ -1936,7 +1954,7 @@ impl<'a> Controller<'a> {
         self.io.rec.span_phase(op.epoch, Phase::Pause);
         self.open_spans.insert(op.epoch);
         self.io.send_pause(&op);
-        self.op_clock = Some(OpClock::start(self.current_interval));
+        self.op_wait = Some(self.clock.wait());
         self.pending = Some(op);
     }
 
@@ -1947,7 +1965,7 @@ impl<'a> Controller<'a> {
     /// accounting: a dead slot's channel backlog must be counted before
     /// teardown.
     fn shutdown_gate(&mut self) {
-        let quiesced = self.source_finished
+        let quiesced = self.clock.source_finished
             && !self.draining
             && self.pending.is_none()
             && self.queue.is_empty()
@@ -1970,7 +1988,6 @@ impl<'a> Controller<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     /// A run of any length leaves the closed-epoch ledger at constant
     /// size, and an echo of any closed epoch — however old — is still
@@ -2019,6 +2036,23 @@ mod tests {
         (0..n).map(TaskId::from).collect()
     }
 
+    /// The controller's clock at `now` in `interval`, with a deadline of
+    /// 1 s and 2 intervals.
+    fn clock(now: Instant, interval: u64, source_finished: bool) -> Clock {
+        Clock {
+            now,
+            interval,
+            source_finished,
+            deadline: Duration::from_secs(1),
+            deadline_intervals: 2,
+        }
+    }
+
+    /// A round's wait, where its timing does not matter.
+    fn opened() -> Wait {
+        clock(Instant::now(), 0, false).wait()
+    }
+
     fn close_all_but(ledger: &mut StatsLedger, interval: u64, workers: &[usize]) {
         for &w in workers {
             assert!(ledger
@@ -2035,7 +2069,7 @@ mod tests {
     #[test]
     fn round_closes_when_all_expected_report() {
         let mut ledger = StatsLedger::new();
-        ledger.open(0, 3, expect_n(3), vec![5, 0, 2]);
+        ledger.open(0, expect_n(3), vec![5, 0, 2], opened());
         close_all_but(&mut ledger, 0, &[0, 1]);
         let closed = ledger
             .on_stats(TaskId(2), 0, stats_with_cost(2, 30), &Histogram::new())
@@ -2051,15 +2085,15 @@ mod tests {
     #[test]
     fn late_report_folds_into_oldest_open_round() {
         let mut ledger = StatsLedger::new();
-        ledger.open(0, 2, expect_n(2), vec![0, 0]);
+        ledger.open(0, expect_n(2), vec![0, 0], opened());
         close_all_but(&mut ledger, 0, &[0]);
         assert!(ledger
             .on_stats(TaskId(1), 0, stats_with_cost(1, 10), &Histogram::new())
             .is_some());
         // Round 0 is gone. Rounds 1 and 2 are open; a late report for
         // round 0 lands in round 1 (the oldest), clamped to its slots.
-        ledger.open(1, 2, expect_n(2), vec![0, 0]);
-        ledger.open(2, 2, expect_n(2), vec![0, 0]);
+        ledger.open(1, expect_n(2), vec![0, 0], opened());
+        ledger.open(2, expect_n(2), vec![0, 0], opened());
         assert!(ledger
             .on_stats(TaskId(7), 0, stats_with_cost(9, 55), &Histogram::new())
             .is_none());
@@ -2079,7 +2113,7 @@ mod tests {
         assert!(ledger
             .on_stats(TaskId(3), 9, stats_with_cost(4, 40), &Histogram::new())
             .is_none());
-        ledger.open(10, 2, expect_n(2), vec![0, 0]);
+        ledger.open(10, expect_n(2), vec![0, 0], opened());
         close_all_but(&mut ledger, 10, &[0]);
         let closed = ledger
             .on_stats(TaskId(1), 10, stats_with_cost(1, 10), &Histogram::new())
@@ -2093,7 +2127,7 @@ mod tests {
     #[test]
     fn duplicate_report_merges_without_advancing_completion() {
         let mut ledger = StatsLedger::new();
-        ledger.open(0, 3, expect_n(3), vec![0, 0, 0]);
+        ledger.open(0, expect_n(3), vec![0, 0, 0], opened());
         close_all_but(&mut ledger, 0, &[0, 1]);
         // Worker 1 reports again: still waiting on worker 2.
         assert!(ledger
@@ -2110,14 +2144,14 @@ mod tests {
         let mut ledger = StatsLedger::new();
         // No round open: residue carries into the next open().
         ledger.on_residue(TaskId(2), &stats_with_cost(5, 21));
-        ledger.open(0, 2, expect_n(2), vec![0, 0]);
+        ledger.open(0, expect_n(2), vec![0, 0], opened());
         close_all_but(&mut ledger, 0, &[0]);
         let closed = ledger
             .on_stats(TaskId(1), 0, stats_with_cost(1, 10), &Histogram::new())
             .expect("closes");
         assert_eq!(closed.loads, vec![10, 31]);
         // Round open: residue folds straight in, slot clamped.
-        ledger.open(1, 2, expect_n(2), vec![0, 0]);
+        ledger.open(1, expect_n(2), vec![0, 0], opened());
         ledger.on_residue(TaskId(6), &stats_with_cost(5, 9));
         close_all_but(&mut ledger, 1, &[0]);
         let closed = ledger
@@ -2129,7 +2163,7 @@ mod tests {
     #[test]
     fn latency_summary_merges_across_reporters() {
         let mut ledger = StatsLedger::new();
-        ledger.open(0, 2, expect_n(2), vec![0, 0]);
+        ledger.open(0, expect_n(2), vec![0, 0], opened());
         let mut h0 = Histogram::new();
         h0.record(100);
         let mut h1 = Histogram::new();
@@ -2150,8 +2184,8 @@ mod tests {
     #[test]
     fn dead_reporter_closes_waiting_rounds() {
         let mut ledger = StatsLedger::new();
-        ledger.open(0, 3, expect_n(3), vec![0, 0, 0]);
-        ledger.open(1, 3, expect_n(3), vec![0, 0, 0]);
+        ledger.open(0, expect_n(3), vec![0, 0, 0], opened());
+        ledger.open(1, expect_n(3), vec![0, 0, 0], opened());
         close_all_but(&mut ledger, 0, &[0, 1]);
         close_all_but(&mut ledger, 1, &[0]);
         // Worker 2 dies. Round 0 was only waiting on it → closes with
@@ -2172,27 +2206,40 @@ mod tests {
     /// but never answering) delays a round only until the deadline, then
     /// the round closes with whoever answered and names the missing
     /// worker — instead of holding `outstanding()` (and shutdown, which
-    /// gates on it) hostage forever.
+    /// gates on it) hostage forever. Once the source has finished, its
+    /// intervals stop and the wall bound rules alone, so a round opened
+    /// in the last interval closes too.
     #[test]
     fn silent_reporter_round_closes_by_deadline() {
+        let t0 = Instant::now();
+        let secs = |s: u64| t0 + Duration::from_secs(s);
         let mut ledger = StatsLedger::new();
-        ledger.open(0, 2, expect_n(2), vec![0, 0]);
+        ledger.open(0, expect_n(2), vec![0, 0], clock(t0, 0, false).wait());
         close_all_but(&mut ledger, 0, &[0]);
         // Worker 1 never reports. Not enough intervals elapsed: no expiry.
-        assert!(ledger
-            .expire_rounds(1, 2, Duration::from_millis(0))
-            .is_empty());
+        let mut expire = |c: Clock| ledger.expire_rounds(|w| c.expired(w));
+        assert!(expire(clock(secs(5), 1, false)).is_empty());
         // Interval clock satisfied but wall deadline not yet: no expiry.
-        assert!(ledger
-            .expire_rounds(5, 2, Duration::from_secs(3600))
-            .is_empty());
-        let expired = ledger.expire_rounds(5, 2, Duration::from_millis(0));
+        assert!(expire(clock(t0, 5, false)).is_empty());
+        let expired = expire(clock(secs(1), 2, false));
         assert_eq!(expired.len(), 1);
         let (iv, round, missing) = &expired[0];
         assert_eq!(*iv, 0);
         assert_eq!(round.loads, vec![10, 0]);
         assert_eq!(missing, &vec![1], "the silent worker is named");
         assert_eq!(ledger.outstanding(), 0, "shutdown is no longer gated");
+
+        // The last interval's round, with the source finished: the
+        // interval clock never moves again.
+        let last = clock(secs(10), 9, false).wait();
+        ledger.open(9, expect_n(2), vec![0, 0], last);
+        close_all_but(&mut ledger, 9, &[1]);
+        let mut expire = |c: Clock| ledger.expire_rounds(|w| c.expired(w));
+        assert!(expire(clock(secs(10), 9, true)).is_empty());
+        let expired = expire(clock(secs(11), 9, true));
+        let closed: Vec<(u64, Vec<usize>)> = expired.into_iter().map(|e| (e.0, e.2)).collect();
+        assert_eq!(closed, vec![(9, vec![0])]);
+        assert_eq!(ledger.outstanding(), 0);
     }
 
     /// The hand-computed worker-seconds trace for a queued scale-in: a
@@ -2306,6 +2353,22 @@ mod protocol_tests {
         (ctl, rig)
     }
 
+    /// Hand-made events arrive at the instant the controller saw last:
+    /// time stands still unless a test moves it.
+    impl Controller<'_> {
+        fn on_source(&mut self, ev: SourceEvent) {
+            self.on_source_event(ev, self.clock.now);
+        }
+
+        fn on_worker(&mut self, ev: WorkerEvent) {
+            self.on_worker_event(ev, self.clock.now);
+        }
+
+        fn tick_now(&mut self) {
+            self.tick(self.clock.now);
+        }
+    }
+
     /// Closes `interval`'s statistics round with one empty report per
     /// provisioned live worker, then ticks (which decides the round).
     fn close_round(ctl: &mut Controller<'_>, interval: u64) {
@@ -2314,17 +2377,17 @@ mod protocol_tests {
 
     /// [`close_round`] with worker `w` reporting `reports[w]`.
     fn close_round_with(ctl: &mut Controller<'_>, interval: u64, reports: &[IntervalStats]) {
-        ctl.on_source_event(SourceEvent::IntervalDone { interval });
+        ctl.on_source(SourceEvent::IntervalDone { interval });
         let live: Vec<usize> = (0..ctl.active).filter(|w| !ctl.dead.contains(w)).collect();
         for w in live {
-            ctl.on_worker_event(WorkerEvent::Stats {
+            ctl.on_worker(WorkerEvent::Stats {
                 worker: TaskId::from(w),
                 interval,
                 stats: reports.get(w).cloned().unwrap_or_default(),
                 latency: Box::new(Histogram::new()),
             });
         }
-        ctl.tick();
+        ctl.tick_now();
     }
 
     fn retired(worker: usize, epoch: u64, states: Vec<(Key, Bytes)>) -> WorkerEvent {
@@ -2389,7 +2452,7 @@ mod protocol_tests {
         assert_eq!(ctl.queue.len(), 1);
         // The queued victim dies.
         let (_tx, corpse_rx) = bounded(1);
-        ctl.on_worker_event(exited(
+        ctl.on_worker(exited(
             1,
             WorkerExit::Killed {
                 lost: Vec::new(),
@@ -2397,13 +2460,13 @@ mod protocol_tests {
                 rx: corpse_rx,
             },
         ));
-        ctl.tick();
+        ctl.tick_now();
         // The first retirement completes; the next tick pops the dead
         // victim's op.
-        ctl.on_source_event(SourceEvent::PauseAck { epoch: 1 });
-        ctl.on_worker_event(retired(2, 1, Vec::new()));
-        ctl.on_source_event(SourceEvent::ResumeAck { epoch: 1 });
-        ctl.tick();
+        ctl.on_source(SourceEvent::PauseAck { epoch: 1 });
+        ctl.on_worker(retired(2, 1, Vec::new()));
+        ctl.on_source(SourceEvent::ResumeAck { epoch: 1 });
+        ctl.tick_now();
         assert_eq!(ctl.active, 1);
         assert!(ctl.dead.is_empty());
         // Round 2 scales out into slot 1.
@@ -2471,19 +2534,19 @@ mod protocol_tests {
         for (op, what, answer) in cases {
             let (mut ctl, rig) = rig(FixedSchedule::new([]));
             ctl.queue.push_back(op);
-            ctl.tick();
-            ctl.on_source_event(SourceEvent::PauseAck { epoch: 1 });
-            ctl.on_source_event(SourceEvent::PauseAck { epoch: 1 });
-            ctl.on_worker_event(answer(1));
-            ctl.on_worker_event(answer(1));
+            ctl.tick_now();
+            ctl.on_source(SourceEvent::PauseAck { epoch: 1 });
+            ctl.on_source(SourceEvent::PauseAck { epoch: 1 });
+            ctl.on_worker(answer(1));
+            ctl.on_worker(answer(1));
             let ack = || WorkerEvent::InstallAck {
                 worker: TaskId(1),
                 epoch: 1,
             };
-            ctl.on_worker_event(ack());
+            ctl.on_worker(ack());
             assert!(ctl.pending.is_none(), "{what}: op resumed at the last ack");
-            ctl.on_worker_event(ack());
-            ctl.on_source_event(SourceEvent::ResumeAck { epoch: 1 });
+            ctl.on_worker(ack());
+            ctl.on_source(SourceEvent::ResumeAck { epoch: 1 });
 
             assert_eq!(ctl.report.protocol_errors, vec![], "{what}");
             let stale = |what| FaultEvent::StaleEpochAbsorbed { epoch: 1, what };
@@ -2491,7 +2554,7 @@ mod protocol_tests {
                 rig.injector.take_ledger(),
                 vec![stale("pause ack"), stale(what), stale("install ack")]
             );
-            drop(ctl.finish());
+            drop(ctl.finish(Instant::now()));
             let phases: Vec<Phase> = rig
                 .sink
                 .take_log()
@@ -2517,10 +2580,125 @@ mod protocol_tests {
         }
     }
 
+    /// The `MigrateOut` markers waiting in `rx`, by epoch.
+    fn migrate_outs_at(rx: &Receiver<Message>) -> Vec<u64> {
+        std::iter::from_fn(|| rx.try_recv().ok())
+            .filter_map(|msg| match msg {
+                Message::MigrateOut { epoch, .. } => Some(epoch),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The deadline ladder in virtual time — synthetic instants, no
+    /// sleeps, no threads. A migration whose holder never answers is
+    /// re-driven at the first expiry and aborted at the second, resuming
+    /// under the rolled-back view; the holder's late answer is re-homed,
+    /// not dropped; and once the source has finished, a round still
+    /// missing a reporter closes on the wall bound alone.
+    #[test]
+    fn deadline_ladder_redrives_aborts_and_closes_rounds_in_virtual_time() {
+        let (mut ctl, rig) = rig(FixedSchedule::new([]));
+        let t0 = ctl.clock.now;
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        let (key, from, to) = (key_homed_on(0, 3), TaskId(0), TaskId(1));
+        ctl.partitioner.apply_moves(&[(key, to)]);
+        let moves = [(from, vec![(key, to)])].into_iter().collect();
+        ctl.enqueue(OpLabel::Rebalance, vec![key], moves, false);
+        ctl.tick_now();
+        ctl.on_source(SourceEvent::PauseAck { epoch: 1 });
+        assert_eq!(migrate_outs_at(&rig.workers[0]), vec![1]);
+
+        // The default deadline is 5 s *and* 4 intervals: neither alone.
+        ctl.tick(at(5_000));
+        close_round(&mut ctl, 3);
+        assert_eq!(rig.injector.take_ledger(), vec![]);
+        close_round(&mut ctl, 4);
+        let retried = FaultEvent::OpRetried {
+            op: OpKind::Migrate,
+            epoch: 1,
+        };
+        assert_eq!(rig.injector.take_ledger(), vec![retried]);
+        // Exactly one re-sent marker.
+        assert_eq!(migrate_outs_at(&rig.workers[0]), vec![1]);
+
+        // The second expiry runs from the re-drive: abort, roll back.
+        close_round(&mut ctl, 8);
+        ctl.tick(at(9_999));
+        assert!(ctl.pending.is_some());
+        ctl.tick(at(10_000));
+        assert!(ctl.pending.is_none());
+        let aborted = FaultEvent::OpAborted {
+            op: OpKind::Migrate,
+            epoch: 1,
+        };
+        assert_eq!(rig.injector.take_ledger(), vec![aborted]);
+        let resume = std::iter::from_fn(|| rig.source.try_recv().ok()).find_map(|m| match m {
+            SourceCtl::Resume { epoch: 1, view } => Some(view),
+            _ => None,
+        });
+        // The key resumes on its origin.
+        let mut router = SourceRouter::from_view(resume.expect("the rollback resumes"));
+        assert_eq!(router.route(key), from);
+        ctl.on_source(SourceEvent::ResumeAck { epoch: 1 });
+
+        // The holder wakes and answers on the closed epoch.
+        let states = vec![(key, to, Bytes::copy_from_slice(b"state"))];
+        ctl.on_worker(WorkerEvent::StateOut {
+            worker: from,
+            epoch: 1,
+            states,
+        });
+        assert_eq!(installs_at(&rig.workers[0]), vec![(3, vec![key])]);
+        let stale = FaultEvent::StaleEpochAbsorbed {
+            epoch: 1,
+            what: "state out",
+        };
+        assert_eq!(rig.injector.take_ledger(), vec![stale]);
+
+        // The last interval's round misses worker 2; the source finishes,
+        // so the interval clock never reaches the deadline.
+        ctl.on_source_event(SourceEvent::IntervalDone { interval: 9 }, at(20_000));
+        for w in 0..2 {
+            ctl.on_worker(WorkerEvent::Stats {
+                worker: TaskId(w),
+                interval: 9,
+                stats: IntervalStats::new(),
+                latency: Box::new(Histogram::new()),
+            });
+        }
+        ctl.on_source(SourceEvent::Finished);
+        ctl.tick(at(24_999));
+        assert_eq!(ctl.ledger.outstanding(), 1);
+        ctl.tick(at(25_000));
+        assert_eq!(ctl.ledger.outstanding(), 0);
+        let timed_out = FaultEvent::RoundTimedOut {
+            interval: 9,
+            missing: vec![2],
+        };
+        assert_eq!(rig.injector.take_ledger(), vec![timed_out]);
+        assert!(ctl.draining, "shutdown is no longer gated");
+        assert_eq!(ctl.report.protocol_errors, vec![]);
+        drop(ctl.finish(at(25_000)));
+        let spans: Vec<(OpLabel, Option<Outcome>)> = rig
+            .sink
+            .take_log()
+            .span_summaries()
+            .iter()
+            .map(|s| (s.op, s.outcome))
+            .collect();
+        let rolled_back = vec![
+            (OpLabel::Rebalance, Some(Outcome::Aborted)),
+            (OpLabel::Rollback, Some(Outcome::Completed)),
+        ];
+        assert_eq!(spans, rolled_back);
+    }
+
     /// The single re-home path: a destination that is dead at send time
     /// is diverted to the next live slot, and state arriving on a closed
     /// epoch is re-routed under the current view with empty blobs
-    /// skipped.
+    /// skipped — or, once the drain has begun and no worker will install
+    /// again, kept in the report.
     #[test]
     fn rehome_diverts_past_dead_slots_and_skips_empty_blobs() {
         let (mut ctl, rig) = rig(FixedSchedule::new([]));
@@ -2532,7 +2710,7 @@ mod protocol_tests {
         assert_eq!(sent.keys().copied().collect::<Vec<_>>(), vec![TaskId(2)]);
 
         let hollow = key_homed_on(0, 3);
-        ctl.rehome_stale(vec![(key, blob), (hollow, Bytes::new())]);
+        ctl.rehome_stale(vec![(key, blob.clone()), (hollow, Bytes::new())]);
 
         let installs = |slot: usize| installs_at(&rig.workers[slot]);
         assert_eq!(installs(0), vec![], "the empty blob went nowhere");
@@ -2540,7 +2718,13 @@ mod protocol_tests {
         // The stale re-home ran on a fresh, pre-closed epoch.
         assert_eq!(installs(2), vec![(7, vec![key]), (1, vec![key])]);
         assert!(ctl.closed_epochs.contains(1));
+
+        ctl.draining = true;
+        ctl.rehome_stale(vec![(key, blob.clone()), (hollow, Bytes::new())]);
+        assert_eq!((installs(0), installs(2)), (vec![], vec![]));
+        assert_eq!(ctl.report.final_states, vec![(key, blob)]);
     }
+
     fn peeks_at(rx: &Receiver<Message>) -> Vec<u64> {
         let mut out = Vec::new();
         while let Ok(msg) = rx.try_recv() {
@@ -2618,16 +2802,16 @@ mod protocol_tests {
     /// Answers the provisional round of `interval` with `reports`, then
     /// ticks (which settles it).
     fn settle(ctl: &mut Controller<'_>, interval: u64, reports: Vec<IntervalStats>) {
-        ctl.on_source_event(alert(interval));
+        ctl.on_source(alert(interval));
         for (w, stats) in reports.into_iter().enumerate() {
             let worker = TaskId::from(w);
-            ctl.on_worker_event(WorkerEvent::StatsPeek {
+            ctl.on_worker(WorkerEvent::StatsPeek {
                 worker,
                 interval,
                 stats,
             });
         }
-        ctl.tick();
+        ctl.tick_now();
     }
 
     /// A skew alert opens a provisional round — one request per worker,
@@ -2639,14 +2823,14 @@ mod protocol_tests {
         let (mut ctl, rig) = rig(FixedSchedule::new([(0, ScaleDecision::ScaleIn)]));
         // Idle: the round opens, every worker is asked, and the last
         // answer settles it (a hash partitioner never plans: held).
-        ctl.on_source_event(alert(0));
+        ctl.on_source(alert(0));
         for rx in &rig.workers {
             assert_eq!(peeks_at(rx), vec![0]);
         }
         for w in 0..3 {
             assert!(ctl.early.is_some());
-            ctl.on_worker_event(peek_answer(w, 0));
-            ctl.tick();
+            ctl.on_worker(peek_answer(w, 0));
+            ctl.tick_now();
         }
         assert!(ctl.early.is_none());
         // A second alert for the interval cannot arrive (the source
@@ -2655,14 +2839,14 @@ mod protocol_tests {
         // Round 0 decided a scale-in: its op is in flight, and alerts
         // are ignored for as long as it is (and while it is queued).
         assert!(ctl.pending.is_some());
-        ctl.on_source_event(alert(1));
+        ctl.on_source(alert(1));
         assert!(ctl.early.is_none());
         for rx in &rig.workers {
             assert_eq!(peeks_at(rx), vec![]);
         }
         assert_eq!(ctl.report.protocol_errors, vec![]);
         assert_eq!(rig.injector.take_ledger(), vec![]);
-        drop(ctl.finish());
+        drop(ctl.finish(Instant::now()));
         assert_eq!(
             early_steps(&rig),
             vec![(0, EarlyStep::Open), (0, EarlyStep::Held)]
@@ -2676,25 +2860,25 @@ mod protocol_tests {
     #[test]
     fn closing_round_cancels_an_open_provisional_round() {
         let (mut ctl, rig) = rig(FixedSchedule::new([]));
-        ctl.on_source_event(alert(4));
-        ctl.on_worker_event(peek_answer(0, 4));
-        ctl.tick();
+        ctl.on_source(alert(4));
+        ctl.on_worker(peek_answer(0, 4));
+        ctl.tick_now();
         assert!(ctl.early.is_some(), "two answers outstanding");
         close_round(&mut ctl, 4);
         assert!(ctl.early.is_none());
-        ctl.on_worker_event(peek_answer(1, 4));
-        ctl.on_worker_event(peek_answer(2, 4));
-        ctl.on_worker_event(peek_answer(2, 9));
-        ctl.tick();
+        ctl.on_worker(peek_answer(1, 4));
+        ctl.on_worker(peek_answer(2, 4));
+        ctl.on_worker(peek_answer(2, 9));
+        ctl.tick_now();
         // The next interval's round is not confused by the stragglers.
-        ctl.on_source_event(alert(5));
-        ctl.on_worker_event(peek_answer(1, 4));
-        ctl.tick();
+        ctl.on_source(alert(5));
+        ctl.on_worker(peek_answer(1, 4));
+        ctl.tick_now();
         assert_eq!(ctl.early.as_ref().map(|e| e.awaiting.len()), Some(3));
         assert_eq!(ctl.report.protocol_errors, vec![]);
         assert_eq!(ctl.report.rebalances, 0);
         assert_eq!(rig.injector.take_ledger(), vec![]);
-        drop(ctl.finish());
+        drop(ctl.finish(Instant::now()));
         assert_eq!(
             early_steps(&rig),
             vec![
@@ -2716,12 +2900,12 @@ mod protocol_tests {
         }]);
         let hash = Box::new(storm(3));
         let (mut ctl, rig) = rig_with(FixedSchedule::new([]), plan, hash);
-        ctl.on_source_event(alert(0));
+        ctl.on_source(alert(0));
         let asked: Vec<Vec<u64>> = rig.workers.iter().map(peeks_at).collect();
         assert_eq!(asked, vec![vec![0], vec![], vec![0]], "the 2nd was dropped");
-        ctl.on_worker_event(peek_answer(0, 0));
-        ctl.on_worker_event(peek_answer(2, 0));
-        ctl.tick();
+        ctl.on_worker(peek_answer(0, 0));
+        ctl.on_worker(peek_answer(2, 0));
+        ctl.tick_now();
         assert_eq!(ctl.early.as_ref().map(|e| e.awaiting.len()), Some(1));
         close_round(&mut ctl, 0);
         assert!(ctl.early.is_none());
@@ -2758,11 +2942,11 @@ mod protocol_tests {
                 stats,
             }
         };
-        ctl.on_source_event(alert(0));
+        ctl.on_source(alert(0));
         for w in 0..3 {
-            ctl.on_worker_event(report(w, 0));
+            ctl.on_worker(report(w, 0));
         }
-        ctl.tick();
+        ctl.tick_now();
         assert_eq!(ctl.report.rebalances, 1);
         let op = ctl.pending.as_ref().expect("the plan's op started");
         assert!(op.label == OpLabel::Rebalance && op.epoch == 1);
@@ -2771,7 +2955,7 @@ mod protocol_tests {
             Ok(SourceCtl::Pause { epoch: 1, .. })
         ));
         assert_eq!(ctl.report.protocol_errors, vec![]);
-        drop(ctl.finish());
+        drop(ctl.finish(Instant::now()));
         assert_eq!(
             early_steps(&rig),
             vec![(0, EarlyStep::Open), (0, EarlyStep::Planned)]
@@ -2812,7 +2996,7 @@ mod protocol_tests {
         close_round_with(&mut ctl, 1, &reports(&keys, [6, 3, 3], (hot, 540)));
         assert_eq!(ctl.report.split_events, vec![split]);
         assert_eq!(ctl.report.protocol_errors, vec![]);
-        drop(ctl.finish());
+        drop(ctl.finish(Instant::now()));
         let log = rig.sink.take_log();
         let inputs = log.events.iter().find_map(|e| match &e.kind {
             EventKind::EarlyRound { split, .. } => split.clone(),
@@ -2845,8 +3029,8 @@ mod protocol_tests {
         // Round 0 splits `cold`; run its op to completion.
         let calm = reports(&keys, [10, 10, 10], (hot, 0));
         close_round_with(&mut ctl, 0, &calm);
-        ctl.on_source_event(SourceEvent::PauseAck { epoch: 1 });
-        ctl.on_source_event(SourceEvent::ResumeAck { epoch: 1 });
+        ctl.on_source(SourceEvent::PauseAck { epoch: 1 });
+        ctl.on_source(SourceEvent::ResumeAck { epoch: 1 });
 
         // Interval 1 holds a heavy hitter, so the policy is asked — and
         // answers `Unsplit`, which a provisional round does not take.
@@ -2859,7 +3043,7 @@ mod protocol_tests {
         assert_eq!(ctl.report.scale_events.len(), 1);
         assert_eq!(ctl.report.split_events.len(), 2);
         assert_eq!(ctl.report.protocol_errors, vec![]);
-        drop(ctl.finish());
+        drop(ctl.finish(Instant::now()));
         let steps: Vec<EarlyStep> = early_steps(&rig).into_iter().map(|s| s.1).collect();
         assert_eq!(steps, vec![EarlyStep::Open, EarlyStep::Held]);
     }
@@ -2887,7 +3071,7 @@ mod protocol_tests {
         settle(&mut ctl, 1, other);
         assert_eq!(format!("{:?}", ctl.config.split), mid_streak);
         assert_eq!(ctl.report.split_events, vec![]);
-        drop(ctl.finish());
+        drop(ctl.finish(Instant::now()));
         let steps = vec![(1, EarlyStep::Open), (1, EarlyStep::Held)];
         assert_eq!(early_steps(&rig), steps);
     }
@@ -2904,7 +3088,7 @@ mod protocol_tests {
 
         let calm = reports(&keys, [10, 10, 10], (hot, 0));
         close_round_with(&mut ctl, 0, &calm);
-        ctl.on_source_event(alert(1));
+        ctl.on_source(alert(1));
         ctl.queue.push_back(ProtocolOp::new(
             OpLabel::Rebalance,
             ctl.partitioner.routing_view(),
@@ -2914,7 +3098,7 @@ mod protocol_tests {
         ));
         settle(&mut ctl, 1, heavy());
         assert_eq!(ctl.report.split_events, vec![]);
-        drop(ctl.finish());
+        drop(ctl.finish(Instant::now()));
         let (open, held) = (EarlyStep::Open, EarlyStep::Held);
         let steps = vec![(0, open), (0, held), (1, open), (1, EarlyStep::Cancelled)];
         assert_eq!(early_steps(&rig), steps);

@@ -104,26 +104,23 @@ pub struct EngineConfig {
     /// [`EngineReport::faults`], and unrecoverable tuples are accounted
     /// per key in [`EngineReport::lost_tuples`].
     pub fault_plan: FaultPlan,
-    /// Protocol-op deadline, interval-denominated: an in-flight
-    /// `Pause`/`MigrateOut`/`StateInstall`/`Retire` phase showing no
-    /// progress for this many source intervals *and*
-    /// [`EngineConfig::op_deadline`] of wall time is retried once, then
-    /// aborted with rollback. Intervals are the primary clock (they are
-    /// deterministic per run); the wall bound keeps healthy-but-slow
-    /// runs from spurious expiry and takes over alone once the source
-    /// has finished and intervals stop.
-    pub op_deadline_intervals: u64,
-    /// Wall-clock component of the op deadline (see above).
-    pub op_deadline: Duration,
-    /// Stats-round deadline, interval-denominated: a round still
-    /// missing reporters after this many further intervals *and*
-    /// [`EngineConfig::round_deadline`] of wall time closes with what
-    /// it has (the missing reporters are recorded in the fault ledger),
-    /// so a dead or wedged worker cannot hold statistics — or shutdown,
-    /// which waits on open rounds — hostage.
-    pub round_deadline_intervals: u64,
-    /// Wall-clock component of the round deadline (see above).
-    pub round_deadline: Duration,
+    /// The deadline every controller wait is measured against — an
+    /// in-flight op's current phase (`Pause`, `MigrateOut`,
+    /// `StateInstall`, `Retire`), a source resume's ack, a statistics
+    /// round's reports. A wait expires once this much wall time has
+    /// passed since it started *and* either
+    /// [`EngineConfig::deadline_intervals`] source intervals have passed
+    /// or the source has finished (its intervals stop then, and the wall
+    /// bound rules alone). Intervals are the deterministic clock; the
+    /// wall bound keeps healthy-but-slow runs from spurious expiry. An
+    /// expired op phase is re-driven once, then aborted with rollback; an
+    /// expired resume is re-driven; an expired round closes with the
+    /// reports it has, its missing reporters recorded in the fault
+    /// ledger, so a dead or wedged worker cannot hold statistics — or
+    /// shutdown, which waits on open rounds — hostage.
+    pub deadline: Duration,
+    /// The interval half of [`EngineConfig::deadline`].
+    pub deadline_intervals: u64,
     /// Flight recorder on/off (default `true`). When on, every thread
     /// carries a [`streambal_trace::ThreadRecorder`]: the controller
     /// records protocol-phase spans and per-interval telemetry
@@ -149,10 +146,8 @@ impl Default for EngineConfig {
             elasticity: Box::new(HoldPolicy),
             split: None,
             fault_plan: FaultPlan::none(),
-            op_deadline_intervals: 4,
-            op_deadline: Duration::from_secs(5),
-            round_deadline_intervals: 4,
-            round_deadline: Duration::from_secs(5),
+            deadline: Duration::from_secs(5),
+            deadline_intervals: 4,
             trace: true,
         }
     }
@@ -492,7 +487,8 @@ impl Engine {
 
 /// The controller's event loop: hands every source and worker event to
 /// the controller, and ticks it after each one and on every idle
-/// wake-up, until every worker has drained.
+/// wake-up, until every worker has drained. It reads the clock once per
+/// turn and passes that instant in; the controller reads none.
 fn drive(
     ctl: &mut Controller<'_>,
     source: &Receiver<SourceEvent>,
@@ -504,23 +500,25 @@ fn drive(
     while !ctl.done() {
         // Bounded wait: the tick (deadline retries/aborts, stats-round
         // expiry, the shutdown gate) must run even when no event arrives.
-        if let Ok(ready) = select.select_timeout(Duration::from_millis(10)) {
+        let ready = select.select_timeout(Duration::from_millis(10));
+        let now = Instant::now();
+        if let Ok(ready) = ready {
             if ready.index() == src_idx {
                 let Ok(ev) = ready.recv(source) else {
                     continue;
                 };
-                ctl.on_source_event(ev);
+                ctl.on_source_event(ev, now);
             } else {
                 let Ok(ev) = ready.recv(workers) else {
                     continue;
                 };
-                ctl.on_worker_event(ev);
+                ctl.on_worker_event(ev, now);
             }
             if ctl.done() {
                 break;
             }
         }
-        ctl.tick();
+        ctl.tick(now);
     }
 }
 
@@ -538,7 +536,7 @@ fn teardown(
     injector: &FaultInjector,
     sink: &TraceSink,
 ) -> EngineReport {
-    let (mut report, mut rec, leftover_spans) = ctl.finish();
+    let (mut report, mut rec, leftover_spans) = ctl.finish(Instant::now());
     drop(col_tx);
     // Join the source before taking the ledger: it records (drop
     // ordinals, send failures) until it exits, and a ledger taken while
@@ -1060,10 +1058,8 @@ mod tests {
             elasticity: Box::new(HoldPolicy),
             split: None,
             fault_plan: FaultPlan::none(),
-            op_deadline_intervals: 4,
-            op_deadline: Duration::from_secs(5),
-            round_deadline_intervals: 4,
-            round_deadline: Duration::from_secs(5),
+            deadline: Duration::from_secs(5),
+            deadline_intervals: 4,
             trace: true,
         }
     }

@@ -26,7 +26,6 @@
 //! its receiver (standing in for the OS reclaiming a dead process's
 //! socket), then returns.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -376,8 +375,6 @@ pub struct FaultInjector {
     drop_seen: Mutex<FxHashMap<CtlKind, usize>>,
     /// Ledger of fired faults and recovery actions.
     ledger: Mutex<Vec<FaultEvent>>,
-    /// Total tuples recorded lost (cheap liveness probe for tests).
-    lost: AtomicUsize,
     /// Flight-recorder sink: every ledger entry is mirrored as a trace
     /// event whose `seq` is its ledger index, so ledger order (the
     /// deterministic order) is canonical in the merged trace.
@@ -397,7 +394,6 @@ impl FaultInjector {
             plan,
             drop_seen: Mutex::new(FxHashMap::default()),
             ledger: Mutex::new(Vec::new()),
-            lost: AtomicUsize::new(0),
             sink,
         }
     }
@@ -422,17 +418,6 @@ impl FaultInjector {
             self.sink.fault(idx, ev.to_string());
         }
         ledger.push(ev);
-    }
-
-    /// Adds to the lost-tuple tally (accounting lives in the report;
-    /// this is a cross-thread total for quick assertions).
-    pub fn add_lost(&self, n: u64) {
-        self.lost.fetch_add(n as usize, Ordering::Relaxed);
-    }
-
-    /// Total tuples recorded lost so far.
-    pub fn total_lost(&self) -> u64 {
-        self.lost.load(Ordering::Relaxed) as u64
     }
 
     /// Drains the ledger (called once by the engine at report time).

@@ -91,9 +91,9 @@
 //! An empty pre-placement plan (shuffle, PKG: no state to move) skips
 //! the op and publishes the grown view directly. Anywhere a destination
 //! has died since it was chosen, the blob is diverted to the next live
-//! slot. A phase showing no progress for
-//! `EngineConfig::op_deadline{,_intervals}` is re-driven once (markers
-//! are idempotent — workers, source and controller absorb duplicates by
+//! slot. A phase that outlives its deadline (the one rule every wait
+//! follows; see *Failure model*) is re-driven once (markers are
+//! idempotent — workers, source and controller absorb duplicates by
 //! epoch), then the op is **aborted**: a key-scoped op rolls its keys'
 //! routing back to their origins and re-installs the state still in the
 //! controller's hand there (its own `rollback` span); an aborted
@@ -209,21 +209,26 @@
 //!   `fed == observed + lost` holds for every key on every run. A dead
 //!   slot stays revivable — a later scale-out re-provisions it.
 //! * **Lost control messages** (`DropCtl`): pause/resume/migrate/stats
-//!   markers are dropped at injection points. Every in-flight protocol
-//!   op carries a deadline (wall clock ∧ interval clock, see
-//!   `EngineConfig::op_deadline{,_intervals}`): first expiry re-drives
-//!   the stuck phase (markers are idempotent — workers, source, and
-//!   controller absorb duplicates by epoch), second expiry **aborts
-//!   with rollback**: routing reverts to each key's origin, state still
-//!   in the controller's hand is re-installed under a fresh pre-closed
-//!   epoch, and a victim's *late* `StateOut`/`Retired` on the closed
-//!   epoch is absorbed and its blobs re-homed under the current view —
-//!   never dropped. Statistics rounds have their own deadline
-//!   (`round_deadline{,_intervals}`); an expired round closes over the
-//!   missing workers and is ledgered as `RoundTimedOut`.
+//!   markers are dropped at injection points. Every controller wait —
+//!   an in-flight op's phase, a source resume's ack, a statistics
+//!   round's reports — ends by one rule: it expires once
+//!   `EngineConfig::deadline` of wall time has passed since it started
+//!   *and* either `EngineConfig::deadline_intervals` source intervals
+//!   have passed or the source has finished (its intervals stop then,
+//!   so the wall bound rules alone). The controller reads no clock: the
+//!   event loop passes the instant in with every event and tick. An op
+//!   phase's first expiry re-drives it (markers are idempotent —
+//!   workers, source, and controller absorb duplicates by epoch), its
+//!   second **aborts with rollback**: routing reverts to each key's
+//!   origin, state still in the controller's hand is re-installed under
+//!   a fresh pre-closed epoch, and a victim's *late* `StateOut`/`Retired`
+//!   on the closed epoch is absorbed and its blobs re-homed under the
+//!   current view — never dropped. An expired resume is re-driven until
+//!   acked; an expired round closes over the missing workers and is
+//!   ledgered as `RoundTimedOut`.
 //! * **Stalls** (`StallWorker`): a worker sleeps mid-interval. Nothing
-//!   is lost; the op-deadline machinery above decides whether to wait,
-//!   re-drive, or roll back.
+//!   is lost; the deadline above decides whether to wait, re-drive, or
+//!   roll back.
 //!
 //! Every detection, retry, abort, re-route, and absorption is recorded
 //! in order in the `EngineReport::faults` ledger ([`FaultEvent`]), so a

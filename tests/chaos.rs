@@ -13,101 +13,18 @@
 //! Determinism is part of the contract: the fault plan is data, not
 //! timing, so replaying the same plan yields the same fault ledger.
 
+mod common;
+
 use std::time::Duration;
 
-use streambal::baselines::{
-    readj, storm, CoreBalancer, PkgPartitioner, ReadjConfig, ShufflePartitioner,
+use common::{
+    all_partitioners, hottest_key, keyed_intervals, mixed_balancer, observed_counts,
+    reference_counts, run_engine, INTERVALS, N_TASKS,
 };
-use streambal::core::{BalanceParams, RebalanceStrategy};
-use streambal::hashring::FxHashMap;
-use streambal::prelude::{Key, Partitioner, TaskId};
+use streambal::baselines::{storm, ShufflePartitioner};
 use streambal::runtime::{
-    Collector, CtlKind, Engine, EngineConfig, EngineReport, FaultEvent, FaultPlan, FaultSpec,
-    KillTrigger, OpKind, SumCollector, Tuple, WordCountOp,
+    CtlKind, EngineConfig, EngineReport, FaultEvent, FaultPlan, FaultSpec, KillTrigger, OpKind,
 };
-use streambal::workloads::FluctuatingWorkload;
-
-/// Workload parameters, mirroring `cross_partitioner.rs` so the fault
-/// runs stress the same skewed, fluctuating, migration-heavy regime the
-/// exactness suite proves correct without faults.
-const N_TASKS: usize = 3;
-const KEYS: usize = 400;
-const ZIPF: f64 = 1.0;
-const TUPLES: u64 = 6_000;
-const FLUCTUATION: f64 = 0.6;
-const SEED: u64 = 4242;
-const INTERVALS: usize = 5;
-
-/// Hard ceiling on one engine run. A wedged protocol (the failure mode
-/// this suite exists to catch) panics the test instead of hanging CI.
-const RUN_TIMEOUT: Duration = Duration::from_secs(120);
-
-/// Every partitioner under test, freshly constructed.
-fn all_partitioners() -> Vec<Box<dyn Partitioner>> {
-    let params = BalanceParams {
-        theta_max: 0.05,
-        ..BalanceParams::default()
-    };
-    let mut out: Vec<Box<dyn Partitioner>> = vec![
-        Box::new(storm(N_TASKS)),
-        Box::new(ShufflePartitioner::new(N_TASKS)),
-        Box::new(PkgPartitioner::new(N_TASKS)),
-        Box::new(readj(
-            N_TASKS,
-            100,
-            ReadjConfig {
-                theta_max: 0.05,
-                sigma: 0.01,
-                max_actions: 512,
-            },
-        )),
-    ];
-    for strategy in [
-        RebalanceStrategy::Mixed,
-        RebalanceStrategy::MinTable,
-        RebalanceStrategy::MinMig,
-        RebalanceStrategy::Simple,
-    ] {
-        out.push(Box::new(CoreBalancer::new(N_TASKS, 100, strategy, params)));
-    }
-    out
-}
-
-/// A fresh CoreBalancer/Mixed: the workhorse strategy for targeted
-/// fault tests, since it migrates on every interval of this workload.
-fn mixed_balancer() -> Box<dyn Partitioner> {
-    Box::new(CoreBalancer::new(
-        N_TASKS,
-        100,
-        RebalanceStrategy::Mixed,
-        BalanceParams {
-            theta_max: 0.05,
-            ..BalanceParams::default()
-        },
-    ))
-}
-
-fn keyed_intervals() -> Vec<Vec<Key>> {
-    let mut w = FluctuatingWorkload::new(KEYS, ZIPF, TUPLES, FLUCTUATION, SEED);
-    (0..INTERVALS)
-        .map(|i| {
-            if i > 0 {
-                w.advance(N_TASKS, |k| TaskId::from(k.raw() as usize % N_TASKS));
-            }
-            w.tuples()
-        })
-        .collect()
-}
-
-fn reference_counts(intervals: &[Vec<Key>]) -> FxHashMap<Key, u64> {
-    let mut m = FxHashMap::default();
-    for iv in intervals {
-        for &k in iv {
-            *m.entry(k).or_insert(0) += 1;
-        }
-    }
-    m
-}
 
 /// Engine config for fault runs. Deadlines are squeezed far below the
 /// defaults so retry/abort recovery fires within a test run instead of
@@ -121,69 +38,21 @@ fn chaos_config(plan: FaultPlan) -> EngineConfig {
         spin_work: 10,
         window: 100, // retain all state: exact accounting validation
         fault_plan: plan,
-        op_deadline_intervals: 1,
-        op_deadline: Duration::from_millis(400),
-        round_deadline_intervals: 2,
-        round_deadline: Duration::from_millis(400),
+        deadline: Duration::from_millis(400),
+        deadline_intervals: 1,
         ..EngineConfig::default()
     }
 }
 
-/// Runs the engine on the shared workload with the given partitioner
-/// and config, panicking (not hanging) if the run does not terminate.
-fn run_chaos(label: &str, config: EngineConfig, p: Box<dyn Partitioner>) -> EngineReport {
-    let preserves = p.preserves_key_semantics();
-    let feed = keyed_intervals();
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let report = Engine::run(
-            config,
-            p,
-            |_| {
-                if preserves {
-                    Box::new(WordCountOp::new())
-                } else {
-                    // Split keys need partial emission + a merge stage.
-                    Box::new(WordCountOp::with_partial_emission(8))
-                }
-            },
-            move |iv| {
-                feed.get(iv as usize)
-                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-            },
-            (!preserves).then(|| Box::new(SumCollector::new()) as Box<dyn Collector>),
-        );
-        let _ = tx.send(report);
-    });
-    rx.recv_timeout(RUN_TIMEOUT)
-        .unwrap_or_else(|_| panic!("{label}: engine run did not terminate"))
-}
-
 /// The accounting invariant: per key, observed output plus accounted
 /// loss equals what was fed — no silent drops, no double counts.
-fn assert_accounted(
-    label: &str,
-    report: &EngineReport,
-    expect: &FxHashMap<Key, u64>,
-    preserves: bool,
-) {
-    let mut got: FxHashMap<Key, u64> = FxHashMap::default();
-    if preserves {
-        // A key's count may legitimately split across workers after a
-        // re-route or rollback; the *sum* must balance.
-        for (k, blob) in &report.final_states {
-            let n: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
-            *got.entry(*k).or_insert(0) += n;
-        }
-    } else {
-        for &(k, v) in &report.collector_result {
-            *got.entry(Key(k)).or_insert(0) += v;
-        }
-    }
+fn assert_accounted(label: &str, report: &EngineReport, preserves: bool) {
+    let expect = reference_counts(&keyed_intervals());
+    let mut got = observed_counts(report, preserves);
     for &(k, n) in &report.lost_tuples {
         *got.entry(k).or_insert(0) += n;
     }
-    for (k, &e) in expect {
+    for (k, &e) in &expect {
         let g = got.get(k).copied().unwrap_or(0);
         assert_eq!(
             g, e,
@@ -220,7 +89,6 @@ fn assert_accounted(
 /// what a replayable ledger must be scoped away from.
 #[test]
 fn same_plan_yields_identical_fault_ledger() {
-    let expect = reference_counts(&keyed_intervals());
     let plan = FaultPlan::new(vec![FaultSpec::KillWorker {
         worker: 1,
         at_interval: 2,
@@ -231,12 +99,11 @@ fn same_plan_yields_identical_fault_ledger() {
         spin_work: 10,
         window: 100,
         fault_plan: plan.clone(),
-        op_deadline: Duration::from_secs(120),
-        round_deadline: Duration::from_secs(120),
+        deadline: Duration::from_secs(120),
         ..EngineConfig::default()
     };
-    let a = run_chaos("ledger-a", config(), Box::new(storm(N_TASKS)));
-    let b = run_chaos("ledger-b", config(), Box::new(storm(N_TASKS)));
+    let a = run_engine("ledger-a", config(), Box::new(storm(N_TASKS)));
+    let b = run_engine("ledger-b", config(), Box::new(storm(N_TASKS)));
     assert!(
         a.faults.contains(&FaultEvent::InjectedKill {
             worker: 1,
@@ -254,8 +121,8 @@ fn same_plan_yields_identical_fault_ledger() {
         a.faults, b.faults,
         "same plan must replay to the same ledger"
     );
-    assert_accounted("ledger-a", &a, &expect, true);
-    assert_accounted("ledger-b", &b, &expect, true);
+    assert_accounted("ledger-a", &a, true);
+    assert_accounted("ledger-b", &b, true);
 }
 
 /// A worker killed *mid-migration* — it dies on receipt of its first
@@ -265,14 +132,13 @@ fn same_plan_yields_identical_fault_ledger() {
 /// resume the source), account the dead worker's state, and finish.
 #[test]
 fn mid_migration_worker_kill_recovers_and_accounts() {
-    let expect = reference_counts(&keyed_intervals());
     for victim in [1usize, 2] {
         let label = format!("kill-on-migrate-out({victim})");
         let plan = FaultPlan::new(vec![FaultSpec::KillOnMigrateOut {
             worker: victim,
             nth: 1,
         }]);
-        let report = run_chaos(&label, chaos_config(plan), mixed_balancer());
+        let report = run_engine(&label, chaos_config(plan), mixed_balancer());
         let killed = report.faults.contains(&FaultEvent::InjectedKill {
             worker: victim,
             trigger: KillTrigger::MigrateOut(1),
@@ -286,7 +152,7 @@ fn mid_migration_worker_kill_recovers_and_accounts() {
                 report.faults
             );
         }
-        assert_accounted(&label, &report, &expect, true);
+        assert_accounted(&label, &report, true);
     }
 }
 
@@ -300,12 +166,7 @@ fn mid_migration_worker_kill_recovers_and_accounts() {
 /// between.
 #[test]
 fn mid_split_replica_kill_accounts_every_tuple() {
-    let expect = reference_counts(&keyed_intervals());
-    let hot = expect
-        .iter()
-        .max_by_key(|&(k, &c)| (c, std::cmp::Reverse(k.raw())))
-        .map(|(&k, _)| k)
-        .expect("non-empty workload");
+    let hot = hottest_key();
     for victim in [1usize, 2] {
         let label = format!("kill-mid-split({victim})");
         let plan = FaultPlan::new(vec![FaultSpec::KillWorker {
@@ -319,7 +180,7 @@ fn mid_split_replica_kill_accounts_every_tuple() {
             1,
             3,
         )));
-        let report = run_chaos(&label, config, mixed_balancer());
+        let report = run_engine(&label, config, mixed_balancer());
         assert!(
             report
                 .split_events
@@ -335,7 +196,7 @@ fn mid_split_replica_kill_accounts_every_tuple() {
             "{label}: death not observed: {:?}",
             report.faults
         );
-        assert_accounted(&label, &report, &expect, true);
+        assert_accounted(&label, &report, true);
     }
 }
 
@@ -345,11 +206,10 @@ fn mid_split_replica_kill_accounts_every_tuple() {
 /// must land in `lost_tuples`, not vanish.
 #[test]
 fn kill_on_install_accounts_in_flight_state() {
-    let expect = reference_counts(&keyed_intervals());
     let plan = FaultPlan::new(vec![FaultSpec::KillOnInstall { worker: 2, nth: 1 }]);
     let label = "kill-on-install(2)";
-    let report = run_chaos(label, chaos_config(plan), mixed_balancer());
-    assert_accounted(label, &report, &expect, true);
+    let report = run_engine(label, chaos_config(plan), mixed_balancer());
+    assert_accounted(label, &report, true);
 }
 
 /// A dropped `PauseAck` wedges the migration handshake at its first
@@ -358,13 +218,12 @@ fn kill_on_install_accounts_in_flight_state() {
 /// nothing may be lost.
 #[test]
 fn dropped_pause_ack_is_redriven_and_stays_exact() {
-    let expect = reference_counts(&keyed_intervals());
     let plan = FaultPlan::new(vec![FaultSpec::DropCtl {
         kind: CtlKind::PauseAck,
         nth: 1,
     }]);
     let label = "drop-pause-ack";
-    let report = run_chaos(label, chaos_config(plan), mixed_balancer());
+    let report = run_engine(label, chaos_config(plan), mixed_balancer());
     assert!(
         report.faults.contains(&FaultEvent::InjectedDrop {
             kind: CtlKind::PauseAck,
@@ -389,7 +248,34 @@ fn dropped_pause_ack_is_redriven_and_stays_exact() {
         "{label}: lossless fault lost tuples: {:?}",
         report.lost_tuples
     );
-    assert_accounted(label, &report, &expect, true);
+    assert_accounted(label, &report, true);
+}
+
+/// A statistics message lost in the *last* interval: the source has
+/// finished, so the interval clock stops and the deadline's wall bound
+/// closes the round alone — ledgered as `RoundTimedOut` — and the run
+/// drains. Both the request (interval 4, worker 0) and a report are
+/// dropped in turn. Round-robin routing on purpose: it never raises a
+/// skew alert, whose `StatsPeek` markers also count as `StatsRequest`
+/// drops and would shift the ordinal.
+#[test]
+fn last_interval_stats_loss_closes_by_deadline() {
+    let nth = N_TASKS * (INTERVALS - 1) + 1;
+    for kind in [CtlKind::StatsRequest, CtlKind::Stats] {
+        let label = format!("drop-{}-{nth}", kind.name());
+        let plan = FaultPlan::new(vec![FaultSpec::DropCtl { kind, nth }]);
+        let shuffle = Box::new(ShufflePartitioner::new(N_TASKS));
+        let report = run_engine(&label, chaos_config(plan), shuffle);
+        let last = (INTERVALS - 1) as u64;
+        assert!(
+            report.faults.iter().any(
+                |f| matches!(f, FaultEvent::RoundTimedOut { interval, .. } if *interval == last)
+            ),
+            "{label}: the last round never timed out: {:?}",
+            report.faults
+        );
+        assert_accounted(&label, &report, false);
+    }
 }
 
 /// The seeded sweep: `FaultPlan::from_seed` draws 1–3 faults (kills,
@@ -401,7 +287,6 @@ fn dropped_pause_ack_is_redriven_and_stays_exact() {
 /// `lost_tuples` makes `observed + lost == fed` an exactness claim).
 #[test]
 fn seeded_sweep_accounts_every_tuple_across_partitioners() {
-    let expect = reference_counts(&keyed_intervals());
     for seed in [1u64, 2, 3] {
         for p in all_partitioners() {
             let name = p.name();
@@ -412,8 +297,8 @@ fn seeded_sweep_accounts_every_tuple_across_partitioners() {
                 !plan.faults.is_empty(),
                 "{label}: seeded plan unexpectedly empty"
             );
-            let report = run_chaos(&label, chaos_config(plan), p);
-            assert_accounted(&label, &report, &expect, preserves);
+            let report = run_engine(&label, chaos_config(plan), p);
+            assert_accounted(&label, &report, preserves);
         }
     }
 }

@@ -9,9 +9,13 @@
 //! exact counts after the partial/merge collector. Either way, no tuple
 //! may be lost or double-counted, migrations included.
 
-use streambal::baselines::{
-    readj, storm, CoreBalancer, PkgPartitioner, ReadjConfig, ShufflePartitioner,
+mod common;
+
+use common::{
+    all_partitioners, assert_exact, hottest_key, keyed_intervals, mixed_balancer, reference_counts,
+    run_engine, FLUCTUATION, INTERVALS, KEYS, N_TASKS, SEED, TUPLES, ZIPF,
 };
+use streambal::baselines::{readj, storm, CoreBalancer, ReadjConfig};
 use streambal::core::{BalanceParams, IntervalStats, RebalanceStrategy, RoutingView};
 use streambal::elastic::{FixedSchedule, FixedSplitSchedule};
 use streambal::hashring::FxHashMap;
@@ -21,69 +25,6 @@ use streambal::runtime::{
 };
 use streambal::sim::source::ZipfSource;
 use streambal::sim::Sim;
-use streambal::workloads::FluctuatingWorkload;
-
-/// Workload parameters shared by the sim and engine sides.
-const N_TASKS: usize = 3;
-const KEYS: usize = 400;
-const ZIPF: f64 = 1.0;
-const TUPLES: u64 = 6_000;
-const FLUCTUATION: f64 = 0.6;
-const SEED: u64 = 4242;
-const INTERVALS: usize = 5;
-
-/// Every partitioner under test, freshly constructed.
-fn all_partitioners() -> Vec<Box<dyn Partitioner>> {
-    let params = BalanceParams {
-        theta_max: 0.05,
-        ..BalanceParams::default()
-    };
-    let mut out: Vec<Box<dyn Partitioner>> = vec![
-        Box::new(storm(N_TASKS)),
-        Box::new(ShufflePartitioner::new(N_TASKS)),
-        Box::new(PkgPartitioner::new(N_TASKS)),
-        Box::new(readj(
-            N_TASKS,
-            100,
-            ReadjConfig {
-                theta_max: 0.05,
-                sigma: 0.01,
-                max_actions: 512,
-            },
-        )),
-    ];
-    for strategy in [
-        RebalanceStrategy::Mixed,
-        RebalanceStrategy::MinTable,
-        RebalanceStrategy::MinMig,
-        RebalanceStrategy::Simple,
-    ] {
-        out.push(Box::new(CoreBalancer::new(N_TASKS, 100, strategy, params)));
-    }
-    out
-}
-
-fn keyed_intervals() -> Vec<Vec<Key>> {
-    let mut w = FluctuatingWorkload::new(KEYS, ZIPF, TUPLES, FLUCTUATION, SEED);
-    (0..INTERVALS)
-        .map(|i| {
-            if i > 0 {
-                w.advance(N_TASKS, |k| TaskId::from(k.raw() as usize % N_TASKS));
-            }
-            w.tuples()
-        })
-        .collect()
-}
-
-fn reference_counts(intervals: &[Vec<Key>]) -> FxHashMap<Key, u64> {
-    let mut m = FxHashMap::default();
-    for iv in intervals {
-        for &k in iv {
-            *m.entry(k).or_insert(0) += 1;
-        }
-    }
-    m
-}
 
 fn sim_run(p: &mut dyn Partitioner) -> streambal::sim::SimReport {
     let sim = Sim {
@@ -143,61 +84,27 @@ fn adaptive_strategies_rebalance_in_sim() {
 /// mismatch.
 #[test]
 fn tiny_channels_rebalance_and_scale_out_stay_exact() {
-    let intervals = keyed_intervals();
-    let expect = reference_counts(&intervals);
-    let total: u64 = intervals.iter().map(|iv| iv.len() as u64).sum();
     for batch_size in [1, 3, 256] {
         let label = format!("batch={batch_size}");
-        let feed = intervals.clone();
-        let report = Engine::run(
-            EngineConfig {
-                n_workers: N_TASKS,
-                max_workers: N_TASKS + 1,
-                channel_capacity: 4,
-                collector_capacity: 2,
-                batch_size,
-                spin_work: 10,
-                window: 100, // retain all state: exact count validation
-                elasticity: Box::new(FixedSchedule::scale_out_at(1)),
-                ..EngineConfig::default()
-            },
-            Box::new(CoreBalancer::new(
-                N_TASKS,
-                100,
-                RebalanceStrategy::Mixed,
-                BalanceParams {
-                    theta_max: 0.05,
-                    ..BalanceParams::default()
-                },
-            )),
-            |_| Box::new(WordCountOp::new()),
-            move |iv| {
-                feed.get(iv as usize)
-                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-            },
-            None,
-        );
+        let config = EngineConfig {
+            n_workers: N_TASKS,
+            max_workers: N_TASKS + 1,
+            channel_capacity: 4,
+            collector_capacity: 2,
+            batch_size,
+            spin_work: 10,
+            window: 100, // retain all state: exact count validation
+            elasticity: Box::new(FixedSchedule::scale_out_at(1)),
+            ..EngineConfig::default()
+        };
+        let report = run_engine(&label, config, mixed_balancer());
         assert!(report.rebalances > 0, "{label}: skew must force rebalances");
         assert!(
             report.per_worker_processed[N_TASKS] > 0,
             "{label}: scale-out worker got no traffic: {:?}",
             report.per_worker_processed
         );
-        assert_eq!(report.processed, total, "{label}: tuples lost/duplicated");
-        // Sum duplicate keys: scale-out re-pins keys to the new worker
-        // without moving their old state, so a key's count may be split
-        // across two workers — the *sum* must still be exact.
-        let mut got: FxHashMap<Key, u64> = FxHashMap::default();
-        for (k, blob) in &report.final_states {
-            let n: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
-            *got.entry(*k).or_insert(0) += n;
-        }
-        assert_eq!(got, expect, "{label}: word counts diverged");
-        assert!(
-            report.protocol_errors.is_empty(),
-            "{label}: protocol errors: {:?}",
-            report.protocol_errors
-        );
+        assert_exact(&label, &report, true);
     }
 }
 
@@ -215,16 +122,13 @@ fn tiny_channels_rebalance_and_scale_out_stay_exact() {
 /// key-splitting ones route to the new slot immediately.
 #[test]
 fn preplaced_scale_out_stays_exact_for_all_partitioners() {
-    let intervals = keyed_intervals();
-    let expect = reference_counts(&intervals);
-    let total: u64 = intervals.iter().map(|iv| iv.len() as u64).sum();
     for batch_size in [1, 3, 256] {
         for p in all_partitioners() {
             let name = p.name();
             let label = format!("{name}/batch={batch_size}");
             let preserves = p.preserves_key_semantics();
-            let feed = intervals.clone();
-            let report = Engine::run(
+            let report = run_engine(
+                &label,
                 EngineConfig {
                     n_workers: N_TASKS,
                     max_workers: N_TASKS + 1,
@@ -237,18 +141,6 @@ fn preplaced_scale_out_stays_exact_for_all_partitioners() {
                     ..EngineConfig::default()
                 },
                 p,
-                |_| {
-                    if preserves {
-                        Box::new(WordCountOp::new())
-                    } else {
-                        Box::new(WordCountOp::with_partial_emission(8))
-                    }
-                },
-                move |iv| {
-                    feed.get(iv as usize)
-                        .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-                },
-                (!preserves).then(|| Box::new(SumCollector::new()) as Box<dyn Collector>),
             );
             assert_eq!(
                 report
@@ -268,27 +160,7 @@ fn preplaced_scale_out_stays_exact_for_all_partitioners() {
                 report.first_tuple_interval[N_TASKS].is_some(),
                 "{label}: no first-tuple interval recorded for the new slot"
             );
-            assert_eq!(report.processed, total, "{label}: tuples lost/duplicated");
-            let got: FxHashMap<Key, u64> = if preserves {
-                let mut m: FxHashMap<Key, u64> = FxHashMap::default();
-                for (k, blob) in &report.final_states {
-                    let n: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
-                    *m.entry(*k).or_insert(0) += n;
-                }
-                m
-            } else {
-                report
-                    .collector_result
-                    .iter()
-                    .map(|&(k, v)| (Key(k), v))
-                    .collect()
-            };
-            assert_eq!(got, expect, "{label}: word counts diverged");
-            assert!(
-                report.protocol_errors.is_empty(),
-                "{label}: protocol errors: {:?}",
-                report.protocol_errors
-            );
+            assert_exact(&label, &report, preserves);
         }
     }
 }
@@ -305,16 +177,13 @@ fn preplaced_scale_out_stays_exact_for_all_partitioners() {
 /// so a key's count may be legitimately split).
 #[test]
 fn scale_round_trip_stays_exact_for_all_partitioners() {
-    let intervals = keyed_intervals();
-    let expect = reference_counts(&intervals);
-    let total: u64 = intervals.iter().map(|iv| iv.len() as u64).sum();
     for batch_size in [1, 3, 256] {
         for p in all_partitioners() {
             let name = p.name();
             let label = format!("{name}/batch={batch_size}");
             let preserves = p.preserves_key_semantics();
-            let feed = intervals.clone();
-            let report = Engine::run(
+            let report = run_engine(
+                &label,
                 EngineConfig {
                     n_workers: N_TASKS,
                     max_workers: N_TASKS + 1,
@@ -327,18 +196,6 @@ fn scale_round_trip_stays_exact_for_all_partitioners() {
                     ..EngineConfig::default()
                 },
                 p,
-                |_| {
-                    if preserves {
-                        Box::new(WordCountOp::new())
-                    } else {
-                        Box::new(WordCountOp::with_partial_emission(8))
-                    }
-                },
-                move |iv| {
-                    feed.get(iv as usize)
-                        .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-                },
-                (!preserves).then(|| Box::new(SumCollector::new()) as Box<dyn Collector>),
             );
             // The cycle executed: up to N_TASKS+1 and back.
             assert_eq!(
@@ -350,27 +207,7 @@ fn scale_round_trip_stays_exact_for_all_partitioners() {
                 vec![(1, N_TASKS, N_TASKS + 1), (3, N_TASKS + 1, N_TASKS),],
                 "{label}: cycle not executed"
             );
-            assert_eq!(report.processed, total, "{label}: tuples lost/duplicated");
-            let got: FxHashMap<Key, u64> = if preserves {
-                let mut m: FxHashMap<Key, u64> = FxHashMap::default();
-                for (k, blob) in &report.final_states {
-                    let n: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
-                    *m.entry(*k).or_insert(0) += n;
-                }
-                m
-            } else {
-                report
-                    .collector_result
-                    .iter()
-                    .map(|&(k, v)| (Key(k), v))
-                    .collect()
-            };
-            assert_eq!(got, expect, "{label}: word counts diverged");
-            assert!(
-                report.protocol_errors.is_empty(),
-                "{label}: protocol errors: {:?}",
-                report.protocol_errors
-            );
+            assert_exact(&label, &report, preserves);
         }
     }
 }
@@ -386,24 +223,15 @@ fn scale_round_trip_stays_exact_for_all_partitioners() {
 /// without disturbing exactness.
 #[test]
 fn forced_split_cycle_stays_exact_for_all_partitioners() {
-    let intervals = keyed_intervals();
-    let expect = reference_counts(&intervals);
-    let total: u64 = intervals.iter().map(|iv| iv.len() as u64).sum();
-    // The workload's hottest key: the one whose split actually moves
-    // replica traffic (ties broken low for determinism).
-    let hot = expect
-        .iter()
-        .max_by_key(|&(k, &c)| (c, std::cmp::Reverse(k.raw())))
-        .map(|(&k, _)| k)
-        .expect("non-empty workload");
+    let hot = hottest_key();
     for batch_size in [1, 3, 256] {
         for p in all_partitioners() {
             let name = p.name();
             let label = format!("{name}/batch={batch_size}");
             let splittable = !matches!(name.as_str(), "Ideal" | "PKG");
             let preserves = p.preserves_key_semantics();
-            let feed = intervals.clone();
-            let report = Engine::run(
+            let report = run_engine(
+                &label,
                 EngineConfig {
                     n_workers: N_TASKS,
                     max_workers: N_TASKS,
@@ -421,18 +249,6 @@ fn forced_split_cycle_stays_exact_for_all_partitioners() {
                     ..EngineConfig::default()
                 },
                 p,
-                |_| {
-                    if preserves {
-                        Box::new(WordCountOp::new())
-                    } else {
-                        Box::new(WordCountOp::with_partial_emission(8))
-                    }
-                },
-                move |iv| {
-                    feed.get(iv as usize)
-                        .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-                },
-                (!preserves).then(|| Box::new(SumCollector::new()) as Box<dyn Collector>),
             );
             let events: Vec<(u64, u64, usize, usize)> = report
                 .split_events
@@ -452,27 +268,7 @@ fn forced_split_cycle_stays_exact_for_all_partitioners() {
                     "{label}: key-spreading strategy must decline the split"
                 );
             }
-            assert_eq!(report.processed, total, "{label}: tuples lost/duplicated");
-            let got: FxHashMap<Key, u64> = if preserves {
-                let mut m: FxHashMap<Key, u64> = FxHashMap::default();
-                for (k, blob) in &report.final_states {
-                    let n: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
-                    *m.entry(*k).or_insert(0) += n;
-                }
-                m
-            } else {
-                report
-                    .collector_result
-                    .iter()
-                    .map(|&(k, v)| (Key(k), v))
-                    .collect()
-            };
-            assert_eq!(got, expect, "{label}: word counts diverged");
-            assert!(
-                report.protocol_errors.is_empty(),
-                "{label}: protocol errors: {:?}",
-                report.protocol_errors
-            );
+            assert_exact(&label, &report, preserves);
         }
     }
 }

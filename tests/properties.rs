@@ -427,7 +427,7 @@ proptest! {
                     rb.reroute_dead(TaskId(dead as u32), &|d| d == dead);
                 }
                 ControllerStep::ScaleOut(live) if n < 8 => {
-                    rb.scale_out(&keys(live));
+                    rb.scale_out_plan(&keys(live));
                 }
                 ControllerStep::ScaleOutPlan(live) if n < 8 => {
                     let (new, moves) = rb.scale_out_plan(&keys(live));

@@ -15,76 +15,13 @@
 //!   with `FaultEvent::OpAborted` ledger entries, even when chaos
 //!   wedges ops mid-flight.
 
+mod common;
+
 use std::time::Duration;
 
-use streambal::baselines::{storm, CoreBalancer};
-use streambal::core::{BalanceParams, RebalanceStrategy};
-use streambal::prelude::{Key, Partitioner, TaskId};
-use streambal::runtime::{
-    Engine, EngineConfig, EngineReport, FaultEvent, FaultPlan, FaultSpec, OpLabel, Outcome, Tuple,
-    WordCountOp,
-};
-use streambal::workloads::FluctuatingWorkload;
-
-/// Workload parameters, mirroring `tests/chaos.rs` — the same skewed,
-/// fluctuating, migration-heavy regime the chaos suite stresses.
-const N_TASKS: usize = 3;
-const KEYS: usize = 400;
-const ZIPF: f64 = 1.0;
-const TUPLES: u64 = 6_000;
-const FLUCTUATION: f64 = 0.6;
-const SEED: u64 = 4242;
-const INTERVALS: usize = 5;
-
-/// Hard ceiling on one engine run: a wedged protocol panics the test
-/// instead of hanging CI.
-const RUN_TIMEOUT: Duration = Duration::from_secs(120);
-
-fn mixed_balancer() -> Box<dyn Partitioner> {
-    Box::new(CoreBalancer::new(
-        N_TASKS,
-        100,
-        RebalanceStrategy::Mixed,
-        BalanceParams {
-            theta_max: 0.05,
-            ..BalanceParams::default()
-        },
-    ))
-}
-
-fn keyed_intervals() -> Vec<Vec<Key>> {
-    let mut w = FluctuatingWorkload::new(KEYS, ZIPF, TUPLES, FLUCTUATION, SEED);
-    (0..INTERVALS)
-        .map(|i| {
-            if i > 0 {
-                w.advance(N_TASKS, |k| TaskId::from(k.raw() as usize % N_TASKS));
-            }
-            w.tuples()
-        })
-        .collect()
-}
-
-/// Runs the engine on the shared workload, panicking (not hanging) if
-/// the run does not terminate.
-fn run_traced(label: &str, config: EngineConfig, p: Box<dyn Partitioner>) -> EngineReport {
-    let feed = keyed_intervals();
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let report = Engine::run(
-            config,
-            p,
-            |_| Box::new(WordCountOp::new()),
-            move |iv| {
-                feed.get(iv as usize)
-                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-            },
-            None,
-        );
-        let _ = tx.send(report);
-    });
-    rx.recv_timeout(RUN_TIMEOUT)
-        .unwrap_or_else(|_| panic!("{label}: engine run did not terminate"))
-}
+use common::{mixed_balancer, run_engine, N_TASKS};
+use streambal::baselines::storm;
+use streambal::runtime::{EngineConfig, FaultEvent, FaultPlan, FaultSpec, OpLabel, Outcome};
 
 /// The skeleton of a seeded run replays identically. Same scoping as
 /// `same_plan_yields_identical_fault_ledger` in `tests/chaos.rs`: a
@@ -104,12 +41,11 @@ fn same_seed_yields_identical_trace_skeleton() {
         spin_work: 10,
         window: 100,
         fault_plan: plan.clone(),
-        op_deadline: Duration::from_secs(120),
-        round_deadline: Duration::from_secs(120),
+        deadline: Duration::from_secs(120),
         ..EngineConfig::default()
     };
-    let a = run_traced("skeleton-a", config(), Box::new(storm(N_TASKS)));
-    let b = run_traced("skeleton-b", config(), Box::new(storm(N_TASKS)));
+    let a = run_engine("skeleton-a", config(), Box::new(storm(N_TASKS)));
+    let b = run_engine("skeleton-b", config(), Box::new(storm(N_TASKS)));
     assert!(
         !a.trace.events.is_empty(),
         "skeleton-a: trace is empty with trace enabled"
@@ -142,7 +78,7 @@ fn healthy_migrations_produce_completed_spans() {
         trace,
         ..EngineConfig::default()
     };
-    let report = run_traced("healthy-spans", config(true), mixed_balancer());
+    let report = run_engine("healthy-spans", config(true), mixed_balancer());
     assert!(
         report.protocol_errors.is_empty(),
         "healthy run reported protocol errors: {:?}",
@@ -173,7 +109,7 @@ fn healthy_migrations_produce_completed_spans() {
         );
     }
 
-    let off = run_traced("trace-off", config(false), mixed_balancer());
+    let off = run_engine("trace-off", config(false), mixed_balancer());
     assert!(
         off.trace.events.is_empty(),
         "trace: false still recorded {} events",
@@ -212,13 +148,11 @@ fn aborted_spans_agree_with_the_fault_ledger() {
         // interval clock expires the wedged op.
         channel_capacity: 1 << 16,
         fault_plan: plan,
-        op_deadline_intervals: 1,
-        op_deadline: Duration::from_millis(200),
-        round_deadline_intervals: 1,
-        round_deadline: Duration::from_millis(200),
+        deadline: Duration::from_millis(200),
+        deadline_intervals: 1,
         ..EngineConfig::default()
     };
-    let report = run_traced("abort-agreement", config, mixed_balancer());
+    let report = run_engine("abort-agreement", config, mixed_balancer());
     let problems = report.trace.check_integrity();
     assert!(problems.is_empty(), "abort-agreement: {problems:?}");
 
