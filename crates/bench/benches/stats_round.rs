@@ -20,8 +20,17 @@
 //! Readj's `σ·L̄` candidate threshold, so its search has something to
 //! search.
 //!
-//! Window bytes are measured, not modelled: a counting global allocator
-//! reports the heap held by the partitioner once the window is full.
+//! Each round is delivered in two shapes: as one map (a report built by
+//! `observe`, what the simulator hands over) and as `N_TASKS` sealed
+//! shards, one per task holding the keys that hash to it, absorbed into
+//! one report the way the engine's controller collects its workers'.
+//!
+//! Bytes are measured, not modelled: a counting global allocator reports
+//! the heap held by the partitioner once the window is full, and the
+//! heap the round's report holds when it reaches `end_interval`. That
+//! count is exact and repeats run to run, so the run *aborts* when the
+//! sharded report exceeds `ROUND_BYTES_PER_KEY_GUARD` bytes per reported
+//! key: CI's smoke guards against a report copied on its way in.
 //!
 //! Results land in `bench_results/stats_round.json`; `--test` runs one
 //! small `K` for one measured round and writes `stats_round.smoke.json`.
@@ -43,6 +52,9 @@ const THETA_MAX: f64 = 0.08;
 /// trigger evaluated, and that is all.
 const NEVER: f64 = 1e9;
 const HEAVY_KEYS: u64 = 8;
+/// Most heap bytes per reported key a sharded round's report may hold:
+/// a 32-byte record per key, plus under 10 %.
+const ROUND_BYTES_PER_KEY_GUARD: f64 = 35.0;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -99,22 +111,63 @@ fn partitioner(name: &str, k: u64, theta_max: f64) -> Box<dyn Partitioner> {
     }
 }
 
+/// How a round's report reaches `end_interval`.
+#[derive(Clone, Copy, PartialEq)]
+enum Shape {
+    /// One map built by `observe`.
+    Map,
+    /// One sealed shard per task, absorbed into one report.
+    Shards,
+}
+
+/// Round `r` in `shape`, and the heap bytes its report holds. A task's
+/// accumulator outlives the round, as a worker's does, so only what
+/// sealing and absorbing add is the round's.
+fn round_report(
+    k: u64,
+    r: u64,
+    hash: &AssignmentFn,
+    shape: Shape,
+    tasks: &mut [IntervalStats],
+) -> (IntervalStats, usize) {
+    let before = live_bytes();
+    let stats = round_stats(k, r, hash);
+    if shape == Shape::Map {
+        return (stats, live_bytes() - before);
+    }
+    for (key, s) in stats.iter() {
+        tasks[hash.hash_route(key).index()].observe(key, s.freq, s.cost, s.mem);
+    }
+    drop(stats);
+    let before = live_bytes();
+    let mut report = IntervalStats::new();
+    for task in tasks {
+        report.absorb(task.seal());
+    }
+    (report, live_bytes() - before)
+}
+
 struct Timed {
     median_ms: f64,
     fired: usize,
     /// Heap the partitioner holds after the last round.
     held_bytes: usize,
+    /// Heap the last round's report held when it was handed over.
+    round_bytes: usize,
 }
 
 /// Fills the window, then times `rounds` further `end_interval` calls.
-fn time_rounds(name: &str, k: u64, theta_max: f64, rounds: u64) -> Timed {
+fn time_rounds(name: &str, k: u64, theta_max: f64, rounds: u64, shape: Shape) -> Timed {
     let hash = AssignmentFn::hash_only(N_TASKS);
+    let mut tasks = vec![IntervalStats::new(); N_TASKS];
     let before = live_bytes();
     let mut p = partitioner(name, k, theta_max);
     let mut ms = Vec::new();
     let mut fired = 0;
+    let mut round_bytes = 0;
     for r in 0..WINDOW as u64 + rounds {
-        let stats = round_stats(k, r, &hash);
+        let stats;
+        (stats, round_bytes) = round_report(k, r, &hash, shape, &mut tasks);
         let start = Instant::now();
         let outcome = p.end_interval(stats);
         if r >= WINDOW as u64 {
@@ -128,6 +181,7 @@ fn time_rounds(name: &str, k: u64, theta_max: f64, rounds: u64) -> Timed {
         median_ms: ms[ms.len() / 2],
         fired,
         held_bytes,
+        round_bytes,
     }
 }
 
@@ -151,22 +205,20 @@ fn main() {
             ("live_keys", Json::Int(live.len() as u64)),
         ];
         println!("\n  K = {k} ({} live keys in the window)", live.len());
+        let mut round_bytes = [0.0; 2];
         for name in ["Mixed", "MinTable", "MinMig", "Readj"] {
-            let idle = time_rounds(name, k, NEVER, rounds);
-            let firing = time_rounds(name, k, THETA_MAX, rounds);
-            assert_eq!(idle.fired, 0, "{name}: θmax = {NEVER} must never plan");
-            assert_eq!(
-                firing.fired, rounds as usize,
-                "{name}: a task at twice the mean must plan every round"
-            );
-            let bytes_per_key = idle.held_bytes as f64 / live.len() as f64;
-            println!(
-                "    {name:<9} idle {:>8.3} ms   firing {:>9.3} ms   window {bytes_per_key:>6.1} B/live key",
-                idle.median_ms, firing.median_ms
-            );
-            fields.push((
-                name,
-                Json::obj([
+            let mut rows = Vec::new();
+            for (shape, label) in [(Shape::Map, "map"), (Shape::Shards, "shards")] {
+                let idle = time_rounds(name, k, NEVER, rounds, shape);
+                let firing = time_rounds(name, k, THETA_MAX, rounds, shape);
+                assert_eq!(idle.fired, 0, "{name}: θmax = {NEVER} must never plan");
+                assert_eq!(
+                    firing.fired, rounds as usize,
+                    "{name}: a task at twice the mean must plan every round"
+                );
+                round_bytes[usize::from(shape == Shape::Shards)] =
+                    idle.round_bytes as f64 / k as f64;
+                let mut row = vec![
                     (
                         "idle_end_interval_ms",
                         Json::lower(Json::Num(idle.median_ms)),
@@ -175,13 +227,41 @@ fn main() {
                         "firing_end_interval_ms",
                         Json::lower(Json::Num(firing.median_ms)),
                     ),
-                    (
+                ];
+                print!(
+                    "    {name:<9} {label:<6} idle {:>8.3} ms   firing {:>9.3} ms",
+                    idle.median_ms, firing.median_ms
+                );
+                // The window is the same whichever shape fed it.
+                if shape == Shape::Map {
+                    let bytes_per_key = idle.held_bytes as f64 / live.len() as f64;
+                    print!("   window {bytes_per_key:>6.1} B/live key");
+                    row.push((
                         "window_bytes_per_live_key",
                         Json::lower(Json::Num(bytes_per_key)),
-                    ),
-                ]),
-            ));
+                    ));
+                }
+                println!();
+                rows.push((label, Json::obj(row)));
+            }
+            fields.push((name, Json::obj(rows)));
         }
+        let [map_bytes, shard_bytes] = round_bytes;
+        println!(
+            "    round report: map {map_bytes:.1} B/key, {N_TASKS} shards {shard_bytes:.1} B/key"
+        );
+        assert!(
+            shard_bytes <= ROUND_BYTES_PER_KEY_GUARD,
+            "a sharded round holds {shard_bytes:.1} B per reported key at K = {k}, over the \
+             {ROUND_BYTES_PER_KEY_GUARD} B guard"
+        );
+        fields.push((
+            "round_bytes_per_key",
+            Json::obj([
+                ("map", Json::lower(Json::Num(map_bytes))),
+                ("shards", Json::lower(Json::Num(shard_bytes))),
+            ]),
+        ));
         by_size.push(Json::obj(fields));
     }
     let doc = Json::obj([

@@ -27,11 +27,23 @@
 //!   that makes plans reproducible) and are materialised only when a
 //!   plan is actually generated.
 //! * **memory** is one 40-byte row and one 8-byte index slot (at most
-//!   three quarters occupied) per live key, plus 8 bytes per (key,
-//!   retained interval) pair in which the key was reported — the delta
-//!   subtracted again on eviction, 12 bytes in an interval that reports
-//!   a state size beyond 32 bits. There is no per-key ring, so `w = 100`
-//!   costs nothing for keys that report once.
+//!   three quarters occupied) per live key, plus 8 bytes per record a
+//!   retained interval reported (a key once per shard that named it) —
+//!   the delta subtracted again on eviction, 12 bytes in an interval
+//!   that reports a state size beyond 32 bits. There is no per-key ring,
+//!   so `w = 100` costs nothing for keys that report once.
+//!
+//! # A report's way in
+//!
+//! An interval's statistics exist once on their way to the window: each
+//! worker **accumulates** into one map kept for the whole run; at the
+//! interval boundary it **seals** the map into an exact-size shard
+//! sorted by key hash, keeping the map's capacity; the controller
+//! **absorbs** the workers' shards into one [`IntervalStats`] by moving
+//! them; and [`StatsWindow::push`] **folds** them shard by shard. A key
+//! several shards name — a split key's replicas, a key migrated
+//! mid-interval, a duplicate or late report — is summed in its window
+//! row by the fold, and by every reader of the report as it reads.
 //!
 //! The cached routes are only as fresh as the caller keeps them: whoever
 //! mutates the [`AssignmentFn`] a window was pushed against must call
@@ -62,7 +74,117 @@ pub struct KeyStat {
     pub mem: u64,
 }
 
+impl std::ops::AddAssign for KeyStat {
+    fn add_assign(&mut self, s: KeyStat) {
+        self.freq += s.freq;
+        self.cost += s.cost;
+        self.mem += s.mem;
+    }
+}
+
+/// The order a sealed shard keeps its records in: the key's
+/// [`fx_hash_u64`]. That is a bijection on `u64`, so distinct keys never
+/// tie, and its top bits are a key's [`RowIndex`] home slot at every
+/// table size — a shard read in this order sweeps the window's index
+/// front to back.
+#[inline]
+fn order(key: Key) -> u64 {
+    fx_hash_u64(key.raw())
+}
+
+/// One reporter's sealed statistics: each key once, in [`order`], at
+/// exactly the size it needs.
+type Shard = Box<[(Key, KeyStat)]>;
+
+/// What a report holds.
+#[derive(Debug, Clone)]
+enum Body {
+    /// Built by [`IntervalStats::observe`]: one map, each key once.
+    Open(FxHashMap<Key, KeyStat>),
+    /// Sealed shards, none of them empty. A key appears at most once per
+    /// shard but may repeat across shards; readers sum the repeats.
+    Sealed(Vec<Shard>),
+}
+
+impl Default for Body {
+    fn default() -> Self {
+        Body::Open(FxHashMap::default())
+    }
+}
+
+impl Body {
+    fn into_shards(self) -> Vec<Shard> {
+        match self {
+            Body::Open(map) => seal_map(&map),
+            Body::Sealed(shards) => shards,
+        }
+    }
+}
+
+/// `map`'s records as a list of at most one shard.
+///
+/// A worker pays for this at every interval boundary, so it sorts in
+/// linear time: a counting sort on the top bits of [`order`], with one
+/// to two keys per bucket, then an insertion sort that only ever moves
+/// a key within its bucket (measured at 19 k keys: 0.4 ms, against
+/// 1.2 ms for a comparison sort even on precomputed hashes).
+fn seal_map(map: &FxHashMap<Key, KeyStat>) -> Vec<Shard> {
+    let n = map.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let bits = n.ilog2();
+    let bucket = |key: Key| order(key).checked_shr(64 - bits).unwrap_or(0) as usize;
+    // `next[b]`: where bucket `b`'s next key goes. One reporter's keys
+    // in one interval number far below 2³².
+    let mut next = vec![0u32; 1 << bits];
+    for &key in map.keys() {
+        next[bucket(key)] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next {
+        (*slot, start) = (start, start + *slot);
+    }
+    let mut shard = vec![(Key(0), KeyStat::default()); n].into_boxed_slice();
+    for (&key, &stat) in map {
+        let b = bucket(key);
+        shard[next[b] as usize] = (key, stat);
+        next[b] += 1;
+    }
+    for i in 1..n {
+        let mut j = i;
+        while j > 0 && order(shard[j - 1].0) > order(shard[j].0) {
+            shard.swap(j - 1, j);
+            j -= 1;
+        }
+    }
+    vec![shard]
+}
+
 /// All key statistics reported for one interval by the downstream tasks.
+///
+/// A report lives through four steps, and each interval's statistics
+/// exist once at every step:
+///
+/// 1. **accumulate** — a worker keeps one report for the whole run and
+///    [`observe`](IntervalStats::observe)s into its map;
+/// 2. **seal** — at an interval boundary [`seal`](IntervalStats::seal)
+///    moves the map's records into an exact-size shard sorted in hash
+///    order and clears the map, capacity kept (a provisional peek takes
+///    a [`sealed_copy`](IntervalStats::sealed_copy) instead);
+/// 3. **absorb** — the controller collects the workers' reports with
+///    [`absorb`](IntervalStats::absorb), which moves their shards in: no
+///    merge map, no copy;
+/// 4. **fold** — [`StatsWindow::push`] folds the shards one after
+///    another, each a front-to-back sweep of its index, and drops them.
+///
+/// A key can appear in several shards: a split key's replicas, a key
+/// migrated mid-interval, a duplicate or late report. The fold sums the
+/// repeats in the key's window row; every reader —
+/// [`iter`](IntervalStats::iter) (a k-way merge of the sorted shards),
+/// [`get`](IntervalStats::get), [`len`](IntervalStats::len) — sums them
+/// as it reads, so a sharded report reads exactly like one map built by
+/// `observe`.
 ///
 /// A report is *closing* (the default: the interval is over) or
 /// *provisional*: a copy of the statistics accumulated so far in an
@@ -72,7 +194,7 @@ pub struct KeyStat {
 /// [`StatsWindow::push`]).
 #[derive(Debug, Clone, Default)]
 pub struct IntervalStats {
-    stats: FxHashMap<Key, KeyStat>,
+    body: Body,
     provisional: bool,
 }
 
@@ -80,16 +202,6 @@ impl IntervalStats {
     /// Creates an empty interval report.
     pub fn new() -> Self {
         IntervalStats::default()
-    }
-
-    /// Creates an empty report with room for `keys` distinct keys — what
-    /// a reporter that knows its last interval's size uses to skip the
-    /// rehash cascade of growing from empty.
-    pub fn with_capacity(keys: usize) -> Self {
-        IntervalStats {
-            stats: FxHashMap::with_capacity_and_hasher(keys, Default::default()),
-            provisional: false,
-        }
     }
 
     /// Marks the report provisional: statistics of an interval that has
@@ -108,44 +220,175 @@ impl IntervalStats {
     /// per batch; repeated calls add up).
     #[inline]
     pub fn observe(&mut self, key: Key, freq: u64, cost: u64, mem: u64) {
-        let e = self.stats.entry(key).or_default();
-        e.freq += freq;
-        e.cost += cost;
-        e.mem += mem;
-    }
-
-    /// Merges another interval report (e.g. the per-task shards collected
-    /// by the controller in workflow step 1 of Fig. 5).
-    pub fn merge(&mut self, other: &IntervalStats) {
-        for (&k, s) in &other.stats {
-            self.observe(k, s.freq, s.cost, s.mem);
+        let stat = KeyStat { freq, cost, mem };
+        match &mut self.body {
+            Body::Open(map) => *map.entry(key).or_default() += stat,
+            Body::Sealed(_) => {
+                let mut map: FxHashMap<Key, KeyStat> = self.iter().collect();
+                *map.entry(key).or_default() += stat;
+                self.body = Body::Open(map);
+            }
         }
     }
 
+    /// Takes everything observed so far as a sealed report and leaves
+    /// this one empty with its map's capacity kept — a worker's interval
+    /// boundary, so the next interval fills the same table.
+    pub fn seal(&mut self) -> IntervalStats {
+        let shards = match &mut self.body {
+            Body::Open(map) => {
+                let shards = seal_map(map);
+                map.clear();
+                shards
+            }
+            Body::Sealed(shards) => std::mem::take(shards),
+        };
+        IntervalStats {
+            body: Body::Sealed(shards),
+            provisional: self.provisional,
+        }
+    }
+
+    /// A sealed copy of the report, which is left as it is — a worker's
+    /// answer to a provisional peek.
+    pub fn sealed_copy(&self) -> IntervalStats {
+        let body = match &self.body {
+            Body::Open(map) => Body::Sealed(seal_map(map)),
+            Body::Sealed(shards) => Body::Sealed(shards.clone()),
+        };
+        IntervalStats {
+            body,
+            provisional: self.provisional,
+        }
+    }
+
+    /// Adds another report's statistics to this one (e.g. the per-task
+    /// shards collected by the controller in workflow step 1 of Fig. 5)
+    /// by moving its shards in; keys both name are summed when read.
+    pub fn absorb(&mut self, other: IntervalStats) {
+        if other.is_empty() {
+            return;
+        }
+        if self.is_empty() {
+            self.body = other.body;
+            return;
+        }
+        let mut shards = std::mem::take(&mut self.body).into_shards();
+        shards.extend(other.body.into_shards());
+        self.body = Body::Sealed(shards);
+    }
+
     /// Statistics for one key, if observed this interval.
-    #[inline]
     pub fn get(&self, key: Key) -> Option<KeyStat> {
-        self.stats.get(&key).copied()
+        match &self.body {
+            Body::Open(map) => map.get(&key).copied(),
+            Body::Sealed(shards) => {
+                let o = order(key);
+                shards
+                    .iter()
+                    .filter_map(|shard| {
+                        let i = shard.binary_search_by_key(&o, |&(k, _)| order(k)).ok()?;
+                        Some(shard[i].1)
+                    })
+                    .reduce(|mut sum, s| {
+                        sum += s;
+                        sum
+                    })
+            }
+        }
     }
 
     /// Number of distinct keys observed.
     pub fn len(&self) -> usize {
-        self.stats.len()
+        match &self.body {
+            Body::Open(map) => map.len(),
+            Body::Sealed(shards) if shards.len() == 1 => shards[0].len(),
+            Body::Sealed(_) => self.iter().count(),
+        }
+    }
+
+    /// Every record as held, a key once per shard that names it: the
+    /// input of a reader that sums repeats itself.
+    fn records(&self) -> impl Iterator<Item = (Key, KeyStat)> + '_ {
+        let (map, shards): (Option<&FxHashMap<Key, KeyStat>>, &[Shard]) = match &self.body {
+            Body::Open(map) => (Some(map), &[]),
+            Body::Sealed(shards) => (None, shards),
+        };
+        let open = map.into_iter().flatten().map(|(&k, &s)| (k, s));
+        open.chain(shards.iter().flatten().copied())
+    }
+
+    /// How many [`IntervalStats::records`] there are.
+    fn records_held(&self) -> usize {
+        match &self.body {
+            Body::Open(map) => map.len(),
+            Body::Sealed(shards) => shards.iter().map(|s| s.len()).sum(),
+        }
     }
 
     /// True when nothing was observed.
     pub fn is_empty(&self) -> bool {
-        self.stats.is_empty()
+        match &self.body {
+            Body::Open(map) => map.is_empty(),
+            Body::Sealed(shards) => shards.is_empty(),
+        }
     }
 
-    /// Iterates `(key, stat)` in unspecified order.
+    /// Iterates `(key, stat)`, each distinct key once with its shards
+    /// summed, in unspecified order (hash order for a sealed report).
     pub fn iter(&self) -> impl Iterator<Item = (Key, KeyStat)> + '_ {
-        self.stats.iter().map(|(&k, &s)| (k, s))
+        match &self.body {
+            Body::Open(map) => Iter::Open(map.iter()),
+            Body::Sealed(shards) => Iter::Sealed(
+                shards
+                    .iter()
+                    .map(|shard| (order(shard[0].0), &shard[..]))
+                    .collect(),
+            ),
+        }
     }
 
     /// Total computation cost across all keys.
     pub fn total_cost(&self) -> u64 {
-        self.stats.values().map(|s| s.cost).sum()
+        self.records().map(|(_, s)| s.cost).sum()
+    }
+}
+
+/// [`IntervalStats::iter`]: a map's entries, or a k-way merge of sealed
+/// shards.
+enum Iter<'a> {
+    Open(std::collections::hash_map::Iter<'a, Key, KeyStat>),
+    /// Each unfinished shard's rest, with the [`order`] of its head.
+    Sealed(Vec<(u64, &'a [(Key, KeyStat)])>),
+}
+
+impl Iterator for Iter<'_> {
+    type Item = (Key, KeyStat);
+
+    fn next(&mut self) -> Option<(Key, KeyStat)> {
+        let heads = match self {
+            Iter::Open(it) => return it.next().map(|(&k, &s)| (k, s)),
+            Iter::Sealed(heads) => heads,
+        };
+        let least = heads.iter().map(|&(o, _)| o).min()?;
+        let mut out: Option<(Key, KeyStat)> = None;
+        let mut i = 0;
+        while i < heads.len() {
+            let (o, rest) = &mut heads[i];
+            if let (true, [(key, s), tail @ ..]) = (*o == least, &**rest) {
+                out.get_or_insert((*key, KeyStat::default())).1 += *s;
+                *rest = tail;
+                match tail.first() {
+                    Some(&(next, _)) => *o = order(next),
+                    None => {
+                        heads.swap_remove(i);
+                        continue;
+                    }
+                }
+            }
+            i += 1;
+        }
+        out
     }
 }
 
@@ -259,10 +502,12 @@ impl Mems {
 /// probe touches a row only on a hash match, and growing or closing a
 /// gap never touches the rows at all.
 ///
-/// The hash is [`fx_hash_u64`], the one [`IntervalStats`] buckets its
-/// keys by: a report iterates in bucket order, i.e. by ascending low hash
-/// bits, so folding it in sweeps this table front to back instead of
-/// probing it at random (measured: half the fold time at 76 k keys).
+/// The hash is the top half of a key's [`order`], and a key's home slot
+/// is that hash's top bits, scaled to the table: sealed shards are
+/// sorted in the same order, so folding one sweeps this table front to
+/// back instead of probing it at random (measured: half the fold time
+/// at 76 k keys), at every table size. A report built by `observe`
+/// folds in map order, which is not this one, and probes at random.
 #[derive(Debug, Clone, Default)]
 struct RowIndex {
     /// `hash << 32 | row` per slot, [`RowIndex::EMPTY`] when vacant. The
@@ -277,13 +522,14 @@ impl RowIndex {
 
     #[inline]
     fn hash(key: Key) -> u32 {
-        fx_hash_u64(key.raw()) as u32
+        (order(key) >> 32) as u32
     }
 
-    /// The slot a probe for `hash` starts at (`slots` is non-empty).
+    /// The slot a probe for `hash` starts at (`slots` is non-empty): the
+    /// hash's top `log₂ len` bits, so homes ascend with the hash.
     #[inline]
     fn home(&self, hash: u32) -> usize {
-        hash as usize & (self.slots.len() - 1)
+        ((u64::from(hash) * self.slots.len() as u64) >> 32) as usize
     }
 
     #[inline]
@@ -477,15 +723,19 @@ impl StatsWindow {
             }
         }
         let mut delta = Delta {
-            rows: Vec::with_capacity(stats.len()),
-            mems: Mems::Narrow(Vec::with_capacity(stats.len())),
+            rows: Vec::with_capacity(stats.records_held()),
+            mems: Mems::Narrow(Vec::with_capacity(stats.records_held())),
         };
-        for (key, s) in stats.iter() {
+        // Shard by shard, each one a front-to-back sweep of the index. A
+        // key several shards name adds up in its row: no row carries the
+        // new stamp before this fold, so `cost_at` reads a repeat's
+        // running sum and a first report's zero.
+        for (key, s) in stats.records() {
             let r = self.row_of(key, f);
             let row = &mut self.rows[r as usize];
             row.refs += 1;
             row.mem += s.mem;
-            row.cost = s.cost;
+            row.cost = row.cost_at(self.pushes) + s.cost;
             row.reported = self.pushes;
             if !row.is_split() {
                 self.loads[row.current.index()] += s.cost;
@@ -927,12 +1177,15 @@ mod tests {
     fn merge_adds_shards() {
         let mut a = IntervalStats::new();
         a.observe(k(1), 1, 5, 0);
-        let mut b = IntervalStats::with_capacity(2);
+        let mut b = IntervalStats::new();
         b.observe(k(1), 1, 5, 0);
         b.observe(k(2), 1, 7, 0);
-        a.merge(&b);
+        a.absorb(b.seal());
+        assert!(b.is_empty(), "sealing empties the accumulator");
         assert_eq!(a.get(k(1)).unwrap().cost, 10);
         assert_eq!(a.get(k(2)).unwrap().cost, 7);
+        assert_eq!(a.len(), 2);
+        assert_eq!(a.total_cost(), 17);
     }
 
     #[test]

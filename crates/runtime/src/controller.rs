@@ -80,7 +80,7 @@ impl Clock {
     }
 }
 
-/// One open statistics round: merged stats, per-slot loads, queue-depth
+/// One open statistics round: absorbed stats, per-slot loads, queue-depth
 /// samples, the interval's latency distribution, and which workers have
 /// reported. The expected *set* is pinned at issue time — scale-out must
 /// not retroactively change which workers a round waits for — but it can
@@ -143,9 +143,6 @@ pub(crate) struct StatsLedger {
     /// Residual statistics with no open round to absorb them — folded
     /// into the next round issued.
     carry: IntervalStats,
-    /// Keys in the round closed last: the next round's merge map is
-    /// sized for as many, so merging never rehashes it from empty.
-    last_round_keys: usize,
 }
 
 impl StatsLedger {
@@ -153,7 +150,6 @@ impl StatsLedger {
         StatsLedger {
             rounds: FxHashMap::default(),
             carry: IntervalStats::new(),
-            last_round_keys: 0,
         }
     }
 
@@ -171,7 +167,7 @@ impl StatsLedger {
         let active = queues.len();
         debug_assert!(!expected.is_empty() && active > 0);
         let mut round = StatsRound {
-            merged: IntervalStats::with_capacity(self.last_round_keys),
+            merged: IntervalStats::new(),
             loads: vec![0; active],
             queues,
             latency: Histogram::new(),
@@ -179,11 +175,8 @@ impl StatsLedger {
             expected: expected.into_iter().collect(),
             opened,
         };
-        if !self.carry.is_empty() {
-            round.loads[active - 1] += self.carry.iter().map(|(_, s)| s.cost).sum::<u64>();
-            round.merged.merge(&self.carry);
-            self.carry = IntervalStats::new();
-        }
+        round.loads[active - 1] += self.carry.total_cost();
+        round.merged.absorb(std::mem::take(&mut self.carry));
         self.rounds.insert(interval, round);
     }
 
@@ -216,7 +209,7 @@ impl StatsLedger {
         due.sort_unstable();
         due.into_iter()
             .filter_map(|iv| {
-                let round = self.take_round(iv)?;
+                let round = self.rounds.remove(&iv)?;
                 let mut missing: Vec<usize> = round
                     .expected
                     .difference(&round.reporters)
@@ -226,13 +219,6 @@ impl StatsLedger {
                 Some((iv, round.close(), missing))
             })
             .collect()
-    }
-
-    /// Removes a round for closing, noting its size for the next one.
-    fn take_round(&mut self, interval: u64) -> Option<StatsRound> {
-        let round = self.rounds.remove(&interval)?;
-        self.last_round_keys = round.merged.len();
-        Some(round)
     }
 
     /// Removes and returns every complete round, oldest first.
@@ -245,7 +231,7 @@ impl StatsLedger {
             .collect();
         done.sort_unstable();
         done.into_iter()
-            .filter_map(|iv| Some((iv, self.take_round(iv)?.close())))
+            .filter_map(|iv| Some((iv, self.rounds.remove(&iv)?.close())))
             .collect()
     }
 
@@ -262,18 +248,18 @@ impl StatsLedger {
             // Late or unknown round: never crash the controller — the
             // load is real traffic, so absorb it where the next decision
             // will see it.
-            self.absorb(worker, &stats);
+            self.absorb(worker, stats);
             return None;
         };
         let slot = worker.index().min(round.loads.len() - 1);
-        round.loads[slot] += stats.iter().map(|(_, s)| s.cost).sum::<u64>();
-        round.merged.merge(&stats);
+        round.loads[slot] += stats.total_cost();
+        round.merged.absorb(stats);
         round.latency.merge(latency);
-        // A duplicate reporter merges (discarding would under-count) but
+        // A duplicate report is absorbed (discarding would under-count) but
         // must not advance completion, or the round would close while a
         // distinct worker's report is still in flight.
         if round.reporters.insert(worker) && round.is_complete() {
-            return self.take_round(interval).map(StatsRound::close);
+            return self.rounds.remove(&interval).map(StatsRound::close);
         }
         None
     }
@@ -282,26 +268,26 @@ impl StatsLedger {
     /// round (issued while the victim was alive, so its slot exists), or
     /// carries it for the next round — dropping it would read as a load
     /// dip and re-trigger the scale-in policy.
-    pub fn on_residue(&mut self, worker: TaskId, stats: &IntervalStats) {
+    pub fn on_residue(&mut self, worker: TaskId, stats: IntervalStats) {
         if !stats.is_empty() {
             self.absorb(worker, stats);
         }
     }
 
-    fn absorb(&mut self, worker: TaskId, stats: &IntervalStats) {
+    fn absorb(&mut self, worker: TaskId, stats: IntervalStats) {
         if let Some((_, round)) = self.rounds.iter_mut().min_by_key(|(k, _)| **k) {
             let slot = worker.index().min(round.loads.len() - 1);
-            round.loads[slot] += stats.iter().map(|(_, s)| s.cost).sum::<u64>();
-            round.merged.merge(stats);
+            round.loads[slot] += stats.total_cost();
+            round.merged.absorb(stats);
         } else {
-            self.carry.merge(stats);
+            self.carry.absorb(stats);
         }
     }
 }
 
 /// The provisional statistics round open inside the current interval:
-/// copies of the workers' statistics so far, requested when the source
-/// raised a skew alert. It feeds the split stage of the shared round
+/// sealed copies of the workers' statistics so far, requested when the
+/// source raised a skew alert. It feeds the split stage of the shared round
 /// core (to split a heavy hitter, nothing else) and the partitioner's
 /// rebalance hook — the elasticity policy, the snapshot stream and the
 /// ledger above see whole intervals only — and the interval's closing
@@ -876,7 +862,7 @@ impl<'a> Controller<'a> {
                 if let Some(early) = self.early.as_mut().filter(|e| e.interval == interval) {
                     if early.awaiting.remove(&worker) {
                         early.loads[worker.index()] = stats.total_cost();
-                        early.merged.merge(&stats);
+                        early.merged.absorb(stats);
                     }
                 }
             }
@@ -898,9 +884,9 @@ impl<'a> Controller<'a> {
                         states,
                         stats,
                         rx,
-                    } => self.on_retired(worker, epoch, states, &stats, rx),
+                    } => self.on_retired(worker, epoch, states, stats, rx),
                     WorkerExit::Killed { lost, stats, rx } => {
-                        self.on_killed(worker, lost, &stats, rx)
+                        self.on_killed(worker, lost, stats, rx)
                     }
                     WorkerExit::Drained { final_states } => {
                         self.report.final_states.extend(final_states);
@@ -1021,7 +1007,7 @@ impl<'a> Controller<'a> {
         self.io.rec.early_round(interval, EarlyStep::Open);
         self.early = Some(EarlyRound {
             interval,
-            merged: IntervalStats::with_capacity(self.ledger.last_round_keys),
+            merged: IntervalStats::new(),
             loads: vec![0; self.active],
             awaiting: (0..self.active).map(TaskId::from).collect(),
         });
@@ -1176,7 +1162,7 @@ impl<'a> Controller<'a> {
         worker: TaskId,
         epoch: u64,
         states: Vec<(Key, Bytes)>,
-        stats: &IntervalStats,
+        stats: IntervalStats,
         rx: Receiver<Message>,
     ) {
         let stray = ProtocolError::StrayRetired {
@@ -1417,7 +1403,7 @@ impl<'a> Controller<'a> {
         &mut self,
         worker: TaskId,
         worker_lost: Vec<(Key, u64)>,
-        stats: &IntervalStats,
+        stats: IntervalStats,
         rx: Receiver<Message>,
     ) {
         let w = worker.index();
@@ -2143,7 +2129,7 @@ mod tests {
     fn residue_folds_into_oldest_round_or_carry() {
         let mut ledger = StatsLedger::new();
         // No round open: residue carries into the next open().
-        ledger.on_residue(TaskId(2), &stats_with_cost(5, 21));
+        ledger.on_residue(TaskId(2), stats_with_cost(5, 21));
         ledger.open(0, expect_n(2), vec![0, 0], opened());
         close_all_but(&mut ledger, 0, &[0]);
         let closed = ledger
@@ -2152,7 +2138,7 @@ mod tests {
         assert_eq!(closed.loads, vec![10, 31]);
         // Round open: residue folds straight in, slot clamped.
         ledger.open(1, expect_n(2), vec![0, 0], opened());
-        ledger.on_residue(TaskId(6), &stats_with_cost(5, 9));
+        ledger.on_residue(TaskId(6), stats_with_cost(5, 9));
         close_all_but(&mut ledger, 1, &[0]);
         let closed = ledger
             .on_stats(TaskId(1), 1, stats_with_cost(1, 10), &Histogram::new())
@@ -3109,5 +3095,112 @@ mod protocol_tests {
         settle(&mut ctl, 1, heavy());
         assert_eq!(ctl.report.split_events, vec![]);
         assert!(ctl.partitioner.splits().is_empty() && ctl.early.is_none());
+    }
+
+    /// Worker `w`'s accumulator: `hot` at `cost` (when non-zero) plus
+    /// one key of its own.
+    fn accumulated(w: usize, hot: Key, cost: u64) -> IntervalStats {
+        let mut acc = IntervalStats::new();
+        acc.observe(Key(1_000 + w as u64), 1, 1, 1);
+        if cost > 0 {
+            acc.observe(hot, cost, cost, 8);
+        }
+        acc
+    }
+
+    fn sealed_report(w: usize, hot: Key, cost: u64) -> IntervalStats {
+        accumulated(w, hot, cost).seal()
+    }
+
+    fn stats_event(w: usize, interval: u64, stats: IntervalStats) -> WorkerEvent {
+        WorkerEvent::Stats {
+            worker: TaskId::from(w),
+            interval,
+            stats,
+            latency: Box::new(Histogram::new()),
+        }
+    }
+
+    /// A round holds its workers' shards as they came: a key two workers
+    /// report (a split key's replicas) and a duplicate report are summed
+    /// when the closed round is read, and the duplicate does not count
+    /// toward completion.
+    #[test]
+    fn round_sums_a_key_across_workers_and_a_duplicate_report() {
+        let (mut ctl, _rig) = rig(FixedSchedule::new([]));
+        let hot = Key(7);
+        ctl.on_source(SourceEvent::IntervalDone { interval: 0 });
+        ctl.on_worker(stats_event(0, 0, sealed_report(0, hot, 10)));
+        ctl.on_worker(stats_event(1, 0, sealed_report(1, hot, 20)));
+        ctl.on_worker(stats_event(1, 0, sealed_report(1, hot, 20)));
+        assert!(ctl.closed_rounds.is_empty(), "closed by a duplicate");
+        ctl.on_worker(stats_event(2, 0, sealed_report(2, hot, 0)));
+        let [(0, round)] = &ctl.closed_rounds[..] else {
+            panic!("round 0 closes on its third distinct reporter");
+        };
+        let summed = streambal_core::KeyStat {
+            freq: 50,
+            cost: 50,
+            mem: 24,
+        };
+        assert_eq!(round.merged.get(hot), Some(summed));
+        assert_eq!(round.merged.get(Key(1_001)).map(|s| s.freq), Some(2));
+        assert_eq!(round.merged.len(), 4);
+        assert_eq!(round.merged.total_cost(), 54);
+        assert_eq!(round.loads, vec![11, 42, 1]);
+    }
+
+    /// A report for a round already closed, with no round open, waits in
+    /// the carry and is folded into the next round issued.
+    #[test]
+    fn late_report_is_carried_into_the_next_round() {
+        let (mut ctl, _rig) = rig(FixedSchedule::new([]));
+        let hot = Key(7);
+        close_round(&mut ctl, 0);
+        ctl.on_worker(stats_event(1, 0, sealed_report(1, hot, 9)));
+        assert_eq!(ctl.ledger.carry.get(hot).map(|s| s.cost), Some(9));
+        ctl.on_source(SourceEvent::IntervalDone { interval: 1 });
+        assert!(ctl.ledger.carry.is_empty());
+        for w in 0..3 {
+            let cost = if w == 0 { 5 } else { 0 };
+            ctl.on_worker(stats_event(w, 1, sealed_report(w, hot, cost)));
+        }
+        let [(1, round)] = &ctl.closed_rounds[..] else {
+            panic!("round 1 closes");
+        };
+        assert_eq!(round.merged.get(hot).map(|s| s.cost), Some(14));
+        assert_eq!(round.merged.get(Key(1_001)).map(|s| s.freq), Some(2));
+        assert_eq!(round.loads, vec![6, 1, 11], "carry lands on the tail slot");
+    }
+
+    /// A provisional round reads its peek copies as one report: a key
+    /// two workers hold so far is their sum.
+    #[test]
+    fn early_round_sums_a_key_across_its_peek_copies() {
+        let (mut ctl, _rig) = rig(FixedSchedule::new([]));
+        let hot = Key(7);
+        close_round(&mut ctl, 0);
+        ctl.on_source(alert(1));
+        let accs: Vec<IntervalStats> = [5, 0, 30]
+            .into_iter()
+            .enumerate()
+            .map(|(w, cost)| accumulated(w, hot, cost))
+            .collect();
+        for (w, acc) in accs.iter().enumerate() {
+            ctl.on_worker(WorkerEvent::StatsPeek {
+                worker: TaskId::from(w),
+                interval: 1,
+                stats: acc.sealed_copy(),
+            });
+        }
+        let early = ctl.early.as_ref().expect("settled only by a tick");
+        let summed = streambal_core::KeyStat {
+            freq: 35,
+            cost: 35,
+            mem: 16,
+        };
+        assert_eq!(early.merged.get(hot), Some(summed));
+        assert_eq!(early.loads, vec![6, 1, 31]);
+        assert!(accs.iter().all(|acc| !acc.is_empty()), "a peek copies");
     }
 }

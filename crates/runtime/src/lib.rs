@@ -128,9 +128,9 @@
 //! most once per interval and never under a pause. A `SkewAlert` that
 //! finds the control plane idle (no op in flight or queued, no dead
 //! slot) makes the controller send every worker a `StatsPeek` marker;
-//! each answers with a **copy** of its statistics so far and changes
-//! nothing else — no `Operator::flush`, no window eviction, no interval
-//! advance, accumulators not reset. The merged copies go to
+//! each answers with a sealed **copy** of its statistics so far and
+//! changes nothing else — no `Operator::flush`, no window eviction, no
+//! interval advance, accumulators not reset. The absorbed copies go to
 //! `Partitioner::end_interval` marked provisional
 //! (`IntervalStats::is_provisional`), and a plan that comes back is an
 //! ordinary `rebalance` op, walked like any other. Ahead of it the

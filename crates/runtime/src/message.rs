@@ -74,7 +74,7 @@ pub enum WorkerEvent {
         worker: TaskId,
         /// Closed interval.
         interval: u64,
-        /// Statistics collected since the previous request.
+        /// Statistics collected since the previous request, sealed.
         stats: IntervalStats,
         /// End-to-end tuple latency distribution of the closed interval
         /// (µs) — the controller merges the per-worker histograms into
@@ -87,7 +87,7 @@ pub enum WorkerEvent {
         worker: TaskId,
         /// The open interval.
         interval: u64,
-        /// A copy of the statistics collected since the last
+        /// A sealed copy of the statistics collected since the last
         /// [`Message::StatsRequest`].
         stats: IntervalStats,
     },

@@ -180,7 +180,8 @@ pub(crate) struct Worker {
     emitter: BatchEmitter,
     /// Drained buffers awaiting a grouped pool return.
     returns: Vec<Vec<Tuple>>,
-    /// The open interval's statistics.
+    /// The open interval's statistics: one accumulator for the whole
+    /// run, sealed at every interval boundary with its capacity kept.
     stats: IntervalStats,
     /// Interval-scoped latency: recorded per tuple, shipped with each
     /// stats report (the controller merges workers into the interval's
@@ -322,10 +323,9 @@ impl Worker {
             }
         }
         self.flush();
-        // The next interval reports about as many keys: size its map once
-        // instead of regrowing it from empty.
-        let next = IntervalStats::with_capacity(self.stats.len());
-        let out = std::mem::replace(&mut self.stats, next);
+        // The next interval reports about as many keys: it refills the
+        // map the sealed report leaves behind, already sized.
+        let out = self.stats.seal();
         // Fold the interval's latency into the lifetime total, then ship
         // the interval histogram with the report.
         self.totals.latency.merge(&self.iv_latency);
@@ -358,7 +358,7 @@ impl Worker {
         let _ = self.wiring.events.send(WorkerEvent::StatsPeek {
             worker: self.id,
             interval,
-            stats: self.stats.clone(),
+            stats: self.stats.sealed_copy(),
         });
         Step::Continue(())
     }
@@ -462,7 +462,7 @@ impl Worker {
                 lost.sort_unstable_by_key(|&(k, _)| k);
                 WorkerExit::Killed {
                     lost,
-                    stats: std::mem::take(&mut self.stats),
+                    stats: self.stats.seal(),
                     rx: self.rx,
                 }
             }
@@ -471,7 +471,7 @@ impl Worker {
             End::Retired { epoch } => WorkerExit::Retired {
                 epoch,
                 states: self.drain(),
-                stats: std::mem::take(&mut self.stats),
+                stats: self.stats.seal(),
                 rx: self.rx,
             },
             End::Drained => WorkerExit::Drained {

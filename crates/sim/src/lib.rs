@@ -422,7 +422,7 @@ impl Sim {
         // Workers report everything since the interval began.
         let mut seen = recent;
         if at > 0.0 {
-            seen.merge(&thin(stats, at, !salt));
+            seen.absorb(thin(stats, at, !salt));
         }
         let splits = report.split_events.len();
         if let Some(sp) = self.split.as_deref_mut().filter(|_| early.split) {
