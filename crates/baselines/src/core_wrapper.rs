@@ -11,19 +11,24 @@ pub type CoreBalancer = streambal_core::Rebalancer;
 mod tests {
     use super::*;
     use crate::Partitioner;
-    use streambal_core::{BalanceParams, IntervalStats, Key, RebalanceStrategy, TaskId};
+    use streambal_core::{BalanceParams, IntervalStats, Key, KeyStat, RebalanceStrategy, TaskId};
+
+    /// Three heavy keys over a light tail: any four-task hash skews.
+    fn skewed() -> IntervalStats {
+        (0..500u64)
+            .map(|k| {
+                let cost = if k < 3 { 1000 } else { 2 };
+                (Key(k), KeyStat::new(1, cost, cost))
+            })
+            .collect()
+    }
 
     #[test]
     fn wraps_mixed_strategy() {
         let mut p = CoreBalancer::new(4, 2, RebalanceStrategy::Mixed, BalanceParams::default());
         assert_eq!(p.name(), "Mixed");
         assert_eq!(p.n_tasks(), 4);
-        let mut iv = IntervalStats::new();
-        for k in 0..500u64 {
-            let cost = if k < 3 { 1000 } else { 2 };
-            iv.observe(Key(k), 1, cost, cost);
-        }
-        let out = p.end_interval(iv);
+        let out = p.end_interval(skewed());
         assert!(out.is_some(), "skew must trigger the rebalancer");
         assert_eq!(p.rebalances(), 1);
     }
@@ -63,14 +68,6 @@ mod tests {
                 cooldown: 3,
                 ..TriggerPolicy::default()
             });
-        let skewed = || {
-            let mut iv = IntervalStats::new();
-            for k in 0..500u64 {
-                let cost = if k < 3 { 1000 } else { 2 };
-                iv.observe(Key(k), 1, cost, cost);
-            }
-            iv
-        };
         assert!(p.end_interval(skewed()).is_some(), "first violation fires");
         for i in 0..3 {
             assert!(

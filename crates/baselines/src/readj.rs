@@ -192,7 +192,7 @@ pub fn readj(n_tasks: usize, window: usize, cfg: ReadjConfig) -> CoreBalancer {
 mod tests {
     use super::*;
     use streambal_core::{
-        loads_of, AssignmentFn, IntervalStats, Key, LoadSummary, Partitioner, StatsPlane,
+        loads_of, AssignmentFn, IntervalStats, Key, KeyStat, LoadSummary, Partitioner, StatsPlane,
     };
 
     fn rec(key: u64, cost: u64, mem: u64, cur: u32, hash: u32) -> KeyRecord {
@@ -319,11 +319,12 @@ mod tests {
                 max_actions: 512,
             },
         );
-        let mut iv = IntervalStats::new();
-        for k in 0..400u64 {
-            let cost = if k == 0 { 2000 } else { 3 };
-            iv.observe(Key(k), 1, cost, cost);
-        }
+        let iv: IntervalStats = (0..400u64)
+            .map(|k| {
+                let cost = if k == 0 { 2000 } else { 3 };
+                (Key(k), KeyStat::new(1, cost, cost))
+            })
+            .collect();
         let before = {
             let mut probe = StatsPlane::new(4, 1);
             probe.push(iv.clone());
@@ -393,10 +394,7 @@ mod tests {
             "below Lmax the search must not move anything"
         );
         // The partitioner therefore must not fire at all.
-        let mut iv = IntervalStats::new();
-        for &k in &keys {
-            iv.observe(k, 1, 1, 1);
-        }
+        let iv: IntervalStats = keys.iter().map(|&k| (k, KeyStat::new(1, 1, 1))).collect();
         let mut p = readj(n_tasks, 1, cfg);
         assert!(p.end_interval(iv).is_none(), "no-op trigger must be damped");
         assert_eq!(p.rebalances(), 0);

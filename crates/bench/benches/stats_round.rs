@@ -20,17 +20,18 @@
 //! Readj's `σ·L̄` candidate threshold, so its search has something to
 //! search.
 //!
-//! Each round is delivered in two shapes: as one map (a report built by
-//! `observe`, what the simulator hands over) and as `N_TASKS` sealed
-//! shards, one per task holding the keys that hash to it, absorbed into
-//! one report the way the engine's controller collects its workers'.
+//! Each round is delivered in two shapes: as one shard (a report
+//! collected from `(Key, KeyStat)` pairs, what the simulator and any
+//! single reporter hand over) and as `N_TASKS` sealed shards, one per
+//! task holding the keys that hash to it, absorbed into one report the
+//! way the engine's controller collects its workers'.
 //!
 //! Bytes are measured, not modelled: a counting global allocator reports
 //! the heap held by the partitioner once the window is full, and the
 //! heap the round's report holds when it reaches `end_interval`. That
-//! count is exact and repeats run to run, so the run *aborts* when the
-//! sharded report exceeds `ROUND_BYTES_PER_KEY_GUARD` bytes per reported
-//! key: CI's smoke guards against a report copied on its way in.
+//! count is exact and repeats run to run, so the run *aborts* when
+//! either shape's report exceeds `ROUND_BYTES_PER_KEY_GUARD` bytes per
+//! reported key: CI's smoke guards against a report copied on its way in.
 //!
 //! Results land in `bench_results/stats_round.json`; `--test` runs one
 //! small `K` for one measured round and writes `stats_round.smoke.json`.
@@ -41,9 +42,9 @@ use streambal_baselines::{readj, CoreBalancer, ReadjConfig};
 use streambal_bench::alloc::{live_bytes, CountingAlloc};
 use streambal_bench::json::{write_json, Json};
 use streambal_core::{
-    AssignmentFn, BalanceParams, IntervalStats, Key, Partitioner, RebalanceStrategy,
+    AssignmentFn, BalanceParams, IntervalStats, Key, KeyStat, Partitioner, RebalanceStrategy,
 };
-use streambal_hashring::FxHashSet;
+use streambal_hashring::{FxHashMap, FxHashSet};
 
 const N_TASKS: usize = 4;
 const WINDOW: usize = 5;
@@ -52,8 +53,8 @@ const THETA_MAX: f64 = 0.08;
 /// trigger evaluated, and that is all.
 const NEVER: f64 = 1e9;
 const HEAVY_KEYS: u64 = 8;
-/// Most heap bytes per reported key a sharded round's report may hold:
-/// a 32-byte record per key, plus under 10 %.
+/// Most heap bytes per reported key a round's report may hold, in
+/// either shape: a 32-byte record per key, plus under 10 %.
 const ROUND_BYTES_PER_KEY_GUARD: f64 = 35.0;
 
 #[global_allocator]
@@ -77,12 +78,7 @@ fn round_stats(k: u64, r: u64, hash: &AssignmentFn) -> IntervalStats {
             if key.raw() % (k / HEAVY_KEYS) == 0 {
                 cost += k / 40;
             }
-            let stat = streambal_core::KeyStat {
-                freq: cost,
-                cost,
-                mem: 8 + key.raw() % 5,
-            };
-            (key, stat)
+            (key, KeyStat::new(cost, cost, 8 + key.raw() % 5))
         })
         .collect()
 }
@@ -114,8 +110,8 @@ fn partitioner(name: &str, k: u64, theta_max: f64) -> Box<dyn Partitioner> {
 /// How a round's report reaches `end_interval`.
 #[derive(Clone, Copy, PartialEq)]
 enum Shape {
-    /// One map built by `observe`.
-    Map,
+    /// One shard, collected from the round's records.
+    OneShard,
     /// One sealed shard per task, absorbed into one report.
     Shards,
 }
@@ -128,21 +124,21 @@ fn round_report(
     r: u64,
     hash: &AssignmentFn,
     shape: Shape,
-    tasks: &mut [IntervalStats],
+    tasks: &mut [FxHashMap<Key, KeyStat>],
 ) -> (IntervalStats, usize) {
     let before = live_bytes();
     let stats = round_stats(k, r, hash);
-    if shape == Shape::Map {
+    if shape == Shape::OneShard {
         return (stats, live_bytes() - before);
     }
     for (key, s) in stats.iter() {
-        tasks[hash.hash_route(key).index()].observe(key, s.freq, s.cost, s.mem);
+        *tasks[hash.hash_route(key).index()].entry(key).or_default() += s;
     }
     drop(stats);
     let before = live_bytes();
     let mut report = IntervalStats::new();
     for task in tasks {
-        report.absorb(task.seal());
+        report.absorb(IntervalStats::seal(task));
     }
     (report, live_bytes() - before)
 }
@@ -159,7 +155,7 @@ struct Timed {
 /// Fills the window, then times `rounds` further `end_interval` calls.
 fn time_rounds(name: &str, k: u64, theta_max: f64, rounds: u64, shape: Shape) -> Timed {
     let hash = AssignmentFn::hash_only(N_TASKS);
-    let mut tasks = vec![IntervalStats::new(); N_TASKS];
+    let mut tasks = vec![FxHashMap::default(); N_TASKS];
     let before = live_bytes();
     let mut p = partitioner(name, k, theta_max);
     let mut ms = Vec::new();
@@ -208,7 +204,7 @@ fn main() {
         let mut round_bytes = [0.0; 2];
         for name in ["Mixed", "MinTable", "MinMig", "Readj"] {
             let mut rows = Vec::new();
-            for (shape, label) in [(Shape::Map, "map"), (Shape::Shards, "shards")] {
+            for (shape, label) in [(Shape::OneShard, "one_shard"), (Shape::Shards, "shards")] {
                 let idle = time_rounds(name, k, NEVER, rounds, shape);
                 let firing = time_rounds(name, k, THETA_MAX, rounds, shape);
                 assert_eq!(idle.fired, 0, "{name}: θmax = {NEVER} must never plan");
@@ -229,11 +225,11 @@ fn main() {
                     ),
                 ];
                 print!(
-                    "    {name:<9} {label:<6} idle {:>8.3} ms   firing {:>9.3} ms",
+                    "    {name:<9} {label:<9} idle {:>8.3} ms   firing {:>9.3} ms",
                     idle.median_ms, firing.median_ms
                 );
                 // The window is the same whichever shape fed it.
-                if shape == Shape::Map {
+                if shape == Shape::OneShard {
                     let bytes_per_key = idle.held_bytes as f64 / live.len() as f64;
                     print!("   window {bytes_per_key:>6.1} B/live key");
                     row.push((
@@ -246,19 +242,21 @@ fn main() {
             }
             fields.push((name, Json::obj(rows)));
         }
-        let [map_bytes, shard_bytes] = round_bytes;
+        let [one_bytes, shard_bytes] = round_bytes;
         println!(
-            "    round report: map {map_bytes:.1} B/key, {N_TASKS} shards {shard_bytes:.1} B/key"
+            "    round report: one shard {one_bytes:.1} B/key, {N_TASKS} shards {shard_bytes:.1} B/key"
         );
-        assert!(
-            shard_bytes <= ROUND_BYTES_PER_KEY_GUARD,
-            "a sharded round holds {shard_bytes:.1} B per reported key at K = {k}, over the \
-             {ROUND_BYTES_PER_KEY_GUARD} B guard"
-        );
+        for (bytes, shape) in [(one_bytes, "a one-shard"), (shard_bytes, "a sharded")] {
+            assert!(
+                bytes <= ROUND_BYTES_PER_KEY_GUARD,
+                "{shape} round holds {bytes:.1} B per reported key at K = {k}, over the \
+                 {ROUND_BYTES_PER_KEY_GUARD} B guard"
+            );
+        }
         fields.push((
             "round_bytes_per_key",
             Json::obj([
-                ("map", Json::lower(Json::Num(map_bytes))),
+                ("one_shard", Json::lower(Json::Num(one_bytes))),
                 ("shards", Json::lower(Json::Num(shard_bytes))),
             ]),
         ));

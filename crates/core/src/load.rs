@@ -180,6 +180,7 @@ pub fn max_skewness(loads: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::KeyStat;
 
     fn rec(key: u64, cost: u64, current: u32) -> KeyRecord {
         KeyRecord {
@@ -301,12 +302,11 @@ mod tests {
 
     #[test]
     fn heavy_hitter_is_a_key_no_placement_can_fit() {
-        let report = |costs: &[(u64, u64)]| {
-            let mut stats = IntervalStats::new();
+        let report = |costs: &[(u64, u64)]| -> IntervalStats {
             costs
                 .iter()
-                .for_each(|&(k, c)| stats.observe(Key(k), c, c, 8));
-            stats
+                .map(|&(k, c)| (Key(k), KeyStat::new(c, c, 8)))
+                .collect()
         };
         // n = 4, θmax = 0.08: the bound is a 0.27 share. Exactly on it is
         // not over it; one cost unit more is, at any scale.

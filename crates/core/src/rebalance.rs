@@ -534,14 +534,22 @@ impl Partitioner for Rebalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::KeyStat;
 
     fn skewed_interval(n_keys: u64, hot_cost: u64) -> IntervalStats {
-        let mut iv = IntervalStats::new();
-        for k in 0..n_keys {
-            let cost = if k == 0 { hot_cost } else { 1 };
-            iv.observe(Key(k), 1, cost, cost);
-        }
-        iv
+        (0..n_keys)
+            .map(|k| {
+                let cost = if k == 0 { hot_cost } else { 1 };
+                (Key(k), KeyStat::new(1, cost, cost))
+            })
+            .collect()
+    }
+
+    /// Keys `0..n_keys`, each one tuple of `cost` and `cost` state bytes.
+    fn uniform_interval(n_keys: u64, cost: u64) -> IntervalStats {
+        (0..n_keys)
+            .map(|k| (Key(k), KeyStat::new(1, cost, cost)))
+            .collect()
     }
 
     #[test]
@@ -556,11 +564,7 @@ mod tests {
             },
         );
         // Uniform keys, plenty of them: hash spreads well within θ=0.5.
-        let mut iv = IntervalStats::new();
-        for k in 0..10_000u64 {
-            iv.observe(Key(k), 1, 1, 1);
-        }
-        assert!(rb.end_interval(iv).is_none());
+        assert!(rb.end_interval(uniform_interval(10_000, 1)).is_none());
         assert_eq!(rb.rebalances(), 0);
     }
 
@@ -679,10 +683,7 @@ mod tests {
             },
         );
         // Fill two tasks evenly-ish.
-        let mut iv = IntervalStats::new();
-        for k in 0..1000u64 {
-            iv.observe(Key(k), 1, 10, 10);
-        }
+        let iv = uniform_interval(1000, 10);
         let _ = rb.end_interval(iv.clone());
         let new = rb.add_task();
         assert_eq!(new, TaskId(2));
@@ -705,10 +706,7 @@ mod tests {
                 ..BalanceParams::default()
             },
         );
-        let mut iv = IntervalStats::new();
-        for k in 0..3_000u64 {
-            iv.observe(Key(k), 1, 10, 10);
-        }
+        let iv = uniform_interval(3_000, 10);
         let _ = rb.end_interval(iv.clone());
         let live: Vec<Key> = (0..3_000u64).map(Key).collect();
         rb.scale_in(TaskId(2), &live);
@@ -783,11 +781,7 @@ mod tests {
         });
         assert!(rb.end_interval(skewed_interval(1000, 5_000)).is_none());
         // A balanced interval breaks the streak.
-        let mut balanced = IntervalStats::new();
-        for k in 0..10_000u64 {
-            balanced.observe(Key(k), 1, 1, 1);
-        }
-        assert!(rb.end_interval(balanced).is_none());
+        assert!(rb.end_interval(uniform_interval(10_000, 1)).is_none());
         // One more violation: streak restarts at 1 — still damped.
         assert!(rb.end_interval(skewed_interval(1000, 5_000)).is_none());
         assert_eq!(rb.rebalances(), 0);
@@ -800,13 +794,7 @@ mod tests {
     #[test]
     fn provisional_reports_do_not_advance_trigger_counters() {
         let skew = || skewed_interval(1000, 5_000);
-        let balanced = || {
-            let mut iv = IntervalStats::new();
-            for k in 0..10_000u64 {
-                iv.observe(Key(k), 1, 1, 1);
-            }
-            iv
-        };
+        let balanced = || uniform_interval(10_000, 1);
         let params = BalanceParams {
             theta_max: 0.5,
             ..BalanceParams::default()
@@ -835,10 +823,9 @@ mod tests {
                 cooldown: 2,
                 ..TriggerPolicy::default()
             });
-        let hot = |key: u64| {
-            let mut iv = skewed_interval(1000, 1);
-            iv.observe(Key(key), 1, 5_000, 5_000);
-            iv
+        let hot = |key: u64| -> IntervalStats {
+            let burst = (Key(key), KeyStat::new(1, 5_000, 5_000));
+            skewed_interval(1000, 1).iter().chain([burst]).collect()
         };
         assert!(rb.end_interval(hot(1).into_provisional()).is_some());
         for key in 2..6 {
@@ -860,10 +847,9 @@ mod tests {
     /// default.
     #[test]
     fn plans_settle_inside_theta_max_unless_pinned_to_the_paper() {
-        let mut iv = IntervalStats::new();
-        for k in 0..4_000u64 {
-            iv.observe(Key(k), 1, 10 + k % 17, 8);
-        }
+        let iv: IntervalStats = (0..4_000u64)
+            .map(|k| (Key(k), KeyStat::new(1, 10 + k % 17, 8)))
+            .collect();
         let theta_after = |trigger: TriggerPolicy| {
             let mut rb = Rebalancer::new(4, 1, RebalanceStrategy::Mixed, BalanceParams::default())
                 .with_trigger_policy(trigger);

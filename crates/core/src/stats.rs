@@ -36,14 +36,18 @@
 //! # A report's way in
 //!
 //! An interval's statistics exist once on their way to the window: each
-//! worker **accumulates** into one map kept for the whole run; at the
-//! interval boundary it **seals** the map into an exact-size shard
-//! sorted by key hash, keeping the map's capacity; the controller
-//! **absorbs** the workers' shards into one [`IntervalStats`] by moving
-//! them; and [`StatsWindow::push`] **folds** them shard by shard. A key
-//! several shards name — a split key's replicas, a key migrated
-//! mid-interval, a duplicate or late report — is summed in its window
-//! row by the fold, and by every reader of the report as it reads.
+//! worker **accumulates** into its own `FxHashMap<Key, KeyStat>`, kept
+//! for the whole run; at the interval boundary it **seals** the map into
+//! an exact-size shard sorted by key hash, keeping the map's capacity;
+//! the controller **absorbs** the workers' shards into one
+//! [`IntervalStats`] by moving them; and [`StatsWindow::push`] **folds**
+//! them shard by shard. A report is always such a list of sealed shards:
+//! one built any other way (a workload generator's, the simulator's) is
+//! collected from `(Key, KeyStat)` pairs into one shard. A key several
+//! shards name — a split key's replicas, a key migrated mid-interval, a
+//! duplicate or late report — is summed in its window row by the fold,
+//! and by every reader of the report as it reads; readers see the keys
+//! in key-hash order.
 //!
 //! The cached routes are only as fresh as the caller keeps them: whoever
 //! mutates the [`AssignmentFn`] a window was pushed against must call
@@ -74,6 +78,13 @@ pub struct KeyStat {
     pub mem: u64,
 }
 
+impl KeyStat {
+    /// `freq` tuples that cost `cost` and wrote `mem` state bytes.
+    pub const fn new(freq: u64, cost: u64, mem: u64) -> Self {
+        KeyStat { freq, cost, mem }
+    }
+}
+
 impl std::ops::AddAssign for KeyStat {
     fn add_assign(&mut self, s: KeyStat) {
         self.freq += s.freq;
@@ -95,31 +106,6 @@ fn order(key: Key) -> u64 {
 /// One reporter's sealed statistics: each key once, in [`order`], at
 /// exactly the size it needs.
 type Shard = Box<[(Key, KeyStat)]>;
-
-/// What a report holds.
-#[derive(Debug, Clone)]
-enum Body {
-    /// Built by [`IntervalStats::observe`]: one map, each key once.
-    Open(FxHashMap<Key, KeyStat>),
-    /// Sealed shards, none of them empty. A key appears at most once per
-    /// shard but may repeat across shards; readers sum the repeats.
-    Sealed(Vec<Shard>),
-}
-
-impl Default for Body {
-    fn default() -> Self {
-        Body::Open(FxHashMap::default())
-    }
-}
-
-impl Body {
-    fn into_shards(self) -> Vec<Shard> {
-        match self {
-            Body::Open(map) => seal_map(&map),
-            Body::Sealed(shards) => shards,
-        }
-    }
-}
 
 /// `map`'s records as a list of at most one shard.
 ///
@@ -161,13 +147,14 @@ fn seal_map(map: &FxHashMap<Key, KeyStat>) -> Vec<Shard> {
     vec![shard]
 }
 
-/// All key statistics reported for one interval by the downstream tasks.
+/// All key statistics reported for one interval by the downstream tasks:
+/// a list of sealed shards, each sorted by key hash.
 ///
 /// A report lives through four steps, and each interval's statistics
 /// exist once at every step:
 ///
-/// 1. **accumulate** — a worker keeps one report for the whole run and
-///    [`observe`](IntervalStats::observe)s into its map;
+/// 1. **accumulate** — a worker keeps one `FxHashMap<Key, KeyStat>` for
+///    the whole run and adds every tuple's measurements to it;
 /// 2. **seal** — at an interval boundary [`seal`](IntervalStats::seal)
 ///    moves the map's records into an exact-size shard sorted in hash
 ///    order and clears the map, capacity kept (a provisional peek takes
@@ -178,13 +165,17 @@ fn seal_map(map: &FxHashMap<Key, KeyStat>) -> Vec<Shard> {
 /// 4. **fold** — [`StatsWindow::push`] folds the shards one after
 ///    another, each a front-to-back sweep of its index, and drops them.
 ///
+/// Any other report — a workload generator's interval, the simulator's,
+/// a test's — is `collect`ed from `(Key, KeyStat)` pairs, which sums
+/// repeated keys and seals the result as one shard.
+///
 /// A key can appear in several shards: a split key's replicas, a key
 /// migrated mid-interval, a duplicate or late report. The fold sums the
 /// repeats in the key's window row; every reader —
 /// [`iter`](IntervalStats::iter) (a k-way merge of the sorted shards),
 /// [`get`](IntervalStats::get), [`len`](IntervalStats::len) — sums them
-/// as it reads, so a sharded report reads exactly like one map built by
-/// `observe`.
+/// as it reads, so a report reads as one key set whatever its shard
+/// count, in key-hash order.
 ///
 /// A report is *closing* (the default: the interval is over) or
 /// *provisional*: a copy of the statistics accumulated so far in an
@@ -194,7 +185,9 @@ fn seal_map(map: &FxHashMap<Key, KeyStat>) -> Vec<Shard> {
 /// [`StatsWindow::push`]).
 #[derive(Debug, Clone, Default)]
 pub struct IntervalStats {
-    body: Body,
+    /// None of them empty. A key appears at most once per shard but may
+    /// repeat across shards; readers sum the repeats.
+    shards: Vec<Shard>,
     provisional: bool,
 }
 
@@ -216,49 +209,21 @@ impl IntervalStats {
         self.provisional
     }
 
-    /// Accumulates one observation for `key` (tasks call this per tuple or
-    /// per batch; repeated calls add up).
-    #[inline]
-    pub fn observe(&mut self, key: Key, freq: u64, cost: u64, mem: u64) {
-        let stat = KeyStat { freq, cost, mem };
-        match &mut self.body {
-            Body::Open(map) => *map.entry(key).or_default() += stat,
-            Body::Sealed(_) => {
-                let mut map: FxHashMap<Key, KeyStat> = self.iter().collect();
-                *map.entry(key).or_default() += stat;
-                self.body = Body::Open(map);
-            }
-        }
+    /// Takes everything `acc` accumulated as a closing report and leaves
+    /// it empty with its capacity kept — a worker's interval boundary, so
+    /// the next interval fills the same table.
+    pub fn seal(acc: &mut FxHashMap<Key, KeyStat>) -> IntervalStats {
+        let sealed = IntervalStats::sealed_copy(acc);
+        acc.clear();
+        sealed
     }
 
-    /// Takes everything observed so far as a sealed report and leaves
-    /// this one empty with its map's capacity kept — a worker's interval
-    /// boundary, so the next interval fills the same table.
-    pub fn seal(&mut self) -> IntervalStats {
-        let shards = match &mut self.body {
-            Body::Open(map) => {
-                let shards = seal_map(map);
-                map.clear();
-                shards
-            }
-            Body::Sealed(shards) => std::mem::take(shards),
-        };
-        IntervalStats {
-            body: Body::Sealed(shards),
-            provisional: self.provisional,
-        }
-    }
-
-    /// A sealed copy of the report, which is left as it is — a worker's
+    /// A report of what `acc` holds, which is left as it is — a worker's
     /// answer to a provisional peek.
-    pub fn sealed_copy(&self) -> IntervalStats {
-        let body = match &self.body {
-            Body::Open(map) => Body::Sealed(seal_map(map)),
-            Body::Sealed(shards) => Body::Sealed(shards.clone()),
-        };
+    pub fn sealed_copy(acc: &FxHashMap<Key, KeyStat>) -> IntervalStats {
         IntervalStats {
-            body,
-            provisional: self.provisional,
+            shards: seal_map(acc),
+            provisional: false,
         }
     }
 
@@ -266,86 +231,54 @@ impl IntervalStats {
     /// shards collected by the controller in workflow step 1 of Fig. 5)
     /// by moving its shards in; keys both name are summed when read.
     pub fn absorb(&mut self, other: IntervalStats) {
-        if other.is_empty() {
-            return;
-        }
-        if self.is_empty() {
-            self.body = other.body;
-            return;
-        }
-        let mut shards = std::mem::take(&mut self.body).into_shards();
-        shards.extend(other.body.into_shards());
-        self.body = Body::Sealed(shards);
+        self.shards.extend(other.shards);
     }
 
     /// Statistics for one key, if observed this interval.
     pub fn get(&self, key: Key) -> Option<KeyStat> {
-        match &self.body {
-            Body::Open(map) => map.get(&key).copied(),
-            Body::Sealed(shards) => {
-                let o = order(key);
-                shards
-                    .iter()
-                    .filter_map(|shard| {
-                        let i = shard.binary_search_by_key(&o, |&(k, _)| order(k)).ok()?;
-                        Some(shard[i].1)
-                    })
-                    .reduce(|mut sum, s| {
-                        sum += s;
-                        sum
-                    })
-            }
-        }
+        let o = order(key);
+        self.shards
+            .iter()
+            .filter_map(|shard| {
+                let i = shard.binary_search_by_key(&o, |&(k, _)| order(k)).ok()?;
+                Some(shard[i].1)
+            })
+            .reduce(|mut sum, s| {
+                sum += s;
+                sum
+            })
     }
 
     /// Number of distinct keys observed.
     pub fn len(&self) -> usize {
-        match &self.body {
-            Body::Open(map) => map.len(),
-            Body::Sealed(shards) if shards.len() == 1 => shards[0].len(),
-            Body::Sealed(_) => self.iter().count(),
-        }
+        self.iter().count()
     }
 
     /// Every record as held, a key once per shard that names it: the
     /// input of a reader that sums repeats itself.
     fn records(&self) -> impl Iterator<Item = (Key, KeyStat)> + '_ {
-        let (map, shards): (Option<&FxHashMap<Key, KeyStat>>, &[Shard]) = match &self.body {
-            Body::Open(map) => (Some(map), &[]),
-            Body::Sealed(shards) => (None, shards),
-        };
-        let open = map.into_iter().flatten().map(|(&k, &s)| (k, s));
-        open.chain(shards.iter().flatten().copied())
+        self.shards.iter().flatten().copied()
     }
 
     /// How many [`IntervalStats::records`] there are.
     fn records_held(&self) -> usize {
-        match &self.body {
-            Body::Open(map) => map.len(),
-            Body::Sealed(shards) => shards.iter().map(|s| s.len()).sum(),
-        }
+        self.shards.iter().map(|s| s.len()).sum()
     }
 
     /// True when nothing was observed.
     pub fn is_empty(&self) -> bool {
-        match &self.body {
-            Body::Open(map) => map.is_empty(),
-            Body::Sealed(shards) => shards.is_empty(),
-        }
+        self.shards.is_empty()
     }
 
     /// Iterates `(key, stat)`, each distinct key once with its shards
-    /// summed, in unspecified order (hash order for a sealed report).
+    /// summed, in key-hash order.
     pub fn iter(&self) -> impl Iterator<Item = (Key, KeyStat)> + '_ {
-        match &self.body {
-            Body::Open(map) => Iter::Open(map.iter()),
-            Body::Sealed(shards) => Iter::Sealed(
-                shards
-                    .iter()
-                    .map(|shard| (order(shard[0].0), &shard[..]))
-                    .collect(),
-            ),
-        }
+        Iter(
+            self.shards
+                .iter()
+                .map(|shard| (order(shard[0].0), &shard[..]))
+                .collect(),
+        )
     }
 
     /// Total computation cost across all keys.
@@ -354,22 +287,15 @@ impl IntervalStats {
     }
 }
 
-/// [`IntervalStats::iter`]: a map's entries, or a k-way merge of sealed
-/// shards.
-enum Iter<'a> {
-    Open(std::collections::hash_map::Iter<'a, Key, KeyStat>),
-    /// Each unfinished shard's rest, with the [`order`] of its head.
-    Sealed(Vec<(u64, &'a [(Key, KeyStat)])>),
-}
+/// [`IntervalStats::iter`]: a k-way merge of sealed shards, holding each
+/// unfinished shard's rest with the [`order`] of its head.
+struct Iter<'a>(Vec<(u64, &'a [(Key, KeyStat)])>);
 
 impl Iterator for Iter<'_> {
     type Item = (Key, KeyStat);
 
     fn next(&mut self) -> Option<(Key, KeyStat)> {
-        let heads = match self {
-            Iter::Open(it) => return it.next().map(|(&k, &s)| (k, s)),
-            Iter::Sealed(heads) => heads,
-        };
+        let heads = &mut self.0;
         let least = heads.iter().map(|&(o, _)| o).min()?;
         let mut out: Option<(Key, KeyStat)> = None;
         let mut i = 0;
@@ -392,13 +318,14 @@ impl Iterator for Iter<'_> {
     }
 }
 
+/// Sums repeated keys and seals the result as one shard.
 impl FromIterator<(Key, KeyStat)> for IntervalStats {
     fn from_iter<T: IntoIterator<Item = (Key, KeyStat)>>(iter: T) -> Self {
-        let mut s = IntervalStats::new();
-        for (k, st) in iter {
-            s.observe(k, st.freq, st.cost, st.mem);
+        let mut acc = FxHashMap::default();
+        for (key, stat) in iter {
+            *acc.entry(key).or_default() += stat;
         }
-        s
+        IntervalStats::sealed_copy(&acc)
     }
 }
 
@@ -506,8 +433,7 @@ impl Mems {
 /// is that hash's top bits, scaled to the table: sealed shards are
 /// sorted in the same order, so folding one sweeps this table front to
 /// back instead of probing it at random (measured: half the fold time
-/// at 76 k keys), at every table size. A report built by `observe`
-/// folds in map order, which is not this one, and probes at random.
+/// at 76 k keys), at every table size.
 #[derive(Debug, Clone, Default)]
 struct RowIndex {
     /// `hash << 32 | row` per slot, [`RowIndex::EMPTY`] when vacant. The
@@ -562,16 +488,23 @@ impl RowIndex {
 
     /// Indexes `key → row`; `key` must not be indexed yet.
     fn insert(&mut self, key: Key, row: u32) {
-        if (self.len + 1) * 4 > self.slots.len() * 3 {
-            let grown = vec![Self::EMPTY; (self.slots.len() * 2).max(16)];
-            for slot in std::mem::replace(&mut self.slots, grown) {
-                if slot != Self::EMPTY {
-                    self.place(slot);
-                }
-            }
-        }
+        self.reserve(self.len + 1);
         self.place(u64::from(Self::hash(key)) << 32 | u64::from(row));
         self.len += 1;
+    }
+
+    /// Grows the table, if need be, to hold `keys` entries at most three
+    /// quarters full.
+    fn reserve(&mut self, keys: usize) {
+        if keys * 4 <= self.slots.len() * 3 {
+            return;
+        }
+        let size = (keys * 4).div_ceil(3).next_power_of_two().max(16);
+        for slot in std::mem::replace(&mut self.slots, vec![Self::EMPTY; size]) {
+            if slot != Self::EMPTY {
+                self.place(slot);
+            }
+        }
     }
 
     fn place(&mut self, slot: u64) {
@@ -722,9 +655,14 @@ impl StatsWindow {
                 release(&mut self.rows, old);
             }
         }
+        let held = stats.records_held();
+        // A shard's new keys arrive in home order. In a table smaller than
+        // the shard they would pile into one probe run, each probing past
+        // all the others; sized first, their homes outrun the run.
+        self.index.reserve(held);
         let mut delta = Delta {
-            rows: Vec::with_capacity(stats.records_held()),
-            mems: Mems::Narrow(Vec::with_capacity(stats.records_held())),
+            rows: Vec::with_capacity(held),
+            mems: Mems::Narrow(Vec::with_capacity(held)),
         };
         // Shard by shard, each one a front-to-back sweep of the index. A
         // key several shards name adds up in its row: no row carries the
@@ -1156,11 +1094,16 @@ mod tests {
         AssignmentFn::hash_only(1)
     }
 
+    /// One report of `(key, freq, cost, mem)` observations.
+    fn report(obs: &[(u64, u64, u64, u64)]) -> IntervalStats {
+        obs.iter()
+            .map(|&(key, freq, cost, mem)| (k(key), KeyStat::new(freq, cost, mem)))
+            .collect()
+    }
+
     #[test]
-    fn observe_accumulates() {
-        let mut iv = IntervalStats::new();
-        iv.observe(k(1), 1, 10, 100);
-        iv.observe(k(1), 2, 20, 200);
+    fn collect_sums_repeated_keys() {
+        let iv = report(&[(1, 1, 10, 100), (1, 2, 20, 200)]);
         assert_eq!(
             iv.get(k(1)),
             Some(KeyStat {
@@ -1175,13 +1118,12 @@ mod tests {
 
     #[test]
     fn merge_adds_shards() {
-        let mut a = IntervalStats::new();
-        a.observe(k(1), 1, 5, 0);
-        let mut b = IntervalStats::new();
-        b.observe(k(1), 1, 5, 0);
-        b.observe(k(2), 1, 7, 0);
-        a.absorb(b.seal());
-        assert!(b.is_empty(), "sealing empties the accumulator");
+        let mut a = report(&[(1, 1, 5, 0)]);
+        let mut acc: FxHashMap<Key, KeyStat> = FxHashMap::default();
+        acc.insert(k(1), KeyStat::new(1, 5, 0));
+        acc.insert(k(2), KeyStat::new(1, 7, 0));
+        a.absorb(IntervalStats::seal(&mut acc));
+        assert!(acc.is_empty(), "sealing empties the accumulator");
         assert_eq!(a.get(k(1)).unwrap().cost, 10);
         assert_eq!(a.get(k(2)).unwrap().cost, 7);
         assert_eq!(a.len(), 2);
@@ -1193,9 +1135,7 @@ mod tests {
         let f = one_task();
         let mut w = StatsWindow::new(2);
         for mem in [10u64, 20, 40] {
-            let mut iv = IntervalStats::new();
-            iv.observe(k(1), 1, 1, mem);
-            w.push(iv, &f);
+            w.push(report(&[(1, 1, 1, mem)]), &f);
         }
         // Window keeps the last two: 20 + 40.
         assert_eq!(w.windowed_mem(k(1)), 60);
@@ -1206,9 +1146,7 @@ mod tests {
     fn windowed_mem_sums_only_present_intervals() {
         let f = one_task();
         let mut w = StatsWindow::new(5);
-        let mut iv = IntervalStats::new();
-        iv.observe(k(9), 1, 1, 33);
-        w.push(iv, &f);
+        w.push(report(&[(9, 1, 1, 33)]), &f);
         w.push(IntervalStats::new(), &f);
         assert_eq!(w.windowed_mem(k(9)), 33);
         assert_eq!(w.windowed_mem(k(8)), 0);
@@ -1218,12 +1156,8 @@ mod tests {
     fn records_include_stale_state_keys_with_zero_cost() {
         let f = one_task();
         let mut w = StatsWindow::new(3);
-        let mut old = IntervalStats::new();
-        old.observe(k(1), 5, 50, 500); // active earlier
-        w.push(old, &f);
-        let mut new = IntervalStats::new();
-        new.observe(k(2), 1, 10, 100); // active now
-        w.push(new, &f);
+        w.push(report(&[(1, 5, 50, 500)]), &f); // active earlier
+        w.push(report(&[(2, 1, 10, 100)]), &f); // active now
 
         let recs = w.records();
         assert_eq!(recs.len(), 2);
@@ -1239,11 +1173,10 @@ mod tests {
     #[test]
     fn records_sorted_by_key() {
         let mut w = StatsWindow::new(1);
-        let mut iv = IntervalStats::new();
-        for key in [5u64, 1, 9, 3] {
-            iv.observe(k(key), 1, 1, 1);
-        }
-        w.push(iv, &one_task());
+        w.push(
+            report(&[(5, 1, 1, 1), (1, 1, 1, 1), (9, 1, 1, 1), (3, 1, 1, 1)]),
+            &one_task(),
+        );
         let keys: Vec<u64> = w.records().iter().map(|r| r.key.raw()).collect();
         assert_eq!(keys, vec![1, 3, 5, 9]);
     }
@@ -1259,7 +1192,7 @@ mod tests {
     }
 
     fn random_interval(rng: &mut Lcg, domain: u64) -> IntervalStats {
-        let mut iv = IntervalStats::new();
+        let mut obs = Vec::new();
         // One interval in six reports nothing at all.
         if rng.below(6) > 0 {
             // A sliding sub-range makes keys vanish and reappear.
@@ -1269,10 +1202,10 @@ mod tests {
                 // Zero cost and zero memory are legal reports, and so is
                 // a state size past 32 bits.
                 let huge = u64::from(rng.below(200) == 0) << 32;
-                iv.observe(k(key), 1, rng.below(50), huge + rng.below(30));
+                obs.push((key, 1, rng.below(50), huge + rng.below(30)));
             }
         }
-        iv
+        report(&obs)
     }
 
     fn assert_matches(table: &StatsWindow, naive: &NaiveWindow, f: &AssignmentFn, domain: u64) {
@@ -1522,16 +1455,7 @@ mod tests {
         let mut w = StatsWindow::new(3);
         let report = |keys: &[u64]| -> IntervalStats {
             keys.iter()
-                .map(|&key| {
-                    (
-                        k(key),
-                        KeyStat {
-                            freq: 1,
-                            cost: 1,
-                            mem: 1,
-                        },
-                    )
-                })
+                .map(|&key| (k(key), KeyStat::new(1, 1, 1)))
                 .collect()
         };
         w.push(report(&[1, 2]), &f); // T0
@@ -1557,19 +1481,14 @@ mod tests {
     #[test]
     fn split_keys_leave_loads_and_records_together() {
         let mut plane = StatsPlane::new(2, 2);
-        let mut iv = IntervalStats::new();
-        iv.observe(k(1), 1, 70, 7);
-        iv.observe(k(2), 1, 5, 1);
-        plane.push(iv);
+        plane.push(report(&[(1, 1, 70, 7), (2, 1, 5, 1)]));
         let total = |p: &StatsPlane| p.window().loads().iter().sum::<u64>();
         assert_eq!(total(&plane), 75);
         assert!(plane.split_key(k(1), &[TaskId(0), TaskId(1)]));
         assert_eq!(total(&plane), 5);
         assert!(plane.window().records().iter().all(|r| r.key != k(1)));
         // Reported while split: still excluded, still windowed.
-        let mut iv = IntervalStats::new();
-        iv.observe(k(1), 1, 90, 9);
-        plane.push(iv);
+        plane.push(report(&[(1, 1, 90, 9)]));
         assert_eq!(total(&plane), 0);
         assert_eq!(plane.window().windowed_mem(k(1)), 16);
         assert_eq!(plane.unsplit_key(k(1)), Some(vec![TaskId(0), TaskId(1)]));

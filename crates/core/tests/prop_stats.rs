@@ -1,9 +1,12 @@
 //! Property tests on the statistics report: a report absorbed from sealed
-//! shards reads, and folds into the window, exactly like one map built by
-//! `observe` over the same observations.
+//! shards reads like a merged map of the same observations, and folds
+//! into the window exactly like one shard collected from them.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use streambal_core::{AssignmentFn, IntervalStats, Key, KeyStat, StatsWindow};
+use streambal_hashring::FxHashMap;
 
 const DOMAIN: u64 = 40;
 const TASKS: usize = 3;
@@ -22,26 +25,42 @@ fn arb_observations() -> impl Strategy<Value = (usize, Vec<Obs>)> {
     })
 }
 
-/// The observations as one `observe`-built map, and as per-shard
-/// accumulators sealed and absorbed into one report. Odd shards answer
-/// with a sealed copy, as a provisional peek does.
-fn both(shards: usize, obs: &[Obs]) -> (IntervalStats, IntervalStats) {
-    let mut map = IntervalStats::new();
-    let mut accs = vec![IntervalStats::new(); shards];
-    for &(k, freq, cost, mem, shard) in obs {
-        map.observe(Key(k), freq, cost, mem);
-        accs[shard].observe(Key(k), freq, cost, mem);
+fn stat(&(_, freq, cost, mem, _): &Obs) -> KeyStat {
+    KeyStat::new(freq, cost, mem)
+}
+
+/// The oracle: every observation summed per key.
+fn merged(obs: &[Obs]) -> BTreeMap<Key, KeyStat> {
+    let mut map = BTreeMap::new();
+    for o in obs {
+        *map.entry(Key(o.0)).or_default() += stat(o);
     }
-    let mut sharded = IntervalStats::new();
+    map
+}
+
+/// The observations collected into one report, repeated keys and all.
+fn collected(obs: &[Obs]) -> IntervalStats {
+    obs.iter().map(|o| (Key(o.0), stat(o))).collect()
+}
+
+/// The observations as per-shard worker accumulators, sealed and absorbed
+/// into one report. Odd shards answer with a sealed copy, as a
+/// provisional peek does.
+fn sharded(shards: usize, obs: &[Obs]) -> IntervalStats {
+    let mut accs = vec![FxHashMap::<Key, KeyStat>::default(); shards];
+    for o in obs {
+        *accs[o.4].entry(Key(o.0)).or_default() += stat(o);
+    }
+    let mut report = IntervalStats::new();
     for (i, acc) in accs.iter_mut().enumerate() {
         if i % 2 == 1 {
-            sharded.absorb(acc.sealed_copy());
+            report.absorb(IntervalStats::sealed_copy(acc));
         } else {
-            sharded.absorb(acc.seal());
+            report.absorb(IntervalStats::seal(acc));
             assert!(acc.is_empty(), "sealing empties the accumulator");
         }
     }
-    (map, sharded)
+    report
 }
 
 fn sorted(stats: &IntervalStats) -> Vec<(Key, KeyStat)> {
@@ -61,28 +80,27 @@ fn assert_same_window(a: &StatsWindow, b: &StatsWindow) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every reader sums a key's shards, and yields each key once; and
-    /// observing into a sealed report adds up as into the map.
+    /// Every reader sums a key's shards, and yields each key once — for
+    /// N sealed shards and for one collected shard alike.
     #[test]
     fn sharded_report_reads_like_the_merged_map((shards, obs) in arb_observations()) {
-        let (mut map, mut sharded) = both(shards, &obs);
-        let listed = sorted(&sharded);
-        prop_assert_eq!(&listed, &sorted(&map));
-        prop_assert!(listed.windows(2).all(|w| w[0].0 < w[1].0), "a key listed twice");
-        for k in 0..=DOMAIN {
-            prop_assert_eq!(sharded.get(Key(k)), map.get(Key(k)));
+        let oracle = merged(&obs);
+        let expected: Vec<(Key, KeyStat)> = oracle.iter().map(|(&k, &s)| (k, s)).collect();
+        let total: u64 = oracle.values().map(|s| s.cost).sum();
+        for report in [sharded(shards, &obs), collected(&obs)] {
+            prop_assert_eq!(&sorted(&report), &expected);
+            for k in 0..=DOMAIN {
+                prop_assert_eq!(report.get(Key(k)), oracle.get(&Key(k)).copied());
+            }
+            prop_assert_eq!(report.len(), oracle.len());
+            prop_assert_eq!(report.is_empty(), oracle.is_empty());
+            prop_assert_eq!(report.total_cost(), total);
         }
-        prop_assert_eq!(sharded.len(), map.len());
-        prop_assert_eq!(sharded.is_empty(), map.is_empty());
-        prop_assert_eq!(sharded.total_cost(), map.total_cost());
-        map.observe(Key(0), 1, 2, 3);
-        sharded.observe(Key(0), 1, 2, 3);
-        prop_assert_eq!(sorted(&sharded), sorted(&map));
     }
 
     /// Folded into a window — closing, or provisional and then superseded
-    /// by its closing report — both shapes give identical records, loads
-    /// and windowed memory.
+    /// by its closing report — one collected shard and N sealed shards
+    /// give identical records, loads and windowed memory.
     #[test]
     fn sharded_report_folds_like_the_merged_map(
         (s0, old) in arb_observations(),
@@ -90,19 +108,16 @@ proptest! {
         (s2, closing) in arb_observations(),
     ) {
         let f = AssignmentFn::hash_only(TASKS);
-        let mut by_map = StatsWindow::new(2);
+        let mut by_one = StatsWindow::new(2);
         let mut by_shards = StatsWindow::new(2);
-        let (map, sharded) = both(s0, &old);
-        by_map.push(map, &f);
-        by_shards.push(sharded, &f);
-        assert_same_window(&by_map, &by_shards);
-        let (map, sharded) = both(s1, &early);
-        by_map.push(map.into_provisional(), &f);
-        by_shards.push(sharded.into_provisional(), &f);
-        assert_same_window(&by_map, &by_shards);
-        let (map, sharded) = both(s2, &closing);
-        by_map.push(map, &f);
-        by_shards.push(sharded, &f);
-        assert_same_window(&by_map, &by_shards);
+        by_one.push(collected(&old), &f);
+        by_shards.push(sharded(s0, &old), &f);
+        assert_same_window(&by_one, &by_shards);
+        by_one.push(collected(&early).into_provisional(), &f);
+        by_shards.push(sharded(s1, &early).into_provisional(), &f);
+        assert_same_window(&by_one, &by_shards);
+        by_one.push(collected(&closing), &f);
+        by_shards.push(sharded(s2, &closing), &f);
+        assert_same_window(&by_one, &by_shards);
     }
 }

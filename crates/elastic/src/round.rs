@@ -312,6 +312,7 @@ mod tests {
     use super::*;
     use crate::{FixedSchedule, FixedSplitSchedule, HoldPolicy};
     use streambal_baselines::{storm, CoreBalancer};
+    use streambal_core::KeyStat;
 
     fn observation(interval: u64, loads: &[u64]) -> IntervalObservation<'_> {
         IntervalObservation {
@@ -334,8 +335,7 @@ mod tests {
         dead: &[usize],
         can_grow: bool,
     ) -> Vec<RoundAction> {
-        let mut stats = IntervalStats::new();
-        stats.observe(Key(7), 1, 1, 1);
+        let stats: IntervalStats = [(Key(7), KeyStat::new(1, 1, 1))].into_iter().collect();
         let loads = vec![10; p.n_tasks()];
         let inputs = RoundInputs {
             obs: observation(0, &loads),

@@ -2010,12 +2010,10 @@ mod tests {
         closed.close(3);
         assert!(closed.contains(3));
     }
-    use streambal_core::Key;
+    use streambal_core::{Key, KeyStat};
 
     fn stats_with_cost(key: u64, cost: u64) -> IntervalStats {
-        let mut s = IntervalStats::new();
-        s.observe(Key(key), 1, cost, 1);
-        s
+        [(Key(key), KeyStat::new(1, cost, 1))].into_iter().collect()
     }
 
     fn expect_n(n: usize) -> Vec<TaskId> {
@@ -2270,6 +2268,7 @@ mod protocol_tests {
 
     use crossbeam::channel::unbounded;
     use streambal_baselines::storm;
+    use streambal_core::KeyStat;
     use streambal_elastic::{
         FixedSchedule, FixedSplitSchedule, HotKeyPolicy, ScaleDecision, ScaleEvent, SplitEvent,
         SplitPolicy,
@@ -2721,13 +2720,16 @@ mod protocol_tests {
         out
     }
 
+    /// A report naming one key.
+    fn one_key(key: Key, stat: KeyStat) -> IntervalStats {
+        [(key, stat)].into_iter().collect()
+    }
+
     fn peek_answer(worker: usize, interval: u64) -> WorkerEvent {
-        let mut stats = IntervalStats::new();
-        stats.observe(Key(worker as u64), 1, 1, 1);
         WorkerEvent::StatsPeek {
             worker: TaskId::from(worker),
             interval,
-            stats,
+            stats: one_key(Key(worker as u64), KeyStat::new(1, 1, 1)),
         }
     }
 
@@ -2773,16 +2775,14 @@ mod protocol_tests {
     /// Worker reports over [`split_rig`]'s keys: worker `w`'s background
     /// keys at `costs[w]` each, plus the hot key at `hot.1` on worker 2.
     fn reports(keys: &[Vec<Key>; 3], costs: [u64; 3], hot: (Key, u64)) -> Vec<IntervalStats> {
-        let mut out = vec![IntervalStats::new(); 3];
-        for (w, stats) in out.iter_mut().enumerate() {
-            for &k in &keys[w] {
-                stats.observe(k, costs[w], costs[w], 8);
-            }
-        }
-        if hot.1 > 0 {
-            out[2].observe(hot.0, hot.1, hot.1, 8);
-        }
-        out
+        (0..3)
+            .map(|w| {
+                let stat = |c| KeyStat::new(c, c, 8);
+                let own = keys[w].iter().map(|&k| (k, stat(costs[w])));
+                let hot = (w == 2 && hot.1 > 0).then(|| (hot.0, stat(hot.1)));
+                own.chain(hot).collect()
+            })
+            .collect()
     }
 
     /// Answers the provisional round of `interval` with `reports`, then
@@ -2917,11 +2917,10 @@ mod protocol_tests {
         let (mut ctl, rig) = rig_with(FixedSchedule::new([]), FaultPlan::none(), Box::new(mixed));
         // Worker 2 reports a pile of equal keys; the others little.
         let report = |w: usize, interval: u64| {
-            let mut stats = IntervalStats::new();
             let keys = if w == 2 { 0..300u64 } else { 0..30u64 };
-            for k in keys {
-                stats.observe(Key(1_000 * w as u64 + k), 1, 1, 8);
-            }
+            let stats = keys
+                .map(|k| (Key(1_000 * w as u64 + k), KeyStat::new(1, 1, 8)))
+                .collect();
             WorkerEvent::StatsPeek {
                 worker: TaskId::from(w),
                 interval,
@@ -3053,7 +3052,7 @@ mod protocol_tests {
         let mid_streak = format!("{:?}", ctl.config.split);
         assert!(mid_streak.contains(&format!("hot: Some(({}, 1))", hot.raw())));
         let mut other = reports(&keys, [2, 2, 2], (hot, 0));
-        other[1].observe(Key(77_777), 200, 200, 8);
+        other[1].absorb(one_key(Key(77_777), KeyStat::new(200, 200, 8)));
         settle(&mut ctl, 1, other);
         assert_eq!(format!("{:?}", ctl.config.split), mid_streak);
         assert_eq!(ctl.report.split_events, vec![]);
@@ -3099,17 +3098,17 @@ mod protocol_tests {
 
     /// Worker `w`'s accumulator: `hot` at `cost` (when non-zero) plus
     /// one key of its own.
-    fn accumulated(w: usize, hot: Key, cost: u64) -> IntervalStats {
-        let mut acc = IntervalStats::new();
-        acc.observe(Key(1_000 + w as u64), 1, 1, 1);
+    fn accumulated(w: usize, hot: Key, cost: u64) -> FxHashMap<Key, KeyStat> {
+        let mut acc = FxHashMap::default();
+        acc.insert(Key(1_000 + w as u64), KeyStat::new(1, 1, 1));
         if cost > 0 {
-            acc.observe(hot, cost, cost, 8);
+            acc.insert(hot, KeyStat::new(cost, cost, 8));
         }
         acc
     }
 
     fn sealed_report(w: usize, hot: Key, cost: u64) -> IntervalStats {
-        accumulated(w, hot, cost).seal()
+        IntervalStats::seal(&mut accumulated(w, hot, cost))
     }
 
     fn stats_event(w: usize, interval: u64, stats: IntervalStats) -> WorkerEvent {
@@ -3181,7 +3180,7 @@ mod protocol_tests {
         let hot = Key(7);
         close_round(&mut ctl, 0);
         ctl.on_source(alert(1));
-        let accs: Vec<IntervalStats> = [5, 0, 30]
+        let accs: Vec<FxHashMap<Key, KeyStat>> = [5, 0, 30]
             .into_iter()
             .enumerate()
             .map(|(w, cost)| accumulated(w, hot, cost))
@@ -3190,16 +3189,11 @@ mod protocol_tests {
             ctl.on_worker(WorkerEvent::StatsPeek {
                 worker: TaskId::from(w),
                 interval: 1,
-                stats: acc.sealed_copy(),
+                stats: IntervalStats::sealed_copy(acc),
             });
         }
         let early = ctl.early.as_ref().expect("settled only by a tick");
-        let summed = streambal_core::KeyStat {
-            freq: 35,
-            cost: 35,
-            mem: 16,
-        };
-        assert_eq!(early.merged.get(hot), Some(summed));
+        assert_eq!(early.merged.get(hot), Some(KeyStat::new(35, 35, 16)));
         assert_eq!(early.loads, vec![6, 1, 31]);
         assert!(accs.iter().all(|acc| !acc.is_empty()), "a peek copies");
     }

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
-use streambal_core::{IntervalStats, Key, TaskId};
+use streambal_core::{IntervalStats, Key, KeyStat, TaskId};
 use streambal_hashring::FxHashMap;
 use streambal_metrics::{Counter, Histogram};
 use streambal_trace::{ThreadLabel, ThreadRecorder, TraceSink};
@@ -182,7 +182,7 @@ pub(crate) struct Worker {
     returns: Vec<Vec<Tuple>>,
     /// The open interval's statistics: one accumulator for the whole
     /// run, sealed at every interval boundary with its capacity kept.
-    stats: IntervalStats,
+    stats: FxHashMap<Key, KeyStat>,
     /// Interval-scoped latency: recorded per tuple, shipped with each
     /// stats report (the controller merges workers into the interval's
     /// mean/p99 observation), folded into the lifetime histogram at every
@@ -220,7 +220,7 @@ impl Worker {
             emitter: BatchEmitter::new(wiring.collector.take(), wiring.emit_batch),
             wiring,
             returns: Vec::with_capacity(RETURN_GROUP),
-            stats: IntervalStats::new(),
+            stats: FxHashMap::default(),
             iv_latency: Box::default(),
             totals: WorkerTotals::default(),
             current_interval: start_interval,
@@ -270,14 +270,14 @@ impl Worker {
                 }
                 other => {
                     if let Some((k, freq, m)) = other.take() {
-                        self.stats.observe(k, freq, freq * cost_per, m);
+                        *self.stats.entry(k).or_default() += KeyStat::new(freq, freq * cost_per, m);
                     }
                     *other = Some((t.key, 1, mem));
                 }
             }
         }
         if let Some((k, freq, m)) = run {
-            self.stats.observe(k, freq, freq * cost_per, m);
+            *self.stats.entry(k).or_default() += KeyStat::new(freq, freq * cost_per, m);
         }
         // One monotonic-clock read per batch, taken *after* the drain so
         // recorded latencies include the batch's own processing (reading
@@ -325,7 +325,7 @@ impl Worker {
         self.flush();
         // The next interval reports about as many keys: it refills the
         // map the sealed report leaves behind, already sized.
-        let out = self.stats.seal();
+        let out = IntervalStats::seal(&mut self.stats);
         // Fold the interval's latency into the lifetime total, then ship
         // the interval histogram with the report.
         self.totals.latency.merge(&self.iv_latency);
@@ -358,7 +358,7 @@ impl Worker {
         let _ = self.wiring.events.send(WorkerEvent::StatsPeek {
             worker: self.id,
             interval,
-            stats: self.stats.sealed_copy(),
+            stats: IntervalStats::sealed_copy(&self.stats),
         });
         Step::Continue(())
     }
@@ -462,7 +462,7 @@ impl Worker {
                 lost.sort_unstable_by_key(|&(k, _)| k);
                 WorkerExit::Killed {
                     lost,
-                    stats: self.stats.seal(),
+                    stats: IntervalStats::seal(&mut self.stats),
                     rx: self.rx,
                 }
             }
@@ -471,7 +471,7 @@ impl Worker {
             End::Retired { epoch } => WorkerExit::Retired {
                 epoch,
                 states: self.drain(),
-                stats: self.stats.seal(),
+                stats: IntervalStats::seal(&mut self.stats),
                 rx: self.rx,
             },
             End::Drained => WorkerExit::Drained {

@@ -18,7 +18,8 @@
 //!    defined relative to task loads sees the routes in force.
 //! 2. **Load** it under those routes: per-task cost and tuple counts. A
 //!    split key's share is spread evenly over its replicas, because the
-//!    engine's source rotates a split key per tuple.
+//!    engine's source rotates a split key per tuple; a strategy that
+//!    keeps no key on one task (round-robin, PKG) routes every tuple.
 //! 3. **Queue**: the [`QueueModel`] absorbs those arrivals; its backlogs
 //!    and latency proxy are what the closing round observes.
 //! 4. **Provisional round**, with [`Reaction::early`]: once the source has
@@ -233,11 +234,38 @@ fn loads_under(
     loads
 }
 
-/// [`loads_under`] the partitioner's current routing.
+/// [`loads_under`] the partitioner's current routing. A strategy that
+/// does not keep a key on one task is routed tuple by tuple, as the
+/// engine's source routes it: each key's tuples spread evenly over the
+/// interval, as in a shuffled stream, each carrying its key's mean cost.
 fn live_loads(p: &mut dyn Partitioner, stats: &IntervalStats) -> Loads {
-    loads_under(stats, p.n_tasks(), &p.splits(), |keys, out| {
-        p.route_batch(keys, out)
-    })
+    if p.preserves_key_semantics() {
+        return loads_under(stats, p.n_tasks(), &p.splits(), |keys, out| {
+            p.route_batch(keys, out)
+        });
+    }
+    let keys: Vec<(Key, KeyStat)> = stats.iter().collect();
+    // `(where in the interval, which key)` per tuple.
+    let mut stream: Vec<(f64, usize)> = Vec::new();
+    for (i, (_, s)) in keys.iter().enumerate() {
+        let n = s.freq.max(1);
+        stream.extend((0..n).map(|j| ((j as f64 + 0.5) / n as f64, i)));
+    }
+    stream.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let tuples: Vec<Key> = stream.iter().map(|&(_, i)| keys[i].0).collect();
+    let mut dests = Vec::with_capacity(tuples.len());
+    p.route_batch(&tuples, &mut dests);
+    let mut loads = Loads {
+        cost: vec![0.0; p.n_tasks()],
+        tuples: vec![0.0; p.n_tasks()],
+    };
+    for (&(_, i), d) in stream.iter().zip(&dests) {
+        let s = keys[i].1;
+        let n = s.freq.max(1) as f64;
+        loads.cost[d.index()] += s.cost as f64 / n;
+        loads.tuples[d.index()] += s.freq as f64 / n;
+    }
+    loads
 }
 
 /// A table view as a standalone routing function; `None` for the
@@ -543,10 +571,7 @@ mod tests {
             .filter(|&k| probe.hash_route(k) != idle)
             .take(9_000)
             .collect();
-        let mut iv = IntervalStats::new();
-        for &k in &keys {
-            iv.observe(k, 1, 1, 1);
-        }
+        let iv: IntervalStats = keys.iter().map(|&k| (k, KeyStat::new(1, 1, 1))).collect();
         let intervals = 6;
         let mut src = ReplaySource::new(std::iter::repeat_n(iv, intervals));
         let mut p = CoreBalancer::new(
@@ -654,12 +679,9 @@ mod tests {
         use streambal_elastic::BackpressurePolicy;
         let volumes = [400u64, 400, 1600, 1600, 400, 400, 400];
         let stats = || {
-            volumes.map(|v| {
-                let mut iv = IntervalStats::new();
-                for k in 0..200u64 {
-                    iv.observe(Key(k), v / 200, v / 200, 8);
-                }
-                iv
+            volumes.map(|v| -> IntervalStats {
+                let stat = KeyStat::new(v / 200, v / 200, 8);
+                (0..200u64).map(|k| (Key(k), stat)).collect()
             })
         };
         let sim = |queue| {
@@ -764,15 +786,10 @@ mod tests {
         // Interval costs: quiet, 3 burst intervals of a single dominant
         // key, quiet tail.
         let hot_cost = [0u64, 5_000, 5_000, 5_000, 0, 0, 0];
-        let stats = hot_cost.map(|h| {
-            let mut iv = IntervalStats::new();
-            for k in 0..20u64 {
-                iv.observe(Key(k), 10, 10, 8);
-            }
-            if h > 0 {
-                iv.observe(Key(999), h, h, 8);
-            }
-            iv
+        let stats = hot_cost.map(|h| -> IntervalStats {
+            let quiet = (0..20u64).map(|k| (Key(k), KeyStat::new(10, 10, 8)));
+            let hot = (h > 0).then_some((Key(999), KeyStat::new(h, h, 8)));
+            quiet.chain(hot).collect()
         });
         // budget = 5400/1.08 = 5000; the 5000-cost burst crosses the 0.9
         // high mark, the quiet tail sits under the 0.5 low mark. The

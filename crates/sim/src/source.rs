@@ -157,9 +157,8 @@ mod tests {
 
     #[test]
     fn replay_source_exhausts_to_empty() {
-        let mut iv = IntervalStats::new();
-        iv.observe(Key(1), 1, 1, 1);
-        let mut s = ReplaySource::new([iv]);
+        let iv = [(Key(1), streambal_core::KeyStat::new(1, 1, 1))];
+        let mut s = ReplaySource::new([iv.into_iter().collect()]);
         let first = s.next_interval(1, &mut |_| TaskId(0));
         assert_eq!(first.len(), 1);
         let second = s.next_interval(1, &mut |_| TaskId(0));

@@ -24,7 +24,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use streambal_core::{IntervalStats, Key};
+use streambal_core::{IntervalStats, Key, KeyStat};
 use streambal_hashring::mix64;
 
 /// Key-churn generator: `hot_n` fresh hot keys per interval carrying
@@ -199,11 +199,10 @@ impl ChurnWorkload {
     /// The current interval as aggregated statistics (simulator input):
     /// cost 1 and state 8 bytes per tuple, like the Zipf default.
     pub fn interval_stats(&self) -> IntervalStats {
-        let mut iv = IntervalStats::new();
-        for (k, f) in self.freqs() {
-            iv.observe(k, f, f, f * 8);
-        }
-        iv
+        self.freqs()
+            .into_iter()
+            .map(|(k, f)| (k, KeyStat::new(f, f, f * 8)))
+            .collect()
     }
 
     /// Materializes the interval as a concrete tuple sequence (runtime

@@ -105,19 +105,13 @@ impl SocialWorkload {
 
     /// The current interval as aggregated statistics.
     pub fn interval_stats(&self) -> IntervalStats {
-        let mut iv = IntervalStats::new();
-        for (key, &rank) in self.rank_of_key.iter().enumerate() {
-            let f = self.count_of_rank[rank as usize];
-            if f > 0 {
-                iv.observe(
-                    Key(key as u64),
-                    f,
-                    f * self.cost.cost_per_tuple,
-                    f * self.cost.state_per_tuple,
-                );
-            }
-        }
-        iv
+        self.rank_of_key
+            .iter()
+            .enumerate()
+            .map(|(key, &rank)| (Key(key as u64), self.count_of_rank[rank as usize]))
+            .filter(|&(_, f)| f > 0)
+            .map(|(key, f)| (key, self.cost.stat(f)))
+            .collect()
     }
 
     /// Materializes the interval's tuples (word occurrences), shuffled.

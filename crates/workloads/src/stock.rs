@@ -117,19 +117,11 @@ impl StockWorkload {
 
     /// The current interval as aggregated statistics.
     pub fn interval_stats(&self) -> IntervalStats {
-        let mut iv = IntervalStats::new();
-        for i in 0..self.base.len() {
-            let f = self.freq(Key(i as u64));
-            if f > 0 {
-                iv.observe(
-                    Key(i as u64),
-                    f,
-                    f * self.cost.cost_per_tuple,
-                    f * self.cost.state_per_tuple,
-                );
-            }
-        }
-        iv
+        (0..self.base.len() as u64)
+            .map(|i| (Key(i), self.freq(Key(i))))
+            .filter(|&(_, f)| f > 0)
+            .map(|(key, f)| (key, self.cost.stat(f)))
+            .collect()
     }
 
     /// Materializes the interval's tuples, shuffled.

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use streambal_core::{IntervalStats, Key, TaskId};
+use streambal_core::{IntervalStats, Key, KeyStat, TaskId};
 use streambal_hashring::mix64;
 
 /// How a key's per-interval tuple count translates into computation cost
@@ -24,6 +24,17 @@ pub struct CostModel {
     pub cost_per_tuple: u64,
     /// State bytes per tuple (the window keeps `w` intervals of these).
     pub state_per_tuple: u64,
+}
+
+impl CostModel {
+    /// What `freq` tuples of one key measure.
+    pub fn stat(&self, freq: u64) -> KeyStat {
+        KeyStat::new(
+            freq,
+            freq * self.cost_per_tuple,
+            freq * self.state_per_tuple,
+        )
+    }
 }
 
 impl Default for CostModel {
@@ -215,18 +226,12 @@ impl FluctuatingWorkload {
 
     /// The current interval as aggregated statistics (simulator input).
     pub fn interval_stats(&self) -> IntervalStats {
-        let mut iv = IntervalStats::new();
-        for (i, &f) in self.freqs.iter().enumerate() {
-            if f > 0 {
-                iv.observe(
-                    Key(i as u64),
-                    f,
-                    f * self.cost.cost_per_tuple,
-                    f * self.cost.state_per_tuple,
-                );
-            }
-        }
-        iv
+        self.freqs
+            .iter()
+            .enumerate()
+            .filter(|&(_, &f)| f > 0)
+            .map(|(i, &f)| (Key(i as u64), self.cost.stat(f)))
+            .collect()
     }
 
     /// Materializes the interval as a concrete tuple sequence (runtime

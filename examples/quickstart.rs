@@ -14,7 +14,7 @@
 //! ```
 
 use streambal::baselines::{storm, CoreBalancer};
-use streambal::core::IntervalStats;
+use streambal::core::{IntervalStats, KeyStat};
 use streambal::prelude::*;
 use streambal::runtime::{Engine, EngineConfig, Tuple, WordCountOp};
 use streambal::sim::source::ZipfSource;
@@ -45,11 +45,12 @@ fn one_rebalance() {
     );
 
     // One interval of measurements: 1000 keys, heavy head, long tail.
-    let mut stats = IntervalStats::new();
-    for k in 0..1000u64 {
-        let freq = 2000 / (k + 1);
-        stats.observe(Key(k), freq, freq, freq * 8);
-    }
+    let stats: IntervalStats = (0..1000u64)
+        .map(|k| {
+            let freq = 2000 / (k + 1);
+            (Key(k), KeyStat::new(freq, freq, freq * 8))
+        })
+        .collect();
 
     // The imbalance hashing alone produces.
     let mut loads = vec![0u64; 4];

@@ -20,7 +20,8 @@
 
 use streambal::baselines::CoreBalancer;
 use streambal::core::{
-    BalanceParams, IntervalStats, RebalanceStrategy, SKEW_ALERT_FLOOR, SKEW_ALERT_MIN_SHARE,
+    BalanceParams, IntervalStats, KeyStat, RebalanceStrategy, SKEW_ALERT_FLOOR,
+    SKEW_ALERT_MIN_SHARE,
 };
 use streambal::elastic::{
     BackpressurePolicy, FixedSchedule, FixedSplitSchedule, HotKeyPolicy, ScaleDecision, ScaleEvent,
@@ -85,11 +86,8 @@ fn stats_of(intervals: &[Vec<Key>]) -> Vec<IntervalStats> {
         for k in keys {
             *freqs.entry(k.raw()).or_insert(0u64) += 1;
         }
-        let mut iv = IntervalStats::new();
-        for (k, f) in freqs {
-            iv.observe(Key(k), f, f * (SPIN as u64 + 1), f * 8);
-        }
-        iv
+        let stat = |f| KeyStat::new(f, f * (SPIN as u64 + 1), f * 8);
+        freqs.into_iter().map(|(k, f)| (Key(k), stat(f))).collect()
     };
     intervals.iter().map(stats).collect()
 }

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, VecDeque};
 use proptest::prelude::*;
 use streambal::core::{
     loads_of, outcome_from_assignment, rebalance, AssignmentFn, BalanceParams, IntervalStats, Key,
-    KeyRecord, Partitioner, RebalanceInput, RebalanceStrategy, Rebalancer, TaskId,
+    KeyRecord, KeyStat, Partitioner, RebalanceInput, RebalanceStrategy, Rebalancer, TaskId,
 };
 use streambal::runtime::{Operator, Tuple, WordCountOp};
 
@@ -401,10 +401,10 @@ proptest! {
             let n = rb.assignment().n_tasks();
             match step {
                 ControllerStep::Round(reports) => {
-                    let mut iv = IntervalStats::new();
-                    for &(k, cost, mem) in reports {
-                        iv.observe(Key(k), 1, cost, mem);
-                    }
+                    let iv: IntervalStats = reports
+                        .iter()
+                        .map(|&(k, cost, mem)| (Key(k), KeyStat::new(1, cost, mem)))
+                        .collect();
                     if window.len() == w {
                         window.pop_front();
                     }
