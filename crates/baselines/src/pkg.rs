@@ -12,8 +12,9 @@
 //! * joins are **not expressible** (`preserves_key_semantics() == false`),
 //!   which is why PKG is absent from the paper's Fig. 14b/16.
 //!
-//! PKG never migrates: `end_interval` only decays the router's local load
-//! estimates.
+//! PKG never migrates, and `end_interval` changes nothing: the load
+//! estimates run for the whole stream, as the engine source's
+//! `SourceRouter::TwoChoice` keeps them, so both route every tuple alike.
 
 use streambal_core::{IntervalStats, Key, RebalanceOutcome, TaskId};
 use streambal_hashring::two_choices;
@@ -24,7 +25,7 @@ use crate::{Partitioner, RoutingView};
 #[derive(Debug)]
 pub struct PkgPartitioner {
     n_tasks: usize,
-    /// Tuples routed to each task in the current estimation window.
+    /// Tuples routed to each task so far.
     est_load: Vec<u64>,
 }
 
@@ -74,11 +75,6 @@ impl Partitioner for PkgPartitioner {
     }
 
     fn end_interval(&mut self, _stats: IntervalStats) -> Option<RebalanceOutcome> {
-        // Halve (decay) the estimates so stale history fades but the
-        // relative picture survives short gaps.
-        for l in &mut self.est_load {
-            *l /= 2;
-        }
         None
     }
 
@@ -165,18 +161,6 @@ mod tests {
             max_pkg < max_hash,
             "PKG max {max_pkg} should beat hash max {max_hash}"
         );
-    }
-
-    #[test]
-    fn estimates_decay_at_interval() {
-        let mut p = PkgPartitioner::new(2);
-        for _ in 0..100 {
-            p.route(Key(1));
-        }
-        let before: u64 = p.estimates().iter().sum();
-        p.end_interval(IntervalStats::new());
-        let after: u64 = p.estimates().iter().sum();
-        assert_eq!(after, before / 2);
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! ```text
 //! tracecat <trace.jsonl>...           # per-span phase breakdowns, dip
 //!                                     # attribution, text timeline
-//! tracecat --check <trace.jsonl>...   # schema + span-integrity gate
+//! tracecat --check <trace.jsonl>...   # schema + re-encode + integrity
+//!                                     # gate
 //! ```
 //!
-//! Reads the JSONL export of [`streambal_trace::TraceLog::to_jsonl`] (one
-//! JSON object per line, parsed with the hand-rolled reader in
-//! `streambal_bench::json`) back into a [`TraceLog`] and reports:
+//! Reads the JSONL files `streambal_bench::trace_file` writes (one JSON
+//! object per line, decoded by [`trace_file::from_jsonl`]) back into a
+//! [`TraceLog`] and reports:
 //!
 //! * **Spans** — one line per protocol op (id = epoch) with its outcome,
 //!   total disruption window, and per-phase durations, so "where did the
@@ -25,18 +26,17 @@
 //!   faults, marks, interval ends); data-plane flushes are summarized,
 //!   not listed.
 //!
-//! `--check` validates every line against the schema and runs
-//! [`TraceLog::check_integrity`], exiting nonzero on any violation — CI
-//! runs it over the committed `traces/` artifacts so a malformed or
-//! protocol-violating trace cannot land.
+//! `--check` validates every line against the schema, requires the file
+//! to re-encode to itself byte for byte (so the writer and the reader
+//! agree), and runs [`TraceLog::check_integrity`] (spans and early
+//! rounds), exiting nonzero on any violation — CI runs it over the
+//! committed `traces/` artifacts and the fresh smoke exports, so a
+//! malformed, drifting or protocol-violating trace cannot land.
 
 use std::process::ExitCode;
 
-use streambal_bench::json::Json;
-use streambal_trace::{
-    EarlySplit, EarlyStep, EventKind, OpLabel, Outcome, Phase, SpanSummary, ThreadLabel,
-    TraceEvent, TraceLog,
-};
+use streambal_bench::trace_file;
+use streambal_trace::{EarlyStep, EventKind, OpLabel, Outcome, SpanSummary, TraceLog};
 
 /// An interval is a "dip" when its fed tuples fall below this fraction
 /// of the run's median interval.
@@ -44,162 +44,6 @@ const DIP_FRACTION: f64 = 0.85;
 
 fn usage() -> String {
     "usage: tracecat [--check] <trace.jsonl>...".to_string()
-}
-
-/// Field access helpers over the parsed line object. All failures carry
-/// the field name so a schema error names its culprit.
-fn get_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    match obj.get(key) {
-        Some(Json::Int(v)) => Ok(*v),
-        _ => Err(format!("missing or non-integer field '{key}'")),
-    }
-}
-
-fn get_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-/// A float field; the writer renders non-finite values as `null`, which
-/// the parser hands back as NaN — accepted here.
-fn get_f64(obj: &Json, key: &str) -> Result<f64, String> {
-    match obj.get(key) {
-        Some(Json::Num(v)) => Ok(*v),
-        Some(Json::Int(v)) => Ok(*v as f64),
-        _ => Err(format!("missing or non-numeric field '{key}'")),
-    }
-}
-
-fn get_u64_arr(obj: &Json, key: &str) -> Result<Vec<u64>, String> {
-    let Some(Json::Arr(items)) = obj.get(key) else {
-        return Err(format!("missing or non-array field '{key}'"));
-    };
-    items
-        .iter()
-        .map(|v| match v {
-            Json::Int(x) => Ok(*x),
-            _ => Err(format!("non-integer element in '{key}'")),
-        })
-        .collect()
-}
-
-/// Parses one JSONL line back into a [`TraceEvent`].
-fn parse_event(line: &str) -> Result<TraceEvent, String> {
-    let obj = Json::parse(line).map_err(|e| e.to_string())?;
-    let at_us = get_u64(&obj, "at_us")?;
-    let seq = get_u64(&obj, "seq")?;
-    let thread_name = get_str(&obj, "thread")?;
-    let thread = ThreadLabel::from_name(thread_name)
-        .ok_or_else(|| format!("unknown thread '{thread_name}'"))?;
-    let kind_name = get_str(&obj, "kind")?;
-    let kind = match kind_name {
-        "span_open" => {
-            let op_name = get_str(&obj, "op")?;
-            EventKind::SpanOpen {
-                span: get_u64(&obj, "span")?,
-                op: OpLabel::from_name(op_name).ok_or_else(|| format!("unknown op '{op_name}'"))?,
-            }
-        }
-        "span_phase" => {
-            let phase_name = get_str(&obj, "phase")?;
-            EventKind::SpanPhase {
-                span: get_u64(&obj, "span")?,
-                phase: Phase::from_name(phase_name)
-                    .ok_or_else(|| format!("unknown phase '{phase_name}'"))?,
-            }
-        }
-        "span_close" => {
-            let outcome_name = get_str(&obj, "outcome")?;
-            EventKind::SpanClose {
-                span: get_u64(&obj, "span")?,
-                outcome: Outcome::from_name(outcome_name)
-                    .ok_or_else(|| format!("unknown outcome '{outcome_name}'"))?,
-            }
-        }
-        "fault" => EventKind::Fault {
-            detail: get_str(&obj, "detail")?.to_string(),
-        },
-        "snapshot" => EventKind::Snapshot {
-            interval: get_u64(&obj, "interval")?,
-            loads: get_u64_arr(&obj, "loads")?,
-            queues: get_u64_arr(&obj, "queues")?,
-            mean_latency_us: get_f64(&obj, "mean_latency_us")?,
-            p99_latency_us: get_f64(&obj, "p99_latency_us")?,
-        },
-        "router_snapshot" => EventKind::RouterSnapshot {
-            interval: get_u64(&obj, "interval")?,
-            table_entries: get_u64(&obj, "table_entries")?,
-            table_tombstones: get_u64(&obj, "table_tombstones")?,
-            pool_buffers: get_u64(&obj, "pool_buffers")?,
-        },
-        "data_flush" => EventKind::DataFlush {
-            interval: get_u64(&obj, "interval")?,
-            tuples: get_u64(&obj, "tuples")?,
-            batches: get_u64(&obj, "batches")?,
-        },
-        "interval_end" => EventKind::IntervalEnd {
-            interval: get_u64(&obj, "interval")?,
-            tuples: get_u64(&obj, "tuples")?,
-        },
-        "mark" => EventKind::Mark {
-            label: get_str(&obj, "label")?.to_string(),
-        },
-        "skew_alert" => EventKind::SkewAlert {
-            interval: get_u64(&obj, "interval")?,
-            sent: get_u64_arr(&obj, "sent")?,
-        },
-        "early_round" => {
-            let step_name = get_str(&obj, "step")?;
-            let step = EarlyStep::from_name(step_name)
-                .ok_or_else(|| format!("unknown step '{step_name}'"))?;
-            let split = match step {
-                EarlyStep::Split => Some(EarlySplit {
-                    key: get_u64(&obj, "key")?,
-                    share: get_f64(&obj, "share")?,
-                    rescale: get_f64(&obj, "rescale")?,
-                    replicas: get_u64(&obj, "replicas")? as usize,
-                    loads: get_u64_arr(&obj, "loads")?,
-                    planned: matches!(obj.get("planned"), Some(Json::Bool(true))),
-                }),
-                _ => None,
-            };
-            EventKind::EarlyRound {
-                interval: get_u64(&obj, "interval")?,
-                step,
-                split,
-            }
-        }
-        other => return Err(format!("unknown kind '{other}'")),
-    };
-    Ok(TraceEvent {
-        at_us,
-        seq,
-        thread,
-        kind,
-    })
-}
-
-/// Parses a whole JSONL document; schema errors are collected per line
-/// (1-based), not short-circuited, so `--check` reports them all.
-fn parse_log(text: &str) -> Result<TraceLog, Vec<String>> {
-    let mut events = Vec::new();
-    let mut problems = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_event(line) {
-            Ok(e) => events.push(e),
-            Err(e) => problems.push(format!("line {}: {e}", i + 1)),
-        }
-    }
-    if problems.is_empty() {
-        events.sort_by_key(|e| (e.at_us, e.thread.tid(), e.seq));
-        Ok(TraceLog { events })
-    } else {
-        Err(problems)
-    }
 }
 
 /// `(interval, fed tuples, end stamp)` rows from the source's
@@ -420,53 +264,22 @@ fn report(path: &str, log: &TraceLog) {
     }
 }
 
-/// `--check`: schema already validated by the caller's parse; run span
-/// integrity and basic sanity. Returns problems; empty = clean.
-fn check(log: &TraceLog) -> Vec<String> {
+/// `--check`, on a file that parsed: it must re-encode to itself, hold
+/// events, and pass [`TraceLog::check_integrity`]. Returns problems;
+/// empty = clean.
+fn check(text: &str, log: &TraceLog) -> Vec<String> {
     let mut problems = log.check_integrity();
     if log.events.is_empty() {
         problems.push("trace is empty".to_string());
     }
-    for s in &log.span_summaries() {
-        if s.outcome.is_none() {
-            problems.push(format!("span {}: no close recorded", s.span));
-        }
-    }
-    // An early round is opened at most once per interval, by that
-    // interval's one skew alert, and ends at most once.
-    // (The alert is the source's event and the round the controller's:
-    // their stamps can tie, so only the controller's own order is
-    // checked.)
-    let mut alerted = std::collections::BTreeSet::new();
-    let mut rounds: std::collections::BTreeMap<u64, (u32, u32)> = Default::default();
-    for e in &log.events {
-        match e.kind {
-            EventKind::SkewAlert { interval, .. } if !alerted.insert(interval) => {
-                problems.push(format!("interval {interval}: more than one skew alert"));
-            }
-            EventKind::EarlyRound { interval, step, .. } => {
-                let (opens, ends) = rounds.entry(interval).or_default();
-                if step == EarlyStep::Open {
-                    *opens += 1;
-                } else {
-                    *ends += 1;
-                    if *opens == 0 {
-                        problems.push(format!("early round {interval}: ends before it opens"));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    for (interval, (opens, ends)) in rounds {
-        if !alerted.contains(&interval) {
-            problems.push(format!("early round {interval}: no skew alert behind it"));
-        }
-        if opens > 1 || ends > 1 {
-            problems.push(format!(
-                "early round {interval}: opened {opens} times, ended {ends} times (want ≤ 1 each)"
-            ));
-        }
+    let reencoded = trace_file::to_jsonl(log);
+    if reencoded != text {
+        let lines = text.split('\n').zip(reencoded.split('\n'));
+        let same = lines.take_while(|(a, b)| a == b).count();
+        problems.push(format!(
+            "line {}: does not re-encode to itself (writer and reader disagree)",
+            same + 1
+        ));
     }
     problems
 }
@@ -499,7 +312,7 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        let log = match parse_log(&text) {
+        let log = match trace_file::from_jsonl(&text) {
             Ok(log) => log,
             Err(problems) => {
                 for p in &problems {
@@ -510,7 +323,7 @@ fn main() -> ExitCode {
             }
         };
         if check_mode {
-            let problems = check(&log);
+            let problems = check(&text, &log);
             if problems.is_empty() {
                 println!(
                     "ok {path}: {} events, {} spans clean",
@@ -537,101 +350,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streambal_trace::TraceSink;
-
-    fn sample_log() -> TraceLog {
-        let sink = TraceSink::new(true);
-        let mut ctl = sink.recorder(ThreadLabel::Controller);
-        let mut src = sink.recorder(ThreadLabel::Source);
-        let mut w0 = sink.recorder(ThreadLabel::Worker(0));
-        src.interval_end(0, 1000);
-        w0.count_batch(1000);
-        w0.close_interval(0);
-        ctl.span_open(1, OpLabel::ScaleOut);
-        ctl.span_phase(1, Phase::Plan);
-        ctl.span_phase(1, Phase::Pause);
-        ctl.span_phase(1, Phase::Install);
-        ctl.span_phase(1, Phase::Resume);
-        ctl.span_close(1, Outcome::Completed);
-        ctl.snapshot(0, vec![600, 400], vec![2, 1], 15.0, 42.5);
-        src.router_snapshot(0, 12, 2, 4);
-        sink.fault(0, "injected kill: worker \"1\"".to_string());
-        src.skew_alert(1, vec![90, 310]);
-        ctl.early_round(1, EarlyStep::Open);
-        ctl.early_round(1, EarlyStep::Planned);
-        src.interval_end(1, 400);
-        ctl.mark("teardown");
-        drop((ctl, src, w0));
-        sink.take_log()
-    }
-
-    #[test]
-    fn jsonl_round_trips_through_the_parser() {
-        let log = sample_log();
-        let parsed = parse_log(&log.to_jsonl()).expect("round trip");
-        assert_eq!(parsed, log);
-    }
-
-    #[test]
-    fn parse_rejects_schema_violations() {
-        assert!(parse_event("not json").is_err());
-        // Wrong types and unknown enum values all name their field.
-        let e = parse_event(r#"{"at_us":"x","seq":0,"thread":"source","kind":"mark","label":"a"}"#)
-            .unwrap_err();
-        assert!(e.contains("at_us"), "{e}");
-        let e = parse_event(r#"{"at_us":1,"seq":0,"thread":"nobody","kind":"mark","label":"a"}"#)
-            .unwrap_err();
-        assert!(e.contains("nobody"), "{e}");
-        let e = parse_event(r#"{"at_us":1,"seq":0,"thread":"source","kind":"wat"}"#).unwrap_err();
-        assert!(e.contains("wat"), "{e}");
-        let e = parse_event(
-            r#"{"at_us":1,"seq":0,"thread":"controller","kind":"span_open","span":1,"op":"x"}"#,
-        )
-        .unwrap_err();
-        assert!(e.contains("unknown op"), "{e}");
-    }
-
-    #[test]
-    fn parse_log_reports_all_bad_lines_with_numbers() {
-        let text = "garbage\n\n{\"at_us\":1,\"seq\":0,\"thread\":\"source\",\
-                    \"kind\":\"mark\",\"label\":\"ok\"}\nmore garbage\n";
-        let problems = parse_log(text).unwrap_err();
-        assert_eq!(problems.len(), 2);
-        assert!(problems[0].starts_with("line 1:"), "{}", problems[0]);
-        assert!(problems[1].starts_with("line 4:"), "{}", problems[1]);
-    }
-
-    #[test]
-    fn check_accepts_clean_and_rejects_unclosed_spans() {
-        assert_eq!(check(&sample_log()), Vec::<String>::new());
-
-        let sink = TraceSink::new(true);
-        let mut ctl = sink.recorder(ThreadLabel::Controller);
-        ctl.span_open(7, OpLabel::Rebalance);
-        drop(ctl);
-        let problems = check(&sink.take_log());
-        assert!(
-            problems.iter().any(|p| p.contains("span 7")),
-            "{problems:?}"
-        );
-
-        // An early round needs its alert, and ends once.
-        let sink = TraceSink::new(true);
-        let mut ctl = sink.recorder(ThreadLabel::Controller);
-        ctl.early_round(3, EarlyStep::Open);
-        ctl.early_round(3, EarlyStep::Held);
-        ctl.early_round(3, EarlyStep::Cancelled);
-        drop(ctl);
-        let problems = check(&sink.take_log());
-        assert!(
-            problems.iter().any(|p| p.contains("no skew alert")),
-            "{problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("ended 2 times")),
-            "{problems:?}"
-        );
-    }
+    use streambal_trace::{EarlySplit, Phase, ThreadLabel, TraceSink};
 
     #[test]
     fn split_spans_round_trip_and_attribute_dips() {
@@ -677,10 +396,16 @@ mod tests {
         let log = sink.take_log();
 
         // The split/unsplit op names survive the jsonl round trip and
-        // the log passes `--check` integrity.
-        let parsed = parse_log(&log.to_jsonl()).expect("round trip");
-        assert_eq!(parsed, log);
-        assert_eq!(check(&log), Vec::<String>::new());
+        // the log passes `--check` — unless its file holds other bytes
+        // than the writer's, here a space on line 1.
+        let text = trace_file::to_jsonl(&log);
+        assert_eq!(trace_file::from_jsonl(&text).expect("round trip"), log);
+        assert_eq!(check(&text, &log), Vec::<String>::new());
+        let drifted = text.replacen('{', "{ ", 1);
+        assert_eq!(
+            check(&drifted, &log),
+            ["line 1: does not re-encode to itself (writer and reader disagree)"]
+        );
         let spans = log.span_summaries();
         assert_eq!(
             spans.iter().map(|s| s.op).collect::<Vec<_>>(),
@@ -710,7 +435,12 @@ mod tests {
 
     #[test]
     fn dip_detection_finds_the_short_interval() {
-        let log = sample_log();
+        let sink = TraceSink::new(true);
+        let mut src = sink.recorder(ThreadLabel::Source);
+        src.interval_end(0, 1000);
+        src.interval_end(1, 400);
+        drop(src);
+        let log = sink.take_log();
         let rows = interval_rows(&log);
         assert_eq!(rows.len(), 2);
         let med = median(rows.iter().map(|&(_, t, _)| t).collect());

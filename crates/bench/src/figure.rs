@@ -11,6 +11,7 @@ use std::path::{Path, PathBuf};
 use streambal_trace::TraceLog;
 
 use crate::json::{write_json, Json};
+use crate::trace_file;
 use crate::{header, row, Scale};
 
 /// One labelled row of numbers.
@@ -223,9 +224,10 @@ pub fn traces_dir() -> &'static Path {
 }
 
 /// Writes one run's trace under [`traces_dir`] as `name.trace.jsonl`
-/// (the `tracecat` input) plus Chrome `trace_event` JSON
-/// (`name.trace.json`). Smoke runs write separate `.smoke.` paths so
-/// noisy ad-hoc runs never clobber the committed traces.
+/// (the `tracecat` input, [`trace_file::to_jsonl`]) plus Chrome
+/// `trace_event` JSON (`name.trace.json`, [`trace_file::to_chrome_json`]).
+/// Smoke runs write separate `.smoke.` paths so noisy ad-hoc runs never
+/// clobber the committed traces.
 pub fn write_trace(name: &str, smoke: bool, trace: &TraceLog) {
     let dir = traces_dir();
     let tag = if smoke { ".smoke" } else { "" };
@@ -234,8 +236,8 @@ pub fn write_trace(name: &str, smoke: bool, trace: &TraceLog) {
         return;
     }
     for (ext, body) in [
-        ("jsonl", trace.to_jsonl()),
-        ("json", trace.to_chrome_json()),
+        ("jsonl", trace_file::to_jsonl(trace)),
+        ("json", trace_file::to_chrome_json(trace)),
     ] {
         let path = dir.join(format!("{name}{tag}.trace.{ext}"));
         match std::fs::write(&path, body) {

@@ -150,12 +150,22 @@ impl Json {
     /// Renders with two-space indentation and a trailing newline.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
-        self.render(&mut out, 0);
+        self.render(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn render(&self, out: &mut String, depth: usize) {
+    /// Renders on one line with no whitespace (and no trailing newline):
+    /// one JSONL record, or one element of a line-per-element array.
+    pub fn to_compact(&self) -> String {
+        let mut out = String::new();
+        self.render(&mut out, None);
+        out
+    }
+
+    /// Renders at `depth` levels of indentation, or compact on `None`.
+    fn render(&self, out: &mut String, depth: Option<usize>) {
+        let inner = depth.map(|d| d + 1);
         match self {
             Json::Str(s) => {
                 out.push('"');
@@ -175,47 +185,50 @@ impl Json {
             }
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Arr(items) => render_block(out, depth, '[', ']', items.len(), |out, i| {
-                items[i].render(out, depth + 1);
+                items[i].render(out, inner);
             }),
             Json::Obj(fields) => render_block(out, depth, '{', '}', fields.len(), |out, i| {
                 let (k, v) = &fields[i];
                 out.push('"');
                 escape_into(k, out);
-                out.push_str("\": ");
-                v.render(out, depth + 1);
+                out.push_str(if depth.is_some() { "\": " } else { "\":" });
+                v.render(out, inner);
             }),
         }
     }
 }
 
 /// Renders a `[...]`/`{...}` block: empty inline, otherwise one element
-/// per line at `depth + 1` indentation.
+/// per line at `depth + 1` indentation, or all on one line when compact
+/// (`depth` is `None`).
 fn render_block(
     out: &mut String,
-    depth: usize,
+    depth: Option<usize>,
     open: char,
     close: char,
     len: usize,
     mut elem: impl FnMut(&mut String, usize),
 ) {
+    let newline = |out: &mut String, indent: usize| {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', indent * 2));
+    };
     out.push(open);
     if len == 0 {
         out.push(close);
         return;
     }
     for i in 0..len {
-        out.push('\n');
-        for _ in 0..(depth + 1) * 2 {
-            out.push(' ');
+        if let Some(d) = depth {
+            newline(out, d + 1);
         }
         elem(out, i);
         if i + 1 < len {
             out.push(',');
         }
     }
-    out.push('\n');
-    for _ in 0..depth * 2 {
-        out.push(' ');
+    if let Some(d) = depth {
+        newline(out, d);
     }
     out.push(close);
 }

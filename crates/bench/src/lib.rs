@@ -21,7 +21,8 @@
 //! they write it ([`json::Json::higher`] / [`json::Json::lower`]; a plain
 //! number is an echo or a trajectory fact). The `benchdiff` binary
 //! compares two such trees and gates regressions on those declarations;
-//! `tracecat` reads the flight-recorder traces under `traces/`.
+//! `tracecat` reads the flight-recorder traces under `traces/`, whose
+//! file formats [`trace_file`] owns.
 
 pub mod alloc;
 pub mod fig11;
@@ -29,6 +30,7 @@ pub mod figs_runtime;
 pub mod figs_sim;
 pub mod figure;
 pub mod json;
+pub mod trace_file;
 
 use streambal_baselines::{readj, CoreBalancer, ReadjConfig};
 use streambal_core::{BalanceParams, Key, Partitioner, RebalanceStrategy, TriggerPolicy};

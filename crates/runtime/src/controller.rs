@@ -21,7 +21,9 @@ use streambal_trace::{EarlySplit, EarlyStep, OpLabel, Outcome, Phase, ThreadReco
 
 use crate::engine::{EngineConfig, EngineReport, ProtocolError};
 use crate::fault::{next_live, CtlKind, FaultEvent, FaultInjector, OpKind, SendPeer};
-use crate::message::{Message, SourceCtl, SourceEvent, WorkerEvent, WorkerExit, WorkerTotals};
+use crate::message::{
+    Message, PauseScope, SourceCtl, SourceEvent, WorkerEvent, WorkerExit, WorkerTotals,
+};
 use crate::operator::Operator;
 use crate::router::SourceRouter;
 
@@ -384,14 +386,6 @@ impl WorkerSeconds {
     }
 }
 
-/// What the source holds back while an op is in flight.
-enum PauseScope {
-    /// The affected key set `Δ(F, F′)`.
-    Keys(Vec<Key>),
-    /// Everything routed to one destination (the retiring worker).
-    Dest(TaskId),
-}
-
 /// Where an op's state comes from.
 enum Extract {
     /// `MigrateOut` each holder's `(key, destination)` moves; the plan
@@ -576,13 +570,9 @@ impl ControlIo<'_> {
 
     /// (Re-)sends the op's quiesce request to the source.
     fn send_pause(&self, op: &ProtocolOp) {
-        let epoch = op.epoch;
-        let msg = match &op.pause {
-            PauseScope::Keys(affected) => SourceCtl::Pause {
-                epoch,
-                affected: affected.clone(),
-            },
-            PauseScope::Dest(dest) => SourceCtl::PauseDest { epoch, dest: *dest },
+        let msg = SourceCtl::Pause {
+            epoch: op.epoch,
+            scope: op.pause.clone(),
         };
         self.send_src(Some(CtlKind::Pause), msg);
     }

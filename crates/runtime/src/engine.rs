@@ -32,7 +32,7 @@ use {streambal_elastic::ScaleDecision, streambal_hashring::FxHashMap};
 use crate::controller::{ControlIo, Controller};
 use crate::fault::{next_live, CtlKind, FaultEvent, FaultInjector, FaultPlan};
 use crate::merge::MergeStage;
-use crate::message::{Message, SourceCtl, SourceEvent, WorkerEvent};
+use crate::message::{Message, PauseScope, SourceCtl, SourceEvent, WorkerEvent};
 use crate::operator::{Collector, Operator};
 use crate::router::SourceRouter;
 use crate::tuple::Tuple;
@@ -567,7 +567,9 @@ fn teardown(
     report
 }
 
-/// What the source is holding back during an in-flight control op.
+/// What the source is holding back during an in-flight control op: the
+/// `Pause` message's [`PauseScope`], its keys as a set for the per-tuple
+/// lookup.
 enum PauseFilter {
     /// Migration: the affected key set `Δ(F, F′)`.
     Keys(FxHashSet<Key>),
@@ -915,7 +917,7 @@ impl SourcePlane {
         // Every message but a pause changes where tuples go: counts
         // taken under the old view say nothing about the new one, and
         // neither does the pause-buffer flush a resume ships.
-        let rerouted = !matches!(msg, SourceCtl::Pause { .. } | SourceCtl::PauseDest { .. });
+        let rerouted = !matches!(msg, SourceCtl::Pause { .. });
         let go_on = self.apply_ctl(msg);
         if rerouted {
             self.sent.fill(0);
@@ -925,19 +927,17 @@ impl SourcePlane {
 
     fn apply_ctl(&mut self, msg: SourceCtl) -> bool {
         match msg {
-            SourceCtl::Pause { epoch, affected } => {
+            SourceCtl::Pause { epoch, scope } => {
                 // Re-arming an identical pause (a deadline-retried Pause
                 // whose ack was dropped) is idempotent: overwrite and
-                // re-ack.
-                self.paused = Some((epoch, PauseFilter::Keys(affected.into_iter().collect())));
-                self.ack(SourceEvent::PauseAck { epoch }, CtlKind::PauseAck);
-            }
-            SourceCtl::PauseDest { epoch, dest } => {
-                // The ack is valid here for the same reason as a key-set
-                // pause: control runs only between routed batches, when
-                // the fan-out accumulators are empty — everything routed
-                // to `dest` so far is already in its channel.
-                self.paused = Some((epoch, PauseFilter::Dest(dest)));
+                // re-ack. The ack is valid because control runs only
+                // between routed batches, when the fan-out accumulators
+                // are empty.
+                let filter = match scope {
+                    PauseScope::Keys(keys) => PauseFilter::Keys(keys.into_iter().collect()),
+                    PauseScope::Dest(dest) => PauseFilter::Dest(dest),
+                };
+                self.paused = Some((epoch, filter));
                 self.ack(SourceEvent::PauseAck { epoch }, CtlKind::PauseAck);
             }
             SourceCtl::Resume { epoch, view } => {

@@ -40,7 +40,7 @@ use streambal_trace::TraceSink;
 /// the kill/panic faults to lose state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CtlKind {
-    /// Source pause request (`SourceCtl::Pause` / `PauseDest`).
+    /// Source pause request (`SourceCtl::Pause`).
     Pause,
     /// Source pause acknowledgement (`SourceEvent::PauseAck`).
     PauseAck,

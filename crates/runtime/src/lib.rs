@@ -263,9 +263,10 @@
 //!   per-destination counts — recorded at a control-poll point, so batch
 //!   granularity) and the controller's `EarlyRound` steps (`open`, then
 //!   `planned`, `split` — with the inputs that decided it — `held` or
-//!   `cancelled`). Both are masked from the
-//!   skeleton: whether an alert trips depends on which view the source
-//!   routed the interval's first tuples under.
+//!   `cancelled`). `check_integrity` allows one alert per interval and
+//!   one open and one end per early round, behind its alert. Both are
+//!   masked from the skeleton: whether an alert trips depends on which
+//!   view the source routed the interval's first tuples under.
 //! * **Fault mirrors**: every fault-ledger entry, with its ledger index
 //!   as the sequence number.
 //!
@@ -274,8 +275,9 @@
 //! occupancy-driven `DataFlush` stream masked) is identical across
 //! replays of the same seeded config, and
 //! `tests/trace.rs` asserts it like the fault ledger. Artifacts export
-//! as JSONL (`TraceLog::to_jsonl`) and Chrome `trace_event` JSON
-//! (`TraceLog::to_chrome_json`, load into `chrome://tracing` or
+//! as JSONL (`streambal_bench::trace_file::to_jsonl`, read back by
+//! `trace_file::from_jsonl`) and Chrome `trace_event` JSON
+//! (`trace_file::to_chrome_json`, load into `chrome://tracing` or
 //! Perfetto).
 //!
 //! ### tracecat quickstart
@@ -292,8 +294,9 @@
 //! each interval whose throughput dips below 0.85× the run median is
 //! joined against overlapping spans and faults, so "the dip at interval
 //! 4 was the scale-in's install phase" is a grep, not an archaeology
-//! session. `--check` validates schema + span integrity and exits
-//! nonzero on violation (CI runs it on every committed trace).
+//! session. `--check` validates schema + integrity, requires the file
+//! to re-encode to itself, and exits nonzero on violation (CI runs it
+//! on every committed trace).
 
 pub(crate) mod controller;
 pub mod engine;

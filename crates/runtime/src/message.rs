@@ -182,29 +182,31 @@ pub enum WorkerExit {
     },
 }
 
+/// What the source holds back (and locally buffers) while an op is in
+/// flight.
+#[derive(Debug, Clone)]
+pub enum PauseScope {
+    /// Migration: the affected key set `Δ(F, F′)`.
+    Keys(Vec<Key>),
+    /// Scale-in: everything routed to one destination, the worker about
+    /// to retire.
+    Dest(TaskId),
+}
+
 /// Control messages from the controller to the source ("tuples router").
 #[derive(Debug)]
 pub enum SourceCtl {
-    /// Step 4 of Fig. 5: stop sending (and locally buffer) the affected
-    /// keys; acknowledge via [`SourceEvent::PauseAck`].
-    Pause {
-        /// Migration epoch.
-        epoch: u64,
-        /// Keys in `Δ(F, F′)`.
-        affected: Vec<Key>,
-    },
-    /// Scale-in analogue of `Pause`: stop sending to (and locally buffer
-    /// tuples routed to) one destination — the worker about to retire.
-    /// The ack carries the same guarantee as a key-set pause: it is sent
+    /// Step 4 of Fig. 5: stop sending (and locally buffer) the tuples in
+    /// `scope`; acknowledge via [`SourceEvent::PauseAck`]. The ack is sent
     /// only between routed batches, so every tuple the source will ever
-    /// send the victim is already in its channel when the controller
-    /// reads the ack, and the `Retire` marker it then enqueues lands
-    /// behind all of them.
-    PauseDest {
-        /// Scale-in epoch.
+    /// send under the old view is already in its channel when the
+    /// controller reads it — the `MigrateOut` / `Retire` marker it then
+    /// enqueues lands behind all of them.
+    Pause {
+        /// Protocol epoch.
         epoch: u64,
-        /// The destination to quiesce.
-        dest: TaskId,
+        /// What to hold back.
+        scope: PauseScope,
     },
     /// Step 7: switch to the new routing view and flush buffered tuples.
     Resume {

@@ -350,6 +350,27 @@ mod tests {
     }
 
     #[test]
+    fn pkg_partitioner_routes_as_the_source_router() {
+        // The simulator routes PKG through the partitioner, the engine
+        // through the source's router: across interval ends, alike.
+        use streambal_baselines::PkgPartitioner;
+        use streambal_core::{IntervalStats, Partitioner};
+        let mut p = PkgPartitioner::new(4);
+        let mut r = SourceRouter::from_view(p.routing_view());
+        let mut differ = 0;
+        for interval in 0..6u64 {
+            for i in 0..5_000u64 {
+                // Skewed: key 1 draws half the stream, key 2 a sixth, …
+                let draw = streambal_hashring::mix64(interval * 5_000 + i) % 1_000;
+                let key = Key(1_000 / (1 + draw));
+                differ += usize::from(p.route(key) != r.route(key));
+            }
+            p.end_interval(IntervalStats::new());
+        }
+        assert_eq!(differ, 0, "routes that differ out of 30 000");
+    }
+
+    #[test]
     fn update_preserves_pkg_estimates() {
         let mut r = SourceRouter::from_view(RoutingView::TwoChoice { n_tasks: 2 });
         for _ in 0..10 {

@@ -27,12 +27,10 @@
 //!    through [`Phase`]s in protocol order, and closed exactly once with
 //!    an [`Outcome`] — checked by [`TraceLog::check_integrity`].
 //!
-//! Exports: [`TraceLog::to_jsonl`] (one JSON object per line, the
-//! `tracecat` input format) and [`TraceLog::to_chrome_json`] (Chrome
-//! `trace_event` JSON for `chrome://tracing` / Perfetto: spans as async
-//! b/e pairs, faults and phases as instants, snapshots as counters).
+//! This crate records; it writes no files. `streambal_bench::trace_file`
+//! owns the trace file formats (the JSONL `tracecat` reads, and Chrome
+//! `trace_event` JSON).
 
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -67,15 +65,15 @@ impl ThreadLabel {
 
     /// Parses [`ThreadLabel::name`] output back.
     pub fn from_name(s: &str) -> Option<ThreadLabel> {
-        match s {
-            "source" => Some(ThreadLabel::Source),
-            "controller" => Some(ThreadLabel::Controller),
-            "collector" => Some(ThreadLabel::Collector),
-            "fault" => Some(ThreadLabel::Fault),
-            other => other
-                .strip_prefix("worker:")
-                .and_then(|n| n.parse().ok())
-                .map(ThreadLabel::Worker),
+        let singletons = [
+            ThreadLabel::Source,
+            ThreadLabel::Controller,
+            ThreadLabel::Collector,
+            ThreadLabel::Fault,
+        ];
+        match s.strip_prefix("worker:") {
+            Some(n) => n.parse().ok().map(ThreadLabel::Worker),
+            None => singletons.into_iter().find(|t| t.name() == s),
         }
     }
 
@@ -114,6 +112,16 @@ pub enum OpLabel {
 }
 
 impl OpLabel {
+    /// Every op kind.
+    pub const ALL: [OpLabel; 6] = [
+        OpLabel::Rebalance,
+        OpLabel::ScaleOut,
+        OpLabel::ScaleIn,
+        OpLabel::Rollback,
+        OpLabel::Split,
+        OpLabel::Unsplit,
+    ];
+
     /// Stable textual name.
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -128,15 +136,7 @@ impl OpLabel {
 
     /// Parses [`OpLabel::as_str`] output back.
     pub fn from_name(s: &str) -> Option<OpLabel> {
-        match s {
-            "rebalance" => Some(OpLabel::Rebalance),
-            "scale_out" => Some(OpLabel::ScaleOut),
-            "scale_in" => Some(OpLabel::ScaleIn),
-            "rollback" => Some(OpLabel::Rollback),
-            "split" => Some(OpLabel::Split),
-            "unsplit" => Some(OpLabel::Unsplit),
-            _ => None,
-        }
+        OpLabel::ALL.into_iter().find(|op| op.as_str() == s)
     }
 }
 
@@ -195,7 +195,7 @@ impl Phase {
 
     /// Parses [`Phase::as_str`] output back.
     pub fn from_name(s: &str) -> Option<Phase> {
-        Phase::ALL.iter().copied().find(|p| p.as_str() == s)
+        Phase::ALL.into_iter().find(|p| p.as_str() == s)
     }
 }
 
@@ -211,6 +211,9 @@ pub enum Outcome {
 }
 
 impl Outcome {
+    /// Every outcome.
+    pub const ALL: [Outcome; 3] = [Outcome::Completed, Outcome::Aborted, Outcome::Abandoned];
+
     /// Stable textual name.
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -222,12 +225,7 @@ impl Outcome {
 
     /// Parses [`Outcome::as_str`] output back.
     pub fn from_name(s: &str) -> Option<Outcome> {
-        match s {
-            "completed" => Some(Outcome::Completed),
-            "aborted" => Some(Outcome::Aborted),
-            "abandoned" => Some(Outcome::Abandoned),
-            _ => None,
-        }
+        Outcome::ALL.into_iter().find(|o| o.as_str() == s)
     }
 }
 
@@ -267,6 +265,15 @@ pub struct EarlySplit {
 }
 
 impl EarlyStep {
+    /// Every step.
+    pub const ALL: [EarlyStep; 5] = [
+        EarlyStep::Open,
+        EarlyStep::Planned,
+        EarlyStep::Held,
+        EarlyStep::Split,
+        EarlyStep::Cancelled,
+    ];
+
     /// Stable lowercase name (used in exports).
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -280,15 +287,7 @@ impl EarlyStep {
 
     /// Inverse of [`EarlyStep::as_str`].
     pub fn from_name(s: &str) -> Option<EarlyStep> {
-        [
-            EarlyStep::Open,
-            EarlyStep::Planned,
-            EarlyStep::Held,
-            EarlyStep::Split,
-            EarlyStep::Cancelled,
-        ]
-        .into_iter()
-        .find(|step| step.as_str() == s)
+        EarlyStep::ALL.into_iter().find(|step| step.as_str() == s)
     }
 }
 
@@ -661,17 +660,7 @@ impl Drop for ThreadRecorder {
         // A killed worker's partial interval still gets its roll-up
         // (the counts cover only tuples fully processed before the
         // death marker, which FIFO makes deterministic).
-        if self.enabled && (self.pending_tuples > 0 || self.pending_batches > 0) {
-            let interval = self.interval;
-            let tuples = std::mem::take(&mut self.pending_tuples);
-            let batches = std::mem::take(&mut self.pending_batches);
-            self.event(EventKind::DataFlush {
-                interval,
-                tuples,
-                batches,
-            });
-        }
-        self.flush();
+        self.close_interval(self.interval);
     }
 }
 
@@ -788,9 +777,12 @@ impl TraceLog {
     /// Validates the span lifecycle: every span id is opened exactly
     /// once (before any of its other events), closed exactly once (after
     /// all of them), and its phases' first entries respect protocol
-    /// order. Returns a list of problems; empty = clean.
+    /// order. And the early rounds: at most one skew alert per interval;
+    /// an early round opens at most once and ends at most once, never
+    /// ends before it opens, and has its interval's skew alert behind
+    /// it. Returns a list of problems; empty = clean (an empty log too).
     pub fn check_integrity(&self) -> Vec<String> {
-        use std::collections::BTreeMap;
+        use std::collections::{BTreeMap, BTreeSet};
         #[derive(Default)]
         struct Acc {
             opens: u32,
@@ -798,7 +790,13 @@ impl TraceLog {
             /// Events in log order: 0 = open, 1 = phase, 2 = close.
             order: Vec<(u8, Option<Phase>)>,
         }
+        let mut problems = Vec::new();
         let mut spans: BTreeMap<u64, Acc> = BTreeMap::new();
+        // The alert is the source's event and the round the controller's:
+        // their stamps can tie, so only the controller's own order is
+        // checked.
+        let mut alerted = BTreeSet::new();
+        let mut rounds: BTreeMap<u64, (u32, u32)> = BTreeMap::new();
         for e in &self.events {
             match &e.kind {
                 EventKind::SpanOpen { span, .. } => {
@@ -818,10 +816,33 @@ impl TraceLog {
                     a.closes += 1;
                     a.order.push((2, None));
                 }
+                EventKind::SkewAlert { interval, .. } if !alerted.insert(*interval) => {
+                    problems.push(format!("interval {interval}: more than one skew alert"));
+                }
+                EventKind::EarlyRound { interval, step, .. } => {
+                    let (opens, ends) = rounds.entry(*interval).or_default();
+                    if *step == EarlyStep::Open {
+                        *opens += 1;
+                    } else {
+                        *ends += 1;
+                        if *opens == 0 {
+                            problems.push(format!("early round {interval}: ends before it opens"));
+                        }
+                    }
+                }
                 _ => {}
             }
         }
-        let mut problems = Vec::new();
+        for (interval, (opens, ends)) in rounds {
+            if !alerted.contains(&interval) {
+                problems.push(format!("early round {interval}: no skew alert behind it"));
+            }
+            if opens > 1 || ends > 1 {
+                problems.push(format!(
+                    "early round {interval}: opened {opens} times, ended {ends} times (want ≤ 1 each)"
+                ));
+            }
+        }
         for (span, a) in &spans {
             if a.opens != 1 {
                 problems.push(format!("span {span}: opened {} times (want 1)", a.opens));
@@ -893,296 +914,6 @@ impl TraceLog {
         }
         spans.into_values().collect()
     }
-
-    /// Exports one JSON object per line (the `tracecat` input format).
-    ///
-    /// Schema per line: `at_us`, `seq`, `thread` (a
-    /// [`ThreadLabel::name`] string), `kind` (a discriminator string),
-    /// plus the kind's own fields. Non-finite floats render as `null`.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            let _ = write!(
-                out,
-                "{{\"at_us\":{},\"seq\":{},\"thread\":\"{}\",",
-                e.at_us,
-                e.seq,
-                e.thread.name()
-            );
-            match &e.kind {
-                EventKind::SpanOpen { span, op } => {
-                    let _ = write!(
-                        out,
-                        "\"kind\":\"span_open\",\"span\":{span},\"op\":\"{}\"",
-                        op.as_str()
-                    );
-                }
-                EventKind::SpanPhase { span, phase } => {
-                    let _ = write!(
-                        out,
-                        "\"kind\":\"span_phase\",\"span\":{span},\"phase\":\"{}\"",
-                        phase.as_str()
-                    );
-                }
-                EventKind::SpanClose { span, outcome } => {
-                    let _ = write!(
-                        out,
-                        "\"kind\":\"span_close\",\"span\":{span},\"outcome\":\"{}\"",
-                        outcome.as_str()
-                    );
-                }
-                EventKind::Fault { detail } => {
-                    let _ = write!(out, "\"kind\":\"fault\",\"detail\":\"{}\"", esc(detail));
-                }
-                EventKind::Snapshot {
-                    interval,
-                    loads,
-                    queues,
-                    mean_latency_us,
-                    p99_latency_us,
-                } => {
-                    let _ = write!(
-                        out,
-                        "\"kind\":\"snapshot\",\"interval\":{interval},\"loads\":{},\"queues\":{},\
-                         \"mean_latency_us\":{},\"p99_latency_us\":{}",
-                        int_arr(loads),
-                        int_arr(queues),
-                        fnum(*mean_latency_us),
-                        fnum(*p99_latency_us)
-                    );
-                }
-                EventKind::RouterSnapshot {
-                    interval,
-                    table_entries,
-                    table_tombstones,
-                    pool_buffers,
-                } => {
-                    let _ = write!(
-                        out,
-                        "\"kind\":\"router_snapshot\",\"interval\":{interval},\
-                         \"table_entries\":{table_entries},\"table_tombstones\":{table_tombstones},\
-                         \"pool_buffers\":{pool_buffers}"
-                    );
-                }
-                EventKind::DataFlush {
-                    interval,
-                    tuples,
-                    batches,
-                } => {
-                    let _ = write!(
-                        out,
-                        "\"kind\":\"data_flush\",\"interval\":{interval},\"tuples\":{tuples},\
-                         \"batches\":{batches}"
-                    );
-                }
-                EventKind::IntervalEnd { interval, tuples } => {
-                    let _ = write!(
-                        out,
-                        "\"kind\":\"interval_end\",\"interval\":{interval},\"tuples\":{tuples}"
-                    );
-                }
-                EventKind::Mark { label } => {
-                    let _ = write!(out, "\"kind\":\"mark\",\"label\":\"{}\"", esc(label));
-                }
-                EventKind::SkewAlert { interval, sent } => {
-                    let _ = write!(
-                        out,
-                        "\"kind\":\"skew_alert\",\"interval\":{interval},\"sent\":{}",
-                        int_arr(sent)
-                    );
-                }
-                EventKind::EarlyRound {
-                    interval,
-                    step,
-                    split,
-                } => {
-                    let _ = write!(
-                        out,
-                        "\"kind\":\"early_round\",\"interval\":{interval},\"step\":\"{}\"",
-                        step.as_str()
-                    );
-                    if let Some(s) = split {
-                        let (share, rescale) = (fnum(s.share), fnum(s.rescale));
-                        let (loads, key, replicas, planned) =
-                            (int_arr(&s.loads), s.key, s.replicas, s.planned);
-                        let _ = write!(
-                            out,
-                            ",\"key\":{key},\"share\":{share},\"rescale\":{rescale},\
-                             \"replicas\":{replicas},\"loads\":{loads},\"planned\":{planned}"
-                        );
-                    }
-                }
-            }
-            out.push_str("}\n");
-        }
-        out
-    }
-
-    /// Exports Chrome `trace_event` JSON (open in `chrome://tracing` or
-    /// Perfetto): spans as async `b`/`e` pairs keyed by span id, phases
-    /// and faults as instants, snapshots as counter tracks.
-    pub fn to_chrome_json(&self) -> String {
-        let mut evs: Vec<String> = Vec::with_capacity(self.events.len() * 2);
-        let meta = |tid: u64, name: &str| {
-            format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            )
-        };
-        let mut seen_threads: Vec<ThreadLabel> = Vec::new();
-        for e in &self.events {
-            if !seen_threads.contains(&e.thread) {
-                seen_threads.push(e.thread);
-                evs.push(meta(e.thread.tid(), &e.thread.name()));
-            }
-            let tid = e.thread.tid();
-            let ts = e.at_us;
-            match &e.kind {
-                EventKind::SpanOpen { span, op } => evs.push(format!(
-                    "{{\"ph\":\"b\",\"cat\":\"protocol\",\"id\":{span},\"name\":\"{}\",\
-                     \"ts\":{ts},\"pid\":1,\"tid\":{tid}}}",
-                    op.as_str()
-                )),
-                EventKind::SpanClose { span, outcome } => evs.push(format!(
-                    "{{\"ph\":\"e\",\"cat\":\"protocol\",\"id\":{span},\"name\":\"span\",\
-                     \"ts\":{ts},\"pid\":1,\"tid\":{tid},\
-                     \"args\":{{\"outcome\":\"{}\"}}}}",
-                    outcome.as_str()
-                )),
-                EventKind::SpanPhase { span, phase } => evs.push(format!(
-                    "{{\"ph\":\"i\",\"s\":\"p\",\"cat\":\"protocol\",\
-                     \"name\":\"{}#{span}\",\"ts\":{ts},\"pid\":1,\"tid\":{tid}}}",
-                    phase.as_str()
-                )),
-                EventKind::Fault { detail } => evs.push(format!(
-                    "{{\"ph\":\"i\",\"s\":\"g\",\"cat\":\"fault\",\"name\":\"{}\",\
-                     \"ts\":{ts},\"pid\":1,\"tid\":{tid}}}",
-                    esc(detail)
-                )),
-                EventKind::Snapshot {
-                    loads,
-                    queues,
-                    p99_latency_us,
-                    ..
-                } => {
-                    let args = |xs: &[u64]| {
-                        let mut s = String::new();
-                        for (i, x) in xs.iter().enumerate() {
-                            if i > 0 {
-                                s.push(',');
-                            }
-                            let _ = write!(s, "\"w{i}\":{x}");
-                        }
-                        s
-                    };
-                    evs.push(format!(
-                        "{{\"ph\":\"C\",\"name\":\"load\",\"ts\":{ts},\"pid\":1,\
-                         \"args\":{{{}}}}}",
-                        args(loads)
-                    ));
-                    evs.push(format!(
-                        "{{\"ph\":\"C\",\"name\":\"queue\",\"ts\":{ts},\"pid\":1,\
-                         \"args\":{{{}}}}}",
-                        args(queues)
-                    ));
-                    evs.push(format!(
-                        "{{\"ph\":\"C\",\"name\":\"p99_latency_us\",\"ts\":{ts},\"pid\":1,\
-                         \"args\":{{\"p99\":{}}}}}",
-                        fnum(*p99_latency_us)
-                    ));
-                }
-                EventKind::RouterSnapshot {
-                    table_entries,
-                    table_tombstones,
-                    pool_buffers,
-                    ..
-                } => evs.push(format!(
-                    "{{\"ph\":\"C\",\"name\":\"router\",\"ts\":{ts},\"pid\":1,\
-                     \"args\":{{\"entries\":{table_entries},\"tombstones\":{table_tombstones},\
-                     \"pool\":{pool_buffers}}}}}"
-                )),
-                EventKind::DataFlush {
-                    interval,
-                    tuples,
-                    batches,
-                } => evs.push(format!(
-                    "{{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"data\",\
-                     \"name\":\"flush#{interval}\",\"ts\":{ts},\"pid\":1,\"tid\":{tid},\
-                     \"args\":{{\"tuples\":{tuples},\"batches\":{batches}}}}}"
-                )),
-                EventKind::IntervalEnd { interval, tuples } => evs.push(format!(
-                    "{{\"ph\":\"C\",\"name\":\"interval_tuples\",\"ts\":{ts},\"pid\":1,\
-                     \"args\":{{\"tuples\":{tuples},\"interval\":{interval}}}}}"
-                )),
-                EventKind::Mark { label } => evs.push(format!(
-                    "{{\"ph\":\"i\",\"s\":\"g\",\"cat\":\"mark\",\"name\":\"{}\",\
-                     \"ts\":{ts},\"pid\":1,\"tid\":{tid}}}",
-                    esc(label)
-                )),
-                EventKind::SkewAlert { interval, .. } => evs.push(format!(
-                    "{{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"early\",\
-                     \"name\":\"skew_alert#{interval}\",\"ts\":{ts},\"pid\":1,\"tid\":{tid}}}"
-                )),
-                EventKind::EarlyRound { interval, step, .. } => evs.push(format!(
-                    "{{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"early\",\
-                     \"name\":\"early_round#{interval} {}\",\"ts\":{ts},\"pid\":1,\"tid\":{tid}}}",
-                    step.as_str()
-                )),
-            }
-        }
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        for (i, e) in evs.iter().enumerate() {
-            out.push_str(e);
-            if i + 1 < evs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]}\n");
-        out
-    }
-}
-
-/// Renders a `u64` slice as a JSON array.
-fn int_arr(xs: &[u64]) -> String {
-    let mut s = String::from("[");
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{x}");
-    }
-    s.push(']');
-    s
-}
-
-/// Renders a float as JSON: shortest round-trip form, `null` for
-/// non-finite (JSON has no NaN/∞).
-fn fnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1206,6 +937,9 @@ mod tests {
         ctl.span_close(1, Outcome::Completed);
         ctl.snapshot(0, vec![100, 0], vec![3, 0], 12.5, 40.0);
         src.router_snapshot(0, 7, 1, 4);
+        src.skew_alert(1, vec![90, 310]);
+        ctl.early_round(1, EarlyStep::Open);
+        ctl.early_round(1, EarlyStep::Planned);
         ctl.mark("teardown");
         sink.fault(0, "injected kill: worker 1".to_string());
         drop((ctl, w0, src));
@@ -1293,6 +1027,51 @@ mod tests {
     }
 
     #[test]
+    fn check_accepts_clean_and_rejects_unclosed_spans() {
+        assert_eq!(sample_log().check_integrity(), Vec::<String>::new());
+
+        let sink = TraceSink::new(true);
+        let mut ctl = sink.recorder(ThreadLabel::Controller);
+        ctl.span_open(7, OpLabel::Rebalance);
+        drop(ctl);
+        let problems = sink.take_log().check_integrity();
+        assert!(
+            problems.iter().any(|p| p.contains("span 7")),
+            "{problems:?}"
+        );
+
+        // An early round needs its alert, and ends once.
+        let sink = TraceSink::new(true);
+        let mut ctl = sink.recorder(ThreadLabel::Controller);
+        ctl.early_round(3, EarlyStep::Open);
+        ctl.early_round(3, EarlyStep::Held);
+        ctl.early_round(3, EarlyStep::Cancelled);
+        drop(ctl);
+        let problems = sink.take_log().check_integrity();
+        assert!(
+            problems.iter().any(|p| p.contains("no skew alert")),
+            "{problems:?}"
+        );
+        assert!(
+            problems.iter().any(|p| p.contains("ended 2 times")),
+            "{problems:?}"
+        );
+
+        // One alert per interval, and a round cannot end unopened.
+        let sink = TraceSink::new(true);
+        let mut ctl = sink.recorder(ThreadLabel::Controller);
+        let mut src = sink.recorder(ThreadLabel::Source);
+        src.skew_alert(4, vec![1, 9]);
+        src.skew_alert(4, vec![2, 9]);
+        ctl.early_round(4, EarlyStep::Held);
+        drop((ctl, src));
+        let problems = sink.take_log().check_integrity();
+        for want in ["more than one skew alert", "ends before it opens"] {
+            assert!(problems.iter().any(|p| p.contains(want)), "{problems:?}");
+        }
+    }
+
+    #[test]
     fn span_summaries_compute_phase_durations() {
         let spans = sample_log().span_summaries();
         assert_eq!(spans.len(), 1);
@@ -1303,34 +1082,6 @@ mod tests {
         assert!(s.close_us >= s.open_us);
         let phases: Vec<Phase> = s.phase_durations().iter().map(|&(p, _)| p).collect();
         assert_eq!(phases, vec![Phase::Pause, Phase::Install, Phase::Resume]);
-    }
-
-    #[test]
-    fn jsonl_lines_carry_the_schema() {
-        let jsonl = sample_log().to_jsonl();
-        for line in jsonl.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert!(line.contains("\"at_us\":"), "{line}");
-            assert!(line.contains("\"thread\":"), "{line}");
-            assert!(line.contains("\"kind\":"), "{line}");
-        }
-        assert!(jsonl.contains("\"kind\":\"span_open\""));
-        assert!(jsonl.contains("\"kind\":\"data_flush\""));
-        assert!(jsonl.contains("\"kind\":\"fault\""));
-        assert!(jsonl.contains("\"loads\":[100,0]"));
-    }
-
-    #[test]
-    fn chrome_export_pairs_span_begin_end() {
-        let chrome = sample_log().to_chrome_json();
-        assert!(chrome.starts_with("{\"displayTimeUnit\""));
-        assert_eq!(chrome.matches("\"ph\":\"b\"").count(), 1);
-        assert_eq!(chrome.matches("\"ph\":\"e\"").count(), 1);
-        assert!(chrome.contains("\"ph\":\"C\""), "counter tracks present");
-        assert!(
-            chrome.contains("\"thread_name\""),
-            "thread metadata present"
-        );
     }
 
     #[test]
@@ -1347,19 +1098,16 @@ mod tests {
         for p in Phase::ALL {
             assert_eq!(Phase::from_name(p.as_str()), Some(p));
         }
-        for o in [Outcome::Completed, Outcome::Aborted, Outcome::Abandoned] {
+        for o in Outcome::ALL {
             assert_eq!(Outcome::from_name(o.as_str()), Some(o));
         }
-        for op in [
-            OpLabel::Rebalance,
-            OpLabel::ScaleOut,
-            OpLabel::ScaleIn,
-            OpLabel::Rollback,
-            OpLabel::Split,
-            OpLabel::Unsplit,
-        ] {
+        for op in OpLabel::ALL {
             assert_eq!(OpLabel::from_name(op.as_str()), Some(op));
         }
+        for step in EarlyStep::ALL {
+            assert_eq!(EarlyStep::from_name(step.as_str()), Some(step));
+        }
+        assert_eq!(OpLabel::from_name("nope"), None);
     }
 
     #[test]
