@@ -27,22 +27,35 @@
 //! way the engine's controller collects its workers'.
 //!
 //! Bytes are measured, not modelled: a counting global allocator reports
-//! the heap held by the partitioner once the window is full, and the
-//! heap the round's report holds when it reaches `end_interval`. That
-//! count is exact and repeats run to run, so the run *aborts* when
-//! either shape's report exceeds `ROUND_BYTES_PER_KEY_GUARD` bytes per
-//! reported key: CI's smoke guards against a report copied on its way in.
+//! the heap held by the partitioner once the window is full, the heap
+//! the round's report holds when it reaches `end_interval`, and what a
+//! MinTable, MinMig or Mixed plan adds (`plan_heap_peak_bytes`): the most
+//! heap live while `rebalance_window` runs beyond what was live when it
+//! was called. The plans run over a bare `StatsPlane`, so the fold before
+//! each one, and the report it frees, stay outside the count. Rounds are
+//! measured once the window's key index has its steady size: it last
+//! grows in round `w`, the first whose fold sees the whole key domain.
+//! These counts are exact and repeat run to run, so the run *aborts*
+//! when either shape's report exceeds `ROUND_BYTES_PER_KEY_GUARD` bytes
+//! per reported key — CI's smoke guards against a report copied on its
+//! way in — and the smoke aborts when a plan's heap exceeds
+//! `plan_guard`, a bound in the table entries, the moves and the
+//! `FIRST_ROWS` keys per task a plan starts from: a plan holds the table
+//! entries and a bounded number of each task's other keys, never a copy
+//! of the window.
 //!
 //! Results land in `bench_results/stats_round.json`; `--test` runs one
-//! small `K` for one measured round and writes `stats_round.smoke.json`.
+//! `K` for one measured round and writes `stats_round.smoke.json`.
 
 use std::time::Instant;
 
 use streambal_baselines::{readj, CoreBalancer, ReadjConfig};
-use streambal_bench::alloc::{live_bytes, CountingAlloc};
+use streambal_bench::alloc::{live_bytes, peak_bytes, reset_peak, CountingAlloc};
 use streambal_bench::json::{write_json, Json};
+use streambal_core::rebalance::FIRST_ROWS;
 use streambal_core::{
-    AssignmentFn, BalanceParams, IntervalStats, Key, KeyStat, Partitioner, RebalanceStrategy,
+    needs_rebalance, rebalance_window, AssignmentFn, BalanceParams, IntervalStats, Key, KeyRecord,
+    KeyStat, Partitioner, RebalanceStrategy, StatsPlane, SETTLE_FRACTION,
 };
 use streambal_hashring::{FxHashMap, FxHashSet};
 
@@ -56,6 +69,13 @@ const HEAVY_KEYS: u64 = 8;
 /// Most heap bytes per reported key a round's report may hold, in
 /// either shape: a 32-byte record per key, plus under 10 %.
 const ROUND_BYTES_PER_KEY_GUARD: f64 = 35.0;
+/// Most heap bytes a plan may add per row its guard counts: a held
+/// key's 32-byte record and the arena's state beside it, or a built
+/// table entry's slab slots and move — two records' worth.
+const PLAN_BYTES_PER_ROW: usize = 2 * std::mem::size_of::<KeyRecord>();
+/// Rounds before the measured ones: the window fills in `WINDOW`, and
+/// its key index takes its steady size in the round after.
+const WARM_UP: u64 = WINDOW as u64 + 1;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -152,7 +172,8 @@ struct Timed {
     round_bytes: usize,
 }
 
-/// Fills the window, then times `rounds` further `end_interval` calls.
+/// Fills the window and warms it up, then times `rounds` further
+/// `end_interval` calls.
 fn time_rounds(name: &str, k: u64, theta_max: f64, rounds: u64, shape: Shape) -> Timed {
     let hash = AssignmentFn::hash_only(N_TASKS);
     let mut tasks = vec![FxHashMap::default(); N_TASKS];
@@ -161,12 +182,12 @@ fn time_rounds(name: &str, k: u64, theta_max: f64, rounds: u64, shape: Shape) ->
     let mut ms = Vec::new();
     let mut fired = 0;
     let mut round_bytes = 0;
-    for r in 0..WINDOW as u64 + rounds {
+    for r in 0..WARM_UP + rounds {
         let stats;
         (stats, round_bytes) = round_report(k, r, &hash, shape, &mut tasks);
         let start = Instant::now();
         let outcome = p.end_interval(stats);
-        if r >= WINDOW as u64 {
+        if r >= WARM_UP {
             ms.push(start.elapsed().as_secs_f64() * 1e3);
             fired += usize::from(outcome.is_some());
         }
@@ -181,17 +202,77 @@ fn time_rounds(name: &str, k: u64, theta_max: f64, rounds: u64, shape: Shape) ->
     }
 }
 
+/// What one strategy's plans added to the heap over the measured rounds.
+struct PlanHeap {
+    /// The most heap one plan added.
+    bytes: usize,
+    /// The largest table one plan built.
+    entries: usize,
+    /// The largest share of its guard one plan used (see [`plan_guard`]).
+    guard_share: f64,
+}
+
+/// The most heap a plan may add, in rows of `PLAN_BYTES_PER_ROW`: the
+/// `table_in` entries of the table it starts from and `FIRST_ROWS` of
+/// each task's other keys, which it holds; up to twice the keys it
+/// `moves`, since a task's `m` doubles past the keys its drain takes;
+/// and the `table_out` entries of the table it builds. None of these is
+/// the number of keys in the window.
+fn plan_guard(table_in: usize, moves: usize, table_out: usize) -> usize {
+    PLAN_BYTES_PER_ROW * (table_in + N_TASKS * FIRST_ROWS + 2 * moves + table_out)
+}
+
+/// What `strategy`'s plans add to the heap, apart from the folds before
+/// them: the rounds go through a bare `StatsPlane`, which plans and
+/// installs as a `Rebalancer` with the default trigger policy does, and
+/// each plan's peak is counted from the heap live once its round is
+/// folded and its report freed.
+fn plan_heap(strategy: RebalanceStrategy, k: u64, rounds: u64) -> PlanHeap {
+    let hash = AssignmentFn::hash_only(N_TASKS);
+    let params = BalanceParams {
+        theta_max: THETA_MAX * SETTLE_FRACTION,
+        table_max: k as usize,
+        ..BalanceParams::default()
+    };
+    let mut plane = StatsPlane::new(N_TASKS, WINDOW);
+    let mut most = PlanHeap {
+        bytes: 0,
+        entries: 0,
+        guard_share: 0.0,
+    };
+    for r in 0..WARM_UP + rounds {
+        plane.push(round_stats(k, r, &hash));
+        if !needs_rebalance(&plane.loads(), THETA_MAX) {
+            continue;
+        }
+        let table_in = plane.assignment().table().len();
+        let before = live_bytes();
+        reset_peak();
+        let outcome = rebalance_window(plane.window(), strategy, &params);
+        let bytes = peak_bytes() - before;
+        if r >= WARM_UP {
+            let (moves, entries) = (outcome.plan.keys_moved(), outcome.table.len());
+            let guard = plan_guard(table_in, moves, entries);
+            most.bytes = most.bytes.max(bytes);
+            most.entries = most.entries.max(entries);
+            most.guard_share = most.guard_share.max(bytes as f64 / guard as f64);
+        }
+        plane.install_rebalance(&outcome.table, outcome.plan.moves());
+    }
+    most
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
     let (sizes, rounds): (&[u64], u64) = if smoke {
-        (&[2_000], 1)
+        (&[20_000], 1)
     } else {
         (&[20_000, 76_000, 300_000, 1_000_000], 9)
     };
     println!("stats_round: end_interval per round, w = {WINDOW}, {N_TASKS} tasks");
     let mut by_size = Vec::new();
     for &k in sizes {
-        let last = WINDOW as u64 + rounds;
+        let last = WARM_UP + rounds;
         let live: FxHashSet<Key> = (last - WINDOW as u64..last)
             .flat_map(|r| round_keys(k, r))
             .collect();
@@ -202,7 +283,12 @@ fn main() {
         ];
         println!("\n  K = {k} ({} live keys in the window)", live.len());
         let mut round_bytes = [0.0; 2];
-        for name in ["Mixed", "MinTable", "MinMig", "Readj"] {
+        for (name, strategy) in [
+            ("Mixed", Some(RebalanceStrategy::Mixed)),
+            ("MinTable", Some(RebalanceStrategy::MinTable)),
+            ("MinMig", Some(RebalanceStrategy::MinMig)),
+            ("Readj", None),
+        ] {
             let mut rows = Vec::new();
             for (shape, label) in [(Shape::OneShard, "one_shard"), (Shape::Shards, "shards")] {
                 let idle = time_rounds(name, k, NEVER, rounds, shape);
@@ -240,6 +326,26 @@ fn main() {
                 println!();
                 rows.push((label, Json::obj(row)));
             }
+            // Readj plans over a copy of every record by design.
+            if let Some(strategy) = strategy {
+                let plan = plan_heap(strategy, k, rounds);
+                println!(
+                    "    {name:<9} plan heap {:>11} B ({} table entries, {:.0} % of its guard)",
+                    plan.bytes,
+                    plan.entries,
+                    plan.guard_share * 1e2
+                );
+                assert!(
+                    !smoke || plan.guard_share <= 1.0,
+                    "{name}: a plan at K = {k} used {:.0} % of its heap guard",
+                    plan.guard_share * 1e2
+                );
+                rows.push((
+                    "plan_heap_peak_bytes",
+                    Json::lower(Json::Int(plan.bytes as u64)),
+                ));
+                rows.push(("plan_table_entries", Json::Int(plan.entries as u64)));
+            }
             fields.push((name, Json::obj(rows)));
         }
         let [one_bytes, shard_bytes] = round_bytes;
@@ -267,6 +373,7 @@ fn main() {
         ("n_tasks", Json::Int(N_TASKS as u64)),
         ("window_intervals", Json::Int(WINDOW as u64)),
         ("theta_max", Json::Num(THETA_MAX)),
+        ("warm_up_rounds", Json::Int(WARM_UP)),
         ("measured_rounds", Json::Int(rounds)),
         ("smoke", Json::Bool(smoke)),
         ("sizes", Json::Arr(by_size)),

@@ -7,8 +7,10 @@
 //! ```
 //!
 //! and read [`live_bytes`] before and after building the structure they
-//! measure. The count is of requested sizes (`Layout::size`), so for a
-//! fixed operation sequence it is exact and repeats run to run.
+//! measure, or [`reset_peak`] before an operation and [`peak_bytes`]
+//! after it for the most it held at once. The count is of requested
+//! sizes (`Layout::size`), so for a fixed operation sequence it is exact
+//! and repeats run to run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -16,12 +18,36 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Heap bytes currently allocated by this process.
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
+/// The most heap bytes live at once since the last [`reset_peak`].
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
 /// Heap bytes currently allocated through [`CountingAlloc`].
 pub fn live_bytes() -> usize {
     LIVE_BYTES.load(Ordering::Relaxed)
 }
 
-/// Forwards to [`System`] and keeps [`live_bytes`] current.
+/// The most heap bytes live at once since the last [`reset_peak`].
+pub fn peak_bytes() -> usize {
+    PEAK_BYTES.load(Ordering::Relaxed)
+}
+
+/// Restarts [`peak_bytes`] from the bytes live now.
+pub fn reset_peak() {
+    PEAK_BYTES.store(live_bytes(), Ordering::Relaxed);
+}
+
+/// Adds `bytes` to the live count and raises the peak to it. The peak is
+/// read before it is written, so an allocation below it costs no write
+/// to the shared line.
+fn grow(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    if live > PEAK_BYTES.load(Ordering::Relaxed) {
+        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+/// Forwards to [`System`] and keeps [`live_bytes`] and [`peak_bytes`]
+/// current.
 pub struct CountingAlloc;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -32,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // SAFETY: the caller's `layout` obligations pass straight through.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+            grow(layout.size());
         }
         p
     }
@@ -50,8 +76,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
         let q = unsafe { System.realloc(p, layout, new_size) };
         if !q.is_null() {
-            LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
-            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+            match new_size.checked_sub(layout.size()) {
+                Some(more) => grow(more),
+                None => {
+                    LIVE_BYTES.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+                }
+            }
         }
         q
     }

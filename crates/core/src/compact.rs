@@ -18,6 +18,15 @@
 //! the controller's full statistics (paper §IV-A Phase III), so the
 //! emitted table and migration plan are exact — only the optimizer's view
 //! is approximate, and Fig. 11b's load-estimation error stays under 1%.
+//!
+//! This module is figure-only: fig11, the ablation binary, its bench and
+//! the property tests call it, and no controller does. The live path
+//! answers the same scaling problem without approximation: MinTable,
+//! MinMig and Mixed plan in a bounded arena over the statistics window
+//! (table entries plus the first `m` keys per task, the rest folded; see
+//! [`crate::llfd`] and [`crate::rebalance::rebalance_window`]), which
+//! makes the plan the per-key one exactly. ROADMAP item 2(b) would bring
+//! compact records onto the live path only if that did not suffice.
 
 use streambal_hashring::FxHashMap;
 

@@ -87,8 +87,8 @@ pub use load::{
 pub use migration::{migration_delta, MigrationPlan, Move};
 pub use partitioner::{Partitioner, RoutingView};
 pub use rebalance::{
-    outcome_from_assignment, rebalance, BalanceParams, PlanFn, RebalanceInput, RebalanceOutcome,
-    RebalanceStrategy, Rebalancer, TriggerPolicy, SETTLE_FRACTION,
+    outcome_from_assignment, rebalance, rebalance_window, BalanceParams, PlanFn, RebalanceInput,
+    RebalanceOutcome, RebalanceStrategy, Rebalancer, TriggerPolicy, SETTLE_FRACTION,
 };
 pub use routing::{next_live, AssignmentFn, RoutingTable};
 pub use stats::{IntervalStats, KeyRecord, KeyStat, StatsPlane, StatsWindow};

@@ -9,7 +9,7 @@
 //! paper's system experiments.
 
 use crate::key::TaskId;
-use crate::llfd::{llfd, Arena, Criteria};
+use crate::llfd::{complete, try_llfd, Arena, Criteria, LlfdOptions, Overflow, Rows};
 use crate::stats::KeyRecord;
 
 /// Runs MinMig; returns the new assignment, parallel to `records`.
@@ -19,15 +19,23 @@ pub fn minmig_assign(
     theta_max: f64,
     beta: f64,
 ) -> Vec<TaskId> {
+    complete(minmig_over(Rows::full(records, n_tasks), theta_max, beta))
+}
+
+/// [`minmig_assign`] over `rows`, or the task whose horizon a scan
+/// reached.
+pub(crate) fn minmig_over(
+    rows: Rows<'_>,
+    theta_max: f64,
+    beta: f64,
+) -> Result<Vec<TaskId>, Overflow> {
     // Phase I: do nothing — start from the current assignment.
-    let mut arena = Arena::new(records, n_tasks, Criteria::LargestGamma { beta }, |_, r| {
-        r.current
-    });
+    let mut arena = Arena::over(rows, Criteria::LargestGamma { beta }, |_, r| r.current);
     // Phase II: drain overloaded instances, largest γ first.
-    let candidates = arena.drain_overloaded(theta_max);
+    let candidates = arena.drain(theta_max)?;
     // Phase III: LLFD with the same ψ.
-    llfd(&mut arena, candidates, theta_max);
-    arena.into_assignment()
+    try_llfd(&mut arena, candidates, theta_max, LlfdOptions::default())?;
+    Ok(arena.into_assignment())
 }
 
 #[cfg(test)]

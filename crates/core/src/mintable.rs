@@ -8,18 +8,24 @@
 //! show costs ~3× Mixed's migration.
 
 use crate::key::TaskId;
-use crate::llfd::{llfd, Arena, Criteria};
+use crate::llfd::{complete, try_llfd, Arena, Criteria, LlfdOptions, Overflow, Rows};
 use crate::stats::KeyRecord;
 
 /// Runs MinTable; returns the new assignment, parallel to `records`.
 pub fn mintable_assign(records: &[KeyRecord], n_tasks: usize, theta_max: f64) -> Vec<TaskId> {
+    complete(mintable_over(Rows::full(records, n_tasks), theta_max))
+}
+
+/// [`mintable_assign`] over `rows`, or the task whose horizon a scan
+/// reached.
+pub(crate) fn mintable_over(rows: Rows<'_>, theta_max: f64) -> Result<Vec<TaskId>, Overflow> {
     // Phase I: clean the table — everyone starts from the hash destination.
-    let mut arena = Arena::new(records, n_tasks, Criteria::HighestCost, |_, r| r.hash_dest);
+    let mut arena = Arena::over(rows, Criteria::HighestCost, |_, r| r.hash_dest);
     // Phase II: drain overloaded instances, highest cost first.
-    let candidates = arena.drain_overloaded(theta_max);
+    let candidates = arena.drain(theta_max)?;
     // Phase III: LLFD.
-    llfd(&mut arena, candidates, theta_max);
-    arena.into_assignment()
+    try_llfd(&mut arena, candidates, theta_max, LlfdOptions::default())?;
+    Ok(arena.into_assignment())
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! (see DESIGN.md deviations).
 
 use crate::key::TaskId;
-use crate::llfd::{llfd, Arena, Criteria};
+use crate::llfd::{complete, try_llfd, Arena, Criteria, LlfdOptions, Overflow, Rows};
 use crate::stats::KeyRecord;
 
 /// Result of one Mixed/MixedBF run with its trial diagnostics.
@@ -72,27 +72,26 @@ fn table_len_of(records: &[KeyRecord], assign: &[TaskId]) -> usize {
 /// One trial: move back the first `n` η-ordered table entries, then run
 /// Phases II–III.
 fn trial(
-    records: &[KeyRecord],
-    n_tasks: usize,
+    rows: Rows<'_>,
     theta_max: f64,
     beta: f64,
     eta: &[u32],
     n: usize,
-) -> Vec<TaskId> {
-    let mut moved_back = vec![false; records.len()];
+) -> Result<Vec<TaskId>, Overflow> {
+    let mut moved_back = vec![false; rows.records().len()];
     for &i in &eta[..n.min(eta.len())] {
         moved_back[i as usize] = true;
     }
-    let mut arena = Arena::new(records, n_tasks, Criteria::LargestGamma { beta }, |i, r| {
+    let mut arena = Arena::over(rows, Criteria::LargestGamma { beta }, |i, r| {
         if moved_back[i] {
             r.hash_dest
         } else {
             r.current
         }
     });
-    let candidates = arena.drain_overloaded(theta_max);
-    llfd(&mut arena, candidates, theta_max);
-    arena.into_assignment()
+    let candidates = arena.drain(theta_max)?;
+    try_llfd(&mut arena, candidates, theta_max, LlfdOptions::default())?;
+    Ok(arena.into_assignment())
 }
 
 /// Runs Mixed (Algorithm 4); `table_max` is `Amax`.
@@ -122,31 +121,51 @@ pub fn mixed_assign_with_eta(
     table_max: usize,
     order: EtaOrder,
 ) -> MixedResult {
-    let eta = table_entries_by_eta(records, order);
+    let rows = Rows::full(records, n_tasks);
+    complete(mixed_over(rows, theta_max, beta, table_max, order))
+}
+
+/// [`mixed_assign_with_eta`] over `rows`, or the task whose horizon a
+/// trial reached.
+pub(crate) fn mixed_over(
+    rows: Rows<'_>,
+    theta_max: f64,
+    beta: f64,
+    table_max: usize,
+    order: EtaOrder,
+) -> Result<MixedResult, Overflow> {
+    let records = rows.records();
+    // Ordered only once a trial overflows `Amax`: the first cleans nothing.
+    let mut eta: Option<Vec<u32>> = None;
     let mut n = 0usize;
     let mut trials = 0usize;
     loop {
         trials += 1;
-        let assign = trial(records, n_tasks, theta_max, beta, &eta, n);
+        let assign = trial(rows, theta_max, beta, eta.as_deref().unwrap_or(&[]), n)?;
         let table_len = table_len_of(records, &assign);
         let over = table_len.saturating_sub(table_max);
-        if over == 0 || n >= eta.len() {
-            return MixedResult {
-                assign,
-                cleaned: n,
-                trials,
-                table_len,
-            };
+        if over > 0 {
+            let eta = eta.get_or_insert_with(|| table_entries_by_eta(records, order));
+            if n < eta.len() {
+                n = (n + over).min(eta.len());
+                continue;
+            }
         }
-        n = (n + over.max(1)).min(eta.len());
+        return Ok(MixedResult {
+            assign,
+            cleaned: n,
+            trials,
+            table_len,
+        });
     }
 }
 
 /// Runs MixedBF: tries *every* cleaning depth `n ∈ [0, N_A]` and returns
 /// the feasible solution (`table ≤ Amax`) with the smallest migration
-/// cost; if none is feasible, the one with the smallest table. This is the
-/// paper's expensive reference point (Fig. 12a shows it orders of
-/// magnitude slower than Mixed).
+/// cost, the smaller table breaking ties; if none is feasible, the one
+/// with the smallest table, the smaller migration breaking ties. An
+/// earlier trial wins a full tie. This is the paper's expensive reference
+/// point (Fig. 12a shows it orders of magnitude slower than Mixed).
 pub fn mixed_bf_assign(
     records: &[KeyRecord],
     n_tasks: usize,
@@ -155,41 +174,44 @@ pub fn mixed_bf_assign(
     table_max: usize,
 ) -> MixedResult {
     let eta = table_entries_by_eta(records, EtaOrder::default());
-    let mut best: Option<(bool, u64, usize, Vec<TaskId>, usize)> = None;
+    let mut best: Option<((bool, u64, u64), MixedResult)> = None;
     let mut trials = 0usize;
     for n in 0..=eta.len() {
         trials += 1;
-        let assign = trial(records, n_tasks, theta_max, beta, &eta, n);
+        let assign = complete(trial(
+            Rows::full(records, n_tasks),
+            theta_max,
+            beta,
+            &eta,
+            n,
+        ));
         let table_len = table_len_of(records, &assign);
-        let feasible = table_len <= table_max;
         let mig: u64 = records
             .iter()
             .zip(&assign)
             .filter(|(r, &d)| d != r.current)
             .map(|(r, _)| r.mem)
             .sum();
-        // Rank: feasible first, then min migration, then min table.
-        let better = match &best {
-            None => true,
-            Some((bf, bm, bt, _, _)) => {
-                (feasible, mig, table_len) < (*bf, *bm, *bt)
-                    || (feasible && !bf)
-                    || (feasible == *bf && (mig, table_len) < (*bm, *bt))
-            }
+        // Feasible trials first, by migration; infeasible ones by table.
+        let rank = if table_len <= table_max {
+            (false, mig, table_len as u64)
+        } else {
+            (true, table_len as u64, mig)
         };
-        if better {
-            best = Some((feasible, mig, table_len, assign, n));
+        if best.as_ref().is_none_or(|(b, _)| rank < *b) {
+            let plan = MixedResult {
+                assign,
+                cleaned: n,
+                trials: 0,
+                table_len,
+            };
+            best = Some((rank, plan));
         }
     }
     // lint: allow(panic, reason = "the trial loop runs at least once for any
     // non-empty candidate ladder, which the caller constructs from n >= 1")
-    let (_, _, table_len, assign, cleaned) = best.expect("at least one trial ran");
-    MixedResult {
-        assign,
-        cleaned,
-        trials,
-        table_len,
-    }
+    let (_, best) = best.expect("at least one trial ran");
+    MixedResult { trials, ..best }
 }
 
 #[cfg(test)]
@@ -301,6 +323,36 @@ mod tests {
             bf.trials,
             table_entries_by_eta(&records, EtaOrder::SmallestMem).len() + 1
         );
+    }
+
+    /// Trials here: n = 4 fits `Amax = 2` with 51 bytes migrated, n = 5
+    /// overflows the table, and n = 6 fits again with 112 bytes. A later
+    /// infeasible trial must not displace a feasible one, and when none
+    /// is feasible the smallest table wins, not the smallest migration.
+    #[test]
+    fn bf_ranks_feasible_by_migration_and_infeasible_by_table() {
+        let records = vec![
+            rec(0, 1, 28, 3, 2),
+            rec(1, 1, 32, 2, 1),
+            rec(2, 11, 29, 1, 0),
+            rec(3, 17, 12, 0, 2),
+            rec(4, 13, 6, 2, 3),
+            rec(5, 13, 5, 3, 0),
+        ];
+        let mig_of = |assign: &[TaskId]| -> u64 {
+            records
+                .iter()
+                .zip(assign)
+                .filter(|(r, &d)| d != r.current)
+                .map(|(r, _)| r.mem)
+                .sum()
+        };
+        let bf = mixed_bf_assign(&records, 4, 0.2, 1.5, 2);
+        assert_eq!((bf.cleaned, bf.table_len, mig_of(&bf.assign)), (4, 2, 51));
+        // Amax = 1: no trial fits; n = 0 migrates nothing but keeps six
+        // entries, n = 4 is the first with two.
+        let bf = mixed_bf_assign(&records, 4, 0.2, 1.5, 1);
+        assert_eq!((bf.cleaned, bf.table_len, mig_of(&bf.assign)), (4, 2, 51));
     }
 
     #[test]

@@ -12,15 +12,16 @@
 use std::fmt;
 
 use crate::key::{Key, TaskId};
+use crate::llfd::{complete, Criteria, Overflow, Rows};
 use crate::load::{loads_of, needs_rebalance, LoadSummary};
 use crate::migration::{MigrationPlan, Move};
-use crate::minmig::minmig_assign;
-use crate::mintable::mintable_assign;
-use crate::mixed::{mixed_assign, mixed_bf_assign};
+use crate::minmig::minmig_over;
+use crate::mintable::mintable_over;
+use crate::mixed::{mixed_bf_assign, mixed_over, EtaOrder};
 use crate::partitioner::{Partitioner, RoutingView};
 use crate::routing::{AssignmentFn, RoutingTable};
 use crate::simple::simple_assign;
-use crate::stats::{IntervalStats, KeyRecord, StatsPlane};
+use crate::stats::{IntervalStats, KeyRecord, StatsPlane, StatsWindow};
 
 /// Tuning knobs of the optimization problem (Eq. 3) plus the γ weight β.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,10 +91,9 @@ impl RebalanceInput {
         loads_of(&self.records, self.n_tasks)
     }
 
-    /// Total state bytes held across all keys (denominator of the
-    /// migration-cost percentage).
-    pub fn total_state(&self) -> u64 {
-        self.records.iter().map(|r| r.mem).sum()
+    /// Every record, for an arena.
+    pub(crate) fn rows(&self) -> Rows<'_> {
+        Rows::full(&self.records, self.n_tasks)
     }
 }
 
@@ -118,17 +118,31 @@ pub struct RebalanceOutcome {
 /// Public so that external strategies (e.g. the Readj baseline) can emit
 /// the same outcome type as the built-in algorithms.
 pub fn outcome_from_assignment(input: &RebalanceInput, assign: &[TaskId]) -> RebalanceOutcome {
-    debug_assert_eq!(assign.len(), input.records.len());
+    outcome(input.rows(), assign)
+}
+
+/// [`outcome_from_assignment`] over `rows`: folded keys stay on their
+/// task, so they add to its load and to the total state, and nothing
+/// else.
+fn outcome(rows: Rows<'_>, assign: &[TaskId]) -> RebalanceOutcome {
+    let records = rows.records();
+    debug_assert_eq!(assign.len(), records.len());
     let mut table = RoutingTable::new();
-    let mut loads = vec![0u64; input.n_tasks];
-    for (r, &d) in input.records.iter().zip(assign) {
+    let mut loads = vec![0u64; rows.n_tasks()];
+    let mut total_state = 0;
+    for (load, f) in loads.iter_mut().zip(rows.folded()) {
+        *load = f.cost;
+        total_state += f.mem;
+    }
+    for (r, &d) in records.iter().zip(assign) {
         loads[d.index()] += r.cost;
+        total_state += r.mem;
         if d != r.hash_dest {
             table.insert(r.key, d);
         }
     }
     // `assign` is parallel to the records: Δ(F, F′) falls out of one zip.
-    let plan = MigrationPlan::from_moves(input.records.iter().zip(assign).map(|(r, &to)| Move {
+    let plan = MigrationPlan::from_moves(records.iter().zip(assign).map(|(r, &to)| Move {
         key: r.key,
         from: r.current,
         to,
@@ -136,7 +150,7 @@ pub fn outcome_from_assignment(input: &RebalanceInput, assign: &[TaskId]) -> Reb
     }));
     let loads = LoadSummary::new(loads);
     let achieved_theta = loads.max_theta();
-    let migration_fraction = plan.cost_fraction(input.total_state());
+    let migration_fraction = plan.cost_fraction(total_state);
     RebalanceOutcome {
         table,
         plan,
@@ -146,6 +160,36 @@ pub fn outcome_from_assignment(input: &RebalanceInput, assign: &[TaskId]) -> Reb
     }
 }
 
+/// The assignment `strategy` plans over `rows`, parallel to its records.
+/// MixedBF and Simple read the records alone, so `rows` must fold nothing
+/// for them.
+fn plan(
+    rows: Rows<'_>,
+    strategy: RebalanceStrategy,
+    params: &BalanceParams,
+) -> Result<Vec<TaskId>, Overflow> {
+    let (records, n_tasks) = (rows.records(), rows.n_tasks());
+    Ok(match strategy {
+        RebalanceStrategy::MinTable => mintable_over(rows, params.theta_max)?,
+        RebalanceStrategy::MinMig => minmig_over(rows, params.theta_max, params.beta)?,
+        RebalanceStrategy::Mixed => {
+            let (theta_max, beta) = (params.theta_max, params.beta);
+            mixed_over(rows, theta_max, beta, params.table_max, EtaOrder::default())?.assign
+        }
+        RebalanceStrategy::MixedBF => {
+            mixed_bf_assign(
+                records,
+                n_tasks,
+                params.theta_max,
+                params.beta,
+                params.table_max,
+            )
+            .assign
+        }
+        RebalanceStrategy::Simple => simple_assign(records, n_tasks),
+    })
+}
+
 /// Runs one rebalance with the chosen strategy. Pure function of its
 /// inputs; the stateful wrapper is [`Rebalancer`].
 pub fn rebalance(
@@ -153,36 +197,55 @@ pub fn rebalance(
     strategy: RebalanceStrategy,
     params: &BalanceParams,
 ) -> RebalanceOutcome {
-    let assign = match strategy {
-        RebalanceStrategy::MinTable => {
-            mintable_assign(&input.records, input.n_tasks, params.theta_max)
+    let rows = input.rows();
+    outcome(rows, &complete(plan(rows, strategy, params)))
+}
+
+/// [`rebalance`] over the keys of `window` (which has been pushed to),
+/// with the plan [`rebalance`] makes over [`StatsWindow::records`] — but
+/// MinTable, MinMig and Mixed plan in a bounded arena (see
+/// [`crate::llfd`]): every table entry, and of each task's other keys the
+/// first [`FIRST_ROWS`] in ψ order, the rest folded. A plan that reaches
+/// a task's horizon starts again holding twice as many of that task's
+/// keys, so at worst it ends over all of them. MixedBF and Simple plan
+/// over every record.
+pub fn rebalance_window(
+    window: &StatsWindow,
+    strategy: RebalanceStrategy,
+    params: &BalanceParams,
+) -> RebalanceOutcome {
+    rebalance_window_from(window, strategy, params, FIRST_ROWS)
+}
+
+/// [`rebalance_window`] starting from `m` non-table keys per task.
+pub(crate) fn rebalance_window_from(
+    window: &StatsWindow,
+    strategy: RebalanceStrategy,
+    params: &BalanceParams,
+    m: usize,
+) -> RebalanceOutcome {
+    let n_tasks = window.loads().len();
+    let criteria = match strategy {
+        RebalanceStrategy::MinTable => Criteria::HighestCost,
+        RebalanceStrategy::MinMig | RebalanceStrategy::Mixed => {
+            Criteria::LargestGamma { beta: params.beta }
         }
-        RebalanceStrategy::MinMig => {
-            minmig_assign(&input.records, input.n_tasks, params.theta_max, params.beta)
+        RebalanceStrategy::MixedBF | RebalanceStrategy::Simple => {
+            let input = RebalanceInput {
+                n_tasks,
+                records: window.records(),
+            };
+            return rebalance(&input, strategy, params);
         }
-        RebalanceStrategy::Mixed => {
-            mixed_assign(
-                &input.records,
-                input.n_tasks,
-                params.theta_max,
-                params.beta,
-                params.table_max,
-            )
-            .assign
-        }
-        RebalanceStrategy::MixedBF => {
-            mixed_bf_assign(
-                &input.records,
-                input.n_tasks,
-                params.theta_max,
-                params.beta,
-                params.table_max,
-            )
-            .assign
-        }
-        RebalanceStrategy::Simple => simple_assign(&input.records, input.n_tasks),
     };
-    outcome_from_assignment(input, &assign)
+    let mut per_task = vec![m; n_tasks];
+    loop {
+        let selection = window.select(criteria, &per_task);
+        match plan(selection.rows(), strategy, params) {
+            Ok(assign) => return outcome(selection.rows(), &assign),
+            Err(overflow) => overflow.grow(&mut per_task),
+        }
+    }
 }
 
 /// When the controller may fire a rebalance, beyond the θmax condition,
@@ -233,6 +296,12 @@ impl Default for TriggerPolicy {
         }
     }
 }
+
+/// How many non-table keys per task a [`rebalance_window`] plan holds at
+/// first. Not a setting: public only so that a bench can bound a plan's
+/// heap by it.
+#[doc(hidden)]
+pub const FIRST_ROWS: usize = 256;
 
 /// An external planning function: given the rebalance input, the new
 /// assignment, parallel to `input.records`.
@@ -369,7 +438,8 @@ impl Rebalancer {
     }
 
     /// Materialises the rebalance input from the window's rows — the
-    /// `O(live keys)` step, taken only when a plan is generated. Split
+    /// `O(live keys)` copy an external planner, MixedBF and Simple plan
+    /// over (the other strategies select a bounded arena instead). Split
     /// keys are excluded: their routing rotates over replicas, so they
     /// have no single "current" placement for a plan to move, and their
     /// load is the split layer's problem, not the rebalancer's.
@@ -455,16 +525,18 @@ impl Partitioner for Rebalancer {
         if violations < self.trigger.consecutive || since <= self.trigger.cooldown {
             return None; // damped
         }
-        let input = self.build_input();
         let outcome = match planner {
             Planner::Strategy(strategy) => {
                 let mut plan_to = self.params;
                 if self.trigger.settle_inside {
                     plan_to.theta_max *= SETTLE_FRACTION;
                 }
-                rebalance(&input, *strategy, &plan_to)
+                rebalance_window(self.plane.window(), *strategy, &plan_to)
             }
-            Planner::External { plan, .. } => outcome_from_assignment(&input, &plan(&input)),
+            Planner::External { plan, .. } => {
+                let input = self.build_input();
+                outcome_from_assignment(&input, &plan(&input))
+            }
         };
         // O(churn) delta install, with an occasional staleness resync —
         // never an O(table) clone-and-swap per rebalance.
@@ -882,5 +954,110 @@ mod tests {
         assert_eq!(p.theta_max, 0.08);
         assert_eq!(p.beta, 1.5);
         assert_eq!(p.table_max, 3_000);
+    }
+}
+
+/// The bounded arena against the full one, over generated windows.
+#[cfg(test)]
+mod bounded {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::stats::KeyStat;
+
+    /// One interval report: whether it is provisional, and its
+    /// `(key, cost, state bytes)` records.
+    type Report = (bool, Vec<(u64, u64, u64)>);
+
+    /// A statistics window as a controller builds one: `(n_tasks, w)`,
+    /// the reports pushed into it, the push before which the
+    /// `(key, task)` pins go into the routing table, and the pins. Small
+    /// cost and state ranges make tied ψ, zero-cost keys and zero-state
+    /// (γ = ∞) keys common.
+    type Window = ((usize, usize), Vec<Report>, usize, Vec<(u64, u32)>);
+
+    fn arb_window() -> impl Strategy<Value = Window> {
+        (2usize..=4, 1u64..60, 1usize..=3).prop_flat_map(|(n_tasks, n_keys, w)| {
+            let report = (
+                any::<bool>(),
+                proptest::collection::vec((0..n_keys, 0u64..6, 0u64..4), 0..80),
+            );
+            (
+                Just((n_tasks, w)),
+                proptest::collection::vec(report, 1..5),
+                0usize..5,
+                proptest::collection::vec((0..n_keys, 0..n_tasks as u32), 0..24),
+            )
+        })
+    }
+
+    /// Everything a plan decides, for `==`: the assignment of every
+    /// record, the table, the moves in order, the loads, θ and the
+    /// migration share.
+    fn decided(out: &RebalanceOutcome, records: &[KeyRecord]) -> impl PartialEq + fmt::Debug {
+        let assign: Vec<TaskId> = records
+            .iter()
+            .map(|r| out.table.lookup(r.key).unwrap_or(r.hash_dest))
+            .collect();
+        (
+            assign,
+            out.table.clone(),
+            out.plan.moves().to_vec(),
+            out.loads.clone(),
+            out.achieved_theta.to_bits(),
+            out.migration_fraction.to_bits(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// MinTable, MinMig and Mixed plan in a bounded arena: table
+        /// entries plus the top `m` keys per task, the rest folded. With
+        /// `m = 1` nearly every plan reaches a horizon and starts again,
+        /// and whatever `m` it ends at, the plan is the one the full arena
+        /// (`m ≥ K`) makes — which in turn is `rebalance` over the
+        /// window's records.
+        #[test]
+        fn bounded_plans_equal_full_plans(
+            ((n_tasks, w), reports, at, pins) in arb_window(),
+            theta in 0.0f64..0.3,
+            table_max in 0usize..12,
+        ) {
+            let mut plane = StatsPlane::new(n_tasks, w);
+            let pins: Vec<(Key, TaskId)> =
+                pins.iter().map(|&(k, d)| (Key(k), TaskId(d))).collect();
+            for (i, (provisional, report)) in reports.iter().enumerate() {
+                if i == at.min(reports.len() - 1) {
+                    plane.apply_moves(&pins);
+                }
+                let stats: IntervalStats = report
+                    .iter()
+                    .map(|&(k, cost, mem)| (Key(k), KeyStat::new(1, cost, mem)))
+                    .collect();
+                plane.push(if *provisional { stats.into_provisional() } else { stats });
+            }
+            let window = plane.window();
+            prop_assume!(window.has_records());
+            let input = RebalanceInput { n_tasks, records: window.records() };
+            let params = BalanceParams { theta_max: theta, table_max, ..BalanceParams::default() };
+            for strategy in [
+                RebalanceStrategy::MinTable,
+                RebalanceStrategy::MinMig,
+                RebalanceStrategy::Mixed,
+            ] {
+                let want = decided(&rebalance(&input, strategy, &params), &input.records);
+                for m in [usize::MAX, 1] {
+                    let got = rebalance_window_from(window, strategy, &params, m);
+                    prop_assert_eq!(
+                        &decided(&got, &input.records),
+                        &want,
+                        "{} with m = {}",
+                        strategy.name(),
+                        m
+                    );
+                }
+            }
+        }
     }
 }

@@ -24,8 +24,11 @@
 //!   `O(n)`: per-task load totals are kept current by every push and
 //!   every re-route, so [`StatsWindow::loads`] is a slice read.
 //! * **records** are `O(K log K)` (one pass over the rows plus the sort
-//!   that makes plans reproducible) and are materialised only when a
-//!   plan is actually generated.
+//!   that makes plans reproducible) and are materialised only for a
+//!   planner that reads every key. MinTable, MinMig and Mixed plan over
+//!   a **selection** instead: two passes over the rows that hold the
+//!   table entries and `m` keys per task, `O(K log m)` time and
+//!   `O(table + n·m)` memory.
 //! * **memory** is one 40-byte row and one 8-byte index slot (at most
 //!   three quarters occupied) per live key, plus 8 bytes per record a
 //!   retained interval reported (a key once per shard that named it) —
@@ -61,6 +64,7 @@ use std::collections::VecDeque;
 use streambal_hashring::{fx_hash_u64, FxHashMap};
 
 use crate::key::{Key, TaskId};
+use crate::llfd::{Criteria, Selection};
 use crate::load::LoadSummary;
 use crate::migration::Move;
 use crate::routing::{AssignmentFn, RoutingTable};
@@ -774,7 +778,7 @@ impl StatsWindow {
     }
 
     /// The rows some retained interval references.
-    fn live_rows(&self) -> impl Iterator<Item = &Row> + '_ {
+    fn live_rows(&self) -> impl Iterator<Item = &Row> + Clone + '_ {
         self.rows.iter().filter(|r| r.refs > 0)
     }
 
@@ -821,20 +825,33 @@ impl StatsWindow {
     /// move if the key is reassigned, and the optimizer must know that.
     pub fn records(&self) -> Vec<KeyRecord> {
         let mut out = Vec::with_capacity(self.index.len - self.split_rows);
-        out.extend(
-            self.live_rows()
-                .filter(|r| !r.is_split())
-                .map(|r| KeyRecord {
-                    key: r.key,
-                    cost: r.cost_at(self.pushes),
-                    mem: r.mem,
-                    current: r.current,
-                    hash_dest: r.hash_dest,
-                }),
-        );
+        out.extend(self.live_records());
         // Deterministic order for reproducible plans.
         out.sort_unstable_by_key(|r| r.key);
         out
+    }
+
+    /// The rows of a bounded arena over [`StatsWindow::records`]: every
+    /// routing-table entry and, per task `d`, the first `m[d]` other
+    /// keys of `d` in `criteria`'s order, the rest of `d` folded into its
+    /// totals. Two passes over the rows, holding no more than it
+    /// selects.
+    pub(crate) fn select(&self, criteria: Criteria, m: &[usize]) -> Selection {
+        debug_assert_eq!(m.len(), self.loads.len());
+        Selection::new(self.live_records(), criteria, m)
+    }
+
+    /// [`StatsWindow::records`], in row order.
+    fn live_records(&self) -> impl Iterator<Item = KeyRecord> + Clone + '_ {
+        self.live_rows()
+            .filter(|r| !r.is_split())
+            .map(|r| KeyRecord {
+                key: r.key,
+                cost: r.cost_at(self.pushes),
+                mem: r.mem,
+                current: r.current,
+                hash_dest: r.hash_dest,
+            })
     }
 }
 
