@@ -28,9 +28,15 @@
 //!    (`w = 5`). It reports ns per tuple (eviction included) and the
 //!    live heap bytes per live key at the end of the last interval — the
 //!    fullest the window gets, `w` closed intervals plus the open one —
-//!    counted by this binary's counting global allocator. The byte count
-//!    is exact and repeats run to run, so the run *aborts* when it
-//!    exceeds `STATE_BYTES_PER_KEY_GUARD` at `K = 2·10⁵`: CI's smoke
+//!    counted by this binary's counting global allocator. Two more rows
+//!    price the worker's other per-key structures: the heap a
+//!    `StatsAccumulator` holds per key once one interval is added to it
+//!    (a worker's interval statistics), and the heap `drain()` allocates
+//!    per live key when the last interval is in (a worker's shutdown,
+//!    where a large run's memory peaks). The byte counts are exact and
+//!    repeat run to run, so at `K = 2·10⁵` the run *aborts* when any of
+//!    the three exceeds its guard (`STATE_BYTES_PER_KEY_GUARD`,
+//!    `ACC_BYTES_PER_KEY_GUARD`, `DRAIN_BYTES_PER_KEY_GUARD`): CI's smoke
 //!    guards the keyed state's footprint.
 //!
 //! The results are printed and written to `bench_results/engine.json`
@@ -45,9 +51,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use streambal_baselines::storm;
-use streambal_bench::alloc::{live_bytes, CountingAlloc};
+use streambal_bench::alloc::{allocated_bytes, live_bytes, CountingAlloc};
 use streambal_bench::json::{write_json, Json};
-use streambal_core::Key;
+use streambal_core::{Key, StatsAccumulator};
 use streambal_runtime::{Engine, EngineConfig, Operator, Tuple, WordCountOp};
 use streambal_workloads::FluctuatingWorkload;
 
@@ -64,8 +70,14 @@ const STATE_DOMAINS: [usize; 2] = [20_000, 200_000];
 const STATE_WINDOW: u64 = 5;
 const STATE_INTERVALS: u64 = 10;
 /// Most live heap bytes per live key `WordCountOp` may hold at
-/// `K = 2·10⁵`: 105.0 measured, plus under 10 %.
-const STATE_BYTES_PER_KEY_GUARD: f64 = 115.0;
+/// `K = 2·10⁵`: 80.5 measured, plus about 5 %.
+const STATE_BYTES_PER_KEY_GUARD: f64 = 85.0;
+/// Most heap bytes per key a `StatsAccumulator` may hold at
+/// `K = 2·10⁵`: 38.1 measured, plus about 5 %.
+const ACC_BYTES_PER_KEY_GUARD: f64 = 40.0;
+/// Most heap bytes per live key `WordCountOp::drain` may allocate at
+/// `K = 2·10⁵`: 112.0 measured, plus about 5 %.
+const DRAIN_BYTES_PER_KEY_GUARD: f64 = 118.0;
 
 /// One measured configuration.
 #[derive(Clone, Copy)]
@@ -119,11 +131,13 @@ struct StatePass {
     ns_per_tuple: f64,
     live_keys: usize,
     bytes_per_live_key: f64,
+    drain_bytes_per_live_key: f64,
 }
 
 /// Feeds `keys` as each of `STATE_INTERVALS` intervals into a fresh
-/// `WordCountOp`, evicting at every boundary as a worker does, and reads
-/// the heap it holds once the last interval is in.
+/// `WordCountOp`, evicting at every boundary as a worker does, reads the
+/// heap it holds once the last interval is in, and then what draining it
+/// allocates.
 fn state_pass(keys: &[Key]) -> StatePass {
     let before = live_bytes();
     let mut op = WordCountOp::new();
@@ -142,14 +156,38 @@ fn state_pass(keys: &[Key]) -> StatePass {
     let held = live_bytes() - before;
     black_box(added);
     let live_keys = op.held_counts().len();
+    let before = allocated_bytes();
+    let drained = op.drain();
+    let drain_bytes = allocated_bytes() - before;
+    assert_eq!(drained.len(), live_keys);
     StatePass {
         ns_per_tuple: elapsed * 1e9 / (STATE_INTERVALS as f64 * keys.len() as f64),
         live_keys,
         bytes_per_live_key: held as f64 / live_keys.max(1) as f64,
+        drain_bytes_per_live_key: drain_bytes as f64 / live_keys.max(1) as f64,
     }
 }
 
-/// The keyed-stage group's rows; aborts past the footprint guard.
+/// The heap per key of a worker's statistics accumulator holding one
+/// interval of `keys`, added tuple by tuple at eight state bytes each.
+fn accumulator_bytes_per_key(keys: &[Key]) -> f64 {
+    let before = live_bytes();
+    let mut acc = StatsAccumulator::new(1);
+    for &k in keys {
+        acc.add(k, 1, 8);
+    }
+    (live_bytes() - before) as f64 / acc.len().max(1) as f64
+}
+
+/// Aborts when `measured` exceeds `guard`.
+fn check_guard(what: &str, k: usize, measured: f64, guard: f64) {
+    assert!(
+        measured <= guard,
+        "{what} at K = {k}: {measured:.1} B per key, over the {guard} B guard"
+    );
+}
+
+/// The keyed-stage group's rows; aborts past the footprint guards.
 fn state_rows(reps: usize) -> Vec<Json> {
     println!(
         "keyed stage: WordCountOp::process, z={ZIPF_Z}, w={STATE_WINDOW}, \
@@ -163,23 +201,33 @@ fn state_rows(reps: usize) -> Vec<Json> {
         assert!(
             passes
                 .iter()
-                .all(|p| p.bytes_per_live_key == first.bytes_per_live_key),
-            "heap held per key must repeat exactly"
+                .all(|p| p.bytes_per_live_key == first.bytes_per_live_key
+                    && p.drain_bytes_per_live_key == first.drain_bytes_per_live_key),
+            "heap held and allocated per key must repeat exactly"
         );
+        let acc_bytes = accumulator_bytes_per_key(&keys);
         let mut ns: Vec<f64> = passes.iter().map(|p| p.ns_per_tuple).collect();
         ns.sort_by(f64::total_cmp);
         let median_ns = ns[ns.len() / 2];
         println!(
-            "  K={k:<7} {:>7.1} ns/tuple   {:>6.1} B/live key ({} live keys)",
-            median_ns, first.bytes_per_live_key, first.live_keys
+            "  K={k:<7} {:>7.1} ns/tuple   {:>6.1} B/live key ({} live keys)   \
+             drain {:>6.1} B/live key   accumulator {acc_bytes:>5.1} B/key",
+            median_ns, first.bytes_per_live_key, first.live_keys, first.drain_bytes_per_live_key
         );
         if k == 200_000 {
-            assert!(
-                first.bytes_per_live_key <= STATE_BYTES_PER_KEY_GUARD,
-                "WordCountOp holds {:.1} B per live key at K = {k}, over the \
-                 {STATE_BYTES_PER_KEY_GUARD} B guard",
-                first.bytes_per_live_key
+            check_guard(
+                "WordCountOp's state",
+                k,
+                first.bytes_per_live_key,
+                STATE_BYTES_PER_KEY_GUARD,
             );
+            check_guard(
+                "WordCountOp::drain's allocations",
+                k,
+                first.drain_bytes_per_live_key,
+                DRAIN_BYTES_PER_KEY_GUARD,
+            );
+            check_guard("StatsAccumulator", k, acc_bytes, ACC_BYTES_PER_KEY_GUARD);
         }
         rows.push(Json::obj([
             ("id", Json::str(format!("wordcount/k{k}/w{STATE_WINDOW}"))),
@@ -191,6 +239,14 @@ fn state_rows(reps: usize) -> Vec<Json> {
             (
                 "bytes_per_live_key",
                 Json::lower(Json::Num(first.bytes_per_live_key)),
+            ),
+            (
+                "drain_alloc_bytes_per_live_key",
+                Json::lower(Json::Num(first.drain_bytes_per_live_key)),
+            ),
+            (
+                "accumulator_bytes_per_key",
+                Json::lower(Json::Num(acc_bytes)),
             ),
             ("reps", Json::Int(reps as u64)),
         ]));

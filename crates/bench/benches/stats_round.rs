@@ -55,9 +55,9 @@ use streambal_bench::json::{write_json, Json};
 use streambal_core::rebalance::FIRST_ROWS;
 use streambal_core::{
     needs_rebalance, rebalance_window, AssignmentFn, BalanceParams, IntervalStats, Key, KeyRecord,
-    KeyStat, Partitioner, RebalanceStrategy, StatsPlane, SETTLE_FRACTION,
+    KeyStat, Partitioner, RebalanceStrategy, StatsAccumulator, StatsPlane, SETTLE_FRACTION,
 };
-use streambal_hashring::{FxHashMap, FxHashSet};
+use streambal_hashring::FxHashSet;
 
 const N_TASKS: usize = 4;
 const WINDOW: usize = 5;
@@ -144,7 +144,7 @@ fn round_report(
     r: u64,
     hash: &AssignmentFn,
     shape: Shape,
-    tasks: &mut [FxHashMap<Key, KeyStat>],
+    tasks: &mut [StatsAccumulator],
 ) -> (IntervalStats, usize) {
     let before = live_bytes();
     let stats = round_stats(k, r, hash);
@@ -152,13 +152,13 @@ fn round_report(
         return (stats, live_bytes() - before);
     }
     for (key, s) in stats.iter() {
-        *tasks[hash.hash_route(key).index()].entry(key).or_default() += s;
+        tasks[hash.hash_route(key).index()].add(key, s.freq, s.mem);
     }
     drop(stats);
     let before = live_bytes();
     let mut report = IntervalStats::new();
     for task in tasks {
-        report.absorb(IntervalStats::seal(task));
+        report.absorb(task.seal());
     }
     (report, live_bytes() - before)
 }
@@ -176,7 +176,8 @@ struct Timed {
 /// `end_interval` calls.
 fn time_rounds(name: &str, k: u64, theta_max: f64, rounds: u64, shape: Shape) -> Timed {
     let hash = AssignmentFn::hash_only(N_TASKS);
-    let mut tasks = vec![FxHashMap::default(); N_TASKS];
+    // A round's cost is its tuple count: one unit per tuple.
+    let mut tasks = vec![StatsAccumulator::new(1); N_TASKS];
     let before = live_bytes();
     let mut p = partitioner(name, k, theta_max);
     let mut ms = Vec::new();

@@ -7,8 +7,9 @@
 //! ```
 //!
 //! and read [`live_bytes`] before and after building the structure they
-//! measure, or [`reset_peak`] before an operation and [`peak_bytes`]
-//! after it for the most it held at once. The count is of requested
+//! measure, [`reset_peak`] before an operation and [`peak_bytes`] after
+//! it for the most it held at once, or [`allocated_bytes`] around it for
+//! everything it asked for, freed or not. The count is of requested
 //! sizes (`Layout::size`), so for a fixed operation sequence it is exact
 //! and repeats run to run.
 
@@ -21,6 +22,9 @@ static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// The most heap bytes live at once since the last [`reset_peak`].
 static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 
+/// Heap bytes ever allocated by this process, frees not subtracted.
+static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
+
 /// Heap bytes currently allocated through [`CountingAlloc`].
 pub fn live_bytes() -> usize {
     LIVE_BYTES.load(Ordering::Relaxed)
@@ -31,23 +35,30 @@ pub fn peak_bytes() -> usize {
     PEAK_BYTES.load(Ordering::Relaxed)
 }
 
+/// Heap bytes ever allocated through [`CountingAlloc`]; a `realloc`
+/// counts the bytes it grew by.
+pub fn allocated_bytes() -> usize {
+    ALLOCATED_BYTES.load(Ordering::Relaxed)
+}
+
 /// Restarts [`peak_bytes`] from the bytes live now.
 pub fn reset_peak() {
     PEAK_BYTES.store(live_bytes(), Ordering::Relaxed);
 }
 
-/// Adds `bytes` to the live count and raises the peak to it. The peak is
-/// read before it is written, so an allocation below it costs no write
-/// to the shared line.
+/// Adds `bytes` to the live and allocated counts and raises the peak to
+/// the live count. The peak is read before it is written, so an
+/// allocation below it costs no write to the shared line.
 fn grow(bytes: usize) {
+    ALLOCATED_BYTES.fetch_add(bytes, Ordering::Relaxed);
     let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
     if live > PEAK_BYTES.load(Ordering::Relaxed) {
         PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
     }
 }
 
-/// Forwards to [`System`] and keeps [`live_bytes`] and [`peak_bytes`]
-/// current.
+/// Forwards to [`System`] and keeps [`live_bytes`], [`peak_bytes`] and
+/// [`allocated_bytes`] current.
 pub struct CountingAlloc;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds

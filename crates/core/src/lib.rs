@@ -64,6 +64,7 @@
 //! this crate alone, and `streambal-baselines` adds the two table-less
 //! competitors (shuffle, PKG) and the Readj planning function.
 
+pub mod cells;
 pub mod compact;
 pub mod discretize;
 pub mod key;
@@ -79,6 +80,7 @@ pub mod routing;
 pub mod simple;
 pub mod stats;
 
+pub use cells::Cells;
 pub use key::{Key, TaskId};
 pub use load::{
     balance_indicator, heavy_hitter, loads_of, max_skewness, needs_rebalance, skew_alert,
@@ -91,4 +93,4 @@ pub use rebalance::{
     RebalanceOutcome, RebalanceStrategy, Rebalancer, TriggerPolicy, SETTLE_FRACTION,
 };
 pub use routing::{next_live, AssignmentFn, RoutingTable};
-pub use stats::{IntervalStats, KeyRecord, KeyStat, StatsPlane, StatsWindow};
+pub use stats::{IntervalStats, KeyRecord, KeyStat, StatsAccumulator, StatsPlane, StatsWindow};

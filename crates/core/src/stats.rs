@@ -39,9 +39,12 @@
 //! # A report's way in
 //!
 //! An interval's statistics exist once on their way to the window: each
-//! worker **accumulates** into its own `FxHashMap<Key, KeyStat>`, kept
-//! for the whole run; at the interval boundary it **seals** the map into
-//! an exact-size shard sorted by key hash, keeping the map's capacity;
+//! worker **accumulates** into its own [`StatsAccumulator`], kept for the
+//! whole run, whose 16-byte entries hold a key's tuple count and state
+//! bytes at 32 bits each (widened exactly when a value needs more); at
+//! the interval boundary it **seals** the accumulator into an exact-size
+//! shard sorted by key hash, pricing each key at its tuple count times
+//! the accumulator's cost per tuple and keeping the table's capacity;
 //! the controller **absorbs** the workers' shards into one
 //! [`IntervalStats`] by moving them; and [`StatsWindow::push`] **folds**
 //! them shard by shard. A report is always such a list of sealed shards:
@@ -63,6 +66,7 @@ use std::collections::VecDeque;
 
 use streambal_hashring::{fx_hash_u64, FxHashMap};
 
+use crate::cells::{narrow_add, Cells};
 use crate::key::{Key, TaskId};
 use crate::llfd::{Criteria, Selection};
 use crate::load::LoadSummary;
@@ -111,15 +115,14 @@ fn order(key: Key) -> u64 {
 /// exactly the size it needs.
 type Shard = Box<[(Key, KeyStat)]>;
 
-/// `map`'s records as a list of at most one shard.
+/// `n` records of distinct keys as a list of at most one shard.
 ///
 /// A worker pays for this at every interval boundary, so it sorts in
 /// linear time: a counting sort on the top bits of [`order`], with one
 /// to two keys per bucket, then an insertion sort that only ever moves
 /// a key within its bucket (measured at 19 k keys: 0.4 ms, against
 /// 1.2 ms for a comparison sort even on precomputed hashes).
-fn seal_map(map: &FxHashMap<Key, KeyStat>) -> Vec<Shard> {
-    let n = map.len();
+fn seal_records(n: usize, records: impl Iterator<Item = (Key, KeyStat)> + Clone) -> Vec<Shard> {
     if n == 0 {
         return Vec::new();
     }
@@ -128,7 +131,7 @@ fn seal_map(map: &FxHashMap<Key, KeyStat>) -> Vec<Shard> {
     // `next[b]`: where bucket `b`'s next key goes. One reporter's keys
     // in one interval number far below 2³².
     let mut next = vec![0u32; 1 << bits];
-    for &key in map.keys() {
+    for (key, _) in records.clone() {
         next[bucket(key)] += 1;
     }
     let mut start = 0;
@@ -136,7 +139,7 @@ fn seal_map(map: &FxHashMap<Key, KeyStat>) -> Vec<Shard> {
         (*slot, start) = (start, start + *slot);
     }
     let mut shard = vec![(Key(0), KeyStat::default()); n].into_boxed_slice();
-    for (&key, &stat) in map {
+    for (key, stat) in records {
         let b = bucket(key);
         shard[next[b] as usize] = (key, stat);
         next[b] += 1;
@@ -151,18 +154,129 @@ fn seal_map(map: &FxHashMap<Key, KeyStat>) -> Vec<Shard> {
     vec![shard]
 }
 
+/// One reporter's statistics for the interval still open: per key, the
+/// tuples seen and the state bytes they wrote.
+///
+/// A worker keeps one for the whole run. It never stores a cost: every
+/// tuple costs the same `cost_per_tuple` CPU units, so a key's cost is
+/// its tuple count times that, computed when the accumulator is sealed.
+/// An entry is the key and a `(freq, mem)` pair of 32-bit cells — 16
+/// bytes where a `KeyStat` entry takes 32 — and the first sum that does
+/// not fit 32 bits widens the whole table to 64-bit cells, exactly, as a
+/// [`Cells`] column widens. A sealed accumulator is narrow again.
+#[derive(Debug, Clone)]
+pub struct StatsAccumulator {
+    cost_per_tuple: u64,
+    pairs: Pairs,
+}
+
+/// [`StatsAccumulator`]'s table at its current width.
+#[derive(Debug, Clone)]
+enum Pairs {
+    Narrow(FxHashMap<Key, [u32; 2]>),
+    Wide(FxHashMap<Key, [u64; 2]>),
+}
+
+impl StatsAccumulator {
+    /// An empty accumulator whose keys cost `cost_per_tuple` per tuple.
+    pub fn new(cost_per_tuple: u64) -> Self {
+        StatsAccumulator {
+            cost_per_tuple,
+            pairs: Pairs::Narrow(FxHashMap::default()),
+        }
+    }
+
+    /// Adds `freq` tuples of `key` that wrote `mem` state bytes.
+    #[inline]
+    pub fn add(&mut self, key: Key, freq: u64, mem: u64) {
+        let add = |cell: &mut [u64; 2]| {
+            cell[0] += freq;
+            cell[1] += mem;
+        };
+        match &mut self.pairs {
+            Pairs::Narrow(map) => {
+                let cell = map.entry(key).or_default();
+                match (narrow_add(cell[0], freq), narrow_add(cell[1], mem)) {
+                    (Some(f), Some(m)) => *cell = [f, m],
+                    _ => {
+                        let mut wide: FxHashMap<Key, [u64; 2]> = map
+                            .iter()
+                            .map(|(&k, &[f, m])| (k, [u64::from(f), u64::from(m)]))
+                            .collect();
+                        add(wide.entry(key).or_default());
+                        self.pairs = Pairs::Wide(wide);
+                    }
+                }
+            }
+            Pairs::Wide(map) => add(map.entry(key).or_default()),
+        }
+    }
+
+    /// Number of keys accumulated.
+    pub fn len(&self) -> usize {
+        match &self.pairs {
+            Pairs::Narrow(map) => map.len(),
+            Pairs::Wide(map) => map.len(),
+        }
+    }
+
+    /// True when nothing was accumulated.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Takes everything accumulated as a closing report and leaves the
+    /// accumulator empty with its capacity kept — a worker's interval
+    /// boundary, so the next interval fills the same table.
+    pub fn seal(&mut self) -> IntervalStats {
+        let sealed = self.peek();
+        match &mut self.pairs {
+            Pairs::Narrow(map) => map.clear(),
+            Pairs::Wide(map) => {
+                let narrow =
+                    FxHashMap::with_capacity_and_hasher(map.capacity(), Default::default());
+                self.pairs = Pairs::Narrow(narrow);
+            }
+        }
+        sealed
+    }
+
+    /// A report of what is accumulated so far, which stays as it is — a
+    /// worker's answer to a provisional peek.
+    pub fn peek(&self) -> IntervalStats {
+        let stat = |freq: u64, mem: u64| KeyStat::new(freq, freq * self.cost_per_tuple, mem);
+        let shards = match &self.pairs {
+            Pairs::Narrow(map) => seal_records(
+                map.len(),
+                map.iter()
+                    .map(|(&k, &[f, m])| (k, stat(u64::from(f), u64::from(m)))),
+            ),
+            Pairs::Wide(map) => {
+                seal_records(map.len(), map.iter().map(|(&k, &[f, m])| (k, stat(f, m))))
+            }
+        };
+        IntervalStats {
+            shards,
+            provisional: false,
+        }
+    }
+}
+
 /// All key statistics reported for one interval by the downstream tasks:
 /// a list of sealed shards, each sorted by key hash.
 ///
 /// A report lives through four steps, and each interval's statistics
 /// exist once at every step:
 ///
-/// 1. **accumulate** — a worker keeps one `FxHashMap<Key, KeyStat>` for
-///    the whole run and adds every tuple's measurements to it;
-/// 2. **seal** — at an interval boundary [`seal`](IntervalStats::seal)
-///    moves the map's records into an exact-size shard sorted in hash
-///    order and clears the map, capacity kept (a provisional peek takes
-///    a [`sealed_copy`](IntervalStats::sealed_copy) instead);
+/// 1. **accumulate** — a worker keeps one [`StatsAccumulator`] for the
+///    whole run and adds every run of same-key tuples to it: a 32-bit
+///    tuple count and a 32-bit state size per key, widened only when a
+///    sum needs 64 bits;
+/// 2. **seal** — at an interval boundary [`StatsAccumulator::seal`]
+///    moves its records, each key's cost computed as its tuple count
+///    times the cost per tuple, into an exact-size shard sorted in hash
+///    order and clears the table, capacity kept (a provisional peek takes
+///    a [`StatsAccumulator::peek`] copy instead);
 /// 3. **absorb** — the controller collects the workers' reports with
 ///    [`absorb`](IntervalStats::absorb), which moves their shards in: no
 ///    merge map, no copy;
@@ -211,24 +325,6 @@ impl IntervalStats {
     /// Whether this is a provisional report.
     pub fn is_provisional(&self) -> bool {
         self.provisional
-    }
-
-    /// Takes everything `acc` accumulated as a closing report and leaves
-    /// it empty with its capacity kept — a worker's interval boundary, so
-    /// the next interval fills the same table.
-    pub fn seal(acc: &mut FxHashMap<Key, KeyStat>) -> IntervalStats {
-        let sealed = IntervalStats::sealed_copy(acc);
-        acc.clear();
-        sealed
-    }
-
-    /// A report of what `acc` holds, which is left as it is — a worker's
-    /// answer to a provisional peek.
-    pub fn sealed_copy(acc: &FxHashMap<Key, KeyStat>) -> IntervalStats {
-        IntervalStats {
-            shards: seal_map(acc),
-            provisional: false,
-        }
     }
 
     /// Adds another report's statistics to this one (e.g. the per-task
@@ -325,11 +421,14 @@ impl Iterator for Iter<'_> {
 /// Sums repeated keys and seals the result as one shard.
 impl FromIterator<(Key, KeyStat)> for IntervalStats {
     fn from_iter<T: IntoIterator<Item = (Key, KeyStat)>>(iter: T) -> Self {
-        let mut acc = FxHashMap::default();
+        let mut acc: FxHashMap<Key, KeyStat> = FxHashMap::default();
         for (key, stat) in iter {
             *acc.entry(key).or_default() += stat;
         }
-        IntervalStats::sealed_copy(&acc)
+        IntervalStats {
+            shards: seal_records(acc.len(), acc.iter().map(|(&k, &s)| (k, s))),
+            provisional: false,
+        }
     }
 }
 
@@ -389,41 +488,9 @@ fn resolve(key: Key, f: &AssignmentFn) -> (TaskId, TaskId) {
 #[derive(Debug, Clone)]
 struct Delta {
     rows: Vec<u32>,
-    mems: Mems,
-}
-
-/// Per-row state bytes of one interval, parallel to [`Delta::rows`]. An
-/// interval whose every `sᵢ(k)` fits 32 bits — any realistic one —
-/// stores them at four bytes each; the first value that does not widens
-/// the whole vector, so sums stay exact for arbitrary `u64` reports.
-#[derive(Debug, Clone)]
-enum Mems {
-    Narrow(Vec<u32>),
-    Wide(Vec<u64>),
-}
-
-impl Mems {
-    fn push(&mut self, mem: u64) {
-        match self {
-            Mems::Narrow(v) => match u32::try_from(mem) {
-                Ok(m) => v.push(m),
-                Err(_) => {
-                    let mut wide = Vec::with_capacity(v.capacity());
-                    wide.extend(v.iter().map(|&m| u64::from(m)));
-                    wide.push(mem);
-                    *self = Mems::Wide(wide);
-                }
-            },
-            Mems::Wide(v) => v.push(mem),
-        }
-    }
-
-    fn get(&self, i: usize) -> u64 {
-        match self {
-            Mems::Narrow(v) => u64::from(v[i]),
-            Mems::Wide(v) => v[i],
-        }
-    }
+    /// Per-row state bytes, parallel to `rows`: four bytes each in an
+    /// interval whose every `sᵢ(k)` fits 32 bits — any realistic one.
+    mems: Cells,
 }
 
 /// The `Key → row` index: an open-addressed table (linear probing,
@@ -666,7 +733,7 @@ impl StatsWindow {
         self.index.reserve(held);
         let mut delta = Delta {
             rows: Vec::with_capacity(held),
-            mems: Mems::Narrow(Vec::with_capacity(held)),
+            mems: Cells::with_capacity(held),
         };
         // Shard by shard, each one a front-to-back sweep of the index. A
         // key several shards name adds up in its row: no row carries the
@@ -1136,15 +1203,53 @@ mod tests {
     #[test]
     fn merge_adds_shards() {
         let mut a = report(&[(1, 1, 5, 0)]);
-        let mut acc: FxHashMap<Key, KeyStat> = FxHashMap::default();
-        acc.insert(k(1), KeyStat::new(1, 5, 0));
-        acc.insert(k(2), KeyStat::new(1, 7, 0));
-        a.absorb(IntervalStats::seal(&mut acc));
+        let mut acc = StatsAccumulator::new(5);
+        acc.add(k(1), 1, 0);
+        acc.add(k(2), 1, 3);
+        acc.add(k(2), 2, 4);
+        a.absorb(acc.seal());
         assert!(acc.is_empty(), "sealing empties the accumulator");
         assert_eq!(a.get(k(1)).unwrap().cost, 10);
-        assert_eq!(a.get(k(2)).unwrap().cost, 7);
+        assert_eq!(a.get(k(2)), Some(KeyStat::new(3, 15, 7)));
         assert_eq!(a.len(), 2);
-        assert_eq!(a.total_cost(), 17);
+        assert_eq!(a.total_cost(), 25);
+    }
+
+    /// A key's tuple count and state bytes crossing `u32::MAX` widen the
+    /// accumulator and read back exactly: in the sealed report and in a
+    /// peek, for the key that crossed and for every other key; sealing
+    /// leaves it narrow and empty.
+    #[test]
+    fn accumulator_is_exact_past_32_bits() {
+        const BIG: u64 = u32::MAX as u64;
+        for (freq, mem) in [(BIG, 1), (1, BIG), (BIG, BIG)] {
+            let mut acc = StatsAccumulator::new(3);
+            acc.add(k(1), 1, 8);
+            acc.add(k(2), freq, mem);
+            assert!(matches!(acc.pairs, Pairs::Narrow(_)), "u32::MAX still fits");
+            acc.add(k(2), 1, 1);
+            assert!(matches!(acc.pairs, Pairs::Wide(_)));
+            acc.add(k(2), BIG, BIG);
+            acc.add(k(3), 2, 16);
+            let want = [
+                (k(1), KeyStat::new(1, 3, 8)),
+                (
+                    k(2),
+                    KeyStat::new(freq + 1 + BIG, 3 * (freq + 1 + BIG), mem + 1 + BIG),
+                ),
+                (k(3), KeyStat::new(2, 6, 16)),
+            ];
+            for report in [acc.peek(), acc.seal()] {
+                for (key, stat) in want {
+                    assert_eq!(report.get(key), Some(stat));
+                }
+                assert_eq!(report.len(), 3);
+            }
+            assert!(acc.is_empty());
+            assert!(matches!(acc.pairs, Pairs::Narrow(_)), "sealed is narrow");
+            acc.add(k(1), 1, 1);
+            assert_eq!(acc.seal().get(k(1)), Some(KeyStat::new(1, 3, 1)));
+        }
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Property tests on the statistics report: a report absorbed from sealed
-//! shards reads like a merged map of the same observations, and folds
-//! into the window exactly like one shard collected from them.
+//! worker accumulators reads like a merged map of the same observations,
+//! and folds into the window exactly like one shard collected from them.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use streambal_core::{AssignmentFn, IntervalStats, Key, KeyStat, StatsWindow};
-use streambal_hashring::FxHashMap;
+use streambal_core::{AssignmentFn, IntervalStats, Key, KeyStat, StatsAccumulator, StatsWindow};
 
 const DOMAIN: u64 = 40;
 const TASKS: usize = 3;
+/// CPU units per tuple: a worker's accumulator prices every key at its
+/// tuple count times this.
+const COST_PER_TUPLE: u64 = 3;
 
-/// One observation: `(key, freq, cost, mem, shard)`.
-type Obs = (u64, u64, u64, u64, usize);
+/// One observation: `(key, freq, mem, shard, huge)`; `huge == 0` (one in
+/// sixteen) adds 2³² to the state bytes, so sums cross 32 bits.
+type Obs = (u64, u64, u64, usize, u8);
 
 /// A shard count of one to five and observations spread over them; keys
 /// repeat within and across shards.
@@ -20,13 +23,14 @@ fn arb_observations() -> impl Strategy<Value = (usize, Vec<Obs>)> {
     (1usize..=5).prop_flat_map(|shards| {
         (
             Just(shards),
-            proptest::collection::vec((0..DOMAIN, 1u64..5, 0u64..50, 0u64..30, 0..shards), 0..120),
+            proptest::collection::vec((0..DOMAIN, 1u64..5, 0u64..30, 0..shards, 0u8..16), 0..120),
         )
     })
 }
 
-fn stat(&(_, freq, cost, mem, _): &Obs) -> KeyStat {
-    KeyStat::new(freq, cost, mem)
+fn stat(&(_, freq, mem, _, huge): &Obs) -> KeyStat {
+    let mem = mem + (u64::from(huge == 0) << 32);
+    KeyStat::new(freq, freq * COST_PER_TUPLE, mem)
 }
 
 /// The oracle: every observation summed per key.
@@ -44,19 +48,20 @@ fn collected(obs: &[Obs]) -> IntervalStats {
 }
 
 /// The observations as per-shard worker accumulators, sealed and absorbed
-/// into one report. Odd shards answer with a sealed copy, as a
+/// into one report. Odd shards answer with a peek copy, as a
 /// provisional peek does.
 fn sharded(shards: usize, obs: &[Obs]) -> IntervalStats {
-    let mut accs = vec![FxHashMap::<Key, KeyStat>::default(); shards];
+    let mut accs = vec![StatsAccumulator::new(COST_PER_TUPLE); shards];
     for o in obs {
-        *accs[o.4].entry(Key(o.0)).or_default() += stat(o);
+        let s = stat(o);
+        accs[o.3].add(Key(o.0), s.freq, s.mem);
     }
     let mut report = IntervalStats::new();
     for (i, acc) in accs.iter_mut().enumerate() {
         if i % 2 == 1 {
-            report.absorb(IntervalStats::sealed_copy(acc));
+            report.absorb(acc.peek());
         } else {
-            report.absorb(IntervalStats::seal(acc));
+            report.absorb(acc.seal());
             assert!(acc.is_empty(), "sealing empties the accumulator");
         }
     }

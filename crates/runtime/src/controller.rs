@@ -2258,7 +2258,7 @@ mod protocol_tests {
 
     use crossbeam::channel::unbounded;
     use streambal_baselines::storm;
-    use streambal_core::KeyStat;
+    use streambal_core::{KeyStat, StatsAccumulator};
     use streambal_elastic::{
         FixedSchedule, FixedSplitSchedule, HotKeyPolicy, ScaleDecision, ScaleEvent, SplitEvent,
         SplitPolicy,
@@ -3088,17 +3088,17 @@ mod protocol_tests {
 
     /// Worker `w`'s accumulator: `hot` at `cost` (when non-zero) plus
     /// one key of its own.
-    fn accumulated(w: usize, hot: Key, cost: u64) -> FxHashMap<Key, KeyStat> {
-        let mut acc = FxHashMap::default();
-        acc.insert(Key(1_000 + w as u64), KeyStat::new(1, 1, 1));
+    fn accumulated(w: usize, hot: Key, cost: u64) -> StatsAccumulator {
+        let mut acc = StatsAccumulator::new(1);
+        acc.add(Key(1_000 + w as u64), 1, 1);
         if cost > 0 {
-            acc.insert(hot, KeyStat::new(cost, cost, 8));
+            acc.add(hot, cost, 8);
         }
         acc
     }
 
     fn sealed_report(w: usize, hot: Key, cost: u64) -> IntervalStats {
-        IntervalStats::seal(&mut accumulated(w, hot, cost))
+        accumulated(w, hot, cost).seal()
     }
 
     fn stats_event(w: usize, interval: u64, stats: IntervalStats) -> WorkerEvent {
@@ -3170,7 +3170,7 @@ mod protocol_tests {
         let hot = Key(7);
         close_round(&mut ctl, 0);
         ctl.on_source(alert(1));
-        let accs: Vec<FxHashMap<Key, KeyStat>> = [5, 0, 30]
+        let accs: Vec<StatsAccumulator> = [5, 0, 30]
             .into_iter()
             .enumerate()
             .map(|(w, cost)| accumulated(w, hot, cost))
@@ -3179,7 +3179,7 @@ mod protocol_tests {
             ctl.on_worker(WorkerEvent::StatsPeek {
                 worker: TaskId::from(w),
                 interval: 1,
-                stats: IntervalStats::sealed_copy(acc),
+                stats: acc.peek(),
             });
         }
         let early = ctl.early.as_ref().expect("settled only by a tick");

@@ -2,14 +2,18 @@
 //!
 //! Operators hold *windowed* per-key state (the last `w` intervals, paper
 //! §II-A), evicted at interval boundaries, and serialize a key's state to
-//! little-endian `u64` sequences for migration — the byte counts are what
-//! the migration-cost metric measures. The window has two layouts:
+//! a little-endian blob for migration — the byte counts are what the
+//! migration-cost metric measures. The joins' blobs are `u64` sequences;
+//! a word count's is a width tag and then `(interval, count)` pairs of
+//! 32-bit values, or of 64-bit ones when a value needs them. The window
+//! has two layouts:
 //!
-//! * [`WordCountOp`] holds one `u64` count per (key, interval), so its
-//!   window is a dense table: one row per live key and one count column
-//!   per retained interval. A tuple is one hash probe and one indexed
-//!   add; eviction pops whole columns. Its docs give the bytes per key
-//!   and the trade-off.
+//! * [`WordCountOp`] holds one count per (key, interval), so its window
+//!   is a dense table: one row per live key and one count column per
+//!   retained interval, each a `streambal_core::Cells` column of 32-bit
+//!   cells that widens exactly if a count passes `u32::MAX`. A tuple is
+//!   one hash probe and one indexed add; eviction pops whole columns. Its
+//!   docs give the bytes per key and the trade-off.
 //! * The joins ([`WindowedSelfJoinOp`], [`CoJoinOp`]) keep per-key
 //!   `Slots`: `(interval, payload)` entries in interval order. A join's
 //!   payload is a list of stored tuples whose length varies by key and
@@ -19,7 +23,7 @@
 use std::collections::VecDeque;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use streambal_core::Key;
+use streambal_core::{Cells, Key};
 use streambal_hashring::FxHashMap;
 
 use crate::tuple::{Tuple, TAG_PARTIAL, TAG_RIGHT};
@@ -130,6 +134,10 @@ fn evict_slots<T>(state: &mut FxHashMap<Key, Slots<T>>, oldest_keep: u64) {
 /// table's tails.
 const DRAIN_STEP: usize = 4096;
 
+/// The largest word-count blob encoded on the stack: a tag and 32 wide
+/// cells, far more than the `w + 1` columns a worker keeps.
+const STACK_BLOB: usize = 1 + 32 * 16;
+
 /// A key's row in [`WordCountOp`]'s columns.
 #[derive(Debug)]
 struct Row {
@@ -143,8 +151,10 @@ struct Row {
 /// retained in memory for `w` intervals.
 ///
 /// The window is a table: one row per live key (`index` maps a key to
-/// its row) and one dense `u64` count column per retained interval, in
-/// interval order, each as long as the row table.
+/// its row) and one dense count column per retained interval, in
+/// interval order, each as long as the row table. A column is a
+/// [`Cells`]: 4-byte counts, widened exactly to 8 bytes for the whole
+/// column when one passes `u32::MAX`.
 ///
 /// * A tuple costs one index probe and one indexed add into the newest
 ///   column.
@@ -152,16 +162,21 @@ struct Row {
 ///   popped column frees the rows left without a non-zero cell (a freed
 ///   row is clean, all zeros, and goes to a free list for the next new
 ///   key), and the popped buffer becomes the next interval's column.
+/// * `extract` and `drain` serialize a row as one width byte, 4 or 8,
+///   then its non-zero cells in interval order as `(interval, count)`
+///   pairs of that many bytes each: 8-byte pairs when every interval and
+///   count fits 32 bits, 16-byte pairs otherwise. A blob is encoded on
+///   the stack and copied once into its shared buffer.
 /// * `drain` (shutdown, retire) serializes from the last row up and
 ///   hands the table back as it goes, so the blobs reuse its memory: a
 ///   draining worker holds about one copy of its state, not the table
 ///   and every blob at once.
 /// * A live key costs its index entry, its row (key and non-zero cell
-///   count, 16 B) and one 8-byte cell per retained interval: the engine
-///   bench's keyed-stage group measures 105 B of heap per live key at
-///   `K = 2·10⁵`, `w = 5`, half of a hash entry plus a per-key deque of
-///   `(interval, count)` slots (220 B).
-/// * The trade-off: a cell costs its 8 B whether or not the key occurred
+///   count, 16 B) and one 4-byte cell per retained interval: the engine
+///   bench's keyed-stage group measures 81 B of heap per live key at
+///   `K = 2·10⁵`, `w = 5`, against 220 B for a hash entry plus a per-key
+///   deque of `(interval, count)` slots.
+/// * The trade-off: a cell costs its 4 B whether or not the key occurred
 ///   in that interval, so the layout pays off when live keys recur
 ///   across the window, as they do on the benchmark's `wide` workload
 ///   (≈ 76 k live keys, ≈ 76 k reported every round). A key seen once
@@ -180,9 +195,9 @@ pub struct WordCountOp {
     free: Vec<usize>,
     /// `(interval, counts by row)` in ascending interval order; every
     /// column is `rows.len()` long.
-    cols: VecDeque<(u64, Vec<u64>)>,
+    cols: VecDeque<(u64, Cells)>,
     /// The last evicted column's buffer, for the next column opened.
-    spare: Vec<u64>,
+    spare: Cells,
     bytes_per_tuple: u64,
     partial_period: Option<u64>,
     since_flush: u64,
@@ -197,7 +212,7 @@ impl WordCountOp {
             rows: Vec::new(),
             free: Vec::new(),
             cols: VecDeque::new(),
-            spare: Vec::new(),
+            spare: Cells::new(),
             bytes_per_tuple: 8,
             partial_period: None,
             since_flush: 0,
@@ -219,7 +234,7 @@ impl WordCountOp {
     }
 
     fn row_sum(&self, row: usize) -> u64 {
-        self.cols.iter().map(|(_, col)| col[row]).sum()
+        self.cols.iter().map(|(_, col)| col.get(row)).sum()
     }
 
     /// `key`'s row, taking a free one (or growing every column) if the
@@ -257,34 +272,51 @@ impl WordCountOp {
         let at = self.cols.partition_point(|&(iv, _)| iv < interval);
         if self.cols.get(at).is_none_or(|&(iv, _)| iv != interval) {
             let mut col = std::mem::take(&mut self.spare);
-            col.resize(self.rows.len(), 0);
+            col.resize(self.rows.len());
             self.cols.insert(at, (interval, col));
         }
         at
     }
 
     /// Serializes `row`'s `cells` non-zero cells in interval order,
-    /// zeroing them.
+    /// zeroing them: a width byte, then `(interval, count)` pairs of that
+    /// many bytes each.
     fn take_blob(&mut self, row: usize, cells: u32) -> Bytes {
-        let mut buf = BytesMut::with_capacity(cells as usize * 16);
+        let wide = self.cols.iter().any(|(iv, col)| {
+            let c = col.get(row);
+            c != 0 && c.max(*iv) > u64::from(u32::MAX)
+        });
+        let width = if wide { 8 } else { 4 };
+        let len = 1 + cells as usize * 2 * width;
+        let mut stack = [0u8; STACK_BLOB];
+        let mut heap = Vec::new();
+        let buf = if len <= STACK_BLOB {
+            &mut stack[..len]
+        } else {
+            heap.resize(len, 0);
+            &mut heap[..]
+        };
+        buf[0] = width as u8;
+        let mut at = 1;
         for (iv, col) in self.cols.iter_mut() {
-            let c = std::mem::take(&mut col[row]);
+            let c = col.take(row);
             if c != 0 {
-                buf.put_u64_le(*iv);
-                buf.put_u64_le(c);
+                for v in [*iv, c] {
+                    buf[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
+                    at += width;
+                }
             }
         }
-        buf.freeze()
+        debug_assert_eq!(at, len, "`cells` counts the row's non-zero cells");
+        Bytes::copy_from_slice(buf)
     }
 
     /// Adds `n > 0` to `row`'s cell for `interval`.
     fn add(&mut self, row: usize, interval: u64, n: u64) {
         let col = self.column(interval);
-        let cell = &mut self.cols[col].1[row];
-        if *cell == 0 {
+        if self.cols[col].1.add(row, n) == n {
             self.rows[row].cells += 1;
         }
-        *cell += n;
     }
 
     fn flush_partials(&mut self, emit: &mut dyn FnMut(Tuple)) {
@@ -294,15 +326,27 @@ impl WordCountOp {
         self.since_flush = 0;
     }
 
+    /// A blob's `(interval, count)` cells, in the width its tag names. A
+    /// blob with no tag — an absent key's — holds none.
+    fn cells(blob: &Bytes) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let (width, body) = match blob.split_first() {
+            Some((&w, body)) if w == 4 || w == 8 => (usize::from(w), body),
+            _ => (8, &[][..]),
+        };
+        body.chunks_exact(2 * width).map(move |pair| {
+            let value = |b: &[u8]| {
+                let mut le = [0u8; 8];
+                le[..width].copy_from_slice(b);
+                u64::from_le_bytes(le)
+            };
+            (value(&pair[..width]), value(&pair[width..]))
+        })
+    }
+
     /// Decodes a serialized blob into `(interval, count)` slots (tests and
     /// validation).
     pub fn decode(blob: &Bytes) -> Vec<(u64, u64)> {
-        let mut buf = blob.clone();
-        let mut out = Vec::new();
-        while buf.remaining() >= 16 {
-            out.push((buf.get_u64_le(), buf.get_u64_le()));
-        }
-        out
+        Self::cells(blob).collect()
     }
 }
 
@@ -340,9 +384,8 @@ impl Operator for WordCountOp {
 
     /// Merges by interval; a blob with no non-zero count adds nothing.
     fn install(&mut self, key: Key, blob: Bytes) {
-        let mut slots = Self::decode(&blob);
-        slots.retain(|&(_, c)| c != 0);
-        if slots.is_empty() {
+        let mut slots = Self::cells(&blob).filter(|&(_, c)| c != 0).peekable();
+        if slots.peek().is_none() {
             return;
         }
         let row = self.row(key);
@@ -362,7 +405,7 @@ impl Operator for WordCountOp {
         } = self;
         let stale = cols.partition_point(|&(iv, _)| iv < oldest_keep);
         for (_, mut col) in cols.drain(..stale) {
-            for (row, &c) in col.iter().enumerate() {
+            for (row, c) in col.iter().enumerate() {
                 if c != 0 {
                     let r = &mut rows[row];
                     r.cells -= 1;
@@ -403,7 +446,7 @@ impl Operator for WordCountOp {
             }
         }
         self.cols.clear();
-        self.spare = Vec::new();
+        self.spare = Cells::new();
         out.sort_unstable_by_key(|&(k, _)| k);
         out
     }
@@ -422,7 +465,7 @@ impl Operator for WordCountOp {
     }
 
     fn tuples_in_blob(&self, blob: &Bytes) -> u64 {
-        Self::decode(blob).iter().map(|&(_, c)| c).sum()
+        Self::cells(blob).map(|(_, c)| c).sum()
     }
 }
 
@@ -705,6 +748,153 @@ mod tests {
         // Single merged slot, not two.
         let blob2 = b.extract(Key(1)).unwrap();
         assert_eq!(WordCountOp::decode(&blob2), vec![(5, 2)]);
+    }
+
+    /// A hand-built word-count blob: `width` bytes per value.
+    fn blob(width: usize, cells: &[(u64, u64)]) -> Bytes {
+        let mut buf = vec![width as u8];
+        for &(iv, c) in cells {
+            buf.extend_from_slice(&iv.to_le_bytes()[..width]);
+            buf.extend_from_slice(&c.to_le_bytes()[..width]);
+        }
+        Bytes::from(buf)
+    }
+
+    #[test]
+    fn word_count_blob_cells_are_eight_bytes_while_they_fit() {
+        let mut op = WordCountOp::new();
+        let mut sink = no_emit();
+        for iv in [2u64, 3, 3] {
+            op.process(&Tuple::keyed(Key(4)), iv, &mut sink);
+        }
+        let b = op.extract(Key(4)).unwrap();
+        assert_eq!(b.len(), 1 + 2 * 8);
+        assert_eq!(b, blob(4, &[(2, 1), (3, 2)]));
+        assert_eq!(op.tuples_in_blob(&b), 3);
+        assert_eq!(WordCountOp::decode(&Bytes::new()), vec![]);
+    }
+
+    /// A count or an interval past `u32::MAX` — installed from a wide
+    /// blob, or reached by counting one past it — reads back exactly
+    /// everywhere: `count_of`, `held_counts`, `extract` → `install`,
+    /// `decode` and `tuples_in_blob`. Only a row that needs 16-byte cells
+    /// ships them.
+    #[test]
+    fn word_count_is_exact_past_32_bits() {
+        const BIG: u64 = u32::MAX as u64;
+        let mut op = WordCountOp::new();
+        let mut sink = no_emit();
+        op.install(Key(1), blob(8, &[(3, BIG + 5)]));
+        op.install(Key(2), blob(4, &[(3, 7), (4, BIG)]));
+        op.process(&Tuple::keyed(Key(2)), 4, &mut sink);
+        op.install(Key(3), blob(8, &[(BIG + 1, 2)]));
+        op.process(&Tuple::keyed(Key(4)), 4, &mut sink);
+        let mut held = op.held_counts();
+        held.sort_unstable();
+        let want = [
+            (Key(1), BIG + 5),
+            (Key(2), BIG + 8),
+            (Key(3), 2),
+            (Key(4), 1),
+        ];
+        assert_eq!(held, want);
+        for (key, count) in want {
+            assert_eq!(op.count_of(key), count);
+        }
+        let mut moved = WordCountOp::new();
+        for (key, count) in want {
+            let b = op.extract(key).unwrap();
+            assert_eq!(moved.tuples_in_blob(&b), count);
+            moved.install(key, b);
+        }
+        let drained = moved.drain();
+        let decoded: Vec<Vec<(u64, u64)>> = drained
+            .iter()
+            .map(|(_, b)| WordCountOp::decode(b))
+            .collect();
+        assert_eq!(
+            decoded,
+            [
+                vec![(3, BIG + 5)],
+                vec![(3, 7), (4, BIG + 1)],
+                vec![(BIG + 1, 2)],
+                vec![(4, 1)],
+            ]
+        );
+        let widths: Vec<u8> = drained.iter().map(|(_, b)| b[0]).collect();
+        assert_eq!(widths, [8, 8, 8, 4]);
+    }
+
+    /// A row with more cells than the stack buffer holds (a long window
+    /// or installed history) serializes the same way.
+    #[test]
+    fn word_count_blob_past_the_stack_buffer_round_trips() {
+        let cells: Vec<(u64, u64)> = (0..70).map(|iv| (iv, iv + 1)).collect();
+        let mut op = WordCountOp::new();
+        op.install(Key(5), blob(4, &cells));
+        let b = op.extract(Key(5)).unwrap();
+        assert!(b.len() > STACK_BLOB);
+        assert_eq!(b, blob(4, &cells));
+        let wide: Vec<(u64, u64)> = (0..40).map(|iv| (iv, u64::MAX - iv)).collect();
+        op.install(Key(6), blob(8, &wide));
+        let b = op.extract(Key(6)).unwrap();
+        assert!(b.len() > STACK_BLOB);
+        assert_eq!(WordCountOp::decode(&b), wide);
+    }
+
+    /// Seeded round trips: random rows of narrow and wide cells,
+    /// installed in pieces and counted on top, extract to a blob that
+    /// decodes to their per-interval sums — in the narrowest width that
+    /// holds them — and re-installs to the same counts.
+    #[test]
+    fn word_count_blob_round_trips_narrow_and_wide() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const BIG: u64 = u32::MAX as u64;
+        let mut sink = no_emit();
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut op = WordCountOp::new();
+            let mut want: std::collections::BTreeMap<u64, u64> = Default::default();
+            for _ in 0..rng.gen_range(1..6u32) {
+                let cells: Vec<(u64, u64)> = (0..rng.gen_range(1..5u32))
+                    .map(|_| {
+                        let iv = match rng.gen_range(0..8u32) {
+                            0 => BIG + rng.gen_range(0..3u64),
+                            _ => rng.gen_range(0..6u64),
+                        };
+                        let count = match rng.gen_range(0..4u32) {
+                            0 => BIG - rng.gen_range(0..3u64),
+                            _ => rng.gen_range(1..20u64),
+                        };
+                        (iv, count)
+                    })
+                    .collect();
+                let fits = cells.iter().all(|&(iv, c)| iv <= BIG && c <= BIG);
+                let width = if fits && rng.gen_bool(0.5) { 4 } else { 8 };
+                for &(iv, c) in &cells {
+                    *want.entry(iv).or_default() += c;
+                }
+                op.install(Key(9), blob(width, &cells));
+                for _ in 0..rng.gen_range(0..3u32) {
+                    let iv = rng.gen_range(0..6u64);
+                    op.process(&Tuple::keyed(Key(9)), iv, &mut sink);
+                    *want.entry(iv).or_default() += 1;
+                }
+            }
+            let want: Vec<(u64, u64)> = want.into_iter().collect();
+            let total: u64 = want.iter().map(|&(_, c)| c).sum();
+            assert_eq!(op.count_of(Key(9)), total, "seed {seed}");
+            let b = op.extract(Key(9)).unwrap();
+            let narrow = want.iter().all(|&(iv, c)| iv <= BIG && c <= BIG);
+            assert_eq!(b[0], if narrow { 4 } else { 8 }, "seed {seed}");
+            assert_eq!(b.len(), 1 + want.len() * 2 * usize::from(b[0]));
+            assert_eq!(WordCountOp::decode(&b), want, "seed {seed}");
+            assert_eq!(op.tuples_in_blob(&b), total);
+            let mut back = WordCountOp::new();
+            back.install(Key(9), b.clone());
+            assert_eq!(back.count_of(Key(9)), total);
+            assert_eq!(back.extract(Key(9)), Some(b), "seed {seed}");
+        }
     }
 
     #[test]

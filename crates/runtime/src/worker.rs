@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
-use streambal_core::{IntervalStats, Key, KeyStat, TaskId};
+use streambal_core::{Key, StatsAccumulator, TaskId};
 use streambal_hashring::FxHashMap;
 use streambal_metrics::{Counter, Histogram};
 use streambal_trace::{ThreadLabel, ThreadRecorder, TraceSink};
@@ -182,7 +182,7 @@ pub(crate) struct Worker {
     returns: Vec<Vec<Tuple>>,
     /// The open interval's statistics: one accumulator for the whole
     /// run, sealed at every interval boundary with its capacity kept.
-    stats: FxHashMap<Key, KeyStat>,
+    stats: StatsAccumulator,
     /// Interval-scoped latency: recorded per tuple, shipped with each
     /// stats report (the controller merges workers into the interval's
     /// mean/p99 observation), folded into the lifetime histogram at every
@@ -218,9 +218,10 @@ impl Worker {
             faulty: !wiring.injector.is_passive(),
             recorder: wiring.sink.recorder(ThreadLabel::Worker(id.index() as u32)),
             emitter: BatchEmitter::new(wiring.collector.take(), wiring.emit_batch),
+            // Every tuple costs its spin plus one unit.
+            stats: StatsAccumulator::new(u64::from(wiring.spin_work) + 1),
             wiring,
             returns: Vec::with_capacity(RETURN_GROUP),
-            stats: FxHashMap::default(),
             iv_latency: Box::default(),
             totals: WorkerTotals::default(),
             current_interval: start_interval,
@@ -258,7 +259,6 @@ impl Worker {
         // interval map is cache-resident while the scratch doubles the
         // hashing.)
         let (spin_work, interval) = (self.wiring.spin_work, self.current_interval);
-        let cost_per = spin_work as u64 + 1;
         let mut run: Option<(Key, u64, u64)> = None; // key, freq, mem
         for t in batch.iter() {
             spin(spin_work);
@@ -270,14 +270,14 @@ impl Worker {
                 }
                 other => {
                     if let Some((k, freq, m)) = other.take() {
-                        *self.stats.entry(k).or_default() += KeyStat::new(freq, freq * cost_per, m);
+                        self.stats.add(k, freq, m);
                     }
                     *other = Some((t.key, 1, mem));
                 }
             }
         }
         if let Some((k, freq, m)) = run {
-            *self.stats.entry(k).or_default() += KeyStat::new(freq, freq * cost_per, m);
+            self.stats.add(k, freq, m);
         }
         // One monotonic-clock read per batch, taken *after* the drain so
         // recorded latencies include the batch's own processing (reading
@@ -324,8 +324,8 @@ impl Worker {
         }
         self.flush();
         // The next interval reports about as many keys: it refills the
-        // map the sealed report leaves behind, already sized.
-        let out = IntervalStats::seal(&mut self.stats);
+        // table the sealed report leaves behind, already sized.
+        let out = self.stats.seal();
         // Fold the interval's latency into the lifetime total, then ship
         // the interval histogram with the report.
         self.totals.latency.merge(&self.iv_latency);
@@ -358,7 +358,7 @@ impl Worker {
         let _ = self.wiring.events.send(WorkerEvent::StatsPeek {
             worker: self.id,
             interval,
-            stats: IntervalStats::sealed_copy(&self.stats),
+            stats: self.stats.peek(),
         });
         Step::Continue(())
     }
@@ -462,7 +462,7 @@ impl Worker {
                 lost.sort_unstable_by_key(|&(k, _)| k);
                 WorkerExit::Killed {
                     lost,
-                    stats: IntervalStats::seal(&mut self.stats),
+                    stats: self.stats.seal(),
                     rx: self.rx,
                 }
             }
@@ -471,7 +471,7 @@ impl Worker {
             End::Retired { epoch } => WorkerExit::Retired {
                 epoch,
                 states: self.drain(),
-                stats: IntervalStats::seal(&mut self.stats),
+                stats: self.stats.seal(),
                 rx: self.rx,
             },
             End::Drained => WorkerExit::Drained {

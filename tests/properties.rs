@@ -208,12 +208,20 @@ impl CountModel {
         self.slots(key).iter().map(|&(_, c)| c).sum()
     }
 
-    /// The blob format: `(interval, count)` as little-endian `u64` pairs.
+    /// The blob format: a width byte, 4 when every interval and count
+    /// fits 32 bits and 8 otherwise, then `(interval, count)` pairs of
+    /// little-endian values that many bytes wide.
     fn blob(slots: &[(u64, u64)]) -> Vec<u8> {
-        slots
+        let fits = slots
             .iter()
-            .flat_map(|&(iv, c)| iv.to_le_bytes().into_iter().chain(c.to_le_bytes()))
-            .collect()
+            .all(|&(iv, c)| iv.max(c) <= u64::from(u32::MAX));
+        let width = if fits { 4 } else { 8 };
+        let mut out = vec![width as u8];
+        for &(iv, c) in slots {
+            out.extend_from_slice(&iv.to_le_bytes()[..width]);
+            out.extend_from_slice(&c.to_le_bytes()[..width]);
+        }
+        out
     }
 
     /// One tuple; returns the partials a flush at `period` emits, sorted.
