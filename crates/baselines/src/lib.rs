@@ -2,9 +2,9 @@
 //!
 //! * [`storm`] — static consistent hashing, i.e. vanilla Storm key
 //!   grouping ("Storm" in the figures).
-//! * [`ShufflePartitioner`] — key-oblivious round-robin, the "Ideal"
-//!   throughput bound (unusable for stateful operators).
-//! * [`PkgPartitioner`] — Partial Key Grouping [Nasir et al., ICDE'15]:
+//! * [`shuffle()`] — key-oblivious round-robin, the "Ideal" throughput
+//!   bound (unusable for stateful operators).
+//! * [`pkg()`] — Partial Key Grouping [Nasir et al., ICDE'15]:
 //!   power-of-two-choices routing that *splits* each key across two
 //!   workers; needs a downstream merge operator for aggregations and
 //!   cannot express joins.
@@ -15,14 +15,19 @@
 //! * [`CoreBalancer`] — `streambal-core`'s strategies (Mixed, MinTable,
 //!   …) under the name the harness uses.
 //!
+//! There are two [`Partitioner`] implementations behind these names.
 //! Storm, Readj and the core strategies route through a table and are
 //! all one type, `streambal_core::Rebalancer` (= [`CoreBalancer`]), with
-//! no planner, Readj's planner, or a §III algorithm; this crate names
-//! those configurations and implements [`Partitioner`] for the two
-//! table-less competitors. The strategy interface is owned by
-//! `streambal-core` (re-exported here for convenience): the simulator
-//! (`streambal-sim`) and engine (`streambal-runtime`) depend on the core
-//! trait directly and never on this crate.
+//! no planner, Readj's planner, or a §III algorithm. Shuffle and PKG
+//! spread keys and are one type, [`KeySpreader`]: the engine source's
+//! `SourceRouter` over a round-robin or two-choice view, so the
+//! simulator and the source route them by the same code. The strategy
+//! interface is owned by `streambal-core` (re-exported here for
+//! convenience): the simulator (`streambal-sim`) and engine
+//! (`streambal-runtime`) depend on the core trait directly and never on
+//! this crate.
+
+#![forbid(unsafe_code)]
 
 pub mod core_wrapper;
 pub mod hash_only;
@@ -32,9 +37,9 @@ pub mod shuffle;
 
 pub use core_wrapper::CoreBalancer;
 pub use hash_only::storm;
-pub use pkg::PkgPartitioner;
+pub use pkg::{pkg, KeySpreader};
 pub use readj::{readj, readj_rebalance, ReadjConfig};
-pub use shuffle::ShufflePartitioner;
+pub use shuffle::shuffle;
 
 // Convenience re-exports of the strategy interface, which moved to
 // `streambal-core` (the drivers' dependency); implementations here use it
@@ -53,8 +58,8 @@ mod tests {
     fn all_baselines_route_in_range() {
         let mut parts: Vec<Box<dyn Partitioner>> = vec![
             Box::new(storm(5)),
-            Box::new(ShufflePartitioner::new(5)),
-            Box::new(PkgPartitioner::new(5)),
+            Box::new(shuffle(5)),
+            Box::new(pkg(5)),
             Box::new(readj(5, 2, ReadjConfig::default())),
         ];
         for p in parts.iter_mut() {
@@ -75,8 +80,8 @@ mod tests {
             fn build() -> Vec<Box<dyn Partitioner>> {
                 vec![
                     Box::new(storm(5)),
-                    Box::new(ShufflePartitioner::new(5)),
-                    Box::new(PkgPartitioner::new(5)),
+                    Box::new(shuffle(5)),
+                    Box::new(pkg(5)),
                     Box::new(readj(5, 2, ReadjConfig::default())),
                     Box::new(CoreBalancer::new(
                         5,
@@ -106,8 +111,8 @@ mod tests {
         let live: Vec<Key> = (0..500u64).map(Key).collect();
         let parts: Vec<Box<dyn Partitioner>> = vec![
             Box::new(storm(3)),
-            Box::new(ShufflePartitioner::new(3)),
-            Box::new(PkgPartitioner::new(3)),
+            Box::new(shuffle(3)),
+            Box::new(pkg(3)),
             Box::new(readj(3, 2, ReadjConfig::default())),
             Box::new(CoreBalancer::new(
                 3,
@@ -132,7 +137,7 @@ mod tests {
     #[test]
     fn key_semantics_flags() {
         assert!(storm(2).preserves_key_semantics());
-        assert!(!PkgPartitioner::new(2).preserves_key_semantics());
+        assert!(!pkg(2).preserves_key_semantics());
         assert!(readj(2, 1, ReadjConfig::default()).preserves_key_semantics());
     }
 }

@@ -1,4 +1,5 @@
-//! Partial Key Grouping (PKG) — Nasir et al., ICDE'15.
+//! Partial Key Grouping (PKG) — Nasir et al., ICDE'15 — and the
+//! key-spreading partitioner it shares with [`shuffle()`](crate::shuffle()).
 //!
 //! Each key gets *two* candidate workers from independent hash functions;
 //! every tuple goes to whichever candidate the router currently estimates
@@ -13,65 +14,61 @@
 //!   which is why PKG is absent from the paper's Fig. 14b/16.
 //!
 //! PKG never migrates, and `end_interval` changes nothing: the load
-//! estimates run for the whole stream, as the engine source's
-//! `SourceRouter::TwoChoice` keeps them, so both route every tuple alike.
+//! estimates run for the whole stream. The partitioner is the engine
+//! source's own [`SourceRouter`] holding the two-choice view, so the
+//! simulator, the controller and the source route every tuple by one
+//! rule.
 
-use streambal_core::{IntervalStats, Key, RebalanceOutcome, TaskId};
-use streambal_hashring::two_choices;
+use streambal_core::{IntervalStats, Key, RebalanceOutcome, SourceRouter, TaskId};
 
 use crate::{Partitioner, RoutingView};
 
-/// Power-of-two-choices router with local load estimation.
-#[derive(Debug)]
-pub struct PkgPartitioner {
-    n_tasks: usize,
-    /// Tuples routed to each task so far.
-    est_load: Vec<u64>,
+/// PKG's power-of-two-choices router over `n_tasks` instances, with
+/// local load estimates.
+pub fn pkg(n_tasks: usize) -> KeySpreader {
+    KeySpreader::new(RoutingView::TwoChoice { n_tasks })
 }
 
-impl PkgPartitioner {
-    /// Creates a PKG router over `n_tasks` instances.
-    pub fn new(n_tasks: usize) -> Self {
-        assert!(n_tasks > 0, "need at least one task");
-        PkgPartitioner {
-            n_tasks,
-            est_load: vec![0; n_tasks],
+/// A strategy that spreads each key's tuples over several workers —
+/// PKG's two choices or shuffle's round robin — with no table to
+/// rebalance. Built by [`pkg()`] and [`shuffle()`](crate::shuffle()); it is a
+/// [`SourceRouter`] over its own view, and scales by updating that view.
+#[derive(Debug)]
+pub struct KeySpreader(SourceRouter);
+
+impl KeySpreader {
+    /// A spreader over `view`, a two-choice or round-robin view.
+    pub(crate) fn new(view: RoutingView) -> Self {
+        let router = SourceRouter::from_view(view);
+        assert!(router.n_tasks() > 0, "need at least one task");
+        KeySpreader(router)
+    }
+
+    /// This strategy's view at `n_tasks` slots.
+    fn view(&self, n_tasks: usize) -> RoutingView {
+        match self.0 {
+            SourceRouter::TwoChoice { .. } => RoutingView::TwoChoice { n_tasks },
+            _ => RoutingView::RoundRobin { n_tasks },
         }
     }
-
-    /// The two candidate workers of a key (exposed so the runtime's merge
-    /// operator knows which partials to combine).
-    pub fn choices(&self, key: Key) -> (TaskId, TaskId) {
-        let (a, b) = two_choices(key.raw(), self.n_tasks);
-        (TaskId::from(a), TaskId::from(b))
-    }
-
-    /// Current local load estimates (for tests/diagnostics).
-    pub fn estimates(&self) -> &[u64] {
-        &self.est_load
-    }
 }
 
-impl Partitioner for PkgPartitioner {
+impl Partitioner for KeySpreader {
     fn name(&self) -> String {
-        "PKG".into()
+        match self.0 {
+            SourceRouter::TwoChoice { .. } => "PKG",
+            _ => "Ideal",
+        }
+        .into()
     }
 
     fn n_tasks(&self) -> usize {
-        self.n_tasks
+        self.0.n_tasks()
     }
 
     #[inline]
     fn route(&mut self, key: Key) -> TaskId {
-        let (a, b) = two_choices(key.raw(), self.n_tasks);
-        // Lesser-loaded choice; ties toward the first hash.
-        let d = if self.est_load[a] <= self.est_load[b] {
-            a
-        } else {
-            b
-        };
-        self.est_load[d] += 1;
-        TaskId::from(d)
+        self.0.route(key)
     }
 
     fn end_interval(&mut self, _stats: IntervalStats) -> Option<RebalanceOutcome> {
@@ -79,28 +76,26 @@ impl Partitioner for PkgPartitioner {
     }
 
     fn add_task(&mut self) -> TaskId {
-        self.n_tasks += 1;
-        self.est_load.push(0);
-        TaskId::from(self.n_tasks - 1)
+        let n = self.n_tasks();
+        self.0.update(self.view(n + 1));
+        TaskId::from(n)
     }
 
     fn scale_in(&mut self, victim: TaskId, _live: &[Key]) {
-        assert!(self.n_tasks > 1, "cannot scale in below one task");
+        let n = self.n_tasks();
+        assert!(n > 1, "cannot scale in below one task");
         assert_eq!(
             victim.index(),
-            self.n_tasks - 1,
+            n - 1,
             "scale-in retires the highest-numbered task"
         );
-        // PKG splits keys anyway: shrinking the choice space re-pairs
+        // Both spread keys anyway: shrinking PKG's choice space re-pairs
         // some keys, which is fine under partial/merge semantics.
-        self.n_tasks -= 1;
-        self.est_load.truncate(self.n_tasks);
+        self.0.update(self.view(n - 1));
     }
 
     fn routing_view(&self) -> RoutingView {
-        RoutingView::TwoChoice {
-            n_tasks: self.n_tasks,
-        }
+        self.view(self.n_tasks())
     }
 
     fn preserves_key_semantics(&self) -> bool {
@@ -111,12 +106,20 @@ impl Partitioner for PkgPartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streambal_hashring::two_choices;
+
+    /// A key's two candidate workers.
+    fn choices(n_tasks: usize, key: Key) -> (TaskId, TaskId) {
+        let (a, b) = two_choices(key.raw(), n_tasks);
+        (TaskId::from(a), TaskId::from(b))
+    }
 
     #[test]
     fn routes_only_to_the_two_choices() {
-        let mut p = PkgPartitioner::new(8);
+        let mut p = pkg(8);
+        assert_eq!(p.name(), "PKG");
         for k in 0..500u64 {
-            let (a, b) = p.choices(Key(k));
+            let (a, b) = choices(8, Key(k));
             for _ in 0..10 {
                 let d = p.route(Key(k));
                 assert!(d == a || d == b, "key {k} routed off-choice");
@@ -126,9 +129,9 @@ mod tests {
 
     #[test]
     fn balances_a_single_hot_key_across_two_workers() {
-        let mut p = PkgPartitioner::new(4);
+        let mut p = pkg(4);
         let hot = Key(42);
-        let (a, b) = p.choices(hot);
+        let (a, b) = choices(4, hot);
         let mut counts = [0u64; 4];
         for _ in 0..10_000 {
             counts[p.route(hot).index()] += 1;
@@ -144,7 +147,7 @@ mod tests {
         // Zipf-ish: key i appears ~ 1/i times. Compare max load of PKG vs
         // single-hash.
         let n = 8usize;
-        let mut pkg = PkgPartitioner::new(n);
+        let mut pkg = pkg(n);
         let mut hash_load = vec![0u64; n];
         let mut pkg_load = vec![0u64; n];
         for i in 1..=200u64 {
@@ -165,23 +168,28 @@ mod tests {
 
     #[test]
     fn scale_out_extends_choices() {
-        let mut p = PkgPartitioner::new(2);
-        p.add_task();
+        let mut p = pkg(2);
+        assert_eq!(p.add_task(), TaskId(2));
         assert_eq!(p.n_tasks(), 3);
         for k in 0..100u64 {
             assert!(p.route(Key(k)).index() < 3);
         }
     }
 
+    /// Scale-in drops the victim's estimate and keeps the survivors'.
     #[test]
     fn scale_in_shrinks_choices() {
-        let mut p = PkgPartitioner::new(4);
+        let mut p = pkg(4);
         for k in 0..100u64 {
             p.route(Key(k));
         }
         p.scale_in(TaskId(3), &[]);
         assert_eq!(p.n_tasks(), 3);
-        assert_eq!(p.estimates().len(), 3);
+        let SourceRouter::TwoChoice { est, .. } = &p.0 else {
+            panic!("PKG holds a two-choice router");
+        };
+        assert_eq!(est.len(), 3);
+        assert!(est.iter().sum::<u64>() > 0, "survivor estimates kept");
         for k in 0..500u64 {
             assert!(p.route(Key(k)).index() < 3, "routed to retired task");
         }

@@ -4,91 +4,26 @@
 //! grouping: stateful aggregation is impossible. The paper plots it as the
 //! theoretical throughput/latency limit that key-aware schemes approach.
 
-use streambal_core::{IntervalStats, Key, RebalanceOutcome, TaskId};
+use streambal_core::RoutingView;
 
-use crate::{Partitioner, RoutingView};
+use crate::KeySpreader;
 
-/// Key-oblivious round-robin router.
-#[derive(Debug)]
-pub struct ShufflePartitioner {
-    n_tasks: usize,
-    next: usize,
-}
-
-impl ShufflePartitioner {
-    /// Creates the shuffler over `n_tasks` instances.
-    pub fn new(n_tasks: usize) -> Self {
-        assert!(n_tasks > 0, "need at least one task");
-        ShufflePartitioner { n_tasks, next: 0 }
-    }
-}
-
-impl Partitioner for ShufflePartitioner {
-    fn name(&self) -> String {
-        "Ideal".into()
-    }
-
-    fn n_tasks(&self) -> usize {
-        self.n_tasks
-    }
-
-    #[inline]
-    fn route(&mut self, _key: Key) -> TaskId {
-        let d = self.next;
-        self.next = (self.next + 1) % self.n_tasks;
-        TaskId::from(d)
-    }
-
-    fn route_batch(&mut self, keys: &[Key], out: &mut Vec<TaskId>) {
-        // Key-oblivious: emit the cursor sequence directly.
-        out.clear();
-        out.reserve(keys.len());
-        let mut d = self.next;
-        for _ in keys {
-            out.push(TaskId::from(d));
-            d = (d + 1) % self.n_tasks;
-        }
-        self.next = d;
-    }
-
-    fn end_interval(&mut self, _stats: IntervalStats) -> Option<RebalanceOutcome> {
-        None
-    }
-
-    fn add_task(&mut self) -> TaskId {
-        self.n_tasks += 1;
-        TaskId::from(self.n_tasks - 1)
-    }
-
-    fn scale_in(&mut self, victim: TaskId, _live: &[Key]) {
-        assert!(self.n_tasks > 1, "cannot scale in below one task");
-        assert_eq!(
-            victim.index(),
-            self.n_tasks - 1,
-            "scale-in retires the highest-numbered task"
-        );
-        self.n_tasks -= 1;
-        self.next %= self.n_tasks;
-    }
-
-    fn routing_view(&self) -> RoutingView {
-        RoutingView::RoundRobin {
-            n_tasks: self.n_tasks,
-        }
-    }
-
-    fn preserves_key_semantics(&self) -> bool {
-        false
-    }
+/// Key-oblivious round-robin over `n_tasks` instances ("Ideal" in the
+/// figures). Its cursor survives scaling, wrapped into the new range.
+pub fn shuffle(n_tasks: usize) -> KeySpreader {
+    KeySpreader::new(RoutingView::RoundRobin { n_tasks })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Partitioner;
+    use streambal_core::{Key, TaskId};
 
     #[test]
     fn perfectly_even_distribution() {
-        let mut p = ShufflePartitioner::new(4);
+        let mut p = shuffle(4);
+        assert_eq!(p.name(), "Ideal");
         let mut counts = [0usize; 4];
         for k in 0..4000u64 {
             counts[p.route(Key(k % 3)).index()] += 1; // skewed keys, even spread
@@ -98,7 +33,7 @@ mod tests {
 
     #[test]
     fn scale_out() {
-        let mut p = ShufflePartitioner::new(2);
+        let mut p = shuffle(2);
         assert_eq!(p.add_task(), TaskId(2));
         assert_eq!(p.n_tasks(), 3);
         let hits: Vec<usize> = (0..3).map(|_| p.route(Key(0)).index()).collect();
@@ -107,7 +42,7 @@ mod tests {
 
     #[test]
     fn scale_in_shrinks_the_cycle() {
-        let mut p = ShufflePartitioner::new(3);
+        let mut p = shuffle(3);
         p.route(Key(0));
         p.route(Key(0)); // cursor at 2 — about to point at the victim
         p.scale_in(TaskId(2), &[]);
@@ -119,6 +54,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one task")]
     fn zero_tasks_panics() {
-        ShufflePartitioner::new(0);
+        shuffle(0);
     }
 }

@@ -4,15 +4,12 @@
 //!
 //! 1. **table-size sweep** — batched routing from an empty table to 50k
 //!    entries, alternating hits and misses (ring fallback).
-//! 2. **large-domain sweep** — hit and miss probing at 3e3 → 3e6 table
-//!    entries (from the paper's production table bound `Amax = 3000`, §II
-//!    "both the memory and computation cost of the scheme are
-//!    acceptable", up), prefetched `route_batch` against the unprefetched
-//!    `route_batch_scalar` reference, with every batch drawn from a
+//! 2. **large-domain sweep** — hit and miss probing with `route_batch`
+//!    at 3e3 → 3e6 table entries (from the paper's production table
+//!    bound `Amax = 3000`, §II "both the memory and computation cost of
+//!    the scheme are acceptable", up), with every batch drawn from a
 //!    shuffled pool spanning the whole key domain so big slabs are
-//!    actually probed cold — measuring the software-prefetch win once
-//!    the slab outgrows L2 (and its neutrality below the threshold,
-//!    where both ids run the same scalar loop).
+//!    actually probed cold.
 //! 3. **rebuild vs delta** — table-maintenance latency at the same
 //!    sizes: building the whole table afresh (what every mutation cost
 //!    before incremental maintenance, and what a resync still costs)
@@ -124,9 +121,8 @@ fn bench_sweep(c: &mut Criterion, samples: usize) {
 /// fixed batch: re-probing the same 1 024 keys keeps their 64 KiB of
 /// home slots L1-resident no matter how big the slab is, which measures
 /// cache hits, not large-domain probing. Streaming the whole domain
-/// touches every slot of the slab across a sample, so past the prefetch
-/// threshold the probes genuinely miss L2 and the prefetch distance is
-/// exercised for real.
+/// touches every slot of the slab across a sample, so once the slab
+/// outgrows L2 the probes genuinely miss it.
 fn key_pool(table_size: usize, set: &str) -> Vec<Key> {
     let mut pool: Vec<Key> = match set {
         "hit" => (0..table_size as u64).map(Key).collect(),
@@ -138,14 +134,9 @@ fn key_pool(table_size: usize, set: &str) -> Vec<Key> {
     pool
 }
 
-/// Hit/miss probing at 3e3 → 3e6 entries: the prefetched `route_batch`
-/// (which switches itself to the prefetch loop past the 4 MiB slab
-/// threshold) against the unprefetched `route_batch_scalar` reference,
-/// each batch drawn from a shuffled pool spanning the whole key domain
-/// (see [`key_pool`]). Below the threshold the two ids run the same
-/// scalar loop on cache-resident slabs, pinning the "Amax = 3000 stays
-/// neutral" claim; above it their gap is the software-prefetch win on
-/// probes the caches can no longer absorb.
+/// Hit/miss probing at 3e3 → 3e6 entries with `route_batch`, each
+/// batch drawn from a shuffled pool spanning the whole key domain (see
+/// [`key_pool`]).
 fn bench_large_domain(c: &mut Criterion, samples: usize, sizes: &[usize]) {
     let mut group = c.benchmark_group("routing_large_domain");
     group.sample_size(samples);
@@ -164,23 +155,6 @@ fn bench_large_domain(c: &mut Criterion, samples: usize, sizes: &[usize]) {
                         for _ in 0..REPS {
                             let keys = chunks.next().unwrap();
                             f.route_batch(black_box(keys), &mut out);
-                            acc ^= out.last().map_or(0, |d| d.0);
-                        }
-                        acc
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(&format!("scalar_{set}"), table_size),
-                &pool,
-                |b, pool| {
-                    let mut out: Vec<TaskId> = Vec::with_capacity(BATCH);
-                    let mut chunks = pool.chunks_exact(BATCH).cycle();
-                    b.iter(|| {
-                        let mut acc = 0u32;
-                        for _ in 0..REPS {
-                            let keys = chunks.next().unwrap();
-                            f.route_batch_scalar(black_box(keys), &mut out);
                             acc ^= out.last().map_or(0, |d| d.0);
                         }
                         acc
@@ -285,22 +259,6 @@ fn write_results(ms: &[Measurement], smoke: bool) {
             ])
         })
         .collect();
-    // Large-domain prefetch win: prefetched batched over unprefetched
-    // scalar, per key set and table size (≈1.0 below the slab threshold
-    // by construction — both ids run the same loop there).
-    let mut prefetch_speedups = Vec::new();
-    for set in ["hit", "miss"] {
-        for n in LARGE_SIZES {
-            let scalar_id = format!("scalar_{set}/{n}");
-            let batched_id = format!("batched_{set}/{n}");
-            if let (Some(s), Some(p)) = (mean_ns(ms, &scalar_id), mean_ns(ms, &batched_id)) {
-                prefetch_speedups.push((
-                    format!("{set}/{n}"),
-                    Json::higher(Json::Num(if p > 0.0 { s / p } else { 0.0 })),
-                ));
-            }
-        }
-    }
     // Table-maintenance win: one full rebuild over one 1%-churn delta
     // apply, per table size (the ≥10×-at-≥3e5 acceptance series).
     let mut mutation_speedups = Vec::new();
@@ -320,10 +278,6 @@ fn write_results(ms: &[Measurement], smoke: bool) {
         ("churn_denom", Json::Int(CHURN_DENOM as u64)),
         ("smoke", Json::Bool(smoke)),
         ("results", Json::Arr(results)),
-        (
-            "prefetch_speedup_batched_vs_scalar",
-            Json::Obj(prefetch_speedups),
-        ),
         (
             "mutation_speedup_delta_vs_rebuild",
             Json::Obj(mutation_speedups),

@@ -5,7 +5,7 @@
 //! sequences (pre-generated per configuration), so differences are purely
 //! due to routing and migration behaviour.
 
-use streambal_baselines::{readj, storm, PkgPartitioner, ReadjConfig, ShufflePartitioner};
+use streambal_baselines::{pkg, readj, shuffle, storm, ReadjConfig};
 use streambal_core::{Key, Partitioner, RebalanceStrategy};
 use streambal_elastic::FixedSchedule;
 use streambal_hashring::FxHashMap;
@@ -118,8 +118,8 @@ impl RtStrategy {
             )),
             RtStrategy::Mixed => core_partitioner(&d, RebalanceStrategy::Mixed),
             RtStrategy::MinTable => core_partitioner(&d, RebalanceStrategy::MinTable),
-            RtStrategy::Pkg => Box::new(PkgPartitioner::new(rt.nd)),
-            RtStrategy::Ideal => Box::new(ShufflePartitioner::new(rt.nd)),
+            RtStrategy::Pkg => Box::new(pkg(rt.nd)),
+            RtStrategy::Ideal => Box::new(shuffle(rt.nd)),
         }
     }
 }

@@ -59,10 +59,14 @@
 //!
 //! The pluggable strategy interface the simulator and engine drive —
 //! [`Partitioner`] and its shippable [`RoutingView`] snapshot — also
-//! lives here (module [`partitioner`]), and `Rebalancer` implements it
-//! for every strategy that routes through a table: drivers depend on
-//! this crate alone, and `streambal-baselines` adds the two table-less
-//! competitors (shuffle, PKG) and the Readj planning function.
+//! lives here (module [`partitioner`]), with [`SourceRouter`], the one
+//! materialized view every holder routes with. `Rebalancer` implements
+//! the trait for every strategy that routes through a table: drivers
+//! depend on this crate alone, and `streambal-baselines` wraps a
+//! `SourceRouter` as the two table-less competitors (shuffle, PKG) and
+//! adds the Readj planning function.
+
+#![forbid(unsafe_code)]
 
 pub mod cells;
 pub mod compact;
@@ -76,6 +80,7 @@ pub mod mintable;
 pub mod mixed;
 pub mod partitioner;
 pub mod rebalance;
+pub mod router;
 pub mod routing;
 pub mod simple;
 pub mod stats;
@@ -92,5 +97,6 @@ pub use rebalance::{
     outcome_from_assignment, rebalance, rebalance_window, BalanceParams, PlanFn, RebalanceInput,
     RebalanceOutcome, RebalanceStrategy, Rebalancer, TriggerPolicy, SETTLE_FRACTION,
 };
+pub use router::SourceRouter;
 pub use routing::{next_live, AssignmentFn, RoutingTable};
 pub use stats::{IntervalStats, KeyRecord, KeyStat, StatsAccumulator, StatsPlane, StatsWindow};

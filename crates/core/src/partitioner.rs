@@ -6,13 +6,15 @@
 //! the trait *is* the paper's framing: any strategy, including the
 //! competitors reproduced in `streambal-baselines`, is a routing function
 //! plus an interval-boundary rebalance hook (§II). Drivers depend on this
-//! crate alone. Every strategy that routes through a table — Storm-style
-//! hashing, Readj and the five core algorithms — is one type,
-//! [`Rebalancer`], whose `impl Partitioner` is the only table-backed one;
-//! the baselines crate implements the trait for shuffle and PKG and names
-//! the Storm and Readj configurations.
+//! crate alone. There are two implementations. Every strategy that
+//! routes through a table — Storm-style hashing, Readj and the five core
+//! algorithms — is one type, [`Rebalancer`]. Shuffle and PKG, which
+//! spread each key over several workers, are one type in the baselines
+//! crate that holds a [`SourceRouter`] over its own view; that crate also
+//! names the Storm and Readj configurations.
 //!
 //! [`Rebalancer`]: crate::Rebalancer
+//! [`SourceRouter`]: crate::SourceRouter
 
 use crate::routing::RoutingTable;
 use crate::stats::IntervalStats;
@@ -102,9 +104,8 @@ pub trait Partitioner: Send {
     /// would per tuple.
     ///
     /// The default delegates to `route`; the table-backed implementation
-    /// overrides this with `AssignmentFn::route_batch` so the table probe
-    /// sequence pipelines across keys (see `routing` module docs in this
-    /// crate).
+    /// overrides this with `AssignmentFn::route_batch`, one call per batch
+    /// (see `routing` module docs in this crate).
     fn route_batch(&mut self, keys: &[Key], out: &mut Vec<TaskId>) {
         out.clear();
         out.reserve(keys.len());

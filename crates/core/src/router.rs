@@ -1,8 +1,11 @@
-//! The source-side router: a materialized [`RoutingView`].
+//! The one materialized [`RoutingView`]: what every holder of a view
+//! routes with — the engine's source, the controller when it re-homes
+//! state under a view, and the key-spreading baselines (PKG, shuffle),
+//! which are this router behind the `Partitioner` trait.
 
-use streambal_core::{AssignmentFn, Key, RoutingView, TaskId};
+use crate::{AssignmentFn, Key, RoutingView, TaskId};
 
-/// Evaluates a routing view per tuple on the source thread.
+/// Evaluates a routing view per tuple.
 ///
 /// For [`RoutingView::TablePlusHash`] this is exactly Eq. 1 under the
 /// split layer: a table probe with a consistent-hash fallback (the view's
@@ -64,11 +67,13 @@ impl SourceRouter {
         }
     }
 
-    /// Replaces the routing function, preserving PKG's local estimates
-    /// where slot counts allow. A [`RoutingView::TableDelta`] is applied
-    /// in place on the held table (`O(moves)`, no rebuild) — the
-    /// controller only ships one when this router already holds the
-    /// matching table view (see `Partitioner::last_install_was_delta`).
+    /// Replaces the routing function, keeping PKG's local estimates (the
+    /// new slots start at zero, retired ones are dropped) and shuffle's
+    /// cursor (wrapped into the new slot range). A
+    /// [`RoutingView::TableDelta`] is applied in place on the held table
+    /// (`O(moves)`, no rebuild) — the controller only ships one when this
+    /// router already holds the matching table view (see
+    /// `Partitioner::last_install_was_delta`).
     ///
     /// # Panics
     /// Panics when a delta arrives against a non-table router or a
@@ -78,6 +83,10 @@ impl SourceRouter {
         match (&mut *self, view) {
             (SourceRouter::TwoChoice { n, est }, RoutingView::TwoChoice { n_tasks }) => {
                 est.resize(n_tasks, 0);
+                *n = n_tasks;
+            }
+            (SourceRouter::RoundRobin { n, next }, RoutingView::RoundRobin { n_tasks }) => {
+                *next %= n_tasks;
                 *n = n_tasks;
             }
             (SourceRouter::Assignment(a), RoutingView::TableDelta { n_tasks, moves }) => {
@@ -101,6 +110,7 @@ impl SourceRouter {
             SourceRouter::Assignment(a) => a.route(key),
             SourceRouter::TwoChoice { n, est } => {
                 let (a, b) = streambal_hashring::two_choices(key.raw(), *n);
+                // Lesser-loaded choice; ties toward the first hash.
                 let d = if est[a] <= est[b] { a } else { b };
                 est[d] += 1;
                 TaskId::from(d)
@@ -115,31 +125,16 @@ impl SourceRouter {
 
     /// Routes a batch of keys, appending one destination per key to `out`
     /// (cleared first). Observationally identical to routing each key in
-    /// order with [`SourceRouter::route`]; the table+hash variant uses the
-    /// table's batch path so the probe sequence pipelines across the
-    /// channel batch (see `streambal_core::routing` docs).
+    /// order with [`SourceRouter::route`]: a table view runs
+    /// [`AssignmentFn::route_batch`], the others loop over `route`.
+    /// Inlinable across crates, as the engine source's batch loop calls it.
+    #[inline]
     pub fn route_batch(&mut self, keys: &[Key], out: &mut Vec<TaskId>) {
-        match self {
-            SourceRouter::Assignment(a) => a.route_batch(keys, out),
-            SourceRouter::TwoChoice { n, est } => {
-                out.clear();
-                out.reserve(keys.len());
-                for &k in keys {
-                    let (a, b) = streambal_hashring::two_choices(k.raw(), *n);
-                    let d = if est[a] <= est[b] { a } else { b };
-                    est[d] += 1;
-                    out.push(TaskId::from(d));
-                }
-            }
-            SourceRouter::RoundRobin { n, next } => {
-                out.clear();
-                out.reserve(keys.len());
-                for _ in keys {
-                    out.push(TaskId::from(*next));
-                    *next = (*next + 1) % *n;
-                }
-            }
+        if let SourceRouter::Assignment(a) = self {
+            return a.route_batch(keys, out);
         }
+        out.clear();
+        out.extend(keys.iter().map(|&k| self.route(k)));
     }
 
     /// Current slot count.
@@ -168,7 +163,7 @@ impl SourceRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streambal_core::RoutingTable;
+    use crate::RoutingTable;
 
     /// A split-less table view.
     fn table_view(table: RoutingTable, n_tasks: usize) -> RoutingView {
@@ -349,14 +344,14 @@ mod tests {
         assert_eq!(r.table_stats().0, 19);
     }
 
+    /// The PKG partitioner is a two-choice router no interval end
+    /// touches; the source's router receives the same view again on every
+    /// resume. Both keep their estimates, so they route every tuple alike.
     #[test]
     fn pkg_partitioner_routes_as_the_source_router() {
-        // The simulator routes PKG through the partitioner, the engine
-        // through the source's router: across interval ends, alike.
-        use streambal_baselines::PkgPartitioner;
-        use streambal_core::{IntervalStats, Partitioner};
-        let mut p = PkgPartitioner::new(4);
-        let mut r = SourceRouter::from_view(p.routing_view());
+        let view = RoutingView::TwoChoice { n_tasks: 4 };
+        let mut p = SourceRouter::from_view(view.clone());
+        let mut r = SourceRouter::from_view(view.clone());
         let mut differ = 0;
         for interval in 0..6u64 {
             for i in 0..5_000u64 {
@@ -365,9 +360,22 @@ mod tests {
                 let key = Key(1_000 / (1 + draw));
                 differ += usize::from(p.route(key) != r.route(key));
             }
-            p.end_interval(IntervalStats::new());
+            r.update(view.clone());
         }
         assert_eq!(differ, 0, "routes that differ out of 30 000");
+    }
+
+    /// A round-robin view update keeps the cursor, wrapped into the new
+    /// slot range, as shuffle's scale-out and scale-in do.
+    #[test]
+    fn update_keeps_the_round_robin_cursor() {
+        let mut r = SourceRouter::from_view(RoutingView::RoundRobin { n_tasks: 3 });
+        r.route(Key(0));
+        r.route(Key(0));
+        r.update(RoutingView::RoundRobin { n_tasks: 4 });
+        assert_eq!(r.route(Key(0)), TaskId(2), "cursor kept on scale-out");
+        r.update(RoutingView::RoundRobin { n_tasks: 2 });
+        assert_eq!(r.route(Key(0)), TaskId(1), "cursor wrapped on scale-in");
     }
 
     #[test]

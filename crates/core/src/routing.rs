@@ -39,23 +39,20 @@
 //!    live table (a rare, amortized resync that bounds table growth
 //!    under churning key domains).
 //!
-//! 3. **Routing is batched — and prefetched past L2.**
-//!    [`AssignmentFn::route_batch`] routes a slice of keys per call.
+//! 3. **Routing is batched.** [`AssignmentFn::route_batch`] routes a
+//!    slice of keys per call, one loop over [`AssignmentFn::route`].
 //!    Callers (the engine's source loop, the simulator's interval loop)
 //!    amortize dispatch and let the compiler pipeline the hash/probe
-//!    sequence across independent keys instead of paying a call and a
-//!    branch-misprediction window per tuple. Because the whole batch is
-//!    known up front, tables too large to sit in L2 additionally issue a
-//!    software prefetch for key `i + 8`'s home slot while probing key `i`
-//!    ([`RoutingTable::prefetch`]), hiding the DRAM latency that
-//!    dominates once the slab outgrows the cache; small tables keep the
-//!    plain scalar loop (the prefetch instructions were measured neutral
-//!    at L2-resident sizes, so `Amax = 3000` routing is unchanged).
+//!    sequence across independent keys instead of paying a call per
+//!    tuple; the split check inside `route` is one predictable branch
+//!    while no key is split. The table stays a handful of keys: the
+//!    largest any benchmark workload builds is about 1.3·10³ entries, a
+//!    cache-resident slab.
 //!
 //! The `benches/routing.rs` bench in `streambal-bench` measures a
-//! table-size sweep, the prefetched loop against the scalar one at
-//! 3e3→3e6 entries, and rebuild-vs-delta mutation latency, and writes
-//! the numbers to `bench_results/routing.json`.
+//! table-size sweep, hit and miss probing at 3e3→3e6 entries, and
+//! rebuild-vs-delta mutation latency, and writes the numbers to
+//! `bench_results/routing.json`.
 
 use std::cell::Cell;
 
@@ -74,20 +71,6 @@ const EMPTY_SLOT: u32 = u32::MAX;
 /// chains walk through it (unlike [`EMPTY_SLOT`], which terminates them)
 /// so entries displaced past the removed one stay reachable.
 const TOMBSTONE: u32 = u32::MAX - 1;
-
-/// Slab size (in slots) from which [`AssignmentFn::route_batch`] switches
-/// to the software-prefetch probe loop: `1 << 18` slots × 16 bytes = 4 MiB,
-/// the first power-of-two size class strictly larger than a typical 1–2 MiB
-/// L2, where probe latency turns memory-bound. Below it the scalar loop is
-/// kept — prefetch instructions are pure overhead on a cache-resident slab
-/// (measured ~20% slower at 1 MiB on a 2 MiB-L2 Xeon), and `Amax = 3000`
-/// compiles to an 8192-slot slab, comfortably under the threshold.
-const PREFETCH_MIN_SLOTS: usize = 1 << 18;
-
-/// How many keys ahead [`AssignmentFn::route_batch`] prefetches: far
-/// enough to cover a DRAM round-trip with ~8 probes of work, close enough
-/// that the line is still resident when its key comes up.
-const PREFETCH_AHEAD: usize = 8;
 
 /// The explicit routing table `A ⊆ K × D`, stored as the flat
 /// open-addressed array the per-tuple hot path probes.
@@ -316,33 +299,6 @@ impl RoutingTable {
         }
     }
 
-    /// True when the slab is large enough (≥ 4 MiB) that probe latency is
-    /// DRAM-bound and [`AssignmentFn::route_batch`] should run the
-    /// software-prefetch loop.
-    #[inline]
-    pub fn wants_prefetch(&self) -> bool {
-        self.slots.len() >= PREFETCH_MIN_SLOTS
-    }
-
-    /// Issues a best-effort prefetch of `key`'s home slot into L1, hiding
-    /// DRAM latency when the probe for `key` runs ~[`PREFETCH_AHEAD`]
-    /// iterations later. A hint only (no-op on non-x86_64): correctness
-    /// never depends on it, and keys whose chains extend past the home
-    /// slot's cache line still take the miss on the spilled slots.
-    #[inline(always)]
-    pub fn prefetch(&self, key: Key) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the home index is masked into `self.slots`' bounds, and
-        // prefetch has no architectural effect beyond the cache.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let i = mix64(key.raw()) as usize & (self.slots.len() - 1);
-            _mm_prefetch::<_MM_HINT_T0>(self.slots.as_ptr().add(i).cast());
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = key;
-    }
-
     /// Keeps only the entries for which `f` returns true, tombstoning the
     /// rest in one pass over the slab.
     pub fn retain(&mut self, mut f: impl FnMut(Key, TaskId) -> bool) {
@@ -404,8 +360,8 @@ pub struct AssignmentFn {
     table: RoutingTable,
     ring: HashRing,
     /// Hot-key split entries, consulted before the table (empty for the
-    /// overwhelming majority of assignments — `route_batch` dispatches on
-    /// emptiness once per batch so the no-split fast paths never probe it).
+    /// overwhelming majority of assignments — `route` checks emptiness
+    /// first, so no-split routing never probes the map).
     splits: FxHashMap<Key, SplitEntry>,
 }
 
@@ -442,8 +398,8 @@ impl AssignmentFn {
     #[inline]
     pub fn route(&self, key: Key) -> TaskId {
         if !self.splits.is_empty() {
-            if let Some(e) = self.splits.get(&key) {
-                return e.next();
+            if let Some(d) = self.split_next(key) {
+                return d;
             }
         }
         match self.table.lookup(key) {
@@ -452,64 +408,27 @@ impl AssignmentFn {
         }
     }
 
-    /// Evaluates `F(k)` for a batch of keys, filling `out` with one
-    /// destination per key (previous contents discarded). One call per
-    /// channel batch amortizes dispatch and keeps the probe sequence
-    /// pipelined; past the 4 MiB slab threshold it additionally
-    /// prefetches upcoming home slots to hide DRAM latency (see module
-    /// docs). Observationally identical to routing each key in order —
-    /// including split-key cursor rotation: when splits exist the batch
-    /// takes a split-aware loop, when none do it dispatches straight to
-    /// the scalar/prefetched fast paths, which stay byte-identical to
-    /// their pre-split form.
-    #[inline]
-    pub fn route_batch(&self, keys: &[Key], out: &mut Vec<TaskId>) {
-        if !self.splits.is_empty() {
-            self.route_batch_split(keys, out);
-        } else if self.table.wants_prefetch() {
-            self.route_batch_prefetched(keys, out);
-        } else {
-            self.route_batch_scalar(keys, out);
-        }
+    /// The next replica of `key` if it is split. Out of line: inlined
+    /// into the routing loop, the map's probe code made no-split table
+    /// hits cost about twice the extra time the emptiness check alone
+    /// adds (x86-64, 3·10³-entry table, 256-key batches).
+    #[inline(never)]
+    fn split_next(&self, key: Key) -> Option<TaskId> {
+        self.splits.get(&key).map(SplitEntry::next)
     }
 
-    /// The plain batched probe loop, with no prefetching and no split
-    /// probe. Public as the reference implementation the prefetched path
-    /// is verified and benchmarked against;
-    /// [`AssignmentFn::route_batch`] is the API callers should use. This
-    /// loop covers the table/hash layers only — it is *not* equivalent to
-    /// `route_batch` while splits are installed.
+    /// Evaluates `F(k)` for a batch of keys, filling `out` with one
+    /// destination per key (previous contents discarded): one call per
+    /// channel batch, one loop over [`AssignmentFn::route`], so split-key
+    /// cursors rotate exactly as they would per key.
     #[inline]
-    pub fn route_batch_scalar(&self, keys: &[Key], out: &mut Vec<TaskId>) {
+    pub fn route_batch(&self, keys: &[Key], out: &mut Vec<TaskId>) {
         // The resize-then-overwrite shape avoids both a capacity check
         // per key and (when the caller reuses a same-sized buffer, as the
         // drivers do) any zero-fill.
         out.resize(keys.len(), TaskId(0));
         for (o, &k) in out.iter_mut().zip(keys) {
-            // Open-coded `route`: the table probe must stay inline in this
-            // loop (see `RoutingTable::lookup`); the ring fallback may be
-            // an out-of-line call — a miss pays a binary search anyway.
-            *o = match self.table.lookup(k) {
-                Some(d) => d,
-                None => self.hash_route(k),
-            };
-        }
-    }
-
-    /// The batched probe loop for larger-than-L2 slabs: while probing key
-    /// `i`, issues a prefetch for key `i + PREFETCH_AHEAD`'s home slot,
-    /// so by the time that key's probe runs its cache line is (usually)
-    /// already in flight or resident.
-    fn route_batch_prefetched(&self, keys: &[Key], out: &mut Vec<TaskId>) {
-        out.resize(keys.len(), TaskId(0));
-        for (i, (o, &k)) in out.iter_mut().zip(keys).enumerate() {
-            if let Some(&ahead) = keys.get(i + PREFETCH_AHEAD) {
-                self.table.prefetch(ahead);
-            }
-            *o = match self.table.lookup(k) {
-                Some(d) => d,
-                None => self.hash_route(k),
-            };
+            *o = self.route(k);
         }
     }
 
@@ -704,17 +623,6 @@ impl AssignmentFn {
         self.apply_delta(moves.iter().copied());
         moves
     }
-
-    /// Normalizes the table against the ring: removes entries whose
-    /// destination equals the hash destination (they waste table space)
-    /// in one sweep over the slab. Returns how many entries were dropped.
-    pub fn prune_redundant(&mut self) -> usize {
-        let ring = &self.ring;
-        let before = self.table.len();
-        self.table
-            .retain(|k, d| TaskId::from(ring.slot_of(k.raw())) != d);
-        before - self.table.len()
-    }
 }
 
 /// A hot key's salted replica set: the slots a split key round-robins
@@ -816,25 +724,6 @@ impl AssignmentFn {
         }
     }
 
-    /// The batched routing loop when splits exist: per key, one extra map
-    /// probe ahead of the table. Split keys are the hottest keys
-    /// by construction, so the probe usually hits; the no-split fast
-    /// paths ([`AssignmentFn::route_batch_scalar`] and the prefetched
-    /// loop) never pay for it because [`AssignmentFn::route_batch`]
-    /// dispatches on split emptiness once per batch.
-    fn route_batch_split(&self, keys: &[Key], out: &mut Vec<TaskId>) {
-        out.resize(keys.len(), TaskId(0));
-        for (o, &k) in out.iter_mut().zip(keys) {
-            *o = match self.splits.get(&k) {
-                Some(e) => e.next(),
-                None => match self.table.lookup(k) {
-                    Some(d) => d,
-                    None => self.hash_route(k),
-                },
-            };
-        }
-    }
-
     /// `live` with split keys filtered out, borrowing when there are no
     /// splits (the common case). Scale maintenance computes old-vs-new
     /// routes per live key to detect ring churn; a split key's route
@@ -911,22 +800,6 @@ mod tests {
         let old = f.swap_table(RoutingTable::new());
         assert_eq!(old, t);
         assert!(f.table().is_empty());
-    }
-
-    #[test]
-    fn prune_drops_no_op_entries() {
-        let mut f = AssignmentFn::hash_only(4);
-        let k_same = Key(3);
-        let same = f.hash_route(k_same);
-        let k_diff = Key(4);
-        let diff = TaskId((f.hash_route(k_diff).0 + 1) % 4);
-        let mut t = RoutingTable::new();
-        t.insert(k_same, same); // redundant
-        t.insert(k_diff, diff); // real entry
-        f.swap_table(t);
-        assert_eq!(f.prune_redundant(), 1);
-        assert_eq!(f.table().len(), 1);
-        assert_eq!(f.route(k_diff), diff);
     }
 
     #[test]
@@ -1094,14 +967,6 @@ mod tests {
         f.swap_table(RoutingTable::new());
         assert_eq!(f.route(k), f.hash_route(k));
         assert!(f.table().is_empty());
-        // prune_redundant tombstones in place.
-        let mut t = RoutingTable::new();
-        t.insert(k, f.hash_route(k)); // redundant entry
-        t.insert(Key(7), TaskId((f.hash_route(Key(7)).0 + 1) % 4));
-        f.swap_table(t);
-        assert_eq!(f.prune_redundant(), 1);
-        assert_eq!(f.table().len(), 1);
-        assert_eq!(f.route(k), f.hash_route(k));
     }
 
     #[test]
@@ -1249,27 +1114,6 @@ mod tests {
         }
     }
 
-    /// The prefetched batch path kicks in at the slab threshold and stays
-    /// observationally identical to the scalar loop.
-    #[test]
-    fn prefetched_route_batch_matches_scalar() {
-        // 140_000 entries → 524_288 slots ≥ PREFETCH_MIN_SLOTS.
-        let table: RoutingTable = (0..140_000u64)
-            .map(|k| (Key(k * 7), TaskId((k % 6) as u32)))
-            .collect();
-        let f = AssignmentFn::with_table(6, table);
-        assert!(f.table().wants_prefetch(), "slab must cross the threshold");
-        let keys: Vec<Key> = (0..5_000u64).map(|k| Key(k * 11)).collect();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        f.route_batch(&keys, &mut a);
-        f.route_batch_scalar(&keys, &mut b);
-        assert_eq!(a, b);
-        // Small tables stay under the threshold (Amax = 3000 unchanged).
-        let small: RoutingTable = (0..3_000u64).map(|k| (Key(k), TaskId(0))).collect();
-        let g = AssignmentFn::with_table(4, small);
-        assert!(!g.table().wants_prefetch());
-    }
-
     #[test]
     fn split_key_round_robins_over_replicas() {
         let mut f = AssignmentFn::hash_only(4);
@@ -1326,8 +1170,8 @@ mod tests {
         let g = f.clone();
         let mut batched = Vec::new();
         f.route_batch(&keys, &mut batched);
-        let scalar: Vec<TaskId> = keys.iter().map(|&k| g.route(k)).collect();
-        assert_eq!(batched, scalar);
+        let per_key: Vec<TaskId> = keys.iter().map(|&k| g.route(k)).collect();
+        assert_eq!(batched, per_key);
     }
 
     #[test]
@@ -1335,10 +1179,9 @@ mod tests {
         let mut f = AssignmentFn::hash_only(4);
         let k = Key(7);
         f.set_split(k, &[TaskId(0), TaskId(2)]);
-        // Table delta, swap, and prune leave the split layer intact.
+        // Table delta and swap leave the split layer intact.
         f.apply_delta([(Key(50), TaskId(1))]);
         f.swap_table(RoutingTable::new());
-        f.prune_redundant();
         assert_eq!(f.split_replicas(k), Some(&[TaskId(0), TaskId(2)][..]));
         assert_eq!(f.route(k), TaskId(0));
     }

@@ -100,6 +100,8 @@
 //! engine both pull their actions from. That is the crate's one
 //! dependency: `streambal-core`, for the `Partitioner` trait.
 
+#![forbid(unsafe_code)]
+
 pub mod round;
 
 pub use round::{RoundAction, RoundDecisions, RoundInputs};

@@ -24,6 +24,8 @@
 //! * [`two_choices`] — the pair of independent hash choices used by the PKG
 //!   baseline (power of two choices).
 
+#![forbid(unsafe_code)]
+
 pub mod fx;
 pub mod ring;
 

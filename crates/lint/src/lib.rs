@@ -37,6 +37,8 @@
 //! * **L000** — a malformed `lint: allow` annotation (missing reason,
 //!   unknown rule name) is itself a violation.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 pub mod lexer;

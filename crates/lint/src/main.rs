@@ -2,6 +2,8 @@
 //! diagnostics with rule ids, exits non-zero on any violation. Runs as
 //! a blocking CI step.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

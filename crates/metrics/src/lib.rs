@@ -17,6 +17,8 @@
 //! * [`Stopwatch`] / [`OnlineStats`] — wall-time measurement and running
 //!   mean/min/max for plan-generation times (Figs. 8a, 9a, 10a, 12a).
 
+#![forbid(unsafe_code)]
+
 pub mod cdf;
 pub mod counter;
 pub mod histogram;

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, SendTimeoutError, Sender};
-use streambal_core::{IntervalStats, Key, Partitioner, RoutingView, TaskId};
+use streambal_core::{IntervalStats, Key, Partitioner, RoutingView, SourceRouter, TaskId};
 use streambal_elastic::{IntervalObservation, RoundAction, RoundDecisions, RoundInputs};
 use streambal_hashring::{FxHashMap, FxHashSet};
 use streambal_metrics::{Counter, Histogram};
@@ -25,7 +25,6 @@ use crate::message::{
     Message, PauseScope, SourceCtl, SourceEvent, WorkerEvent, WorkerExit, WorkerTotals,
 };
 use crate::operator::Operator;
-use crate::router::SourceRouter;
 
 /// Where a wait started, on both of the controller's clocks — an instant
 /// and a source interval — and whether it was already re-driven once.

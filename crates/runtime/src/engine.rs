@@ -19,7 +19,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender};
 use streambal_core::{
-    skew_alert, Key, Partitioner, RoutingView, TaskId, SKEW_ALERT_FLOOR, SKEW_ALERT_MIN_SHARE,
+    skew_alert, Key, Partitioner, RoutingView, SourceRouter, TaskId, SKEW_ALERT_FLOOR,
+    SKEW_ALERT_MIN_SHARE,
 };
 use streambal_elastic::{ElasticityPolicy, HoldPolicy, SplitPolicy};
 use streambal_hashring::FxHashSet;
@@ -34,7 +35,6 @@ use crate::fault::{next_live, CtlKind, FaultEvent, FaultInjector, FaultPlan};
 use crate::merge::MergeStage;
 use crate::message::{Message, PauseScope, SourceCtl, SourceEvent, WorkerEvent};
 use crate::operator::{Collector, Operator};
-use crate::router::SourceRouter;
 use crate::tuple::Tuple;
 use crate::worker::{Worker, WorkerWiring};
 
@@ -1187,7 +1187,6 @@ mod tests {
     #[test]
     fn pkg_partials_merge_to_exact_counts() {
         use crate::operator::SumCollector;
-        use streambal_baselines::PkgPartitioner;
         let mut w = FluctuatingWorkload::new(100, 0.9, 4_000, 0.0, 7);
         let intervals: Vec<Vec<Key>> = (0..3)
             .map(|_| {
@@ -1199,7 +1198,7 @@ mod tests {
         let expect = reference_counts(&intervals);
         let report = Engine::run(
             small_config(),
-            Box::new(PkgPartitioner::new(3)),
+            Box::new(streambal_baselines::pkg(3)),
             |_| Box::new(WordCountOp::with_partial_emission(16)),
             replay(&intervals),
             Some(Box::new(SumCollector::new())),

@@ -27,8 +27,10 @@
 //! and a [`WorkerExit`] with what only that kind of exit carries.
 //!
 //! * The **source** pulls tuples from a feeder closure, stamps them, and
-//!   routes them with a local [`SourceRouter`] snapshot — the "tuples
-//!   router" of Fig. 5. The data plane is *batched*: every
+//!   routes them with a local [`SourceRouter`] snapshot (the one
+//!   materialized view, `streambal_core::SourceRouter`, re-exported
+//!   here) — the "tuples router" of Fig. 5. The data plane is
+//!   *batched*: every
 //!   `batch_size` tuples are routed with one `route_batch` call,
 //!   scattered into per-destination buffers, and shipped as one
 //!   [`Message::TupleBatch`] per destination touched, so a channel
@@ -298,13 +300,14 @@
 //! to re-encode to itself, and exits nonzero on violation (CI runs it
 //! on every committed trace).
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod controller;
 pub mod engine;
 pub mod fault;
 pub mod merge;
 pub mod message;
 pub mod operator;
-pub mod router;
 pub mod tuple;
 pub mod worker;
 
@@ -313,7 +316,7 @@ pub use fault::{CtlKind, FaultEvent, FaultInjector, FaultPlan, FaultSpec, KillTr
 pub use merge::MergeStage;
 pub use message::{Message, SourceCtl, SourceEvent, WorkerEvent, WorkerExit, WorkerTotals};
 pub use operator::{CoJoinOp, Collector, Operator, SumCollector, WindowedSelfJoinOp, WordCountOp};
-pub use router::SourceRouter;
+pub use streambal_core::SourceRouter;
 pub use streambal_trace::{
     EarlySplit, EarlyStep, EventKind, OpLabel, Outcome, Phase, SpanSummary, ThreadLabel,
     ThreadRecorder, TraceEvent, TraceLog, TraceSink,

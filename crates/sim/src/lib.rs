@@ -51,6 +51,8 @@
 //! the replay identity). The tuple-level consequences — state movement,
 //! replica partials, the merge stage — need the real engine.
 
+#![forbid(unsafe_code)]
+
 pub mod report;
 pub mod source;
 

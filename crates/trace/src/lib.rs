@@ -31,6 +31,8 @@
 //! owns the trace file formats (the JSONL `tracecat` reads, and Chrome
 //! `trace_event` JSON).
 
+#![forbid(unsafe_code)]
+
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 

@@ -15,6 +15,8 @@
 //!   simulator, which never materializes tuples), and
 //! * a concrete tuple sequence (for the runtime).
 
+#![forbid(unsafe_code)]
+
 pub mod churn;
 pub mod social;
 pub mod stock;

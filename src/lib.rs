@@ -22,6 +22,8 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
+#![forbid(unsafe_code)]
+
 pub use streambal_baselines as baselines;
 pub use streambal_core as core;
 pub use streambal_elastic as elastic;

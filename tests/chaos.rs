@@ -21,7 +21,7 @@ use common::{
     all_partitioners, hottest_key, keyed_intervals, mixed_balancer, observed_counts,
     reference_counts, run_engine, INTERVALS, N_TASKS,
 };
-use streambal::baselines::{storm, ShufflePartitioner};
+use streambal::baselines::{shuffle, storm};
 use streambal::runtime::{
     CtlKind, EngineConfig, EngineReport, FaultEvent, FaultPlan, FaultSpec, KillTrigger, OpKind,
 };
@@ -264,8 +264,7 @@ fn last_interval_stats_loss_closes_by_deadline() {
     for kind in [CtlKind::StatsRequest, CtlKind::Stats] {
         let label = format!("drop-{}-{nth}", kind.name());
         let plan = FaultPlan::new(vec![FaultSpec::DropCtl { kind, nth }]);
-        let shuffle = Box::new(ShufflePartitioner::new(N_TASKS));
-        let report = run_engine(&label, chaos_config(plan), shuffle);
+        let report = run_engine(&label, chaos_config(plan), Box::new(shuffle(N_TASKS)));
         let last = (INTERVALS - 1) as u64;
         assert!(
             report.faults.iter().any(

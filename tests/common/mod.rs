@@ -9,9 +9,7 @@
 
 use std::time::Duration;
 
-use streambal::baselines::{
-    readj, storm, CoreBalancer, PkgPartitioner, ReadjConfig, ShufflePartitioner,
-};
+use streambal::baselines::{pkg, readj, shuffle, storm, CoreBalancer, ReadjConfig};
 use streambal::core::{BalanceParams, RebalanceStrategy};
 use streambal::hashring::FxHashMap;
 use streambal::prelude::{Key, Partitioner, TaskId};
@@ -40,8 +38,8 @@ pub fn all_partitioners() -> Vec<Box<dyn Partitioner>> {
     };
     let mut out: Vec<Box<dyn Partitioner>> = vec![
         Box::new(storm(N_TASKS)),
-        Box::new(ShufflePartitioner::new(N_TASKS)),
-        Box::new(PkgPartitioner::new(N_TASKS)),
+        Box::new(shuffle(N_TASKS)),
+        Box::new(pkg(N_TASKS)),
         Box::new(readj(
             N_TASKS,
             100,

@@ -15,7 +15,7 @@ use common::{
     all_partitioners, assert_exact, hottest_key, keyed_intervals, mixed_balancer, reference_counts,
     run_engine, FLUCTUATION, INTERVALS, KEYS, N_TASKS, SEED, TUPLES, ZIPF,
 };
-use streambal::baselines::{readj, storm, CoreBalancer, ReadjConfig};
+use streambal::baselines::{pkg, readj, shuffle, storm, CoreBalancer, ReadjConfig};
 use streambal::core::{BalanceParams, IntervalStats, KeyStat, RebalanceStrategy, RoutingView};
 use streambal::elastic::{FixedSchedule, FixedSplitSchedule};
 use streambal::hashring::FxHashMap;
@@ -343,7 +343,9 @@ fn engine_word_counts_exact_across_partitioners() {
 /// `TableDelta` when the rebalance installed as one, the dead slot's
 /// re-pins as a `TableDelta`, the full `routing_view()` otherwise —
 /// routes every key like the one table-backed partitioner, whichever
-/// planner it carries.
+/// planner it carries. The key-spreading strategies (PKG, shuffle) keep
+/// per-holder state, their estimates and cursor, which their scale
+/// views must carry over alike on both sides.
 #[test]
 fn source_router_stays_in_lockstep_through_every_table_mutation() {
     // Reported keys, then keys only `apply_moves` ever names (no window
@@ -453,6 +455,22 @@ fn source_router_stays_in_lockstep_through_every_table_mutation() {
         router.update(p.routing_view());
         in_lockstep(p.as_mut(), &mut router, &domain, "unsplit_key");
 
+        p.scale_in(new, &live);
+        router.update(p.routing_view());
+        in_lockstep(p.as_mut(), &mut router, &domain, "scale_in");
+    }
+
+    for mut p in [
+        Box::new(pkg(4)) as Box<dyn Partitioner>,
+        Box::new(shuffle(4)),
+    ] {
+        let mut router = SourceRouter::from_view(p.routing_view());
+        // A few keys first, so the shuffle cursor is mid-cycle.
+        in_lockstep(p.as_mut(), &mut router, &domain[..7], "routing");
+        let live: Vec<Key> = (0..REPORTED).map(Key).collect();
+        let (new, _) = p.scale_out_plan(&live);
+        router.update(p.routing_view());
+        in_lockstep(p.as_mut(), &mut router, &domain[..7], "scale_out_plan");
         p.scale_in(new, &live);
         router.update(p.routing_view());
         in_lockstep(p.as_mut(), &mut router, &domain, "scale_in");
