@@ -13,9 +13,10 @@
 //!    the price of the channel operation the larger sizes amortize.
 //! 2. **worker-count sweep** — batch 256 at 2 and 4 workers.
 //! 3. **flight-recorder overhead guard** — the default batched shape
-//!    with the trace recorder on vs off, best-of-5 in every mode; the
-//!    on/off ratio is committed as `trace_overhead_ratio` and the run
-//!    *aborts* below 0.97, so a hot-path recording regression fails CI.
+//!    with the trace recorder on vs off, runs alternating, best-of-5 in
+//!    every mode; the on/off ratio is committed as
+//!    `trace_overhead_ratio` and the run *aborts* below 0.97, so a
+//!    hot-path recording regression fails CI.
 //!
 //! Each configuration runs `REPS` times over an identical pre-generated
 //! tuple sequence; the mean and best (max) throughput are reported.
@@ -324,19 +325,21 @@ fn main() {
     // data-plane cost is two counter adds per batch, so the ratio should
     // sit at 1.0; the assert holds it above 0.97 (≤ 3% overhead) and is
     // deliberately blocking — an accidental per-tuple record() or lock
-    // on the hot path fails the bench, not just a review.
+    // on the hot path fails the bench, not just a review. On and off
+    // runs alternate, so a slow stretch of the host lands on both sides
+    // instead of on one block of five.
     const OVERHEAD_REPS: usize = 5;
     let overhead_shape = Shape {
         batch: 256,
         workers: default_workers,
     };
     let _ = run_once(overhead_shape, &intervals, true);
-    let trace_on: Vec<f64> = (0..OVERHEAD_REPS)
-        .map(|_| run_once(overhead_shape, &intervals, true))
-        .collect();
-    let trace_off: Vec<f64> = (0..OVERHEAD_REPS)
-        .map(|_| run_once(overhead_shape, &intervals, false))
-        .collect();
+    let (trace_on, trace_off): (Vec<f64>, Vec<f64>) = (0..OVERHEAD_REPS)
+        .map(|_| {
+            let on = run_once(overhead_shape, &intervals, true);
+            (on, run_once(overhead_shape, &intervals, false))
+        })
+        .unzip();
     let trace_overhead_ratio = max(&trace_on) / max(&trace_off);
     println!(
         "  trace overhead: on {:>10.0} t/s   off {:>10.0} t/s   ratio {:.4}",

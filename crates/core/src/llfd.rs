@@ -577,7 +577,7 @@ impl<'a> Arena<'a> {
         if !exchange {
             return Ok(false); // ablation: no exchangeable-set mechanism
         }
-        // Select E in ψ order among keys with c < c_in until (iii) holds.
+        // Pick E in ψ order among keys with c < c_in until (iii) holds.
         let need = after - lmax; // total cost E must shed
         let cost = |k: u32| self.records[k as usize].cost;
         let mut held = self.task_keys[d.index()]

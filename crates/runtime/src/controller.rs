@@ -22,7 +22,7 @@ use streambal_trace::{EarlySplit, EarlyStep, OpLabel, Outcome, Phase, ThreadReco
 use crate::engine::{EngineConfig, EngineReport, ProtocolError};
 use crate::fault::{next_live, CtlKind, FaultEvent, FaultInjector, OpKind, SendPeer};
 use crate::message::{
-    Message, PauseScope, SourceCtl, SourceEvent, WorkerEvent, WorkerExit, WorkerTotals,
+    Event, Message, PauseScope, SourceCtl, SourceEvent, WorkerEvent, WorkerExit, WorkerTotals,
 };
 use crate::operator::Operator;
 
@@ -131,14 +131,16 @@ pub(crate) struct ClosedRound {
 
 /// The controller's statistics-round ledger.
 ///
-/// Robustness contract (the seed crashed on both): a report for a round
-/// the ledger does not know — late (the round already closed without the
-/// retiring reporter) or simply unknown — **degrades gracefully**: its
-/// load folds into the oldest open round, or into the carry buffer
-/// consumed by the next round, so totals never under-count; and a
-/// *duplicate* report from a worker that already answered merges its
-/// load without advancing the round's completion count, so a round can
-/// neither close early nor leak.
+/// A round opens when the controller reads the source's cut; no report
+/// can arrive before that, since the source announces a cut before it
+/// marks, on the inbox the workers answer on. Robustness contract (the
+/// seed crashed on both): a report for a round already closed — by its
+/// deadline or a death — and a departing worker's unreported residue fold
+/// into the oldest open round, or into the carry buffer consumed by the
+/// next round, so totals never under-count; and a *duplicate* report
+/// from a worker that already answered merges its load without
+/// advancing the round's completion count, so a round can neither close
+/// early nor leak.
 pub(crate) struct StatsLedger {
     rounds: FxHashMap<u64, StatsRound>,
     /// Residual statistics with no open round to absorb them — folded
@@ -161,7 +163,7 @@ impl StatsLedger {
 
     /// Opens the round for `interval`, expecting a report from each
     /// worker in `expected`, with `queues` the queue depth of each active
-    /// worker slot sampled at interval close; its deadline runs from
+    /// worker slot sampled as the cut was read; its deadline runs from
     /// `opened`. Any carried residue is folded in (the slot attribution
     /// is gone with the retired slot; totals are what policies consume).
     fn open(&mut self, interval: u64, expected: Vec<TaskId>, queues: Vec<u64>, opened: Wait) {
@@ -287,8 +289,8 @@ impl StatsLedger {
 }
 
 /// The provisional statistics round open inside the current interval:
-/// sealed copies of the workers' statistics so far, requested when the
-/// source raised a skew alert. It feeds the split stage of the shared round
+/// sealed copies of the workers' statistics so far, which the source
+/// asked for in-band when it raised a skew alert. It feeds the split stage of the shared round
 /// core (to split a heavy hitter, nothing else) and the partitioner's
 /// rebalance hook — the elasticity policy, the snapshot stream and the
 /// ledger above see whole intervals only — and the interval's closing
@@ -784,11 +786,20 @@ impl<'a> Controller<'a> {
 
     // ---- events ---------------------------------------------------------
 
-    /// Handles one source event that arrived at `now`.
-    pub fn on_source_event(&mut self, ev: SourceEvent, now: Instant) {
+    /// Handles one event of the inbox that arrived at `now`.
+    pub fn on_event(&mut self, ev: Event, now: Instant) {
         self.clock.now = now;
         match ev {
-            SourceEvent::IntervalDone { interval } => self.on_interval_done(interval),
+            Event::Source(ev) => self.on_source_event(ev),
+            Event::Worker(ev) => self.on_worker_event(ev),
+        }
+    }
+
+    fn on_source_event(&mut self, ev: SourceEvent) {
+        match ev {
+            SourceEvent::IntervalDone { interval, marked } => {
+                self.on_interval_done(interval, marked)
+            }
             SourceEvent::PauseAck { epoch } => self.on_pause_ack(epoch),
             SourceEvent::ResumeAck { epoch } => {
                 if self.resume_state.remove(&epoch).is_none() {
@@ -818,14 +829,12 @@ impl<'a> Controller<'a> {
                     to: SendPeer::Worker(dest.index()),
                 });
             }
-            SourceEvent::SkewAlert { interval } => self.on_skew_alert(interval),
+            SourceEvent::SkewAlert { interval, marked } => self.on_skew_alert(interval, marked),
             SourceEvent::Finished => self.clock.source_finished = true,
         }
     }
 
-    /// Handles one worker event that arrived at `now`.
-    pub fn on_worker_event(&mut self, ev: WorkerEvent, now: Instant) {
-        self.clock.now = now;
+    fn on_worker_event(&mut self, ev: WorkerEvent) {
         match ev {
             WorkerEvent::Stats {
                 worker,
@@ -850,7 +859,9 @@ impl<'a> Controller<'a> {
                 // interval's) is only a copy: dropping it loses nothing.
                 if let Some(early) = self.early.as_mut().filter(|e| e.interval == interval) {
                     if early.awaiting.remove(&worker) {
-                        early.loads[worker.index()] = stats.total_cost();
+                        if let Some(load) = early.loads.get_mut(worker.index()) {
+                            *load = stats.total_cost();
+                        }
                         early.merged.absorb(stats);
                     }
                 }
@@ -930,7 +941,10 @@ impl<'a> Controller<'a> {
         drain_dead_channel(rx, sop.as_mut(), &mut self.lost);
     }
 
-    fn on_interval_done(&mut self, interval: u64) {
+    /// The source cut `interval`: open its round, expecting every marked
+    /// slot not known dead — a dropped marker too, which the round's
+    /// deadline closes.
+    fn on_interval_done(&mut self, interval: u64, marked: Vec<TaskId>) {
         self.clock.interval = interval;
         // The closing round overtakes a provisional one still waiting:
         // whole-interval statistics are about to arrive.
@@ -943,44 +957,27 @@ impl<'a> Controller<'a> {
             .interval_throughput
             .push(interval as f64, (count - mark_count) as f64 / dt);
         self.last_interval_mark = (now, count);
-        // Queue depths sampled at interval close (tuple-weighted channel
-        // occupancy, the backpressure signal), *before* the stats
-        // markers join the queues they measure.
+        // Tuple-weighted channel occupancy: the backpressure signal.
         let queues: Vec<u64> = self.io.worker_txs[..self.active]
             .iter()
             .map(|tx| tx.queued_weight() as u64)
             .collect();
-        // In-band stats round, skipping a retiring victim (its Retire
-        // marker is already in the channel ahead of this request — it
-        // will never answer) and dead slots. The expected set is pinned
-        // here: a later scale-out must not change how many workers the
-        // round waits for. A request dropped by the injector stays
-        // *expected* — the controller cannot know it was lost in flight;
-        // the round deadline closes it.
-        let mut expected: Vec<TaskId> = Vec::new();
-        for i in 0..self.active {
-            if self.retiring == Some(TaskId::from(i)) || self.dead.contains(&i) {
-                continue;
-            }
-            let dropped = self.io.injector.should_drop(CtlKind::StatsRequest);
-            if dropped || self.io.ctl_send(i, Message::StatsRequest { interval }) {
-                expected.push(TaskId::from(i));
-            }
-        }
+        let mut expected = marked;
+        expected.retain(|w| !self.dead.contains(&w.index()));
         if !expected.is_empty() {
             let opened = self.clock.wait();
             self.ledger.open(interval, expected, queues, opened);
         }
     }
 
-    /// The source sees the open `interval` skewed: ask every worker for
-    /// a copy of its statistics so far, unless the control plane is busy
-    /// — an op in flight or queued is already changing the routing the
-    /// alert was measured under, and a degraded or draining topology
-    /// plans at interval boundaries only. A request lost on the way (or
-    /// injector-dropped) is still awaited; the closing round cancels
-    /// the round it leaves hanging.
-    fn on_skew_alert(&mut self, interval: u64) {
+    /// The source saw the open `interval` skewed and asked the `marked`
+    /// slots for a copy of their statistics so far: await them, unless
+    /// the control plane is busy — an op in flight or queued is already
+    /// changing the routing the alert was measured under, and a degraded
+    /// or draining topology plans at interval boundaries only — and then
+    /// drop the copies. A lost copy stays awaited until the closing round
+    /// cancels the round.
+    fn on_skew_alert(&mut self, interval: u64, marked: Vec<TaskId>) {
         let busy = self.pending.is_some()
             || !self.queue.is_empty()
             || self.early.is_some()
@@ -989,16 +986,12 @@ impl<'a> Controller<'a> {
         if busy {
             return;
         }
-        for w in 0..self.active {
-            let msg = Message::StatsPeek { interval };
-            self.io.send_ctl_marker(w, CtlKind::StatsRequest, msg);
-        }
         self.io.rec.early_round(interval, EarlyStep::Open);
         self.early = Some(EarlyRound {
             interval,
             merged: IntervalStats::new(),
             loads: vec![0; self.active],
-            awaiting: (0..self.active).map(TaskId::from).collect(),
+            awaiting: marked.into_iter().collect(),
         });
     }
 
@@ -1531,7 +1524,7 @@ impl<'a> Controller<'a> {
                 // source's divert set shrinks, once it swaps in the
                 // fresh channel `ReviveDest` carries.
                 let rx = self.fresh_channel(slot);
-                self.spawn_on(slot, rx, interval + 1);
+                self.spawn_on(slot, rx);
                 self.dead.remove(&slot);
                 self.bill_live_width();
                 self.io
@@ -1544,7 +1537,7 @@ impl<'a> Controller<'a> {
                 let Some(rx) = self.io.worker_rxs[slot].take() else {
                     return;
                 };
-                self.spawn_on(slot, rx, interval + 1);
+                self.spawn_on(slot, rx);
                 self.report.scale_events.push(event);
                 self.active += 1;
                 self.bill_live_width();
@@ -1712,9 +1705,10 @@ impl<'a> Controller<'a> {
             .set_active(self.clock.now, self.active - self.dead.len());
     }
 
-    fn spawn_on(&mut self, slot: usize, rx: Receiver<Message>, first_interval: u64) {
+    /// Starts a worker on `slot`, labelled after the latest cut read.
+    fn spawn_on(&mut self, slot: usize, rx: Receiver<Message>) {
         let op = (self.io.make_op)(TaskId::from(slot));
-        (self.io.spawn)(slot, rx, op, first_interval);
+        (self.io.spawn)(slot, rx, op, self.clock.interval + 1);
     }
 
     // ---- deadlines, queue, shutdown ---------------------------------------
@@ -2331,16 +2325,28 @@ mod protocol_tests {
     /// time stands still unless a test moves it.
     impl Controller<'_> {
         fn on_source(&mut self, ev: SourceEvent) {
-            self.on_source_event(ev, self.clock.now);
+            self.on_event(Event::Source(ev), self.clock.now);
         }
 
         fn on_worker(&mut self, ev: WorkerEvent) {
-            self.on_worker_event(ev, self.clock.now);
+            self.on_event(Event::Worker(ev), self.clock.now);
         }
 
         fn tick_now(&mut self) {
             self.tick(self.clock.now);
         }
+    }
+
+    /// The slots `0..n`, as the source marks them when none is dead or
+    /// held.
+    fn slots(n: usize) -> Vec<TaskId> {
+        (0..n).map(TaskId::from).collect()
+    }
+
+    /// The source's cut of `interval`, marking every provisioned slot.
+    fn cut(ctl: &Controller<'_>, interval: u64) -> SourceEvent {
+        let marked = slots(ctl.active);
+        SourceEvent::IntervalDone { interval, marked }
     }
 
     /// Closes `interval`'s statistics round with one empty report per
@@ -2351,7 +2357,7 @@ mod protocol_tests {
 
     /// [`close_round`] with worker `w` reporting `reports[w]`.
     fn close_round_with(ctl: &mut Controller<'_>, interval: u64, reports: &[IntervalStats]) {
-        ctl.on_source(SourceEvent::IntervalDone { interval });
+        ctl.on_source(cut(ctl, interval));
         let live: Vec<usize> = (0..ctl.active).filter(|w| !ctl.dead.contains(w)).collect();
         for w in live {
             ctl.on_worker(WorkerEvent::Stats {
@@ -2632,7 +2638,7 @@ mod protocol_tests {
 
         // The last interval's round misses worker 2; the source finishes,
         // so the interval clock never reaches the deadline.
-        ctl.on_source_event(SourceEvent::IntervalDone { interval: 9 }, at(20_000));
+        ctl.on_event(Event::Source(cut(&ctl, 9)), at(20_000));
         for w in 0..2 {
             ctl.on_worker(WorkerEvent::Stats {
                 worker: TaskId(w),
@@ -2699,16 +2705,6 @@ mod protocol_tests {
         assert_eq!(ctl.report.final_states, vec![(key, blob)]);
     }
 
-    fn peeks_at(rx: &Receiver<Message>) -> Vec<u64> {
-        let mut out = Vec::new();
-        while let Ok(msg) = rx.try_recv() {
-            if let Message::StatsPeek { interval } = msg {
-                out.push(interval);
-            }
-        }
-        out
-    }
-
     /// A report naming one key.
     fn one_key(key: Key, stat: KeyStat) -> IntervalStats {
         [(key, stat)].into_iter().collect()
@@ -2722,8 +2718,18 @@ mod protocol_tests {
         }
     }
 
+    /// The source's skew alert for `interval`, marking all three slots.
     fn alert(interval: u64) -> SourceEvent {
-        SourceEvent::SkewAlert { interval }
+        let marked = slots(3);
+        SourceEvent::SkewAlert { interval, marked }
+    }
+
+    /// The slots the open provisional round still awaits, in order.
+    fn awaited(ctl: &Controller<'_>) -> Option<Vec<usize>> {
+        let early = ctl.early.as_ref()?;
+        let mut slots: Vec<usize> = early.awaiting.iter().map(|w| w.index()).collect();
+        slots.sort_unstable();
+        Some(slots)
     }
 
     /// The early-round steps the controller recorded, in order.
@@ -2789,20 +2795,25 @@ mod protocol_tests {
         ctl.tick_now();
     }
 
-    /// A skew alert opens a provisional round — one request per worker,
-    /// settled when every copy is in — unless an op is in flight or
-    /// queued: that op is already changing the routing the alert was
-    /// measured under.
+    /// A skew alert opens a provisional round — awaiting a copy from
+    /// every slot the source marked, settled when every copy is in —
+    /// unless an op is in flight or queued: that op is already changing
+    /// the routing the alert was measured under. The controller itself
+    /// sends no marker either way.
     #[test]
     fn skew_alert_opens_a_round_only_while_the_control_plane_is_idle() {
         let (mut ctl, rig) = rig(FixedSchedule::new([(0, ScaleDecision::ScaleIn)]));
-        // Idle: the round opens, every worker is asked, and the last
-        // answer settles it (a hash partitioner never plans: held).
-        ctl.on_source(alert(0));
-        for rx in &rig.workers {
-            assert_eq!(peeks_at(rx), vec![0]);
-        }
-        for w in 0..3 {
+        // Idle: the round opens on the marked slots, and the last answer
+        // settles it (a hash partitioner never plans: held).
+        let marked = vec![TaskId(0), TaskId(2)];
+        ctl.on_source(SourceEvent::SkewAlert {
+            interval: 0,
+            marked,
+        });
+        assert_eq!(awaited(&ctl), Some(vec![0, 2]));
+        ctl.on_worker(peek_answer(1, 0));
+        assert_eq!(awaited(&ctl), Some(vec![0, 2]), "slot 1 was not asked");
+        for w in [0, 2] {
             assert!(ctl.early.is_some());
             ctl.on_worker(peek_answer(w, 0));
             ctl.tick_now();
@@ -2815,10 +2826,10 @@ mod protocol_tests {
         // are ignored for as long as it is (and while it is queued).
         assert!(ctl.pending.is_some());
         ctl.on_source(alert(1));
-        assert!(ctl.early.is_none());
-        for rx in &rig.workers {
-            assert_eq!(peeks_at(rx), vec![]);
-        }
+        assert_eq!(awaited(&ctl), None, "no round opens");
+        ctl.on_worker(peek_answer(0, 1));
+        ctl.tick_now();
+        assert!(rig.workers.iter().all(|rx| rx.try_recv().is_err()));
         assert_eq!(ctl.report.protocol_errors, vec![]);
         assert_eq!(rig.injector.take_ledger(), vec![]);
         drop(ctl.finish(Instant::now()));
@@ -2864,36 +2875,28 @@ mod protocol_tests {
         );
     }
 
-    /// A provisional request lost on the way leaves its worker awaited:
-    /// the round simply never settles, the closing round cancels it, and
-    /// the statistics rounds around it are untouched.
+    /// A provisional request lost on the way (the source announced it,
+    /// then the injector dropped it) leaves its worker awaited: the
+    /// round simply never settles, the closing round cancels it, and the
+    /// statistics rounds around it are untouched.
     #[test]
     fn dropped_provisional_request_is_harmless() {
-        let plan = FaultPlan::new(vec![crate::fault::FaultSpec::DropCtl {
-            kind: CtlKind::StatsRequest,
-            nth: 2,
-        }]);
-        let hash = Box::new(storm(3));
-        let (mut ctl, rig) = rig_with(FixedSchedule::new([]), plan, hash);
+        let (mut ctl, rig) = rig(FixedSchedule::new([]));
         ctl.on_source(alert(0));
-        let asked: Vec<Vec<u64>> = rig.workers.iter().map(peeks_at).collect();
-        assert_eq!(asked, vec![vec![0], vec![], vec![0]], "the 2nd was dropped");
         ctl.on_worker(peek_answer(0, 0));
         ctl.on_worker(peek_answer(2, 0));
         ctl.tick_now();
-        assert_eq!(ctl.early.as_ref().map(|e| e.awaiting.len()), Some(1));
+        assert_eq!(awaited(&ctl), Some(vec![1]));
         close_round(&mut ctl, 0);
         assert!(ctl.early.is_none());
         assert_eq!(ctl.ledger.outstanding(), 0, "the closing round closed");
         assert_eq!(ctl.report.protocol_errors, vec![]);
-        assert_eq!(
-            rig.injector.take_ledger(),
-            vec![FaultEvent::InjectedDrop {
-                kind: CtlKind::StatsRequest,
-                nth: 2
-            }]
-        );
+        assert_eq!(rig.injector.take_ledger(), vec![]);
+        drop(ctl.finish(Instant::now()));
+        let steps = vec![(0, EarlyStep::Open), (0, EarlyStep::Cancelled)];
+        assert_eq!(early_steps(&rig), steps);
     }
+
     /// A provisional round that finds the open interval skewed plans
     /// through the ordinary walk — a `rebalance` op, queued and started
     /// like any other — and the interval's closing report then lands in
@@ -3117,7 +3120,7 @@ mod protocol_tests {
     fn round_sums_a_key_across_workers_and_a_duplicate_report() {
         let (mut ctl, _rig) = rig(FixedSchedule::new([]));
         let hot = Key(7);
-        ctl.on_source(SourceEvent::IntervalDone { interval: 0 });
+        ctl.on_source(cut(&ctl, 0));
         ctl.on_worker(stats_event(0, 0, sealed_report(0, hot, 10)));
         ctl.on_worker(stats_event(1, 0, sealed_report(1, hot, 20)));
         ctl.on_worker(stats_event(1, 0, sealed_report(1, hot, 20)));
@@ -3138,6 +3141,31 @@ mod protocol_tests {
         assert_eq!(round.loads, vec![11, 42, 1]);
     }
 
+    /// A round awaits exactly the slots the source marked, less the ones
+    /// the controller knows are dead: a slot the source held back (a
+    /// scale-in victim under its pause) is not waited for, nor is a
+    /// corpse the source has not heard of yet.
+    #[test]
+    fn round_awaits_the_marked_slots_not_known_dead() {
+        let (mut ctl, _rig) = rig(FixedSchedule::new([]));
+        let marked = vec![TaskId(0), TaskId(2)];
+        ctl.on_source(SourceEvent::IntervalDone {
+            interval: 0,
+            marked,
+        });
+        ctl.on_worker(stats_event(0, 0, IntervalStats::new()));
+        assert!(ctl.closed_rounds.is_empty());
+        ctl.on_worker(stats_event(2, 0, IntervalStats::new()));
+        assert_eq!(ctl.closed_rounds.len(), 1, "slot 1 was not awaited");
+        ctl.tick_now();
+        ctl.dead.insert(1);
+        ctl.on_source(cut(&ctl, 1));
+        ctl.on_worker(stats_event(0, 1, IntervalStats::new()));
+        ctl.on_worker(stats_event(2, 1, IntervalStats::new()));
+        let closed: Vec<u64> = ctl.closed_rounds.iter().map(|r| r.0).collect();
+        assert_eq!(closed, vec![1], "the corpse was not awaited");
+    }
+
     /// A report for a round already closed, with no round open, waits in
     /// the carry and is folded into the next round issued.
     #[test]
@@ -3147,7 +3175,7 @@ mod protocol_tests {
         close_round(&mut ctl, 0);
         ctl.on_worker(stats_event(1, 0, sealed_report(1, hot, 9)));
         assert_eq!(ctl.ledger.carry.get(hot).map(|s| s.cost), Some(9));
-        ctl.on_source(SourceEvent::IntervalDone { interval: 1 });
+        ctl.on_source(cut(&ctl, 1));
         assert!(ctl.ledger.carry.is_empty());
         for w in 0..3 {
             let cost = if w == 0 { 5 } else { 0 };

@@ -17,7 +17,7 @@ use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use streambal_core::{
     skew_alert, Key, Partitioner, RoutingView, SourceRouter, TaskId, SKEW_ALERT_FLOOR,
     SKEW_ALERT_MIN_SHARE,
@@ -33,8 +33,8 @@ use {streambal_elastic::ScaleDecision, streambal_hashring::FxHashMap};
 use crate::controller::{ControlIo, Controller};
 use crate::fault::{next_live, CtlKind, FaultEvent, FaultInjector, FaultPlan};
 use crate::merge::MergeStage;
-use crate::message::{Message, PauseScope, SourceCtl, SourceEvent, WorkerEvent};
-use crate::operator::{Collector, Operator};
+use crate::message::{Event, Message, PauseScope, SourceCtl, SourceEvent};
+use crate::operator::{Collector, Combine, Operator};
 use crate::tuple::Tuple;
 use crate::worker::{Worker, WorkerWiring};
 
@@ -97,7 +97,8 @@ pub struct EngineConfig {
     /// protocol ops with epochs, spans, and deadline/abort handling.
     /// Decisions the routing layer cannot honour (fewer than two tasks,
     /// an already-split key, a degenerate replica set) are skipped, not
-    /// deferred. Default: `None` (never splits).
+    /// deferred; a run of a [`Combine::Join`] operator with a split policy
+    /// is refused. Default: `None` (never splits).
     pub split: Option<Box<dyn SplitPolicy>>,
     /// Deterministic fault schedule for this run (default: none). See
     /// [`crate::fault`] — every fired fault and recovery action lands in
@@ -210,6 +211,29 @@ pub enum ProtocolError {
         /// Which thread: `"source"` or `"collector"`.
         thread: &'static str,
     },
+    /// [`Engine::run`] refused the run and started no thread; the
+    /// report is otherwise empty.
+    Refused(Refusal),
+}
+
+/// Why [`Engine::run`] refused a run ([`ProtocolError::Refused`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// [`EngineConfig::n_workers`] is 0.
+    NoWorkers,
+    /// The partitioner routes over a different number of tasks than
+    /// [`EngineConfig::n_workers`].
+    Parallelism {
+        /// The partitioner's `n_tasks()`.
+        partitioner: usize,
+        /// The configured initial parallelism.
+        workers: usize,
+    },
+    /// A [`Combine::Join`] operator under a split policy.
+    JoinSplit,
+    /// A [`Combine::Join`] operator under a partitioner that spreads a
+    /// key over several tasks (`preserves_key_semantics() == false`).
+    JoinSpread,
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -242,6 +266,7 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::ThreadPanicked { thread } => {
                 write!(f, "{thread} thread panicked")
             }
+            ProtocolError::Refused(why) => write!(f, "run refused: {why:?}"),
         }
     }
 }
@@ -362,6 +387,9 @@ impl Engine {
     ///   returns that interval's tuples, or `None` to finish.
     /// * `collector` — optional downstream stage receiving operator
     ///   emissions (PKG merger, Q5 aggregation).
+    ///
+    /// A run that cannot be sound returns at once, before any thread
+    /// starts, with [`ProtocolError::Refused`] saying why ([`Refusal`]).
     pub fn run<F, OF>(
         config: EngineConfig,
         partitioner: Box<dyn Partitioner>,
@@ -375,12 +403,16 @@ impl Engine {
     {
         let t0 = Instant::now();
         let max_workers = config.max_workers.max(config.n_workers);
-        assert!(config.n_workers >= 1, "need at least one worker");
-        assert_eq!(
-            partitioner.n_tasks(),
-            config.n_workers,
-            "partitioner and engine must agree on initial parallelism"
-        );
+        // The initial workers' operators, built before any thread
+        // starts: whether the run is sound depends on how they combine.
+        let ops: Vec<Box<dyn Operator>> = (0..config.n_workers)
+            .map(|d| op_factory(TaskId::from(d)))
+            .collect();
+        if let Some(why) = refusal(&config, &*partitioner, &ops) {
+            let mut report = EngineReport::empty(partitioner.name(), max_workers);
+            report.protocol_errors.push(ProtocolError::Refused(why));
+            return report;
+        }
 
         // One channel per slot, provisioned or not. Capacities are
         // tuple-denominated: batch sends are weighted by their tuple
@@ -390,9 +422,10 @@ impl Engine {
         let (worker_txs, slot_rxs): (Vec<_>, Vec<_>) = (0..max_workers)
             .map(|_| bounded::<Message>(config.channel_capacity))
             .unzip();
-        let (event_tx, event_rx) = unbounded::<WorkerEvent>();
+        // The controller's one inbox: the source's events and the
+        // workers' share it, so a report lands behind the cut it answers.
+        let (event_tx, event_rx) = unbounded::<Event>();
         let (ctl_tx, ctl_rx) = unbounded::<SourceCtl>();
-        let (src_evt_tx, src_evt_rx) = unbounded::<SourceEvent>();
         let (col_tx, col_rx) = bounded::<Vec<Tuple>>(config.collector_capacity);
         // Batch-buffer free list: workers (and the collector) return
         // drained `Vec<Tuple>`s here — in groups, amortizing the channel
@@ -413,7 +446,7 @@ impl Engine {
             Arc::clone(&sink),
         ));
         let wiring = WorkerWiring {
-            events: event_tx,
+            events: event_tx.clone(),
             collector: collector.is_some().then(|| col_tx.clone()),
             spin_work: config.spin_work,
             window: config.window as u64,
@@ -436,15 +469,16 @@ impl Engine {
                     Worker::new(wiring, TaskId::from(id), rx, op, start_interval).run()
                 });
             };
+            let mut ops = ops.into_iter();
             let worker_rxs: Vec<Option<Receiver<Message>>> = slot_rxs
                 .into_iter()
                 .enumerate()
-                .map(|(d, rx)| {
-                    if d >= config.n_workers {
-                        return Some(rx);
+                .map(|(d, rx)| match ops.next() {
+                    Some(op) => {
+                        spawn_worker(d, rx, op, 0);
+                        None
                     }
-                    spawn_worker(d, rx, op_factory(TaskId::from(d)), 0);
-                    None
+                    None => Some(rx),
                 })
                 .collect();
 
@@ -463,7 +497,7 @@ impl Engine {
             );
             let (inj, rec) = (Arc::clone(&injector), sink.recorder(ThreadLabel::Source));
             let source = s.spawn(move || {
-                SourcePlane::new(view, txs, ctl_rx, src_evt_tx, pool_rx, batch, inj)
+                SourcePlane::new(view, txs, ctl_rx, event_tx, pool_rx, batch, inj)
                     .run(feeder, t0, rec)
             });
 
@@ -479,41 +513,51 @@ impl Engine {
                 spawn: Box::new(spawn_worker),
             };
             let mut ctl = Controller::new(config, partitioner, io, t0);
-            drive(&mut ctl, &src_evt_rx, &event_rx);
+            drive(&mut ctl, &event_rx);
             teardown(ctl, source, merge, col_tx, &injector, &sink)
         })
     }
 }
 
-/// The controller's event loop: hands every source and worker event to
+/// Why a run cannot start, if it cannot: no worker, a partitioner over a
+/// different number of tasks, or a join operator whose keys the run
+/// could spread over several workers — a join does not fold, so each
+/// replica would pair only its own share of a key's tuples.
+fn refusal(
+    config: &EngineConfig,
+    partitioner: &dyn Partitioner,
+    ops: &[Box<dyn Operator>],
+) -> Option<Refusal> {
+    if config.n_workers == 0 {
+        return Some(Refusal::NoWorkers);
+    }
+    if partitioner.n_tasks() != config.n_workers {
+        return Some(Refusal::Parallelism {
+            partitioner: partitioner.n_tasks(),
+            workers: config.n_workers,
+        });
+    }
+    if !ops.iter().any(|op| op.combine() == Combine::Join) {
+        return None;
+    }
+    if config.split.is_some() {
+        return Some(Refusal::JoinSplit);
+    }
+    (!partitioner.preserves_key_semantics()).then_some(Refusal::JoinSpread)
+}
+
+/// The controller's event loop: hands every event of its one inbox to
 /// the controller, and ticks it after each one and on every idle
 /// wake-up, until every worker has drained. It reads the clock once per
 /// turn and passes that instant in; the controller reads none.
-fn drive(
-    ctl: &mut Controller<'_>,
-    source: &Receiver<SourceEvent>,
-    workers: &Receiver<WorkerEvent>,
-) {
-    let mut select = Select::new();
-    let src_idx = select.recv(source);
-    select.recv(workers);
+fn drive(ctl: &mut Controller<'_>, events: &Receiver<Event>) {
     while !ctl.done() {
         // Bounded wait: the tick (deadline retries/aborts, stats-round
         // expiry, the shutdown gate) must run even when no event arrives.
-        let ready = select.select_timeout(Duration::from_millis(10));
+        let ev = events.recv_timeout(Duration::from_millis(10));
         let now = Instant::now();
-        if let Ok(ready) = ready {
-            if ready.index() == src_idx {
-                let Ok(ev) = ready.recv(source) else {
-                    continue;
-                };
-                ctl.on_source_event(ev, now);
-            } else {
-                let Ok(ev) = ready.recv(workers) else {
-                    continue;
-                };
-                ctl.on_worker_event(ev, now);
-            }
+        if let Ok(ev) = ev {
+            ctl.on_event(ev, now);
             if ctl.done() {
                 break;
             }
@@ -602,7 +646,8 @@ struct SourcePlane {
     /// The control inbox, handled one message at a time by
     /// [`SourcePlane::handle_ctl`].
     ctl: Receiver<SourceCtl>,
-    events: Sender<SourceEvent>,
+    /// The controller's inbox.
+    events: Sender<Event>,
     /// In-flight control op: epoch and the pause filter.
     paused: Option<(u64, PauseFilter)>,
     /// Tuples of paused keys, held until `Resume`.
@@ -636,7 +681,7 @@ impl SourcePlane {
         view: RoutingView,
         worker_txs: Vec<Sender<Message>>,
         ctl: Receiver<SourceCtl>,
-        events: Sender<SourceEvent>,
+        events: Sender<Event>,
         pool: Receiver<Vec<Vec<Tuple>>>,
         batch_size: usize,
         injector: Arc<FaultInjector>,
@@ -689,10 +734,10 @@ impl SourcePlane {
                 self.free.len() as u64,
             );
             recorder.interval_end(interval, fed);
-            let _ = self.events.send(SourceEvent::IntervalDone { interval });
+            self.cut(interval, false);
             interval += 1;
         }
-        let _ = self.events.send(SourceEvent::Finished);
+        self.emit(SourceEvent::Finished);
         while let Ok(msg) = self.ctl.recv() {
             if !self.handle_ctl(msg) {
                 return;
@@ -732,7 +777,7 @@ impl SourcePlane {
                 if !alerted && pending.len() as u64 * 2 > fed && self.skewed(fed) {
                     alerted = true;
                     recorder.skew_alert(interval, self.sent.clone());
-                    let _ = self.events.send(SourceEvent::SkewAlert { interval });
+                    self.cut(interval, true);
                 }
             }
             // Stage the next batch, holding back keys paused for an
@@ -875,28 +920,79 @@ impl SourcePlane {
                     return;
                 }
                 Err(e) => {
-                    if self.dead.insert(d) {
-                        // The event channel outlives the source (the
-                        // controller joins it before dropping the
-                        // receiver), so this send cannot disconnect.
-                        let _ = self.events.send(SourceEvent::SendFailed {
-                            dest: TaskId::from(d),
-                        });
-                    }
+                    self.lost_dest(d);
                     msg = e.0;
                 }
             }
         }
     }
 
+    /// A send to `dest` failed: the worker died under us before the
+    /// controller could say so. Marks the slot and reports it once.
+    fn lost_dest(&mut self, dest: usize) {
+        if self.dead.insert(dest) {
+            self.emit(SourceEvent::SendFailed {
+                dest: TaskId::from(dest),
+            });
+        }
+    }
+
+    /// Cuts a statistics round in-band: the interval's closing round, or
+    /// with `peek` the skew alert's provisional one. Called between
+    /// routed batches, when every accumulator is flushed. It announces
+    /// the round with the slots it marks *before* it marks them, so no
+    /// answer can reach the controller ahead of its round; then each
+    /// marker lands behind every batch routed so far and ahead of every
+    /// later one. A marker the injector drops stays announced, as one
+    /// lost in flight would.
+    fn cut(&mut self, interval: u64, peek: bool) {
+        let held = match &self.paused {
+            Some((_, PauseFilter::Dest(d))) => Some(d.index()),
+            _ => None,
+        };
+        let marked: Vec<usize> = (0..self.router.n_tasks())
+            .filter(|d| !self.dead.contains(d) && held != Some(*d))
+            .collect();
+        let announced = marked.iter().copied().map(TaskId::from).collect();
+        self.emit(if peek {
+            SourceEvent::SkewAlert {
+                interval,
+                marked: announced,
+            }
+        } else {
+            SourceEvent::IntervalDone {
+                interval,
+                marked: announced,
+            }
+        });
+        for d in marked {
+            if self.injector.should_drop(CtlKind::StatsRequest) {
+                continue;
+            }
+            let marker = if peek {
+                Message::StatsPeek { interval }
+            } else {
+                Message::StatsRequest { interval }
+            };
+            if self.worker_txs[d].send(marker).is_err() {
+                self.lost_dest(d);
+            }
+        }
+    }
+
+    /// Sends the controller one event. Its inbox outlives the source
+    /// (the controller joins the source before dropping the receiver),
+    /// so the discarded send result can only ever be `Ok`.
+    fn emit(&self, ev: SourceEvent) {
+        let _ = self.events.send(Event::Source(ev));
+    }
+
     /// Sends a controller-bound ack, honouring an injected control drop.
-    /// The event channel outlives the source (see `send_batch`), so the
-    /// discarded send result can only ever be `Ok`.
     fn ack(&self, ev: SourceEvent, kind: CtlKind) {
         if !self.injector.is_passive() && self.injector.should_drop(kind) {
             return;
         }
-        let _ = self.events.send(ev);
+        self.emit(ev);
     }
 
     /// Whether the per-destination counts of an interval of `fed` tuples
@@ -996,7 +1092,7 @@ impl SourcePlane {
                     self.router
                         .update(RoutingView::TableDelta { n_tasks, moves });
                 }
-                let _ = self.events.send(SourceEvent::DeadDestAck { dest });
+                self.emit(SourceEvent::DeadDestAck { dest });
             }
             SourceCtl::ReviveDest { dest, tx } => {
                 self.worker_txs[dest.index()] = tx;
@@ -1528,15 +1624,134 @@ mod tests {
         assert_eq!(report.processed, 1000);
     }
 
+    /// Bad parallelism is refused before any thread starts: the feeder
+    /// is never called, and the report says why.
     #[test]
-    #[should_panic(expected = "must agree")]
-    fn mismatched_parallelism_panics() {
-        let _ = Engine::run(
-            small_config(), // 3 workers
-            Box::new(storm(2)),
-            |_| Box::new(WordCountOp::new()),
-            |_| None,
-            None,
+    fn mismatched_parallelism_is_a_reported_error() {
+        let refused = |config: EngineConfig, partitioner| {
+            let report = Engine::run(
+                config,
+                Box::new(partitioner),
+                |_| Box::new(WordCountOp::new()),
+                |_| -> Option<Vec<Tuple>> { panic!("a refused run fed a tuple") },
+                None,
+            );
+            assert_eq!(report.processed, 0);
+            report.protocol_errors
+        };
+        let reason = |why| vec![ProtocolError::Refused(why)];
+        let two = Refusal::Parallelism {
+            partitioner: 2,
+            workers: 3,
+        };
+        assert_eq!(refused(small_config(), storm(2)), reason(two));
+        let none = EngineConfig {
+            n_workers: 0,
+            ..small_config()
+        };
+        assert_eq!(refused(none, storm(1)), reason(Refusal::NoWorkers));
+    }
+
+    /// A join does not fold, so a run that could put one key's tuples on
+    /// several workers is refused before any thread starts: each worker
+    /// would pair only its own share of the key's tuples, and nothing
+    /// would report the missing pairs.
+    #[test]
+    fn joins_refuse_to_split_or_spread() {
+        use crate::operator::CoJoinOp;
+        use crate::tuple::{TAG_LEFT, TAG_RIGHT};
+        use streambal_baselines::pkg;
+        use streambal_elastic::FixedSplitSchedule;
+        // 40 orders and 40 lineitems of key 7 per interval, 4 intervals.
+        let feed = |iv: u64| {
+            (iv < 4).then(|| {
+                (0..80u64)
+                    .map(|i| {
+                        let tag = if i % 2 == 0 { TAG_LEFT } else { TAG_RIGHT };
+                        Tuple::tagged(Key(7), tag, [i, iv])
+                    })
+                    .collect()
+            })
+        };
+        let run = |config: EngineConfig, partitioner: Box<dyn Partitioner>| {
+            let collector = Box::new(crate::operator::SumCollector::new());
+            Engine::run(
+                config,
+                partitioner,
+                |_| Box::new(CoJoinOp::new()),
+                feed,
+                Some(collector as Box<dyn Collector>),
+            )
+        };
+        let split = EngineConfig {
+            split: Some(Box::new(FixedSplitSchedule::cycle(7, 4, 1, 99))),
+            ..small_config()
+        };
+        let report = run(split, Box::new(storm(3)));
+        let refused = |why| vec![ProtocolError::Refused(why)];
+        assert_eq!(report.protocol_errors, refused(Refusal::JoinSplit));
+        assert_eq!((report.processed, report.split_events.len()), (0, 0));
+        let report = run(small_config(), Box::new(pkg(3)));
+        assert_eq!(report.protocol_errors, refused(Refusal::JoinSpread));
+        // Unsplit under key grouping, the same join runs.
+        let report = run(small_config(), Box::new(storm(3)));
+        assert_eq!(report.protocol_errors, vec![]);
+        assert_eq!(report.processed, 320);
+    }
+
+    /// The source cuts a round in-band: it announces the slots it marks,
+    /// then queues one marker into each — every slot of its view but the
+    /// dead ones and a scale-in victim its pause holds back. A marker the
+    /// injector drops stays announced.
+    #[test]
+    fn source_announces_each_cut_then_marks_its_slots() {
+        use crate::fault::FaultSpec;
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| bounded::<Message>(8)).unzip();
+        let (events, inbox) = unbounded();
+        let (_ctl_tx, ctl) = unbounded();
+        let (_pool_tx, pool) = unbounded();
+        let plan = FaultPlan::new(vec![FaultSpec::DropCtl {
+            kind: CtlKind::StatsRequest,
+            nth: 2,
+        }]);
+        let injector = Arc::new(FaultInjector::new(plan));
+        let view = storm(3).routing_view();
+        let mut plane = SourcePlane::new(view, txs, ctl, events, pool, 4, injector);
+        let markers = |rx: &Receiver<Message>| -> Vec<String> {
+            std::iter::from_fn(|| rx.try_recv().ok())
+                .map(|m| format!("{m:?}"))
+                .collect()
+        };
+        let announced = || match inbox.try_recv() {
+            Ok(Event::Source(ev)) => format!("{ev:?}"),
+            other => panic!("expected a source event, got {other:?}"),
+        };
+
+        plane.cut(0, false);
+        let all = vec![TaskId(0), TaskId(1), TaskId(2)];
+        let done = SourceEvent::IntervalDone {
+            interval: 0,
+            marked: all,
+        };
+        assert_eq!(announced(), format!("{done:?}"));
+        let request = vec![format!("{:?}", Message::StatsRequest { interval: 0 })];
+        let got: Vec<Vec<String>> = rxs.iter().map(markers).collect();
+        assert_eq!(
+            got,
+            vec![request.clone(), vec![], request],
+            "the 2nd dropped"
         );
+
+        plane.dead.insert(0);
+        plane.paused = Some((1, PauseFilter::Dest(TaskId(2))));
+        plane.cut(1, true);
+        let alert = SourceEvent::SkewAlert {
+            interval: 1,
+            marked: vec![TaskId(1)],
+        };
+        assert_eq!(announced(), format!("{alert:?}"));
+        let peek = vec![format!("{:?}", Message::StatsPeek { interval: 1 })];
+        let got: Vec<Vec<String>> = rxs.iter().map(markers).collect();
+        assert_eq!(got, vec![vec![], peek, vec![]]);
     }
 }

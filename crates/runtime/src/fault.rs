@@ -48,7 +48,9 @@ pub enum CtlKind {
     Resume,
     /// Source resume acknowledgement (`SourceEvent::ResumeAck`).
     ResumeAck,
-    /// Per-interval stats request to a worker.
+    /// Statistics marker the source puts into a worker's channel at a
+    /// cut (`Message::StatsRequest`, or `Message::StatsPeek` at a skew
+    /// alert).
     StatsRequest,
     /// Worker stats report (`WorkerEvent::Stats`).
     Stats,

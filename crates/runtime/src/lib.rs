@@ -6,11 +6,11 @@
 //! ## Shape
 //!
 //! ```text
-//!  Source thread ──(bounded channels: backpressure)──▶ Worker threads (keyed, stateful)
-//!       ▲   │                                              │        │
-//!       │   └───────────── interval markers ───────────────┼──▶ Collector thread
-//!       │                                                  │     (merge / aggregate)
-//!  Controller (Fig. 5 protocol) ◀───── events ─────────────┘
+//!  Source thread ──(bounded channels: batches + in-band markers)──▶ Worker threads
+//!       ▲   │                                                        │        │
+//!       │   └──────────── events ───────────┐                        │        ▼
+//!       │                                   ▼                        │  Collector thread
+//!  Controller (Fig. 5 protocol) ◀── one inbox (unbounded FIFO) ◀─────┘  (merge / aggregate)
 //! ```
 //!
 //! Those are all the threads a run has: one source, one per provisioned
@@ -20,7 +20,8 @@
 //! [`SourceCtl`] at a time between routed batches, a worker's
 //! `Worker::run` dispatches each [`Message`] to one method
 //! (`on_batch`, `on_stats_request`, `on_stats_peek`, `on_migrate_out`,
-//! `on_install`), and the controller takes one event per call. A worker
+//! `on_install`), and the controller takes one [`Event`] per call from
+//! its one inbox, which the source and the workers share. A worker
 //! leaves by exactly one path, whatever ended it (`Retire`, `Shutdown`,
 //! or an injected death): one [`WorkerEvent::Exited`] carrying its
 //! lifetime [`WorkerTotals`], which the controller folds in one place,
@@ -48,11 +49,15 @@
 //!   interval's statistics map (one probe per run; a batch-local scratch
 //!   map measured slower).
 //! * The **controller** implements the paper's rebalance workflow
-//!   (Fig. 5): ① collect per-interval statistics; ② run the partitioner's
-//!   rebalance; ③④ broadcast the plan and pause affected keys at the
-//!   source (which buffers them); ⑤ migrate key state between workers via
-//!   in-band messages; ⑥ collect acks; ⑦ resume with the new routing
-//!   table. Tuples of unaffected keys keep flowing throughout.
+//!   (Fig. 5): ① collect per-interval statistics — the source cuts each
+//!   interval in-band, putting a [`Message::StatsRequest`] into every
+//!   worker channel it can route to, behind the interval's last batch,
+//!   so a round holds exactly the tuples the source cut into it; ② run
+//!   the partitioner's rebalance; ③④ broadcast the plan and pause
+//!   affected keys at the source (which buffers them); ⑤ migrate key
+//!   state between workers via in-band messages; ⑥ collect acks; ⑦
+//!   resume with the new routing table. Tuples of unaffected keys keep
+//!   flowing throughout.
 //!
 //! In-band delivery over FIFO channels gives exactly-once state movement,
 //! and the argument survives batching unchanged because batches and
@@ -127,10 +132,14 @@
 //! `streambal_core::skew_alert` — imbalance beyond a constant floor by
 //! three sigmas of the sampling noise — once it has sent an eighth of
 //! the interval under one view, in the first half of the interval, at
-//! most once per interval and never under a pause. A `SkewAlert` that
-//! finds the control plane idle (no op in flight or queued, no dead
-//! slot) makes the controller send every worker a `StatsPeek` marker;
-//! each answers with a sealed **copy** of its statistics so far and
+//! most once per interval and never under a pause. On an alert the source
+//! cuts a provisional round the way it cuts an interval: it announces
+//! `SkewAlert` with the slots it marks, then puts a `StatsPeek` marker
+//! into each, at the same poll point — so the copies hold exactly the
+//! sample the alert measured. If the controller finds the control plane
+//! idle (no op in flight or queued, no dead slot) it awaits the copies;
+//! otherwise it opens no round and drops them as they arrive. Each
+//! worker answers with a sealed **copy** of its statistics so far and
 //! changes nothing else — no `Operator::flush`, no window eviction, no
 //! interval advance, accumulators not reset. The absorbed copies go to
 //! `Partitioner::end_interval` marked provisional
@@ -149,16 +158,27 @@
 //! one, so everything decided after the interval closes is decided on
 //! exactly the statistics a run without the alert would have had.
 //!
-//! **Why an arbitrary cut point is safe.** Nothing in the FIFO argument
-//! above refers to interval boundaries: it orders each batch against
-//! each marker on one channel. The `StatsPeek` markers are enqueued by
-//! the controller at one instant, so the copies are a consistent cut —
-//! each worker reports exactly the tuples the source had sent it by
-//! then — but even that is only plan *quality*: whatever the statistics
-//! say, the op that follows pauses its keys at the source, extracts
-//! behind every pre-pause batch and resumes behind the installs, so
-//! state and tuples cannot cross wherever in the interval it runs. Per
-//! key the interval's closing report is still complete: a key moved
+//! **Why the cut is exact, and why any cut point is safe.** Both kinds
+//! of round are cut by the source, between routed batches, when every
+//! fan-out accumulator is flushed: each marker lands behind every batch
+//! the source had routed to that worker and ahead of every later one, so
+//! each worker reports exactly the tuples the source sent it before the
+//! cut — a consistent cut, the in-band barrier of Carbone et al.
+//! (2015). The source announces a round (`IntervalDone` / `SkewAlert`,
+//! with the marked slots) *before* it enqueues the markers, and source
+//! and worker events share the controller's one FIFO inbox, so no
+//! report can reach the controller ahead of its round. A round expects
+//! the marked slots less those the controller knows are dead. A tuple
+//! held in the pause buffer across a cut counts in the interval it is
+//! shipped in. A worker spawned mid-run starts at the interval after
+//! the latest cut the controller has read; the source may have cut
+//! further by then, so the worker's first partial interval can carry
+//! that older label until its first `StatsRequest`. Where the cut falls
+//! is still only plan *quality*: whatever the statistics say, the op
+//! that follows pauses its keys at the source, extracts behind every
+//! pre-pause batch and resumes behind the installs, so state and tuples
+//! cannot cross wherever in the interval it runs. Per key the
+//! interval's closing report is still complete: a key moved
 //! mid-interval is reported in part by its old holder and in part by its
 //! new one, and the controller's merge adds the parts.
 //!
@@ -262,10 +282,10 @@
 //!   (routing-table entries, tombstone debris, pool occupancy) and
 //!   `IntervalEnd` totals.
 //! * **Early rounds**: the source's `SkewAlert` (interval,
-//!   per-destination counts — recorded at a control-poll point, so batch
-//!   granularity) and the controller's `EarlyRound` steps (`open`, then
-//!   `planned`, `split` — with the inputs that decided it — `held` or
-//!   `cancelled`). `check_integrity` allows one alert per interval and
+//!   per-destination counts — recorded at the control-poll point where
+//!   the source cuts the provisional round) and the controller's
+//!   `EarlyRound` steps (`open`, then `planned`, `split` — with the
+//!   inputs that decided it — `held` or `cancelled`). `check_integrity` allows one alert per interval and
 //!   one open and one end per early round, behind its alert. Both are
 //!   masked from the skeleton: whether an alert trips depends on which
 //!   view the source routed the interval's first tuples under.
@@ -311,11 +331,15 @@ pub mod operator;
 pub mod tuple;
 pub mod worker;
 
-pub use engine::{Engine, EngineConfig, EngineReport, ProtocolError, ScaleEvent, SplitEvent};
+pub use engine::{
+    Engine, EngineConfig, EngineReport, ProtocolError, Refusal, ScaleEvent, SplitEvent,
+};
 pub use fault::{CtlKind, FaultEvent, FaultInjector, FaultPlan, FaultSpec, KillTrigger, OpKind};
 pub use merge::MergeStage;
-pub use message::{Message, SourceCtl, SourceEvent, WorkerEvent, WorkerExit, WorkerTotals};
-pub use operator::{CoJoinOp, Collector, Operator, SumCollector, WindowedSelfJoinOp, WordCountOp};
+pub use message::{Event, Message, SourceCtl, SourceEvent, WorkerEvent, WorkerExit, WorkerTotals};
+pub use operator::{
+    CoJoinOp, Collector, Combine, Operator, SumCollector, WindowedSelfJoinOp, WordCountOp,
+};
 pub use streambal_core::SourceRouter;
 pub use streambal_trace::{
     EarlySplit, EarlyStep, EventKind, OpLabel, Outcome, Phase, SpanSummary, ThreadLabel,

@@ -1,4 +1,5 @@
-//! Channel message types: worker inputs, worker events, source control.
+//! Channel message types: worker inputs, the controller's one inbox of
+//! source and worker events, source control.
 
 use bytes::Bytes;
 use streambal_core::{IntervalStats, Key, RoutingView, TaskId};
@@ -8,8 +9,8 @@ use crate::tuple::Tuple;
 /// Messages flowing into a worker's input channel. Tuple batches and
 /// control markers share the channel, so FIFO ordering *is* the migration
 /// consistency argument (see crate docs): a batch enqueued before a
-/// `MigrateOut`/`StateInstall`/`Shutdown` marker is processed — whole —
-/// before it.
+/// `StatsRequest`/`MigrateOut`/`StateInstall`/`Shutdown` marker is
+/// processed — whole — before it.
 #[derive(Debug)]
 pub enum Message {
     /// A batch of data tuples — the only payload-carrying variant: one
@@ -18,17 +19,19 @@ pub enum Message {
     /// returns it (cleared, capacity intact) to the source through the
     /// engine's recycle channel, so the steady state allocates nothing.
     TupleBatch(Vec<Tuple>),
-    /// Interval boundary: report statistics, advance the window. Also
-    /// the flight recorder's flush point: the worker rolls its local
-    /// batch counters into one `DataFlush` trace event here — FIFO
-    /// guarantees every tuple the source fed for the closing interval
-    /// was drained before this marker, so the counts are deterministic
-    /// per seeded feed.
+    /// Interval boundary: report statistics, advance the window. The
+    /// source puts it into every slot it can route to at the moment it
+    /// cuts the interval, behind the interval's last batch and ahead of
+    /// the next interval's first, so FIFO makes the cut exact: the
+    /// report, the window label and the flight recorder's `DataFlush`
+    /// (the worker rolls its batch counters into one here) hold exactly
+    /// the tuples the source routed to this worker in the interval.
     StatsRequest {
         /// The interval being closed.
         interval: u64,
     },
-    /// Provisional statistics request, inside an open interval: answer
+    /// Provisional statistics request, inside an open interval, put into
+    /// every slot by the source when it raises a skew alert: answer
     /// with a *copy* of the statistics accumulated so far
     /// ([`WorkerEvent::StatsPeek`]) and change nothing — no operator
     /// flush, no window eviction, no interval advance, accumulators not
@@ -64,8 +67,21 @@ pub enum Message {
     Shutdown,
 }
 
-/// Events workers send the controller (unbounded channel — workers never
-/// block on the controller, which rules out protocol deadlocks).
+/// The controller's one inbox: source and worker events on one unbounded
+/// FIFO channel — neither ever blocks on the controller, which rules out
+/// protocol deadlocks. One channel orders a worker's answer behind the
+/// source's announcement of the round it answers: the source sends
+/// `IntervalDone`/`SkewAlert` *before* it enqueues the markers, and a
+/// worker answers only after it dequeues one.
+#[derive(Debug)]
+pub enum Event {
+    /// From the source thread.
+    Source(SourceEvent),
+    /// From a worker thread.
+    Worker(WorkerEvent),
+}
+
+/// Events workers send the controller.
 #[derive(Debug)]
 pub enum WorkerEvent {
     /// Response to [`Message::StatsRequest`].
@@ -249,10 +265,16 @@ pub enum SourceCtl {
 /// Events the source sends the controller.
 #[derive(Debug)]
 pub enum SourceEvent {
-    /// All tuples of `interval` have been enqueued downstream.
+    /// All tuples of `interval` have been enqueued downstream; a
+    /// [`Message::StatsRequest`] follows into each `marked` slot.
     IntervalDone {
         /// The finished interval.
         interval: u64,
+        /// The slots the source could route to at the cut — every slot
+        /// of its view but the dead ones and a scale-in victim its pause
+        /// holds back — in slot order. A marker the fault injector drops
+        /// still counts: the round waits for it until its deadline.
+        marked: Vec<TaskId>,
     },
     /// Acknowledges [`SourceCtl::Pause`]: no further affected-key tuples
     /// are in flight beyond what is already enqueued.
@@ -285,10 +307,13 @@ pub enum SourceEvent {
     /// The tuples sent to each destination so far in the open interval
     /// are skewed beyond sampling noise (`streambal_core::skew_alert`).
     /// Raised at a control-poll point in the first half of an interval,
-    /// at most once per interval, and never while a pause is in force.
+    /// at most once per interval, and never while a pause is in force; a
+    /// [`Message::StatsPeek`] follows into each `marked` slot.
     SkewAlert {
         /// The open interval.
         interval: u64,
+        /// The slots asked for a copy, as in [`SourceEvent::IntervalDone`].
+        marked: Vec<TaskId>,
     },
     /// The feeder is exhausted; no more tuples will ever be emitted.
     Finished,

@@ -28,6 +28,20 @@ use streambal_hashring::FxHashMap;
 
 use crate::tuple::{Tuple, TAG_PARTIAL, TAG_RIGHT};
 
+/// How one key's partial results, computed on different workers,
+/// combine — what decides whether a run may spread the key over several.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Combine {
+    /// Partials fold: merging each worker's share of a key by a
+    /// commutative, associative fold gives the whole key's result (a
+    /// word count's counts).
+    Fold,
+    /// A key's result pairs its tuples with each other, so a worker
+    /// holding part of them misses the pairs across parts: the key must
+    /// stay on one worker.
+    Join,
+}
+
 /// A keyed, stateful, windowed stream operator running inside one worker.
 pub trait Operator: Send {
     /// Processes one tuple during `interval`; may emit downstream tuples.
@@ -75,6 +89,13 @@ pub trait Operator: Send {
     /// `StateInstall` drained from a dead worker's queue).
     fn tuples_in_blob(&self, _blob: &Bytes) -> u64 {
         0
+    }
+
+    /// How this operator's per-key partials combine. `Engine::run`
+    /// refuses to split or spread the keys of a [`Combine::Join`]
+    /// operator.
+    fn combine(&self) -> Combine {
+        Combine::Fold
     }
 }
 
@@ -577,6 +598,10 @@ impl Operator for WindowedSelfJoinOp {
     fn tuples_in_blob(&self, blob: &Bytes) -> u64 {
         Self::decode(blob).iter().map(|(_, p)| p.len() as u64).sum()
     }
+
+    fn combine(&self) -> Combine {
+        Combine::Join
+    }
 }
 
 // ------------------------------------------------------------------
@@ -670,6 +695,10 @@ impl Operator for CoJoinOp {
 
     fn evict_before(&mut self, oldest_keep: u64) {
         evict_slots(&mut self.left, oldest_keep);
+    }
+
+    fn combine(&self) -> Combine {
+        Combine::Join
     }
 
     fn drain(&mut self) -> Vec<(Key, Bytes)> {

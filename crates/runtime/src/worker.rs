@@ -13,7 +13,7 @@ use streambal_metrics::{Counter, Histogram};
 use streambal_trace::{ThreadLabel, ThreadRecorder, TraceSink};
 
 use crate::fault::{CtlKind, FaultInjector};
-use crate::message::{Message, WorkerEvent, WorkerExit, WorkerTotals};
+use crate::message::{Event, Message, WorkerEvent, WorkerExit, WorkerTotals};
 use crate::operator::Operator;
 use crate::tuple::{Tuple, TAG_PARTIAL};
 
@@ -30,8 +30,9 @@ const RETURN_GROUP: usize = 8;
 /// What every worker of a run shares; the engine clones one per spawn.
 #[derive(Clone)]
 pub(crate) struct WorkerWiring {
-    /// Where reports, acks and the exit event go (the controller).
-    pub events: Sender<WorkerEvent>,
+    /// Where reports, acks and the exit event go: the controller's one
+    /// inbox, shared with the source.
+    pub events: Sender<Event>,
     /// The merge stage's input, when the run has one.
     pub collector: Option<Sender<Vec<Tuple>>>,
     /// Busy-work iterations per tuple (CPU saturation control).
@@ -201,9 +202,12 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    /// A worker on slot `id` that joins at `start_interval` (0 for
-    /// initial workers; the current interval for scale-out spawns, so
-    /// window eviction does not misfire on its early state).
+    /// A worker on slot `id` that joins at `start_interval`: 0 for
+    /// initial workers; for a mid-run spawn, the interval after the
+    /// latest cut the controller has read, so window eviction does not
+    /// misfire on its early state. The source may have cut further by
+    /// then, so that first partial interval can carry an older label
+    /// than the source's; the first `StatsRequest` re-aligns it.
     pub(crate) fn new(
         mut wiring: WorkerWiring,
         id: TaskId,
@@ -309,7 +313,10 @@ impl Worker {
     }
 
     /// Interval boundary: report the closed interval's statistics and
-    /// latency, roll the recorder's counters, advance the window.
+    /// latency, roll the recorder's counters, advance the window. The
+    /// source enqueued this marker at its cut, so FIFO has delivered
+    /// every tuple it routed here in `interval` and none of the next
+    /// one's: report, label and window follow the source's cut exactly.
     fn on_stats_request(&mut self, interval: u64) -> Step {
         if self.faulty {
             let injector = &self.wiring.injector;
@@ -331,7 +338,7 @@ impl Worker {
         self.totals.latency.merge(&self.iv_latency);
         let out_latency = std::mem::take(&mut self.iv_latency);
         if !(self.faulty && self.wiring.injector.should_drop(CtlKind::Stats)) {
-            let _ = self.wiring.events.send(WorkerEvent::Stats {
+            self.send(WorkerEvent::Stats {
                 worker: self.id,
                 interval,
                 stats: out,
@@ -339,10 +346,9 @@ impl Worker {
             });
         }
         self.current_interval = interval + 1;
-        // Interval boundary: the flight recorder rolls its
-        // batch-granularity counters into one DataFlush event. The counts
-        // are deterministic — FIFO guarantees every tuple the source fed
-        // for this interval was processed before this marker arrived.
+        // The flight recorder rolls its batch-granularity counters into
+        // one DataFlush event: by the FIFO argument above, exactly the
+        // tuples the source routed here in this interval.
         self.recorder.close_interval(interval);
         // Keep the last `window` intervals: evict everything strictly
         // older than (closed_interval + 1 − w).
@@ -355,7 +361,7 @@ impl Worker {
     /// window and the flight recorder's interval roll-up must not be able
     /// to tell this request came.
     fn on_stats_peek(&self, interval: u64) -> Step {
-        let _ = self.wiring.events.send(WorkerEvent::StatsPeek {
+        self.send(WorkerEvent::StatsPeek {
             worker: self.id,
             interval,
             stats: self.stats.peek(),
@@ -380,7 +386,7 @@ impl Worker {
             .into_iter()
             .map(|(key, to)| (key, to, self.op.extract(key).unwrap_or_default()))
             .collect();
-        let _ = self.wiring.events.send(WorkerEvent::StateOut {
+        self.send(WorkerEvent::StateOut {
             worker: self.id,
             epoch,
             states,
@@ -414,12 +420,18 @@ impl Worker {
             self.last_installed_epoch = Some(epoch);
         }
         if !(self.faulty && self.wiring.injector.should_drop(CtlKind::InstallAck)) {
-            let _ = self.wiring.events.send(WorkerEvent::InstallAck {
+            self.send(WorkerEvent::InstallAck {
                 worker: self.id,
                 epoch,
             });
         }
         Step::Continue(())
+    }
+
+    /// Sends the controller one event. The inbox outlives every worker,
+    /// so the send fails only at engine teardown, when nobody reads.
+    fn send(&self, ev: WorkerEvent) {
+        let _ = self.wiring.events.send(Event::Worker(ev));
     }
 
     /// Pushes the operator's pending emissions and the emitter's buffer
@@ -479,11 +491,11 @@ impl Worker {
             },
         };
         self.totals.latency.merge(&self.iv_latency);
-        let _ = self.wiring.events.send(WorkerEvent::Exited {
+        let _ = self.wiring.events.send(Event::Worker(WorkerEvent::Exited {
             worker: self.id,
             totals: self.totals,
             exit,
-        });
+        }));
     }
 }
 
@@ -496,11 +508,32 @@ mod tests {
     use streambal_core::Key;
     use streambal_trace::EventKind;
 
+    /// The test's end of a worker's event channel: the inbox it shares
+    /// with the source in a run, read as the worker's own events.
+    struct Events(Receiver<Event>);
+
+    impl Events {
+        fn recv(&self) -> Option<WorkerEvent> {
+            self.0.recv().ok().map(Self::worker)
+        }
+
+        fn try_recv(&self) -> Option<WorkerEvent> {
+            self.0.try_recv().ok().map(Self::worker)
+        }
+
+        fn worker(ev: Event) -> WorkerEvent {
+            match ev {
+                Event::Worker(ev) => ev,
+                Event::Source(ev) => panic!("a worker sent a source event: {ev:?}"),
+            }
+        }
+    }
+
     /// Handles to a spawned test worker: input, events, pool returns,
     /// join handle.
     type WorkerHandles = (
         Sender<Message>,
-        Receiver<WorkerEvent>,
+        Events,
         Receiver<Vec<Vec<Tuple>>>,
         std::thread::JoinHandle<()>,
     );
@@ -510,11 +543,7 @@ mod tests {
         window: u64,
         plan: FaultPlan,
         sink: &Arc<TraceSink>,
-    ) -> (
-        WorkerWiring,
-        Receiver<WorkerEvent>,
-        Receiver<Vec<Vec<Tuple>>>,
-    ) {
+    ) -> (WorkerWiring, Events, Receiver<Vec<Vec<Tuple>>>) {
         let (etx, erx) = unbounded();
         let (pool_tx, pool_rx) = unbounded();
         let wiring = WorkerWiring {
@@ -529,7 +558,7 @@ mod tests {
             injector: Arc::new(FaultInjector::new(plan)),
             sink: Arc::clone(sink),
         };
-        (wiring, erx, pool_rx)
+        (wiring, Events(erx), pool_rx)
     }
 
     fn spawn_worker(window: u64) -> WorkerHandles {
@@ -677,7 +706,7 @@ mod tests {
             h.join().unwrap();
             let mut peeks = Vec::new();
             let mut rest = Vec::new();
-            while let Ok(ev) = erx.try_recv() {
+            while let Some(ev) = erx.try_recv() {
                 match ev {
                     WorkerEvent::StatsPeek {
                         interval, stats, ..

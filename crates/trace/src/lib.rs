@@ -236,7 +236,8 @@ impl Outcome {
 /// alert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EarlyStep {
-    /// Provisional requests went out to the workers.
+    /// The controller opened the round: it awaits the copies the
+    /// source's alert asked the workers for.
     Open,
     /// Every answer arrived and the partitioner planned a rebalance.
     Planned,

@@ -113,8 +113,19 @@ pub fn hottest_key() -> Key {
 /// stage when `p` splits keys — panicking (not hanging) if the run does
 /// not terminate.
 pub fn run_engine(label: &str, config: EngineConfig, p: Box<dyn Partitioner>) -> EngineReport {
+    run_feed(label, config, p, keyed_intervals())
+}
+
+/// Runs the engine on `feed`, one key vector per interval — with partial
+/// emission and a merge stage when `p` splits keys — panicking (not
+/// hanging) if the run does not terminate.
+pub fn run_feed(
+    label: &str,
+    config: EngineConfig,
+    p: Box<dyn Partitioner>,
+    feed: Vec<Vec<Key>>,
+) -> EngineReport {
     let preserves = p.preserves_key_semantics();
-    let feed = keyed_intervals();
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let report = Engine::run(

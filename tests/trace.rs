@@ -14,14 +14,20 @@
 //! * **Ledger agreement** — spans closed `Aborted` correspond one-to-one
 //!   with `FaultEvent::OpAborted` ledger entries, even when chaos
 //!   wedges ops mid-flight.
+//! * **Exact cuts** — the workers' per-interval `DataFlush` counts sum to
+//!   the source's `IntervalEnd` count for every interval.
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
-use common::{mixed_balancer, run_engine, N_TASKS};
+use common::{mixed_balancer, run_engine, run_feed, N_TASKS};
 use streambal::baselines::storm;
-use streambal::runtime::{EngineConfig, FaultEvent, FaultPlan, FaultSpec, OpLabel, Outcome};
+use streambal::prelude::Key;
+use streambal::runtime::{
+    EngineConfig, EventKind, FaultEvent, FaultPlan, FaultSpec, OpLabel, Outcome,
+};
 
 /// The skeleton of a seeded run replays identically. Same scoping as
 /// `same_plan_yields_identical_fault_ledger` in `tests/chaos.rs`: a
@@ -175,4 +181,44 @@ fn aborted_spans_agree_with_the_fault_ledger() {
         report.faults,
         report.trace.span_summaries()
     );
+}
+
+/// Every round holds exactly the tuples the source cut into its
+/// interval: the source marks each worker's channel in-band where it ends
+/// an interval, so worker `w`'s `DataFlush(i)` counts exactly what the
+/// source routed to `w` in interval `i`, and the workers' sum is the
+/// source's `IntervalEnd(i)`. Short unpaced intervals give a cut that
+/// reached the workers late the most room to slip.
+#[test]
+fn every_round_holds_exactly_the_tuples_the_source_cut_into_it() {
+    const RUNS: usize = 16;
+    const INTERVALS: u64 = 12;
+    const TUPLES: u64 = 300;
+    let feed: Vec<Vec<Key>> = (0..INTERVALS)
+        .map(|iv| (0..TUPLES).map(|i| Key((i * 7 + iv) % 97)).collect())
+        .collect();
+    for run in 0..RUNS {
+        let label = format!("exact-cut-{run}");
+        let config = EngineConfig {
+            n_workers: N_TASKS,
+            max_workers: N_TASKS,
+            spin_work: 10,
+            ..EngineConfig::default()
+        };
+        let report = run_feed(&label, config, Box::new(storm(N_TASKS)), feed.clone());
+        let (mut fed, mut flushed) = (BTreeMap::new(), BTreeMap::new());
+        for e in &report.trace.events {
+            match e.kind {
+                EventKind::IntervalEnd { interval, tuples } => {
+                    fed.insert(interval, tuples);
+                }
+                EventKind::DataFlush {
+                    interval, tuples, ..
+                } => *flushed.entry(interval).or_insert(0) += tuples,
+                _ => {}
+            }
+        }
+        assert_eq!(fed.len() as u64, INTERVALS, "{label}");
+        assert_eq!(flushed, fed, "{label}: per-interval DataFlush sums");
+    }
 }
