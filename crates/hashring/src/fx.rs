@@ -21,6 +21,20 @@ pub fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The inverse of [`mix64`]: `unmix64(mix64(x)) == x` for every `x`.
+///
+/// Undoes each step in reverse order: an `x ^= x >> s` by xoring in the
+/// further shifts, a multiply by the constant's inverse mod 2⁶⁴.
+#[inline]
+pub fn unmix64(mut x: u64) -> u64 {
+    x ^= (x >> 31) ^ (x >> 62);
+    x = x.wrapping_mul(0x3196_42B2_D24D_8EC3);
+    x ^= (x >> 27) ^ (x >> 54);
+    x = x.wrapping_mul(0x96DE_1B17_3F11_9089);
+    x ^= (x >> 30) ^ (x >> 60);
+    x.wrapping_sub(0x9E37_79B9_7F4A_7C15)
+}
+
 /// [`mix64`] with an extra seed, producing an independent hash family
 /// member. Used wherever two or more independent functions of the same key
 /// are needed (ring points, power-of-two-choices).
@@ -142,6 +156,19 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for x in 0..100_000u64 {
             assert!(seen.insert(mix64(x)), "collision at {x}");
+        }
+    }
+
+    #[test]
+    fn unmix64_inverts_mix64() {
+        let mut x = 0x0123_4567_89AB_CDEFu64;
+        for edge in [0, 1, u64::MAX, 1 << 63] {
+            assert_eq!(unmix64(mix64(edge)), edge);
+            assert_eq!(mix64(unmix64(edge)), edge);
+        }
+        for _ in 0..100_000 {
+            assert_eq!(unmix64(mix64(x)), x);
+            x = mix64(x);
         }
     }
 

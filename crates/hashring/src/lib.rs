@@ -29,7 +29,9 @@
 pub mod fx;
 pub mod ring;
 
-pub use fx::{fx_hash_u64, mix64, mix64_seeded, FxBuildHasher, FxHashMap, FxHashSet, FxHasher64};
+pub use fx::{
+    fx_hash_u64, mix64, mix64_seeded, unmix64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher64,
+};
 pub use ring::HashRing;
 
 /// Returns the two independent candidate slots `(h1(key), h2(key))` in

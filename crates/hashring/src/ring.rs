@@ -10,15 +10,27 @@
 //! adding one instance only claims keys from existing arcs — every key
 //! either keeps its owner or moves to the *new* instance, so the hash-side
 //! churn of a scale-out is `≈ K / (n+1)` instead of `≈ K`.
+//!
+//! A lookup is one bucket probe, not a binary search: the circle is cut
+//! into `2^b` equal buckets (`2^b` the power of two at or above twice the
+//! point count), each holding the index of the first point at or after
+//! its start. A key's position reads its bucket from the top `b` bits and
+//! steps forward past its bucket's points still below it — fewer than one
+//! on average, with at least two buckets per point. Every point
+//! before a bucket's start lies below every position in the bucket, so
+//! the answer is exactly the first point at or after the position, the
+//! one a binary search over all points finds.
 
 use crate::fx::mix64_seeded;
 
 /// Number of virtual points placed on the ring per slot, by default.
 ///
 /// Arc-length variation scales like `1/√vnodes`; 256 vnodes keeps the
-/// per-slot ownership deviation around 6% while a lookup's binary search
-/// stays cache-friendly. Residual imbalance is expected — the paper's
-/// premise is that hashing alone cannot balance skewed key populations.
+/// per-slot ownership deviation around 6%. A lookup's cost does not grow
+/// with the count (one bucket probe, see the module docs); at four slots
+/// the points and the bucket table take 24 KiB.
+/// Residual imbalance is expected — the paper's premise is that hashing
+/// alone cannot balance skewed key populations.
 pub const DEFAULT_VNODES: usize = 256;
 
 /// A consistent hash ring mapping `u64` keys to slot indices `0..n`.
@@ -30,6 +42,12 @@ pub const DEFAULT_VNODES: usize = 256;
 pub struct HashRing {
     /// Sorted ring points: (position, slot).
     points: Vec<(u64, u32)>,
+    /// `buckets[j]` is the index of the first point at or after
+    /// `j << shift` (`points.len()` if none is), for `2^(64 − shift)`
+    /// buckets — the power of two at or above twice the point count.
+    buckets: Vec<u32>,
+    /// A position's bucket is `pos >> shift`.
+    shift: u32,
     slots: usize,
     vnodes: usize,
 }
@@ -53,12 +71,15 @@ impl HashRing {
         assert!(vnodes > 0, "ring needs at least one vnode per slot");
         let mut ring = HashRing {
             points: Vec::with_capacity(slots * vnodes),
+            buckets: Vec::new(),
+            shift: 0,
             slots: 0,
             vnodes,
         };
         for _ in 0..slots {
-            ring.add_slot();
+            ring.place_slot();
         }
+        ring.rebuild_buckets();
         ring
     }
 
@@ -80,6 +101,14 @@ impl HashRing {
     /// never between old slots (the consistency property, asserted by
     /// tests).
     pub fn add_slot(&mut self) -> usize {
+        let slot = self.place_slot();
+        self.rebuild_buckets();
+        slot
+    }
+
+    /// Puts the next slot's virtual points on the circle, leaving the
+    /// bucket table to the caller.
+    fn place_slot(&mut self) -> usize {
         let slot = self.slots as u32;
         for v in 0..self.vnodes {
             let pos = mix64_seeded((slot as u64) << 32 | v as u64, 0x5851_F42D_4C95_7F2D);
@@ -88,6 +117,22 @@ impl HashRing {
         }
         self.slots += 1;
         self.slots - 1
+    }
+
+    /// Recomputes the bucket table from the points: one pass over both.
+    fn rebuild_buckets(&mut self) {
+        let n = (2 * self.points.len()).next_power_of_two();
+        self.shift = 64 - n.trailing_zeros();
+        self.buckets.clear();
+        self.buckets.reserve_exact(n);
+        let mut idx = 0usize;
+        for j in 0..n as u64 {
+            let start = j << self.shift;
+            while idx < self.points.len() && self.points[idx].0 < start {
+                idx += 1;
+            }
+            self.buckets.push(idx as u32);
+        }
     }
 
     /// Removes the most recently added slot (scale-in), returning its
@@ -104,17 +149,27 @@ impl HashRing {
         let slot = (self.slots - 1) as u32;
         self.points.retain(|&(_, s)| s != slot);
         self.slots -= 1;
+        self.rebuild_buckets();
         slot as usize
     }
 
     /// Maps a key to its owning slot.
     #[inline]
     pub fn slot_of(&self, key: u64) -> usize {
+        self.owner_at(mix64_seeded(key, 0x2545_F491_4F6C_DD1D))
+    }
+
+    /// The slot owning circle position `pos`: the first point at or after
+    /// it, wrapping to the first point past the last one.
+    #[inline]
+    fn owner_at(&self, pos: u64) -> usize {
         debug_assert!(!self.points.is_empty());
-        let pos = mix64_seeded(key, 0x2545_F491_4F6C_DD1D);
-        let idx = self.points.partition_point(|&(p, _)| p < pos);
-        // Wrap around the circle.
-        let idx = if idx == self.points.len() { 0 } else { idx };
+        let start = self.buckets[(pos >> self.shift) as usize] as usize;
+        let idx = match self.points[start..].iter().position(|&(p, _)| p >= pos) {
+            Some(i) => start + i,
+            // Past the last point: wrap around the circle.
+            None => 0,
+        };
         self.points[idx].1 as usize
     }
 
@@ -145,6 +200,105 @@ impl HashRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fx::mix64;
+
+    /// The definition `owner_at` must match: a binary search for the first
+    /// point at or after `pos`, wrapping past the last point.
+    fn owner_by_search(ring: &HashRing, pos: u64) -> usize {
+        let idx = ring.points.partition_point(|&(p, _)| p < pos);
+        let idx = if idx == ring.points.len() { 0 } else { idx };
+        ring.points[idx].1 as usize
+    }
+
+    /// Checks `owner_at` against the search at the positions where an
+    /// off-by-one would show — every point and its neighbours, every
+    /// bucket start and the position before it, both ends of the circle —
+    /// and `slot_of` at `keys` seeded keys.
+    fn assert_lookup_is_the_search(ring: &HashRing, keys: u64) {
+        let n = ring.buckets.len() as u64;
+        assert_eq!(n, (2 * ring.points.len() as u64).next_power_of_two());
+        assert_eq!(n << ring.shift, 0, "buckets must tile the circle");
+        let last = ring.points.last().unwrap().0;
+        let mut probes = vec![0, 1, u64::MAX - 1, u64::MAX, last, last.wrapping_add(1)];
+        for &(p, _) in &ring.points {
+            probes.extend([p.wrapping_sub(1), p, p.wrapping_add(1)]);
+        }
+        for j in 0..n {
+            let start = j << ring.shift;
+            probes.extend([start.wrapping_sub(1), start, start + 1]);
+        }
+        for pos in probes {
+            assert_eq!(
+                ring.owner_at(pos),
+                owner_by_search(ring, pos),
+                "pos {pos:#x}"
+            );
+        }
+        for i in 0..keys {
+            let key = mix64(i ^ 0x9E37_79B9);
+            let pos = mix64_seeded(key, 0x2545_F491_4F6C_DD1D);
+            assert_eq!(ring.slot_of(key), owner_by_search(ring, pos), "key {key}");
+        }
+    }
+
+    #[test]
+    fn bucket_lookup_is_the_binary_search() {
+        for vnodes in [1, 32, 256] {
+            for slots in 1..=16 {
+                assert_lookup_is_the_search(&HashRing::with_vnodes(slots, vnodes), 20_000);
+            }
+        }
+    }
+
+    #[test]
+    fn points_on_bucket_starts_and_circle_ends_are_found() {
+        // Hashed points never land exactly on a bucket start; place them
+        // there by hand: 0, two equal points at 2^63, and 2^62, 2^62 + 1
+        // and u64::MAX (8 buckets, so every multiple of 2^61 starts one).
+        let mut ring = HashRing {
+            points: vec![
+                (0, 0),
+                (1 << 62, 1),
+                ((1 << 62) + 1, 2),
+                (1 << 63, 3),
+                (1 << 63, 1),
+                (u64::MAX, 2),
+            ],
+            buckets: Vec::new(),
+            shift: 0,
+            slots: 4,
+            vnodes: 1,
+        };
+        ring.rebuild_buckets();
+        assert_eq!(ring.shift, 60);
+        assert_lookup_is_the_search(&ring, 2_000);
+        assert_eq!(ring.owner_at(1 << 62), 1);
+        assert_eq!(ring.owner_at(1 << 63), 3);
+        assert_eq!(ring.owner_at((1 << 63) + 1), 2);
+    }
+
+    #[test]
+    fn bucket_table_follows_add_and_remove() {
+        for vnodes in [1, 32, 256] {
+            let mut ring = HashRing::with_vnodes(1, vnodes);
+            // Grow to 9, shrink to 2, grow to 12: rebuilds across
+            // power-of-two bucket counts in both directions.
+            for (grow, steps) in [(true, 8), (false, 7), (true, 10)] {
+                for _ in 0..steps {
+                    if grow {
+                        ring.add_slot();
+                    } else {
+                        ring.remove_slot();
+                    }
+                    assert_lookup_is_the_search(&ring, 2_000);
+                }
+            }
+            assert_eq!(ring.slots(), 12);
+            let fresh = HashRing::with_vnodes(12, vnodes);
+            assert_eq!(ring.points, fresh.points);
+            assert_eq!(ring.buckets, fresh.buckets);
+        }
+    }
 
     #[test]
     fn lookup_in_range_and_deterministic() {

@@ -26,9 +26,6 @@ use streambal_elastic::{ElasticityPolicy, HoldPolicy, SplitPolicy};
 use streambal_hashring::FxHashSet;
 use streambal_metrics::{Counter, Histogram, TimeSeries};
 use streambal_trace::{Outcome, ThreadLabel, ThreadRecorder, TraceLog, TraceSink};
-// Only the unit tests below use these; they glob-import this module.
-#[cfg(test)]
-use {streambal_elastic::ScaleDecision, streambal_hashring::FxHashMap};
 
 use crate::controller::{ControlIo, Controller};
 use crate::fault::{next_live, CtlKind, FaultEvent, FaultInjector, FaultPlan};
@@ -1110,7 +1107,8 @@ mod tests {
     use streambal_baselines::storm;
     use streambal_baselines::CoreBalancer;
     use streambal_core::{BalanceParams, RebalanceStrategy};
-    use streambal_elastic::FixedSchedule;
+    use streambal_elastic::{FixedSchedule, ScaleDecision};
+    use streambal_hashring::FxHashMap;
     use streambal_workloads::FluctuatingWorkload;
 
     /// Reference word counts for a tuple sequence.

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use streambal_core::{IntervalStats, Key, KeyStat, TaskId};
-use streambal_hashring::mix64;
+use streambal_hashring::{mix64, unmix64};
 
 /// How a key's per-interval tuple count translates into computation cost
 /// and state bytes.
@@ -116,12 +116,18 @@ impl FluctuatingWorkload {
     pub fn new(k: usize, z: f64, tuples: u64, f: f64, seed: u64) -> Self {
         let gen = ZipfGen::new(k, z);
         let by_rank = gen.expected_freqs(tuples);
-        // Permute ranks onto key ids deterministically.
-        let mut order: Vec<usize> = (0..k).collect();
-        order.sort_unstable_by_key(|&i| mix64(i as u64 ^ seed));
+        // Permute ranks onto key ids deterministically: ids in order of
+        // their hash. Each hash is computed once and sorted alone, and
+        // `unmix64` gives its id back; `mix64` is a bijection, so the
+        // hashes are distinct and any sort gives this permutation. (Sorted
+        // `(hash, id)` pairs give it too, but at K = 2·10⁵ freeing their
+        // 3.2 MB raised glibc's mmap threshold above the 2 MB interval
+        // buffers `benchmark/` allocates next: `wide` peak RSS +23 MiB.)
+        let mut hashes: Vec<u64> = (0..k as u64).map(|i| mix64(i ^ seed)).collect();
+        hashes.sort_unstable();
         let mut freqs = vec![0u64; k];
-        for (rank, &key_id) in order.iter().enumerate() {
-            freqs[key_id] = by_rank[rank];
+        for (rank, &h) in hashes.iter().enumerate() {
+            freqs[(unmix64(h) ^ seed) as usize] = by_rank[rank];
         }
         FluctuatingWorkload {
             freqs,
@@ -178,7 +184,11 @@ impl FluctuatingWorkload {
         // donor keys elsewhere swap frequencies with its coldest keys.
         let db = self.rng.gen_range(0..n_tasks);
         // Donors: keys not on db, descending frequency. Cold pool: keys on
-        // db, ascending frequency.
+        // db, ascending frequency. Many keys share a frequency, and the
+        // order among equals decides which of them swap: these two sorts
+        // stay `sort_unstable_by_key` over `u32` ids, since another
+        // algorithm or element type would order ties differently and
+        // change every generated workload.
         let mut donors: Vec<u32> = (0..self.freqs.len() as u32)
             .filter(|&i| key_dest[i as usize].index() != db)
             .collect();
@@ -378,6 +388,31 @@ mod tests {
             counts[t.raw() as usize] += 1;
         }
         assert_eq!(&counts[..], w.freqs());
+    }
+
+    /// A hash of the frequencies after `steps` fluctuation steps, at
+    /// `z = 0.85`, `f = 1`, structure seed 42, against the static
+    /// `AssignmentFn::hash_only(4)` — the process `benchmark/` generates
+    /// its Zipf inputs with.
+    fn freqs_hash_after(k: usize, tuples: u64, steps: usize) -> u64 {
+        let hash_only = streambal_core::AssignmentFn::hash_only(4);
+        let mut w = FluctuatingWorkload::new(k, 0.85, tuples, 1.0, 42);
+        for _ in 0..steps {
+            w.advance(4, |key| hash_only.route(key));
+        }
+        w.freqs().iter().fold(k as u64, |h, &f| mix64(h ^ f))
+    }
+
+    /// Pins the generator and `h(k)` together: a change to either that
+    /// would change the benchmark's `drift` (K = 2·10⁴) or `wide`
+    /// (K = 2·10⁵) inputs fails here.
+    #[test]
+    fn fifteen_steps_reproduce_the_pinned_frequencies() {
+        assert_eq!(freqs_hash_after(20_000, 50_000, 15), 0x44ae_2861_0553_bad8);
+        assert_eq!(
+            freqs_hash_after(200_000, 250_000, 15),
+            0x4510_f5f2_7535_e830
+        );
     }
 
     #[test]
