@@ -42,8 +42,8 @@ use streambal_core::{Key, TaskId};
 use streambal_elastic::FixedSchedule;
 use streambal_hashring::FxHashMap;
 use streambal_runtime::{
-    Engine, EngineConfig, EngineReport, FaultEvent, FaultPlan, FaultSpec, Outcome, Tuple,
-    WordCountOp,
+    replay, Engine, EngineConfig, EngineReport, FaultEvent, FaultPlan, FaultSpec, KillTrigger,
+    Outcome, WordCountOp,
 };
 use streambal_workloads::FluctuatingWorkload;
 
@@ -73,15 +73,11 @@ fn make_intervals(tuples: u64) -> Vec<Vec<Key>> {
 }
 
 fn run_once(label: &str, config: EngineConfig, intervals: &[Vec<Key>]) -> EngineReport {
-    let feed: Vec<Vec<Key>> = intervals.to_vec();
     let report = Engine::run(
         config,
         mixed_balancer(N_WORKERS, 0.05),
         |_| Box::new(WordCountOp::new()),
-        move |iv| {
-            feed.get(iv as usize)
-                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-        },
+        replay(intervals),
         None,
     );
     assert!(
@@ -159,9 +155,9 @@ fn worker_loss_scenario(intervals: &[Vec<Key>], reps: usize) -> (Json, EngineRep
         window: 100, // retain all state: exact accounting validation
         ..EngineConfig::default()
     };
-    let kill_plan = FaultPlan::new(vec![FaultSpec::KillWorker {
+    let kill_plan = FaultPlan::new(vec![FaultSpec::Kill {
         worker: 1,
-        at_interval: KILL_AT,
+        at: KillTrigger::Interval(KILL_AT),
     }]);
 
     // Fault-free baseline: best-of-reps throughput.

@@ -38,7 +38,7 @@ use streambal_core::{BalanceParams, Key, RebalanceStrategy, TriggerPolicy};
 use streambal_elastic::{
     ElasticityPolicy, FixedSchedule, HoldPolicy, TargetPlanner, ThresholdPolicy,
 };
-use streambal_runtime::{Engine, EngineConfig, EngineReport, Tuple, WordCountOp};
+use streambal_runtime::{replay, Engine, EngineConfig, EngineReport, WordCountOp};
 use streambal_workloads::ChurnWorkload;
 
 const SEED: u64 = 4242;
@@ -118,7 +118,6 @@ fn make_intervals(quiet_tuples: u64, n_intervals: usize) -> Vec<Vec<Key>> {
 }
 
 fn run_once(shape: &Shape, intervals: &[Vec<Key>]) -> EngineReport {
-    let feed: Vec<Vec<Key>> = intervals.to_vec();
     let config = EngineConfig {
         n_workers: shape.n_workers,
         max_workers: shape.max_workers,
@@ -139,10 +138,7 @@ fn run_once(shape: &Shape, intervals: &[Vec<Key>]) -> EngineReport {
             },
         )),
         |_| Box::new(WordCountOp::new()),
-        move |iv| {
-            feed.get(iv as usize)
-                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-        },
+        replay(intervals),
         None,
     );
     let total: u64 = intervals.iter().map(|v| v.len() as u64).sum();
@@ -214,11 +210,7 @@ fn preplacement_scenario(tuples_per_interval: u64) -> Json {
             }),
         ),
         |_| Box::new(WordCountOp::new()),
-        move |iv| {
-            intervals
-                .get(iv as usize)
-                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-        },
+        replay(&intervals),
         None,
     );
     assert_eq!(report.processed, total, "{label}: tuples lost");

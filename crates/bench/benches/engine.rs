@@ -1,61 +1,47 @@
 //! End-to-end engine throughput of the batched data plane
-//! (`Message::TupleBatch`, pooled buffers, one channel op /
-//! `Counter::add(n)` / clock read per batch), and the keyed stage's own
-//! ceiling.
+//! (`Message::TupleBatch`: one channel op and one clock read per batch),
+//! and the flight recorder's data-plane cost.
 //!
-//! The three engine groups run a hash-routed Zipf word count (no
-//! rebalances, so the data plane — not the scheduler — is what moves),
-//! at Tab. II skew (`z = 0.85`) through `EngineConfig::default()`
-//! (4 workers, batch 256, spin 500) unless the group varies it:
+//! The engine groups run a hash-routed Zipf word count (no rebalances,
+//! so the data plane — not the scheduler — is what moves), at Tab. II
+//! skew (`z = 0.85`) through `EngineConfig::default()` (4 workers, batch
+//! 256, spin 500) unless the group varies it:
 //!
 //! 1. **batch-size sweep** — 1, 16, 64, 256, 1024 at the default worker
-//!    count. Batch 1 ships one-tuple batches through the pooled path:
-//!    the price of the channel operation the larger sizes amortize.
+//!    count. Batch 1 ships one-tuple batches through the same path: the
+//!    price of the channel operation the larger sizes amortize.
 //! 2. **worker-count sweep** — batch 256 at 2 and 4 workers.
-//! 3. **flight-recorder overhead guard** — the default batched shape
-//!    with the trace recorder on vs off, runs alternating, best-of-5 in
-//!    every mode; the on/off ratio is committed as
-//!    `trace_overhead_ratio` and the run *aborts* below 0.97, so a
-//!    hot-path recording regression fails CI.
+//! 3. **flight recorder** — first a count guard: under hashing, over a
+//!    key cycle it spreads evenly (so no skew alert fires), the events
+//!    the source and worker threads record, counted per thread and kind,
+//!    must be equal at two feed sizes with the same interval count — a
+//!    fixed number per interval and none per tuple. The run *aborts*
+//!    otherwise; the counts are exact, so the guard does not swing with
+//!    the host. Then the
+//!    default batched shape with the recorder on vs off, runs
+//!    alternating, best-of-5 in every mode; the on/off ratio is reported
+//!    as `trace_overhead_ratio`.
 //!
 //! Each configuration runs `REPS` times over an identical pre-generated
-//! tuple sequence; the mean and best (max) throughput are reported.
-//!
-//! 4. **keyed-stage ceiling** (thread-free, run first) — `WordCountOp`
-//!    alone: `process` over a Zipf(0.85) interval on `K ∈ {2·10⁴,
-//!    2·10⁵}` keys (its expected counts, rounded: ≈ 0.85·K tuples, and
-//!    the same keys every interval), replayed for `STATE_INTERVALS`
-//!    intervals with `evict_before` at every boundary as a worker does
-//!    (`w = 5`). It reports ns per tuple (eviction included) and the
-//!    live heap bytes per live key at the end of the last interval — the
-//!    fullest the window gets, `w` closed intervals plus the open one —
-//!    counted by this binary's counting global allocator. Two more rows
-//!    price the worker's other per-key structures: the heap a
-//!    `StatsAccumulator` holds per key once one interval is added to it
-//!    (a worker's interval statistics), and the heap `drain()` allocates
-//!    per live key when the last interval is in (a worker's shutdown,
-//!    where a large run's memory peaks). The byte counts are exact and
-//!    repeat run to run, so at `K = 2·10⁵` the run *aborts* when any of
-//!    the three exceeds its guard (`STATE_BYTES_PER_KEY_GUARD`,
-//!    `ACC_BYTES_PER_KEY_GUARD`, `DRAIN_BYTES_PER_KEY_GUARD`): CI's smoke
-//!    guards the keyed state's footprint.
+//! tuple sequence; the mean and best (max) throughput are reported. The
+//! binary runs on the system allocator, as production does; the keyed
+//! stage's footprint, which needs a counting allocator, is the `state`
+//! bench.
 //!
 //! The results are printed and written to `bench_results/engine.json`
 //! (hand-rolled writer, no serde) so future PRs can diff the trajectory.
 //! `--test` (as passed by the CI smoke step via `cargo bench --bench
-//! engine -- --test`) shrinks the engine workload and the repetitions
-//! (not the keyed-stage shapes, which the guard needs) and writes to
-//! `bench_results/engine.smoke.json` instead, so noisy smoke numbers can
-//! never clobber the committed full-run file.
+//! engine -- --test`) shrinks the workload and the repetitions (not the
+//! count guard's feeds) and writes to `bench_results/engine.smoke.json`
+//! instead, so noisy smoke numbers can never clobber the committed
+//! full-run file.
 
-use std::hint::black_box;
-use std::time::Instant;
+use std::collections::BTreeMap;
 
 use streambal_baselines::storm;
-use streambal_bench::alloc::{allocated_bytes, live_bytes, CountingAlloc};
 use streambal_bench::json::{write_json, Json};
-use streambal_core::{Key, StatsAccumulator};
-use streambal_runtime::{Engine, EngineConfig, Operator, Tuple, WordCountOp};
+use streambal_core::{Key, Partitioner};
+use streambal_runtime::{replay, Engine, EngineConfig, ThreadLabel, WordCountOp};
 use streambal_workloads::FluctuatingWorkload;
 
 /// Tab. II defaults (quick scale): key-domain size and skew.
@@ -63,22 +49,12 @@ const KEY_DOMAIN: usize = 20_000;
 const ZIPF_Z: f64 = 0.85;
 const SEED: u64 = 42;
 
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Keyed-stage group: key domains, window, and intervals per pass.
-const STATE_DOMAINS: [usize; 2] = [20_000, 200_000];
-const STATE_WINDOW: u64 = 5;
-const STATE_INTERVALS: u64 = 10;
-/// Most live heap bytes per live key `WordCountOp` may hold at
-/// `K = 2·10⁵`: 80.5 measured, plus about 5 %.
-const STATE_BYTES_PER_KEY_GUARD: f64 = 85.0;
-/// Most heap bytes per key a `StatsAccumulator` may hold at
-/// `K = 2·10⁵`: 38.1 measured, plus about 5 %.
-const ACC_BYTES_PER_KEY_GUARD: f64 = 40.0;
-/// Most heap bytes per live key `WordCountOp::drain` may allocate at
-/// `K = 2·10⁵`: 112.0 measured, plus about 5 %.
-const DRAIN_BYTES_PER_KEY_GUARD: f64 = 118.0;
+/// The count guard's feeds: `COUNT_INTERVALS` intervals cycling through
+/// `COUNT_KEYS` keys per worker, at each of `COUNT_FEEDS` tuples per
+/// interval.
+const COUNT_INTERVALS: usize = 4;
+const COUNT_KEYS: usize = 1_024;
+const COUNT_FEEDS: [usize; 2] = [8_192, 32_768];
 
 /// One measured configuration.
 #[derive(Clone, Copy)]
@@ -98,7 +74,6 @@ impl Shape {
 /// `trace` toggles the flight recorder (the default config leaves it on;
 /// the overhead guard below runs both arms).
 fn run_once(shape: Shape, intervals: &[Vec<Key>], trace: bool) -> f64 {
-    let feed: Vec<Vec<Key>> = intervals.to_vec();
     let config = EngineConfig {
         n_workers: shape.workers,
         max_workers: shape.workers,
@@ -110,10 +85,7 @@ fn run_once(shape: Shape, intervals: &[Vec<Key>], trace: bool) -> f64 {
         config,
         Box::new(storm(shape.workers)),
         |_| Box::new(WordCountOp::new()),
-        move |iv| {
-            feed.get(iv as usize)
-                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-        },
+        replay(intervals),
         None,
     );
     let total: u64 = intervals.iter().map(|v| v.len() as u64).sum();
@@ -127,132 +99,62 @@ fn make_intervals(tuples: u64, n_intervals: usize) -> Vec<Vec<Key>> {
     (0..n_intervals).map(|_| w.tuples()).collect()
 }
 
-/// One keyed-stage pass.
-struct StatePass {
-    ns_per_tuple: f64,
-    live_keys: usize,
-    bytes_per_live_key: f64,
-    drain_bytes_per_live_key: f64,
-}
-
-/// Feeds `keys` as each of `STATE_INTERVALS` intervals into a fresh
-/// `WordCountOp`, evicting at every boundary as a worker does, reads the
-/// heap it holds once the last interval is in, and then what draining it
-/// allocates.
-fn state_pass(keys: &[Key]) -> StatePass {
-    let before = live_bytes();
-    let mut op = WordCountOp::new();
-    let mut added = 0u64;
-    let start = Instant::now();
-    for iv in 0..STATE_INTERVALS {
-        if iv > 0 {
-            // Closing interval `iv − 1` keeps the last `w` closed ones.
-            op.evict_before(iv.saturating_sub(STATE_WINDOW));
+/// A cycle of `COUNT_KEYS` keys per worker that hashing sends to the
+/// workers in turn, so every worker has been sent as many tuples as the
+/// next, give or take one, at every point of the feed: no skew alert can
+/// fire, however long the feed.
+fn uniform_keys(workers: usize) -> Vec<Key> {
+    let mut hash = storm(workers);
+    let mut owned: Vec<Vec<Key>> = vec![Vec::new(); workers];
+    for k in 0.. {
+        if owned.iter().all(|keys| keys.len() == COUNT_KEYS) {
+            break;
         }
-        for &k in keys {
-            added += op.process(&Tuple::keyed(k), iv, &mut |_| {});
+        let keys = &mut owned[hash.route(Key(k)).index()];
+        if keys.len() < COUNT_KEYS {
+            keys.push(Key(k));
         }
     }
-    let elapsed = start.elapsed().as_secs_f64();
-    let held = live_bytes() - before;
-    black_box(added);
-    let live_keys = op.held_counts().len();
-    let before = allocated_bytes();
-    let drained = op.drain();
-    let drain_bytes = allocated_bytes() - before;
-    assert_eq!(drained.len(), live_keys);
-    StatePass {
-        ns_per_tuple: elapsed * 1e9 / (STATE_INTERVALS as f64 * keys.len() as f64),
-        live_keys,
-        bytes_per_live_key: held as f64 / live_keys.max(1) as f64,
-        drain_bytes_per_live_key: drain_bytes as f64 / live_keys.max(1) as f64,
-    }
+    (0..COUNT_KEYS)
+        .flat_map(|i| owned.iter().map(move |keys| keys[i]))
+        .collect()
 }
 
-/// The heap per key of a worker's statistics accumulator holding one
-/// interval of `keys`, added tuple by tuple at eight state bytes each.
-fn accumulator_bytes_per_key(keys: &[Key]) -> f64 {
-    let before = live_bytes();
-    let mut acc = StatsAccumulator::new(1);
-    for &k in keys {
-        acc.add(k, 1, 8);
+/// The events the source and worker threads record in one traced run of
+/// `COUNT_INTERVALS` intervals of `tuples` uniform keys, counted per
+/// thread and event kind. Aborts if a skew alert fired: then the counts
+/// would depend on where in an interval it tripped.
+fn recorded_events(tuples: usize) -> BTreeMap<(String, String), u64> {
+    let workers = EngineConfig::default().n_workers;
+    let cycle = uniform_keys(workers);
+    let interval: Vec<Key> = cycle.iter().copied().cycle().take(tuples).collect();
+    let intervals = vec![interval; COUNT_INTERVALS];
+    let report = Engine::run(
+        EngineConfig::default(),
+        Box::new(storm(workers)),
+        |_| Box::new(WordCountOp::new()),
+        replay(&intervals),
+        None,
+    );
+    assert_eq!(report.processed, (tuples * COUNT_INTERVALS) as u64);
+    let mut counts = BTreeMap::new();
+    for e in &report.trace.events {
+        if !matches!(e.thread, ThreadLabel::Source | ThreadLabel::Worker(_)) {
+            continue;
+        }
+        let kind = format!("{:?}", e.kind);
+        let kind = kind
+            .split([' ', '('])
+            .next()
+            .unwrap_or_default()
+            .to_string();
+        *counts.entry((e.thread.name(), kind)).or_insert(0) += 1;
     }
-    (live_bytes() - before) as f64 / acc.len().max(1) as f64
-}
-
-/// Aborts when `measured` exceeds `guard`.
-fn check_guard(what: &str, k: usize, measured: f64, guard: f64) {
     assert!(
-        measured <= guard,
-        "{what} at K = {k}: {measured:.1} B per key, over the {guard} B guard"
+        !counts.keys().any(|(_, kind)| kind == "SkewAlert"),
+        "a uniform feed raised a skew alert: {counts:?}"
     );
-}
-
-/// The keyed-stage group's rows; aborts past the footprint guards.
-fn state_rows(reps: usize) -> Vec<Json> {
-    println!(
-        "keyed stage: WordCountOp::process, z={ZIPF_Z}, w={STATE_WINDOW}, \
-         {STATE_INTERVALS} intervals, {reps} reps"
-    );
-    let mut rows = Vec::new();
-    for k in STATE_DOMAINS {
-        let keys = FluctuatingWorkload::new(k, ZIPF_Z, k as u64, 0.0, SEED).tuples();
-        let passes: Vec<StatePass> = (0..reps).map(|_| state_pass(&keys)).collect();
-        let first = &passes[0];
-        assert!(
-            passes
-                .iter()
-                .all(|p| p.bytes_per_live_key == first.bytes_per_live_key
-                    && p.drain_bytes_per_live_key == first.drain_bytes_per_live_key),
-            "heap held and allocated per key must repeat exactly"
-        );
-        let acc_bytes = accumulator_bytes_per_key(&keys);
-        let mut ns: Vec<f64> = passes.iter().map(|p| p.ns_per_tuple).collect();
-        ns.sort_by(f64::total_cmp);
-        let median_ns = ns[ns.len() / 2];
-        println!(
-            "  K={k:<7} {:>7.1} ns/tuple   {:>6.1} B/live key ({} live keys)   \
-             drain {:>6.1} B/live key   accumulator {acc_bytes:>5.1} B/key",
-            median_ns, first.bytes_per_live_key, first.live_keys, first.drain_bytes_per_live_key
-        );
-        if k == 200_000 {
-            check_guard(
-                "WordCountOp's state",
-                k,
-                first.bytes_per_live_key,
-                STATE_BYTES_PER_KEY_GUARD,
-            );
-            check_guard(
-                "WordCountOp::drain's allocations",
-                k,
-                first.drain_bytes_per_live_key,
-                DRAIN_BYTES_PER_KEY_GUARD,
-            );
-            check_guard("StatsAccumulator", k, acc_bytes, ACC_BYTES_PER_KEY_GUARD);
-        }
-        rows.push(Json::obj([
-            ("id", Json::str(format!("wordcount/k{k}/w{STATE_WINDOW}"))),
-            ("key_domain", Json::Int(k as u64)),
-            ("tuples_per_interval", Json::Int(keys.len() as u64)),
-            ("intervals", Json::Int(STATE_INTERVALS)),
-            ("live_keys", Json::Int(first.live_keys as u64)),
-            ("process_ns_per_tuple", Json::lower(Json::Num(median_ns))),
-            (
-                "bytes_per_live_key",
-                Json::lower(Json::Num(first.bytes_per_live_key)),
-            ),
-            (
-                "drain_alloc_bytes_per_live_key",
-                Json::lower(Json::Num(first.drain_bytes_per_live_key)),
-            ),
-            (
-                "accumulator_bytes_per_key",
-                Json::lower(Json::Num(acc_bytes)),
-            ),
-            ("reps", Json::Int(reps as u64)),
-        ]));
-    }
-    rows
+    counts
 }
 
 fn mean(xs: &[f64]) -> f64 {
@@ -267,13 +169,29 @@ fn main() {
     // `cargo bench --bench engine -- --test` (the CI smoke step) passes
     // `--test`; shrink the workload but keep the JSON emission.
     let smoke = std::env::args().any(|a| a == "--test");
-    let (tuples, n_intervals, reps, state_reps) = if smoke {
-        (5_000, 2, 1, 1)
+    let (tuples, n_intervals, reps) = if smoke {
+        (5_000, 2, 1)
     } else {
-        (120_000, 4, 4, 5)
+        (120_000, 4, 4)
     };
-    // First, while this is the only thread allocating.
-    let state = state_rows(state_reps);
+
+    // Flight-recorder count guard, first: it is exact, so it aborts
+    // before any timing is spent.
+    let [small, large] = COUNT_FEEDS.map(recorded_events);
+    assert_eq!(
+        small, large,
+        "the source and the workers recorded a different number of events \
+         at {} and {} tuples per interval: the data plane must record \
+         nothing per tuple",
+        COUNT_FEEDS[0], COUNT_FEEDS[1]
+    );
+    let events_per_run: u64 = small.values().sum();
+    println!(
+        "flight recorder: {events_per_run} source and worker events per \
+         {COUNT_INTERVALS}-interval run at both {} and {} tuples per interval",
+        COUNT_FEEDS[0], COUNT_FEEDS[1]
+    );
+
     let intervals = make_intervals(tuples, n_intervals);
     let default_workers = EngineConfig::default().n_workers;
 
@@ -297,7 +215,7 @@ fn main() {
         EngineConfig::default().spin_work,
     );
     for shape in &shapes {
-        // One untimed warm-up pass (page-in, pool priming parity).
+        // One untimed warm-up pass (page-in).
         let _ = run_once(*shape, &intervals, true);
         let runs: Vec<f64> = (0..reps)
             .map(|_| run_once(*shape, &intervals, true))
@@ -319,15 +237,13 @@ fn main() {
         ]));
     }
 
-    // Flight-recorder overhead guard: the default batched shape with the
-    // recorder on vs off, best-of-OVERHEAD_REPS even in smoke (a single
-    // noisy rep must not produce a spurious CI failure). The recorder's
-    // data-plane cost is two counter adds per batch, so the ratio should
-    // sit at 1.0; the assert holds it above 0.97 (≤ 3% overhead) and is
-    // deliberately blocking — an accidental per-tuple record() or lock
-    // on the hot path fails the bench, not just a review. On and off
-    // runs alternate, so a slow stretch of the host lands on both sides
-    // instead of on one block of five.
+    // Flight-recorder overhead: the default batched shape with the
+    // recorder on vs off, best-of-OVERHEAD_REPS even in smoke. The
+    // recorder's data-plane cost is two counter adds per batch, so the
+    // ratio should sit at 1.0. It is reported, not asserted: on a 2-vCPU
+    // host it swings by several percent run to run, and the count guard
+    // above is what fails a per-tuple record. On and off runs alternate,
+    // so a slow stretch of the host lands on both sides.
     const OVERHEAD_REPS: usize = 5;
     let overhead_shape = Shape {
         batch: 256,
@@ -347,12 +263,6 @@ fn main() {
         max(&trace_off),
         trace_overhead_ratio
     );
-    assert!(
-        trace_overhead_ratio >= 0.97,
-        "flight recorder costs more than 3% throughput \
-         (on/off ratio {trace_overhead_ratio:.4}); the data plane must \
-         stay at two counter adds per batch"
-    );
 
     let doc = Json::obj([
         ("bench", Json::str("engine")),
@@ -366,9 +276,9 @@ fn main() {
         ("default_workers", Json::Int(default_workers as u64)),
         ("smoke", Json::Bool(smoke)),
         ("results", Json::Arr(rows)),
-        ("state", Json::Arr(state)),
-        // Flight-recorder cost at the default shape (on/off, best-of-5);
-        // the run aborts above if this drops below 0.97.
+        // What the count guard compared: equal at both feed sizes.
+        ("recorded_events_per_run", Json::Int(events_per_run)),
+        // Flight-recorder cost at the default shape (on/off, best-of-5).
         (
             "trace_overhead_ratio",
             Json::higher(Json::Num(trace_overhead_ratio)),

@@ -44,7 +44,7 @@ use streambal_bench::{mixed_balancer, reference_counts};
 use streambal_core::Key;
 use streambal_elastic::{FixedSplitSchedule, HotKeyPolicy, SplitPolicy};
 use streambal_hashring::FxHashMap;
-use streambal_runtime::{Engine, EngineConfig, EngineReport, Tuple, WordCountOp};
+use streambal_runtime::{replay, Engine, EngineConfig, EngineReport, WordCountOp};
 use streambal_trace::{EventKind, OpLabel};
 use streambal_workloads::ChurnWorkload;
 
@@ -88,15 +88,11 @@ fn make_intervals(tuples: u64) -> (Vec<Vec<Key>>, Key) {
 }
 
 fn run_once(label: &str, config: EngineConfig, intervals: &[Vec<Key>]) -> EngineReport {
-    let feed: Vec<Vec<Key>> = intervals.to_vec();
     let report = Engine::run(
         config,
         mixed_balancer(N_WORKERS, THETA_MAX),
         |_| Box::new(WordCountOp::new()),
-        move |iv| {
-            feed.get(iv as usize)
-                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-        },
+        replay(intervals),
         None,
     );
     assert!(

@@ -10,7 +10,7 @@ use streambal_core::{Key, Partitioner, RebalanceStrategy};
 use streambal_elastic::FixedSchedule;
 use streambal_hashring::FxHashMap;
 use streambal_runtime::{
-    CoJoinOp, Collector, Engine, EngineConfig, EngineReport, SumCollector, Tuple,
+    replay, CoJoinOp, Collector, Engine, EngineConfig, EngineReport, SumCollector, Tuple,
     WindowedSelfJoinOp, WordCountOp, TAG_LEFT, TAG_RIGHT,
 };
 use streambal_workloads::{
@@ -132,7 +132,6 @@ pub fn run_wordcount(
     intervals: &[Vec<Key>],
     scale_out_at: Option<u64>,
 ) -> EngineReport {
-    let feed: Vec<Vec<Key>> = intervals.to_vec();
     let mut config = rt.engine_config();
     if let Some(iv) = scale_out_at {
         config.max_workers = rt.nd + 1;
@@ -149,10 +148,7 @@ pub fn run_wordcount(
                 Box::new(WordCountOp::new())
             }
         },
-        move |iv| {
-            feed.get(iv as usize)
-                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-        },
+        replay(intervals),
         pkg.then(|| Box::new(SumCollector::new()) as Box<dyn Collector>),
     )
 }

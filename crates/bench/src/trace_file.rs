@@ -69,14 +69,12 @@ pub fn encode(e: &TraceEvent) -> Json {
             interval,
             table_entries,
             table_tombstones,
-            pool_buffers,
         } => (
             "router_snapshot",
             vec![
                 ("interval", Json::Int(*interval)),
                 ("table_entries", Json::Int(*table_entries)),
                 ("table_tombstones", Json::Int(*table_tombstones)),
-                ("pool_buffers", Json::Int(*pool_buffers)),
             ],
         ),
         EventKind::DataFlush {
@@ -168,7 +166,6 @@ pub fn decode(obj: &Json) -> Result<TraceEvent, String> {
             interval: f.u64("interval")?,
             table_entries: f.u64("table_entries")?,
             table_tombstones: f.u64("table_tombstones")?,
-            pool_buffers: f.u64("pool_buffers")?,
         },
         "data_flush" => EventKind::DataFlush {
             interval: f.u64("interval")?,
@@ -399,14 +396,12 @@ fn chrome_records(e: &TraceEvent) -> Vec<Json> {
         EventKind::RouterSnapshot {
             table_entries,
             table_tombstones,
-            pool_buffers,
             ..
         } => vec![counter(
             "router",
             Json::obj([
                 ("entries", Json::Int(*table_entries)),
                 ("tombstones", Json::Int(*table_tombstones)),
-                ("pool", Json::Int(*pool_buffers)),
             ]),
         )],
         EventKind::DataFlush {
@@ -470,7 +465,7 @@ mod tests {
         }
         ctl.span_close(1, Outcome::Completed);
         ctl.snapshot(0, vec![600, 400], vec![2, 1], 12.5, f64::NAN);
-        src.router_snapshot(0, 12, 2, 4);
+        src.router_snapshot(0, 12, 2);
         sink.fault(0, "injected kill: worker \"1\"\nat once".to_string());
         src.skew_alert(1, vec![90, 310]);
         ctl.early_round(1, EarlyStep::Open);
@@ -496,7 +491,7 @@ mod tests {
     }
 
     const SAMPLE_JSONL: &str = r#"{"at_us":10,"seq":0,"thread":"source","kind":"interval_end","interval":0,"tuples":1000}
-{"at_us":20,"seq":1,"thread":"source","kind":"router_snapshot","interval":0,"table_entries":12,"table_tombstones":2,"pool_buffers":4}
+{"at_us":20,"seq":1,"thread":"source","kind":"router_snapshot","interval":0,"table_entries":12,"table_tombstones":2}
 {"at_us":30,"seq":2,"thread":"source","kind":"skew_alert","interval":1,"sent":[90,310]}
 {"at_us":40,"seq":3,"thread":"source","kind":"interval_end","interval":1,"tuples":400}
 {"at_us":50,"seq":0,"thread":"controller","kind":"span_open","span":1,"op":"scale_out"}
@@ -516,7 +511,7 @@ mod tests {
     const SAMPLE_CHROME: &str = r#"{"displayTimeUnit":"ms","traceEvents":[
 {"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"source"}},
 {"ph":"C","name":"interval_tuples","ts":10,"pid":1,"args":{"tuples":1000,"interval":0}},
-{"ph":"C","name":"router","ts":20,"pid":1,"args":{"entries":12,"tombstones":2,"pool":4}},
+{"ph":"C","name":"router","ts":20,"pid":1,"args":{"entries":12,"tombstones":2}},
 {"ph":"i","s":"t","cat":"early","name":"skew_alert#1","ts":30,"pid":1,"tid":0},
 {"ph":"C","name":"interval_tuples","ts":40,"pid":1,"args":{"tuples":400,"interval":1}},
 {"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"controller"}},

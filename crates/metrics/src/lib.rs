@@ -5,9 +5,6 @@
 //! time, and processing latency. This crate provides the raw instruments
 //! those reports are built from, with no external dependencies:
 //!
-//! * [`Counter`] — lock-free tuple counting; the runtime's controller
-//!   reads it at every interval boundary for the per-interval throughput
-//!   series the throughput timelines (Figs. 15, 16) plot.
 //! * [`Histogram`] — a log-bucketed (HDR-flavoured) histogram for latency
 //!   quantiles (Fig. 13b).
 //! * [`Cdf`] — exact empirical CDFs for the skewness distribution plots
@@ -20,13 +17,11 @@
 #![forbid(unsafe_code)]
 
 pub mod cdf;
-pub mod counter;
 pub mod histogram;
 pub mod stats;
 pub mod timeseries;
 
 pub use cdf::Cdf;
-pub use counter::Counter;
 pub use histogram::Histogram;
 pub use stats::{OnlineStats, Stopwatch};
 pub use timeseries::TimeSeries;

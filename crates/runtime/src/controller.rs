@@ -16,7 +16,7 @@ use crossbeam::channel::{bounded, Receiver, SendTimeoutError, Sender};
 use streambal_core::{IntervalStats, Key, Partitioner, RoutingView, SourceRouter, TaskId};
 use streambal_elastic::{IntervalObservation, RoundAction, RoundDecisions, RoundInputs};
 use streambal_hashring::{FxHashMap, FxHashSet};
-use streambal_metrics::{Counter, Histogram};
+use streambal_metrics::Histogram;
 use streambal_trace::{EarlySplit, EarlyStep, OpLabel, Outcome, Phase, ThreadRecorder};
 
 use crate::engine::{EngineConfig, EngineReport, ProtocolError};
@@ -82,8 +82,9 @@ impl Clock {
 }
 
 /// One open statistics round: absorbed stats, per-slot loads, queue-depth
-/// samples, the interval's latency distribution, and which workers have
-/// reported. The expected *set* is pinned at issue time — scale-out must
+/// samples, the interval's latency distribution (one sample per tuple a
+/// reporter processed in it), the interval's wall span, and which workers
+/// have reported. The expected *set* is pinned at issue time — scale-out must
 /// not retroactively change which workers a round waits for — but it can
 /// shrink: a reporter that dies mid-round is struck off
 /// ([`StatsLedger::on_worker_dead`]), and a round that outlives its
@@ -95,6 +96,8 @@ struct StatsRound {
     loads: Vec<u64>,
     queues: Vec<u64>,
     latency: Histogram,
+    /// From the source's previous cut to the one that opened the round.
+    span: Duration,
     reporters: FxHashSet<TaskId>,
     expected: FxHashSet<TaskId>,
     opened: Wait,
@@ -112,6 +115,7 @@ impl StatsRound {
             queues: self.queues,
             mean_latency_us: self.latency.mean(),
             p99_latency_us: self.latency.quantile(0.99) as f64,
+            throughput: self.latency.count() as f64 / self.span.as_secs_f64().max(1e-9),
         }
     }
 }
@@ -119,14 +123,16 @@ impl StatsRound {
 /// Everything a completed round hands the elasticity policy, the
 /// partitioner, and the flight recorder's per-interval `Snapshot`
 /// event: the merged stats, the per-slot load vector, the queue
-/// depths sampled when the round was issued, and the interval latency
-/// summary.
+/// depths sampled when the round was issued, the interval latency
+/// summary, and the tuples its reporters processed per second of the
+/// interval.
 pub(crate) struct ClosedRound {
     pub merged: IntervalStats,
     pub loads: Vec<u64>,
     pub queues: Vec<u64>,
     pub mean_latency_us: f64,
     pub p99_latency_us: f64,
+    pub throughput: f64,
 }
 
 /// The controller's statistics-round ledger.
@@ -163,10 +169,18 @@ impl StatsLedger {
 
     /// Opens the round for `interval`, expecting a report from each
     /// worker in `expected`, with `queues` the queue depth of each active
-    /// worker slot sampled as the cut was read; its deadline runs from
-    /// `opened`. Any carried residue is folded in (the slot attribution
-    /// is gone with the retired slot; totals are what policies consume).
-    fn open(&mut self, interval: u64, expected: Vec<TaskId>, queues: Vec<u64>, opened: Wait) {
+    /// worker slot sampled as the cut was read, and `span` the interval's
+    /// wall time; its deadline runs from `opened`. Any carried residue is
+    /// folded in (the slot attribution is gone with the retired slot;
+    /// totals are what policies consume).
+    fn open(
+        &mut self,
+        interval: u64,
+        expected: Vec<TaskId>,
+        queues: Vec<u64>,
+        opened: Wait,
+        span: Duration,
+    ) {
         let active = queues.len();
         debug_assert!(!expected.is_empty() && active > 0);
         let mut round = StatsRound {
@@ -174,6 +188,7 @@ impl StatsLedger {
             loads: vec![0; active],
             queues,
             latency: Histogram::new(),
+            span,
             reporters: FxHashSet::default(),
             expected: expected.into_iter().collect(),
             opened,
@@ -506,8 +521,6 @@ pub(crate) struct ControlIo<'a> {
     /// or handed back by `Retired`).
     pub worker_rxs: Vec<Option<Receiver<Message>>>,
     pub ctl_tx: Sender<SourceCtl>,
-    /// Tuples processed so far, across all workers.
-    pub counter: Arc<Counter>,
     /// Shared with the source and every worker: drop ordinals are global.
     pub injector: Arc<FaultInjector>,
     /// Protocol spans (id = op epoch) and per-interval snapshots.
@@ -679,9 +692,13 @@ pub(crate) struct Controller<'a> {
     /// — exactly once, whichever comes first.
     open_spans: FxHashSet<u64>,
     clock: Clock,
-    /// When the latest interval closed, and the processed count then:
-    /// the next interval's throughput is measured from here.
-    last_interval_mark: (Instant, u64),
+    /// When the source's latest cut was read: the next interval's span
+    /// is measured from here.
+    last_cut: Instant,
+    /// Each decided round's `(interval, throughput)`; rounds can close
+    /// out of interval order, so the report's series is built from it,
+    /// sorted, at [`Controller::finish`].
+    throughput: Vec<(u64, f64)>,
     draining: bool,
     drained: usize,
     /// Shutdown markers actually delivered (dead slots and failed sends
@@ -735,7 +752,8 @@ impl<'a> Controller<'a> {
                 deadline: config.deadline,
                 deadline_intervals: config.deadline_intervals,
             },
-            last_interval_mark: (t0, 0),
+            last_cut: t0,
+            throughput: Vec::new(),
             draining: false,
             drained: 0,
             drain_target: 0,
@@ -779,6 +797,11 @@ impl<'a> Controller<'a> {
         lost_tuples.sort_unstable_by_key(|&(k, _)| k);
         self.report.lost_tuples = lost_tuples;
         self.report.final_states.sort_unstable_by_key(|&(k, _)| k);
+        self.throughput
+            .sort_unstable_by_key(|&(interval, _)| interval);
+        for (interval, tps) in self.throughput {
+            self.report.interval_throughput.push(interval as f64, tps);
+        }
         let mut leftover: Vec<u64> = self.open_spans.into_iter().collect();
         leftover.sort_unstable();
         (self.report, self.io.rec, leftover)
@@ -950,13 +973,7 @@ impl<'a> Controller<'a> {
         // whole-interval statistics are about to arrive.
         self.cancel_early_round();
         let now = self.clock.now;
-        let count = self.io.counter.get();
-        let (mark_at, mark_count) = self.last_interval_mark;
-        let dt = now.duration_since(mark_at).as_secs_f64().max(1e-9);
-        self.report
-            .interval_throughput
-            .push(interval as f64, (count - mark_count) as f64 / dt);
-        self.last_interval_mark = (now, count);
+        let span = now.duration_since(std::mem::replace(&mut self.last_cut, now));
         // Tuple-weighted channel occupancy: the backpressure signal.
         let queues: Vec<u64> = self.io.worker_txs[..self.active]
             .iter()
@@ -966,7 +983,7 @@ impl<'a> Controller<'a> {
         expected.retain(|w| !self.dead.contains(&w.index()));
         if !expected.is_empty() {
             let opened = self.clock.wait();
-            self.ledger.open(interval, expected, queues, opened);
+            self.ledger.open(interval, expected, queues, opened, span);
         }
     }
 
@@ -1457,6 +1474,7 @@ impl<'a> Controller<'a> {
         // Telemetry snapshot: exactly what the policies and the
         // partitioner are about to see.
         self.last_round_cost = round.merged.total_cost();
+        self.throughput.push((interval, round.throughput));
         self.io.rec.snapshot(
             interval,
             round.loads.clone(),
@@ -2036,7 +2054,7 @@ mod tests {
     #[test]
     fn round_closes_when_all_expected_report() {
         let mut ledger = StatsLedger::new();
-        ledger.open(0, expect_n(3), vec![5, 0, 2], opened());
+        ledger.open(0, expect_n(3), vec![5, 0, 2], opened(), Duration::ZERO);
         close_all_but(&mut ledger, 0, &[0, 1]);
         let closed = ledger
             .on_stats(TaskId(2), 0, stats_with_cost(2, 30), &Histogram::new())
@@ -2052,15 +2070,15 @@ mod tests {
     #[test]
     fn late_report_folds_into_oldest_open_round() {
         let mut ledger = StatsLedger::new();
-        ledger.open(0, expect_n(2), vec![0, 0], opened());
+        ledger.open(0, expect_n(2), vec![0, 0], opened(), Duration::ZERO);
         close_all_but(&mut ledger, 0, &[0]);
         assert!(ledger
             .on_stats(TaskId(1), 0, stats_with_cost(1, 10), &Histogram::new())
             .is_some());
         // Round 0 is gone. Rounds 1 and 2 are open; a late report for
         // round 0 lands in round 1 (the oldest), clamped to its slots.
-        ledger.open(1, expect_n(2), vec![0, 0], opened());
-        ledger.open(2, expect_n(2), vec![0, 0], opened());
+        ledger.open(1, expect_n(2), vec![0, 0], opened(), Duration::ZERO);
+        ledger.open(2, expect_n(2), vec![0, 0], opened(), Duration::ZERO);
         assert!(ledger
             .on_stats(TaskId(7), 0, stats_with_cost(9, 55), &Histogram::new())
             .is_none());
@@ -2080,7 +2098,7 @@ mod tests {
         assert!(ledger
             .on_stats(TaskId(3), 9, stats_with_cost(4, 40), &Histogram::new())
             .is_none());
-        ledger.open(10, expect_n(2), vec![0, 0], opened());
+        ledger.open(10, expect_n(2), vec![0, 0], opened(), Duration::ZERO);
         close_all_but(&mut ledger, 10, &[0]);
         let closed = ledger
             .on_stats(TaskId(1), 10, stats_with_cost(1, 10), &Histogram::new())
@@ -2094,7 +2112,7 @@ mod tests {
     #[test]
     fn duplicate_report_merges_without_advancing_completion() {
         let mut ledger = StatsLedger::new();
-        ledger.open(0, expect_n(3), vec![0, 0, 0], opened());
+        ledger.open(0, expect_n(3), vec![0, 0, 0], opened(), Duration::ZERO);
         close_all_but(&mut ledger, 0, &[0, 1]);
         // Worker 1 reports again: still waiting on worker 2.
         assert!(ledger
@@ -2111,14 +2129,14 @@ mod tests {
         let mut ledger = StatsLedger::new();
         // No round open: residue carries into the next open().
         ledger.on_residue(TaskId(2), stats_with_cost(5, 21));
-        ledger.open(0, expect_n(2), vec![0, 0], opened());
+        ledger.open(0, expect_n(2), vec![0, 0], opened(), Duration::ZERO);
         close_all_but(&mut ledger, 0, &[0]);
         let closed = ledger
             .on_stats(TaskId(1), 0, stats_with_cost(1, 10), &Histogram::new())
             .expect("closes");
         assert_eq!(closed.loads, vec![10, 31]);
         // Round open: residue folds straight in, slot clamped.
-        ledger.open(1, expect_n(2), vec![0, 0], opened());
+        ledger.open(1, expect_n(2), vec![0, 0], opened(), Duration::ZERO);
         ledger.on_residue(TaskId(6), stats_with_cost(5, 9));
         close_all_but(&mut ledger, 1, &[0]);
         let closed = ledger
@@ -2130,7 +2148,8 @@ mod tests {
     #[test]
     fn latency_summary_merges_across_reporters() {
         let mut ledger = StatsLedger::new();
-        ledger.open(0, expect_n(2), vec![0, 0], opened());
+        let span = Duration::from_millis(500);
+        ledger.open(0, expect_n(2), vec![0, 0], opened(), span);
         let mut h0 = Histogram::new();
         h0.record(100);
         let mut h1 = Histogram::new();
@@ -2143,6 +2162,8 @@ mod tests {
             .expect("closes");
         assert_eq!(closed.mean_latency_us, 200.0);
         assert!(closed.p99_latency_us >= 250.0, "{}", closed.p99_latency_us);
+        // One latency sample per tuple: two tuples in half a second.
+        assert_eq!(closed.throughput, 4.0);
     }
 
     /// A reporter that dies mid-round must not wedge the round: striking
@@ -2151,8 +2172,8 @@ mod tests {
     #[test]
     fn dead_reporter_closes_waiting_rounds() {
         let mut ledger = StatsLedger::new();
-        ledger.open(0, expect_n(3), vec![0, 0, 0], opened());
-        ledger.open(1, expect_n(3), vec![0, 0, 0], opened());
+        ledger.open(0, expect_n(3), vec![0, 0, 0], opened(), Duration::ZERO);
+        ledger.open(1, expect_n(3), vec![0, 0, 0], opened(), Duration::ZERO);
         close_all_but(&mut ledger, 0, &[0, 1]);
         close_all_but(&mut ledger, 1, &[0]);
         // Worker 2 dies. Round 0 was only waiting on it → closes with
@@ -2181,7 +2202,13 @@ mod tests {
         let t0 = Instant::now();
         let secs = |s: u64| t0 + Duration::from_secs(s);
         let mut ledger = StatsLedger::new();
-        ledger.open(0, expect_n(2), vec![0, 0], clock(t0, 0, false).wait());
+        ledger.open(
+            0,
+            expect_n(2),
+            vec![0, 0],
+            clock(t0, 0, false).wait(),
+            Duration::ZERO,
+        );
         close_all_but(&mut ledger, 0, &[0]);
         // Worker 1 never reports. Not enough intervals elapsed: no expiry.
         let mut expire = |c: Clock| ledger.expire_rounds(|w| c.expired(w));
@@ -2199,7 +2226,7 @@ mod tests {
         // The last interval's round, with the source finished: the
         // interval clock never moves again.
         let last = clock(secs(10), 9, false).wait();
-        ledger.open(9, expect_n(2), vec![0, 0], last);
+        ledger.open(9, expect_n(2), vec![0, 0], last, Duration::ZERO);
         close_all_but(&mut ledger, 9, &[1]);
         let mut expire = |c: Clock| ledger.expire_rounds(|w| c.expired(w));
         assert!(expire(clock(secs(10), 9, true)).is_empty());
@@ -2302,7 +2329,6 @@ mod protocol_tests {
             worker_txs,
             worker_rxs: vec![None, None, None],
             ctl_tx,
-            counter: Arc::new(Counter::new()),
             injector: Arc::clone(&injector),
             rec: sink.recorder(ThreadLabel::Controller),
             make_op: Box::new(|_| Box::new(WordCountOp::new())),

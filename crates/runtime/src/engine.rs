@@ -3,8 +3,7 @@
 //! The data plane is batched end-to-end: the source routes and ships
 //! tuples as [`Message::TupleBatch`]es from per-destination fan-out
 //! accumulators (one channel send per destination per routed batch),
-//! workers drain whole batches, and drained buffers recycle to the
-//! source over a pool channel. Consistency: batches and migration
+//! and workers drain whole batches. Consistency: batches and migration
 //! markers share each worker's FIFO channel, and the source only
 //! acknowledges `Pause`/`Resume` between routed batches when its
 //! accumulators are flushed, so every marker the controller sends after
@@ -24,7 +23,7 @@ use streambal_core::{
 };
 use streambal_elastic::{ElasticityPolicy, HoldPolicy, SplitPolicy};
 use streambal_hashring::FxHashSet;
-use streambal_metrics::{Counter, Histogram, TimeSeries};
+use streambal_metrics::{Histogram, TimeSeries};
 use streambal_trace::{Outcome, ThreadLabel, ThreadRecorder, TraceLog, TraceSink};
 
 use crate::controller::{ControlIo, Controller};
@@ -43,17 +42,19 @@ use crate::worker::{Worker, WorkerWiring};
 pub struct EngineConfig {
     /// Initial downstream parallelism `N_D`.
     pub n_workers: usize,
-    /// Pre-provisioned worker slots (≥ `n_workers`; extra slots allow
-    /// scale-out).
+    /// Pre-provisioned worker slots (extra slots allow scale-out). A run
+    /// with fewer than `n_workers` is refused ([`Refusal::Slots`]).
     pub max_workers: usize,
     /// Source → worker channel depth in *tuples*; a full channel
     /// backpressures the source (the paper's "backpushing effect").
     /// Batched sends are weighted by their tuple count
     /// (`send_weighted`), so the bound stays exactly tuple-denominated
     /// at any batch size and any fan-out fill — control markers weigh 1.
+    /// A run with 0 is refused ([`Refusal::NoChannelCapacity`]).
     pub channel_capacity: usize,
     /// Worker → collector channel depth in *tuples* (PKG's max-pending
-    /// analogue), weighted like [`EngineConfig::channel_capacity`].
+    /// analogue), weighted like [`EngineConfig::channel_capacity`]; 0 is
+    /// refused ([`Refusal::NoCollectorCapacity`]).
     pub collector_capacity: usize,
     /// Tuples staged per routed batch on the source thread — the
     /// data-plane batch. Each routed batch fans out into per-destination
@@ -61,7 +62,7 @@ pub struct EngineConfig {
     /// touched. The source drains pause/resume/view updates every
     /// `max(batch_size, 256)` staged tuples, bounding how many tuples can
     /// be routed under a stale view. `1` (`0` is read as `1`) ships
-    /// one-tuple batches through the same pooled path.
+    /// one-tuple batches through the same path.
     pub batch_size: usize,
     /// Busy-work iterations per tuple — calibrates per-tuple CPU cost so
     /// the workers saturate, as the paper's experiments arrange.
@@ -218,6 +219,20 @@ pub enum ProtocolError {
 pub enum Refusal {
     /// [`EngineConfig::n_workers`] is 0.
     NoWorkers,
+    /// [`EngineConfig::max_workers`] provisions fewer slots than the
+    /// initial workers need.
+    Slots {
+        /// The configured `max_workers`.
+        max_workers: usize,
+        /// The configured initial parallelism.
+        workers: usize,
+    },
+    /// [`EngineConfig::channel_capacity`] is 0: no worker channel could
+    /// hold a batch.
+    NoChannelCapacity,
+    /// [`EngineConfig::collector_capacity`] is 0: the merge stage's
+    /// channel could hold nothing.
+    NoCollectorCapacity,
     /// The partitioner routes over a different number of tasks than
     /// [`EngineConfig::n_workers`].
     Parallelism {
@@ -280,7 +295,12 @@ pub struct EngineReport {
     pub wall: Duration,
     /// Mean throughput, tuples/second (`processed / wall`).
     pub mean_throughput: f64,
-    /// Per-interval throughput series (interval, tuples/s).
+    /// Per-interval throughput series (interval, tuples/s), one point
+    /// per decided statistics round, in interval order: the tuples its
+    /// reports cover (their merged latency histogram holds one sample per
+    /// tuple) over the wall time between the source's previous cut and
+    /// the one that closed the interval, both as the controller read
+    /// them.
     pub interval_throughput: TimeSeries,
     /// End-to-end tuple latency distribution (µs), merged over workers.
     pub latency_us: Histogram,
@@ -399,7 +419,7 @@ impl Engine {
         OF: FnMut(TaskId) -> Box<dyn Operator>,
     {
         let t0 = Instant::now();
-        let max_workers = config.max_workers.max(config.n_workers);
+        let max_workers = config.max_workers;
         // The initial workers' operators, built before any thread
         // starts: whether the run is sound depends on how they combine.
         let ops: Vec<Box<dyn Operator>> = (0..config.n_workers)
@@ -424,13 +444,6 @@ impl Engine {
         let (event_tx, event_rx) = unbounded::<Event>();
         let (ctl_tx, ctl_rx) = unbounded::<SourceCtl>();
         let (col_tx, col_rx) = bounded::<Vec<Tuple>>(config.collector_capacity);
-        // Batch-buffer free list: workers (and the collector) return
-        // drained `Vec<Tuple>`s here — in groups, amortizing the channel
-        // lock — and the source reuses them, so the steady-state data
-        // plane allocates nothing per batch.
-        let (pool_tx, pool_rx) = unbounded::<Vec<Vec<Tuple>>>();
-
-        let counter = Arc::new(Counter::new());
         // One flight-recorder sink per run; every thread gets its own
         // lock-free ThreadRecorder view of it.
         let sink = TraceSink::new(config.trace);
@@ -447,9 +460,7 @@ impl Engine {
             collector: collector.is_some().then(|| col_tx.clone()),
             spin_work: config.spin_work,
             window: config.window as u64,
-            processed_counter: Arc::clone(&counter),
             epoch: t0,
-            pool: pool_tx.clone(),
             emit_batch: config.batch_size.max(1),
             injector: Arc::clone(&injector),
             sink: Arc::clone(&sink),
@@ -481,8 +492,7 @@ impl Engine {
 
             // --- merge stage (the downstream operator) --------------------
             let merge = collector.map(|c| {
-                let stage =
-                    MergeStage::new(c, col_rx, pool_tx, sink.recorder(ThreadLabel::Collector));
+                let stage = MergeStage::new(c, col_rx, sink.recorder(ThreadLabel::Collector));
                 s.spawn(move || stage.run())
             });
 
@@ -494,8 +504,7 @@ impl Engine {
             );
             let (inj, rec) = (Arc::clone(&injector), sink.recorder(ThreadLabel::Source));
             let source = s.spawn(move || {
-                SourcePlane::new(view, txs, ctl_rx, event_tx, pool_rx, batch, inj)
-                    .run(feeder, t0, rec)
+                SourcePlane::new(view, txs, ctl_rx, event_tx, batch, inj).run(feeder, t0, rec)
             });
 
             // --- controller (this thread) ----------------------------------
@@ -503,7 +512,6 @@ impl Engine {
                 worker_txs,
                 worker_rxs,
                 ctl_tx,
-                counter,
                 injector: Arc::clone(&injector),
                 rec: sink.recorder(ThreadLabel::Controller),
                 make_op: Box::new(op_factory),
@@ -516,7 +524,18 @@ impl Engine {
     }
 }
 
-/// Why a run cannot start, if it cannot: no worker, a partitioner over a
+/// A feeder for [`Engine::run`] that replays a copy of `intervals`: the
+/// keys of interval `i` as keyed tuples on call `i`, then `None`.
+pub fn replay(intervals: &[Vec<Key>]) -> impl FnMut(u64) -> Option<Vec<Tuple>> + Send {
+    let feed = intervals.to_vec();
+    move |iv| {
+        feed.get(iv as usize)
+            .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
+    }
+}
+
+/// Why a run cannot start, if it cannot: no worker, fewer slots than
+/// workers, a channel that can hold nothing, a partitioner over a
 /// different number of tasks, or a join operator whose keys the run
 /// could spread over several workers — a join does not fold, so each
 /// replica would pair only its own share of a key's tuples.
@@ -527,6 +546,18 @@ fn refusal(
 ) -> Option<Refusal> {
     if config.n_workers == 0 {
         return Some(Refusal::NoWorkers);
+    }
+    if config.max_workers < config.n_workers {
+        return Some(Refusal::Slots {
+            max_workers: config.max_workers,
+            workers: config.n_workers,
+        });
+    }
+    if config.channel_capacity == 0 {
+        return Some(Refusal::NoChannelCapacity);
+    }
+    if config.collector_capacity == 0 {
+        return Some(Refusal::NoCollectorCapacity);
     }
     if partitioner.n_tasks() != config.n_workers {
         return Some(Refusal::Parallelism {
@@ -627,7 +658,7 @@ enum PauseFilter {
 const CTL_POLL: usize = 256;
 
 /// The source thread ([`SourcePlane::run`]) and its data plane: router,
-/// fan-out accumulators, pause buffer, and the batch-buffer free list.
+/// fan-out accumulators and pause buffer.
 ///
 /// Every `batch_size` staged tuples are routed with one
 /// [`SourceRouter::route_batch`] call, scattered into per-destination
@@ -653,10 +684,6 @@ struct SourcePlane {
     fan: Vec<Vec<Tuple>>,
     /// Destinations with a non-empty accumulator, in first-touch order.
     touched: Vec<usize>,
-    /// Grouped drained-buffer returns from workers and the collector.
-    pool: Receiver<Vec<Vec<Tuple>>>,
-    /// Local free list fed from the pool.
-    free: Vec<Vec<Tuple>>,
     /// Routing scratch, reused across batches.
     keys: Vec<Key>,
     dests: Vec<TaskId>,
@@ -679,7 +706,6 @@ impl SourcePlane {
         worker_txs: Vec<Sender<Message>>,
         ctl: Receiver<SourceCtl>,
         events: Sender<Event>,
-        pool: Receiver<Vec<Vec<Tuple>>>,
         batch_size: usize,
         injector: Arc<FaultInjector>,
     ) -> Self {
@@ -694,8 +720,6 @@ impl SourcePlane {
             buffer: Vec::new(),
             fan: (0..n_slots).map(|_| Vec::with_capacity(batch)).collect(),
             touched: Vec::with_capacity(n_slots),
-            pool,
-            free: Vec::new(),
             keys: Vec::with_capacity(batch),
             dests: Vec::with_capacity(batch),
             batch,
@@ -720,16 +744,10 @@ impl SourcePlane {
                 return;
             }
             // Interval telemetry: routing-table shape (live entries vs.
-            // tombstone debris), pool occupancy, and the interval's fed
-            // total — all deterministic per seeded feed, all
-            // batch-granularity.
+            // tombstone debris) and the interval's fed total — both
+            // deterministic per seeded feed.
             let (entries, tombstones) = self.router.table_stats();
-            recorder.router_snapshot(
-                interval,
-                entries as u64,
-                tombstones as u64,
-                self.free.len() as u64,
-            );
+            recorder.router_snapshot(interval, entries as u64, tombstones as u64);
             recorder.interval_end(interval, fed);
             self.cut(interval, false);
             interval += 1;
@@ -764,7 +782,6 @@ impl SourcePlane {
         loop {
             if since_ctl >= ctl_every {
                 since_ctl = 0;
-                self.reclaim();
                 if !self.poll_ctl() {
                     return false;
                 }
@@ -820,35 +837,6 @@ impl SourcePlane {
         true
     }
 
-    /// A buffer from the free list (refilled from the pool channel), or a
-    /// fresh one on a miss (only until enough buffers circulate).
-    fn take_buf(&mut self) -> Vec<Tuple> {
-        if let Some(buf) = self.free.pop() {
-            return buf;
-        }
-        if let Ok(group) = self.pool.try_recv() {
-            self.free.extend(group);
-            if let Some(buf) = self.free.pop() {
-                return buf;
-            }
-        }
-        Vec::with_capacity(self.batch)
-    }
-
-    /// Drains every pending pool return into the free list and bounds
-    /// it. Called at control-poll points: workers and the collector
-    /// return buffers whether or not `ship` is consuming any (a pause
-    /// covering the hot keys diverts nearly everything to the pause
-    /// buffer), so without reclamation the unbounded pool channel could
-    /// grow for the whole run. Excess capacity is just dropped.
-    fn reclaim(&mut self) {
-        while let Ok(group) = self.pool.try_recv() {
-            self.free.extend(group);
-        }
-        let cap = self.fan.len() * 4 + 8;
-        self.free.truncate(cap);
-    }
-
     /// Routes `staged` and ships it downstream: one channel send per
     /// destination touched. Drains `staged`, preserving per-destination tuple order. Under a
     /// destination pause (scale-in), tuples routed to the quiesced worker
@@ -879,8 +867,7 @@ impl SourcePlane {
         }
         for i in 0..self.touched.len() {
             let d = self.touched[i];
-            let next = self.take_buf();
-            let batch = std::mem::replace(&mut self.fan[d], next);
+            let batch = std::mem::replace(&mut self.fan[d], Vec::with_capacity(self.batch));
             self.send_batch(d, batch);
         }
         self.touched.clear();
@@ -1054,10 +1041,7 @@ impl SourcePlane {
                 // arrival order, which scatter preserves per destination).
                 // The flush goes through ship() in batch-sized chunks, so
                 // the tuple-denominated channel bound holds even for a
-                // buffer that grew far beyond one batch during the pause
-                // (an unchunked flush would also recycle an oversized
-                // buffer into the pool, pinning its capacity for the
-                // rest of the run).
+                // buffer that grew far beyond one batch during the pause.
                 let mut buffered = std::mem::take(&mut self.buffer);
                 let mut staged: Vec<Tuple> = Vec::with_capacity(self.batch);
                 for t in buffered.drain(..) {
@@ -1120,15 +1104,6 @@ mod tests {
             }
         }
         m
-    }
-
-    /// A feeder replaying `intervals`, one per call.
-    fn replay(intervals: &[Vec<Key>]) -> impl FnMut(u64) -> Option<Vec<Tuple>> + Send {
-        let feed = intervals.to_vec();
-        move |iv| {
-            feed.get(iv as usize)
-                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-        }
     }
 
     fn decode_counts(states: &[(Key, Bytes)]) -> FxHashMap<Key, u64> {
@@ -1275,7 +1250,10 @@ mod tests {
         assert!(report.latency_us.count() == 4000);
         assert!(report.latency_us.mean() > 0.0);
         assert!(report.mean_throughput > 0.0);
-        assert_eq!(report.interval_throughput.len(), 2);
+        // One point per interval, from its closed round.
+        let points = report.interval_throughput.points();
+        assert_eq!(points.iter().map(|p| p.0).collect::<Vec<_>>(), [0.0, 1.0]);
+        assert!(points.iter().all(|p| p.1 > 0.0), "{points:?}");
     }
 
     #[test]
@@ -1622,8 +1600,8 @@ mod tests {
         assert_eq!(report.processed, 1000);
     }
 
-    /// Bad parallelism is refused before any thread starts: the feeder
-    /// is never called, and the report says why.
+    /// Bad parallelism or sizing is refused before any thread starts:
+    /// the feeder is never called, and the report says why.
     #[test]
     fn mismatched_parallelism_is_a_reported_error() {
         let refused = |config: EngineConfig, partitioner| {
@@ -1648,6 +1626,31 @@ mod tests {
             ..small_config()
         };
         assert_eq!(refused(none, storm(1)), reason(Refusal::NoWorkers));
+        let slots = EngineConfig {
+            max_workers: 2,
+            ..small_config()
+        };
+        let short = Refusal::Slots {
+            max_workers: 2,
+            workers: 3,
+        };
+        assert_eq!(refused(slots, storm(3)), reason(short));
+        let channel = EngineConfig {
+            channel_capacity: 0,
+            ..small_config()
+        };
+        assert_eq!(
+            refused(channel, storm(3)),
+            reason(Refusal::NoChannelCapacity)
+        );
+        let collector = EngineConfig {
+            collector_capacity: 0,
+            ..small_config()
+        };
+        assert_eq!(
+            refused(collector, storm(3)),
+            reason(Refusal::NoCollectorCapacity)
+        );
     }
 
     /// A join does not fold, so a run that could put one key's tuples on
@@ -1707,14 +1710,13 @@ mod tests {
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| bounded::<Message>(8)).unzip();
         let (events, inbox) = unbounded();
         let (_ctl_tx, ctl) = unbounded();
-        let (_pool_tx, pool) = unbounded();
         let plan = FaultPlan::new(vec![FaultSpec::DropCtl {
             kind: CtlKind::StatsRequest,
             nth: 2,
         }]);
         let injector = Arc::new(FaultInjector::new(plan));
         let view = storm(3).routing_view();
-        let mut plane = SourcePlane::new(view, txs, ctl, events, pool, 4, injector);
+        let mut plane = SourcePlane::new(view, txs, ctl, events, 4, injector);
         let markers = |rx: &Receiver<Message>| -> Vec<String> {
             std::iter::from_fn(|| rx.try_recv().ok())
                 .map(|m| format!("{m:?}"))

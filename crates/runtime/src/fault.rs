@@ -95,17 +95,9 @@ impl CtlKind {
 /// One injectable fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultSpec {
-    /// Worker `worker` performs a controlled death when it sees the
-    /// stats request for interval `at_interval` (an interval boundary —
-    /// the deterministic clock every worker observes).
-    KillWorker { worker: usize, at_interval: u64 },
-    /// Worker `worker` dies on the `nth` (1-based) `MigrateOut` marker
-    /// it receives, *before* extracting — a crash mid-migration.
-    KillOnMigrateOut { worker: usize, nth: usize },
-    /// Worker `worker` dies on the `nth` (1-based) `StateInstall` it
-    /// receives, before installing — models a panic inside the install
-    /// path. The incoming blobs are counted as lost.
-    KillOnInstall { worker: usize, nth: usize },
+    /// Worker `worker` performs a controlled death at the point `at`
+    /// names ([`KillTrigger`]).
+    Kill { worker: usize, at: KillTrigger },
     /// Drop the `nth` (1-based) control message of kind `kind`,
     /// counted across the whole run at the sending site.
     DropCtl { kind: CtlKind, nth: usize },
@@ -163,14 +155,12 @@ impl FaultPlan {
                 // legal but make tiny test configs mostly-dead.
                 0 | 1 if !killed => {
                     killed = true;
-                    faults.push(if kind == 0 {
-                        FaultSpec::KillWorker {
-                            worker,
-                            at_interval: interval,
-                        }
+                    let at = if kind == 0 {
+                        KillTrigger::Interval(interval)
                     } else {
-                        FaultSpec::KillOnMigrateOut { worker, nth: 1 }
-                    });
+                        KillTrigger::MigrateOut(1)
+                    };
+                    faults.push(FaultSpec::Kill { worker, at });
                 }
                 2 => {
                     let k = CtlKind::ALL[rng.gen_range(0..CtlKind::ALL.len())];
@@ -187,7 +177,10 @@ impl FaultPlan {
                 _ => {
                     if !killed {
                         killed = true;
-                        faults.push(FaultSpec::KillOnInstall { worker, nth: 1 });
+                        faults.push(FaultSpec::Kill {
+                            worker,
+                            at: KillTrigger::Install(1),
+                        });
                     }
                 }
             }
@@ -229,7 +222,7 @@ impl OpKind {
 /// replaying a plan yields a comparable ledger (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultEvent {
-    /// A planned kill fired (any of the three kill flavours).
+    /// A planned kill fired.
     InjectedKill { worker: usize, trigger: KillTrigger },
     /// A planned control-message drop fired.
     InjectedDrop { kind: CtlKind, nth: usize },
@@ -268,14 +261,19 @@ pub enum FaultEvent {
     StaleEpochAbsorbed { epoch: u64, what: &'static str },
 }
 
-/// Which instrumented point a kill fired at.
+/// Where a worker's planned kill fires: the point the worker checks
+/// ([`FaultInjector::should_kill`]) with its own coordinate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillTrigger {
-    /// Interval boundary (stats request for the planned interval).
+    /// The stats request closing this interval (an interval boundary —
+    /// the deterministic clock every worker observes).
     Interval(u64),
-    /// The n-th `MigrateOut` marker.
+    /// The n-th (1-based) `MigrateOut` marker the worker receives,
+    /// *before* extracting — a crash mid-migration.
     MigrateOut(usize),
-    /// The n-th `StateInstall` message.
+    /// The n-th (1-based) `StateInstall` the worker receives, before
+    /// installing — a panic inside the install path; the incoming blobs
+    /// are counted as lost.
     Install(usize),
 }
 
@@ -427,59 +425,18 @@ impl FaultInjector {
         std::mem::take(&mut *self.ledger.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Worker `worker`, observing the stats request for `interval`:
-    /// should it die here? Records the injection when firing.
-    pub fn should_kill_at_interval(&self, worker: usize, interval: u64) -> bool {
-        for f in &self.plan.faults {
-            if let FaultSpec::KillWorker {
-                worker: w,
-                at_interval,
-            } = f
-            {
-                if *w == worker && *at_interval == interval {
-                    self.record(FaultEvent::InjectedKill {
-                        worker,
-                        trigger: KillTrigger::Interval(interval),
-                    });
-                    return true;
-                }
-            }
+    /// Worker `worker` reached kill point `at`: should it die here?
+    /// Records the injection when firing.
+    pub fn should_kill(&self, worker: usize, at: KillTrigger) -> bool {
+        let planned = FaultSpec::Kill { worker, at };
+        if !self.plan.faults.contains(&planned) {
+            return false;
         }
-        false
-    }
-
-    /// Worker `worker` received its `seen`-th (1-based) `MigrateOut`
-    /// marker: should it die before extracting?
-    pub fn should_kill_on_migrate_out(&self, worker: usize, seen: usize) -> bool {
-        for f in &self.plan.faults {
-            if let FaultSpec::KillOnMigrateOut { worker: w, nth } = f {
-                if *w == worker && *nth == seen {
-                    self.record(FaultEvent::InjectedKill {
-                        worker,
-                        trigger: KillTrigger::MigrateOut(seen),
-                    });
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Worker `worker` received its `seen`-th (1-based) `StateInstall`:
-    /// should it die before installing?
-    pub fn should_kill_on_install(&self, worker: usize, seen: usize) -> bool {
-        for f in &self.plan.faults {
-            if let FaultSpec::KillOnInstall { worker: w, nth } = f {
-                if *w == worker && *nth == seen {
-                    self.record(FaultEvent::InjectedKill {
-                        worker,
-                        trigger: KillTrigger::Install(seen),
-                    });
-                    return true;
-                }
-            }
-        }
-        false
+        self.record(FaultEvent::InjectedKill {
+            worker,
+            trigger: at,
+        });
+        true
     }
 
     /// Stall duration (if any) for worker `worker` at `interval`.
@@ -551,13 +508,8 @@ mod tests {
         for seed in 0..200 {
             let p = FaultPlan::from_seed(seed, 4, 10);
             for f in &p.faults {
-                match f {
-                    FaultSpec::KillWorker { worker, .. }
-                    | FaultSpec::KillOnMigrateOut { worker, .. }
-                    | FaultSpec::KillOnInstall { worker, .. } => {
-                        assert_ne!(*worker, 0, "seed {seed} kills worker 0");
-                    }
-                    _ => {}
+                if let FaultSpec::Kill { worker, .. } = f {
+                    assert_ne!(*worker, 0, "seed {seed} kills worker 0");
                 }
             }
         }
@@ -570,14 +522,7 @@ mod tests {
             let kills = p
                 .faults
                 .iter()
-                .filter(|f| {
-                    matches!(
-                        f,
-                        FaultSpec::KillWorker { .. }
-                            | FaultSpec::KillOnMigrateOut { .. }
-                            | FaultSpec::KillOnInstall { .. }
-                    )
-                })
+                .filter(|f| matches!(f, FaultSpec::Kill { .. }))
                 .count();
             assert!(kills <= 1, "seed {seed} has {kills} kills");
         }
@@ -605,17 +550,21 @@ mod tests {
     #[test]
     fn kill_probes_fire_once_per_coordinate() {
         let inj = FaultInjector::new(FaultPlan::new(vec![
-            FaultSpec::KillWorker {
+            FaultSpec::Kill {
                 worker: 2,
-                at_interval: 3,
+                at: KillTrigger::Interval(3),
             },
-            FaultSpec::KillOnMigrateOut { worker: 1, nth: 1 },
+            FaultSpec::Kill {
+                worker: 1,
+                at: KillTrigger::MigrateOut(1),
+            },
         ]));
-        assert!(!inj.should_kill_at_interval(2, 2));
-        assert!(!inj.should_kill_at_interval(1, 3));
-        assert!(inj.should_kill_at_interval(2, 3));
-        assert!(inj.should_kill_on_migrate_out(1, 1));
-        assert!(!inj.should_kill_on_migrate_out(1, 2));
+        assert!(!inj.should_kill(2, KillTrigger::Interval(2)));
+        assert!(!inj.should_kill(1, KillTrigger::Interval(3)));
+        assert!(!inj.should_kill(2, KillTrigger::Install(3)));
+        assert!(inj.should_kill(2, KillTrigger::Interval(3)));
+        assert!(inj.should_kill(1, KillTrigger::MigrateOut(1)));
+        assert!(!inj.should_kill(1, KillTrigger::MigrateOut(2)));
         assert_eq!(inj.take_ledger().len(), 2);
     }
 

@@ -35,19 +35,20 @@
 //!   `batch_size` tuples are routed with one `route_batch` call,
 //!   scattered into per-destination buffers, and shipped as one
 //!   [`Message::TupleBatch`] per destination touched, so a channel
-//!   operation is paid per batch, not per tuple. Batch buffers are
-//!   pooled — workers and the collector return drained `Vec<Tuple>`s to
-//!   the source over a recycle channel, so the steady state allocates
-//!   nothing per batch.
+//!   operation is paid per batch, not per tuple. Each send hands its
+//!   buffer over for good (the source refills that slot with a fresh
+//!   one): the channels are all the data-plane threads share.
 //! * **Workers** are downstream task instances: one thread per instance,
 //!   one bounded input channel each (full channel = backpressure, the
 //!   "backpushing effect" of the paper's Fig. 1 — now at batch
 //!   granularity). They run an [`Operator`], keep windowed per-key state,
 //!   and account per-key statistics, draining a whole batch per channel
-//!   operation: one shared-counter `add(n)` and one latency clock read
-//!   per batch, with each run of equal keys folded straight into the
-//!   interval's statistics map (one probe per run; a batch-local scratch
-//!   map measured slower).
+//!   operation: one latency clock read per batch, with each run of equal
+//!   keys folded straight into the interval's statistics map (one probe
+//!   per run; a batch-local scratch map measured slower). Everything a
+//!   worker counts travels in its own events — the interval report's
+//!   latency histogram holds one sample per tuple, which is where the
+//!   controller's per-interval throughput comes from.
 //! * The **controller** implements the paper's rebalance workflow
 //!   (Fig. 5): ① collect per-interval statistics — the source cuts each
 //!   interval in-band, putting a [`Message::StatsRequest`] into every
@@ -219,8 +220,8 @@
 //! exercised deterministically by a seeded [`FaultPlan`] threaded
 //! through [`EngineConfig`] (module [`fault`]):
 //!
-//! * **Worker crashes** (`KillWorker`, `KillOnMigrateOut`,
-//!   `KillOnInstall`): a worker thread exits mid-run, possibly holding
+//! * **Worker crashes** (`Kill` at an interval boundary, a `MigrateOut`
+//!   or a `StateInstall`): a worker thread exits mid-run, possibly holding
 //!   un-extracted state or an in-flight `StateInstall`. The controller
 //!   detects the death (`Killed` event), marks the slot dead, re-routes
 //!   its keys to the next live slot, and continuously drains the dead
@@ -279,7 +280,7 @@
 //! * **Telemetry snapshots** per statistics round: per-worker loads,
 //!   queue depths (tuple-weighted channel occupancy), mean/p99 interval
 //!   latency — plus per-interval `RouterSnapshot`s from the source
-//!   (routing-table entries, tombstone debris, pool occupancy) and
+//!   (routing-table entries and tombstone debris) and
 //!   `IntervalEnd` totals.
 //! * **Early rounds**: the source's `SkewAlert` (interval,
 //!   per-destination counts — recorded at the control-poll point where
@@ -332,7 +333,7 @@ pub mod tuple;
 pub mod worker;
 
 pub use engine::{
-    Engine, EngineConfig, EngineReport, ProtocolError, Refusal, ScaleEvent, SplitEvent,
+    replay, Engine, EngineConfig, EngineReport, ProtocolError, Refusal, ScaleEvent, SplitEvent,
 };
 pub use fault::{CtlKind, FaultEvent, FaultInjector, FaultPlan, FaultSpec, KillTrigger, OpKind};
 pub use merge::MergeStage;

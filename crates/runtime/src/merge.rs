@@ -3,13 +3,12 @@
 //! The engine's topology is a two-stage seam: a **keyed stage** (the
 //! worker threads running an [`Operator`] over per-key windowed state)
 //! feeding a **merge stage** over a second channel plane. The plane
-//! reuses the pooled, tuple-weighted `TupleBatch` machinery of the
-//! source plane: workers accumulate emissions into pooled `Vec<Tuple>`
-//! buffers and ship them over one bounded, tuple-weighted channel
-//! (`EngineConfig::collector_capacity` — a full merge stage
+//! works like the source plane: workers accumulate emissions into
+//! `Vec<Tuple>` batches and ship them over one bounded, tuple-weighted
+//! channel (`EngineConfig::collector_capacity` — a full merge stage
 //! backpressures the keyed stage exactly like a full worker channel
-//! backpressures the source), and the merge stage recycles drained
-//! buffers to the source's free list in groups.
+//! backpressures the source). That channel is all the two stages share:
+//! a drained batch is dropped where it was drained.
 //!
 //! The merge stage is what makes **hot-key splitting** exact. When a
 //! key is split, its tuples round-robin across replica slots and each
@@ -29,18 +28,14 @@
 //! shutdown instead (`EngineReport::final_states` sums blobs per key),
 //! which is the same fold executed once at the end.
 
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Receiver;
 use streambal_trace::ThreadRecorder;
 
 use crate::operator::Collector;
 use crate::tuple::Tuple;
 
-/// How many drained batch buffers the merge stage accumulates before
-/// recycling them to the source's pool in one channel send.
-const RECYCLE_GROUP: usize = 8;
-
 /// The merge-stage runner: drains emission batches from the keyed
-/// stage, folds them through a [`Collector`], and recycles the buffers.
+/// stage and folds them through a [`Collector`].
 ///
 /// Owns the downstream end of the second channel plane. The engine
 /// spawns [`MergeStage::run`] on its own thread; the returned rows land
@@ -48,40 +43,25 @@ const RECYCLE_GROUP: usize = 8;
 pub struct MergeStage {
     collector: Box<dyn Collector>,
     rx: Receiver<Vec<Tuple>>,
-    pool: Sender<Vec<Vec<Tuple>>>,
     rec: ThreadRecorder,
 }
 
 impl MergeStage {
-    /// Builds the stage around its collector, inbound plane, and the
-    /// source's buffer-recycle channel.
+    /// Builds the stage around its collector and inbound plane.
     pub fn new(
         collector: Box<dyn Collector>,
         rx: Receiver<Vec<Tuple>>,
-        pool: Sender<Vec<Vec<Tuple>>>,
         rec: ThreadRecorder,
     ) -> Self {
-        MergeStage {
-            collector,
-            rx,
-            pool,
-            rec,
-        }
+        MergeStage { collector, rx, rec }
     }
 
     /// Drains the plane to disconnection and returns the merged result
-    /// rows. Buffer recycling is best-effort: at teardown the source is
-    /// already gone and the pool send failing is expected.
+    /// rows.
     pub fn run(mut self) -> Vec<(u64, u64)> {
-        let mut returns: Vec<Vec<Tuple>> = Vec::new();
-        while let Ok(mut batch) = self.rx.recv() {
+        while let Ok(batch) = self.rx.recv() {
             for t in &batch {
                 self.collector.collect(t);
-            }
-            batch.clear();
-            returns.push(batch);
-            if returns.len() >= RECYCLE_GROUP {
-                let _ = self.pool.send(std::mem::take(&mut returns));
             }
         }
         self.rec.mark("collector-done");
@@ -99,22 +79,21 @@ mod tests {
     use streambal_trace::{ThreadLabel, TraceSink};
 
     /// The stage folds split-key partials from multiple "replicas" into
-    /// one total per key and recycles drained buffers to the pool.
+    /// one total per key.
     #[test]
     fn merges_replica_partials_and_recycles_buffers() {
         let (tx, rx) = unbounded::<Vec<Tuple>>();
-        let (pool_tx, pool_rx) = unbounded::<Vec<Vec<Tuple>>>();
         let sink = TraceSink::new(false);
         let stage = MergeStage::new(
             Box::new(SumCollector::new()),
             rx,
-            pool_tx,
             sink.recorder(ThreadLabel::Collector),
         );
         // Two replicas of split key 7 emit partials interleaved with an
-        // unsplit key 9; enough batches to trip one recycle group.
-        for i in 0..RECYCLE_GROUP + 1 {
-            let replica_delta = (i as u64) + 1;
+        // unsplit key 9, over nine batches.
+        let n = 9u64;
+        for i in 0..n {
+            let replica_delta = i + 1;
             tx.send(vec![
                 Tuple::tagged(Key(7), TAG_PARTIAL, [replica_delta, 0]),
                 Tuple::tagged(Key(7), TAG_PARTIAL, [replica_delta, 0]),
@@ -124,13 +103,7 @@ mod tests {
         }
         drop(tx);
         let rows = stage.run();
-        let n = (RECYCLE_GROUP + 1) as u64;
         // Σ 2·(i+1) for i in 0..n, and n ones for key 9.
         assert_eq!(rows, vec![(7, n * (n + 1)), (9, n)]);
-        let mut recycled = 0usize;
-        while let Ok(group) = pool_rx.try_recv() {
-            recycled += group.len();
-        }
-        assert_eq!(recycled, RECYCLE_GROUP, "one full recycle group");
     }
 }

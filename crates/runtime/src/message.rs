@@ -15,9 +15,8 @@ use crate::tuple::Tuple;
 pub enum Message {
     /// A batch of data tuples — the only payload-carrying variant: one
     /// channel operation covers the whole vector, sent with the batch
-    /// length as its channel weight. The buffer is pooled — after draining it, the worker
-    /// returns it (cleared, capacity intact) to the source through the
-    /// engine's recycle channel, so the steady state allocates nothing.
+    /// length as its channel weight. The worker owns the buffer from
+    /// then on and drops it once drained.
     TupleBatch(Vec<Tuple>),
     /// Interval boundary: report statistics, advance the window. The
     /// source puts it into every slot it can route to at the moment it

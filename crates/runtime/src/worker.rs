@@ -9,23 +9,13 @@ use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use streambal_core::{Key, StatsAccumulator, TaskId};
 use streambal_hashring::FxHashMap;
-use streambal_metrics::{Counter, Histogram};
+use streambal_metrics::Histogram;
 use streambal_trace::{ThreadLabel, ThreadRecorder, TraceSink};
 
-use crate::fault::{CtlKind, FaultInjector};
+use crate::fault::{CtlKind, FaultInjector, KillTrigger};
 use crate::message::{Event, Message, WorkerEvent, WorkerExit, WorkerTotals};
 use crate::operator::Operator;
 use crate::tuple::{Tuple, TAG_PARTIAL};
-
-/// Spare drained input buffers an emitter keeps for its own batches
-/// before surplus flows back to the source pool.
-const EMIT_SPARES: usize = 2;
-
-/// Drained buffers accumulated before one grouped pool return. Returning
-/// buffers in groups amortizes the pool-channel lock to `1/RETURN_GROUP`
-/// per batch, which is what keeps one-tuple batches (`batch_size = 1`)
-/// from paying a pool-channel lock per tuple.
-const RETURN_GROUP: usize = 8;
 
 /// What every worker of a run shares; the engine clones one per spawn.
 #[derive(Clone)]
@@ -39,15 +29,8 @@ pub(crate) struct WorkerWiring {
     pub spin_work: u32,
     /// State window `w` in intervals.
     pub window: u64,
-    /// Shared processed-tuples counter (the controller's per-interval
-    /// throughput).
-    pub processed_counter: Arc<Counter>,
     /// Engine start instant (latency reference).
     pub epoch: Instant,
-    /// Return path for drained batch buffers — the source recycles them,
-    /// keeping the steady state allocation-free. Buffers travel in groups
-    /// of [`RETURN_GROUP`] to amortize the channel lock.
-    pub pool: Sender<Vec<Vec<Tuple>>>,
     /// Tuples accumulated per collector batch before a flush is forced
     /// (the emitter also flushes at every input-batch boundary).
     pub emit_batch: usize,
@@ -73,14 +56,10 @@ pub(crate) fn spin(iters: u32) -> u64 {
 
 /// Batches operator emissions toward the collector: one channel send per
 /// full (or force-flushed) buffer instead of one per emitted tuple.
-/// Buffers come from the worker's drained input batches (`stash`) and
-/// return to the engine pool from the collector side, so emission batches
-/// ride the same free-list as data batches.
 struct BatchEmitter {
     tx: Option<Sender<Vec<Tuple>>>,
     buf: Vec<Tuple>,
     cap: usize,
-    spares: Vec<Vec<Tuple>>,
 }
 
 impl BatchEmitter {
@@ -89,7 +68,6 @@ impl BatchEmitter {
             tx,
             buf: Vec::new(),
             cap: cap.max(1),
-            spares: Vec::new(),
         }
     }
 
@@ -114,22 +92,10 @@ impl BatchEmitter {
         if self.buf.is_empty() {
             return;
         }
-        let next = self.spares.pop().unwrap_or_default();
-        let full = std::mem::replace(&mut self.buf, next);
+        let full = std::mem::replace(&mut self.buf, Vec::with_capacity(self.cap));
         if let Some(tx) = &self.tx {
             let weight = full.len();
             let _ = tx.send_weighted(full, weight);
-        }
-    }
-
-    /// Offers a drained buffer for reuse; hands it back when the emitter
-    /// has no use for it (the caller returns it to the pool).
-    fn stash(&mut self, buf: Vec<Tuple>) -> Option<Vec<Tuple>> {
-        if self.tx.is_some() && self.spares.len() < EMIT_SPARES {
-            self.spares.push(buf);
-            None
-        } else {
-            Some(buf)
         }
     }
 
@@ -179,8 +145,6 @@ pub(crate) struct Worker {
     /// a dead worker's partial interval is still accounted.
     recorder: ThreadRecorder,
     emitter: BatchEmitter,
-    /// Drained buffers awaiting a grouped pool return.
-    returns: Vec<Vec<Tuple>>,
     /// The open interval's statistics: one accumulator for the whole
     /// run, sealed at every interval boundary with its capacity kept.
     stats: StatsAccumulator,
@@ -225,7 +189,6 @@ impl Worker {
             // Every tuple costs its spin plus one unit.
             stats: StatsAccumulator::new(u64::from(wiring.spin_work) + 1),
             wiring,
-            returns: Vec::with_capacity(RETURN_GROUP),
             iv_latency: Box::default(),
             totals: WorkerTotals::default(),
             current_interval: start_interval,
@@ -254,7 +217,7 @@ impl Worker {
         // Channel closed without Shutdown (engine dropped): exit quietly.
     }
 
-    fn on_batch(&mut self, mut batch: Vec<Tuple>) -> Step {
+    fn on_batch(&mut self, batch: Vec<Tuple>) -> Step {
         let n = batch.len() as u64;
         // Batch-local stats accumulation by key runs: consecutive
         // same-key tuples fold into one interval-map probe. Costs one
@@ -295,20 +258,9 @@ impl Worker {
         if n > 0 {
             self.totals.first_interval.get_or_insert(interval);
         }
-        batch.clear();
         self.totals.processed += n;
-        self.wiring.processed_counter.add(n);
         self.recorder.count_batch(n);
         self.emitter.flush();
-        if let Some(back) = self.emitter.stash(batch) {
-            // Already drained: queue the capacity for a grouped return to
-            // the source. A failed send means the source is gone (engine
-            // teardown) — buffers drop.
-            self.returns.push(back);
-            if self.returns.len() >= RETURN_GROUP {
-                let _ = self.wiring.pool.send(std::mem::take(&mut self.returns));
-            }
-        }
         Step::Continue(())
     }
 
@@ -320,7 +272,7 @@ impl Worker {
     fn on_stats_request(&mut self, interval: u64) -> Step {
         if self.faulty {
             let injector = &self.wiring.injector;
-            if injector.should_kill_at_interval(self.id.index(), interval) {
+            if injector.should_kill(self.id.index(), KillTrigger::Interval(interval)) {
                 return Step::Break(End::Killed(Vec::new()));
             }
             if let Some(ms) = injector.stall_at_interval(self.id.index(), interval) {
@@ -372,12 +324,8 @@ impl Worker {
     /// Step 5a: extract and ship the requested keys' state.
     fn on_migrate_out(&mut self, epoch: u64, moves: Vec<(Key, TaskId)>) -> Step {
         self.migrate_outs_seen += 1;
-        if self.faulty
-            && self
-                .wiring
-                .injector
-                .should_kill_on_migrate_out(self.id.index(), self.migrate_outs_seen)
-        {
+        let at = KillTrigger::MigrateOut(self.migrate_outs_seen);
+        if self.faulty && self.wiring.injector.should_kill(self.id.index(), at) {
             // Crash mid-migration, before extracting: the requested moves
             // die with the rest of the state.
             return Step::Break(End::Killed(Vec::new()));
@@ -397,12 +345,8 @@ impl Worker {
     /// Step 5b: merge arriving state (once per epoch) and acknowledge.
     fn on_install(&mut self, epoch: u64, states: Vec<(Key, Bytes)>) -> Step {
         self.installs_seen += 1;
-        if self.faulty
-            && self
-                .wiring
-                .injector
-                .should_kill_on_install(self.id.index(), self.installs_seen)
-        {
+        let at = KillTrigger::Install(self.installs_seen);
+        if self.faulty && self.wiring.injector.should_kill(self.id.index(), at) {
             // Crash inside the install path: nothing is merged, so the
             // incoming blobs are lost too — count them.
             let blobs = states
@@ -443,13 +387,10 @@ impl Worker {
 
     /// `Retire` and `Shutdown`'s tail. FIFO already delivered every batch
     /// sent before the marker, so the backlog is fully processed: flush,
-    /// return the pooled buffers, and drain *all* remaining state
-    /// (windowed state outlives the statistics that created it).
+    /// and drain *all* remaining state (windowed state outlives the
+    /// statistics that created it).
     fn drain(&mut self) -> Vec<(Key, Bytes)> {
         self.flush();
-        if !self.returns.is_empty() {
-            let _ = self.wiring.pool.send(std::mem::take(&mut self.returns));
-        }
         self.op.drain()
     }
 
@@ -529,36 +470,23 @@ mod tests {
         }
     }
 
-    /// Handles to a spawned test worker: input, events, pool returns,
-    /// join handle.
-    type WorkerHandles = (
-        Sender<Message>,
-        Events,
-        Receiver<Vec<Vec<Tuple>>>,
-        std::thread::JoinHandle<()>,
-    );
+    /// Handles to a spawned test worker: input, events, join handle.
+    type WorkerHandles = (Sender<Message>, Events, std::thread::JoinHandle<()>);
 
-    /// Wiring for one test worker, with its event and pool receivers.
-    fn wiring(
-        window: u64,
-        plan: FaultPlan,
-        sink: &Arc<TraceSink>,
-    ) -> (WorkerWiring, Events, Receiver<Vec<Vec<Tuple>>>) {
+    /// Wiring for one test worker, with its event receiver.
+    fn wiring(window: u64, plan: FaultPlan, sink: &Arc<TraceSink>) -> (WorkerWiring, Events) {
         let (etx, erx) = unbounded();
-        let (pool_tx, pool_rx) = unbounded();
         let wiring = WorkerWiring {
             events: etx,
             collector: None,
             spin_work: 4,
             window,
-            processed_counter: Arc::new(Counter::new()),
             epoch: Instant::now(),
-            pool: pool_tx,
             emit_batch: 8,
             injector: Arc::new(FaultInjector::new(plan)),
             sink: Arc::clone(sink),
         };
-        (wiring, Events(erx), pool_rx)
+        (wiring, Events(erx))
     }
 
     fn spawn_worker(window: u64) -> WorkerHandles {
@@ -567,10 +495,10 @@ mod tests {
 
     fn spawn_worker_with(window: u64, plan: FaultPlan, sink: &Arc<TraceSink>) -> WorkerHandles {
         let (tx, rx) = unbounded();
-        let (wiring, erx, pool_rx) = wiring(window, plan, sink);
+        let (wiring, erx) = wiring(window, plan, sink);
         let worker = Worker::new(wiring, TaskId(0), rx, Box::new(WordCountOp::new()), 0);
         let h = std::thread::spawn(move || worker.run());
-        (tx, erx, pool_rx, h)
+        (tx, erx, h)
     }
 
     /// The `batch_size = 1` shape: a batch holding one tuple.
@@ -580,7 +508,7 @@ mod tests {
 
     #[test]
     fn processes_and_reports_stats() {
-        let (tx, erx, _pool, h) = spawn_worker(5);
+        let (tx, erx, h) = spawn_worker(5);
         for _ in 0..10 {
             tx.send(one(1)).unwrap();
         }
@@ -636,7 +564,7 @@ mod tests {
     #[test]
     fn one_tuple_batch_counts_once() {
         let sink = TraceSink::new(true);
-        let (tx, erx, _pool, h) = spawn_worker_with(5, FaultPlan::none(), &sink);
+        let (tx, erx, h) = spawn_worker_with(5, FaultPlan::none(), &sink);
         tx.send(one(1)).unwrap();
         tx.send(Message::StatsRequest { interval: 0 }).unwrap();
         match erx.recv().unwrap() {
@@ -687,7 +615,7 @@ mod tests {
         let run = |peek: bool| {
             let sink = TraceSink::new(true);
             // w = 1: interval 0's state is evicted when interval 1 closes.
-            let (tx, erx, _pool, h) = spawn_worker_with(1, FaultPlan::none(), &sink);
+            let (tx, erx, h) = spawn_worker_with(1, FaultPlan::none(), &sink);
             let script = [
                 (keys(&[1, 1, 1]), Some(0)),
                 (keys(&[1, 1, 2]), Some(0)),
@@ -775,15 +703,13 @@ mod tests {
     }
 
     /// A multi-tuple `TupleBatch` is accounted per tuple — stats, counts,
-    /// and state — and the drained buffer comes back through the pool
-    /// with its capacity intact.
+    /// and state.
     #[test]
     fn batch_matches_per_tuple_accounting_and_recycles_buffer() {
-        let (tx, erx, pool_rx, h) = spawn_worker(5);
+        let (tx, erx, h) = spawn_worker(5);
         let batch: Vec<Tuple> = (0..10)
             .map(|i| Tuple::keyed(Key(if i % 2 == 0 { 1 } else { 2 })))
             .collect();
-        let cap = batch.capacity();
         tx.send(Message::TupleBatch(batch)).unwrap();
         tx.send(Message::StatsRequest { interval: 0 }).unwrap();
         match erx.recv().unwrap() {
@@ -809,22 +735,15 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // The buffer came back through the pool (grouped return, flushed
-        // at shutdown), drained but with its capacity intact.
-        let group = pool_rx.recv().unwrap();
-        assert_eq!(group.len(), 1);
-        assert!(group[0].is_empty());
-        assert_eq!(group[0].capacity(), cap);
         h.join().unwrap();
     }
 
-    /// Emissions toward a collector arrive batched, and the batch buffers
-    /// the worker drains feed the emitter before surplus hits the pool.
+    /// Emissions toward a collector arrive batched.
     #[test]
     fn collector_emissions_are_batched() {
         let (tx, rx) = unbounded();
         let (col_tx, col_rx) = unbounded();
-        let (wiring, erx, _pool_rx) = wiring(5, FaultPlan::none(), &TraceSink::disabled());
+        let (wiring, erx) = wiring(5, FaultPlan::none(), &TraceSink::disabled());
         let wiring = WorkerWiring {
             collector: Some(col_tx),
             spin_work: 1,
@@ -851,8 +770,8 @@ mod tests {
 
     #[test]
     fn migrate_out_then_install_roundtrip() {
-        let (tx_a, erx_a, _pa, ha) = spawn_worker(5);
-        let (tx_b, erx_b, _pb, hb) = spawn_worker(5);
+        let (tx_a, erx_a, ha) = spawn_worker(5);
+        let (tx_b, erx_b, hb) = spawn_worker(5);
         // Worker A accumulates state for key 9 — via a batch, as the
         // batched data plane delivers it.
         tx_a.send(Message::TupleBatch(vec![Tuple::keyed(Key(9)); 4]))
@@ -906,7 +825,7 @@ mod tests {
     /// channel receiver.
     #[test]
     fn retire_drains_backlog_and_returns_receiver() {
-        let (tx, erx, _pool, h) = spawn_worker(100);
+        let (tx, erx, h) = spawn_worker(100);
         tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(1)); 3]))
             .unwrap();
         tx.send(one(2)).unwrap();
@@ -937,7 +856,7 @@ mod tests {
 
     #[test]
     fn window_eviction_after_stats() {
-        let (tx, erx, _pool, h) = spawn_worker(1); // keep only current interval
+        let (tx, erx, h) = spawn_worker(1); // keep only current interval
         tx.send(one(5)).unwrap();
         tx.send(Message::StatsRequest { interval: 0 }).unwrap();
         let _ = erx.recv();
@@ -977,15 +896,12 @@ mod tests {
     fn injected_kill_accounts_held_state() {
         let cases = [
             (
-                FaultSpec::KillWorker {
-                    worker: 0,
-                    at_interval: 1,
-                },
+                KillTrigger::Interval(1),
                 Message::StatsRequest { interval: 1 },
                 vec![(Key(4), 6), (Key(9), 2)],
             ),
             (
-                FaultSpec::KillOnMigrateOut { worker: 0, nth: 1 },
+                KillTrigger::MigrateOut(1),
                 Message::MigrateOut {
                     epoch: 1,
                     moves: vec![(Key(4), TaskId(1))],
@@ -993,7 +909,7 @@ mod tests {
                 vec![(Key(4), 6), (Key(9), 2)],
             ),
             (
-                FaultSpec::KillOnInstall { worker: 0, nth: 1 },
+                KillTrigger::Install(1),
                 Message::StateInstall {
                     epoch: 1,
                     states: vec![(Key(7), blob_of(7, 3)), (Key(4), blob_of(4, 5))],
@@ -1001,10 +917,10 @@ mod tests {
                 vec![(Key(4), 11), (Key(7), 3), (Key(9), 2)],
             ),
         ];
-        for (spec, trigger, expect_lost) in cases {
-            let label = format!("{spec:?}");
-            let plan = FaultPlan::new(vec![spec]);
-            let (tx, erx, _pool, h) = spawn_worker_with(100, plan, &TraceSink::disabled());
+        for (at, trigger, expect_lost) in cases {
+            let label = format!("{at:?}");
+            let plan = FaultPlan::new(vec![FaultSpec::Kill { worker: 0, at }]);
+            let (tx, erx, h) = spawn_worker_with(100, plan, &TraceSink::disabled());
             tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(4)); 6]))
                 .unwrap();
             tx.send(Message::StatsRequest { interval: 0 }).unwrap();
@@ -1040,7 +956,7 @@ mod tests {
     /// without re-merging (idempotence under controller retries).
     #[test]
     fn duplicate_install_epoch_is_deduped() {
-        let (tx, erx, _pool, h) = spawn_worker(100);
+        let (tx, erx, h) = spawn_worker(100);
         let blob = blob_of(2, 3);
         for _ in 0..2 {
             tx.send(Message::StateInstall {

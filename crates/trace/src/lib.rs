@@ -338,8 +338,7 @@ pub enum EventKind {
         /// p99 end-to-end latency of the interval (µs).
         p99_latency_us: f64,
     },
-    /// Per-interval source-side telemetry: routing-table shape and
-    /// batch-buffer pool occupancy.
+    /// Per-interval source-side telemetry: routing-table shape.
     RouterSnapshot {
         /// The interval just finished.
         interval: u64,
@@ -347,8 +346,6 @@ pub enum EventKind {
         table_entries: u64,
         /// Tombstone debris in the routing table's slab.
         table_tombstones: u64,
-        /// Pooled batch buffers currently held by the source.
-        pool_buffers: u64,
     },
     /// A worker's per-interval data-plane roll-up: the batch-granularity
     /// counters accumulated by [`ThreadRecorder::count_batch`], emitted
@@ -580,19 +577,12 @@ impl ThreadRecorder {
         });
     }
 
-    /// Emits a source-side router/pool snapshot.
-    pub fn router_snapshot(
-        &mut self,
-        interval: u64,
-        table_entries: u64,
-        table_tombstones: u64,
-        pool_buffers: u64,
-    ) {
+    /// Emits a source-side router snapshot.
+    pub fn router_snapshot(&mut self, interval: u64, table_entries: u64, table_tombstones: u64) {
         self.event(EventKind::RouterSnapshot {
             interval,
             table_entries,
             table_tombstones,
-            pool_buffers,
         });
     }
 
@@ -939,7 +929,7 @@ mod tests {
         ctl.span_phase(1, Phase::Resume);
         ctl.span_close(1, Outcome::Completed);
         ctl.snapshot(0, vec![100, 0], vec![3, 0], 12.5, 40.0);
-        src.router_snapshot(0, 7, 1, 4);
+        src.router_snapshot(0, 7, 1);
         src.skew_alert(1, vec![90, 310]);
         ctl.early_round(1, EarlyStep::Open);
         ctl.early_round(1, EarlyStep::Planned);

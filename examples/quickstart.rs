@@ -16,7 +16,7 @@
 use streambal::baselines::{storm, CoreBalancer};
 use streambal::core::{IntervalStats, KeyStat};
 use streambal::prelude::*;
-use streambal::runtime::{Engine, EngineConfig, Tuple, WordCountOp};
+use streambal::runtime::{replay, Engine, EngineConfig, WordCountOp};
 use streambal::sim::source::ZipfSource;
 use streambal::sim::Sim;
 use streambal::workloads::FluctuatingWorkload;
@@ -138,11 +138,7 @@ fn engine_run() {
             },
         )),
         |_| Box::new(WordCountOp::new()),
-        move |iv| {
-            intervals
-                .get(iv as usize)
-                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-        },
+        replay(&intervals),
         None,
     );
 

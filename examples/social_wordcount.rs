@@ -8,7 +8,7 @@
 
 use streambal::baselines::{storm, CoreBalancer, Partitioner};
 use streambal::core::{BalanceParams, Key, RebalanceStrategy};
-use streambal::runtime::{Engine, EngineConfig, Tuple, WordCountOp};
+use streambal::runtime::{replay, Engine, EngineConfig, WordCountOp};
 use streambal::workloads::SocialWorkload;
 
 fn intervals(seed: u64) -> Vec<Vec<Key>> {
@@ -36,10 +36,7 @@ fn run(name: &str, partitioner: Box<dyn Partitioner>, feed: Vec<Vec<Key>>) {
         config,
         partitioner,
         |_| Box::new(WordCountOp::new()),
-        move |iv| {
-            feed.get(iv as usize)
-                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-        },
+        replay(&feed),
         None,
     );
     println!(

@@ -89,9 +89,9 @@ fn assert_accounted(label: &str, report: &EngineReport, preserves: bool) {
 /// what a replayable ledger must be scoped away from.
 #[test]
 fn same_plan_yields_identical_fault_ledger() {
-    let plan = FaultPlan::new(vec![FaultSpec::KillWorker {
+    let plan = FaultPlan::new(vec![FaultSpec::Kill {
         worker: 1,
-        at_interval: 2,
+        at: KillTrigger::Interval(2),
     }]);
     let config = || EngineConfig {
         n_workers: N_TASKS,
@@ -134,9 +134,9 @@ fn same_plan_yields_identical_fault_ledger() {
 fn mid_migration_worker_kill_recovers_and_accounts() {
     for victim in [1usize, 2] {
         let label = format!("kill-on-migrate-out({victim})");
-        let plan = FaultPlan::new(vec![FaultSpec::KillOnMigrateOut {
+        let plan = FaultPlan::new(vec![FaultSpec::Kill {
             worker: victim,
-            nth: 1,
+            at: KillTrigger::MigrateOut(1),
         }]);
         let report = run_engine(&label, chaos_config(plan), mixed_balancer());
         let killed = report.faults.contains(&FaultEvent::InjectedKill {
@@ -169,9 +169,9 @@ fn mid_split_replica_kill_accounts_every_tuple() {
     let hot = hottest_key();
     for victim in [1usize, 2] {
         let label = format!("kill-mid-split({victim})");
-        let plan = FaultPlan::new(vec![FaultSpec::KillWorker {
+        let plan = FaultPlan::new(vec![FaultSpec::Kill {
             worker: victim,
-            at_interval: 2,
+            at: KillTrigger::Interval(2),
         }]);
         let mut config = chaos_config(plan);
         config.split = Some(Box::new(streambal::elastic::FixedSplitSchedule::cycle(
@@ -206,7 +206,10 @@ fn mid_split_replica_kill_accounts_every_tuple() {
 /// must land in `lost_tuples`, not vanish.
 #[test]
 fn kill_on_install_accounts_in_flight_state() {
-    let plan = FaultPlan::new(vec![FaultSpec::KillOnInstall { worker: 2, nth: 1 }]);
+    let plan = FaultPlan::new(vec![FaultSpec::Kill {
+        worker: 2,
+        at: KillTrigger::Install(1),
+    }]);
     let label = "kill-on-install(2)";
     let report = run_engine(label, chaos_config(plan), mixed_balancer());
     assert_accounted(label, &report, true);
@@ -281,7 +284,7 @@ fn last_interval_stats_loss_closes_by_deadline() {
 /// control-message drops, stalls) and every partitioner must survive
 /// every plan — terminate, keep the per-key accounting balanced, and
 /// report no protocol errors. Strategies that never migrate make some
-/// plans inert (a `KillOnMigrateOut` never fires under hashing); those
+/// plans inert (a kill on `MigrateOut` never fires under hashing); those
 /// runs must then be exact, which the same invariant checks (empty
 /// `lost_tuples` makes `observed + lost == fed` an exactness claim).
 #[test]

@@ -14,7 +14,7 @@ use streambal::core::{BalanceParams, RebalanceStrategy};
 use streambal::hashring::FxHashMap;
 use streambal::prelude::{Key, Partitioner, TaskId};
 use streambal::runtime::{
-    Collector, Engine, EngineConfig, EngineReport, SumCollector, Tuple, WordCountOp,
+    replay, Collector, Engine, EngineConfig, EngineReport, SumCollector, WordCountOp,
 };
 use streambal::workloads::FluctuatingWorkload;
 
@@ -139,10 +139,7 @@ pub fn run_feed(
                     Box::new(WordCountOp::with_partial_emission(8))
                 }
             },
-            move |iv| {
-                feed.get(iv as usize)
-                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-            },
+            replay(&feed),
             (!preserves).then(|| Box::new(SumCollector::new()) as Box<dyn Collector>),
         );
         let _ = tx.send(report);

@@ -21,7 +21,7 @@ use streambal::elastic::{FixedSchedule, FixedSplitSchedule};
 use streambal::hashring::FxHashMap;
 use streambal::prelude::{Key, Partitioner, TaskId};
 use streambal::runtime::{
-    Collector, Engine, EngineConfig, SourceRouter, SumCollector, Tuple, WordCountOp,
+    replay, Collector, Engine, EngineConfig, SourceRouter, SumCollector, WordCountOp,
 };
 use streambal::sim::source::ZipfSource;
 use streambal::sim::Sim;
@@ -291,7 +291,6 @@ fn engine_word_counts_exact_across_partitioners() {
     for p in all_partitioners() {
         let name = p.name();
         let preserves = p.preserves_key_semantics();
-        let feed = intervals.clone();
         let report = Engine::run(
             EngineConfig {
                 n_workers: N_TASKS,
@@ -309,10 +308,7 @@ fn engine_word_counts_exact_across_partitioners() {
                     Box::new(WordCountOp::with_partial_emission(32))
                 }
             },
-            move |iv| {
-                feed.get(iv as usize)
-                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-            },
+            replay(&intervals),
             (!preserves).then(|| Box::new(SumCollector::new()) as Box<dyn Collector>),
         );
 

@@ -28,7 +28,7 @@ use streambal::elastic::{
     SplitDecision, SplitEvent, ThresholdPolicy,
 };
 use streambal::prelude::Key;
-use streambal::runtime::{Engine, EngineConfig, EventKind, OpLabel, Tuple, WordCountOp};
+use streambal::runtime::{replay, Engine, EngineConfig, EventKind, OpLabel, Tuple, WordCountOp};
 use streambal::sim::source::ReplaySource;
 use streambal::sim::{EarlyRounds, QueueModel, Reaction, Sim};
 
@@ -141,7 +141,6 @@ fn sim_plans_and_engine_replays_the_identical_trace() {
             },
         )
     }));
-    let feed = intervals.clone();
     let engine_report = Engine::run(
         EngineConfig {
             n_workers: N_TASKS,
@@ -153,10 +152,7 @@ fn sim_plans_and_engine_replays_the_identical_trace() {
         },
         Box::new(partitioner()),
         |_| Box::new(WordCountOp::new()),
-        move |iv| {
-            feed.get(iv as usize)
-                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-        },
+        replay(&intervals),
         None,
     );
 
@@ -237,7 +233,6 @@ fn backpressure_sim_plan_replays_identically_on_the_engine() {
             },
         )
     }));
-    let feed = intervals.clone();
     let engine_report = Engine::run(
         EngineConfig {
             n_workers: N_TASKS,
@@ -249,10 +244,7 @@ fn backpressure_sim_plan_replays_identically_on_the_engine() {
         },
         Box::new(partitioner()),
         |_| Box::new(WordCountOp::new()),
-        move |iv| {
-            feed.get(iv as usize)
-                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-        },
+        replay(&intervals),
         None,
     );
     assert_eq!(
@@ -354,7 +346,6 @@ fn split_sim_plan_replays_identically_on_the_engine() {
             },
         )
     }));
-    let feed = intervals.clone();
     let engine_report = Engine::run(
         EngineConfig {
             n_workers: N_TASKS,
@@ -365,10 +356,7 @@ fn split_sim_plan_replays_identically_on_the_engine() {
         },
         Box::new(partitioner()),
         |_| Box::new(WordCountOp::new()),
-        move |iv| {
-            feed.get(iv as usize)
-                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-        },
+        replay(&intervals),
         None,
     );
     assert_eq!(
@@ -480,7 +468,6 @@ fn early_split_lands_inside_the_interval_and_matches_the_closing_round() {
 #[test]
 fn elastic_run_bills_fewer_worker_seconds_than_static_peak() {
     let intervals = intervals();
-    let feed = intervals.clone();
     let report = Engine::run(
         EngineConfig {
             n_workers: N_TASKS,
@@ -496,10 +483,7 @@ fn elastic_run_bills_fewer_worker_seconds_than_static_peak() {
         },
         Box::new(partitioner()),
         |_| Box::new(WordCountOp::new()),
-        move |iv| {
-            feed.get(iv as usize)
-                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-        },
+        replay(&intervals),
         None,
     );
     let wall = report.wall.as_secs_f64();

@@ -5,7 +5,7 @@
 use streambal::baselines::{readj, storm, CoreBalancer, Partitioner, ReadjConfig};
 use streambal::core::{BalanceParams, Key, RebalanceStrategy, TaskId};
 use streambal::hashring::FxHashMap;
-use streambal::runtime::{Engine, EngineConfig, Tuple, WordCountOp};
+use streambal::runtime::{replay, Engine, EngineConfig, WordCountOp};
 use streambal::workloads::FluctuatingWorkload;
 
 fn skewed_intervals(n: usize, seed: u64) -> Vec<Vec<Key>> {
@@ -43,7 +43,6 @@ fn run(
     partitioner: Box<dyn Partitioner>,
     intervals: &[Vec<Key>],
 ) -> streambal::runtime::EngineReport {
-    let feed = intervals.to_vec();
     Engine::run(
         EngineConfig {
             n_workers: 3,
@@ -54,10 +53,7 @@ fn run(
         },
         partitioner,
         |_| Box::new(WordCountOp::new()),
-        move |iv| {
-            feed.get(iv as usize)
-                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
-        },
+        replay(intervals),
         None,
     )
 }

@@ -26,7 +26,7 @@ use common::{mixed_balancer, run_engine, run_feed, N_TASKS};
 use streambal::baselines::storm;
 use streambal::prelude::Key;
 use streambal::runtime::{
-    EngineConfig, EventKind, FaultEvent, FaultPlan, FaultSpec, OpLabel, Outcome,
+    EngineConfig, EventKind, FaultEvent, FaultPlan, FaultSpec, KillTrigger, OpLabel, Outcome,
 };
 
 /// The skeleton of a seeded run replays identically. Same scoping as
@@ -37,9 +37,9 @@ use streambal::runtime::{
 /// can sneak an event into one skeleton but not the other.
 #[test]
 fn same_seed_yields_identical_trace_skeleton() {
-    let plan = FaultPlan::new(vec![FaultSpec::KillWorker {
+    let plan = FaultPlan::new(vec![FaultSpec::Kill {
         worker: 1,
-        at_interval: 2,
+        at: KillTrigger::Interval(2),
     }]);
     let config = || EngineConfig {
         n_workers: N_TASKS,
