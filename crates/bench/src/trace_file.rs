@@ -466,7 +466,7 @@ mod tests {
         ctl.span_close(1, Outcome::Completed);
         ctl.snapshot(0, vec![600, 400], vec![2, 1], 12.5, f64::NAN);
         src.router_snapshot(0, 12, 2);
-        sink.fault(0, "injected kill: worker \"1\"\nat once".to_string());
+        ctl.fault(0, "injected kill: worker \"1\"\nat once");
         src.skew_alert(1, vec![90, 310]);
         ctl.early_round(1, EarlyStep::Open);
         let split = EarlySplit {

@@ -34,6 +34,9 @@
 //!   than `rules::MAX_FN_LINES` lines.
 //! * **L009** — no `Instant::now` or `.elapsed(` in non-test code of
 //!   `crates/runtime/src/controller.rs`: the controller reads no clock.
+//! * **L010** — no `Mutex`, `RwLock`, `Condvar`, `Atomic*` or
+//!   `sync::atomic` in non-test code of `crates/runtime/src`: the
+//!   engine's threads share only channels.
 //! * **L000** — a malformed `lint: allow` annotation (missing reason,
 //!   unknown rule name) is itself a violation.
 
@@ -52,7 +55,7 @@ pub struct Violation {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`"L001"` … `"L009"`, `"L000"` for malformed allows).
+    /// Rule id (`"L001"` … `"L010"`, `"L000"` for malformed allows).
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub msg: String,

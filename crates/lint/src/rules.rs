@@ -1,5 +1,5 @@
 //! The lint rules, as passes over the token stream of one file (L001,
-//! L002, L003, L004, L006, L007, L008, L009; L005 is retired).
+//! L002, L003, L004, L006, L007, L008, L009, L010; L005 is retired).
 
 use crate::lexer::{lex, Tok, TokKind};
 use crate::Violation;
@@ -28,6 +28,9 @@ pub struct FileClass {
     /// L009 applies: the controller (`crates/runtime/src/controller.rs`),
     /// which takes time as an input and reads no clock.
     pub clock_free: bool,
+    /// L010 applies: the runtime (`crates/runtime/src`), whose threads
+    /// share channels and nothing guarded by a lock or an atomic.
+    pub channels_only: bool,
 }
 
 /// Per-token flags derived from `#[...]` attributes.
@@ -243,6 +246,23 @@ pub fn scan_source(file: &str, src: &str, class: &FileClass) -> Vec<Violation> {
                     msg: format!(
                         "`{read}` reads the clock in the controller — take the instant \
                          the event loop passes in"
+                    ),
+                });
+            }
+
+            // L010: a lock or an atomic in the runtime, whose threads
+            // share only channels.
+            let sync = matches!(name, "Mutex" | "RwLock" | "Condvar")
+                || name.starts_with("Atomic")
+                || (name == "atomic" && prev_is(&toks, i, ':'));
+            if class.channels_only && !marks.in_test[i] && sync {
+                out.push(Violation {
+                    file: file.to_string(),
+                    line: t.line,
+                    rule: "L010",
+                    msg: format!(
+                        "`{name}` in the runtime — its threads share only channels: give \
+                         the state to the one thread that uses it"
                     ),
                 });
             }

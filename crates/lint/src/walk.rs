@@ -42,6 +42,7 @@ pub fn classify(rel: &str) -> Option<FileClass> {
             .then_some(MAX_FN_LINES),
         swap_allowed: rel == "crates/core/src/routing.rs" || test_ctx,
         clock_free: rel == "crates/runtime/src/controller.rs",
+        channels_only: rel.starts_with("crates/runtime/src/"),
     })
 }
 

@@ -1,6 +1,6 @@
 // Fixture: the data-plane shapes L007 accepts — batch-granularity
-// recorder calls, the fault injector's ledger `record` (a control-plane
-// call on a non-trace receiver), annotated sites, and test code.
+// recorder calls, a `record` on a non-trace receiver (a worker's latency
+// histogram), annotated sites, and test code.
 
 fn drain(recorder: &mut ThreadRecorder, batch: &[Tuple]) {
     recorder.count_batch(batch.len() as u64);
@@ -10,8 +10,8 @@ fn close(recorder: &mut ThreadRecorder, interval: u64) {
     recorder.close_interval(interval);
 }
 
-fn ledger(injector: &FaultInjector, event: FaultEvent) {
-    injector.record(event);
+fn latency(histogram: &mut Histogram, micros: u64) {
+    histogram.record(micros);
 }
 
 fn annotated(tracer: &mut Tracer, op: OpLabel) {

@@ -21,6 +21,7 @@ fn full_class() -> FileClass {
         swap_allowed: false,
         fn_line_cap: Some(MAX_FN_LINES),
         clock_free: true,
+        channels_only: true,
     }
 }
 
@@ -150,6 +151,17 @@ fn l009_flags_clock_reads_in_the_controller_only() {
 }
 
 #[test]
+fn l010_flags_locks_and_atomics_in_the_runtime() {
+    let hit = [3, 4, 6, 7, 7].map(|line| ("L010", line)).to_vec();
+    assert_eq!(rules_hit("l010_violate.rs"), hit);
+}
+
+#[test]
+fn l010_channels_lookalikes_and_test_code_pass() {
+    assert_eq!(rules_hit("l010_pass.rs"), vec![]);
+}
+
+#[test]
 fn l000_malformed_allows_are_flagged() {
     let no_reason = "fn f(x: Option<u32>) -> u32 {\n    // lint: allow(panic)\n    x.unwrap()\n}\n";
     let vs = scan_source("inline.rs", no_reason, &full_class());
@@ -179,6 +191,7 @@ fn allow_scope_ends_with_the_statement() {
 fn classify_scopes_rules_by_path() {
     let rt = classify("crates/runtime/src/engine.rs").expect("scanned");
     assert!(rt.panic_scope && rt.data_plane && !rt.swap_allowed && !rt.clock_free);
+    assert!(rt.channels_only);
     assert_eq!(rt.fn_line_cap, Some(MAX_FN_LINES));
     assert!(classify("crates/runtime/src/controller.rs").is_some_and(|c| c.clock_free));
     let core = classify("crates/core/src/llfd.rs").expect("scanned");
@@ -186,6 +199,7 @@ fn classify_scopes_rules_by_path() {
     assert_eq!(core.fn_line_cap, None);
     let trace = classify("crates/trace/src/lib.rs").expect("scanned");
     assert!(trace.panic_scope && !trace.data_plane && !trace.swap_allowed);
+    assert!(!trace.channels_only, "the trace sink keeps its lock");
     let resync = classify("crates/core/src/routing.rs").expect("scanned");
     assert!(resync.swap_allowed);
     let t = classify("tests/cross_partitioner.rs").expect("scanned");

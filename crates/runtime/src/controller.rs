@@ -8,7 +8,6 @@
 //! bill queued scale-ins exactly once per parallelism change).
 
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -20,7 +19,7 @@ use streambal_metrics::Histogram;
 use streambal_trace::{EarlySplit, EarlyStep, OpLabel, Outcome, Phase, ThreadRecorder};
 
 use crate::engine::{EngineConfig, EngineReport, ProtocolError};
-use crate::fault::{next_live, CtlKind, FaultEvent, FaultInjector, OpKind, SendPeer};
+use crate::fault::{next_live, CtlKind, DropCounter, FaultEvent, KillTrigger, OpKind, SendPeer};
 use crate::message::{
     Event, Message, PauseScope, SourceCtl, SourceEvent, WorkerEvent, WorkerExit, WorkerTotals,
 };
@@ -513,17 +512,16 @@ enum Answer {
 const CTL_SEND_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// The controller's handles on the rest of the topology. Every message
-/// it sends goes through [`ControlIo::ctl_send`],
-/// [`ControlIo::send_ctl_marker`] or [`ControlIo::send_src`].
+/// it sends goes through [`Controller::send_worker`] or
+/// [`Controller::send_src`].
 pub(crate) struct ControlIo<'a> {
     pub worker_txs: Vec<Sender<Message>>,
     /// A slot's receiver while no worker runs on it (never provisioned,
     /// or handed back by `Retired`).
     pub worker_rxs: Vec<Option<Receiver<Message>>>,
     pub ctl_tx: Sender<SourceCtl>,
-    /// Shared with the source and every worker: drop ordinals are global.
-    pub injector: Arc<FaultInjector>,
-    /// Protocol spans (id = op epoch) and per-interval snapshots.
+    /// Protocol spans (id = op epoch), per-interval snapshots, and the
+    /// fault ledger's mirror.
     pub rec: ThreadRecorder,
     /// Builds the keyed operator for a worker slot.
     pub make_op: Box<dyn FnMut(TaskId) -> Box<dyn Operator> + 'a>,
@@ -533,64 +531,6 @@ pub(crate) struct ControlIo<'a> {
 
 /// `(slot, receiver, operator, first interval)`.
 type SpawnWorker<'a> = dyn FnMut(usize, Receiver<Message>, Box<dyn Operator>, u64) + 'a;
-
-impl ControlIo<'_> {
-    /// Bounded-wait control send to worker slot `w`. The controller must
-    /// never block indefinitely against a worker channel: the worker may
-    /// have died with a full queue before its `Killed` event was
-    /// processed, and a wedged controller can drain neither that event
-    /// nor the dead channel. A timeout is treated like a message lost in
-    /// flight — the deadline machinery re-drives it; a disconnect is
-    /// recorded.
-    fn ctl_send(&self, w: usize, msg: Message) -> bool {
-        match self.worker_txs[w].send_timeout(msg, CTL_SEND_TIMEOUT) {
-            Ok(()) => true,
-            Err(SendTimeoutError::Timeout(_)) => false,
-            Err(SendTimeoutError::Disconnected(_)) => {
-                self.injector.record(FaultEvent::SendFailed {
-                    to: SendPeer::Worker(w),
-                });
-                false
-            }
-        }
-    }
-
-    /// Sends a control marker to worker `w` through the drop gate.
-    /// Returns false when the message did not reach the channel —
-    /// injected drop (proceed as if lost in flight; the deadline
-    /// machinery recovers), a full channel that never opened (same
-    /// recovery), or a disconnected receiver, which is recorded as a
-    /// failed send.
-    fn send_ctl_marker(&self, w: usize, kind: CtlKind, msg: Message) -> bool {
-        !self.injector.should_drop(kind) && self.ctl_send(w, msg)
-    }
-
-    /// Sends a source control message, drop-gating it when `kind` names
-    /// a droppable control kind (view updates and shutdown are never
-    /// dropped: losing them models nothing a real network loses
-    /// independently of the protocol messages around them).
-    fn send_src(&self, kind: Option<CtlKind>, msg: SourceCtl) -> bool {
-        if kind.is_some_and(|k| self.injector.should_drop(k)) {
-            return false;
-        }
-        if self.ctl_tx.send(msg).is_err() {
-            self.injector.record(FaultEvent::SendFailed {
-                to: SendPeer::Source,
-            });
-            return false;
-        }
-        true
-    }
-
-    /// (Re-)sends the op's quiesce request to the source.
-    fn send_pause(&self, op: &ProtocolOp) {
-        let msg = SourceCtl::Pause {
-            epoch: op.epoch,
-            scope: op.pause.clone(),
-        };
-        self.send_src(Some(CtlKind::Pause), msg);
-    }
-}
 
 /// Drains whatever currently sits in a dead worker's channel, counting
 /// every in-flight tuple and state blob into the per-key loss map.
@@ -718,6 +658,8 @@ pub(crate) struct Controller<'a> {
     /// Lazily-built operator used only to size state blobs drained from
     /// a dead worker's channel (loss accounting).
     scratch_op: Option<Box<dyn Operator>>,
+    /// Drop ordinals of the control kinds this thread sends or reads.
+    drops: DropCounter,
     report: EngineReport,
 }
 
@@ -763,6 +705,7 @@ impl<'a> Controller<'a> {
             dead_pending: FxHashMap::default(),
             lost: FxHashMap::default(),
             scratch_op: None,
+            drops: DropCounter::new(&config.fault_plan),
             report: EngineReport::empty(partitioner.name(), max_workers),
             config,
             partitioner,
@@ -807,14 +750,77 @@ impl<'a> Controller<'a> {
         (self.report, self.io.rec, leftover)
     }
 
+    // ---- the fault ledger and sends -------------------------------------
+
+    /// The fault ledger's one writer: appends `fault` to
+    /// `EngineReport::faults` and mirrors it into the trace, with the
+    /// ledger index as its `seq`.
+    fn fault(&mut self, fault: FaultEvent) {
+        self.io.rec.fault(self.report.faults.len() as u64, &fault);
+        self.report.faults.push(fault);
+    }
+
+    /// Counts one control message of `kind` this thread sends or reads;
+    /// true when the plan drops it, which is ledgered.
+    fn planned_drop(&mut self, kind: CtlKind) -> bool {
+        let Some(dropped) = self.drops.count(kind) else {
+            return false;
+        };
+        self.fault(dropped);
+        true
+    }
+
+    /// Bounded-wait control send to worker slot `w`, drop-gated when
+    /// `kind` names a droppable kind. The controller must never block on
+    /// a worker channel: the worker may have died with a full queue
+    /// before its `Killed` event was read. False when the message did not
+    /// reach the channel: a planned drop or a timeout (recovered by the
+    /// deadline machinery, like a loss in flight), or a disconnect,
+    /// which is ledgered.
+    fn send_worker(&mut self, w: usize, kind: Option<CtlKind>, msg: Message) -> bool {
+        if kind.is_some_and(|k| self.planned_drop(k)) {
+            return false;
+        }
+        match self.io.worker_txs[w].send_timeout(msg, CTL_SEND_TIMEOUT) {
+            Ok(()) => true,
+            Err(SendTimeoutError::Timeout(_)) => false,
+            Err(SendTimeoutError::Disconnected(_)) => {
+                self.fault(FaultEvent::SendFailed {
+                    to: SendPeer::Worker(w),
+                });
+                false
+            }
+        }
+    }
+
+    /// Sends a source control message, drop-gating it when `kind` names
+    /// a droppable control kind (view updates and shutdown are never
+    /// dropped: losing them models nothing a real network loses
+    /// independently of the protocol messages around them).
+    fn send_src(&mut self, kind: Option<CtlKind>, msg: SourceCtl) {
+        if kind.is_some_and(|k| self.planned_drop(k)) {
+            return;
+        }
+        if self.io.ctl_tx.send(msg).is_err() {
+            self.fault(FaultEvent::SendFailed {
+                to: SendPeer::Source,
+            });
+        }
+    }
+
     // ---- events ---------------------------------------------------------
 
-    /// Handles one event of the inbox that arrived at `now`.
+    /// Handles one event of the inbox that arrived at `now`. An event of
+    /// a droppable kind the plan drops is lost on arrival.
     pub fn on_event(&mut self, ev: Event, now: Instant) {
         self.clock.now = now;
+        if ev.ctl_kind().is_some_and(|kind| self.planned_drop(kind)) {
+            return;
+        }
         match ev {
             Event::Source(ev) => self.on_source_event(ev),
             Event::Worker(ev) => self.on_worker_event(ev),
+            Event::Injected(fault) => self.fault(fault),
         }
     }
 
@@ -848,7 +854,7 @@ impl<'a> Controller<'a> {
                 // after) the controller's DeadDest reached it; the
                 // tuples were re-shipped to a survivor, so this is an
                 // observation, not a loss.
-                self.io.injector.record(FaultEvent::SendFailed {
+                self.fault(FaultEvent::SendFailed {
                     to: SendPeer::Worker(dest.index()),
                 });
             }
@@ -908,9 +914,12 @@ impl<'a> Controller<'a> {
                         stats,
                         rx,
                     } => self.on_retired(worker, epoch, states, stats, rx),
-                    WorkerExit::Killed { lost, stats, rx } => {
-                        self.on_killed(worker, lost, stats, rx)
-                    }
+                    WorkerExit::Killed {
+                        trigger,
+                        lost,
+                        stats,
+                        rx,
+                    } => self.on_killed(worker, trigger, lost, stats, rx),
                     WorkerExit::Drained { final_states } => {
                         self.report.final_states.extend(final_states);
                         self.drained += 1;
@@ -938,9 +947,7 @@ impl<'a> Controller<'a> {
         // waits on open rounds — hostage.
         let clock = &self.clock;
         for (interval, round, missing) in self.ledger.expire_rounds(|w| clock.expired(w)) {
-            self.io
-                .injector
-                .record(FaultEvent::RoundTimedOut { interval, missing });
+            self.fault(FaultEvent::RoundTimedOut { interval, missing });
             self.closed_rounds.push((interval, round));
         }
         for (interval, round) in std::mem::take(&mut self.closed_rounds) {
@@ -1096,36 +1103,25 @@ impl<'a> Controller<'a> {
             return;
         };
         op.waiting = Waiting::StateOut;
+        match &op.extract {
+            // A holder that died after planning has nothing left to
+            // extract (its loss is already accounted).
+            Extract::Moves(by_source) => {
+                let live = by_source.keys().filter(|w| !self.dead.contains(&w.index()));
+                op.awaiting_out.extend(live);
+            }
+            Extract::Retire(victim) => {
+                op.awaiting_out.insert(*victim);
+                self.retiring = Some(*victim);
+            }
+        }
         self.op_wait = Some(self.clock.wait());
         // The source is quiesced: every tuple it will ever send under
         // the old view is in the holders' channels, and the extraction
         // markers land behind all of them. A dropped marker stays
         // awaited; the op deadline re-drives it.
         self.io.rec.span_phase(epoch, Phase::QuiesceWait);
-        match &op.extract {
-            Extract::Moves(by_source) => {
-                for (&w, moves) in by_source {
-                    // A holder that died after planning has nothing left
-                    // to extract (its loss is already accounted).
-                    if self.dead.contains(&w.index()) {
-                        continue;
-                    }
-                    op.awaiting_out.insert(w);
-                    let moves = moves.clone();
-                    self.io.send_ctl_marker(
-                        w.index(),
-                        CtlKind::MigrateOut,
-                        Message::MigrateOut { epoch, moves },
-                    );
-                }
-            }
-            Extract::Retire(victim) => {
-                op.awaiting_out.insert(*victim);
-                self.io
-                    .send_ctl_marker(victim.index(), CtlKind::Retire, Message::Retire { epoch });
-                self.retiring = Some(*victim);
-            }
-        }
+        self.send_phase();
         // A degenerate plan (a split, or every holder dead) awaits
         // nothing and resumes immediately: its pause window alone makes
         // the view swap atomic.
@@ -1246,10 +1242,8 @@ impl<'a> Controller<'a> {
         Answer::Stale
     }
 
-    fn absorb_stale(&self, epoch: u64, what: &'static str) {
-        self.io
-            .injector
-            .record(FaultEvent::StaleEpochAbsorbed { epoch, what });
+    fn absorb_stale(&mut self, epoch: u64, what: &'static str) {
+        self.fault(FaultEvent::StaleEpochAbsorbed { epoch, what });
     }
 
     /// Folds a finished (retired, killed, or drained) worker's lifetime
@@ -1300,7 +1294,7 @@ impl<'a> Controller<'a> {
             let collected = std::mem::take(&mut op.collected);
             if !collected.is_empty() {
                 self.io.rec.span_phase(epoch, Phase::Install);
-                // StateInstall is never injector-dropped (it carries
+                // StateInstall is never dropped by a plan (it carries
                 // state); a failed send is recovered by the deadline or
                 // the destination's own death event.
                 let sent = self.rehome(epoch, collected);
@@ -1336,8 +1330,7 @@ impl<'a> Controller<'a> {
         }
         for (dest, states) in &by_dest {
             let states = states.clone();
-            self.io
-                .ctl_send(dest.index(), Message::StateInstall { epoch, states });
+            self.send_worker(dest.index(), None, Message::StateInstall { epoch, states });
         }
         by_dest
     }
@@ -1381,7 +1374,7 @@ impl<'a> Controller<'a> {
     }
 
     /// Issues a source resume and arms its deadline clock. A resume
-    /// dropped by the injector is indistinguishable from a slow one; the
+    /// dropped by the plan is indistinguishable from a slow one; the
     /// clock re-drives it. When the epoch still has an open span (normal
     /// completion — aborted spans are closed before their rollback
     /// resume), the span's `Resume` phase is recorded here, once:
@@ -1394,21 +1387,23 @@ impl<'a> Controller<'a> {
             epoch,
             view: view.clone(),
         };
-        self.io.send_src(Some(CtlKind::Resume), msg);
+        self.send_src(Some(CtlKind::Resume), msg);
         self.resume_state.insert(epoch, (view, self.clock.wait()));
     }
 
+    /// A worker died at its planned kill point `trigger`. The kill and
+    /// the death are ledgered back to back, from the one exit event.
     fn on_killed(
         &mut self,
         worker: TaskId,
+        trigger: KillTrigger,
         worker_lost: Vec<(Key, u64)>,
         stats: IntervalStats,
         rx: Receiver<Message>,
     ) {
         let w = worker.index();
-        self.io
-            .injector
-            .record(FaultEvent::WorkerDead { worker: w });
+        self.fault(FaultEvent::InjectedKill { worker: w, trigger });
+        self.fault(FaultEvent::WorkerDead { worker: w });
         // What the worker *did* process counts (its totals are already
         // absorbed); what it held is lost and accounted per key.
         self.ledger.on_residue(worker, stats);
@@ -1417,7 +1412,7 @@ impl<'a> Controller<'a> {
         for (k, n) in worker_lost {
             *self.lost.entry(k).or_insert(0) += n;
         }
-        self.io.injector.record(FaultEvent::StateLost { worker: w });
+        self.fault(FaultEvent::StateLost { worker: w });
         self.dead.insert(w);
         self.bill_live_width();
         // A provisional round would wait on the corpse forever.
@@ -1430,7 +1425,7 @@ impl<'a> Controller<'a> {
         let moves = self
             .partitioner
             .reroute_dead(worker, &|x| dead.contains(&x));
-        self.io.injector.record(FaultEvent::Rerouted {
+        self.fault(FaultEvent::Rerouted {
             from_worker: w,
             moved_keys: moves.len(),
         });
@@ -1438,7 +1433,7 @@ impl<'a> Controller<'a> {
             dest: worker,
             moves,
         };
-        self.io.send_src(None, msg);
+        self.send_src(None, msg);
         self.dead_pending.insert(w, rx);
         // Untangle the in-flight op from the corpse: a phase waiting on
         // the dead worker must not wait for the deadline to notice.
@@ -1545,9 +1540,7 @@ impl<'a> Controller<'a> {
                 self.spawn_on(slot, rx);
                 self.dead.remove(&slot);
                 self.bill_live_width();
-                self.io
-                    .injector
-                    .record(FaultEvent::SlotRevived { worker: slot });
+                self.fault(FaultEvent::SlotRevived { worker: slot });
             }
             RoundAction::ScaleOut { event, new, moves } => {
                 let slot = self.active;
@@ -1564,7 +1557,7 @@ impl<'a> Controller<'a> {
                     // whose new worker takes traffic without any state):
                     // publish the grown view directly.
                     let view = self.partitioner.routing_view();
-                    self.io.send_src(None, SourceCtl::UpdateView { view });
+                    self.send_src(None, SourceCtl::UpdateView { view });
                     return;
                 }
                 // Pre-placement: the new slot's keys move in through the
@@ -1583,7 +1576,7 @@ impl<'a> Controller<'a> {
             RoundAction::ScaleOutClamped => {}
             RoundAction::ScaleHeld => {
                 // Let the ledger say why the policy's wish was refused.
-                self.io.injector.record(FaultEvent::ScaleHeld { interval });
+                self.fault(FaultEvent::ScaleHeld { interval });
             }
             RoundAction::ScaleIn { event, victim } => {
                 // The routing function has shrunk; the physical
@@ -1712,7 +1705,7 @@ impl<'a> Controller<'a> {
         let (tx, rx) = bounded(self.config.channel_capacity);
         self.io.worker_txs[slot] = tx.clone();
         let dest = TaskId::from(slot);
-        self.io.send_src(None, SourceCtl::ReviveDest { dest, tx });
+        self.send_src(None, SourceCtl::ReviveDest { dest, tx });
         rx
     }
 
@@ -1734,7 +1727,7 @@ impl<'a> Controller<'a> {
     /// In-flight-op deadline: the first expiry re-drives the stuck
     /// phase, the second aborts with rollback.
     fn check_op_deadline(&mut self) {
-        let (Some(op), Some(wait)) = (self.pending.as_ref(), self.op_wait.as_mut()) else {
+        let (Some(_), Some(wait)) = (&self.pending, self.op_wait.as_mut()) else {
             return;
         };
         if !self.clock.expired(wait) {
@@ -1744,31 +1737,44 @@ impl<'a> Controller<'a> {
             self.abort_op();
         } else {
             *wait = self.clock.retry();
-            self.redrive(op);
+            self.redrive();
         }
     }
 
-    /// Re-sends whatever the stalled phase is waiting on. Markers are
-    /// idempotent: workers and source absorb duplicates by epoch.
-    fn redrive(&self, op: &ProtocolOp) {
+    /// Re-sends whatever the in-flight op's stalled phase is waiting on.
+    fn redrive(&mut self) {
+        if let Some(pending) = &self.pending {
+            let (op, epoch) = (pending.kind(), pending.epoch);
+            self.fault(FaultEvent::OpRetried { op, epoch });
+        }
+        self.send_phase();
+    }
+
+    /// Sends what the in-flight op's phase waits on: the quiesce request,
+    /// a `MigrateOut` to each live holder still awaited, the victim's
+    /// `Retire` while it is retiring, or the installs not yet
+    /// acknowledged. Every re-drive, and the first pause and extraction
+    /// sends (the first installs go out through [`Controller::rehome`]);
+    /// workers and source absorb duplicates by epoch.
+    fn send_phase(&mut self) {
+        // Out of its slot while the messages go out.
+        let Some(op) = self.pending.take() else {
+            return;
+        };
         let epoch = op.epoch;
-        self.io.injector.record(FaultEvent::OpRetried {
-            op: op.kind(),
-            epoch,
-        });
         match (op.waiting, &op.extract) {
-            (Waiting::PauseAck, _) => self.io.send_pause(op),
+            (Waiting::PauseAck, _) => {
+                let scope = op.pause.clone();
+                self.send_src(Some(CtlKind::Pause), SourceCtl::Pause { epoch, scope });
+            }
             (Waiting::StateOut, Extract::Moves(by_source)) => {
                 for w in &op.awaiting_out {
                     if self.dead.contains(&w.index()) {
                         continue;
                     }
                     let moves = by_source.get(w).cloned().unwrap_or_default();
-                    self.io.send_ctl_marker(
-                        w.index(),
-                        CtlKind::MigrateOut,
-                        Message::MigrateOut { epoch, moves },
-                    );
+                    let marker = Message::MigrateOut { epoch, moves };
+                    self.send_worker(w.index(), Some(CtlKind::MigrateOut), marker);
                 }
             }
             (Waiting::StateOut, Extract::Retire(victim)) => {
@@ -1776,11 +1782,8 @@ impl<'a> Controller<'a> {
                 // duplicate lands on a drained channel and is discarded
                 // with it.
                 if self.retiring == Some(*victim) {
-                    self.io.send_ctl_marker(
-                        victim.index(),
-                        CtlKind::Retire,
-                        Message::Retire { epoch },
-                    );
+                    let retire = Message::Retire { epoch };
+                    self.send_worker(victim.index(), Some(CtlKind::Retire), retire);
                 }
             }
             (Waiting::InstallAcks, _) => {
@@ -1789,11 +1792,11 @@ impl<'a> Controller<'a> {
                         continue;
                     }
                     let states = states.clone();
-                    self.io
-                        .ctl_send(dst.index(), Message::StateInstall { epoch, states });
+                    self.send_worker(dst.index(), None, Message::StateInstall { epoch, states });
                 }
             }
         }
+        self.pending = Some(op);
     }
 
     /// Second deadline expiry: give the op up and put the source back on
@@ -1804,7 +1807,7 @@ impl<'a> Controller<'a> {
         };
         self.op_wait = None;
         let epoch = op.epoch;
-        self.io.injector.record(FaultEvent::OpAborted {
+        self.fault(FaultEvent::OpAborted {
             op: op.kind(),
             epoch,
         });
@@ -1877,23 +1880,19 @@ impl<'a> Controller<'a> {
     /// hang shutdown. Only the first re-drive is ledgered; the source
     /// absorbs duplicates by epoch.
     fn redrive_resumes(&mut self) {
-        let mut redrive: Vec<(u64, RoutingView)> = Vec::new();
+        let mut redrive: Vec<(u64, RoutingView, bool)> = Vec::new();
         for (&epoch, (view, wait)) in self.resume_state.iter_mut() {
-            if !self.clock.expired(wait) {
-                continue;
+            if self.clock.expired(wait) {
+                redrive.push((epoch, view.clone(), !wait.retried));
+                *wait = self.clock.retry();
             }
-            if !wait.retried {
-                self.io.injector.record(FaultEvent::OpRetried {
-                    op: OpKind::Resume,
-                    epoch,
-                });
-            }
-            *wait = self.clock.retry();
-            redrive.push((epoch, view.clone()));
         }
-        for (epoch, view) in redrive {
-            self.io
-                .send_src(Some(CtlKind::Resume), SourceCtl::Resume { epoch, view });
+        for (epoch, view, first) in redrive {
+            if first {
+                let op = OpKind::Resume;
+                self.fault(FaultEvent::OpRetried { op, epoch });
+            }
+            self.send_src(Some(CtlKind::Resume), SourceCtl::Resume { epoch, view });
         }
     }
 
@@ -1915,8 +1914,7 @@ impl<'a> Controller<'a> {
                 self.dead.remove(&slot);
                 self.active -= 1;
                 self.bill_live_width();
-                self.io
-                    .send_src(None, SourceCtl::UpdateView { view: op.view });
+                self.send_src(None, SourceCtl::UpdateView { view: op.view });
                 // The slot's receiver died with the worker, so give it a
                 // fresh channel — after the shrunk view, under which
                 // nothing routes to it — or no later scale-out could
@@ -1940,9 +1938,9 @@ impl<'a> Controller<'a> {
         self.io.rec.span_phase(op.epoch, Phase::Plan);
         self.io.rec.span_phase(op.epoch, Phase::Pause);
         self.open_spans.insert(op.epoch);
-        self.io.send_pause(&op);
         self.op_wait = Some(self.clock.wait());
         self.pending = Some(op);
+        self.send_phase();
     }
 
     /// Ships `Shutdown` to the workers once fully quiesced.
@@ -1966,9 +1964,11 @@ impl<'a> Controller<'a> {
         // A slot whose Shutdown did not land (timeout or disconnect) is
         // left out of the drain target; its thread still exits when the
         // channel disconnects at teardown.
-        self.drain_target = (0..self.active)
-            .filter(|i| !self.dead.contains(i) && self.io.ctl_send(*i, Message::Shutdown))
-            .count();
+        for i in 0..self.active {
+            if !self.dead.contains(&i) && self.send_worker(i, None, Message::Shutdown) {
+                self.drain_target += 1;
+            }
+        }
     }
 }
 
@@ -2275,6 +2275,7 @@ mod protocol_tests {
     use super::*;
     use std::cell::RefCell;
     use std::rc::Rc;
+    use std::sync::Arc;
 
     use crossbeam::channel::unbounded;
     use streambal_baselines::storm;
@@ -2291,7 +2292,6 @@ mod protocol_tests {
     /// The far ends of a controller's channels.
     struct Rig {
         sink: Arc<TraceSink>,
-        injector: Arc<FaultInjector>,
         /// The three "running" workers' receivers, by slot.
         workers: Vec<Receiver<Message>>,
         source: Receiver<SourceCtl>,
@@ -2316,10 +2316,10 @@ mod protocol_tests {
             n_workers: 3,
             max_workers: 3,
             elasticity: Box::new(policy),
+            fault_plan: plan,
             ..EngineConfig::default()
         };
         let sink = TraceSink::new(true);
-        let injector = Arc::new(FaultInjector::with_trace(plan, Arc::clone(&sink)));
         let (worker_txs, workers): (Vec<_>, Vec<_>) =
             (0..3).map(|_| bounded(config.channel_capacity)).unzip();
         let (ctl_tx, source) = unbounded();
@@ -2329,7 +2329,6 @@ mod protocol_tests {
             worker_txs,
             worker_rxs: vec![None, None, None],
             ctl_tx,
-            injector: Arc::clone(&injector),
             rec: sink.recorder(ThreadLabel::Controller),
             make_op: Box::new(|_| Box::new(WordCountOp::new())),
             spawn: Box::new(move |slot, rx, _op, first| {
@@ -2339,7 +2338,6 @@ mod protocol_tests {
         let ctl = Controller::new(config, partitioner, io, Instant::now());
         let rig = Rig {
             sink,
-            injector,
             workers,
             source,
             spawned,
@@ -2360,6 +2358,11 @@ mod protocol_tests {
 
         fn tick_now(&mut self) {
             self.tick(self.clock.now);
+        }
+
+        /// Takes the fault ledger's entries so far.
+        fn take_faults(&mut self) -> Vec<FaultEvent> {
+            std::mem::take(&mut self.report.faults)
         }
     }
 
@@ -2461,6 +2464,7 @@ mod protocol_tests {
         ctl.on_worker(exited(
             1,
             WorkerExit::Killed {
+                trigger: KillTrigger::Interval(1),
                 lost: Vec::new(),
                 stats: IntervalStats::new(),
                 rx: corpse_rx,
@@ -2557,7 +2561,7 @@ mod protocol_tests {
             assert_eq!(ctl.report.protocol_errors, vec![], "{what}");
             let stale = |what| FaultEvent::StaleEpochAbsorbed { epoch: 1, what };
             assert_eq!(
-                rig.injector.take_ledger(),
+                ctl.take_faults(),
                 vec![stale("pause ack"), stale(what), stale("install ack")]
             );
             drop(ctl.finish(Instant::now()));
@@ -2618,13 +2622,13 @@ mod protocol_tests {
         // The default deadline is 5 s *and* 4 intervals: neither alone.
         ctl.tick(at(5_000));
         close_round(&mut ctl, 3);
-        assert_eq!(rig.injector.take_ledger(), vec![]);
+        assert_eq!(ctl.take_faults(), vec![]);
         close_round(&mut ctl, 4);
         let retried = FaultEvent::OpRetried {
             op: OpKind::Migrate,
             epoch: 1,
         };
-        assert_eq!(rig.injector.take_ledger(), vec![retried]);
+        assert_eq!(ctl.take_faults(), vec![retried]);
         // Exactly one re-sent marker.
         assert_eq!(migrate_outs_at(&rig.workers[0]), vec![1]);
 
@@ -2638,7 +2642,7 @@ mod protocol_tests {
             op: OpKind::Migrate,
             epoch: 1,
         };
-        assert_eq!(rig.injector.take_ledger(), vec![aborted]);
+        assert_eq!(ctl.take_faults(), vec![aborted]);
         let resume = std::iter::from_fn(|| rig.source.try_recv().ok()).find_map(|m| match m {
             SourceCtl::Resume { epoch: 1, view } => Some(view),
             _ => None,
@@ -2660,7 +2664,7 @@ mod protocol_tests {
             epoch: 1,
             what: "state out",
         };
-        assert_eq!(rig.injector.take_ledger(), vec![stale]);
+        assert_eq!(ctl.take_faults(), vec![stale]);
 
         // The last interval's round misses worker 2; the source finishes,
         // so the interval clock never reaches the deadline.
@@ -2682,7 +2686,7 @@ mod protocol_tests {
             interval: 9,
             missing: vec![2],
         };
-        assert_eq!(rig.injector.take_ledger(), vec![timed_out]);
+        assert_eq!(ctl.take_faults(), vec![timed_out]);
         assert!(ctl.draining, "shutdown is no longer gated");
         assert_eq!(ctl.report.protocol_errors, vec![]);
         drop(ctl.finish(at(25_000)));
@@ -2698,6 +2702,47 @@ mod protocol_tests {
             (OpLabel::Rollback, Some(Outcome::Completed)),
         ];
         assert_eq!(spans, rolled_back);
+    }
+
+    /// A `PauseAck` the plan drops is lost on arrival: the controller
+    /// discards the first it reads and ledgers the drop; the deadline
+    /// re-drives the pause, and the second ack completes the op.
+    #[test]
+    fn planned_pause_ack_drop_is_lost_on_arrival_then_redriven() {
+        let plan = FaultPlan::new(vec![crate::fault::FaultSpec::DropCtl {
+            kind: CtlKind::PauseAck,
+            nth: 1,
+        }]);
+        let (mut ctl, rig) = rig_with(FixedSchedule::new([]), plan, Box::new(storm(3)));
+        let (key, from, to) = (key_homed_on(0, 3), TaskId(0), TaskId(1));
+        ctl.partitioner.apply_moves(&[(key, to)]);
+        let moves = [(from, vec![(key, to)])].into_iter().collect();
+        ctl.enqueue(OpLabel::Rebalance, vec![key], moves, false);
+        ctl.tick_now();
+        ctl.on_source(SourceEvent::PauseAck { epoch: 1 });
+        let dropped = FaultEvent::InjectedDrop {
+            kind: CtlKind::PauseAck,
+            nth: 1,
+        };
+        assert_eq!(ctl.take_faults(), vec![dropped]);
+        assert!(migrate_outs_at(&rig.workers[0]).is_empty(), "still pausing");
+
+        ctl.tick(ctl.clock.now + Duration::from_secs(5));
+        close_round(&mut ctl, 4);
+        ctl.on_source(SourceEvent::PauseAck { epoch: 1 });
+        assert_eq!(migrate_outs_at(&rig.workers[0]), vec![1]);
+        let states = vec![(key, to, Bytes::copy_from_slice(b"state"))];
+        let (worker, epoch) = (from, 1);
+        ctl.on_worker(WorkerEvent::StateOut {
+            worker,
+            epoch,
+            states,
+        });
+        ctl.on_worker(WorkerEvent::InstallAck { worker: to, epoch });
+        assert!(ctl.pending.is_none(), "the re-driven op completed");
+        let op = OpKind::Migrate;
+        assert_eq!(ctl.take_faults(), vec![FaultEvent::OpRetried { op, epoch }]);
+        assert_eq!(ctl.report.protocol_errors, vec![]);
     }
 
     /// The single re-home path: a destination that is dead at send time
@@ -2857,7 +2902,7 @@ mod protocol_tests {
         ctl.tick_now();
         assert!(rig.workers.iter().all(|rx| rx.try_recv().is_err()));
         assert_eq!(ctl.report.protocol_errors, vec![]);
-        assert_eq!(rig.injector.take_ledger(), vec![]);
+        assert_eq!(ctl.take_faults(), vec![]);
         drop(ctl.finish(Instant::now()));
         assert_eq!(
             early_steps(&rig),
@@ -2889,7 +2934,7 @@ mod protocol_tests {
         assert_eq!(ctl.early.as_ref().map(|e| e.awaiting.len()), Some(3));
         assert_eq!(ctl.report.protocol_errors, vec![]);
         assert_eq!(ctl.report.rebalances, 0);
-        assert_eq!(rig.injector.take_ledger(), vec![]);
+        assert_eq!(ctl.take_faults(), vec![]);
         drop(ctl.finish(Instant::now()));
         assert_eq!(
             early_steps(&rig),
@@ -2902,7 +2947,7 @@ mod protocol_tests {
     }
 
     /// A provisional request lost on the way (the source announced it,
-    /// then the injector dropped it) leaves its worker awaited: the
+    /// then the plan dropped it) leaves its worker awaited: the
     /// round simply never settles, the closing round cancels it, and the
     /// statistics rounds around it are untouched.
     #[test]
@@ -2917,7 +2962,7 @@ mod protocol_tests {
         assert!(ctl.early.is_none());
         assert_eq!(ctl.ledger.outstanding(), 0, "the closing round closed");
         assert_eq!(ctl.report.protocol_errors, vec![]);
-        assert_eq!(rig.injector.take_ledger(), vec![]);
+        assert_eq!(ctl.take_faults(), vec![]);
         drop(ctl.finish(Instant::now()));
         let steps = vec![(0, EarlyStep::Open), (0, EarlyStep::Cancelled)];
         assert_eq!(early_steps(&rig), steps);

@@ -27,7 +27,7 @@ use streambal_metrics::{Histogram, TimeSeries};
 use streambal_trace::{Outcome, ThreadLabel, ThreadRecorder, TraceLog, TraceSink};
 
 use crate::controller::{ControlIo, Controller};
-use crate::fault::{next_live, CtlKind, FaultEvent, FaultInjector, FaultPlan};
+use crate::fault::{next_live, CtlKind, DropCounter, FaultEvent, FaultPlan};
 use crate::merge::MergeStage;
 use crate::message::{Event, Message, PauseScope, SourceCtl, SourceEvent};
 use crate::operator::{Collector, Combine, Operator};
@@ -447,14 +447,7 @@ impl Engine {
         // One flight-recorder sink per run; every thread gets its own
         // lock-free ThreadRecorder view of it.
         let sink = TraceSink::new(config.trace);
-        // One injector per run, shared with the source and every worker.
-        // Drop ordinals are global (each kind is sent from one thread),
-        // so all sites must share this instance. The sink lets it mirror
-        // each ledger entry into the trace as it is recorded.
-        let injector = Arc::new(FaultInjector::with_trace(
-            config.fault_plan.clone(),
-            Arc::clone(&sink),
-        ));
+        // Fault state belongs to the thread that uses it (`crate::fault`).
         let wiring = WorkerWiring {
             events: event_tx.clone(),
             collector: collector.is_some().then(|| col_tx.clone()),
@@ -462,7 +455,7 @@ impl Engine {
             window: config.window as u64,
             epoch: t0,
             emit_batch: config.batch_size.max(1),
-            injector: Arc::clone(&injector),
+            faults: config.fault_plan.clone(),
             sink: Arc::clone(&sink),
         };
 
@@ -502,9 +495,10 @@ impl Engine {
                 worker_txs.clone(),
                 config.batch_size,
             );
-            let (inj, rec) = (Arc::clone(&injector), sink.recorder(ThreadLabel::Source));
+            let drops = DropCounter::new(&config.fault_plan);
+            let rec = sink.recorder(ThreadLabel::Source);
             let source = s.spawn(move || {
-                SourcePlane::new(view, txs, ctl_rx, event_tx, batch, inj).run(feeder, t0, rec)
+                SourcePlane::new(view, txs, ctl_rx, event_tx, batch, drops).run(feeder, t0, rec)
             });
 
             // --- controller (this thread) ----------------------------------
@@ -512,14 +506,13 @@ impl Engine {
                 worker_txs,
                 worker_rxs,
                 ctl_tx,
-                injector: Arc::clone(&injector),
                 rec: sink.recorder(ThreadLabel::Controller),
                 make_op: Box::new(op_factory),
                 spawn: Box::new(spawn_worker),
             };
             let mut ctl = Controller::new(config, partitioner, io, t0);
             drive(&mut ctl, &event_rx);
-            teardown(ctl, source, merge, col_tx, &injector, &sink)
+            teardown(ctl, source, merge, col_tx, &sink)
         })
     }
 }
@@ -595,30 +588,24 @@ fn drive(ctl: &mut Controller<'_>, events: &Receiver<Event>) {
 }
 
 /// Closes a run whose workers have all drained: tells the source to
-/// exit, joins it and the merge stage, and merges the fault ledger and
-/// the trace into the report. `finish` drops the worker spawner with the
-/// controller — it holds a collector-sender clone, which must go (with
-/// `col_tx`) before the merge-stage join, or the stage never observes
-/// closure.
+/// exit, joins it and the merge stage, and merges the trace into the
+/// report. `finish` drops the worker spawner with the controller — it
+/// holds a collector-sender clone, which must go (with `col_tx`) before
+/// the merge-stage join, or the stage never observes closure.
 fn teardown(
     ctl: Controller<'_>,
     source: ScopedJoinHandle<'_, ()>,
     merge: Option<ScopedJoinHandle<'_, Vec<(u64, u64)>>>,
     col_tx: Sender<Vec<Tuple>>,
-    injector: &FaultInjector,
     sink: &TraceSink,
 ) -> EngineReport {
     let (mut report, mut rec, leftover_spans) = ctl.finish(Instant::now());
     drop(col_tx);
-    // Join the source before taking the ledger: it records (drop
-    // ordinals, send failures) until it exits, and a ledger taken while
-    // it still runs could miss a tail entry.
     if source.join().is_err() {
         report
             .protocol_errors
             .push(ProtocolError::ThreadPanicked { thread: "source" });
     }
-    report.faults = injector.take_ledger();
     if let Some(h) = merge {
         match h.join() {
             Ok(r) => report.collector_result = r,
@@ -696,8 +683,8 @@ struct SourcePlane {
     /// view (zeroed at every interval boundary and view change) — what
     /// the skew alert is evaluated on.
     sent: Vec<u64>,
-    /// Shared fault injector: ack sends honour injected control drops.
-    injector: Arc<FaultInjector>,
+    /// Drop ordinals of the statistics markers it puts into channels.
+    drops: DropCounter,
 }
 
 impl SourcePlane {
@@ -707,7 +694,7 @@ impl SourcePlane {
         ctl: Receiver<SourceCtl>,
         events: Sender<Event>,
         batch_size: usize,
-        injector: Arc<FaultInjector>,
+        drops: DropCounter,
     ) -> Self {
         let batch = batch_size.max(1);
         let n_slots = worker_txs.len();
@@ -725,7 +712,7 @@ impl SourcePlane {
             batch,
             dead: FxHashSet::default(),
             sent: vec![0; n_slots],
-            injector,
+            drops,
         }
     }
 
@@ -927,8 +914,8 @@ impl SourcePlane {
     /// the round with the slots it marks *before* it marks them, so no
     /// answer can reach the controller ahead of its round; then each
     /// marker lands behind every batch routed so far and ahead of every
-    /// later one. A marker the injector drops stays announced, as one
-    /// lost in flight would.
+    /// later one. A marker the plan drops stays announced, as one lost in
+    /// flight would; the controller is told of the drop instead.
     fn cut(&mut self, interval: u64, peek: bool) {
         let held = match &self.paused {
             Some((_, PauseFilter::Dest(d))) => Some(d.index()),
@@ -950,7 +937,8 @@ impl SourcePlane {
             }
         });
         for d in marked {
-            if self.injector.should_drop(CtlKind::StatsRequest) {
+            if let Some(dropped) = self.drops.count(CtlKind::StatsRequest) {
+                let _ = self.events.send(Event::Injected(dropped));
                 continue;
             }
             let marker = if peek {
@@ -969,14 +957,6 @@ impl SourcePlane {
     /// so the discarded send result can only ever be `Ok`.
     fn emit(&self, ev: SourceEvent) {
         let _ = self.events.send(Event::Source(ev));
-    }
-
-    /// Sends a controller-bound ack, honouring an injected control drop.
-    fn ack(&self, ev: SourceEvent, kind: CtlKind) {
-        if !self.injector.is_passive() && self.injector.should_drop(kind) {
-            return;
-        }
-        self.emit(ev);
     }
 
     /// Whether the per-destination counts of an interval of `fed` tuples
@@ -1018,7 +998,7 @@ impl SourcePlane {
                     PauseScope::Dest(dest) => PauseFilter::Dest(dest),
                 };
                 self.paused = Some((epoch, filter));
-                self.ack(SourceEvent::PauseAck { epoch }, CtlKind::PauseAck);
+                self.emit(SourceEvent::PauseAck { epoch });
             }
             SourceCtl::Resume { epoch, view } => {
                 if let Some((cur, _)) = &self.paused {
@@ -1027,7 +1007,7 @@ impl SourcePlane {
                         // already finished must not clear a newer op's
                         // pause: ack it (the controller absorbs the
                         // duplicate by epoch) and keep holding.
-                        self.ack(SourceEvent::ResumeAck { epoch }, CtlKind::ResumeAck);
+                        self.emit(SourceEvent::ResumeAck { epoch });
                         return true;
                     }
                 }
@@ -1057,7 +1037,7 @@ impl SourcePlane {
                 // down (Message ordering across two senders is otherwise
                 // unconstrained, and a Shutdown overtaking the flushed
                 // tuples would drop them).
-                self.ack(SourceEvent::ResumeAck { epoch }, CtlKind::ResumeAck);
+                self.emit(SourceEvent::ResumeAck { epoch });
             }
             SourceCtl::UpdateView { view } => self.router.update(view),
             SourceCtl::DeadDest { dest, moves } => {
@@ -1703,7 +1683,7 @@ mod tests {
     /// The source cuts a round in-band: it announces the slots it marks,
     /// then queues one marker into each — every slot of its view but the
     /// dead ones and a scale-in victim its pause holds back. A marker the
-    /// injector drops stays announced.
+    /// plan drops stays announced, and the drop follows the announcement.
     #[test]
     fn source_announces_each_cut_then_marks_its_slots() {
         use crate::fault::FaultSpec;
@@ -1714,9 +1694,9 @@ mod tests {
             kind: CtlKind::StatsRequest,
             nth: 2,
         }]);
-        let injector = Arc::new(FaultInjector::new(plan));
         let view = storm(3).routing_view();
-        let mut plane = SourcePlane::new(view, txs, ctl, events, 4, injector);
+        let drops = DropCounter::new(&plan);
+        let mut plane = SourcePlane::new(view, txs, ctl, events, 4, drops);
         let markers = |rx: &Receiver<Message>| -> Vec<String> {
             std::iter::from_fn(|| rx.try_recv().ok())
                 .map(|m| format!("{m:?}"))
@@ -1734,6 +1714,14 @@ mod tests {
             marked: all,
         };
         assert_eq!(announced(), format!("{done:?}"));
+        let dropped = FaultEvent::InjectedDrop {
+            kind: CtlKind::StatsRequest,
+            nth: 2,
+        };
+        match inbox.try_recv() {
+            Ok(Event::Injected(fault)) => assert_eq!(fault, dropped),
+            other => panic!("expected the drop, got {other:?}"),
+        }
         let request = vec![format!("{:?}", Message::StatsRequest { interval: 0 })];
         let got: Vec<Vec<String>> = rxs.iter().map(markers).collect();
         assert_eq!(

@@ -4,11 +4,25 @@
 //! into one engine run: worker kills pinned to interval boundaries or to
 //! protocol markers (`MigrateOut`, `StateInstall`), drops of the *n*-th
 //! control message of a given kind, and bounded stalls of a worker
-//! thread. The plan is carried by `EngineConfig`, shared through an
-//! [`FaultInjector`] with every instrumented site (controller loop,
-//! source loop, worker threads), and every fired fault plus every
-//! recovery action lands in the [`FaultEvent`] ledger returned in
-//! `EngineReport::faults`.
+//! thread. The plan is carried by `EngineConfig` and read, never
+//! written, by the threads it targets. Each piece of fault state belongs
+//! to the one thread that uses it:
+//!
+//! * **The ledger** — every fired fault and every recovery action, in
+//!   `EngineReport::faults` ([`FaultEvent`]) — is written by the
+//!   controller alone, through one method that also mirrors the entry
+//!   into the flight recorder (`seq` = its ledger index).
+//! * **Drop ordinals** are counted by a `DropCounter` on the thread
+//!   that sees the messages ([`CtlKind`] says which, kind by kind): the
+//!   controller counts what it sends and what it reads, the source its
+//!   statistics markers. No counter is shared, so none needs a lock.
+//! * **Kills and stalls** are plan lookups a worker makes for its own id
+//!   ([`FaultPlan::kills`], [`FaultPlan::stall`]). An injection that
+//!   fires off the controller thread reaches the controller as one event
+//!   on the shared inbox, ahead of its consequences: a stall or a
+//!   dropped statistics marker as an `Event::Injected`, a kill as the
+//!   worker's `Killed` exit, which names the kill point — so the ledger
+//!   lists `InjectedKill` immediately before the `WorkerDead` it causes.
 //!
 //! Determinism contract: with the same plan (same seed), the set of
 //! *structural* ledger entries — injections, worker deaths, op retries
@@ -26,13 +40,11 @@
 //! its receiver (standing in for the OS reclaiming a dead process's
 //! socket), then returns.
 
-use std::sync::{Arc, Mutex};
-
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use streambal_hashring::FxHashMap;
-use streambal_trace::TraceSink;
 
 /// Control-plane message kinds that [`FaultSpec::DropCtl`] can target.
+/// Each kind's ordinal is counted on one thread, in the order that
+/// thread sends or reads the kind; its doc says where.
 ///
 /// Deliberately excludes the state-bearing messages (`StateOut`,
 /// `StateInstall` payload, `Retired`): dropping those would destroy
@@ -40,25 +52,34 @@ use streambal_trace::TraceSink;
 /// the kill/panic faults to lose state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CtlKind {
-    /// Source pause request (`SourceCtl::Pause`).
+    /// Source pause request (`SourceCtl::Pause`); counted and dropped
+    /// by the controller as it sends.
     Pause,
-    /// Source pause acknowledgement (`SourceEvent::PauseAck`).
+    /// Source pause acknowledgement (`SourceEvent::PauseAck`); counted
+    /// by the controller in inbox order and dropped on arrival.
     PauseAck,
-    /// Source resume request (`SourceCtl::Resume`).
+    /// Source resume request (`SourceCtl::Resume`); counted and dropped
+    /// by the controller as it sends.
     Resume,
-    /// Source resume acknowledgement (`SourceEvent::ResumeAck`).
+    /// Source resume acknowledgement (`SourceEvent::ResumeAck`);
+    /// counted by the controller in inbox order and dropped on arrival.
     ResumeAck,
     /// Statistics marker the source puts into a worker's channel at a
     /// cut (`Message::StatsRequest`, or `Message::StatsPeek` at a skew
-    /// alert).
+    /// alert); counted and dropped by the source as it marks.
     StatsRequest,
-    /// Worker stats report (`WorkerEvent::Stats`).
+    /// Worker stats report (`WorkerEvent::Stats`), from any worker;
+    /// counted by the controller in inbox order and dropped on arrival.
     Stats,
-    /// Migration extraction marker (`Message::MigrateOut`).
+    /// Migration extraction marker (`Message::MigrateOut`); counted and
+    /// dropped by the controller as it sends.
     MigrateOut,
-    /// State installation acknowledgement (`WorkerEvent::InstallAck`).
+    /// State installation acknowledgement (`WorkerEvent::InstallAck`),
+    /// from any worker; counted by the controller in inbox order and
+    /// dropped on arrival.
     InstallAck,
-    /// Scale-in retire marker (`Message::Retire`).
+    /// Scale-in retire marker (`Message::Retire`); counted and dropped
+    /// by the controller as it sends.
     Retire,
 }
 
@@ -99,7 +120,8 @@ pub enum FaultSpec {
     /// names ([`KillTrigger`]).
     Kill { worker: usize, at: KillTrigger },
     /// Drop the `nth` (1-based) control message of kind `kind`,
-    /// counted across the whole run at the sending site.
+    /// counted across the whole run on the one thread that counts the
+    /// kind (see [`CtlKind`]).
     DropCtl { kind: CtlKind, nth: usize },
     /// Worker `worker` sleeps `ms` milliseconds when it sees the stats
     /// request for interval `at_interval` — a slow-but-alive worker.
@@ -122,8 +144,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan: no faults, zero overhead on the hot path beyond
-    /// one shared-pointer clone at engine start.
+    /// An empty plan: no faults, and nothing on the hot path.
     pub fn none() -> Self {
         FaultPlan::default()
     }
@@ -188,9 +209,22 @@ impl FaultPlan {
         FaultPlan { seed, faults }
     }
 
-    /// Whether the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
+    /// Whether worker `worker` is planned to die at kill point `at`.
+    pub fn kills(&self, worker: usize, at: KillTrigger) -> bool {
+        self.faults.contains(&FaultSpec::Kill { worker, at })
+    }
+
+    /// How many milliseconds worker `worker` is planned to stall for at
+    /// the stats request closing `interval`, if it is.
+    pub fn stall(&self, worker: usize, interval: u64) -> Option<u64> {
+        self.faults.iter().find_map(|f| match *f {
+            FaultSpec::StallWorker {
+                worker: w,
+                at_interval,
+                ms,
+            } if w == worker && at_interval == interval => Some(ms),
+            _ => None,
+        })
     }
 }
 
@@ -262,7 +296,7 @@ pub enum FaultEvent {
 }
 
 /// Where a worker's planned kill fires: the point the worker checks
-/// ([`FaultInjector::should_kill`]) with its own coordinate.
+/// ([`FaultPlan::kills`]) with its own coordinate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillTrigger {
     /// The stats request closing this interval (an interval boundary —
@@ -346,8 +380,6 @@ pub enum SendPeer {
     Worker(usize),
     /// The source control channel.
     Source,
-    /// The controller event channel (reported by source/workers).
-    Controller,
 }
 
 impl std::fmt::Display for SendPeer {
@@ -355,134 +387,40 @@ impl std::fmt::Display for SendPeer {
         match self {
             SendPeer::Worker(w) => write!(f, "worker {w}"),
             SendPeer::Source => write!(f, "source"),
-            SendPeer::Controller => write!(f, "controller"),
         }
     }
 }
 
-/// Shared injection state: one per engine run, cloned (via `Arc`) into
-/// the controller, the source loop, and every worker.
-///
-/// All decision methods are deterministic given the plan and the
-/// sequence of calls at each instrumented site; the per-kind drop
-/// counters are global atomics, which is deterministic because each
-/// control kind is only ever sent from a single thread (controller or
-/// source or one worker identity per kind).
+/// One thread's drop ordinals: counts the control messages of each
+/// kind that thread sends or reads, and says which ones the plan drops.
+/// Each [`CtlKind`] is counted on exactly one thread, so no two counters
+/// ever count the same kind.
 #[derive(Debug)]
-pub struct FaultInjector {
+pub(crate) struct DropCounter {
     plan: FaultPlan,
-    /// Messages of each kind sent so far (1-based after increment).
-    drop_seen: Mutex<FxHashMap<CtlKind, usize>>,
-    /// Ledger of fired faults and recovery actions.
-    ledger: Mutex<Vec<FaultEvent>>,
-    /// Flight-recorder sink: every ledger entry is mirrored as a trace
-    /// event whose `seq` is its ledger index, so ledger order (the
-    /// deterministic order) is canonical in the merged trace.
-    sink: Arc<TraceSink>,
+    /// Messages of each kind counted so far, indexed by `CtlKind as usize`.
+    seen: [usize; CtlKind::ALL.len()],
 }
 
-impl FaultInjector {
-    /// Builds the injector for one run, with no trace mirroring.
-    pub fn new(plan: FaultPlan) -> Self {
-        FaultInjector::with_trace(plan, TraceSink::disabled())
-    }
-
-    /// Builds the injector for one run, mirroring ledger entries into
-    /// the given flight-recorder sink.
-    pub fn with_trace(plan: FaultPlan, sink: Arc<TraceSink>) -> Self {
-        FaultInjector {
-            plan,
-            drop_seen: Mutex::new(FxHashMap::default()),
-            ledger: Mutex::new(Vec::new()),
-            sink,
+impl DropCounter {
+    /// A counter for `plan`'s drops, none counted yet.
+    pub(crate) fn new(plan: &FaultPlan) -> Self {
+        let seen = [0; CtlKind::ALL.len()];
+        DropCounter {
+            plan: plan.clone(),
+            seen,
         }
     }
 
-    /// Whether the plan injects nothing (lets hot paths skip probes).
-    pub fn is_passive(&self) -> bool {
-        self.plan.is_empty()
-    }
-
-    /// The plan this injector replays.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Records a ledger entry (and mirrors it into the trace; the
-    /// mirror's `seq` — the ledger index — is computed under the ledger
-    /// lock, so the canonical order survives racing sink appends).
-    pub fn record(&self, ev: FaultEvent) {
-        let mut ledger = self.ledger.lock().unwrap_or_else(|e| e.into_inner());
-        let idx = ledger.len() as u64;
-        if self.sink.is_enabled() {
-            self.sink.fault(idx, ev.to_string());
-        }
-        ledger.push(ev);
-    }
-
-    /// Drains the ledger (called once by the engine at report time).
-    pub fn take_ledger(&self) -> Vec<FaultEvent> {
-        std::mem::take(&mut *self.ledger.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Worker `worker` reached kill point `at`: should it die here?
-    /// Records the injection when firing.
-    pub fn should_kill(&self, worker: usize, at: KillTrigger) -> bool {
-        let planned = FaultSpec::Kill { worker, at };
-        if !self.plan.faults.contains(&planned) {
-            return false;
-        }
-        self.record(FaultEvent::InjectedKill {
-            worker,
-            trigger: at,
-        });
-        true
-    }
-
-    /// Stall duration (if any) for worker `worker` at `interval`.
-    pub fn stall_at_interval(&self, worker: usize, interval: u64) -> Option<u64> {
-        for f in &self.plan.faults {
-            if let FaultSpec::StallWorker {
-                worker: w,
-                at_interval,
-                ms,
-            } = f
-            {
-                if *w == worker && *at_interval == interval {
-                    self.record(FaultEvent::InjectedStall {
-                        worker,
-                        at_interval: interval,
-                    });
-                    return Some(*ms);
-                }
-            }
-        }
-        None
-    }
-
-    /// Called at every instrumented control-plane send site: counts the
-    /// message and returns `true` if this one must be dropped (the
-    /// caller skips the send and proceeds as if it were lost in
-    /// flight).
-    pub fn should_drop(&self, kind: CtlKind) -> bool {
-        if self.plan.is_empty() {
-            return false;
-        }
-        let seen = {
-            let mut map = self.drop_seen.lock().unwrap_or_else(|e| e.into_inner());
-            let e = map.entry(kind).or_insert(0);
-            *e += 1;
-            *e
-        };
-        for f in &self.plan.faults {
-            if let FaultSpec::DropCtl { kind: k, nth } = f {
-                if *k == kind && *nth == seen {
-                    self.record(FaultEvent::InjectedDrop { kind, nth: seen });
-                    return true;
-                }
-            }
-        }
-        false
+    /// Counts one message of `kind`. When the plan drops this one,
+    /// returns its ledger entry: the caller discards the message, as if
+    /// it were lost in flight, and ledgers the drop.
+    pub(crate) fn count(&mut self, kind: CtlKind) -> Option<FaultEvent> {
+        let seen = &mut self.seen[kind as usize];
+        *seen += 1;
+        let nth = *seen;
+        let planned = self.plan.faults.contains(&FaultSpec::DropCtl { kind, nth });
+        planned.then_some(FaultEvent::InjectedDrop { kind, nth })
     }
 }
 
@@ -530,26 +468,25 @@ mod tests {
 
     #[test]
     fn drop_counter_fires_on_exact_ordinal() {
-        let inj = FaultInjector::new(FaultPlan::new(vec![FaultSpec::DropCtl {
+        let mut drops = DropCounter::new(&FaultPlan::new(vec![FaultSpec::DropCtl {
             kind: CtlKind::PauseAck,
             nth: 2,
         }]));
-        assert!(!inj.should_drop(CtlKind::PauseAck)); // #1
-        assert!(!inj.should_drop(CtlKind::Pause)); // other kind, own counter
-        assert!(inj.should_drop(CtlKind::PauseAck)); // #2 fires
-        assert!(!inj.should_drop(CtlKind::PauseAck)); // #3
+        assert_eq!(drops.count(CtlKind::PauseAck), None); // #1
+        assert_eq!(drops.count(CtlKind::Pause), None); // other kind, own ordinal
         assert_eq!(
-            inj.take_ledger(),
-            vec![FaultEvent::InjectedDrop {
+            drops.count(CtlKind::PauseAck), // #2 fires
+            Some(FaultEvent::InjectedDrop {
                 kind: CtlKind::PauseAck,
                 nth: 2
-            }]
+            })
         );
+        assert_eq!(drops.count(CtlKind::PauseAck), None); // #3
     }
 
     #[test]
     fn kill_probes_fire_once_per_coordinate() {
-        let inj = FaultInjector::new(FaultPlan::new(vec![
+        let plan = FaultPlan::new(vec![
             FaultSpec::Kill {
                 worker: 2,
                 at: KillTrigger::Interval(3),
@@ -558,14 +495,21 @@ mod tests {
                 worker: 1,
                 at: KillTrigger::MigrateOut(1),
             },
-        ]));
-        assert!(!inj.should_kill(2, KillTrigger::Interval(2)));
-        assert!(!inj.should_kill(1, KillTrigger::Interval(3)));
-        assert!(!inj.should_kill(2, KillTrigger::Install(3)));
-        assert!(inj.should_kill(2, KillTrigger::Interval(3)));
-        assert!(inj.should_kill(1, KillTrigger::MigrateOut(1)));
-        assert!(!inj.should_kill(1, KillTrigger::MigrateOut(2)));
-        assert_eq!(inj.take_ledger().len(), 2);
+            FaultSpec::StallWorker {
+                worker: 1,
+                at_interval: 4,
+                ms: 7,
+            },
+        ]);
+        assert!(!plan.kills(2, KillTrigger::Interval(2)));
+        assert!(!plan.kills(1, KillTrigger::Interval(3)));
+        assert!(!plan.kills(2, KillTrigger::Install(3)));
+        assert!(plan.kills(2, KillTrigger::Interval(3)));
+        assert!(plan.kills(1, KillTrigger::MigrateOut(1)));
+        assert!(!plan.kills(1, KillTrigger::MigrateOut(2)));
+        assert_eq!(plan.stall(1, 4), Some(7));
+        assert_eq!(plan.stall(1, 3), None);
+        assert_eq!(plan.stall(2, 4), None);
     }
 
     #[test]

@@ -231,8 +231,9 @@
 //!   `EngineReport::lost_tuples`, so the accounting invariant
 //!   `fed == observed + lost` holds for every key on every run. A dead
 //!   slot stays revivable — a later scale-out re-provisions it.
-//! * **Lost control messages** (`DropCtl`): pause/resume/migrate/stats
-//!   markers are dropped at injection points. Every controller wait —
+//! * **Lost control messages** (`DropCtl`): the *n*-th message of a
+//!   kind is dropped by the one thread that counts that kind (see
+//!   `CtlKind`). Every controller wait —
 //!   an in-flight op's phase, a source resume's ack, a statistics
 //!   round's reports — ends by one rule: it expires once
 //!   `EngineConfig::deadline` of wall time has passed since it started
@@ -253,10 +254,12 @@
 //!   is lost; the deadline above decides whether to wait, re-drive, or
 //!   roll back.
 //!
-//! Every detection, retry, abort, re-route, and absorption is recorded
-//! in order in the `EngineReport::faults` ledger ([`FaultEvent`]), so a
-//! run with a given seed is *replayable*: same plan, same ledger. The
-//! chaos suite (`tests/chaos.rs`) asserts exactly that, plus the per-key
+//! Every injection, detection, retry, abort, re-route, and absorption is
+//! recorded in order in the `EngineReport::faults` ledger
+//! ([`FaultEvent`]), so a run with a given seed is *replayable*: same
+//! plan, same ledger. The controller is its only writer: an injection
+//! on another thread reaches it as an inbox event (module [`fault`]). The
+//! chaos suite (`tests/chaos.rs`) asserts the replay, plus the per-key
 //! accounting invariant, across all eight partitioners; the chaos bench
 //! (`benches/chaos.rs`) prices the degradation (lost tuples, degraded
 //! window, rollback overhead) into `bench_results/chaos.json`.
@@ -290,8 +293,8 @@
 //!   one open and one end per early round, behind its alert. Both are
 //!   masked from the skeleton: whether an alert trips depends on which
 //!   view the source routed the interval's first tuples under.
-//! * **Fault mirrors**: every fault-ledger entry, with its ledger index
-//!   as the sequence number.
+//! * **Fault mirrors**: every fault-ledger entry, recorded by the
+//!   controller with its ledger index as the sequence number.
 //!
 //! Traces are deterministic modulo wall-clock: `TraceLog::skeleton()`
 //! (event structure with timestamps, load numerics, and the
@@ -335,7 +338,7 @@ pub mod worker;
 pub use engine::{
     replay, Engine, EngineConfig, EngineReport, ProtocolError, Refusal, ScaleEvent, SplitEvent,
 };
-pub use fault::{CtlKind, FaultEvent, FaultInjector, FaultPlan, FaultSpec, KillTrigger, OpKind};
+pub use fault::{CtlKind, FaultEvent, FaultPlan, FaultSpec, KillTrigger, OpKind};
 pub use merge::MergeStage;
 pub use message::{Event, Message, SourceCtl, SourceEvent, WorkerEvent, WorkerExit, WorkerTotals};
 pub use operator::{

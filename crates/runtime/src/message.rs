@@ -4,6 +4,7 @@
 use bytes::Bytes;
 use streambal_core::{IntervalStats, Key, RoutingView, TaskId};
 
+use crate::fault::{CtlKind, FaultEvent, KillTrigger};
 use crate::tuple::Tuple;
 
 /// Messages flowing into a worker's input channel. Tuple batches and
@@ -78,6 +79,25 @@ pub enum Event {
     Source(SourceEvent),
     /// From a worker thread.
     Worker(WorkerEvent),
+    /// From the source or a worker: a planned fault that fired on that
+    /// thread (a stall, a dropped statistics marker), sent ahead of its
+    /// consequences for the controller to ledger. A kill needs none: the
+    /// worker's `Killed` exit names it.
+    Injected(FaultEvent),
+}
+
+impl Event {
+    /// The droppable control kind this event is, if any: the kinds the
+    /// controller counts in inbox order and drops on arrival.
+    pub(crate) fn ctl_kind(&self) -> Option<CtlKind> {
+        match self {
+            Event::Source(SourceEvent::PauseAck { .. }) => Some(CtlKind::PauseAck),
+            Event::Source(SourceEvent::ResumeAck { .. }) => Some(CtlKind::ResumeAck),
+            Event::Worker(WorkerEvent::Stats { .. }) => Some(CtlKind::Stats),
+            Event::Worker(WorkerEvent::InstallAck { .. }) => Some(CtlKind::InstallAck),
+            _ => None,
+        }
+    }
 }
 
 /// Events workers send the controller.
@@ -175,6 +195,9 @@ pub enum WorkerExit {
     /// recovery path needs to *account* the loss: the tuples whose
     /// contribution was not yet observable downstream die here.
     Killed {
+        /// The planned kill point that fired: the controller ledgers the
+        /// injection, then the death, from this one event.
+        trigger: KillTrigger,
         /// Per-key tuple counts irrecoverably lost with this worker
         /// (held windowed state / un-flushed partials, plus any
         /// emissions still buffered in the worker, plus the blobs of a
@@ -271,8 +294,9 @@ pub enum SourceEvent {
         interval: u64,
         /// The slots the source could route to at the cut — every slot
         /// of its view but the dead ones and a scale-in victim its pause
-        /// holds back — in slot order. A marker the fault injector drops
-        /// still counts: the round waits for it until its deadline.
+        /// holds back — in slot order. A marker the source drops for a
+        /// planned fault still counts: the round waits for it until its
+        /// deadline.
         marked: Vec<TaskId>,
     },
     /// Acknowledges [`SourceCtl::Pause`]: no further affected-key tuples

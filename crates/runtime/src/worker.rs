@@ -12,7 +12,7 @@ use streambal_hashring::FxHashMap;
 use streambal_metrics::Histogram;
 use streambal_trace::{ThreadLabel, ThreadRecorder, TraceSink};
 
-use crate::fault::{CtlKind, FaultInjector, KillTrigger};
+use crate::fault::{FaultEvent, FaultPlan, KillTrigger};
 use crate::message::{Event, Message, WorkerEvent, WorkerExit, WorkerTotals};
 use crate::operator::Operator;
 use crate::tuple::{Tuple, TAG_PARTIAL};
@@ -34,8 +34,9 @@ pub(crate) struct WorkerWiring {
     /// Tuples accumulated per collector batch before a flush is forced
     /// (the emitter also flushes at every input-batch boundary).
     pub emit_batch: usize,
-    /// Shared fault-injection state (passive when the plan is empty).
-    pub injector: Arc<FaultInjector>,
+    /// The run's fault plan, read for this worker's own kills and
+    /// stalls ([`FaultPlan::kills`], [`FaultPlan::stall`]).
+    pub faults: FaultPlan,
     /// The run's flight recorder; each worker takes its own
     /// [`ThreadRecorder`] from it.
     pub sink: Arc<TraceSink>,
@@ -115,9 +116,13 @@ impl BatchEmitter {
 /// How a handler ends the worker; [`Worker::exit`] turns it into the
 /// one exit event.
 enum End {
-    /// An injected death, with the per-key counts only the death site
-    /// knows: the blobs of the `StateInstall` that killed the worker.
-    Killed(Vec<(Key, u64)>),
+    /// A planned death at kill point `at` (the exit names it for the
+    /// ledger), with the per-key counts only the death site knows: the
+    /// blobs of the `StateInstall` that killed the worker.
+    Killed {
+        at: KillTrigger,
+        extra: Vec<(Key, u64)>,
+    },
     /// `Retire`: hand back all state and the receiver.
     Retired { epoch: u64 },
     /// `Shutdown`: hand back all state.
@@ -135,9 +140,6 @@ pub(crate) struct Worker {
     rx: Receiver<Message>,
     op: Box<dyn Operator>,
     wiring: WorkerWiring,
-    /// Whether any fault is planned at all: a passive injector costs the
-    /// control handlers nothing.
-    faulty: bool,
     /// Flight-recorder handle. The data plane only touches its local
     /// counters ([`ThreadRecorder::count_batch`]); one `DataFlush` event
     /// per interval reaches the shared sink. Dropped (flushing
@@ -183,7 +185,6 @@ impl Worker {
             id,
             rx,
             op,
-            faulty: !wiring.injector.is_passive(),
             recorder: wiring.sink.recorder(ThreadLabel::Worker(id.index() as u32)),
             emitter: BatchEmitter::new(wiring.collector.take(), wiring.emit_batch),
             // Every tuple costs its spin plus one unit.
@@ -270,16 +271,21 @@ impl Worker {
     /// every tuple it routed here in `interval` and none of the next
     /// one's: report, label and window follow the source's cut exactly.
     fn on_stats_request(&mut self, interval: u64) -> Step {
-        if self.faulty {
-            let injector = &self.wiring.injector;
-            if injector.should_kill(self.id.index(), KillTrigger::Interval(interval)) {
-                return Step::Break(End::Killed(Vec::new()));
-            }
-            if let Some(ms) = injector.stall_at_interval(self.id.index(), interval) {
-                // Slow-but-alive: FIFO order (and therefore state) is
-                // preserved, only time passes.
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
+        let at = KillTrigger::Interval(interval);
+        if self.wiring.faults.kills(self.id.index(), at) {
+            return Step::Break(End::Killed { at, extra: vec![] });
+        }
+        let worker = self.id.index();
+        if let Some(ms) = self.wiring.faults.stall(worker, interval) {
+            let at_interval = interval;
+            let stall = FaultEvent::InjectedStall {
+                worker,
+                at_interval,
+            };
+            let _ = self.wiring.events.send(Event::Injected(stall));
+            // Slow-but-alive: FIFO order (and therefore state) is
+            // preserved, only time passes.
+            std::thread::sleep(std::time::Duration::from_millis(ms));
         }
         self.flush();
         // The next interval reports about as many keys: it refills the
@@ -289,14 +295,12 @@ impl Worker {
         // the interval histogram with the report.
         self.totals.latency.merge(&self.iv_latency);
         let out_latency = std::mem::take(&mut self.iv_latency);
-        if !(self.faulty && self.wiring.injector.should_drop(CtlKind::Stats)) {
-            self.send(WorkerEvent::Stats {
-                worker: self.id,
-                interval,
-                stats: out,
-                latency: out_latency,
-            });
-        }
+        self.send(WorkerEvent::Stats {
+            worker: self.id,
+            interval,
+            stats: out,
+            latency: out_latency,
+        });
         self.current_interval = interval + 1;
         // The flight recorder rolls its batch-granularity counters into
         // one DataFlush event: by the FIFO argument above, exactly the
@@ -325,10 +329,10 @@ impl Worker {
     fn on_migrate_out(&mut self, epoch: u64, moves: Vec<(Key, TaskId)>) -> Step {
         self.migrate_outs_seen += 1;
         let at = KillTrigger::MigrateOut(self.migrate_outs_seen);
-        if self.faulty && self.wiring.injector.should_kill(self.id.index(), at) {
+        if self.wiring.faults.kills(self.id.index(), at) {
             // Crash mid-migration, before extracting: the requested moves
             // die with the rest of the state.
-            return Step::Break(End::Killed(Vec::new()));
+            return Step::Break(End::Killed { at, extra: vec![] });
         }
         let states = moves
             .into_iter()
@@ -346,14 +350,14 @@ impl Worker {
     fn on_install(&mut self, epoch: u64, states: Vec<(Key, Bytes)>) -> Step {
         self.installs_seen += 1;
         let at = KillTrigger::Install(self.installs_seen);
-        if self.faulty && self.wiring.injector.should_kill(self.id.index(), at) {
+        if self.wiring.faults.kills(self.id.index(), at) {
             // Crash inside the install path: nothing is merged, so the
             // incoming blobs are lost too — count them.
-            let blobs = states
+            let extra = states
                 .iter()
                 .map(|(k, b)| (*k, self.op.tuples_in_blob(b)))
                 .collect();
-            return Step::Break(End::Killed(blobs));
+            return Step::Break(End::Killed { at, extra });
         }
         if self.last_installed_epoch != Some(epoch) {
             for (key, blob) in states {
@@ -363,12 +367,10 @@ impl Worker {
             }
             self.last_installed_epoch = Some(epoch);
         }
-        if !(self.faulty && self.wiring.injector.should_drop(CtlKind::InstallAck)) {
-            self.send(WorkerEvent::InstallAck {
-                worker: self.id,
-                epoch,
-            });
-        }
+        self.send(WorkerEvent::InstallAck {
+            worker: self.id,
+            epoch,
+        });
         Step::Continue(())
     }
 
@@ -400,7 +402,7 @@ impl Worker {
     /// emitter's buffered partials, and the death site's `extra`.
     fn exit(mut self, end: End) {
         let exit = match end {
-            End::Killed(extra) => {
+            End::Killed { at, extra } => {
                 let mut lost: FxHashMap<Key, u64> = FxHashMap::default();
                 for (k, c) in self
                     .op
@@ -414,6 +416,7 @@ impl Worker {
                 let mut lost: Vec<(Key, u64)> = lost.into_iter().collect();
                 lost.sort_unstable_by_key(|&(k, _)| k);
                 WorkerExit::Killed {
+                    trigger: at,
                     lost,
                     stats: self.stats.seal(),
                     rx: self.rx,
@@ -443,7 +446,7 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, FaultSpec};
+    use crate::fault::FaultSpec;
     use crate::operator::WordCountOp;
     use crossbeam::channel::unbounded;
     use streambal_core::Key;
@@ -466,6 +469,7 @@ mod tests {
             match ev {
                 Event::Worker(ev) => ev,
                 Event::Source(ev) => panic!("a worker sent a source event: {ev:?}"),
+                Event::Injected(ev) => panic!("unexpected injected fault: {ev:?}"),
             }
         }
     }
@@ -483,7 +487,7 @@ mod tests {
             window,
             epoch: Instant::now(),
             emit_batch: 8,
-            injector: Arc::new(FaultInjector::new(plan)),
+            faults: plan,
             sink: Arc::clone(sink),
         };
         (wiring, Events(erx))
@@ -931,9 +935,17 @@ mod tests {
             match erx.recv().unwrap() {
                 WorkerEvent::Exited {
                     totals,
-                    exit: WorkerExit::Killed { lost, stats, rx },
+                    exit:
+                        WorkerExit::Killed {
+                            trigger,
+                            lost,
+                            stats,
+                            rx,
+                        },
                     ..
                 } => {
+                    // The exit names the kill point that fired.
+                    assert_eq!(trigger, at, "{label}");
                     assert_eq!(totals.processed, 8, "{label}");
                     assert_eq!(lost, expect_lost, "{label}");
                     // Unreported interval-1 residue rides the event.

@@ -1,10 +1,11 @@
 //! # streambal-trace
 //!
 //! The runtime's always-on flight recorder: every thread of the engine
-//! (source, each worker, controller, collector, plus the fault injector)
-//! holds a [`ThreadRecorder`] that buffers [`TraceEvent`]s locally and
+//! (source, each worker, controller, collector) holds a
+//! [`ThreadRecorder`] that buffers [`TraceEvent`]s locally and
 //! batch-appends them to one shared [`TraceSink`]; after teardown the
-//! sink yields a merged, time-ordered [`TraceLog`].
+//! sink yields a merged, time-ordered [`TraceLog`]. The controller's
+//! recorder also mirrors the fault ledger ([`ThreadRecorder::fault`]).
 //!
 //! Design constraints, in order:
 //!
@@ -45,8 +46,8 @@ pub enum ThreadLabel {
     Controller,
     /// The collector / merge thread.
     Collector,
-    /// The fault injector (events mirrored from the fault ledger; their
-    /// `seq` is the ledger index, so ledger order survives the merge).
+    /// The fault ledger, mirrored by the controller (its events' `seq`
+    /// is the ledger index, so ledger order survives the merge).
     Fault,
     /// Worker thread for the given slot.
     Worker(u32),
@@ -462,22 +463,6 @@ impl TraceSink {
         }
     }
 
-    /// Mirrors one fault-ledger entry (`seq` = its ledger index, stamped
-    /// inside the ledger lock by the caller so ledger order is the
-    /// canonical order even if sink appends race).
-    pub fn fault(&self, seq: u64, detail: String) {
-        if !self.enabled {
-            return;
-        }
-        let ev = TraceEvent {
-            at_us: self.now_us(),
-            seq,
-            thread: ThreadLabel::Fault,
-            kind: EventKind::Fault { detail },
-        };
-        self.lock_events().push(ev);
-    }
-
     /// Takes the merged log, sorted by `(at_us, thread, seq)`. Call
     /// after every recorder-owning thread has joined (their `Drop`
     /// flushes stragglers).
@@ -621,17 +606,32 @@ impl ThreadRecorder {
         });
     }
 
+    /// Mirrors fault-ledger entry `index` under [`ThreadLabel::Fault`],
+    /// with `seq` = `index`, so ledger order is the canonical order of
+    /// the merged log's fault events. Only the ledger's one writer (the
+    /// controller) calls this; `detail` is rendered only when recording.
+    pub fn fault(&mut self, index: u64, detail: impl std::fmt::Display) {
+        if !self.enabled {
+            return;
+        }
+        let detail = detail.to_string();
+        self.push(ThreadLabel::Fault, index, EventKind::Fault { detail });
+    }
+
     fn event(&mut self, kind: EventKind) {
         if !self.enabled {
             return;
         }
-        let at_us = self.sink.now_us();
         let seq = self.seq;
         self.seq += 1;
+        self.push(self.thread, seq, kind);
+    }
+
+    fn push(&mut self, thread: ThreadLabel, seq: u64, kind: EventKind) {
         self.buf.push(TraceEvent {
-            at_us,
+            at_us: self.sink.now_us(),
             seq,
-            thread: self.thread,
+            thread,
             kind,
         });
         if self.buf.len() >= FLUSH_CAP {
@@ -934,7 +934,7 @@ mod tests {
         ctl.early_round(1, EarlyStep::Open);
         ctl.early_round(1, EarlyStep::Planned);
         ctl.mark("teardown");
-        sink.fault(0, "injected kill: worker 1".to_string());
+        ctl.fault(0, "injected kill: worker 1");
         drop((ctl, w0, src));
         sink.take_log()
     }
@@ -967,7 +967,7 @@ mod tests {
         w.count_batch(10);
         w.close_interval(0);
         w.span_open(1, OpLabel::Rebalance);
-        sink.fault(0, "x".to_string());
+        w.fault(0, "x");
         drop(w);
         assert!(sink.take_log().events.is_empty());
     }

@@ -117,6 +117,18 @@ fn same_plan_yields_identical_fault_ledger() {
         "death not observed: {:?}",
         a.faults
     );
+    // The controller ledgers the kill and the death it causes from the
+    // worker's one `Killed` exit, back to back.
+    let kill = a
+        .faults
+        .iter()
+        .position(|f| matches!(f, FaultEvent::InjectedKill { worker: 1, .. }));
+    assert_eq!(
+        kill.and_then(|i| a.faults.get(i + 1)),
+        Some(&FaultEvent::WorkerDead { worker: 1 }),
+        "the kill is not followed by its death: {:?}",
+        a.faults
+    );
     assert_eq!(
         a.faults, b.faults,
         "same plan must replay to the same ledger"

@@ -181,6 +181,22 @@ fn aborted_spans_agree_with_the_fault_ledger() {
         report.faults,
         report.trace.span_summaries()
     );
+
+    // The trace mirrors the ledger: fault event `seq` i has entry i's text.
+    let mut mirrored: Vec<(u64, String)> = report
+        .trace
+        .events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::Fault { detail } => Some((e.seq, detail.clone())),
+            _ => None,
+        })
+        .collect();
+    mirrored.sort_unstable();
+    let want: Vec<(u64, String)> = (0..)
+        .zip(report.faults.iter().map(|f| f.to_string()))
+        .collect();
+    assert_eq!(mirrored, want, "the trace's fault mirror");
 }
 
 /// Every round holds exactly the tuples the source cut into its
