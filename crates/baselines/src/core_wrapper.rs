@@ -11,6 +11,7 @@ pub type CoreBalancer = streambal_core::Rebalancer;
 mod tests {
     use super::*;
     use crate::Partitioner;
+    use streambal_core::RebalanceStrategy::{MinMig, MinTable, Mixed};
     use streambal_core::{BalanceParams, IntervalStats, Key, KeyStat, RebalanceStrategy, TaskId};
 
     /// Three heavy keys over a light tail: any four-task hash skews.
@@ -74,6 +75,55 @@ mod tests {
                 p.end_interval(skewed()).is_none(),
                 "interval {i} inside the cooldown must be damped"
             );
+        }
+    }
+
+    /// A round absorbs its workers' shards in arrival order, and that
+    /// order cannot change a plan: four seeded worker shards, keys
+    /// repeating across them, absorbed in all 24 orders two rounds
+    /// running, give one move list and one table per round.
+    #[test]
+    fn shard_arrival_order_cannot_change_a_plan() {
+        let mut x = 0x5EED_u64;
+        let mut draw = || {
+            // xorshift64
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (key, freq) = (if x % 10 < 3 { x % 5 } else { x % 400 }, 1 + (x >> 32) % 8);
+            (Key(key), KeyStat::new(freq, freq, 8))
+        };
+        let shards: Vec<IntervalStats> =
+            (0..4).map(|_| (0..300).map(|_| draw()).collect()).collect();
+        for strategy in [MinTable, MinMig, Mixed] {
+            let plans: Vec<_> = (0..24usize)
+                .map(|mut i| {
+                    // The i-th order, read off i's factorial digits.
+                    let mut left: Vec<usize> = (0..4).collect();
+                    let order: Vec<usize> = (1..=4)
+                        .rev()
+                        .map(|n| {
+                            let at = i % n;
+                            i /= n;
+                            left.remove(at)
+                        })
+                        .collect();
+                    let mut p = CoreBalancer::new(4, 2, strategy, BalanceParams::default());
+                    let mut round = || {
+                        let mut stats = IntervalStats::new();
+                        order.iter().for_each(|&s| stats.absorb(shards[s].clone()));
+                        let out = p.end_interval(stats)?;
+                        Some((out.plan.moves().to_vec(), out.table))
+                    };
+                    vec![round(), round()]
+                })
+                .collect();
+            assert!(plans[0][0]
+                .as_ref()
+                .is_some_and(|(moves, _)| !moves.is_empty()));
+            for plan in &plans {
+                assert_eq!(plan, &plans[0], "{strategy:?}");
+            }
         }
     }
 }

@@ -43,7 +43,7 @@ use streambal_elastic::FixedSchedule;
 use streambal_hashring::FxHashMap;
 use streambal_runtime::{
     replay, Engine, EngineConfig, EngineReport, FaultEvent, FaultPlan, FaultSpec, KillTrigger,
-    Outcome, WordCountOp,
+    Operator, Outcome, WordCountOp,
 };
 use streambal_workloads::FluctuatingWorkload;
 
@@ -92,9 +92,9 @@ fn run_once(label: &str, config: EngineConfig, intervals: &[Vec<Key>]) -> Engine
 /// loss equals what was fed. Returns the total accounted loss.
 fn assert_accounted(label: &str, report: &EngineReport, expect: &FxHashMap<Key, u64>) -> u64 {
     let mut got: FxHashMap<Key, u64> = FxHashMap::default();
+    let op = WordCountOp::new();
     for (k, blob) in &report.final_states {
-        let n: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
-        *got.entry(*k).or_insert(0) += n;
+        *got.entry(*k).or_insert(0) += op.tuples_in_blob(blob);
     }
     let mut lost_total = 0u64;
     for &(k, n) in &report.lost_tuples {

@@ -44,7 +44,7 @@ use streambal_bench::{mixed_balancer, reference_counts};
 use streambal_core::Key;
 use streambal_elastic::{FixedSplitSchedule, HotKeyPolicy, SplitPolicy};
 use streambal_hashring::FxHashMap;
-use streambal_runtime::{replay, Engine, EngineConfig, EngineReport, WordCountOp};
+use streambal_runtime::{replay, Engine, EngineConfig, EngineReport, Operator, WordCountOp};
 use streambal_trace::{EventKind, OpLabel};
 use streambal_workloads::ChurnWorkload;
 
@@ -108,9 +108,9 @@ fn run_once(label: &str, config: EngineConfig, intervals: &[Vec<Key>]) -> Engine
 /// partials summed across workers) equals the fed count.
 fn assert_exact(label: &str, report: &EngineReport, expect: &FxHashMap<Key, u64>) {
     let mut got: FxHashMap<Key, u64> = FxHashMap::default();
+    let op = WordCountOp::new();
     for (k, blob) in &report.final_states {
-        let n: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
-        *got.entry(*k).or_insert(0) += n;
+        *got.entry(*k).or_insert(0) += op.tuples_in_blob(blob);
     }
     for (k, &e) in expect {
         let g = got.get(k).copied().unwrap_or(0);

@@ -6,7 +6,7 @@ fn ship(tx: &Sender<Message>, batch: Vec<Tuple>) {
 }
 
 fn control(tx: &Sender<Message>) {
-    // Control markers legitimately weigh one.
+    // A plain send of a control marker is not a batch send.
     let _ = tx.send(Message::Shutdown);
     let _ = tx.send(Message::StatsRequest { interval: 0 });
 }

@@ -3,15 +3,15 @@
 //! ([`ProtocolOp`]), plus the accounting it leans on, each piece
 //! unit-testable without spinning up threads — the statistics-round
 //! ledger (which must survive late and duplicate worker reports — a
-//! retiring worker can answer a round the controller already closed),
-//! the closed-epoch set, and the worker-seconds integral (which must
-//! bill queued scale-ins exactly once per parallelism change).
+//! retiring worker can answer a round the controller already closed)
+//! and the worker-seconds integral (which must bill queued scale-ins
+//! exactly once per parallelism change).
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, SendTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use streambal_core::{IntervalStats, Key, Partitioner, RoutingView, SourceRouter, TaskId};
 use streambal_elastic::{IntervalObservation, RoundAction, RoundDecisions, RoundInputs};
 use streambal_hashring::{FxHashMap, FxHashSet};
@@ -317,53 +317,6 @@ struct EarlyRound {
     awaiting: FxHashSet<TaskId>,
 }
 
-/// Epochs whose op finished, aborted, or was synthesized for a re-home
-/// or rollback install: a late echo of one (a retried op's duplicate
-/// ack, a zombie victim's `Retired`) is absorbed as stale instead of
-/// counted as a protocol error.
-///
-/// Epochs are issued in increasing order and ops run one at a time, so
-/// the closed set is a growing prefix plus a few stragglers around the
-/// op in flight: a watermark covers the prefix and a bounded set the
-/// rest, which keeps the ledger at constant size however long the run.
-/// Every caller matches the in-flight op's own epoch first, so an epoch
-/// below the watermark can only be an echo.
-pub(crate) struct ClosedEpochs {
-    /// Every epoch below this is closed.
-    below: u64,
-    /// Closed epochs at or above `below`; at most [`Self::RECENT`].
-    recent: BTreeSet<u64>,
-}
-
-impl ClosedEpochs {
-    /// How many closed epochs are remembered individually.
-    const RECENT: usize = 64;
-
-    pub fn new() -> Self {
-        ClosedEpochs {
-            below: 0,
-            recent: BTreeSet::new(),
-        }
-    }
-
-    /// Records `epoch` as closed.
-    pub fn close(&mut self, epoch: u64) {
-        if epoch >= self.below {
-            self.recent.insert(epoch);
-        }
-        while self.recent.len() > Self::RECENT {
-            if let Some(oldest) = self.recent.pop_first() {
-                self.below = oldest + 1;
-            }
-        }
-    }
-
-    /// Whether a message stamped `epoch` is an echo of a closed op.
-    pub fn contains(&self, epoch: u64) -> bool {
-        epoch < self.below || self.recent.contains(&epoch)
-    }
-}
-
 /// The worker-seconds integral `∫ active(t) dt` — the provisioning cost
 /// an elastic policy saves against a static peak-sized deployment.
 ///
@@ -456,6 +409,9 @@ struct ProtocolOp {
     /// live extraction) — phases are recorded exactly once; re-drives
     /// and duplicate answers must not repeat them.
     state_out_marked: bool,
+    /// The wait of the op's current phase: from its queueing, restarted
+    /// when it starts and at every awaited answer.
+    wait: Wait,
 }
 
 impl ProtocolOp {
@@ -465,6 +421,7 @@ impl ProtocolOp {
         pause: PauseScope,
         extract: Extract,
         bill_extracted: bool,
+        queued: Wait,
     ) -> Self {
         ProtocolOp {
             epoch: 0,
@@ -478,6 +435,7 @@ impl ProtocolOp {
             collected: Vec::new(),
             awaiting_install: FxHashMap::default(),
             state_out_marked: false,
+            wait: queued,
         }
     }
 
@@ -504,12 +462,6 @@ enum Answer {
     /// No op, open or closed, explains it.
     Stray,
 }
-
-/// Longest the controller will wait for room in a worker's channel. A
-/// live worker drains continuously, so a one-unit slot opens in well
-/// under this; only a worker that died with a full queue (its `Killed`
-/// event still in flight) keeps the channel full for the whole bound.
-const CTL_SEND_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// The controller's handles on the rest of the topology. Every message
 /// it sends goes through [`Controller::send_worker`] or
@@ -590,7 +542,6 @@ fn place_under(
 /// and nothing here reads a clock.
 pub(crate) struct Controller<'a> {
     config: EngineConfig,
-    max_workers: usize,
     partitioner: Box<dyn Partitioner>,
     io: ControlIo<'a>,
     /// Provisioned slots are `0..active`. Never shrinks on a death: the
@@ -600,10 +551,9 @@ pub(crate) struct Controller<'a> {
     active: usize,
     pending: Option<ProtocolOp>,
     queue: VecDeque<ProtocolOp>,
+    /// The last epoch issued: every epoch in `1..=next_epoch` but the
+    /// in-flight op's belongs to an op that is over.
     next_epoch: u64,
-    /// The wait of `pending`'s current phase; restarted on every phase
-    /// progress.
-    op_wait: Option<Wait>,
     ledger: StatsLedger,
     /// Completed stats rounds awaiting the decision pass — filled by
     /// reports, dead-worker strikes, and deadline expiry alike, so every
@@ -622,11 +572,6 @@ pub(crate) struct Controller<'a> {
     /// engine tearing down. A duplicate ack is absorbed by the missing
     /// key.
     resume_state: FxHashMap<u64, (RoutingView, Wait)>,
-    /// Set between sending a `Retire` marker and its `Retired` answer.
-    retiring: Option<TaskId>,
-    /// Late echoes of closed epochs are absorbed as stale instead of
-    /// counted as protocol errors.
-    closed_epochs: ClosedEpochs,
     /// Epochs whose span is open: a span closes `Completed` at its
     /// ResumeAck, `Aborted` at a deadline abort, `Abandoned` at teardown
     /// — exactly once, whichever comes first.
@@ -671,21 +616,16 @@ impl<'a> Controller<'a> {
         io: ControlIo<'a>,
         t0: Instant,
     ) -> Self {
-        let max_workers = io.worker_txs.len();
         Controller {
-            max_workers,
             active: config.n_workers,
             pending: None,
             queue: VecDeque::new(),
             next_epoch: 0,
-            op_wait: None,
             ledger: StatsLedger::new(),
             closed_rounds: Vec::new(),
             early: None,
             last_round_cost: 0,
             resume_state: FxHashMap::default(),
-            retiring: None,
-            closed_epochs: ClosedEpochs::new(),
             open_spans: FxHashSet::default(),
             clock: Clock {
                 now: t0,
@@ -706,7 +646,7 @@ impl<'a> Controller<'a> {
             lost: FxHashMap::default(),
             scratch_op: None,
             drops: DropCounter::new(&config.fault_plan),
-            report: EngineReport::empty(partitioner.name(), max_workers),
+            report: EngineReport::empty(partitioner.name(), config.max_workers),
             config,
             partitioner,
             io,
@@ -770,27 +710,24 @@ impl<'a> Controller<'a> {
         true
     }
 
-    /// Bounded-wait control send to worker slot `w`, drop-gated when
-    /// `kind` names a droppable kind. The controller must never block on
-    /// a worker channel: the worker may have died with a full queue
-    /// before its `Killed` event was read. False when the message did not
-    /// reach the channel: a planned drop or a timeout (recovered by the
-    /// deadline machinery, like a loss in flight), or a disconnect,
-    /// which is ledgered.
+    /// Control send to worker slot `w`, drop-gated when `kind` names a
+    /// droppable kind. A control message weighs nothing, so it never
+    /// waits for room — not even in the full queue of a worker that died
+    /// before its `Killed` event was read — and lands behind every batch
+    /// already queued. False when the message did not reach the channel:
+    /// a planned drop (recovered by the deadline machinery, like a loss
+    /// in flight) or a disconnect, which is ledgered.
     fn send_worker(&mut self, w: usize, kind: Option<CtlKind>, msg: Message) -> bool {
         if kind.is_some_and(|k| self.planned_drop(k)) {
             return false;
         }
-        match self.io.worker_txs[w].send_timeout(msg, CTL_SEND_TIMEOUT) {
-            Ok(()) => true,
-            Err(SendTimeoutError::Timeout(_)) => false,
-            Err(SendTimeoutError::Disconnected(_)) => {
-                self.fault(FaultEvent::SendFailed {
-                    to: SendPeer::Worker(w),
-                });
-                false
-            }
+        if self.io.worker_txs[w].send_weighted(msg, 0).is_ok() {
+            return true;
         }
+        self.fault(FaultEvent::SendFailed {
+            to: SendPeer::Worker(w),
+        });
+        false
     }
 
     /// Sends a source control message, drop-gating it when `kind` names
@@ -1110,12 +1047,8 @@ impl<'a> Controller<'a> {
                 let live = by_source.keys().filter(|w| !self.dead.contains(&w.index()));
                 op.awaiting_out.extend(live);
             }
-            Extract::Retire(victim) => {
-                op.awaiting_out.insert(*victim);
-                self.retiring = Some(*victim);
-            }
+            Extract::Retire(victim) => op.awaiting_out.extend([*victim]),
         }
-        self.op_wait = Some(self.clock.wait());
         // The source is quiesced: every tuple it will ever send under
         // the old view is in the holders' channels, and the extraction
         // markers land behind all of them. A dropped marker stays
@@ -1174,9 +1107,6 @@ impl<'a> Controller<'a> {
         // can respawn here and no message can ever be silently dropped.
         self.ledger.on_residue(worker, stats);
         self.io.worker_rxs[worker.index()] = Some(rx);
-        if self.retiring == Some(worker) {
-            self.retiring = None;
-        }
         if answer == Answer::Stray {
             return;
         }
@@ -1201,24 +1131,26 @@ impl<'a> Controller<'a> {
     fn on_install_ack(&mut self, worker: TaskId, epoch: u64) {
         // A duplicate is a re-driven install's second ack (the worker
         // dedupes the install, then re-acks); fire-and-forget installs
-        // under a pre-closed epoch are absorbed the same way.
+        // under an epoch no op owns are absorbed the same way.
         let stray = ProtocolError::StrayInstallAck {
             worker: worker.index(),
             epoch,
         };
         let awaited = |op: &mut ProtocolOp| op.awaiting_install.remove(&worker).is_some();
         if self.claim(epoch, "install ack", stray, awaited) == Answer::Awaited {
-            self.op_wait = Some(self.clock.wait());
             self.advance_op();
         }
     }
 
-    /// Classifies an acknowledgement stamped `epoch`; when that is the
-    /// in-flight op's own, `strike` says whether the op was still
-    /// waiting for it (and strikes it off). A late echo is absorbed into
-    /// the fault ledger as `what`; one nothing explains is bookkeeping
-    /// divergence — recorded as `stray`, not a reason to kill the
-    /// pipeline.
+    /// Classifies an acknowledgement stamped `epoch`. When that is the
+    /// in-flight op's own, `strike` says whether the op was still waiting
+    /// for it (and strikes it off); an awaited answer is phase progress,
+    /// so the op's wait restarts. Any other epoch the one counter issued
+    /// belongs to an op that is over — finished, aborted, or a re-home or
+    /// rollback install — so its answer is a late echo, absorbed into
+    /// the fault ledger as `what`. One nothing explains (an epoch never
+    /// issued) is bookkeeping divergence — recorded as `stray`, not a
+    /// reason to kill the pipeline.
     fn claim(
         &mut self,
         epoch: u64,
@@ -1229,10 +1161,11 @@ impl<'a> Controller<'a> {
         match self.pending.as_mut() {
             Some(op) if op.epoch == epoch => {
                 if strike(op) {
+                    op.wait = self.clock.wait();
                     return Answer::Awaited;
                 }
             }
-            _ if self.closed_epochs.contains(epoch) => {}
+            _ if (1..=self.next_epoch).contains(&epoch) => {}
             _ => {
                 self.report.protocol_errors.push(stray);
                 return Answer::Stray;
@@ -1267,7 +1200,6 @@ impl<'a> Controller<'a> {
         let Some(op) = self.pending.as_mut() else {
             return;
         };
-        self.op_wait = Some(self.clock.wait());
         if !op.state_out_marked {
             op.state_out_marked = true;
             self.io.rec.span_phase(op.epoch, Phase::StateOut);
@@ -1336,7 +1268,7 @@ impl<'a> Controller<'a> {
     }
 
     /// State that arrived on a closed epoch has left its owner: re-home
-    /// it under the *current* view on a fresh, pre-closed epoch (the
+    /// it under the *current* view on a fresh epoch no op owns (the
     /// installs are fire-and-forget; their acks absorb as stale). Once
     /// the drain has begun it goes straight into the report instead:
     /// every worker's `Shutdown` is already queued ahead of any install,
@@ -1350,7 +1282,6 @@ impl<'a> Controller<'a> {
         let placed = place_under(self.partitioner.routing_view(), states);
         if !placed.is_empty() {
             self.next_epoch += 1;
-            self.closed_epochs.close(self.next_epoch);
             self.rehome(self.next_epoch, placed);
         }
     }
@@ -1368,9 +1299,7 @@ impl<'a> Controller<'a> {
     /// free the op slot.
     fn finish_op(&mut self, epoch: u64, view: RoutingView) {
         self.issue_resume(epoch, view);
-        self.closed_epochs.close(epoch);
         self.pending = None;
-        self.op_wait = None;
     }
 
     /// Issues a source resume and arms its deadline clock. A resume
@@ -1442,7 +1371,6 @@ impl<'a> Controller<'a> {
                 // The victim died mid-retire: its state died with it
                 // (accounted above); resume under the shrunk view.
                 let (epoch, view) = (op.epoch, op.view.clone());
-                self.retiring = None;
                 self.finish_op(epoch, view);
             } else {
                 // Whatever it still owed is gone; a blob already in its
@@ -1486,7 +1414,7 @@ impl<'a> Controller<'a> {
         // physical tail.
         let scale_in_flight = self.pending.iter().any(|op| op.is_scale_in())
             || self.queue.iter().any(ProtocolOp::is_scale_in);
-        let room = !scale_in_flight && self.active < self.max_workers;
+        let room = !scale_in_flight && self.active < self.config.max_workers;
         let inputs = RoundInputs {
             obs: IntervalObservation {
                 interval,
@@ -1588,6 +1516,7 @@ impl<'a> Controller<'a> {
                     PauseScope::Dest(victim),
                     Extract::Retire(victim),
                     false,
+                    self.clock.wait(),
                 ));
             }
             RoundAction::Split { event, key } => {
@@ -1632,6 +1561,7 @@ impl<'a> Controller<'a> {
             PauseScope::Keys(affected),
             Extract::Moves(by_source),
             bill_extracted,
+            self.clock.wait(),
         ));
     }
 
@@ -1694,6 +1624,7 @@ impl<'a> Controller<'a> {
             PauseScope::Keys(affected),
             Extract::Moves(by_source),
             false,
+            self.clock.wait(),
         ));
         true
     }
@@ -1727,16 +1658,16 @@ impl<'a> Controller<'a> {
     /// In-flight-op deadline: the first expiry re-drives the stuck
     /// phase, the second aborts with rollback.
     fn check_op_deadline(&mut self) {
-        let (Some(_), Some(wait)) = (&self.pending, self.op_wait.as_mut()) else {
+        let Some(op) = self.pending.as_mut() else {
             return;
         };
-        if !self.clock.expired(wait) {
+        if !self.clock.expired(&op.wait) {
             return;
         }
-        if wait.retried {
+        if op.wait.retried {
             self.abort_op();
         } else {
-            *wait = self.clock.retry();
+            op.wait = self.clock.retry();
             self.redrive();
         }
     }
@@ -1751,8 +1682,8 @@ impl<'a> Controller<'a> {
     }
 
     /// Sends what the in-flight op's phase waits on: the quiesce request,
-    /// a `MigrateOut` to each live holder still awaited, the victim's
-    /// `Retire` while it is retiring, or the installs not yet
+    /// a `MigrateOut` to each live holder still awaited (the victim's
+    /// `Retire`, for a scale-in), or the installs not yet
     /// acknowledged. Every re-drive, and the first pause and extraction
     /// sends (the first installs go out through [`Controller::rehome`]);
     /// workers and source absorb duplicates by epoch.
@@ -1767,23 +1698,22 @@ impl<'a> Controller<'a> {
                 let scope = op.pause.clone();
                 self.send_src(Some(CtlKind::Pause), SourceCtl::Pause { epoch, scope });
             }
-            (Waiting::StateOut, Extract::Moves(by_source)) => {
+            (Waiting::StateOut, extract) => {
                 for w in &op.awaiting_out {
                     if self.dead.contains(&w.index()) {
                         continue;
                     }
-                    let moves = by_source.get(w).cloned().unwrap_or_default();
-                    let marker = Message::MigrateOut { epoch, moves };
-                    self.send_worker(w.index(), Some(CtlKind::MigrateOut), marker);
-                }
-            }
-            (Waiting::StateOut, Extract::Retire(victim)) => {
-                // The victim answers the first marker it sees; a
-                // duplicate lands on a drained channel and is discarded
-                // with it.
-                if self.retiring == Some(*victim) {
-                    let retire = Message::Retire { epoch };
-                    self.send_worker(victim.index(), Some(CtlKind::Retire), retire);
+                    let (kind, marker) = match extract {
+                        Extract::Moves(by_source) => {
+                            let moves = by_source.get(w).cloned().unwrap_or_default();
+                            (CtlKind::MigrateOut, Message::MigrateOut { epoch, moves })
+                        }
+                        // A scale-in awaits only its victim, which answers
+                        // the first marker it sees; a duplicate lands on a
+                        // drained channel and is discarded with it.
+                        Extract::Retire(_) => (CtlKind::Retire, Message::Retire { epoch }),
+                    };
+                    self.send_worker(w.index(), Some(kind), marker);
                 }
             }
             (Waiting::InstallAcks, _) => {
@@ -1805,13 +1735,11 @@ impl<'a> Controller<'a> {
         let Some(op) = self.pending.take() else {
             return;
         };
-        self.op_wait = None;
         let epoch = op.epoch;
         self.fault(FaultEvent::OpAborted {
             op: op.kind(),
             epoch,
         });
-        self.closed_epochs.close(epoch);
         // Close the span Aborted *before* the rollback resume goes out,
         // so the resume phase (and its ack) cannot land on a closed
         // span.
@@ -1820,15 +1748,12 @@ impl<'a> Controller<'a> {
         }
         match op.extract {
             Extract::Moves(by_source) => self.roll_back(epoch, &by_source, op.collected),
-            Extract::Retire(victim) => {
+            Extract::Retire(_) => {
                 // The routing already shrank at decision time, so resume
                 // under the retire's view: a still-live victim becomes a
                 // routed-around zombie that drains at shutdown with its
                 // state intact; a late `Retired` is absorbed by the
                 // closed epoch.
-                if self.retiring == Some(victim) {
-                    self.retiring = None;
-                }
                 self.issue_resume(epoch, op.view);
             }
         }
@@ -1839,7 +1764,7 @@ impl<'a> Controller<'a> {
     /// hand (`collected`) is re-installed there; state already delivered
     /// stays where it landed — re-sending it could double-count, and
     /// per-key counts merge at shutdown regardless of which slot holds
-    /// them. The rollback is its own span on a fresh pre-closed epoch:
+    /// them. The rollback is its own span on a fresh epoch no op owns:
     /// its installs and the resume happen synchronously right here, so
     /// it opens and closes in one breath.
     fn roll_back(
@@ -1860,7 +1785,6 @@ impl<'a> Controller<'a> {
         self.partitioner.apply_moves(&reverse);
         self.next_epoch += 1;
         let rollback = self.next_epoch;
-        self.closed_epochs.close(rollback);
         let in_hand: Vec<(Key, TaskId, Bytes)> = collected
             .into_iter()
             .filter_map(|(k, _, blob)| origin_of.get(&k).map(|&home| (k, home, blob)))
@@ -1938,7 +1862,7 @@ impl<'a> Controller<'a> {
         self.io.rec.span_phase(op.epoch, Phase::Plan);
         self.io.rec.span_phase(op.epoch, Phase::Pause);
         self.open_spans.insert(op.epoch);
-        self.op_wait = Some(self.clock.wait());
+        op.wait = self.clock.wait();
         self.pending = Some(op);
         self.send_phase();
     }
@@ -1961,8 +1885,8 @@ impl<'a> Controller<'a> {
             return;
         }
         self.draining = true;
-        // A slot whose Shutdown did not land (timeout or disconnect) is
-        // left out of the drain target; its thread still exits when the
+        // A slot whose Shutdown did not land (a disconnect) is left out
+        // of the drain target; its thread still exits when the
         // channel disconnects at teardown.
         for i in 0..self.active {
             if !self.dead.contains(&i) && self.send_worker(i, None, Message::Shutdown) {
@@ -1976,41 +1900,6 @@ impl<'a> Controller<'a> {
 mod tests {
     use super::*;
 
-    /// A run of any length leaves the closed-epoch ledger at constant
-    /// size, and an echo of any closed epoch — however old — is still
-    /// recognised (absorbed as stale, never a `StrayPauseAck`).
-    #[test]
-    fn closed_epochs_stay_bounded_and_absorb_late_echoes() {
-        let mut closed = ClosedEpochs::new();
-        assert!(!closed.contains(0) && !closed.contains(1));
-        // Epoch 7 is the op in flight while its neighbours close.
-        for epoch in (1..=100_000u64).filter(|&e| e != 7) {
-            closed.close(epoch);
-            assert!(closed.recent.len() <= ClosedEpochs::RECENT);
-        }
-        for echo in [1, 6, 8, 50_000, 99_936, 99_937, 100_000] {
-            assert!(closed.contains(echo), "epoch {echo} closed");
-        }
-        assert!(!closed.contains(100_001), "never issued");
-        // A straggler below the watermark adds nothing.
-        closed.close(7);
-        assert_eq!(closed.recent.len(), ClosedEpochs::RECENT);
-        assert!(closed.contains(7));
-    }
-
-    /// While few epochs have closed, one skipped in between (the op in
-    /// flight) is not mistaken for closed.
-    #[test]
-    fn closed_epochs_keep_the_in_flight_epoch_open() {
-        let mut closed = ClosedEpochs::new();
-        for epoch in [1, 2, 4, 5] {
-            closed.close(epoch);
-        }
-        assert!(!closed.contains(3));
-        assert!(!closed.contains(6));
-        closed.close(3);
-        assert!(closed.contains(3));
-    }
     use streambal_core::{Key, KeyStat};
 
     fn stats_with_cost(key: u64, cost: u64) -> IntervalStats {
@@ -2509,16 +2398,13 @@ mod protocol_tests {
         let key = key_homed_on(1, 2);
         let blob = Bytes::copy_from_slice(b"state");
         let view = storm(2).routing_view();
-        type Op = (ProtocolOp, &'static str, Box<dyn Fn(u64) -> WorkerEvent>);
-        let cases: Vec<Op> = vec![
+        type Reply = Box<dyn Fn(u64) -> WorkerEvent>;
+        type Case = (OpLabel, PauseScope, Extract, &'static str, Reply);
+        let cases: Vec<Case> = vec![
             (
-                ProtocolOp::new(
-                    OpLabel::Rebalance,
-                    view.clone(),
-                    PauseScope::Keys(vec![key]),
-                    Extract::Moves([(TaskId(0), vec![(key, TaskId(1))])].into_iter().collect()),
-                    false,
-                ),
+                OpLabel::Rebalance,
+                PauseScope::Keys(vec![key]),
+                Extract::Moves([(TaskId(0), vec![(key, TaskId(1))])].into_iter().collect()),
                 "state out",
                 Box::new({
                     let blob = blob.clone();
@@ -2530,19 +2416,16 @@ mod protocol_tests {
                 }),
             ),
             (
-                ProtocolOp::new(
-                    OpLabel::ScaleIn,
-                    view,
-                    PauseScope::Dest(TaskId(2)),
-                    Extract::Retire(TaskId(2)),
-                    false,
-                ),
+                OpLabel::ScaleIn,
+                PauseScope::Dest(TaskId(2)),
+                Extract::Retire(TaskId(2)),
                 "retired",
                 Box::new(move |epoch| retired(2, epoch, vec![(key, blob.clone())])),
             ),
         ];
-        for (op, what, answer) in cases {
+        for (label, pause, extract, what, answer) in cases {
             let (mut ctl, rig) = rig(FixedSchedule::new([]));
+            let op = ProtocolOp::new(label, view.clone(), pause, extract, false, ctl.clock.wait());
             ctl.queue.push_back(op);
             ctl.tick_now();
             ctl.on_source(SourceEvent::PauseAck { epoch: 1 });
@@ -2704,6 +2587,98 @@ mod protocol_tests {
         assert_eq!(spans, rolled_back);
     }
 
+    /// An answer for an epoch the counter issued to an op that is over —
+    /// however long ago — is a late echo, and so is a duplicate of the
+    /// in-flight op's own answer: each is absorbed into the fault ledger.
+    /// An answer for an epoch never issued is a protocol error.
+    #[test]
+    fn answers_are_stale_for_issued_epochs_and_stray_beyond_them() {
+        let (mut ctl, _rig) = rig(FixedSchedule::new([]));
+        for epoch in 1..=100 {
+            ctl.enqueue(OpLabel::Split, vec![Key(7)], FxHashMap::default(), false);
+            ctl.tick_now();
+            ctl.on_source(SourceEvent::PauseAck { epoch });
+            ctl.on_source(SourceEvent::ResumeAck { epoch });
+        }
+        // Op 101 waits for its holder after its pause ack.
+        let (key, to) = (key_homed_on(0, 3), TaskId(1));
+        let moves = [(TaskId(0), vec![(key, to)])].into_iter().collect();
+        ctl.enqueue(OpLabel::Rebalance, vec![key], moves, false);
+        ctl.tick_now();
+        ctl.on_source(SourceEvent::PauseAck { epoch: 101 });
+        for epoch in [1, 101, 102] {
+            ctl.on_source(SourceEvent::PauseAck { epoch });
+            ctl.on_worker(WorkerEvent::InstallAck { worker: to, epoch });
+        }
+        assert!(ctl.pending.as_ref().is_some_and(|op| op.epoch == 101));
+        let stale = |epoch, what| FaultEvent::StaleEpochAbsorbed { epoch, what };
+        let faults = [1, 101].map(|e| [stale(e, "pause ack"), stale(e, "install ack")]);
+        assert_eq!(ctl.take_faults(), faults.concat());
+        let (epoch, worker) = (102, 1);
+        let stray = [
+            ProtocolError::StrayPauseAck { epoch },
+            ProtocolError::StrayInstallAck { worker, epoch },
+        ];
+        assert_eq!(ctl.report.protocol_errors, stray);
+    }
+
+    /// Control messages weigh nothing: a worker channel filled to
+    /// capacity by one batch takes a `MigrateOut`, a `StateInstall` and
+    /// `Shutdown` at once, behind the batch and in the order sent, and
+    /// its queued weight still counts tuples only.
+    #[test]
+    fn control_messages_never_wait_on_a_full_worker_channel() {
+        let (mut ctl, rig) = rig(FixedSchedule::new([]));
+        let epoch = 1;
+        let (cap, tx) = (ctl.config.channel_capacity, ctl.io.worker_txs[0].clone());
+        let batch = vec![crate::tuple::Tuple::keyed(Key(9)); cap];
+        tx.send_weighted(Message::TupleBatch(batch), cap).unwrap();
+        // Workers 0 and 1 swap a key each: 0 is asked for `a` and
+        // installs `b`.
+        let (a, b) = (key_homed_on(0, 3), key_homed_on(1, 3));
+        let blob = Bytes::copy_from_slice(b"state");
+        let swap = [(0, a, 1), (1, b, 0)].map(|(w, k, to)| (TaskId(w), k, TaskId(to)));
+        let moves = swap.iter().map(|&(w, k, to)| (w, vec![(k, to)])).collect();
+        ctl.enqueue(OpLabel::Rebalance, vec![a, b], moves, false);
+        ctl.tick_now();
+        ctl.on_source(SourceEvent::PauseAck { epoch });
+        for (worker, k, to) in swap {
+            let states = vec![(k, to, blob.clone())];
+            ctl.on_worker(WorkerEvent::StateOut {
+                worker,
+                epoch,
+                states,
+            });
+        }
+        for (worker, ..) in swap {
+            ctl.on_worker(WorkerEvent::InstallAck { worker, epoch });
+        }
+        ctl.on_source(SourceEvent::ResumeAck { epoch });
+        ctl.on_source(SourceEvent::Finished);
+        ctl.tick_now();
+        assert_eq!((ctl.drain_target, tx.queued_weight()), (3, cap));
+        let got: Vec<String> = std::iter::from_fn(|| rig.workers[0].try_recv().ok())
+            .map(|msg| match msg {
+                Message::TupleBatch(batch) => format!("{} tuples", batch.len()),
+                Message::StateInstall { epoch, states } => {
+                    format!("install {epoch} {:?}", states[0].0)
+                }
+                other => format!("{other:?}"),
+            })
+            .collect();
+        let moves = vec![(a, TaskId(1))];
+        let migrate_out = format!("{:?}", Message::MigrateOut { epoch, moves });
+        let install = format!("install 1 {b:?}");
+        let sent = [
+            format!("{cap} tuples"),
+            migrate_out,
+            install,
+            "Shutdown".into(),
+        ];
+        assert_eq!(got, sent);
+        assert_eq!(ctl.report.protocol_errors, vec![]);
+    }
+
     /// A `PauseAck` the plan drops is lost on arrival: the controller
     /// discards the first it reads and ledgers the drop; the deadline
     /// re-drives the pause, and the second ack completes the op.
@@ -2766,9 +2741,8 @@ mod protocol_tests {
         let installs = |slot: usize| installs_at(&rig.workers[slot]);
         assert_eq!(installs(0), vec![], "the empty blob went nowhere");
         assert_eq!(installs(1), vec![], "nothing lands on the corpse");
-        // The stale re-home ran on a fresh, pre-closed epoch.
+        // The stale re-home ran on a fresh epoch.
         assert_eq!(installs(2), vec![(7, vec![key]), (1, vec![key])]);
-        assert!(ctl.closed_epochs.contains(1));
 
         ctl.draining = true;
         ctl.rehome_stale(vec![(key, blob.clone()), (hollow, Bytes::new())]);
@@ -3143,6 +3117,7 @@ mod protocol_tests {
             PauseScope::Keys(vec![hot]),
             Extract::Moves(FxHashMap::default()),
             false,
+            ctl.clock.wait(),
         ));
         settle(&mut ctl, 1, heavy());
         assert_eq!(ctl.report.split_events, vec![]);

@@ -49,7 +49,8 @@ pub struct EngineConfig {
     /// backpressures the source (the paper's "backpushing effect").
     /// Batched sends are weighted by their tuple count
     /// (`send_weighted`), so the bound stays exactly tuple-denominated
-    /// at any batch size and any fan-out fill — control markers weigh 1.
+    /// at any batch size and any fan-out fill — control markers weigh
+    /// nothing and never wait.
     /// A run with 0 is refused ([`Refusal::NoChannelCapacity`]).
     pub channel_capacity: usize,
     /// Worker → collector channel depth in *tuples* (PKG's max-pending
@@ -914,7 +915,8 @@ impl SourcePlane {
     /// the round with the slots it marks *before* it marks them, so no
     /// answer can reach the controller ahead of its round; then each
     /// marker lands behind every batch routed so far and ahead of every
-    /// later one. A marker the plan drops stays announced, as one lost in
+    /// later one. A marker weighs nothing, so marking never waits for
+    /// room. A marker the plan drops stays announced, as one lost in
     /// flight would; the controller is told of the drop instead.
     fn cut(&mut self, interval: u64, peek: bool) {
         let held = match &self.paused {
@@ -946,7 +948,7 @@ impl SourcePlane {
             } else {
                 Message::StatsRequest { interval }
             };
-            if self.worker_txs[d].send(marker).is_err() {
+            if self.worker_txs[d].send_weighted(marker, 0).is_err() {
                 self.lost_dest(d);
             }
         }
@@ -1088,9 +1090,9 @@ mod tests {
 
     fn decode_counts(states: &[(Key, Bytes)]) -> FxHashMap<Key, u64> {
         let mut m = FxHashMap::default();
+        let op = WordCountOp::new();
         for (k, blob) in states {
-            let total: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
-            *m.entry(*k).or_insert(0) += total;
+            *m.entry(*k).or_insert(0) += op.tuples_in_blob(blob);
         }
         m
     }

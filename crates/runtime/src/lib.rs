@@ -71,7 +71,10 @@
 //! the destination acknowledged installation, so post-resume batches land
 //! behind the installed state; and the controller ships `Shutdown` only
 //! after the source's `ResumeAck` confirms the pause-buffer flush
-//! batches are already enqueued ahead of it.
+//! batches are already enqueued ahead of it. A marker weighs nothing on
+//! the tuple-weighted channels: it is enqueued at once, in FIFO order,
+//! however full the channel is, so the bound counts tuples only and no
+//! control send ever waits for room.
 //!
 //! CPU saturation is emulated by `spin_work` busy-iterations per tuple,
 //! mirroring the paper's "controlling the latency on tuple processing to
@@ -245,7 +248,7 @@
 //!   workers, source, and controller absorb duplicates by epoch), its
 //!   second **aborts with rollback**: routing reverts to each key's
 //!   origin, state still in the controller's hand is re-installed under
-//!   a fresh pre-closed epoch, and a victim's *late* `StateOut`/`Retired`
+//!   a fresh epoch no op owns, and a victim's *late* `StateOut`/`Retired`
 //!   on the closed epoch is absorbed and its blobs re-homed under the
 //!   current view — never dropped. An expired resume is re-driven until
 //!   acked; an expired round closes over the missing workers and is

@@ -813,8 +813,7 @@ mod tests {
                 assert_eq!(final_states.len(), 1);
                 let (k, blob) = &final_states[0];
                 assert_eq!(*k, Key(9));
-                let total: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
-                assert_eq!(total, 4);
+                assert_eq!(WordCountOp::new().tuples_in_blob(blob), 4);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -987,10 +986,7 @@ mod tests {
                 exit: WorkerExit::Drained { final_states },
                 ..
             } => {
-                let total: u64 = WordCountOp::decode(&final_states[0].1)
-                    .iter()
-                    .map(|&(_, c)| c)
-                    .sum();
+                let total = WordCountOp::new().tuples_in_blob(&final_states[0].1);
                 assert_eq!(total, 3, "duplicate epoch must not double counts");
             }
             other => panic!("unexpected {other:?}"),

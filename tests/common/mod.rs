@@ -1,5 +1,6 @@
 //! The workload the engine integration suites share (`chaos.rs`,
-//! `trace.rs`, `cross_partitioner.rs`): a skewed, fluctuating,
+//! `trace.rs`, `cross_partitioner.rs`; `end_to_end_rebalance.rs` uses
+//! its reference and observed counts): a skewed, fluctuating,
 //! migration-heavy stream over three workers, the partitioners under
 //! test, one way to run the engine on it, and the exact per-key counts
 //! every run is checked against.
@@ -14,7 +15,7 @@ use streambal::core::{BalanceParams, RebalanceStrategy};
 use streambal::hashring::FxHashMap;
 use streambal::prelude::{Key, Partitioner, TaskId};
 use streambal::runtime::{
-    replay, Collector, Engine, EngineConfig, EngineReport, SumCollector, WordCountOp,
+    replay, Collector, Engine, EngineConfig, EngineReport, Operator, SumCollector, WordCountOp,
 };
 use streambal::workloads::FluctuatingWorkload;
 
@@ -155,9 +156,9 @@ pub fn run_feed(
 pub fn observed_counts(report: &EngineReport, preserves: bool) -> FxHashMap<Key, u64> {
     let mut got: FxHashMap<Key, u64> = FxHashMap::default();
     if preserves {
+        let op = WordCountOp::new();
         for (k, blob) in &report.final_states {
-            let n: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
-            *got.entry(*k).or_insert(0) += n;
+            *got.entry(*k).or_insert(0) += op.tuples_in_blob(blob);
         }
     } else {
         for &(k, v) in &report.collector_result {

@@ -12,13 +12,12 @@
 mod common;
 
 use common::{
-    all_partitioners, assert_exact, hottest_key, keyed_intervals, mixed_balancer, reference_counts,
-    run_engine, FLUCTUATION, INTERVALS, KEYS, N_TASKS, SEED, TUPLES, ZIPF,
+    all_partitioners, assert_exact, hottest_key, keyed_intervals, mixed_balancer, observed_counts,
+    reference_counts, run_engine, FLUCTUATION, INTERVALS, KEYS, N_TASKS, SEED, TUPLES, ZIPF,
 };
 use streambal::baselines::{pkg, readj, shuffle, storm, CoreBalancer, ReadjConfig};
 use streambal::core::{BalanceParams, IntervalStats, KeyStat, RebalanceStrategy, RoutingView};
 use streambal::elastic::{FixedSchedule, FixedSplitSchedule};
-use streambal::hashring::FxHashMap;
 use streambal::prelude::{Key, Partitioner, TaskId};
 use streambal::runtime::{
     replay, Collector, Engine, EngineConfig, SourceRouter, SumCollector, WordCountOp,
@@ -314,22 +313,7 @@ fn engine_word_counts_exact_across_partitioners() {
 
         assert_eq!(report.processed, total, "{name}: tuples lost or duplicated");
 
-        let got: FxHashMap<Key, u64> = if preserves {
-            report
-                .final_states
-                .iter()
-                .map(|(k, blob)| {
-                    let n: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
-                    (*k, n)
-                })
-                .collect()
-        } else {
-            report
-                .collector_result
-                .iter()
-                .map(|&(k, v)| (Key(k), v))
-                .collect()
-        };
+        let got = observed_counts(&report, preserves);
         assert_eq!(got, expect, "{name}: word counts diverged");
     }
 }

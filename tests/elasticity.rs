@@ -28,7 +28,9 @@ use streambal::elastic::{
     SplitDecision, SplitEvent, ThresholdPolicy,
 };
 use streambal::prelude::Key;
-use streambal::runtime::{replay, Engine, EngineConfig, EventKind, OpLabel, Tuple, WordCountOp};
+use streambal::runtime::{
+    replay, Engine, EngineConfig, EventKind, OpLabel, Operator, Tuple, WordCountOp,
+};
 use streambal::sim::source::ReplaySource;
 use streambal::sim::{EarlyRounds, QueueModel, Reaction, Sim};
 
@@ -372,12 +374,7 @@ fn split_sim_plan_replays_identically_on_the_engine() {
         .final_states
         .iter()
         .filter(|(k, _)| k.raw() == HOT)
-        .map(|(_, blob)| {
-            WordCountOp::decode(blob)
-                .iter()
-                .map(|&(_, c)| c)
-                .sum::<u64>()
-        })
+        .map(|(_, blob)| WordCountOp::new().tuples_in_blob(blob))
         .sum();
     assert_eq!(hot_count, 2 * BURST, "merged hot-key count must be exact");
 }
@@ -454,9 +451,9 @@ fn early_split_lands_inside_the_interval_and_matches_the_closing_round() {
         assert_eq!(split.close_us < fed_us, inside);
         assert_eq!(r.protocol_errors, vec![]);
         let mut seen = BTreeMap::new();
+        let op = WordCountOp::new();
         for (k, blob) in &r.final_states {
-            let n: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
-            *seen.entry(k.raw()).or_insert(0u64) += n;
+            *seen.entry(k.raw()).or_insert(0u64) += op.tuples_in_blob(blob);
         }
         assert_eq!(seen, expect, "merged per-key counts");
     }

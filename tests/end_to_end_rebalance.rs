@@ -2,9 +2,11 @@
 //! strategy must deliver exact stateful results while migrating state, and
 //! the rebalanced assignment must actually converge toward balance.
 
+mod common;
+
+use common::{observed_counts, reference_counts};
 use streambal::baselines::{readj, storm, CoreBalancer, Partitioner, ReadjConfig};
 use streambal::core::{BalanceParams, Key, RebalanceStrategy, TaskId};
-use streambal::hashring::FxHashMap;
 use streambal::runtime::{replay, Engine, EngineConfig, WordCountOp};
 use streambal::workloads::FluctuatingWorkload;
 
@@ -18,25 +20,6 @@ fn skewed_intervals(n: usize, seed: u64) -> Vec<Vec<Key>> {
             w.tuples()
         })
         .collect()
-}
-
-fn reference(intervals: &[Vec<Key>]) -> FxHashMap<Key, u64> {
-    let mut m = FxHashMap::default();
-    for iv in intervals {
-        for &k in iv {
-            *m.entry(k).or_insert(0) += 1;
-        }
-    }
-    m
-}
-
-fn final_counts(report: &streambal::runtime::EngineReport) -> FxHashMap<Key, u64> {
-    let mut m = FxHashMap::default();
-    for (k, blob) in &report.final_states {
-        let total: u64 = WordCountOp::decode(blob).iter().map(|&(_, c)| c).sum();
-        *m.entry(*k).or_insert(0) += total;
-    }
-    m
 }
 
 fn run(
@@ -61,7 +44,7 @@ fn run(
 #[test]
 fn every_key_preserving_strategy_is_exactly_once() {
     let intervals = skewed_intervals(5, 77);
-    let expect = reference(&intervals);
+    let expect = reference_counts(&intervals);
     let strategies: Vec<(&str, Box<dyn Partitioner>)> = vec![
         ("hash", Box::new(storm(3))),
         (
@@ -116,7 +99,7 @@ fn every_key_preserving_strategy_is_exactly_once() {
     for (name, p) in strategies {
         let report = run(p, &intervals);
         assert_eq!(
-            final_counts(&report),
+            observed_counts(&report, true),
             expect,
             "{name}: counts diverged (migrations must be exactly-once)"
         );
