@@ -6,6 +6,11 @@
 //! retiring worker can answer a round the controller already closed)
 //! and the worker-seconds integral (which must bill queued scale-ins
 //! exactly once per parallelism change).
+//!
+//! One op runs at a time, from its pause to the source's `ResumeAck`:
+//! the next op's pause goes out only after the source confirmed it runs
+//! on the previous op's view, so no later pause or view can overtake an
+//! earlier resume, and no re-driven resume can roll the source back.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -27,14 +32,14 @@ use crate::operator::Operator;
 
 /// Where a wait started, on both of the controller's clocks — an instant
 /// and a source interval — and whether it was already re-driven once.
-/// Op phases, source resumes and statistics rounds all wait this way,
-/// and [`Clock::expired`] is the one rule that ends every wait.
+/// Op phases and statistics rounds both wait this way, and
+/// [`Clock::expired`] is the one rule that ends every wait.
 #[derive(Clone, Copy)]
 struct Wait {
     at: Instant,
     interval: u64,
-    /// Op phases and resumes re-drive once before escalating; a
-    /// statistics round only expires.
+    /// An op phase re-drives once before it aborts (a resume phase
+    /// re-drives at every expiry); a statistics round only expires.
     retried: bool,
 }
 
@@ -375,21 +380,32 @@ enum Waiting {
     StateOut,
     /// The destinations in `awaiting_install`.
     InstallAcks,
+    /// The source's `ResumeAck`: it runs on `view` and has flushed its
+    /// pause buffer. The last phase of every op, aborted or not; it is
+    /// re-driven at every expiry and never aborted — an abandoned resume
+    /// would strand pause-buffered tuples at the source and hang
+    /// shutdown.
+    ResumeAck,
 }
 
 /// One control-plane operation, queued or in flight. Every op the
 /// controller runs — rebalance, pre-placed scale-out, scale-in, split,
 /// unsplit — is this one walk (plan → pause → quiesce → state_out →
-/// install → resume) with a different pause scope and state source; ops
-/// serialize through one queue, so state placement always advances one
-/// routing-function delta at a time.
+/// install → resume → resume ack) with a different pause scope and
+/// state source; ops serialize through one queue, and an op leaves it
+/// only at the source's `ResumeAck`, so state placement and the
+/// source's view always advance one routing-function delta at a time.
+/// The op's span (id = its epoch) lives as long as the op, except that
+/// an abort closes it early and the op then walks its resume phase
+/// spanless.
 struct ProtocolOp {
     /// Assigned when the op starts (0 while queued).
     epoch: u64,
     /// The flight-recorder span label.
     label: OpLabel,
     /// The routing function to resume under, captured right after the
-    /// partitioner mutation that planned the op.
+    /// partitioner mutation that planned the op (an abort replaces it
+    /// with the rolled-back view).
     view: RoutingView,
     pause: PauseScope,
     extract: Extract,
@@ -409,8 +425,11 @@ struct ProtocolOp {
     /// live extraction) — phases are recorded exactly once; re-drives
     /// and duplicate answers must not repeat them.
     state_out_marked: bool,
+    /// Whether a deadline aborted the op: its span is closed, and its
+    /// resume phase records nothing on it.
+    aborted: bool,
     /// The wait of the op's current phase: from its queueing, restarted
-    /// when it starts and at every awaited answer.
+    /// when it starts, at every awaited answer and when it resumes.
     wait: Wait,
 }
 
@@ -435,6 +454,7 @@ impl ProtocolOp {
             collected: Vec::new(),
             awaiting_install: FxHashMap::default(),
             state_out_marked: false,
+            aborted: false,
             wait: queued,
         }
     }
@@ -564,18 +584,6 @@ pub(crate) struct Controller<'a> {
     /// Total cost of the round decided last (0 before the first): what
     /// a provisional round's partial costs are scaled up to.
     last_round_cost: u64,
-    /// Outstanding source resumes by epoch: the view to re-drive each
-    /// with and the wait for its ack. Resumes are retried forever and
-    /// never aborted — an abandoned resume would leave pause-buffered
-    /// tuples unflushed, which is unaccounted loss; and the source
-    /// cannot have died (it runs the resume handler) short of the whole
-    /// engine tearing down. A duplicate ack is absorbed by the missing
-    /// key.
-    resume_state: FxHashMap<u64, (RoutingView, Wait)>,
-    /// Epochs whose span is open: a span closes `Completed` at its
-    /// ResumeAck, `Aborted` at a deadline abort, `Abandoned` at teardown
-    /// — exactly once, whichever comes first.
-    open_spans: FxHashSet<u64>,
     clock: Clock,
     /// When the source's latest cut was read: the next interval's span
     /// is measured from here.
@@ -625,8 +633,6 @@ impl<'a> Controller<'a> {
             closed_rounds: Vec::new(),
             early: None,
             last_round_cost: 0,
-            resume_state: FxHashMap::default(),
-            open_spans: FxHashSet::default(),
             clock: Clock {
                 now: t0,
                 interval: 0,
@@ -659,12 +665,12 @@ impl<'a> Controller<'a> {
     }
 
     /// Closes the books once [`Controller::done`]: tells the source to
-    /// exit and returns the report, the recorder, and the epochs whose
-    /// span is still open (ascending) for the caller to close
+    /// exit and returns the report, the recorder, and the epoch of the
+    /// in-flight op if its span is still open, for the caller to close
     /// `Abandoned` after the other threads have joined. Dropping the
     /// controller drops its worker spawner — which holds a
     /// collector-sender clone — so the collector can observe closure.
-    pub fn finish(mut self, end: Instant) -> (EngineReport, ThreadRecorder, Vec<u64>) {
+    pub fn finish(mut self, end: Instant) -> (EngineReport, ThreadRecorder, Option<u64>) {
         // The run's wall time and its worker-seconds integral close at
         // one instant, so `worker_seconds ≤ max_workers × wall` holds by
         // construction.
@@ -685,9 +691,8 @@ impl<'a> Controller<'a> {
         for (interval, tps) in self.throughput {
             self.report.interval_throughput.push(interval as f64, tps);
         }
-        let mut leftover: Vec<u64> = self.open_spans.into_iter().collect();
-        leftover.sort_unstable();
-        (self.report, self.io.rec, leftover)
+        let open_span = self.pending.filter(|op| !op.aborted).map(|op| op.epoch);
+        (self.report, self.io.rec, open_span)
     }
 
     // ---- the fault ledger and sends -------------------------------------
@@ -767,18 +772,7 @@ impl<'a> Controller<'a> {
                 self.on_interval_done(interval, marked)
             }
             SourceEvent::PauseAck { epoch } => self.on_pause_ack(epoch),
-            SourceEvent::ResumeAck { epoch } => {
-                if self.resume_state.remove(&epoch).is_none() {
-                    self.absorb_stale(epoch, "resume ack");
-                } else if self.open_spans.remove(&epoch) {
-                    // The op's span runs to the ack: its disruption
-                    // window covers the whole pause → ... → resume round
-                    // trip. (Aborted spans closed at the abort; their
-                    // rollback resume's ack lands here with the span
-                    // already gone.)
-                    self.io.rec.span_close(epoch, Outcome::Completed);
-                }
-            }
+            SourceEvent::ResumeAck { epoch } => self.on_resume_ack(epoch),
             SourceEvent::DeadDestAck { dest } => {
                 // The source has stopped routing to the dead slot; drain
                 // its channel one last time and drop the receiver so any
@@ -892,7 +886,6 @@ impl<'a> Controller<'a> {
         }
         self.settle_early_round();
         self.check_op_deadline();
-        self.redrive_resumes();
         self.start_next_op();
         self.shutdown_gate();
     }
@@ -1142,6 +1135,21 @@ impl<'a> Controller<'a> {
         }
     }
 
+    /// The source runs on the in-flight op's view and has flushed its
+    /// pause buffer: the op is over, and its span — unless an abort
+    /// closed it — covers the whole pause → … → resume round trip. An
+    /// ack no op awaits (a re-driven resume's second ack) is absorbed.
+    fn on_resume_ack(&mut self, epoch: u64) {
+        let awaited = self
+            .pending
+            .take_if(|op| op.epoch == epoch && op.waiting == Waiting::ResumeAck);
+        match awaited {
+            Some(op) if !op.aborted => self.io.rec.span_close(epoch, Outcome::Completed),
+            Some(_) => {}
+            None => self.absorb_stale(epoch, "resume ack"),
+        }
+    }
+
     /// Classifies an acknowledgement stamped `epoch`. When that is the
     /// in-flight op's own, `strike` says whether the op was still waiting
     /// for it (and strikes it off); an awaited answer is phase progress,
@@ -1215,7 +1223,7 @@ impl<'a> Controller<'a> {
     /// Walks the in-flight op past every phase with nothing left to wait
     /// for: extraction complete → install what was collected (step 5b);
     /// installs acked, or none to send → resume under the op's view
-    /// (step 7).
+    /// (step 7) and await the source's ack.
     fn advance_op(&mut self) {
         let Some(op) = self.pending.as_mut() else {
             return;
@@ -1237,8 +1245,7 @@ impl<'a> Controller<'a> {
         }
         if let Some(op) = self.pending.as_ref() {
             if op.waiting == Waiting::InstallAcks && op.awaiting_install.is_empty() {
-                let view = op.view.clone();
-                self.finish_op(epoch, view);
+                self.start_resume();
             }
         }
     }
@@ -1295,29 +1302,23 @@ impl<'a> Controller<'a> {
         TaskId::from(next_live(slot.index(), n_tasks, |x| self.dead.contains(&x)))
     }
 
-    /// The in-flight op is through: resume the source under `view` and
-    /// free the op slot.
-    fn finish_op(&mut self, epoch: u64, view: RoutingView) {
-        self.issue_resume(epoch, view);
-        self.pending = None;
-    }
-
-    /// Issues a source resume and arms its deadline clock. A resume
-    /// dropped by the plan is indistinguishable from a slow one; the
-    /// clock re-drives it. When the epoch still has an open span (normal
-    /// completion — aborted spans are closed before their rollback
-    /// resume), the span's `Resume` phase is recorded here, once:
-    /// deadline re-drives bypass this function.
-    fn issue_resume(&mut self, epoch: u64, view: RoutingView) {
-        if self.open_spans.contains(&epoch) {
-            self.io.rec.span_phase(epoch, Phase::Resume);
-        }
-        let msg = SourceCtl::Resume {
-            epoch,
-            view: view.clone(),
+    /// Moves the in-flight op to its last phase: nothing is owed to it
+    /// any more, so resume the source under the op's view and await the
+    /// ack. The span's `Resume` phase is recorded here, once (deadline
+    /// re-drives go through [`Controller::send_phase`] alone), unless an
+    /// abort already closed the span.
+    fn start_resume(&mut self) {
+        let Some(op) = self.pending.as_mut() else {
+            return;
         };
-        self.send_src(Some(CtlKind::Resume), msg);
-        self.resume_state.insert(epoch, (view, self.clock.wait()));
+        op.waiting = Waiting::ResumeAck;
+        op.awaiting_out.clear();
+        op.awaiting_install.clear();
+        op.wait = self.clock.wait();
+        if !op.aborted {
+            self.io.rec.span_phase(op.epoch, Phase::Resume);
+        }
+        self.send_phase();
     }
 
     /// A worker died at its planned kill point `trigger`. The kill and
@@ -1367,11 +1368,11 @@ impl<'a> Controller<'a> {
         // Untangle the in-flight op from the corpse: a phase waiting on
         // the dead worker must not wait for the deadline to notice.
         if let Some(op) = self.pending.as_mut() {
-            if matches!(op.extract, Extract::Retire(victim) if victim == worker) {
+            let victim = matches!(op.extract, Extract::Retire(v) if v == worker);
+            if victim && op.waiting != Waiting::ResumeAck {
                 // The victim died mid-retire: its state died with it
                 // (accounted above); resume under the shrunk view.
-                let (epoch, view) = (op.epoch, op.view.clone());
-                self.finish_op(epoch, view);
+                self.start_resume();
             } else {
                 // Whatever it still owed is gone; a blob already in its
                 // channel is counted by the DeadDestAck drain.
@@ -1656,7 +1657,9 @@ impl<'a> Controller<'a> {
     // ---- deadlines, queue, shutdown ---------------------------------------
 
     /// In-flight-op deadline: the first expiry re-drives the stuck
-    /// phase, the second aborts with rollback.
+    /// phase, the second aborts with rollback — except a resume phase,
+    /// which is re-driven at every expiry. Only the first re-drive of a
+    /// phase is ledgered.
     fn check_op_deadline(&mut self) {
         let Some(op) = self.pending.as_mut() else {
             return;
@@ -1664,29 +1667,28 @@ impl<'a> Controller<'a> {
         if !self.clock.expired(&op.wait) {
             return;
         }
-        if op.wait.retried {
+        let resuming = op.waiting == Waiting::ResumeAck;
+        if op.wait.retried && !resuming {
             self.abort_op();
-        } else {
-            op.wait = self.clock.retry();
-            self.redrive();
+            return;
         }
-    }
-
-    /// Re-sends whatever the in-flight op's stalled phase is waiting on.
-    fn redrive(&mut self) {
-        if let Some(pending) = &self.pending {
-            let (op, epoch) = (pending.kind(), pending.epoch);
-            self.fault(FaultEvent::OpRetried { op, epoch });
+        let first = !op.wait.retried;
+        let kind = if resuming { OpKind::Resume } else { op.kind() };
+        let epoch = op.epoch;
+        op.wait = self.clock.retry();
+        if first {
+            self.fault(FaultEvent::OpRetried { op: kind, epoch });
         }
         self.send_phase();
     }
 
     /// Sends what the in-flight op's phase waits on: the quiesce request,
     /// a `MigrateOut` to each live holder still awaited (the victim's
-    /// `Retire`, for a scale-in), or the installs not yet
-    /// acknowledged. Every re-drive, and the first pause and extraction
-    /// sends (the first installs go out through [`Controller::rehome`]);
-    /// workers and source absorb duplicates by epoch.
+    /// `Retire`, for a scale-in), the installs not yet acknowledged, or
+    /// the resume under the op's view. Every re-drive, and the first
+    /// pause, extraction and resume sends (the first installs go out
+    /// through [`Controller::rehome`]); workers and source absorb
+    /// duplicates by epoch.
     fn send_phase(&mut self) {
         // Out of its slot while the messages go out.
         let Some(op) = self.pending.take() else {
@@ -1725,14 +1727,23 @@ impl<'a> Controller<'a> {
                     self.send_worker(dst.index(), None, Message::StateInstall { epoch, states });
                 }
             }
+            (Waiting::ResumeAck, _) => {
+                let view = op.view.clone();
+                self.send_src(Some(CtlKind::Resume), SourceCtl::Resume { epoch, view });
+            }
         }
         self.pending = Some(op);
     }
 
-    /// Second deadline expiry: give the op up and put the source back on
-    /// a routing function that matches where the state is.
+    /// Second deadline expiry: give the op up, close its span `Aborted`,
+    /// and walk its resume phase under a routing function that matches
+    /// where the state is. For a scale-in that is the retire's own view
+    /// — the routing already shrank at decision time — so a still-live
+    /// victim becomes a routed-around zombie that drains at shutdown with
+    /// its state intact; answers the op no longer awaits (a late
+    /// `StateOut` or `Retired`) are absorbed as stale and re-homed.
     fn abort_op(&mut self) {
-        let Some(op) = self.pending.take() else {
+        let Some(mut op) = self.pending.take() else {
             return;
         };
         let epoch = op.epoch;
@@ -1740,39 +1751,29 @@ impl<'a> Controller<'a> {
             op: op.kind(),
             epoch,
         });
-        // Close the span Aborted *before* the rollback resume goes out,
-        // so the resume phase (and its ack) cannot land on a closed
-        // span.
-        if self.open_spans.remove(&epoch) {
-            self.io.rec.span_close(epoch, Outcome::Aborted);
+        self.io.rec.span_close(epoch, Outcome::Aborted);
+        op.aborted = true;
+        if let Extract::Moves(by_source) = &op.extract {
+            op.view = self.roll_back(by_source, std::mem::take(&mut op.collected));
         }
-        match op.extract {
-            Extract::Moves(by_source) => self.roll_back(epoch, &by_source, op.collected),
-            Extract::Retire(_) => {
-                // The routing already shrank at decision time, so resume
-                // under the retire's view: a still-live victim becomes a
-                // routed-around zombie that drains at shutdown with its
-                // state intact; a late `Retired` is absorbed by the
-                // closed epoch.
-                self.issue_resume(epoch, op.view);
-            }
-        }
+        self.pending = Some(op);
+        self.start_resume();
     }
 
     /// Rolls an aborted migration's routing back: every affected key
-    /// returns to its origin (diverted past corpses). State still in
-    /// hand (`collected`) is re-installed there; state already delivered
+    /// returns to its origin (diverted past corpses), and the rolled-back
+    /// view is returned for the op to resume under. State still in hand
+    /// (`collected`) is re-installed there; state already delivered
     /// stays where it landed — re-sending it could double-count, and
     /// per-key counts merge at shutdown regardless of which slot holds
     /// them. The rollback is its own span on a fresh epoch no op owns:
-    /// its installs and the resume happen synchronously right here, so
-    /// it opens and closes in one breath.
+    /// its installs go out right here and the aborted op resumes next,
+    /// so it opens and closes in one breath.
     fn roll_back(
         &mut self,
-        epoch: u64,
         by_source: &FxHashMap<TaskId, Vec<(Key, TaskId)>>,
         collected: Vec<(Key, TaskId, Bytes)>,
-    ) {
+    ) -> RoutingView {
         let mut origin_of: FxHashMap<Key, TaskId> = FxHashMap::default();
         let mut reverse: Vec<(Key, TaskId)> = Vec::new();
         for (&src, moves) in by_source {
@@ -1795,29 +1796,8 @@ impl<'a> Controller<'a> {
         }
         self.rehome(rollback, in_hand);
         self.io.rec.span_phase(rollback, Phase::Resume);
-        self.issue_resume(epoch, self.partitioner.routing_view());
         self.io.rec.span_close(rollback, Outcome::Completed);
-    }
-
-    /// Resume deadline: re-drive, forever — an abandoned resume would
-    /// strand pause-buffered tuples at the source (unaccounted loss) and
-    /// hang shutdown. Only the first re-drive is ledgered; the source
-    /// absorbs duplicates by epoch.
-    fn redrive_resumes(&mut self) {
-        let mut redrive: Vec<(u64, RoutingView, bool)> = Vec::new();
-        for (&epoch, (view, wait)) in self.resume_state.iter_mut() {
-            if self.clock.expired(wait) {
-                redrive.push((epoch, view.clone(), !wait.retried));
-                *wait = self.clock.retry();
-            }
-        }
-        for (epoch, view, first) in redrive {
-            if first {
-                let op = OpKind::Resume;
-                self.fault(FaultEvent::OpRetried { op, epoch });
-            }
-            self.send_src(Some(CtlKind::Resume), SourceCtl::Resume { epoch, view });
-        }
+        self.partitioner.routing_view()
     }
 
     /// Starts the next queued op when idle: plan → pause.
@@ -1861,25 +1841,23 @@ impl<'a> Controller<'a> {
         self.io.rec.span_open(op.epoch, op.label);
         self.io.rec.span_phase(op.epoch, Phase::Plan);
         self.io.rec.span_phase(op.epoch, Phase::Pause);
-        self.open_spans.insert(op.epoch);
         op.wait = self.clock.wait();
         self.pending = Some(op);
         self.send_phase();
     }
 
-    /// Ships `Shutdown` to the workers once fully quiesced.
-    /// `resume_state` guards the flush race: the source must confirm it
-    /// has re-enqueued all pause-buffered tuples before Shutdown markers
-    /// enter the worker channels behind them. `dead_pending` guards loss
-    /// accounting: a dead slot's channel backlog must be counted before
-    /// teardown.
+    /// Ships `Shutdown` to the workers once fully quiesced. No op in
+    /// flight guards the flush race: an op ends only when the source has
+    /// confirmed it re-enqueued all pause-buffered tuples, so Shutdown
+    /// markers enter the worker channels behind them. `dead_pending`
+    /// guards loss accounting: a dead slot's channel backlog must be
+    /// counted before teardown.
     fn shutdown_gate(&mut self) {
         let quiesced = self.clock.source_finished
             && !self.draining
             && self.pending.is_none()
             && self.queue.is_empty()
             && self.ledger.outstanding() == 0
-            && self.resume_state.is_empty()
             && self.dead_pending.is_empty();
         if !quiesced {
             return;
@@ -2393,6 +2371,7 @@ mod protocol_tests {
     /// Duplicates at every phase, for both state sources: a re-driven
     /// marker's second answer is absorbed as stale — one ledger entry
     /// each, no protocol error — and no span phase is recorded twice.
+    /// The op ends at the source's first `ResumeAck`.
     #[test]
     fn duplicate_answers_are_absorbed_once_per_phase() {
         let key = key_homed_on(1, 2);
@@ -2437,15 +2416,25 @@ mod protocol_tests {
                 epoch: 1,
             };
             ctl.on_worker(ack());
-            assert!(ctl.pending.is_none(), "{what}: op resumed at the last ack");
+            assert!(
+                awaits_resume_ack(&ctl, 1),
+                "{what}: op resumed at the last ack"
+            );
             ctl.on_worker(ack());
+            ctl.on_source(SourceEvent::ResumeAck { epoch: 1 });
+            assert!(ctl.pending.is_none(), "{what}: op ended at the resume ack");
             ctl.on_source(SourceEvent::ResumeAck { epoch: 1 });
 
             assert_eq!(ctl.report.protocol_errors, vec![], "{what}");
             let stale = |what| FaultEvent::StaleEpochAbsorbed { epoch: 1, what };
             assert_eq!(
                 ctl.take_faults(),
-                vec![stale("pause ack"), stale(what), stale("install ack")]
+                vec![
+                    stale("pause ack"),
+                    stale(what),
+                    stale("install ack"),
+                    stale("resume ack")
+                ]
             );
             drop(ctl.finish(Instant::now()));
             let phases: Vec<Phase> = rig
@@ -2473,6 +2462,12 @@ mod protocol_tests {
         }
     }
 
+    /// Whether the in-flight op is `epoch` and awaits its `ResumeAck`.
+    fn awaits_resume_ack(ctl: &Controller<'_>, epoch: u64) -> bool {
+        let op = ctl.pending.as_ref();
+        op.is_some_and(|op| op.epoch == epoch && op.waiting == Waiting::ResumeAck)
+    }
+
     /// The `MigrateOut` markers waiting in `rx`, by epoch.
     fn migrate_outs_at(rx: &Receiver<Message>) -> Vec<u64> {
         std::iter::from_fn(|| rx.try_recv().ok())
@@ -2486,9 +2481,10 @@ mod protocol_tests {
     /// The deadline ladder in virtual time — synthetic instants, no
     /// sleeps, no threads. A migration whose holder never answers is
     /// re-driven at the first expiry and aborted at the second, resuming
-    /// under the rolled-back view; the holder's late answer is re-homed,
-    /// not dropped; and once the source has finished, a round still
-    /// missing a reporter closes on the wall bound alone.
+    /// under the rolled-back view until the source acks; the holder's
+    /// late answer is re-homed, not dropped; and once the source has
+    /// finished, a round still missing a reporter closes on the wall
+    /// bound alone.
     #[test]
     fn deadline_ladder_redrives_aborts_and_closes_rounds_in_virtual_time() {
         let (mut ctl, rig) = rig(FixedSchedule::new([]));
@@ -2520,7 +2516,7 @@ mod protocol_tests {
         ctl.tick(at(9_999));
         assert!(ctl.pending.is_some());
         ctl.tick(at(10_000));
-        assert!(ctl.pending.is_none());
+        assert!(awaits_resume_ack(&ctl, 1), "the aborted op resumes");
         let aborted = FaultEvent::OpAborted {
             op: OpKind::Migrate,
             epoch: 1,
@@ -2534,6 +2530,7 @@ mod protocol_tests {
         let mut router = SourceRouter::from_view(resume.expect("the rollback resumes"));
         assert_eq!(router.route(key), from);
         ctl.on_source(SourceEvent::ResumeAck { epoch: 1 });
+        assert!(ctl.pending.is_none(), "the op ends at the resume ack");
 
         // The holder wakes and answers on the closed epoch.
         let states = vec![(key, to, Bytes::copy_from_slice(b"state"))];
@@ -2681,7 +2678,8 @@ mod protocol_tests {
 
     /// A `PauseAck` the plan drops is lost on arrival: the controller
     /// discards the first it reads and ledgers the drop; the deadline
-    /// re-drives the pause, and the second ack completes the op.
+    /// re-drives the pause, and the second ack walks the op on to its
+    /// resume ack.
     #[test]
     fn planned_pause_ack_drop_is_lost_on_arrival_then_redriven() {
         let plan = FaultPlan::new(vec![crate::fault::FaultSpec::DropCtl {
@@ -2714,10 +2712,80 @@ mod protocol_tests {
             states,
         });
         ctl.on_worker(WorkerEvent::InstallAck { worker: to, epoch });
+        assert!(awaits_resume_ack(&ctl, epoch), "the re-driven op resumed");
+        ctl.on_source(SourceEvent::ResumeAck { epoch });
         assert!(ctl.pending.is_none(), "the re-driven op completed");
         let op = OpKind::Migrate;
         assert_eq!(ctl.take_faults(), vec![FaultEvent::OpRetried { op, epoch }]);
         assert_eq!(ctl.report.protocol_errors, vec![]);
+    }
+
+    /// One op at a time, through its resume ack: two queued ops route a
+    /// key to different slots, and the first op's `ResumeAck` (or its
+    /// `Resume`, or its first two `Resume`s) is lost. The lost resume is
+    /// re-driven — at every expiry, never aborted, ledgered once — and
+    /// the second op waits behind it, so the source never hears of an
+    /// epoch lower than one it already heard of, and replaying the views
+    /// it was sent ends on the controller's newest view.
+    #[test]
+    fn a_lost_resume_is_redriven_before_the_next_op_pauses() {
+        let drop = |kind, nth| crate::fault::FaultSpec::DropCtl { kind, nth };
+        let cases = [
+            vec![drop(CtlKind::ResumeAck, 1)],
+            vec![drop(CtlKind::Resume, 1)],
+            vec![drop(CtlKind::Resume, 1), drop(CtlKind::Resume, 2)],
+        ];
+        for specs in cases {
+            let label = format!("{specs:?}");
+            let plan = FaultPlan::new(specs);
+            let (mut ctl, rig) = rig_with(FixedSchedule::new([]), plan, Box::new(storm(3)));
+            let key = key_homed_on(0, 3);
+            let mut router = SourceRouter::from_view(ctl.partitioner.routing_view());
+            for to in [TaskId(1), TaskId(2)] {
+                ctl.partitioner.apply_moves(&[(key, to)]);
+                ctl.enqueue(OpLabel::Split, vec![key], FxHashMap::default(), false);
+            }
+            ctl.on_source(SourceEvent::Finished);
+            // The source answers everything it is sent, in order; time
+            // moves one wall deadline per turn.
+            let mut heard: Vec<(&str, u64)> = Vec::new();
+            ctl.tick_now();
+            for _ in 0..6 {
+                while let Ok(msg) = rig.source.try_recv() {
+                    match msg {
+                        SourceCtl::Pause { epoch, .. } => {
+                            heard.push(("pause", epoch));
+                            ctl.on_source(SourceEvent::PauseAck { epoch });
+                        }
+                        SourceCtl::Resume { epoch, view } => {
+                            heard.push(("resume", epoch));
+                            router.update(view);
+                            ctl.on_source(SourceEvent::ResumeAck { epoch });
+                        }
+                        SourceCtl::UpdateView { view } => router.update(view),
+                        _ => {}
+                    }
+                    ctl.tick_now();
+                }
+                ctl.tick(ctl.clock.now + ctl.clock.deadline);
+            }
+            assert!(ctl.pending.is_none() && ctl.queue.is_empty(), "{label}");
+            for (i, &(kind, epoch)) in heard.iter().enumerate() {
+                let newest = heard[..i].iter().map(|&(_, e)| e).max().unwrap_or(0);
+                assert!(epoch >= newest, "{label}: {kind} {epoch} after {heard:?}");
+            }
+            assert_eq!(router.route(key), TaskId(2), "{label}: {heard:?}");
+            assert_eq!(ctl.partitioner.route(key), TaskId(2));
+            let retried = FaultEvent::OpRetried {
+                op: OpKind::Resume,
+                epoch: 1,
+            };
+            let faults = ctl.take_faults();
+            assert_eq!(faults.iter().filter(|f| **f == retried).count(), 1);
+            let aborted = |f: &FaultEvent| matches!(f, FaultEvent::OpAborted { .. });
+            assert!(!faults.iter().any(aborted), "{label}: {faults:?}");
+            assert_eq!(ctl.report.protocol_errors, vec![], "{label}");
+        }
     }
 
     /// The single re-home path: a destination that is dead at send time

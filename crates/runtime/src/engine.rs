@@ -106,18 +106,18 @@ pub struct EngineConfig {
     pub fault_plan: FaultPlan,
     /// The deadline every controller wait is measured against — an
     /// in-flight op's current phase (`Pause`, `MigrateOut`,
-    /// `StateInstall`, `Retire`), a source resume's ack, a statistics
-    /// round's reports. A wait expires once this much wall time has
-    /// passed since it started *and* either
-    /// [`EngineConfig::deadline_intervals`] source intervals have passed
-    /// or the source has finished (its intervals stop then, and the wall
-    /// bound rules alone). Intervals are the deterministic clock; the
-    /// wall bound keeps healthy-but-slow runs from spurious expiry. An
-    /// expired op phase is re-driven once, then aborted with rollback; an
-    /// expired resume is re-driven; an expired round closes with the
-    /// reports it has, its missing reporters recorded in the fault
-    /// ledger, so a dead or wedged worker cannot hold statistics — or
-    /// shutdown, which waits on open rounds — hostage.
+    /// `StateInstall`, `Retire`, `Resume`), a statistics round's
+    /// reports. A wait expires once this much wall time has passed since
+    /// it started *and* either [`EngineConfig::deadline_intervals`]
+    /// source intervals have passed or the source has finished (its
+    /// intervals stop then, and the wall bound rules alone). Intervals
+    /// are the deterministic clock; the wall bound keeps healthy-but-slow
+    /// runs from spurious expiry. An expired op phase is re-driven once,
+    /// then aborted with rollback, except the resume phase, which is
+    /// re-driven at every expiry and never aborted; an expired round
+    /// closes with the reports it has, its missing reporters recorded in
+    /// the fault ledger, so a dead or wedged worker cannot hold
+    /// statistics — or shutdown, which waits on open rounds — hostage.
     pub deadline: Duration,
     /// The interval half of [`EngineConfig::deadline`].
     pub deadline_intervals: u64,
@@ -600,7 +600,7 @@ fn teardown(
     col_tx: Sender<Vec<Tuple>>,
     sink: &TraceSink,
 ) -> EngineReport {
-    let (mut report, mut rec, leftover_spans) = ctl.finish(Instant::now());
+    let (mut report, mut rec, open_span) = ctl.finish(Instant::now());
     drop(col_tx);
     if source.join().is_err() {
         report
@@ -616,10 +616,10 @@ fn teardown(
         }
     }
     // Every thread's recorder has flushed by now (workers drained,
-    // source and collector joined). Force-close any span still open — an
-    // op the teardown outran — as Abandoned, in epoch order, then merge
-    // the run's trace into the report.
-    for epoch in leftover_spans {
+    // source and collector joined). Force-close the span still open, if
+    // any — the op the teardown outran — as Abandoned, then merge the
+    // run's trace into the report.
+    if let Some(epoch) = open_span {
         rec.span_close(epoch, Outcome::Abandoned);
     }
     drop(rec);

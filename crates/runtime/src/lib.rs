@@ -87,8 +87,11 @@
 //! source. The controller ([`engine`] wires it; the state machine is
 //! the crate-private `controller::Controller`) holds one `ProtocolOp`
 //! in flight and a FIFO queue behind it, so state placement advances
-//! one routing-function delta at a time. The phases are the ones the
-//! flight recorder names; the columns are the op's span label:
+//! one routing-function delta at a time. An op ends at the source's
+//! `ResumeAck`, not when the `Resume` goes out: the next op's `Pause`
+//! follows the ack, so no later pause or view can overtake an earlier
+//! resume at the source. The phases are the ones the flight recorder
+//! names; the columns are the op's span label:
 //!
 //! | phase | `rebalance` | `scale_out` | `scale_in` | `split` | `unsplit` |
 //! |---|---|---|---|---|---|
@@ -107,11 +110,14 @@
 //! idempotent — workers, source and controller absorb duplicates by
 //! epoch), then the op is **aborted**: a key-scoped op rolls its keys'
 //! routing back to their origins and re-installs the state still in the
-//! controller's hand there (its own `rollback` span); an aborted
-//! `scale_in` resumes under the shrunk view and leaves the victim a
-//! routed-around zombie that drains at shutdown. A late answer on a
-//! closed epoch is absorbed and its blobs re-homed under the current
-//! view — never dropped. Resumes are retried forever.
+//! controller's hand there (its own `rollback` span), then resumes under
+//! the rolled-back view; an aborted `scale_in` resumes under the shrunk
+//! view and leaves the victim a routed-around zombie that drains at
+//! shutdown. A late answer the op no longer awaits is absorbed and its
+//! blobs re-homed under the current view — never dropped. Every op,
+//! aborted or not, ends with the resume phase, and a resume phase is
+//! re-driven, never aborted: an abandoned resume would strand the
+//! source's pause buffer.
 //!
 //! The FIFO argument above covers every column: the extraction marker
 //! lands behind every pre-pause batch, and `Resume` goes out only after
@@ -237,8 +243,8 @@
 //! * **Lost control messages** (`DropCtl`): the *n*-th message of a
 //!   kind is dropped by the one thread that counts that kind (see
 //!   `CtlKind`). Every controller wait —
-//!   an in-flight op's phase, a source resume's ack, a statistics
-//!   round's reports — ends by one rule: it expires once
+//!   an in-flight op's phase, its last one the source's resume ack, or
+//!   a statistics round's reports — ends by one rule: it expires once
 //!   `EngineConfig::deadline` of wall time has passed since it started
 //!   *and* either `EngineConfig::deadline_intervals` source intervals
 //!   have passed or the source has finished (its intervals stop then,
@@ -249,10 +255,12 @@
 //!   second **aborts with rollback**: routing reverts to each key's
 //!   origin, state still in the controller's hand is re-installed under
 //!   a fresh epoch no op owns, and a victim's *late* `StateOut`/`Retired`
-//!   on the closed epoch is absorbed and its blobs re-homed under the
-//!   current view — never dropped. An expired resume is re-driven until
-//!   acked; an expired round closes over the missing workers and is
-//!   ledgered as `RoundTimedOut`.
+//!   on the aborted epoch is absorbed and its blobs re-homed under the
+//!   current view — never dropped. An expired resume phase is re-driven
+//!   at every expiry until the source acks (only the first re-drive is
+//!   ledgered, as `OpRetried` of `OpKind::Resume`); an expired round
+//!   closes over the missing workers and is ledgered as
+//!   `RoundTimedOut`.
 //! * **Stalls** (`StallWorker`): a worker sleeps mid-interval. Nothing
 //!   is lost; the deadline above decides whether to wait, re-drive, or
 //!   roll back.
@@ -280,9 +288,13 @@
 //! * **Protocol spans**, one per op, id = the op's epoch, labelled
 //!   `rebalance` / `scale_out` / `scale_in` / `rollback` and decomposed
 //!   into phases `plan → pause → quiesce_wait → state_out → install →
-//!   resume`. A span closes `completed` at its `ResumeAck`, `aborted`
-//!   at a deadline abort, `abandoned` if teardown outran it — exactly
-//!   once, which `TraceLog::check_integrity` enforces.
+//!   resume`. A span lives as long as its op: it closes `completed` at
+//!   the op's `ResumeAck`, `aborted` at a deadline abort (the op then
+//!   walks its resume phase spanless), `abandoned` if teardown outran
+//!   the op — exactly once, which `TraceLog::check_integrity` enforces.
+//!   Ops run one at a time, so no op span opens while another is open
+//!   (the chaos suite asserts it; a `rollback` span opens after its
+//!   aborted op's span closed).
 //! * **Telemetry snapshots** per statistics round: per-worker loads,
 //!   queue depths (tuple-weighted channel occupancy), mean/p99 interval
 //!   latency — plus per-interval `RouterSnapshot`s from the source

@@ -305,11 +305,13 @@ pub enum SourceEvent {
         /// Migration epoch.
         epoch: u64,
     },
-    /// Acknowledges [`SourceCtl::Resume`]: every tuple buffered during the
-    /// pause has been enqueued downstream. The controller must not ship
-    /// worker `Shutdown` with a resume outstanding — the shutdown marker
-    /// would overtake the flushed tuples in the worker channels and the
-    /// workers would drain without processing them.
+    /// Acknowledges [`SourceCtl::Resume`]: the source routes under the
+    /// resume's view, and every tuple buffered during the pause has been
+    /// enqueued downstream. It is the last phase of every protocol op:
+    /// the controller starts no later op — no later `Pause`, so no later
+    /// view — and ships no worker `Shutdown` before it. A `Shutdown`
+    /// marker would overtake the flushed tuples in the worker channels,
+    /// and the workers would drain without processing them.
     ResumeAck {
         /// Migration epoch.
         epoch: u64,

@@ -23,7 +23,8 @@ use common::{
 };
 use streambal::baselines::{shuffle, storm};
 use streambal::runtime::{
-    CtlKind, EngineConfig, EngineReport, FaultEvent, FaultPlan, FaultSpec, KillTrigger, OpKind,
+    CtlKind, EngineConfig, EngineReport, EventKind, FaultEvent, FaultPlan, FaultSpec, KillTrigger,
+    OpKind,
 };
 
 /// Engine config for fault runs. Deadlines are squeezed far below the
@@ -45,8 +46,23 @@ fn chaos_config(plan: FaultPlan) -> EngineConfig {
 }
 
 /// The accounting invariant: per key, observed output plus accounted
-/// loss equals what was fed — no silent drops, no double counts.
+/// loss equals what was fed — no silent drops, no double counts. And
+/// one op at a time: no op span opens while another is still open.
 fn assert_accounted(label: &str, report: &EngineReport, preserves: bool) {
+    let mut open: Option<u64> = None;
+    for e in &report.trace.events {
+        match e.kind {
+            EventKind::SpanOpen { span, .. } => {
+                assert!(
+                    open.is_none(),
+                    "{label}: span {span} opened inside span {open:?}"
+                );
+                open = Some(span);
+            }
+            EventKind::SpanClose { span, .. } if open == Some(span) => open = None,
+            _ => {}
+        }
+    }
     let expect = reference_counts(&keyed_intervals());
     let mut got = observed_counts(report, preserves);
     for &(k, n) in &report.lost_tuples {
