@@ -11,15 +11,15 @@
 //!   `// SAFETY:` and `// lint: allow(...)` conventions live in them.
 //!
 //! Everything else — numbers, punctuation — is tokenized coarsely; the
-//! rules only ever look at identifiers, a handful of ASCII puncts, and
-//! comment text.
+//! rules only ever look at identifiers, a handful of ASCII puncts, a
+//! numeric literal's text (L004's weight `0`), and comment text.
 
 /// One lexical token, tagged with the 1-based line it starts on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tok {
     pub kind: TokKind,
-    /// Token text. Full text for identifiers and comments (the rules
-    /// read those); empty for literals and punctuation (opaque).
+    /// Token text: full for identifiers, numbers and comments (the
+    /// rules read those), empty for other literals and punctuation.
     pub text: String,
     pub line: u32,
 }
@@ -146,6 +146,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 }
             }
             c if c.is_ascii_digit() => {
+                let start = i;
                 i += 1;
                 loop {
                     match b.get(i) {
@@ -156,7 +157,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 }
                 toks.push(Tok {
                     kind: TokKind::Num,
-                    text: String::new(),
+                    text: src[start..i].to_string(),
                     line,
                 });
             }

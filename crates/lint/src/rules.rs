@@ -134,28 +134,31 @@ pub fn scan_source(file: &str, src: &str, class: &FileClass) -> Vec<Violation> {
                 });
             }
 
-            // L004: plain sends of TupleBatch on the data plane.
+            // L004: TupleBatch sends that escape the channel bound: plain,
+            // or weighted at the literal `0` (which never waits for room).
             if class.data_plane
                 && !marks.in_test[i]
-                && (name == "send" || name == "try_send")
+                && matches!(name, "send" | "try_send" | "send_weighted")
                 && prev_is(&toks, i, '.')
             {
                 if let Some(open) =
                     next_code(&toks, i).filter(|&n| toks[n].kind == TokKind::Punct('('))
                 {
                     let close = matching(&toks, open, '(', ')');
-                    let batch = toks[open + 1..close]
+                    let args = &toks[open + 1..close];
+                    let batch = args
                         .iter()
                         .any(|t| t.kind == TokKind::Ident && t.text == "TupleBatch");
-                    if batch && !allowed(&allows, "send") {
+                    let weightless = name != "send_weighted" || last_arg_is_zero(args);
+                    if batch && weightless && !allowed(&allows, "send") {
                         out.push(Violation {
                             file: file.to_string(),
                             line: t.line,
                             rule: "L004",
                             msg: format!(
-                                "plain `.{name}(` of a TupleBatch — a batch of N tuples \
-                                 must be capacity-accounted as N (`send_weighted`), or \
-                                 the channel bound silently deflates"
+                                "`.{name}(` of a TupleBatch without its weight — a batch \
+                                 of N tuples must be capacity-accounted as N \
+                                 (`send_weighted`), or the channel bound silently deflates"
                             ),
                         });
                     }
@@ -365,6 +368,18 @@ fn next_code(toks: &[Tok], i: usize) -> Option<usize> {
         .iter()
         .position(|t| t.kind != TokKind::Comment)
         .map(|off| i + 1 + off)
+}
+
+/// Whether a call's argument tokens `args` end `, 0` (a trailing comma
+/// aside): its last argument is the literal `0`.
+fn last_arg_is_zero(args: &[Tok]) -> bool {
+    let mut code = args.iter().rev().filter(|t| t.kind != TokKind::Comment);
+    let mut last = code.next();
+    if last.is_some_and(|t| t.kind == TokKind::Punct(',')) {
+        last = code.next();
+    }
+    let comma = code.next().is_some_and(|t| t.kind == TokKind::Punct(','));
+    comma && last.is_some_and(|t| t.kind == TokKind::Num && t.text == "0")
 }
 
 fn next_is(toks: &[Tok], i: usize, p: char) -> bool {

@@ -9,6 +9,8 @@ fn control(tx: &Sender<Message>) {
     // A plain send of a control marker is not a batch send.
     let _ = tx.send(Message::Shutdown);
     let _ = tx.send(Message::StatsRequest { interval: 0 });
+    // Nor is a weightless one.
+    let _ = tx.send_weighted(Message::Shutdown, 0);
 }
 
 fn annotated(tx: &Sender<Message>, batch: Vec<Tuple>) {

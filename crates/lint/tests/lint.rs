@@ -85,7 +85,10 @@ fn l003_whitelisted_file_is_exempt() {
 
 #[test]
 fn l004_flags_plain_batch_sends() {
-    assert_eq!(rules_hit("l004_violate.rs"), vec![("L004", 4), ("L004", 8)]);
+    assert_eq!(
+        rules_hit("l004_violate.rs"),
+        vec![("L004", 4), ("L004", 8), ("L004", 12)]
+    );
 }
 
 #[test]

@@ -389,12 +389,12 @@ enum Waiting {
 }
 
 /// One control-plane operation, queued or in flight. Every op the
-/// controller runs — rebalance, pre-placed scale-out, scale-in, split,
-/// unsplit — is this one walk (plan → pause → quiesce → state_out →
-/// install → resume → resume ack) with a different pause scope and
-/// state source; ops serialize through one queue, and an op leaves it
-/// only at the source's `ResumeAck`, so state placement and the
-/// source's view always advance one routing-function delta at a time.
+/// controller runs — rebalance, scale-out, scale-in, split, unsplit —
+/// is this one walk (plan → pause → quiesce → state_out → install →
+/// resume → resume ack) with a different pause scope and state source;
+/// ops serialize through one queue, and an op leaves it only at the
+/// source's `ResumeAck`, so every planned view reaches the source in
+/// an op's `Resume`, one routing-function delta at a time.
 /// The op's span (id = its epoch) lives as long as the op, except that
 /// an abort closes it early and the op then walks its resume phase
 /// spanless.
@@ -564,10 +564,10 @@ pub(crate) struct Controller<'a> {
     config: EngineConfig,
     partitioner: Box<dyn Partitioner>,
     io: ControlIo<'a>,
-    /// Provisioned slots are `0..active`. Never shrinks on a death: the
-    /// routing function still counts the slot, the source diverts its
-    /// traffic to survivors, and a later scale-out decision
-    /// re-provisions it (`SlotRevived`).
+    /// Provisioned slots are `0..active`. A death alone never shrinks
+    /// it: the routing function still counts the slot, the source
+    /// diverts its traffic to survivors, and a later scale-out revives
+    /// it (`SlotRevived`); a dead scale-in victim's op frees it instead.
     active: usize,
     pending: Option<ProtocolOp>,
     queue: VecDeque<ProtocolOp>,
@@ -736,7 +736,7 @@ impl<'a> Controller<'a> {
     }
 
     /// Sends a source control message, drop-gating it when `kind` names
-    /// a droppable control kind (view updates and shutdown are never
+    /// a droppable control kind (`DeadDest` and `ReviveDest` are never
     /// dropped: losing them models nothing a real network loses
     /// independently of the protocol messages around them).
     fn send_src(&mut self, kind: Option<CtlKind>, msg: SourceCtl) {
@@ -1033,24 +1033,23 @@ impl<'a> Controller<'a> {
             return;
         };
         op.waiting = Waiting::StateOut;
-        match &op.extract {
-            // A holder that died after planning has nothing left to
-            // extract (its loss is already accounted).
-            Extract::Moves(by_source) => {
-                let live = by_source.keys().filter(|w| !self.dead.contains(&w.index()));
-                op.awaiting_out.extend(live);
-            }
-            Extract::Retire(victim) => op.awaiting_out.extend([*victim]),
-        }
+        let mut holders: Vec<TaskId> = match &op.extract {
+            Extract::Moves(by_source) => by_source.keys().copied().collect(),
+            Extract::Retire(victim) => vec![*victim],
+        };
+        // A holder or victim that died after planning has nothing left
+        // to extract (its loss is already accounted).
+        holders.retain(|w| !self.dead.contains(&w.index()));
+        op.awaiting_out.extend(holders);
         // The source is quiesced: every tuple it will ever send under
         // the old view is in the holders' channels, and the extraction
         // markers land behind all of them. A dropped marker stays
         // awaited; the op deadline re-drives it.
         self.io.rec.span_phase(epoch, Phase::QuiesceWait);
         self.send_phase();
-        // A degenerate plan (a split, or every holder dead) awaits
-        // nothing and resumes immediately: its pause window alone makes
-        // the view swap atomic.
+        // A degenerate op (a split, an empty scale-out, every holder or
+        // the victim dead) awaits nothing and resumes immediately: its
+        // pause window alone makes the view swap atomic.
         self.advance_op();
     }
 
@@ -1143,10 +1142,24 @@ impl<'a> Controller<'a> {
         let awaited = self
             .pending
             .take_if(|op| op.epoch == epoch && op.waiting == Waiting::ResumeAck);
-        match awaited {
-            Some(op) if !op.aborted => self.io.rec.span_close(epoch, Outcome::Completed),
-            Some(_) => {}
-            None => self.absorb_stale(epoch, "resume ack"),
+        let Some(op) = awaited else {
+            self.absorb_stale(epoch, "resume ack");
+            return;
+        };
+        if !op.aborted {
+            self.io.rec.span_close(epoch, Outcome::Completed);
+        }
+        // A scale-in whose victim died, queued or mid-op, frees the slot
+        // as a retire does. Its receiver died with the worker, so it gets
+        // a fresh channel — after the shrunk view's resume, under which
+        // nothing routes to it — or no scale-out could provision it again.
+        if let Extract::Retire(victim) = op.extract {
+            let slot = victim.index();
+            if self.dead.remove(&slot) {
+                self.active -= 1;
+                self.bill_live_width();
+                self.io.worker_rxs[slot] = Some(self.fresh_channel(slot));
+            }
         }
     }
 
@@ -1367,19 +1380,12 @@ impl<'a> Controller<'a> {
         self.dead_pending.insert(w, rx);
         // Untangle the in-flight op from the corpse: a phase waiting on
         // the dead worker must not wait for the deadline to notice.
+        // Whatever it still owed (state, an install ack) is gone; a blob
+        // already in its channel is counted by the DeadDestAck drain.
         if let Some(op) = self.pending.as_mut() {
-            let victim = matches!(op.extract, Extract::Retire(v) if v == worker);
-            if victim && op.waiting != Waiting::ResumeAck {
-                // The victim died mid-retire: its state died with it
-                // (accounted above); resume under the shrunk view.
-                self.start_resume();
-            } else {
-                // Whatever it still owed is gone; a blob already in its
-                // channel is counted by the DeadDestAck drain.
-                op.awaiting_out.remove(&worker);
-                op.awaiting_install.remove(&worker);
-                self.advance_op();
-            }
+            op.awaiting_out.remove(&worker);
+            op.awaiting_install.remove(&worker);
+            self.advance_op();
         }
         // A death during the drain means one Shutdown marker will never
         // be answered.
@@ -1416,18 +1422,22 @@ impl<'a> Controller<'a> {
         let scale_in_flight = self.pending.iter().any(|op| op.is_scale_in())
             || self.queue.iter().any(ProtocolOp::is_scale_in);
         let room = !scale_in_flight && self.active < self.config.max_workers;
+        // A dead scale-in victim is not capacity to revive: the routing
+        // function no longer counts its slot, and its op frees it.
+        let n_tasks = self.partitioner.n_tasks();
+        let dead: Vec<usize> = self.dead.iter().copied().filter(|&w| w < n_tasks).collect();
         let inputs = RoundInputs {
             obs: IntervalObservation {
                 interval,
-                n_tasks: self.partitioner.n_tasks(),
+                n_tasks,
                 loads: &round.loads,
                 queue_depths: &round.queues,
                 mean_latency_us: round.mean_latency_us,
                 p99_latency_us: round.p99_latency_us,
-                n_dead: self.dead.len(),
+                n_dead: dead.len(),
             },
             stats: &round.merged,
-            dead: self.dead.iter().copied().collect(),
+            dead,
             can_grow: room && self.io.worker_rxs[self.active].is_some(),
         };
         let mut decisions = RoundDecisions::new(inputs);
@@ -1481,17 +1491,11 @@ impl<'a> Controller<'a> {
                 self.report.scale_events.push(event);
                 self.active += 1;
                 self.bill_live_width();
-                if moves.is_empty() {
-                    // Nothing to pre-place (a key-oblivious strategy
-                    // whose new worker takes traffic without any state):
-                    // publish the grown view directly.
-                    let view = self.partitioner.routing_view();
-                    self.send_src(None, SourceCtl::UpdateView { view });
-                    return;
-                }
                 // Pre-placement: the new slot's keys move in through the
                 // same quiesce → install → resume walk as a rebalance,
-                // so it takes load this interval.
+                // so it takes load this interval; with no key to move,
+                // the op still carries the grown view, behind every
+                // earlier op's.
                 self.report.migrated_keys += moves.len() as u64;
                 let mut by_source: FxHashMap<TaskId, Vec<(Key, TaskId)>> = FxHashMap::default();
                 let mut affected = Vec::with_capacity(moves.len());
@@ -1808,31 +1812,10 @@ impl<'a> Controller<'a> {
         let Some(mut op) = self.queue.pop_front() else {
             return;
         };
-        match &mut op.extract {
-            Extract::Retire(victim) if self.dead.contains(&victim.index()) => {
-                // The victim died before its retirement started: state
-                // accounted, keys already re-routed. Finalize the width
-                // bookkeeping and publish the shrunk view; no pause is
-                // needed because the source diverts the slot anyway.
-                let slot = victim.index();
-                self.dead.remove(&slot);
-                self.active -= 1;
-                self.bill_live_width();
-                self.send_src(None, SourceCtl::UpdateView { view: op.view });
-                // The slot's receiver died with the worker, so give it a
-                // fresh channel — after the shrunk view, under which
-                // nothing routes to it — or no later scale-out could
-                // ever provision it again.
-                let rx = self.fresh_channel(slot);
-                self.io.worker_rxs[slot] = Some(rx);
-                return;
-            }
-            Extract::Retire(_) => {}
-            // Movers that died since planning hold no state (lost and
-            // accounted at death); their keys still move in the view.
-            Extract::Moves(by_source) => {
-                by_source.retain(|src, _| !self.dead.contains(&src.index()));
-            }
+        // Movers that died since planning hold no state (lost and
+        // accounted at death); their keys still move in the view.
+        if let Extract::Moves(by_source) = &mut op.extract {
+            by_source.retain(|src, _| !self.dead.contains(&src.index()));
         }
         self.next_epoch += 1;
         op.epoch = self.next_epoch;
@@ -2159,7 +2142,8 @@ mod protocol_tests {
     /// The far ends of a controller's channels.
     struct Rig {
         sink: Arc<TraceSink>,
-        /// The three "running" workers' receivers, by slot.
+        /// The three "running" workers' receivers, by slot (the spare
+        /// slot's receiver is the controller's to hand a spawn).
         workers: Vec<Receiver<Message>>,
         source: Receiver<SourceCtl>,
         spawned: Rc<RefCell<Vec<Spawned>>>,
@@ -2169,7 +2153,8 @@ mod protocol_tests {
     /// spawned.
     type Spawned = (usize, u64, Receiver<Message>);
 
-    /// A controller over three provisioned slots, all of them running.
+    /// A controller over three provisioned slots, all of them running,
+    /// and a spare fourth a scale-out can provision.
     fn rig(policy: FixedSchedule) -> (Controller<'static>, Rig) {
         rig_with(policy, FaultPlan::none(), Box::new(storm(3)))
     }
@@ -2181,20 +2166,21 @@ mod protocol_tests {
     ) -> (Controller<'static>, Rig) {
         let config = EngineConfig {
             n_workers: 3,
-            max_workers: 3,
+            max_workers: 4,
             elasticity: Box::new(policy),
             fault_plan: plan,
             ..EngineConfig::default()
         };
         let sink = TraceSink::new(true);
-        let (worker_txs, workers): (Vec<_>, Vec<_>) =
-            (0..3).map(|_| bounded(config.channel_capacity)).unzip();
+        let (worker_txs, mut workers): (Vec<_>, Vec<_>) =
+            (0..4).map(|_| bounded(config.channel_capacity)).unzip();
+        let spare = workers.pop();
         let (ctl_tx, source) = unbounded();
         let spawned = Rc::new(RefCell::new(Vec::new()));
         let spawned_by_ctl = Rc::clone(&spawned);
         let io = ControlIo {
             worker_txs,
-            worker_rxs: vec![None, None, None],
+            worker_rxs: vec![None, None, None, spare],
             ctl_tx,
             rec: sink.recorder(ThreadLabel::Controller),
             make_op: Box::new(|_| Box::new(WordCountOp::new())),
@@ -2338,12 +2324,15 @@ mod protocol_tests {
             },
         ));
         ctl.tick_now();
-        // The first retirement completes; the next tick pops the dead
-        // victim's op.
+        // The first retirement completes; the next tick starts the dead
+        // victim's op, which extracts nothing and frees the slot at its
+        // resume ack.
         ctl.on_source(SourceEvent::PauseAck { epoch: 1 });
         ctl.on_worker(retired(2, 1, Vec::new()));
         ctl.on_source(SourceEvent::ResumeAck { epoch: 1 });
         ctl.tick_now();
+        ctl.on_source(SourceEvent::PauseAck { epoch: 2 });
+        ctl.on_source(SourceEvent::ResumeAck { epoch: 2 });
         assert_eq!(ctl.active, 1);
         assert!(ctl.dead.is_empty());
         // Round 2 scales out into slot 1.
@@ -2362,7 +2351,7 @@ mod protocol_tests {
         // routes there.
         let to_source: Vec<SourceCtl> = std::iter::from_fn(|| rig.source.try_recv().ok()).collect();
         let at = |pred: &dyn Fn(&SourceCtl) -> bool| to_source.iter().position(pred);
-        let shrunk = at(&|m| matches!(m, SourceCtl::UpdateView { .. })).expect("shrunk view");
+        let shrunk = at(&|m| matches!(m, SourceCtl::Resume { epoch: 2, .. })).expect("shrunk view");
         let revive = at(&|m| matches!(m, SourceCtl::ReviveDest { dest, .. } if dest == &TaskId(1)))
             .expect("fresh channel for slot 1");
         assert!(shrunk < revive);
@@ -2746,34 +2735,15 @@ mod protocol_tests {
                 ctl.enqueue(OpLabel::Split, vec![key], FxHashMap::default(), false);
             }
             ctl.on_source(SourceEvent::Finished);
-            // The source answers everything it is sent, in order; time
-            // moves one wall deadline per turn.
-            let mut heard: Vec<(&str, u64)> = Vec::new();
+            // Time moves one wall deadline per turn.
+            let mut heard = Vec::new();
             ctl.tick_now();
             for _ in 0..6 {
-                while let Ok(msg) = rig.source.try_recv() {
-                    match msg {
-                        SourceCtl::Pause { epoch, .. } => {
-                            heard.push(("pause", epoch));
-                            ctl.on_source(SourceEvent::PauseAck { epoch });
-                        }
-                        SourceCtl::Resume { epoch, view } => {
-                            heard.push(("resume", epoch));
-                            router.update(view);
-                            ctl.on_source(SourceEvent::ResumeAck { epoch });
-                        }
-                        SourceCtl::UpdateView { view } => router.update(view),
-                        _ => {}
-                    }
-                    ctl.tick_now();
-                }
+                answer_source(&mut ctl, &rig, &mut router, &mut heard);
                 ctl.tick(ctl.clock.now + ctl.clock.deadline);
             }
             assert!(ctl.pending.is_none() && ctl.queue.is_empty(), "{label}");
-            for (i, &(kind, epoch)) in heard.iter().enumerate() {
-                let newest = heard[..i].iter().map(|&(_, e)| e).max().unwrap_or(0);
-                assert!(epoch >= newest, "{label}: {kind} {epoch} after {heard:?}");
-            }
+            assert_epochs_never_fall(&heard, &label);
             assert_eq!(router.route(key), TaskId(2), "{label}: {heard:?}");
             assert_eq!(ctl.partitioner.route(key), TaskId(2));
             let retried = FaultEvent::OpRetried {
@@ -2784,6 +2754,183 @@ mod protocol_tests {
             assert_eq!(faults.iter().filter(|f| **f == retried).count(), 1);
             let aborted = |f: &FaultEvent| matches!(f, FaultEvent::OpAborted { .. });
             assert!(!faults.iter().any(aborted), "{label}: {faults:?}");
+            assert_eq!(ctl.report.protocol_errors, vec![], "{label}");
+        }
+    }
+
+    /// What a source answering in order heard: `("pause" | "resume",
+    /// epoch)`.
+    type Heard = Vec<(&'static str, u64)>;
+
+    /// Plays a source that answers every `Pause` and `Resume` it was
+    /// sent, in order, ticking after each: it records what it heard and
+    /// replays each resume's view through `router`.
+    fn answer_source(
+        ctl: &mut Controller<'_>,
+        rig: &Rig,
+        router: &mut SourceRouter,
+        heard: &mut Heard,
+    ) {
+        while let Ok(msg) = rig.source.try_recv() {
+            match msg {
+                SourceCtl::Pause { epoch, .. } => {
+                    heard.push(("pause", epoch));
+                    ctl.on_source(SourceEvent::PauseAck { epoch });
+                }
+                SourceCtl::Resume { epoch, view } => {
+                    heard.push(("resume", epoch));
+                    router.update(view);
+                    ctl.on_source(SourceEvent::ResumeAck { epoch });
+                }
+                _ => {}
+            }
+            ctl.tick_now();
+        }
+    }
+
+    /// No `Pause` or `Resume` the source heard carries an epoch below
+    /// one it heard before.
+    fn assert_epochs_never_fall(heard: &Heard, label: &str) {
+        for (i, &(kind, epoch)) in heard.iter().enumerate() {
+            let newest = heard[..i].iter().map(|&(_, e)| e).max().unwrap_or(0);
+            assert!(epoch >= newest, "{label}: {kind} {epoch} after {heard:?}");
+        }
+    }
+
+    /// A scale-out with nothing to pre-place walks its own op, so a
+    /// re-driven resume cannot roll the source back from its view: the
+    /// scale-out is decided while op 1's `ResumeAck` is lost, queues
+    /// behind op 1's re-driven resume, and the source ends on the grown
+    /// view the controller routes under.
+    #[test]
+    fn a_redriven_resume_never_rolls_back_a_scale_out() {
+        let lost = crate::fault::FaultSpec::DropCtl {
+            kind: CtlKind::ResumeAck,
+            nth: 1,
+        };
+        let policy = FixedSchedule::new([(0, ScaleDecision::ScaleOut)]);
+        let (mut ctl, rig) = rig_with(policy, FaultPlan::new(vec![lost]), Box::new(storm(3)));
+        let mut router = SourceRouter::from_view(ctl.partitioner.routing_view());
+        let key = key_homed_on(0, 3);
+        ctl.partitioner.apply_moves(&[(key, TaskId(1))]);
+        ctl.enqueue(OpLabel::Split, vec![key], FxHashMap::default(), false);
+        ctl.tick_now();
+        let mut heard = Vec::new();
+        answer_source(&mut ctl, &rig, &mut router, &mut heard);
+        assert!(awaits_resume_ack(&ctl, 1), "op 1's resume ack was lost");
+        // Round 0's reports name no key: nothing to pre-place.
+        close_round(&mut ctl, 0);
+        let grown = ScaleEvent {
+            interval: 0,
+            from: 3,
+            to: 4,
+        };
+        assert_eq!(ctl.report.scale_events, vec![grown]);
+        ctl.on_source(SourceEvent::Finished);
+        for _ in 0..3 {
+            ctl.tick(ctl.clock.now + ctl.clock.deadline);
+            answer_source(&mut ctl, &rig, &mut router, &mut heard);
+        }
+        assert!(ctl.pending.is_none() && ctl.queue.is_empty());
+        assert_eq!(router.n_tasks(), ctl.partitioner.n_tasks(), "{heard:?}");
+        assert_eq!(router.n_tasks(), 4);
+        assert_epochs_never_fall(&heard, "scale-out");
+        let walk = [("pause", 1), ("resume", 1), ("resume", 1)];
+        assert_eq!(heard, [&walk[..], &[("pause", 2), ("resume", 2)]].concat());
+        assert_eq!(ctl.report.protocol_errors, vec![]);
+        drop(ctl.finish(Instant::now()));
+        let log = rig.sink.take_log();
+        assert_eq!(log.check_integrity(), Vec::<String>::new());
+        let spans = log.span_summaries();
+        let op = spans.iter().find(|s| s.span == 2).expect("op 2's span");
+        let phases: Vec<Phase> = op.phases.iter().map(|&(p, _)| p).collect();
+        let walked = [Phase::Plan, Phase::Pause, Phase::QuiesceWait, Phase::Resume];
+        assert_eq!((op.op, &phases[..]), (OpLabel::ScaleOut, &walked[..]));
+        assert_eq!(op.outcome, Some(Outcome::Completed));
+    }
+
+    /// `worker`'s death at an interval-boundary kill point, holding
+    /// nothing.
+    fn killed(worker: usize) -> WorkerEvent {
+        let (_tx, rx) = bounded(1);
+        exited(
+            worker,
+            WorkerExit::Killed {
+                trigger: KillTrigger::Interval(0),
+                lost: Vec::new(),
+                stats: IntervalStats::new(),
+                rx,
+            },
+        )
+    }
+
+    /// A scale-in victim that dies mid-op owes the op nothing, and the op
+    /// frees its slot when it ends, as a retired victim's: `active`
+    /// shrinks, the slot leaves `dead`, and its fresh channel reaches the
+    /// source after the shrunk view's resume. The victim dies before the
+    /// pause ack, or before its `Retired` — and then a scale-out decided
+    /// before the op ends is clamped, not a revive of a slot nothing
+    /// routes to. A later scale-out grows onto the freed slot.
+    #[test]
+    fn a_victim_that_dies_mid_retire_frees_its_slot() {
+        let cases = [
+            ("before its pause ack", true, false),
+            ("before its retired", false, false),
+            ("then a scale-out", false, true),
+        ];
+        for (label, before_pause_ack, round_mid_op) in cases {
+            let (mut ctl, rig) = rig(FixedSchedule::new([
+                (0, ScaleDecision::ScaleIn),
+                (1, ScaleDecision::ScaleOut),
+                (2, ScaleDecision::ScaleOut),
+            ]));
+            close_round(&mut ctl, 0);
+            assert!(ctl.pending.as_ref().is_some_and(ProtocolOp::is_scale_in));
+            if before_pause_ack {
+                ctl.on_worker(killed(2));
+                ctl.on_source(SourceEvent::PauseAck { epoch: 1 });
+            } else {
+                ctl.on_source(SourceEvent::PauseAck { epoch: 1 });
+                ctl.on_worker(killed(2));
+            }
+            ctl.tick_now();
+            assert!(
+                awaits_resume_ack(&ctl, 1),
+                "{label}: resumed without the victim"
+            );
+            if round_mid_op {
+                close_round(&mut ctl, 1);
+                assert!(rig.spawned.borrow().is_empty(), "{label}: clamped");
+            }
+            ctl.on_source(SourceEvent::ResumeAck { epoch: 1 });
+            assert_eq!((ctl.active, ctl.dead.len()), (2, 0), "{label}");
+            let to_source: Vec<SourceCtl> =
+                std::iter::from_fn(|| rig.source.try_recv().ok()).collect();
+            let at = |pred: &dyn Fn(&SourceCtl) -> bool| to_source.iter().position(pred);
+            let shrunk = at(&|m| match m {
+                SourceCtl::Resume { epoch: 1, view } => {
+                    SourceRouter::from_view(view.clone()).n_tasks() == 2
+                }
+                _ => false,
+            });
+            let revive =
+                at(&|m| matches!(m, SourceCtl::ReviveDest { dest, .. } if dest == &TaskId(2)));
+            let (shrunk, revive) = (shrunk.expect(label), revive.expect(label));
+            assert!(shrunk < revive, "{label}: {to_source:?}");
+
+            close_round(&mut ctl, 2);
+            let event = |interval, from, to| ScaleEvent { interval, from, to };
+            assert_eq!(
+                ctl.report.scale_events,
+                vec![event(0, 3, 2), event(2, 2, 3)],
+                "{label}"
+            );
+            let spawned: Vec<(usize, u64)> =
+                rig.spawned.borrow().iter().map(|s| (s.0, s.1)).collect();
+            assert_eq!(spawned, vec![(2, 3)], "{label}: a worker on slot 2");
+            assert_eq!((ctl.active, ctl.partitioner.n_tasks()), (3, 3), "{label}");
+            let revived = |f: &FaultEvent| matches!(f, FaultEvent::SlotRevived { .. });
+            assert!(!ctl.take_faults().iter().any(revived), "{label}");
             assert_eq!(ctl.report.protocol_errors, vec![], "{label}");
         }
     }

@@ -78,7 +78,7 @@ pub struct EngineConfig {
     /// pause → migrate → resume machinery inside the scale-out
     /// quiescence window, so the new worker owns its keys — and takes
     /// their traffic — in the decision interval itself (an empty plan
-    /// publishes the grown view directly). In: the drain → migrate →
+    /// walks the op too, moving nothing). In: the drain → migrate →
     /// retire walk (the `scale_in` column of the crate docs' table). Decisions
     /// are clamped to `[1, max_workers]`; scale-ins may queue up
     /// (multi-step re-provisioning executes them in order), while a
@@ -1041,7 +1041,6 @@ impl SourcePlane {
                 // tuples would drop them).
                 self.emit(SourceEvent::ResumeAck { epoch });
             }
-            SourceCtl::UpdateView { view } => self.router.update(view),
             SourceCtl::DeadDest { dest, moves } => {
                 // Pin the controller's re-route into the local table (a
                 // delta keeps both sides in lockstep; key-oblivious

@@ -102,8 +102,8 @@
 //! | **resume** (source adopts the view, flushes its pause buffer, acks) | the rebalance delta, or a full view | the grown view | the shrunk view | the split view | the consolidated view |
 //! | `migrated_bytes` billed | up front, from the plan's estimate | from the blobs extracted | — | — | from the blobs extracted |
 //!
-//! An empty pre-placement plan (shuffle, PKG: no state to move) skips
-//! the op and publishes the grown view directly. Anywhere a destination
+//! An empty pre-placement plan (shuffle, PKG, Ideal: nothing to move)
+//! walks the op too, pausing nothing. Anywhere a destination
 //! has died since it was chosen, the blob is diverted to the next live
 //! slot. A phase that outlives its deadline (the one rule every wait
 //! follows; see *Failure model*) is re-driven once (markers are
@@ -239,7 +239,8 @@
 //!   not leaked*: every tuple it absorbed is tallied per key in
 //!   `EngineReport::lost_tuples`, so the accounting invariant
 //!   `fed == observed + lost` holds for every key on every run. A dead
-//!   slot stays revivable — a later scale-out re-provisions it.
+//!   slot stays revivable — a later scale-out re-provisions it — unless
+//!   it was a `scale_in` victim: its op frees the slot at its resume ack.
 //! * **Lost control messages** (`DropCtl`): the *n*-th message of a
 //!   kind is dropped by the one thread that counts that kind (see
 //!   `CtlKind`). Every controller wait —

@@ -246,16 +246,12 @@ pub enum SourceCtl {
         /// What to hold back.
         scope: PauseScope,
     },
-    /// Step 7: switch to the new routing view and flush buffered tuples.
+    /// Step 7: switch to the new routing view and flush buffered tuples:
+    /// every planned view arrives here (a `DeadDest` only re-pins keys).
     Resume {
         /// Migration epoch.
         epoch: u64,
         /// The new routing function `F′`.
-        view: RoutingView,
-    },
-    /// Routing view changed without migration (e.g. hash-only scale-out).
-    UpdateView {
-        /// The new routing function.
         view: RoutingView,
     },
     /// A worker died: stop sending to `dest`, apply the re-pin `moves`
