@@ -98,5 +98,5 @@ pub use rebalance::{
     RebalanceOutcome, RebalanceStrategy, Rebalancer, TriggerPolicy, SETTLE_FRACTION,
 };
 pub use router::SourceRouter;
-pub use routing::{next_live, AssignmentFn, RoutingTable};
+pub use routing::{divert, next_live, AssignmentFn, RoutingTable};
 pub use stats::{IntervalStats, KeyRecord, KeyStat, StatsAccumulator, StatsPlane, StatsWindow};

@@ -16,7 +16,7 @@
 //! [`Rebalancer`]: crate::Rebalancer
 //! [`SourceRouter`]: crate::SourceRouter
 
-use crate::routing::RoutingTable;
+use crate::routing::{AssignmentFn, RoutingTable};
 use crate::stats::IntervalStats;
 use crate::{Key, RebalanceOutcome, TaskId};
 
@@ -72,11 +72,27 @@ pub enum RoutingView {
 
 impl RoutingView {
     /// The table view of `assignment`.
-    pub fn of_assignment(assignment: &crate::routing::AssignmentFn) -> Self {
+    pub fn of_assignment(assignment: &AssignmentFn) -> Self {
         RoutingView::TablePlusHash {
             table: assignment.table().clone(),
             n_tasks: assignment.n_tasks(),
             splits: assignment.splits(),
+        }
+    }
+
+    /// Applies `moves` on top of this view, as
+    /// [`AssignmentFn::apply_delta`] applies them to a holder's table: a
+    /// delta gains them last, a table view is patched.
+    /// Table-less views have nothing to move.
+    pub fn apply_moves(&mut self, moves: &[(Key, TaskId)]) {
+        match self {
+            RoutingView::TableDelta { moves: delta, .. } => delta.extend_from_slice(moves),
+            RoutingView::TablePlusHash { table, n_tasks, .. } => {
+                let mut a = AssignmentFn::with_table(*n_tasks, std::mem::take(table));
+                a.apply_delta(moves.iter().copied());
+                *table = a.table().clone();
+            }
+            RoutingView::TwoChoice { .. } | RoutingView::RoundRobin { .. } => {}
         }
     }
 }
@@ -191,18 +207,18 @@ pub trait Partitioner: Send {
 
     /// A worker died without draining: pin every explicit table entry
     /// routed to `dead` onto a surviving task and return the applied
-    /// `(key, new destination)` moves, for shipping to sources as a
-    /// delta. Survivors are chosen by [`crate::routing::next_live`] from
-    /// each key's hash home — the same rule sources use to divert
-    /// hash-fallback keys at send time, so every view holder agrees
-    /// where the dead slot's traffic lands. The parallelism does **not**
-    /// shrink: slot ids stay dense and a later scale-out can re-provision
-    /// the slot. `is_dead` must report every currently-dead slot,
-    /// `dead` included.
+    /// `(key, new destination)` moves. Survivors are chosen by the one
+    /// divert rule ([`crate::routing::divert`]: the next live task from
+    /// each key's hash home), the rule every view holder applies to a
+    /// route that names a dead slot, so a holder still routing a key to
+    /// `dead` lands it where this table now does — no holder needs the
+    /// moves. The parallelism does **not** shrink: slot ids stay dense
+    /// and a later scale-out can re-provision the slot. `is_dead` must
+    /// report every currently-dead slot, `dead` included.
     ///
     /// Default: no routing table to re-pin, no moves — key-oblivious and
-    /// key-splitting strategies (shuffle, PKG) route around dead slots
-    /// at the source alone.
+    /// key-splitting strategies (shuffle, PKG) leave the divert to the
+    /// holders alone.
     fn reroute_dead(
         &mut self,
         dead: TaskId,

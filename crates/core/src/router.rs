@@ -150,12 +150,18 @@ impl SourceRouter {
     /// table's slab. Table-less routers (PKG, shuffle) report `(0, 0)` —
     /// they have no table to grow or fragment.
     pub fn table_stats(&self) -> (usize, usize) {
+        self.assignment().map_or((0, 0), |a| {
+            let t = a.table();
+            (t.len(), t.occupied().saturating_sub(t.len()))
+        })
+    }
+
+    /// The table view's assignment: its table and splits. `None` for
+    /// the table-less routers (PKG, shuffle).
+    pub fn assignment(&self) -> Option<&AssignmentFn> {
         match self {
-            SourceRouter::Assignment(a) => {
-                let t = a.table();
-                (t.len(), t.occupied().saturating_sub(t.len()))
-            }
-            SourceRouter::TwoChoice { .. } | SourceRouter::RoundRobin { .. } => (0, 0),
+            SourceRouter::Assignment(a) => Some(a),
+            SourceRouter::TwoChoice { .. } | SourceRouter::RoundRobin { .. } => None,
         }
     }
 }

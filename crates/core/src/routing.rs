@@ -594,31 +594,25 @@ impl AssignmentFn {
     }
 
     /// A worker slot died without draining: pins every explicit table
-    /// entry routed to `dead` onto a surviving slot and returns the
-    /// applied `(key, new destination)` moves, for shipping to other
-    /// view holders as a delta. Each key's survivor starts from its
-    /// *hash home* ([`next_live`] cycles past dead slots from there), so
-    /// the dead slot's keys spread over survivors instead of piling onto
-    /// one neighbour — and a key whose hash home is itself live simply
-    /// drops its entry ([`AssignmentFn::apply_delta`] semantics),
-    /// shrinking the table. The ring does **not** shrink: slot ids stay
-    /// dense and the slot can be re-provisioned later. Hash-fallback
-    /// keys routed to `dead` have no entries to re-pin; holders divert
-    /// them with the same [`next_live`] rule at send time.
+    /// entry routed to `dead` onto the survivor the one [`divert`] rule
+    /// picks from its *hash home*, and returns the applied `(key, new
+    /// destination)` moves. The dead slot's keys spread over survivors
+    /// instead of piling onto one neighbour, and a key whose hash home is
+    /// itself live simply drops its entry ([`AssignmentFn::apply_delta`]
+    /// semantics), shrinking the table. The ring does **not** shrink:
+    /// slot ids stay dense and the slot can be re-provisioned later.
+    /// Other holders divert whatever still routes to `dead` by the same
+    /// rule, so none needs the moves.
     pub fn repin_dead(
         &mut self,
         dead: TaskId,
         is_dead: &dyn Fn(usize) -> bool,
     ) -> Vec<(Key, TaskId)> {
-        let n = self.n_tasks();
         let moves: Vec<(Key, TaskId)> = self
             .table
             .iter()
             .filter(|&(_, d)| d == dead)
-            .map(|(k, _)| {
-                let home = self.hash_route(k).index();
-                (k, TaskId::from(next_live(home, n, is_dead)))
-            })
+            .map(|(k, d)| (k, divert(&self.ring, k, d, is_dead)))
             .collect();
         self.apply_delta(moves.iter().copied());
         moves
@@ -668,8 +662,8 @@ impl AssignmentFn {
     /// maintenance ([`AssignmentFn::apply_delta`],
     /// [`AssignmentFn::swap_table`], [`AssignmentFn::repin_dead`]): the
     /// split layer is orthogonal routing state owned by the split/unsplit
-    /// protocol ops, and a dead replica is diverted by holders at send
-    /// time with the universal [`next_live`] rule, same as any dead slot.
+    /// protocol ops, and a tuple or blob routed to a dead replica is
+    /// diverted by the one [`divert`] rule, like any route to a dead slot.
     pub fn set_split(&mut self, key: Key, replicas: &[TaskId]) -> bool {
         if replicas.len() < 2 {
             return false;
@@ -744,14 +738,23 @@ impl AssignmentFn {
     }
 }
 
-/// The next live slot at or after `dest`, cycling over `0..n` — the one
-/// divert rule shared by every holder of a routing view: sources route
-/// around a dead slot with it, [`AssignmentFn::repin_dead`] picks
-/// survivors with it, and controllers re-home state with it, so traffic
-/// and state land on the same survivor no matter who diverts.
-///
-/// Returns `dest` unchanged when every slot is dead (the caller is about
-/// to fail the send and account the loss anyway).
+/// The one divert rule of every view holder: a tuple or state blob of
+/// `key` routed to a dead `dest` goes to the next live slot from its hash
+/// home on `ring` (`h` over the view's `n_tasks`). The engine's source,
+/// the controller and [`AssignmentFn::repin_dead`] all divert by it, so
+/// a key lands on one survivor whoever diverts it, under any view
+/// (DESIGN.md §12).
+pub fn divert(ring: &HashRing, key: Key, dest: TaskId, is_dead: impl Fn(usize) -> bool) -> TaskId {
+    if !is_dead(dest.index()) {
+        return dest;
+    }
+    let home = ring.slot_of(key.raw());
+    TaskId::from(next_live(home, ring.slots(), is_dead))
+}
+
+/// The next live slot at or after `dest`, cycling over `0..n`: the walk
+/// [`divert`] takes. Returns `dest` unchanged when every slot is dead
+/// (the caller is about to fail the send and account the loss anyway).
 pub fn next_live(dest: usize, n: usize, is_dead: impl Fn(usize) -> bool) -> usize {
     for off in 0..n {
         let d = (dest + off) % n;

@@ -1,5 +1,6 @@
 //! The lint rules, as passes over the token stream of one file (L001,
-//! L002, L003, L004, L006, L007, L008, L009, L010; L005 is retired).
+//! L002, L003, L004, L006, L007, L008, L009, L010, L011; L005 is
+//! retired).
 
 use crate::lexer::{lex, Tok, TokKind};
 use crate::Violation;
@@ -31,6 +32,9 @@ pub struct FileClass {
     /// L010 applies: the runtime (`crates/runtime/src`), whose threads
     /// share channels and nothing guarded by a lock or an atomic.
     pub channels_only: bool,
+    /// L011 applies: the source's file (`crates/runtime/src/engine.rs`),
+    /// whose router changes only in the `SourceCtl::Resume` arm.
+    pub resume_routes: bool,
 }
 
 /// Per-token flags derived from `#[...]` attributes.
@@ -57,6 +61,7 @@ struct Allow {
 pub fn scan_source(file: &str, src: &str, class: &FileClass) -> Vec<Violation> {
     let toks = lex(src);
     let marks = mark_attr_spans(&toks);
+    let resume_arm = mark_resume_arms(&toks);
     let lines: Vec<&str> = src.lines().collect();
     let mut out = Vec::new();
     let mut depth: i32 = 0;
@@ -270,6 +275,26 @@ pub fn scan_source(file: &str, src: &str, class: &FileClass) -> Vec<Violation> {
                 });
             }
 
+            // L011: a routing change at the source outside an op's
+            // resume. A death or a revive changes which slots the
+            // source diverts, never its routing function.
+            if class.resume_routes
+                && !marks.in_test[i]
+                && !resume_arm[i]
+                && name == "router"
+                && writes(&toks, i)
+            {
+                out.push(Violation {
+                    file: file.to_string(),
+                    line: t.line,
+                    rule: "L011",
+                    msg: "the source's `router` written outside the `SourceCtl::Resume` \
+                          arm — its routing function changes only at an op's resume; \
+                          a death or a revive changes only the slots it diverts"
+                        .to_string(),
+                });
+            }
+
             // L006: x86 intrinsics outside a cfg(target_arch) gate.
             if name.len() >= 4 && name[..4].eq_ignore_ascii_case("_mm_") && !marks.arch[i] {
                 out.push(Violation {
@@ -382,16 +407,94 @@ fn last_arg_is_zero(args: &[Tok]) -> bool {
     comma && last.is_some_and(|t| t.kind == TokKind::Num && t.text == "0")
 }
 
+/// Index of the previous non-comment token before `i`.
+fn prev_code(toks: &[Tok], i: usize) -> Option<usize> {
+    toks[..i].iter().rposition(|t| t.kind != TokKind::Comment)
+}
+
+/// Whether the identifier at `i` is written: assigned (`x =`, not
+/// `x ==` nor a `let x =` binding), updated (`x.update(`), or lent out
+/// mutably (`&mut x`, `&mut a.b.x`).
+fn writes(toks: &[Tok], i: usize) -> bool {
+    let punct = |at: Option<usize>, p: char| at.is_some_and(|n| toks[n].kind == TokKind::Punct(p));
+    let ident = |at: Option<usize>, w: &str| {
+        at.is_some_and(|n| toks[n].kind == TokKind::Ident && toks[n].text == w)
+    };
+    let (next, prev) = (next_code(toks, i), prev_code(toks, i));
+    let after = next.and_then(|n| next_code(toks, n));
+    let binding = ident(prev, "let")
+        || ident(prev, "mut") && ident(prev.and_then(|n| prev_code(toks, n)), "let");
+    let assigned = punct(next, '=') && !punct(after, '=') && !punct(after, '>') && !binding;
+    let updated = punct(next, '.')
+        && ident(after, "update")
+        && punct(after.and_then(|n| next_code(toks, n)), '(');
+    let mut owner = prev;
+    while let Some(dot) = owner.filter(|&n| toks[n].kind == TokKind::Punct('.')) {
+        let path = prev_code(toks, dot).filter(|&n| toks[n].kind == TokKind::Ident);
+        owner = path.and_then(|n| prev_code(toks, n));
+    }
+    let lent = ident(owner, "mut") && punct(owner.and_then(|n| prev_code(toks, n)), '&');
+    assigned || updated || lent
+}
+
+/// Per-token flags: inside the body of a `SourceCtl::Resume` match arm
+/// (`SourceCtl::Resume { .. } => ..`, a block or an expression up to
+/// its `,`), where L011 lets the source's router change.
+fn mark_resume_arms(toks: &[Tok]) -> Vec<bool> {
+    let mut arm = vec![false; toks.len()];
+    for i in 3..toks.len() {
+        let named = toks[i].kind == TokKind::Ident
+            && toks[i].text == "Resume"
+            && toks[i - 1].kind == TokKind::Punct(':')
+            && toks[i - 2].kind == TokKind::Punct(':')
+            && toks[i - 3].text == "SourceCtl";
+        if !named {
+            continue;
+        }
+        let mut k = next_code(toks, i);
+        if let Some(open) = k.filter(|&n| toks[n].kind == TokKind::Punct('{')) {
+            k = next_code(toks, matching(toks, open, '{', '}'));
+        }
+        let arrow = k.filter(|&n| toks[n].kind == TokKind::Punct('='));
+        let body = arrow
+            .and_then(|n| next_code(toks, n))
+            .filter(|&n| toks[n].kind == TokKind::Punct('>'))
+            .and_then(|n| next_code(toks, n));
+        let Some(start) = body else {
+            continue;
+        };
+        let end = match toks[start].kind {
+            TokKind::Punct('{') => matching(toks, start, '{', '}'),
+            _ => arm_expr_end(toks, start),
+        };
+        arm[start..=end].iter_mut().for_each(|m| *m = true);
+    }
+    arm
+}
+
+/// The last token of a match arm's expression starting at `start`: the
+/// one before its `,` at the arm's own depth, or before the `}` closing
+/// the match.
+fn arm_expr_end(toks: &[Tok], start: usize) -> usize {
+    let mut depth = 0i32;
+    for (k, t) in toks.iter().enumerate().skip(start) {
+        match t.kind {
+            TokKind::Punct('(' | '[' | '{') => depth += 1,
+            TokKind::Punct(')' | ']' | '}') if depth == 0 => return k.saturating_sub(1),
+            TokKind::Punct(')' | ']' | '}') => depth -= 1,
+            TokKind::Punct(',') if depth == 0 => return k,
+            _ => {}
+        }
+    }
+    toks.len().saturating_sub(1)
+}
+
 fn next_is(toks: &[Tok], i: usize, p: char) -> bool {
     next_code(toks, i).is_some_and(|n| toks[n].kind == TokKind::Punct(p))
 }
 
 fn prev_is(toks: &[Tok], i: usize, p: char) -> bool {
-    toks[..i]
-        .iter()
-        .rev()
-        .find(|t| t.kind != TokKind::Comment)
-        .is_some_and(|t| t.kind == TokKind::Punct(p))
+    prev_code(toks, i).is_some_and(|n| toks[n].kind == TokKind::Punct(p))
 }
 
 /// For the `fn` keyword at `fn_idx`, the index of the `}` closing the

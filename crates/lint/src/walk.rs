@@ -43,6 +43,7 @@ pub fn classify(rel: &str) -> Option<FileClass> {
         swap_allowed: rel == "crates/core/src/routing.rs" || test_ctx,
         clock_free: rel == "crates/runtime/src/controller.rs",
         channels_only: rel.starts_with("crates/runtime/src/"),
+        resume_routes: rel == "crates/runtime/src/engine.rs",
     })
 }
 

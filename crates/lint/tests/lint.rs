@@ -13,7 +13,7 @@ fn fixture(name: &str) -> String {
 }
 
 /// All source rules active: the class of
-/// `crates/runtime/src/controller.rs`.
+/// `crates/runtime/src/controller.rs`, plus the source's L011.
 fn full_class() -> FileClass {
     FileClass {
         panic_scope: true,
@@ -22,6 +22,7 @@ fn full_class() -> FileClass {
         fn_line_cap: Some(MAX_FN_LINES),
         clock_free: true,
         channels_only: true,
+        resume_routes: true,
     }
 }
 
@@ -165,6 +166,23 @@ fn l010_channels_lookalikes_and_test_code_pass() {
 }
 
 #[test]
+fn l011_flags_router_writes_outside_the_resume_arm() {
+    let hit = [8, 16, 17, 18].map(|line| ("L011", line)).to_vec();
+    assert_eq!(rules_hit("l011_violate.rs"), hit);
+}
+
+#[test]
+fn l011_resume_arm_reads_and_test_code_pass() {
+    assert_eq!(rules_hit("l011_pass.rs"), vec![]);
+    let class = FileClass {
+        resume_routes: false,
+        ..full_class()
+    };
+    let vs = scan_source("l011.rs", &fixture("l011_violate.rs"), &class);
+    assert!(vs.is_empty(), "outside the source's file: {vs:?}");
+}
+
+#[test]
 fn l000_malformed_allows_are_flagged() {
     let no_reason = "fn f(x: Option<u32>) -> u32 {\n    // lint: allow(panic)\n    x.unwrap()\n}\n";
     let vs = scan_source("inline.rs", no_reason, &full_class());
@@ -194,9 +212,10 @@ fn allow_scope_ends_with_the_statement() {
 fn classify_scopes_rules_by_path() {
     let rt = classify("crates/runtime/src/engine.rs").expect("scanned");
     assert!(rt.panic_scope && rt.data_plane && !rt.swap_allowed && !rt.clock_free);
-    assert!(rt.channels_only);
+    assert!(rt.channels_only && rt.resume_routes);
     assert_eq!(rt.fn_line_cap, Some(MAX_FN_LINES));
-    assert!(classify("crates/runtime/src/controller.rs").is_some_and(|c| c.clock_free));
+    let ctl = classify("crates/runtime/src/controller.rs").expect("scanned");
+    assert!(ctl.clock_free && !ctl.resume_routes);
     let core = classify("crates/core/src/llfd.rs").expect("scanned");
     assert!(core.panic_scope && !core.data_plane && !core.swap_allowed);
     assert_eq!(core.fn_line_cap, None);

@@ -17,14 +17,14 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use streambal_core::{IntervalStats, Key, Partitioner, RoutingView, SourceRouter, TaskId};
+use streambal_core::{divert, IntervalStats, Key, Partitioner, RoutingView, SourceRouter, TaskId};
 use streambal_elastic::{IntervalObservation, RoundAction, RoundDecisions, RoundInputs};
-use streambal_hashring::{FxHashMap, FxHashSet};
+use streambal_hashring::{FxHashMap, FxHashSet, HashRing};
 use streambal_metrics::Histogram;
 use streambal_trace::{EarlySplit, EarlyStep, OpLabel, Outcome, Phase, ThreadRecorder};
 
-use crate::engine::{EngineConfig, EngineReport, ProtocolError};
-use crate::fault::{next_live, CtlKind, DropCounter, FaultEvent, KillTrigger, OpKind, SendPeer};
+use crate::engine::{EngineConfig, EngineReport, ProtocolError, Routing};
+use crate::fault::{CtlKind, DropCounter, FaultEvent, KillTrigger, OpKind, SendPeer};
 use crate::message::{
     Event, Message, PauseScope, SourceCtl, SourceEvent, WorkerEvent, WorkerExit, WorkerTotals,
 };
@@ -389,11 +389,11 @@ enum Waiting {
 }
 
 /// One control-plane operation, queued or in flight. Every op the
-/// controller runs — rebalance, scale-out, scale-in, split, unsplit —
-/// is this one walk (plan → pause → quiesce → state_out → install →
-/// resume → resume ack) with a different pause scope and state source;
-/// ops serialize through one queue, and an op leaves it only at the
-/// source's `ResumeAck`, so every planned view reaches the source in
+/// controller runs — rebalance, scale-out, revive, scale-in, split,
+/// unsplit — is this one walk (plan → pause → quiesce → state_out →
+/// install → resume → resume ack) with a different pause scope and state
+/// source; ops serialize through one queue, and an op leaves it only at
+/// the source's `ResumeAck`, so every planned view reaches the source in
 /// an op's `Resume`, one routing-function delta at a time.
 /// The op's span (id = its epoch) lives as long as the op, except that
 /// an abort closes it early and the op then walks its resume phase
@@ -428,6 +428,8 @@ struct ProtocolOp {
     /// Whether a deadline aborted the op: its span is closed, and its
     /// resume phase records nothing on it.
     aborted: bool,
+    /// The dead slot a revive op gives back to the source.
+    revive: Option<usize>,
     /// The wait of the op's current phase: from its queueing, restarted
     /// when it starts, at every awaited answer and when it resumes.
     wait: Wait,
@@ -455,6 +457,7 @@ impl ProtocolOp {
             awaiting_install: FxHashMap::default(),
             state_out_marked: false,
             aborted: false,
+            revive: None,
             wait: queued,
         }
     }
@@ -665,12 +668,17 @@ impl<'a> Controller<'a> {
     }
 
     /// Closes the books once [`Controller::done`]: tells the source to
-    /// exit and returns the report, the recorder, and the epoch of the
+    /// exit and returns the report, the recorder, the epoch of the
     /// in-flight op if its span is still open, for the caller to close
-    /// `Abandoned` after the other threads have joined. Dropping the
-    /// controller drops its worker spawner — which holds a
-    /// collector-sender clone — so the collector can observe closure.
-    pub fn finish(mut self, end: Instant) -> (EngineReport, ThreadRecorder, Option<u64>) {
+    /// `Abandoned` after the other threads have joined, and the routing
+    /// the source must have ended on — `None` when an op in flight or
+    /// queued never delivered its view. Dropping the controller drops
+    /// its worker spawner — which holds a collector-sender clone — so
+    /// the collector can observe closure.
+    pub fn finish(
+        mut self,
+        end: Instant,
+    ) -> (EngineReport, ThreadRecorder, Option<u64>, Option<Routing>) {
         // The run's wall time and its worker-seconds integral close at
         // one instant, so `worker_seconds ≤ max_workers × wall` holds by
         // construction.
@@ -691,8 +699,12 @@ impl<'a> Controller<'a> {
         for (interval, tps) in self.throughput {
             self.report.interval_throughput.push(interval as f64, tps);
         }
+        let settled = (self.pending.is_none() && self.queue.is_empty()).then(|| {
+            let router = SourceRouter::from_view(self.partitioner.routing_view());
+            (router, std::mem::take(&mut self.dead))
+        });
         let open_span = self.pending.filter(|op| !op.aborted).map(|op| op.epoch);
-        (self.report, self.io.rec, open_span)
+        (self.report, self.io.rec, open_span, settled)
     }
 
     // ---- the fault ledger and sends -------------------------------------
@@ -1047,9 +1059,9 @@ impl<'a> Controller<'a> {
         // awaited; the op deadline re-drives it.
         self.io.rec.span_phase(epoch, Phase::QuiesceWait);
         self.send_phase();
-        // A degenerate op (a split, an empty scale-out, every holder or
-        // the victim dead) awaits nothing and resumes immediately: its
-        // pause window alone makes the view swap atomic.
+        // A degenerate op (a split, an empty scale-out, a revive, every
+        // holder or the victim dead) awaits nothing and resumes
+        // immediately: its pause window alone makes the view swap atomic.
         self.advance_op();
     }
 
@@ -1099,12 +1111,9 @@ impl<'a> Controller<'a> {
         // can respawn here and no message can ever be silently dropped.
         self.ledger.on_residue(worker, stats);
         self.io.worker_rxs[worker.index()] = Some(rx);
+        self.free_tail();
         if answer == Answer::Stray {
             return;
-        }
-        if worker.index() + 1 == self.active {
-            self.active -= 1;
-            self.bill_live_width();
         }
         match (answer, self.pending.as_ref()) {
             // Re-home under the op's captured view — the placement every
@@ -1149,18 +1158,34 @@ impl<'a> Controller<'a> {
         if !op.aborted {
             self.io.rec.span_close(epoch, Outcome::Completed);
         }
-        // A scale-in whose victim died, queued or mid-op, frees the slot
-        // as a retire does. Its receiver died with the worker, so it gets
-        // a fresh channel — after the shrunk view's resume, under which
-        // nothing routes to it — or no scale-out could provision it again.
-        if let Extract::Retire(victim) = op.extract {
-            let slot = victim.index();
-            if self.dead.remove(&slot) {
-                self.active -= 1;
-                self.bill_live_width();
+        // The source routes under the op's view — a revive's whole
+        // current one, or a scale-in's that routes nothing to its dead
+        // victim — so no stale entry can reach the slot: its death ends.
+        // The victim's receiver died with it; a fresh one frees the slot.
+        let revived = match op.extract {
+            Extract::Retire(victim) if self.dead.contains(&victim.index()) => {
+                let slot = victim.index();
                 self.io.worker_rxs[slot] = Some(self.fresh_channel(slot));
+                Some(slot)
             }
+            _ => op.revive,
+        };
+        if let Some(slot) = revived {
+            self.dead.remove(&slot);
+            let (dest, tx) = (TaskId::from(slot), self.io.worker_txs[slot].clone());
+            self.send_src(None, SourceCtl::ReviveDest { dest, tx });
+            self.free_tail();
         }
+    }
+
+    /// Shrinks `active` past every tail slot whose receiver is back, in
+    /// whatever order they came back (a zombie victim retires late), and
+    /// bills the live width.
+    fn free_tail(&mut self) {
+        while self.active > 1 && self.io.worker_rxs[self.active - 1].is_some() {
+            self.active -= 1;
+        }
+        self.bill_live_width();
     }
 
     /// Classifies an acknowledgement stamped `epoch`. When that is the
@@ -1265,21 +1290,20 @@ impl<'a> Controller<'a> {
 
     /// The one place blobs in hand become `StateInstall`s: groups them
     /// by destination — diverting any that died since the destination
-    /// was chosen to the next live slot, so state lands where it can be
-    /// drained at shutdown — sends one install per destination under
-    /// `epoch`, and returns what went where.
+    /// was chosen by the one divert rule, so state lands where the key's
+    /// tuples do — sends one install per destination under `epoch`, and
+    /// returns what went where.
     fn rehome(
         &mut self,
         epoch: u64,
         states: Vec<(Key, TaskId, Bytes)>,
     ) -> FxHashMap<TaskId, Vec<(Key, Bytes)>> {
         let mut by_dest: FxHashMap<TaskId, Vec<(Key, Bytes)>> = FxHashMap::default();
+        let divert = self.diverter();
         for (k, to, blob) in states {
-            by_dest
-                .entry(self.live_slot(to))
-                .or_default()
-                .push((k, blob));
+            by_dest.entry(divert(k, to)).or_default().push((k, blob));
         }
+        drop(divert);
         for (dest, states) in &by_dest {
             let states = states.clone();
             self.send_worker(dest.index(), None, Message::StateInstall { epoch, states });
@@ -1306,13 +1330,11 @@ impl<'a> Controller<'a> {
         }
     }
 
-    /// `slot`, or the next live slot after it when it is dead.
-    fn live_slot(&self, slot: TaskId) -> TaskId {
-        if !self.dead.contains(&slot.index()) {
-            return slot;
-        }
-        let n_tasks = self.partitioner.n_tasks();
-        TaskId::from(next_live(slot.index(), n_tasks, |x| self.dead.contains(&x)))
+    /// `(key, to)` ↦ where the source sends `key` routed to `to`: the one
+    /// divert rule ([`divert`]) over the controller's dead set.
+    fn diverter(&self) -> impl Fn(Key, TaskId) -> TaskId + '_ {
+        let ring = (!self.dead.is_empty()).then(|| HashRing::new(self.partitioner.n_tasks()));
+        move |k, to| (ring.as_ref()).map_or(to, |r| divert(r, k, to, |x| self.dead.contains(&x)))
     }
 
     /// Moves the in-flight op to its last phase: nothing is owed to it
@@ -1360,10 +1382,10 @@ impl<'a> Controller<'a> {
         self.bill_live_width();
         // A provisional round would wait on the corpse forever.
         self.cancel_early_round();
-        // Pin the dead slot's keys onto survivors (via each key's hash
-        // home, cycled past dead slots) and tell the source; its ack
-        // returns when the re-route is live, at which point the channel
-        // backlog is drained and accounted (DeadDestAck).
+        // Re-pin the dead slot's keys by the divert rule the source
+        // applies to its traffic, and tell the source; its ack returns
+        // when it diverts, and the channel backlog is then drained and
+        // accounted (DeadDestAck).
         let dead = &self.dead;
         let moves = self
             .partitioner
@@ -1372,11 +1394,7 @@ impl<'a> Controller<'a> {
             from_worker: w,
             moved_keys: moves.len(),
         });
-        let msg = SourceCtl::DeadDest {
-            dest: worker,
-            moves,
-        };
-        self.send_src(None, msg);
+        self.send_src(None, SourceCtl::DeadDest { dest: worker });
         self.dead_pending.insert(w, rx);
         // Untangle the in-flight op from the corpse: a phase waiting on
         // the dead worker must not wait for the deadline to notice.
@@ -1419,13 +1437,15 @@ impl<'a> Controller<'a> {
         // scale-out is skipped while any scale-in is still
         // re-provisioning, since the spawn slot must be the contiguous
         // physical tail.
-        let scale_in_flight = self.pending.iter().any(|op| op.is_scale_in())
-            || self.queue.iter().any(ProtocolOp::is_scale_in);
-        let room = !scale_in_flight && self.active < self.config.max_workers;
-        // A dead scale-in victim is not capacity to revive: the routing
-        // function no longer counts its slot, and its op frees it.
+        let ops: Vec<&ProtocolOp> = self.pending.iter().chain(&self.queue).collect();
+        let room = !ops.iter().any(|op| op.is_scale_in()) && self.active < self.config.max_workers;
+        // Capacity to revive is a dead slot the routing function still
+        // counts (a dead scale-in victim's op frees it) and no revive op
+        // holds already.
         let n_tasks = self.partitioner.n_tasks();
-        let dead: Vec<usize> = self.dead.iter().copied().filter(|&w| w < n_tasks).collect();
+        let dead: Vec<usize> = (self.dead.iter().copied())
+            .filter(|&w| w < n_tasks && !ops.iter().any(|op| op.revive == Some(w)))
+            .collect();
         let inputs = RoundInputs {
             obs: IntervalObservation {
                 interval,
@@ -1472,14 +1492,15 @@ impl<'a> Controller<'a> {
         match action {
             RoundAction::Revive { slot } => {
                 // Routing is untouched (the revived slot starts
-                // key-less; the next rebalance loads it) — only the
-                // source's divert set shrinks, once it swaps in the
-                // fresh channel `ReviveDest` carries.
+                // key-less). The fresh worker stays counted dead until
+                // its op's resume ack gives the source the slot back.
                 let rx = self.fresh_channel(slot);
                 self.spawn_on(slot, rx);
-                self.dead.remove(&slot);
-                self.bill_live_width();
                 self.fault(FaultEvent::SlotRevived { worker: slot });
+                self.enqueue(OpLabel::ScaleOut, Vec::new(), FxHashMap::default(), false);
+                if let Some(op) = self.queue.back_mut() {
+                    op.revive = Some(slot);
+                }
             }
             RoundAction::ScaleOut { event, new, moves } => {
                 let slot = self.active;
@@ -1582,47 +1603,42 @@ impl<'a> Controller<'a> {
         self.report.rebalances += 1;
         self.report.migrated_keys += out.plan.keys_moved() as u64;
         self.report.migrated_bytes += out.plan.cost_bytes();
-        let mut dead_involved = false;
-        let mut fixups: Vec<(Key, TaskId)> = Vec::new();
-        let mut by_source: FxHashMap<TaskId, Vec<(Key, TaskId)>> = FxHashMap::default();
-        let mut affected = Vec::with_capacity(out.plan.keys_moved());
-        for mv in out.plan.moves() {
-            affected.push(mv.key);
-            let to = self.live_slot(mv.to);
-            if self.dead.contains(&mv.to.index()) {
-                // The planner aimed a key at a corpse (its stats predate
-                // the death): divert it to the slot its traffic already
-                // lands on.
-                dead_involved = true;
-                fixups.push((mv.key, to));
-            }
-            if self.dead.contains(&mv.from.index()) {
-                // The holder died: its state is gone and already
-                // accounted, so this is a routing-only move.
-                dead_involved = true;
-                continue;
-            }
-            by_source.entry(mv.from).or_default().push((mv.key, to));
+        let moves = out.plan.moves();
+        // The planner may aim a key at a corpse (its stats predate the
+        // death): each key's destination after the divert.
+        let divert = self.diverter();
+        let placed: Vec<(Key, TaskId)> = (moves.iter())
+            .map(|mv| (mv.key, divert(mv.key, mv.to)))
+            .collect();
+        drop(divert);
+        // Pin diverted keys where their traffic goes, so no entry names
+        // a corpse once a revive brings its slot back (re-applying the
+        // other moves changes nothing).
+        if placed.iter().zip(moves).any(|(&(_, to), mv)| to != mv.to) {
+            self.partitioner.apply_moves(&placed);
         }
-        if !fixups.is_empty() {
-            self.partitioner.apply_moves(&fixups);
+        // A dead holder's state is gone and already accounted: its key's
+        // move is routing-only.
+        let mut by_source: FxHashMap<TaskId, Vec<(Key, TaskId)>> = FxHashMap::default();
+        for mv in moves {
+            if !self.dead.contains(&mv.from.index()) {
+                by_source.entry(mv.from).or_default().push((mv.key, mv.to));
+            }
         }
         // When the partitioner applied the rebalance as a delta, ship
-        // the source the same delta — O(churn), and the source's table
-        // stays in lockstep because both sides mutate equal tables
-        // identically. Swaps (and every scale op) ship full views: those
-        // are the resync points. Dead involvement also forces a full
-        // view — the fixups above made the controller's table diverge
-        // from the plan's moves, so the raw delta would desync the
-        // source.
-        let view = if !dead_involved && self.partitioner.last_install_was_delta() {
+        // the source the same delta, as placed — O(churn), and both
+        // sides apply the same moves to tables equal up to entries that
+        // name dead slots, which both divert alike. Swaps (and every
+        // scale op) ship full views: those are the resync points.
+        let view = if self.partitioner.last_install_was_delta() {
             RoutingView::TableDelta {
                 n_tasks: self.partitioner.n_tasks(),
-                moves: out.plan.moves().iter().map(|m| (m.key, m.to)).collect(),
+                moves: placed,
             }
         } else {
             self.partitioner.routing_view()
         };
+        let affected = moves.iter().map(|mv| mv.key).collect();
         self.queue.push_back(ProtocolOp::new(
             OpLabel::Rebalance,
             view,
@@ -1635,13 +1651,10 @@ impl<'a> Controller<'a> {
     }
 
     /// Replaces `slot`'s channel with a fresh one — the old receiver
-    /// died with its worker — and tells the source to swap the sender in
-    /// and stop diverting the slot. Returns the new receiver.
+    /// died with its worker — and returns the new receiver.
     fn fresh_channel(&mut self, slot: usize) -> Receiver<Message> {
         let (tx, rx) = bounded(self.config.channel_capacity);
-        self.io.worker_txs[slot] = tx.clone();
-        let dest = TaskId::from(slot);
-        self.send_src(None, SourceCtl::ReviveDest { dest, tx });
+        self.io.worker_txs[slot] = tx;
         rx
     }
 
@@ -1705,10 +1718,8 @@ impl<'a> Controller<'a> {
                 self.send_src(Some(CtlKind::Pause), SourceCtl::Pause { epoch, scope });
             }
             (Waiting::StateOut, extract) => {
+                // Nothing dead is awaited: a death strikes its slot off.
                 for w in &op.awaiting_out {
-                    if self.dead.contains(&w.index()) {
-                        continue;
-                    }
                     let (kind, marker) = match extract {
                         Extract::Moves(by_source) => {
                             let moves = by_source.get(w).cloned().unwrap_or_default();
@@ -1724,9 +1735,6 @@ impl<'a> Controller<'a> {
             }
             (Waiting::InstallAcks, _) => {
                 for (dst, states) in &op.awaiting_install {
-                    if self.dead.contains(&dst.index()) {
-                        continue;
-                    }
                     let states = states.clone();
                     self.send_worker(dst.index(), None, Message::StateInstall { epoch, states });
                 }
@@ -1780,14 +1788,23 @@ impl<'a> Controller<'a> {
     ) -> RoutingView {
         let mut origin_of: FxHashMap<Key, TaskId> = FxHashMap::default();
         let mut reverse: Vec<(Key, TaskId)> = Vec::new();
+        let divert = self.diverter();
         for (&src, moves) in by_source {
-            let home = self.live_slot(src);
             for &(k, _) in moves {
+                let home = divert(k, src);
                 reverse.push((k, home));
                 origin_of.insert(k, home);
             }
         }
-        self.partitioner.apply_moves(&reverse);
+        drop(divert);
+        // The views queued behind were captured before the rollback: a
+        // later op's move of a key the rollback returns must not undo it
+        // at the source when that op resumes.
+        if self.partitioner.apply_moves(&reverse) {
+            for op in &mut self.queue {
+                op.view.apply_moves(&reverse);
+            }
+        }
         self.next_epoch += 1;
         let rollback = self.next_epoch;
         let in_hand: Vec<(Key, TaskId, Bytes)> = collected
@@ -2729,22 +2746,21 @@ mod protocol_tests {
             let plan = FaultPlan::new(specs);
             let (mut ctl, rig) = rig_with(FixedSchedule::new([]), plan, Box::new(storm(3)));
             let key = key_homed_on(0, 3);
-            let mut router = SourceRouter::from_view(ctl.partitioner.routing_view());
+            let mut src = Source::of(&ctl);
             for to in [TaskId(1), TaskId(2)] {
                 ctl.partitioner.apply_moves(&[(key, to)]);
                 ctl.enqueue(OpLabel::Split, vec![key], FxHashMap::default(), false);
             }
             ctl.on_source(SourceEvent::Finished);
             // Time moves one wall deadline per turn.
-            let mut heard = Vec::new();
             ctl.tick_now();
             for _ in 0..6 {
-                answer_source(&mut ctl, &rig, &mut router, &mut heard);
+                src.answer(&mut ctl, &rig);
                 ctl.tick(ctl.clock.now + ctl.clock.deadline);
             }
             assert!(ctl.pending.is_none() && ctl.queue.is_empty(), "{label}");
-            assert_epochs_never_fall(&heard, &label);
-            assert_eq!(router.route(key), TaskId(2), "{label}: {heard:?}");
+            assert_epochs_never_fall(&src.heard, &label);
+            assert_eq!(src.send(key), TaskId(2), "{label}: {:?}", src.heard);
             assert_eq!(ctl.partitioner.route(key), TaskId(2));
             let retried = FaultEvent::OpRetried {
                 op: OpKind::Resume,
@@ -2759,41 +2775,89 @@ mod protocol_tests {
     }
 
     /// What a source answering in order heard: `("pause" | "resume",
-    /// epoch)`.
+    /// epoch)`, and `("dead" | "revive", slot)`.
     type Heard = Vec<(&'static str, u64)>;
 
-    /// Plays a source that answers every `Pause` and `Resume` it was
-    /// sent, in order, ticking after each: it records what it heard and
-    /// replays each resume's view through `router`.
-    fn answer_source(
-        ctl: &mut Controller<'_>,
-        rig: &Rig,
-        router: &mut SourceRouter,
-        heard: &mut Heard,
-    ) {
-        while let Ok(msg) = rig.source.try_recv() {
+    /// A source that answers every control message it was sent, in
+    /// order, ticking after each: it records what it heard, replays each
+    /// resume's view through its router, and plays deaths and revives
+    /// into its dead set, which it diverts around by the one rule.
+    struct Source {
+        router: SourceRouter,
+        dead: FxHashSet<usize>,
+        heard: Heard,
+    }
+
+    impl Source {
+        /// A source on the controller's current view, no slot dead.
+        fn of(ctl: &Controller<'_>) -> Self {
+            Source {
+                router: SourceRouter::from_view(ctl.partitioner.routing_view()),
+                dead: FxHashSet::default(),
+                heard: Vec::new(),
+            }
+        }
+
+        /// Answers every message waiting for it.
+        fn answer(&mut self, ctl: &mut Controller<'_>, rig: &Rig) {
+            while self.step(ctl, rig) {}
+        }
+
+        /// Answers the next message waiting for it, if any.
+        fn step(&mut self, ctl: &mut Controller<'_>, rig: &Rig) -> bool {
+            let Ok(msg) = rig.source.try_recv() else {
+                return false;
+            };
             match msg {
                 SourceCtl::Pause { epoch, .. } => {
-                    heard.push(("pause", epoch));
+                    self.heard.push(("pause", epoch));
                     ctl.on_source(SourceEvent::PauseAck { epoch });
                 }
                 SourceCtl::Resume { epoch, view } => {
-                    heard.push(("resume", epoch));
-                    router.update(view);
+                    self.heard.push(("resume", epoch));
+                    self.router.update(view);
                     ctl.on_source(SourceEvent::ResumeAck { epoch });
                 }
-                _ => {}
+                SourceCtl::DeadDest { dest } => {
+                    self.heard.push(("dead", dest.index() as u64));
+                    self.dead.insert(dest.index());
+                    ctl.on_source(SourceEvent::DeadDestAck { dest });
+                }
+                SourceCtl::ReviveDest { dest, .. } => {
+                    self.heard.push(("revive", dest.index() as u64));
+                    self.dead.remove(&dest.index());
+                }
+                SourceCtl::Shutdown => {}
             }
             ctl.tick_now();
+            true
         }
+
+        /// Where the source sends `key`'s next tuple: its route, diverted.
+        fn send(&mut self, key: Key) -> TaskId {
+            let ring = HashRing::new(self.router.n_tasks());
+            let to = self.router.route(key);
+            divert(&ring, key, to, |x| self.dead.contains(&x))
+        }
+    }
+
+    /// Where the controller routes `key`: its partitioner's route,
+    /// diverted.
+    fn routed(ctl: &mut Controller<'_>, key: Key) -> TaskId {
+        let to = ctl.partitioner.route(key);
+        ctl.diverter()(key, to)
     }
 
     /// No `Pause` or `Resume` the source heard carries an epoch below
     /// one it heard before.
     fn assert_epochs_never_fall(heard: &Heard, label: &str) {
-        for (i, &(kind, epoch)) in heard.iter().enumerate() {
-            let newest = heard[..i].iter().map(|&(_, e)| e).max().unwrap_or(0);
-            assert!(epoch >= newest, "{label}: {kind} {epoch} after {heard:?}");
+        let epochs: Vec<u64> = (heard.iter())
+            .filter(|(kind, _)| matches!(*kind, "pause" | "resume"))
+            .map(|&(_, epoch)| epoch)
+            .collect();
+        for (i, &epoch) in epochs.iter().enumerate() {
+            let newest = epochs[..i].iter().copied().max().unwrap_or(0);
+            assert!(epoch >= newest, "{label}: epoch {epoch} after {heard:?}");
         }
     }
 
@@ -2810,13 +2874,12 @@ mod protocol_tests {
         };
         let policy = FixedSchedule::new([(0, ScaleDecision::ScaleOut)]);
         let (mut ctl, rig) = rig_with(policy, FaultPlan::new(vec![lost]), Box::new(storm(3)));
-        let mut router = SourceRouter::from_view(ctl.partitioner.routing_view());
+        let mut src = Source::of(&ctl);
         let key = key_homed_on(0, 3);
         ctl.partitioner.apply_moves(&[(key, TaskId(1))]);
         ctl.enqueue(OpLabel::Split, vec![key], FxHashMap::default(), false);
         ctl.tick_now();
-        let mut heard = Vec::new();
-        answer_source(&mut ctl, &rig, &mut router, &mut heard);
+        src.answer(&mut ctl, &rig);
         assert!(awaits_resume_ack(&ctl, 1), "op 1's resume ack was lost");
         // Round 0's reports name no key: nothing to pre-place.
         close_round(&mut ctl, 0);
@@ -2829,14 +2892,15 @@ mod protocol_tests {
         ctl.on_source(SourceEvent::Finished);
         for _ in 0..3 {
             ctl.tick(ctl.clock.now + ctl.clock.deadline);
-            answer_source(&mut ctl, &rig, &mut router, &mut heard);
+            src.answer(&mut ctl, &rig);
         }
         assert!(ctl.pending.is_none() && ctl.queue.is_empty());
+        let (router, heard) = (&src.router, &src.heard);
         assert_eq!(router.n_tasks(), ctl.partitioner.n_tasks(), "{heard:?}");
         assert_eq!(router.n_tasks(), 4);
-        assert_epochs_never_fall(&heard, "scale-out");
+        assert_epochs_never_fall(heard, "scale-out");
         let walk = [("pause", 1), ("resume", 1), ("resume", 1)];
-        assert_eq!(heard, [&walk[..], &[("pause", 2), ("resume", 2)]].concat());
+        assert_eq!(*heard, [&walk[..], &[("pause", 2), ("resume", 2)]].concat());
         assert_eq!(ctl.report.protocol_errors, vec![]);
         drop(ctl.finish(Instant::now()));
         let log = rig.sink.take_log();
@@ -2933,6 +2997,287 @@ mod protocol_tests {
             assert!(!ctl.take_faults().iter().any(revived), "{label}");
             assert_eq!(ctl.report.protocol_errors, vec![], "{label}");
         }
+    }
+
+    /// When a death lands, relative to an op that moves key `k` from
+    /// slot 0 onto the slot that dies.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Kill {
+        /// The op is still queued.
+        Queued,
+        /// The source paused; the holder has not answered.
+        BeforeStateOut,
+        /// The state went out to slot 1, which never acks it.
+        BeforeInstallAck,
+    }
+
+    /// A death changes no view behind an op's back. On `storm(3)`, an
+    /// op moves `k` (homed on slot 0) to slot 1, and slot 1 dies while
+    /// the op is queued, before the holder answers, or before the
+    /// install ack. The op's view still names slot 1; the source diverts
+    /// it by the rule the controller re-pinned `k` with, so both send
+    /// `k` to slot 0 — after the op, and after a later op ships the
+    /// controller's whole view — and a blob re-homed past the corpse
+    /// lands on the worker `k`'s tuples reach.
+    #[test]
+    fn a_death_never_puts_the_source_out_of_step() {
+        for kill in [Kill::Queued, Kill::BeforeStateOut, Kill::BeforeInstallAck] {
+            let (mut ctl, rig) = rig(FixedSchedule::new([]));
+            let mut src = Source::of(&ctl);
+            let k = key_homed_on(0, 3);
+            ctl.partitioner.apply_moves(&[(k, TaskId(1))]);
+            let moves = [(TaskId(0), vec![(k, TaskId(1))])].into_iter().collect();
+            ctl.enqueue(OpLabel::Rebalance, vec![k], moves, false);
+            if kill == Kill::Queued {
+                ctl.on_worker(killed(1));
+            }
+            ctl.tick_now();
+            src.answer(&mut ctl, &rig);
+            if kill == Kill::BeforeStateOut {
+                ctl.on_worker(killed(1));
+            }
+            let states = vec![(k, TaskId(1), Bytes::copy_from_slice(b"state"))];
+            let (worker, epoch) = (TaskId(0), 1);
+            ctl.on_worker(WorkerEvent::StateOut {
+                worker,
+                epoch,
+                states,
+            });
+            let installed: Vec<usize> = (0..3)
+                .filter(|&w| !installs_at(&rig.workers[w]).is_empty())
+                .collect();
+            if kill == Kill::BeforeInstallAck {
+                assert_eq!(installed, vec![1], "{kill:?}: sent before the death");
+                ctl.on_worker(killed(1));
+            } else {
+                let worker = TaskId::from(installed[0]);
+                ctl.on_worker(WorkerEvent::InstallAck { worker, epoch });
+            }
+            src.answer(&mut ctl, &rig);
+            assert!(ctl.pending.is_none(), "{kill:?}: the op ended");
+            assert_eq!(
+                src.send(k),
+                routed(&mut ctl, k),
+                "{kill:?}: {:?}",
+                src.heard
+            );
+            assert_eq!(routed(&mut ctl, k), TaskId(0), "{kill:?}: re-pinned home");
+            // A later op carries the controller's whole current view.
+            ctl.enqueue(
+                OpLabel::Split,
+                vec![Key(u64::MAX)],
+                FxHashMap::default(),
+                false,
+            );
+            ctl.tick_now();
+            src.answer(&mut ctl, &rig);
+            let at = src.send(k);
+            assert_eq!(at, routed(&mut ctl, k), "{kill:?}: {:?}", src.heard);
+            if kill != Kill::BeforeInstallAck {
+                assert_eq!(
+                    installed,
+                    vec![at.index()],
+                    "{kill:?}: state with its tuples"
+                );
+            }
+            let settled = (
+                SourceRouter::from_view(ctl.partitioner.routing_view()),
+                ctl.dead.clone(),
+            );
+            let routing = (src.router, src.dead);
+            assert_eq!(
+                crate::engine::out_of_step(routing, settled),
+                None,
+                "{kill:?}"
+            );
+            assert_eq!(ctl.report.protocol_errors, vec![], "{kill:?}");
+        }
+    }
+
+    /// A revive walks an op, and its slot comes back to the source only
+    /// at that op's resume ack, under the controller's whole view. Slot 1
+    /// dies while an op captured before the death — moving `k` onto slot
+    /// 1 — is queued; a scale-out then revives slot 1 behind it. The
+    /// source never sends `k` to the revived slot while the controller
+    /// routes it elsewhere. A second scale-out decided while the revive
+    /// op is queued widens onto the spare slot instead of reviving slot 1
+    /// twice.
+    #[test]
+    fn a_revive_walks_an_op_and_never_routes_a_stale_key_to_its_slot() {
+        let (mut ctl, rig) = rig(FixedSchedule::new([
+            (0, ScaleDecision::ScaleOut),
+            (1, ScaleDecision::ScaleOut),
+        ]));
+        let mut src = Source::of(&ctl);
+        let k = key_homed_on(0, 3);
+        // Op 1 in flight; op 2, queued behind it, moves `k` to slot 1.
+        ctl.enqueue(
+            OpLabel::Split,
+            vec![Key(u64::MAX)],
+            FxHashMap::default(),
+            false,
+        );
+        ctl.tick_now();
+        ctl.partitioner.apply_moves(&[(k, TaskId(1))]);
+        ctl.enqueue(OpLabel::Rebalance, vec![k], FxHashMap::default(), false);
+        ctl.on_worker(killed(1));
+        close_round(&mut ctl, 0);
+        let revived = |ctl: &mut Controller<'_>| {
+            let faults = ctl.take_faults();
+            let revived = |f: &&FaultEvent| matches!(f, FaultEvent::SlotRevived { .. });
+            faults.iter().filter(revived).count()
+        };
+        assert_eq!(revived(&mut ctl), 1);
+        close_round(&mut ctl, 1);
+        assert_eq!(revived(&mut ctl), 0, "slot 1 revived twice");
+        let spawned: Vec<(usize, u64)> = rig.spawned.borrow().iter().map(|s| (s.0, s.1)).collect();
+        assert_eq!(spawned, vec![(1, 1), (3, 2)]);
+        while src.step(&mut ctl, &rig) {
+            let (at, there) = (src.send(k), routed(&mut ctl, k));
+            assert!(at != TaskId(1) || there == at, "{:?}", src.heard);
+        }
+        assert!(ctl.pending.is_none() && ctl.queue.is_empty());
+        assert_eq!(src.send(k), routed(&mut ctl, k), "{:?}", src.heard);
+        assert!(src.dead.is_empty() && ctl.dead.is_empty());
+        let resume = |epoch| ("resume", epoch);
+        let walked = [
+            ("pause", 1),
+            ("dead", 1),
+            resume(1),
+            ("pause", 2),
+            resume(2),
+            ("pause", 3),
+            resume(3),
+            ("revive", 1),
+            ("pause", 4),
+            resume(4),
+        ];
+        assert_eq!(src.heard, walked);
+        assert_eq!((ctl.active, ctl.partitioner.n_tasks()), (4, 4));
+        assert_eq!(ctl.report.protocol_errors, vec![]);
+    }
+
+    /// A rollback is not undone by a view queued behind it. Op 1 moves
+    /// `k` from slot 0 to 1 and op 2, queued behind it, on to slot 2;
+    /// op 1's holder never answers, so op 1 aborts and returns `k` to
+    /// slot 0. Op 2's view, captured before the rollback, gets the same
+    /// reverse move, so the source ends where the controller routes `k`.
+    #[test]
+    fn a_rollback_is_not_undone_by_a_view_queued_behind_it() {
+        let (mut ctl, rig) = rig(FixedSchedule::new([]));
+        let mut src = Source::of(&ctl);
+        let t0 = ctl.clock.now;
+        let k = key_homed_on(0, 3);
+        for (from, to) in [(0, 1), (1, 2)] {
+            ctl.partitioner.apply_moves(&[(k, TaskId(to))]);
+            let moves = [(TaskId(from), vec![(k, TaskId(to))])]
+                .into_iter()
+                .collect();
+            ctl.enqueue(OpLabel::Rebalance, vec![k], moves, false);
+        }
+        ctl.tick_now();
+        src.answer(&mut ctl, &rig);
+        ctl.tick(t0 + Duration::from_secs(5));
+        close_round(&mut ctl, 4);
+        close_round(&mut ctl, 8);
+        ctl.tick(t0 + Duration::from_secs(10));
+        assert!(awaits_resume_ack(&ctl, 1), "op 1 aborted");
+        src.answer(&mut ctl, &rig);
+        let (worker, epoch, states) = (TaskId(1), 3, Vec::new());
+        ctl.on_worker(WorkerEvent::StateOut {
+            worker,
+            epoch,
+            states,
+        });
+        src.answer(&mut ctl, &rig);
+        assert!(
+            ctl.pending.is_none() && ctl.queue.is_empty(),
+            "{:?}",
+            src.heard
+        );
+        assert_eq!(routed(&mut ctl, k), TaskId(0), "the rollback holds");
+        assert_eq!(src.send(k), TaskId(0), "{:?}", src.heard);
+        assert_eq!(ctl.report.protocol_errors, vec![]);
+    }
+
+    /// A split key whose replica dies follows the one divert rule too:
+    /// its tuples routed to the corpse go to the next live slot from its
+    /// hash home — here its primary, so all of `k` lands on the live
+    /// replica, where an unsplit consolidates it — and the controller
+    /// diverts it alike. The merge stage sums partials from any worker.
+    #[test]
+    fn a_split_key_whose_replica_dies_stays_on_its_live_replicas() {
+        let (mut ctl, rig) = rig(FixedSchedule::new([]));
+        let mut src = Source::of(&ctl);
+        let k = key_homed_on(0, 3);
+        assert!(ctl.partitioner.split_key(k, &[TaskId(0), TaskId(1)]));
+        ctl.enqueue(OpLabel::Split, vec![k], FxHashMap::default(), false);
+        ctl.tick_now();
+        src.answer(&mut ctl, &rig);
+        let sent: Vec<TaskId> = (0..4).map(|_| src.send(k)).collect();
+        assert_eq!(sent, [0, 1, 0, 1].map(TaskId));
+        ctl.on_worker(killed(1));
+        ctl.tick_now();
+        src.answer(&mut ctl, &rig);
+        let sent: Vec<TaskId> = (0..4).map(|_| src.send(k)).collect();
+        let there: Vec<TaskId> = (0..4).map(|_| routed(&mut ctl, k)).collect();
+        assert_eq!((sent, there), (vec![TaskId(0); 4], vec![TaskId(0); 4]));
+        let settled = (
+            SourceRouter::from_view(ctl.partitioner.routing_view()),
+            ctl.dead.clone(),
+        );
+        assert_eq!(
+            crate::engine::out_of_step((src.router, src.dead), settled),
+            None
+        );
+        assert_eq!(ctl.report.protocol_errors, vec![]);
+    }
+
+    /// A scale-in victim whose op aborted runs on as a zombie; when it
+    /// retires after a later victim has, every free tail slot leaves
+    /// `active`, so a scale-out grows onto the slot the routing function
+    /// adds — not past it, onto a slot nothing routes to.
+    #[test]
+    fn a_zombie_victim_that_retires_last_frees_every_tail_slot() {
+        let (mut ctl, rig) = rig(FixedSchedule::new([
+            (0, ScaleDecision::ScaleOut),
+            (1, ScaleDecision::ScaleIn),
+            (2, ScaleDecision::ScaleIn),
+            (11, ScaleDecision::ScaleOut),
+        ]));
+        let t0 = ctl.clock.now;
+        let mut src = Source::of(&ctl);
+        close_round(&mut ctl, 0);
+        src.answer(&mut ctl, &rig);
+        assert_eq!(ctl.active, 4);
+        // Victim 3's op pauses and awaits its `Retired`; victim 2's queues.
+        close_round(&mut ctl, 1);
+        close_round(&mut ctl, 2);
+        src.answer(&mut ctl, &rig);
+        ctl.tick(t0 + Duration::from_secs(5));
+        close_round(&mut ctl, 6);
+        close_round(&mut ctl, 10);
+        ctl.tick(t0 + Duration::from_secs(10));
+        let aborted = FaultEvent::OpAborted {
+            op: OpKind::Retire,
+            epoch: 2,
+        };
+        assert!(ctl.take_faults().contains(&aborted), "victim 3 is a zombie");
+        src.answer(&mut ctl, &rig);
+        ctl.on_worker(retired(2, 3, Vec::new()));
+        src.answer(&mut ctl, &rig);
+        assert!(ctl.pending.is_none() && ctl.queue.is_empty());
+        ctl.on_worker(retired(3, 2, Vec::new()));
+        assert_eq!((ctl.active, ctl.partitioner.n_tasks()), (2, 2));
+        close_round(&mut ctl, 11);
+        let spawned: Vec<(usize, u64)> = rig.spawned.borrow().iter().map(|s| (s.0, s.1)).collect();
+        assert_eq!(
+            spawned,
+            vec![(3, 1), (2, 12)],
+            "the grown slot is the routed one"
+        );
+        assert_eq!((ctl.active, ctl.partitioner.n_tasks()), (3, 3));
+        assert_eq!(ctl.report.protocol_errors, vec![]);
     }
 
     /// The single re-home path: a destination that is dead at send time

@@ -18,16 +18,16 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use streambal_core::{
-    skew_alert, Key, Partitioner, RoutingView, SourceRouter, TaskId, SKEW_ALERT_FLOOR,
+    divert, skew_alert, Key, Partitioner, RoutingView, SourceRouter, TaskId, SKEW_ALERT_FLOOR,
     SKEW_ALERT_MIN_SHARE,
 };
 use streambal_elastic::{ElasticityPolicy, HoldPolicy, SplitPolicy};
-use streambal_hashring::FxHashSet;
+use streambal_hashring::{FxHashSet, HashRing};
 use streambal_metrics::{Histogram, TimeSeries};
 use streambal_trace::{Outcome, ThreadLabel, ThreadRecorder, TraceLog, TraceSink};
 
 use crate::controller::{ControlIo, Controller};
-use crate::fault::{next_live, CtlKind, DropCounter, FaultEvent, FaultPlan};
+use crate::fault::{CtlKind, DropCounter, FaultEvent, FaultPlan};
 use crate::merge::MergeStage;
 use crate::message::{Event, Message, PauseScope, SourceCtl, SourceEvent};
 use crate::operator::{Collector, Combine, Operator};
@@ -213,6 +213,20 @@ pub enum ProtocolError {
     /// [`Engine::run`] refused the run and started no thread; the
     /// report is otherwise empty.
     Refused(Refusal),
+    /// At teardown, with no op abandoned, the source and the controller
+    /// route a routing-table key to different workers after the divert
+    /// (see `SourceCtl::Resume`): the lowest such key, where each sends
+    /// it, and how many table keys are out of step.
+    OutOfStep {
+        /// The lowest key out of step.
+        key: Key,
+        /// Where the source sends it.
+        source: usize,
+        /// Where the controller routes it.
+        controller: usize,
+        /// How many table keys are out of step.
+        keys: usize,
+    },
 }
 
 /// Why [`Engine::run`] refused a run ([`ProtocolError::Refused`]).
@@ -280,6 +294,16 @@ impl std::fmt::Display for ProtocolError {
                 write!(f, "{thread} thread panicked")
             }
             ProtocolError::Refused(why) => write!(f, "run refused: {why:?}"),
+            ProtocolError::OutOfStep {
+                key,
+                source,
+                controller,
+                keys,
+            } => write!(
+                f,
+                "source sends {key:?} to worker {source}, the controller routes it to \
+                 {controller} ({keys} table keys out of step)"
+            ),
         }
     }
 }
@@ -593,19 +617,25 @@ fn drive(ctl: &mut Controller<'_>, events: &Receiver<Event>) {
 /// report. `finish` drops the worker spawner with the controller — it
 /// holds a collector-sender clone, which must go (with `col_tx`) before
 /// the merge-stage join, or the stage never observes closure.
+/// The source's routing, checked against the controller's unless the
+/// teardown abandoned an op ([`out_of_step`]).
 fn teardown(
     ctl: Controller<'_>,
-    source: ScopedJoinHandle<'_, ()>,
+    source: ScopedJoinHandle<'_, Routing>,
     merge: Option<ScopedJoinHandle<'_, Vec<(u64, u64)>>>,
     col_tx: Sender<Vec<Tuple>>,
     sink: &TraceSink,
 ) -> EngineReport {
-    let (mut report, mut rec, open_span) = ctl.finish(Instant::now());
+    let (mut report, mut rec, open_span, settled) = ctl.finish(Instant::now());
     drop(col_tx);
-    if source.join().is_err() {
-        report
+    match source.join() {
+        Ok(routed) => {
+            let fault = settled.and_then(|ctl| out_of_step(routed, ctl));
+            report.protocol_errors.extend(fault);
+        }
+        Err(_) => report
             .protocol_errors
-            .push(ProtocolError::ThreadPanicked { thread: "source" });
+            .push(ProtocolError::ThreadPanicked { thread: "source" }),
     }
     if let Some(h) = merge {
         match h.join() {
@@ -625,6 +655,50 @@ fn teardown(
     drop(rec);
     report.trace = sink.take_log();
     report
+}
+
+/// A holder's routing: its router and the slots it diverts around.
+pub(crate) type Routing = (SourceRouter, FxHashSet<usize>);
+
+/// The lockstep check: every key in either holder's routing table lands,
+/// after the divert, on the same slot at the source as at the controller.
+/// A key the controller splits is in step wherever the source routes it
+/// among the controller's replicas — each holder rotates its own cursor.
+/// Reports the lowest key out of step, and how many are.
+pub(crate) fn out_of_step(source: Routing, controller: Routing) -> Option<ProtocolError> {
+    let ((mut src, src_dead), (mut ctl, ctl_dead)) = (source, controller);
+    let mut keys: Vec<Key> = [&src, &ctl]
+        .iter()
+        .filter_map(|r| r.assignment())
+        .flat_map(|a| a.table().iter().map(|(k, _)| k))
+        .collect();
+    if keys.is_empty() {
+        return None;
+    }
+    keys.sort_unstable();
+    keys.dedup();
+    let (src_ring, ctl_ring) = (HashRing::new(src.n_tasks()), HashRing::new(ctl.n_tasks()));
+    let mut first = None;
+    let mut count = 0;
+    for k in keys {
+        let at_source = src.route(k);
+        let replicas = ctl.assignment().and_then(|a| a.split_replicas(k));
+        if replicas.is_some_and(|r| r.contains(&at_source)) {
+            continue;
+        }
+        let s = divert(&src_ring, k, at_source, |x| src_dead.contains(&x));
+        let c = divert(&ctl_ring, k, ctl.route(k), |x| ctl_dead.contains(&x));
+        if s != c {
+            count += 1;
+            first.get_or_insert((k, s, c));
+        }
+    }
+    first.map(|(key, source, controller)| ProtocolError::OutOfStep {
+        key,
+        source: source.index(),
+        controller: controller.index(),
+        keys: count,
+    })
 }
 
 /// What the source is holding back during an in-flight control op: the
@@ -677,9 +751,12 @@ struct SourcePlane {
     dests: Vec<TaskId>,
     batch: usize,
     /// Dead worker slots (`DeadDest`, or a send failure observed first-
-    /// hand): routed tuples divert past them in [`SourcePlane::send_batch`]
+    /// hand): routed tuples divert past them in [`SourcePlane::ship`]
     /// until a `ReviveDest` swaps in a fresh channel.
     dead: FxHashSet<usize>,
+    /// `h` over the router's slots, built at the first divert under a
+    /// view.
+    ring: Option<HashRing>,
     /// Tuples sent to each slot in the open interval under the current
     /// view (zeroed at every interval boundary and view change) — what
     /// the skew alert is evaluated on.
@@ -712,6 +789,7 @@ impl SourcePlane {
             dests: Vec::with_capacity(batch),
             batch,
             dead: FxHashSet::default(),
+            ring: None,
             sent: vec![0; n_slots],
             drops,
         }
@@ -721,7 +799,8 @@ impl SourcePlane {
     /// reports its boundary, and once the feeder is exhausted stays
     /// responsive to control traffic (in-flight migrations) until the
     /// controller says shutdown.
-    fn run<F>(mut self, mut feeder: F, epoch: Instant, mut recorder: ThreadRecorder)
+    /// Returns the routing it ends on, for the teardown's lockstep check.
+    fn run<F>(mut self, mut feeder: F, epoch: Instant, mut recorder: ThreadRecorder) -> Routing
     where
         F: FnMut(u64) -> Option<Vec<Tuple>> + Send,
     {
@@ -729,7 +808,7 @@ impl SourcePlane {
         while let Some(tuples) = feeder(interval) {
             let fed = tuples.len() as u64;
             if !self.feed(interval, tuples, epoch, &mut recorder) || !self.poll_ctl() {
-                return;
+                return (self.router, self.dead);
             }
             // Interval telemetry: routing-table shape (live entries vs.
             // tombstone debris) and the interval's fed total — both
@@ -743,9 +822,10 @@ impl SourcePlane {
         self.emit(SourceEvent::Finished);
         while let Ok(msg) = self.ctl.recv() {
             if !self.handle_ctl(msg) {
-                return;
+                break;
             }
         }
+        (self.router, self.dead)
     }
 
     /// Routes and ships one interval's tuples, staging, routing and
@@ -829,7 +909,11 @@ impl SourcePlane {
     /// destination touched. Drains `staged`, preserving per-destination tuple order. Under a
     /// destination pause (scale-in), tuples routed to the quiesced worker
     /// divert to the pause buffer instead — in arrival order, so the
-    /// Resume flush replays them FIFO under the new view.
+    /// Resume flush replays them FIFO under the new view. A tuple routed
+    /// to a dead slot takes the one divert rule ([`divert`]), like the
+    /// controller's table and state. A failed send means the worker died
+    /// before the controller said so: the slot is marked dead, and the
+    /// batch, recovered from the send, is shipped again the same way.
     fn ship(&mut self, staged: &mut Vec<Tuple>) {
         if staged.is_empty() {
             return;
@@ -838,6 +922,14 @@ impl SourcePlane {
         self.keys.extend(staged.iter().map(|t| t.key));
         let mut dests = std::mem::take(&mut self.dests);
         self.router.route_batch(&self.keys, &mut dests);
+        if !self.dead.is_empty() {
+            let n = self.router.n_tasks();
+            let ring = self.ring.get_or_insert_with(|| HashRing::new(n));
+            let dead = &self.dead;
+            for (d, &k) in dests.iter_mut().zip(&self.keys) {
+                *d = divert(ring, k, *d, |x| dead.contains(&x));
+            }
+        }
         let pause_dest = match &self.paused {
             Some((_, PauseFilter::Dest(d))) => Some(*d),
             _ => None,
@@ -853,60 +945,39 @@ impl SourcePlane {
             }
             slot.push(t);
         }
+        self.dests = dests;
+        let mut failed = Vec::new();
         for i in 0..self.touched.len() {
             let d = self.touched[i];
             let batch = std::mem::replace(&mut self.fan[d], Vec::with_capacity(self.batch));
-            self.send_batch(d, batch);
+            let weight = batch.len();
+            match self.worker_txs[d].send_weighted(Message::TupleBatch(batch), weight) {
+                Ok(()) => self.sent[d] += weight as u64,
+                // A slot already dead was the divert's last resort:
+                // every slot is dead (unreachable in practice — worker 0
+                // is never fault-injected), and nowhere can account it.
+                Err(e) => {
+                    if let (true, Message::TupleBatch(batch)) = (self.lost_dest(d), e.0) {
+                        failed.extend(batch);
+                    }
+                }
+            }
         }
         self.touched.clear();
-        self.dests = dests;
-    }
-
-    /// Ships one batch to `dest`, weighted by its tuple count, diverting
-    /// past dead slots (the slot index cycled to the next live one — the
-    /// same rule the controller's re-route pins into the table, so a
-    /// divert under a stale view lands where the re-route will). A send
-    /// failure means the worker died under us before the controller
-    /// could say so: mark the slot, report it once, and re-divert — the
-    /// batch is recovered from the failed send, so nothing is silently
-    /// dropped.
-    fn send_batch(&mut self, dest: usize, batch: Vec<Tuple>) {
-        let mut d = dest;
-        let weight = batch.len();
-        let mut msg = Message::TupleBatch(batch);
-        loop {
-            if self.dead.contains(&d) {
-                let n = self.router.n_tasks();
-                let nd = next_live(d, n, |x| self.dead.contains(&x));
-                if self.dead.contains(&nd) {
-                    // Every slot is dead — unreachable in practice
-                    // (worker 0 is never fault-injected), and with no
-                    // live channel there is nowhere to account it either.
-                    return;
-                }
-                d = nd;
-            }
-            match self.worker_txs[d].send_weighted(msg, weight) {
-                Ok(()) => {
-                    self.sent[d] += weight as u64;
-                    return;
-                }
-                Err(e) => {
-                    self.lost_dest(d);
-                    msg = e.0;
-                }
-            }
-        }
+        self.ship(&mut failed);
     }
 
     /// A send to `dest` failed: the worker died under us before the
-    /// controller could say so. Marks the slot and reports it once.
-    fn lost_dest(&mut self, dest: usize) {
-        if self.dead.insert(dest) {
+    /// controller could say so. Marks the slot and reports it once;
+    /// true the first time.
+    fn lost_dest(&mut self, dest: usize) -> bool {
+        let first = self.dead.insert(dest);
+        if first {
             self.emit(SourceEvent::SendFailed {
                 dest: TaskId::from(dest),
             });
         }
+        first
     }
 
     /// Cuts a statistics round in-band: the interval's closing round, or
@@ -1018,6 +1089,7 @@ impl SourcePlane {
                 // the buffer it is draining.
                 self.paused = None;
                 self.router.update(view);
+                self.ring = None;
                 // Flush the pause buffer under the new view, batched like
                 // the main path (order within each key is the buffer's
                 // arrival order, which scatter preserves per destination).
@@ -1041,19 +1113,12 @@ impl SourcePlane {
                 // tuples would drop them).
                 self.emit(SourceEvent::ResumeAck { epoch });
             }
-            SourceCtl::DeadDest { dest, moves } => {
-                // Pin the controller's re-route into the local table (a
-                // delta keeps both sides in lockstep; key-oblivious
-                // routers ship no moves and rely on the divert alone),
-                // then ack: the ack tells the controller no further
-                // tuple can enter the dead channel, so its backlog can
-                // be drained and accounted.
+            SourceCtl::DeadDest { dest } => {
+                // Divert around the slot from now on, then ack: the ack
+                // tells the controller no further tuple can enter the
+                // dead channel, so its backlog can be drained and
+                // accounted.
                 self.dead.insert(dest.index());
-                if !moves.is_empty() {
-                    let n_tasks = self.router.n_tasks();
-                    self.router
-                        .update(RoutingView::TableDelta { n_tasks, moves });
-                }
                 self.emit(SourceEvent::DeadDestAck { dest });
             }
             SourceCtl::ReviveDest { dest, tx } => {
@@ -1679,6 +1744,46 @@ mod tests {
         let report = run(small_config(), Box::new(storm(3)));
         assert_eq!(report.protocol_errors, vec![]);
         assert_eq!(report.processed, 320);
+    }
+
+    /// The source diverts each tuple routed to a dead slot from its
+    /// key's hash home, as the controller re-pins and re-homes it — not
+    /// from the dead slot — and a send that fails marks its slot dead,
+    /// reports it, and ships the batch again the same way.
+    #[test]
+    fn source_diverts_each_tuple_from_its_hash_home() {
+        let (txs, mut rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| bounded::<Message>(8)).unzip();
+        let (events, inbox) = unbounded();
+        let (_ctl_tx, ctl) = unbounded();
+        let mut p = storm(3);
+        let mut homed = |slot| (0..).map(Key).find(|&k| p.route(k) == TaskId(slot));
+        let (Some(pinned), Some(hashed)) = (homed(0), homed(1)) else {
+            panic!("some key hashes to every slot");
+        };
+        // `pinned` is homed on 0 and routed to 1 by its table entry.
+        p.apply_moves(&[(pinned, TaskId(1))]);
+        let drops = DropCounter::new(&FaultPlan::none());
+        let mut plane = SourcePlane::new(p.routing_view(), txs, ctl, events, 4, drops);
+        let keys_at = |rx: &Receiver<Message>| -> Vec<Key> {
+            std::iter::from_fn(|| rx.try_recv().ok())
+                .flat_map(|m| match m {
+                    Message::TupleBatch(batch) => batch.iter().map(|t| t.key).collect(),
+                    _ => Vec::new(),
+                })
+                .collect()
+        };
+        plane.dead.insert(1);
+        plane.ship(&mut vec![Tuple::keyed(pinned), Tuple::keyed(hashed)]);
+        let got: Vec<Vec<Key>> = rxs.iter().map(keys_at).collect();
+        assert_eq!(got, vec![vec![pinned], vec![], vec![hashed]]);
+        drop(rxs.pop());
+        plane.ship(&mut vec![Tuple::keyed(hashed)]);
+        assert_eq!(keys_at(&rxs[0]), vec![hashed], "re-shipped past both");
+        let failed = SourceEvent::SendFailed { dest: TaskId(2) };
+        match inbox.try_recv() {
+            Ok(Event::Source(ev)) => assert_eq!(format!("{ev:?}"), format!("{failed:?}")),
+            other => panic!("expected the failed send, got {other:?}"),
+        }
     }
 
     /// The source cuts a round in-band: it announces the slots it marks,

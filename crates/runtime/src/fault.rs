@@ -424,8 +424,6 @@ impl DropCounter {
     }
 }
 
-pub use streambal_core::next_live;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,6 +512,7 @@ mod tests {
 
     #[test]
     fn next_live_cycles_past_dead_slots() {
+        use streambal_core::next_live;
         let dead = [false, true, true, false];
         assert_eq!(next_live(1, 4, |d| dead[d]), 3);
         assert_eq!(next_live(2, 4, |d| dead[d]), 3);

@@ -103,10 +103,11 @@
 //! | `migrated_bytes` billed | up front, from the plan's estimate | from the blobs extracted | — | — | from the blobs extracted |
 //!
 //! An empty pre-placement plan (shuffle, PKG, Ideal: nothing to move)
-//! walks the op too, pausing nothing. Anywhere a destination
-//! has died since it was chosen, the blob is diverted to the next live
-//! slot. A phase that outlives its deadline (the one rule every wait
-//! follows; see *Failure model*) is re-driven once (markers are
+//! walks the op too, pausing nothing, and so does a revive. A blob whose
+//! destination has died since it was chosen is diverted as the key's
+//! tuples are (`streambal_core::divert`). A phase that outlives its
+//! deadline (the one rule every wait follows; see *Failure model*) is
+//! re-driven once (markers are
 //! idempotent — workers, source and controller absorb duplicates by
 //! epoch), then the op is **aborted**: a key-scoped op rolls its keys'
 //! routing back to their origins and re-installs the state still in the
@@ -232,15 +233,18 @@
 //! * **Worker crashes** (`Kill` at an interval boundary, a `MigrateOut`
 //!   or a `StateInstall`): a worker thread exits mid-run, possibly holding
 //!   un-extracted state or an in-flight `StateInstall`. The controller
-//!   detects the death (`Killed` event), marks the slot dead, re-routes
-//!   its keys to the next live slot, and continuously drains the dead
-//!   slot's channel so neither the source nor the controller can block
-//!   on its bounded capacity. State that died with the worker is *lost,
+//!   detects the death (`Killed` event), marks the slot dead, re-pins
+//!   its keys by the one divert rule the source applies to every tuple
+//!   routed to a dead slot (its routing changes only at a resume), and
+//!   continuously drains the dead slot's channel so neither the source
+//!   nor the controller can block on its bounded capacity. State that died with the worker is *lost,
 //!   not leaked*: every tuple it absorbed is tallied per key in
 //!   `EngineReport::lost_tuples`, so the accounting invariant
 //!   `fed == observed + lost` holds for every key on every run. A dead
-//!   slot stays revivable — a later scale-out re-provisions it — unless
-//!   it was a `scale_in` victim: its op frees the slot at its resume ack.
+//!   slot stays revivable — a later scale-out re-provisions it through
+//!   an op — unless it was a `scale_in` victim: its op frees the slot at
+//!   its resume ack. At teardown every table key must land on the same
+//!   worker at the source as at the controller (`ProtocolError::OutOfStep`).
 //! * **Lost control messages** (`DropCtl`): the *n*-th message of a
 //!   kind is dropped by the one thread that counts that kind (see
 //!   `CtlKind`). Every controller wait —

@@ -247,29 +247,29 @@ pub enum SourceCtl {
         scope: PauseScope,
     },
     /// Step 7: switch to the new routing view and flush buffered tuples:
-    /// every planned view arrives here (a `DeadDest` only re-pins keys).
+    /// the only message that changes the source's routing function.
     Resume {
         /// Migration epoch.
         epoch: u64,
         /// The new routing function `F′`.
         view: RoutingView,
     },
-    /// A worker died: stop sending to `dest`, apply the re-pin `moves`
-    /// to the local router (empty for strategies without a routing
-    /// table), and divert any key that still routes to a dead slot to
-    /// the next live slot. Acknowledge via [`SourceEvent::DeadDestAck`]
-    /// — sent only between routed batches, so when the controller reads
-    /// the ack every tuple the source will ever send the dead slot is
-    /// already in its channel and can be drained for loss accounting.
+    /// A worker died: stop sending to `dest`. A death notice, not a view:
+    /// the source diverts every tuple routed to a dead slot by the one
+    /// divert rule (`streambal_core::divert`), which the controller's
+    /// re-pinned table follows. Acknowledge via
+    /// [`SourceEvent::DeadDestAck`] — sent only between routed batches,
+    /// so when the controller reads the ack every tuple the source will
+    /// ever send the dead slot is already in its channel and can be
+    /// drained for loss accounting.
     DeadDest {
         /// The dead destination.
         dest: TaskId,
-        /// Key moves pinning the dead slot's routed keys to survivors
-        /// (applied via the router's incremental delta path).
-        moves: Vec<(Key, TaskId)>,
     },
-    /// A dead slot was re-provisioned by a scale-out: swap in the fresh
-    /// channel sender and stop diverting traffic away from it.
+    /// A dead slot is live again: swap in its channel sender and stop
+    /// diverting it. Sent at the resume ack of the op that ends the death
+    /// (a revive, or a dead victim's scale-in), so no stale entry of an
+    /// older view can route a key to the slot.
     ReviveDest {
         /// The revived destination.
         dest: TaskId,
@@ -312,8 +312,9 @@ pub enum SourceEvent {
         /// Migration epoch.
         epoch: u64,
     },
-    /// Acknowledges [`SourceCtl::DeadDest`]: the dead slot will receive
-    /// no further tuples from the source.
+    /// Acknowledges [`SourceCtl::DeadDest`]: the source diverts around
+    /// the dead slot, which will receive no further tuples from it until
+    /// a [`SourceCtl::ReviveDest`].
     DeadDestAck {
         /// The quiesced dead destination.
         dest: TaskId,

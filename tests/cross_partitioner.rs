@@ -16,8 +16,11 @@ use common::{
     reference_counts, run_engine, FLUCTUATION, INTERVALS, KEYS, N_TASKS, SEED, TUPLES, ZIPF,
 };
 use streambal::baselines::{pkg, readj, shuffle, storm, CoreBalancer, ReadjConfig};
-use streambal::core::{BalanceParams, IntervalStats, KeyStat, RebalanceStrategy, RoutingView};
+use streambal::core::{
+    divert, BalanceParams, IntervalStats, KeyStat, RebalanceStrategy, RoutingView,
+};
 use streambal::elastic::{FixedSchedule, FixedSplitSchedule};
+use streambal::hashring::HashRing;
 use streambal::prelude::{Key, Partitioner, TaskId};
 use streambal::runtime::{
     replay, Collector, Engine, EngineConfig, SourceRouter, SumCollector, WordCountOp,
@@ -320,12 +323,14 @@ fn engine_word_counts_exact_across_partitioners() {
 
 /// No threads: after every kind of table mutation, a `SourceRouter` fed
 /// exactly what the controller would ship — the plan's moves as a
-/// `TableDelta` when the rebalance installed as one, the dead slot's
-/// re-pins as a `TableDelta`, the full `routing_view()` otherwise —
-/// routes every key like the one table-backed partitioner, whichever
-/// planner it carries. The key-spreading strategies (PKG, shuffle) keep
-/// per-holder state, their estimates and cursor, which their scale
-/// views must carry over alike on both sides.
+/// `TableDelta` when the rebalance installed as one, nothing at a death,
+/// the full `routing_view()` otherwise — routes every key like the one
+/// table-backed partitioner, whichever planner it carries. After a death
+/// the two agree once each diverts its route by the one rule: the router
+/// still holds the dead slot's entries the partitioner re-pinned. The
+/// key-spreading strategies (PKG, shuffle) keep per-holder state, their
+/// estimates and cursor, which their scale views must carry over alike
+/// on both sides, and they divert alike too.
 #[test]
 fn source_router_stays_in_lockstep_through_every_table_mutation() {
     // Reported keys, then keys only `apply_moves` ever names (no window
@@ -354,6 +359,18 @@ fn source_router_stays_in_lockstep_through_every_table_mutation() {
                 ),
                 None => assert_eq!(at_source, p.route(k), "{name} after {op}: {k:?}"),
             }
+        }
+    }
+    // Both holders' routes through the divert around dead slot 1: none
+    // lands on it, and each key lands on one survivor.
+    fn diverted_in_lockstep(p: &mut dyn Partitioner, router: &mut SourceRouter, domain: &[Key]) {
+        let name = p.name();
+        let (ring, dead) = (HashRing::new(p.n_tasks()), |d| d == 1);
+        for &k in domain {
+            let at_source = divert(&ring, k, router.route(k), dead);
+            assert_ne!(at_source, TaskId(1), "{name}: {k:?} sent to the corpse");
+            let routed = divert(&ring, k, p.route(k), dead);
+            assert_eq!(at_source, routed, "{name} after a death: {k:?}");
         }
     }
     let params = BalanceParams::default();
@@ -417,12 +434,10 @@ fn source_router_stays_in_lockstep_through_every_table_mutation() {
         router.update(p.routing_view());
         in_lockstep(p.as_mut(), &mut router, &domain, "scale_out_plan");
 
-        let moves = p.reroute_dead(TaskId(1), &|d| d == 1);
-        router.update(RoutingView::TableDelta {
-            n_tasks: p.n_tasks(),
-            moves,
-        });
-        in_lockstep(p.as_mut(), &mut router, &domain, "reroute_dead");
+        // The router hears of the death alone; the next full view
+        // (the split's, below) drops its stale entries.
+        p.reroute_dead(TaskId(1), &|d| d == 1);
+        diverted_in_lockstep(p.as_mut(), &mut router, &domain);
 
         let hot = Key(11);
         let primary = p.route(hot);
@@ -454,5 +469,7 @@ fn source_router_stays_in_lockstep_through_every_table_mutation() {
         p.scale_in(new, &live);
         router.update(p.routing_view());
         in_lockstep(p.as_mut(), &mut router, &domain, "scale_in");
+        p.reroute_dead(TaskId(1), &|d| d == 1);
+        diverted_in_lockstep(p.as_mut(), &mut router, &domain);
     }
 }
