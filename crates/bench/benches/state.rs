@@ -19,6 +19,14 @@
 //! `DRAIN_BYTES_PER_KEY_GUARD`): CI's smoke guards the keyed state's
 //! footprint.
 //!
+//! One `data_plane` row prices what every tuple and every interval
+//! costs a worker whatever its operator: the bytes of one wire `Tuple`,
+//! and the heap a worker's flight recorder allocates over a seeded
+//! sequence of intervals (`count_batch` per batch, `close_interval` per
+//! interval, into an enabled sink). Both are exact, and the run aborts
+//! unless each equals its pinned value (`TUPLE_BYTES`,
+//! `RECORDER_ALLOC_BYTES`).
+//!
 //! The counting allocator does atomic read-modify-writes on process-wide
 //! statics at every allocation and free, so this group has a binary of
 //! its own: the engine's throughput rows (`benches/engine.rs`) run on the
@@ -30,10 +38,12 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use streambal_bench::alloc::{allocated_bytes, live_bytes, CountingAlloc};
 use streambal_bench::json::{write_json, Json};
 use streambal_core::{Key, StatsAccumulator};
-use streambal_runtime::{Operator, Tuple, WordCountOp};
+use streambal_runtime::{Operator, ThreadLabel, TraceSink, Tuple, WordCountOp};
 use streambal_workloads::FluctuatingWorkload;
 
 #[global_allocator]
@@ -56,6 +66,18 @@ const ACC_BYTES_PER_KEY_GUARD: f64 = 40.0;
 /// Most heap bytes per live key `WordCountOp::drain` may allocate at
 /// `K = 2·10⁵`: 112.0 measured, plus about 5 %.
 const DRAIN_BYTES_PER_KEY_GUARD: f64 = 118.0;
+
+/// The recorder row's interval sequence: 48 intervals (a 20-second
+/// run's), each handing the worker up to 64 batches of 1–256 tuples.
+const RECORDER_INTERVALS: u64 = 48;
+const RECORDER_MAX_BATCHES: u64 = 64;
+const RECORDER_MAX_TUPLES: u64 = 256;
+/// One wire tuple: the key, the tag and two payload words, padded.
+const TUPLE_BYTES: usize = 32;
+/// Heap a worker's recorder allocates over that sequence: its event
+/// buffer (4 events) and the sink's log doubling to hold its 48
+/// `DataFlush` events (to 64), 104 bytes an event.
+const RECORDER_ALLOC_BYTES: usize = 7_072;
 
 /// One keyed-stage pass.
 struct StatePass {
@@ -108,6 +130,51 @@ fn accumulator_bytes_per_key(keys: &[Key]) -> f64 {
         acc.add(k, 1, 8);
     }
     (live_bytes() - before) as f64 / acc.len().max(1) as f64
+}
+
+/// The heap a worker's `ThreadRecorder` allocates over the seeded
+/// interval sequence, from its creation to its drop; the sink exists
+/// before, as the engine builds it once per run.
+fn recorder_alloc_bytes() -> usize {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let sink = TraceSink::new(true);
+    let before = allocated_bytes();
+    let mut recorder = sink.recorder(ThreadLabel::Worker(0));
+    for interval in 0..RECORDER_INTERVALS {
+        for _ in 0..rng.gen_range(0..=RECORDER_MAX_BATCHES) {
+            recorder.count_batch(rng.gen_range(1..=RECORDER_MAX_TUPLES));
+        }
+        recorder.close_interval(interval);
+    }
+    drop(recorder);
+    let bytes = allocated_bytes() - before;
+    black_box(sink.take_log());
+    bytes
+}
+
+/// The data plane's per-tuple and per-interval bytes; aborts unless both
+/// equal their pinned values.
+fn data_plane_row() -> Json {
+    let tuple_bytes = std::mem::size_of::<Tuple>();
+    let recorder_bytes = recorder_alloc_bytes();
+    println!(
+        "data plane: {tuple_bytes} B per tuple, recorder {recorder_bytes} B allocated over \
+         {RECORDER_INTERVALS} intervals"
+    );
+    assert_eq!(tuple_bytes, TUPLE_BYTES, "the wire tuple changed size");
+    assert_eq!(
+        recorder_bytes, RECORDER_ALLOC_BYTES,
+        "a worker's recorder allocates a different number of bytes"
+    );
+    Json::obj([
+        ("tuple_bytes", Json::lower(Json::Int(tuple_bytes as u64))),
+        (
+            "recorder_alloc_bytes",
+            Json::lower(Json::Int(recorder_bytes as u64)),
+        ),
+        ("intervals", Json::Int(RECORDER_INTERVALS)),
+        ("seed", Json::Int(SEED)),
+    ])
 }
 
 /// Aborts when `measured` exceeds `guard`.
@@ -190,11 +257,13 @@ fn main() {
     // `--test`: one rep of the same shapes.
     let smoke = std::env::args().any(|a| a == "--test");
     let state = state_rows(if smoke { 1 } else { 5 });
+    let data_plane = data_plane_row();
     let doc = Json::obj([
         ("bench", Json::str("state")),
         ("zipf_z", Json::Num(ZIPF_Z)),
         ("smoke", Json::Bool(smoke)),
         ("state", Json::Arr(state)),
+        ("data_plane", data_plane),
     ]);
     let path = streambal_bench::figure::results_dir().join(if smoke {
         "state.smoke.json"

@@ -44,8 +44,8 @@ pub struct RoundInputs<'a> {
     /// models no failures and passes none.
     pub dead: Vec<usize>,
     /// Whether a `ScaleOut` can be honoured: the simulator's
-    /// `n_tasks < max_tasks`; the engine's "no retire still
-    /// re-provisioning and a free, channel-bearing slot at the tail".
+    /// `n_tasks < max_tasks`; the engine's "a free, channel-bearing slot
+    /// at the tail" (it decides no round while a retire is in flight).
     pub can_grow: bool,
 }
 

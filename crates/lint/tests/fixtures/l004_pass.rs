@@ -1,8 +1,8 @@
 // Fixture: the data-plane send shapes L004 must NOT flag.
 
-fn ship(tx: &Sender<Message>, batch: Vec<Tuple>) {
-    let weight = batch.len() as u64;
-    let _ = tx.send_weighted(Message::TupleBatch(batch), weight);
+fn ship(tx: &Sender<Message>, tuples: Vec<Tuple>, emitted_us: u64) {
+    let weight = tuples.len() as u64;
+    let _ = tx.send_weighted(Message::TupleBatch { emitted_us, tuples }, weight);
 }
 
 fn control(tx: &Sender<Message>) {
@@ -13,10 +13,10 @@ fn control(tx: &Sender<Message>) {
     let _ = tx.send_weighted(Message::Shutdown, 0);
 }
 
-fn annotated(tx: &Sender<Message>, batch: Vec<Tuple>) {
+fn annotated(tx: &Sender<Message>, tuples: Vec<Tuple>, emitted_us: u64) {
     // lint: allow(send, reason = "fixture: replay of an already-accounted
     // batch; weighting it again would double-bill the channel")
-    let _ = tx.send(Message::TupleBatch(batch));
+    let _ = tx.send(Message::TupleBatch { emitted_us, tuples });
 }
 
 #[cfg(test)]
@@ -24,6 +24,9 @@ mod tests {
     #[test]
     fn tests_may_send_plain() {
         let (tx, _rx) = channel(4);
-        let _ = tx.send(Message::TupleBatch(Vec::new()));
+        let _ = tx.send(Message::TupleBatch {
+            emitted_us: 0,
+            tuples: Vec::new(),
+        });
     }
 }

@@ -19,7 +19,7 @@ const BUCKETS: usize = 496;
 /// thread-safe by itself — each task records into its own histogram and the
 /// collector merges them (see [`Histogram::merge`]), which avoids hot-path
 /// contention entirely.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     counts: Box<[u64; BUCKETS]>,
     total: u64,
@@ -78,6 +78,20 @@ impl Histogram {
         self.counts[Self::bucket_of(value)] += 1;
         self.total += 1;
         self.sum += value as u128;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    /// Records `value` `n` times: the histogram `n` calls of
+    /// [`Histogram::record`] leave, in one update.
+    #[inline]
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.counts[Self::bucket_of(value)] += n;
+        self.total += n;
+        self.sum += value as u128 * n as u128;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }

@@ -92,6 +92,25 @@ proptest! {
         }
     }
 
+    /// `record_n(v, n)` leaves the histogram `n` calls of `record(v)`
+    /// leave — count, sum, min, max and every bucket — over any prior
+    /// contents, for `n = 0` too, and for values from the exact buckets
+    /// to `u64::MAX`.
+    #[test]
+    fn histogram_record_n_is_n_records(
+        prior in proptest::collection::vec(0u64..1_000_000, 0..50),
+        (sel, raw, exp) in (0usize..6, 0u64..=u64::MAX, 1u32..=63),
+        n in 0u64..300,
+    ) {
+        let v = bucket_probe_value(sel, raw, exp);
+        let mut once = Histogram::new();
+        for &p in &prior { once.record(p); }
+        let mut each = once.clone();
+        once.record_n(v, n);
+        for _ in 0..n { each.record(v); }
+        prop_assert_eq!(once, each);
+    }
+
     /// OnlineStats merge == sequential, for any split point.
     #[test]
     fn online_stats_merge_any_split(values in proptest::collection::vec(-1e6f64..1e6, 1..200), split_at in 0usize..200) {

@@ -520,8 +520,8 @@ fn drain_dead_channel(
 ) {
     while let Ok(msg) = rx.try_recv() {
         match msg {
-            Message::TupleBatch(batch) => {
-                for t in &batch {
+            Message::TupleBatch { tuples, .. } => {
+                for t in &tuples {
                     *lost.entry(t.key).or_insert(0) += 1;
                 }
             }
@@ -580,7 +580,8 @@ pub(crate) struct Controller<'a> {
     ledger: StatsLedger,
     /// Completed stats rounds awaiting the decision pass — filled by
     /// reports, dead-worker strikes, and deadline expiry alike, so every
-    /// round is decided by exactly one code path.
+    /// round is decided by exactly one code path, in the order they
+    /// closed; held while a scale-in op is in flight or queued.
     closed_rounds: Vec<(u64, ClosedRound)>,
     /// The provisional round of the open interval, if one is waiting.
     early: Option<EarlyRound>,
@@ -893,7 +894,13 @@ impl<'a> Controller<'a> {
             self.fault(FaultEvent::RoundTimedOut { interval, missing });
             self.closed_rounds.push((interval, round));
         }
-        for (interval, round) in std::mem::take(&mut self.closed_rounds) {
+        // A round closed while a scale-in walks its op waits for the op's
+        // end: only then is the victim's slot free for a later scale-out
+        // to grow onto. The source can cut rounds faster than an op
+        // walks, so deciding them at once would skip, by thread timing,
+        // a scale-out a policy asked for.
+        while !self.closed_rounds.is_empty() && !self.scaling_in() {
+            let (interval, round) = self.closed_rounds.remove(0);
             self.decide_round(interval, round);
         }
         self.settle_early_round();
@@ -1178,6 +1185,14 @@ impl<'a> Controller<'a> {
         }
     }
 
+    /// Whether a scale-in op is in flight or queued.
+    fn scaling_in(&self) -> bool {
+        self.pending
+            .iter()
+            .chain(&self.queue)
+            .any(ProtocolOp::is_scale_in)
+    }
+
     /// Shrinks `active` past every tail slot whose receiver is back, in
     /// whatever order they came back (a zombie victim retires late), and
     /// bills the live width.
@@ -1431,14 +1446,12 @@ impl<'a> Controller<'a> {
             round.p99_latency_us,
         );
         // The planned parallelism — `partitioner.n_tasks()`, which every
-        // decision mutates immediately — not the physical worker count,
-        // which lags while retires drain. Scale-ins may queue (victims
-        // walk down from the planned tail, ops execute in order); a
-        // scale-out is skipped while any scale-in is still
-        // re-provisioning, since the spawn slot must be the contiguous
+        // decision mutates immediately — not the physical worker count.
+        // No scale-in is in flight here (`tick` holds the round until
+        // its op ends), so the spawn slot `active` is the contiguous
         // physical tail.
         let ops: Vec<&ProtocolOp> = self.pending.iter().chain(&self.queue).collect();
-        let room = !ops.iter().any(|op| op.is_scale_in()) && self.active < self.config.max_workers;
+        let room = self.active < self.config.max_workers;
         // Capacity to revive is a dead slot the routing function still
         // counts (a dead scale-in victim's op frees it) and no revive op
         // holds already.
@@ -1526,7 +1539,7 @@ impl<'a> Controller<'a> {
                 }
                 self.enqueue(OpLabel::ScaleOut, affected, by_source, true);
             }
-            // Skipped, not deferred; the policy is not told.
+            // At `max_workers`: skipped, and the policy is not told.
             RoundAction::ScaleOutClamped => {}
             RoundAction::ScaleHeld => {
                 // Let the ledger say why the policy's wish was refused.
@@ -2319,20 +2332,20 @@ mod protocol_tests {
     #[test]
     fn scale_out_reuses_a_slot_whose_queued_scale_in_victim_died() {
         let (mut ctl, rig) = rig(FixedSchedule::new([
-            (0, ScaleDecision::ScaleIn),
+            (0, ScaleDecision::ScaleOut),
             (1, ScaleDecision::ScaleIn),
             (2, ScaleDecision::ScaleOut),
         ]));
-        // Round 0 retires worker 2 (in flight: its pause is unanswered);
-        // round 1 queues worker 1's retirement behind it.
+        // Round 0 grows onto slot 3 (in flight: its pause is unanswered);
+        // round 1 queues slot 3's retirement behind it.
         close_round(&mut ctl, 0);
         close_round(&mut ctl, 1);
         assert_eq!(ctl.pending.as_ref().map(|op| op.epoch), Some(1));
-        assert_eq!(ctl.queue.len(), 1);
+        assert!(ctl.queue.front().is_some_and(ProtocolOp::is_scale_in));
         // The queued victim dies.
         let (_tx, corpse_rx) = bounded(1);
         ctl.on_worker(exited(
-            1,
+            3,
             WorkerExit::Killed {
                 trigger: KillTrigger::Interval(1),
                 lost: Vec::new(),
@@ -2341,36 +2354,39 @@ mod protocol_tests {
             },
         ));
         ctl.tick_now();
-        // The first retirement completes; the next tick starts the dead
+        // The scale-out completes; the next tick starts the dead
         // victim's op, which extracts nothing and frees the slot at its
         // resume ack.
         ctl.on_source(SourceEvent::PauseAck { epoch: 1 });
-        ctl.on_worker(retired(2, 1, Vec::new()));
         ctl.on_source(SourceEvent::ResumeAck { epoch: 1 });
         ctl.tick_now();
         ctl.on_source(SourceEvent::PauseAck { epoch: 2 });
         ctl.on_source(SourceEvent::ResumeAck { epoch: 2 });
-        assert_eq!(ctl.active, 1);
+        assert_eq!(ctl.active, 3);
         assert!(ctl.dead.is_empty());
-        // Round 2 scales out into slot 1.
+        // Round 2 scales out into slot 3 again.
         close_round(&mut ctl, 2);
         assert_eq!(ctl.report.protocol_errors, vec![]);
         let spawned: Vec<(usize, u64)> = rig.spawned.borrow().iter().map(|s| (s.0, s.1)).collect();
-        assert_eq!(spawned, vec![(1, 3)], "a worker on slot 1 from interval 3");
-        assert_eq!(ctl.active, 2);
+        assert_eq!(
+            spawned,
+            vec![(3, 1), (3, 3)],
+            "a worker on slot 3 from interval 3"
+        );
+        assert_eq!(ctl.active, 4);
         let event = |interval, from, to| ScaleEvent { interval, from, to };
         assert_eq!(
             ctl.report.scale_events,
-            vec![event(0, 3, 2), event(1, 2, 1), event(2, 1, 2)]
+            vec![event(0, 3, 4), event(1, 4, 3), event(2, 3, 4)]
         );
-        // The source was told to swap slot 1's sender in and stop
+        // The source was told to swap slot 3's sender in and stop
         // diverting it — after the shrunk view, under which nothing
         // routes there.
         let to_source: Vec<SourceCtl> = std::iter::from_fn(|| rig.source.try_recv().ok()).collect();
         let at = |pred: &dyn Fn(&SourceCtl) -> bool| to_source.iter().position(pred);
         let shrunk = at(&|m| matches!(m, SourceCtl::Resume { epoch: 2, .. })).expect("shrunk view");
-        let revive = at(&|m| matches!(m, SourceCtl::ReviveDest { dest, .. } if dest == &TaskId(1)))
-            .expect("fresh channel for slot 1");
+        let revive = at(&|m| matches!(m, SourceCtl::ReviveDest { dest, .. } if dest == &TaskId(3)))
+            .expect("fresh channel for slot 3");
         assert!(shrunk < revive);
     }
 
@@ -2634,8 +2650,10 @@ mod protocol_tests {
         let (mut ctl, rig) = rig(FixedSchedule::new([]));
         let epoch = 1;
         let (cap, tx) = (ctl.config.channel_capacity, ctl.io.worker_txs[0].clone());
-        let batch = vec![crate::tuple::Tuple::keyed(Key(9)); cap];
-        tx.send_weighted(Message::TupleBatch(batch), cap).unwrap();
+        let tuples = vec![crate::tuple::Tuple::keyed(Key(9)); cap];
+        let emitted_us = 0;
+        tx.send_weighted(Message::TupleBatch { emitted_us, tuples }, cap)
+            .unwrap();
         // Workers 0 and 1 swap a key each: 0 is asked for `a` and
         // installs `b`.
         let (a, b) = (key_homed_on(0, 3), key_homed_on(1, 3));
@@ -2662,7 +2680,7 @@ mod protocol_tests {
         assert_eq!((ctl.drain_target, tx.queued_weight()), (3, cap));
         let got: Vec<String> = std::iter::from_fn(|| rig.workers[0].try_recv().ok())
             .map(|msg| match msg {
-                Message::TupleBatch(batch) => format!("{} tuples", batch.len()),
+                Message::TupleBatch { tuples, .. } => format!("{} tuples", tuples.len()),
                 Message::StateInstall { epoch, states } => {
                     format!("install {epoch} {:?}", states[0].0)
                 }
@@ -2932,9 +2950,10 @@ mod protocol_tests {
     /// frees its slot when it ends, as a retired victim's: `active`
     /// shrinks, the slot leaves `dead`, and its fresh channel reaches the
     /// source after the shrunk view's resume. The victim dies before the
-    /// pause ack, or before its `Retired` — and then a scale-out decided
-    /// before the op ends is clamped, not a revive of a slot nothing
-    /// routes to. A later scale-out grows onto the freed slot.
+    /// pause ack, or before its `Retired` — and then a round that closes
+    /// before the op ends waits for it, so its scale-out is neither a
+    /// revive of a slot nothing routes to nor skipped: it grows onto the
+    /// freed slot, as a later one does.
     #[test]
     fn a_victim_that_dies_mid_retire_frees_its_slot() {
         let cases = [
@@ -2964,7 +2983,8 @@ mod protocol_tests {
             );
             if round_mid_op {
                 close_round(&mut ctl, 1);
-                assert!(rig.spawned.borrow().is_empty(), "{label}: clamped");
+                assert!(rig.spawned.borrow().is_empty(), "{label}: held");
+                assert_eq!(ctl.closed_rounds.len(), 1, "{label}: held");
             }
             ctl.on_source(SourceEvent::ResumeAck { epoch: 1 });
             assert_eq!((ctl.active, ctl.dead.len()), (2, 0), "{label}");
@@ -2982,17 +3002,24 @@ mod protocol_tests {
             let (shrunk, revive) = (shrunk.expect(label), revive.expect(label));
             assert!(shrunk < revive, "{label}: {to_source:?}");
 
+            // The held round is decided first, on the freed slot; round
+            // 2 then grows onto the rig's spare slot 3.
             close_round(&mut ctl, 2);
             let event = |interval, from, to| ScaleEvent { interval, from, to };
+            let (events, spawned, width) = if round_mid_op {
+                let events = vec![event(0, 3, 2), event(1, 2, 3), event(2, 3, 4)];
+                (events, vec![(2, 3), (3, 3)], 4)
+            } else {
+                (vec![event(0, 3, 2), event(2, 2, 3)], vec![(2, 3)], 3)
+            };
+            assert_eq!(ctl.report.scale_events, events, "{label}");
+            let got: Vec<(usize, u64)> = rig.spawned.borrow().iter().map(|s| (s.0, s.1)).collect();
+            assert_eq!(got, spawned, "{label}: a worker on slot 2");
             assert_eq!(
-                ctl.report.scale_events,
-                vec![event(0, 3, 2), event(2, 2, 3)],
+                (ctl.active, ctl.partitioner.n_tasks()),
+                (width, width),
                 "{label}"
             );
-            let spawned: Vec<(usize, u64)> =
-                rig.spawned.borrow().iter().map(|s| (s.0, s.1)).collect();
-            assert_eq!(spawned, vec![(2, 3)], "{label}: a worker on slot 2");
-            assert_eq!((ctl.active, ctl.partitioner.n_tasks()), (3, 3), "{label}");
             let revived = |f: &FaultEvent| matches!(f, FaultEvent::SlotRevived { .. });
             assert!(!ctl.take_faults().iter().any(revived), "{label}");
             assert_eq!(ctl.report.protocol_errors, vec![], "{label}");

@@ -80,10 +80,11 @@ pub struct EngineConfig {
     /// their traffic — in the decision interval itself (an empty plan
     /// walks the op too, moving nothing). In: the drain → migrate →
     /// retire walk (the `scale_in` column of the crate docs' table). Decisions
-    /// are clamped to `[1, max_workers]`; scale-ins may queue up
-    /// (multi-step re-provisioning executes them in order), while a
-    /// scale-out arriving before queued retires finish is skipped,
-    /// because the spawn slot must be the contiguous physical tail.
+    /// are clamped to `[1, max_workers]`. A round that closes while a
+    /// retire is in flight or queued is decided when it ends, because
+    /// the spawn slot must be the contiguous physical tail: a scale-out
+    /// after a scale-in grows onto the freed slot, whatever the threads'
+    /// timing.
     /// Default: [`HoldPolicy`] (the static engine).
     pub elasticity: Box<dyn ElasticityPolicy>,
     /// The hot-key split policy consulted after every interval's
@@ -713,6 +714,27 @@ enum PauseFilter {
     Dest(TaskId),
 }
 
+/// The source's pause buffer: the tuples an in-flight op holds back, in
+/// arrival order, cut into runs by the stamp they were staged at, so the
+/// `Resume` flush ships each run under its own stamp.
+#[derive(Default)]
+struct PauseBuffer {
+    tuples: Vec<Tuple>,
+    /// `(emitted_us, len)` per run, in order: the next `len` tuples were
+    /// staged at `emitted_us`.
+    runs: Vec<(u64, usize)>,
+}
+
+impl PauseBuffer {
+    fn push(&mut self, t: Tuple, emitted_us: u64) {
+        match self.runs.last_mut() {
+            Some((stamp, len)) if *stamp == emitted_us => *len += 1,
+            _ => self.runs.push((emitted_us, 1)),
+        }
+        self.tuples.push(t);
+    }
+}
+
 /// Control-poll granularity: the source drains its control inbox at
 /// least every `CTL_POLL` staged tuples, decoupled from the batch size so
 /// tiny batches do not pay a control-channel probe per send. 256 matches
@@ -741,7 +763,7 @@ struct SourcePlane {
     /// In-flight control op: epoch and the pause filter.
     paused: Option<(u64, PauseFilter)>,
     /// Tuples of paused keys, held until `Resume`.
-    buffer: Vec<Tuple>,
+    buffer: PauseBuffer,
     /// Per-destination batch accumulators (indexed by worker slot).
     fan: Vec<Vec<Tuple>>,
     /// Destinations with a non-empty accumulator, in first-touch order.
@@ -782,7 +804,7 @@ impl SourcePlane {
             ctl,
             events,
             paused: None,
-            buffer: Vec::new(),
+            buffer: PauseBuffer::default(),
             fan: (0..n_slots).map(|_| Vec::with_capacity(batch)).collect(),
             touched: Vec::with_capacity(n_slots),
             keys: Vec::with_capacity(batch),
@@ -830,8 +852,8 @@ impl SourcePlane {
 
     /// Routes and ships one interval's tuples, staging, routing and
     /// shipping per batch of `batch_size` tuples with one emission
-    /// timestamp per staged batch, and polling control between batches.
-    /// Returns false on `Shutdown`.
+    /// stamp per staged batch (every message it ships carries it), and
+    /// polling control between batches. Returns false on `Shutdown`.
     fn feed(
         &mut self,
         interval: u64,
@@ -863,7 +885,8 @@ impl SourcePlane {
                 }
             }
             // Stage the next batch, holding back keys paused for an
-            // in-flight migration. One clock read stamps the whole batch.
+            // in-flight migration. One clock read stamps the whole batch:
+            // its messages, and its run of the pause buffer.
             // The loop is bounded by tuples *consumed*, not staged: under
             // a pause that covers the hot keys, nearly everything goes to
             // the pause buffer, and a staged-only bound would starve the
@@ -873,14 +896,13 @@ impl SourcePlane {
             let mut consumed = 0usize;
             let batch_us = epoch.elapsed().as_micros() as u64;
             while staged.len() < batch && consumed < batch {
-                let Some(mut t) = pending.next() else {
+                let Some(t) = pending.next() else {
                     break;
                 };
                 consumed += 1;
-                t.emitted_us = batch_us;
                 if let Some((_, PauseFilter::Keys(affected))) = &self.paused {
                     if affected.contains(&t.key) {
-                        self.buffer.push(t);
+                        self.buffer.push(t, batch_us);
                         continue;
                     }
                 }
@@ -890,7 +912,7 @@ impl SourcePlane {
                 return true;
             }
             since_ctl += consumed;
-            self.ship(&mut staged);
+            self.ship(&mut staged, batch_us);
         }
     }
 
@@ -905,16 +927,18 @@ impl SourcePlane {
         true
     }
 
-    /// Routes `staged` and ships it downstream: one channel send per
-    /// destination touched. Drains `staged`, preserving per-destination tuple order. Under a
-    /// destination pause (scale-in), tuples routed to the quiesced worker
-    /// divert to the pause buffer instead — in arrival order, so the
-    /// Resume flush replays them FIFO under the new view. A tuple routed
-    /// to a dead slot takes the one divert rule ([`divert`]), like the
-    /// controller's table and state. A failed send means the worker died
-    /// before the controller said so: the slot is marked dead, and the
-    /// batch, recovered from the send, is shipped again the same way.
-    fn ship(&mut self, staged: &mut Vec<Tuple>) {
+    /// Routes `staged`, staged at `emitted_us`, and ships it downstream:
+    /// one channel send per destination touched, each message stamped
+    /// `emitted_us`. Drains `staged`, preserving per-destination tuple
+    /// order. Under a destination pause (scale-in), tuples routed to the
+    /// quiesced worker divert to the pause buffer instead — in arrival
+    /// order and under their stamp, so the Resume flush replays them FIFO
+    /// under the new view. A tuple routed to a dead slot takes the one
+    /// divert rule ([`divert`]), like the controller's table and state.
+    /// A failed send means the worker died before the controller said
+    /// so: the slot is marked dead, and the batch, recovered from the
+    /// send, is shipped again the same way, under the same stamp.
+    fn ship(&mut self, staged: &mut Vec<Tuple>, emitted_us: u64) {
         if staged.is_empty() {
             return;
         }
@@ -936,7 +960,7 @@ impl SourcePlane {
         };
         for (t, d) in staged.drain(..).zip(&dests) {
             if pause_dest == Some(*d) {
-                self.buffer.push(t);
+                self.buffer.push(t, emitted_us);
                 continue;
             }
             let slot = &mut self.fan[d.index()];
@@ -949,22 +973,24 @@ impl SourcePlane {
         let mut failed = Vec::new();
         for i in 0..self.touched.len() {
             let d = self.touched[i];
-            let batch = std::mem::replace(&mut self.fan[d], Vec::with_capacity(self.batch));
-            let weight = batch.len();
-            match self.worker_txs[d].send_weighted(Message::TupleBatch(batch), weight) {
+            let tuples = std::mem::replace(&mut self.fan[d], Vec::with_capacity(self.batch));
+            let weight = tuples.len();
+            match self.worker_txs[d]
+                .send_weighted(Message::TupleBatch { emitted_us, tuples }, weight)
+            {
                 Ok(()) => self.sent[d] += weight as u64,
                 // A slot already dead was the divert's last resort:
                 // every slot is dead (unreachable in practice — worker 0
                 // is never fault-injected), and nowhere can account it.
                 Err(e) => {
-                    if let (true, Message::TupleBatch(batch)) = (self.lost_dest(d), e.0) {
-                        failed.extend(batch);
+                    if let (true, Message::TupleBatch { tuples, .. }) = (self.lost_dest(d), e.0) {
+                        failed.extend(tuples);
                     }
                 }
             }
         }
         self.touched.clear();
-        self.ship(&mut failed);
+        self.ship(&mut failed, emitted_us);
     }
 
     /// A send to `dest` failed: the worker died under us before the
@@ -1095,18 +1121,28 @@ impl SourcePlane {
                 // arrival order, which scatter preserves per destination).
                 // The flush goes through ship() in batch-sized chunks, so
                 // the tuple-denominated channel bound holds even for a
-                // buffer that grew far beyond one batch during the pause.
-                let mut buffered = std::mem::take(&mut self.buffer);
+                // buffer that grew far beyond one batch during the pause,
+                // and a chunk never crosses a run: each ships under the
+                // stamp its tuples were staged at.
+                let PauseBuffer {
+                    mut tuples,
+                    mut runs,
+                } = std::mem::take(&mut self.buffer);
+                let mut held = tuples.drain(..);
                 let mut staged: Vec<Tuple> = Vec::with_capacity(self.batch);
-                for t in buffered.drain(..) {
-                    staged.push(t);
-                    if staged.len() >= self.batch {
-                        self.ship(&mut staged);
+                for &(stamp, len) in &runs {
+                    for t in held.by_ref().take(len) {
+                        staged.push(t);
+                        if staged.len() >= self.batch {
+                            self.ship(&mut staged, stamp);
+                        }
                     }
+                    self.ship(&mut staged, stamp);
                 }
-                self.ship(&mut staged);
+                drop(held);
                 // Drained, but keeps its capacity.
-                self.buffer = buffered;
+                runs.clear();
+                self.buffer = PauseBuffer { tuples, runs };
                 // Flush complete: only now may the controller shut workers
                 // down (Message ordering across two senders is otherwise
                 // unconstrained, and a Shutdown overtaking the flushed
@@ -1767,23 +1803,79 @@ mod tests {
         let keys_at = |rx: &Receiver<Message>| -> Vec<Key> {
             std::iter::from_fn(|| rx.try_recv().ok())
                 .flat_map(|m| match m {
-                    Message::TupleBatch(batch) => batch.iter().map(|t| t.key).collect(),
+                    Message::TupleBatch { tuples, .. } => tuples.iter().map(|t| t.key).collect(),
                     _ => Vec::new(),
                 })
                 .collect()
         };
         plane.dead.insert(1);
-        plane.ship(&mut vec![Tuple::keyed(pinned), Tuple::keyed(hashed)]);
+        plane.ship(&mut vec![Tuple::keyed(pinned), Tuple::keyed(hashed)], 0);
         let got: Vec<Vec<Key>> = rxs.iter().map(keys_at).collect();
         assert_eq!(got, vec![vec![pinned], vec![], vec![hashed]]);
         drop(rxs.pop());
-        plane.ship(&mut vec![Tuple::keyed(hashed)]);
+        plane.ship(&mut vec![Tuple::keyed(hashed)], 0);
         assert_eq!(keys_at(&rxs[0]), vec![hashed], "re-shipped past both");
         let failed = SourceEvent::SendFailed { dest: TaskId(2) };
         match inbox.try_recv() {
             Ok(Event::Source(ev)) => assert_eq!(format!("{ev:?}"), format!("{failed:?}")),
             other => panic!("expected the failed send, got {other:?}"),
         }
+    }
+
+    /// Tuples a `Pause { Keys }` holds keep the stamp of the batch that
+    /// staged them: the `Resume` flush ships each held run as messages
+    /// of its own, under its own staging stamp — the stamp the batch's
+    /// unpaused tuples went out with — and never merges two runs under
+    /// one stamp.
+    #[test]
+    fn source_flushes_each_held_run_under_its_staging_stamp() {
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| bounded::<Message>(8)).unzip();
+        let (events, _inbox) = unbounded();
+        let (_ctl_tx, ctl) = unbounded();
+        let mut p = storm(3);
+        let mut homed = |slot, n| -> Vec<Key> {
+            let on_slot = |k: &Key| p.route(*k) == TaskId(slot);
+            (0..).map(Key).filter(on_slot).take(n).collect()
+        };
+        let (paused, free) = (homed(0, 1)[0], homed(1, 2));
+        let drops = DropCounter::new(&FaultPlan::none());
+        let view = p.routing_view();
+        let mut plane = SourcePlane::new(view.clone(), txs, ctl, events, 8, drops);
+        let mut recorder = TraceSink::disabled().recorder(ThreadLabel::Source);
+        let epoch = Instant::now();
+        let scope = PauseScope::Keys(vec![paused]);
+        assert!(plane.handle_ctl(SourceCtl::Pause { epoch: 1, scope }));
+        let staged = [vec![free[0], paused, paused], vec![paused, free[1]]];
+        for (interval, keys) in staged.into_iter().enumerate() {
+            if interval > 0 {
+                // Two batches, two clock reads at least 2 ms apart.
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let tuples = keys.into_iter().map(Tuple::keyed).collect();
+            assert!(plane.feed(interval as u64, tuples, epoch, &mut recorder));
+        }
+        let sent = |rx: &Receiver<Message>| -> Vec<(u64, Vec<Key>)> {
+            std::iter::from_fn(|| rx.try_recv().ok())
+                .map(|m| match m {
+                    Message::TupleBatch { emitted_us, tuples } => {
+                        (emitted_us, tuples.iter().map(|t| t.key).collect())
+                    }
+                    other => panic!("expected a batch, got {other:?}"),
+                })
+                .collect()
+        };
+        let unpaused = sent(&rxs[1]);
+        let [(first, _), (second, _)] = unpaused[..] else {
+            panic!("one message per staged batch: {unpaused:?}");
+        };
+        assert!(second >= first + 2_000, "{unpaused:?}");
+        assert!(sent(&rxs[0]).is_empty(), "held until the resume");
+        assert!(plane.handle_ctl(SourceCtl::Resume { epoch: 1, view }));
+        let flushed = sent(&rxs[0]);
+        assert_eq!(
+            flushed,
+            vec![(first, vec![paused, paused]), (second, vec![paused])]
+        );
     }
 
     /// The source cuts a round in-band: it announces the slots it marks,

@@ -27,15 +27,15 @@
 //! lifetime [`WorkerTotals`], which the controller folds in one place,
 //! and a [`WorkerExit`] with what only that kind of exit carries.
 //!
-//! * The **source** pulls tuples from a feeder closure, stamps them, and
-//!   routes them with a local [`SourceRouter`] snapshot (the one
-//!   materialized view, `streambal_core::SourceRouter`, re-exported
-//!   here) — the "tuples router" of Fig. 5. The data plane is
-//!   *batched*: every
-//!   `batch_size` tuples are routed with one `route_batch` call,
-//!   scattered into per-destination buffers, and shipped as one
-//!   [`Message::TupleBatch`] per destination touched, so a channel
-//!   operation is paid per batch, not per tuple. Each send hands its
+//! * The **source** pulls tuples from a feeder closure and routes them
+//!   with a local [`SourceRouter`] snapshot (the one materialized view,
+//!   `streambal_core::SourceRouter`, re-exported here) — the "tuples
+//!   router" of Fig. 5. The data plane is *batched*: every
+//!   `batch_size` tuples are staged under one clock read, routed with
+//!   one `route_batch` call, scattered into per-destination buffers,
+//!   and shipped as one [`Message::TupleBatch`] per destination touched,
+//!   stamped with that read, so a channel operation and a latency stamp
+//!   are paid per batch, not per tuple. Each send hands its
 //!   buffer over for good (the source refills that slot with a fresh
 //!   one): the channels are all the data-plane threads share.
 //! * **Workers** are downstream task instances: one thread per instance,
@@ -43,7 +43,8 @@
 //!   "backpushing effect" of the paper's Fig. 1 — now at batch
 //!   granularity). They run an [`Operator`], keep windowed per-key state,
 //!   and account per-key statistics, draining a whole batch per channel
-//!   operation: one latency clock read per batch, with each run of equal
+//!   operation: one latency clock read per batch, recorded once for all
+//!   its tuples against the message's stamp, with each run of equal
 //!   keys folded straight into the interval's statistics map (one probe
 //!   per run; a batch-local scratch map measured slower). Everything a
 //!   worker counts travels in its own events — the interval report's

@@ -18,7 +18,15 @@ pub enum Message {
     /// channel operation covers the whole vector, sent with the batch
     /// length as its channel weight. The worker owns the buffer from
     /// then on and drops it once drained.
-    TupleBatch(Vec<Tuple>),
+    TupleBatch {
+        /// Microseconds since engine start when the source staged these
+        /// tuples: its one clock read for their staged batch. Every
+        /// tuple of the message shares it, so the worker records the
+        /// latency once for all of them.
+        emitted_us: u64,
+        /// The tuples, in the order the source routed them.
+        tuples: Vec<Tuple>,
+    },
     /// Interval boundary: report statistics, advance the window. The
     /// source puts it into every slot it can route to at the moment it
     /// cuts the interval, behind the interval's last batch and ahead of

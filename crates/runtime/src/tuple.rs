@@ -13,10 +13,12 @@ pub const TAG_PARTIAL: u8 = 3;
 
 /// A fixed-size key-value tuple.
 ///
-/// `Copy` and 40 bytes: channel transfers never allocate. The two value
+/// `Copy` and 32 bytes: channel transfers never allocate. The two value
 /// slots carry operator-specific payloads (e.g. `custkey`/`revenue` for
 /// TPC-H lineitems); richer payloads live in operator state, not on the
-/// wire.
+/// wire. A tuple carries no latency stamp: the source reads the clock
+/// once per staged batch, and that one value rides with each message
+/// ([`crate::Message::TupleBatch`]'s `emitted_us`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tuple {
     /// The partitioning key.
@@ -25,9 +27,11 @@ pub struct Tuple {
     pub tag: u8,
     /// Operator-specific payload.
     pub vals: [u64; 2],
-    /// Microseconds since engine start at emission (latency stamping).
-    pub emitted_us: u64,
 }
+
+// Every data-plane hop copies tuples: the key, the tag and the payload,
+// padded to 32 bytes, and nothing more.
+const _: () = assert!(std::mem::size_of::<Tuple>() == 32);
 
 impl Tuple {
     /// A bare keyed tuple (word-count style).
@@ -36,18 +40,12 @@ impl Tuple {
             key,
             tag: TAG_DEFAULT,
             vals: [0, 0],
-            emitted_us: 0,
         }
     }
 
     /// A tagged tuple with payload.
     pub fn tagged(key: Key, tag: u8, vals: [u64; 2]) -> Self {
-        Tuple {
-            key,
-            tag,
-            vals,
-            emitted_us: 0,
-        }
+        Tuple { key, tag, vals }
     }
 }
 
@@ -67,7 +65,7 @@ mod tests {
 
     #[test]
     fn tuple_is_small() {
-        // Keep the wire type within a cache line half; channels copy it.
-        assert!(std::mem::size_of::<Tuple>() <= 40);
+        // Half a cache line; channels copy it.
+        assert_eq!(std::mem::size_of::<Tuple>(), 32);
     }
 }

@@ -150,7 +150,8 @@ pub(crate) struct Worker {
     /// The open interval's statistics: one accumulator for the whole
     /// run, sealed at every interval boundary with its capacity kept.
     stats: StatsAccumulator,
-    /// Interval-scoped latency: recorded per tuple, shipped with each
+    /// Interval-scoped latency: one sample per tuple, added per batch
+    /// (its tuples share the source's staging stamp), shipped with each
     /// stats report (the controller merges workers into the interval's
     /// mean/p99 observation), folded into the lifetime histogram at every
     /// boundary so totals never double-count.
@@ -203,7 +204,7 @@ impl Worker {
     pub(crate) fn run(mut self) {
         while let Ok(msg) = self.rx.recv() {
             let step = match msg {
-                Message::TupleBatch(batch) => self.on_batch(batch),
+                Message::TupleBatch { emitted_us, tuples } => self.on_batch(emitted_us, tuples),
                 Message::StatsRequest { interval } => self.on_stats_request(interval),
                 Message::StatsPeek { interval } => self.on_stats_peek(interval),
                 Message::MigrateOut { epoch, moves } => self.on_migrate_out(epoch, moves),
@@ -218,7 +219,7 @@ impl Worker {
         // Channel closed without Shutdown (engine dropped): exit quietly.
     }
 
-    fn on_batch(&mut self, batch: Vec<Tuple>) -> Step {
+    fn on_batch(&mut self, emitted_us: u64, batch: Vec<Tuple>) -> Step {
         let n = batch.len() as u64;
         // Batch-local stats accumulation by key runs: consecutive
         // same-key tuples fold into one interval-map probe. Costs one
@@ -250,12 +251,11 @@ impl Worker {
         // One monotonic-clock read per batch, taken *after* the drain so
         // recorded latencies include the batch's own processing (reading
         // before the drain would systematically under-report late
-        // tuples). Latency is recorded per tuple against its own emission
-        // stamp, in a second cache-hot pass over the stamps.
+        // tuples). Every tuple of the message was staged at its one
+        // stamp, so the batch adds `n` samples of one latency at once.
         let now_us = self.wiring.epoch.elapsed().as_micros() as u64;
-        for t in batch.iter() {
-            self.iv_latency.record(now_us.saturating_sub(t.emitted_us));
-        }
+        self.iv_latency
+            .record_n(now_us.saturating_sub(emitted_us), n);
         if n > 0 {
             self.totals.first_interval.get_or_insert(interval);
         }
@@ -449,6 +449,7 @@ mod tests {
     use crate::fault::FaultSpec;
     use crate::operator::WordCountOp;
     use crossbeam::channel::unbounded;
+    use std::time::Duration;
     use streambal_core::Key;
     use streambal_trace::EventKind;
 
@@ -505,9 +506,17 @@ mod tests {
         (tx, erx, h)
     }
 
+    /// A message of `tuples`, stamped at engine start.
+    fn batch_of(tuples: Vec<Tuple>) -> Message {
+        Message::TupleBatch {
+            emitted_us: 0,
+            tuples,
+        }
+    }
+
     /// The `batch_size = 1` shape: a batch holding one tuple.
     fn one(key: u64) -> Message {
-        Message::TupleBatch(vec![Tuple::keyed(Key(key))])
+        batch_of(vec![Tuple::keyed(Key(key))])
     }
 
     #[test]
@@ -614,8 +623,7 @@ mod tests {
     /// evictions) as one that never was.
     #[test]
     fn stats_peek_copies_and_leaves_the_interval_alone() {
-        let keys =
-            |ks: &[u64]| Message::TupleBatch(ks.iter().map(|&k| Tuple::keyed(Key(k))).collect());
+        let keys = |ks: &[u64]| batch_of(ks.iter().map(|&k| Tuple::keyed(Key(k))).collect());
         let run = |peek: bool| {
             let sink = TraceSink::new(true);
             // w = 1: interval 0's state is evicted when interval 1 closes.
@@ -714,7 +722,7 @@ mod tests {
         let batch: Vec<Tuple> = (0..10)
             .map(|i| Tuple::keyed(Key(if i % 2 == 0 { 1 } else { 2 })))
             .collect();
-        tx.send(Message::TupleBatch(batch)).unwrap();
+        tx.send(batch_of(batch)).unwrap();
         tx.send(Message::StatsRequest { interval: 0 }).unwrap();
         match erx.recv().unwrap() {
             WorkerEvent::Stats { stats, .. } => {
@@ -742,6 +750,35 @@ mod tests {
         h.join().unwrap();
     }
 
+    /// One message of `n` tuples stamped `s` adds exactly `n` samples of
+    /// `now − s` to the interval's latency histogram: one value, read
+    /// from the clock once after the batch is processed.
+    #[test]
+    fn a_message_adds_one_latency_per_tuple_from_its_stamp() {
+        let (tx, rx) = unbounded();
+        drop(tx);
+        let (mut wiring, _events) = wiring(5, FaultPlan::none(), &TraceSink::disabled());
+        let ago = Duration::from_millis(50);
+        wiring.epoch = Instant::now().checked_sub(ago).expect("a clock 50 ms old");
+        let mut worker = Worker::new(wiring, TaskId(0), rx, Box::new(WordCountOp::new()), 0);
+        let (stamp, n) = (10_000u64, 7u64);
+        let tuples: Vec<Tuple> = (0..n).map(|k| Tuple::keyed(Key(k % 3))).collect();
+        let before = worker.wiring.epoch.elapsed().as_micros() as u64 - stamp;
+        let _ = worker.on_batch(stamp, tuples);
+        let after = worker.wiring.epoch.elapsed().as_micros() as u64 - stamp;
+        let latency = worker.iv_latency.min();
+        assert!(
+            (before..=after).contains(&latency),
+            "{before} ≤ {latency} ≤ {after}"
+        );
+        let mut expect = Histogram::new();
+        for _ in 0..n {
+            expect.record(latency);
+        }
+        assert_eq!(*worker.iv_latency, expect);
+        assert_eq!(worker.totals.processed, n);
+    }
+
     /// Emissions toward a collector arrive batched.
     #[test]
     fn collector_emissions_are_batched() {
@@ -758,7 +795,7 @@ mod tests {
         let worker = Worker::new(wiring, TaskId(0), rx, op, 0);
         let h = std::thread::spawn(move || worker.run());
         let batch: Vec<Tuple> = (0..9).map(|_| Tuple::keyed(Key(7))).collect();
-        tx.send(Message::TupleBatch(batch)).unwrap();
+        tx.send(batch_of(batch)).unwrap();
         tx.send(Message::Shutdown).unwrap();
         let _ = erx.recv();
         drop(tx);
@@ -778,8 +815,7 @@ mod tests {
         let (tx_b, erx_b, hb) = spawn_worker(5);
         // Worker A accumulates state for key 9 — via a batch, as the
         // batched data plane delivers it.
-        tx_a.send(Message::TupleBatch(vec![Tuple::keyed(Key(9)); 4]))
-            .unwrap();
+        tx_a.send(batch_of(vec![Tuple::keyed(Key(9)); 4])).unwrap();
         tx_a.send(Message::MigrateOut {
             epoch: 1,
             moves: vec![(Key(9), TaskId(1))],
@@ -829,8 +865,7 @@ mod tests {
     #[test]
     fn retire_drains_backlog_and_returns_receiver() {
         let (tx, erx, h) = spawn_worker(100);
-        tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(1)); 3]))
-            .unwrap();
+        tx.send(batch_of(vec![Tuple::keyed(Key(1)); 3])).unwrap();
         tx.send(one(2)).unwrap();
         tx.send(Message::Retire { epoch: 9 }).unwrap();
         match erx.recv().unwrap() {
@@ -850,7 +885,7 @@ mod tests {
                 // The channel stayed connected: a respawn on the same
                 // slot picks up right where the retiree left.
                 tx.send(one(3)).unwrap();
-                assert!(matches!(rx.recv().unwrap(), Message::TupleBatch(_)));
+                assert!(matches!(rx.recv().unwrap(), Message::TupleBatch { .. }));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -924,12 +959,10 @@ mod tests {
             let label = format!("{at:?}");
             let plan = FaultPlan::new(vec![FaultSpec::Kill { worker: 0, at }]);
             let (tx, erx, h) = spawn_worker_with(100, plan, &TraceSink::disabled());
-            tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(4)); 6]))
-                .unwrap();
+            tx.send(batch_of(vec![Tuple::keyed(Key(4)); 6])).unwrap();
             tx.send(Message::StatsRequest { interval: 0 }).unwrap();
             let _ = erx.recv(); // interval 0 stats, no kill yet
-            tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(9)); 2]))
-                .unwrap();
+            tx.send(batch_of(vec![Tuple::keyed(Key(9)); 2])).unwrap();
             tx.send(trigger).unwrap();
             match erx.recv().unwrap() {
                 WorkerEvent::Exited {
@@ -953,7 +986,7 @@ mod tests {
                     // can be drained for accounting.
                     tx.send(one(1)).unwrap();
                     assert!(
-                        matches!(rx.recv().unwrap(), Message::TupleBatch(_)),
+                        matches!(rx.recv().unwrap(), Message::TupleBatch { .. }),
                         "{label}"
                     );
                 }

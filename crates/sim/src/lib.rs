@@ -42,13 +42,13 @@
 //! is always empty: the simulator models no failures, so it never revives
 //! or holds, and a split's replica choice never has a dead slot to avoid.
 //! And `can_grow` is `n_tasks < max_tasks`, where the engine also requires
-//! that no retire is still re-provisioning (its spawn slot must be the
-//! contiguous physical tail). A scale-in is instantaneous here, so a
-//! policy that flaps in→out across adjacent intervals can record a
-//! `ScaleOut` the engine clamps. Traces are identical whenever opposite
-//! decisions are at least one engine re-provision apart, which any policy
-//! with hysteresis or a cooldown guarantees (`tests/elasticity.rs` pins
-//! the replay identity). The tuple-level consequences — state movement,
+//! a channel-bearing slot at the tail (its spawn slot must be the
+//! contiguous physical tail). A scale-in is instantaneous here; the
+//! engine decides a round that closes while a retire is still
+//! re-provisioning once the retire ends, later but on the same
+//! statistics, so a policy that flaps in→out across adjacent intervals
+//! grows in both instead of having the engine clamp its `ScaleOut`
+//! (`tests/elasticity.rs` pins the replay identity). The tuple-level consequences — state movement,
 //! replica partials, the merge stage — need the real engine.
 
 #![forbid(unsafe_code)]
