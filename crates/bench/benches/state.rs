@@ -27,6 +27,15 @@
 //! unless each equals its pinned value (`TUPLE_BYTES`,
 //! `RECORDER_ALLOC_BYTES`).
 //!
+//! One `generator` row guards what once raised the benchmark's `wide`
+//! peak RSS by 23 MiB: a large block freed while its inputs are built.
+//! It counts the frees of blocks of 128 KiB or more (`alloc::
+//! large_frees`) and the largest of them over `FluctuatingWorkload::new`
+//! and 15 `advance` steps at `wide`'s shape, and aborts unless both
+//! equal their pinned values (`GENERATOR_LARGE_FREES`,
+//! `GENERATOR_LARGEST_FREE`) and the largest stays below the 2 MB
+//! interval buffers that follow it (`INTERVAL_BUFFER_BYTES`).
+//!
 //! The counting allocator does atomic read-modify-writes on process-wide
 //! statics at every allocation and free, so this group has a binary of
 //! its own: the engine's throughput rows (`benches/engine.rs`) run on the
@@ -40,9 +49,11 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use streambal_bench::alloc::{allocated_bytes, live_bytes, CountingAlloc};
+use streambal_bench::alloc::{
+    allocated_bytes, large_frees, largest_free, live_bytes, reset_large_frees, CountingAlloc,
+};
 use streambal_bench::json::{write_json, Json};
-use streambal_core::{Key, StatsAccumulator};
+use streambal_core::{AssignmentFn, Key, StatsAccumulator};
 use streambal_runtime::{Operator, ThreadLabel, TraceSink, Tuple, WordCountOp};
 use streambal_workloads::FluctuatingWorkload;
 
@@ -78,6 +89,21 @@ const TUPLE_BYTES: usize = 32;
 /// buffer (4 events) and the sink's log doubling to hold its 48
 /// `DataFlush` events (to 64), 104 bytes an event.
 const RECORDER_ALLOC_BYTES: usize = 7_072;
+
+/// The generator row's shape: the benchmark's `wide` input, `K` keys
+/// and 250 000 tuples an interval at `f = 1`, advanced `GENERATOR_STEPS`
+/// times against the static `AssignmentFn::hash_only(4)`.
+const GENERATOR_K: usize = 200_000;
+const GENERATOR_TUPLES: u64 = 250_000;
+const GENERATOR_STEPS: usize = 15;
+/// One of `wide`'s interval buffers: 250 000 keys of 8 bytes. A freed
+/// block this large or larger raises glibc's mmap threshold above them.
+const INTERVAL_BUFFER_BYTES: usize = 2_000_000;
+/// Frees of blocks of 128 KiB or more over that sequence, and the
+/// largest: three in `new` (the largest, 1.6 MB, its sorted hashes at 8
+/// bytes a key) and each step's donor and cold lists (`u32` ids).
+const GENERATOR_LARGE_FREES: usize = 33;
+const GENERATOR_LARGEST_FREE: usize = 1_600_000;
 
 /// One keyed-stage pass.
 struct StatePass {
@@ -177,6 +203,40 @@ fn data_plane_row() -> Json {
     ])
 }
 
+/// The large frees of building and advancing `wide`'s generator; aborts
+/// unless they equal their pinned values, under the interval buffers.
+fn generator_row() -> Json {
+    let hash_only = AssignmentFn::hash_only(4);
+    reset_large_frees();
+    let mut w = FluctuatingWorkload::new(GENERATOR_K, ZIPF_Z, GENERATOR_TUPLES, 1.0, SEED);
+    for _ in 0..GENERATOR_STEPS {
+        w.advance(4, |key| hash_only.route(key));
+    }
+    let (frees, largest) = (large_frees(), largest_free());
+    black_box(w);
+    println!(
+        "generator: K={GENERATOR_K}, {GENERATOR_STEPS} steps: {frees} frees of 128 KiB or more, \
+         largest {largest} B"
+    );
+    assert!(
+        largest < INTERVAL_BUFFER_BYTES,
+        "a {largest} B block freed while generating lifts the mmap threshold over the \
+         {INTERVAL_BUFFER_BYTES} B interval buffers"
+    );
+    assert_eq!(
+        (frees, largest),
+        (GENERATOR_LARGE_FREES, GENERATOR_LARGEST_FREE),
+        "the generator frees different large blocks"
+    );
+    Json::obj([
+        ("key_domain", Json::Int(GENERATOR_K as u64)),
+        ("tuples_per_interval", Json::Int(GENERATOR_TUPLES)),
+        ("steps", Json::Int(GENERATOR_STEPS as u64)),
+        ("large_frees", Json::lower(Json::Int(frees as u64))),
+        ("largest_free_bytes", Json::lower(Json::Int(largest as u64))),
+    ])
+}
+
 /// Aborts when `measured` exceeds `guard`.
 fn check_guard(what: &str, k: usize, measured: f64, guard: f64) {
     assert!(
@@ -258,12 +318,14 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
     let state = state_rows(if smoke { 1 } else { 5 });
     let data_plane = data_plane_row();
+    let generator = generator_row();
     let doc = Json::obj([
         ("bench", Json::str("state")),
         ("zipf_z", Json::Num(ZIPF_Z)),
         ("smoke", Json::Bool(smoke)),
         ("state", Json::Arr(state)),
         ("data_plane", data_plane),
+        ("generator", generator),
     ]);
     let path = streambal_bench::figure::results_dir().join(if smoke {
         "state.smoke.json"

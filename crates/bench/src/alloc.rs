@@ -12,6 +12,13 @@
 //! everything it asked for, freed or not. The count is of requested
 //! sizes (`Layout::size`), so for a fixed operation sequence it is exact
 //! and repeats run to run.
+//!
+//! [`large_frees`] and [`largest_free`] count the frees of blocks of at
+//! least [`LARGE_BLOCK`] bytes since [`reset_large_frees`]: glibc mmaps
+//! such a block, and freeing one raises its mmap threshold to that
+//! block's size, so every later allocation below it lands in the brk
+//! heap, which cannot shrink. A `realloc` is not counted: glibc moves an
+//! mmapped block with `mremap`, which leaves the threshold alone.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,6 +31,14 @@ static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 /// Heap bytes ever allocated by this process, frees not subtracted.
 static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// Frees of blocks of at least [`LARGE_BLOCK`] bytes since the last
+/// [`reset_large_frees`], and the largest of them.
+static LARGE_FREES: AtomicUsize = AtomicUsize::new(0);
+static LARGEST_FREE: AtomicUsize = AtomicUsize::new(0);
+
+/// glibc's default mmap threshold: the smallest block it mmaps.
+pub const LARGE_BLOCK: usize = 128 * 1024;
 
 /// Heap bytes currently allocated through [`CountingAlloc`].
 pub fn live_bytes() -> usize {
@@ -46,6 +61,24 @@ pub fn reset_peak() {
     PEAK_BYTES.store(live_bytes(), Ordering::Relaxed);
 }
 
+/// Frees of blocks of at least [`LARGE_BLOCK`] bytes since the last
+/// [`reset_large_frees`].
+pub fn large_frees() -> usize {
+    LARGE_FREES.load(Ordering::Relaxed)
+}
+
+/// The largest block freed since the last [`reset_large_frees`], if it
+/// was at least [`LARGE_BLOCK`] bytes; 0 otherwise.
+pub fn largest_free() -> usize {
+    LARGEST_FREE.load(Ordering::Relaxed)
+}
+
+/// Restarts [`large_frees`] and [`largest_free`] from zero.
+pub fn reset_large_frees() {
+    LARGE_FREES.store(0, Ordering::Relaxed);
+    LARGEST_FREE.store(0, Ordering::Relaxed);
+}
+
 /// Adds `bytes` to the live and allocated counts and raises the peak to
 /// the live count. The peak is read before it is written, so an
 /// allocation below it costs no write to the shared line.
@@ -57,8 +90,8 @@ fn grow(bytes: usize) {
     }
 }
 
-/// Forwards to [`System`] and keeps [`live_bytes`], [`peak_bytes`] and
-/// [`allocated_bytes`] current.
+/// Forwards to [`System`] and keeps [`live_bytes`], [`peak_bytes`],
+/// [`allocated_bytes`] and the large-free counts current.
 pub struct CountingAlloc;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -77,6 +110,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: the trait's contract for `dealloc`, taken over as is.
     unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
         LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        if layout.size() >= LARGE_BLOCK {
+            LARGE_FREES.fetch_add(1, Ordering::Relaxed);
+            LARGEST_FREE.fetch_max(layout.size(), Ordering::Relaxed);
+        }
         // SAFETY: `p` was returned by `alloc`/`realloc` above, i.e. by
         // `System`, with this `layout`.
         unsafe { System.dealloc(p, layout) }

@@ -353,7 +353,7 @@ impl WorkerSeconds {
     }
 
     /// Closes the integral at `now` and returns it.
-    pub fn finish(mut self, now: Instant) -> f64 {
+    pub fn finish(&mut self, now: Instant) -> f64 {
         self.set_active(now, 0);
         self.total
     }
@@ -598,6 +598,10 @@ pub(crate) struct Controller<'a> {
     throughput: Vec<(u64, f64)>,
     draining: bool,
     drained: usize,
+    /// The drained state, one part per `Drained` worker or post-drain
+    /// re-home, gathered into `EngineReport::final_states` only at
+    /// [`Controller::finish`], once the rest of the controller is freed.
+    drained_states: Vec<Vec<(Key, Bytes)>>,
     /// Shutdown markers actually delivered (dead slots and failed sends
     /// are excluded — they will never answer `Drained`).
     drain_target: usize,
@@ -648,6 +652,7 @@ impl<'a> Controller<'a> {
             throughput: Vec::new(),
             draining: false,
             drained: 0,
+            drained_states: Vec::new(),
             drain_target: 0,
             started: t0,
             ws: WorkerSeconds::new(t0, config.n_workers),
@@ -676,6 +681,10 @@ impl<'a> Controller<'a> {
     /// queued never delivered its view. Dropping the controller drops
     /// its worker spawner — which holds a collector-sender clone — so
     /// the collector can observe closure.
+    ///
+    /// The drained state is gathered last: the partitioner (its
+    /// statistics window and plan arena) and the rest of the controller
+    /// are freed first, so the run's teardown does not hold both at once.
     pub fn finish(
         mut self,
         end: Instant,
@@ -691,21 +700,37 @@ impl<'a> Controller<'a> {
         // so on Shutdown or panic; a panic is surfaced by the caller's
         // join) — nothing to tell it.
         let _ = self.io.ctl_tx.send(SourceCtl::Shutdown);
-        let mut lost_tuples: Vec<(Key, u64)> = self.lost.into_iter().collect();
+        let mut lost_tuples: Vec<(Key, u64)> = std::mem::take(&mut self.lost).into_iter().collect();
         lost_tuples.sort_unstable_by_key(|&(k, _)| k);
         self.report.lost_tuples = lost_tuples;
-        self.report.final_states.sort_unstable_by_key(|&(k, _)| k);
         self.throughput
             .sort_unstable_by_key(|&(interval, _)| interval);
-        for (interval, tps) in self.throughput {
+        for &(interval, tps) in &self.throughput {
             self.report.interval_throughput.push(interval as f64, tps);
         }
         let settled = (self.pending.is_none() && self.queue.is_empty()).then(|| {
             let router = SourceRouter::from_view(self.partitioner.routing_view());
             (router, std::mem::take(&mut self.dead))
         });
-        let open_span = self.pending.filter(|op| !op.aborted).map(|op| op.epoch);
-        (self.report, self.io.rec, open_span, settled)
+        let open_span = self
+            .pending
+            .as_ref()
+            .filter(|op| !op.aborted)
+            .map(|op| op.epoch);
+        let (mut report, rec, parts) = self.release();
+        let mut states = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+        for part in parts {
+            states.extend(part);
+        }
+        states.sort_unstable_by_key(|&(k, _)| k);
+        report.final_states = states;
+        (report, rec, open_span, settled)
+    }
+
+    /// The report, the recorder and the drained state; everything else
+    /// the controller holds is dropped here.
+    fn release(self) -> (EngineReport, ThreadRecorder, Vec<Vec<(Key, Bytes)>>) {
+        (self.report, self.io.rec, self.drained_states)
     }
 
     // ---- the fault ledger and sends -------------------------------------
@@ -865,7 +890,7 @@ impl<'a> Controller<'a> {
                         rx,
                     } => self.on_killed(worker, trigger, lost, stats, rx),
                     WorkerExit::Drained { final_states } => {
-                        self.report.final_states.extend(final_states);
+                        self.drained_states.push(final_states);
                         self.drained += 1;
                     }
                 }
@@ -1329,13 +1354,13 @@ impl<'a> Controller<'a> {
     /// State that arrived on a closed epoch has left its owner: re-home
     /// it under the *current* view on a fresh epoch no op owns (the
     /// installs are fire-and-forget; their acks absorb as stale). Once
-    /// the drain has begun it goes straight into the report instead:
+    /// the drain has begun it joins the drained state instead:
     /// every worker's `Shutdown` is already queued ahead of any install,
     /// and no tuple is left to reach the state.
     fn rehome_stale(&mut self, states: impl IntoIterator<Item = (Key, Bytes)>) {
         if self.draining {
             let states = states.into_iter().filter(|(_, blob)| !blob.is_empty());
-            self.report.final_states.extend(states);
+            self.drained_states.push(states.collect());
             return;
         }
         let placed = place_under(self.partitioner.routing_view(), states);
@@ -3311,7 +3336,7 @@ mod protocol_tests {
     /// is diverted to the next live slot, and state arriving on a closed
     /// epoch is re-routed under the current view with empty blobs
     /// skipped — or, once the drain has begun and no worker will install
-    /// again, kept in the report.
+    /// again, kept with the drained state.
     #[test]
     fn rehome_diverts_past_dead_slots_and_skips_empty_blobs() {
         let (mut ctl, rig) = rig(FixedSchedule::new([]));
@@ -3334,7 +3359,40 @@ mod protocol_tests {
         ctl.draining = true;
         ctl.rehome_stale(vec![(key, blob.clone()), (hollow, Bytes::new())]);
         assert_eq!((installs(0), installs(2)), (vec![], vec![]));
-        assert_eq!(ctl.report.final_states, vec![(key, blob)]);
+        assert_eq!(ctl.drained_states, vec![vec![(key, blob)]]);
+    }
+
+    /// The teardown gathers the drained state after the rest of the
+    /// controller is gone, in one allocation of exactly its length:
+    /// every worker's part and a post-drain re-home, sorted by key.
+    #[test]
+    fn finish_gathers_the_drained_parts_into_one_exact_list() {
+        let (mut ctl, _rig) = rig(FixedSchedule::new([]));
+        ctl.on_source(SourceEvent::Finished);
+        ctl.tick_now();
+        assert!(ctl.draining && !ctl.done());
+        let blob = |n: u8| Bytes::copy_from_slice(&[4, n]);
+        let parts: [Vec<(Key, Bytes)>; 3] = [
+            vec![(Key(3), blob(3)), (Key(9), blob(9)), (Key(12), blob(12))],
+            vec![(Key(1), blob(1)), (Key(10), blob(10))],
+            vec![
+                (Key(2), blob(2)),
+                (Key(4), blob(4)),
+                (Key(8), blob(8)),
+                (Key(11), blob(11)),
+            ],
+        ];
+        let mut expect: Vec<(Key, Bytes)> = parts.iter().flatten().cloned().collect();
+        expect.push((Key(7), blob(7)));
+        expect.sort_unstable_by_key(|&(k, _)| k);
+        for (w, final_states) in parts.into_iter().enumerate() {
+            ctl.on_worker(exited(w, WorkerExit::Drained { final_states }));
+        }
+        ctl.rehome_stale(vec![(Key(7), blob(7)), (Key(5), Bytes::new())]);
+        assert!(ctl.done());
+        let (report, ..) = ctl.finish(Instant::now());
+        assert_eq!(report.final_states, expect);
+        assert_eq!(report.final_states.capacity(), expect.len());
     }
 
     /// A report naming one key.

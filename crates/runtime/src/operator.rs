@@ -447,12 +447,14 @@ impl Operator for WordCountOp {
         }
     }
 
-    /// The index goes first, then the rows' and columns' tails every
-    /// `DRAIN_STEP` rows, shrunk in place for the next blobs to reuse.
+    /// The index goes first, before the output list is allocated, then
+    /// the rows' and columns' tails every `DRAIN_STEP` rows, shrunk in
+    /// place for the next blobs to reuse.
     fn drain(&mut self) -> Vec<(Key, Bytes)> {
-        let mut out = Vec::with_capacity(self.index.len());
+        let live = self.index.len();
         self.index = FxHashMap::default();
         self.free = Vec::new();
+        let mut out = Vec::with_capacity(live);
         while let Some(row) = self.rows.pop() {
             let at = self.rows.len();
             if row.cells != 0 {

@@ -430,9 +430,14 @@ impl Worker {
                 stats: self.stats.seal(),
                 rx: self.rx,
             },
-            End::Drained => WorkerExit::Drained {
-                final_states: self.drain(),
-            },
+            End::Drained => {
+                // Nothing reads the statistics again: their table goes
+                // before the state is serialized.
+                self.stats = StatsAccumulator::new(1);
+                WorkerExit::Drained {
+                    final_states: self.drain(),
+                }
+            }
         };
         self.totals.latency.merge(&self.iv_latency);
         let _ = self.wiring.events.send(Event::Worker(WorkerEvent::Exited {

@@ -172,7 +172,6 @@ impl FluctuatingWorkload {
         if self.f <= 0.0 || self.freqs.len() < 2 || n_tasks < 2 {
             return;
         }
-        let key_dest: Vec<TaskId> = (0..self.freqs.len()).map(|i| dest(Key(i as u64))).collect();
         let total: u64 = self.freqs.iter().sum();
         let mean = total as f64 / n_tasks as f64;
         if mean == 0.0 {
@@ -184,18 +183,17 @@ impl FluctuatingWorkload {
         // donor keys elsewhere swap frequencies with its coldest keys.
         let db = self.rng.gen_range(0..n_tasks);
         // Donors: keys not on db, descending frequency. Cold pool: keys on
-        // db, ascending frequency. Many keys share a frequency, and the
-        // order among equals decides which of them swap: these two sorts
-        // stay `sort_unstable_by_key` over `u32` ids, since another
-        // algorithm or element type would order ties differently and
-        // change every generated workload.
-        let mut donors: Vec<u32> = (0..self.freqs.len() as u32)
-            .filter(|&i| key_dest[i as usize].index() != db)
-            .collect();
+        // db, ascending frequency. Both are split off in one pass, in
+        // ascending id order. Many keys share a frequency, and the order
+        // among equals decides which of them swap: these two sorts stay
+        // `sort_unstable_by_key` over `u32` ids, since another algorithm,
+        // element type or input order would order ties differently and
+        // change every generated workload. The two lists grow as they
+        // fill: reserving every key for each raised `benchmark/`'s `wide`
+        // peak RSS by 25 MiB (allocator layout, DESIGN.md §15).
+        let (mut donors, mut cold): (Vec<u32>, Vec<u32>) =
+            (0..self.freqs.len() as u32).partition(|&i| dest(Key(u64::from(i))).index() != db);
         donors.sort_unstable_by_key(|&i| std::cmp::Reverse(self.freqs[i as usize]));
-        let mut cold: Vec<u32> = (0..self.freqs.len() as u32)
-            .filter(|&i| key_dest[i as usize].index() == db)
-            .collect();
         cold.sort_unstable_by_key(|&i| self.freqs[i as usize]);
 
         // Greedy coin-change: walk donors in descending size, taking every
