@@ -133,7 +133,10 @@ pub trait Partitioner: Send {
     /// Interval boundary: ingest stats, possibly rebalance.
     fn end_interval(&mut self, stats: IntervalStats) -> Option<RebalanceOutcome>;
 
-    /// Adds a downstream instance (scale-out). Default: unsupported.
+    /// Adds a downstream instance (scale-out) and returns it: task
+    /// `n_tasks()` as it was before the call, so task ids stay
+    /// contiguous (the engine runs task `d` on worker slot `d`).
+    /// Default: unsupported.
     fn add_task(&mut self) -> TaskId {
         unimplemented!("{} does not support scale-out", self.name())
     }

@@ -44,8 +44,11 @@ pub struct RoundInputs<'a> {
     /// models no failures and passes none.
     pub dead: Vec<usize>,
     /// Whether a `ScaleOut` can be honoured: the simulator's
-    /// `n_tasks < max_tasks`; the engine's "a free, channel-bearing slot
-    /// at the tail" (it decides no round while a retire is in flight).
+    /// `n_tasks < max_tasks`; the engine's "the slot of task `n_tasks`
+    /// is vacant" (it decides no round while a retire is in flight). A
+    /// scale-out the driver cannot honour is skipped, not deferred: the
+    /// round yields no action for it, as for `Hold`, and the policy is
+    /// not told.
     pub can_grow: bool,
 }
 
@@ -70,9 +73,6 @@ pub enum RoundAction {
         /// Keys now routed to `new`, with their current holders.
         moves: Vec<(Key, TaskId)>,
     },
-    /// The policy asked to grow and the driver's `can_grow` said no.
-    /// Skipped, not deferred; the policy is not told.
-    ScaleOutClamped,
     /// The policy asked to shrink a degraded topology: refused, because
     /// the survivors already carry the dead slots' keys.
     ScaleHeld,
@@ -189,7 +189,6 @@ impl<'a> RoundDecisions<'a> {
                 };
                 Some(RoundAction::ScaleOut { event, new, moves })
             }
-            (ScaleDecision::ScaleOut, None) => Some(RoundAction::ScaleOutClamped),
             (ScaleDecision::ScaleIn, Some(_)) => Some(RoundAction::ScaleHeld),
             (ScaleDecision::ScaleIn, None) if planned > 1 => {
                 // The routing function shrinks now — later decisions and
@@ -204,7 +203,9 @@ impl<'a> RoundDecisions<'a> {
                 };
                 Some(RoundAction::ScaleIn { event, victim })
             }
-            (ScaleDecision::ScaleIn, None) => None,
+            // Growth the driver cannot honour, or shrinking the last
+            // task: skipped, and the policy is not told.
+            (ScaleDecision::ScaleOut | ScaleDecision::ScaleIn, None) => None,
         }
     }
 
@@ -361,7 +362,7 @@ mod tests {
     fn scale_out_is_clamped_when_the_driver_cannot_grow() {
         let mut p = storm(2);
         let acts = decide(&mut p, ScaleDecision::ScaleOut, None, &[], false);
-        assert_eq!(acts, vec![RoundAction::ScaleOutClamped]);
+        assert_eq!(acts, vec![]);
         assert_eq!(p.n_tasks(), 2, "a clamped decision mutates nothing");
 
         let acts = decide(&mut p, ScaleDecision::ScaleOut, None, &[], true);

@@ -491,9 +491,6 @@ enum Answer {
 /// [`Controller::send_src`].
 pub(crate) struct ControlIo<'a> {
     pub worker_txs: Vec<Sender<Message>>,
-    /// A slot's receiver while no worker runs on it (never provisioned,
-    /// or handed back by `Retired`).
-    pub worker_rxs: Vec<Option<Receiver<Message>>>,
     pub ctl_tx: Sender<SourceCtl>,
     /// Protocol spans (id = op epoch), per-interval snapshots, and the
     /// fault ledger's mirror.
@@ -507,12 +504,33 @@ pub(crate) struct ControlIo<'a> {
 /// `(slot, receiver, operator, first interval)`.
 type SpawnWorker<'a> = dyn FnMut(usize, Receiver<Message>, Box<dyn Operator>, u64) + 'a;
 
-/// Drains whatever currently sits in a dead worker's channel, counting
-/// every in-flight tuple and state blob into the per-key loss map.
-/// Called repeatedly while the source may still be routing at the slot
-/// — a bounded channel left un-drained would fill and backpressure the
-/// source against a corpse — and one final time when the source
-/// acknowledges the death.
+/// One worker slot: the task the partitioner routes to, in one of three
+/// states. A slot changes state only through [`Controller::set_slot`].
+enum Slot {
+    /// No worker runs here; the receiver, emptied, waits for the next
+    /// spawn.
+    Vacant(Receiver<Message>),
+    /// A worker runs here — a routed-around zombie victim too.
+    Live,
+    /// The worker died. Its receiver is drained at every tick while the
+    /// source may still route at the slot, and dropped at its
+    /// `DeadDestAck`, so later sends fail fast. A revived slot stays
+    /// dead until its revive op's resume ack.
+    Dead(Option<Receiver<Message>>),
+}
+
+impl Slot {
+    fn is_dead(&self) -> bool {
+        matches!(self, Slot::Dead(_))
+    }
+}
+
+/// Drains whatever currently sits in a slot's channel, counting every
+/// in-flight tuple and state blob into the per-key loss map; markers
+/// are dropped. Called at every tick while the source may still be
+/// routing at a dead slot — a bounded channel left un-drained would
+/// fill and backpressure the source against a corpse — and whenever a
+/// slot changes state ([`Controller::set_slot`]).
 fn drain_dead_channel(
     rx: &Receiver<Message>,
     sop: &mut dyn Operator,
@@ -567,11 +585,11 @@ pub(crate) struct Controller<'a> {
     config: EngineConfig,
     partitioner: Box<dyn Partitioner>,
     io: ControlIo<'a>,
-    /// Provisioned slots are `0..active`. A death alone never shrinks
-    /// it: the routing function still counts the slot, the source
-    /// diverts its traffic to survivors, and a later scale-out revives
-    /// it (`SlotRevived`); a dead scale-in victim's op frees it instead.
-    active: usize,
+    /// One entry per slot `0..max_workers`. A death alone never vacates
+    /// a slot: the routing function still counts it, the source diverts
+    /// its traffic to survivors, and a later scale-out revives it
+    /// (`SlotRevived`); a dead scale-in victim's op frees it instead.
+    slots: Vec<Slot>,
     pending: Option<ProtocolOp>,
     queue: VecDeque<ProtocolOp>,
     /// The last epoch issued: every epoch in `1..=next_epoch` but the
@@ -596,24 +614,16 @@ pub(crate) struct Controller<'a> {
     /// out of interval order, so the report's series is built from it,
     /// sorted, at [`Controller::finish`].
     throughput: Vec<(u64, f64)>,
-    draining: bool,
-    drained: usize,
+    /// The worker exits still owed: `Some` once the shutdown gate has
+    /// sent its markers, one per live worker reached.
+    draining: Option<usize>,
     /// The drained state, one part per `Drained` worker or post-drain
     /// re-home, gathered into `EngineReport::final_states` only at
     /// [`Controller::finish`], once the rest of the controller is freed.
     drained_states: Vec<Vec<(Key, Bytes)>>,
-    /// Shutdown markers actually delivered (dead slots and failed sends
-    /// are excluded — they will never answer `Drained`).
-    drain_target: usize,
     /// The run's start: `EngineReport::wall` counts from here.
     started: Instant,
     ws: WorkerSeconds,
-    /// Dead worker slots (indices < `active`).
-    dead: FxHashSet<usize>,
-    /// A dead worker's receiver, held until the source acknowledges the
-    /// re-route; then drained (every in-flight tuple counted lost) and
-    /// dropped, so later sends fail fast.
-    dead_pending: FxHashMap<usize, Receiver<Message>>,
     /// Per-key tuples irrecoverably lost to deaths.
     lost: FxHashMap<Key, u64>,
     /// Lazily-built operator used only to size state blobs drained from
@@ -625,15 +635,19 @@ pub(crate) struct Controller<'a> {
 }
 
 impl<'a> Controller<'a> {
-    /// A controller over `config.n_workers` already-running workers.
+    /// A controller over `config.n_workers` already-running workers on
+    /// the first slots, and the `spare` receivers of the slots after
+    /// them, vacant.
     pub fn new(
         config: EngineConfig,
         partitioner: Box<dyn Partitioner>,
         io: ControlIo<'a>,
+        spare: Vec<Receiver<Message>>,
         t0: Instant,
     ) -> Self {
+        let live = (0..config.n_workers).map(|_| Slot::Live);
         Controller {
-            active: config.n_workers,
+            slots: live.chain(spare.into_iter().map(Slot::Vacant)).collect(),
             pending: None,
             queue: VecDeque::new(),
             next_epoch: 0,
@@ -650,14 +664,10 @@ impl<'a> Controller<'a> {
             },
             last_cut: t0,
             throughput: Vec::new(),
-            draining: false,
-            drained: 0,
+            draining: None,
             drained_states: Vec::new(),
-            drain_target: 0,
             started: t0,
             ws: WorkerSeconds::new(t0, config.n_workers),
-            dead: FxHashSet::default(),
-            dead_pending: FxHashMap::default(),
             lost: FxHashMap::default(),
             scratch_op: None,
             drops: DropCounter::new(&config.fault_plan),
@@ -668,9 +678,9 @@ impl<'a> Controller<'a> {
         }
     }
 
-    /// Whether every worker that was sent `Shutdown` has drained.
+    /// Whether every worker that was sent `Shutdown` has exited.
     pub fn done(&self) -> bool {
-        self.draining && self.drained >= self.drain_target
+        self.draining == Some(0)
     }
 
     /// Closes the books once [`Controller::done`]: tells the source to
@@ -710,7 +720,7 @@ impl<'a> Controller<'a> {
         }
         let settled = (self.pending.is_none() && self.queue.is_empty()).then(|| {
             let router = SourceRouter::from_view(self.partitioner.routing_view());
-            (router, std::mem::take(&mut self.dead))
+            (router, self.dead().collect())
         });
         let open_span = self
             .pending
@@ -815,8 +825,9 @@ impl<'a> Controller<'a> {
                 // The source has stopped routing to the dead slot; drain
                 // its channel one last time and drop the receiver so any
                 // later send fails fast instead of queueing into a void.
-                self.drain_dead(dest.index());
-                self.dead_pending.remove(&dest.index());
+                if let Slot::Dead(Some(_)) = self.slots[dest.index()] {
+                    self.set_slot(dest.index(), Slot::Dead(None));
+                }
             }
             SourceEvent::SendFailed { dest } => {
                 // The source hit a disconnected channel before (or
@@ -876,6 +887,11 @@ impl<'a> Controller<'a> {
                 exit,
             } => {
                 self.absorb_totals(worker, &totals);
+                // Each worker the shutdown gate reached owes one exit,
+                // whether it drains, dies, or retires as a zombie.
+                if let Some(owed) = self.draining.as_mut() {
+                    *owed = owed.saturating_sub(1);
+                }
                 match exit {
                     WorkerExit::Retired {
                         epoch,
@@ -891,7 +907,6 @@ impl<'a> Controller<'a> {
                     } => self.on_killed(worker, trigger, lost, stats, rx),
                     WorkerExit::Drained { final_states } => {
                         self.drained_states.push(final_states);
-                        self.drained += 1;
                     }
                 }
             }
@@ -908,8 +923,10 @@ impl<'a> Controller<'a> {
         // left full would backpressure the source against a corpse.
         // Everything drained is accounted as lost, exactly as the final
         // DeadDestAck drain does.
-        for w in self.dead_pending.keys().copied().collect::<Vec<_>>() {
-            self.drain_dead(w);
+        for w in 0..self.slots.len() {
+            if let Slot::Dead(Some(_)) = self.slots[w] {
+                self.drain_slot(w);
+            }
         }
         // Stats rounds whose reporters went silent close by deadline, so
         // a wedged worker cannot hold decisions — or shutdown, which
@@ -934,9 +951,9 @@ impl<'a> Controller<'a> {
         self.shutdown_gate();
     }
 
-    /// Counts whatever sits in dead slot `w`'s channel as lost.
-    fn drain_dead(&mut self, w: usize) {
-        let Some(rx) = self.dead_pending.get(&w) else {
+    /// Counts whatever sits in the receiver slot `w` holds as lost.
+    fn drain_slot(&mut self, w: usize) {
+        let (Slot::Vacant(rx) | Slot::Dead(Some(rx))) = &self.slots[w] else {
             return;
         };
         let sop = self
@@ -956,12 +973,12 @@ impl<'a> Controller<'a> {
         let now = self.clock.now;
         let span = now.duration_since(std::mem::replace(&mut self.last_cut, now));
         // Tuple-weighted channel occupancy: the backpressure signal.
-        let queues: Vec<u64> = self.io.worker_txs[..self.active]
+        let queues: Vec<u64> = self.io.worker_txs[..self.active()]
             .iter()
             .map(|tx| tx.queued_weight() as u64)
             .collect();
         let mut expected = marked;
-        expected.retain(|w| !self.dead.contains(&w.index()));
+        expected.retain(|w| !self.slots[w.index()].is_dead());
         if !expected.is_empty() {
             let opened = self.clock.wait();
             self.ledger.open(interval, expected, queues, opened, span);
@@ -979,8 +996,8 @@ impl<'a> Controller<'a> {
         let busy = self.pending.is_some()
             || !self.queue.is_empty()
             || self.early.is_some()
-            || !self.dead.is_empty()
-            || self.draining;
+            || self.dead().next().is_some()
+            || self.draining.is_some();
         if busy {
             return;
         }
@@ -988,7 +1005,7 @@ impl<'a> Controller<'a> {
         self.early = Some(EarlyRound {
             interval,
             merged: IntervalStats::new(),
-            loads: vec![0; self.active],
+            loads: vec![0; self.active()],
             awaiting: marked.into_iter().collect(),
         });
     }
@@ -1020,10 +1037,10 @@ impl<'a> Controller<'a> {
                 queue_depths: &[],
                 mean_latency_us: 0.0,
                 p99_latency_us: 0.0,
-                n_dead: self.dead.len(),
+                n_dead: self.dead().count(),
             },
             stats: &early.merged,
-            dead: self.dead.iter().copied().collect(),
+            dead: self.dead().collect(),
             can_grow: false,
         };
         let action = RoundDecisions::provisional(inputs, self.last_round_cost).next(
@@ -1083,7 +1100,7 @@ impl<'a> Controller<'a> {
         };
         // A holder or victim that died after planning has nothing left
         // to extract (its loss is already accounted).
-        holders.retain(|w| !self.dead.contains(&w.index()));
+        holders.retain(|w| !self.slots[w.index()].is_dead());
         op.awaiting_out.extend(holders);
         // The source is quiesced: every tuple it will ever send under
         // the old view is in the holders' channels, and the extraction
@@ -1138,12 +1155,10 @@ impl<'a> Controller<'a> {
         });
         // Whichever it is, keep the books: fold the victim's unreported
         // residue into the oldest open round (dropping it would read as
-        // a load dip and re-trigger the scale-in policy) and take the
-        // slot's channel back — it stays connected, so a later scale-out
-        // can respawn here and no message can ever be silently dropped.
+        // a load dip and re-trigger the scale-in policy) and vacate the
+        // slot — its channel, emptied, waits for a later scale-out.
         self.ledger.on_residue(worker, stats);
-        self.io.worker_rxs[worker.index()] = Some(rx);
-        self.free_tail();
+        self.set_slot(worker.index(), Slot::Vacant(rx));
         if answer == Answer::Stray {
             return;
         }
@@ -1195,18 +1210,16 @@ impl<'a> Controller<'a> {
         // victim — so no stale entry can reach the slot: its death ends.
         // The victim's receiver died with it; a fresh one frees the slot.
         let revived = match op.extract {
-            Extract::Retire(victim) if self.dead.contains(&victim.index()) => {
+            Extract::Retire(victim) if self.slots[victim.index()].is_dead() => {
                 let slot = victim.index();
-                self.io.worker_rxs[slot] = Some(self.fresh_channel(slot));
-                Some(slot)
+                Some((slot, Slot::Vacant(self.fresh_channel(slot))))
             }
-            _ => op.revive,
+            _ => op.revive.map(|slot| (slot, Slot::Live)),
         };
-        if let Some(slot) = revived {
-            self.dead.remove(&slot);
+        if let Some((slot, to)) = revived {
+            self.set_slot(slot, to);
             let (dest, tx) = (TaskId::from(slot), self.io.worker_txs[slot].clone());
             self.send_src(None, SourceCtl::ReviveDest { dest, tx });
-            self.free_tail();
         }
     }
 
@@ -1218,14 +1231,29 @@ impl<'a> Controller<'a> {
             .any(ProtocolOp::is_scale_in)
     }
 
-    /// Shrinks `active` past every tail slot whose receiver is back, in
-    /// whatever order they came back (a zombie victim retires late), and
-    /// bills the live width.
-    fn free_tail(&mut self) {
-        while self.active > 1 && self.io.worker_rxs[self.active - 1].is_some() {
-            self.active -= 1;
-        }
-        self.bill_live_width();
+    /// The one place a slot changes state. The receiver the old state
+    /// held, and the one a vacant slot gets, are emptied first — every
+    /// tuple and blob in them counted lost — so nothing sent to one
+    /// worker reaches the next one on the slot. Bills the live width and
+    /// returns the old state.
+    fn set_slot(&mut self, w: usize, to: Slot) -> Slot {
+        self.drain_slot(w);
+        let old = std::mem::replace(&mut self.slots[w], to);
+        self.drain_slot(w);
+        let live = self.slots.iter().filter(|s| matches!(s, Slot::Live));
+        self.ws.set_active(self.clock.now, live.count());
+        old
+    }
+
+    /// One past the last slot in use: the width rounds and loads span.
+    fn active(&self) -> usize {
+        let vacant = |s: &&Slot| matches!(s, Slot::Vacant(_));
+        self.slots.len() - self.slots.iter().rev().take_while(vacant).count()
+    }
+
+    /// The dead slots, in order.
+    fn dead(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.slots.len()).filter(|&w| self.slots[w].is_dead())
     }
 
     /// Classifies an acknowledgement stamped `epoch`. When that is the
@@ -1358,7 +1386,7 @@ impl<'a> Controller<'a> {
     /// every worker's `Shutdown` is already queued ahead of any install,
     /// and no tuple is left to reach the state.
     fn rehome_stale(&mut self, states: impl IntoIterator<Item = (Key, Bytes)>) {
-        if self.draining {
+        if self.draining.is_some() {
             let states = states.into_iter().filter(|(_, blob)| !blob.is_empty());
             self.drained_states.push(states.collect());
             return;
@@ -1371,10 +1399,10 @@ impl<'a> Controller<'a> {
     }
 
     /// `(key, to)` ↦ where the source sends `key` routed to `to`: the one
-    /// divert rule ([`divert`]) over the controller's dead set.
+    /// divert rule ([`divert`]) over the dead slots.
     fn diverter(&self) -> impl Fn(Key, TaskId) -> TaskId + '_ {
-        let ring = (!self.dead.is_empty()).then(|| HashRing::new(self.partitioner.n_tasks()));
-        move |k, to| (ring.as_ref()).map_or(to, |r| divert(r, k, to, |x| self.dead.contains(&x)))
+        let ring = (self.dead().next()).map(|_| HashRing::new(self.partitioner.n_tasks()));
+        move |k, to| (ring.as_ref()).map_or(to, |r| divert(r, k, to, |x| self.slots[x].is_dead()))
     }
 
     /// Moves the in-flight op to its last phase: nothing is owed to it
@@ -1418,24 +1446,19 @@ impl<'a> Controller<'a> {
             *self.lost.entry(k).or_insert(0) += n;
         }
         self.fault(FaultEvent::StateLost { worker: w });
-        self.dead.insert(w);
-        self.bill_live_width();
+        self.set_slot(w, Slot::Dead(Some(rx)));
         // A provisional round would wait on the corpse forever.
         self.cancel_early_round();
         // Re-pin the dead slot's keys by the divert rule the source
         // applies to its traffic, and tell the source; its ack returns
         // when it diverts, and the channel backlog is then drained and
         // accounted (DeadDestAck).
-        let dead = &self.dead;
-        let moves = self
-            .partitioner
-            .reroute_dead(worker, &|x| dead.contains(&x));
+        let moves = (self.partitioner).reroute_dead(worker, &|x| self.slots[x].is_dead());
         self.fault(FaultEvent::Rerouted {
             from_worker: w,
             moved_keys: moves.len(),
         });
         self.send_src(None, SourceCtl::DeadDest { dest: worker });
-        self.dead_pending.insert(w, rx);
         // Untangle the in-flight op from the corpse: a phase waiting on
         // the dead worker must not wait for the deadline to notice.
         // Whatever it still owed (state, an install ack) is gone; a blob
@@ -1444,11 +1467,6 @@ impl<'a> Controller<'a> {
             op.awaiting_out.remove(&worker);
             op.awaiting_install.remove(&worker);
             self.advance_op();
-        }
-        // A death during the drain means one Shutdown marker will never
-        // be answered.
-        if self.draining {
-            self.drain_target = self.drain_target.saturating_sub(1);
         }
     }
 
@@ -1472,16 +1490,18 @@ impl<'a> Controller<'a> {
         );
         // The planned parallelism — `partitioner.n_tasks()`, which every
         // decision mutates immediately — not the physical worker count.
-        // No scale-in is in flight here (`tick` holds the round until
-        // its op ends), so the spawn slot `active` is the contiguous
-        // physical tail.
+        // A scale-out spawns on the partitioner's new task, so it can
+        // grow only when that slot is vacant: not past `max_workers`,
+        // and not onto a victim still retiring (`tick` holds the round
+        // until a scale-in's op ends; a zombie victim holds the slot
+        // until it retires).
         let ops: Vec<&ProtocolOp> = self.pending.iter().chain(&self.queue).collect();
-        let room = self.active < self.config.max_workers;
         // Capacity to revive is a dead slot the routing function still
         // counts (a dead scale-in victim's op frees it) and no revive op
         // holds already.
         let n_tasks = self.partitioner.n_tasks();
-        let dead: Vec<usize> = (self.dead.iter().copied())
+        let dead: Vec<usize> = self
+            .dead()
             .filter(|&w| w < n_tasks && !ops.iter().any(|op| op.revive == Some(w)))
             .collect();
         let inputs = RoundInputs {
@@ -1496,7 +1516,7 @@ impl<'a> Controller<'a> {
             },
             stats: &round.merged,
             dead,
-            can_grow: room && self.io.worker_rxs[self.active].is_some(),
+            can_grow: matches!(self.slots.get(n_tasks), Some(Slot::Vacant(_))),
         };
         let mut decisions = RoundDecisions::new(inputs);
         while let Some(action) = decisions.next(
@@ -1504,21 +1524,7 @@ impl<'a> Controller<'a> {
             &mut *self.config.elasticity,
             self.config.split.as_deref_mut(),
         ) {
-            match action {
-                // Only the slot's receiver stood in the way (it was never
-                // returned — a prior retire mismatch): record it and
-                // keep running at the current width rather than tearing
-                // down the topology.
-                RoundAction::ScaleOutClamped if room => {
-                    self.report
-                        .protocol_errors
-                        .push(ProtocolError::ScaleOutAborted {
-                            to: self.active + 1,
-                            slot: self.active,
-                        });
-                }
-                action => self.apply_action(interval, action),
-            }
+            self.apply_action(interval, action);
         }
         self.plan_rebalance(round.merged);
     }
@@ -1541,15 +1547,14 @@ impl<'a> Controller<'a> {
                 }
             }
             RoundAction::ScaleOut { event, new, moves } => {
-                let slot = self.active;
-                // `can_grow` vouched for the receiver.
-                let Some(rx) = self.io.worker_rxs[slot].take() else {
-                    return;
+                let slot = new.index();
+                let Slot::Vacant(rx) = self.set_slot(slot, Slot::Live) else {
+                    // lint: allow(panic, reason = "`can_grow` is `slots[n_tasks]`
+                    // being vacant, and the new task is `n_tasks` (`add_task`)")
+                    unreachable!("`can_grow` vouched that slot {slot} is vacant");
                 };
                 self.spawn_on(slot, rx);
                 self.report.scale_events.push(event);
-                self.active += 1;
-                self.bill_live_width();
                 // Pre-placement: the new slot's keys move in through the
                 // same quiesce → install → resume walk as a rebalance,
                 // so it takes load this interval; with no key to move,
@@ -1564,8 +1569,6 @@ impl<'a> Controller<'a> {
                 }
                 self.enqueue(OpLabel::ScaleOut, affected, by_source, true);
             }
-            // At `max_workers`: skipped, and the policy is not told.
-            RoundAction::ScaleOutClamped => {}
             RoundAction::ScaleHeld => {
                 // Let the ledger say why the policy's wish was refused.
                 self.fault(FaultEvent::ScaleHeld { interval });
@@ -1601,7 +1604,7 @@ impl<'a> Controller<'a> {
                 let primary = replicas[0];
                 let by_source = replicas[1..]
                     .iter()
-                    .filter(|r| **r != primary && !self.dead.contains(&r.index()))
+                    .filter(|r| **r != primary && !self.slots[r.index()].is_dead())
                     .map(|&r| (r, vec![(key, primary)]))
                     .collect();
                 self.report.split_events.push(event);
@@ -1659,7 +1662,7 @@ impl<'a> Controller<'a> {
         // move is routing-only.
         let mut by_source: FxHashMap<TaskId, Vec<(Key, TaskId)>> = FxHashMap::default();
         for mv in moves {
-            if !self.dead.contains(&mv.from.index()) {
+            if !self.slots[mv.from.index()].is_dead() {
                 by_source.entry(mv.from).or_default().push((mv.key, mv.to));
             }
         }
@@ -1694,13 +1697,6 @@ impl<'a> Controller<'a> {
         let (tx, rx) = bounded(self.config.channel_capacity);
         self.io.worker_txs[slot] = tx;
         rx
-    }
-
-    /// Advances the worker-seconds integral to the live width — call
-    /// after every change to `active` or `dead`.
-    fn bill_live_width(&mut self) {
-        self.ws
-            .set_active(self.clock.now, self.active - self.dead.len());
     }
 
     /// Starts a worker on `slot`, labelled after the latest cut read.
@@ -1764,8 +1760,9 @@ impl<'a> Controller<'a> {
                             (CtlKind::MigrateOut, Message::MigrateOut { epoch, moves })
                         }
                         // A scale-in awaits only its victim, which answers
-                        // the first marker it sees; a duplicate lands on a
-                        // drained channel and is discarded with it.
+                        // the first marker it sees; a duplicate stays in
+                        // the receiver it hands back, which is emptied
+                        // before the slot is reused (`set_slot`).
                         Extract::Retire(_) => (CtlKind::Retire, Message::Retire { epoch }),
                     };
                     self.send_worker(w.index(), Some(kind), marker);
@@ -1870,7 +1867,7 @@ impl<'a> Controller<'a> {
         // Movers that died since planning hold no state (lost and
         // accounted at death); their keys still move in the view.
         if let Extract::Moves(by_source) = &mut op.extract {
-            by_source.retain(|src, _| !self.dead.contains(&src.index()));
+            by_source.retain(|src, _| !self.slots[src.index()].is_dead());
         }
         self.next_epoch += 1;
         op.epoch = self.next_epoch;
@@ -1884,31 +1881,32 @@ impl<'a> Controller<'a> {
         self.send_phase();
     }
 
-    /// Ships `Shutdown` to the workers once fully quiesced. No op in
-    /// flight guards the flush race: an op ends only when the source has
-    /// confirmed it re-enqueued all pause-buffered tuples, so Shutdown
-    /// markers enter the worker channels behind them. `dead_pending`
-    /// guards loss accounting: a dead slot's channel backlog must be
+    /// Ships `Shutdown` to the live workers once fully quiesced. No op
+    /// in flight guards the flush race: an op ends only when the source
+    /// has confirmed it re-enqueued all pause-buffered tuples, so
+    /// Shutdown markers enter the worker channels behind them. No dead
+    /// slot may still hold its receiver: its channel backlog must be
     /// counted before teardown.
     fn shutdown_gate(&mut self) {
         let quiesced = self.clock.source_finished
-            && !self.draining
+            && self.draining.is_none()
             && self.pending.is_none()
             && self.queue.is_empty()
             && self.ledger.outstanding() == 0
-            && self.dead_pending.is_empty();
+            && !self.slots.iter().any(|s| matches!(s, Slot::Dead(Some(_))));
         if !quiesced {
             return;
         }
-        self.draining = true;
-        // A slot whose Shutdown did not land (a disconnect) is left out
-        // of the drain target; its thread still exits when the
-        // channel disconnects at teardown.
-        for i in 0..self.active {
-            if !self.dead.contains(&i) && self.send_worker(i, None, Message::Shutdown) {
-                self.drain_target += 1;
+        // A slot whose Shutdown did not land (a disconnect) owes no
+        // exit; its thread still exits when the channel disconnects at
+        // teardown.
+        let mut reached = 0;
+        for w in 0..self.slots.len() {
+            if matches!(self.slots[w], Slot::Live) && self.send_worker(w, None, Message::Shutdown) {
+                reached += 1;
             }
         }
+        self.draining = Some(reached);
     }
 }
 
@@ -2229,13 +2227,12 @@ mod protocol_tests {
         let sink = TraceSink::new(true);
         let (worker_txs, mut workers): (Vec<_>, Vec<_>) =
             (0..4).map(|_| bounded(config.channel_capacity)).unzip();
-        let spare = workers.pop();
+        let spare = workers.split_off(3);
         let (ctl_tx, source) = unbounded();
         let spawned = Rc::new(RefCell::new(Vec::new()));
         let spawned_by_ctl = Rc::clone(&spawned);
         let io = ControlIo {
             worker_txs,
-            worker_rxs: vec![None, None, None, spare],
             ctl_tx,
             rec: sink.recorder(ThreadLabel::Controller),
             make_op: Box::new(|_| Box::new(WordCountOp::new())),
@@ -2243,7 +2240,7 @@ mod protocol_tests {
                 spawned_by_ctl.borrow_mut().push((slot, first, rx));
             }),
         };
-        let ctl = Controller::new(config, partitioner, io, Instant::now());
+        let ctl = Controller::new(config, partitioner, io, spare, Instant::now());
         let rig = Rig {
             sink,
             workers,
@@ -2282,7 +2279,7 @@ mod protocol_tests {
 
     /// The source's cut of `interval`, marking every provisioned slot.
     fn cut(ctl: &Controller<'_>, interval: u64) -> SourceEvent {
-        let marked = slots(ctl.active);
+        let marked = slots(ctl.active());
         SourceEvent::IntervalDone { interval, marked }
     }
 
@@ -2295,7 +2292,9 @@ mod protocol_tests {
     /// [`close_round`] with worker `w` reporting `reports[w]`.
     fn close_round_with(ctl: &mut Controller<'_>, interval: u64, reports: &[IntervalStats]) {
         ctl.on_source(cut(ctl, interval));
-        let live: Vec<usize> = (0..ctl.active).filter(|w| !ctl.dead.contains(w)).collect();
+        let live: Vec<usize> = (0..ctl.active())
+            .filter(|&w| !ctl.slots[w].is_dead())
+            .collect();
         for w in live {
             ctl.on_worker(WorkerEvent::Stats {
                 worker: TaskId::from(w),
@@ -2352,8 +2351,8 @@ mod protocol_tests {
     /// The dead-victim scale-in bug: a scale-in whose victim died while
     /// the op was still queued used to shrink `active` without giving
     /// the slot a channel again — its receiver was dropped with the
-    /// corpse — so every later scale-out into the slot aborted with
-    /// `ScaleOutAborted`, forever.
+    /// corpse — so every later scale-out into the slot was refused,
+    /// forever.
     #[test]
     fn scale_out_reuses_a_slot_whose_queued_scale_in_victim_died() {
         let (mut ctl, rig) = rig(FixedSchedule::new([
@@ -2387,8 +2386,8 @@ mod protocol_tests {
         ctl.tick_now();
         ctl.on_source(SourceEvent::PauseAck { epoch: 2 });
         ctl.on_source(SourceEvent::ResumeAck { epoch: 2 });
-        assert_eq!(ctl.active, 3);
-        assert!(ctl.dead.is_empty());
+        assert_eq!(ctl.active(), 3);
+        assert_eq!(ctl.dead().count(), 0);
         // Round 2 scales out into slot 3 again.
         close_round(&mut ctl, 2);
         assert_eq!(ctl.report.protocol_errors, vec![]);
@@ -2398,7 +2397,7 @@ mod protocol_tests {
             vec![(3, 1), (3, 3)],
             "a worker on slot 3 from interval 3"
         );
-        assert_eq!(ctl.active, 4);
+        assert_eq!(ctl.active(), 4);
         let event = |interval, from, to| ScaleEvent { interval, from, to };
         assert_eq!(
             ctl.report.scale_events,
@@ -2614,7 +2613,7 @@ mod protocol_tests {
             missing: vec![2],
         };
         assert_eq!(ctl.take_faults(), vec![timed_out]);
-        assert!(ctl.draining, "shutdown is no longer gated");
+        assert!(ctl.draining.is_some(), "shutdown is no longer gated");
         assert_eq!(ctl.report.protocol_errors, vec![]);
         drop(ctl.finish(at(25_000)));
         let spans: Vec<(OpLabel, Option<Outcome>)> = rig
@@ -2702,7 +2701,7 @@ mod protocol_tests {
         ctl.on_source(SourceEvent::ResumeAck { epoch });
         ctl.on_source(SourceEvent::Finished);
         ctl.tick_now();
-        assert_eq!((ctl.drain_target, tx.queued_weight()), (3, cap));
+        assert_eq!((ctl.draining, tx.queued_weight()), (Some(3), cap));
         let got: Vec<String> = std::iter::from_fn(|| rig.workers[0].try_recv().ok())
             .map(|msg| match msg {
                 Message::TupleBatch { tuples, .. } => format!("{} tuples", tuples.len()),
@@ -3012,7 +3011,7 @@ mod protocol_tests {
                 assert_eq!(ctl.closed_rounds.len(), 1, "{label}: held");
             }
             ctl.on_source(SourceEvent::ResumeAck { epoch: 1 });
-            assert_eq!((ctl.active, ctl.dead.len()), (2, 0), "{label}");
+            assert_eq!((ctl.active(), ctl.dead().count()), (2, 0), "{label}");
             let to_source: Vec<SourceCtl> =
                 std::iter::from_fn(|| rig.source.try_recv().ok()).collect();
             let at = |pred: &dyn Fn(&SourceCtl) -> bool| to_source.iter().position(pred);
@@ -3041,7 +3040,7 @@ mod protocol_tests {
             let got: Vec<(usize, u64)> = rig.spawned.borrow().iter().map(|s| (s.0, s.1)).collect();
             assert_eq!(got, spawned, "{label}: a worker on slot 2");
             assert_eq!(
-                (ctl.active, ctl.partitioner.n_tasks()),
+                (ctl.active(), ctl.partitioner.n_tasks()),
                 (width, width),
                 "{label}"
             );
@@ -3134,7 +3133,7 @@ mod protocol_tests {
             }
             let settled = (
                 SourceRouter::from_view(ctl.partitioner.routing_view()),
-                ctl.dead.clone(),
+                ctl.dead().collect(),
             );
             let routing = (src.router, src.dead);
             assert_eq!(
@@ -3190,7 +3189,7 @@ mod protocol_tests {
         }
         assert!(ctl.pending.is_none() && ctl.queue.is_empty());
         assert_eq!(src.send(k), routed(&mut ctl, k), "{:?}", src.heard);
-        assert!(src.dead.is_empty() && ctl.dead.is_empty());
+        assert!(src.dead.is_empty() && ctl.dead().count() == 0);
         let resume = |epoch| ("resume", epoch);
         let walked = [
             ("pause", 1),
@@ -3205,7 +3204,7 @@ mod protocol_tests {
             resume(4),
         ];
         assert_eq!(src.heard, walked);
-        assert_eq!((ctl.active, ctl.partitioner.n_tasks()), (4, 4));
+        assert_eq!((ctl.active(), ctl.partitioner.n_tasks()), (4, 4));
         assert_eq!(ctl.report.protocol_errors, vec![]);
     }
 
@@ -3276,7 +3275,7 @@ mod protocol_tests {
         assert_eq!((sent, there), (vec![TaskId(0); 4], vec![TaskId(0); 4]));
         let settled = (
             SourceRouter::from_view(ctl.partitioner.routing_view()),
-            ctl.dead.clone(),
+            ctl.dead().collect(),
         );
         assert_eq!(
             crate::engine::out_of_step((src.router, src.dead), settled),
@@ -3301,7 +3300,7 @@ mod protocol_tests {
         let mut src = Source::of(&ctl);
         close_round(&mut ctl, 0);
         src.answer(&mut ctl, &rig);
-        assert_eq!(ctl.active, 4);
+        assert_eq!(ctl.active(), 4);
         // Victim 3's op pauses and awaits its `Retired`; victim 2's queues.
         close_round(&mut ctl, 1);
         close_round(&mut ctl, 2);
@@ -3320,7 +3319,7 @@ mod protocol_tests {
         src.answer(&mut ctl, &rig);
         assert!(ctl.pending.is_none() && ctl.queue.is_empty());
         ctl.on_worker(retired(3, 2, Vec::new()));
-        assert_eq!((ctl.active, ctl.partitioner.n_tasks()), (2, 2));
+        assert_eq!((ctl.active(), ctl.partitioner.n_tasks()), (2, 2));
         close_round(&mut ctl, 11);
         let spawned: Vec<(usize, u64)> = rig.spawned.borrow().iter().map(|s| (s.0, s.1)).collect();
         assert_eq!(
@@ -3328,7 +3327,84 @@ mod protocol_tests {
             vec![(3, 1), (2, 12)],
             "the grown slot is the routed one"
         );
-        assert_eq!((ctl.active, ctl.partitioner.n_tasks()), (3, 3));
+        assert_eq!((ctl.active(), ctl.partitioner.n_tasks()), (3, 3));
+        assert_eq!(ctl.report.protocol_errors, vec![]);
+    }
+
+    /// A scale-in at round 0 whose victim, slot 2, has its `Retire`
+    /// re-driven once: the pause is acked, the source finishes (the wall
+    /// bound alone then ends a wait), and one deadline expires.
+    fn retire_redriven(policy: FixedSchedule) -> (Controller<'static>, Rig) {
+        let (mut ctl, rig) = rig(policy);
+        close_round(&mut ctl, 0);
+        ctl.on_source(SourceEvent::PauseAck { epoch: 1 });
+        ctl.on_source(SourceEvent::Finished);
+        ctl.tick(ctl.clock.now + ctl.clock.deadline);
+        let (op, epoch) = (OpKind::Retire, 1);
+        assert_eq!(ctl.take_faults(), vec![FaultEvent::OpRetried { op, epoch }]);
+        (ctl, rig)
+    }
+
+    /// The re-driven `Retire` lands behind the first in the victim's
+    /// channel, and the victim hands its receiver back with the
+    /// duplicate inside. The slot is vacated only once that receiver is
+    /// emptied, so the worker a later scale-out spawns there never reads
+    /// the old epoch's `Retire` — a worker retires on any epoch.
+    #[test]
+    fn a_redriven_retire_never_reaches_the_next_worker() {
+        let (mut ctl, mut rig) = retire_redriven(FixedSchedule::new([
+            (0, ScaleDecision::ScaleIn),
+            (1, ScaleDecision::ScaleOut),
+        ]));
+        let rx = rig.workers.remove(2);
+        assert!(matches!(rx.try_recv(), Ok(Message::Retire { epoch: 1 })));
+        let (epoch, states, stats) = (1, Vec::new(), IntervalStats::new());
+        let exit = WorkerExit::Retired {
+            epoch,
+            states,
+            stats,
+            rx,
+        };
+        ctl.on_worker(exited(2, exit));
+        ctl.on_source(SourceEvent::ResumeAck { epoch });
+        close_round(&mut ctl, 1);
+        let spawned = rig.spawned.borrow();
+        let [(2, 2, rx)] = &spawned[..] else {
+            panic!("one worker on slot 2: {:?}", spawned.len());
+        };
+        let queued: Vec<Message> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
+        let retire = |m: &Message| matches!(m, Message::Retire { .. });
+        assert!(!queued.iter().any(retire), "{queued:?}");
+        assert_eq!(ctl.report.protocol_errors, vec![]);
+    }
+
+    /// A scale-in aborted while its victim still runs leaves a zombie on
+    /// slot 2, the slot of the task a scale-out adds. A scale-out decided
+    /// before the zombie retires is skipped — not grown onto slot 3,
+    /// where no key routes — and one decided after it grows onto slot 2.
+    #[test]
+    fn a_scale_out_beside_a_zombie_grows_only_onto_the_new_task() {
+        let (mut ctl, rig) = retire_redriven(FixedSchedule::new([
+            (0, ScaleDecision::ScaleIn),
+            (1, ScaleDecision::ScaleOut),
+            (2, ScaleDecision::ScaleOut),
+        ]));
+        ctl.tick(ctl.clock.now + ctl.clock.deadline);
+        let (op, epoch) = (OpKind::Retire, 1);
+        assert_eq!(ctl.take_faults(), vec![FaultEvent::OpAborted { op, epoch }]);
+        ctl.on_source(SourceEvent::ResumeAck { epoch });
+        assert!(ctl.pending.is_none(), "victim 2 is a zombie");
+        close_round(&mut ctl, 1);
+        let event = |interval, from, to| ScaleEvent { interval, from, to };
+        assert!(rig.spawned.borrow().is_empty(), "no slot for task 2 yet");
+        assert_eq!(ctl.report.scale_events, vec![event(0, 3, 2)]);
+        ctl.on_worker(retired(2, epoch, Vec::new()));
+        close_round(&mut ctl, 2);
+        let spawned: Vec<(usize, u64)> = rig.spawned.borrow().iter().map(|s| (s.0, s.1)).collect();
+        assert_eq!(spawned, vec![(2, 3)], "the grown slot is the new task");
+        let events = vec![event(0, 3, 2), event(2, 2, 3)];
+        assert_eq!(ctl.report.scale_events, events);
+        assert_eq!((ctl.active(), ctl.partitioner.n_tasks()), (3, 3));
         assert_eq!(ctl.report.protocol_errors, vec![]);
     }
 
@@ -3340,7 +3416,7 @@ mod protocol_tests {
     #[test]
     fn rehome_diverts_past_dead_slots_and_skips_empty_blobs() {
         let (mut ctl, rig) = rig(FixedSchedule::new([]));
-        ctl.dead.insert(1);
+        ctl.slots[1] = Slot::Dead(None);
         let blob = Bytes::copy_from_slice(b"state");
         let key = key_homed_on(1, 3);
 
@@ -3356,7 +3432,7 @@ mod protocol_tests {
         // The stale re-home ran on a fresh epoch.
         assert_eq!(installs(2), vec![(7, vec![key]), (1, vec![key])]);
 
-        ctl.draining = true;
+        ctl.draining = Some(3);
         ctl.rehome_stale(vec![(key, blob.clone()), (hollow, Bytes::new())]);
         assert_eq!((installs(0), installs(2)), (vec![], vec![]));
         assert_eq!(ctl.drained_states, vec![vec![(key, blob)]]);
@@ -3370,7 +3446,7 @@ mod protocol_tests {
         let (mut ctl, _rig) = rig(FixedSchedule::new([]));
         ctl.on_source(SourceEvent::Finished);
         ctl.tick_now();
-        assert!(ctl.draining && !ctl.done());
+        assert!(ctl.draining.is_some() && !ctl.done());
         let blob = |n: u8| Bytes::copy_from_slice(&[4, n]);
         let parts: [Vec<(Key, Bytes)>; 3] = [
             vec![(Key(3), blob(3)), (Key(9), blob(9)), (Key(12), blob(12))],
@@ -3773,7 +3849,7 @@ mod protocol_tests {
 
         let (mut ctl, _rig, ..) = hot_key_rig(1);
         close_round_with(&mut ctl, 0, &calm);
-        ctl.dead.insert(1);
+        ctl.slots[1] = Slot::Dead(None);
         settle(&mut ctl, 1, heavy());
         assert_eq!(ctl.report.split_events, vec![]);
         assert!(ctl.partitioner.splits().is_empty() && ctl.early.is_none());
@@ -3849,7 +3925,7 @@ mod protocol_tests {
         ctl.on_worker(stats_event(2, 0, IntervalStats::new()));
         assert_eq!(ctl.closed_rounds.len(), 1, "slot 1 was not awaited");
         ctl.tick_now();
-        ctl.dead.insert(1);
+        ctl.slots[1] = Slot::Dead(None);
         ctl.on_source(cut(&ctl, 1));
         ctl.on_worker(stats_event(0, 1, IntervalStats::new()));
         ctl.on_worker(stats_event(2, 1, IntervalStats::new()));

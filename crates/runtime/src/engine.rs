@@ -42,8 +42,12 @@ use crate::worker::{Worker, WorkerWiring};
 pub struct EngineConfig {
     /// Initial downstream parallelism `N_D`.
     pub n_workers: usize,
-    /// Pre-provisioned worker slots (extra slots allow scale-out). A run
-    /// with fewer than `n_workers` is refused ([`Refusal::Slots`]).
+    /// Pre-provisioned worker slots (extra slots allow scale-out). Slot
+    /// `d` runs task `d`: a scale-out spawns on the slot of the
+    /// partitioner's new task, and only while that slot is vacant — a
+    /// scale-in victim still running there (a zombie whose op aborted)
+    /// holds it until it retires. A run with fewer than `n_workers` is
+    /// refused ([`Refusal::Slots`]).
     pub max_workers: usize,
     /// Source → worker channel depth in *tuples*; a full channel
     /// backpressures the source (the paper's "backpushing effect").
@@ -81,10 +85,10 @@ pub struct EngineConfig {
     /// walks the op too, moving nothing). In: the drain → migrate →
     /// retire walk (the `scale_in` column of the crate docs' table). Decisions
     /// are clamped to `[1, max_workers]`. A round that closes while a
-    /// retire is in flight or queued is decided when it ends, because
-    /// the spawn slot must be the contiguous physical tail: a scale-out
-    /// after a scale-in grows onto the freed slot, whatever the threads'
-    /// timing.
+    /// retire is in flight or queued is decided when it ends, because a
+    /// scale-out spawns on the partitioner's new task — the victim's
+    /// slot, once freed: a scale-out after a scale-in grows onto it,
+    /// whatever the threads' timing.
     /// Default: [`HoldPolicy`] (the static engine).
     pub elasticity: Box<dyn ElasticityPolicy>,
     /// The hot-key split policy consulted after every interval's
@@ -197,14 +201,6 @@ pub enum ProtocolError {
         /// The orphaned epoch.
         epoch: u64,
     },
-    /// A scale-out decision found the spawn slot's receiver missing (a
-    /// prior retire mismatch); the engine kept its current width.
-    ScaleOutAborted {
-        /// The parallelism the decision aimed for.
-        to: usize,
-        /// The slot with no channel to hand out.
-        slot: usize,
-    },
     /// An auxiliary thread (source, collector) panicked; the run
     /// completed without it.
     ThreadPanicked {
@@ -286,10 +282,6 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::StrayRetired { worker, epoch } => write!(
                 f,
                 "Retired from worker {worker} for epoch {epoch} with no pending scale-in"
-            ),
-            ProtocolError::ScaleOutAborted { to, slot } => write!(
-                f,
-                "scale-out to {to} aborted: worker slot {slot} has no channel to hand out"
             ),
             ProtocolError::ThreadPanicked { thread } => {
                 write!(f, "{thread} thread panicked")
@@ -462,7 +454,7 @@ impl Engine {
         // count, so the in-flight bound — the backpushing effect — is
         // exactly what the config documents at any batch size and any
         // fan-out fill.
-        let (worker_txs, slot_rxs): (Vec<_>, Vec<_>) = (0..max_workers)
+        let (worker_txs, mut slot_rxs): (Vec<_>, Vec<_>) = (0..max_workers)
             .map(|_| bounded::<Message>(config.channel_capacity))
             .unzip();
         // The controller's one inbox: the source's events and the
@@ -496,18 +488,10 @@ impl Engine {
                     Worker::new(wiring, TaskId::from(id), rx, op, start_interval).run()
                 });
             };
-            let mut ops = ops.into_iter();
-            let worker_rxs: Vec<Option<Receiver<Message>>> = slot_rxs
-                .into_iter()
-                .enumerate()
-                .map(|(d, rx)| match ops.next() {
-                    Some(op) => {
-                        spawn_worker(d, rx, op, 0);
-                        None
-                    }
-                    None => Some(rx),
-                })
-                .collect();
+            let spare = slot_rxs.split_off(ops.len());
+            for (d, (rx, op)) in slot_rxs.into_iter().zip(ops).enumerate() {
+                spawn_worker(d, rx, op, 0);
+            }
 
             // --- merge stage (the downstream operator) --------------------
             let merge = collector.map(|c| {
@@ -530,13 +514,12 @@ impl Engine {
             // --- controller (this thread) ----------------------------------
             let io = ControlIo {
                 worker_txs,
-                worker_rxs,
                 ctl_tx,
                 rec: sink.recorder(ThreadLabel::Controller),
                 make_op: Box::new(op_factory),
                 spawn: Box::new(spawn_worker),
             };
-            let mut ctl = Controller::new(config, partitioner, io, t0);
+            let mut ctl = Controller::new(config, partitioner, io, spare, t0);
             drive(&mut ctl, &event_rx);
             teardown(ctl, source, merge, col_tx, &sink)
         })

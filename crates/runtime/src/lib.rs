@@ -96,7 +96,7 @@
 //!
 //! | phase | `rebalance` | `scale_out` | `scale_in` | `split` | `unsplit` |
 //! |---|---|---|---|---|---|
-//! | **plan** (decision time: the partitioner mutates, the op captures the resulting view) | `end_interval` returned a plan — on an interval's closing statistics, or on a *provisional round*'s (next section) | `scale_out_plan`: a worker is spawned on the tail slot; the plan names the live keys that follow the grown ring, with their holders | `scale_in` on the highest-numbered task | `split_key` over the chosen replica slots | `unsplit_key` back onto the primary |
+//! | **plan** (decision time: the partitioner mutates, the op captures the resulting view) | `end_interval` returned a plan — on an interval's closing statistics, or on a *provisional round*'s (next section) | `scale_out_plan`: a worker is spawned on the new task's slot; the plan names the live keys that follow the grown ring, with their holders | `scale_in` on the highest-numbered task | `split_key` over the chosen replica slots | `unsplit_key` back onto the primary |
 //! | **pause** (source holds back…) | the keys in Δ(F, F′) | the moved keys | everything routed to the victim | the key | the key |
 //! | **quiesce → state_out** (after `PauseAck`, behind every pre-pause batch) | `MigrateOut` to each holder | `MigrateOut` to each holder | `Retire` to the victim: it drains its backlog and hands back *all* its state, its totals, and its channel receiver (`Retired`) | nothing to extract | `MigrateOut` to each live non-primary replica |
 //! | **install** (`StateInstall`, acked) | at the plan's destinations | on the new worker | wherever each key routes under the op's view | — | on the primary (`install` merges additively) |
@@ -114,8 +114,9 @@
 //! routing back to their origins and re-installs the state still in the
 //! controller's hand there (its own `rollback` span), then resumes under
 //! the rolled-back view; an aborted `scale_in` resumes under the shrunk
-//! view and leaves the victim a routed-around zombie that drains at
-//! shutdown. A late answer the op no longer awaits is absorbed and its
+//! view and leaves the victim a routed-around zombie, which holds its
+//! slot until it reaches a `Retire` (or drains at shutdown if none
+//! landed), so no scale-out grows beside it. A late answer the op no longer awaits is absorbed and its
 //! blobs re-homed under the current view — never dropped. Every op,
 //! aborted or not, ends with the resume phase, and a resume phase is
 //! re-driven, never aborted: an abandoned resume would strand the
@@ -131,7 +132,10 @@
 //! view is in the primary's channel before any replica-routed tuple is
 //! sent. A retired slot's channel survives (the receiver travels back
 //! in `Retired`), so a later scale-out can re-provision the same slot
-//! mid-run.
+//! mid-run; the controller empties it first — markers dropped, any tuple
+//! or blob counted lost — so nothing sent to the retired worker (a
+//! re-driven `Retire`) reaches the next one. Each slot is vacant, live
+//! or dead, in one table (DESIGN.md §16).
 //!
 //! ## Provisional rounds
 //!
@@ -234,7 +238,9 @@
 //! * **Worker crashes** (`Kill` at an interval boundary, a `MigrateOut`
 //!   or a `StateInstall`): a worker thread exits mid-run, possibly holding
 //!   un-extracted state or an in-flight `StateInstall`. The controller
-//!   detects the death (`Killed` event), marks the slot dead, re-pins
+//!   detects the death (`Killed` event), marks the slot dead (a dead
+//!   slot holds the corpse's receiver until the source's `DeadDestAck`,
+//!   then drops it, so later sends fail fast), re-pins
 //!   its keys by the one divert rule the source applies to every tuple
 //!   routed to a dead slot (its routing changes only at a resume), and
 //!   continuously drains the dead slot's channel so neither the source

@@ -66,7 +66,10 @@ pub enum Message {
     /// Scale-in: drain the backlog already in the channel (FIFO puts this
     /// marker behind it), extract *all* remaining key state, report it
     /// with [`WorkerExit::Retired`] — channel receiver included, so the
-    /// slot can be re-provisioned later — and exit.
+    /// slot can be re-provisioned later — and exit. A worker retires on
+    /// any epoch, so the controller empties the handed-back receiver (a
+    /// re-driven duplicate of this marker may sit in it) before the slot
+    /// is reused.
     Retire {
         /// The scale-in epoch (same counter as migration epochs).
         epoch: u64,
@@ -193,9 +196,10 @@ pub enum WorkerExit {
         /// never makes load observations under-count (a dropped share
         /// reads as a load drop and can re-trigger the scale-in policy).
         stats: IntervalStats,
-        /// The worker's channel receiver, handed back so the slot's
-        /// channel stays connected (messages can never be silently
-        /// dropped) and a later scale-out can respawn on the same slot.
+        /// The worker's channel receiver, handed back so a later
+        /// scale-out can respawn on the same slot. The controller empties
+        /// it first — markers dropped, any tuple or blob counted lost —
+        /// so nothing sent to this worker reaches the next one.
         rx: crossbeam::channel::Receiver<Message>,
     },
     /// A controlled worker death fired by the fault-injection layer

@@ -404,11 +404,9 @@ impl Sim {
                     RoundAction::Split { event, .. } | RoundAction::Unsplit { event, .. } => {
                         report.split_events.push(event);
                     }
-                    // Clamped growth is skipped; the dead-slot actions
-                    // cannot arise from an empty dead set.
-                    RoundAction::ScaleOutClamped
-                    | RoundAction::Revive { .. }
-                    | RoundAction::ScaleHeld => {}
+                    // The dead-slot actions cannot arise from an empty
+                    // dead set.
+                    RoundAction::Revive { .. } | RoundAction::ScaleHeld => {}
                 }
             }
             let decided = report.scale_events.len() + report.split_events.len() > before;

@@ -19,9 +19,11 @@ use std::time::Duration;
 
 use common::{
     all_partitioners, hottest_key, keyed_intervals, mixed_balancer, observed_counts,
-    reference_counts, run_engine, INTERVALS, N_TASKS,
+    reference_counts, run_engine, run_paced, INTERVALS, N_TASKS,
 };
 use streambal::baselines::{shuffle, storm};
+use streambal::elastic::{FixedSchedule, ScaleDecision};
+use streambal::prelude::Key;
 use streambal::runtime::{
     CtlKind, EngineConfig, EngineReport, EventKind, FaultEvent, FaultPlan, FaultSpec, KillTrigger,
     OpKind,
@@ -45,10 +47,15 @@ fn chaos_config(plan: FaultPlan) -> EngineConfig {
     }
 }
 
+/// The accounting invariant over the suite's workload.
+fn assert_accounted(label: &str, report: &EngineReport, preserves: bool) {
+    assert_accounted_on(label, report, preserves, &keyed_intervals());
+}
+
 /// The accounting invariant: per key, observed output plus accounted
 /// loss equals what was fed — no silent drops, no double counts. And
 /// one op at a time: no op span opens while another is still open.
-fn assert_accounted(label: &str, report: &EngineReport, preserves: bool) {
+fn assert_accounted_on(label: &str, report: &EngineReport, preserves: bool, feed: &[Vec<Key>]) {
     let mut open: Option<u64> = None;
     for e in &report.trace.events {
         match e.kind {
@@ -63,7 +70,7 @@ fn assert_accounted(label: &str, report: &EngineReport, preserves: bool) {
             _ => {}
         }
     }
-    let expect = reference_counts(&keyed_intervals());
+    let expect = reference_counts(feed);
     let mut got = observed_counts(report, preserves);
     for &(k, n) in &report.lost_tuples {
         *got.entry(k).or_insert(0) += n;
@@ -331,4 +338,57 @@ fn seeded_sweep_accounts_every_tuple_across_partitioners() {
             assert_accounted(&label, &report, preserves);
         }
     }
+}
+
+/// A scale-in whose victim stalls past two deadlines is aborted, and
+/// the victim runs on as a zombie with its re-driven `Retire` queued
+/// behind the first. When it retires (about two intervals before the
+/// scale-out at interval 12 is decided; a later retire skips the
+/// scale-out), the receiver it hands back is emptied before the
+/// scale-out respawns its slot, so the new worker takes its keys'
+/// traffic instead of retiring at once on the old epoch's marker:
+/// every tuple is still observed.
+#[test]
+fn a_zombie_victims_redriven_retire_never_retires_its_successor() {
+    let feed: Vec<Vec<Key>> = (0..20u64)
+        .map(|i| {
+            (0..3_000u64)
+                .map(|j| Key((i * 3_000 + j) * 7_919 % 400))
+                .collect()
+        })
+        .collect();
+    let config = EngineConfig {
+        n_workers: N_TASKS,
+        max_workers: N_TASKS,
+        spin_work: 10,
+        window: 100,
+        channel_capacity: 100_000,
+        elasticity: Box::new(FixedSchedule::new([
+            (0, ScaleDecision::ScaleIn),
+            (12, ScaleDecision::ScaleOut),
+        ])),
+        fault_plan: FaultPlan::new(vec![FaultSpec::StallWorker {
+            worker: 2,
+            at_interval: 0,
+            ms: 1_500,
+        }]),
+        deadline: Duration::from_millis(200),
+        deadline_intervals: 1,
+        ..EngineConfig::default()
+    };
+    let pace = Duration::from_millis(150);
+    let report = run_paced(
+        "zombie",
+        config,
+        Box::new(storm(N_TASKS)),
+        feed.clone(),
+        pace,
+    );
+    let aborted = FaultEvent::OpAborted {
+        op: OpKind::Retire,
+        epoch: 1,
+    };
+    assert!(report.faults.contains(&aborted), "{:?}", report.faults);
+    assert!(report.lost_tuples.is_empty(), "{:?}", report.lost_tuples);
+    assert_accounted_on("zombie", &report, true, &feed);
 }

@@ -126,6 +126,17 @@ pub fn run_feed(
     p: Box<dyn Partitioner>,
     feed: Vec<Vec<Key>>,
 ) -> EngineReport {
+    run_paced(label, config, p, feed, Duration::ZERO)
+}
+
+/// [`run_feed`] with the feeder sleeping `pace` before each interval.
+pub fn run_paced(
+    label: &str,
+    config: EngineConfig,
+    p: Box<dyn Partitioner>,
+    feed: Vec<Vec<Key>>,
+    pace: Duration,
+) -> EngineReport {
     let preserves = p.preserves_key_semantics();
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
@@ -140,7 +151,13 @@ pub fn run_feed(
                     Box::new(WordCountOp::with_partial_emission(8))
                 }
             },
-            replay(&feed),
+            {
+                let mut feed = replay(&feed);
+                move |interval| {
+                    std::thread::sleep(pace);
+                    feed(interval)
+                }
+            },
             (!preserves).then(|| Box::new(SumCollector::new()) as Box<dyn Collector>),
         );
         let _ = tx.send(report);
